@@ -89,7 +89,7 @@ end
 // dslConfig collects runDSL's knobs (one per -engine dsl flag).
 type dslConfig struct {
 	App        string // mf | lda | slr
-	Backend    string // "" | vm | compiled | interp
+	Backend    string // "" | vm | interp
 	Transport  string // "" | inproc | tcp
 	Workers    int
 	Passes     int
@@ -109,9 +109,9 @@ type dslConfig struct {
 
 // runDSL trains an application written purely in Orion's DSL on the
 // real distributed runtime, with the loop backend selectable from the
-// command line: "" compiles loop bodies to closures and falls back to
-// the interpreter outside the compiled subset, "compiled" makes
-// fallback an error, "interp" forces the reference interpreter. The
+// command line: "" runs loop bodies on the bytecode VM and falls back
+// to the interpreter outside the VM's subset, "vm" makes fallback an
+// error, "interp" forces the reference interpreter. The
 // transport is in-process by default; "tcp" runs the same executors
 // over real sockets (loopback), which exercises the full wire protocol
 // including trace collection. A non-empty CkptDir enables coordinated

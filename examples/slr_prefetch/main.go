@@ -118,7 +118,9 @@ func run(kernel string, ds *data.Logistic) int64 {
 	}
 
 	weights := dsm.NewDense("weights", ds.Dim)
-	m.Serve(weights)
+	if err := m.DistributeServed(weights); err != nil {
+		log.Fatal(err)
+	}
 	samples := make([]runtime.IterSample, len(ds.Features))
 	for i := range samples {
 		samples[i] = runtime.IterSample{Key: []int64{int64(i)}, Val: 0}
@@ -130,6 +132,10 @@ func run(kernel string, ds *data.Logistic) int64 {
 		log.Fatal(err)
 	}
 	misses := m.Misses()
+	// Merge the weight shards back, as a driver program would.
+	if _, err := m.Gather("weights"); err != nil {
+		log.Fatal(err)
+	}
 	m.Shutdown()
 	for _, d := range done {
 		<-d

@@ -39,7 +39,7 @@ type transportBaseline struct {
 // both rotation encodings.
 func measureTransport(rank, width int64) (*transportBaseline, error) {
 	out := &transportBaseline{
-		Description: "rotation transport: one dense partition shipped peer-to-peer and installed — per-message gob partition blobs, the hardened raw codec (CRC32C trailer + frame sequencing, wide staging), and raw-nocrc, a faithful reproduction of the pre-hardening raw path (no integrity layer, original 512-element staging); bytes include tag, framing, and trailer overhead",
+		Description: "rotation transport: one dense partition shipped peer-to-peer and installed — per-message gob partition blobs vs the raw codec (CRC32C trailer + frame sequencing, wide staging); bytes include tag, framing, and trailer overhead",
 		Rank:        rank,
 		Width:       width,
 	}
@@ -47,24 +47,15 @@ func measureTransport(rank, width int64) (*transportBaseline, error) {
 	a.Map(func(float64) float64 { return 0.25 })
 	p := a.ExtractRange(1, 0, width)
 
-	// plain selects the pre-hardening codec: no sequence numbers, no
-	// CRC32C trailer, and the original narrow staging chunks — the raw
-	// path exactly as it shipped before the integrity layer, so the
-	// baseline prices hardened-vs-unhardened as a same-run comparison.
 	variants := []struct {
-		name  string
-		gob   bool
-		plain bool
+		name string
+		gob  bool
 	}{
-		{"gob", true, false},
-		{"raw", false, false},
-		{"raw-nocrc", false, true},
+		{"gob", true},
+		{"raw", false},
 	}
 	for _, v := range variants {
 		rb := runtime.NewRotationBench()
-		if v.plain {
-			rb = runtime.NewRotationBenchPlain()
-		}
 		var ack runtime.Msg
 		// Warm the codec and pools out of the measured region.
 		for i := 0; i < 3; i++ {
@@ -89,9 +80,8 @@ func measureTransport(rank, width int64) (*transportBaseline, error) {
 			bytesPer = (rb.BytesSent() - before) / ops
 		}
 		rb.Close()
-		name := v.name
 		out.Rows = append(out.Rows, transportRow{
-			Path:              name,
+			Path:              v.name,
 			NsPerRotation:     round1(ns),
 			AllocsPerRotation: allocs,
 			BytesPerRotation:  bytesPer,

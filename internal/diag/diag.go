@@ -29,7 +29,7 @@
 //	ORN105  info     unordered loop writes a rotated (time-partitioned)
 //	                 array
 //	ORN106  info     which loop-execution backend the executors use
-//	                 (closure-compiled or the reference interpreter)
+//	                 (bytecode VM or the reference interpreter)
 //	ORN107  info     expected rotation/compute byte ratio of the chosen
 //	                 plan (compare against orion-run -report)
 //	ORN108  error    serialized plan artifact is stale: schema-version

@@ -281,19 +281,17 @@ func (s *Session) CreateBuffer(name, target string) error {
 func (s *Session) SetGlobal(name string, v float64) { s.globals[name] = v }
 
 // SetBackend pins the loop-execution backend shipped with every
-// subsequent ParallelFor: "" (default: bytecode VM, falling back to
-// the closure compiler and then the interpreter), "vm" (register
-// bytecode VM; falling back becomes an error), "compiled"
-// (closure-compiled; skips the VM), or "interp" (force the
-// tree-walking interpreter — the reference semantics, useful for
-// bisecting a suspected compiler bug).
+// subsequent ParallelFor: "" (default: bytecode VM, falling back to the
+// interpreter), "vm" (register bytecode VM; falling back becomes an
+// error), or "interp" (force the tree-walking interpreter — the
+// reference semantics, useful for bisecting a suspected compiler bug).
 func (s *Session) SetBackend(backend string) error {
 	switch backend {
-	case "", "vm", "compiled", "interp":
+	case "", "vm", "interp":
 		s.backend = backend
 		return nil
 	}
-	return fmt.Errorf("driver: unknown backend %q (want \"\", \"vm\", \"compiled\", or \"interp\")", backend)
+	return fmt.Errorf("driver: unknown backend %q (want \"\", \"vm\", or \"interp\")", backend)
 }
 
 // Backend returns the pinned loop-execution backend ("" = automatic).
@@ -301,8 +299,8 @@ func (s *Session) Backend() string { return s.backend }
 
 // KernelBackend reports which backend the executors will run the given
 // loop source on under the current session configuration, without
-// executing anything: "vm", "compiled", or "interp". The decision is
-// the same deterministic compile verdict every worker reaches.
+// executing anything: "vm" or "interp". The decision is the same
+// deterministic compile verdict every worker reaches.
 func (s *Session) KernelBackend(src string) (string, error) {
 	loop, err := lang.Parse(src)
 	if err != nil {
@@ -320,36 +318,22 @@ func (s *Session) kernelBackend(loop *lang.Loop) (string, error) {
 		globals = append(globals, g)
 	}
 	globals = append(globals, lang.Accumulators(loop)...)
-	env := &lang.CompileEnv{
+	_, err := vm.Compile(loop, &lang.CompileEnv{
 		Arrays:  s.env.Arrays,
 		Buffers: s.env.Buffers,
 		Globals: globals,
+	})
+	if err == nil {
+		return "vm", nil
 	}
-	if s.backend != "compiled" {
-		_, err := vm.Compile(loop, env)
-		if err == nil {
-			return "vm", nil
-		}
-		var nce *lang.NotCompilableError
-		if !errors.As(err, &nce) {
-			return "", err
-		}
-		if s.backend == "vm" {
-			return "", fmt.Errorf("driver: backend=vm requested: %w", err)
-		}
+	var nce *lang.NotCompilableError
+	if !errors.As(err, &nce) {
+		return "", err
 	}
-	_, err := lang.CompileLoop(loop, env)
-	if err != nil {
-		var nce *lang.NotCompilableError
-		if !errors.As(err, &nce) {
-			return "", err
-		}
-		if s.backend == "compiled" {
-			return "", fmt.Errorf("driver: backend=compiled requested: %w", err)
-		}
-		return "interp", nil
+	if s.backend == "vm" {
+		return "", fmt.Errorf("driver: backend=vm requested: %w", err)
 	}
-	return "compiled", nil
+	return "interp", nil
 }
 
 // Array returns the driver-side copy of an array.
@@ -476,13 +460,8 @@ func (s *Session) ParallelFor(src string, options ...Option) (*sched.Plan, error
 	}
 
 	switch e.plan.Kind {
-	case sched.TwoD:
-		if o.ordered {
-			return e.plan, s.runTwoDOrdered(e, o.passes)
-		}
-		return e.plan, s.runTwoD(e, o.passes)
-	case sched.OneD, sched.Independent:
-		return e.plan, s.runOneD(e, o.passes)
+	case sched.TwoD, sched.OneD, sched.Independent:
+		return e.plan, s.run(e, o.passes, o.ordered)
 	case sched.TwoDTransformed:
 		return e.plan, fmt.Errorf("driver: transformed loops are not supported by the distributed runtime: %s (use the engine simulator)",
 			e.evidence)

@@ -506,8 +506,6 @@ func TestDriverBackendSelection(t *testing.T) {
 		}
 		return sess
 	}
-	compiled := run("compiled")
-	defer compiled.Close()
 	vmSess := run("vm")
 	defer vmSess.Close()
 	auto := run("")
@@ -517,7 +515,7 @@ func TestDriverBackendSelection(t *testing.T) {
 
 	for _, name := range []string{"W", "H"} {
 		want := interp.Array(name)
-		for _, sess := range []*Session{compiled, vmSess, auto} {
+		for _, sess := range []*Session{vmSess, auto} {
 			got := sess.Array(name)
 			want.ForEach(func(idx []int64, v float64) {
 				if g := got.At(idx...); math.Float64bits(g) != math.Float64bits(v) {
@@ -527,14 +525,15 @@ func TestDriverBackendSelection(t *testing.T) {
 		}
 	}
 
-	if err := compiled.SetBackend("jit"); err == nil {
+	if err := auto.SetBackend("jit"); err == nil {
 		t.Fatal("SetBackend accepted an unknown backend")
 	}
 }
 
-// TestDriverBackendCompiledRefused: pinning backend=compiled on a loop
-// outside the compiled subset fails at the driver before shipping, and
-// the automatic backend reports the interpreter fallback.
+// TestDriverBackendCompiledRefused: the removed closure tier is no
+// longer a backend value, pinning backend=vm on a loop outside the VM's
+// subset fails at the driver before shipping, and the automatic backend
+// reports the interpreter fallback.
 func TestDriverBackendCompiledRefused(t *testing.T) {
 	const src = `
 for (key, v) in data
@@ -557,11 +556,8 @@ end
 		t.Fatalf("automatic backend should fall back and run: %v", err)
 	}
 
-	if err := sess.SetBackend("compiled"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.ParallelFor(src); err == nil || !strings.Contains(err.Error(), "backend=compiled") {
-		t.Fatalf("pinned compiled backend on a non-compilable loop: err = %v", err)
+	if err := sess.SetBackend("compiled"); err == nil {
+		t.Fatal(`SetBackend accepted "compiled"`)
 	}
 
 	if err := sess.SetBackend("vm"); err != nil {

@@ -12,68 +12,51 @@ import (
 	"orion/internal/sched"
 )
 
-// runTwoD distributes and executes a 2D-parallelizable loop: the
-// iteration space and space-indexed arrays are partitioned by the space
-// dimension, time-indexed arrays rotate between executors, and anything
-// else is served by the master with synthesized bulk prefetching.
+// run distributes and executes a parallelizable loop: the iteration
+// space and space-indexed arrays are partitioned by the space dimension
+// and served arrays are sharded across the executors with synthesized
+// bulk prefetching. 1D (and independent) loops stop there — one block
+// per executor per pass. Unordered 2D loops rotate the time-indexed
+// arrays around the executor ring between steps (Fig. 7f). Ordered 2D
+// loops run as a wavefront (Fig. 7e) with the time-indexed arrays
+// *served* instead of rotated: the wavefront guarantees concurrently
+// running blocks touch disjoint ranges, so direct served writes stay
+// serializable and execution preserves lexicographic order.
 //
-// Each run* builds an attempt function that distributes state for a
-// resume position and executes from it up to a stop boundary;
-// runReconfigurable retries the attempt through worker losses (when
-// checkpointing is enabled) and quiesces at interior boundaries while
-// an adaptive or grow trigger is armed.
-func (s *Session) runTwoD(e *compiledLoop, passes int) error {
+// The attempt function distributes state for a resume position and
+// executes from it up to a stop boundary; runReconfigurable retries it
+// through worker losses (when checkpointing is enabled) and quiesces at
+// interior boundaries while an adaptive or grow trigger is armed.
+func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
 	kernel := s.nextLoopName(e)
 	return s.runReconfigurable(e, kernel, passes, func(start resumePos, stopPass int) ([]string, error) {
 		samples := s.iterSamples(e.spec)
 		spacePart, timePart := s.partitioners(e, samples)
-		// Rotated arrays start at the resume step's ring phase, so a
-		// mid-pass resume reproduces the faulted run's placement.
-		gathered, err := s.placeArrays(e.spec, e.plan, spacePart, timePart, start.step)
-		if err != nil {
-			return nil, err
+		def := runtime.LoopDef{
+			Kernel:    kernel,
+			TimeDim:   -1,
+			Passes:    passes,
+			StartPass: start.pass,
+			StartStep: start.step,
+			StopPass:  stopPass,
 		}
-		if err := s.master.DistributeIterSpace(samples, e.plan.SpaceDim, spacePart); err != nil {
-			return nil, err
-		}
-		if err := s.defineLoopAs(e, kernel); err != nil {
-			return nil, err
-		}
-		return gathered, s.master.ParallelFor(runtime.LoopDef{
-			Kernel:     kernel,
-			TimeDim:    e.plan.TimeDim,
-			TimePart:   timePart,
-			Rotate:     true,
-			Passes:     passes,
-			StartPass:  start.pass,
-			StartStep:  start.step,
-			StopPass:   stopPass,
-			Checkpoint: s.checkpointSpec(e, gathered),
-		})
-	})
-}
-
-// runTwoDOrdered executes an ordered 2D loop as a wavefront over the
-// distributed runtime (Fig. 7e): space-indexed arrays stay local,
-// time-indexed arrays are *served* (sharded across executors) instead
-// of rotated — the wavefront guarantees concurrently running blocks
-// touch disjoint ranges, so direct served writes stay serializable and
-// the whole execution preserves lexicographic order.
-func (s *Session) runTwoDOrdered(e *compiledLoop, passes int) error {
-	kernel := s.nextLoopName(e)
-	return s.runReconfigurable(e, kernel, passes, func(start resumePos, stopPass int) ([]string, error) {
-		samples := s.iterSamples(e.spec)
-		spacePart, timePart := s.partitioners(e, samples)
-		// Rewrite the plan: rotated arrays become served.
-		ordered := *e.plan
-		ordered.Arrays = nil
-		for _, ap := range e.plan.Arrays {
-			if ap.Place == sched.Rotated {
-				ap.Place = sched.Served
+		pl := e.plan
+		var rotatePart *sched.Partitioner
+		phase := 0
+		if e.plan.Kind == sched.TwoD {
+			def.TimeDim, def.TimePart = e.plan.TimeDim, timePart
+			if ordered {
+				def.Ordered = true
+				pl = servedNotRotated(e.plan)
+			} else {
+				def.Rotate = true
+				// Rotated arrays start at the resume step's ring phase,
+				// so a mid-pass resume reproduces the faulted run's
+				// placement.
+				rotatePart, phase = timePart, start.step
 			}
-			ordered.Arrays = append(ordered.Arrays, ap)
 		}
-		gathered, err := s.placeArrays(e.spec, &ordered, spacePart, nil, 0)
+		gathered, err := s.placeArrays(e.spec, pl, spacePart, rotatePart, phase)
 		if err != nil {
 			return nil, err
 		}
@@ -83,47 +66,23 @@ func (s *Session) runTwoDOrdered(e *compiledLoop, passes int) error {
 		if err := s.defineLoopAs(e, kernel); err != nil {
 			return nil, err
 		}
-		return gathered, s.master.ParallelFor(runtime.LoopDef{
-			Kernel:     kernel,
-			TimeDim:    e.plan.TimeDim,
-			TimePart:   timePart,
-			Ordered:    true,
-			Passes:     passes,
-			StartPass:  start.pass,
-			StartStep:  start.step,
-			StopPass:   stopPass,
-			Checkpoint: s.checkpointSpec(e, gathered),
-		})
+		def.Checkpoint = s.checkpointSpec(e, gathered)
+		return gathered, s.master.ParallelFor(def)
 	})
 }
 
-// runOneD distributes and executes a 1D-parallelizable (or independent)
-// loop: one partition per executor, no rotation.
-func (s *Session) runOneD(e *compiledLoop, passes int) error {
-	kernel := s.nextLoopName(e)
-	return s.runReconfigurable(e, kernel, passes, func(start resumePos, stopPass int) ([]string, error) {
-		samples := s.iterSamples(e.spec)
-		spacePart, _ := s.partitioners(e, samples)
-		gathered, err := s.placeArrays(e.spec, e.plan, spacePart, nil, 0)
-		if err != nil {
-			return nil, err
+// servedNotRotated copies a plan with every rotated array served
+// instead — the placement ordered wavefront execution needs.
+func servedNotRotated(pl *sched.Plan) *sched.Plan {
+	out := *pl
+	out.Arrays = make([]sched.ArrayPlan, len(pl.Arrays))
+	for i, ap := range pl.Arrays {
+		if ap.Place == sched.Rotated {
+			ap.Place = sched.Served
 		}
-		if err := s.master.DistributeIterSpace(samples, e.plan.SpaceDim, spacePart); err != nil {
-			return nil, err
-		}
-		if err := s.defineLoopAs(e, kernel); err != nil {
-			return nil, err
-		}
-		return gathered, s.master.ParallelFor(runtime.LoopDef{
-			Kernel:     kernel,
-			TimeDim:    -1,
-			Passes:     passes,
-			StartPass:  start.pass,
-			StartStep:  start.step,
-			StopPass:   stopPass,
-			Checkpoint: s.checkpointSpec(e, gathered),
-		})
-	})
+		out.Arrays[i] = ap
+	}
+	return &out
 }
 
 // partitioners returns the executable space/time partitioners for this

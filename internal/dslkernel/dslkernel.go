@@ -26,12 +26,11 @@ func Install() {
 
 // Compile builds a kernel set (and prefetch functions) from a
 // DefineLoop message. Loop bodies run on the bytecode VM
-// (lang/vm.Compile) whenever they fall inside the compiled subset,
-// with the closure backend (lang.CompileLoop) next in the lattice;
+// (lang/vm.Compile) whenever they fall inside the compiled subset;
 // otherwise the tree-walking interpreter — the reference semantics —
-// executes them. def.Backend pins the choice: "vm" and "compiled"
-// make fallback an error, "interp" forces interpretation (e.g. for
-// CLI bisection), and "" walks the full vm→compiled→interp lattice.
+// executes them. def.Backend pins the choice: "vm" makes fallback an
+// error, "interp" forces interpretation (e.g. for CLI bisection), and
+// "" walks the vm→interp lattice.
 func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 	tb := obs.NewBuf(0, "dslkernel")
 	spanStart := tb.Begin()
@@ -49,58 +48,35 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 	}
 
 	var vp *vm.Prog
-	var cl *lang.CompiledLoop
 	switch def.Backend {
-	case "", "vm", "compiled", "interp":
-	default:
-		return nil, fmt.Errorf("dslkernel: unknown backend %q", def.Backend)
-	}
-	if def.Backend != "interp" {
+	case "", "vm":
 		globalNames := append([]string{}, def.GlobalNames...)
 		globalNames = append(globalNames, def.AccumNames...)
-		env := &lang.CompileEnv{
+		vp, err = vm.Compile(loop, &lang.CompileEnv{
 			Arrays:  def.ArrayDims,
 			Buffers: def.Buffers,
 			Globals: globalNames,
-		}
-		if def.Backend != "compiled" {
-			vp, err = vm.Compile(loop, env)
-			if err != nil {
-				var nce *lang.NotCompilableError
-				if !errors.As(err, &nce) {
-					return nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
-				}
-				if def.Backend == "vm" {
-					return nil, fmt.Errorf("dslkernel: backend=vm requested: %w", err)
-				}
-				vp = nil // outside the VM subset: try the closure backend
+		})
+		if err != nil {
+			var nce *lang.NotCompilableError
+			if !errors.As(err, &nce) {
+				return nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
 			}
-		}
-		if vp == nil && def.Backend != "vm" {
-			cl, err = lang.CompileLoop(loop, env)
-			if err != nil {
-				var nce *lang.NotCompilableError
-				if !errors.As(err, &nce) {
-					return nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
-				}
-				if def.Backend == "compiled" {
-					return nil, fmt.Errorf("dslkernel: backend=compiled requested: %w", err)
-				}
-				cl = nil // outside the compiled subset: interpret
+			if def.Backend == "vm" {
+				return nil, fmt.Errorf("dslkernel: backend=vm requested: %w", err)
 			}
+			vp = nil // outside the VM subset: interpret
 		}
-	}
-	switch {
-	case vp != nil:
-		obs.GetCounter("kernel.vm").Inc()
-	case cl != nil:
-		obs.GetCounter("kernel.compiled").Inc()
+	case "interp":
 	default:
+		return nil, fmt.Errorf("dslkernel: unknown backend %q", def.Backend)
+	}
+	if vp != nil {
+		obs.GetCounter("kernel.vm").Inc()
+	} else {
 		obs.GetCounter("kernel.interp_fallback").Inc()
 	}
 
-	// The kernel is invoked only from its executor's message loop, so a
-	// single lazily initialized machine per kernel instance suffices.
 	loopName := def.LoopName
 	// Seed the rand() builtin deterministically per (loop, executor,
 	// block): sampling kernels (e.g. Gibbs) stay reproducible, both
@@ -116,58 +92,49 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 		seed ^= int64(ctx.BlockPass())*1_000_003 + int64(ctx.BlockStep())*9176
 		return rand.New(rand.NewSource(seed))
 	}
+	// The kernel is invoked only from its executor's message loop, so a
+	// single machine per kernel instance suffices: enter builds it on
+	// first use and reseeds it whenever a new block starts.
 	var ms *machineState
-	var cs *compiledState
 	var vs *vmState
 	lastEpoch := int64(-1)
-	kernel := func(ctx *runtime.Ctx, key []int64, val float64) {
-		reseed := ctx.BlockEpoch() != lastEpoch
-		lastEpoch = ctx.BlockEpoch()
-		if vp != nil {
-			if vs == nil {
+	enter := func(ctx *runtime.Ctx) {
+		if vs == nil && ms == nil {
+			if vp != nil {
 				vs = newVMState(ctx, vp, loop, def.ArrayDims, def.Buffers, globals, def.AccumNames)
+			} else {
+				ms = newMachineState(ctx, loop, def.ArrayDims, def.Buffers, globals, def.AccumNames)
 			}
-			if reseed {
-				vs.k.SetRng(seedRng(ctx))
-			}
-			vs.run(ctx, key, val)
+		}
+		if ctx.BlockEpoch() == lastEpoch {
 			return
 		}
-		if cl != nil {
-			if cs == nil {
-				cs = newCompiledState(ctx, cl, loop, def.ArrayDims, def.Buffers, globals, def.AccumNames)
-			}
-			if reseed {
-				cs.k.SetRng(seedRng(ctx))
-			}
-			cs.run(ctx, key, val)
-			return
-		}
-		if ms == nil {
-			ms = newMachineState(ctx, loop, def.ArrayDims, def.Buffers, globals, def.AccumNames)
-		}
-		if reseed {
+		lastEpoch = ctx.BlockEpoch()
+		if vs != nil {
+			vs.k.SetRng(seedRng(ctx))
+		} else {
 			ms.m.Rng = seedRng(ctx)
 		}
-		ms.run(ctx, key, val)
 	}
-	// The VM additionally exposes the batched block form: one
-	// dispatch-loop entry and one panic recovery per block instead of
-	// per iteration. Accumulator deltas still fold per iteration (via
-	// the per-iteration callback), so the block path is bitwise
-	// identical to the one-at-a-time path.
-	var block runtime.BlockKernel
+	ks := &runtime.KernelSet{Prefetch: map[string]runtime.PrefetchFunc{}}
 	if vp != nil {
-		block = func(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
-			reseed := ctx.BlockEpoch() != lastEpoch
-			lastEpoch = ctx.BlockEpoch()
-			if vs == nil {
-				vs = newVMState(ctx, vp, loop, def.ArrayDims, def.Buffers, globals, def.AccumNames)
-			}
-			if reseed {
-				vs.k.SetRng(seedRng(ctx))
-			}
+		ks.Iter = func(ctx *runtime.Ctx, key []int64, val float64) {
+			enter(ctx)
+			vs.run(ctx, key, val)
+		}
+		// The VM additionally exposes the batched block form: one
+		// dispatch-loop entry and one panic recovery per block instead
+		// of per iteration. Accumulator deltas still fold per iteration
+		// (via the per-iteration callback), so the block path is bitwise
+		// identical to the one-at-a-time path.
+		ks.Block = func(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
+			enter(ctx)
 			return vs.runBlock(ctx, keys, vals)
+		}
+	} else {
+		ks.Iter = func(ctx *runtime.Ctx, key []int64, val float64) {
+			enter(ctx)
+			ms.run(ctx, key, val)
 		}
 	}
 
@@ -182,7 +149,6 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 		}
 		pf = art.Prefetch
 	}
-	prefetch := map[string]runtime.PrefetchFunc{}
 	if pf != nil && pf.Src != "" && len(pf.Arrays) > 0 {
 		sliced, err := lang.Parse(pf.Src)
 		if err != nil {
@@ -190,7 +156,7 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 		}
 		for _, target := range pf.Arrays {
 			target := target
-			prefetch[target] = func(key []int64, val float64) []int64 {
+			ks.Prefetch[target] = func(key []int64, val float64) []int64 {
 				m := lang.NewMachine()
 				for name, d := range def.ArrayDims {
 					m.Arrays[name] = dimsOnly(d)
@@ -206,7 +172,7 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 			}
 		}
 	}
-	return &runtime.KernelSet{Iter: kernel, Block: block, Prefetch: prefetch}, nil
+	return ks, nil
 }
 
 // vmState is one executor's bytecode-VM kernel instance for one loop:
@@ -223,18 +189,7 @@ func newVMState(ctx *runtime.Ctx, vp *vm.Prog, loop *lang.Loop,
 	dims map[string][]int64, buffers map[string]string,
 	globals map[string]float64, accums []string) *vmState {
 	k := vp.NewKernel()
-	for name, d := range dims {
-		if name == loop.IterVar {
-			// Like the interpreter path, the iteration space stays
-			// unbound: body reads of it fault as unknown.
-			continue
-		}
-		var view lang.ArrayAccess
-		if ctx.HasPartition(name) {
-			view = &partView{ctx: ctx, name: name, dims: d}
-		} else {
-			view = &servedView{ctx: ctx, name: name, dims: d}
-		}
+	for name, view := range arrayViews(ctx, loop, dims) {
 		if err := k.BindArray(name, view); err != nil {
 			panic(fmt.Sprintf("dslkernel: %v", err))
 		}
@@ -287,69 +242,6 @@ func (vs *vmState) fold(ctx *runtime.Ctx) {
 	}
 }
 
-// compiledState is one executor's compiled-kernel instance for one
-// loop: the slot-resolved closure program with partition/served views
-// bound into its array slots, plus accumulator shadows for diffing.
-type compiledState struct {
-	k       *lang.CompiledKernel
-	accums  []string
-	slots   []int
-	lastAcc []float64
-}
-
-func newCompiledState(ctx *runtime.Ctx, cl *lang.CompiledLoop, loop *lang.Loop,
-	dims map[string][]int64, buffers map[string]string,
-	globals map[string]float64, accums []string) *compiledState {
-	k := cl.NewKernel()
-	for name, d := range dims {
-		if name == loop.IterVar {
-			// Like the interpreter path, the iteration space stays
-			// unbound: body reads of it fault as unknown.
-			continue
-		}
-		var view lang.ArrayAccess
-		if ctx.HasPartition(name) {
-			view = &partView{ctx: ctx, name: name, dims: d}
-		} else {
-			view = &servedView{ctx: ctx, name: name, dims: d}
-		}
-		if err := k.BindArray(name, view); err != nil {
-			panic(fmt.Sprintf("dslkernel: %v", err))
-		}
-	}
-	for bname, target := range buffers {
-		if err := k.BindBuffer(bname, &ctxBuffer{ctx: ctx, target: target, dims: dims[target]}); err != nil {
-			panic(fmt.Sprintf("dslkernel: %v", err))
-		}
-	}
-	for n, v := range globals {
-		k.SetGlobal(n, v)
-	}
-	cs := &compiledState{k: k, accums: accums}
-	for _, a := range accums {
-		if _, ok := globals[a]; !ok {
-			k.SetGlobal(a, 0)
-		}
-		slot := k.GlobalSlot(a)
-		cs.slots = append(cs.slots, slot)
-		cs.lastAcc = append(cs.lastAcc, k.GlobalAt(slot))
-	}
-	return cs
-}
-
-func (cs *compiledState) run(ctx *runtime.Ctx, key []int64, val float64) {
-	if err := cs.k.RunIteration(key, val); err != nil {
-		panic(fmt.Sprintf("dslkernel: compiled kernel: %v", err))
-	}
-	for i, a := range cs.accums {
-		cur := cs.k.GlobalAt(cs.slots[i])
-		if d := cur - cs.lastAcc[i]; d != 0 {
-			ctx.AccumAdd(a, d)
-			cs.lastAcc[i] = cur
-		}
-	}
-}
-
 // machineState is one executor's interpreter instance for one loop.
 type machineState struct {
 	m       *lang.Machine
@@ -361,16 +253,7 @@ type machineState struct {
 func newMachineState(ctx *runtime.Ctx, loop *lang.Loop, dims map[string][]int64,
 	buffers map[string]string, globals map[string]float64, accums []string) *machineState {
 	m := lang.NewMachine()
-	for name, d := range dims {
-		if name == loop.IterVar {
-			continue
-		}
-		if ctx.HasPartition(name) {
-			m.Arrays[name] = &partView{ctx: ctx, name: name, dims: d}
-		} else {
-			m.Arrays[name] = &servedView{ctx: ctx, name: name, dims: d}
-		}
-	}
+	m.Arrays = arrayViews(ctx, loop, dims)
 	for bname, target := range buffers {
 		m.Buffers[bname] = &ctxBuffer{ctx: ctx, target: target, dims: dims[target]}
 	}
@@ -403,6 +286,24 @@ func (ms *machineState) run(ctx *runtime.Ctx, key []int64, val float64) {
 func asFloat(v lang.Value) float64 {
 	f, _ := v.(float64)
 	return f
+}
+
+// arrayViews adapts every declared array to this executor's partition
+// of it, or to served reads when it holds none. The iteration space
+// stays unbound on both backends: body reads of it fault as unknown.
+func arrayViews(ctx *runtime.Ctx, loop *lang.Loop, dims map[string][]int64) map[string]lang.ArrayAccess {
+	views := make(map[string]lang.ArrayAccess, len(dims))
+	for name, d := range dims {
+		if name == loop.IterVar {
+			continue
+		}
+		if ctx.HasPartition(name) {
+			views[name] = &partView{ctx: ctx, name: name, dims: d}
+		} else {
+			views[name] = &servedView{ctx: ctx, name: name, dims: d}
+		}
+	}
+	return views
 }
 
 // partView adapts an executor's (possibly rotated) partition to the

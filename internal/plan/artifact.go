@@ -267,7 +267,7 @@ type Artifact struct {
 	// current data and re-balance on drift.
 	WeightsDigest string `json:"weights_digest,omitempty"`
 	// Backend records which loop-execution backend the driver predicted
-	// for this loop ("vm", "compiled", or "interp") — the same verdict
+	// for this loop ("vm" or "interp") — the same verdict
 	// every worker's dslkernel.Compile reaches deterministically.
 	Backend string `json:"backend,omitempty"`
 }

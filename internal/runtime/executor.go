@@ -31,26 +31,22 @@ type Executor struct {
 	// to the pool when the next rotation replaces them.
 	pooledParts map[string]bool
 	samples     []IterSample
-	// localKernels holds kernels compiled from DefineLoop messages,
-	// checked before the static registry. localBlocks holds their
-	// batched forms when the backend provides one (the bytecode VM).
-	localKernels  map[string]Kernel
-	localBlocks   map[string]BlockKernel
-	localPrefetch map[string]map[string]PrefetchFunc
-	sendTo        *codec // ring neighbor we ship rotated partitions to
-	rotateCh      chan *Msg
+	// loops holds the kernel sets compiled from DefineLoop messages,
+	// checked before the static registry.
+	loops    map[string]*KernelSet
+	sendTo   *codec // ring neighbor we ship rotated partitions to
+	rotateCh chan *Msg
 	// blockKeys/blockVals are the reused scratch for batched kernel
 	// execution (one append pass per block, no per-iteration garbage).
 	blockKeys [][]int64
 	blockVals []float64
 
 	// The master connection is read by a dedicated reader goroutine
-	// (readMaster): commands flow to cmdCh, prefetch responses to
-	// respCh, and a connection failure closes stop — so the main loop,
-	// a rotation wait, or a pending master fetch all unblock promptly
-	// when the master aborts, instead of leaking a stuck goroutine.
+	// (readMaster): commands flow to cmdCh and a connection failure
+	// closes stop — so the main loop or a rotation wait unblocks
+	// promptly when the master aborts, instead of leaking a stuck
+	// goroutine.
 	cmdCh    chan *Msg
-	respCh   chan *Msg
 	stop     chan struct{}
 	stopOnce sync.Once
 	stopErr  error
@@ -98,31 +94,28 @@ type Executor struct {
 // recovery); the assignment arrives in the setup message.
 func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, error) {
 	e := &Executor{
-		id:            id,
-		t:             t,
-		shards:        newShardSet(t, id),
-		peerAddr:      peerAddr,
-		parts:         map[string]*dsm.Partition{},
-		rotated:       map[string]bool{},
-		pooledParts:   map[string]bool{},
-		localKernels:  map[string]Kernel{},
-		localBlocks:   map[string]BlockKernel{},
-		localPrefetch: map[string]map[string]PrefetchFunc{},
-		rotateCh:      make(chan *Msg, 16),
-		cmdCh:         make(chan *Msg, 16),
-		respCh:        make(chan *Msg, 1),
-		stop:          make(chan struct{}),
-		rotateErr:     make(chan struct{}),
-		done:          make(chan error, 1),
-		trace:         obs.NewBuf(id+1, fmt.Sprintf("exec%d", id)),
-		mBlocks:       obs.GetCounter("kernel.blocks"),
-		mIters:        obs.GetCounter("kernel.iterations"),
-		mRotWait:      obs.GetHistogram("rotation.wait.ns"),
-		mRotBytes:     obs.GetCounter("rotation.bytes.sent"),
-		mRotRaw:       obs.GetCounter("rotation.frames.raw"),
-		mRotGob:       obs.GetCounter("rotation.frames.gob"),
-		mPrefHit:      obs.GetCounter("prefetch.hit"),
-		mPrefMiss:     obs.GetCounter("prefetch.miss"),
+		id:          id,
+		t:           t,
+		shards:      newShardSet(t, id),
+		peerAddr:    peerAddr,
+		parts:       map[string]*dsm.Partition{},
+		rotated:     map[string]bool{},
+		pooledParts: map[string]bool{},
+		loops:       map[string]*KernelSet{},
+		rotateCh:    make(chan *Msg, 16),
+		cmdCh:       make(chan *Msg, 16),
+		stop:        make(chan struct{}),
+		rotateErr:   make(chan struct{}),
+		done:        make(chan error, 1),
+		trace:       obs.NewBuf(id+1, fmt.Sprintf("exec%d", id)),
+		mBlocks:     obs.GetCounter("kernel.blocks"),
+		mIters:      obs.GetCounter("kernel.iterations"),
+		mRotWait:    obs.GetHistogram("rotation.wait.ns"),
+		mRotBytes:   obs.GetCounter("rotation.bytes.sent"),
+		mRotRaw:     obs.GetCounter("rotation.frames.raw"),
+		mRotGob:     obs.GetCounter("rotation.frames.gob"),
+		mPrefHit:    obs.GetCounter("prefetch.hit"),
+		mPrefMiss:   obs.GetCounter("prefetch.miss"),
 	}
 	e.ctx = &Ctx{
 		exec:        e,
@@ -183,23 +176,13 @@ func (e *Executor) lostErr() error {
 }
 
 // readMaster is the dedicated master-connection reader: commands are
-// queued for the main loop, prefetch responses routed to the waiting
-// fetch, and a connection error closes stop.
+// queued for the main loop and a connection error closes stop.
 func (e *Executor) readMaster() {
 	for {
 		msg, err := e.master.recv()
 		if err != nil {
 			e.signalStop(err)
 			return
-		}
-		if msg.Kind == MsgPrefetchResp {
-			select {
-			case e.respCh <- msg:
-			default:
-				// No fetch is waiting (it aborted between send and
-				// receive) — drop rather than wedge the reader.
-			}
-			continue
 		}
 		select {
 		case e.cmdCh <- msg:
@@ -331,13 +314,7 @@ func (e *Executor) run() error {
 				e.master.send(&Msg{Kind: MsgError, Err: err.Error()})
 				return err
 			}
-			e.localKernels[msg.LoopName] = ks.Iter
-			if ks.Block != nil {
-				e.localBlocks[msg.LoopName] = ks.Block
-			} else {
-				delete(e.localBlocks, msg.LoopName)
-			}
-			e.localPrefetch[msg.LoopName] = ks.Prefetch
+			e.loops[msg.LoopName] = ks
 		case MsgExecBlock:
 			if err := e.execBlock(msg, n); err != nil {
 				e.master.send(&Msg{Kind: MsgError, Err: err.Error(), Lost: isLost(err)})
@@ -488,13 +465,15 @@ func (e *Executor) partition(array string) *dsm.Partition { return e.parts[array
 func (e *Executor) execBlock(msg *Msg, n int) error {
 	blockStart := time.Now()
 	var commNs, rotWaitNs int64
-	kernel := e.localKernels[msg.LoopName]
-	if kernel == nil {
-		var err error
-		kernel, err = lookupKernel(msg.LoopName)
+	ks := e.loops[msg.LoopName]
+	if ks == nil {
+		// Not shipped by DefineLoop: a Go kernel registered in this
+		// process.
+		kernel, err := lookupKernel(msg.LoopName)
 		if err != nil {
 			return err
 		}
+		ks = &KernelSet{Iter: kernel, Prefetch: lookupPrefetch(msg.LoopName)}
 	}
 	var block []IterSample
 	for _, s := range e.samples {
@@ -532,11 +511,7 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	// Bulk prefetch: evaluate the synthesized prefetch functions over
 	// the block and fetch the union of needed offsets per served array.
 	e.ctx.servedCache = map[string]map[int64]float64{}
-	pf := e.localPrefetch[msg.LoopName]
-	if pf == nil {
-		pf = lookupPrefetch(msg.LoopName)
-	}
-	if pf != nil {
+	if pf := ks.Prefetch; len(pf) > 0 {
 		arrays := make([]string, 0, len(pf))
 		for a := range pf {
 			arrays = append(arrays, a)
@@ -567,14 +542,8 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	}
 
 	kernelStart := time.Now()
-	var kerr error
-	if bk := e.localBlocks[msg.LoopName]; bk != nil {
-		kerr = e.runBlock(bk, block)
-	} else {
-		kerr = e.runKernel(kernel, block)
-	}
-	if kerr != nil {
-		return kerr
+	if err := e.runKernel(ks, block); err != nil {
+		return err
 	}
 	// Synthetic straggler injection (SetBlockDelay): sleep inside the
 	// compute-timing window so the skew is visible to LoopReports.
@@ -584,9 +553,8 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	computeNs := int64(time.Since(kernelStart))
 	e.trace.EndN("exec.kernel", "exec", kernelStart, "iters", int64(len(block)))
 
-	// Ship buffered parameter-server writes to their shard owners (or
-	// the master for unsharded arrays): absolute writes first, then
-	// additive deltas.
+	// Ship buffered parameter-server writes to their shard owners:
+	// absolute writes first, then additive deltas.
 	flushStart := time.Now()
 	drained := e.ctx.drainServed()
 	arrays := make([]string, 0, len(drained))
@@ -596,23 +564,11 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	sort.Strings(arrays)
 	for _, array := range arrays {
 		buf := drained[array]
-		if len(buf.setOffs) > 0 {
-			vals := make([]float64, len(buf.setOffs))
-			for i, off := range buf.setOffs {
-				vals[i] = buf.sets[off]
-			}
-			if err := e.flushServed(array, buf.setOffs, vals, true); err != nil {
-				return err
-			}
+		if err := e.flushServed(array, buf.setOffs, buf.sets, true); err != nil {
+			return err
 		}
-		if len(buf.offs) > 0 {
-			vals := make([]float64, len(buf.offs))
-			for i, off := range buf.offs {
-				vals[i] = buf.vals[off]
-			}
-			if err := e.flushServed(array, buf.offs, vals, false); err != nil {
-				return err
-			}
+		if err := e.flushServed(array, buf.offs, buf.vals, false); err != nil {
+			return err
 		}
 	}
 	if len(drained) > 0 {
@@ -705,76 +661,81 @@ func partitionFromMsg(in *Msg) (*dsm.Partition, error) {
 	return &dsm.Partition{Array: in.Array, Dim: in.PartDim, Lo: in.PartLo, Hi: in.PartHi, Local: local}, nil
 }
 
-// runBlock executes a batched kernel over the whole block in one call.
-// The backend converts faults to errors itself (with how many
-// iterations completed), so no per-iteration recovery is needed here.
-func (e *Executor) runBlock(bk BlockKernel, block []IterSample) error {
+// runKernel executes the loop body over a block — in one call through
+// the batched form when the backend provides one, else one iteration at
+// a time. A panic (a shipped loop body failing at runtime, or a served
+// read whose shard owner died) becomes an error the master can surface
+// instead of a dead executor hanging the barrier.
+func (e *Executor) runKernel(ks *KernelSet, block []IterSample) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = e.kernelFault(r)
+		}
+	}()
+	if ks.Block == nil {
+		for _, s := range block {
+			ks.Iter(e.ctx, s.Key, s.Val)
+		}
+		return nil
+	}
 	e.blockKeys = e.blockKeys[:0]
 	e.blockVals = e.blockVals[:0]
 	for _, s := range block {
 		e.blockKeys = append(e.blockKeys, s.Key)
 		e.blockVals = append(e.blockVals, s.Val)
 	}
-	if _, err := bk(e.ctx, e.blockKeys, e.blockVals); err != nil {
-		return fmt.Errorf("runtime: executor %d: kernel panicked: %v", e.id, err)
+	if _, err := ks.Block(e.ctx, e.blockKeys, e.blockVals); err != nil {
+		return e.kernelFault(err)
 	}
 	return nil
 }
 
-// runKernel executes the kernel over a block, converting panics (e.g. a
-// shipped loop body failing at runtime) into errors the master can
-// surface instead of hanging the barrier.
-func (e *Executor) runKernel(kernel Kernel, block []IterSample) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("runtime: executor %d: kernel panicked: %v", e.id, r)
-		}
-	}()
-	for _, s := range block {
-		kernel(e.ctx, s.Key, s.Val)
+// kernelFault wraps whatever stopped a kernel. A broken peer link
+// keeps its ErrWorkerLost identity so the master starts checkpoint
+// recovery; anything else is a program fault.
+func (e *Executor) kernelFault(r any) error {
+	if err, ok := r.(error); ok && isLost(err) {
+		return fmt.Errorf("runtime: executor %d: kernel aborted: %w", e.id, err)
 	}
-	return nil
+	return fmt.Errorf("runtime: executor %d: kernel panicked: %v", e.id, r)
 }
 
-// awaitMasterResp waits for the reader goroutine to deliver the
-// response to a master-directed request, failing fast when the master
-// connection is lost.
-func (e *Executor) awaitMasterResp() (*Msg, error) {
-	select {
-	case m := <-e.respCh:
-		return m, nil
-	case <-e.stop:
-		return nil, e.lostErr()
+// servedTable returns a served array's shard table. Served arrays live
+// only on executor shards (Master.DistributeServed), so a missing table
+// is a driver error.
+func (e *Executor) servedTable(array string) (*shardTable, error) {
+	if t := e.shards.table(array); t != nil {
+		return t, nil
 	}
+	return nil, fmt.Errorf("runtime: executor %d: served array %q has no shards (Master.DistributeServed)", e.id, array)
+}
+
+// shardRPC sends one request to shard owner o and returns its reply. A
+// dial, send or receive failure means the owner is gone — a worker
+// loss, not a kernel bug.
+func (e *Executor) shardRPC(o int, req *Msg) (*Msg, error) {
+	c, err := e.shards.client(o)
+	if err == nil {
+		err = c.send(req)
+	}
+	var resp *Msg
+	if err == nil {
+		resp, err = c.recv()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("runtime: executor %d: shard owner %d unreachable (%v): %w", e.id, o, err, ErrWorkerLost)
+	}
+	return resp, nil
 }
 
 // bulkFetch reads offsets of a served array, grouped by shard owner
-// (local shard short-circuits; unsharded arrays fall back to the
-// master), and fills the block cache.
+// (the local shard short-circuits), and fills the block cache.
 func (e *Executor) bulkFetch(array string, offs []int64) error {
-	t := e.shards.table(array)
-	if t == nil {
-		// Master-served array.
-		if err := e.master.send(&Msg{Kind: MsgPrefetch, Array: array, Offsets: offs, Epoch: e.ctx.stepEpoch}); err != nil {
-			return fmt.Errorf("runtime: executor %d: prefetch send: %v: %w", e.id, err, ErrWorkerLost)
-		}
-		resp, err := e.awaitMasterResp()
-		if err != nil {
-			return err
-		}
-		e.ctx.cacheServed(array, resp.Offsets, resp.Values)
-		return nil
+	t, err := e.servedTable(array)
+	if err != nil {
+		return err
 	}
-	byOwner := map[int][]int64{}
-	for _, off := range offs {
-		o := t.ownerOf(off)
-		byOwner[o] = append(byOwner[o], off)
-	}
-	owners := make([]int, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
+	owners, byOwner := t.byOwner(offs)
 	for _, o := range owners {
 		chunk := byOwner[o]
 		if o == e.id {
@@ -785,16 +746,9 @@ func (e *Executor) bulkFetch(array string, offs []int64) error {
 			e.ctx.cacheServed(array, chunk, vals)
 			continue
 		}
-		c, err := e.shards.client(o)
+		resp, err := e.shardRPC(o, &Msg{Kind: MsgPrefetch, Array: array, Offsets: chunk, Epoch: e.ctx.stepEpoch})
 		if err != nil {
-			return fmt.Errorf("%v: %w", err, ErrWorkerLost)
-		}
-		if err := c.send(&Msg{Kind: MsgPrefetch, Array: array, Offsets: chunk, Epoch: e.ctx.stepEpoch}); err != nil {
-			return fmt.Errorf("runtime: executor %d: shard owner %d unreachable (%v): %w", e.id, o, err, ErrWorkerLost)
-		}
-		resp, err := c.recv()
-		if err != nil {
-			return fmt.Errorf("runtime: executor %d: shard owner %d unreachable (%v): %w", e.id, o, err, ErrWorkerLost)
+			return err
 		}
 		if resp.Kind != MsgPrefetchResp {
 			return fmt.Errorf("runtime: executor %d: shard owner %d: %s", e.id, o, resp.Err)
@@ -804,32 +758,23 @@ func (e *Executor) bulkFetch(array string, offs []int64) error {
 	return nil
 }
 
-// flushServed ships buffered updates to their shard owners, awaiting
-// acknowledgments so the master barrier implies update visibility.
-func (e *Executor) flushServed(array string, offs []int64, vals []float64, absolute bool) error {
-	t := e.shards.table(array)
-	if t == nil {
-		if err := e.master.send(&Msg{Kind: MsgUpdateBatch, ExecutorID: e.id, Array: array, Offsets: offs, Values: vals, Absolute: absolute, Epoch: e.ctx.stepEpoch}); err != nil {
-			return fmt.Errorf("runtime: executor %d: update send: %v: %w", e.id, err, ErrWorkerLost)
-		}
+// flushServed ships the buffered writes vals[off], for off in offs, to
+// their shard owners, awaiting acknowledgments so the master barrier
+// implies update visibility.
+func (e *Executor) flushServed(array string, offs []int64, vals map[int64]float64, absolute bool) error {
+	if len(offs) == 0 {
 		return nil
 	}
-	byOwner := map[int][]int{}
-	for i, off := range offs {
-		o := t.ownerOf(off)
-		byOwner[o] = append(byOwner[o], i)
+	t, err := e.servedTable(array)
+	if err != nil {
+		return err
 	}
-	owners := make([]int, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
+	owners, byOwner := t.byOwner(offs)
 	for _, o := range owners {
-		idxs := byOwner[o]
-		co := make([]int64, len(idxs))
-		cv := make([]float64, len(idxs))
-		for i, j := range idxs {
-			co[i], cv[i] = offs[j], vals[j]
+		co := byOwner[o]
+		cv := make([]float64, len(co))
+		for i, off := range co {
+			cv[i] = vals[off]
 		}
 		if o == e.id {
 			if err := e.shards.serveUpdate(array, e.id, co, cv, absolute, e.ctx.stepEpoch); err != nil {
@@ -837,16 +782,9 @@ func (e *Executor) flushServed(array string, offs []int64, vals []float64, absol
 			}
 			continue
 		}
-		c, err := e.shards.client(o)
+		ack, err := e.shardRPC(o, &Msg{Kind: MsgUpdateBatch, ExecutorID: e.id, Array: array, Offsets: co, Values: cv, Absolute: absolute, Epoch: e.ctx.stepEpoch})
 		if err != nil {
-			return fmt.Errorf("%v: %w", err, ErrWorkerLost)
-		}
-		if err := c.send(&Msg{Kind: MsgUpdateBatch, ExecutorID: e.id, Array: array, Offsets: co, Values: cv, Absolute: absolute, Epoch: e.ctx.stepEpoch}); err != nil {
-			return fmt.Errorf("runtime: executor %d: shard owner %d unreachable (%v): %w", e.id, o, err, ErrWorkerLost)
-		}
-		ack, err := c.recv()
-		if err != nil {
-			return fmt.Errorf("runtime: executor %d: shard owner %d unreachable (%v): %w", e.id, o, err, ErrWorkerLost)
+			return err
 		}
 		if ack.Kind != MsgAck {
 			return fmt.Errorf("runtime: executor %d: shard owner %d rejected update: %s", e.id, o, ack.Err)
@@ -858,41 +796,24 @@ func (e *Executor) flushServed(array string, offs []int64, vals []float64, absol
 // fetchOne synchronously reads one served-array element (the
 // prefetch-miss slow path).
 func (e *Executor) fetchOne(array string, off int64) (float64, error) {
-	t := e.shards.table(array)
-	if t != nil {
-		if o := t.ownerOf(off); o == e.id {
-			vals, err := e.shards.serveRead(array, []int64{off}, e.ctx.stepEpoch)
-			if err != nil {
-				return 0, err
-			}
-			return vals[0], nil
-		}
-		o := t.ownerOf(off)
-		c, err := e.shards.client(o)
-		if err != nil {
-			return 0, err
-		}
-		if err := c.send(&Msg{Kind: MsgPrefetch, Array: array, Offsets: []int64{off}, Epoch: e.ctx.stepEpoch}); err != nil {
-			return 0, fmt.Errorf("runtime: executor %d: shard owner %d unreachable (%v): %w", e.id, o, err, ErrWorkerLost)
-		}
-		resp, err := c.recv()
-		if err != nil {
-			return 0, fmt.Errorf("runtime: executor %d: shard owner %d unreachable (%v): %w", e.id, o, err, ErrWorkerLost)
-		}
-		if resp.Kind != MsgPrefetchResp || len(resp.Values) != 1 {
-			return 0, fmt.Errorf("runtime: bad single-fetch response from shard owner")
-		}
-		return resp.Values[0], nil
-	}
-	if err := e.master.send(&Msg{Kind: MsgPrefetch, Array: array, Offsets: []int64{off}, Epoch: e.ctx.stepEpoch}); err != nil {
-		return 0, fmt.Errorf("runtime: executor %d: fetch send: %v: %w", e.id, err, ErrWorkerLost)
-	}
-	resp, err := e.awaitMasterResp()
+	t, err := e.servedTable(array)
 	if err != nil {
 		return 0, err
 	}
-	if len(resp.Values) != 1 {
-		return 0, fmt.Errorf("runtime: bad single-fetch response")
+	o := t.ownerOf(off)
+	if o == e.id {
+		vals, err := e.shards.serveRead(array, []int64{off}, e.ctx.stepEpoch)
+		if err != nil {
+			return 0, err
+		}
+		return vals[0], nil
+	}
+	resp, err := e.shardRPC(o, &Msg{Kind: MsgPrefetch, Array: array, Offsets: []int64{off}, Epoch: e.ctx.stepEpoch})
+	if err != nil {
+		return 0, err
+	}
+	if resp.Kind != MsgPrefetchResp || len(resp.Values) != 1 {
+		return 0, fmt.Errorf("runtime: bad single-fetch response from shard owner %d", o)
 	}
 	return resp.Values[0], nil
 }

@@ -194,7 +194,10 @@ func (c *Ctx) ServedRead(array string, off int64) float64 {
 	c.exec.mPrefMiss.Inc()
 	v, err := c.exec.fetchOne(array, off)
 	if err != nil {
-		panic(fmt.Sprintf("runtime: served read of %s[%d]: %v", array, off, err))
+		// Kernels have no error return: panic with the error itself so
+		// the executor's recovery still sees a lost shard owner as
+		// ErrWorkerLost.
+		panic(fmt.Errorf("runtime: served read of %s[%d]: %w", array, off, err))
 	}
 	c.cacheServed(array, []int64{off}, []float64{v})
 	c.exec.misses++
@@ -202,7 +205,7 @@ func (c *Ctx) ServedRead(array string, off int64) float64 {
 }
 
 // ServedUpdate buffers a delta to a parameter-server array element; the
-// buffered writes ship to the master at block end.
+// buffered writes ship to the shard owners at block end.
 func (c *Ctx) ServedUpdate(array string, off int64, delta float64) {
 	buf := c.servedDirty[array]
 	if buf == nil {

@@ -77,16 +77,7 @@ type Master struct {
 	peers []string // executor ring addresses, by id
 	ln    net.Listener
 
-	mu     sync.Mutex
-	served map[string]*dsm.DistArray
-	// servedPending stages update batches for master-held served
-	// arrays, exactly like executor shard owners do: a batch folds in
-	// on the first read from a later epoch (or any unstamped access),
-	// keeping master-served reads step-consistent too. servedSeen keys
-	// the currently staged batches per array for duplicate-delivery
-	// suppression, mirroring shardTable.seen.
-	servedPending map[string][]stagedUpdate
-	servedSeen    map[string]map[updKey]struct{}
+	mu sync.Mutex // guards missCount and reports
 
 	ch       *masterChans
 	lastSeen []*atomic.Int64 // liveness timestamps, by executor id
@@ -124,16 +115,13 @@ type Master struct {
 func Listen(t Transport, addr string, n int) (*Master, error) {
 	m := &Master{
 		t: t, addr: addr, n: n,
-		conns:         make([]*codec, n),
-		served:        map[string]*dsm.DistArray{},
-		servedPending: map[string][]stagedUpdate{},
-		servedSeen:    map[string]map[updKey]struct{}{},
-		ch:            newMasterChans(n),
-		lastSeen:      freshSeen(n),
-		arrayDims:     map[string][]int64{},
-		arrayDense:    map[string]bool{},
-		trace:         obs.NewBuf(0, "master"),
-		reports:       map[string]*obs.LoopReport{},
+		conns:      make([]*codec, n),
+		ch:         newMasterChans(n),
+		lastSeen:   freshSeen(n),
+		arrayDims:  map[string][]int64{},
+		arrayDense: map[string]bool{},
+		trace:      obs.NewBuf(0, "master"),
+		reports:    map[string]*obs.LoopReport{},
 	}
 	ln, err := t.Listen(addr)
 	if err != nil {
@@ -167,19 +155,6 @@ func (m *Master) SetClockHook(fn func(clock int64)) { m.clockHook = fn }
 // lost. Zero disables the check (the default); executors ping every
 // defaultHeartbeatMs regardless.
 func (m *Master) SetHeartbeat(timeout time.Duration) { m.hbTimeout = timeout }
-
-// NewMaster creates a master at addr and blocks until all n executors
-// have registered (convenience for fixed addresses).
-func NewMaster(t Transport, addr string, n int) (*Master, error) {
-	m, err := Listen(t, addr, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.WaitForExecutors(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
 
 // WaitForExecutors accepts all n executor registrations, distributes
 // the ring topology, and starts the connection handlers. A hello with
@@ -264,52 +239,6 @@ func (m *Master) handleConn(id int, c *codec, ch *masterChans, seen *atomic.Int6
 			case ch.traceCh <- msg:
 			default:
 			}
-		case MsgPrefetch:
-			m.mu.Lock()
-			arr := m.served[msg.Array]
-			var vals []float64
-			if arr != nil {
-				m.foldServed(msg.Array, msg.Epoch)
-				vals = make([]float64, len(msg.Offsets))
-				for i, off := range msg.Offsets {
-					vals[i] = arr.At(arr.Unflatten(off)...)
-				}
-			}
-			m.mu.Unlock()
-			if arr == nil {
-				c.send(&Msg{Kind: MsgError, Err: fmt.Sprintf("unknown served array %q", msg.Array)})
-				continue
-			}
-			c.send(&Msg{Kind: MsgPrefetchResp, Array: msg.Array, Offsets: msg.Offsets, Values: vals})
-		case MsgUpdateBatch:
-			m.mu.Lock()
-			if arr := m.served[msg.Array]; arr != nil {
-				u := stagedUpdate{
-					src:      id,
-					epoch:    msg.Epoch,
-					offs:     append([]int64(nil), msg.Offsets...),
-					vals:     append([]float64(nil), msg.Values...),
-					absolute: msg.Absolute,
-				}
-				// Duplicate-delivery suppression, keyed like
-				// shardTable.stage (epoch 0 batches are legacy unstamped
-				// paths and never deduplicated).
-				dup := false
-				if u.epoch > 0 {
-					seen := m.servedSeen[msg.Array]
-					if seen == nil {
-						seen = map[updKey]struct{}{}
-						m.servedSeen[msg.Array] = seen
-					}
-					if _, dup = seen[u.key()]; !dup {
-						seen[u.key()] = struct{}{}
-					}
-				}
-				if !dup {
-					m.servedPending[msg.Array] = append(m.servedPending[msg.Array], u)
-				}
-			}
-			m.mu.Unlock()
 		case MsgError:
 			err := fmt.Errorf("runtime: executor %d: %s", id, msg.Err)
 			if msg.Lost {
@@ -370,14 +299,6 @@ func (m *Master) DistributeRotatedAt(a *dsm.DistArray, dim int, boundaries []int
 		parts = rotated
 	}
 	return m.broadcastParts(a.Name(), parts, true)
-}
-
-// Serve keeps a DistArray on the master as a parameter-server array
-// accessed via prefetch/update batches.
-func (m *Master) Serve(a *dsm.DistArray) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.served[a.Name()] = a
 }
 
 // DistributeIterSpace partitions iteration samples by the space
@@ -705,41 +626,6 @@ func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 		}
 	}
 	return out, nil
-}
-
-// ServedArray returns the master-resident copy of a served array, with
-// every staged update folded in.
-func (m *Master) ServedArray(name string) *dsm.DistArray {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.foldServed(name, 0)
-	return m.served[name]
-}
-
-// foldServed applies staged updates to a master-held served array from
-// epochs before the reader's; epoch <= 0 folds everything. Caller holds
-// m.mu.
-func (m *Master) foldServed(name string, epoch int64) {
-	arr := m.served[name]
-	if arr == nil {
-		return
-	}
-	kept := m.servedPending[name][:0]
-	for _, u := range m.servedPending[name] {
-		if epoch > 0 && u.epoch >= epoch {
-			kept = append(kept, u)
-			continue
-		}
-		for i, off := range u.offs {
-			if u.absolute {
-				arr.SetAt(u.vals[i], arr.Unflatten(off)...)
-			} else {
-				arr.AddAt(u.vals[i], arr.Unflatten(off)...)
-			}
-		}
-		delete(m.servedSeen[name], u.key())
-	}
-	m.servedPending[name] = kept
 }
 
 // AccumSum aggregates an accumulator across executors with +.

@@ -40,13 +40,13 @@ const (
 	MsgBlockDone
 	// MsgRotate: executor → executor: a rotated array partition.
 	MsgRotate
-	// MsgPrefetch: executor → master: bulk read of served-array
+	// MsgPrefetch: executor → shard owner: bulk read of served-array
 	// elements.
 	MsgPrefetch
-	// MsgPrefetchResp: master → executor.
+	// MsgPrefetchResp: shard owner → executor.
 	MsgPrefetchResp
-	// MsgUpdateBatch: executor → master: buffered writes to a served
-	// array.
+	// MsgUpdateBatch: executor → shard owner: buffered writes to a
+	// served array, acknowledged with MsgAck.
 	MsgUpdateBatch
 	// MsgGather: master → executor: send your partition of Array back.
 	MsgGather
@@ -155,8 +155,8 @@ type Msg struct {
 	// materialized partitions, and the synthesized prefetch spec, so
 	// executors re-derive nothing), the declared arrays/buffers,
 	// captured driver globals, and accumulator names. Backend selects
-	// the loop execution backend: "" (compiled with interpreter
-	// fallback), "compiled" (fallback is an error), or "interp".
+	// the loop execution backend: "" (bytecode VM with interpreter
+	// fallback), "vm" (fallback is an error), or "interp".
 	LoopSrc     string
 	PlanBlob    []byte
 	ArrayDims   map[string][]int64
@@ -362,10 +362,6 @@ type codec struct {
 	wmu   sync.Mutex
 	stats *obs.PeerStats
 	label string
-	// plain disables the integrity layer (no sequence numbers, no CRC
-	// trailers) — the pre-hardening wire format, kept only so the
-	// transport bench can price the checksums. Both ends must agree.
-	plain bool
 	// wseq/rseq are the per-direction frame sequence numbers: wseq is
 	// stamped under wmu on send, rseq checked by the (single) reader.
 	wseq uint64
@@ -478,10 +474,8 @@ func (c *codec) send(m *Msg) error {
 	}
 	body := c.gw.buf
 	h := append(c.wbuf[:0], tagGob)
-	if !c.plain {
-		h = binary.AppendUvarint(h, c.wseq)
-		c.wseq++
-	}
+	h = binary.AppendUvarint(h, c.wseq)
+	c.wseq++
 	h = binary.AppendUvarint(h, uint64(len(body)))
 	c.wbuf = h[:0]
 	if _, err := c.bw.Write(h); err != nil {
@@ -490,14 +484,12 @@ func (c *codec) send(m *Msg) error {
 	if _, err := c.bw.Write(body); err != nil {
 		return err
 	}
-	if !c.plain {
-		crc := crc32.Update(0, castagnoli, h[1:])
-		crc = crc32.Update(crc, castagnoli, body)
-		var tr [frameTrailerLen]byte
-		binary.LittleEndian.PutUint32(tr[:], crc)
-		if _, err := c.bw.Write(tr[:]); err != nil {
-			return err
-		}
+	crc := crc32.Update(0, castagnoli, h[1:])
+	crc = crc32.Update(crc, castagnoli, body)
+	var tr [frameTrailerLen]byte
+	binary.LittleEndian.PutUint32(tr[:], crc)
+	if _, err := c.bw.Write(tr[:]); err != nil {
+		return err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return err
@@ -559,13 +551,10 @@ func (c *codec) decodeFrame(m *Msg) error {
 // then lets the gob decoder touch the body.
 func (c *codec) readGobFrame(m *Msg) error {
 	hdr := c.rhdr[:0]
-	var seq uint64
-	var err error
-	if !c.plain {
-		if seq, err = readUvarintRaw(c.br, &hdr); err != nil {
-			c.rhdr = hdr[:0]
-			return c.corruptOrIO(err)
-		}
+	seq, err := readUvarintRaw(c.br, &hdr)
+	if err != nil {
+		c.rhdr = hdr[:0]
+		return c.corruptOrIO(err)
 	}
 	length, err := readUvarintRaw(c.br, &hdr)
 	c.rhdr = hdr[:0]
@@ -601,21 +590,19 @@ func (c *codec) readGobFrame(m *Msg) error {
 			remaining -= n
 		}
 	}
-	if !c.plain {
-		crc := crc32.Update(0, castagnoli, hdr)
-		crc = crc32.Update(crc, castagnoli, c.gr.data)
-		var tr [frameTrailerLen]byte
-		if _, err := io.ReadFull(c.br, tr[:]); err != nil {
-			return err
-		}
-		if got := binary.LittleEndian.Uint32(tr[:]); got != crc {
-			return c.condemn(fmt.Sprintf("gob frame checksum mismatch (wire %08x, computed %08x)", got, crc))
-		}
-		if seq != c.rseq {
-			return c.condemn(fmt.Sprintf("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq))
-		}
-		c.rseq++
+	crc := crc32.Update(0, castagnoli, hdr)
+	crc = crc32.Update(crc, castagnoli, c.gr.data)
+	var tr [frameTrailerLen]byte
+	if _, err := io.ReadFull(c.br, tr[:]); err != nil {
+		return err
 	}
+	if got := binary.LittleEndian.Uint32(tr[:]); got != crc {
+		return c.condemn(fmt.Sprintf("gob frame checksum mismatch (wire %08x, computed %08x)", got, crc))
+	}
+	if seq != c.rseq {
+		return c.condemn(fmt.Sprintf("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq))
+	}
+	c.rseq++
 	c.gr.pos = 0
 	if err := c.dec.Decode(m); err != nil {
 		return c.condemn(fmt.Sprintf("gob decode of a verified frame: %v", err))
@@ -633,26 +620,10 @@ const frameReadChunk = 1 << 20
 // rawChunkElems is how many float64s a raw frame stages through the
 // codec scratch per conversion pass on both send and receive. Staging
 // is a codec-local detail — the payload is one contiguous byte stream,
-// so the two ends of a link may chunk it differently. The width was
-// raised from 512 when the integrity layer landed: fewer, larger
-// buffer-flush rendezvous more than pay for the CRC32C pass over the
-// same bytes, so the hardened path outruns the pre-hardening transport
-// outright. plain codecs keep the original 512 so the transport
-// baseline's raw-nocrc row reproduces the pre-hardening path exactly —
-// wire format and staging both.
-const (
-	rawChunkElems      = 4096
-	rawChunkElemsPlain = 512
-)
-
-// chunkElems is this codec's raw staging granularity (see
-// rawChunkElems).
-func (c *codec) chunkElems() int {
-	if c.plain {
-		return rawChunkElemsPlain
-	}
-	return rawChunkElems
-}
+// so the two ends of a link may chunk it differently. At 4096 the
+// buffer-flush rendezvous are few enough that they more than pay for
+// the CRC32C pass over the same bytes.
+const rawChunkElems = 4096
 
 // sendRotation ships one rotated partition to the peer. Dense
 // partitions go as a length-prefixed raw frame gathered directly from
@@ -675,10 +646,8 @@ func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	h := append(c.wbuf[:0], tagRaw)
-	if !c.plain {
-		h = binary.AppendUvarint(h, c.wseq)
-		c.wseq++
-	}
+	h = binary.AppendUvarint(h, c.wseq)
+	c.wseq++
 	h = binary.AppendUvarint(h, uint64(len(array)))
 	h = append(h, array...)
 	h = binary.AppendUvarint(h, uint64(p.Dim))
@@ -693,38 +662,29 @@ func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
 	if _, err := c.bw.Write(h); err != nil {
 		return 0, err
 	}
-	var crc uint32
-	wire := int64(len(h)) + int64(len(data))*8
-	if !c.plain {
-		crc = crc32.Update(0, castagnoli, h[1:])
-		wire += frameTrailerLen
+	crc := crc32.Update(0, castagnoli, h[1:])
+	wire := int64(len(h)) + int64(len(data))*8 + frameTrailerLen
+	if cap(c.wbuf) < rawChunkElems*8 {
+		c.wbuf = make([]byte, rawChunkElems*8)
 	}
-	ce := c.chunkElems()
-	if cap(c.wbuf) < ce*8 {
-		c.wbuf = make([]byte, ce*8)
-	}
-	buf := c.wbuf[:ce*8]
-	for off := 0; off < len(data); off += ce {
+	buf := c.wbuf[:rawChunkElems*8]
+	for off := 0; off < len(data); off += rawChunkElems {
 		n := len(data) - off
-		if n > ce {
-			n = ce
+		if n > rawChunkElems {
+			n = rawChunkElems
 		}
 		for i := 0; i < n; i++ {
 			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(data[off+i]))
 		}
-		if !c.plain {
-			crc = crc32.Update(crc, castagnoli, buf[:n*8])
-		}
+		crc = crc32.Update(crc, castagnoli, buf[:n*8])
 		if _, err := c.bw.Write(buf[:n*8]); err != nil {
 			return 0, err
 		}
 	}
-	if !c.plain {
-		var tr [frameTrailerLen]byte
-		binary.LittleEndian.PutUint32(tr[:], crc)
-		if _, err := c.bw.Write(tr[:]); err != nil {
-			return 0, err
-		}
+	var tr [frameTrailerLen]byte
+	binary.LittleEndian.PutUint32(tr[:], crc)
+	if _, err := c.bw.Write(tr[:]); err != nil {
+		return 0, err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return 0, err
@@ -746,12 +706,9 @@ func (c *codec) readRawRotation(m *Msg) error {
 	hdr := c.rhdr[:0]
 	// Keep the grown header storage whatever path exits.
 	defer func() { c.rhdr = hdr[:0] }()
-	var seq uint64
-	var err error
-	if !c.plain {
-		if seq, err = readUvarintRaw(c.br, &hdr); err != nil {
-			return c.corruptOrIO(err)
-		}
+	seq, err := readUvarintRaw(c.br, &hdr)
+	if err != nil {
+		return c.corruptOrIO(err)
 	}
 	nameLen, err := readUvarintRaw(c.br, &hdr)
 	if err != nil {
@@ -814,48 +771,40 @@ func (c *codec) readRawRotation(m *Msg) error {
 	if cp := frameElemCap(); count > uint64(cp) {
 		return c.condemn(fmt.Sprintf("raw rotation frame: %d elements exceeds the configured cap %d", count, cp))
 	}
-	var crc uint32
-	if !c.plain {
-		crc = crc32.Update(0, castagnoli, hdr)
-	}
+	crc := crc32.Update(0, castagnoli, hdr)
 	vals := bufpool.GetF64(int(count))
-	ce := c.chunkElems()
-	if cap(c.scratch) < ce*8 {
-		c.scratch = make([]byte, ce*8)
+	if cap(c.scratch) < rawChunkElems*8 {
+		c.scratch = make([]byte, rawChunkElems*8)
 	}
-	buf := c.scratch[:ce*8]
-	for off := 0; off < len(vals); off += ce {
+	buf := c.scratch[:rawChunkElems*8]
+	for off := 0; off < len(vals); off += rawChunkElems {
 		n := len(vals) - off
-		if n > ce {
-			n = ce
+		if n > rawChunkElems {
+			n = rawChunkElems
 		}
 		if _, err := io.ReadFull(c.br, buf[:n*8]); err != nil {
 			bufpool.PutF64(vals)
 			return err
 		}
-		if !c.plain {
-			crc = crc32.Update(crc, castagnoli, buf[:n*8])
-		}
+		crc = crc32.Update(crc, castagnoli, buf[:n*8])
 		for i := 0; i < n; i++ {
 			vals[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 		}
 	}
-	if !c.plain {
-		var tr [frameTrailerLen]byte
-		if _, err := io.ReadFull(c.br, tr[:]); err != nil {
-			bufpool.PutF64(vals)
-			return err
-		}
-		if got := binary.LittleEndian.Uint32(tr[:]); got != crc {
-			bufpool.PutF64(vals)
-			return c.condemn(fmt.Sprintf("raw rotation frame checksum mismatch (wire %08x, computed %08x)", got, crc))
-		}
-		if seq != c.rseq {
-			bufpool.PutF64(vals)
-			return c.condemn(fmt.Sprintf("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq))
-		}
-		c.rseq++
+	var tr [frameTrailerLen]byte
+	if _, err := io.ReadFull(c.br, tr[:]); err != nil {
+		bufpool.PutF64(vals)
+		return err
 	}
+	if got := binary.LittleEndian.Uint32(tr[:]); got != crc {
+		bufpool.PutF64(vals)
+		return c.condemn(fmt.Sprintf("raw rotation frame checksum mismatch (wire %08x, computed %08x)", got, crc))
+	}
+	if seq != c.rseq {
+		bufpool.PutF64(vals)
+		return c.condemn(fmt.Sprintf("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq))
+	}
+	c.rseq++
 	m.Kind = MsgRotate
 	m.Raw = true
 	m.Array = name

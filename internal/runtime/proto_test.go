@@ -18,7 +18,7 @@ func TestMsgReset(t *testing.T) {
 		PartBlob: []byte{1, 2},
 		Offsets:  []int64{1, 2, 3},
 		Values:   []float64{4, 5, 6},
-		Backend:  "compiled",
+		Backend:  "vm",
 		Err:      "boom",
 		Raw:      true,
 		PartDim:  1,

@@ -23,17 +23,6 @@ type RotationBench struct {
 
 // NewRotationBench builds the codec pair and starts the sink.
 func NewRotationBench() *RotationBench {
-	return newRotationBench(false)
-}
-
-// NewRotationBenchPlain builds a pair running the pre-hardening wire
-// format — no sequence numbers, no CRC32C trailers — so the transport
-// baseline can price the integrity layer against it.
-func NewRotationBenchPlain() *RotationBench {
-	return newRotationBench(true)
-}
-
-func newRotationBench(plain bool) *RotationBench {
 	client, server := net.Pipe()
 	stats := obs.NewRegistry().GetPeer("rotbench")
 	rb := &RotationBench{
@@ -42,8 +31,6 @@ func newRotationBench(plain bool) *RotationBench {
 		stats: stats,
 		done:  make(chan struct{}),
 	}
-	rb.cc.plain = plain
-	rb.sc.plain = plain
 	go rb.sink()
 	return rb
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -308,7 +309,9 @@ func runSLR(t *testing.T, kernel string, n int) (*dsm.DistArray, int64) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	m.Serve(weights)
+	if err := m.DistributeServed(weights); err != nil {
+		t.Fatal(err)
+	}
 	spacePart := sched.NewRangePartitioner(int64(len(samples)), n)
 	if err := m.DistributeIterSpace(samples, 0, spacePart); err != nil {
 		t.Fatal(err)
@@ -317,7 +320,10 @@ func runSLR(t *testing.T, kernel string, n int) (*dsm.DistArray, int64) {
 		t.Fatal(err)
 	}
 	misses := m.Misses()
-	out := m.ServedArray("weights").Clone()
+	out, err := m.Gather("weights")
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Shutdown()
 	for _, d := range execDone {
 		<-d
@@ -352,6 +358,86 @@ func TestServedArrayPrefetchVsOnDemand(t *testing.T) {
 	})
 	if maxDiff > 1e-12 {
 		t.Fatalf("prefetch changed single-executor results by %g", maxDiff)
+	}
+}
+
+// TestLostShardOwnerDuringMissReadIsWorkerLost: a shard link dying
+// under a prefetch-miss read must come back from ParallelFor as
+// ErrWorkerLost — so checkpoint recovery starts — on both kernel forms,
+// with the executor goroutine (and so the process) still alive.
+func TestLostShardOwnerDuringMissReadIsWorkerLost(t *testing.T) {
+	defer SetLoopCompiler(lookupCompiler())
+	// No prefetch function, and offset 15 lives on executor 1: every
+	// iteration on executor 0 takes the fetchOne slow path.
+	iter := func(ctx *Ctx, _ []int64, _ float64) { ctx.ServedRead("weights", 15) }
+	for _, form := range []string{"iter", "block"} {
+		form := form
+		t.Run(form, func(t *testing.T) {
+			SetLoopCompiler(func(*Msg) (*KernelSet, error) {
+				ks := &KernelSet{Iter: iter}
+				if form == "block" {
+					ks.Block = func(ctx *Ctx, keys [][]int64, vals []float64) (int, error) {
+						for i := range keys {
+							iter(ctx, keys[i], vals[i])
+						}
+						return len(keys), nil
+					}
+				}
+				return ks, nil
+			})
+			tr := NewInProc()
+			const n = 2
+			m, err := Listen(tr, "lost-master-"+form, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ready := make(chan error, 1)
+			go func() { ready <- m.WaitForExecutors() }()
+			var execs []*Executor
+			var execDone []<-chan error
+			for i := 0; i < n; i++ {
+				e, err := NewExecutor(tr, m.Addr(), fmt.Sprintf("lost-%s-%d", form, i), i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				execs = append(execs, e)
+				execDone = append(execDone, e.Start())
+			}
+			if err := <-ready; err != nil {
+				t.Fatal(err)
+			}
+			weights, samples := servedFixture()
+			if err := m.DistributeServed(weights); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.DistributeIterSpace(samples, 0, sched.NewRangePartitioner(int64(len(samples)), n)); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.DefineLoop(&Msg{LoopName: "lost-" + form}); err != nil {
+				t.Fatal(err)
+			}
+			// Pass 0 dials executor 0's link to shard owner 1; sever it
+			// between the passes, while both executors sit at the barrier.
+			m.SetClockHook(func(clock int64) {
+				if clock == 1 {
+					c, err := execs[0].shards.client(1)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					c.close()
+				}
+			})
+			err = m.ParallelFor(LoopDef{Kernel: "lost-" + form, TimeDim: -1, Passes: 2})
+			if !errors.Is(err, ErrWorkerLost) {
+				t.Fatalf("ParallelFor = %v, want ErrWorkerLost", err)
+			}
+			m.Shutdown()
+			if err := <-execDone[0]; !errors.Is(err, ErrWorkerLost) {
+				t.Errorf("executor 0 exited with %v, want ErrWorkerLost", err)
+			}
+			<-execDone[1]
+		})
 	}
 }
 

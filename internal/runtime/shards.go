@@ -115,6 +115,22 @@ func (t *shardTable) ownerOf(off int64) int {
 	return sort.Search(len(t.boundaries), func(k int) bool { return t.boundaries[k] > last })
 }
 
+// byOwner groups offsets by owning executor, keeping their order, and
+// returns the owners ascending.
+func (t *shardTable) byOwner(offs []int64) (owners []int, chunks map[int][]int64) {
+	chunks = map[int][]int64{}
+	for _, off := range offs {
+		o := t.ownerOf(off)
+		chunk, seen := chunks[o]
+		if !seen {
+			owners = append(owners, o)
+		}
+		chunks[o] = append(chunk, off)
+	}
+	sort.Ints(owners)
+	return owners, chunks
+}
+
 // at reads a flattened offset from the local shard.
 func (t *shardTable) at(off int64) float64 {
 	idx := unflatten(t.dims, off)
