@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test benchmark-module race chaos soak bench-smoke trace-smoke adapt-smoke vet-examples fuzz bench-baseline bench-obs bench-vm bench-transport golden-plans golden-plans-check
+.PHONY: check fmt vet lint build test benchmark-module race chaos soak bench-smoke exec-gate trace-smoke adapt-smoke vet-examples fuzz bench-baseline bench-obs bench-vm bench-transport golden-plans golden-plans-check
 
-check: fmt vet lint build test benchmark-module race chaos bench-smoke trace-smoke adapt-smoke golden-plans-check
+check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate trace-smoke adapt-smoke golden-plans-check
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -65,6 +65,12 @@ soak:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x \
 		./internal/lang ./internal/dsm ./internal/runtime ./internal/bench
+
+# Live ratio gate: an MF iteration inside a real 1-worker executor
+# against the same bytecode bound directly to the arrays, both timed in
+# this run (lower decile of 20 alternating rounds); fails above 2.5x.
+exec-gate:
+	$(GO) test -run '^$$' -bench 'ExecutorVsDirectKernel$$' -benchtime 1x ./internal/bench
 
 # End-to-end flight-recorder smoke: a 2-worker MF run over real TCP
 # sockets with tracing, report export, and the flight log on, then

@@ -4,12 +4,16 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"sort"
 	"testing"
+	"time"
 
+	"orion/internal/dslkernel"
 	"orion/internal/dsm"
 	"orion/internal/lang"
 	"orion/internal/lang/vm"
 	"orion/internal/runtime"
+	"orion/internal/sched"
 )
 
 // The committed BENCH_vm.json and BENCH_transport.json baselines are
@@ -205,5 +209,121 @@ func BenchmarkTransportRotation(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkExecutorVsDirectKernel is a gate that compares two
+// measurements taken in the same run, not a number parsed back out of a
+// committed file: the MF body's cost per iteration inside a real
+// executor — one worker, partitions bound into the VM by
+// internal/dslkernel, compute time as the executor itself reports it per
+// block — against the same bytecode run directly over the whole arrays
+// with vm.Kernel.RunBlock on the same keys. Rounds alternate between the
+// two and each side keeps its lower decile, so a noisy host moves both.
+// Above 2.5x the benchmark fails: the executor has grown a per-access
+// or per-iteration adapter again (it measured 9x before partitions
+// were bound as dense windows). `make check` runs it through
+// bench-smoke and exec-gate; `go test ./...` does not.
+func BenchmarkExecutorVsDirectKernel(b *testing.B) {
+	const rows, cols, rank, iters, rounds = 600, 500, 16, 20000, 20
+	src := obsMFSrc
+	dims := map[string][]int64{"ratings": {rows, cols}, "W": {rank, rows}, "H": {rank, cols}}
+	rng := rand.New(rand.NewSource(3))
+	samples := make([]runtime.IterSample, iters)
+	keys, vals := make([][]int64, iters), make([]float64, iters)
+	for i := range samples {
+		keys[i], vals[i] = []int64{rng.Int63n(rows), rng.Int63n(cols)}, 1+rng.Float64()
+		samples[i] = runtime.IterSample{Key: keys[i], Val: vals[i]}
+	}
+	params := func() (w, h *dsm.DistArray) {
+		w, h = dsm.NewDense("W", rank, rows), dsm.NewDense("H", rank, cols)
+		w.Map(func(float64) float64 { return 0.25 })
+		h.Map(func(float64) float64 { return 0.25 })
+		return w, h
+	}
+
+	loop, err := lang.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := vm.Compile(loop, &lang.CompileEnv{Arrays: dims, Globals: []string{"step_size"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	direct := prog.NewKernel()
+	dw, dh := params()
+	for name, a := range map[string]*dsm.DistArray{"W": dw, "H": dh} {
+		if err := direct.BindArray(name, a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	direct.SetGlobal("step_size", 0.001)
+
+	dslkernel.Install()
+	tr := runtime.NewInProc()
+	m, err := runtime.Listen(tr, "exec-gate-master", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ready := make(chan error, 1)
+	go func() { ready <- m.WaitForExecutors() }()
+	e, err := runtime.NewExecutor(tr, m.Addr(), "exec-gate-0", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := e.Start()
+	defer func() {
+		m.Shutdown()
+		<-done
+	}()
+	if err := <-ready; err != nil {
+		b.Fatal(err)
+	}
+	ew, eh := params()
+	one := func(n int64) *sched.Partitioner { return sched.NewRangePartitioner(n, 1) }
+	def := &runtime.Msg{LoopName: "exec-gate", LoopSrc: loop.String(), ArrayDims: dims,
+		GlobalNames: []string{"step_size"}, GlobalVals: []float64{0.001}, Backend: "vm"}
+	for _, err := range []error{
+		m.DistributeLocal(ew, 1, nil),
+		m.DistributeRotated(eh, 1, nil),
+		m.DistributeIterSpace(samples, 0, one(rows)),
+		m.DefineLoop(def),
+	} {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	pass := runtime.LoopDef{Kernel: def.LoopName, TimeDim: 1, TimePart: one(cols), Rotate: true, Passes: 1}
+
+	var ratio float64
+	for n := 0; n < b.N; n++ {
+		var directNs, execNs []float64
+		var reported int64
+		for r := 0; r < rounds; r++ {
+			start := time.Now()
+			if done, err := direct.RunBlock(keys, vals, nil); err != nil || done != iters {
+				b.Fatalf("direct RunBlock stopped after %d: %v", done, err)
+			}
+			directNs = append(directNs, float64(time.Since(start))/iters)
+			if err := m.ParallelFor(pass); err != nil {
+				b.Fatal(err)
+			}
+			ws := m.Report(def.LoopName).Workers[0]
+			if ws.Iters != int64(n*rounds+r+1)*iters {
+				b.Fatalf("executor reports %d iterations after %d passes of %d", ws.Iters, n*rounds+r+1, iters)
+			}
+			execNs = append(execNs, float64(ws.ComputeNs-reported)/iters)
+			reported = ws.ComputeNs
+		}
+		sort.Float64s(directNs)
+		sort.Float64s(execNs)
+		d, x := directNs[rounds/10], execNs[rounds/10]
+		ratio = x / d
+		b.ReportMetric(d, "direct-ns/iter")
+		b.ReportMetric(x, "executor-ns/iter")
+	}
+	b.ReportMetric(ratio, "executor/direct")
+	if ratio > 2.5 {
+		b.Fatalf("an MF iteration costs %.2fx more inside an executor than bound directly to the arrays (gate 2.5x)", ratio)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"orion/internal/data"
 	"orion/internal/diag"
 	"orion/internal/lang"
+	"orion/internal/runtime"
 	"orion/internal/sched"
 )
 
@@ -527,6 +528,54 @@ func TestDriverBackendSelection(t *testing.T) {
 
 	if err := auto.SetBackend("jit"); err == nil {
 		t.Fatal("SetBackend accepted an unknown backend")
+	}
+}
+
+// TestDriverBackendsBitwiseEqualDistributed: three workers, three
+// passes, partitions rotating — the VM, which runs each block on the
+// partitions bound into it as dense windows, and the interpreter, which
+// asks the executor for the partition on every access, leave every
+// array bit-identical, for MF (dense W local, H rotated) and LDA (sparse
+// z, rotated counts, totals served through a buffer, rand() in the
+// body), over in-process pipes and loopback TCP.
+func TestDriverBackendsBitwiseEqualDistributed(t *testing.T) {
+	apps := []struct {
+		name   string
+		src    string
+		fill   func(*testing.T, *Session)
+		arrays []string
+	}{
+		{"mf", mfSrc, fillMF, []string{"W", "H"}},
+		{"lda", ldaDSL, func(t *testing.T, s *Session) { fillLDA(t, s, 4) }, []string{"z", "doc_topic", "word_topic", "totals"}},
+	}
+	for _, tcp := range []bool{false, true} {
+		if tcp && testing.Short() {
+			continue // real sockets
+		}
+		for _, app := range apps {
+			run := func(backend string) map[string]map[string]uint64 {
+				var tr runtime.Transport = runtime.NewInProc()
+				addr := ""
+				if tcp {
+					tr, addr = runtime.TCP{}, "127.0.0.1:0"
+				}
+				sess, err := NewLocalSessionOver(tr, addr, addr, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.Close()
+				app.fill(t, sess)
+				if err := sess.SetBackend(backend); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sess.ParallelFor(app.src, Passes(3)); err != nil {
+					t.Fatalf("%s tcp=%v backend %s: %v", app.name, tcp, backend, err)
+				}
+				return snapshotBits(sess, app.arrays...)
+			}
+			interp, vm := run("interp"), run("vm")
+			assertBitwiseEqual(t, interp, vm)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 
+	"orion/internal/dsm"
 	"orion/internal/lang"
 	"orion/internal/lang/vm"
 	"orion/internal/obs"
@@ -32,44 +33,48 @@ func Install() {
 // error, "interp" forces interpretation (e.g. for CLI bisection), and
 // "" walks the vm→interp lattice.
 func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
+	_, ks, err := compile(def)
+	return ks, err
+}
+
+func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 	tb := obs.NewBuf(0, "dslkernel")
 	spanStart := tb.Begin()
 	defer tb.EndN("kernel.compile", "dsl", spanStart, "src_bytes", int64(len(def.LoopSrc)))
 	loop, err := lang.Parse(def.LoopSrc)
 	if err != nil {
-		return nil, fmt.Errorf("dslkernel: parsing shipped loop: %w", err)
+		return nil, nil, fmt.Errorf("dslkernel: parsing shipped loop: %w", err)
 	}
 	if len(def.GlobalNames) != len(def.GlobalVals) {
-		return nil, fmt.Errorf("dslkernel: mismatched globals")
+		return nil, nil, fmt.Errorf("dslkernel: mismatched globals")
 	}
 	globals := make(map[string]float64, len(def.GlobalNames))
 	for i, n := range def.GlobalNames {
 		globals[n] = def.GlobalVals[i]
 	}
+	env := &lang.CompileEnv{
+		Arrays:  def.ArrayDims,
+		Buffers: def.Buffers,
+		Globals: append(append([]string{}, def.GlobalNames...), def.AccumNames...),
+	}
 
 	var vp *vm.Prog
 	switch def.Backend {
 	case "", "vm":
-		globalNames := append([]string{}, def.GlobalNames...)
-		globalNames = append(globalNames, def.AccumNames...)
-		vp, err = vm.Compile(loop, &lang.CompileEnv{
-			Arrays:  def.ArrayDims,
-			Buffers: def.Buffers,
-			Globals: globalNames,
-		})
+		vp, err = vm.Compile(loop, env)
 		if err != nil {
 			var nce *lang.NotCompilableError
 			if !errors.As(err, &nce) {
-				return nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
+				return nil, nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
 			}
 			if def.Backend == "vm" {
-				return nil, fmt.Errorf("dslkernel: backend=vm requested: %w", err)
+				return nil, nil, fmt.Errorf("dslkernel: backend=vm requested: %w", err)
 			}
 			vp = nil // outside the VM subset: interpret
 		}
 	case "interp":
 	default:
-		return nil, fmt.Errorf("dslkernel: unknown backend %q", def.Backend)
+		return nil, nil, fmt.Errorf("dslkernel: unknown backend %q", def.Backend)
 	}
 	if vp != nil {
 		obs.GetCounter("kernel.vm").Inc()
@@ -77,7 +82,194 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 		obs.GetCounter("kernel.interp_fallback").Inc()
 	}
 
-	loopName := def.LoopName
+	lk := &loopKernel{name: def.LoopName, loop: loop, vp: vp, dims: def.ArrayDims,
+		buffers: def.Buffers, globals: globals, accums: def.AccumNames, lastEpoch: -1}
+	ks := &runtime.KernelSet{Iter: lk.runInterp, Prefetch: map[string]runtime.PrefetchFunc{}}
+	if vp != nil {
+		// The VM runs whole blocks: one dispatch-loop entry, one panic
+		// recovery and one partition binding per block instead of per
+		// iteration. Accumulator deltas still fold per iteration, so a
+		// block is bitwise identical to its iterations run one at a
+		// time — which is all the per-iteration form is.
+		ks.Block = lk.runBlock
+		ks.Iter = func(ctx *runtime.Ctx, key []int64, val float64) {
+			if _, err := lk.runBlock(ctx, [][]int64{key}, []float64{val}); err != nil {
+				panic(err.Error())
+			}
+		}
+	}
+
+	// The plan artifact shipped alongside the source carries the
+	// synthesized prefetch spec (and the full parallelization decision,
+	// for executors that want to inspect it) — no side-channel fields.
+	if len(def.PlanBlob) > 0 {
+		art, err := plan.Decode(def.PlanBlob)
+		if err != nil {
+			return nil, nil, fmt.Errorf("dslkernel: decoding shipped plan artifact: %w", err)
+		}
+		if pf := art.Prefetch; pf != nil && pf.Src != "" {
+			sliced, err := lang.Parse(pf.Src)
+			if err != nil {
+				return nil, nil, fmt.Errorf("dslkernel: parsing shipped prefetch slice: %w", err)
+			}
+			for _, target := range pf.Arrays {
+				ks.Prefetch[target] = prefetchFunc(sliced, pf.Arrays, target, env, globals)
+			}
+		}
+	}
+	return lk, ks, nil
+}
+
+// prefetchFunc builds the synthesized prefetch function of one served
+// array, once per DefineLoop. The slice is an ordinary loop body whose
+// __record(A[...]) statements mark the reads to report, so with each
+// __record turned into the plain read and every target bound to a
+// recorder, running an iteration leaves the offsets the real body would
+// read of target in its recorder. It runs on one long-lived VM kernel
+// when the slice is inside the compiled subset and on one interpreter
+// machine otherwise. The returned slice is valid until the next call. A
+// sample on which the slice faults prefetches nothing; its reads take
+// the miss path (or fault again, in the body, with the reference
+// message).
+func prefetchFunc(sliced *lang.Loop, targets []string, target string, env *lang.CompileEnv, globals map[string]float64) runtime.PrefetchFunc {
+	assigned := map[string]bool{}
+	reads := &lang.Loop{KeyVar: sliced.KeyVar, ValVar: sliced.ValVar, IterVar: sliced.IterVar,
+		Body: recordedReads(sliced.Body, assigned)}
+	// A slice may assign a shipped global; every sample starts from the
+	// shipped value.
+	var dirtied []string
+	for name := range globals {
+		if assigned[name] {
+			dirtied = append(dirtied, name)
+		}
+	}
+	recs := make([]*recorder, len(targets))
+	want := 0
+	for i, t := range targets {
+		recs[i] = &recorder{dims: env.Arrays[t]}
+		if t == target {
+			want = i
+		}
+	}
+	var run func(key []int64, val float64) error
+	var setGlobal func(name string, v float64)
+	if prog, err := vm.Compile(reads, env); err == nil {
+		k := prog.NewKernel()
+		for i, t := range targets {
+			if err := k.BindArray(t, recs[i]); err != nil {
+				panic(fmt.Sprintf("dslkernel: %v", err))
+			}
+		}
+		run, setGlobal = k.RunIteration, func(name string, v float64) { k.SetGlobal(name, v) }
+	} else {
+		m := lang.NewMachine()
+		for i, t := range targets {
+			m.Arrays[t] = recs[i]
+		}
+		run = func(key []int64, val float64) error { return m.RunIteration(reads, key, val) }
+		setGlobal = func(name string, v float64) { m.Globals[name] = v }
+	}
+	for name, v := range globals {
+		setGlobal(name, v)
+	}
+	return func(key []int64, val float64) []int64 {
+		for _, rec := range recs {
+			rec.offs, rec.fault = rec.offs[:0], false
+		}
+		for _, name := range dirtied {
+			setGlobal(name, globals[name])
+		}
+		if err := run(key, val); err != nil {
+			return nil
+		}
+		for _, rec := range recs {
+			if rec.fault {
+				return nil
+			}
+		}
+		return recs[want].offs
+	}
+}
+
+// recordedReads rewrites a prefetch slice's body so it compiles as an
+// ordinary loop body — each __record(A[...]) becomes the bare read —
+// and notes the variables it assigns.
+func recordedReads(body []lang.Stmt, assigned map[string]bool) []lang.Stmt {
+	out := make([]lang.Stmt, len(body))
+	for i, st := range body {
+		switch x := st.(type) {
+		case *lang.Assign:
+			if id, ok := x.Target.(*lang.Ident); ok {
+				assigned[id.Name] = true
+			}
+		case *lang.If:
+			st = &lang.If{Cond: x.Cond, Then: recordedReads(x.Then, assigned), Else: recordedReads(x.Else, assigned), At: x.At}
+		case *lang.ForRange:
+			st = &lang.ForRange{Var: x.Var, Lo: x.Lo, Hi: x.Hi, Body: recordedReads(x.Body, assigned), At: x.At}
+		case *lang.ExprStmt:
+			if call, ok := x.X.(*lang.Call); ok && call.Fn == "__record" && len(call.Args) == 1 {
+				st = &lang.ExprStmt{X: call.Args[0], At: x.At}
+			}
+		}
+		out[i] = st
+	}
+	return out
+}
+
+// recorder stands in for a served array while its prefetch slice runs:
+// a read appends the element's flattened offset and yields 0. An
+// out-of-bounds read has no offset and marks the sample faulted.
+type recorder struct {
+	dims  []int64
+	offs  []int64
+	fault bool
+}
+
+func (r *recorder) Dims() []int64 { return r.dims }
+func (r *recorder) At(idx ...int64) float64 {
+	for d, v := range idx {
+		if v < 0 || v >= r.dims[d] {
+			r.fault = true
+			return 0
+		}
+	}
+	r.offs = append(r.offs, flatten(r.dims, idx))
+	return 0
+}
+func (r *recorder) SetAt(float64, ...int64) {
+	panic("dslkernel: prefetch slice attempted an array write")
+}
+
+// loopKernel is one executor's instance of one shipped loop. It is
+// invoked only from its executor's message loop, so a single machine
+// suffices: enter builds it on first use — once the executor's
+// partitions say which arrays are local and which are served — and
+// reseeds it whenever a new block starts.
+type loopKernel struct {
+	name      string
+	loop      *lang.Loop
+	vp        *vm.Prog // nil: interpret
+	dims      map[string][]int64
+	buffers   map[string]string
+	globals   map[string]float64
+	accums    []string
+	vs        *vmState
+	ms        *machineState
+	lastEpoch int64
+}
+
+func (lk *loopKernel) enter(ctx *runtime.Ctx) {
+	if lk.vs == nil && lk.ms == nil {
+		if lk.vp != nil {
+			lk.vs = newVMState(ctx, lk)
+		} else {
+			lk.ms = newMachineState(ctx, lk)
+		}
+	}
+	if ctx.BlockEpoch() == lk.lastEpoch {
+		return
+	}
+	lk.lastEpoch = ctx.BlockEpoch()
 	// Seed the rand() builtin deterministically per (loop, executor,
 	// block): sampling kernels (e.g. Gibbs) stay reproducible, both
 	// backends draw the same sequence, and — because the seed is keyed
@@ -85,94 +277,40 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 	// this process has executed — a run that recovers from a checkpoint
 	// mid-loop draws exactly the sequence the fault-free run would have
 	// drawn for the same block.
-	seedRng := func(ctx *runtime.Ctx) *rand.Rand {
-		h := fnv.New64a()
-		h.Write([]byte(loopName))
-		seed := int64(h.Sum64()) ^ int64(ctx.ExecutorID()*7919)
-		seed ^= int64(ctx.BlockPass())*1_000_003 + int64(ctx.BlockStep())*9176
-		return rand.New(rand.NewSource(seed))
-	}
-	// The kernel is invoked only from its executor's message loop, so a
-	// single machine per kernel instance suffices: enter builds it on
-	// first use and reseeds it whenever a new block starts.
-	var ms *machineState
-	var vs *vmState
-	lastEpoch := int64(-1)
-	enter := func(ctx *runtime.Ctx) {
-		if vs == nil && ms == nil {
-			if vp != nil {
-				vs = newVMState(ctx, vp, loop, def.ArrayDims, def.Buffers, globals, def.AccumNames)
-			} else {
-				ms = newMachineState(ctx, loop, def.ArrayDims, def.Buffers, globals, def.AccumNames)
-			}
-		}
-		if ctx.BlockEpoch() == lastEpoch {
-			return
-		}
-		lastEpoch = ctx.BlockEpoch()
-		if vs != nil {
-			vs.k.SetRng(seedRng(ctx))
-		} else {
-			ms.m.Rng = seedRng(ctx)
-		}
-	}
-	ks := &runtime.KernelSet{Prefetch: map[string]runtime.PrefetchFunc{}}
-	if vp != nil {
-		ks.Iter = func(ctx *runtime.Ctx, key []int64, val float64) {
-			enter(ctx)
-			vs.run(ctx, key, val)
-		}
-		// The VM additionally exposes the batched block form: one
-		// dispatch-loop entry and one panic recovery per block instead
-		// of per iteration. Accumulator deltas still fold per iteration
-		// (via the per-iteration callback), so the block path is bitwise
-		// identical to the one-at-a-time path.
-		ks.Block = func(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
-			enter(ctx)
-			return vs.runBlock(ctx, keys, vals)
-		}
+	h := fnv.New64a()
+	h.Write([]byte(lk.name))
+	seed := int64(h.Sum64()) ^ int64(ctx.ExecutorID()*7919)
+	seed ^= int64(ctx.BlockPass())*1_000_003 + int64(ctx.BlockStep())*9176
+	rng := rand.New(rand.NewSource(seed))
+	if lk.vs != nil {
+		lk.vs.k.SetRng(rng)
 	} else {
-		ks.Iter = func(ctx *runtime.Ctx, key []int64, val float64) {
-			enter(ctx)
-			ms.run(ctx, key, val)
-		}
+		lk.ms.m.Rng = rng
 	}
+}
 
-	// The plan artifact shipped alongside the source carries the
-	// synthesized prefetch spec (and the full parallelization decision,
-	// for executors that want to inspect it) — no side-channel fields.
-	var pf *plan.Prefetch
-	if len(def.PlanBlob) > 0 {
-		art, err := plan.Decode(def.PlanBlob)
-		if err != nil {
-			return nil, fmt.Errorf("dslkernel: decoding shipped plan artifact: %w", err)
-		}
-		pf = art.Prefetch
+// runBlock executes a whole block in one VM entry, with the executor's
+// partitions bound into the kernel as dense windows for exactly the
+// duration of the call: rotation replaces a rotated partition after
+// every block and recycles its storage, so no binding outlives the
+// block it was made for, and an idle kernel pins no partition.
+func (lk *loopKernel) runBlock(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
+	lk.enter(ctx)
+	vs := lk.vs
+	defer vs.bind(nil)
+	if err := vs.bind(ctx); err != nil {
+		return 0, fmt.Errorf("dslkernel: %v", err)
 	}
-	if pf != nil && pf.Src != "" && len(pf.Arrays) > 0 {
-		sliced, err := lang.Parse(pf.Src)
-		if err != nil {
-			return nil, fmt.Errorf("dslkernel: parsing shipped prefetch slice: %w", err)
-		}
-		for _, target := range pf.Arrays {
-			target := target
-			ks.Prefetch[target] = func(key []int64, val float64) []int64 {
-				m := lang.NewMachine()
-				for name, d := range def.ArrayDims {
-					m.Arrays[name] = dimsOnly(d)
-				}
-				for k, v := range globals {
-					m.Globals[k] = v
-				}
-				m.Recorder = lang.NewRecorder(target)
-				if err := m.RunIteration(sliced, key, val); err != nil {
-					return nil
-				}
-				return m.Recorder.Indices[target]
-			}
-		}
+	done, err := vs.k.RunBlock(keys, vals, func(int) { vs.fold(ctx) })
+	if err != nil {
+		return done, fmt.Errorf("dslkernel: vm kernel: %v", err)
 	}
-	return ks, nil
+	return done, nil
+}
+
+func (lk *loopKernel) runInterp(ctx *runtime.Ctx, key []int64, val float64) {
+	lk.enter(ctx)
+	lk.ms.run(ctx, key, val)
 }
 
 // vmState is one executor's bytecode-VM kernel instance for one loop:
@@ -180,56 +318,55 @@ func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 // array slots, plus accumulator shadows for diffing.
 type vmState struct {
 	k       *vm.Kernel
+	parts   []*partView // re-bound around every block
 	accums  []string
 	slots   []int
 	lastAcc []float64
 }
 
-func newVMState(ctx *runtime.Ctx, vp *vm.Prog, loop *lang.Loop,
-	dims map[string][]int64, buffers map[string]string,
-	globals map[string]float64, accums []string) *vmState {
-	k := vp.NewKernel()
-	for name, view := range arrayViews(ctx, loop, dims) {
-		if err := k.BindArray(name, view); err != nil {
+func newVMState(ctx *runtime.Ctx, lk *loopKernel) *vmState {
+	vs := &vmState{k: lk.vp.NewKernel(), accums: lk.accums}
+	for name, view := range arrayViews(ctx, lk) {
+		if pv, ok := view.(*partView); ok {
+			vs.parts = append(vs.parts, pv)
+		}
+		if err := vs.k.BindArray(name, view); err != nil {
 			panic(fmt.Sprintf("dslkernel: %v", err))
 		}
 	}
-	for bname, target := range buffers {
-		if err := k.BindBuffer(bname, &ctxBuffer{ctx: ctx, target: target, dims: dims[target]}); err != nil {
+	for bname, target := range lk.buffers {
+		if err := vs.k.BindBuffer(bname, &servedView{s: ctx.Served(target), dims: lk.dims[target]}); err != nil {
 			panic(fmt.Sprintf("dslkernel: %v", err))
 		}
 	}
-	for n, v := range globals {
-		k.SetGlobal(n, v)
+	for n, v := range lk.globals {
+		vs.k.SetGlobal(n, v)
 	}
-	vs := &vmState{k: k, accums: accums}
-	for _, a := range accums {
-		if _, ok := globals[a]; !ok {
-			k.SetGlobal(a, 0)
+	for _, a := range lk.accums {
+		if _, ok := lk.globals[a]; !ok {
+			vs.k.SetGlobal(a, 0)
 		}
-		slot := k.GlobalSlot(a)
+		slot := vs.k.GlobalSlot(a)
 		vs.slots = append(vs.slots, slot)
-		vs.lastAcc = append(vs.lastAcc, k.GlobalAt(slot))
+		vs.lastAcc = append(vs.lastAcc, vs.k.GlobalAt(slot))
 	}
 	return vs
 }
 
-func (vs *vmState) run(ctx *runtime.Ctx, key []int64, val float64) {
-	if err := vs.k.RunIteration(key, val); err != nil {
-		panic(fmt.Sprintf("dslkernel: vm kernel: %v", err))
+// bind points every partition view at the executor's current partition
+// and re-binds it, so the kernel's dense windows are this block's
+// storage; bind(nil) drops them all.
+func (vs *vmState) bind(ctx *runtime.Ctx) error {
+	for _, pv := range vs.parts {
+		pv.p = nil
+		if ctx != nil {
+			pv.p = ctx.PartitionOf(pv.name)
+		}
+		if err := vs.k.BindArray(pv.name, pv); err != nil {
+			return err
+		}
 	}
-	vs.fold(ctx)
-}
-
-// runBlock executes a whole block in one VM entry. The per-iteration
-// callback folds accumulator deltas exactly as the one-at-a-time path
-// does, so both paths produce bit-identical accumulator streams.
-func (vs *vmState) runBlock(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
-	done, err := vs.k.RunBlock(keys, vals, func(int) { vs.fold(ctx) })
-	if err != nil {
-		return done, fmt.Errorf("dslkernel: vm kernel: %v", err)
-	}
-	return done, nil
+	return nil
 }
 
 func (vs *vmState) fold(ctx *runtime.Ctx) {
@@ -250,18 +387,17 @@ type machineState struct {
 	lastAcc map[string]float64
 }
 
-func newMachineState(ctx *runtime.Ctx, loop *lang.Loop, dims map[string][]int64,
-	buffers map[string]string, globals map[string]float64, accums []string) *machineState {
+func newMachineState(ctx *runtime.Ctx, lk *loopKernel) *machineState {
 	m := lang.NewMachine()
-	m.Arrays = arrayViews(ctx, loop, dims)
-	for bname, target := range buffers {
-		m.Buffers[bname] = &ctxBuffer{ctx: ctx, target: target, dims: dims[target]}
+	m.Arrays = arrayViews(ctx, lk)
+	for bname, target := range lk.buffers {
+		m.Buffers[bname] = &servedView{s: ctx.Served(target), dims: lk.dims[target]}
 	}
-	for k, v := range globals {
+	for k, v := range lk.globals {
 		m.Globals[k] = v
 	}
-	ms := &machineState{m: m, loop: loop, accums: accums, lastAcc: map[string]float64{}}
-	for _, a := range accums {
+	ms := &machineState{m: m, loop: lk.loop, accums: lk.accums, lastAcc: map[string]float64{}}
+	for _, a := range lk.accums {
 		if _, ok := m.Globals[a]; !ok {
 			m.Globals[a] = float64(0)
 		}
@@ -291,81 +427,75 @@ func asFloat(v lang.Value) float64 {
 // arrayViews adapts every declared array to this executor's partition
 // of it, or to served reads when it holds none. The iteration space
 // stays unbound on both backends: body reads of it fault as unknown.
-func arrayViews(ctx *runtime.Ctx, loop *lang.Loop, dims map[string][]int64) map[string]lang.ArrayAccess {
-	views := make(map[string]lang.ArrayAccess, len(dims))
-	for name, d := range dims {
-		if name == loop.IterVar {
+func arrayViews(ctx *runtime.Ctx, lk *loopKernel) map[string]lang.ArrayAccess {
+	views := make(map[string]lang.ArrayAccess, len(lk.dims))
+	for name, d := range lk.dims {
+		if name == lk.loop.IterVar {
 			continue
 		}
 		if ctx.HasPartition(name) {
 			views[name] = &partView{ctx: ctx, name: name, dims: d}
 		} else {
-			views[name] = &servedView{ctx: ctx, name: name, dims: d}
+			views[name] = &servedView{s: ctx.Served(name), dims: d}
 		}
 	}
 	return views
 }
 
 // partView adapts an executor's (possibly rotated) partition to the
-// interpreter's ArrayAccess, with global coordinates. The partition is
-// looked up per access because rotation replaces it between blocks.
+// loop backends, with global coordinates. The VM binds it as a
+// lang.DenseWindow: vmState.bind sets p for the duration of a block, so
+// in-window accesses of a dense partition are flat-offset loads and
+// stores on its storage, and At/SetAt serve sparse partitions and
+// report out-of-window coordinates. The interpreter never sets p and
+// asks the executor per access instead — a view must not carry a
+// partition across blocks, because rotation replaces it between them.
 type partView struct {
 	ctx  *runtime.Ctx
 	name string
 	dims []int64
+	p    *dsm.Partition
 }
 
-func (p *partView) Dims() []int64 { return p.dims }
-func (p *partView) At(idx ...int64) float64 {
-	return p.ctx.PartitionOf(p.name).At(idx...)
-}
-func (p *partView) SetAt(v float64, idx ...int64) {
-	p.ctx.PartitionOf(p.name).SetAt(v, idx...)
+func (v *partView) part() *dsm.Partition {
+	if v.p != nil {
+		return v.p
+	}
+	return v.ctx.PartitionOf(v.name)
 }
 
-// servedView adapts parameter-server reads; writes must go through a
-// DistArray Buffer (dependence analysis would have rejected the loop
-// otherwise).
+func (v *partView) Dims() []int64                   { return v.dims }
+func (v *partView) At(idx ...int64) float64         { return v.part().At(idx...) }
+func (v *partView) SetAt(val float64, idx ...int64) { v.part().SetAt(val, idx...) }
+func (v *partView) Window() (int, int64, int64)     { return v.p.Dim, v.p.Lo, v.p.Hi }
+func (v *partView) DenseData() ([]float64, []int64) {
+	if v.p == nil {
+		return nil, nil
+	}
+	return v.p.Local.DenseData()
+}
+
+// servedView adapts a parameter-server array: reads, and the buffered
+// deltas of a DistArray Buffer over it (the only writes dependence
+// analysis lets a loop make to a served array, with one exception).
 type servedView struct {
-	ctx  *runtime.Ctx
-	name string
+	s    *runtime.ServedArray
 	dims []int64
 }
 
 func (s *servedView) Dims() []int64 { return s.dims }
 func (s *servedView) At(idx ...int64) float64 {
-	return s.ctx.ServedRead(s.name, flatten(s.dims, idx))
+	return s.s.Read(flatten(s.dims, idx))
 }
 func (s *servedView) SetAt(v float64, idx ...int64) {
 	// Direct writes to a served array are legal only when the plan
 	// guarantees this worker is the sole writer (ordered wavefront
 	// execution); they ship as absolute last-write-wins updates.
-	s.ctx.ServedSet(s.name, flatten(s.dims, idx), v)
+	s.s.Set(flatten(s.dims, idx), v)
 }
-
-// ctxBuffer adapts DistArray Buffer writes to served-array update
-// batches.
-type ctxBuffer struct {
-	ctx    *runtime.Ctx
-	target string
-	dims   []int64
-}
-
-func (b *ctxBuffer) Put(update float64, idx ...int64) bool {
-	b.ctx.ServedUpdate(b.target, flatten(b.dims, idx), update)
+func (s *servedView) Put(update float64, idx ...int64) bool {
+	s.s.Update(flatten(s.dims, idx), update)
 	return false
-}
-
-// dimsOnly is an ArrayAccess exposing only extents — used by the
-// prefetch recorder, whose sliced program never actually reads.
-type dimsOnly []int64
-
-func (d dimsOnly) Dims() []int64 { return d }
-func (d dimsOnly) At(...int64) float64 {
-	panic("dslkernel: prefetch slice attempted a real array read")
-}
-func (d dimsOnly) SetAt(float64, ...int64) {
-	panic("dslkernel: prefetch slice attempted an array write")
 }
 
 func flatten(dims, idx []int64) int64 {

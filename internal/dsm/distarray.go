@@ -100,12 +100,21 @@ func (a *DistArray) Len() int {
 }
 
 // Flatten converts an index tuple to the flattened offset.
-func (a *DistArray) Flatten(idx ...int64) int64 {
+func (a *DistArray) Flatten(idx ...int64) int64 { return a.flattenFrom(-1, 0, idx) }
+
+// flattenFrom is Flatten with coordinate dim rebased by -lo first: a
+// Partition resolves global coordinates against its Local array
+// without building a rebased copy of the tuple (dim < 0 rebases
+// nothing). Bounds faults report the rebased coordinate.
+func (a *DistArray) flattenFrom(dim int, lo int64, idx []int64) int64 {
 	if len(idx) != len(a.dims) {
 		panic(fmt.Sprintf("dsm: %s: %d subscripts for %d dims", a.name, len(idx), len(a.dims)))
 	}
 	var off int64
 	for i, v := range idx {
+		if i == dim {
+			v -= lo
+		}
 		if v < 0 || v >= a.dims[i] {
 			panic(fmt.Sprintf("dsm: %s: index %d out of bounds [0,%d) at dim %d", a.name, v, a.dims[i], i))
 		}
@@ -125,17 +134,19 @@ func (a *DistArray) Unflatten(off int64) []int64 {
 }
 
 // At is a point query (e.g. A[1, 3, 2]).
-func (a *DistArray) At(idx ...int64) float64 {
-	off := a.Flatten(idx...)
+func (a *DistArray) At(idx ...int64) float64 { return a.atOff(a.flattenFrom(-1, 0, idx)) }
+
+// SetAt writes one element.
+func (a *DistArray) SetAt(v float64, idx ...int64) { a.setOff(a.flattenFrom(-1, 0, idx), v) }
+
+func (a *DistArray) atOff(off int64) float64 {
 	if a.IsDense() {
 		return a.dense[off]
 	}
 	return a.sparse[off]
 }
 
-// SetAt writes one element.
-func (a *DistArray) SetAt(v float64, idx ...int64) {
-	off := a.Flatten(idx...)
+func (a *DistArray) setOff(off int64, v float64) {
 	if a.IsDense() {
 		a.dense[off] = v
 		return

@@ -199,6 +199,39 @@ func TestPartitionGlobalCoords(t *testing.T) {
 	}
 }
 
+// TestPartitionAccessAllocFree: At and SetAt resolve global
+// coordinates against the partition's local storage without building a
+// rebased copy of the tuple — for dense and sparse partitions, with the
+// caller's tuple left as passed and the fault naming the rebased
+// coordinate as before.
+func TestPartitionAccessAllocFree(t *testing.T) {
+	for _, a := range []*DistArray{NewDense("W", 2, 10), NewSparse("z", 2, 10)} {
+		a.SetAt(42, 1, 7)
+		p := a.EqualRangePartitions(1, 2)[1] // covers columns 5..9
+		idx := []int64{1, 7}
+		var got float64
+		allocs := testing.AllocsPerRun(100, func() {
+			p.SetAt(p.At(idx...)+1, idx...)
+			got = p.At(1, 7)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: At/SetAt on a partition allocate %v times per call pair, want 0", a.Name(), allocs)
+		}
+		if got != 42+101 || idx[0] != 1 || idx[1] != 7 {
+			t.Errorf("%s: element = %v after 101 increments of 42 (tuple now %v)", a.Name(), got, idx)
+		}
+		func() {
+			defer func() {
+				want := "dsm: " + a.Name() + ": index -3 out of bounds [0,5) at dim 1"
+				if r := recover(); r != want {
+					t.Errorf("%s: out-of-partition read: %v, want %q", a.Name(), r, want)
+				}
+			}()
+			p.At(1, 2)
+		}()
+	}
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	a := NewSparse("Z", 5, 5)
 	a.SetAt(1.25, 4, 4)

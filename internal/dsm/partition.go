@@ -79,16 +79,12 @@ func (p *Partition) WriteBack(a *DistArray) {
 
 // At reads an element using *global* coordinates.
 func (p *Partition) At(idx ...int64) float64 {
-	nidx := append([]int64(nil), idx...)
-	nidx[p.Dim] -= p.Lo
-	return p.Local.At(nidx...)
+	return p.Local.atOff(p.Local.flattenFrom(p.Dim, p.Lo, idx))
 }
 
 // SetAt writes an element using *global* coordinates.
 func (p *Partition) SetAt(v float64, idx ...int64) {
-	nidx := append([]int64(nil), idx...)
-	nidx[p.Dim] -= p.Lo
-	p.Local.SetAt(v, nidx...)
+	p.Local.setOff(p.Local.flattenFrom(p.Dim, p.Lo, idx), v)
 }
 
 // Contains reports whether global coordinate c along the partition dim

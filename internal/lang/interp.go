@@ -345,18 +345,33 @@ func (m *Machine) readIndex(x *Index, sc *scope) (Value, error) {
 		return nil, err
 	}
 	if m.Recorder != nil && m.Recorder.Targets[x.Base] {
-		m.recordRead(x.Base, arr, rs)
+		if err := m.recordRead(x.Base, arr, rs); err != nil {
+			return nil, err
+		}
 		return m.zeroFor(rs), nil
 	}
 	return readResolved(x.Base, arr, rs)
 }
 
-func (m *Machine) recordRead(name string, arr ArrayAccess, rs []resolvedSub) {
+// recordRead appends the flattened offset of every element the read
+// touches. An out-of-bounds element has no offset: it is an error, so
+// the sample prefetches nothing and the real read reports the fault.
+func (m *Machine) recordRead(name string, arr ArrayAccess, rs []resolvedSub) error {
 	dims := arr.Dims()
 	idx := make([]int64, len(rs))
+	var err error
 	var rec func(d int)
 	rec = func(d int) {
+		if err != nil {
+			return
+		}
 		if d == len(rs) {
+			for i, v := range idx {
+				if v < 0 || v >= dims[i] {
+					err = fmt.Errorf("lang: %s: recorded index %d out of bounds [0,%d) at dim %d", name, v, dims[i], i)
+					return
+				}
+			}
 			m.Recorder.Indices[name] = append(m.Recorder.Indices[name], flattenIndex(dims, idx))
 			return
 		}
@@ -371,6 +386,7 @@ func (m *Machine) recordRead(name string, arr ArrayAccess, rs []resolvedSub) {
 		rec(d + 1)
 	}
 	rec(0)
+	return err
 }
 
 func (m *Machine) zeroFor(rs []resolvedSub) Value {

@@ -53,6 +53,18 @@ type DenseAccess interface {
 	DenseData() (data []float64, stride []int64)
 }
 
+// DenseWindow is DenseAccess for a view that stores only a contiguous
+// coordinate window of the array (a partition): DenseData describes
+// the window's own storage — extent hi-lo along dim — while Dims and
+// the At/SetAt coordinates stay global. A backend taking the flat path
+// subtracts lo along dim, bounds-checks that coordinate against
+// [lo, hi) and every other one against Dims, and sends anything
+// outside to At/SetAt, whose fault is the reference behaviour.
+type DenseWindow interface {
+	DenseAccess
+	Window() (dim int, lo, hi int64)
+}
+
 // Resolution is the front half of a compilation: types inferred to a
 // fixpoint, strict checks passed, and every name assigned its slot. It
 // is immutable once returned.

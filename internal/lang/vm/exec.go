@@ -758,36 +758,27 @@ func (k *Kernel) rangeBounds(acc *access) (lo, hi int64) {
 	return int64(k.fr[acc.loReg]) - 1, int64(k.fr[acc.hiReg]) - 1
 }
 
-// rangeInBounds reports whether every element the range touches is in
-// bounds, so the bulk path can skip per-element checks. Anything else
-// (including empty ranges) takes the At/SetAt path whose panics are the
-// reference behavior.
-func rangeInBounds(acc *access, ix []int64, lo, hi int64) bool {
-	rd := int(acc.rangeDim)
-	if lo > hi || lo < 0 || hi >= acc.dims[rd] {
-		return false
-	}
+// flatOff resolves full-rank 0-based coordinates to a flat offset into
+// array ai's dense storage, for an access that spans n further elements
+// along dimension rd (a point access passes rd -1). ok=false — a touched
+// coordinate outside the bound window or the array, which is every
+// coordinate when the binding has no dense storage, or an empty range
+// (n < 0) — sends the caller to At/SetAt, whose panic is the reference
+// out-of-bounds behavior.
+func (k *Kernel) flatOff(ai int32, ix []int64, rd int32, n int64) (off int64, ok bool) {
+	win := k.win[ai]
 	for d, v := range ix {
-		if d == rd {
-			continue
+		w := &win[d]
+		last := v
+		if int32(d) == rd {
+			last += n
 		}
-		if v < 0 || v >= acc.dims[d] {
-			return false
+		if v < w.lo || last >= w.hi || last < v {
+			return 0, false
 		}
+		off += (v - w.lo) * w.stride
 	}
-	return true
-}
-
-// restOffset sums the non-range coordinate offsets.
-func restOffset(ix []int64, stride []int64, rd int) int64 {
-	var off int64
-	for d, v := range ix {
-		if d == rd {
-			continue
-		}
-		off += v * stride[d]
-	}
-	return off
+	return off, true
 }
 
 // ldPt is SubscriptLoadF: a fused point read. In-bounds dense accesses
@@ -795,20 +786,8 @@ func restOffset(ix []int64, stride []int64, rd int) int64 {
 // panic is the reference out-of-bounds behavior.
 func (k *Kernel) ldPt(acc *access) float64 {
 	ix := k.fillIx(acc)
-	if data := k.dense[acc.ai]; data != nil {
-		stride := k.stride[acc.ai]
-		off := int64(0)
-		ok := true
-		for d, v := range ix {
-			if v < 0 || v >= acc.dims[d] {
-				ok = false
-				break
-			}
-			off += v * stride[d]
-		}
-		if ok {
-			return data[off]
-		}
+	if off, ok := k.flatOff(acc.ai, ix, -1, 0); ok {
+		return k.dense[acc.ai][off]
 	}
 	return k.arrays[acc.ai].At(ix...)
 }
@@ -817,25 +796,13 @@ func (k *Kernel) ldPt(acc *access) float64 {
 // compound.
 func (k *Kernel) stPt(acc *access, v float64, sel int32) {
 	ix := k.fillIx(acc)
-	if data := k.dense[acc.ai]; data != nil {
-		stride := k.stride[acc.ai]
-		off := int64(0)
-		ok := true
-		for d, c := range ix {
-			if c < 0 || c >= acc.dims[d] {
-				ok = false
-				break
-			}
-			off += c * stride[d]
+	if off, ok := k.flatOff(acc.ai, ix, -1, 0); ok {
+		data := k.dense[acc.ai]
+		if sel >= 0 {
+			v = arith(sel, data[off], v)
 		}
-		if ok {
-			if sel >= 0 {
-				data[off] = arith(sel, data[off], v)
-			} else {
-				data[off] = v
-			}
-			return
-		}
+		data[off] = v
+		return
 	}
 	a := k.arrays[acc.ai]
 	if sel >= 0 {
@@ -846,43 +813,28 @@ func (k *Kernel) stPt(acc *access, v float64, sel int32) {
 
 // rowView is the zero-copy consume borrow of a full first-dimension
 // range: dense arrays return a live slice of their flat storage (the
-// @view of the paper's Fig. 5); out-of-bounds trailing coordinates and
-// non-dense arrays fall back to element-wise At with the exact
-// reference panics and copies.
+// @view of the paper's Fig. 5); out-of-bounds trailing coordinates, a
+// window that cuts the first dimension, and non-dense arrays fall back
+// to element-wise At with the exact reference panics and copies.
 func (k *Kernel) rowView(acc *access) []float64 {
-	a := k.arrays[acc.ai]
-	if data := k.dense[acc.ai]; data != nil {
-		stride := k.stride[acc.ai]
-		ix := k.idx[acc.ri]
-		var off int64
-		inBounds := true
-		for d, sr := range acc.subs[1:] {
-			v := int64(k.fr[sr]) - 1
-			ix[d] = v
-			if v < 0 || v >= acc.dims[d+1] {
-				inBounds = false
-			} else {
-				off += v * stride[d+1]
-			}
+	ai := acc.ai
+	ix := k.idx[acc.ii]
+	win := k.win[ai]
+	inBounds := win[0].lo == 0 && win[0].hi == acc.extent
+	var off int64
+	for d := 1; d < len(ix); d++ {
+		v, w := int64(k.fr[acc.subs[d]])-1, &win[d]
+		ix[d] = v
+		if v < w.lo || v >= w.hi {
+			inBounds = false
+		} else {
+			off += (v - w.lo) * w.stride
 		}
-		if inBounds {
-			return data[off : off+acc.extent]
-		}
-		// Out of bounds: take the element-wise path so the panic
-		// matches the interpreter's At-based read.
-		full := k.idx[acc.ii]
-		copy(full[1:], ix)
-		out := k.growScratch(int(acc.sid), int(acc.extent))
-		for v := int64(0); v < acc.extent; v++ {
-			full[0] = v
-			out[v] = a.At(full...)
-		}
-		return out
 	}
-	// Bound but not dense: materialize element-wise like the closure
-	// backend's generic path. The trailing coordinates were already
-	// evaluated into registers, so fillIx only converts.
-	ix := k.fillIx(acc)
+	if inBounds {
+		return k.dense[ai][off : off+acc.extent]
+	}
+	a := k.arrays[ai]
 	out := k.growScratch(int(acc.sid), int(acc.extent))
 	for v := int64(0); v < acc.extent; v++ {
 		ix[0] = v
@@ -891,32 +843,45 @@ func (k *Kernel) rowView(acc *access) []float64 {
 	return out
 }
 
+// gather copies n elements of data, step apart from base, into out;
+// scatter is its inverse.
+func gather(out, data []float64, base, step int64) {
+	if step == 1 {
+		copy(out, data[base:base+int64(len(out))])
+		return
+	}
+	for i := range out {
+		out[i] = data[base]
+		base += step
+	}
+}
+
+func scatter(data, in []float64, base, step int64) {
+	if step == 1 {
+		copy(data[base:base+int64(len(in))], in)
+		return
+	}
+	for i := range in {
+		data[base] = in[i]
+		base += step
+	}
+}
+
 // rowMat materializes a range read into the site's scratch. Fully
 // in-bounds dense ranges are copied in bulk; everything else reads
 // element-wise through At.
 func (k *Kernel) rowMat(acc *access) []float64 {
-	a := k.arrays[acc.ai]
 	ix := k.fillIx(acc)
 	lo, hi := k.rangeBounds(acc)
 	out := k.growScratch(int(acc.sid), int(hi-lo+1))
-	rd := int(acc.rangeDim)
-	if data := k.dense[acc.ai]; data != nil && rangeInBounds(acc, ix, lo, hi) {
-		stride := k.stride[acc.ai]
-		off := restOffset(ix, stride, rd)
-		step := stride[rd]
-		if step == 1 {
-			copy(out, data[off+lo:off+hi+1])
-		} else {
-			base := off + lo*step
-			for i := range out {
-				out[i] = data[base]
-				base += step
-			}
-		}
+	ix[acc.rangeDim] = lo
+	if base, ok := k.flatOff(acc.ai, ix, acc.rangeDim, hi-lo); ok {
+		gather(out, k.dense[acc.ai], base, k.win[acc.ai][acc.rangeDim].stride)
 		return out
 	}
+	a := k.arrays[acc.ai]
 	for v := lo; v <= hi; v++ {
-		ix[rd] = v
+		ix[acc.rangeDim] = v
 		out[v-lo] = a.At(ix...)
 	}
 	return out
@@ -924,31 +889,20 @@ func (k *Kernel) rowMat(acc *access) []float64 {
 
 // rowSt is a plain range store.
 func (k *Kernel) rowSt(acc *access, rv []float64) {
-	a := k.arrays[acc.ai]
 	ix := k.fillIx(acc)
 	lo, hi := k.rangeBounds(acc)
 	if int64(len(rv)) != hi-lo+1 {
 		fail("lang: %s: vector length %d does not match range %d:%d",
 			k.p.names[acc.nameIdx], len(rv), lo+1, hi+1)
 	}
-	rd := int(acc.rangeDim)
-	if data := k.dense[acc.ai]; data != nil && rangeInBounds(acc, ix, lo, hi) {
-		stride := k.stride[acc.ai]
-		off := restOffset(ix, stride, rd)
-		step := stride[rd]
-		if step == 1 {
-			copy(data[off+lo:off+hi+1], rv)
-		} else {
-			base := off + lo*step
-			for i := range rv {
-				data[base] = rv[i]
-				base += step
-			}
-		}
+	ix[acc.rangeDim] = lo
+	if base, ok := k.flatOff(acc.ai, ix, acc.rangeDim, hi-lo); ok {
+		scatter(k.dense[acc.ai], rv, base, k.win[acc.ai][acc.rangeDim].stride)
 		return
 	}
+	a := k.arrays[acc.ai]
 	for v := lo; v <= hi; v++ {
-		ix[rd] = v
+		ix[acc.rangeDim] = v
 		a.SetAt(rv[v-lo], ix...)
 	}
 }
@@ -961,26 +915,15 @@ func (k *Kernel) rowUpd(acc *access, sv float64, rv []float64, isVec bool) {
 	ix := k.fillIx(acc)
 	lo, hi := k.rangeBounds(acc)
 	cur := k.growScratch(int(acc.sid), int(hi-lo+1))
-	rd := int(acc.rangeDim)
-	data := k.dense[acc.ai]
-	bulk := data != nil && rangeInBounds(acc, ix, lo, hi)
-	var base, step int64
+	ix[acc.rangeDim] = lo
+	base, bulk := k.flatOff(acc.ai, ix, acc.rangeDim, hi-lo)
+	var step int64
 	if bulk {
-		stride := k.stride[acc.ai]
-		step = stride[rd]
-		base = restOffset(ix, stride, rd) + lo*step
-		if step == 1 {
-			copy(cur, data[base:base+int64(len(cur))])
-		} else {
-			b := base
-			for i := range cur {
-				cur[i] = data[b]
-				b += step
-			}
-		}
+		step = k.win[acc.ai][acc.rangeDim].stride
+		gather(cur, k.dense[acc.ai], base, step)
 	} else {
 		for v := lo; v <= hi; v++ {
-			ix[rd] = v
+			ix[acc.rangeDim] = v
 			cur[v-lo] = a.At(ix...)
 		}
 	}
@@ -993,19 +936,11 @@ func (k *Kernel) rowUpd(acc *access, sv float64, rv []float64, isVec bool) {
 		vecOpVS(acc.sel, cur, cur, sv)
 	}
 	if bulk {
-		if step == 1 {
-			copy(data[base:base+int64(len(cur))], cur)
-		} else {
-			b := base
-			for i := range cur {
-				data[b] = cur[i]
-				b += step
-			}
-		}
+		scatter(k.dense[acc.ai], cur, base, step)
 		return
 	}
 	for v := lo; v <= hi; v++ {
-		ix[rd] = v
+		ix[acc.rangeDim] = v
 		a.SetAt(cur[v-lo], ix...)
 	}
 }

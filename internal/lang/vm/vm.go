@@ -203,7 +203,6 @@ type access struct {
 	loReg    int32   // partial-range bound registers
 	hiReg    int32
 	ii       int32 // full-rank index buffer
-	ri       int32 // rank-1 index buffer (row fast path)
 	sid      int32 // scratch id (materialized reads, compound current values)
 	sel      int32 // arith selector for compound range updates
 }
@@ -212,17 +211,22 @@ type access struct {
 // its array binds: the dense storage and the site's strides, extents,
 // and subscript registers flattened into one fixed-size struct so the
 // hot opcodes compute a flat offset without chasing the per-array
-// dense/stride tables. Rank-1 sites reuse the rank-2 shape with a zero
+// dense/window tables. Rank-1 sites reuse the rank-2 shape with a zero
 // second stride, an always-passing second extent, and sub1 aliased to
 // sub0, so the fast path stays small enough to inline into the
-// dispatch loop. Unbound, non-dense, or rank ≥3 sites keep fast=false
-// and route through the reference accessors.
+// dispatch loop. o0/o1 turn a 1-based DSL subscript into a coordinate
+// relative to the bound storage (1 plus the window's lower bound on a
+// windowed dimension), and d0/d1 are that storage's extents, so one
+// unsigned compare per dimension checks the window and the array
+// bounds at once. Unbound, non-dense, or rank ≥3 sites keep the zero
+// value — extent 0, which no coordinate passes — and route through the
+// reference accessors.
 type rtAcc struct {
 	data       []float64
 	s0, s1     int64
+	o0, o1     int64
 	d0, d1     uint64
 	sub0, sub1 int32
-	fast       bool
 }
 
 // ptOff resolves a point access's flat offset through its runtime
@@ -230,11 +234,8 @@ type rtAcc struct {
 // repeats the bounds check and reports the fault when a coordinate is
 // actually out of range.
 func ptOff(fr []float64, ra *rtAcc) (int64, bool) {
-	if !ra.fast {
-		return 0, false
-	}
-	v0 := int64(fr[ra.sub0]) - 1
-	v1 := int64(fr[ra.sub1]) - 1
+	v0 := int64(fr[ra.sub0]) - ra.o0
+	v1 := int64(fr[ra.sub1]) - ra.o1
 	if uint64(v0) < ra.d0 && uint64(v1) < ra.d1 {
 		return v0*ra.s0 + v1*ra.s1, true
 	}
@@ -330,8 +331,8 @@ type Kernel struct {
 
 	arrays  []lang.ArrayAccess
 	dense   [][]float64 // non-nil where flat-offset access applies
-	stride  [][]int64
-	racc    []rtAcc // per point-access runtime mirror
+	win     [][]dimWin  // per array and dimension
+	racc    []rtAcc     // per point-access runtime mirror
 	buffers []lang.BufferAccess
 	rng     lang.RandSource
 
@@ -342,6 +343,13 @@ type Kernel struct {
 	vecLimit int64
 	key      []int64
 }
+
+// dimWin is one dimension of a bound array's dense storage: the global
+// coordinates [lo, hi) it holds and the stride between them. That is
+// [0, extent) everywhere except the windowed dimension of a
+// lang.DenseWindow binding, and empty ([0, 0)) on every dimension of a
+// binding with no dense storage — so no coordinate takes a flat path.
+type dimWin struct{ lo, hi, stride int64 }
 
 // NewKernel allocates a kernel instance with empty bindings.
 func (p *Prog) NewKernel() *Kernel {
@@ -362,7 +370,10 @@ func (p *Prog) NewKernel() *Kernel {
 	k.glDef = make([]bool, len(p.globalNames))
 	k.arrays = make([]lang.ArrayAccess, len(p.arrayNames))
 	k.dense = make([][]float64, len(p.arrayNames))
-	k.stride = make([][]int64, len(p.arrayNames))
+	k.win = make([][]dimWin, len(p.arrayNames))
+	for i, dims := range p.arrayDims {
+		k.win[i] = make([]dimWin, len(dims))
+	}
 	k.racc = make([]rtAcc, len(p.accs))
 	k.buffers = make([]lang.BufferAccess, len(p.bufNames))
 	k.scratch = make([][]float64, p.nScratch)
@@ -375,7 +386,13 @@ func (p *Prog) NewKernel() *Kernel {
 
 // BindArray binds a DistArray view to its slot; the view's extents must
 // match the compile-time environment. Views implementing
-// lang.DenseAccess with dense backing take the fused flat-offset paths.
+// lang.DenseAccess with dense backing take the fused flat-offset paths;
+// a lang.DenseWindow (a partition) takes them for coordinates inside
+// its window. Every flat access is bounds-checked against [lo, hi) on
+// all dimensions first, and a coordinate outside goes to the view's
+// At/SetAt — so faults keep the text and order of the reference path.
+// Rebinding a slot drops every reference to the previous view's
+// storage.
 func (k *Kernel) BindArray(name string, a lang.ArrayAccess) error {
 	i, ok := k.p.arrayIx[name]
 	if !ok {
@@ -391,12 +408,26 @@ func (k *Kernel) BindArray(name string, a lang.ArrayAccess) error {
 			return fmt.Errorf("lang: array %q bound with dims %v, compiled for %v", name, got, want)
 		}
 	}
-	k.arrays[i] = a
-	k.dense[i], k.stride[i] = nil, nil
+	var data []float64
+	var stride []int64
+	wd, wlo, whi := 0, int64(0), want[0]
 	if da, ok := a.(lang.DenseAccess); ok {
-		if data, stride := da.DenseData(); data != nil {
-			k.dense[i], k.stride[i] = data, stride
+		data, stride = da.DenseData()
+		if w, ok := a.(lang.DenseWindow); ok && data != nil {
+			wd, wlo, whi = w.Window()
+			if wd < 0 || wd >= len(want) || wlo < 0 || whi < wlo || whi > want[wd] {
+				return fmt.Errorf("lang: array %q bound with window [%d,%d) on dim %d of %v", name, wlo, whi, wd, want)
+			}
 		}
+	}
+	k.arrays[i], k.dense[i] = a, data
+	win := k.win[i]
+	clear(win)
+	if data != nil {
+		for d := range win {
+			win[d] = dimWin{hi: want[d], stride: stride[d]}
+		}
+		win[wd].lo, win[wd].hi = wlo, whi
 	}
 	// Refresh the runtime mirrors of this array's point-access sites.
 	for j := range k.p.accs {
@@ -406,7 +437,6 @@ func (k *Kernel) BindArray(name string, a lang.ArrayAccess) error {
 		}
 		ra := &k.racc[j]
 		*ra = rtAcc{}
-		data, stride := k.dense[i], k.stride[i]
 		if data == nil {
 			continue
 		}
@@ -415,15 +445,13 @@ func (k *Kernel) BindArray(name string, a lang.ArrayAccess) error {
 			// Rank-1 wears the rank-2 shape: the aliased second
 			// coordinate contributes stride 0 and always bounds-checks
 			// clean unless the first one already failed.
-			ra.data, ra.s0, ra.d0, ra.sub0 = data, stride[0], uint64(acc.dims[0]), acc.subs[0]
-			ra.s1, ra.d1, ra.sub1 = 0, 1<<62, acc.subs[0]
-			ra.fast = true
+			ra.s1, ra.o1, ra.d1, ra.sub1 = 0, 1, 1<<62, acc.subs[0]
 		case 2:
-			ra.data, ra.s0, ra.s1 = data, stride[0], stride[1]
-			ra.d0, ra.d1 = uint64(acc.dims[0]), uint64(acc.dims[1])
-			ra.sub0, ra.sub1 = acc.subs[0], acc.subs[1]
-			ra.fast = true
+			ra.s1, ra.o1, ra.d1, ra.sub1 = win[1].stride, 1+win[1].lo, uint64(win[1].hi-win[1].lo), acc.subs[1]
+		default:
+			continue
 		}
+		ra.data, ra.s0, ra.o0, ra.d0, ra.sub0 = data, win[0].stride, 1+win[0].lo, uint64(win[0].hi-win[0].lo), acc.subs[0]
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -31,15 +32,23 @@ type Executor struct {
 	// to the pool when the next rotation replaces them.
 	pooledParts map[string]bool
 	samples     []IterSample
-	// loops holds the kernel sets compiled from DefineLoop messages,
-	// checked before the static registry.
-	loops    map[string]*KernelSet
+	// sorted records that samples has been put in lexicographic key
+	// order, by the first ordered block after it arrived.
+	sorted bool
+	// loop is the kernel set compiled from the latest DefineLoop,
+	// checked before the static registry. Every caller defines a loop
+	// and then runs it, so a new definition retires the previous one
+	// (a recovery attempt re-defines under the same name).
+	loopName string
+	loop     *KernelSet
 	sendTo   *codec // ring neighbor we ship rotated partitions to
 	rotateCh chan *Msg
-	// blockKeys/blockVals are the reused scratch for batched kernel
-	// execution (one append pass per block, no per-iteration garbage).
-	blockKeys [][]int64
-	blockVals []float64
+	// blockKeys/blockVals hold the running block's samples and
+	// prefetchOffs its prefetch offsets: storage reused across blocks
+	// (one append pass per block, no per-iteration garbage).
+	blockKeys    [][]int64
+	blockVals    []float64
+	prefetchOffs []int64
 
 	// The master connection is read by a dedicated reader goroutine
 	// (readMaster): commands flow to cmdCh and a connection failure
@@ -101,7 +110,6 @@ func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, e
 		parts:       map[string]*dsm.Partition{},
 		rotated:     map[string]bool{},
 		pooledParts: map[string]bool{},
-		loops:       map[string]*KernelSet{},
 		rotateCh:    make(chan *Msg, 16),
 		cmdCh:       make(chan *Msg, 16),
 		stop:        make(chan struct{}),
@@ -117,12 +125,7 @@ func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, e
 		mPrefHit:    obs.GetCounter("prefetch.hit"),
 		mPrefMiss:   obs.GetCounter("prefetch.miss"),
 	}
-	e.ctx = &Ctx{
-		exec:        e,
-		servedCache: map[string]map[int64]float64{},
-		servedDirty: map[string]*servedBuffer{},
-		accums:      map[string]float64{},
-	}
+	e.ctx = &Ctx{exec: e, served: map[string]*ServedArray{}, accums: map[string]float64{}}
 	ln, err := t.Listen(peerAddr)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: executor %d peer listen: %w", id, err)
@@ -289,7 +292,7 @@ func (e *Executor) run() error {
 			e.rotated[msg.Array] = msg.Rotated
 			e.pooledParts[msg.Array] = false
 		case MsgIterPart:
-			e.samples = msg.Samples
+			e.samples, e.sorted = msg.Samples, false
 		case MsgServedShard:
 			p, err := dsm.DecodePartition(msg.PartBlob)
 			if err != nil {
@@ -314,7 +317,7 @@ func (e *Executor) run() error {
 				e.master.send(&Msg{Kind: MsgError, Err: err.Error()})
 				return err
 			}
-			e.loops[msg.LoopName] = ks
+			e.loopName, e.loop = msg.LoopName, ks
 		case MsgExecBlock:
 			if err := e.execBlock(msg, n); err != nil {
 				e.master.send(&Msg{Kind: MsgError, Err: err.Error(), Lost: isLost(err)})
@@ -465,8 +468,8 @@ func (e *Executor) partition(array string) *dsm.Partition { return e.parts[array
 func (e *Executor) execBlock(msg *Msg, n int) error {
 	blockStart := time.Now()
 	var commNs, rotWaitNs int64
-	ks := e.loops[msg.LoopName]
-	if ks == nil {
+	ks := e.loop
+	if ks == nil || msg.LoopName != e.loopName {
 		// Not shipped by DefineLoop: a Go kernel registered in this
 		// process.
 		kernel, err := lookupKernel(msg.LoopName)
@@ -475,29 +478,25 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 		}
 		ks = &KernelSet{Iter: kernel, Prefetch: lookupPrefetch(msg.LoopName)}
 	}
-	var block []IterSample
-	for _, s := range e.samples {
-		if msg.TimeDim < 0 {
-			block = append(block, s)
-			continue
-		}
-		c := s.Key[msg.TimeDim]
-		if c >= msg.TimeLo && c < msg.TimeHi {
-			block = append(block, s)
-		}
+	if msg.Ordered && !e.sorted {
+		// Ordered loops execute in lexicographic iteration order. The
+		// partition is sorted once, not every block: filtering a sorted
+		// partition by time range leaves each block sorted. A loop that
+		// is not ordered never gets here and runs in the shipped order.
+		slices.SortFunc(e.samples, func(a, b IterSample) int { return slices.Compare(a.Key, b.Key) })
+		e.sorted = true
 	}
-	if msg.Ordered {
-		// Ordered loops execute in lexicographic iteration order.
-		sort.Slice(block, func(a, b int) bool {
-			ka, kb := block[a].Key, block[b].Key
-			for i := range ka {
-				if ka[i] != kb[i] {
-					return ka[i] < kb[i]
-				}
+	keys, vals := e.blockKeys[:0], e.blockVals[:0]
+	for i := range e.samples {
+		s := &e.samples[i]
+		if msg.TimeDim >= 0 {
+			if c := s.Key[msg.TimeDim]; c < msg.TimeLo || c >= msg.TimeHi {
+				continue
 			}
-			return false
-		})
+		}
+		keys, vals = append(keys, s.Key), append(vals, s.Val)
 	}
+	e.blockKeys, e.blockVals = keys, vals
 
 	// Advance the block clock before anything kernel-visible runs:
 	// randomness reseeds per (loop, executor, pass, step), so a
@@ -510,7 +509,9 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 
 	// Bulk prefetch: evaluate the synthesized prefetch functions over
 	// the block and fetch the union of needed offsets per served array.
-	e.ctx.servedCache = map[string]map[int64]float64{}
+	for _, sa := range e.ctx.servedOrder {
+		sa.beginBlock()
+	}
 	if pf := ks.Prefetch; len(pf) > 0 {
 		arrays := make([]string, 0, len(pf))
 		for a := range pf {
@@ -519,21 +520,18 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 		sort.Strings(arrays)
 		for _, array := range arrays {
 			fn := pf[array]
-			seen := map[int64]bool{}
-			var offs []int64
-			for _, s := range block {
-				for _, off := range fn(s.Key, s.Val) {
-					if !seen[off] {
-						seen[off] = true
-						offs = append(offs, off)
-					}
-				}
+			offs := e.prefetchOffs[:0]
+			for i, key := range keys {
+				offs = append(offs, fn(key, vals[i])...)
 			}
+			slices.Sort(offs)
+			offs = slices.Compact(offs)
+			e.prefetchOffs = offs
 			if len(offs) == 0 {
 				continue
 			}
 			fetchStart := time.Now()
-			if err := e.bulkFetch(array, offs); err != nil {
+			if err := e.bulkFetch(e.ctx.Served(array), offs); err != nil {
 				return err
 			}
 			commNs += int64(time.Since(fetchStart))
@@ -542,38 +540,37 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	}
 
 	kernelStart := time.Now()
-	if err := e.runKernel(ks, block); err != nil {
+	if err := e.runKernel(ks, keys, vals); err != nil {
 		return err
 	}
 	// Synthetic straggler injection (SetBlockDelay): sleep inside the
 	// compute-timing window so the skew is visible to LoopReports.
-	if d := blockDelay(e.id, len(block)); d > 0 {
+	if d := blockDelay(e.id, len(keys)); d > 0 {
 		time.Sleep(d)
 	}
 	computeNs := int64(time.Since(kernelStart))
-	e.trace.EndN("exec.kernel", "exec", kernelStart, "iters", int64(len(block)))
+	e.trace.EndN("exec.kernel", "exec", kernelStart, "iters", int64(len(keys)))
 
-	// Ship buffered parameter-server writes to their shard owners:
-	// absolute writes first, then additive deltas.
+	// Ship buffered parameter-server writes to their shard owners, in
+	// array-name order: absolute writes first, then additive deltas.
 	flushStart := time.Now()
-	drained := e.ctx.drainServed()
-	arrays := make([]string, 0, len(drained))
-	for a := range drained {
-		arrays = append(arrays, a)
-	}
-	sort.Strings(arrays)
-	for _, array := range arrays {
-		buf := drained[array]
-		if err := e.flushServed(array, buf.setOffs, buf.sets, true); err != nil {
+	flushed := 0
+	for _, sa := range e.ctx.servedOrder {
+		if len(sa.setOffs) == 0 && len(sa.updOffs) == 0 {
+			continue
+		}
+		if err := e.flushServed(sa.name, sa.setOffs, sa.sets, true); err != nil {
 			return err
 		}
-		if err := e.flushServed(array, buf.offs, buf.vals, false); err != nil {
+		if err := e.flushServed(sa.name, sa.updOffs, sa.deltas, false); err != nil {
 			return err
 		}
+		sa.endBlock()
+		flushed++
 	}
-	if len(drained) > 0 {
+	if flushed > 0 {
 		commNs += int64(time.Since(flushStart))
-		e.trace.EndN("exec.flush", "exec", flushStart, "arrays", int64(len(drained)))
+		e.trace.EndN("exec.flush", "exec", flushStart, "arrays", int64(flushed))
 	}
 
 	// Rotate time-partitioned arrays around the ring.
@@ -633,16 +630,16 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	}
 
 	e.mBlocks.Inc()
-	e.mIters.Add(int64(len(block)))
+	e.mIters.Add(int64(len(keys)))
 	e.mRotWait.Observe(rotWaitNs)
-	e.trace.EndNN("exec.block", "exec", blockStart, "iters", int64(len(block)), "step", int64(msg.StepIndex))
+	e.trace.EndNN("exec.block", "exec", blockStart, "iters", int64(len(keys)), "step", int64(msg.StepIndex))
 
 	misses := e.misses
 	e.misses = 0
 	return e.master.send(&Msg{
 		Kind: MsgBlockDone, ExecutorID: e.id, AccValue: float64(misses),
 		LoopName:      msg.LoopName,
-		StatIters:     int64(len(block)),
+		StatIters:     int64(len(keys)),
 		StatComputeNs: computeNs,
 		StatRotWaitNs: rotWaitNs,
 		StatCommNs:    commNs,
@@ -666,25 +663,19 @@ func partitionFromMsg(in *Msg) (*dsm.Partition, error) {
 // a time. A panic (a shipped loop body failing at runtime, or a served
 // read whose shard owner died) becomes an error the master can surface
 // instead of a dead executor hanging the barrier.
-func (e *Executor) runKernel(ks *KernelSet, block []IterSample) (err error) {
+func (e *Executor) runKernel(ks *KernelSet, keys [][]int64, vals []float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = e.kernelFault(r)
 		}
 	}()
 	if ks.Block == nil {
-		for _, s := range block {
-			ks.Iter(e.ctx, s.Key, s.Val)
+		for i, key := range keys {
+			ks.Iter(e.ctx, key, vals[i])
 		}
 		return nil
 	}
-	e.blockKeys = e.blockKeys[:0]
-	e.blockVals = e.blockVals[:0]
-	for _, s := range block {
-		e.blockKeys = append(e.blockKeys, s.Key)
-		e.blockVals = append(e.blockVals, s.Val)
-	}
-	if _, err := ks.Block(e.ctx, e.blockKeys, e.blockVals); err != nil {
+	if _, err := ks.Block(e.ctx, keys, vals); err != nil {
 		return e.kernelFault(err)
 	}
 	return nil
@@ -728,32 +719,44 @@ func (e *Executor) shardRPC(o int, req *Msg) (*Msg, error) {
 	return resp, nil
 }
 
-// bulkFetch reads offsets of a served array, grouped by shard owner
-// (the local shard short-circuits), and fills the block cache.
-func (e *Executor) bulkFetch(array string, offs []int64) error {
-	t, err := e.servedTable(array)
+// bulkFetch reads the block's prefetch offsets (ascending, unique) of a
+// served array, grouped by shard owner (the local shard
+// short-circuits), into the array's slot table.
+func (e *Executor) bulkFetch(sa *ServedArray, offs []int64) error {
+	t, err := e.servedTable(sa.name)
 	if err != nil {
 		return err
 	}
+	sa.offs = append(sa.offs[:0], offs...)
+	sa.vals = slices.Grow(sa.vals[:0], len(offs))[:len(offs)]
 	owners, byOwner := t.byOwner(offs)
 	for _, o := range owners {
 		chunk := byOwner[o]
+		var vals []float64
 		if o == e.id {
-			vals, err := e.shards.serveRead(array, chunk, e.ctx.stepEpoch)
+			if vals, err = e.shards.serveRead(sa.name, chunk, e.ctx.stepEpoch); err != nil {
+				return err
+			}
+		} else {
+			resp, err := e.shardRPC(o, &Msg{Kind: MsgPrefetch, Array: sa.name, Offsets: chunk, Epoch: e.ctx.stepEpoch})
 			if err != nil {
 				return err
 			}
-			e.ctx.cacheServed(array, chunk, vals)
-			continue
+			if resp.Kind != MsgPrefetchResp {
+				return fmt.Errorf("runtime: executor %d: shard owner %d: %s", e.id, o, resp.Err)
+			}
+			if vals = resp.Values; len(vals) != len(chunk) {
+				return fmt.Errorf("runtime: executor %d: shard owner %d answered %d of %d prefetched offsets", e.id, o, len(vals), len(chunk))
+			}
 		}
-		resp, err := e.shardRPC(o, &Msg{Kind: MsgPrefetch, Array: array, Offsets: chunk, Epoch: e.ctx.stepEpoch})
-		if err != nil {
-			return err
+		// byOwner keeps order, so chunk is a subsequence of sa.offs.
+		slot := 0
+		for i, off := range chunk {
+			for sa.offs[slot] != off {
+				slot++
+			}
+			sa.vals[slot] = vals[i]
 		}
-		if resp.Kind != MsgPrefetchResp {
-			return fmt.Errorf("runtime: executor %d: shard owner %d: %s", e.id, o, resp.Err)
-		}
-		e.ctx.cacheServed(array, resp.Offsets, resp.Values)
 	}
 	return nil
 }

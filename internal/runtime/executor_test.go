@@ -1,0 +1,252 @@
+package runtime
+
+import (
+	"fmt"
+	goruntime "runtime"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"orion/internal/dsm"
+	"orion/internal/obs"
+	"orion/internal/sched"
+)
+
+// startFleet brings up a master and n in-process executors under a
+// unique address prefix.
+func startFleet(t *testing.T, prefix string, n int) (*Master, []*Executor, func()) {
+	t.Helper()
+	tr := NewInProc()
+	m, err := Listen(tr, prefix+"-master", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready := make(chan error, 1)
+	go func() { ready <- m.WaitForExecutors() }()
+	var execs []*Executor
+	var done []<-chan error
+	for i := 0; i < n; i++ {
+		e, err := NewExecutor(tr, m.Addr(), fmt.Sprintf("%s-%d", prefix, i), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		execs = append(execs, e)
+		done = append(done, e.Start())
+	}
+	if err := <-ready; err != nil {
+		t.Fatal(err)
+	}
+	return m, execs, func() {
+		m.Shutdown()
+		for _, d := range done {
+			<-d
+		}
+	}
+}
+
+// TestDefineLoopRetiresPreviousKernelSet: the driver mints a fresh
+// kernel name per ParallelFor call, so an executor that kept every
+// shipped kernel set would grow without bound over a session. After N
+// define-then-run rounds exactly the last set is resident, the earlier
+// names no longer resolve, and the N-1 retired sets are unreachable
+// (their finalizers run), so nothing they captured stays pinned.
+func TestDefineLoopRetiresPreviousKernelSet(t *testing.T) {
+	defer SetLoopCompiler(lookupCompiler())
+	const rounds = 5
+	var ran, freed atomic.Int64
+	SetLoopCompiler(func(def *Msg) (*KernelSet, error) {
+		state := &struct{ name string }{def.LoopName} // what a real kernel set captures
+		goruntime.SetFinalizer(state, func(any) { freed.Add(1) })
+		return &KernelSet{Iter: func(*Ctx, []int64, float64) {
+			if state.name != "" {
+				ran.Add(1)
+			}
+		}}, nil
+	})
+	m, execs, stop := startFleet(t, "retire", 1)
+	samples := []IterSample{{Key: []int64{0}}, {Key: []int64{1}}}
+	if err := m.DistributeIterSpace(samples, 0, sched.NewRangePartitioner(2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		name := fmt.Sprintf("retire-loop-%d", i)
+		if err := m.DefineLoop(&Msg{LoopName: name}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ParallelFor(LoopDef{Kernel: name, TimeDim: -1, Passes: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ran.Load(); got != rounds*int64(len(samples)) {
+		t.Fatalf("kernels ran %d iterations, want %d", got, rounds*len(samples))
+	}
+	// The executor is parked on its command channel: the block-done
+	// message ordered its writes before this read.
+	e := execs[0]
+	if want := fmt.Sprintf("retire-loop-%d", rounds-1); e.loopName != want || e.loop == nil {
+		t.Fatalf("resident kernel set is %q (nil=%v), want %q", e.loopName, e.loop == nil, want)
+	}
+	for i := 0; i < 200 && freed.Load() < rounds-1; i++ {
+		goruntime.GC()
+		goruntime.Gosched()
+	}
+	if got := freed.Load(); got != rounds-1 {
+		t.Errorf("%d of %d retired kernel sets were collected", got, rounds-1)
+	}
+	// A retired name falls through to the Go-kernel registry.
+	if err := m.ParallelFor(LoopDef{Kernel: "retire-loop-0", TimeDim: -1, Passes: 1}); err == nil {
+		t.Error("a retired loop name still executed")
+	}
+	stop()
+}
+
+// TestServedSlotTable walks one block through every way a served read
+// resolves — prefetched locally and remotely, missed (fetched once,
+// then cached), and under the worker's own buffered deltas and absolute
+// writes — and checks the values a read returns, the hit/miss counts,
+// and what the shards hold after the flush.
+func TestServedSlotTable(t *testing.T) {
+	defer SetLoopCompiler(lookupCompiler())
+	type read struct {
+		what string
+		got  float64
+		want float64
+	}
+	var reads []read
+	at := func(off int64) float64 { return float64(off) * 0.1 } // servedFixture's weights
+	prefetched := []int64{12, 3, 5, 3}                          // unsorted, duplicated: the executor sorts and compacts
+	SetLoopCompiler(func(*Msg) (*KernelSet, error) {
+		return &KernelSet{
+			Prefetch: map[string]PrefetchFunc{"weights": func([]int64, float64) []int64 { return prefetched }},
+			Iter: func(ctx *Ctx, key []int64, _ float64) {
+				if ctx.ExecutorID() != 0 || key[0] != 0 {
+					return
+				}
+				w := ctx.Served("weights")
+				check := func(what string, off int64, want float64) {
+					reads = append(reads, read{what, w.Read(off), want})
+				}
+				if ctx.BlockPass() == 1 {
+					check("prefetched in pass 2: pass 1's delta folded", 3, at(3)+0.5)
+					check("prefetched in pass 2: set then delta folded", 5, 7.25)
+					check("miss in pass 2: delta-then-set folded as the set", 6, 1)
+					return
+				}
+				check("prefetched, own shard", 3, at(3))
+				check("prefetched, remote shard", 12, at(12))
+				check("miss, own shard", 7, at(7))
+				check("miss again: cached", 7, at(7))
+				check("miss, remote shard", 14, at(14))
+				w.Update(3, 0.5)
+				check("own delta over a prefetched value", 3, at(3)+0.5)
+				ctx.ServedUpdate("weights", 9, 1)
+				check("own delta over a missed value", 9, at(9)+1)
+				w.Set(5, 7)
+				check("own absolute write hides the prefetched value", 5, 7)
+				w.Update(5, 0.25)
+				check("delta after own absolute write", 5, 7.25)
+				w.Update(6, 2)
+				w.Set(6, 1)
+				check("absolute write supersedes the pending delta", 6, 1)
+			},
+		}, nil
+	})
+	hit0, miss0 := obs.GetCounter("prefetch.hit").Value(), obs.GetCounter("prefetch.miss").Value()
+	m, _, stop := startFleet(t, "slots", 2)
+	defer stop()
+	weights, samples := servedFixture()
+	if err := m.DistributeServed(weights); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DistributeIterSpace(samples, 0, sched.NewRangePartitioner(int64(len(samples)), 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DefineLoop(&Msg{LoopName: "slots"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ParallelFor(LoopDef{Kernel: "slots", TimeDim: -1, Passes: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(reads) != 13 {
+		t.Fatalf("%d reads ran, want 13", len(reads))
+	}
+	for _, r := range reads {
+		if r.got != r.want {
+			t.Errorf("%s: read %v, want %v", r.what, r.got, r.want)
+		}
+	}
+	// Pass 1 misses offsets 7, 14 and 9; pass 2 misses 6.
+	if got := m.Misses(); got != 4 {
+		t.Errorf("master counted %d misses, want 4", got)
+	}
+	hits, misses := obs.GetCounter("prefetch.hit").Value()-hit0, obs.GetCounter("prefetch.miss").Value()-miss0
+	if hits != 6 || misses != 4 {
+		t.Errorf("prefetch.hit +%d, prefetch.miss +%d; want +6, +4", hits, misses)
+	}
+	got, err := m.Gather("weights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off, want := range map[int64]float64{3: at(3) + 0.5, 9: at(9) + 1, 5: 7.25, 6: 1, 7: at(7), 12: at(12)} {
+		if v := got.At(off); v != want {
+			t.Errorf("weights[%d] = %v after the flush, want %v", off, v, want)
+		}
+	}
+}
+
+// TestCtxVecAllocFree: the parameter-vector accessor Go kernels use
+// rebases the partition coordinate without copying the tuple.
+func TestCtxVecAllocFree(t *testing.T) {
+	w := dsm.NewDense("W", 4, 10)
+	w.SetAt(42, 2, 7)
+	e := &Executor{parts: map[string]*dsm.Partition{"W": w.ExtractRange(1, 5, 10)}}
+	e.ctx = &Ctx{exec: e}
+	coords := []int64{7}
+	var vec []float64
+	if allocs := testing.AllocsPerRun(100, func() { vec = e.ctx.Vec("W", coords...) }); allocs != 0 {
+		t.Errorf("Ctx.Vec allocates %v times per call, want 0", allocs)
+	}
+	if vec[2] != 42 || coords[0] != 7 {
+		t.Errorf("Vec(7)[2] = %v with coords now %v, want 42 and [7]", vec[2], coords)
+	}
+}
+
+// TestOrderedBlocksRunLexicographically: an ordered loop executes its
+// blocks in lexicographic key order — the iteration partition is sorted
+// by the first ordered block and stays sorted — while a loop that is not
+// ordered runs in the order the partition was shipped.
+func TestOrderedBlocksRunLexicographically(t *testing.T) {
+	defer SetLoopCompiler(lookupCompiler())
+	var ran [][]int64
+	SetLoopCompiler(func(*Msg) (*KernelSet, error) {
+		return &KernelSet{Iter: func(_ *Ctx, key []int64, _ float64) { ran = append(ran, key) }}, nil
+	})
+	shipped := [][]int64{{2, 0}, {0, 3}, {1, 1}, {0, 1}, {2, 2}}
+	var samples []IterSample
+	for _, key := range shipped {
+		samples = append(samples, IterSample{Key: key})
+	}
+	m, _, stop := startFleet(t, "ordered", 1)
+	defer stop()
+	one := func(n int64) *sched.Partitioner { return sched.NewRangePartitioner(n, 1) }
+	if err := m.DistributeIterSpace(samples, 0, one(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DefineLoop(&Msg{LoopName: "ordered"}); err != nil {
+		t.Fatal(err)
+	}
+	run := func(what string, def LoopDef, want [][]int64) {
+		t.Helper()
+		ran = nil
+		def.Kernel = "ordered"
+		if err := m.ParallelFor(def); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(ran, want, slices.Equal[[]int64]) {
+			t.Errorf("%s ran %v, want %v", what, ran, want)
+		}
+	}
+	run("the unordered loop", LoopDef{TimeDim: -1, Passes: 1}, shipped)
+	sorted := [][]int64{{0, 1}, {0, 3}, {1, 1}, {2, 0}, {2, 2}}
+	run("the ordered loop", LoopDef{TimeDim: 1, TimePart: one(4), Ordered: true, Passes: 2}, append(slices.Clone(sorted), sorted...))
+}

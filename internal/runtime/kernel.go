@@ -2,7 +2,11 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
+
+	"orion/internal/dsm"
 )
 
 // Kernel is a loop-body function executed by executors. It receives the
@@ -13,7 +17,8 @@ type Kernel func(ctx *Ctx, key []int64, val float64)
 // one iteration it returns the flattened element offsets of a served
 // array that the kernel will read. Orion generates these from the loop
 // body via internal/lang.PrefetchSlice; Go-kernel applications register
-// them directly.
+// them directly. The result may repeat offsets and need only stay valid
+// until the next call: the executor copies it out.
 type PrefetchFunc func(key []int64, val float64) []int64
 
 // BlockKernel is the optional batched form of a kernel: one call
@@ -99,10 +104,12 @@ func lookupPrefetch(kernel string) map[string]PrefetchFunc {
 // this executor during one block execution.
 type Ctx struct {
 	exec *Executor
-	// servedCache maps array → offset → value for prefetched reads.
-	servedCache map[string]map[int64]float64
-	// servedDirty accumulates buffered writes to served arrays.
-	servedDirty map[string]*servedBuffer
+	// served holds one entry per parameter-server array this executor
+	// has touched, created on first use and never replaced — so kernel
+	// adapters resolve an array once and keep the pointer. servedOrder
+	// lists them by name, the order block-end flushes go out in.
+	served      map[string]*ServedArray
+	servedOrder []*ServedArray
 	// accums are this executor's accumulator instances.
 	accums map[string]float64
 	// Block clock: which (pass, step) the currently running block
@@ -119,13 +126,53 @@ type Ctx struct {
 	stepEpoch int64
 }
 
-type servedBuffer struct {
+// ServedArray is one parameter-server array as the running block sees
+// it: the bulk-prefetched values, held as a table of the block's sorted
+// offsets that reads search (no per-block map is built), plus this
+// worker's buffered writes, which ship to the shard owners at block
+// end.
+type ServedArray struct {
+	exec *Executor
+	name string
+	// offs are the block's prefetched offsets, ascending and unique;
+	// vals[i] is the value fetched for offs[i].
 	offs []int64
-	vals map[int64]float64
-	// sets holds absolute (last-write-wins) values for offsets written
-	// with ServedSet; setOffs preserves first-write order.
+	vals []float64
+	// missed keeps the block's synchronous miss reads, so a repeated
+	// read of an unprefetched offset costs one remote fetch.
+	missed map[int64]float64
+	// deltas and sets are the pending additive and absolute
+	// (last-write-wins) writes; updOffs/setOffs keep first-write order.
+	deltas  map[int64]float64
+	updOffs []int64
 	sets    map[int64]float64
 	setOffs []int64
+}
+
+// Served returns the executor's handle on a parameter-server array.
+func (c *Ctx) Served(array string) *ServedArray {
+	s := c.served[array]
+	if s == nil {
+		s = &ServedArray{exec: c.exec, name: array,
+			missed: map[int64]float64{}, deltas: map[int64]float64{}, sets: map[int64]float64{}}
+		c.served[array] = s
+		c.servedOrder = append(c.servedOrder, s)
+		slices.SortFunc(c.servedOrder, func(a, b *ServedArray) int { return strings.Compare(a.name, b.name) })
+	}
+	return s
+}
+
+// beginBlock drops the previous block's prefetched values.
+func (s *ServedArray) beginBlock() {
+	s.offs, s.vals = s.offs[:0], s.vals[:0]
+	clear(s.missed)
+}
+
+// endBlock forgets the buffered writes once they have been flushed.
+func (s *ServedArray) endBlock() {
+	s.updOffs, s.setOffs = s.updOffs[:0], s.setOffs[:0]
+	clear(s.deltas)
+	clear(s.sets)
 }
 
 // Vec returns the parameter vector A[:, coords...] from a local or
@@ -137,15 +184,14 @@ func (c *Ctx) Vec(array string, coords ...int64) []float64 {
 	if p == nil {
 		panic(fmt.Sprintf("runtime: array %q has no partition on executor %d", array, c.exec.id))
 	}
-	// Rebase the partition dimension to partition-local coordinates.
 	// Vec's trailing coords index array dims 1..n-1; partitions are
-	// never cut along dim 0 (the vector dimension).
-	idx := make([]int64, len(coords))
-	copy(idx, coords)
+	// never cut along dim 0 (the vector dimension). The partition
+	// coordinate is rebased to partition-local in place for the call.
 	if p.Dim > 0 {
-		idx[p.Dim-1] = coords[p.Dim-1] - p.Lo
+		coords[p.Dim-1] -= p.Lo
+		defer func() { coords[p.Dim-1] += p.Lo }()
 	}
-	return p.Local.Vec(idx...)
+	return p.Local.Vec(coords...)
 }
 
 // At reads one element of a local or rotated partition (global
@@ -168,84 +214,72 @@ func (c *Ctx) AddAt(array string, v float64, idx ...int64) {
 }
 
 // ServedRead reads one element of a parameter-server array by flattened
-// offset. Prefetched offsets hit the local cache; misses fall back to a
-// synchronous remote read (the slow path bulk prefetching exists to
-// avoid). Reads observe this worker's own buffered writes.
-func (c *Ctx) ServedRead(array string, off int64) float64 {
-	var base float64
-	if buf, ok := c.servedDirty[array]; ok {
-		if v, ok2 := buf.sets[off]; ok2 {
-			// Own absolute write: fully visible.
-			if d, ok3 := buf.vals[off]; ok3 {
-				return v + d
-			}
-			return v
+// offset; see ServedArray.Read.
+func (c *Ctx) ServedRead(array string, off int64) float64 { return c.Served(array).Read(off) }
+
+// ServedUpdate buffers a delta to a parameter-server array element; see
+// ServedArray.Update.
+func (c *Ctx) ServedUpdate(array string, off int64, delta float64) {
+	c.Served(array).Update(off, delta)
+}
+
+// Read reads one element by flattened offset. Prefetched offsets hit
+// the block's table; misses fall back to a synchronous remote read (the
+// slow path bulk prefetching exists to avoid). Reads observe this
+// worker's own buffered writes.
+func (s *ServedArray) Read(off int64) float64 {
+	if v, ok := s.sets[off]; ok {
+		// Own absolute write: fully visible.
+		if d, ok := s.deltas[off]; ok {
+			return v + d
 		}
-		if d, ok2 := buf.vals[off]; ok2 {
-			base = d
-		}
+		return v
 	}
-	if cache, ok := c.servedCache[array]; ok {
-		if v, ok2 := cache[off]; ok2 {
-			c.exec.mPrefHit.Inc()
-			return v + base
-		}
+	base := s.deltas[off]
+	if i, ok := slices.BinarySearch(s.offs, off); ok {
+		s.exec.mPrefHit.Inc()
+		return s.vals[i] + base
 	}
-	c.exec.mPrefMiss.Inc()
-	v, err := c.exec.fetchOne(array, off)
+	if v, ok := s.missed[off]; ok {
+		s.exec.mPrefHit.Inc()
+		return v + base
+	}
+	s.exec.mPrefMiss.Inc()
+	v, err := s.exec.fetchOne(s.name, off)
 	if err != nil {
 		// Kernels have no error return: panic with the error itself so
 		// the executor's recovery still sees a lost shard owner as
 		// ErrWorkerLost.
-		panic(fmt.Errorf("runtime: served read of %s[%d]: %w", array, off, err))
+		panic(fmt.Errorf("runtime: served read of %s[%d]: %w", s.name, off, err))
 	}
-	c.cacheServed(array, []int64{off}, []float64{v})
-	c.exec.misses++
+	s.missed[off] = v
+	s.exec.misses++
 	return v + base
 }
 
-// ServedUpdate buffers a delta to a parameter-server array element; the
-// buffered writes ship to the shard owners at block end.
-func (c *Ctx) ServedUpdate(array string, off int64, delta float64) {
-	buf := c.servedDirty[array]
-	if buf == nil {
-		buf = &servedBuffer{vals: map[int64]float64{}}
-		c.servedDirty[array] = buf
+// Update buffers a delta to one element; the buffered writes ship to
+// the shard owners at block end.
+func (s *ServedArray) Update(off int64, delta float64) {
+	if _, ok := s.deltas[off]; !ok {
+		s.updOffs = append(s.updOffs, off)
 	}
-	if _, ok := buf.vals[off]; !ok {
-		buf.offs = append(buf.offs, off)
-	}
-	buf.vals[off] += delta
+	s.deltas[off] += delta
 }
 
-// ServedSet writes an absolute value to a parameter-server array
-// element. Valid only when the schedule guarantees this worker is the
-// element's sole writer for the step (serializable direct writes under
-// the ordered wavefront); the value ships to the shard owner at block
-// end as a last-write-wins update.
-func (c *Ctx) ServedSet(array string, off int64, v float64) {
-	buf := c.servedDirty[array]
-	if buf == nil {
-		buf = &servedBuffer{vals: map[int64]float64{}, sets: map[int64]float64{}}
-		c.servedDirty[array] = buf
+// Set writes an absolute value to one element. Valid only when the
+// schedule guarantees this worker is the element's sole writer for the
+// step (serializable direct writes under the ordered wavefront); the
+// value ships to the shard owner at block end as a last-write-wins
+// update.
+func (s *ServedArray) Set(off int64, v float64) {
+	if _, ok := s.sets[off]; !ok {
+		s.setOffs = append(s.setOffs, off)
 	}
-	if buf.sets == nil {
-		buf.sets = map[int64]float64{}
-	}
-	if _, ok := buf.sets[off]; !ok {
-		buf.setOffs = append(buf.setOffs, off)
-	}
-	buf.sets[off] = v
+	s.sets[off] = v
 	// An absolute write supersedes any pending delta on the offset.
-	if _, ok := buf.vals[off]; ok {
-		delete(buf.vals, off)
-		norder := buf.offs[:0]
-		for _, o := range buf.offs {
-			if o != off {
-				norder = append(norder, o)
-			}
-		}
-		buf.offs = norder
+	if _, ok := s.deltas[off]; ok {
+		delete(s.deltas, off)
+		s.updOffs = slices.DeleteFunc(s.updOffs, func(o int64) bool { return o == off })
 	}
 }
 
@@ -254,32 +288,11 @@ func (c *Ctx) AccumAdd(name string, v float64) {
 	c.accums[name] += v
 }
 
-func (c *Ctx) cacheServed(array string, offs []int64, vals []float64) {
-	cache := c.servedCache[array]
-	if cache == nil {
-		cache = map[int64]float64{}
-		c.servedCache[array] = cache
-	}
-	for i, off := range offs {
-		cache[off] = vals[i]
-	}
-}
-
-// drainServed returns and clears buffered served-array writes.
-func (c *Ctx) drainServed() map[string]*servedBuffer {
-	out := c.servedDirty
-	c.servedDirty = map[string]*servedBuffer{}
-	return out
-}
-
-// PartitionOf exposes an executor's partition of an array (global
-// coordinates) for higher-level adapters (the DSL driver).
-func (c *Ctx) PartitionOf(array string) interface {
-	At(idx ...int64) float64
-	SetAt(v float64, idx ...int64)
-} {
-	return c.exec.partition(array)
-}
+// PartitionOf exposes an executor's partition of an array (nil when it
+// holds none) for higher-level adapters (the DSL driver). Rotation
+// replaces a rotated array's partition between blocks and recycles its
+// storage: the result must not be kept past the running block.
+func (c *Ctx) PartitionOf(array string) *dsm.Partition { return c.exec.partition(array) }
 
 // HasPartition reports whether this executor holds a partition of the
 // array.
