@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test benchmark-module race chaos soak bench-smoke exec-gate trace-smoke adapt-smoke vet-examples fuzz bench-baseline bench-obs bench-vm bench-transport golden-plans golden-plans-check
+.PHONY: check fmt vet lint build test benchmark-module race chaos soak bench-smoke exec-gate resident-gate trace-smoke adapt-smoke vet-examples fuzz bench-baseline bench-obs bench-vm bench-transport golden-plans golden-plans-check
 
-check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate trace-smoke adapt-smoke golden-plans-check
+check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate resident-gate trace-smoke adapt-smoke golden-plans-check
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -71,6 +71,14 @@ bench-smoke:
 # this run (lower decile of 20 alternating rounds); fails above 2.5x.
 exec-gate:
 	$(GO) test -run '^$$' -bench 'ExecutorVsDirectKernel$$' -benchtime 1x ./internal/bench
+
+# Live ratio gate on the resident iteration space: six single-pass
+# Session.ParallelFor calls against a pass of one Passes(5) call, timed
+# in this run on two workers; fails when the fastest single-pass call
+# costs more than 1.5x a multi-pass pass (3.1x when every call
+# re-shipped the ratings).
+resident-gate:
+	$(GO) test -run '^$$' -bench 'ResidentCallVsMultiPass$$' -benchtime 1x ./internal/bench
 
 # End-to-end flight-recorder smoke: a 2-worker MF run over real TCP
 # sockets with tracing, report export, and the flight log on, then

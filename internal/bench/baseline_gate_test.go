@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"orion/internal/driver"
 	"orion/internal/dslkernel"
 	"orion/internal/dsm"
 	"orion/internal/lang"
@@ -325,5 +326,61 @@ func BenchmarkExecutorVsDirectKernel(b *testing.B) {
 	b.ReportMetric(ratio, "executor/direct")
 	if ratio > 2.5 {
 		b.Fatalf("an MF iteration costs %.2fx more inside an executor than bound directly to the arrays (gate 2.5x)", ratio)
+	}
+}
+
+// BenchmarkResidentCallVsMultiPass is the live gate on the resident
+// iteration space: after a first call has shipped the ratings, six
+// single-pass Session.ParallelFor calls and — between the third and
+// the fourth — one Passes(5) call are timed in this run, on two
+// workers. A single-pass call still distributes and gathers the model
+// arrays and defines the loop, which a later pass of a multi-pass call
+// does not, but it no longer flattens and ships the iteration space;
+// the benchmark fails when the fastest single-pass call (the lower
+// decile of six) costs more than 1.5x a pass of the multi-pass call.
+// It read 3.1x when every call re-shipped. `make check` runs it through
+// bench-smoke and resident-gate; `go test ./...` does not.
+func BenchmarkResidentCallVsMultiPass(b *testing.B) {
+	const rows, cols, rank, nnz, multi = 600, 500, 8, 60000, 5
+	sess, err := driver.NewLocalSession(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	rng := rand.New(rand.NewSource(3))
+	ratings := sess.CreateArray("ratings", false, rows, cols)
+	for ratings.Len() < nnz {
+		ratings.SetAt(1+rng.Float64(), rng.Int63n(rows), rng.Int63n(cols))
+	}
+	sess.CreateArray("W", true, rank, rows).FillRandn(rng, 0.1)
+	sess.CreateArray("H", true, rank, cols).FillRandn(rng, 0.1)
+	sess.SetGlobal("step_size", 0.001)
+	call := func(passes int) float64 {
+		start := time.Now()
+		if _, err := sess.ParallelFor(obsMFSrc, driver.Passes(passes)); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start).Seconds() / float64(passes)
+	}
+	call(1) // plans, and ships the ratings
+
+	var ratio float64
+	for n := 0; n < b.N; n++ {
+		var single []float64
+		var perPass float64
+		for i := 0; i < 6; i++ {
+			if i == 3 {
+				perPass = call(multi)
+			}
+			single = append(single, call(1))
+		}
+		sort.Float64s(single)
+		ratio = single[0] / perPass
+		b.ReportMetric(single[0]*1e3, "single-ms/pass")
+		b.ReportMetric(perPass*1e3, "multi-ms/pass")
+	}
+	b.ReportMetric(ratio, "single/multi")
+	if ratio > 1.5 {
+		b.Fatalf("a single-pass call costs %.2fx a pass of a multi-pass call (gate 1.5x): the iteration space is being re-shipped", ratio)
 	}
 }

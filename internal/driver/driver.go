@@ -101,6 +101,9 @@ type Session struct {
 	shrinkTarget  int
 	lastSpacePart *sched.Partitioner
 	lastTimePart  *sched.Partitioner
+
+	// resident records the iteration space the fleet holds (exec.go).
+	resident *iterSpace
 }
 
 var sessionSeq atomic.Int64

@@ -2,8 +2,10 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 
 	"orion/internal/diag"
+	"orion/internal/dsm"
 	"orion/internal/ir"
 	"orion/internal/lang"
 	"orion/internal/obs"
@@ -30,8 +32,8 @@ import (
 func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
 	kernel := s.nextLoopName(e)
 	return s.runReconfigurable(e, kernel, passes, func(start resumePos, stopPass int) ([]string, error) {
-		samples := s.iterSamples(e.spec)
-		spacePart, timePart := s.partitioners(e, samples)
+		space, samples := s.iterSpaceOf(e)
+		spacePart, timePart := s.partitioners(e, space.spaceW, space.timeW)
 		def := runtime.LoopDef{
 			Kernel:    kernel,
 			TimeDim:   -1,
@@ -60,7 +62,7 @@ func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.master.DistributeIterSpace(samples, e.plan.SpaceDim, spacePart); err != nil {
+		if err := s.shipIterSpace(e, space, samples, spacePart); err != nil {
 			return nil, err
 		}
 		if err := s.defineLoopAs(e, kernel); err != nil {
@@ -94,8 +96,7 @@ func servedNotRotated(pl *sched.Plan) *sched.Plan {
 // drifted — arrays mutate between ParallelFor calls — the partitions
 // are re-balanced here (counted as plan.repartition) without
 // re-running analysis or planning.
-func (s *Session) partitioners(e *compiledLoop, samples []runtime.IterSample) (spacePart, timePart *sched.Partitioner) {
-	spaceW, timeW := coordCountsOf(e, samples)
+func (s *Session) partitioners(e *compiledLoop, spaceW, timeW []int64) (spacePart, timePart *sched.Partitioner) {
 	// Stash whatever partitioners this attempt runs with: the adaptive
 	// trigger maps each coordinate back to the worker that owned it in
 	// the profiled segment through them (adapt.go).
@@ -122,34 +123,121 @@ func (s *Session) partitioners(e *compiledLoop, samples []runtime.IterSample) (s
 	return spacePart, timePart
 }
 
-// coordCounts rebuilds the raw per-coordinate iteration counts of the
-// loop's space/time dimensions from the session's current data — the
-// weights the static pipeline cut from, and the base the adaptive
-// trigger re-weights with measured cost factors.
-func (s *Session) coordCounts(e *compiledLoop) (spaceW, timeW []int64) {
-	return coordCountsOf(e, s.iterSamples(e.spec))
+// iterSpace is the session's record of the one iteration space it
+// keeps resident on the fleet (§4: partitioned once, it stays where it
+// is; only rotated partitions and served parameters move between
+// steps). The counts stand while stamp holds for the array; the
+// flattened samples are never kept.
+type iterSpace struct {
+	stamp             dsm.Stamp
+	spaceDim, timeDim int
+	// spaceW/timeW are the raw per-coordinate iteration counts of the
+	// loop's space/time dimensions — the weights the static pipeline
+	// cut from, and the base the adaptive trigger re-weights. Read-only.
+	spaceW, timeW []int64
+
+	// stale says why the executors do not hold this space. It is ""
+	// from the session's own ship of it, cut at cuts, and that stands
+	// while the master's residency epoch still reads epoch. generation
+	// only tells a re-formed fleet from somebody else's ship, for the
+	// flight log.
+	stale             string
+	cuts              []int64
+	epoch, generation int64
 }
 
-func coordCountsOf(e *compiledLoop, samples []runtime.IterSample) (spaceW, timeW []int64) {
-	spaceW = make([]int64, e.spec.Dims[e.plan.SpaceDim])
-	if e.plan.TimeDim >= 0 {
-		timeW = make([]int64, e.spec.Dims[e.plan.TimeDim])
+// iterSpaceOf returns the record of the loop's iteration space,
+// re-counting — the only reason to flatten besides shipping — when the
+// array changed or the record is of another space. The samples are
+// returned when they had to be flattened.
+func (s *Session) iterSpaceOf(e *compiledLoop) (*iterSpace, []runtime.IterSample) {
+	arr := s.arrays[e.spec.IterSpaceArray]
+	timeDim := -1
+	if e.plan.Kind == sched.TwoD {
+		timeDim = e.plan.TimeDim
 	}
+	old := s.resident
+	unchanged := old != nil && old.stamp.Holds(arr)
+	if unchanged && old.spaceDim == e.plan.SpaceDim && old.timeDim == timeDim {
+		return old, nil
+	}
+	r := &iterSpace{stamp: arr.Stamp(), spaceDim: e.plan.SpaceDim, timeDim: timeDim, stale: "first",
+		spaceW: make([]int64, e.spec.Dims[e.plan.SpaceDim])}
+	if timeDim >= 0 {
+		r.timeW = make([]int64, e.spec.Dims[timeDim])
+	}
+	samples := s.iterSamples(e.spec)
 	for _, sm := range samples {
-		spaceW[sm.Key[e.plan.SpaceDim]]++
-		if timeW != nil {
-			timeW[sm.Key[e.plan.TimeDim]]++
+		r.spaceW[sm.Key[r.spaceDim]]++
+		if r.timeW != nil {
+			r.timeW[sm.Key[timeDim]]++
 		}
 	}
-	return spaceW, timeW
+	switch {
+	case old == nil:
+	case old.stale != "":
+		r.stale = old.stale
+	case unchanged:
+		r.stale = "recut" // the same samples, cut along other dimensions
+	default:
+		r.stale = "mutated"
+	}
+	s.resident = r
+	return r, samples
+}
+
+// coordCounts returns the raw per-coordinate iteration counts of the
+// loop's space/time dimensions from the session's current data.
+func (s *Session) coordCounts(e *compiledLoop) (spaceW, timeW []int64) {
+	r, _ := s.iterSpaceOf(e)
+	return r.spaceW, r.timeW
+}
+
+// shipIterSpace makes the executors hold the iteration space cut by
+// part, which they already do when this session shipped exactly that
+// and nobody has shipped or re-formed the fleet since.
+func (s *Session) shipIterSpace(e *compiledLoop, r *iterSpace, samples []runtime.IterSample, part *sched.Partitioner) error {
+	cuts, epoch := boundariesOf(part, s.n), s.master.IterSpaceEpoch()
+	reason := r.stale
+	switch {
+	case reason != "":
+	case r.epoch != epoch && r.generation != s.generation.Load():
+		reason = "fleet"
+	case r.epoch != epoch:
+		reason = "foreign-ship"
+	case !slices.Equal(r.cuts, cuts):
+		reason = "recut"
+	}
+	kind := "iterspace.reuse"
+	if reason != "" {
+		kind = "iterspace.ship"
+		if samples == nil {
+			samples = s.iterSamples(e.spec)
+		}
+		if err := s.master.DistributeIterSpace(samples, r.spaceDim, part); err != nil {
+			return err
+		}
+		r.stale, r.cuts, r.epoch, r.generation = "", cuts, s.master.IterSpaceEpoch(), s.generation.Load()
+		obs.GetCounter("driver.iterspace_ship").Inc()
+	} else {
+		obs.GetCounter("driver.iterspace_reuse").Inc()
+	}
+	obs.Flight().Record(obs.FlightEvent{
+		Kind: kind, Clock: s.master.Clock(),
+		Loop: e.spec.Name, Pass: -1, Step: -1, Worker: -1,
+		Detail: reason,
+	})
+	return nil
 }
 
 // iterSamples flattens the iteration-space array into runtime samples.
+// ForEach cuts the walk's index tuples from one allocation and leaves
+// them to the callback, so they are the keys.
 func (s *Session) iterSamples(spec *ir.LoopSpec) []runtime.IterSample {
 	iter := s.arrays[spec.IterSpaceArray]
-	var out []runtime.IterSample
+	out := make([]runtime.IterSample, 0, iter.Len())
 	iter.ForEach(func(idx []int64, v float64) {
-		out = append(out, runtime.IterSample{Key: append([]int64(nil), idx...), Val: v})
+		out = append(out, runtime.IterSample{Key: idx, Val: v})
 	})
 	return out
 }

@@ -171,19 +171,7 @@ func (s *Session) compile(src string, ordered bool) (*compiledLoop, error) {
 	// re-balance (plan.repartition).
 	switch e.plan.Kind {
 	case sched.Independent, sched.OneD, sched.TwoD:
-		samples := s.iterSamples(e.spec)
-		spaceW := make([]int64, e.spec.Dims[e.plan.SpaceDim])
-		var timeW []int64
-		if e.plan.Kind == sched.TwoD {
-			timeW = make([]int64, e.spec.Dims[e.plan.TimeDim])
-		}
-		for _, sm := range samples {
-			spaceW[sm.Key[e.plan.SpaceDim]]++
-			if timeW != nil {
-				timeW[sm.Key[e.plan.TimeDim]]++
-			}
-		}
-		in.SpaceWeights, in.TimeWeights = spaceW, timeW
+		in.SpaceWeights, in.TimeWeights = s.coordCounts(e)
 	}
 	art, aerr := plan.Build(in)
 	if aerr != nil {

@@ -254,12 +254,12 @@ func (s *Session) reconfigure(reason reconfigReason, e *compiledLoop, kernel str
 // that a grow never finishes below the size it started from.
 func (s *Session) rebuildFleet(want int) error {
 	s.master.Abort()
+	s.generation.Add(1)
 	if s.spawnExec != nil {
 		for _, d := range s.execDone {
 			<-d
 		}
 		s.execDone = nil
-		s.generation.Add(1)
 		if err := s.master.Relisten(want); err != nil {
 			return err
 		}

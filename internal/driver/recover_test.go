@@ -407,6 +407,33 @@ func TestChaosRecoverySLRConverges(t *testing.T) {
 	}
 }
 
+// startTCPWorker runs an executor against a TCP session's master in the
+// background. With rejoin it mimics orion-worker -rejoin: on a lost
+// master it re-registers and lets the master assign the slot.
+func startTCPWorker(master string, id int, tr runtime.Transport, rejoin bool) {
+	go func() {
+		cur := id
+		for {
+			var e *runtime.Executor
+			var err error
+			for attempt := 0; attempt < 100; attempt++ {
+				e, err = runtime.NewExecutor(tr, master, "127.0.0.1:0", cur)
+				if err == nil {
+					break
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
+			if err != nil {
+				return
+			}
+			if err := <-e.Start(); err == nil || !rejoin {
+				return
+			}
+			cur = -1
+		}
+	}()
+}
+
 // TestChaosTCPShrinkRecovery loses a worker that never comes back: the
 // fleet re-forms from the two survivors (SetRejoin), the artifact's
 // materialized cuts are coalesced onto them, and training completes on
@@ -425,32 +452,9 @@ func TestChaosTCPShrinkRecovery(t *testing.T) {
 	sess.SetCheckpointDir(t.TempDir())
 	sess.SetRejoin(2, 2*time.Second)
 
-	// Workers 0 and 1 mimic orion-worker -rejoin: on a lost master they
-	// re-register (master assigns the slot). Worker 2 dials through the
-	// fault injector and stays dead once severed.
-	startWorker := func(id int, tr runtime.Transport, rejoin bool) {
-		go func() {
-			cur := id
-			for {
-				var e *runtime.Executor
-				var err error
-				for attempt := 0; attempt < 100; attempt++ {
-					e, err = runtime.NewExecutor(tr, sess.Addr(), "127.0.0.1:0", cur)
-					if err == nil {
-						break
-					}
-					time.Sleep(50 * time.Millisecond)
-				}
-				if err != nil {
-					return
-				}
-				if err := <-e.Start(); err == nil || !rejoin {
-					return
-				}
-				cur = -1
-			}
-		}()
-	}
+	// Workers 0 and 1 mimic orion-worker -rejoin; worker 2 dials through
+	// the fault injector and stays dead once severed.
+	startWorker := func(id int, tr runtime.Transport, rejoin bool) { startTCPWorker(sess.Addr(), id, tr, rejoin) }
 	startWorker(0, runtime.TCP{}, true)
 	startWorker(1, runtime.TCP{}, true)
 	startWorker(2, chaos, false)

@@ -10,7 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"orion/internal/dsm"
 	"orion/internal/lang"
@@ -115,9 +118,36 @@ func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 			for _, target := range pf.Arrays {
 				ks.Prefetch[target] = prefetchFunc(sliced, pf.Arrays, target, env, globals)
 			}
+			ks.PrefetchID = prefetchID(pf, env, globals)
 		}
 	}
 	return lk, ks, nil
+}
+
+// prefetchID spells out what the prefetch functions of a shipped slice
+// compute from besides the sample: the slice source, the target arrays
+// with the extents their offsets flatten against, and the name and
+// value bits of every shipped global the source names. The slicer
+// keeps DistArray reads and rand() out of a slice, so there is nothing
+// else.
+func prefetchID(pf *plan.Prefetch, env *lang.CompileEnv, globals map[string]float64) string {
+	var b strings.Builder
+	b.WriteString(pf.Src)
+	for _, t := range pf.Arrays {
+		fmt.Fprintf(&b, "\x00%s%v", t, env.Arrays[t])
+	}
+	toks, _ := lang.Lex(pf.Src) // it parsed
+	var named []string
+	for _, tok := range toks {
+		if _, ok := globals[tok.Text]; ok && tok.Kind == lang.TokIdent {
+			named = append(named, tok.Text)
+		}
+	}
+	slices.Sort(named)
+	for _, g := range slices.Compact(named) {
+		fmt.Fprintf(&b, "\x00%s=%x", g, math.Float64bits(globals[g]))
+	}
+	return b.String()
 }
 
 // prefetchFunc builds the synthesized prefetch function of one served

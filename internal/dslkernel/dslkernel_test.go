@@ -18,6 +18,7 @@ import (
 	"orion/internal/lang"
 	"orion/internal/lang/vm"
 	"orion/internal/obs"
+	"orion/internal/plan"
 	"orion/internal/runtime"
 	"orion/internal/sched"
 )
@@ -433,5 +434,41 @@ func TestPartitionBindingsLastOneBlock(t *testing.T) {
 	}
 	if vmW.At(1, 1) == 0 || math.IsNaN(vmW.At(1, 1)) {
 		t.Fatalf("W[1,1] = %v: nothing trained", vmW.At(1, 1))
+	}
+}
+
+// TestPrefetchIDNamesWhatTheSliceReads: the prefetch identity changes
+// with everything the slice's offsets depend on — its source, a target
+// array's extents, the value of a global it names — and with nothing
+// else: a global it does not name may take any value, and a DefineLoop
+// without a shipped slice has no identity, so nothing is cached for it.
+func TestPrefetchIDNamesWhatTheSliceReads(t *testing.T) {
+	src := "for (key, v) in samples\n    __record(weights[(floor((v * scale)) + 1)])\nend\n"
+	id := func(src string, weights int64, globals map[string]float64) string {
+		return prefetchID(&plan.Prefetch{Src: src, Arrays: []string{"weights"}},
+			&lang.CompileEnv{Arrays: map[string][]int64{"samples": {8}, "weights": {weights}}}, globals)
+	}
+	base := id(src, 40, map[string]float64{"scale": 3, "step_size": 0.1, "scale2": 1})
+	if base == "" {
+		t.Fatal("a shipped slice has no prefetch identity")
+	}
+	if got := id(src, 40, map[string]float64{"scale": 3, "step_size": 0.2, "scale2": 5, "err": 1}); got != base {
+		t.Errorf("globals the slice does not name changed its identity:\n%q\n%q", base, got)
+	}
+	for what, got := range map[string]string{
+		"the value of a global it reads": id(src, 40, map[string]float64{"scale": 3.0000000000000004}),
+		"a target array's extents":       id(src, 41, map[string]float64{"scale": 3}),
+		"the slice source":               id(strings.Replace(src, "+ 1", "+ 2", 1), 40, map[string]float64{"scale": 3}),
+	} {
+		if got == base {
+			t.Errorf("%s did not change the identity", what)
+		}
+	}
+	ks, err := Compile(defineMsg(t, "no-slice", notVMCompilable, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ks.PrefetchID != "" {
+		t.Errorf("a loop shipped without a slice has prefetch identity %q", ks.PrefetchID)
 	}
 }

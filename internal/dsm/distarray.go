@@ -13,7 +13,7 @@ package dsm
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // DistArray is an N-dimensional array of float64.
@@ -23,6 +23,10 @@ type DistArray struct {
 	stride []int64 // stride[0] == 1; stride[i] = stride[i-1]*dims[i-1]
 	dense  []float64
 	sparse map[int64]float64 // flattened index -> value, nil for dense
+	// version counts in-place writes to a sparse array. setOff, AddAt,
+	// Map and MapIndex are the only ones: a sparse array hands out no
+	// live view of its storage.
+	version uint64
 }
 
 // NewDense creates a dense DistArray of the given extents, zero-filled.
@@ -125,7 +129,10 @@ func (a *DistArray) flattenFrom(dim int, lo int64, idx []int64) int64 {
 
 // Unflatten converts a flattened offset back to an index tuple.
 func (a *DistArray) Unflatten(off int64) []int64 {
-	idx := make([]int64, len(a.dims))
+	return a.unflattenInto(make([]int64, len(a.dims)), off)
+}
+
+func (a *DistArray) unflattenInto(idx []int64, off int64) []int64 {
 	for i := len(a.dims) - 1; i >= 0; i-- {
 		idx[i] = off / a.stride[i]
 		off %= a.stride[i]
@@ -151,6 +158,7 @@ func (a *DistArray) setOff(off int64, v float64) {
 		a.dense[off] = v
 		return
 	}
+	a.version++
 	if v == 0 {
 		delete(a.sparse, off)
 		return
@@ -165,6 +173,7 @@ func (a *DistArray) AddAt(v float64, idx ...int64) {
 		a.dense[off] += v
 		return
 	}
+	a.version++
 	nv := a.sparse[off] + v
 	if nv == 0 {
 		delete(a.sparse, off)
@@ -213,30 +222,27 @@ func (a *DistArray) DenseData() (data []float64, stride []int64) {
 
 // ForEach visits every stored element. Dense arrays visit all elements;
 // sparse arrays visit nonzeros in deterministic (sorted offset) order.
+// Every idx is the callback's to keep: the tuples of one walk are cut
+// from a single allocation, not one each.
 func (a *DistArray) ForEach(f func(idx []int64, v float64)) {
-	if a.IsDense() {
-		for off, v := range a.dense {
-			f(a.Unflatten(int64(off)), v)
-		}
-		return
-	}
-	offs := make([]int64, 0, len(a.sparse))
-	for off := range a.sparse {
-		offs = append(offs, off)
-	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	for _, off := range offs {
-		f(a.Unflatten(off), a.sparse[off])
-	}
+	a.ForEachUntil(func(idx []int64, v float64) bool {
+		f(idx, v)
+		return true
+	})
 }
 
-// ForEachUntil visits elements in the same order as ForEach but stops
-// as soon as f returns false, so callers can abandon a walk early (for
-// example when an iteration errors).
+// ForEachUntil visits elements as ForEach does but stops as soon as f
+// returns false, so callers can abandon a walk early (for example when
+// an iteration errors).
 func (a *DistArray) ForEachUntil(f func(idx []int64, v float64) bool) {
+	nd := len(a.dims)
+	tuples := make([]int64, a.Len()*nd)
+	visit := func(i int, off int64, v float64) bool {
+		return f(a.unflattenInto(tuples[i*nd:(i+1)*nd:(i+1)*nd], off), v)
+	}
 	if a.IsDense() {
 		for off, v := range a.dense {
-			if !f(a.Unflatten(int64(off)), v) {
+			if !visit(off, int64(off), v) {
 				return
 			}
 		}
@@ -246,9 +252,9 @@ func (a *DistArray) ForEachUntil(f func(idx []int64, v float64) bool) {
 	for off := range a.sparse {
 		offs = append(offs, off)
 	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	for _, off := range offs {
-		if !f(a.Unflatten(off), a.sparse[off]) {
+	slices.Sort(offs)
+	for i, off := range offs {
+		if !visit(i, off, a.sparse[off]) {
 			return
 		}
 	}
@@ -296,6 +302,7 @@ func (a *DistArray) Map(f func(v float64) float64) {
 		}
 		return
 	}
+	a.version++
 	for k, v := range a.sparse {
 		nv := f(v)
 		if nv == 0 {
@@ -314,6 +321,7 @@ func (a *DistArray) MapIndex(f func(idx []int64, v float64) float64) {
 		}
 		return
 	}
+	a.version++
 	for k, v := range a.sparse {
 		a.sparse[k] = f(a.Unflatten(k), v)
 	}
@@ -335,7 +343,7 @@ func (a *DistArray) GroupBy(dim int) map[int64][][]int64 {
 	out := make(map[int64][][]int64)
 	a.ForEach(func(idx []int64, _ float64) {
 		c := idx[dim]
-		out[c] = append(out[c], append([]int64(nil), idx...))
+		out[c] = append(out[c], idx)
 	})
 	return out
 }
@@ -362,9 +370,8 @@ func (a *DistArray) Permute(dim int, perm []int64) *DistArray {
 		out = NewSparse(a.name, a.dims...)
 	}
 	a.ForEach(func(idx []int64, v float64) {
-		nidx := append([]int64(nil), idx...)
-		nidx[dim] = perm[idx[dim]]
-		out.SetAt(v, nidx...)
+		idx[dim] = perm[idx[dim]]
+		out.SetAt(v, idx...)
 	})
 	return out
 }

@@ -51,9 +51,8 @@ func (a *DistArray) ExtractRange(dim int, lo, hi int64) *Partition {
 		if idx[dim] < lo || idx[dim] >= hi {
 			return
 		}
-		nidx := append([]int64(nil), idx...)
-		nidx[dim] -= lo
-		local.SetAt(v, nidx...)
+		idx[dim] -= lo
+		local.SetAt(v, idx...)
 	})
 	return p
 }
@@ -71,9 +70,8 @@ func (p *Partition) WriteBack(a *DistArray) {
 		return
 	}
 	p.Local.ForEach(func(idx []int64, v float64) {
-		nidx := append([]int64(nil), idx...)
-		nidx[p.Dim] += p.Lo
-		a.SetAt(v, nidx...)
+		idx[p.Dim] += p.Lo
+		a.SetAt(v, idx...)
 	})
 }
 

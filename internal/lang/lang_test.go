@@ -3,6 +3,7 @@ package lang
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -879,5 +880,47 @@ end
 	m.Arrays["xs"] = xs
 	if err := m.RunLoop(loop); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPrefetchSliceSkipsRandSubscripts: a subscript computed from
+// rand() is not prefetchable — the slice would draw differently from
+// the body, so what it recorded would not be what the body reads. The
+// reference is skipped like a data-dependent one and stays on demand;
+// a sibling read that does not depend on the draw is still sliced.
+func TestPrefetchSliceSkipsRandSubscripts(t *testing.T) {
+	src := `
+for (key, v) in samples
+    r = rand()
+    pick = floor(r * 50) + 1
+    w = weights[pick]
+    u = weights[key[1]]
+    if rand() < 0.5
+        j = key[1]
+    else
+        j = 1
+    end
+    x = weights[j]
+    sum += w + u + x
+end
+`
+	env := &Env{Arrays: map[string][]int64{"samples": {50}, "weights": {50}}}
+	loop, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sliced, skipped, err := PrefetchSlice(loop, env, "weights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"weights[pick]", "weights[j]"}; !slices.Equal(skipped, want) {
+		t.Errorf("skipped %v, want %v", skipped, want)
+	}
+	text := sliced.String()
+	if strings.Contains(text, "rand") || strings.Contains(text, "pick") {
+		t.Errorf("the slice still draws:\n%s", text)
+	}
+	if !strings.Contains(text, "__record(weights[key[1]])") {
+		t.Errorf("the slice lost the draw-independent read:\n%s", text)
 	}
 }

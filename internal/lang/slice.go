@@ -13,8 +13,9 @@ import (
 // data or control dependence on (in spirit dead code elimination), and
 // skips any reference whose subscript depends on values read from
 // DistArrays — computing those would itself incur remote accesses, so
-// the paper does not record them. Skipped references are returned so
-// callers know which reads remain on-demand.
+// the paper does not record them — or on rand(), whose draws the slice
+// cannot reproduce. Skipped references are returned so callers know
+// which reads remain on-demand.
 //
 // The loop's key and value variables are always available (the
 // iteration-space data is local), so subscripts derived from them are
@@ -85,8 +86,8 @@ func collectBoundVars(body []Stmt, set map[string]bool) {
 	}
 }
 
-// exprReadsArray reports whether evaluating e reads any DistArray (not
-// the key tuple) or uses a tainted variable.
+// exprTainted reports whether evaluating e reads any DistArray (not
+// the key tuple), calls rand(), or uses a tainted variable.
 func (s *slicer) exprTainted(e Expr) bool {
 	switch x := e.(type) {
 	case *Num, *Bool, nil:
@@ -103,6 +104,11 @@ func (s *slicer) exprTainted(e Expr) bool {
 		}
 		return s.exprTainted(x.Lo) || s.exprTainted(x.Hi)
 	case *Call:
+		if x.Fn == "rand" {
+			// The slice would draw differently from the body: whatever
+			// it computed from the draw is not what the body reads.
+			return true
+		}
 		for _, a := range x.Args {
 			if s.exprTainted(a) {
 				return true

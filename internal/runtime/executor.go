@@ -31,10 +31,9 @@ type Executor struct {
 	// from bufpool (installed by a raw rotation frame); it is returned
 	// to the pool when the next rotation replaces them.
 	pooledParts map[string]bool
-	samples     []IterSample
-	// sorted records that samples has been put in lexicographic key
-	// order, by the first ordered block after it arrived.
-	sorted bool
+	// iter is this executor's share of the iteration space. It stays
+	// until the next MsgIterPart replaces it, across loops.
+	iter *iterPart
 	// loop is the kernel set compiled from the latest DefineLoop,
 	// checked before the static registry. Every caller defines a loop
 	// and then runs it, so a new definition retires the previous one
@@ -43,11 +42,7 @@ type Executor struct {
 	loop     *KernelSet
 	sendTo   *codec // ring neighbor we ship rotated partitions to
 	rotateCh chan *Msg
-	// blockKeys/blockVals hold the running block's samples and
-	// prefetchOffs its prefetch offsets: storage reused across blocks
-	// (one append pass per block, no per-iteration garbage).
-	blockKeys    [][]int64
-	blockVals    []float64
+	// prefetchOffs is scratch for evaluating a block's prefetch offsets.
 	prefetchOffs []int64
 
 	// The master connection is read by a dedicated reader goroutine
@@ -93,6 +88,9 @@ type Executor struct {
 	mRotGob   *obs.Counter
 	mPrefHit  *obs.Counter
 	mPrefMiss *obs.Counter
+	// mPrefReuse counts (block, served array) prefetches answered from
+	// the block's cached offsets instead of evaluating the slice.
+	mPrefReuse *obs.Counter
 
 	done chan error
 }
@@ -110,6 +108,7 @@ func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, e
 		parts:       map[string]*dsm.Partition{},
 		rotated:     map[string]bool{},
 		pooledParts: map[string]bool{},
+		iter:        newIterPart(nil),
 		rotateCh:    make(chan *Msg, 16),
 		cmdCh:       make(chan *Msg, 16),
 		stop:        make(chan struct{}),
@@ -124,6 +123,7 @@ func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, e
 		mRotGob:     obs.GetCounter("rotation.frames.gob"),
 		mPrefHit:    obs.GetCounter("prefetch.hit"),
 		mPrefMiss:   obs.GetCounter("prefetch.miss"),
+		mPrefReuse:  obs.GetCounter("exec.prefetch_index_reuse"),
 	}
 	e.ctx = &Ctx{exec: e, served: map[string]*ServedArray{}, accums: map[string]float64{}}
 	ln, err := t.Listen(peerAddr)
@@ -292,13 +292,18 @@ func (e *Executor) run() error {
 			e.rotated[msg.Array] = msg.Rotated
 			e.pooledParts[msg.Array] = false
 		case MsgIterPart:
-			e.samples, e.sorted = msg.Samples, false
+			e.iter = newIterPart(msg.Samples)
 		case MsgServedShard:
 			p, err := dsm.DecodePartition(msg.PartBlob)
 			if err != nil {
 				return err
 			}
 			e.shards.install(msg.Array, msg.ArrayDims[msg.Array], msg.Offsets, p)
+			// An array is placed one way at a time: a partition an
+			// earlier loop left here must not shadow the shard.
+			delete(e.parts, msg.Array)
+			delete(e.rotated, msg.Array)
+			delete(e.pooledParts, msg.Array)
 			if err := e.master.send(&Msg{Kind: MsgAck}); err != nil {
 				return err
 			}
@@ -478,25 +483,8 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 		}
 		ks = &KernelSet{Iter: kernel, Prefetch: lookupPrefetch(msg.LoopName)}
 	}
-	if msg.Ordered && !e.sorted {
-		// Ordered loops execute in lexicographic iteration order. The
-		// partition is sorted once, not every block: filtering a sorted
-		// partition by time range leaves each block sorted. A loop that
-		// is not ordered never gets here and runs in the shipped order.
-		slices.SortFunc(e.samples, func(a, b IterSample) int { return slices.Compare(a.Key, b.Key) })
-		e.sorted = true
-	}
-	keys, vals := e.blockKeys[:0], e.blockVals[:0]
-	for i := range e.samples {
-		s := &e.samples[i]
-		if msg.TimeDim >= 0 {
-			if c := s.Key[msg.TimeDim]; c < msg.TimeLo || c >= msg.TimeHi {
-				continue
-			}
-		}
-		keys, vals = append(keys, s.Key), append(vals, s.Val)
-	}
-	e.blockKeys, e.blockVals = keys, vals
+	block := e.iter.block(blockKey{timeDim: msg.TimeDim, lo: msg.TimeLo, hi: msg.TimeHi, ordered: msg.Ordered})
+	keys, vals := block.keys, block.vals
 
 	// Advance the block clock before anything kernel-visible runs:
 	// randomness reseeds per (loop, executor, pass, step), so a
@@ -519,14 +507,26 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 		}
 		sort.Strings(arrays)
 		for _, array := range arrays {
-			fn := pf[array]
-			offs := e.prefetchOffs[:0]
-			for i, key := range keys {
-				offs = append(offs, fn(key, vals[i])...)
+			idx := block.prefetch[array]
+			if ks.PrefetchID != "" && idx.id == ks.PrefetchID {
+				e.mPrefReuse.Inc()
+			} else {
+				fn := pf[array]
+				offs := e.prefetchOffs[:0]
+				for i, key := range keys {
+					offs = append(offs, fn(key, vals[i])...)
+				}
+				slices.Sort(offs)
+				offs = slices.Compact(offs)
+				e.prefetchOffs = offs
+				idx = prefetchIndex{id: ks.PrefetchID, offs: offs}
+				if idx.id != "" {
+					// Kept for the next pass or loop over this block.
+					idx.offs = slices.Clone(offs)
+					block.prefetch[array] = idx
+				}
 			}
-			slices.Sort(offs)
-			offs = slices.Compact(offs)
-			e.prefetchOffs = offs
+			offs := idx.offs
 			if len(offs) == 0 {
 				continue
 			}

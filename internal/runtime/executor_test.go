@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	goruntime "runtime"
 	"slices"
 	"sync/atomic"
@@ -212,9 +213,10 @@ func TestCtxVecAllocFree(t *testing.T) {
 }
 
 // TestOrderedBlocksRunLexicographically: an ordered loop executes its
-// blocks in lexicographic key order — the iteration partition is sorted
-// by the first ordered block and stays sorted — while a loop that is not
-// ordered runs in the order the partition was shipped.
+// blocks in lexicographic key order — each block's index is sorted when
+// it is first built and kept — while a loop that is not ordered runs in
+// the order the partition was shipped, also after an ordered loop has
+// run over the same resident samples.
 func TestOrderedBlocksRunLexicographically(t *testing.T) {
 	defer SetLoopCompiler(lookupCompiler())
 	var ran [][]int64
@@ -249,4 +251,157 @@ func TestOrderedBlocksRunLexicographically(t *testing.T) {
 	run("the unordered loop", LoopDef{TimeDim: -1, Passes: 1}, shipped)
 	sorted := [][]int64{{0, 1}, {0, 3}, {1, 1}, {2, 0}, {2, 2}}
 	run("the ordered loop", LoopDef{TimeDim: 1, TimePart: one(4), Ordered: true, Passes: 2}, append(slices.Clone(sorted), sorted...))
+	run("the unordered loop after the ordered one", LoopDef{TimeDim: -1, Passes: 1}, shipped)
+}
+
+// TestPrefetchIndicesCachedPerBlock: a kernel set that declares a
+// prefetch identity has its prefetch functions evaluated once per
+// (block, array) for as long as the iteration partition and the
+// identity stay — across the passes of a loop and across loops — while
+// values are still fetched every block and every read still hits. A new
+// identity, a new iteration partition, or no identity at all evaluates
+// again.
+func TestPrefetchIndicesCachedPerBlock(t *testing.T) {
+	defer SetLoopCompiler(lookupCompiler())
+	var calls atomic.Int64
+	var reads []float64 // executor 0's reads of weights[3], one per block
+	id := "slice-1"
+	SetLoopCompiler(func(*Msg) (*KernelSet, error) {
+		return &KernelSet{
+			PrefetchID: id,
+			Prefetch: map[string]PrefetchFunc{"weights": func(key []int64, _ float64) []int64 {
+				calls.Add(1)
+				return []int64{key[0] % 16}
+			}},
+			Iter: func(ctx *Ctx, key []int64, _ float64) {
+				v := ctx.ServedRead("weights", key[0]%16)
+				if key[0] == 3 {
+					reads = append(reads, v)
+					ctx.ServedUpdate("weights", 3, 1)
+				}
+			},
+		}, nil
+	})
+	m, _, stop := startFleet(t, "pfcache", 2)
+	defer stop()
+	weights, samples := servedFixture()
+	if err := m.DistributeServed(weights); err != nil {
+		t.Fatal(err)
+	}
+	part := sched.NewRangePartitioner(int64(len(samples)), 2)
+	ship := func() {
+		t.Helper()
+		if err := m.DistributeIterSpace(samples, 0, part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ship()
+	seq := 0
+	reuse := obs.GetCounter("exec.prefetch_index_reuse")
+	run := func(what string, passes int, wantCalls, wantReuse int64) {
+		t.Helper()
+		seq++
+		name := fmt.Sprintf("pfcache-%d", seq)
+		calls.Store(0)
+		reuse0 := reuse.Value()
+		if err := m.DefineLoop(&Msg{LoopName: name}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ParallelFor(LoopDef{Kernel: name, TimeDim: -1, Passes: passes}); err != nil {
+			t.Fatal(err)
+		}
+		if got := calls.Load(); got != wantCalls {
+			t.Errorf("%s: prefetch functions ran %d times, want %d", what, got, wantCalls)
+		}
+		if got := reuse.Value() - reuse0; got != wantReuse {
+			t.Errorf("%s: exec.prefetch_index_reuse +%d, want +%d", what, got, wantReuse)
+		}
+	}
+	n := int64(len(samples))
+	run("a 3-pass loop", 3, n, 2*2) // pass 1 evaluates; 2 executors reuse on passes 2 and 3
+	run("an identical second loop", 1, 0, 2)
+	id = "slice-2"
+	run("a loop with another prefetch identity", 2, n, 2)
+	ship()
+	run("the same loop over a re-shipped partition", 1, n, 0)
+	id = ""
+	run("a loop with no prefetch identity", 2, 2*n, 0)
+
+	if got := m.Misses(); got != 0 {
+		t.Errorf("master counted %d prefetch misses, want 0", got)
+	}
+	// Cached offsets, fresh values: every block saw the previous block's
+	// update of weights[3].
+	for i, v := range reads {
+		if want := 0.3 + float64(i); math.Abs(v-want) > 1e-12 {
+			t.Errorf("block %d read weights[3] = %v, want %v", i, v, want)
+		}
+	}
+	if len(reads) != 9 {
+		t.Errorf("%d blocks read weights[3], want 9", len(reads))
+	}
+}
+
+// TestFoldOrderIsArrivalIndependent: same-epoch update batches from
+// different executors fold in (epoch, sender) order whichever arrived
+// first, so a served array's bits do not depend on how the senders'
+// flushes interleaved; one sender's absolute-then-additive order holds.
+func TestFoldOrderIsArrivalIndependent(t *testing.T) {
+	type batch struct {
+		src      int
+		epoch    int64
+		val      float64
+		absolute bool
+	}
+	// Three addends whose float64 sum depends on the order.
+	batches := []batch{{0, 5, 1e16, false}, {1, 5, 1, false}, {2, 5, -1e16, false},
+		{1, 4, 3, true}, {1, 4, 0.5, false}}
+	fold := func(order []int) float64 {
+		s := newShardSet(nil, 0)
+		s.install("w", []int64{4}, nil, dsm.NewDense("w", 4).ExtractRange(0, 0, 4))
+		for _, i := range order {
+			b := batches[i]
+			if err := s.serveUpdate("w", b.src, []int64{2}, []float64{b.val}, b.absolute, b.epoch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := s.serveRead("w", []int64{2}, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got[0]
+	}
+	want := 3.5 // (epoch 4: set 3, add 0.5), then epoch 5 by sender
+	for _, v := range []float64{1e16, 1, -1e16} {
+		want += v
+	}
+	for _, order := range [][]int{{3, 4, 0, 1, 2}, {2, 1, 0, 3, 4}, {1, 3, 2, 4, 0}, {0, 2, 3, 1, 4}} {
+		if got := fold(order); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("arrival order %v folded to %v, want %v", order, got, want)
+		}
+	}
+}
+
+// TestIterSpaceEpochAdvances: the residency epoch moves on every ship
+// and every abort, and on nothing else.
+func TestIterSpaceEpochAdvances(t *testing.T) {
+	m, _, stop := startFleet(t, "epoch", 1)
+	_, samples := servedFixture()
+	part := sched.NewRangePartitioner(int64(len(samples)), 1)
+	e0 := m.IterSpaceEpoch()
+	if err := m.DistributeIterSpace(samples, 0, part); err != nil {
+		t.Fatal(err)
+	}
+	e1 := m.IterSpaceEpoch()
+	if err := m.ParallelFor(LoopDef{Kernel: "none", TimeDim: -1}); err == nil {
+		t.Fatal("an unregistered kernel ran")
+	}
+	stop()
+	if e2 := m.IterSpaceEpoch(); e1 == e0 || e2 != e1 {
+		t.Errorf("epoch %d -> %d after a ship, %d after a loop; want a move, then none", e0, e1, e2)
+	}
+	m.Abort()
+	if e3 := m.IterSpaceEpoch(); e3 == e1 {
+		t.Errorf("epoch still %d after Abort", e3)
+	}
 }

@@ -35,6 +35,11 @@ type KernelSet struct {
 	Iter     Kernel
 	Block    BlockKernel
 	Prefetch map[string]PrefetchFunc
+	// PrefetchID, when non-empty, spells out everything the Prefetch
+	// functions compute from besides the sample: two kernel sets with
+	// equal PrefetchIDs return equal offsets for equal samples, so the
+	// executor keeps a block's offsets instead of evaluating them again.
+	PrefetchID string
 }
 
 var (

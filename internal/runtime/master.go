@@ -94,6 +94,13 @@ type Master struct {
 	// technically open.
 	hbTimeout time.Duration
 
+	// iterEpoch names what iteration space the executors hold: every
+	// DistributeIterSpace and every Abort advances it, so a caller that
+	// noted the epoch after its own ship knows the fleet still holds
+	// those samples exactly while the epoch reads the same — whoever
+	// shipped or re-formed in between, through whatever API.
+	iterEpoch atomic.Int64
+
 	// bookkeeping for gather and the prefetch-miss counter.
 	arrayDims  map[string][]int64
 	arrayDense map[string]bool
@@ -301,11 +308,23 @@ func (m *Master) DistributeRotatedAt(a *dsm.DistArray, dim int, boundaries []int
 	return m.broadcastParts(a.Name(), parts, true)
 }
 
+// IterSpaceEpoch identifies the iteration space resident on the
+// executors (see Master.iterEpoch).
+func (m *Master) IterSpaceEpoch() int64 { return m.iterEpoch.Load() }
+
 // DistributeIterSpace partitions iteration samples by the space
 // coordinate (key[spaceDim]) using the given partitioner and ships each
-// block to its executor.
+// block to its executor, where it replaces the resident one.
 func (m *Master) DistributeIterSpace(samples []IterSample, spaceDim int, part *sched.Partitioner) error {
+	m.iterEpoch.Add(1) // before the first send: a failed ship invalidates too
+	sizes := make([]int, m.n)
+	for _, s := range samples {
+		sizes[part.PartOf(s.Key[spaceDim])]++
+	}
 	blocks := make([][]IterSample, m.n)
+	for w, size := range sizes {
+		blocks[w] = make([]IterSample, 0, size)
+	}
 	for _, s := range samples {
 		w := part.PartOf(s.Key[spaceDim])
 		blocks[w] = append(blocks[w], s)

@@ -120,6 +120,7 @@ func (m *Master) RecordRecovery(start time.Time, pass, step int) {
 // it is idempotent.
 func (m *Master) Abort() {
 	m.closed.Store(true)
+	m.iterEpoch.Add(1) // whatever fleet comes next holds no iteration space
 	for _, c := range m.conns {
 		if c != nil {
 			c.close()

@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -55,17 +57,23 @@ type shardTable struct {
 	// lastStride = product of all dims except the last: flattened
 	// offset / lastStride = last-dim coordinate.
 	lastStride int64
-	// pending holds staged updates in arrival order, folded in on the
-	// first read from a later epoch. seen tracks the keys of batches
-	// currently staged (pruned as they fold), so a duplicated delivery
-	// cannot double-apply.
+	// pending holds staged updates, folded in on the first read from a
+	// later epoch. seen tracks the keys of batches currently staged
+	// (pruned as they fold), so a duplicated delivery cannot
+	// double-apply.
 	pending []stagedUpdate
 	seen    map[updKey]struct{}
 }
 
 // fold applies every pending update from an epoch before the reader's
-// into the local shard, in arrival order. epoch <= 0 folds everything.
+// into the local shard, ordered by (epoch, sending executor) and not by
+// arrival, so that concurrent senders' additive deltas sum in the same
+// order on every run. One sender's batches keep their arrival order
+// (absolute, then additive). epoch <= 0 folds everything.
 func (t *shardTable) fold(epoch int64) {
+	slices.SortStableFunc(t.pending, func(a, b stagedUpdate) int {
+		return cmp.Or(cmp.Compare(a.epoch, b.epoch), cmp.Compare(a.src, b.src))
+	})
 	kept := t.pending[:0]
 	for _, u := range t.pending {
 		if epoch > 0 && u.epoch >= epoch {
