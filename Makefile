@@ -69,8 +69,10 @@ bench-smoke:
 # Live ratio gate: an MF iteration inside a real 1-worker executor
 # against the same bytecode bound directly to the arrays, both timed in
 # this run (lower decile of 20 alternating rounds); fails above 2.5x.
+# The served leg does the same for loops whose model array is a
+# parameter-server array: MF run ordered (H served) and buffered SLR.
 exec-gate:
-	$(GO) test -run '^$$' -bench 'ExecutorVsDirectKernel$$' -benchtime 1x ./internal/bench
+	$(GO) test -run '^$$' -bench '(Executor|Served)VsDirectKernel$$' -benchtime 1x ./internal/bench
 
 # Live ratio gate on the resident iteration space: six single-pass
 # Session.ParallelFor calls against a pass of one Passes(5) call, timed

@@ -157,12 +157,15 @@ func TestChaosAdaptIdentityRecutMFBitwiseTCP(t *testing.T) {
 // weight profile drive the recut: the triggering segment's skew index
 // must drop by at least 30% once the recut hands the slow worker a
 // smaller range — the ISSUE 9 acceptance bar, asserted end to end.
+// Every worker sleeps per iteration, worker 0 ten times as long: the
+// skew index is max/median compute, and a median made of microseconds of
+// real compute moves tenfold with host scheduling.
 func TestChaosAdaptGenuineRecutReducesSkew(t *testing.T) {
 	runtime.SetBlockDelay(func(execID, iters int) time.Duration {
 		if execID == 0 {
 			return time.Duration(iters) * 200 * time.Microsecond
 		}
-		return 0
+		return time.Duration(iters) * 20 * time.Microsecond
 	})
 	defer runtime.SetBlockDelay(nil)
 

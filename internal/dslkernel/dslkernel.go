@@ -505,9 +505,10 @@ func (v *partView) DenseData() ([]float64, []int64) {
 	return v.p.Local.DenseData()
 }
 
-// servedView adapts a parameter-server array: reads, and the buffered
+// servedView adapts a parameter-server array: reads, the buffered
 // deltas of a DistArray Buffer over it (the only writes dependence
-// analysis lets a loop make to a served array, with one exception).
+// analysis lets a loop make to a served array, with one exception), and,
+// for the VM, whole-column reads and writes (lang.RunAccess).
 type servedView struct {
 	s    *runtime.ServedArray
 	dims []int64
@@ -522,6 +523,27 @@ func (s *servedView) SetAt(v float64, idx ...int64) {
 	// guarantees this worker is the sole writer (ordered wavefront
 	// execution); they ship as absolute last-write-wins updates.
 	s.s.Set(flatten(s.dims, idx), v)
+}
+
+// ReadRun and WriteRun serve a run along the first dimension — the one
+// flatten makes contiguous — that lies inside the array and that the
+// block prefetched whole.
+func (s *servedView) ReadRun(out []float64, dim int, idx []int64) bool {
+	return s.inBounds(dim, idx, len(out)) && s.s.ReadRun(flatten(s.dims, idx), out)
+}
+func (s *servedView) WriteRun(in []float64, dim int, idx []int64) bool {
+	return s.inBounds(dim, idx, len(in)) && s.s.SetRun(flatten(s.dims, idx), in)
+}
+func (s *servedView) inBounds(dim int, idx []int64, n int) bool {
+	if dim != 0 || idx[0]+int64(n) > s.dims[0] {
+		return false
+	}
+	for d, v := range idx {
+		if v < 0 || v >= s.dims[d] {
+			return false
+		}
+	}
+	return true
 }
 func (s *servedView) Put(update float64, idx ...int64) bool {
 	s.s.Update(flatten(s.dims, idx), update)

@@ -1,8 +1,10 @@
 package dsm
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,6 +181,59 @@ func TestPartitionRoundTripSparse(t *testing.T) {
 			t.Fatalf("mismatch at %v", idx)
 		}
 	})
+}
+
+// TestRangePartitionsEqualsExtractRange: a sparse array's one-walk split
+// yields, for random extents, entries, dimension and cuts (empty and
+// repeated ones included), exactly the partitions that one ExtractRange
+// per range yields, and writing them back restores the array.
+func TestRangePartitionsEqualsExtractRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	entries := func(a *DistArray) map[int64]float64 {
+		m := map[int64]float64{}
+		a.ForEach(func(idx []int64, v float64) { m[a.Flatten(idx...)] = v })
+		return m
+	}
+	for trial := 0; trial < 200; trial++ {
+		dims := make([]int64, 1+rng.Intn(3))
+		for d := range dims {
+			dims[d] = int64(1 + rng.Intn(9))
+		}
+		a := NewSparse("z", dims...)
+		idx := make([]int64, len(dims))
+		for n := rng.Intn(40); n > 0; n-- {
+			for d := range idx {
+				idx[d] = rng.Int63n(dims[d])
+			}
+			a.SetAt(rng.NormFloat64(), idx...)
+		}
+		dim, parts := rng.Intn(len(dims)), 1+rng.Intn(5)
+		cuts := make([]int64, parts-1)
+		for k := range cuts {
+			cuts[k] = rng.Int63n(dims[dim] + 1) // 0 and the extent: empty first and last ranges
+		}
+		slices.Sort(cuts)
+		got := a.RangePartitions(dim, parts, cuts)
+		back := NewSparse("z", dims...)
+		lo := int64(0)
+		for k, p := range got {
+			hi := dims[dim]
+			if k < parts-1 {
+				hi = cuts[k]
+			}
+			want := a.ExtractRange(dim, lo, hi)
+			if p.Dim != want.Dim || p.Lo != want.Lo || p.Hi != want.Hi || !slices.Equal(p.Local.Dims(), want.Local.Dims()) ||
+				!maps.Equal(entries(p.Local), entries(want.Local)) {
+				t.Fatalf("trial %d: dims %v cut along %d at %v: part %d = [%d,%d) %v %v, want [%d,%d) %v %v", trial, dims, dim, cuts, k,
+					p.Lo, p.Hi, p.Local.Dims(), entries(p.Local), want.Lo, want.Hi, want.Local.Dims(), entries(want.Local))
+			}
+			p.WriteBack(back)
+			lo = hi
+		}
+		if !maps.Equal(entries(back), entries(a)) {
+			t.Fatalf("trial %d: writing the parts back gave %v, want %v", trial, entries(back), entries(a))
+		}
+	}
 }
 
 func TestPartitionGlobalCoords(t *testing.T) {

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Partition is a contiguous coordinate range of a DistArray along one
@@ -19,6 +20,29 @@ type Partition struct {
 
 // ExtractRange copies coordinates [lo, hi) along dim into a Partition.
 func (a *DistArray) ExtractRange(dim int, lo, hi int64) *Partition {
+	p := a.emptyPartition(dim, lo, hi)
+	if hi == lo {
+		return p
+	}
+	if a.IsDense() && dim == len(a.dims)-1 {
+		// Fast path: partitioning by the last dimension slices the
+		// contiguous backing store.
+		copy(p.Local.dense, a.dense[lo*a.stride[dim]:hi*a.stride[dim]])
+		return p
+	}
+	a.ForEach(func(idx []int64, v float64) {
+		if idx[dim] < lo || idx[dim] >= hi {
+			return
+		}
+		idx[dim] -= lo
+		p.Local.SetAt(v, idx...)
+	})
+	return p
+}
+
+// emptyPartition is the partition [lo, hi) along dim with nothing in it
+// yet.
+func (a *DistArray) emptyPartition(dim int, lo, hi int64) *Partition {
 	if dim < 0 || dim >= len(a.dims) {
 		panic(fmt.Sprintf("dsm: %s: bad partition dim %d", a.name, dim))
 	}
@@ -31,30 +55,11 @@ func (a *DistArray) ExtractRange(dim int, lo, hi int64) *Partition {
 	if hi == lo {
 		ndims[dim] = 1 // degenerate but keep a valid array
 	}
-	var local *DistArray
+	local := NewSparse(a.name, ndims...)
 	if a.IsDense() {
 		local = NewDense(a.name, ndims...)
-	} else {
-		local = NewSparse(a.name, ndims...)
 	}
-	p := &Partition{Array: a.name, Dim: dim, Lo: lo, Hi: hi, Local: local}
-	if hi == lo {
-		return p
-	}
-	if a.IsDense() && dim == len(a.dims)-1 {
-		// Fast path: partitioning by the last dimension slices the
-		// contiguous backing store.
-		copy(local.dense, a.dense[lo*a.stride[dim]:hi*a.stride[dim]])
-		return p
-	}
-	a.ForEach(func(idx []int64, v float64) {
-		if idx[dim] < lo || idx[dim] >= hi {
-			return
-		}
-		idx[dim] -= lo
-		local.SetAt(v, idx...)
-	})
-	return p
+	return &Partition{Array: a.name, Dim: dim, Lo: lo, Hi: hi, Local: local}
 }
 
 // WriteBack merges the partition's contents back into the full array.
@@ -113,8 +118,24 @@ func (a *DistArray) RangePartitions(dim, parts int, boundaries []int64) []*Parti
 		if k < parts-1 {
 			hi = boundaries[k]
 		}
-		out[k] = a.ExtractRange(dim, lo, hi)
+		if a.IsDense() {
+			out[k] = a.ExtractRange(dim, lo, hi)
+		} else {
+			out[k] = a.emptyPartition(dim, lo, hi)
+		}
 		lo = hi
+	}
+	if a.IsDense() {
+		return out
+	}
+	// Sparse: one walk routes every entry to its range. The targets are
+	// maps, so the walk needs no order.
+	idx := make([]int64, len(a.dims))
+	for off, v := range a.sparse {
+		a.unflattenInto(idx, off)
+		k, _ := slices.BinarySearch(boundaries, idx[dim]+1) // the first cut above the coordinate
+		local := out[k].Local
+		local.setOff(local.flattenFrom(dim, out[k].Lo, idx), v)
 	}
 	return out
 }

@@ -834,13 +834,37 @@ func (k *Kernel) rowView(acc *access) []float64 {
 	if inBounds {
 		return k.dense[ai][off : off+acc.extent]
 	}
-	a := k.arrays[ai]
 	out := k.growScratch(int(acc.sid), int(acc.extent))
-	for v := int64(0); v < acc.extent; v++ {
-		ix[0] = v
-		out[v] = a.At(ix...)
-	}
+	k.ldRun(acc, ix, 0, out)
 	return out
+}
+
+// ldRun is the range read of a binding with no flat path: the elements
+// of acc's range from lo on, into out — in one call when the view takes
+// whole runs and holds this one (lang.RunAccess), else through At, one
+// element at a time. stRun is the range write.
+func (k *Kernel) ldRun(acc *access, ix []int64, lo int64, out []float64) {
+	ix[acc.rangeDim] = lo
+	if ra := k.runs[acc.ai]; ra != nil && ra.ReadRun(out, int(acc.rangeDim), ix) {
+		return
+	}
+	a := k.arrays[acc.ai]
+	for i := range out {
+		ix[acc.rangeDim] = lo + int64(i)
+		out[i] = a.At(ix...)
+	}
+}
+
+func (k *Kernel) stRun(acc *access, ix []int64, lo int64, in []float64) {
+	ix[acc.rangeDim] = lo
+	if ra := k.runs[acc.ai]; ra != nil && ra.WriteRun(in, int(acc.rangeDim), ix) {
+		return
+	}
+	a := k.arrays[acc.ai]
+	for i, v := range in {
+		ix[acc.rangeDim] = lo + int64(i)
+		a.SetAt(v, ix...)
+	}
 }
 
 // gather copies n elements of data, step apart from base, into out;
@@ -879,11 +903,7 @@ func (k *Kernel) rowMat(acc *access) []float64 {
 		gather(out, k.dense[acc.ai], base, k.win[acc.ai][acc.rangeDim].stride)
 		return out
 	}
-	a := k.arrays[acc.ai]
-	for v := lo; v <= hi; v++ {
-		ix[acc.rangeDim] = v
-		out[v-lo] = a.At(ix...)
-	}
+	k.ldRun(acc, ix, lo, out)
 	return out
 }
 
@@ -900,18 +920,13 @@ func (k *Kernel) rowSt(acc *access, rv []float64) {
 		scatter(k.dense[acc.ai], rv, base, k.win[acc.ai][acc.rangeDim].stride)
 		return
 	}
-	a := k.arrays[acc.ai]
-	for v := lo; v <= hi; v++ {
-		ix[acc.rangeDim] = v
-		a.SetAt(rv[v-lo], ix...)
-	}
+	k.stRun(acc, ix, lo, rv)
 }
 
 // rowUpd is a compound range update: read all current values into the
 // site's scratch, apply, write all back — the same copy-then-write
 // order as both reference backends.
 func (k *Kernel) rowUpd(acc *access, sv float64, rv []float64, isVec bool) {
-	a := k.arrays[acc.ai]
 	ix := k.fillIx(acc)
 	lo, hi := k.rangeBounds(acc)
 	cur := k.growScratch(int(acc.sid), int(hi-lo+1))
@@ -922,10 +937,7 @@ func (k *Kernel) rowUpd(acc *access, sv float64, rv []float64, isVec bool) {
 		step = k.win[acc.ai][acc.rangeDim].stride
 		gather(cur, k.dense[acc.ai], base, step)
 	} else {
-		for v := lo; v <= hi; v++ {
-			ix[acc.rangeDim] = v
-			cur[v-lo] = a.At(ix...)
-		}
+		k.ldRun(acc, ix, lo, cur)
 	}
 	if isVec {
 		if len(cur) != len(rv) {
@@ -939,10 +951,7 @@ func (k *Kernel) rowUpd(acc *access, sv float64, rv []float64, isVec bool) {
 		scatter(k.dense[acc.ai], cur, base, step)
 		return
 	}
-	for v := lo; v <= hi; v++ {
-		ix[acc.rangeDim] = v
-		a.SetAt(cur[v-lo], ix...)
-	}
+	k.stRun(acc, ix, lo, cur)
 }
 
 func (k *Kernel) bufPut(ba *bufAccess, v float64) {

@@ -330,9 +330,10 @@ type Kernel struct {
 	glDef []bool
 
 	arrays  []lang.ArrayAccess
-	dense   [][]float64 // non-nil where flat-offset access applies
-	win     [][]dimWin  // per array and dimension
-	racc    []rtAcc     // per point-access runtime mirror
+	runs    []lang.RunAccess // non-nil where the view takes whole runs
+	dense   [][]float64      // non-nil where flat-offset access applies
+	win     [][]dimWin       // per array and dimension
+	racc    []rtAcc          // per point-access runtime mirror
 	buffers []lang.BufferAccess
 	rng     lang.RandSource
 
@@ -369,6 +370,7 @@ func (p *Prog) NewKernel() *Kernel {
 	k.gl = make([]float64, len(p.globalNames))
 	k.glDef = make([]bool, len(p.globalNames))
 	k.arrays = make([]lang.ArrayAccess, len(p.arrayNames))
+	k.runs = make([]lang.RunAccess, len(p.arrayNames))
 	k.dense = make([][]float64, len(p.arrayNames))
 	k.win = make([][]dimWin, len(p.arrayNames))
 	for i, dims := range p.arrayDims {
@@ -421,6 +423,7 @@ func (k *Kernel) BindArray(name string, a lang.ArrayAccess) error {
 		}
 	}
 	k.arrays[i], k.dense[i] = a, data
+	k.runs[i], _ = a.(lang.RunAccess)
 	win := k.win[i]
 	clear(win)
 	if data != nil {

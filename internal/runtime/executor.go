@@ -68,7 +68,6 @@ type Executor struct {
 	accepted   []net.Conn
 
 	ctx    *Ctx
-	misses int64
 	shards *shardSet
 
 	// pingOverride, when non-zero, replaces the master-shipped heartbeat
@@ -449,7 +448,8 @@ func (e *Executor) servePeer(c *codec) {
 				c.send(&out)
 				continue
 			}
-			out = Msg{Kind: MsgPrefetchResp, Array: in.Array, Offsets: in.Offsets, Values: vals}
+			// The requester holds the offsets; the values answer them in order.
+			out = Msg{Kind: MsgPrefetchResp, Array: in.Array, Values: vals}
 			c.send(&out)
 		case MsgUpdateBatch:
 			if err := e.shards.serveUpdate(in.Array, in.ExecutorID, in.Offsets, in.Values, in.Absolute, in.Epoch); err != nil {
@@ -498,7 +498,7 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	// Bulk prefetch: evaluate the synthesized prefetch functions over
 	// the block and fetch the union of needed offsets per served array.
 	for _, sa := range e.ctx.servedOrder {
-		sa.beginBlock()
+		sa.beginBlock(prefetchIndex{})
 	}
 	if pf := ks.Prefetch; len(pf) > 0 {
 		arrays := make([]string, 0, len(pf))
@@ -517,30 +517,37 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 					offs = append(offs, fn(key, vals[i])...)
 				}
 				slices.Sort(offs)
-				offs = slices.Compact(offs)
 				e.prefetchOffs = offs
-				idx = prefetchIndex{id: ks.PrefetchID, offs: offs}
+				idx = newPrefetchIndex(ks.PrefetchID, slices.Clone(slices.Compact(offs)))
 				if idx.id != "" {
 					// Kept for the next pass or loop over this block.
-					idx.offs = slices.Clone(offs)
 					block.prefetch[array] = idx
 				}
 			}
-			offs := idx.offs
-			if len(offs) == 0 {
+			if len(idx.offs) == 0 {
 				continue
 			}
 			fetchStart := time.Now()
-			if err := e.bulkFetch(e.ctx.Served(array), offs); err != nil {
+			if err := e.bulkFetch(e.ctx.Served(array), idx); err != nil {
 				return err
 			}
 			commNs += int64(time.Since(fetchStart))
-			e.trace.EndN("exec.prefetch", "exec", fetchStart, "offsets", int64(len(offs)))
+			e.trace.EndN("exec.prefetch", "exec", fetchStart, "offsets", int64(len(idx.offs)))
 		}
 	}
 
 	kernelStart := time.Now()
-	if err := e.runKernel(ks, keys, vals); err != nil {
+	err := e.runKernel(ks, keys, vals)
+	// The block's served reads reach the process-wide counters here, not
+	// one shared atomic at a time from inside the kernel.
+	var misses int64
+	for _, sa := range e.ctx.servedOrder {
+		e.mPrefHit.Add(sa.hits)
+		e.mPrefMiss.Add(sa.misses)
+		misses += sa.misses
+		sa.hits, sa.misses = 0, 0
+	}
+	if err != nil {
 		return err
 	}
 	// Synthetic straggler injection (SetBlockDelay): sleep inside the
@@ -556,16 +563,15 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	flushStart := time.Now()
 	flushed := 0
 	for _, sa := range e.ctx.servedOrder {
-		if len(sa.setOffs) == 0 && len(sa.updOffs) == 0 {
+		if len(sa.setSlots) == 0 && len(sa.updSlots) == 0 {
 			continue
 		}
-		if err := e.flushServed(sa.name, sa.setOffs, sa.sets, true); err != nil {
+		if err := e.flushServed(sa, sa.setSlots, sa.set, true); err != nil {
 			return err
 		}
-		if err := e.flushServed(sa.name, sa.updOffs, sa.deltas, false); err != nil {
+		if err := e.flushServed(sa, sa.updSlots, sa.delta, false); err != nil {
 			return err
 		}
-		sa.endBlock()
 		flushed++
 	}
 	if flushed > 0 {
@@ -634,8 +640,6 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	e.mRotWait.Observe(rotWaitNs)
 	e.trace.EndNN("exec.block", "exec", blockStart, "iters", int64(len(keys)), "step", int64(msg.StepIndex))
 
-	misses := e.misses
-	e.misses = 0
 	return e.master.send(&Msg{
 		Kind: MsgBlockDone, ExecutorID: e.id, AccValue: float64(misses),
 		LoopName:      msg.LoopName,
@@ -719,19 +723,19 @@ func (e *Executor) shardRPC(o int, req *Msg) (*Msg, error) {
 	return resp, nil
 }
 
-// bulkFetch reads the block's prefetch offsets (ascending, unique) of a
-// served array, grouped by shard owner (the local shard
-// short-circuits), into the array's slot table.
-func (e *Executor) bulkFetch(sa *ServedArray, offs []int64) error {
+// bulkFetch makes idx the served array's table for the block and fills
+// it with the values at the step's epoch, one request per shard owner
+// (the local shard short-circuits). The offsets ascend and shards are
+// ranges, so each owner's offsets are one run of them, sent as they lie.
+func (e *Executor) bulkFetch(sa *ServedArray, idx prefetchIndex) error {
 	t, err := e.servedTable(sa.name)
 	if err != nil {
 		return err
 	}
-	sa.offs = append(sa.offs[:0], offs...)
-	sa.vals = slices.Grow(sa.vals[:0], len(offs))[:len(offs)]
-	owners, byOwner := t.byOwner(offs)
-	for _, o := range owners {
-		chunk := byOwner[o]
+	sa.beginBlock(idx)
+	for lo := 0; lo < len(idx.offs); {
+		o, n := t.ownedRun(idx.offs[lo:])
+		chunk := idx.offs[lo : lo+n]
 		var vals []float64
 		if o == e.id {
 			if vals, err = e.shards.serveRead(sa.name, chunk, e.ctx.stepEpoch); err != nil {
@@ -745,47 +749,48 @@ func (e *Executor) bulkFetch(sa *ServedArray, offs []int64) error {
 			if resp.Kind != MsgPrefetchResp {
 				return fmt.Errorf("runtime: executor %d: shard owner %d: %s", e.id, o, resp.Err)
 			}
-			if vals = resp.Values; len(vals) != len(chunk) {
-				return fmt.Errorf("runtime: executor %d: shard owner %d answered %d of %d prefetched offsets", e.id, o, len(vals), len(chunk))
+			if vals = resp.Values; len(vals) != n {
+				return fmt.Errorf("runtime: executor %d: shard owner %d answered %d of %d prefetched offsets", e.id, o, len(vals), n)
 			}
 		}
-		// byOwner keeps order, so chunk is a subsequence of sa.offs.
-		slot := 0
-		for i, off := range chunk {
-			for sa.offs[slot] != off {
-				slot++
-			}
-			sa.vals[slot] = vals[i]
-		}
+		copy(sa.vals[lo:], vals)
+		lo += n
 	}
 	return nil
 }
 
-// flushServed ships the buffered writes vals[off], for off in offs, to
-// their shard owners, awaiting acknowledgments so the master barrier
-// implies update visibility.
-func (e *Executor) flushServed(array string, offs []int64, vals map[int64]float64, absolute bool) error {
-	if len(offs) == 0 {
+// flushServed ships one kind of the block's buffered writes — vals[i]
+// for each slot i, in that order — to the shard owners, lowest owner
+// first, awaiting acknowledgments so the master barrier implies update
+// visibility.
+func (e *Executor) flushServed(sa *ServedArray, slots []int32, vals []float64, absolute bool) error {
+	if len(slots) == 0 {
 		return nil
 	}
-	t, err := e.servedTable(array)
+	t, err := e.servedTable(sa.name)
 	if err != nil {
 		return err
 	}
-	owners, byOwner := t.byOwner(offs)
-	for _, o := range owners {
-		co := byOwner[o]
-		cv := make([]float64, len(co))
-		for i, off := range co {
-			cv[i] = vals[off]
+	batches := make([]struct {
+		offs []int64
+		vals []float64
+	}, len(t.boundaries)+1)
+	for _, i := range slots {
+		off := sa.offsetOf(i)
+		b := &batches[t.ownerOf(off)]
+		b.offs, b.vals = append(b.offs, off), append(b.vals, vals[i])
+	}
+	for o, b := range batches {
+		if len(b.offs) == 0 {
+			continue
 		}
 		if o == e.id {
-			if err := e.shards.serveUpdate(array, e.id, co, cv, absolute, e.ctx.stepEpoch); err != nil {
+			if err := e.shards.serveUpdate(sa.name, e.id, b.offs, b.vals, absolute, e.ctx.stepEpoch); err != nil {
 				return err
 			}
 			continue
 		}
-		ack, err := e.shardRPC(o, &Msg{Kind: MsgUpdateBatch, ExecutorID: e.id, Array: array, Offsets: co, Values: cv, Absolute: absolute, Epoch: e.ctx.stepEpoch})
+		ack, err := e.shardRPC(o, &Msg{Kind: MsgUpdateBatch, ExecutorID: e.id, Array: sa.name, Offsets: b.offs, Values: b.vals, Absolute: absolute, Epoch: e.ctx.stepEpoch})
 		if err != nil {
 			return err
 		}

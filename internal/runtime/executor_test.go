@@ -258,9 +258,10 @@ func TestOrderedBlocksRunLexicographically(t *testing.T) {
 // prefetch identity has its prefetch functions evaluated once per
 // (block, array) for as long as the iteration partition and the
 // identity stay — across the passes of a loop and across loops — while
-// values are still fetched every block and every read still hits. A new
-// identity, a new iteration partition, or no identity at all evaluates
-// again.
+// values are still fetched every block and every read still hits. The
+// offset -> slot index is built with the offsets and kept with them:
+// reuse rebuilds nothing. A new identity, a new iteration partition, or
+// no identity at all evaluates again and builds a new index.
 func TestPrefetchIndicesCachedPerBlock(t *testing.T) {
 	defer SetLoopCompiler(lookupCompiler())
 	var calls atomic.Int64
@@ -282,7 +283,7 @@ func TestPrefetchIndicesCachedPerBlock(t *testing.T) {
 			},
 		}, nil
 	})
-	m, _, stop := startFleet(t, "pfcache", 2)
+	m, execs, stop := startFleet(t, "pfcache", 2)
 	defer stop()
 	weights, samples := servedFixture()
 	if err := m.DistributeServed(weights); err != nil {
@@ -298,6 +299,18 @@ func TestPrefetchIndicesCachedPerBlock(t *testing.T) {
 	ship()
 	seq := 0
 	reuse := obs.GetCounter("exec.prefetch_index_reuse")
+	// index is the table executor 0 keeps for its one block (nil: none),
+	// read when a loop has returned: the executor is parked on its
+	// command channel and its block-done message ordered its writes.
+	var index0 *int32
+	index := func() *int32 {
+		for _, b := range execs[0].iter.blocks {
+			if x := b.prefetch["weights"]; len(x.table) >= 2*len(x.offs) && len(x.offs) > 0 {
+				return &x.table[0]
+			}
+		}
+		return nil
+	}
 	run := func(what string, passes int, wantCalls, wantReuse int64) {
 		t.Helper()
 		seq++
@@ -316,6 +329,12 @@ func TestPrefetchIndicesCachedPerBlock(t *testing.T) {
 		if got := reuse.Value() - reuse0; got != wantReuse {
 			t.Errorf("%s: exec.prefetch_index_reuse +%d, want +%d", what, got, wantReuse)
 		}
+		// No identity caches nothing: it builds per block and leaves what
+		// the block kept alone.
+		if kept := index() == index0; kept != (wantCalls == 0 || id == "") {
+			t.Errorf("%s: the block's slot index was kept = %v with %d prefetch calls", what, kept, wantCalls)
+		}
+		index0 = index()
 	}
 	n := int64(len(samples))
 	run("a 3-pass loop", 3, n, 2*2) // pass 1 evaluates; 2 executors reuse on passes 2 and 3

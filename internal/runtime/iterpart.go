@@ -26,14 +26,64 @@ type iterBlock struct {
 	keys [][]int64
 	vals []float64
 	// prefetch caches, per served array, the block's sorted unique
-	// prefetch offsets under the KernelSet.PrefetchID that produced
-	// them (§6.3's cached prefetch indices).
+	// prefetch offsets and the slot index over them under the
+	// KernelSet.PrefetchID that produced them (§6.3's cached prefetch
+	// indices).
 	prefetch map[string]prefetchIndex
 }
 
+// prefetchIndex is the sorted unique prefetch offsets of one (block,
+// served array) and the offset -> slot index over them: slot i of the
+// block's table is offs[i]. Read-only once built — every block that
+// reuses it aliases both slices.
 type prefetchIndex struct {
 	id   string
 	offs []int64
+	// table is open-addressed with linear probing: an entry is 1 + the
+	// slot whose offset hashed there, 0 when empty. Its length is a power
+	// of two, at least twice len(offs).
+	table []int32
+	shift uint
+}
+
+func newPrefetchIndex(id string, offs []int64) prefetchIndex {
+	x := prefetchIndex{id: id, offs: offs}
+	if len(offs) == 0 {
+		return x
+	}
+	bits := uint(1)
+	for 1<<bits < 2*len(offs) {
+		bits++
+	}
+	x.table, x.shift = make([]int32, 1<<bits), 64-bits
+	for i, off := range offs {
+		h := x.hash(off)
+		for x.table[h] != 0 {
+			h = (h + 1) & uint64(len(x.table)-1)
+		}
+		x.table[h] = int32(i) + 1
+	}
+	return x
+}
+
+// hash is Fibonacci hashing: runs of consecutive offsets (a column of
+// the array) spread over the whole table.
+func (x *prefetchIndex) hash(off int64) uint64 {
+	return uint64(off) * 0x9E3779B97F4A7C15 >> x.shift
+}
+
+// slot returns the slot of an offset, -1 when the block did not
+// prefetch it.
+func (x *prefetchIndex) slot(off int64) int32 {
+	if len(x.table) == 0 {
+		return -1
+	}
+	for h := x.hash(off); ; h = (h + 1) & uint64(len(x.table)-1) {
+		i := x.table[h] - 1
+		if i < 0 || x.offs[i] == off {
+			return i
+		}
+	}
 }
 
 func newIterPart(samples []IterSample) *iterPart {

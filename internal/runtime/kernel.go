@@ -132,34 +132,49 @@ type Ctx struct {
 }
 
 // ServedArray is one parameter-server array as the running block sees
-// it: the bulk-prefetched values, held as a table of the block's sorted
-// offsets that reads search (no per-block map is built), plus this
-// worker's buffered writes, which ship to the shard owners at block
-// end.
+// it: a slot table. Slot i holds the value fetched for the block's i-th
+// prefetch offset at the step's epoch plus this worker's pending writes
+// to it, which ship to the shard owners at block end. Every access
+// resolves its offset to a slot once and then touches only slices.
 type ServedArray struct {
 	exec *Executor
 	name string
-	// offs are the block's prefetched offsets, ascending and unique;
-	// vals[i] is the value fetched for offs[i].
-	offs []int64
-	vals []float64
-	// missed keeps the block's synchronous miss reads, so a repeated
-	// read of an unprefetched offset costs one remote fetch.
-	missed map[int64]float64
-	// deltas and sets are the pending additive and absolute
-	// (last-write-wins) writes; updOffs/setOffs keep first-write order.
-	deltas  map[int64]float64
-	updOffs []int64
-	sets    map[int64]float64
-	setOffs []int64
+	// idx is the block's prefetch index, shared with the iteration block
+	// that caches it and never written. Offsets outside it — a prefetch
+	// miss, a write to an offset the prefetch slice did not record, every
+	// access of a kernel with no prefetch function — get slots appended
+	// behind its own: slot len(idx.offs)+j is extra[j], found through
+	// overlay.
+	idx     prefetchIndex
+	extra   []int64
+	overlay map[int64]int32
+	// Per slot: the fetched value, the pending additive delta (0 when
+	// there is none), the pending absolute write, and which of them are
+	// meaningful.
+	vals  []float64
+	delta []float64
+	set   []float64
+	flags []uint8
+	// setSlots and updSlots list the slots with a pending absolute write
+	// and a pending delta, in first-write order: the order they flush in.
+	setSlots []int32
+	updSlots []int32
+	// hits and misses count the block's reads; the executor adds them to
+	// the process-wide counters once, at block end.
+	hits, misses int64
 }
+
+const (
+	slotBase  uint8 = 1 << iota // vals[i] is the value fetched at the step's epoch
+	slotDelta                   // delta[i] is pending
+	slotSet                     // set[i] is pending
+)
 
 // Served returns the executor's handle on a parameter-server array.
 func (c *Ctx) Served(array string) *ServedArray {
 	s := c.served[array]
 	if s == nil {
-		s = &ServedArray{exec: c.exec, name: array,
-			missed: map[int64]float64{}, deltas: map[int64]float64{}, sets: map[int64]float64{}}
+		s = &ServedArray{exec: c.exec, name: array, overlay: map[int64]int32{}}
 		c.served[array] = s
 		c.servedOrder = append(c.servedOrder, s)
 		slices.SortFunc(c.servedOrder, func(a, b *ServedArray) int { return strings.Compare(a.name, b.name) })
@@ -167,17 +182,46 @@ func (c *Ctx) Served(array string) *ServedArray {
 	return s
 }
 
-// beginBlock drops the previous block's prefetched values.
-func (s *ServedArray) beginBlock() {
-	s.offs, s.vals = s.offs[:0], s.vals[:0]
-	clear(s.missed)
+// beginBlock makes idx the block's table: one clean slot per prefetch
+// offset, whose values the caller fetches into vals, and nothing left of
+// the previous block.
+func (s *ServedArray) beginBlock(idx prefetchIndex) {
+	n := len(idx.offs)
+	s.idx, s.extra = idx, s.extra[:0]
+	clear(s.overlay)
+	s.vals = slices.Grow(s.vals[:0], n)[:n]
+	s.delta = slices.Grow(s.delta[:0], n)[:n]
+	s.set = slices.Grow(s.set[:0], n)[:n]
+	s.flags = slices.Grow(s.flags[:0], n)[:n]
+	clear(s.delta)
+	for i := range s.flags {
+		s.flags[i] = slotBase
+	}
+	s.setSlots, s.updSlots = s.setSlots[:0], s.updSlots[:0]
 }
 
-// endBlock forgets the buffered writes once they have been flushed.
-func (s *ServedArray) endBlock() {
-	s.updOffs, s.setOffs = s.updOffs[:0], s.setOffs[:0]
-	clear(s.deltas)
-	clear(s.sets)
+// slot resolves an offset to its slot, appending one when the block has
+// none for it yet.
+func (s *ServedArray) slot(off int64) int32 {
+	if i := s.idx.slot(off); i >= 0 {
+		return i
+	}
+	i, ok := s.overlay[off]
+	if !ok {
+		i = int32(len(s.flags))
+		s.overlay[off] = i
+		s.extra = append(s.extra, off)
+		s.vals, s.delta, s.set, s.flags = append(s.vals, 0), append(s.delta, 0), append(s.set, 0), append(s.flags, 0)
+	}
+	return i
+}
+
+// offsetOf is the inverse of slot.
+func (s *ServedArray) offsetOf(i int32) int64 {
+	if n := int32(len(s.idx.offs)); i >= n {
+		return s.extra[i-n]
+	}
+	return s.idx.offs[i]
 }
 
 // Vec returns the parameter vector A[:, coords...] from a local or
@@ -230,26 +274,30 @@ func (c *Ctx) ServedUpdate(array string, off int64, delta float64) {
 
 // Read reads one element by flattened offset. Prefetched offsets hit
 // the block's table; misses fall back to a synchronous remote read (the
-// slow path bulk prefetching exists to avoid). Reads observe this
-// worker's own buffered writes.
-func (s *ServedArray) Read(off int64) float64 {
-	if v, ok := s.sets[off]; ok {
+// slow path bulk prefetching exists to avoid), once per offset per
+// block. Reads observe this worker's own buffered writes.
+func (s *ServedArray) Read(off int64) float64 { return s.readSlot(s.slot(off)) }
+
+func (s *ServedArray) readSlot(i int32) float64 {
+	f := s.flags[i]
+	if f&slotSet != 0 {
 		// Own absolute write: fully visible.
-		if d, ok := s.deltas[off]; ok {
-			return v + d
+		if f&slotDelta != 0 {
+			return s.set[i] + s.delta[i]
 		}
-		return v
+		return s.set[i]
 	}
-	base := s.deltas[off]
-	if i, ok := slices.BinarySearch(s.offs, off); ok {
-		s.exec.mPrefHit.Inc()
-		return s.vals[i] + base
+	if f&slotBase == 0 {
+		s.fetchMiss(i)
+	} else {
+		s.hits++
 	}
-	if v, ok := s.missed[off]; ok {
-		s.exec.mPrefHit.Inc()
-		return v + base
-	}
-	s.exec.mPrefMiss.Inc()
+	return s.vals[i] + s.delta[i]
+}
+
+func (s *ServedArray) fetchMiss(i int32) {
+	s.misses++
+	off := s.offsetOf(i)
 	v, err := s.exec.fetchOne(s.name, off)
 	if err != nil {
 		// Kernels have no error return: panic with the error itself so
@@ -257,18 +305,19 @@ func (s *ServedArray) Read(off int64) float64 {
 		// ErrWorkerLost.
 		panic(fmt.Errorf("runtime: served read of %s[%d]: %w", s.name, off, err))
 	}
-	s.missed[off] = v
-	s.exec.misses++
-	return v + base
+	s.vals[i] = v
+	s.flags[i] |= slotBase
 }
 
 // Update buffers a delta to one element; the buffered writes ship to
 // the shard owners at block end.
 func (s *ServedArray) Update(off int64, delta float64) {
-	if _, ok := s.deltas[off]; !ok {
-		s.updOffs = append(s.updOffs, off)
+	i := s.slot(off)
+	if s.flags[i]&slotDelta == 0 {
+		s.flags[i] |= slotDelta
+		s.updSlots = append(s.updSlots, i)
 	}
-	s.deltas[off] += delta
+	s.delta[i] += delta
 }
 
 // Set writes an absolute value to one element. Valid only when the
@@ -276,16 +325,60 @@ func (s *ServedArray) Update(off int64, delta float64) {
 // step (serializable direct writes under the ordered wavefront); the
 // value ships to the shard owner at block end as a last-write-wins
 // update.
-func (s *ServedArray) Set(off int64, v float64) {
-	if _, ok := s.sets[off]; !ok {
-		s.setOffs = append(s.setOffs, off)
+func (s *ServedArray) Set(off int64, v float64) { s.setSlot(s.slot(off), v) }
+
+func (s *ServedArray) setSlot(i int32, v float64) {
+	if f := s.flags[i]; f&(slotSet|slotDelta) != slotSet {
+		if f&slotSet == 0 {
+			s.setSlots = append(s.setSlots, i)
+		}
+		if f&slotDelta != 0 {
+			// An absolute write supersedes any pending delta on the offset.
+			s.delta[i] = 0
+			s.updSlots = slices.DeleteFunc(s.updSlots, func(j int32) bool { return j == i })
+		}
+		s.flags[i] = f&^slotDelta | slotSet
 	}
-	s.sets[off] = v
-	// An absolute write supersedes any pending delta on the offset.
-	if _, ok := s.deltas[off]; ok {
-		delete(s.deltas, off)
-		s.updOffs = slices.DeleteFunc(s.updOffs, func(o int64) bool { return o == off })
+	s.set[i] = v
+}
+
+// run returns the first of the n consecutive slots that hold offsets
+// off, off+1, ..., off+n-1, or -1 when the block's table does not hold
+// them side by side (it is sorted, so a prefetched column does).
+func (s *ServedArray) run(off int64, n int) int32 {
+	i := s.idx.slot(off)
+	if last := int(i) + n - 1; i < 0 || n < 1 || last >= len(s.idx.offs) || s.idx.offs[last] != off+int64(n-1) {
+		return -1
 	}
+	return i
+}
+
+// ReadRun reads the elements at offsets off, off+1, ... into out, as
+// len(out) Reads would, when the block prefetched them all; otherwise
+// it reads nothing and reports false.
+func (s *ServedArray) ReadRun(off int64, out []float64) bool {
+	i := s.run(off, len(out))
+	if i < 0 {
+		return false
+	}
+	for k := range out {
+		out[k] = s.readSlot(i + int32(k))
+	}
+	return true
+}
+
+// SetRun writes in to the elements at offsets off, off+1, ..., as
+// len(in) Sets would, when the block prefetched them all; otherwise it
+// writes nothing and reports false.
+func (s *ServedArray) SetRun(off int64, in []float64) bool {
+	i := s.run(off, len(in))
+	if i < 0 {
+		return false
+	}
+	for k, v := range in {
+		s.setSlot(i+int32(k), v)
+	}
+	return true
 }
 
 // AccumAdd folds a value into this executor's accumulator instance.

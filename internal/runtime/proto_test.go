@@ -51,7 +51,8 @@ func TestMsgReset(t *testing.T) {
 }
 
 // startEcho serves one connection with the reusing recvInto/send pair,
-// echoing prefetch payloads back — the shape of servePeer's hot loop.
+// answering a prefetch with its values alone — the shape of servePeer's
+// hot loop.
 func startEcho(c *codec) chan struct{} {
 	done := make(chan struct{})
 	go func() {
@@ -64,7 +65,7 @@ func startEcho(c *codec) chan struct{} {
 			if in.Kind == MsgShutdown {
 				return
 			}
-			out = Msg{Kind: MsgPrefetchResp, Array: in.Array, Offsets: in.Offsets, Values: in.Values}
+			out = Msg{Kind: MsgPrefetchResp, Array: in.Array, Values: in.Values}
 			if err := c.send(&out); err != nil {
 				return
 			}
@@ -102,13 +103,12 @@ func TestRecvIntoReusesPayloadStorage(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		roundTrip()
 	}
-	if len(resp.Offsets) != 64 || len(resp.Values) != 64 {
-		t.Fatalf("echo payload came back with %d/%d elements", len(resp.Offsets), len(resp.Values))
+	if len(resp.Offsets) != 0 || len(resp.Values) != 64 {
+		t.Fatalf("the answer carries %d offsets and %d values, want 0 and 64", len(resp.Offsets), len(resp.Values))
 	}
-	off0 := &resp.Offsets[0]
 	val0 := &resp.Values[0]
 	allocs := testing.AllocsPerRun(100, roundTrip)
-	if &resp.Offsets[0] != off0 || &resp.Values[0] != val0 {
+	if &resp.Values[0] != val0 {
 		t.Fatal("recvInto reallocated the payload backing storage")
 	}
 	// The budget covers both ends of the pipe (client and echo server

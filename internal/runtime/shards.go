@@ -123,20 +123,15 @@ func (t *shardTable) ownerOf(off int64) int {
 	return sort.Search(len(t.boundaries), func(k int) bool { return t.boundaries[k] > last })
 }
 
-// byOwner groups offsets by owning executor, keeping their order, and
-// returns the owners ascending.
-func (t *shardTable) byOwner(offs []int64) (owners []int, chunks map[int][]int64) {
-	chunks = map[int][]int64{}
-	for _, off := range offs {
-		o := t.ownerOf(off)
-		chunk, seen := chunks[o]
-		if !seen {
-			owners = append(owners, o)
-		}
-		chunks[o] = append(chunk, off)
+// ownedRun returns the owner of the first of some ascending offsets and
+// how many of them, from the first, it owns.
+func (t *shardTable) ownedRun(offs []int64) (owner, n int) {
+	owner = t.ownerOf(offs[0])
+	if owner == len(t.boundaries) {
+		return owner, len(offs)
 	}
-	sort.Ints(owners)
-	return owners, chunks
+	n, _ = slices.BinarySearch(offs, t.boundaries[owner]*t.lastStride)
+	return owner, n
 }
 
 // at reads a flattened offset from the local shard.
