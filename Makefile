@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test benchmark-module race chaos soak bench-smoke exec-gate resident-gate trace-smoke adapt-smoke vet-examples fuzz bench-baseline bench-obs bench-vm bench-transport golden-plans golden-plans-check
+.PHONY: check fmt vet lint build test benchmark-module race chaos soak bench-smoke exec-gate resident-gate trace-smoke adapt-smoke vet-examples fuzz golden-plans golden-plans-check
 
 check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate resident-gate trace-smoke adapt-smoke golden-plans-check
 
@@ -58,13 +58,12 @@ soak:
 	ORION_SOAK=1 $(GO) test -race -run 'ChaosSoak' -v ./internal/driver
 
 # One iteration of every benchmark — catches bit-rotted benchmark code
-# without paying for real measurement. internal/bench also carries the
-# threshold tests over the committed BENCH_vm.json / BENCH_transport.json
-# baselines (run under `test`), so VM and transport regressions fail
-# `make check` twice over.
+# without paying for real measurement. internal/bench is not here: its
+# benchmarks are the live gates below, which exec-gate and resident-gate
+# run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x \
-		./internal/lang ./internal/dsm ./internal/runtime ./internal/bench
+		./internal/lang ./internal/dsm ./internal/runtime
 
 # Live ratio gate: an MF iteration inside a real 1-worker executor
 # against the same bytecode bound directly to the arrays, both timed in
@@ -102,25 +101,6 @@ trace-smoke:
 adapt-smoke:
 	$(GO) run ./cmd/orion-run -engine dsl -app mf -workers 3 -passes 5 \
 		-adapt -adapt-skew 2 -skew-demo 200 -adapt-assert-drop 0.3
-
-# Regenerate the committed interp-vs-compiled kernel baseline.
-bench-baseline:
-	ORION_BENCH_BASELINE=1 $(GO) test ./internal/lang -run TestWriteBenchBaseline -v
-
-# Regenerate the committed observability-overhead baseline.
-bench-obs:
-	$(GO) run ./cmd/orion-bench -obs-json BENCH_obs.json
-
-# Regenerate the committed loop-backend baseline (interp vs closure
-# compiler vs bytecode VM). TestVMBaselineThresholds gates the result.
-bench-vm:
-	$(GO) run ./cmd/orion-bench -vm-json BENCH_vm.json
-
-# Regenerate the committed rotation-transport baseline (gob blobs vs
-# the raw codec over pooled buffers). TestTransportBaselineThresholds
-# gates the result.
-bench-transport:
-	$(GO) run ./cmd/orion-bench -transport-json BENCH_transport.json
 
 # Vet every shipped example program; unsafe.orion is expected to fail.
 vet-examples:

@@ -24,36 +24,8 @@ func main() {
 		scale  = flag.String("scale", "default", "dataset scale: small | default")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
 		outDir = flag.String("csv", "", "also write each experiment's series as CSV files into this directory")
-		obsOut = flag.String("obs-json", "", "measure observability overhead, write the BENCH_obs.json baseline to this path, and exit")
-		vmOut  = flag.String("vm-json", "", "measure the loop backends, write the BENCH_vm.json baseline to this path, and exit")
-		trOut  = flag.String("transport-json", "", "measure the rotation transport, write the BENCH_transport.json baseline to this path, and exit")
 	)
 	flag.Parse()
-
-	if *obsOut != "" {
-		if err := bench.WriteObsBaseline(*obsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "obs baseline: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *obsOut)
-		return
-	}
-	if *vmOut != "" {
-		if err := bench.WriteVMBaseline(*vmOut); err != nil {
-			fmt.Fprintf(os.Stderr, "vm baseline: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *vmOut)
-		return
-	}
-	if *trOut != "" {
-		if err := bench.WriteTransportBaseline(*trOut); err != nil {
-			fmt.Fprintf(os.Stderr, "transport baseline: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *trOut)
-		return
-	}
 
 	if *list {
 		for _, id := range bench.ExperimentIDs() {

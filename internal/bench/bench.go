@@ -47,9 +47,6 @@ func Experiments() map[string]Runner {
 		"ablation-skew":     AblationSkew,
 		"ablation-dims":     AblationDims,
 		"ablation-pipeline": AblationPipeline,
-		"obs":               ObsOverhead,
-		"vm":                VMBackends,
-		"transport":         TransportRotation,
 	}
 }
 

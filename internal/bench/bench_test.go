@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"flag"
 	"strings"
 	"testing"
 )
@@ -10,15 +9,6 @@ import (
 // experiment at the small scale and checks that each produces a
 // non-empty report with no SHAPE MISMATCH markers.
 func TestAllExperimentsRunAtSmallScale(t *testing.T) {
-	// The obs, vm and transport entries ignore Scale: they time real
-	// code with testing.Benchmark, a second per measurement by default.
-	// One iteration each proves their measurement and report paths work;
-	// the numbers that matter are the committed BENCH_*.json baselines.
-	benchtime := flag.Lookup("test.benchtime")
-	defer flag.Set("test.benchtime", benchtime.Value.String())
-	if err := flag.Set("test.benchtime", "1x"); err != nil {
-		t.Fatal(err)
-	}
 	s := Small()
 	for _, id := range ExperimentIDs() {
 		id := id

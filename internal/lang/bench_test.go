@@ -1,10 +1,7 @@
 package lang
 
 import (
-	"encoding/json"
-	"math"
 	"math/rand"
-	"os"
 	"testing"
 
 	"orion/internal/dsm"
@@ -274,56 +271,10 @@ func (kb kernelBench) benchCompiled(b *testing.B) {
 }
 
 // BenchmarkKernelIteration: one loop-body iteration per op, each body
-// on both backends. The compiled/interp ratio is the speedup recorded
-// in BENCH_kernels.json (TestWriteBenchBaseline).
+// on both backends.
 func BenchmarkKernelIteration(b *testing.B) {
 	for _, kb := range kernelBenches() {
 		b.Run(kb.name+"/interp", kb.benchInterp)
 		b.Run(kb.name+"/compiled", kb.benchCompiled)
 	}
-}
-
-// TestWriteBenchBaseline regenerates BENCH_kernels.json at the repo
-// root. Gated behind an env var so `go test` stays fast and the
-// committed baseline stays stable:
-//
-//	ORION_BENCH_BASELINE=1 go test ./internal/lang -run TestWriteBenchBaseline
-func TestWriteBenchBaseline(t *testing.T) {
-	if os.Getenv("ORION_BENCH_BASELINE") == "" {
-		t.Skip("set ORION_BENCH_BASELINE=1 to regenerate BENCH_kernels.json")
-	}
-	type row struct {
-		Kernel            string  `json:"kernel"`
-		InterpNsPerIter   float64 `json:"interp_ns_per_iter"`
-		InterpAllocs      int64   `json:"interp_allocs_per_iter"`
-		CompiledNsPerIter float64 `json:"compiled_ns_per_iter"`
-		CompiledAllocs    int64   `json:"compiled_allocs_per_iter"`
-		Speedup           float64 `json:"speedup"`
-	}
-	var rows []row
-	for _, kb := range kernelBenches() {
-		ir := testing.Benchmark(kb.benchInterp)
-		cr := testing.Benchmark(kb.benchCompiled)
-		ins := float64(ir.T.Nanoseconds()) / float64(ir.N)
-		cns := float64(cr.T.Nanoseconds()) / float64(cr.N)
-		rows = append(rows, row{
-			Kernel:            kb.name,
-			InterpNsPerIter:   math.Round(ins*10) / 10,
-			InterpAllocs:      ir.AllocsPerOp(),
-			CompiledNsPerIter: math.Round(cns*10) / 10,
-			CompiledAllocs:    cr.AllocsPerOp(),
-			Speedup:           math.Round(ins/cns*100) / 100,
-		})
-	}
-	out, err := json.MarshalIndent(map[string]any{
-		"description": "steady-state per-iteration cost of DSL loop bodies: tree-walking interpreter vs closure-compiled backend (internal/lang BenchmarkKernelIteration)",
-		"kernels":     rows,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_kernels.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_kernels.json:\n%s", out)
 }

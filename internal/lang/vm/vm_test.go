@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"orion/internal/dsm"
 	"orion/internal/lang"
@@ -60,43 +61,91 @@ func bindMF(t testing.TB, p *Prog) (*Kernel, *dsm.DistArray, *dsm.DistArray) {
 	return k, w, h
 }
 
-// TestVMZeroAllocs: the acceptance criterion — a steady-state VM MF SGD
-// iteration performs zero allocations, both per-iteration and batched.
-func TestVMZeroAllocs(t *testing.T) {
-	p := compileMF(t)
-	k, _, _ := bindMF(t, p)
-	key := []int64{3, 7}
-	for i := 0; i < 4; i++ {
-		if err := k.RunIteration(key, 1.5); err != nil {
+// bindExample compiles a shipped example program and binds it to dense
+// arrays filled with small positive integers: valid 1-based topic
+// assignments for LDA, benign values elsewhere.
+func bindExample(t testing.TB, file string, globals map[string]float64) *Kernel {
+	t.Helper()
+	prog, err := lang.ParseProgram(exampleProgramSources(t)[file])
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	p, err := Compile(prog.Loop, &lang.CompileEnv{Arrays: prog.Env.Arrays, Buffers: prog.Env.Buffers, Globals: prog.Globals})
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	k := p.NewKernel()
+	rng := rand.New(rand.NewSource(17))
+	bound := map[string]*dsm.DistArray{}
+	for name, dims := range prog.Env.Arrays {
+		bound[name] = dsm.NewDense(name, dims...)
+		bound[name].Map(func(float64) float64 { return float64(1 + rng.Intn(6)) })
+		if err := k.BindArray(name, bound[name]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := k.RunIteration(key, 1.5); err != nil {
+	for name, target := range prog.Env.Buffers {
+		if err := k.BindBuffer(name, dsm.NewBuffer(bound[target], nil)); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("vm MF iteration allocates %v times, want 0", allocs)
 	}
+	for name, v := range globals {
+		if !k.SetGlobal(name, v) {
+			t.Fatalf("%s: %s is not a global", file, name)
+		}
+	}
+	k.SetRng(rand.New(rand.NewSource(99)))
+	return k
+}
 
-	keys := [][]int64{{3, 7}, {4, 9}, {1, 2}, {3, 7}}
-	vals := []float64{1.5, 2, 0.5, 1.5}
-	allocs = testing.AllocsPerRun(200, func() {
-		if n, err := k.RunBlock(keys, vals, nil); err != nil || n != len(keys) {
-			t.Fatalf("RunBlock: n=%d err=%v", n, err)
+// TestVMZeroAllocs: the acceptance criterion — a steady-state VM
+// iteration of the MF, LDA and SLR bodies performs zero allocations,
+// both per-iteration and batched.
+func TestVMZeroAllocs(t *testing.T) {
+	mf, _, _ := bindMF(t, compileMF(t))
+	lda := bindExample(t, "lda.orion", map[string]float64{"K": 6, "alpha": 0.5, "beta": 0.1, "vbeta": 8})
+	slr := bindExample(t, "slr.orion", map[string]float64{"step_size": 0.05})
+	for _, tc := range []struct {
+		name string
+		k    *Kernel
+		keys [][]int64
+		vals []float64
+	}{
+		{"MF", mf, [][]int64{{3, 7}, {4, 9}, {1, 2}, {3, 7}}, []float64{1.5, 2, 0.5, 1.5}},
+		{"LDA", lda, [][]int64{{3, 7}, {4, 9}, {1, 2}, {3, 7}}, []float64{1, 1, 1, 1}},
+		{"SLR", slr, [][]int64{{5}, {6}, {7}, {5}}, []float64{0.73, 0.21, 0.5, 0.73}},
+	} {
+		k, key, val := tc.k, tc.keys[0], tc.vals[0]
+		for i := 0; i < 4; i++ {
+			if err := k.RunIteration(key, val); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("vm MF block allocates %v times, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := k.RunIteration(key, val); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("vm %s iteration allocates %v times, want 0", tc.name, allocs)
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			if n, err := k.RunBlock(tc.keys, tc.vals, nil); err != nil || n != len(tc.keys) {
+				t.Fatalf("%s RunBlock: n=%d err=%v", tc.name, n, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("vm %s block allocates %v times, want 0", tc.name, allocs)
+		}
 	}
 }
 
-// TestVMSpeedupOverClosure: the VM's fused dense paths must beat the
-// closure backend on the MF body. The committed BENCH_vm.json gate
-// asserts >= 2x; here we assert a conservative 1.3x so CI noise cannot
-// flake a unit test that runs on every push.
-func TestVMSpeedupOverClosure(t *testing.T) {
+// TestVMSpeedupOverInterpreter: the VM must beat the tree-walking
+// interpreter, the executor's only other backend, by >= 3x on the MF
+// body. Both are timed here, in alternating rounds with each side
+// keeping its fastest, so a slow host slows both; the ratio reads about
+// 30x, so noise cannot carry it across the bar.
+func TestVMSpeedupOverInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
 	}
@@ -104,55 +153,32 @@ func TestVMSpeedupOverClosure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cenv := &lang.CompileEnv{
-		Arrays: map[string][]int64{
-			"ratings": {100, 100}, "W": {16, 100}, "H": {16, 100},
-		},
-		Globals: []string{"step_size"},
-	}
-	cl, err := lang.CompileLoop(loop, cenv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := cl.NewKernel()
-	p := compileMF(t)
-	vk, _, _ := bindMF(t, p)
-	for name, dims := range cenv.Arrays {
-		var a *dsm.DistArray
-		if name == "ratings" {
-			a = dsm.NewSparse(name, dims...)
-		} else {
-			a = dsm.NewDense(name, dims...)
-		}
-		if err := ck.BindArray(name, a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ck.SetGlobal("step_size", 0.01)
+	vk, _, _ := bindMF(t, compileMF(t))
+	m := lang.NewMachine()
+	m.Arrays["ratings"] = dsm.NewSparse("ratings", 100, 100)
+	m.Arrays["W"], m.Arrays["H"] = dsm.NewDense("W", 16, 100), dsm.NewDense("H", 16, 100)
+	m.Globals["step_size"] = 0.01
 	key := []int64{3, 7}
 
-	vmRes := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := vk.RunIteration(key, 1.5); err != nil {
-				b.Fatal(err)
+	const rounds, iters = 5, 2000
+	nsPerIter := func(iteration func() error) float64 {
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			if err := iteration(); err != nil {
+				t.Fatal(err)
 			}
 		}
-	})
-	clRes := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := ck.RunIteration(key, 1.5); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	vn, cn := vmRes.NsPerOp(), clRes.NsPerOp()
-	if vn <= 0 || cn <= 0 {
-		t.Skipf("timer resolution too coarse: vm %d ns, closure %d ns", vn, cn)
+		return float64(time.Since(start)) / iters
 	}
-	if float64(cn) < 1.3*float64(vn) {
-		t.Fatalf("vm backend is not >=1.3x faster: closure %d ns/iter, vm %d ns/iter", cn, vn)
+	vmNs, interpNs := math.Inf(1), math.Inf(1)
+	for r := 0; r < rounds; r++ {
+		vmNs = min(vmNs, nsPerIter(func() error { return vk.RunIteration(key, 1.5) }))
+		interpNs = min(interpNs, nsPerIter(func() error { return m.RunIteration(loop, key, 1.5) }))
 	}
-	t.Logf("closure %d ns/iter, vm %d ns/iter (%.1fx)", cn, vn, float64(cn)/float64(vn))
+	if interpNs < 3*vmNs {
+		t.Fatalf("vm backend is not >= 3x faster: interpreter %.0f ns/iter, vm %.0f ns/iter", interpNs, vmNs)
+	}
+	t.Logf("interpreter %.0f ns/iter, vm %.0f ns/iter (%.1fx)", interpNs, vmNs, interpNs/vmNs)
 }
 
 // TestRunBlockStopsAtFault: a mid-block fault reports the number of

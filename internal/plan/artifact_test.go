@@ -3,8 +3,12 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"orion/internal/dep"
 	"orion/internal/ir"
@@ -28,7 +32,11 @@ func mfSpec() *ir.LoopSpec {
 // mfArtifact builds a 2D artifact through the real pipeline.
 func mfArtifact(t *testing.T, workers int, spaceW, timeW []int64) *Artifact {
 	t.Helper()
-	spec := mfSpec()
+	return buildArtifact(t, mfSpec(), workers, spaceW, timeW)
+}
+
+func buildArtifact(t *testing.T, spec *ir.LoopSpec, workers int, spaceW, timeW []int64) *Artifact {
+	t.Helper()
 	opts := sched.DefaultOptions()
 	opts.ArrayBytes = map[string]int64{"W": 1000, "H": 100}
 	deps, err := dep.Analyze(spec)
@@ -171,6 +179,42 @@ func TestWeightsDigest(t *testing.T) {
 	if len(a) != 16 {
 		t.Errorf("digest length = %d, want 16", len(a))
 	}
+}
+
+// TestRecutLatency: an adaptive reconfiguration recuts at a quiesced
+// loop boundary, so its budget is latency: re-balancing a 4096 x 4096
+// iteration space's skewed histograms over 16 workers must stay under
+// 2 ms (the fastest of five, timed here; it reads tens of
+// microseconds), which catches a recut that turns superlinear.
+func TestRecutLatency(t *testing.T) {
+	const coords, workers = 4096, 16
+	spec := mfSpec()
+	spec.Dims = []int64{coords, coords}
+	rng := rand.New(rand.NewSource(41))
+	spaceW, timeW := make([]int64, coords), make([]int64, coords)
+	for i := range spaceW {
+		spaceW[i], timeW[i] = int64(1+rng.Intn(64)), int64(1+rng.Intn(64))
+	}
+	art := buildArtifact(t, spec, workers, nil, nil)
+	digest := WeightsDigest(spaceW, timeW)
+	fastest := time.Duration(math.MaxInt64)
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		cut, err := art.Recut(spaceW, timeW, workers, workers, digest)
+		if d := time.Since(start); d < fastest {
+			fastest = d
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cut.Space.Parts != workers || cut.Time.Parts != workers || slices.Equal(cut.Space.Cuts, art.Space.Cuts) {
+			t.Fatalf("recut onto skewed weights left the cuts at %v x %v", cut.Space.Cuts, cut.Time.Cuts)
+		}
+	}
+	if fastest >= 2*time.Millisecond {
+		t.Errorf("recut of %d x %d coordinates over %d workers takes %v, budget is < 2ms", coords, coords, workers, fastest)
+	}
+	t.Logf("recut of %d x %d coordinates over %d workers: %v", coords, coords, workers, fastest)
 }
 
 func TestPartitionValidate(t *testing.T) {

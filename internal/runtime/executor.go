@@ -820,8 +820,11 @@ func (e *Executor) fetchOne(array string, off int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if resp.Kind != MsgPrefetchResp || len(resp.Values) != 1 {
-		return 0, fmt.Errorf("runtime: bad single-fetch response from shard owner %d", o)
+	if resp.Kind != MsgPrefetchResp {
+		return 0, fmt.Errorf("runtime: executor %d: shard owner %d: %s", e.id, o, resp.Err)
+	}
+	if len(resp.Values) != 1 {
+		return 0, fmt.Errorf("runtime: executor %d: shard owner %d answered %d values for one offset", e.id, o, len(resp.Values))
 	}
 	return resp.Values[0], nil
 }

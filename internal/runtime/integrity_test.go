@@ -283,6 +283,69 @@ func TestServeUpdateDuplicateDeliveryIdempotent(t *testing.T) {
 	}
 }
 
+// TestShardOwnerRejectsMalformedRequests: a shard owner answers a
+// peer's malformed read or update with MsgError — it does not panic on
+// its serving goroutine, stage a batch that panics at the next fold, or
+// change its shard — and goes on serving the same connection. The
+// requester's shard table is deliberately wrong about who owns what, so
+// its requests reach an owner of w[0:4) that a correct one never sends.
+func TestShardOwnerRejectsMalformedRequests(t *testing.T) {
+	tr := NewInProc()
+	ln, err := tr.Listen("malformed-owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := loneExecutor(tr, 8, 4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		owner.servePeer(newCodec(conn))
+	}()
+	req := loneExecutor(tr, 8, 1, "", "malformed-owner")
+
+	for i, tc := range []struct {
+		name string
+		msg  Msg
+	}{
+		{"read past the end of the array", Msg{Kind: MsgPrefetch, Offsets: []int64{1, 99}}},
+		{"read of an offset another owner holds", Msg{Kind: MsgPrefetch, Offsets: []int64{6}}},
+		{"update with more offsets than values", Msg{Kind: MsgUpdateBatch, Offsets: []int64{1, 2}, Values: []float64{1}}},
+		{"update past the end of the array", Msg{Kind: MsgUpdateBatch, Offsets: []int64{8}, Values: []float64{1}}},
+	} {
+		tc.msg.Array, tc.msg.ExecutorID, tc.msg.Epoch = "w", 1, int64(i+1)
+		resp, err := req.shardRPC(1, &tc.msg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.Kind != MsgError || resp.Err == "" {
+			t.Errorf("%s: the owner answered %v (%q), want MsgError", tc.name, resp.Kind, resp.Err)
+		}
+		// A read from a later epoch folds whatever was staged.
+		resp, err = req.shardRPC(1, &Msg{Kind: MsgPrefetch, Array: "w", Offsets: []int64{1, 2, 3}, Epoch: int64(i + 2)})
+		if err != nil || resp.Kind != MsgPrefetchResp || len(resp.Values) != 3 {
+			t.Fatalf("%s: the next well-formed read got %+v, %v", tc.name, resp, err)
+		}
+		for j, v := range resp.Values {
+			if want := float64(j+1)*0.25 - 1; v != want {
+				t.Errorf("%s: w[%d] = %v afterwards, want %v", tc.name, j+1, v, want)
+			}
+		}
+	}
+
+	// The single-offset miss path reports the owner's reason, not just
+	// that the answer was bad.
+	if _, err := req.fetchOne("w", 6); err == nil || !strings.Contains(err.Error(), "outside the local shard") {
+		t.Errorf("fetchOne of an offset its owner does not hold: %v", err)
+	}
+	req.shards.closeAll()
+	ln.Close()
+	<-done
+}
+
 // FuzzDecodeFrame drives the hardened frame decoder with arbitrary
 // byte streams: it must return an error or a valid message — never
 // panic, never hang, never allocate at a forged header's claimed size.

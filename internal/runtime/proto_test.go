@@ -196,8 +196,10 @@ func TestRawRotationRoundTrip(t *testing.T) {
 }
 
 // TestRawRotationAllocs: steady-state raw rotation round trips must not
-// allocate per rotated partition beyond a tiny fixed budget — the whole
-// point of the pooled raw codec over per-message gob blobs.
+// allocate per rotated partition beyond a tiny fixed budget, and must
+// allocate at least 5x less than shipping the same partition as a
+// per-message gob blob — the whole point of the pooled raw codec. Both
+// paths are counted here, over one codec pair.
 func TestRawRotationAllocs(t *testing.T) {
 	clientConn, serverConn := net.Pipe()
 	defer clientConn.Close()
@@ -208,24 +210,42 @@ func TestRawRotationAllocs(t *testing.T) {
 	a := dsm.NewDense("w", 6, 128)
 	p := a.ExtractRange(1, 0, 128)
 	var in Msg
-	roundTrip := func() {
-		go cc.sendRotation("w", p)
-		if err := sc.recvInto(&in); err != nil {
-			t.Fatal(err)
+	// Each leg ships p and receives it as far as the frame the
+	// executor's install step starts from; the gob leg does not even
+	// decode its blob.
+	allocsPerTrip := func(ship func()) float64 {
+		roundTrip := func() {
+			go ship()
+			if err := sc.recvInto(&in); err != nil {
+				t.Fatal(err)
+			}
+			if in.Raw {
+				bufpool.PutF64(in.Values)
+				in.Values = nil
+			}
 		}
-		bufpool.PutF64(in.Values)
-		in.Values = nil
+		for i := 0; i < 3; i++ {
+			roundTrip()
+		}
+		return testing.AllocsPerRun(100, roundTrip)
 	}
-	for i := 0; i < 3; i++ {
-		roundTrip()
-	}
-	allocs := testing.AllocsPerRun(100, roundTrip)
+	raw := allocsPerTrip(func() { cc.sendRotation("w", p) })
+	gob := allocsPerTrip(func() {
+		blob, err := p.Encode()
+		if err != nil {
+			t.Error(err)
+		}
+		cc.send(&Msg{Kind: MsgRotate, Array: "w", PartBlob: blob})
+	})
 	// Budget: the sender goroutine itself, the pool's Put indirection,
-	// and net.Pipe scheduling — but no payload-sized allocations. The
-	// gob partition path costs >40 objects per rotation at this size.
-	if allocs > 8 {
-		t.Fatalf("raw rotation round trip allocates %.0f objects, want <= 8", allocs)
+	// and net.Pipe scheduling — but no payload-sized allocations.
+	if raw > 8 {
+		t.Errorf("raw rotation round trip allocates %.0f objects, want <= 8", raw)
 	}
+	if gob < 5*raw {
+		t.Errorf("raw rotation allocates %.0f objects per round trip against gob's %.0f, want >= 5x fewer", raw, gob)
+	}
+	t.Logf("allocations per rotated partition: raw %.0f, gob %.0f", raw, gob)
 }
 
 // BenchmarkPeerRoundTrip measures the reusing codec path end to end

@@ -8,13 +8,14 @@ import (
 	"orion/internal/runtime/bufpool"
 )
 
-// RotationBench exposes the peer codec's rotation paths to
-// internal/bench without exporting the codec itself: a client/server
-// codec pair over an in-memory pipe, the client end wrapped in the same
-// countingConn production ring links use (so BytesSent is the true wire
-// size, framing included), and a sink goroutine performing the
-// receive-side work servePeer plus the executor's install step do per
-// rotated partition.
+// RotationBench exposes the peer codec's rotation paths to the
+// benchmark harness (benchmark/standalone.go times
+// runtime.rotation_mb_per_s through it) without exporting the codec
+// itself: a client/server codec pair over an in-memory pipe, the client
+// end wrapped in the same countingConn production ring links use (so
+// BytesSent is the true wire size, framing included), and a sink
+// goroutine performing the receive-side work servePeer plus the
+// executor's install step do per rotated partition.
 type RotationBench struct {
 	cc, sc *codec
 	stats  *obs.PeerStats

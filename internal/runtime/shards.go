@@ -134,6 +134,21 @@ func (t *shardTable) ownedRun(offs []int64) (owner, n int) {
 	return owner, n
 }
 
+// checkLocal rejects a request naming an offset outside the local
+// shard. A shard is a range of the last dimension, so what it holds is
+// one run of flattened offsets, itself inside [0, product of dims):
+// whatever a peer sends is refused here, before it can reach the shard's
+// own bounds check, which panics.
+func (t *shardTable) checkLocal(offs []int64) error {
+	lo, hi := t.local.Lo*t.lastStride, t.local.Hi*t.lastStride
+	for _, off := range offs {
+		if off < lo || off >= hi {
+			return fmt.Errorf("offset %d is outside the local shard [%d,%d)", off, lo, hi)
+		}
+	}
+	return nil
+}
+
 // at reads a flattened offset from the local shard.
 func (t *shardTable) at(off int64) float64 {
 	idx := unflatten(t.dims, off)
@@ -210,6 +225,9 @@ func (s *shardSet) serveRead(array string, offs []int64, epoch int64) ([]float64
 	if t == nil || t.local == nil {
 		return nil, fmt.Errorf("runtime: executor %d serves no shard of %q", s.selfID, array)
 	}
+	if err := t.checkLocal(offs); err != nil {
+		return nil, fmt.Errorf("runtime: executor %d: read of %q: %v", s.selfID, array, err)
+	}
 	t.fold(epoch)
 	out := make([]float64, len(offs))
 	for i, off := range offs {
@@ -232,6 +250,12 @@ func (s *shardSet) serveUpdate(array string, src int, offs []int64, vals []float
 	t := s.tables[array]
 	if t == nil || t.local == nil {
 		return fmt.Errorf("runtime: executor %d serves no shard of %q", s.selfID, array)
+	}
+	if len(offs) != len(vals) {
+		return fmt.Errorf("runtime: executor %d: update of %q carries %d offsets and %d values", s.selfID, array, len(offs), len(vals))
+	}
+	if err := t.checkLocal(offs); err != nil {
+		return fmt.Errorf("runtime: executor %d: update of %q: %v", s.selfID, array, err)
 	}
 	t.stage(stagedUpdate{
 		src:      src,
