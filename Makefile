@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test benchmark-module race chaos soak bench-smoke exec-gate resident-gate trace-smoke adapt-smoke vet-examples fuzz golden-plans golden-plans-check
+.PHONY: check fmt vet lint build test loc benchmark-module race chaos soak bench-smoke exec-gate resident-gate trace-smoke adapt-smoke vet-examples fuzz golden-plans golden-plans-check
 
 check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate resident-gate trace-smoke adapt-smoke golden-plans-check
 
@@ -28,6 +28,13 @@ build:
 test:
 	$(GO) test ./...
 
+# The two line counts the north star tracks: Go outside benchmark/,
+# non-test and test.
+loc:
+	@printf 'non-test %s\ntest     %s\n' \
+		"$$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l)" \
+		"$$(find . -name '*.go' -not -path './benchmark/*' -name '*_test.go' | xargs cat | wc -l)"
+
 # The end-to-end benchmark harness (BENCHMARK.json, benchmark/README.md)
 # is its own module that reaches the internal packages through a replace
 # directive, so the root ./... never sees it — this is the only guard
@@ -43,8 +50,9 @@ race:
 		./internal/dslkernel/... ./internal/obs
 
 # The seeded fault-injection suite: scripted connection failures at
-# chosen loop clocks, recovery from coordinated checkpoints, and
-# bitwise comparison against fault-free runs — under the race detector.
+# chosen loop clocks, recovery from coordinated checkpoints, bitwise
+# comparison against fault-free runs, and a worker blackholed between
+# loops failing every master wait — under the race detector.
 chaos:
 	$(GO) test -race -run 'Chaos' ./internal/runtime ./internal/driver
 

@@ -114,10 +114,6 @@ func (s *SLR) AvgNNZ() float64 {
 	return float64(t) / float64(len(s.ds.Features))
 }
 
-// Dataset exposes the underlying data (for the runtime prefetch
-// example).
-func (s *SLR) Dataset() *data.Logistic { return s.ds }
-
 // LoopSpec implements engine.App: runtime subscripts on the weights;
 // writes buffered.
 func (s *SLR) LoopSpec() *ir.LoopSpec {

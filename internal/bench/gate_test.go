@@ -103,7 +103,7 @@ func BenchmarkExecutorVsDirectKernel(b *testing.B) {
 		GlobalNames: []string{"step_size"}, GlobalVals: []float64{0.001}, Backend: "vm"}
 	for _, err := range []error{
 		m.DistributeLocal(ew, 1, nil),
-		m.DistributeRotated(eh, 1, nil),
+		m.DistributeRotatedAt(eh, 1, nil, 0),
 		m.DistributeIterSpace(samples, 0, one(rows)),
 		m.DefineLoop(def),
 	} {

@@ -70,20 +70,6 @@ type Detail struct {
 	pairAtoms []GuardAtom // one sufficient atom per guardable pair
 }
 
-// CausesOf returns the causes that produced a vector equal to v.
-func (d *Detail) CausesOf(v Vector) []Cause {
-	var out []Cause
-	for _, c := range d.Causes {
-		for _, cv := range c.Vecs {
-			if cv.Equal(v) {
-				out = append(out, c)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // AnalyzeDetail is Analyze, additionally reporting which reference
 // pairs produced each vector and which write-write conflicts were
 // assumed commutative.

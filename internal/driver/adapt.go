@@ -100,14 +100,14 @@ func (s *Session) Shrink(m int) error {
 	return nil
 }
 
-// maybeRecut is the adaptive trigger at one quiesced boundary: analyze
+// recut is the adaptive trigger at one quiesced boundary: analyze
 // the finished segment's report delta, and re-cut the artifact's
 // partitions from the measured weight profile when skew reaches the
 // threshold. The artifact keeps its content hash and guard — only the
 // materialized cuts and the weights digest move — and the digest is
 // set to the *raw* iteration-count digest so the next attempt's
 // partitioner reuse check adopts the new cuts.
-func (s *Session) maybeRecut(e *compiledLoop, kernel string, delta *obs.LoopReport, at resumePos) error {
+func (s *Session) recut(e *compiledLoop, kernel string, delta *obs.LoopReport, at resumePos) error {
 	res := analyze.Loop(delta, nil, analyze.Options{SkewThreshold: s.adaptSkew})
 	dec := AdaptDecision{Loop: kernel, Pass: at.pass, SkewIndex: res.SkewIndex}
 	defer func() { s.adaptTrail = append(s.adaptTrail, dec) }()
@@ -117,7 +117,7 @@ func (s *Session) maybeRecut(e *compiledLoop, kernel string, delta *obs.LoopRepo
 		threshold = 1.5
 	}
 	if res.SkewIndex < threshold || len(delta.Workers) < 2 ||
-		e.art == nil || e.art.Space.IsZero() || s.lastSpacePart == nil {
+		e.art.Space.IsZero() || s.lastSpacePart == nil {
 		return nil
 	}
 	profile := analyze.Weights(delta)

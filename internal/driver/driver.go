@@ -90,9 +90,9 @@ type Session struct {
 	// an elastic fleet grow, shrinkTarget arms a planned shrink at the
 	// next loop entry, adaptProfile lets tests inject a deterministic
 	// weight profile, and adaptTrail records decisions.
-	// lastSpacePart/lastTimePart stash the executable partitioners of
-	// the most recent attempt, mapping coordinates to the workers that
-	// owned them in the profiled segment.
+	// lastSpacePart is the space partitioner of the most recent attempt,
+	// mapping coordinates to the workers that owned them in the profiled
+	// segment.
 	adaptEnabled  bool
 	adaptSkew     float64
 	adaptProfile  func(kernel string, delta *obs.LoopReport) *analyze.WeightProfile
@@ -100,7 +100,6 @@ type Session struct {
 	growTarget    int
 	shrinkTarget  int
 	lastSpacePart *sched.Partitioner
-	lastTimePart  *sched.Partitioner
 
 	// resident records the iteration space the fleet holds (exec.go).
 	resident *iterSpace
@@ -148,16 +147,7 @@ func NewLocalSessionOver(tr runtime.Transport, masterAddr, peerAddr string, n in
 		}
 		return e.Start(), nil
 	}
-	ready := make(chan error, 1)
-	go func() { ready <- m.WaitForExecutors() }()
-	for i := 0; i < n; i++ {
-		done, err := s.spawnExec(i)
-		if err != nil {
-			return nil, err
-		}
-		s.execDone = append(s.execDone, done)
-	}
-	if err := <-ready; err != nil {
+	if err := s.bringUp(n); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -432,10 +422,8 @@ func (s *Session) ParallelFor(src string, options ...Option) (*sched.Plan, error
 	// catching this here gives a clear error instead of a worker-side
 	// kernel failure.
 	accums := map[string]bool{}
-	if loopAccs := lang.Accumulators(e.loop); loopAccs != nil {
-		for _, a := range loopAccs {
-			accums[a] = true
-		}
+	for _, a := range lang.Accumulators(e.loop) {
+		accums[a] = true
 	}
 	for _, v := range e.spec.Inherited {
 		if _, ok := s.globals[v]; !ok && !accums[v] {

@@ -9,7 +9,6 @@ import (
 	"orion/internal/ir"
 	"orion/internal/lang"
 	"orion/internal/obs"
-	"orion/internal/plan"
 	"orion/internal/runtime"
 	"orion/internal/sched"
 )
@@ -42,23 +41,13 @@ func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
 			StartStep: start.step,
 			StopPass:  stopPass,
 		}
-		pl := e.plan
-		var rotatePart *sched.Partitioner
-		phase := 0
 		if e.plan.Kind == sched.TwoD {
 			def.TimeDim, def.TimePart = e.plan.TimeDim, timePart
-			if ordered {
-				def.Ordered = true
-				pl = servedNotRotated(e.plan)
-			} else {
-				def.Rotate = true
-				// Rotated arrays start at the resume step's ring phase,
-				// so a mid-pass resume reproduces the faulted run's
-				// placement.
-				rotatePart, phase = timePart, start.step
-			}
+			def.Ordered, def.Rotate = ordered, !ordered
 		}
-		gathered, err := s.placeArrays(e.spec, pl, spacePart, rotatePart, phase)
+		// Whatever the placement rotates starts at the resume step's ring
+		// phase, so a mid-pass resume reproduces the faulted run's.
+		gathered, err := s.placeArrays(e.spec, e.placed, spacePart, timePart, start.step)
 		if err != nil {
 			return nil, err
 		}
@@ -73,53 +62,18 @@ func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
 	})
 }
 
-// servedNotRotated copies a plan with every rotated array served
-// instead — the placement ordered wavefront execution needs.
-func servedNotRotated(pl *sched.Plan) *sched.Plan {
-	out := *pl
-	out.Arrays = make([]sched.ArrayPlan, len(pl.Arrays))
-	for i, ap := range pl.Arrays {
-		if ap.Place == sched.Rotated {
-			ap.Place = sched.Served
-		}
-		out.Arrays[i] = ap
-	}
-	return &out
-}
-
 // partitioners returns the executable space/time partitioners for this
-// run. The artifact already carries the histogram-balanced cuts
-// materialized at plan time; they are reused as long as the current
-// data still matches the weights they were balanced on (the artifact's
-// WeightsDigest). A fleet that shrank in recovery reuses the same cuts
-// coalesced onto the survivors (Partition.MergeTo); if the data
-// drifted — arrays mutate between ParallelFor calls — the partitions
-// are re-balanced here (counted as plan.repartition) without
-// re-running analysis or planning.
+// run: the artifact's materialized cuts while they still fit the data
+// and the fleet (plan.Artifact.Partitioners), a fresh balancing —
+// counted as plan.repartition — otherwise.
 func (s *Session) partitioners(e *compiledLoop, spaceW, timeW []int64) (spacePart, timePart *sched.Partitioner) {
-	// Stash whatever partitioners this attempt runs with: the adaptive
-	// trigger maps each coordinate back to the worker that owned it in
-	// the profiled segment through them (adapt.go).
-	defer func() { s.lastSpacePart, s.lastTimePart = spacePart, timePart }()
-
-	if art := e.art; art != nil && !art.Space.IsZero() && art.Space.Parts >= s.n &&
-		art.WeightsDigest == plan.WeightsDigest(spaceW, timeW) {
-		space, tm := art.Space.MergeTo(s.n), art.Time.MergeTo(s.n)
-		if sp, err := space.Partitioner(); err == nil {
-			if timeW == nil {
-				return sp, nil
-			}
-			if tp, err := tm.Partitioner(); err == nil {
-				return sp, tp
-			}
-		}
+	spacePart, timePart, reused := e.art.Partitioners(spaceW, timeW, s.n, s.n)
+	if !reused {
+		obs.GetCounter("plan.repartition").Inc()
 	}
-
-	obs.GetCounter("plan.repartition").Inc()
-	spacePart = plan.BalancedPartitioner(spaceW, s.n)
-	if timeW != nil {
-		timePart = plan.BalancedPartitioner(timeW, s.n)
-	}
+	// The adaptive trigger maps each coordinate back to the worker that
+	// owned it in the profiled segment through this (adapt.go).
+	s.lastSpacePart = spacePart
 	return spacePart, timePart
 }
 
@@ -197,7 +151,7 @@ func (s *Session) coordCounts(e *compiledLoop) (spaceW, timeW []int64) {
 // part, which they already do when this session shipped exactly that
 // and nobody has shipped or re-formed the fleet since.
 func (s *Session) shipIterSpace(e *compiledLoop, r *iterSpace, samples []runtime.IterSample, part *sched.Partitioner) error {
-	cuts, epoch := boundariesOf(part, s.n), s.master.IterSpaceEpoch()
+	cuts, epoch := part.Boundaries(), s.master.IterSpaceEpoch()
 	reason := r.stale
 	switch {
 	case reason != "":
@@ -258,28 +212,24 @@ func (s *Session) placeArrays(spec *ir.LoopSpec, pl *sched.Plan,
 		if !ok {
 			return nil, fmt.Errorf("driver: loop references unknown array %q", ap.Array)
 		}
+		var err error
 		switch ap.Place {
 		case sched.Local:
-			if err := s.master.DistributeLocal(arr, ap.PartDim, boundariesOf(spacePart, s.n)); err != nil {
-				return nil, err
-			}
-			gathered = append(gathered, ap.Array)
+			err = s.master.DistributeLocal(arr, ap.PartDim, spacePart.Boundaries())
 		case sched.Rotated:
 			if timePart == nil {
 				return nil, fmt.Errorf("driver: plan rotates %q but the loop is 1D", ap.Array)
 			}
-			if err := s.master.DistributeRotatedAt(arr, ap.PartDim, boundariesOf(timePart, s.n), phase); err != nil {
-				return nil, err
-			}
-			gathered = append(gathered, ap.Array)
+			err = s.master.DistributeRotatedAt(arr, ap.PartDim, timePart.Boundaries(), phase)
 		case sched.Served:
 			// Shard the array across the executors (peer-to-peer
 			// parameter serving); gather merges the shards back.
-			if err := s.master.DistributeServed(arr); err != nil {
-				return nil, err
-			}
-			gathered = append(gathered, ap.Array)
+			err = s.master.DistributeServed(arr)
 		}
+		if err != nil {
+			return nil, err
+		}
+		gathered = append(gathered, ap.Array)
 	}
 	return gathered, nil
 }
@@ -293,15 +243,6 @@ func (s *Session) gather(names []string) error {
 		s.arrays[name] = a
 	}
 	return nil
-}
-
-func boundariesOf(p *sched.Partitioner, n int) []int64 {
-	out := make([]int64, 0, n-1)
-	for k := 0; k < n-1; k++ {
-		_, hi := p.Bounds(k)
-		out = append(out, hi)
-	}
-	return out
 }
 
 // nextLoopName mints the kernel name for one ParallelFor call. Recovery
@@ -353,10 +294,8 @@ func (s *Session) defineLoopAs(e *compiledLoop, name string) error {
 		Loop: name, Pass: -1, Step: -1, Worker: -1,
 		Detail: backend,
 	})
-	if e.art != nil {
-		e.art.Backend = backend
-		def.PlanBlob = e.art.EncodeBinary()
-	}
+	e.art.Backend = backend
+	def.PlanBlob = e.art.EncodeBinary()
 
 	if err := s.master.DefineLoop(def); err != nil {
 		return err

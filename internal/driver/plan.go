@@ -25,7 +25,10 @@ type compiledLoop struct {
 	spec *ir.LoopSpec
 	deps *dep.Set
 	plan *sched.Plan
-	art  *plan.Artifact
+	// placed is the placement the loop executes under: plan, except that
+	// an ordered 2D loop serves what plan rotates (sched.Plan.ForOrdered).
+	placed *sched.Plan
+	art    *plan.Artifact
 	// guard, when non-nil, makes plan conditional: the synthesized
 	// runtime predicate (ORN203) is evaluated against the session's
 	// globals at dispatch, and a failure demotes the loop to a serial
@@ -93,7 +96,7 @@ func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 	}
 	if s.planDisk != nil {
 		if art := s.planDisk.Get(key); art != nil {
-			if e, err := s.entryFromArtifact(art); err == nil {
+			if e, err := s.entryFromArtifact(art, ordered); err == nil {
 				obs.GetCounter("driver.plan_reuse").Inc()
 				s.recordPlanEvent("plan.cache.hit", e, "disk artifact")
 				s.planMem[key] = e
@@ -111,7 +114,7 @@ func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 	}
 	s.recordPlanEvent("plan.cache.miss", e, "compiled")
 	s.planMem[key] = e
-	if s.planDisk != nil && e.art != nil && !e.diags.HasErrors() {
+	if s.planDisk != nil && !e.diags.HasErrors() {
 		s.planDisk.Put(key, e.art)
 	}
 	return e, err
@@ -121,13 +124,9 @@ func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 // keyed by the loop's declared name (kernel names are minted later, at
 // dispatch).
 func (s *Session) recordPlanEvent(kind string, e *compiledLoop, detail string) {
-	loop := ""
-	if e != nil && e.spec != nil {
-		loop = e.spec.Name
-	}
 	obs.Flight().Record(obs.FlightEvent{
 		Kind: kind, Clock: s.master.Clock(),
-		Loop: loop, Pass: -1, Step: -1, Worker: -1,
+		Loop: e.spec.Name, Pass: -1, Step: -1, Worker: -1,
 		Detail: detail,
 	})
 }
@@ -150,6 +149,7 @@ func (s *Session) compile(src string, ordered bool) (*compiledLoop, error) {
 		spec:     res.Spec,
 		deps:     res.Deps(),
 		plan:     res.Plan,
+		placed:   placementFor(res.Plan, ordered),
 		diags:    append(diag.List(nil), res.Diags...),
 		evidence: blockingEvidence(res),
 		guard:    res.Guard,
@@ -163,7 +163,7 @@ func (s *Session) compile(src string, ordered bool) (*compiledLoop, error) {
 		Workers:   s.n,
 		TimeParts: s.n,
 		LoopSrc:   e.loop.String(),
-		Prefetch:  s.prefetchSpec(e, ordered),
+		Prefetch:  s.prefetchSpec(e),
 		Guard:     res.Guard,
 	}
 	// Partition weights come from the session's current data; the
@@ -181,24 +181,20 @@ func (s *Session) compile(src string, ordered bool) (*compiledLoop, error) {
 	return e, err
 }
 
+// placementFor is the placement a loop planned as pl executes under
+// (only a 2D plan rotates anything for ForOrdered to serve).
+func placementFor(pl *sched.Plan, ordered bool) *sched.Plan {
+	if ordered {
+		return pl.ForOrdered()
+	}
+	return pl
+}
+
 // prefetchSpec synthesizes the bulk-prefetch slice (Section 4.4) for
 // the arrays the loop will actually read through the parameter-server
-// path. Ordered 2D execution serves (rather than rotates) time-indexed
-// arrays, so the effective placements differ from the plan's.
-func (s *Session) prefetchSpec(e *compiledLoop, ordered bool) *plan.Prefetch {
-	eff := e.plan
-	if ordered && e.plan.Kind == sched.TwoD {
-		cp := *e.plan
-		cp.Arrays = nil
-		for _, ap := range e.plan.Arrays {
-			if ap.Place == sched.Rotated {
-				ap.Place = sched.Served
-			}
-			cp.Arrays = append(cp.Arrays, ap)
-		}
-		eff = &cp
-	}
-	targets := servedReadTargets(e.spec, eff)
+// path: the served arrays of the placement it executes under.
+func (s *Session) prefetchSpec(e *compiledLoop) *plan.Prefetch {
+	targets := servedReadTargets(e.spec, e.placed)
 	if len(targets) == 0 {
 		return nil
 	}
@@ -213,7 +209,7 @@ func (s *Session) prefetchSpec(e *compiledLoop, ordered bool) *plan.Prefetch {
 // artifact: the loop is re-parsed from the artifact's canonical source
 // and the sched.Plan is rebuilt from the serialized decision — no
 // dependence analysis, no planning, no partitioning.
-func (s *Session) entryFromArtifact(art *plan.Artifact) (*compiledLoop, error) {
+func (s *Session) entryFromArtifact(art *plan.Artifact, ordered bool) (*compiledLoop, error) {
 	if art.LoopSrc == "" {
 		return nil, fmt.Errorf("driver: cached artifact carries no loop source")
 	}
@@ -239,6 +235,7 @@ func (s *Session) entryFromArtifact(art *plan.Artifact) (*compiledLoop, error) {
 		spec:     &art.Loop,
 		deps:     deps,
 		plan:     pl,
+		placed:   placementFor(pl, ordered),
 		art:      art,
 		evidence: evidence,
 		guard:    art.Guard,
@@ -260,11 +257,8 @@ func (s *Session) schedOptions() sched.Options {
 // the loop's serializable plan artifact without executing anything.
 func (s *Session) PlanArtifact(src string) (*plan.Artifact, error) {
 	e, err := s.planFor(src, s.env.Ordered)
-	if err != nil && (e == nil || e.art == nil) {
+	if e == nil {
 		return nil, err
-	}
-	if e.art == nil {
-		return nil, fmt.Errorf("driver: no artifact was materialized")
 	}
 	return e.art, nil
 }

@@ -1,11 +1,11 @@
 // Fleet reconfiguration: one quiesce → re-cut → re-place → resume
-// path shared by four callers. Crash recovery rebuilds a dead fleet
-// and restores the newest checkpoint; adaptive re-planning re-cuts the
-// partitions from measured per-worker cost at a loop boundary; elastic
-// grow admits new workers mid-run and re-cuts onto the enlarged fleet;
-// planned shrink re-forms at a smaller size at loop entry. All four
-// funnel through reconfigure(), and every resumption lands at an exact
-// (pass, step) position with array placement reproduced for it.
+// loop (runReconfigurable) with three ways to change shape between
+// attempts. recover rebuilds a dead fleet and restores the newest
+// checkpoint; recut re-cuts the partitions from measured per-worker
+// cost at a loop boundary; resize re-forms the fleet at another size —
+// an elastic grow at a boundary, a planned shrink at loop entry. Every
+// resumption lands at an exact (pass, step) position with array
+// placement reproduced for it.
 package driver
 
 import (
@@ -20,25 +20,12 @@ import (
 	"orion/internal/obs"
 	"orion/internal/plan"
 	"orion/internal/runtime"
-	"orion/internal/sched"
 )
 
 // resumePos is a loop position: the first (pass, step) still to run.
 type resumePos struct {
 	pass, step int
 }
-
-// reconfigReason names which caller is asking the fleet to change
-// shape: a crash (ErrWorkerLost mid-loop), an adaptive re-cut, an
-// elastic grow, or a planned shrink.
-type reconfigReason string
-
-const (
-	reasonRecover reconfigReason = "recover"
-	reasonAdapt   reconfigReason = "adapt"
-	reasonGrow    reconfigReason = "grow"
-	reasonShrink  reconfigReason = "shrink"
-)
 
 // reconfigState is the bookkeeping one ParallelFor's reconfiguration
 // loop threads through its attempts.
@@ -79,8 +66,9 @@ func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, 
 	// A planned shrink fires at loop entry, before any state has been
 	// distributed: the whole loop then runs at the smaller size, so its
 	// result is bitwise-identical to a static run at that size.
-	if s.shrinkTarget > 0 {
-		if _, err := s.reconfigure(reasonShrink, e, kernel, rc, start, nil); err != nil {
+	if want := s.shrinkTarget; want > 0 {
+		s.shrinkTarget = 0
+		if err := s.resize(e, kernel, want, start); err != nil {
 			return err
 		}
 		rc.floorWorkers = s.n
@@ -107,12 +95,13 @@ func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, 
 			// and re-place without a checkpoint round-trip.
 			boundary := resumePos{pass: stopPass}
 			if s.adaptEnabled {
-				if _, err := s.reconfigure(reasonAdapt, e, kernel, rc, boundary, nil); err != nil {
+				if err := s.recut(e, kernel, s.master.Report(kernel).Delta(rc.segBase), boundary); err != nil {
 					return err
 				}
 			}
-			if s.growTarget > 0 {
-				if _, err := s.reconfigure(reasonGrow, e, kernel, rc, boundary, nil); err != nil {
+			if want := s.growTarget; want > 0 {
+				s.growTarget = 0
+				if err := s.resize(e, kernel, want, boundary); err != nil {
 					return err
 				}
 			}
@@ -124,7 +113,7 @@ func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, 
 			return err
 		}
 		rc.restarts++
-		pos, rerr := s.reconfigure(reasonRecover, e, kernel, rc, start, err)
+		pos, rerr := s.recover(e, kernel, rc, err)
 		if rerr != nil {
 			return rerr
 		}
@@ -143,106 +132,84 @@ func (s *Session) segmentStop(startPass, passes int) int {
 	return passes
 }
 
-// reconfigure is the single quiesce → re-cut → re-place → resume path.
-// It mutates fleet and plan state per the reason and returns the
-// position execution resumes from; the caller's next attempt
-// re-distributes arrays and iteration space for that position onto the
-// (possibly re-shaped) fleet. cause is the worker-loss error being
-// recovered from (nil for planned reconfigurations).
-func (s *Session) reconfigure(reason reconfigReason, e *compiledLoop, kernel string, rc *reconfigState, at resumePos, cause error) (resumePos, error) {
-	switch reason {
-	case reasonAdapt:
-		// Same fleet, new cuts: judge the segment that just finished
-		// and re-cut the artifact's partitions from measured cost.
-		delta := s.master.Report(kernel).Delta(rc.segBase)
-		return at, s.maybeRecut(e, kernel, delta, at)
-
-	case reasonGrow:
-		// Enlarged fleet: fold accumulator contributions into the
-		// driver's base while the old executors are still alive (the
-		// new fleet starts from zero), then tear down and re-form at
-		// the target size.
-		for _, name := range lang.Accumulators(e.loop) {
-			v, err := s.master.AccumSum(name)
-			if err != nil {
-				return at, err
-			}
-			s.accumBase[name] += v
-		}
-		oldN, want := s.n, s.growTarget
-		s.growTarget = 0
-		if err := s.rebuildFleet(want); err != nil {
-			return at, err
-		}
-		obs.Flight().Record(obs.FlightEvent{
-			Kind: "fleet.grow", Clock: s.master.Clock(),
-			Loop: kernel, Pass: at.pass, Step: at.step, Worker: -1,
-			Detail: fmt.Sprintf("%d -> %d workers", oldN, s.n),
-		})
-		return at, nil
-
-	case reasonShrink:
-		// Smaller fleet: fold accumulator contributions while the old
-		// executors are still alive, re-form at the target size, then
-		// re-cut the artifact onto the survivors from the raw iteration
-		// weights — exactly the materialization a fresh compile at the
-		// smaller size produces, so the next attempt's partitioner reuse
-		// check adopts cuts identical to a static run's.
-		for _, name := range lang.Accumulators(e.loop) {
-			v, err := s.master.AccumSum(name)
-			if err != nil {
-				return at, err
-			}
-			s.accumBase[name] += v
-		}
-		oldN, want := s.n, s.shrinkTarget
-		s.shrinkTarget = 0
-		if err := s.rebuildFleet(want); err != nil {
-			return at, err
-		}
-		if e.art != nil && !e.art.Space.IsZero() {
-			if k, kerr := e.art.Kind(); kerr == nil && (k == sched.Independent || k == sched.OneD || k == sched.TwoD) {
-				spaceW, timeW := s.coordCounts(e)
-				art, err := e.art.Recut(spaceW, timeW, s.n, s.n, plan.WeightsDigest(spaceW, timeW))
-				if err != nil {
-					return at, fmt.Errorf("driver: shrink recut of %q: %w", kernel, err)
-				}
-				e.art = art
-				obs.GetCounter("plan.repartition").Inc()
-			}
-		}
-		obs.Flight().Record(obs.FlightEvent{
-			Kind: "fleet.shrink", Clock: s.master.Clock(),
-			Loop: kernel, Pass: at.pass, Step: at.step, Worker: -1,
-			Detail: fmt.Sprintf("planned: %d -> %d workers", oldN, s.n),
-		})
-		return at, nil
-
-	case reasonRecover:
-		recStart := time.Now()
-		if rerr := s.rebuildFleet(s.n); rerr != nil {
-			return at, fmt.Errorf("driver: recovery failed (%v) after %w", rerr, cause)
-		}
-		pos, restored, rerr := s.restoreLatest(e, kernel, rc.entryClock)
-		if rerr != nil {
-			return at, rerr
-		}
-		if restored {
-			rc.floor, rc.floorWorkers = pos, s.n
-			obs.Flight().Record(obs.FlightEvent{
-				Kind: "ckpt.restore", Clock: s.master.Clock(),
-				Loop: kernel, Pass: pos.pass, Step: pos.step, Worker: -1,
-			})
-		} else if rc.floor.step != 0 && s.n != rc.floorWorkers {
-			return at, fmt.Errorf("driver: recovery: fleet re-formed with %d workers but the only restorable state is a mid-pass snapshot cut for %d: %w",
-				s.n, rc.floorWorkers, cause)
-		}
-		s.recoveries.Add(1)
-		obs.GetCounter("runtime.recoveries").Inc()
-		s.master.RecordRecovery(recStart, rc.floor.pass, rc.floor.step)
-		return rc.floor, nil
+// resize re-forms the fleet at want workers at a quiesced position:
+// accumulator contributions fold into the driver's base while the old
+// executors are still alive (the new fleet starts from zero), then the
+// fleet is torn down and brought up at the target size. The caller's
+// next attempt re-distributes arrays and iteration space onto it. A
+// shrink also re-cuts the artifact onto the survivors from the raw
+// iteration weights — exactly the materialization a fresh compile at
+// the smaller size produces, so the next attempt's partitioner reuse
+// check adopts cuts identical to a static run's; a grown fleet outruns
+// the artifact's cuts and is balanced afresh there.
+func (s *Session) resize(e *compiledLoop, kernel string, want int, at resumePos) error {
+	if err := s.foldAccumulators(e); err != nil {
+		return err
 	}
-	return at, fmt.Errorf("driver: unknown reconfiguration reason %q", reason)
+	oldN := s.n
+	if err := s.rebuildFleet(want); err != nil {
+		return err
+	}
+	kind, detail := "fleet.grow", fmt.Sprintf("%d -> %d workers", oldN, s.n)
+	if want < oldN {
+		if !e.art.Space.IsZero() {
+			spaceW, timeW := s.coordCounts(e)
+			art, err := e.art.Recut(spaceW, timeW, s.n, s.n, plan.WeightsDigest(spaceW, timeW))
+			if err != nil {
+				return fmt.Errorf("driver: shrink recut of %q: %w", kernel, err)
+			}
+			e.art = art
+			obs.GetCounter("plan.repartition").Inc()
+		}
+		kind, detail = "fleet.shrink", fmt.Sprintf("planned: %d -> %d workers", oldN, s.n)
+	}
+	obs.Flight().Record(obs.FlightEvent{
+		Kind: kind, Clock: s.master.Clock(),
+		Loop: kernel, Pass: at.pass, Step: at.step, Worker: -1,
+		Detail: detail,
+	})
+	return nil
+}
+
+// foldAccumulators adds the live executors' accumulator contributions
+// to the driver's base, for a fleet about to be replaced.
+func (s *Session) foldAccumulators(e *compiledLoop) error {
+	for _, name := range lang.Accumulators(e.loop) {
+		v, err := s.master.AccumSum(name)
+		if err != nil {
+			return err
+		}
+		s.accumBase[name] += v
+	}
+	return nil
+}
+
+// recover rebuilds the fleet after the worker loss cause and restores
+// the newest usable checkpoint; it returns the position the next
+// attempt resumes from.
+func (s *Session) recover(e *compiledLoop, kernel string, rc *reconfigState, cause error) (resumePos, error) {
+	recStart := time.Now()
+	if rerr := s.rebuildFleet(s.n); rerr != nil {
+		return resumePos{}, fmt.Errorf("driver: recovery failed (%v) after %w", rerr, cause)
+	}
+	pos, restored, rerr := s.restoreLatest(e, kernel, rc.entryClock)
+	if rerr != nil {
+		return resumePos{}, rerr
+	}
+	if restored {
+		rc.floor, rc.floorWorkers = pos, s.n
+		obs.Flight().Record(obs.FlightEvent{
+			Kind: "ckpt.restore", Clock: s.master.Clock(),
+			Loop: kernel, Pass: pos.pass, Step: pos.step, Worker: -1,
+		})
+	} else if rc.floor.step != 0 && s.n != rc.floorWorkers {
+		return resumePos{}, fmt.Errorf("driver: recovery: fleet re-formed with %d workers but the only restorable state is a mid-pass snapshot cut for %d: %w",
+			s.n, rc.floorWorkers, cause)
+	}
+	s.recoveries.Add(1)
+	obs.GetCounter("runtime.recoveries").Inc()
+	s.master.RecordRecovery(recStart, rc.floor.pass, rc.floor.step)
+	return rc.floor, nil
 }
 
 // rebuildFleet tears the current fleet down and brings a fresh
@@ -263,16 +230,7 @@ func (s *Session) rebuildFleet(want int) error {
 		if err := s.master.Relisten(want); err != nil {
 			return err
 		}
-		ready := make(chan error, 1)
-		go func() { ready <- s.master.WaitForExecutors() }()
-		for i := 0; i < want; i++ {
-			done, err := s.spawnExec(i)
-			if err != nil {
-				return err
-			}
-			s.execDone = append(s.execDone, done)
-		}
-		if err := <-ready; err != nil {
+		if err := s.bringUp(want); err != nil {
 			return err
 		}
 		s.n = want
@@ -301,6 +259,21 @@ func (s *Session) rebuildFleet(want int) error {
 	return nil
 }
 
+// bringUp spawns want in-process executors against the listening master
+// and returns once all of them have registered.
+func (s *Session) bringUp(want int) error {
+	ready := make(chan error, 1)
+	go func() { ready <- s.master.WaitForExecutors() }()
+	for i := 0; i < want; i++ {
+		done, err := s.spawnExec(i)
+		if err != nil {
+			return err
+		}
+		s.execDone = append(s.execDone, done)
+	}
+	return <-ready
+}
+
 // restoreLatest loads the newest checkpoint usable for this loop on
 // the current fleet: written during this call (clock beyond the loop's
 // entry clock), fingerprint-compatible with the plan artifact (ORN303
@@ -312,15 +285,11 @@ func (s *Session) restoreLatest(e *compiledLoop, kernel string, entryClock int64
 	if err != nil {
 		return resumePos{}, false, err
 	}
-	fingerprint := ""
-	if e.art != nil {
-		fingerprint = e.art.ContentHash
-	}
 	for _, man := range mans {
 		if man.Loop != kernel || man.Clock <= entryClock {
 			continue
 		}
-		if d := check.CheckResume(man.Loop, fingerprint, man.Fingerprint, diag.Pos{}); d != nil {
+		if d := check.CheckResume(man.Loop, e.art.ContentHash, man.Fingerprint, diag.Pos{}); d != nil {
 			s.lastDiags.Add(*d)
 			return resumePos{}, false, fmt.Errorf("driver: [%s] %s: %w", d.Code, d.Message, check.ErrResumeMismatch)
 		}
@@ -350,13 +319,11 @@ func (s *Session) checkpointSpec(e *compiledLoop, arrays []string) *runtime.Chec
 		return nil
 	}
 	spec := &runtime.CheckpointSpec{
-		Dir:    s.checkpointDir,
-		Every:  s.checkpointEvery,
-		Arrays: arrays,
-		Accums: lang.Accumulators(e.loop),
-	}
-	if e.art != nil {
-		spec.Fingerprint = e.art.ContentHash
+		Dir:         s.checkpointDir,
+		Every:       s.checkpointEvery,
+		Arrays:      arrays,
+		Accums:      lang.Accumulators(e.loop),
+		Fingerprint: e.art.ContentHash,
 	}
 	if len(s.accumBase) > 0 {
 		spec.AccumBase = make(map[string]float64, len(s.accumBase))

@@ -93,13 +93,8 @@ func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 		// recovery and one partition binding per block instead of per
 		// iteration. Accumulator deltas still fold per iteration, so a
 		// block is bitwise identical to its iterations run one at a
-		// time — which is all the per-iteration form is.
+		// time. The executor never calls Iter while Block is set.
 		ks.Block = lk.runBlock
-		ks.Iter = func(ctx *runtime.Ctx, key []int64, val float64) {
-			if _, err := lk.runBlock(ctx, [][]int64{key}, []float64{val}); err != nil {
-				panic(err.Error())
-			}
-		}
 	}
 
 	// The plan artifact shipped alongside the source carries the

@@ -396,7 +396,7 @@ func TestPartitionBindingsLastOneBlock(t *testing.T) {
 		def.GlobalVals[0] = 0.05 // step_size
 		for _, err := range []error{
 			m.DistributeLocal(w, 1, cuts(space)),
-			m.DistributeRotated(h, 1, cuts(timeCut)),
+			m.DistributeRotatedAt(h, 1, cuts(timeCut), 0),
 			m.DistributeIterSpace(samples, 0, space),
 			m.DefineLoop(def),
 			m.ParallelFor(runtime.LoopDef{Kernel: def.LoopName, TimeDim: 1, TimePart: timeCut, Rotate: true, Passes: passes}),

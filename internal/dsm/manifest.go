@@ -154,16 +154,6 @@ func ListCheckpoints(dir string) ([]*Manifest, error) {
 	return out, nil
 }
 
-// LatestManifest returns the newest committed checkpoint under dir,
-// nil when none exists.
-func LatestManifest(dir string) (*Manifest, error) {
-	all, err := ListCheckpoints(dir)
-	if err != nil || len(all) == 0 {
-		return nil, err
-	}
-	return all[0], nil
-}
-
 // RestoreCheckpoint loads the arrays of one committed checkpoint.
 // Arrays that fail to load are collected into a *RestoreError naming
 // each failure.

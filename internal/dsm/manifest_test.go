@@ -31,13 +31,14 @@ func TestManifestWriteRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	writeTestCheckpoint(t, dir, 7, 0)
 
-	man, err := LatestManifest(dir)
+	mans, err := ListCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man == nil || man.Clock != 7 || man.Version != ManifestVersion {
-		t.Fatalf("manifest = %+v", man)
+	if len(mans) != 1 || mans[0].Clock != 7 || mans[0].Version != ManifestVersion {
+		t.Fatalf("manifests = %+v", mans)
 	}
+	man := mans[0]
 	if man.Loop != "dsl-loop-1" || man.Fingerprint != "fp-abc" || man.Workers != 3 {
 		t.Fatalf("manifest identity lost: %+v", man)
 	}

@@ -77,28 +77,3 @@ func artifactFor(app App, cfg Config) (*plan.Artifact, *sched.Plan, error) {
 	artifacts.Put(key, art)
 	return art, pl, nil
 }
-
-// enginePartitioners turns the artifact's materialized cuts into
-// executable partitioners, falling back to fresh histogram balancing
-// when no artifact is available (RunTwoDWithPlan with a caller-built
-// plan) or its shape does not match the requested partition counts.
-func enginePartitioners(art *plan.Artifact, spaceW, timeW []int64, nw, timeParts int) (spacePart, timePart *sched.Partitioner) {
-	if art != nil && !art.Space.IsZero() && art.Space.Parts == nw &&
-		art.WeightsDigest == plan.WeightsDigest(spaceW, timeW) {
-		if sp, err := art.Space.Partitioner(); err == nil {
-			if timeW == nil {
-				return sp, nil
-			}
-			if art.Time.Parts == timeParts {
-				if tp, err := art.Time.Partitioner(); err == nil {
-					return sp, tp
-				}
-			}
-		}
-	}
-	spacePart = plan.BalancedPartitioner(spaceW, nw)
-	if timeW != nil {
-		timePart = plan.BalancedPartitioner(timeW, timeParts)
-	}
-	return spacePart, timePart
-}

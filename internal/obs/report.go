@@ -6,7 +6,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"orion/internal/metrics"
 )
@@ -146,10 +145,6 @@ func (r *LoopReport) Render() string {
 	b.WriteString(metrics.Table(headers, rows))
 	return b.String()
 }
-
-// DurationNs is a readability helper for call sites turning a
-// time.Since into report nanoseconds.
-func DurationNs(d time.Duration) int64 { return int64(d) }
 
 // ReportDoc is the machine-readable run report: every loop's worker
 // breakdown, per-peer link traffic, and the flight-recorder event log.

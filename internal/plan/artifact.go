@@ -464,6 +464,33 @@ func BalancedPartitioner(weights []int64, parts int) *sched.Partitioner {
 	return sched.NewHistogramPartitioner(weights, parts)
 }
 
+// Partitioners returns the executable partitioners for a run over
+// workers space parts and timeParts time parts (timeW nil: a 1D run, no
+// time partitioner). The cuts materialized at plan time are reused —
+// coalesced with MergeTo onto a fleet smaller than the one they were cut
+// for — while the data still digests to the weights they were balanced
+// on. On drift (arrays mutate between runs), for a fleet the cuts cannot
+// cover, or with no artifact at all (a nil receiver) the weights are
+// balanced afresh, without re-running analysis or planning, and reused
+// is false.
+func (a *Artifact) Partitioners(spaceW, timeW []int64, workers, timeParts int) (space, tm *sched.Partitioner, reused bool) {
+	if a != nil && a.Space.Parts >= workers && (timeW == nil || a.Time.Parts >= timeParts) &&
+		a.WeightsDigest == WeightsDigest(spaceW, timeW) {
+		var err error
+		if space, err = a.Space.MergeTo(workers).Partitioner(); err == nil && timeW != nil {
+			tm, err = a.Time.MergeTo(timeParts).Partitioner()
+		}
+		if err == nil {
+			return space, tm, true
+		}
+	}
+	space, tm = BalancedPartitioner(spaceW, workers), nil
+	if timeW != nil {
+		tm = BalancedPartitioner(timeW, timeParts)
+	}
+	return space, tm, false
+}
+
 // Balanced materializes a histogram-balanced Partition.
 func Balanced(weights []int64, parts int) Partition {
 	return fromPartitioner(BalancedPartitioner(weights, parts))

@@ -354,3 +354,53 @@ func TestCache(t *testing.T) {
 		t.Fatal("memory-only cache should hit")
 	}
 }
+
+// TestPartitionersReuseOrRebalance: the one rule for "do the artifact's
+// materialized cuts still fit this data and fleet".
+func TestPartitionersReuseOrRebalance(t *testing.T) {
+	spaceW, timeW := make([]int64, 100), make([]int64, 80)
+	for i := range spaceW {
+		spaceW[i] = 1 + int64(i%7)*int64(i%3)
+	}
+	for i := range timeW {
+		timeW[i] = 1 + int64(i%5)
+	}
+	drifted := slices.Clone(spaceW)
+	drifted[3] += 50
+	art := mfArtifact(t, 4, spaceW, timeW)
+	merged := func(p Partition, m int) []int64 { return p.MergeTo(m).Cuts }
+	balanced := func(w []int64, parts int) []int64 { return BalancedPartitioner(w, parts).Boundaries() }
+
+	for _, tc := range []struct {
+		name               string
+		art                *Artifact
+		spaceW, timeW      []int64
+		workers, timeParts int
+		reused             bool
+		space, time        []int64 // nil time: no time partitioner
+	}{
+		{"digest match", art, spaceW, timeW, 4, 4, true, art.Space.Cuts, art.Time.Cuts},
+		{"fewer workers coalesce", art, spaceW, timeW, 2, 2, true, merged(art.Space, 2), merged(art.Time, 2)},
+		{"more workers than cuts", art, spaceW, timeW, 5, 5, false, balanced(spaceW, 5), balanced(timeW, 5)},
+		{"more time parts than cuts", art, spaceW, timeW, 4, 8, false, balanced(spaceW, 4), balanced(timeW, 8)},
+		{"digest drift", art, drifted, timeW, 4, 4, false, balanced(drifted, 4), balanced(timeW, 4)},
+		{"nil artifact", nil, spaceW, timeW, 4, 4, false, balanced(spaceW, 4), balanced(timeW, 4)},
+		{"1D asks for no time partitioner", nil, spaceW, nil, 3, 0, false, balanced(spaceW, 3), nil},
+	} {
+		sp, tp, reused := tc.art.Partitioners(tc.spaceW, tc.timeW, tc.workers, tc.timeParts)
+		if reused != tc.reused {
+			t.Errorf("%s: reused = %v, want %v", tc.name, reused, tc.reused)
+		}
+		if got := sp.Boundaries(); sp.Parts() != tc.workers || !slices.Equal(got, tc.space) {
+			t.Errorf("%s: space cuts %v, want %v", tc.name, got, tc.space)
+		}
+		switch {
+		case tc.time == nil:
+			if tp != nil {
+				t.Errorf("%s: got a time partitioner for a 1D run", tc.name)
+			}
+		case tp == nil || tp.Parts() != tc.timeParts || !slices.Equal(tp.Boundaries(), tc.time):
+			t.Errorf("%s: time partitioner %v, want cuts %v", tc.name, tp, tc.time)
+		}
+	}
+}

@@ -25,13 +25,6 @@ func NewCache(dir string) *Cache {
 	return &Cache{dir: dir, mem: make(map[string]*Artifact)}
 }
 
-// SetDir changes the backing directory (and keeps the in-memory layer).
-func (c *Cache) SetDir(dir string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dir = dir
-}
-
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".plan.json")
 }

@@ -37,7 +37,7 @@ func BenchmarkDistributedMFPass(b *testing.B) {
 	if err := m.DistributeLocal(w, 1, boundariesOfBench(spacePart, n)); err != nil {
 		b.Fatal(err)
 	}
-	if err := m.DistributeRotated(h, 1, boundariesOfBench(timePart, n)); err != nil {
+	if err := m.DistributeRotatedAt(h, 1, boundariesOfBench(timePart, n), 0); err != nil {
 		b.Fatal(err)
 	}
 	if err := m.DistributeIterSpace(samples, 0, spacePart); err != nil {

@@ -34,23 +34,3 @@ func PutF64(s []float64) {
 	s = s[:0]
 	f64Pool.Put(&s)
 }
-
-var bytePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// GetBytes returns a byte slice of length n with unspecified contents.
-func GetBytes(n int) []byte {
-	p := bytePool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	return (*p)[:n]
-}
-
-// PutBytes returns a slice obtained from GetBytes to the pool.
-func PutBytes(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	bytePool.Put(&b)
-}

@@ -477,11 +477,10 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	if ks == nil || msg.LoopName != e.loopName {
 		// Not shipped by DefineLoop: a Go kernel registered in this
 		// process.
-		kernel, err := lookupKernel(msg.LoopName)
-		if err != nil {
+		var err error
+		if ks, err = lookupKernel(msg.LoopName); err != nil {
 			return err
 		}
-		ks = &KernelSet{Iter: kernel, Prefetch: lookupPrefetch(msg.LoopName)}
 	}
 	block := e.iter.block(blockKey{timeDim: msg.TimeDim, lo: msg.TimeLo, hi: msg.TimeHi, ordered: msg.Ordered})
 	keys, vals := block.keys, block.vals

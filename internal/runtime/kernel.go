@@ -43,10 +43,11 @@ type KernelSet struct {
 }
 
 var (
-	kernelMu  sync.RWMutex
-	kernels   = map[string]Kernel{}
-	prefetchs = map[string]map[string]PrefetchFunc{} // kernel → array → fn
-	compiler  LoopCompiler
+	kernelMu sync.RWMutex
+	// kernels holds the Go kernels registered in this process, each with
+	// the prefetch functions registered for it, as the set a block runs.
+	kernels  = map[string]*KernelSet{}
+	compiler LoopCompiler
 )
 
 // LoopCompiler turns a shipped DefineLoop message into an executable
@@ -68,41 +69,40 @@ func lookupCompiler() LoopCompiler {
 	return compiler
 }
 
+// registered returns the named kernel's set, creating it. Callers hold
+// kernelMu.
+func registered(name string) *KernelSet {
+	ks := kernels[name]
+	if ks == nil {
+		ks = &KernelSet{Prefetch: map[string]PrefetchFunc{}}
+		kernels[name] = ks
+	}
+	return ks
+}
+
 // RegisterKernel installs a kernel under a name. Both the driver
 // process and executor processes must register the same kernels (the
 // analogue of Orion defining generated functions on all workers).
 func RegisterKernel(name string, k Kernel) {
 	kernelMu.Lock()
 	defer kernelMu.Unlock()
-	kernels[name] = k
+	registered(name).Iter = k
 }
 
 // RegisterPrefetch installs a prefetch function for (kernel, array).
 func RegisterPrefetch(kernel, array string, fn PrefetchFunc) {
 	kernelMu.Lock()
 	defer kernelMu.Unlock()
-	m := prefetchs[kernel]
-	if m == nil {
-		m = map[string]PrefetchFunc{}
-		prefetchs[kernel] = m
-	}
-	m[array] = fn
+	registered(kernel).Prefetch[array] = fn
 }
 
-func lookupKernel(name string) (Kernel, error) {
+func lookupKernel(name string) (*KernelSet, error) {
 	kernelMu.RLock()
 	defer kernelMu.RUnlock()
-	k, ok := kernels[name]
-	if !ok {
-		return nil, fmt.Errorf("runtime: kernel %q not registered", name)
+	if ks := kernels[name]; ks != nil && ks.Iter != nil {
+		return ks, nil
 	}
-	return k, nil
-}
-
-func lookupPrefetch(kernel string) map[string]PrefetchFunc {
-	kernelMu.RLock()
-	defer kernelMu.RUnlock()
-	return prefetchs[kernel]
+	return nil, fmt.Errorf("runtime: kernel %q not registered", name)
 }
 
 // Ctx gives a kernel access to the DistArray partitions available on

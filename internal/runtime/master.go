@@ -284,24 +284,19 @@ func (m *Master) DistributeLocal(a *dsm.DistArray, dim int, boundaries []int64) 
 	return m.broadcastParts(a.Name(), a.RangePartitions(dim, m.n, boundaries), false)
 }
 
-// DistributeRotated places time partition i on executor i; partitions
-// rotate between executors during loop execution.
-func (m *Master) DistributeRotated(a *dsm.DistArray, dim int, boundaries []int64) error {
-	return m.DistributeRotatedAt(a, dim, boundaries, 0)
-}
-
 // DistributeRotatedAt distributes a rotated array as it stands at
-// rotation phase: executor j receives time partition (j+phase) mod n —
-// the placement the ring reaches after `phase` steps. Resuming a loop
-// mid-pass from a checkpoint uses this so the re-formed ring starts in
-// exactly the faulted run's configuration.
+// rotation phase: executor j receives the time partition the unordered
+// schedule (Fig. 7f) runs on it at step phase — the placement the ring
+// reaches after `phase` steps, executor j holding partition j at phase
+// 0. Resuming a loop mid-pass from a checkpoint uses this so the
+// re-formed ring starts in exactly the faulted run's configuration.
 func (m *Master) DistributeRotatedAt(a *dsm.DistArray, dim int, boundaries []int64, phase int) error {
 	m.recordArray(a)
 	parts := a.RangePartitions(dim, m.n, boundaries)
-	if phase%m.n != 0 {
+	if phase %= m.n; phase != 0 {
 		rotated := make([]*dsm.Partition, m.n)
-		for j := 0; j < m.n; j++ {
-			rotated[j] = parts[(j+phase)%m.n]
+		for _, e := range sched.UnorderedTwoDSchedule(m.n, 1)[phase] {
+			rotated[e.Worker] = parts[e.TimePart]
 		}
 		parts = rotated
 	}
@@ -349,9 +344,13 @@ type LoopDef struct {
 	// TimeDim is the iteration-space dimension partitioned in time
 	// (-1 for 1D loops: each executor runs its whole local block once).
 	TimeDim int
-	// TimePart cuts the time dimension (must have n parts), nil for 1D.
+	// TimePart cuts the time dimension, nil for 1D. An ordered loop takes
+	// any number of parts, an unordered one a multiple of the executor
+	// count (the Fig. 8 pipeline depth).
 	TimePart *sched.Partitioner
-	// Rotate ships rotated arrays around the ring between steps.
+	// Rotate ships rotated arrays around the ring between steps. The ring
+	// holds one partition per executor, so TimePart must have exactly
+	// that many parts.
 	Rotate bool
 	// Ordered selects the wavefront schedule (Fig. 7e): lexicographic
 	// iteration order is preserved; time-dimension arrays must be
@@ -376,10 +375,36 @@ type LoopDef struct {
 	Checkpoint *CheckpointSpec
 }
 
-// ParallelFor executes the loop: per pass, n global steps of the
-// unordered rotation schedule (Fig. 7f); executor j runs time partition
-// (j + step) mod n at each step.
+// schedule is the loop's computation schedule for one pass over n
+// executors (Fig. 7d/e/f). It is the only place that knows which time
+// partition runs where and when: dispatch, the rotated placement of a
+// resumed run and checkpoint positions all read it.
+func (def LoopDef) schedule(n int) (sched.Schedule, error) {
+	switch {
+	case def.TimeDim < 0:
+		return sched.OneDSchedule(n), nil
+	case def.TimePart == nil:
+		return nil, fmt.Errorf("runtime: loop %q partitions time dimension %d but has no TimePart", def.Kernel, def.TimeDim)
+	case def.Ordered:
+		return sched.OrderedTwoDSchedule(n, def.TimePart.Parts()), nil
+	}
+	parts := def.TimePart.Parts()
+	if parts%n != 0 || (def.Rotate && parts != n) {
+		return nil, fmt.Errorf("runtime: loop %q cuts time into %d partitions for %d executors (rotation needs exactly one per executor, an unordered schedule a multiple)",
+			def.Kernel, parts, n)
+	}
+	return sched.UnorderedTwoDSchedule(n, parts/n), nil
+}
+
+// ParallelFor executes the loop: per pass, every step of its schedule
+// in order, each closed by a barrier. An executor the schedule leaves
+// out of a step still gets an (empty) block, so every executor sees
+// every step of the global clock.
 func (m *Master) ParallelFor(def LoopDef) error {
+	schedule, err := def.schedule(m.n)
+	if err != nil {
+		return err
+	}
 	passes := def.Passes
 	if passes <= 0 {
 		passes = 1
@@ -387,85 +412,24 @@ func (m *Master) ParallelFor(def LoopDef) error {
 	if def.StopPass > 0 && def.StopPass < passes {
 		passes = def.StopPass
 	}
+	timeParts := make([]int, m.n) // by executor, for the step being dispatched
 	for pass := def.StartPass; pass < passes; pass++ {
-		steps := m.n
-		if def.TimeDim < 0 {
-			steps = 1
-		} else if def.Ordered {
-			steps = 2*m.n - 1 // wavefront ramp-up and drain
-		}
 		s0 := 0
 		if pass == def.StartPass {
 			s0 = def.StartStep
 		}
-		for step := s0; step < steps; step++ {
-			// The chaos harness (and any other observer) sees the clock
-			// before the step's blocks are dispatched, so a fault
-			// scripted "at clock c" lands before step c runs.
-			if m.clockHook != nil {
-				m.clockHook(m.clock.Load())
+		for step := s0; step < len(schedule); step++ {
+			for j := range timeParts {
+				timeParts[j] = -1
 			}
-			// Begin before the sends so executor block spans nest inside
-			// the clock.step span in the emitted trace.
-			stepStart := m.trace.Begin()
-			for j := 0; j < m.n; j++ {
-				msg := &Msg{
-					Kind:      MsgExecBlock,
-					LoopName:  def.Kernel,
-					TimeDim:   def.TimeDim,
-					Rotated:   def.Rotate,
-					Ordered:   def.Ordered,
-					Pass:      pass,
-					StepIndex: step,
-					// The served-consistency epoch: the clock value this
-					// step completes at. Shard owners stage same-epoch
-					// updates, so every block reads exactly its
-					// step-start state however execution interleaves.
-					Epoch: m.clock.Load() + 1,
-				}
-				switch {
-				case def.TimeDim < 0:
-					msg.TimeLo, msg.TimeHi = 0, 0
-				case def.Ordered:
-					tp := step - j
-					if tp >= 0 && tp < m.n {
-						lo, hi := def.TimePart.Bounds(tp)
-						msg.TimeLo, msg.TimeHi = lo, hi
-					} else {
-						msg.TimeLo, msg.TimeHi = 0, 0 // idle ramp step
-					}
-				default:
-					tp := (j + step) % m.n
-					lo, hi := def.TimePart.Bounds(tp)
-					msg.TimeLo, msg.TimeHi = lo, hi
-				}
-				if err := m.conns[j].send(msg); err != nil {
-					m.trace.EndNN("clock.step", "master", stepStart, "pass", int64(pass), "step", int64(step))
-					obs.Flight().Record(obs.FlightEvent{
-						Kind: "worker.lost", Clock: m.clock.Load(),
-						Loop: def.Kernel, Pass: pass, Step: step, Worker: j,
-						Detail: err.Error(),
-					})
-					return fmt.Errorf("runtime: dispatch to executor %d failed (%v): %w", j, err, ErrWorkerLost)
-				}
+			for _, e := range schedule[step] {
+				timeParts[e.Worker] = e.TimePart
 			}
-			if err := m.stepBarrier(); err != nil {
-				// End the span on the failure path too — a trace that
-				// loses exactly the failing step is useless.
-				m.trace.EndNN("clock.step", "master", stepStart, "pass", int64(pass), "step", int64(step))
-				if errors.Is(err, ErrWorkerLost) {
-					obs.Flight().Record(obs.FlightEvent{
-						Kind: "worker.lost", Clock: m.clock.Load(),
-						Loop: def.Kernel, Pass: pass, Step: step, Worker: -1,
-						Detail: err.Error(),
-					})
-				}
+			if err := m.runStep(def, pass, step, timeParts); err != nil {
 				return err
 			}
-			m.clock.Add(1)
-			m.trace.EndNN("clock.step", "master", stepStart, "pass", int64(pass), "step", int64(step))
-			if m.checkpointDue(def, step, steps) {
-				if err := m.writeCheckpoint(def, pass, step, steps); err != nil {
+			if m.checkpointDue(def, step, len(schedule)) {
+				if err := m.writeCheckpoint(def, pass, step, len(schedule)); err != nil {
 					return fmt.Errorf("runtime: checkpoint at clock %d: %w", m.clock.Load(), err)
 				}
 			}
@@ -474,48 +438,108 @@ func (m *Master) ParallelFor(def LoopDef) error {
 	return nil
 }
 
-// stepStallFactor bounds how long a step barrier waits relative to the
-// armed heartbeat timeout before declaring the step wedged. Heartbeats
-// prove a worker process is alive, not that it is making progress: a
-// desynchronized or half-delivered frame can leave a reader blocked
-// forever while its heartbeat goroutine keeps pinging. The stall bound
-// converts that wedge into a worker loss the recovery path handles.
+// runStep dispatches one global step — executor j runs time partition
+// timeParts[j], or an empty block when that is -1 in a 2D loop — and
+// waits at its barrier.
+func (m *Master) runStep(def LoopDef, pass, step int, timeParts []int) error {
+	// The chaos harness (and any other observer) sees the clock before
+	// the step's blocks are dispatched, so a fault scripted "at clock c"
+	// lands before step c runs.
+	if m.clockHook != nil {
+		m.clockHook(m.clock.Load())
+	}
+	// Begin before the sends so executor block spans nest inside the
+	// clock.step span in the emitted trace; it ends on the failure paths
+	// too — a trace that loses exactly the failing step is useless.
+	stepStart := m.trace.Begin()
+	defer func() {
+		m.trace.EndNN("clock.step", "master", stepStart, "pass", int64(pass), "step", int64(step))
+	}()
+	lost := func(worker int, err error) {
+		obs.Flight().Record(obs.FlightEvent{
+			Kind: "worker.lost", Clock: m.clock.Load(),
+			Loop: def.Kernel, Pass: pass, Step: step, Worker: worker,
+			Detail: err.Error(),
+		})
+	}
+	for j, tp := range timeParts {
+		msg := &Msg{
+			Kind:      MsgExecBlock,
+			LoopName:  def.Kernel,
+			TimeDim:   def.TimeDim,
+			Rotated:   def.Rotate,
+			Ordered:   def.Ordered,
+			Pass:      pass,
+			StepIndex: step,
+			// The served-consistency epoch: the clock value this step
+			// completes at. Shard owners stage same-epoch updates, so
+			// every block reads exactly its step-start state however
+			// execution interleaves.
+			Epoch: m.clock.Load() + 1,
+		}
+		if tp >= 0 {
+			msg.TimeLo, msg.TimeHi = def.TimePart.Bounds(tp)
+		}
+		if err := m.conns[j].send(msg); err != nil {
+			lost(j, err)
+			return fmt.Errorf("runtime: dispatch to executor %d failed (%v): %w", j, err, ErrWorkerLost)
+		}
+	}
+	if err := m.await(m.ch.blockDone, func(msg *Msg) error { m.noteBlockDone(msg); return nil }); err != nil {
+		if errors.Is(err, ErrWorkerLost) {
+			lost(-1, err)
+		}
+		return err
+	}
+	m.clock.Add(1)
+	return nil
+}
+
+// stepStallFactor bounds how long the master waits for the fleet's
+// replies relative to the armed heartbeat timeout before declaring the
+// wait wedged. Heartbeats prove a worker process is alive, not that it
+// is making progress: a desynchronized or half-delivered frame can
+// leave a reader blocked forever while its heartbeat goroutine keeps
+// pinging. The stall bound converts that wedge into a worker loss the
+// recovery path handles.
 const stepStallFactor = 10
 
-// stepBarrier waits for every executor's BlockDone, surfacing executor
-// errors and — when a heartbeat timeout is armed — workers that have
-// gone silent even though their connections are still open, or steps
-// that have stalled past stepStallFactor heartbeat timeouts with every
-// worker still pinging (a wedged link, not a dead process).
-func (m *Master) stepBarrier() error {
-	start := time.Now()
-	for done := 0; done < m.n; {
-		if m.hbTimeout > 0 {
-			select {
-			case msg := <-m.ch.blockDone:
-				m.noteBlockDone(msg)
-				done++
-			case err := <-m.ch.execErr:
-				return err
-			case <-time.After(m.hbTimeout / 2):
-				now := time.Now().UnixNano()
-				for id, seen := range m.lastSeen {
-					if now-seen.Load() > int64(m.hbTimeout) {
-						return fmt.Errorf("runtime: executor %d heartbeat stale (silent > %v): %w", id, m.hbTimeout, ErrWorkerLost)
-					}
-				}
-				if time.Since(start) > stepStallFactor*m.hbTimeout {
-					return fmt.Errorf("runtime: step stalled > %v with live heartbeats (wedged link): %w", stepStallFactor*m.hbTimeout, ErrWorkerLost)
-				}
-			}
-			continue
-		}
+// await collects one reply per executor from ch, handing each to each.
+// It is the master's only wait on the fleet — a step's barrier, a
+// gather, an accumulator query, a shard install — so all of them
+// surface executor errors and, when a heartbeat timeout is armed,
+// workers that have gone silent even though their connections are still
+// open, and waits that have stalled past stepStallFactor heartbeat
+// timeouts with every worker still pinging (a wedged link, not a dead
+// process).
+func (m *Master) await(ch <-chan *Msg, each func(*Msg) error) error {
+	var tick <-chan time.Time // never ready while staleness detection is unarmed
+	var start time.Time
+	if m.hbTimeout > 0 {
+		t := time.NewTicker(m.hbTimeout / 2)
+		defer t.Stop()
+		tick, start = t.C, time.Now()
+	}
+	for got := 0; got < m.n; {
 		select {
-		case msg := <-m.ch.blockDone:
-			m.noteBlockDone(msg)
-			done++
+		case msg := <-ch:
+			got++
+			if err := each(msg); err != nil {
+				return err
+			}
 		case err := <-m.ch.execErr:
 			return err
+		case <-tick:
+			now := time.Now()
+			for id, seen := range m.lastSeen {
+				if now.UnixNano()-seen.Load() > int64(m.hbTimeout) {
+					return fmt.Errorf("runtime: executor %d heartbeat stale (silent > %v): %w", id, m.hbTimeout, ErrWorkerLost)
+				}
+			}
+			if now.Sub(start) > stepStallFactor*m.hbTimeout {
+				return fmt.Errorf("runtime: %d of %d replies after > %v with live heartbeats (wedged link): %w",
+					got, m.n, stepStallFactor*m.hbTimeout, ErrWorkerLost)
+			}
 		}
 	}
 	return nil
@@ -632,17 +656,15 @@ func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 	} else {
 		out = dsm.NewSparse(array, dims...)
 	}
-	for i := 0; i < m.n; i++ {
-		select {
-		case msg := <-m.ch.gatherResp:
-			p, err := dsm.DecodePartition(msg.PartBlob)
-			if err != nil {
-				return nil, err
-			}
+	err := m.await(m.ch.gatherResp, func(msg *Msg) error {
+		p, err := dsm.DecodePartition(msg.PartBlob)
+		if err == nil {
 			p.WriteBack(out)
-		case err := <-m.ch.execErr:
-			return nil, err
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -655,13 +677,8 @@ func (m *Master) AccumSum(name string) (float64, error) {
 		}
 	}
 	var total float64
-	for i := 0; i < m.n; i++ {
-		select {
-		case msg := <-m.ch.accumResp:
-			total += msg.AccValue
-		case err := <-m.ch.execErr:
-			return 0, err
-		}
+	if err := m.await(m.ch.accumResp, func(msg *Msg) error { total += msg.AccValue; return nil }); err != nil {
+		return 0, err
 	}
 	return total, nil
 }
@@ -703,10 +720,7 @@ func (m *Master) DefineLoop(def *Msg) error {
 func (m *Master) DistributeServed(a *dsm.DistArray) error {
 	m.recordArray(a)
 	lastDim := a.NumDims() - 1
-	boundaries := make([]int64, 0, m.n-1)
-	for k := 1; k < m.n; k++ {
-		boundaries = append(boundaries, a.Dims()[lastDim]*int64(k)/int64(m.n))
-	}
+	boundaries := sched.NewRangePartitioner(a.Dims()[lastDim], m.n).Boundaries()
 	parts := a.RangePartitions(lastDim, m.n, boundaries)
 	for id, p := range parts {
 		blob, err := p.Encode()
@@ -726,12 +740,5 @@ func (m *Master) DistributeServed(a *dsm.DistArray) error {
 	}
 	// Peers read each other's shards as soon as their own blocks start,
 	// so wait until every executor has installed its shard.
-	for i := 0; i < m.n; i++ {
-		select {
-		case <-m.ch.ackCh:
-		case err := <-m.ch.execErr:
-			return err
-		}
-	}
-	return nil
+	return m.await(m.ch.ackCh, func(*Msg) error { return nil })
 }

@@ -146,7 +146,7 @@ func runDistributedMF(t *testing.T, tr Transport, masterAddr string, peerAddr fu
 	if err := m.DistributeLocal(w, 1, boundariesOf(spacePart, n)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DistributeRotated(h, 1, boundariesOf(timePart, n)); err != nil {
+	if err := m.DistributeRotatedAt(h, 1, boundariesOf(timePart, n), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.DistributeIterSpace(samples, 0, spacePart); err != nil {

@@ -9,6 +9,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"orion/internal/dep"
@@ -106,6 +107,21 @@ type Plan struct {
 	// are mapped through it before partitioning.
 	Transform unimodular.Matrix
 	Arrays    []ArrayPlan
+}
+
+// ForOrdered returns the placement ordered execution runs under: the
+// wavefront (Fig. 7e) keeps concurrently running blocks on disjoint time
+// ranges, so a time-indexed array is served with direct writes instead
+// of rotated. The result shares no Arrays storage with p.
+func (p *Plan) ForOrdered() *Plan {
+	out := *p
+	out.Arrays = slices.Clone(p.Arrays)
+	for i := range out.Arrays {
+		if out.Arrays[i].Place == Rotated {
+			out.Arrays[i].Place = Served
+		}
+	}
+	return &out
 }
 
 // Options tunes planning.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -451,5 +452,30 @@ func TestHistogramAllZeroWeightsFallsBack(t *testing.T) {
 	// Behaves like equal-width.
 	if p.PartOf(0) != 0 || p.PartOf(11) != 2 {
 		t.Fatalf("fallback partitioning wrong: %d %d", p.PartOf(0), p.PartOf(11))
+	}
+}
+
+// TestForOrderedServesWhatThePlanRotates: only Rotated entries move,
+// and the plan it was derived from keeps its own placement.
+func TestForOrderedServesWhatThePlanRotates(t *testing.T) {
+	p := &Plan{Kind: TwoD, SpaceDim: 0, TimeDim: 1, Arrays: []ArrayPlan{
+		{Array: "ratings", Place: Local},
+		{Array: "W", Place: Local, PartDim: 1},
+		{Array: "H", Place: Rotated, PartDim: 1},
+		{Array: "bias", Place: Served},
+	}}
+	before := append([]ArrayPlan(nil), p.Arrays...)
+	o := p.ForOrdered()
+	want := append([]ArrayPlan(nil), before...)
+	want[2].Place = Served
+	if !reflect.DeepEqual(o.Arrays, want) {
+		t.Errorf("ordered placement %v, want %v", o.Arrays, want)
+	}
+	if o.Kind != p.Kind || o.SpaceDim != p.SpaceDim || o.TimeDim != p.TimeDim {
+		t.Errorf("ordered placement changed the strategy: %+v", o)
+	}
+	o.Arrays[0].Place = Served
+	if !reflect.DeepEqual(p.Arrays, before) {
+		t.Errorf("the input plan's Arrays changed: %v, want %v", p.Arrays, before)
 	}
 }
