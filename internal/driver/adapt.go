@@ -134,10 +134,10 @@ func (s *Session) recut(e *compiledLoop, kernel string, delta *obs.LoopReport, a
 	// weights stay raw: rotation hands every time partition to every
 	// worker over a pass, so per-worker cost has no time coordinate.
 	recutStart := time.Now()
-	spaceW, timeW := s.coordCounts(e)
+	space := s.iterSpaceOf(e)
 	owner := s.lastSpacePart
-	reweighted := profile.Reweight(spaceW, func(coord int) int { return owner.PartOf(int64(coord)) })
-	art, err := e.art.Recut(reweighted, timeW, s.n, s.n, plan.WeightsDigest(spaceW, timeW))
+	reweighted := profile.Reweight(space.spaceW, func(coord int) int { return owner.PartOf(int64(coord)) })
+	art, err := e.art.Recut(reweighted, space.timeW, s.n, s.n, plan.WeightsDigest(space.spaceW, space.timeW))
 	if err != nil {
 		return fmt.Errorf("driver: adaptive recut of %q: %w", kernel, err)
 	}

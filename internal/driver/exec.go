@@ -31,8 +31,8 @@ import (
 func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
 	kernel := s.nextLoopName(e)
 	return s.runReconfigurable(e, kernel, passes, func(start resumePos, stopPass int) ([]string, error) {
-		space, samples := s.iterSpaceOf(e)
-		spacePart, timePart := s.partitioners(e, space.spaceW, space.timeW)
+		space := s.iterSpaceOf(e)
+		spacePart, timePart := s.partitioners(e, space)
 		def := runtime.LoopDef{
 			Kernel:    kernel,
 			TimeDim:   -1,
@@ -51,7 +51,7 @@ func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.shipIterSpace(e, space, samples, spacePart); err != nil {
+		if err := s.shipIterSpace(e, space, spacePart); err != nil {
 			return nil, err
 		}
 		if err := s.defineLoopAs(e, kernel); err != nil {
@@ -66,8 +66,8 @@ func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
 // run: the artifact's materialized cuts while they still fit the data
 // and the fleet (plan.Artifact.Partitioners), a fresh balancing —
 // counted as plan.repartition — otherwise.
-func (s *Session) partitioners(e *compiledLoop, spaceW, timeW []int64) (spacePart, timePart *sched.Partitioner) {
-	spacePart, timePart, reused := e.art.Partitioners(spaceW, timeW, s.n, s.n)
+func (s *Session) partitioners(e *compiledLoop, r *iterSpace) (spacePart, timePart *sched.Partitioner) {
+	spacePart, timePart, reused := e.art.Partitioners(r.spaceW, r.timeW, s.n, s.n)
 	if !reused {
 		obs.GetCounter("plan.repartition").Inc()
 	}
@@ -101,10 +101,9 @@ type iterSpace struct {
 }
 
 // iterSpaceOf returns the record of the loop's iteration space,
-// re-counting — the only reason to flatten besides shipping — when the
-// array changed or the record is of another space. The samples are
-// returned when they had to be flattened.
-func (s *Session) iterSpaceOf(e *compiledLoop) (*iterSpace, []runtime.IterSample) {
+// re-counting (dsm.DistArray.CoordCounts: nothing is flattened until it
+// ships) when the array changed or the record is of another space.
+func (s *Session) iterSpaceOf(e *compiledLoop) *iterSpace {
 	arr := s.arrays[e.spec.IterSpaceArray]
 	timeDim := -1
 	if e.plan.Kind == sched.TwoD {
@@ -113,19 +112,14 @@ func (s *Session) iterSpaceOf(e *compiledLoop) (*iterSpace, []runtime.IterSample
 	old := s.resident
 	unchanged := old != nil && old.stamp.Holds(arr)
 	if unchanged && old.spaceDim == e.plan.SpaceDim && old.timeDim == timeDim {
-		return old, nil
+		return old
 	}
-	r := &iterSpace{stamp: arr.Stamp(), spaceDim: e.plan.SpaceDim, timeDim: timeDim, stale: "first",
-		spaceW: make([]int64, e.spec.Dims[e.plan.SpaceDim])}
+	r := &iterSpace{stamp: arr.Stamp(), spaceDim: e.plan.SpaceDim, timeDim: timeDim, stale: "first"}
 	if timeDim >= 0 {
-		r.timeW = make([]int64, e.spec.Dims[timeDim])
-	}
-	samples := s.iterSamples(e.spec)
-	for _, sm := range samples {
-		r.spaceW[sm.Key[r.spaceDim]]++
-		if r.timeW != nil {
-			r.timeW[sm.Key[timeDim]]++
-		}
+		counts := arr.CoordCounts(r.spaceDim, timeDim)
+		r.spaceW, r.timeW = counts[0], counts[1]
+	} else {
+		r.spaceW = arr.CoordCounts(r.spaceDim)[0]
 	}
 	switch {
 	case old == nil:
@@ -137,20 +131,13 @@ func (s *Session) iterSpaceOf(e *compiledLoop) (*iterSpace, []runtime.IterSample
 		r.stale = "mutated"
 	}
 	s.resident = r
-	return r, samples
-}
-
-// coordCounts returns the raw per-coordinate iteration counts of the
-// loop's space/time dimensions from the session's current data.
-func (s *Session) coordCounts(e *compiledLoop) (spaceW, timeW []int64) {
-	r, _ := s.iterSpaceOf(e)
-	return r.spaceW, r.timeW
+	return r
 }
 
 // shipIterSpace makes the executors hold the iteration space cut by
 // part, which they already do when this session shipped exactly that
 // and nobody has shipped or re-formed the fleet since.
-func (s *Session) shipIterSpace(e *compiledLoop, r *iterSpace, samples []runtime.IterSample, part *sched.Partitioner) error {
+func (s *Session) shipIterSpace(e *compiledLoop, r *iterSpace, part *sched.Partitioner) error {
 	cuts, epoch := part.Boundaries(), s.master.IterSpaceEpoch()
 	reason := r.stale
 	switch {
@@ -165,10 +152,7 @@ func (s *Session) shipIterSpace(e *compiledLoop, r *iterSpace, samples []runtime
 	kind := "iterspace.reuse"
 	if reason != "" {
 		kind = "iterspace.ship"
-		if samples == nil {
-			samples = s.iterSamples(e.spec)
-		}
-		if err := s.master.DistributeIterSpace(samples, r.spaceDim, part); err != nil {
+		if err := s.master.DistributeIterSpace(s.iterSamples(e.spec), r.spaceDim, part); err != nil {
 			return err
 		}
 		r.stale, r.cuts, r.epoch, r.generation = "", cuts, s.master.IterSpaceEpoch(), s.generation.Load()

@@ -171,7 +171,8 @@ func (s *Session) compile(src string, ordered bool) (*compiledLoop, error) {
 	// re-balance (plan.repartition).
 	switch e.plan.Kind {
 	case sched.Independent, sched.OneD, sched.TwoD:
-		in.SpaceWeights, in.TimeWeights = s.coordCounts(e)
+		space := s.iterSpaceOf(e)
+		in.SpaceWeights, in.TimeWeights = space.spaceW, space.timeW
 	}
 	art, aerr := plan.Build(in)
 	if aerr != nil {

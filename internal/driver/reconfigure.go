@@ -153,8 +153,8 @@ func (s *Session) resize(e *compiledLoop, kernel string, want int, at resumePos)
 	kind, detail := "fleet.grow", fmt.Sprintf("%d -> %d workers", oldN, s.n)
 	if want < oldN {
 		if !e.art.Space.IsZero() {
-			spaceW, timeW := s.coordCounts(e)
-			art, err := e.art.Recut(spaceW, timeW, s.n, s.n, plan.WeightsDigest(spaceW, timeW))
+			space := s.iterSpaceOf(e)
+			art, err := e.art.Recut(space.spaceW, space.timeW, s.n, s.n, plan.WeightsDigest(space.spaceW, space.timeW))
 			if err != nil {
 				return fmt.Errorf("driver: shrink recut of %q: %w", kernel, err)
 			}

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -586,5 +587,50 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if _, err := RestoreDir(dir, "missing"); err == nil {
 		t.Fatal("restoring a missing checkpoint must fail")
+	}
+}
+
+// TestCoordCountsAllocsIndependentOfCount is the counting twin of the
+// driver's TestIterSamplesAllocsIndependentOfCount: the per-coordinate
+// counts of a sparse 2D, a dense 1D and a dense 2D array equal what
+// flattening with ForEach counts, from at most three allocations
+// however many elements are stored.
+func TestCoordCountsAllocsIndependentOfCount(t *testing.T) {
+	sparse := func(nnz int) *DistArray {
+		a := NewSparse("ratings", 300, 200)
+		rng := rand.New(rand.NewSource(3))
+		for a.Len() < nnz {
+			a.SetAt(rng.Float64()+1, rng.Int63n(300), rng.Int63n(200))
+		}
+		return a
+	}
+	for _, tc := range []struct {
+		name string
+		a    *DistArray
+		dims []int
+	}{
+		{"sparse 2D, 200 elements", sparse(200), []int{0, 1}},
+		{"sparse 2D, 20000 elements", sparse(20000), []int{0, 1}},
+		{"sparse 2D, time before space", sparse(200), []int{1, 0}},
+		{"dense 1D", NewDense("samples", 5000), []int{0}},
+		{"dense 2D", NewDense("grid", 30, 70), []int{1, 0}},
+	} {
+		want := make([][]int64, len(tc.dims))
+		for k, d := range tc.dims {
+			want[k] = make([]int64, tc.a.dims[d])
+		}
+		tc.a.ForEach(func(idx []int64, _ float64) {
+			for k, d := range tc.dims {
+				want[k][idx[d]]++
+			}
+		})
+		var got [][]int64
+		allocs := testing.AllocsPerRun(5, func() { got = tc.a.CoordCounts(tc.dims...) })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: CoordCounts(%v) differs from the flattening count", tc.name, tc.dims)
+		}
+		if allocs > 3 {
+			t.Errorf("%s: CoordCounts allocates %v times, want at most 3", tc.name, allocs)
+		}
 	}
 }
