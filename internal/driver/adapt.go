@@ -16,7 +16,6 @@ import (
 
 	"orion/internal/obs"
 	"orion/internal/obs/analyze"
-	"orion/internal/plan"
 )
 
 // AdaptDecision records one adaptive re-planning evaluation at a loop
@@ -137,7 +136,7 @@ func (s *Session) recut(e *compiledLoop, kernel string, delta *obs.LoopReport, a
 	space := s.iterSpaceOf(e)
 	owner := s.lastSpacePart
 	reweighted := profile.Reweight(space.spaceW, func(coord int) int { return owner.PartOf(int64(coord)) })
-	art, err := e.art.Recut(reweighted, space.timeW, s.n, s.n, plan.WeightsDigest(space.spaceW, space.timeW))
+	art, err := e.art.Recut(reweighted, space.timeW, s.n, s.n, space.digest)
 	if err != nil {
 		return fmt.Errorf("driver: adaptive recut of %q: %w", kernel, err)
 	}

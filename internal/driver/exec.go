@@ -9,6 +9,7 @@ import (
 	"orion/internal/ir"
 	"orion/internal/lang"
 	"orion/internal/obs"
+	"orion/internal/plan"
 	"orion/internal/runtime"
 	"orion/internal/sched"
 )
@@ -67,7 +68,7 @@ func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
 // and the fleet (plan.Artifact.Partitioners), a fresh balancing —
 // counted as plan.repartition — otherwise.
 func (s *Session) partitioners(e *compiledLoop, r *iterSpace) (spacePart, timePart *sched.Partitioner) {
-	spacePart, timePart, reused := e.art.Partitioners(r.spaceW, r.timeW, s.n, s.n)
+	spacePart, timePart, reused := e.art.Partitioners(r.spaceW, r.timeW, r.digest, s.n, s.n)
 	if !reused {
 		obs.GetCounter("plan.repartition").Inc()
 	}
@@ -87,8 +88,10 @@ type iterSpace struct {
 	spaceDim, timeDim int
 	// spaceW/timeW are the raw per-coordinate iteration counts of the
 	// loop's space/time dimensions — the weights the static pipeline
-	// cut from, and the base the adaptive trigger re-weights. Read-only.
+	// cut from, and the base the adaptive trigger re-weights — and digest
+	// is their plan.WeightsDigest. Read-only.
 	spaceW, timeW []int64
+	digest        string
 
 	// stale says why the executors do not hold this space. It is ""
 	// from the session's own ship of it, cut at cuts, and that stands
@@ -121,6 +124,7 @@ func (s *Session) iterSpaceOf(e *compiledLoop) *iterSpace {
 	} else {
 		r.spaceW = arr.CoordCounts(r.spaceDim)[0]
 	}
+	r.digest = plan.WeightsDigest(r.spaceW, r.timeW)
 	switch {
 	case old == nil:
 	case old.stale != "":

@@ -18,7 +18,6 @@ import (
 	"orion/internal/dsm"
 	"orion/internal/lang"
 	"orion/internal/obs"
-	"orion/internal/plan"
 	"orion/internal/runtime"
 )
 
@@ -154,7 +153,7 @@ func (s *Session) resize(e *compiledLoop, kernel string, want int, at resumePos)
 	if want < oldN {
 		if !e.art.Space.IsZero() {
 			space := s.iterSpaceOf(e)
-			art, err := e.art.Recut(space.spaceW, space.timeW, s.n, s.n, plan.WeightsDigest(space.spaceW, space.timeW))
+			art, err := e.art.Recut(space.spaceW, space.timeW, s.n, s.n, space.digest)
 			if err != nil {
 				return fmt.Errorf("driver: shrink recut of %q: %w", kernel, err)
 			}

@@ -132,7 +132,7 @@ func runOneD(app App, cfg Config, pl *sched.Plan, art *plan.Artifact) *Result {
 		extent = cols
 	}
 	weights := sched.Weights(extent, n, func(i int) int64 { return coordOf(app.SampleAt(i), pl.SpaceDim) })
-	part, _, _ := art.Partitioners(weights, nil, cfg.Workers, 0)
+	part, _, _ := art.Partitioners(weights, nil, plan.WeightsDigest(weights, nil), cfg.Workers, 0)
 	blocks := make([][]int, cfg.Workers)
 	for i := 0; i < n; i++ {
 		w := part.PartOf(coordOf(app.SampleAt(i), pl.SpaceDim))
@@ -183,7 +183,7 @@ func runTwoD(app App, cfg Config, pl *sched.Plan, art *plan.Artifact, ordered bo
 
 	spaceW := sched.Weights(spaceExtent, n, func(i int) int64 { return coordOf(app.SampleAt(i), spaceDim) })
 	timeW := sched.Weights(timeExtent, n, func(i int) int64 { return coordOf(app.SampleAt(i), timeDim) })
-	spacePart, timePart, _ := art.Partitioners(spaceW, timeW, nw, timeParts)
+	spacePart, timePart, _ := art.Partitioners(spaceW, timeW, plan.WeightsDigest(spaceW, timeW), nw, timeParts)
 
 	blocks := make([][][]int, nw)
 	for w := range blocks {

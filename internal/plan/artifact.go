@@ -22,6 +22,7 @@ package plan
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -440,18 +441,18 @@ func Key(parts ...string) string {
 }
 
 // WeightsDigest fingerprints per-coordinate iteration-weight
-// histograms, for cheap artifact revalidation against current data.
+// histograms, for cheap artifact revalidation against current data. The
+// varints reach the hash through one buffer, not one Write each.
 func WeightsDigest(weights ...[]int64) string {
-	h := sha256.New()
+	var buf []byte
 	for _, ws := range weights {
-		fmt.Fprintf(h, "[%d]", len(ws))
-		var buf [10]byte
+		buf = fmt.Appendf(buf, "[%d]", len(ws))
 		for _, w := range ws {
-			n := putUvarint(buf[:], uint64(w))
-			h.Write(buf[:n])
+			buf = binary.AppendUvarint(buf, uint64(w))
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])[:16]
 }
 
 // BalancedPartitioner materializes a histogram-balanced partitioning
@@ -466,16 +467,17 @@ func BalancedPartitioner(weights []int64, parts int) *sched.Partitioner {
 
 // Partitioners returns the executable partitioners for a run over
 // workers space parts and timeParts time parts (timeW nil: a 1D run, no
-// time partitioner). The cuts materialized at plan time are reused —
-// coalesced with MergeTo onto a fleet smaller than the one they were cut
-// for — while the data still digests to the weights they were balanced
-// on. On drift (arrays mutate between runs), for a fleet the cuts cannot
+// time partitioner); digest is WeightsDigest(spaceW, timeW), which a
+// caller running many times over unchanged weights computes once. The
+// cuts materialized at plan time are reused — coalesced with MergeTo
+// onto a fleet smaller than the one they were cut for — while the data
+// still digests to the weights they were balanced on. On drift (arrays mutate between runs), for a fleet the cuts cannot
 // cover, or with no artifact at all (a nil receiver) the weights are
 // balanced afresh, without re-running analysis or planning, and reused
 // is false.
-func (a *Artifact) Partitioners(spaceW, timeW []int64, workers, timeParts int) (space, tm *sched.Partitioner, reused bool) {
+func (a *Artifact) Partitioners(spaceW, timeW []int64, digest string, workers, timeParts int) (space, tm *sched.Partitioner, reused bool) {
 	if a != nil && a.Space.Parts >= workers && (timeW == nil || a.Time.Parts >= timeParts) &&
-		a.WeightsDigest == WeightsDigest(spaceW, timeW) {
+		a.WeightsDigest == digest {
 		var err error
 		if space, err = a.Space.MergeTo(workers).Partitioner(); err == nil && timeW != nil {
 			tm, err = a.Time.MergeTo(timeParts).Partitioner()

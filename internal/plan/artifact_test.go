@@ -387,7 +387,7 @@ func TestPartitionersReuseOrRebalance(t *testing.T) {
 		{"nil artifact", nil, spaceW, timeW, 4, 4, false, balanced(spaceW, 4), balanced(timeW, 4)},
 		{"1D asks for no time partitioner", nil, spaceW, nil, 3, 0, false, balanced(spaceW, 3), nil},
 	} {
-		sp, tp, reused := tc.art.Partitioners(tc.spaceW, tc.timeW, tc.workers, tc.timeParts)
+		sp, tp, reused := tc.art.Partitioners(tc.spaceW, tc.timeW, WeightsDigest(tc.spaceW, tc.timeW), tc.workers, tc.timeParts)
 		if reused != tc.reused {
 			t.Errorf("%s: reused = %v, want %v", tc.name, reused, tc.reused)
 		}

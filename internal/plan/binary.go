@@ -25,8 +25,6 @@ const (
 	maxCount  = 1 << 16
 )
 
-func putUvarint(buf []byte, v uint64) int { return binary.PutUvarint(buf, v) }
-
 type encoder struct{ buf []byte }
 
 func (e *encoder) uvarint(v uint64) {
