@@ -52,7 +52,9 @@ race:
 # The seeded fault-injection suite: scripted connection failures at
 # chosen loop clocks, recovery from coordinated checkpoints, bitwise
 # comparison against fault-free runs, and a worker blackholed between
-# loops failing every master wait — under the race detector.
+# loops failing every master wait and every driver fetch (recovered with
+# a checkpoint directory, ORN301 naming the arrays without) — under the
+# race detector.
 chaos:
 	$(GO) test -race -run 'Chaos' ./internal/runtime ./internal/driver
 
@@ -81,11 +83,13 @@ bench-smoke:
 exec-gate:
 	$(GO) test -run '^$$' -bench '(Executor|Served)VsDirectKernel$$' -benchtime 1x ./internal/bench
 
-# Live ratio gate on the resident iteration space: six single-pass
-# Session.ParallelFor calls against a pass of one Passes(5) call, timed
-# in this run on two workers; fails when the fastest single-pass call
-# costs more than 1.5x a multi-pass pass (3.1x when every call
-# re-shipped the ratings).
+# Live ratio gate on residency (iteration space and model arrays): six
+# single-pass Session.ParallelFor calls against a pass of one Passes(5)
+# call, timed in this run on two workers, an MF leg and an LDA leg (a
+# sparse space-local array the driver never reads); fails when the
+# fastest single-pass call costs more than 1.15x a multi-pass pass (3.1x
+# when every call re-shipped the ratings; the bar was 1.5x while every
+# call still distributed and gathered the model arrays).
 resident-gate:
 	$(GO) test -run '^$$' -bench 'ResidentCallVsMultiPass$$' -benchtime 1x ./internal/bench
 

@@ -14,13 +14,17 @@ import (
 // body runs over the session's own DistArray copies in deterministic
 // element order, DistArray Buffer writes flush at each pass boundary,
 // and accumulator deltas fold into the session's accumulator base so
-// Accumulate stays exact. Nothing is shipped to the executors, so no
-// gather is needed afterwards.
+// Accumulate stays exact. Every array is fetched first; nothing is
+// shipped to the executors, and what the pass writes re-ships at the
+// next parallel loop like any other driver-side write.
 func (s *Session) runDemoted(e *compiledLoop, passes int) error {
 	if passes <= 0 {
 		passes = 1
 	}
 	obs.GetCounter("driver.guard_demotions").Inc()
+	if err := s.fetch("read"); err != nil {
+		return err
+	}
 
 	m := lang.NewMachine()
 	for name, a := range s.arrays {
@@ -32,7 +36,7 @@ func (s *Session) runDemoted(e *compiledLoop, passes int) error {
 	}
 	var bufs []boundBuf
 	for bname, target := range s.env.Buffers {
-		a, ok := s.arrays[target]
+		a, ok := m.Arrays[target].(*dsm.DistArray)
 		if !ok {
 			return fmt.Errorf("driver: buffer %q targets unknown array %q", bname, target)
 		}

@@ -13,8 +13,9 @@
 // ParallelFor parses the loop, statically extracts its access pattern,
 // computes dependence vectors, picks a dependence-preserving plan,
 // distributes the DistArrays accordingly (space-local, rotated, or
-// parameter-server-served with a *synthesized* bulk-prefetch function),
-// executes on the distributed runtime, and gathers results back.
+// parameter-server-served with a *synthesized* bulk-prefetch function)
+// and executes on the distributed runtime, where the arrays stay until
+// the driver program reads one back (Session.Array, resident.go).
 package driver
 
 import (
@@ -101,8 +102,10 @@ type Session struct {
 	shrinkTarget  int
 	lastSpacePart *sched.Partitioner
 
-	// resident records the iteration space the fleet holds (exec.go).
-	resident *iterSpace
+	// iter and held record what the fleet holds: the iteration space and
+	// the model arrays by name (resident.go).
+	iter *resident
+	held map[string]*resident
 }
 
 var sessionSeq atomic.Int64
@@ -185,6 +188,7 @@ func newSession(tr runtime.Transport, m *runtime.Master, n int) *Session {
 		arrays:      map[string]*dsm.DistArray{},
 		globals:     map[string]float64{},
 		planMem:     map[string]*compiledLoop{},
+		held:        map[string]*resident{},
 		maxRestarts: 2,
 		rejoinWait:  10 * time.Second,
 		accumBase:   map[string]float64{},
@@ -246,24 +250,21 @@ func (s *Session) Recoveries() int64 { return s.recoveries.Load() }
 func (s *Session) Workers() int { return s.n }
 
 // CreateArray declares a DistArray and returns it for driver-side
-// initialization (loading data, random init). The driver's copy is
-// authoritative between ParallelFor calls.
+// initialization (loading data, random init). The returned copy is
+// current until a ParallelFor writes the array; after one, ask Array.
 func (s *Session) CreateArray(name string, dense bool, dims ...int64) *dsm.DistArray {
-	var a *dsm.DistArray
+	a := dsm.NewSparse(name, dims...)
 	if dense {
 		a = dsm.NewDense(name, dims...)
-	} else {
-		a = dsm.NewSparse(name, dims...)
 	}
-	s.arrays[name] = a
-	s.env.Arrays[name] = a.Dims()
+	s.RegisterArray(a)
 	return a
 }
 
 // CreateBuffer declares a DistArray Buffer over target; writes through
 // it in loop bodies are exempt from dependence analysis (Section 3.3).
 func (s *Session) CreateBuffer(name, target string) error {
-	if _, ok := s.arrays[target]; !ok {
+	if _, ok := s.env.Arrays[target]; !ok {
 		return fmt.Errorf("driver: buffer %q targets unknown array %q", name, target)
 	}
 	s.env.Buffers[name] = target
@@ -328,9 +329,6 @@ func (s *Session) kernelBackend(loop *lang.Loop) (string, error) {
 	}
 	return "interp", nil
 }
-
-// Array returns the driver-side copy of an array.
-func (s *Session) Array(name string) *dsm.DistArray { return s.arrays[name] }
 
 // Option tunes a ParallelFor call.
 type Option func(*pfOpts)
@@ -405,9 +403,10 @@ func (s *Session) PlanOf(src string) (*ir.LoopSpec, *dep.Set, *sched.Plan, error
 }
 
 // ParallelFor is @parallel_for: it analyzes, plans, and executes the
-// loop on the distributed runtime, then gathers updated DistArrays back
-// into the driver's copies. An unchanged program re-uses the session's
-// cached plan artifact instead of re-running the static pipeline.
+// loop on the distributed runtime, shipping only the arrays the
+// executors do not already hold as the plan places them; what it writes
+// stays there until Array fetches it. An unchanged program re-uses the
+// session's cached plan artifact instead of re-running the pipeline.
 func (s *Session) ParallelFor(src string, options ...Option) (*sched.Plan, error) {
 	o := pfOpts{passes: 1}
 	for _, opt := range options {
@@ -441,11 +440,7 @@ func (s *Session) ParallelFor(src string, options ...Option) (*sched.Plan, error
 				fmt.Sprintf("set the guard variables so that %s holds to run this loop in parallel", e.guard),
 				"runtime guard %s failed (%s): loop %q demoted to a serial driver-side pass", e.guard, why, e.spec.Name))
 			s.lastDiags.Sort()
-			obs.Flight().Record(obs.FlightEvent{
-				Kind: "guard.demoted", Clock: s.master.Clock(),
-				Loop: e.spec.Name, Pass: -1, Step: -1, Worker: -1,
-				Detail: fmt.Sprintf("guard %s failed: %s", e.guard, why),
-			})
+			s.event("guard.demoted", e.spec.Name, fmt.Sprintf("guard %s failed: %s", e.guard, why))
 			return e.plan, s.runDemoted(e, o.passes)
 		}
 	}
@@ -479,9 +474,10 @@ func (s *Session) Accumulate(name string) (float64, error) {
 // every served read.
 func (s *Session) Misses() int64 { return s.master.Misses() }
 
-// Close shuts the session down. When tracing is on it first pulls any
-// spans still sitting in remote workers' rings, so the merged trace
-// covers the whole run.
+// Close shuts the session down. It first fetches, best effort, what only
+// the fleet holds, so Array keeps answering, and when tracing is on pulls
+// the spans still in remote workers' rings, so the merged trace covers
+// the whole run.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -489,6 +485,7 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
+	_ = s.fetch("close") // what could not be fetched is on record as ORN301
 	s.master.CollectTraces()
 	s.master.Shutdown()
 	for _, d := range s.execDone {
@@ -507,9 +504,9 @@ func (s *Session) Checkpoint(dir string, names ...string) error {
 	}
 	arrs := make([]*dsm.DistArray, 0, len(names))
 	for _, name := range names {
-		a, ok := s.arrays[name]
-		if !ok {
-			return fmt.Errorf("driver: checkpoint of unknown array %q", name)
+		a := s.Array(name)
+		if a == nil {
+			return fmt.Errorf("driver: checkpoint of unknown or lost array %q", name)
 		}
 		arrs = append(arrs, a)
 	}
@@ -524,11 +521,10 @@ func (s *Session) Restore(dir string, names ...string) error {
 		return err
 	}
 	for name, a := range restored {
-		if _, ok := s.arrays[name]; !ok {
+		if _, ok := s.env.Arrays[name]; !ok {
 			return fmt.Errorf("driver: restoring undeclared array %q", name)
 		}
-		s.arrays[name] = a
-		s.env.Arrays[name] = a.Dims()
+		s.RegisterArray(a)
 	}
 	return nil
 }
@@ -547,10 +543,11 @@ func (s *Session) CreateArrayFromTextFile(name, path string, parser dsm.LinePars
 }
 
 // RegisterArray adopts an externally built DistArray (e.g. from a
-// dsm.Builder pipeline) into the session.
+// dsm.Builder pipeline) into the session, replacing any of that name.
 func (s *Session) RegisterArray(a *dsm.DistArray) {
 	s.arrays[a.Name()] = a
 	s.env.Arrays[a.Name()] = a.Dims()
+	s.invalidate(a.Name())
 }
 
 // ArrayDim names one array and the dimension of it that carries a
@@ -569,24 +566,24 @@ func (s *Session) Randomize(seed int64, specs ...ArrayDim) ([]int64, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("driver: Randomize needs at least one array")
 	}
-	first, ok := s.arrays[specs[0].Name]
-	if !ok {
+	first := s.Array(specs[0].Name)
+	if first == nil {
 		return nil, fmt.Errorf("driver: unknown array %q", specs[0].Name)
 	}
 	extent := first.Dims()[specs[0].Dim]
 	rng := rand.New(rand.NewSource(seed))
 	permuted, perm := first.Randomize(specs[0].Dim, rng)
-	s.arrays[specs[0].Name] = permuted
+	s.RegisterArray(permuted)
 	for _, spec := range specs[1:] {
-		a, ok := s.arrays[spec.Name]
-		if !ok {
+		a := s.Array(spec.Name)
+		if a == nil {
 			return nil, fmt.Errorf("driver: unknown array %q", spec.Name)
 		}
 		if a.Dims()[spec.Dim] != extent {
 			return nil, fmt.Errorf("driver: %q dim %d extent %d does not match the shared coordinate extent %d",
 				spec.Name, spec.Dim, a.Dims()[spec.Dim], extent)
 		}
-		s.arrays[spec.Name] = a.Permute(spec.Dim, perm)
+		s.RegisterArray(a.Permute(spec.Dim, perm))
 	}
 	return perm, nil
 }

@@ -55,18 +55,15 @@ func (s *Session) SetPlanCacheDir(dir string) {
 // planKey fingerprints everything the static pipeline's output depends
 // on in this session: the loop source and ordering, the execution
 // backend and worker count, and the declared environment (arrays with
-// extents and driver-side sizes, buffers, global names).
+// extents and driver-side sizes, buffers, global names). Planning never
+// fetches: the sizes are the last known, and a sparse array whose
+// population a loop changed re-plans at its next fetch.
 func (s *Session) planKey(src string, ordered bool) string {
 	parts := []string{"driver", src, fmt.Sprintf("ordered=%v backend=%s n=%d", ordered, s.backend, s.n)}
-	names := make([]string, 0, len(s.arrays))
-	for name := range s.arrays {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		a := s.arrays[name]
+	for name, a := range s.arrays {
 		parts = append(parts, fmt.Sprintf("array %s %v bytes=%d", name, a.Dims(), int64(a.Len())*8))
 	}
+	sort.Strings(parts[3:])
 	bufs := make([]string, 0, len(s.env.Buffers))
 	for b, target := range s.env.Buffers {
 		bufs = append(bufs, b+"->"+target)
@@ -90,7 +87,7 @@ func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 	key := s.planKey(src, ordered)
 	if e, ok := s.planMem[key]; ok {
 		obs.GetCounter("driver.plan_reuse").Inc()
-		s.recordPlanEvent("plan.cache.hit", e, "session memo")
+		s.event("plan.cache.hit", e.spec.Name, "session memo")
 		s.lastDiags = append(diag.List(nil), e.diags...)
 		return e, e.diags.Err()
 	}
@@ -98,7 +95,7 @@ func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 		if art := s.planDisk.Get(key); art != nil {
 			if e, err := s.entryFromArtifact(art, ordered); err == nil {
 				obs.GetCounter("driver.plan_reuse").Inc()
-				s.recordPlanEvent("plan.cache.hit", e, "disk artifact")
+				s.event("plan.cache.hit", e.spec.Name, "disk artifact")
 				s.planMem[key] = e
 				s.lastDiags = nil
 				return e, nil
@@ -112,7 +109,7 @@ func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 	if e == nil {
 		return nil, err
 	}
-	s.recordPlanEvent("plan.cache.miss", e, "compiled")
+	s.event("plan.cache.miss", e.spec.Name, "compiled")
 	s.planMem[key] = e
 	if s.planDisk != nil && !e.diags.HasErrors() {
 		s.planDisk.Put(key, e.art)
@@ -120,13 +117,12 @@ func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 	return e, err
 }
 
-// recordPlanEvent logs one plan-cache outcome to the flight recorder,
-// keyed by the loop's declared name (kernel names are minted later, at
-// dispatch).
-func (s *Session) recordPlanEvent(kind string, e *compiledLoop, detail string) {
+// event logs one driver-side decision about a loop (a plan-cache
+// outcome, a backend, a ship, a fetch) at the current clock.
+func (s *Session) event(kind, loop, detail string) {
 	obs.Flight().Record(obs.FlightEvent{
 		Kind: kind, Clock: s.master.Clock(),
-		Loop: e.spec.Name, Pass: -1, Step: -1, Worker: -1,
+		Loop: loop, Pass: -1, Step: -1, Worker: -1,
 		Detail: detail,
 	})
 }
@@ -244,7 +240,8 @@ func (s *Session) entryFromArtifact(art *plan.Artifact, ordered bool) (*compiled
 }
 
 // schedOptions builds the planning options this session vets and
-// fingerprints with: defaults plus real driver-side array sizes.
+// fingerprints with: defaults plus the driver-side array sizes, as last
+// known (see planKey).
 func (s *Session) schedOptions() sched.Options {
 	sopts := sched.DefaultOptions()
 	sopts.ArrayBytes = map[string]int64{}

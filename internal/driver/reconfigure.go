@@ -32,10 +32,10 @@ type reconfigState struct {
 	// entryClock is the master clock at loop entry; checkpoints at or
 	// before it belong to earlier loops and are never restored.
 	entryClock int64
-	// floor is the position the driver's array copies correspond to:
-	// loop-entry state at first, then the last restored checkpoint or
-	// the last quiesced segment boundary. floorWorkers is the fleet
-	// size that floor's mid-pass placement (if any) assumes.
+	// floor is the position the driver's array copies correspond to
+	// (wrote): loop-entry state at first, then the last restored
+	// checkpoint or the last quiesced segment boundary. floorWorkers is
+	// the fleet size that floor's mid-pass placement (if any) assumes.
 	floor        resumePos
 	floorWorkers int
 	// segBase snapshots the loop's execution report at segment entry,
@@ -55,13 +55,22 @@ type reconfigState struct {
 // sessions, rejoin/shrink for TCP fleets), restores the newest usable
 // checkpoint, and retries from there. Without a checkpoint directory
 // (or once maxRestarts attempts are spent) a loss fails fast — the
-// ORN301 path callers already render.
-func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, attempt func(start resumePos, stopPass int) ([]string, error)) error {
+// ORN301 path callers already render, naming the arrays whose unfetched
+// updates went with the fleet.
+func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, attempt func(start resumePos, stopPass int) error) error {
 	if passes <= 0 {
 		passes = 1
 	}
 	rc := &reconfigState{entryClock: s.master.Clock(), floorWorkers: s.n}
 	start := resumePos{}
+	// A checkpoint directory keeps the driver's copies current at every
+	// boundary (here, and wrote after each attempt): a recovery with no
+	// checkpoint of this call to restore restarts from them, the floor.
+	if s.checkpointDir != "" {
+		if err := s.fetch("checkpoint-armed"); err != nil {
+			return err
+		}
+	}
 	// A planned shrink fires at loop entry, before any state has been
 	// distributed: the whole loop then runs at the smaller size, so its
 	// result is bitwise-identical to a static run at that size.
@@ -77,11 +86,8 @@ func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, 
 		if s.adaptEnabled {
 			rc.segBase = s.master.Report(kernel)
 		}
-		gathered, err := attempt(start, stopPass)
+		err := attempt(start, stopPass)
 		if err == nil {
-			if gerr := s.gather(gathered); gerr != nil {
-				return gerr
-			}
 			// Loop boundary: pull remote span rings while every worker
 			// is idle, so a later crash cannot take their history down
 			// with it. Best-effort and bounded; a no-op unless tracing.
@@ -89,9 +95,9 @@ func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, 
 			if stopPass >= passes {
 				return nil
 			}
-			// Quiesced at an interior boundary: the gathered driver
-			// arrays are authoritative, so reconfiguration can re-cut
-			// and re-place without a checkpoint round-trip.
+			// Quiesced at an interior boundary: a recut moves what it
+			// re-keys by way of the driver and a resize fetches everything
+			// first, without a checkpoint round-trip.
 			boundary := resumePos{pass: stopPass}
 			if s.adaptEnabled {
 				if err := s.recut(e, kernel, s.master.Report(kernel).Delta(rc.segBase), boundary); err != nil {
@@ -109,7 +115,7 @@ func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, 
 			continue
 		}
 		if !errors.Is(err, runtime.ErrWorkerLost) || s.checkpointDir == "" || rc.restarts >= s.maxRestarts {
-			return err
+			return s.lost(err)
 		}
 		rc.restarts++
 		pos, rerr := s.recover(e, kernel, rc, err)
@@ -133,9 +139,10 @@ func (s *Session) segmentStop(startPass, passes int) int {
 
 // resize re-forms the fleet at want workers at a quiesced position:
 // accumulator contributions fold into the driver's base while the old
-// executors are still alive (the new fleet starts from zero), then the
-// fleet is torn down and brought up at the target size. The caller's
-// next attempt re-distributes arrays and iteration space onto it. A
+// executors are still alive (the new fleet starts from zero) and what
+// only they hold is fetched, then the fleet is torn down and brought up
+// at the target size. The caller's next attempt re-distributes arrays
+// and iteration space onto it. A
 // shrink also re-cuts the artifact onto the survivors from the raw
 // iteration weights — exactly the materialization a fresh compile at
 // the smaller size produces, so the next attempt's partitioner reuse
@@ -143,6 +150,9 @@ func (s *Session) segmentStop(startPass, passes int) int {
 // the artifact's cuts and is balanced afresh there.
 func (s *Session) resize(e *compiledLoop, kernel string, want int, at resumePos) error {
 	if err := s.foldAccumulators(e); err != nil {
+		return err
+	}
+	if err := s.fetch("reconfigure"); err != nil {
 		return err
 	}
 	oldN := s.n
@@ -299,9 +309,8 @@ func (s *Session) restoreLatest(e *compiledLoop, kernel string, entryClock int64
 		if err != nil {
 			return resumePos{}, false, err
 		}
-		for name, a := range restored {
-			s.arrays[name] = a
-			s.env.Arrays[name] = a.Dims()
+		for _, a := range restored {
+			s.RegisterArray(a)
 		}
 		for name, v := range man.Accums {
 			s.accumBase[name] = v

@@ -1,16 +1,20 @@
 package driver
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"net"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"orion/internal/data"
+	"orion/internal/diag"
 	"orion/internal/dsm"
+	"orion/internal/lang"
 	"orion/internal/obs"
 	"orion/internal/obs/analyze"
 	"orion/internal/runtime"
@@ -23,8 +27,11 @@ import (
 // invalidate that, each row asserting the ship/no-ship decision from
 // the flight log and the result bit for bit against a reference session
 // that makes the same calls with residency defeated — it re-registers a
-// clone of the iteration array before every call, so it always ships,
-// which is what every call did before there was anything resident.
+// clone of the iteration array and of every compared array before every
+// call, so it always gathers and always ships, which is what every call
+// did before there was anything resident. The model arrays (resident.go)
+// are held to the same scripts: a step that lists arrays asserts what
+// was shipped, reused and fetched of them.
 
 // residentStep is one ParallelFor call of a script.
 type residentStep struct {
@@ -38,6 +45,29 @@ type residentStep struct {
 	// want lists the call's iteration-space decisions in order: "reuse",
 	// or "ship:<reason>". A call has one per attempt.
 	want []string
+	// arrays, when set, lists the call's model-array decisions in order
+	// (arrayDecisions).
+	arrays []string
+}
+
+// arrayDecisions lists what the flight log says happened to the model
+// arrays: "ship:W mutated", "reuse:H", "fetch:z read".
+func arrayDecisions() []string {
+	var out []string
+	for _, ev := range obs.Flight().Events() {
+		if verb, ok := strings.CutPrefix(ev.Kind, "array."); ok {
+			out = append(out, verb+":"+ev.Detail)
+		}
+	}
+	return out
+}
+
+// arrayCounters reads driver.array_{ship,reuse,fetch}.
+func arrayCounters() (c [3]int64) {
+	for i, verb := range []string{"ship", "reuse", "fetch"} {
+		c[i] = obs.GetCounter("driver.array_" + verb).Value()
+	}
+	return c
 }
 
 func iterspaceDecisions() []string {
@@ -69,21 +99,49 @@ func runResidentScript(t *testing.T, sess, ref *Session, iter string, steps []re
 				st.before(t, s)
 			}
 			if s == ref {
-				s.RegisterArray(s.Array(iter).Clone())
+				for _, name := range append([]string{iter}, arrays...) {
+					s.RegisterArray(s.Array(name).Clone())
+				}
 			} else if st.fault != nil {
 				st.fault(t, s)
 			}
 			obs.Flight().Reset()
-			ship0, reuse0 := ship.Value(), reuse.Value()
+			ship0, reuse0, arrays0 := ship.Value(), reuse.Value(), arrayCounters()
 			if _, err := s.ParallelFor(src, st.opts...); err != nil {
 				t.Fatalf("call %d (%s): %v", i+1, st.what, err)
 			}
-			got := iterspaceDecisions()
+			got, gotArrays := iterspaceDecisions(), arrayDecisions()
 			if s == ref {
+				// A later attempt of the same call may reuse what the first
+				// shipped: an array's first decision is what counts.
+				decided := map[string]bool{}
+				for _, d := range gotArrays {
+					name, isReuse := strings.CutPrefix(d, "reuse:")
+					if isReuse && !decided[name] && slices.Contains(arrays, name) {
+						t.Fatalf("call %d (%s): the reference session reused %s: %v", i+1, st.what, name, gotArrays)
+					}
+					name, _, _ = strings.Cut(strings.TrimPrefix(strings.TrimPrefix(d, "ship:"), "reuse:"), " ")
+					decided[name] = true
+				}
 				if slices.Contains(got, "reuse") {
 					t.Fatalf("call %d (%s): the reference session reused: %v", i+1, st.what, got)
 				}
 				continue
+			}
+			if st.arrays != nil && !slices.Equal(gotArrays, st.arrays) {
+				t.Errorf("call %d (%s): model arrays %v, want %v", i+1, st.what, gotArrays, st.arrays)
+			}
+			var logged [3]int64
+			for _, d := range gotArrays {
+				verb, _, _ := strings.Cut(d, ":")
+				logged[slices.Index([]string{"ship", "reuse", "fetch"}, verb)]++
+			}
+			now := arrayCounters()
+			for k := range now {
+				now[k] -= arrays0[k]
+			}
+			if now != logged {
+				t.Errorf("call %d (%s): driver.array_{ship,reuse,fetch} +%v; the flight log says %v", i+1, st.what, now, logged)
 			}
 			if !slices.Equal(got, st.want) {
 				t.Errorf("call %d (%s): iteration space %v, want %v", i+1, st.what, got, st.want)
@@ -289,22 +347,27 @@ func TestChaosResidentSurvivesReconfiguration(t *testing.T) {
 		last    residentStep
 	}{
 		{"killed worker", 2, residentStep{what: "a worker killed mid-pass", opts: []Option{Passes(2)}, want: fleet,
+			arrays: []string{"reuse:W", "reuse:H", "ship:W fleet", "ship:H fleet", armedH, armedW},
 			fault: func(t *testing.T, s *Session) {
 				chaosOf[s].Schedule(runtime.FaultEvent{Clock: s.Clock() + 1, Addr: s.Addr(), Conn: 1, Kind: runtime.FaultSever})
 			}}},
 		{"grow", 2, residentStep{what: "a grow at the pass boundary", opts: []Option{Passes(2)}, want: fleet,
+			arrays: []string{"reuse:W", "reuse:H", armedH, armedW, "ship:W fleet", "ship:H fleet", armedH, armedW},
 			before: func(t *testing.T, s *Session) {
 				if err := s.Grow(3); err != nil {
 					t.Fatal(err)
 				}
 			}}},
 		{"shrink", 3, residentStep{what: "a planned shrink", want: []string{"ship:fleet"},
+			arrays: []string{"ship:W fleet", "ship:H fleet", armedH, armedW},
 			before: func(t *testing.T, s *Session) {
 				if err := s.Shrink(2); err != nil {
 					t.Fatal(err)
 				}
 			}}},
 		{"adaptive recut", 2, residentStep{what: "a recut at the pass boundary", opts: []Option{Passes(2)}, want: []string{"reuse", "ship:recut"},
+			// The recut moves the space cuts and leaves the time cuts: W, not H.
+			arrays: []string{"reuse:W", "reuse:H", armedH, armedW, "ship:W rekeyed", "reuse:H", armedH, armedW},
 			before: func(t *testing.T, s *Session) {
 				s.SetAdapt(0.5) // skew >= 1 always: recut at the boundary
 				s.SetAdaptProfile(func(kernel string, _ *obs.LoopReport) *analyze.WeightProfile {
@@ -335,6 +398,10 @@ func TestChaosResidentSurvivesReconfiguration(t *testing.T) {
 		})
 	}
 }
+
+// While a checkpoint directory is set, every completed attempt is
+// followed by a fetch of what it wrote.
+const armedH, armedW = "fetch:H checkpoint-armed", "fetch:W checkpoint-armed"
 
 // chaosOf finds a chaos session's fault injector from a step's hooks.
 var chaosOf = map[*Session]*runtime.Chaos{}
@@ -373,12 +440,14 @@ func TestChaosResidentTCPReform(t *testing.T) {
 		{what: "first call", want: first},
 		{what: "unchanged", want: reuse},
 		{what: "a worker lost for good", opts: []Option{Passes(2)}, want: []string{"reuse", "ship:fleet"},
+			arrays: []string{"reuse:W", "reuse:H", "ship:W fleet", "ship:H fleet", armedH, armedW},
 			before: func(t *testing.T, s *Session) {
 				chaosOf[s].Schedule(runtime.FaultEvent{Clock: s.Clock() + 1, Addr: s.Addr(), Conn: 0, Kind: runtime.FaultSever})
 			}},
 		// The recovered attempt ran on the 3-worker artifact's cuts
 		// merged onto 2; the next call plans for 2 workers and cuts anew.
-		{what: "the first call planned for the survivors", want: []string{"ship:recut"}},
+		{what: "the first call planned for the survivors", want: []string{"ship:recut"},
+			arrays: []string{"ship:W rekeyed", "ship:H rekeyed", armedH, armedW}},
 		{what: "unchanged", want: reuse},
 	}, "W", "H")
 	if got := pair[0].Workers(); got != 2 {
@@ -487,9 +556,10 @@ func (c *masterLinkCounter) Dial(addr string) (net.Conn, error) {
 }
 
 // TestResidentSecondCallShipsAQuarter: the second of two identical MF
-// calls moves at most a quarter of the first's bytes over the master
-// links — the model arrays, the loop and the barrier traffic, not the
-// ratings.
+// calls moves at most a twentieth (it was a quarter while the model
+// arrays still went out and came back) of the first's bytes over the
+// master links — the loop and the barrier traffic, not the ratings and
+// not W or H — and reading W back afterwards moves W and not H.
 func TestResidentSecondCallShipsAQuarter(t *testing.T) {
 	tr := &masterLinkCounter{Transport: runtime.NewInProc(), master: "resident-bytes-master"}
 	sess, err := NewLocalSessionOver(tr, tr.master, "", 2)
@@ -518,8 +588,13 @@ func TestResidentSecondCallShipsAQuarter(t *testing.T) {
 		calls[i] = tr.bytes.Load() - before
 	}
 	t.Logf("master-link bytes: call 1 %d, call 2 %d (%.1f%%)", calls[0], calls[1], 100*float64(calls[1])/float64(calls[0]))
-	if calls[1] == 0 || 4*calls[1] > calls[0] {
-		t.Errorf("call 2 moved %d bytes over the master links, call 1 %d: want at most a quarter", calls[1], calls[0])
+	if calls[1] == 0 || 20*calls[1] > calls[0] {
+		t.Errorf("call 2 moved %d bytes over the master links, call 1 %d: want at most 5%%", calls[1], calls[0])
+	}
+	before := tr.bytes.Load()
+	sess.Array("W")
+	if got := tr.bytes.Load() - before; got < 8*rank*rows || got > 8*rank*rows+2048 {
+		t.Errorf("reading W back moved %d bytes over the master links, want its %d and two message envelopes", got, 8*rank*rows)
 	}
 }
 
@@ -564,4 +639,352 @@ func TestIterSamplesAllocsIndependentOfCount(t *testing.T) {
 	if allocs[0] != allocs[1] || allocs[0] > 8 {
 		t.Errorf("flattening allocates %v times for 200 ratings and %v for 20000; want the same small number", allocs[0], allocs[1])
 	}
+}
+
+// masterSends counts the messages the master has sent its executors.
+func masterSends(n int) (total int64) {
+	for id := 0; id < n; id++ {
+		total += obs.Peer("master/exec" + itoa(id)).MsgsSent.Value()
+	}
+	return total
+}
+
+// TestResidentSecondCallShipsNoArrays: the second of two identical
+// calls with no read in between reuses every model array — the master
+// sends each executor the loop and one block per step, so no
+// MsgArrayPart and no MsgServedShard — and a read afterwards moves
+// exactly one gather, of the array that was asked for, once.
+func TestResidentSecondCallShipsNoArrays(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		fill   func(*testing.T, *Session)
+		src    string
+		arrays []string // in plan order, a written one first
+		steps  int64
+	}{
+		{"MF", fillMF, mfSrc, []string{"W", "H"}, 2},
+		{"SLR", fillSLR, slrDenseSrc, []string{"weights"}, 1},
+		{"LDA", func(t *testing.T, s *Session) { fillLDA(t, s, 4) }, ldaDSL, []string{"z", "doc_topic", "word_topic", "totals"}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := NewLocalSession(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			tc.fill(t, sess)
+			call := func(verb, reason string) {
+				t.Helper()
+				obs.Flight().Reset()
+				if _, err := sess.ParallelFor(tc.src); err != nil {
+					t.Fatal(err)
+				}
+				var want []string
+				for _, name := range tc.arrays {
+					want = append(want, strings.TrimSpace(verb+":"+name+" "+reason))
+				}
+				if got := arrayDecisions(); !slices.Equal(got, want) {
+					t.Errorf("model arrays %v, want %v", got, want)
+				}
+			}
+			call("ship", "first")
+			before := masterSends(2)
+			call("reuse", "")
+			if got, want := masterSends(2)-before, 2*(1+tc.steps); got != want {
+				t.Errorf("the second call sent the executors %d messages, want %d: a DefineLoop and %d ExecBlock each", got, want, tc.steps)
+			}
+
+			obs.Flight().Reset()
+			before = masterSends(2)
+			if sess.Array(tc.arrays[0]) == nil || sess.Array(tc.arrays[0]) == nil {
+				t.Fatal("Array returned nil")
+			}
+			if got := masterSends(2) - before; got != 2 {
+				t.Errorf("two reads of %s sent the executors %d messages, want one MsgGather each", tc.arrays[0], got)
+			}
+			if got, want := arrayDecisions(), []string{"fetch:" + tc.arrays[0] + " read"}; !slices.Equal(got, want) {
+				t.Errorf("two reads of %s: %v, want %v", tc.arrays[0], got, want)
+			}
+			call("reuse", "")
+
+			// Close fetches what the last call wrote, so Array keeps answering.
+			obs.Flight().Reset()
+			sess.Close()
+			var want []string
+			for _, name := range tc.arrays {
+				want = append(want, "fetch:"+name+" close")
+			}
+			slices.Sort(want)
+			if got := arrayDecisions(); !slices.Equal(got, want) {
+				t.Errorf("Close: %v, want %v", got, want)
+			}
+			if sess.Array(tc.arrays[0]) == nil {
+				t.Errorf("Array(%q) = nil after Close", tc.arrays[0])
+			}
+		})
+	}
+}
+
+// TestResidentDriverWriteReshipsOnlyThatArray: a write between calls to
+// the copy Array hands out — dense through a live Vec or DenseData view,
+// sparse through SetAt — re-ships that array, once, and nothing else.
+func TestResidentDriverWriteReshipsOnlyThatArray(t *testing.T) {
+	sess, ref := localPair(t, 2, fillMF)
+	runResidentScript(t, sess, ref, "ratings", []residentStep{
+		{what: "first call", want: first, arrays: []string{"ship:W first", "ship:H first"}},
+		{what: "unchanged", want: reuse, arrays: []string{"reuse:W", "reuse:H"}},
+		{what: "a write through Vec", want: reuse, arrays: []string{"ship:W mutated", "reuse:H"}, before: func(t *testing.T, s *Session) {
+			s.Array("W").Vec(3)[1] += 0.5
+		}},
+		{what: "unchanged", want: reuse, arrays: []string{"reuse:W", "reuse:H"}},
+		{what: "a write through DenseData", want: reuse, arrays: []string{"reuse:W", "ship:H mutated"}, before: func(t *testing.T, s *Session) {
+			d, _ := s.Array("H").DenseData()
+			d[7] = 0.125
+		}},
+		{what: "a read, and a write of the bits already there", want: reuse, arrays: []string{"reuse:W", "reuse:H"}, before: func(t *testing.T, s *Session) {
+			d, _ := s.Array("H").DenseData()
+			d[7] = math.Float64frombits(math.Float64bits(d[7]))
+			s.Array("W")
+		}},
+	}, "W", "H")
+
+	sess, ref = localPair(t, 2, func(t *testing.T, s *Session) { fillLDA(t, s, 4) })
+	lda := func(st residentStep) residentStep { st.src = ldaDSL; return st }
+	others := []string{"reuse:doc_topic", "reuse:word_topic", "reuse:totals"}
+	runResidentScript(t, sess, ref, "tokens", []residentStep{
+		lda(residentStep{what: "first call", want: first,
+			arrays: []string{"ship:z first", "ship:doc_topic first", "ship:word_topic first", "ship:totals first"}}),
+		lda(residentStep{what: "unchanged", want: reuse, arrays: append([]string{"reuse:z"}, others...)}),
+		lda(residentStep{what: "SetAt on the sparse z", want: reuse, arrays: append([]string{"ship:z mutated"}, others...), before: func(t *testing.T, s *Session) {
+			idx, _ := s.Array("z").Entries()
+			s.Array("z").SetAt(2, idx[5]...)
+		}}),
+		lda(residentStep{what: "unchanged", want: reuse, arrays: append([]string{"reuse:z"}, others...)}),
+	}, "z", "doc_topic", "word_topic", "totals")
+}
+
+// TestResidentOrderedMovesOnlyH: an ordered loop serves what the
+// unordered one rotates, so going from one to the other re-places H —
+// by way of the driver, the fetch it had not had yet — and leaves the
+// space-local W where it is.
+func TestResidentOrderedMovesOnlyH(t *testing.T) {
+	sess, ref := localPair(t, 2, fillMF)
+	moveH := []string{"reuse:W", "fetch:H rekeyed", "ship:H rekeyed"}
+	runResidentScript(t, sess, ref, "ratings", []residentStep{
+		{what: "unordered", want: first, arrays: []string{"ship:W first", "ship:H first"}},
+		{what: "ordered after unordered", opts: []Option{Ordered()}, want: reuse, arrays: moveH},
+		{what: "ordered again", opts: []Option{Ordered()}, want: reuse, arrays: []string{"reuse:W", "reuse:H"}},
+		{what: "unordered after ordered", want: reuse, arrays: moveH},
+		{what: "ordered after a read of H", opts: []Option{Ordered()}, want: reuse, arrays: []string{"reuse:W", "ship:H rekeyed"},
+			before: func(t *testing.T, s *Session) { s.Array("H") }},
+	}, "W", "H")
+}
+
+// TestResidentLazyEqualsEagerBitwise: when the driver reads does not
+// change what the fleet computes. Six single-pass calls end bit for bit
+// the same whether every written array is read back after each call,
+// nothing is read until the end, one array (the sparse z; H) stays
+// unfetched until the end, or residency is defeated altogether (a clone
+// of every array re-registered before each call: a gather and a ship per
+// array per call, as before there was anything resident) — and the
+// ordered loop still ends where the serial interpreter does.
+func TestResidentLazyEqualsEagerBitwise(t *testing.T) {
+	local := func(t *testing.T) *Session {
+		s, err := NewLocalSession(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name    string
+		open    func(t *testing.T) *Session
+		fill    func(*testing.T, *Session)
+		src     string
+		opts    []Option
+		written []string // the one left unfetched last
+	}{
+		{"MF rotated", local, fillMF, mfSrc, nil, []string{"W", "H"}},
+		{"MF ordered", local, fillMF, mfSrc, []Option{Ordered()}, []string{"W", "H"}},
+		{"SLR served", local, fillSLR, slrDenseSrc, nil, []string{"weights"}},
+		{"LDA over TCP", func(t *testing.T) *Session {
+			if testing.Short() {
+				t.Skip("real sockets")
+			}
+			s, err := NewLocalSessionOver(runtime.TCP{}, "127.0.0.1:0", "127.0.0.1:0", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, func(t *testing.T, s *Session) { fillLDA(t, s, 4) }, ldaDSL, nil, []string{"doc_topic", "word_topic", "totals", "z"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(between func(s *Session)) map[string]map[string]uint64 {
+				s := tc.open(t)
+				defer s.Close()
+				tc.fill(t, s)
+				for call := 0; call < 6; call++ {
+					if _, err := s.ParallelFor(tc.src, tc.opts...); err != nil {
+						t.Fatal(err)
+					}
+					between(s)
+				}
+				return snapshotBits(s, tc.written...)
+			}
+			read := func(names []string) func(*Session) {
+				return func(s *Session) {
+					for _, name := range names {
+						if s.Array(name) == nil {
+							t.Fatalf("Array(%q) = nil", name)
+						}
+					}
+				}
+			}
+			atEnd := run(func(*Session) {})
+			assertBitwiseEqual(t, atEnd, run(read(tc.written)))
+			assertBitwiseEqual(t, atEnd, run(read(tc.written[:len(tc.written)-1])))
+			iter := map[string]string{mfSrc: "ratings", slrDenseSrc: "samples", ldaDSL: "tokens"}[tc.src]
+			assertBitwiseEqual(t, atEnd, run(func(s *Session) {
+				for _, name := range append([]string{iter}, tc.written...) {
+					s.RegisterArray(s.Array(name).Clone())
+				}
+			}))
+			if len(tc.opts) > 0 {
+				assertBitwiseEqual(t, serialMFLexicographic(t, 6), atEnd)
+			}
+		})
+	}
+}
+
+// serialMFLexicographic is fillMF's problem run by the interpreter for
+// the given number of passes in lexicographic order — what an ordered
+// loop promises.
+func serialMFLexicographic(t *testing.T, passes int) map[string]map[string]uint64 {
+	t.Helper()
+	s, err := NewLocalSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fillMF(t, s)
+	m := lang.NewMachine()
+	for _, name := range []string{"ratings", "W", "H"} {
+		m.Arrays[name] = s.Array(name)
+	}
+	m.Globals["step_size"], m.Globals["err"] = float64(0.05), float64(0)
+	loop, err := lang.Parse(mfSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, vals := s.Array("ratings").Entries() // offset order: column-major
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return slices.Compare(keys[a], keys[b]) })
+	for p := 0; p < passes; p++ {
+		for _, i := range order {
+			if err := m.RunIteration(loop, keys[i], vals[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return snapshotBits(s, "W", "H")
+}
+
+// TestChaosDropBetweenCalls blackholes a worker after a call whose
+// results nobody has read yet. With a checkpoint directory set the
+// driver's copies were kept current, so the next call recovers and ends
+// bit for bit where a fault-free session does; without one the updates
+// went with the fleet, and both ways of finding out say so — ORN301
+// naming the arrays, from ParallelFor as an error and from Array as nil
+// plus a diagnostic — instead of handing back the stale copies. Nothing
+// hangs: every step runs against the test's own deadline.
+func TestChaosDropBetweenCalls(t *testing.T) {
+	open := func(t *testing.T) (*Session, *runtime.Chaos) {
+		sess, chaos, _ := chaosLocalSession(t, 2, 23)
+		sess.SetHeartbeat(1500 * time.Millisecond)
+		fillMF(t, sess)
+		return sess, chaos
+	}
+	bounded := func(t *testing.T, what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s hung on the blackholed worker", what)
+		}
+	}
+	firstCallThenDrop := func(t *testing.T, sess *Session, chaos *runtime.Chaos) {
+		t.Helper()
+		if _, err := sess.ParallelFor(mfSrc, Passes(2)); err != nil {
+			t.Fatal(err)
+		}
+		chaos.Schedule(runtime.FaultEvent{Clock: sess.Clock(), Addr: sess.Addr(), Conn: 1, Kind: runtime.FaultDrop})
+		chaos.Advance(sess.Clock())
+		if chaos.Applied() != 1 {
+			t.Fatal("the drop did not land on worker 1's master link")
+		}
+	}
+	lostNamed := func(t *testing.T, err error) {
+		t.Helper()
+		if !errors.Is(err, runtime.ErrWorkerLost) || !strings.Contains(err.Error(), "H, W") {
+			t.Errorf("err = %v, want ErrWorkerLost naming H, W", err)
+		}
+	}
+
+	t.Run("checkpoint directory set", func(t *testing.T) {
+		ref, _ := open(t)
+		defer ref.Close()
+		ref.SetCheckpointDir(t.TempDir())
+		for call := 0; call < 2; call++ {
+			if _, err := ref.ParallelFor(mfSrc, Passes(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sess, chaos := open(t)
+		defer bounded(t, "Close", sess.Close)
+		sess.SetCheckpointDir(t.TempDir())
+		firstCallThenDrop(t, sess, chaos)
+		bounded(t, "the second call", func() {
+			if _, err := sess.ParallelFor(mfSrc, Passes(2)); err != nil {
+				t.Errorf("the second call did not recover: %v", err)
+			}
+		})
+		if got := sess.Recoveries(); got != 1 {
+			t.Errorf("recoveries = %d, want 1", got)
+		}
+		assertBitwiseEqual(t, snapshotBits(ref, "W", "H"), snapshotBits(sess, "W", "H"))
+	})
+
+	t.Run("no checkpoint directory: ParallelFor", func(t *testing.T) {
+		sess, chaos := open(t)
+		defer bounded(t, "Close", sess.Close)
+		entry := snapshotBits(sess, "W", "H")
+		firstCallThenDrop(t, sess, chaos)
+		bounded(t, "the second call", func() {
+			_, err := sess.ParallelFor(mfSrc, Passes(2))
+			lostNamed(t, err)
+		})
+		// The driver's copies stay at their last fetched state: loop entry.
+		assertBitwiseEqual(t, entry, snapshotBits(sess, "W", "H"))
+	})
+
+	t.Run("no checkpoint directory: Array", func(t *testing.T) {
+		sess, chaos := open(t)
+		defer bounded(t, "Close", sess.Close)
+		firstCallThenDrop(t, sess, chaos)
+		bounded(t, "Array", func() {
+			if a := sess.Array("W"); a != nil {
+				t.Error("Array handed back a copy of W the fleet had since updated")
+			}
+		})
+		if !slices.ContainsFunc(sess.Diagnostics(), func(d diag.Diagnostic) bool {
+			return d.Code == diag.CodeWorkerLost && strings.Contains(d.Message, "H, W")
+		}) {
+			t.Errorf("diagnostics %v: want ORN301 naming H, W", sess.Diagnostics())
+		}
+	})
 }

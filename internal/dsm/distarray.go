@@ -327,26 +327,17 @@ func (a *DistArray) MapIndex(f func(idx []int64, v float64) float64) {
 	}
 }
 
-// Histogram computes per-coordinate element counts along dim — the
-// data-distribution approximation Orion uses for balanced partitioning.
-func (a *DistArray) Histogram(dim int) []int64 { return a.CoordCounts(dim)[0] }
-
-// CoordCounts is Histogram along several dimensions in one walk:
-// out[k][c] is the number of stored elements whose coordinate along
-// dims[k] is c. The walk has no order and builds no index tuples, so
-// its cost does not grow an allocation with the element count — what a
-// caller that needs the counts and not the elements should use instead
-// of ForEach. A dense array stores every element, so its counts are
+// CoordCounts computes per-coordinate element counts along each listed
+// dimension — the data-distribution approximation Orion uses for
+// balanced partitioning: out[k][c] is the number of stored elements
+// whose coordinate along dims[k] is c. The one walk has no order and
+// builds no index tuples, so it allocates the same for any element
+// count; a dense array stores every element, so its counts are
 // closed-form.
 func (a *DistArray) CoordCounts(dims ...int) [][]int64 {
-	total := 0
-	for _, d := range dims {
-		total += int(a.dims[d])
-	}
-	out, backing := make([][]int64, len(dims)), make([]int64, total)
+	out := make([][]int64, len(dims))
 	for k, d := range dims {
-		n := int(a.dims[d])
-		out[k], backing = backing[:n:n], backing[n:]
+		out[k] = make([]int64, a.dims[d])
 		if a.IsDense() {
 			per := int64(len(a.dense)) / a.dims[d]
 			for c := range out[k] {

@@ -101,13 +101,13 @@ func TestMapAndHistogram(t *testing.T) {
 	if a.At(2, 1) != 6 {
 		t.Fatalf("Map broken: %v", a.At(2, 1))
 	}
-	h := a.Histogram(0)
+	h := a.CoordCounts(0)[0]
 	if h[0] != 2 || h[2] != 1 || h[1] != 0 {
-		t.Fatalf("Histogram(0) = %v", h)
+		t.Fatalf("CoordCounts(0) = %v", h)
 	}
-	h1 := a.Histogram(1)
+	h1 := a.CoordCounts(1)[0]
 	if h1[1] != 2 || h1[0] != 1 {
-		t.Fatalf("Histogram(1) = %v", h1)
+		t.Fatalf("CoordCounts(1) = %v", h1)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestStampHolds(t *testing.T) {
 			a.At(1, 2)
 			a.Vec(2)
 			a.Entries()
-			a.Histogram(0)
+			a.CoordCounts(0)
 			a.ExtractRange(0, 1, 3)
 			if _, err := a.Encode(); err != nil {
 				t.Fatal(err)

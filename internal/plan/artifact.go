@@ -471,10 +471,10 @@ func BalancedPartitioner(weights []int64, parts int) *sched.Partitioner {
 // caller running many times over unchanged weights computes once. The
 // cuts materialized at plan time are reused — coalesced with MergeTo
 // onto a fleet smaller than the one they were cut for — while the data
-// still digests to the weights they were balanced on. On drift (arrays mutate between runs), for a fleet the cuts cannot
-// cover, or with no artifact at all (a nil receiver) the weights are
-// balanced afresh, without re-running analysis or planning, and reused
-// is false.
+// still digests to the weights they were balanced on. On drift (arrays
+// mutate between runs), for a fleet the cuts cannot cover, or with no
+// artifact at all (a nil receiver) the weights are balanced afresh,
+// without re-running analysis or planning, and reused is false.
 func (a *Artifact) Partitioners(spaceW, timeW []int64, digest string, workers, timeParts int) (space, tm *sched.Partitioner, reused bool) {
 	if a != nil && a.Space.Parts >= workers && (timeW == nil || a.Time.Parts >= timeParts) &&
 		a.WeightsDigest == digest {

@@ -407,20 +407,20 @@ func TestIterSpaceEpochAdvances(t *testing.T) {
 	m, _, stop := startFleet(t, "epoch", 1)
 	_, samples := servedFixture()
 	part := sched.NewRangePartitioner(int64(len(samples)), 1)
-	e0 := m.IterSpaceEpoch()
+	e0 := m.ArrayEpoch("")
 	if err := m.DistributeIterSpace(samples, 0, part); err != nil {
 		t.Fatal(err)
 	}
-	e1 := m.IterSpaceEpoch()
+	e1 := m.ArrayEpoch("")
 	if err := m.ParallelFor(LoopDef{Kernel: "none", TimeDim: -1}); err == nil {
 		t.Fatal("an unregistered kernel ran")
 	}
 	stop()
-	if e2 := m.IterSpaceEpoch(); e1 == e0 || e2 != e1 {
+	if e2 := m.ArrayEpoch(""); e1 == e0 || e2 != e1 {
 		t.Errorf("epoch %d -> %d after a ship, %d after a loop; want a move, then none", e0, e1, e2)
 	}
 	m.Abort()
-	if e3 := m.IterSpaceEpoch(); e3 == e1 {
+	if e3 := m.ArrayEpoch(""); e3 == e1 {
 		t.Errorf("epoch still %d after Abort", e3)
 	}
 }

@@ -77,7 +77,7 @@ type Master struct {
 	peers []string // executor ring addresses, by id
 	ln    net.Listener
 
-	mu sync.Mutex // guards missCount and reports
+	mu sync.Mutex // guards missCount, reports and the residency epochs
 
 	ch       *masterChans
 	lastSeen []*atomic.Int64 // liveness timestamps, by executor id
@@ -94,12 +94,13 @@ type Master struct {
 	// technically open.
 	hbTimeout time.Duration
 
-	// iterEpoch names what iteration space the executors hold: every
-	// DistributeIterSpace and every Abort advances it, so a caller that
-	// noted the epoch after its own ship knows the fleet still holds
-	// those samples exactly while the epoch reads the same — whoever
-	// shipped or re-formed in between, through whatever API.
-	iterEpoch atomic.Int64
+	// shipEpoch and aborts name what the executors hold of each model
+	// array and, under "", of the iteration space: every Distribute* of one
+	// advances its epoch and every Abort advances all, so a caller that
+	// noted an epoch after its own ship knows the fleet still holds exactly
+	// that while it reads the same — whoever shipped or re-formed since.
+	shipEpoch map[string]int64
+	aborts    int64
 
 	// bookkeeping for gather and the prefetch-miss counter.
 	arrayDims  map[string][]int64
@@ -125,6 +126,7 @@ func Listen(t Transport, addr string, n int) (*Master, error) {
 		conns:      make([]*codec, n),
 		ch:         newMasterChans(n),
 		lastSeen:   freshSeen(n),
+		shipEpoch:  map[string]int64{},
 		arrayDims:  map[string][]int64{},
 		arrayDense: map[string]bool{},
 		trace:      obs.NewBuf(0, "master"),
@@ -303,15 +305,22 @@ func (m *Master) DistributeRotatedAt(a *dsm.DistArray, dim int, boundaries []int
 	return m.broadcastParts(a.Name(), parts, true)
 }
 
-// IterSpaceEpoch identifies the iteration space resident on the
-// executors (see Master.iterEpoch).
-func (m *Master) IterSpaceEpoch() int64 { return m.iterEpoch.Load() }
+// ArrayEpoch identifies the partitions or shards of one model array
+// resident on the executors — of the iteration space, for the name ""
+// (see Master.shipEpoch).
+func (m *Master) ArrayEpoch(array string) int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.shipEpoch[array] + m.aborts
+}
 
 // DistributeIterSpace partitions iteration samples by the space
 // coordinate (key[spaceDim]) using the given partitioner and ships each
 // block to its executor, where it replaces the resident one.
 func (m *Master) DistributeIterSpace(samples []IterSample, spaceDim int, part *sched.Partitioner) error {
-	m.iterEpoch.Add(1) // before the first send: a failed ship invalidates too
+	m.mu.Lock()
+	m.shipEpoch[""]++ // before the first send: a failed ship invalidates too
+	m.mu.Unlock()
 	sizes := make([]int, m.n)
 	for _, s := range samples {
 		sizes[part.PartOf(s.Key[spaceDim])]++
@@ -333,6 +342,9 @@ func (m *Master) DistributeIterSpace(samples []IterSample, spaceDim int, part *s
 }
 
 func (m *Master) recordArray(a *dsm.DistArray) {
+	m.mu.Lock()
+	m.shipEpoch[a.Name()]++
+	m.mu.Unlock()
 	m.arrayDims[a.Name()] = a.Dims()
 	m.arrayDense[a.Name()] = a.IsDense()
 }

@@ -120,7 +120,9 @@ func (m *Master) RecordRecovery(start time.Time, pass, step int) {
 // it is idempotent.
 func (m *Master) Abort() {
 	m.closed.Store(true)
-	m.iterEpoch.Add(1) // whatever fleet comes next holds no iteration space
+	m.mu.Lock()
+	m.aborts++ // whatever fleet comes next holds none of what this one did
+	m.mu.Unlock()
 	for _, c := range m.conns {
 		if c != nil {
 			c.close()
