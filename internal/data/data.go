@@ -45,14 +45,13 @@ func NewRatings(cfg RatingsConfig) *Ratings {
 	colPick := picker(rng, cfg.Cols, cfg.Skew)
 
 	r := &Ratings{Rows: cfg.Rows, Cols: cfg.Cols, Rank: cfg.Rank}
-	seen := make(map[[2]int64]bool, cfg.NNZ)
+	seen := make(map[int64]bool, cfg.NNZ) // by flat offset i*Cols+j
 	for len(r.I) < cfg.NNZ {
 		i, j := rowPick(), colPick()
-		k := [2]int64{i, j}
-		if seen[k] {
+		if seen[i*cfg.Cols+j] {
 			continue
 		}
-		seen[k] = true
+		seen[i*cfg.Cols+j] = true
 		var v float64
 		for d := 0; d < cfg.Rank; d++ {
 			v += wTrue[i][d] * hTrue[j][d]

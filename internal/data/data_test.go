@@ -1,6 +1,8 @@
 package data
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -25,6 +27,28 @@ func TestRatingsDeterministicAndInBounds(t *testing.T) {
 			t.Fatalf("duplicate entry %v", k)
 		}
 		seen[k] = true
+	}
+}
+
+// TestRatingsDigestPinned: the generator draws exactly the ratings it
+// always drew — every workload's data, and so every committed number,
+// rests on them — whatever it uses to skip a coordinate it already drew.
+func TestRatingsDigestPinned(t *testing.T) {
+	for _, c := range []struct {
+		cfg  RatingsConfig
+		want uint64
+	}{
+		{RatingsConfig{Rows: 40, Cols: 30, NNZ: 500, Rank: 4, Noise: 0.1, Skew: 1.2, Seed: 7}, 0x3e2a5cb760132554},
+		{RatingsConfig{Rows: 300, Cols: 200, NNZ: 20000, Rank: 4, Noise: 0.05, Seed: 3}, 0x9cd628df3aeae331},
+	} {
+		r := NewRatings(c.cfg)
+		h := fnv.New64a()
+		for i := range r.I {
+			binary.Write(h, binary.LittleEndian, [3]uint64{uint64(r.I[i]), uint64(r.J[i]), math.Float64bits(r.V[i])})
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%+v: digest %#x, want %#x", c.cfg, got, c.want)
+		}
 	}
 }
 
