@@ -172,19 +172,30 @@ for (key, v) in samples
 end
 `
 
+// servedGateMFWSrc is MF that trains W alone: H is only read, so the
+// loop is 1D over the rows — W local, H served and read a column at a
+// time (lang.RunAccess).
+const servedGateMFWSrc = `
+for (key, rv) in ratings
+    W_row = W[:, key[1]]
+    H_row = H[:, key[2]]
+    diff = rv - dot(W_row, H_row)
+    W[:, key[1]] = W_row + step_size * 2 * diff * H_row
+end
+`
+
 // servedGateLegs are the loops whose model array is a parameter-server
-// array inside the executor: MF run ordered, so H is served and written
-// through absolute writes, and SLR, whose weights are read at a computed
-// index and written through a buffer. fill creates the loop's arrays
-// through mk — once for the session, once for the direct kernel — and
-// returns the iteration space in lexicographic key order.
+// array inside the executor: W-only MF, whose H is read a column per
+// iteration, and SLR, whose weights are read at a computed index and
+// written through a buffer. fill creates the loop's arrays through mk —
+// once for the session, once for the direct kernel — and returns the
+// iteration space in lexicographic key order.
 var servedGateLegs = []struct {
-	name, src string
-	buffers   map[string]string
-	opts      []driver.Option
-	fill      func(mk func(name string, dense bool, dims ...int64) *dsm.DistArray) (keys [][]int64, vals []float64)
+	name, src, served string
+	buffers           map[string]string
+	fill              func(mk func(name string, dense bool, dims ...int64) *dsm.DistArray) (keys [][]int64, vals []float64)
 }{
-	{name: "mf-ordered", src: gateMFSrc, opts: []driver.Option{driver.Ordered()},
+	{name: "mf-w-only", src: servedGateMFWSrc, served: "H",
 		fill: func(mk func(string, bool, ...int64) *dsm.DistArray) ([][]int64, []float64) {
 			const rows, cols, rank, iters = 600, 500, 16, 20000
 			rng := rand.New(rand.NewSource(3))
@@ -206,7 +217,7 @@ var servedGateLegs = []struct {
 			}
 			return sk, sv
 		}},
-	{name: "slr-buffered", src: servedGateSLRSrc, buffers: map[string]string{"w_buf": "weights"},
+	{name: "slr-buffered", src: servedGateSLRSrc, served: "weights", buffers: map[string]string{"w_buf": "weights"},
 		fill: func(mk func(string, bool, ...int64) *dsm.DistArray) ([][]int64, []float64) {
 			const iters = 20000
 			rng := rand.New(rand.NewSource(3))
@@ -226,7 +237,7 @@ var servedGateLegs = []struct {
 // Buffer) over the same keys — same run, alternating rounds, lower
 // decile each. Above 2.5x on either loop the benchmark fails: a served
 // access has grown a per-element search, map or shared counter again
-// (the ordered MF loop read 4.4x, and SLR 1.55x against 0.9x, when reads
+// (MF with H served read 4.4x, and SLR 1.55x against 0.9x, when reads
 // binary-searched the block's offsets behind three maps). `make check`
 // runs it through exec-gate.
 func BenchmarkServedVsDirectKernel(b *testing.B) {
@@ -281,6 +292,10 @@ func BenchmarkServedVsDirectKernel(b *testing.B) {
 			if err := sess.SetBackend("vm"); err != nil {
 				b.Fatal(err)
 			}
+			_, _, pl, err := sess.PlanOf(leg.src)
+			if err != nil || !slices.Contains(pl.Arrays, sched.ArrayPlan{Array: leg.served, Place: sched.Served}) {
+				b.Fatalf("%s is not served: %v, %v", leg.served, pl, err)
+			}
 
 			gateExecutorVsDirect(b, "an iteration over a served array", func() float64 {
 				start := time.Now()
@@ -293,7 +308,7 @@ func BenchmarkServedVsDirectKernel(b *testing.B) {
 				}
 				return ns
 			}, func() float64 {
-				if _, err := sess.ParallelFor(leg.src, leg.opts...); err != nil {
+				if _, err := sess.ParallelFor(leg.src); err != nil {
 					b.Fatal(err)
 				}
 				ws := sess.LastReport().Workers[0]

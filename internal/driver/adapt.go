@@ -130,13 +130,14 @@ func (s *Session) recut(e *compiledLoop, kernel string, delta *obs.LoopReport, a
 	// Re-weight the raw per-coordinate iteration counts by the cost of
 	// the worker that owned each coordinate in the profiled segment,
 	// then re-materialize the artifact's cuts from the result. Time
-	// weights stay raw: rotation hands every time partition to every
-	// worker over a pass, so per-worker cost has no time coordinate.
+	// weights stay raw: the ring and the wavefront hand every time
+	// partition to every worker over a pass, so per-worker cost has no
+	// time coordinate.
 	recutStart := time.Now()
 	space := s.iterSpaceOf(e)
 	owner := s.lastSpacePart
 	reweighted := profile.Reweight(space.spaceW, func(coord int) int { return owner.PartOf(int64(coord)) })
-	art, err := e.art.Recut(reweighted, space.timeW, s.n, s.n, space.digest)
+	art, err := e.art.Recut(reweighted, space.timeW, s.n, e.plan.TimeParts(s.n), space.digest)
 	if err != nil {
 		return fmt.Errorf("driver: adaptive recut of %q: %w", kernel, err)
 	}

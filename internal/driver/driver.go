@@ -447,7 +447,7 @@ func (s *Session) ParallelFor(src string, options ...Option) (*sched.Plan, error
 
 	switch e.plan.Kind {
 	case sched.TwoD, sched.OneD, sched.Independent:
-		return e.plan, s.run(e, o.passes, o.ordered)
+		return e.plan, s.run(e, o.passes)
 	case sched.TwoDTransformed:
 		return e.plan, fmt.Errorf("driver: transformed loops are not supported by the distributed runtime: %s (use the engine simulator)",
 			e.evidence)

@@ -411,9 +411,10 @@ func TestDriverSingleExecutorMatchesInterpreter(t *testing.T) {
 // TestDriverOrderedWavefrontMatchesSerial: an ordered 2D loop on the
 // distributed runtime preserves lexicographic order — the result must
 // be bitwise identical to serial interpretation, for any executor
-// count.
+// count: from three on the hand-off successor is not the ring
+// predecessor.
 func TestDriverOrderedWavefrontMatchesSerial(t *testing.T) {
-	for _, n := range []int{1, 2, 3} {
+	for _, n := range []int{1, 2, 3, 4} {
 		sess := setupMF(t, n)
 
 		// Serial reference on clones.
@@ -460,6 +461,14 @@ func TestDriverOrderedWavefrontMatchesSerial(t *testing.T) {
 		}
 		if plan.Kind != sched.TwoD {
 			t.Fatalf("plan = %v", plan.Kind)
+		}
+		for _, ap := range plan.Arrays {
+			if ap.Array == "H" && ap.Place != sched.Wavefront {
+				t.Fatalf("%d executors: H placed %v, want it handed down the wavefront", n, ap.Place)
+			}
+		}
+		if e, _ := sess.planFor(mfSrc, true); e.art.TimeParts != min(8*n, 30) {
+			t.Errorf("%d executors: time cut into %d parts, want %d", n, e.art.TimeParts, min(8*n, 30))
 		}
 		var maxDiff float64
 		w.ForEach(func(idx []int64, v float64) {

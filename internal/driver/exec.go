@@ -17,17 +17,16 @@ import (
 // bulk prefetching. 1D (and independent) loops stop there — one block
 // per executor per pass. Unordered 2D loops rotate the time-indexed
 // arrays around the executor ring between steps (Fig. 7f). Ordered 2D
-// loops run as a wavefront (Fig. 7e) with the time-indexed arrays
-// *served* instead of rotated: the wavefront guarantees concurrently
-// running blocks touch disjoint ranges, so direct served writes stay
-// serializable and execution preserves lexicographic order.
+// loops run as a wavefront (Fig. 7e) over finer time cuts (Fig. 8): each
+// executor hands every time partition it ran to the next, so execution
+// preserves lexicographic order.
 //
 // The attempt function makes the executors hold state for a resume
 // position — shipping only what they do not hold already (resident.go) —
 // and executes from it up to a stop boundary; runReconfigurable retries
 // it through worker losses (when checkpointing is enabled) and quiesces
 // at interior boundaries while an adaptive or grow trigger is armed.
-func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
+func (s *Session) run(e *compiledLoop, passes int) error {
 	// A pinned backend that cannot be honored is rejected before shipping.
 	backend, err := s.kernelBackend(e.loop)
 	if err != nil {
@@ -49,10 +48,10 @@ func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
 		}
 		if e.plan.Kind == sched.TwoD {
 			def.TimeDim, def.TimePart = e.plan.TimeDim, timePart
-			def.Ordered, def.Rotate = ordered, !ordered
+			def.Ordered, def.Rotate = e.plan.Ordered, !e.plan.Ordered
 		}
-		// Whatever the placement rotates starts at the resume step's ring
-		// phase, so a mid-pass resume reproduces the faulted run's.
+		// Whatever the placement moves starts where it stands at the resume
+		// step, so a mid-pass resume reproduces the faulted run's.
 		names, err := s.placeArrays(e, spacePart, timePart, start.step)
 		if err != nil {
 			return err
@@ -78,7 +77,7 @@ func (s *Session) run(e *compiledLoop, passes int, ordered bool) error {
 // and the fleet (plan.Artifact.Partitioners), a fresh balancing —
 // counted as plan.repartition — otherwise.
 func (s *Session) partitioners(e *compiledLoop, r *resident) (spacePart, timePart *sched.Partitioner) {
-	spacePart, timePart, reused := e.art.Partitioners(r.spaceW, r.timeW, r.digest, s.n, s.n)
+	spacePart, timePart, reused := e.art.Partitioners(r.spaceW, r.timeW, r.digest, s.n, e.plan.TimeParts(s.n))
 	if !reused {
 		obs.GetCounter("plan.repartition").Inc()
 	}

@@ -163,7 +163,7 @@ func (s *Session) resize(e *compiledLoop, kernel string, want int, at resumePos)
 	if want < oldN {
 		if !e.art.Space.IsZero() {
 			space := s.iterSpaceOf(e)
-			art, err := e.art.Recut(space.spaceW, space.timeW, s.n, s.n, space.digest)
+			art, err := e.art.Recut(space.spaceW, space.timeW, s.n, e.plan.TimeParts(s.n), space.digest)
 			if err != nil {
 				return fmt.Errorf("driver: shrink recut of %q: %w", kernel, err)
 			}

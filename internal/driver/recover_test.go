@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"orion/internal/data"
+	"orion/internal/obs"
 	"orion/internal/runtime"
 )
 
@@ -477,4 +479,92 @@ func TestChaosTCPShrinkRecovery(t *testing.T) {
 	if after := mfLoss(sess); after >= before*0.7 {
 		t.Fatalf("training on the shrunken fleet did not converge: %v -> %v", before, after)
 	}
+}
+
+// TestChaosOrderedWavefrontMidPassResumeBitwise kills a worker in the
+// middle of an ordered pass, with a checkpoint every five clocks: the
+// recovery resumes at the step after the last one with H's time
+// partitions placed where the wavefront had them (sched.Schedule.Holder)
+// — on all three executors, one of them handing off to a successor that
+// is not its ring predecessor — and ends bit for bit where the
+// fault-free run and the serial interpreter do.
+func TestChaosOrderedWavefrontMidPassResumeBitwise(t *testing.T) {
+	const n, passes = 3, 2
+	ref, err := NewLocalSession(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.SetCheckpointDir(t.TempDir())
+	fillMF(t, ref)
+	if _, err := ref.ParallelFor(mfSrc, Passes(passes), Ordered()); err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotBits(ref, "W", "H")
+	ref.Close()
+	assertBitwiseEqual(t, serialMFLexicographic(t, passes), want)
+
+	sess, chaos, _ := chaosLocalSession(t, n, 29)
+	defer sess.Close()
+	sess.SetCheckpointDir(t.TempDir())
+	sess.SetCheckpointEvery(5)
+	// 24 time parts: 26 steps a pass. Clock 41 is pass 1, step 15; the
+	// newest checkpoint, at clock 40, resumes at step 14.
+	chaos.Schedule(runtime.FaultEvent{Clock: 41, Addr: sess.Addr(), Conn: 1, Kind: runtime.FaultSever})
+	fillMF(t, sess)
+	obs.Flight().Reset()
+	if _, err := sess.ParallelFor(mfSrc, Passes(passes), Ordered()); err != nil {
+		t.Fatalf("recovery did not complete the ordered loop: %v", err)
+	}
+	if got := sess.Recoveries(); got != 1 {
+		t.Fatalf("recoveries = %d, want 1", got)
+	}
+	restored := false
+	for _, ev := range obs.Flight().Events() {
+		restored = restored || ev.Kind == "ckpt.restore" && ev.Pass == 1 && ev.Step == 14
+	}
+	if !restored {
+		t.Error("the recovery did not resume mid-pass at pass 1, step 14")
+	}
+	assertBitwiseEqual(t, want, snapshotBits(sess, "W", "H"))
+}
+
+// TestChaosLossFoundAtShipRecovers: a worker dies between two calls and
+// the next one finds out when it ships an array the driver wrote in
+// between — a send fails, not a step. That is a worker loss like any
+// other: with a checkpoint directory set the call recovers and ends bit
+// for bit where a fault-free session does.
+func TestChaosLossFoundAtShipRecovers(t *testing.T) {
+	call := func(s *Session) {
+		t.Helper()
+		if _, err := s.ParallelFor(mfSrc, Passes(2)); err != nil {
+			t.Fatalf("a call after the worker loss: %v", err)
+		}
+	}
+	ref, err := NewLocalSession(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	sess, chaos, _ := chaosLocalSession(t, 2, 31)
+	defer sess.Close()
+	for _, s := range []*Session{ref, sess} {
+		s.SetCheckpointDir(t.TempDir())
+		fillMF(t, s)
+		call(s)
+		s.Array("W").Vec(3)[1] += 0.5
+	}
+	chaos.Schedule(runtime.FaultEvent{Clock: sess.Clock(), Addr: sess.Addr(), Conn: 1, Kind: runtime.FaultSever})
+	chaos.Advance(sess.Clock())
+	call(ref)
+	obs.Flight().Reset()
+	call(sess)
+	if got := sess.Recoveries(); got != 1 {
+		t.Errorf("recoveries = %d, want 1", got)
+	}
+	// The first attempt's ship of W failed; the recovered one ships both.
+	want := []string{"ship:W mutated", "ship:H fleet", armedH, armedW}
+	if got := arrayDecisions(); !slices.Equal(got, want) {
+		t.Errorf("model arrays %v, want %v", got, want)
+	}
+	assertBitwiseEqual(t, snapshotBits(ref, "W", "H"), snapshotBits(sess, "W", "H"))
 }

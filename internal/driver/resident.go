@@ -118,13 +118,13 @@ func (s *Session) hold(e *compiledLoop, r *resident, key sched.ArrayPlan, cuts [
 }
 
 // placeArrays makes the executors hold every referenced array as the
-// plan places it and returns their names. phase places rotated arrays
-// as the ring stands after that many steps (zero for a fresh pass; the
-// resume step when recovering mid-pass — a completed attempt always
-// leaves the ring at phase zero).
-func (s *Session) placeArrays(e *compiledLoop, spacePart, timePart *sched.Partitioner, phase int) ([]string, error) {
+// plan places it and returns their names. Rotated and wavefront arrays
+// are placed as they stand at the start of step (zero for a fresh pass;
+// the resume step when recovering mid-pass — a completed attempt always
+// leaves them where a pass starts).
+func (s *Session) placeArrays(e *compiledLoop, spacePart, timePart *sched.Partitioner, step int) ([]string, error) {
 	var names []string
-	for _, ap := range e.placed.Arrays {
+	for _, ap := range e.plan.Arrays {
 		name := ap.Array
 		if name == e.spec.IterSpaceArray {
 			continue
@@ -144,7 +144,10 @@ func (s *Session) placeArrays(e *compiledLoop, spacePart, timePart *sched.Partit
 			ship = func(a *dsm.DistArray) error { return s.master.DistributeLocal(a, ap.PartDim, cuts) }
 		case sched.Rotated:
 			cuts = timePart.Boundaries()
-			ship = func(a *dsm.DistArray) error { return s.master.DistributeRotatedAt(a, ap.PartDim, cuts, phase) }
+			ship = func(a *dsm.DistArray) error { return s.master.DistributeRotatedAt(a, ap.PartDim, cuts, step) }
+		case sched.Wavefront:
+			cuts = timePart.Boundaries()
+			ship = func(a *dsm.DistArray) error { return s.master.DistributeWavefrontAt(a, ap.PartDim, cuts, step) }
 		}
 		err := s.hold(e, r, ap, cuts, func() error {
 			r.stamp = s.arrays[name].Stamp()

@@ -292,16 +292,18 @@ func TestResidentDenseIterSpace(t *testing.T) {
 }
 
 // TestResidentOrderedThenUnordered: an ordered and an unordered loop cut
-// the same resident samples the same way, so the second reuses what the
-// first shipped — and must run it in shipped order, not in the order
-// the ordered loop's blocks were sorted into.
+// the same resident samples the same way in space, so the second reuses
+// what the first shipped — and must run it in shipped order, not in the
+// order the ordered loop's blocks were sorted into. Of the model arrays
+// only H changes placement each time: wavefront and ring.
 func TestResidentOrderedThenUnordered(t *testing.T) {
 	sess, ref := localPair(t, 2, fillMF)
+	moveH := []string{"reuse:W", "fetch:H rekeyed", "ship:H rekeyed"}
 	runResidentScript(t, sess, ref, "ratings", []residentStep{
-		{what: "ordered", opts: []Option{Ordered()}, want: first},
-		{what: "unordered after ordered", want: reuse},
-		{what: "ordered again", opts: []Option{Ordered()}, want: reuse},
-		{what: "unordered, two passes", opts: []Option{Passes(2)}, want: reuse},
+		{what: "ordered", opts: []Option{Ordered()}, want: first, arrays: []string{"ship:W first", "ship:H first"}},
+		{what: "unordered after ordered", want: reuse, arrays: moveH},
+		{what: "ordered again", opts: []Option{Ordered()}, want: reuse, arrays: moveH},
+		{what: "unordered, two passes", opts: []Option{Passes(2)}, want: reuse, arrays: moveH},
 	}, "W", "H")
 }
 
@@ -533,9 +535,12 @@ func (c countedConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Write counts p before it writes: on a synchronous pipe the reader may
+// act on the last byte before Write returns.
 func (c countedConn) Write(p []byte) (int, error) {
+	c.n.Add(int64(len(p)))
 	n, err := c.Conn.Write(p)
-	c.n.Add(int64(n))
+	c.n.Add(int64(n - len(p)))
 	return n, err
 }
 
@@ -763,10 +768,11 @@ func TestResidentDriverWriteReshipsOnlyThatArray(t *testing.T) {
 	}, "z", "doc_topic", "word_topic", "totals")
 }
 
-// TestResidentOrderedMovesOnlyH: an ordered loop serves what the
-// unordered one rotates, so going from one to the other re-places H —
-// by way of the driver, the fetch it had not had yet — and leaves the
-// space-local W where it is.
+// TestResidentOrderedMovesOnlyH: an ordered loop hands down the
+// wavefront what the unordered one rotates around the ring — a distinct
+// placement, over eight time cuts per executor instead of one — so going
+// from one to the other re-places H, by way of the driver, the fetch it
+// had not had yet, and leaves the space-local W where it is.
 func TestResidentOrderedMovesOnlyH(t *testing.T) {
 	sess, ref := localPair(t, 2, fillMF)
 	moveH := []string{"reuse:W", "fetch:H rekeyed", "ship:H rekeyed"}

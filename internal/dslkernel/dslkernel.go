@@ -326,7 +326,7 @@ func (lk *loopKernel) runBlock(ctx *runtime.Ctx, keys [][]int64, vals []float64)
 	if err := vs.bind(ctx); err != nil {
 		return 0, fmt.Errorf("dslkernel: %v", err)
 	}
-	done, err := vs.k.RunBlock(keys, vals, func(int) { vs.fold(ctx) })
+	done, err := vs.k.RunBlock(keys, vals, func(int) { vs.fold() })
 	if err != nil {
 		return done, fmt.Errorf("dslkernel: vm kernel: %v", err)
 	}
@@ -335,22 +335,24 @@ func (lk *loopKernel) runBlock(ctx *runtime.Ctx, keys [][]int64, vals []float64)
 
 func (lk *loopKernel) runInterp(ctx *runtime.Ctx, key []int64, val float64) {
 	lk.enter(ctx)
-	lk.ms.run(ctx, key, val)
+	lk.ms.run(key, val)
 }
 
 // vmState is one executor's bytecode-VM kernel instance for one loop:
 // the register-file machine with partition/served views bound into its
-// array slots, plus accumulator shadows for diffing.
+// array slots, plus, per accumulator, its global slot, the executor's
+// instance (runtime.Ctx.Accum) and the shadow the next delta is taken
+// against.
 type vmState struct {
 	k       *vm.Kernel
 	parts   []*partView // re-bound around every block
-	accums  []string
 	slots   []int
+	accs    []*float64
 	lastAcc []float64
 }
 
 func newVMState(ctx *runtime.Ctx, lk *loopKernel) *vmState {
-	vs := &vmState{k: lk.vp.NewKernel(), accums: lk.accums}
+	vs := &vmState{k: lk.vp.NewKernel()}
 	for name, view := range arrayViews(ctx, lk) {
 		if pv, ok := view.(*partView); ok {
 			vs.parts = append(vs.parts, pv)
@@ -373,6 +375,7 @@ func newVMState(ctx *runtime.Ctx, lk *loopKernel) *vmState {
 		}
 		slot := vs.k.GlobalSlot(a)
 		vs.slots = append(vs.slots, slot)
+		vs.accs = append(vs.accs, ctx.Accum(a))
 		vs.lastAcc = append(vs.lastAcc, vs.k.GlobalAt(slot))
 	}
 	return vs
@@ -394,22 +397,26 @@ func (vs *vmState) bind(ctx *runtime.Ctx) error {
 	return nil
 }
 
-func (vs *vmState) fold(ctx *runtime.Ctx) {
-	for i, a := range vs.accums {
+// fold adds each accumulator's delta since the last fold to the
+// executor's instance.
+func (vs *vmState) fold() {
+	for i, acc := range vs.accs {
 		cur := vs.k.GlobalAt(vs.slots[i])
 		if d := cur - vs.lastAcc[i]; d != 0 {
-			ctx.AccumAdd(a, d)
+			*acc += d
 			vs.lastAcc[i] = cur
 		}
 	}
 }
 
-// machineState is one executor's interpreter instance for one loop.
+// machineState is one executor's interpreter instance for one loop;
+// accs and lastAcc are by lk.accums index, as in vmState.
 type machineState struct {
 	m       *lang.Machine
 	loop    *lang.Loop
 	accums  []string
-	lastAcc map[string]float64
+	accs    []*float64
+	lastAcc []float64
 }
 
 func newMachineState(ctx *runtime.Ctx, lk *loopKernel) *machineState {
@@ -421,25 +428,26 @@ func newMachineState(ctx *runtime.Ctx, lk *loopKernel) *machineState {
 	for k, v := range lk.globals {
 		m.Globals[k] = v
 	}
-	ms := &machineState{m: m, loop: lk.loop, accums: lk.accums, lastAcc: map[string]float64{}}
+	ms := &machineState{m: m, loop: lk.loop, accums: lk.accums}
 	for _, a := range lk.accums {
 		if _, ok := m.Globals[a]; !ok {
 			m.Globals[a] = float64(0)
 		}
-		ms.lastAcc[a] = asFloat(m.Globals[a])
+		ms.accs = append(ms.accs, ctx.Accum(a))
+		ms.lastAcc = append(ms.lastAcc, asFloat(m.Globals[a]))
 	}
 	return ms
 }
 
-func (ms *machineState) run(ctx *runtime.Ctx, key []int64, val float64) {
+func (ms *machineState) run(key []int64, val float64) {
 	if err := ms.m.RunIteration(ms.loop, key, val); err != nil {
 		panic(fmt.Sprintf("dslkernel: interpreted kernel: %v", err))
 	}
-	for _, a := range ms.accums {
+	for i, a := range ms.accums {
 		cur := asFloat(ms.m.Globals[a])
-		if d := cur - ms.lastAcc[a]; d != 0 {
-			ctx.AccumAdd(a, d)
-			ms.lastAcc[a] = cur
+		if d := cur - ms.lastAcc[i]; d != 0 {
+			*ms.accs[i] += d
+			ms.lastAcc[i] = cur
 		}
 	}
 }
@@ -502,8 +510,8 @@ func (v *partView) DenseData() ([]float64, []int64) {
 
 // servedView adapts a parameter-server array: reads, the buffered
 // deltas of a DistArray Buffer over it (the only writes dependence
-// analysis lets a loop make to a served array, with one exception), and,
-// for the VM, whole-column reads and writes (lang.RunAccess).
+// analysis lets a driver loop make to a served array), and, for the VM,
+// whole-column reads (lang.RunAccess).
 type servedView struct {
 	s    *runtime.ServedArray
 	dims []int64
@@ -514,20 +522,19 @@ func (s *servedView) At(idx ...int64) float64 {
 	return s.s.Read(flatten(s.dims, idx))
 }
 func (s *servedView) SetAt(v float64, idx ...int64) {
-	// Direct writes to a served array are legal only when the plan
-	// guarantees this worker is the sole writer (ordered wavefront
-	// execution); they ship as absolute last-write-wins updates.
+	// The driver places no array a loop writes directly as served: an
+	// ordered loop hands its time-indexed arrays down the wavefront. A
+	// caller of the raw runtime that serves one anyway under the ordered
+	// schedule has this worker as its sole writer: the write ships as an
+	// absolute last-write-wins update.
 	s.s.Set(flatten(s.dims, idx), v)
 }
 
-// ReadRun and WriteRun serve a run along the first dimension — the one
-// flatten makes contiguous — that lies inside the array and that the
-// block prefetched whole.
+// ReadRun serves a run along the first dimension — the one flatten makes
+// contiguous — that lies inside the array and that the block prefetched
+// whole.
 func (s *servedView) ReadRun(out []float64, dim int, idx []int64) bool {
 	return s.inBounds(dim, idx, len(out)) && s.s.ReadRun(flatten(s.dims, idx), out)
-}
-func (s *servedView) WriteRun(in []float64, dim int, idx []int64) bool {
-	return s.inBounds(dim, idx, len(in)) && s.s.SetRun(flatten(s.dims, idx), in)
 }
 func (s *servedView) inBounds(dim int, idx []int64, n int) bool {
 	if dim != 0 || idx[0]+int64(n) > s.dims[0] {

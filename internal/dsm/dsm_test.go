@@ -184,6 +184,45 @@ func TestPartitionRoundTripSparse(t *testing.T) {
 	})
 }
 
+// TestPartitionsRoundTrip: none, one or several partitions of a dense or
+// sparse array — an empty range among them — come back from one blob
+// bit for bit.
+func TestPartitionsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	dense, sparse := NewDense("H", 3, 12), NewSparse("z", 5, 12)
+	dense.FillRandn(rng, 1)
+	for i := 0; i < 25; i++ {
+		sparse.SetAt(rng.Float64()+0.5, int64(rng.Intn(5)), int64(rng.Intn(12)))
+	}
+	for _, a := range []*DistArray{dense, sparse} {
+		parts := a.RangePartitions(1, 4, []int64{3, 3, 8})
+		for _, ps := range [][]*Partition{nil, parts[:1], parts} {
+			blob, err := EncodePartitions(ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecodePartitions(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(ps) {
+				t.Fatalf("%s: %d partitions came back of %d", a.Name(), len(got), len(ps))
+			}
+			for i, p := range got {
+				want := ps[i]
+				same := p.Array == want.Array && p.Dim == want.Dim && p.Lo == want.Lo && p.Hi == want.Hi &&
+					slices.Equal(p.Local.Dims(), want.Local.Dims()) && p.Local.Len() == want.Local.Len()
+				want.Local.ForEach(func(idx []int64, v float64) {
+					same = same && math.Float64bits(p.Local.At(idx...)) == math.Float64bits(v)
+				})
+				if !same {
+					t.Errorf("%s: partition %d [%d,%d) came back as [%d,%d) or with other contents", a.Name(), i, want.Lo, want.Hi, p.Lo, p.Hi)
+				}
+			}
+		}
+	}
+}
+
 // TestRangePartitionsEqualsExtractRange: a sparse array's one-walk split
 // yields, for random extents, entries, dimension and cuts (empty and
 // repeated ones included), exactly the partitions that one ExtractRange

@@ -34,13 +34,7 @@ func fromWire(w wireArray) *DistArray {
 }
 
 // Encode serializes the array with encoding/gob.
-func (a *DistArray) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(a.wire()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func (a *DistArray) Encode() ([]byte, error) { return encode(a.wire()) }
 
 // DecodeArray deserializes an array produced by Encode.
 func DecodeArray(data []byte) (*DistArray, error) {
@@ -51,15 +45,24 @@ func DecodeArray(data []byte) (*DistArray, error) {
 	return fromWire(w), nil
 }
 
-// Encode serializes the partition with encoding/gob.
-func (p *Partition) Encode() ([]byte, error) {
+func (p *Partition) wire() wirePartition {
+	return wirePartition{Array: p.Array, Dim: p.Dim, Lo: p.Lo, Hi: p.Hi, Local: p.Local.wire()}
+}
+
+func (w wirePartition) partition() *Partition {
+	return &Partition{Array: w.Array, Dim: w.Dim, Lo: w.Lo, Hi: w.Hi, Local: fromWire(w.Local)}
+}
+
+func encode(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	w := wirePartition{Array: p.Array, Dim: p.Dim, Lo: p.Lo, Hi: p.Hi, Local: p.Local.wire()}
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
+
+// Encode serializes the partition with encoding/gob.
+func (p *Partition) Encode() ([]byte, error) { return encode(p.wire()) }
 
 // DecodePartition deserializes a partition produced by Encode.
 func DecodePartition(data []byte) (*Partition, error) {
@@ -67,5 +70,28 @@ func DecodePartition(data []byte) (*Partition, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return nil, err
 	}
-	return &Partition{Array: w.Array, Dim: w.Dim, Lo: w.Lo, Hi: w.Hi, Local: fromWire(w.Local)}, nil
+	return w.partition(), nil
+}
+
+// EncodePartitions serializes any number of partitions, none included,
+// as one blob: what one worker holds of an array.
+func EncodePartitions(ps []*Partition) ([]byte, error) {
+	ws := make([]wirePartition, len(ps))
+	for i, p := range ps {
+		ws[i] = p.wire()
+	}
+	return encode(ws)
+}
+
+// DecodePartitions deserializes partitions produced by EncodePartitions.
+func DecodePartitions(data []byte) ([]*Partition, error) {
+	var ws []wirePartition
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ws); err != nil {
+		return nil, err
+	}
+	ps := make([]*Partition, len(ws))
+	for i, w := range ws {
+		ps[i] = w.partition()
+	}
+	return ps, nil
 }

@@ -66,16 +66,16 @@ type DenseWindow interface {
 }
 
 // RunAccess is the optional bulk contract of a view with no dense
-// storage to expose (a parameter-server array): read into out, or write
-// from in, that many consecutive elements along dimension dim starting
-// at the full 0-based index idx, in one call. A view answers false, having
-// touched nothing, for any run it cannot serve whole — the backend then
-// takes At/SetAt element by element, whose values and faults are the
-// reference behaviour. The interpreter never asks.
+// storage to expose (a parameter-server array): read into out that many
+// consecutive elements along dimension dim starting at the full 0-based
+// index idx, in one call. A view answers false, having touched nothing,
+// for any run it cannot serve whole — the backend then takes At element
+// by element, whose values and faults are the reference behaviour.
+// Writes to such a view always go through SetAt. The interpreter never
+// asks.
 type RunAccess interface {
 	ArrayAccess
 	ReadRun(out []float64, dim int, idx []int64) bool
-	WriteRun(in []float64, dim int, idx []int64) bool
 }
 
 // Resolution is the front half of a compilation: types inferred to a

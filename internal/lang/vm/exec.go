@@ -842,7 +842,7 @@ func (k *Kernel) rowView(acc *access) []float64 {
 // ldRun is the range read of a binding with no flat path: the elements
 // of acc's range from lo on, into out — in one call when the view takes
 // whole runs and holds this one (lang.RunAccess), else through At, one
-// element at a time. stRun is the range write.
+// element at a time. stRun is the range write, through SetAt.
 func (k *Kernel) ldRun(acc *access, ix []int64, lo int64, out []float64) {
 	ix[acc.rangeDim] = lo
 	if ra := k.runs[acc.ai]; ra != nil && ra.ReadRun(out, int(acc.rangeDim), ix) {
@@ -856,10 +856,6 @@ func (k *Kernel) ldRun(acc *access, ix []int64, lo int64, out []float64) {
 }
 
 func (k *Kernel) stRun(acc *access, ix []int64, lo int64, in []float64) {
-	ix[acc.rangeDim] = lo
-	if ra := k.runs[acc.ai]; ra != nil && ra.WriteRun(in, int(acc.rangeDim), ix) {
-		return
-	}
 	a := k.arrays[acc.ai]
 	for i, v := range in {
 		ix[acc.rangeDim] = lo + int64(i)

@@ -8,7 +8,7 @@ import (
 	"orion/internal/lang"
 )
 
-// runView is a view with no dense storage that takes whole runs
+// runView is a view with no dense storage that reads whole runs
 // (lang.RunAccess), the way a served array does: a run is served only
 // when every element of it is inside the array and none is a hole —
 // the stand-in for an offset the block did not prefetch — and a refused
@@ -50,10 +50,6 @@ func (v *runView) run(n, dim int, idx []int64, visit func(i int, at []int64)) bo
 
 func (v *runView) ReadRun(out []float64, dim int, idx []int64) bool {
 	return v.run(len(out), dim, idx, func(i int, at []int64) { out[i] = v.a.At(at...) })
-}
-
-func (v *runView) WriteRun(in []float64, dim int, idx []int64) bool {
-	return v.run(len(in), dim, idx, func(i int, at []int64) { v.a.SetAt(in[i], at...) })
 }
 
 // TestRunAccessEqualsPerElement: a kernel whose arrays take whole runs

@@ -11,7 +11,6 @@ import (
 
 	"orion/internal/dsm"
 	"orion/internal/obs"
-	"orion/internal/runtime/bufpool"
 )
 
 // Executor is one Orion worker process: it holds DistArray partitions,
@@ -25,12 +24,9 @@ type Executor struct {
 	peerAddr string
 	peerLn   net.Listener
 
-	parts   map[string]*dsm.Partition
-	rotated map[string]bool
-	// pooledParts marks partitions whose dense backing storage came
-	// from bufpool (installed by a raw rotation frame); it is returned
-	// to the pool when the next rotation replaces them.
-	pooledParts map[string]bool
+	// parts holds what this executor holds of each array placed on it
+	// as partitions (MsgArrayPart); served arrays live in shards.
+	parts map[string]*heldArray
 	// iter is this executor's share of the iteration space. It stays
 	// until the next MsgIterPart replaces it, across loops.
 	iter *iterPart
@@ -40,7 +36,7 @@ type Executor struct {
 	// (a recovery attempt re-defines under the same name).
 	loopName string
 	loop     *KernelSet
-	sendTo   *codec // ring neighbor we ship rotated partitions to
+	sendTo   *codec // ring predecessor we ship rotated partitions to
 	rotateCh chan *Msg
 	// prefetchOffs is scratch for evaluating a block's prefetch offsets.
 	prefetchOffs []int64
@@ -100,31 +96,29 @@ type Executor struct {
 // recovery); the assignment arrives in the setup message.
 func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, error) {
 	e := &Executor{
-		id:          id,
-		t:           t,
-		shards:      newShardSet(t, id),
-		peerAddr:    peerAddr,
-		parts:       map[string]*dsm.Partition{},
-		rotated:     map[string]bool{},
-		pooledParts: map[string]bool{},
-		iter:        newIterPart(nil),
-		rotateCh:    make(chan *Msg, 16),
-		cmdCh:       make(chan *Msg, 16),
-		stop:        make(chan struct{}),
-		rotateErr:   make(chan struct{}),
-		done:        make(chan error, 1),
-		trace:       obs.NewBuf(id+1, fmt.Sprintf("exec%d", id)),
-		mBlocks:     obs.GetCounter("kernel.blocks"),
-		mIters:      obs.GetCounter("kernel.iterations"),
-		mRotWait:    obs.GetHistogram("rotation.wait.ns"),
-		mRotBytes:   obs.GetCounter("rotation.bytes.sent"),
-		mRotRaw:     obs.GetCounter("rotation.frames.raw"),
-		mRotGob:     obs.GetCounter("rotation.frames.gob"),
-		mPrefHit:    obs.GetCounter("prefetch.hit"),
-		mPrefMiss:   obs.GetCounter("prefetch.miss"),
-		mPrefReuse:  obs.GetCounter("exec.prefetch_index_reuse"),
+		id:         id,
+		t:          t,
+		shards:     newShardSet(t, id),
+		peerAddr:   peerAddr,
+		parts:      map[string]*heldArray{},
+		iter:       newIterPart(nil),
+		rotateCh:   make(chan *Msg, 16),
+		cmdCh:      make(chan *Msg, 16),
+		stop:       make(chan struct{}),
+		rotateErr:  make(chan struct{}),
+		done:       make(chan error, 1),
+		trace:      obs.NewBuf(id+1, fmt.Sprintf("exec%d", id)),
+		mBlocks:    obs.GetCounter("kernel.blocks"),
+		mIters:     obs.GetCounter("kernel.iterations"),
+		mRotWait:   obs.GetHistogram("rotation.wait.ns"),
+		mRotBytes:  obs.GetCounter("rotation.bytes.sent"),
+		mRotRaw:    obs.GetCounter("rotation.frames.raw"),
+		mRotGob:    obs.GetCounter("rotation.frames.gob"),
+		mPrefHit:   obs.GetCounter("prefetch.hit"),
+		mPrefMiss:  obs.GetCounter("prefetch.miss"),
+		mPrefReuse: obs.GetCounter("exec.prefetch_index_reuse"),
 	}
-	e.ctx = &Ctx{exec: e, served: map[string]*ServedArray{}, accums: map[string]float64{}}
+	e.ctx = &Ctx{exec: e, served: map[string]*ServedArray{}, accums: map[string]*float64{}}
 	ln, err := t.Listen(peerAddr)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: executor %d peer listen: %w", id, err)
@@ -283,13 +277,9 @@ func (e *Executor) run() error {
 		}
 		switch msg.Kind {
 		case MsgArrayPart:
-			p, err := dsm.DecodePartition(msg.PartBlob)
-			if err != nil {
+			if err := e.install(msg); err != nil {
 				return err
 			}
-			e.parts[msg.Array] = p
-			e.rotated[msg.Array] = msg.Rotated
-			e.pooledParts[msg.Array] = false
 		case MsgIterPart:
 			e.iter = newIterPart(msg.Samples)
 		case MsgServedShard:
@@ -301,8 +291,6 @@ func (e *Executor) run() error {
 			// An array is placed one way at a time: a partition an
 			// earlier loop left here must not shadow the shard.
 			delete(e.parts, msg.Array)
-			delete(e.rotated, msg.Array)
-			delete(e.pooledParts, msg.Array)
 			if err := e.master.send(&Msg{Kind: MsgAck}); err != nil {
 				return err
 			}
@@ -328,16 +316,19 @@ func (e *Executor) run() error {
 				return err
 			}
 		case MsgGather:
-			p := e.parts[msg.Array]
-			if p == nil {
+			var ps []*dsm.Partition
+			if h := e.parts[msg.Array]; h != nil {
+				for _, p := range h.parts {
+					ps = append(ps, p.Partition)
+				}
+			} else if p := e.shards.gatherLocal(msg.Array); p != nil {
 				// A gather folds every staged served update first: the
 				// barrier already guaranteed all of them arrived.
-				p = e.shards.gatherLocal(msg.Array)
-			}
-			if p == nil {
+				ps = []*dsm.Partition{p}
+			} else {
 				return fmt.Errorf("runtime: executor %d: gather of unknown array %q", e.id, msg.Array)
 			}
-			blob, err := p.Encode()
+			blob, err := dsm.EncodePartitions(ps)
 			if err != nil {
 				return err
 			}
@@ -345,7 +336,7 @@ func (e *Executor) run() error {
 				return err
 			}
 		case MsgAccumQuery:
-			v := e.ctx.accums[msg.AccName]
+			v := *e.ctx.Accum(msg.AccName)
 			if err := e.master.send(&Msg{Kind: MsgAccumResp, ExecutorID: e.id, AccName: msg.AccName, AccValue: v}); err != nil {
 				return err
 			}
@@ -463,7 +454,14 @@ func (e *Executor) servePeer(c *codec) {
 	}
 }
 
-func (e *Executor) partition(array string) *dsm.Partition { return e.parts[array] }
+// partition returns the partition of array the running block sees (nil
+// when it sees none).
+func (e *Executor) partition(array string) *dsm.Partition {
+	if h := e.parts[array]; h != nil {
+		return h.bound
+	}
+	return nil
+}
 
 // execBlock runs the kernel over this executor's samples whose time
 // coordinate falls inside the block, then rotates. Section timings are
@@ -484,6 +482,7 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	}
 	block := e.iter.block(blockKey{timeDim: msg.TimeDim, lo: msg.TimeLo, hi: msg.TimeHi, ordered: msg.Ordered})
 	keys, vals := block.keys, block.vals
+	e.bind(msg.TimeLo, msg.TimeHi)
 
 	// Advance the block clock before anything kernel-visible runs:
 	// randomness reseeds per (loop, executor, pass, step), so a
@@ -578,60 +577,14 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 		e.trace.EndN("exec.flush", "exec", flushStart, "arrays", int64(flushed))
 	}
 
-	// Rotate time-partitioned arrays around the ring.
-	if msg.Rotated && n > 1 {
-		names := make([]string, 0, len(e.parts))
-		for a := range e.parts {
-			if e.rotated[a] {
-				names = append(names, a)
-			}
+	// Move time-partitioned arrays on: around the unordered ring, or
+	// down the ordered wavefront.
+	if n > 1 && (msg.Rotated || msg.Ordered) {
+		sendNs, waitNs, err := e.rotate(msg.Rotated, n)
+		if err != nil {
+			return err
 		}
-		sort.Strings(names)
-		sendStart := time.Now()
-		for _, a := range names {
-			p := e.parts[a]
-			wire, err := e.sendTo.sendRotation(a, p)
-			if err != nil {
-				return fmt.Errorf("runtime: executor %d: rotation send failed (%v): %w", e.id, err, ErrWorkerLost)
-			}
-			e.mRotBytes.Add(wire)
-			if p.Local.IsDense() {
-				e.mRotRaw.Inc()
-			} else {
-				e.mRotGob.Inc()
-			}
-		}
-		commNs += int64(time.Since(sendStart))
-		e.trace.EndN("rotate.send", "exec", sendStart, "arrays", int64(len(names)))
-		waitStart := time.Now()
-		for range names {
-			var in *Msg
-			select {
-			case in = <-e.rotateCh:
-			case <-e.rotateErr:
-				return fmt.Errorf("runtime: executor %d: ring predecessor lost mid-rotation: %w", e.id, ErrWorkerLost)
-			case <-e.stop:
-				return e.lostErr()
-			}
-			p, err := partitionFromMsg(in)
-			if err != nil {
-				return err
-			}
-			// Fold: the replaced partition's pooled dense storage (its
-			// contents were already shipped to the ring neighbor) goes
-			// back to the pool.
-			if old := e.parts[in.Array]; old != nil && e.pooledParts[in.Array] {
-				if data, _ := old.Local.DenseData(); data != nil {
-					bufpool.PutF64(data)
-				}
-			}
-			e.parts[in.Array] = p
-			e.pooledParts[in.Array] = in.Raw
-		}
-		if len(names) > 0 {
-			rotWaitNs = int64(time.Since(waitStart))
-			e.trace.EndN("rotate.recv", "exec", waitStart, "arrays", int64(len(names)))
-		}
+		commNs, rotWaitNs = commNs+sendNs, waitNs
 	}
 
 	e.mBlocks.Inc()

@@ -200,7 +200,7 @@ func TestServedSlotTable(t *testing.T) {
 func TestCtxVecAllocFree(t *testing.T) {
 	w := dsm.NewDense("W", 4, 10)
 	w.SetAt(42, 2, 7)
-	e := &Executor{parts: map[string]*dsm.Partition{"W": w.ExtractRange(1, 5, 10)}}
+	e := &Executor{parts: map[string]*heldArray{"W": {bound: w.ExtractRange(1, 5, 10)}}}
 	e.ctx = &Ctx{exec: e}
 	coords := []int64{7}
 	var vec []float64
@@ -422,5 +422,71 @@ func TestIterSpaceEpochAdvances(t *testing.T) {
 	m.Abort()
 	if e3 := m.ArrayEpoch(""); e3 == e1 {
 		t.Errorf("epoch still %d after Abort", e3)
+	}
+}
+
+// TestWavefrontHandOff: an ordered loop over three executors runs each
+// block on the partition of a wavefront array its time range names and
+// hands it on to the next executor; after the pass every partition is
+// home on executor 0 — of the array the loop writes and of one cut for
+// another loop, which moves only where its cuts meet this loop's — and
+// both gather back exact, from any number of partitions per executor.
+func TestWavefrontHandOff(t *testing.T) {
+	const n, cols = 3, 12
+	RegisterKernel("rt_wave", func(ctx *Ctx, key []int64, _ float64) {
+		ctx.Vec("H", key[1])[0] += float64(1 + key[0])
+	})
+	m, execs, stop := startFleet(t, "wave", n)
+	defer stop()
+	var samples []IterSample
+	for s := int64(0); s < n; s++ {
+		for c := int64(0); c < cols; c++ {
+			samples = append(samples, IterSample{Key: []int64{s, c}})
+		}
+	}
+	h, g := dsm.NewDense("H", 1, cols), dsm.NewDense("G", 1, cols)
+	g.Map(func(float64) float64 { return 0.5 })
+	timePart := sched.NewRangePartitioner(cols, 2*n)
+	for _, err := range []error{
+		m.DistributeIterSpace(samples, 0, sched.NewRangePartitioner(n, n)),
+		m.DistributeWavefrontAt(h, 1, timePart.Boundaries(), 0),
+		m.DistributeWavefrontAt(g, 1, []int64{2, 6}, 0), // [0, 2) is also one of the loop's
+		m.ParallelFor(LoopDef{Kernel: "rt_wave", TimeDim: 1, TimePart: timePart, Ordered: true, Passes: 2}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The executors are parked on their command channels: their last
+	// block-done messages ordered their writes before these reads.
+	for j, e := range execs {
+		if got, want := len(e.parts["H"].parts), map[bool]int{true: 2 * n}[j == 0]; got != want {
+			t.Errorf("executor %d holds %d partitions of H after the loop, want %d", j, got, want)
+		}
+	}
+	for name, want := range map[string]float64{"H": 2 * (1 + 2 + 3), "G": 0.5} {
+		got, err := m.Gather(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := int64(0); c < cols; c++ {
+			if v := got.At(0, c); v != want {
+				t.Errorf("%s[0, %d] = %v after two passes, want %v", name, c, v, want)
+			}
+		}
+	}
+	// Placed as a mid-pass resume would place it, H spreads over the fleet
+	// and still gathers whole.
+	for step := 0; step <= 2*n+n-1; step++ {
+		if err := m.DistributeWavefrontAt(g, 1, timePart.Boundaries(), step); err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Gather("G")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data, _ := got.DenseData(); slices.ContainsFunc(data, func(v float64) bool { return v != 0.5 }) {
+			t.Errorf("G placed as at step %d gathers as %v", step, data)
+		}
 	}
 }

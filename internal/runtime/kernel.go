@@ -115,8 +115,8 @@ type Ctx struct {
 	// lists them by name, the order block-end flushes go out in.
 	served      map[string]*ServedArray
 	servedOrder []*ServedArray
-	// accums are this executor's accumulator instances.
-	accums map[string]float64
+	// accums are this executor's accumulator instances (Accum).
+	accums map[string]*float64
 	// Block clock: which (pass, step) the currently running block
 	// belongs to, plus a monotonically increasing epoch bumped once per
 	// block. Kernels that use randomness reseed per block keyed on the
@@ -322,9 +322,9 @@ func (s *ServedArray) Update(off int64, delta float64) {
 
 // Set writes an absolute value to one element. Valid only when the
 // schedule guarantees this worker is the element's sole writer for the
-// step (serializable direct writes under the ordered wavefront); the
-// value ships to the shard owner at block end as a last-write-wins
-// update.
+// step — a raw-runtime caller serving a time-indexed array of an ordered
+// loop (the driver hands those down the wavefront instead); the value
+// ships to the shard owner at block end as a last-write-wins update.
 func (s *ServedArray) Set(off int64, v float64) { s.setSlot(s.slot(off), v) }
 
 func (s *ServedArray) setSlot(i int32, v float64) {
@@ -367,24 +367,20 @@ func (s *ServedArray) ReadRun(off int64, out []float64) bool {
 	return true
 }
 
-// SetRun writes in to the elements at offsets off, off+1, ..., as
-// len(in) Sets would, when the block prefetched them all; otherwise it
-// writes nothing and reports false.
-func (s *ServedArray) SetRun(off int64, in []float64) bool {
-	i := s.run(off, len(in))
-	if i < 0 {
-		return false
+// Accum returns this executor's instance of an accumulator, at an
+// address that stays put for the executor's life: a kernel adapter
+// resolves it once and adds to it, with no lookup per iteration.
+func (c *Ctx) Accum(name string) *float64 {
+	p := c.accums[name]
+	if p == nil {
+		p = new(float64)
+		c.accums[name] = p
 	}
-	for k, v := range in {
-		s.setSlot(i+int32(k), v)
-	}
-	return true
+	return p
 }
 
 // AccumAdd folds a value into this executor's accumulator instance.
-func (c *Ctx) AccumAdd(name string, v float64) {
-	c.accums[name] += v
-}
+func (c *Ctx) AccumAdd(name string, v float64) { *c.Accum(name) += v }
 
 // PartitionOf exposes an executor's partition of an array (nil when it
 // holds none) for higher-level adapters (the DSL driver). Rotation
@@ -392,9 +388,9 @@ func (c *Ctx) AccumAdd(name string, v float64) {
 // storage: the result must not be kept past the running block.
 func (c *Ctx) PartitionOf(array string) *dsm.Partition { return c.exec.partition(array) }
 
-// HasPartition reports whether this executor holds a partition of the
-// array.
-func (c *Ctx) HasPartition(array string) bool { return c.exec.partition(array) != nil }
+// HasPartition reports whether the array is placed on this executor as
+// partitions — a wavefront array is even while it holds none of them.
+func (c *Ctx) HasPartition(array string) bool { return c.exec.parts[array] != nil }
 
 // ExecutorID returns the hosting executor's id (for seeding per-worker
 // randomness deterministically).

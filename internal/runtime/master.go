@@ -260,30 +260,45 @@ func (m *Master) handleConn(id int, c *codec, ch *masterChans, seen *atomic.Int6
 	}
 }
 
-// broadcastParts sends one partition per executor.
-func (m *Master) broadcastParts(array string, parts []*dsm.Partition, rotated bool) error {
-	if len(parts) != m.n {
-		return fmt.Errorf("runtime: %d partitions for %d executors", len(parts), m.n)
+// sendErr is a failed send to executor id: a registered connection that
+// refuses one has lost its worker (crashed, or its link condemned as
+// corrupt) — recoverable, exactly like a loss mid-step.
+func sendErr(what string, id int, err error) error {
+	return fmt.Errorf("runtime: %s to executor %d failed (%v): %w", what, id, err, ErrWorkerLost)
+}
+
+// place range-partitions an array along dim at boundaries and ships
+// partition i to the executor schedule.Holder(step, i) names, each
+// executor all of its partitions (none, too) in one message; place says
+// how they move between blocks. No ack round-trip: the connection is
+// ordered, so any later ExecBlock is processed after the install.
+func (m *Master) place(a *dsm.DistArray, place sched.Placement, dim int, boundaries []int64, schedule sched.Schedule, step int) error {
+	if place != sched.Wavefront && len(boundaries) != m.n-1 {
+		return fmt.Errorf("runtime: %d cuts of %s for %d executors", len(boundaries), a.Name(), m.n)
 	}
-	for id, p := range parts {
-		blob, err := p.Encode()
+	m.recordArray(a)
+	held := make([][]*dsm.Partition, m.n)
+	for i, p := range a.RangePartitions(dim, len(boundaries)+1, boundaries) {
+		w := schedule.Holder(step, i)
+		held[w] = append(held[w], p)
+	}
+	for id, ps := range held {
+		blob, err := dsm.EncodePartitions(ps)
 		if err != nil {
 			return err
 		}
-		if err := m.conns[id].send(&Msg{Kind: MsgArrayPart, Array: array, PartBlob: blob, Rotated: rotated}); err != nil {
-			return err
+		msg := &Msg{Kind: MsgArrayPart, Array: a.Name(), PartBlob: blob, Rotated: place == sched.Rotated, Ordered: place == sched.Wavefront}
+		if err := m.conns[id].send(msg); err != nil {
+			return sendErr("shipping "+a.Name(), id, err)
 		}
 	}
-	// No ack round-trip: the connection is ordered, so any later
-	// ExecBlock is processed only after the partition is installed.
 	return nil
 }
 
 // DistributeLocal range-partitions a DistArray along dim with the given
 // boundaries and places partition i on executor i (space-local arrays).
 func (m *Master) DistributeLocal(a *dsm.DistArray, dim int, boundaries []int64) error {
-	m.recordArray(a)
-	return m.broadcastParts(a.Name(), a.RangePartitions(dim, m.n, boundaries), false)
+	return m.place(a, sched.Local, dim, boundaries, sched.UnorderedTwoDSchedule(m.n, 1), 0)
 }
 
 // DistributeRotatedAt distributes a rotated array as it stands at
@@ -293,16 +308,16 @@ func (m *Master) DistributeLocal(a *dsm.DistArray, dim int, boundaries []int64) 
 // 0. Resuming a loop mid-pass from a checkpoint uses this so the
 // re-formed ring starts in exactly the faulted run's configuration.
 func (m *Master) DistributeRotatedAt(a *dsm.DistArray, dim int, boundaries []int64, phase int) error {
-	m.recordArray(a)
-	parts := a.RangePartitions(dim, m.n, boundaries)
-	if phase %= m.n; phase != 0 {
-		rotated := make([]*dsm.Partition, m.n)
-		for _, e := range sched.UnorderedTwoDSchedule(m.n, 1)[phase] {
-			rotated[e.Worker] = parts[e.TimePart]
-		}
-		parts = rotated
-	}
-	return m.broadcastParts(a.Name(), parts, true)
+	return m.place(a, sched.Rotated, dim, boundaries, sched.UnorderedTwoDSchedule(m.n, 1), phase%m.n)
+}
+
+// DistributeWavefrontAt distributes a wavefront array (Fig. 7e) as it
+// stands at the start of step of an ordered pass over its
+// len(boundaries)+1 time partitions: each on the executor the schedule
+// says holds it then (sched.Schedule.Holder) — all of them on executor 0
+// at step 0, where every pass starts and ends.
+func (m *Master) DistributeWavefrontAt(a *dsm.DistArray, dim int, boundaries []int64, step int) error {
+	return m.place(a, sched.Wavefront, dim, boundaries, sched.OrderedTwoDSchedule(m.n, len(boundaries)+1), step)
 }
 
 // ArrayEpoch identifies the partitions or shards of one model array
@@ -335,7 +350,7 @@ func (m *Master) DistributeIterSpace(samples []IterSample, spaceDim int, part *s
 	}
 	for id, c := range m.conns {
 		if err := c.send(&Msg{Kind: MsgIterPart, Samples: blocks[id]}); err != nil {
-			return err
+			return sendErr("shipping the iteration space", id, err)
 		}
 	}
 	return nil
@@ -365,8 +380,9 @@ type LoopDef struct {
 	// that many parts.
 	Rotate bool
 	// Ordered selects the wavefront schedule (Fig. 7e): lexicographic
-	// iteration order is preserved; time-dimension arrays must be
-	// served (sharded) rather than rotated.
+	// iteration order is preserved, and after each block an executor
+	// hands the partitions of wavefront arrays (DistributeWavefrontAt)
+	// it ran to the next executor.
 	Ordered bool
 	// Passes is the number of full data passes.
 	Passes int
@@ -379,7 +395,8 @@ type LoopDef struct {
 	// StartPass/StartStep resume execution mid-loop: the first executed
 	// step is (StartPass, StartStep). Zero values run the loop from the
 	// beginning. The caller must have distributed array state matching
-	// that position (DistributeRotatedAt with phase StartStep).
+	// that position (DistributeRotatedAt with phase StartStep,
+	// DistributeWavefrontAt with step StartStep).
 	StartPass int
 	StartStep int
 	// Checkpoint, when non-nil, makes the master write coordinated
@@ -494,7 +511,7 @@ func (m *Master) runStep(def LoopDef, pass, step int, timeParts []int) error {
 		}
 		if err := m.conns[j].send(msg); err != nil {
 			lost(j, err)
-			return fmt.Errorf("runtime: dispatch to executor %d failed (%v): %w", j, err, ErrWorkerLost)
+			return sendErr("dispatch", j, err)
 		}
 	}
 	if err := m.await(m.ch.blockDone, func(msg *Msg) error { m.noteBlockDone(msg); return nil }); err != nil {
@@ -647,8 +664,9 @@ func (m *Master) Misses() int64 {
 	return m.missCount
 }
 
-// Gather collects an array's partitions from all executors and merges
-// them into a fresh DistArray.
+// Gather collects an array's partitions — any number per executor —
+// and its served shards from all executors and merges them into a fresh
+// DistArray.
 func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 	dims, ok := m.arrayDims[array]
 	if !ok {
@@ -656,10 +674,7 @@ func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 	}
 	for i, c := range m.conns {
 		if err := c.send(&Msg{Kind: MsgGather, Array: array}); err != nil {
-			// A send failing on a registered worker conn means that
-			// worker is gone (crashed, or its link was condemned as
-			// corrupt) — recoverable, exactly like a loss mid-step.
-			return nil, fmt.Errorf("runtime: gather send to executor %d failed (%v): %w", i, err, ErrWorkerLost)
+			return nil, sendErr("gather", i, err)
 		}
 	}
 	var out *dsm.DistArray
@@ -669,8 +684,8 @@ func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 		out = dsm.NewSparse(array, dims...)
 	}
 	err := m.await(m.ch.gatherResp, func(msg *Msg) error {
-		p, err := dsm.DecodePartition(msg.PartBlob)
-		if err == nil {
+		ps, err := dsm.DecodePartitions(msg.PartBlob)
+		for _, p := range ps {
 			p.WriteBack(out)
 		}
 		return err
@@ -685,7 +700,7 @@ func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 func (m *Master) AccumSum(name string) (float64, error) {
 	for i, c := range m.conns {
 		if err := c.send(&Msg{Kind: MsgAccumQuery, AccName: name}); err != nil {
-			return 0, fmt.Errorf("runtime: accum query send to executor %d failed (%v): %w", i, err, ErrWorkerLost)
+			return 0, sendErr("accum query", i, err)
 		}
 	}
 	var total float64
@@ -716,9 +731,9 @@ func (m *Master) Shutdown() {
 func (m *Master) DefineLoop(def *Msg) error {
 	def.Kind = MsgDefineLoop
 	raiseElemCapFromDims(def.ArrayDims)
-	for _, c := range m.conns {
+	for id, c := range m.conns {
 		if err := c.send(def); err != nil {
-			return err
+			return sendErr("defining "+def.LoopName, id, err)
 		}
 	}
 	return nil
@@ -747,7 +762,7 @@ func (m *Master) DistributeServed(a *dsm.DistArray) error {
 			ArrayDims: map[string][]int64{a.Name(): a.Dims()},
 		}
 		if err := m.conns[id].send(msg); err != nil {
-			return err
+			return sendErr("shipping "+a.Name(), id, err)
 		}
 	}
 	// Peers read each other's shards as soon as their own blocks start,

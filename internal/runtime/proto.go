@@ -26,7 +26,9 @@ const (
 	MsgHello MsgKind = iota
 	// MsgSetup: master → executor topology (peer addresses).
 	MsgSetup
-	// MsgArrayPart: master → executor: hold this array partition.
+	// MsgArrayPart: master → executor: hold these partitions of Array
+	// (dsm.EncodePartitions; any number of a wavefront array), placed
+	// space-local, ring-rotated (Rotated) or wavefront (Ordered).
 	MsgArrayPart
 	// MsgServedShard: master → executor: serve this shard of a
 	// parameter-server array to your peers.
@@ -38,7 +40,8 @@ const (
 	MsgExecBlock
 	// MsgBlockDone: executor → master.
 	MsgBlockDone
-	// MsgRotate: executor → executor: a rotated array partition.
+	// MsgRotate: executor → executor: a rotated or wavefront array
+	// partition; one with no Array ends an ordered block's hand-off.
 	MsgRotate
 	// MsgPrefetch: executor → shard owner: bulk read of served-array
 	// elements.

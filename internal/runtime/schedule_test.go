@@ -21,11 +21,13 @@ type dispatched struct {
 
 // fakeFleet registers n executors that run nothing: each records the
 // blocks it is sent (blocks[j], in arrival order) and the bounds of the
-// array partitions it is handed (parts), and answers every block at once.
+// array partitions it is handed (parts; a count per placement message on
+// counts), and answers every block at once.
 type fakeFleet struct {
 	m      *Master
 	blocks [][]dispatched
 	parts  chan [3]int64 // executor, Lo, Hi
+	counts chan [2]int   // executor, partitions
 }
 
 func startFakeFleet(t *testing.T, prefix string, n int) *fakeFleet {
@@ -35,7 +37,7 @@ func startFakeFleet(t *testing.T, prefix string, n int) *fakeFleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakeFleet{m: m, blocks: make([][]dispatched, n), parts: make(chan [3]int64, n)}
+	f := &fakeFleet{m: m, blocks: make([][]dispatched, n), parts: make(chan [3]int64, 64), counts: make(chan [2]int, n)}
 	ready := make(chan error, 1)
 	go func() { ready <- m.WaitForExecutors() }()
 	exited := make(chan struct{}, n)
@@ -63,12 +65,15 @@ func startFakeFleet(t *testing.T, prefix string, n int) *fakeFleet {
 					f.blocks[j] = append(f.blocks[j], dispatched{msg.TimeLo, msg.TimeHi, msg.Pass, msg.StepIndex, msg.Epoch})
 					c.send(&Msg{Kind: MsgBlockDone, ExecutorID: j})
 				case MsgArrayPart:
-					p, err := dsm.DecodePartition(msg.PartBlob)
+					ps, err := dsm.DecodePartitions(msg.PartBlob)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					f.parts <- [3]int64{int64(j), p.Lo, p.Hi}
+					for _, p := range ps {
+						f.parts <- [3]int64{int64(j), p.Lo, p.Hi}
+					}
+					f.counts <- [2]int{j, len(ps)}
 				}
 			}
 		}(j)
@@ -158,6 +163,7 @@ func TestDispatchFollowsTheSchedule(t *testing.T) {
 			}
 			got := make([][2]int64, n)
 			for range got {
+				<-f.counts
 				p := <-f.parts
 				got[p[0]] = [2]int64{p[1], p[2]}
 			}
@@ -167,6 +173,32 @@ func TestDispatchFollowsTheSchedule(t *testing.T) {
 					t.Errorf("phase %d: executor %d holds H[:, %d:%d], want time partition %d = [%d, %d)",
 						phase, e.Worker, got[e.Worker][0], got[e.Worker][1], e.TimePart, lo, hi)
 				}
+			}
+		}
+	})
+
+	t.Run("wavefront-placement", func(t *testing.T) {
+		f := startFakeFleet(t, "dispatch-wave", n)
+		h := dsm.NewDense("H", 2, 12)
+		timePart := cut(4)
+		wave := sched.OrderedTwoDSchedule(n, 4)
+		for step := 0; step <= len(wave); step++ { // the last one is the next pass's first
+			if err := f.m.DistributeWavefrontAt(h, 1, timePart.Boundaries(), step); err != nil {
+				t.Fatal(err)
+			}
+			want := map[[3]int64]bool{}
+			for i := 0; i < timePart.Parts(); i++ {
+				lo, hi := timePart.Bounds(i)
+				want[[3]int64{int64(wave.Holder(step, i)), lo, hi}] = true
+			}
+			got := map[[3]int64]bool{}
+			for range n { // one message per executor, even one that holds nothing
+				for c := (<-f.counts)[1]; c > 0; c-- {
+					got[<-f.parts] = true
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("step %d: executor, H[:, lo:hi] placed %v, want %v", step, got, want)
 			}
 		}
 	})

@@ -205,8 +205,8 @@ func TestServedSlotTableEqualsMapModel(t *testing.T) {
 }
 
 // TestServedTableAccessAllocFree: reads, deltas and absolute writes of
-// prefetched offsets — one at a time and a column at once — resolve
-// through the block's index and touch only slices.
+// prefetched offsets — one at a time, and reads a column at once —
+// resolve through the block's index and touch only slices.
 func TestServedTableAccessAllocFree(t *testing.T) {
 	e := loneExecutor(nil, 64, 64)
 	sa := e.ctx.Served("w")
@@ -222,14 +222,14 @@ func TestServedTableAccessAllocFree(t *testing.T) {
 		sa.Set(40, sum)
 		sa.Update(40, 1)
 		sum += sa.Read(40)
-		if !sa.ReadRun(8, col) || !sa.SetRun(8, col) {
+		if !sa.ReadRun(8, col) {
 			t.Fatal("a prefetched column was refused as a run")
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("served accesses of prefetched offsets allocate %v times per round, want 0", allocs)
 	}
-	if sa.ReadRun(9, col) || sa.ReadRun(2, col[:2]) || sa.SetRun(39, col[:2]) || len(sa.extra) != 0 {
+	if sa.ReadRun(9, col) || sa.ReadRun(2, col[:2]) || sa.ReadRun(39, col[:2]) || len(sa.extra) != 0 {
 		t.Error("a run the block did not prefetch whole was served, or left a slot behind")
 	}
 }

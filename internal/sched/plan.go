@@ -72,6 +72,9 @@ const (
 	// Served: no usable partitioning; served by parameter-server
 	// processes with bulk prefetching.
 	Served
+	// Wavefront: Rotated under ordered execution (Fig. 7e); a partition
+	// goes from the worker that ran it to the next (Schedule.Holder).
+	Wavefront
 )
 
 func (p Placement) String() string {
@@ -82,6 +85,8 @@ func (p Placement) String() string {
 		return "rotated"
 	case Served:
 		return "served"
+	case Wavefront:
+		return "wavefront"
 	default:
 		return fmt.Sprintf("Placement(%d)", int(p))
 	}
@@ -92,7 +97,7 @@ type ArrayPlan struct {
 	Array string
 	Place Placement
 	// PartDim is the array dimension used for range partitioning
-	// (valid for Local and Rotated).
+	// (valid for all but Served).
 	PartDim int
 }
 
@@ -107,21 +112,42 @@ type Plan struct {
 	// are mapped through it before partitioning.
 	Transform unimodular.Matrix
 	Arrays    []ArrayPlan
+	// Ordered marks the plan an ordered loop executes under (ForOrdered).
+	Ordered bool
 }
 
-// ForOrdered returns the placement ordered execution runs under: the
-// wavefront (Fig. 7e) keeps concurrently running blocks on disjoint time
-// ranges, so a time-indexed array is served with direct writes instead
-// of rotated. The result shares no Arrays storage with p.
+// ForOrdered returns the plan ordered execution runs under: the
+// wavefront (Fig. 7e) runs the time partitions of each space partition
+// in order, one executor after the next, so a time-indexed array is
+// placed Wavefront instead of Rotated. The result shares no Arrays
+// storage with p.
 func (p *Plan) ForOrdered() *Plan {
 	out := *p
+	out.Ordered = true
 	out.Arrays = slices.Clone(p.Arrays)
 	for i := range out.Arrays {
 		if out.Arrays[i].Place == Rotated {
-			out.Arrays[i].Place = Served
+			out.Arrays[i].Place = Wavefront
 		}
 	}
 	return &out
+}
+
+// orderedDepth is how many time partitions per executor an ordered loop
+// cuts (Fig. 8): its wavefront spends n-1 of its M+n-1 steps filling and
+// draining, so finer cuts shorten the ramp. EXPERIMENTS.md "Ordered
+// wavefront" has the sweep that picked it.
+const orderedDepth = 8
+
+// TimeParts is how many partitions a 2D loop planned as p cuts its time
+// dimension into on workers executors: one per executor for the
+// unordered rotation ring (Fig. 7f), orderedDepth per executor for the
+// ordered wavefront — but never more than the dimension has coordinates.
+func (p *Plan) TimeParts(workers int) int {
+	if !p.Ordered || p.TimeDim < 0 {
+		return workers
+	}
+	return max(1, min(orderedDepth*workers, int(p.Loop.Dims[p.TimeDim])))
 }
 
 // Options tunes planning.

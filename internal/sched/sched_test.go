@@ -455,10 +455,13 @@ func TestHistogramAllZeroWeightsFallsBack(t *testing.T) {
 	}
 }
 
-// TestForOrderedServesWhatThePlanRotates: only Rotated entries move,
-// and the plan it was derived from keeps its own placement.
-func TestForOrderedServesWhatThePlanRotates(t *testing.T) {
-	p := &Plan{Kind: TwoD, SpaceDim: 0, TimeDim: 1, Arrays: []ArrayPlan{
+// TestForOrderedPlacesWavefrontWhatThePlanRotates: only Rotated entries
+// move, to Wavefront; the plan it was derived from keeps its own
+// placement; and only the ordered plan cuts time finer than the fleet —
+// orderedDepth parts per executor, never more than the dimension has
+// coordinates.
+func TestForOrderedPlacesWavefrontWhatThePlanRotates(t *testing.T) {
+	p := &Plan{Kind: TwoD, SpaceDim: 0, TimeDim: 1, Loop: &ir.LoopSpec{Dims: []int64{40, 100}}, Arrays: []ArrayPlan{
 		{Array: "ratings", Place: Local},
 		{Array: "W", Place: Local, PartDim: 1},
 		{Array: "H", Place: Rotated, PartDim: 1},
@@ -467,9 +470,9 @@ func TestForOrderedServesWhatThePlanRotates(t *testing.T) {
 	before := append([]ArrayPlan(nil), p.Arrays...)
 	o := p.ForOrdered()
 	want := append([]ArrayPlan(nil), before...)
-	want[2].Place = Served
-	if !reflect.DeepEqual(o.Arrays, want) {
-		t.Errorf("ordered placement %v, want %v", o.Arrays, want)
+	want[2].Place = Wavefront
+	if !reflect.DeepEqual(o.Arrays, want) || !o.Ordered || p.Ordered {
+		t.Errorf("ordered placement %v (ordered %v, input %v), want %v", o.Arrays, o.Ordered, p.Ordered, want)
 	}
 	if o.Kind != p.Kind || o.SpaceDim != p.SpaceDim || o.TimeDim != p.TimeDim {
 		t.Errorf("ordered placement changed the strategy: %+v", o)
@@ -477,5 +480,48 @@ func TestForOrderedServesWhatThePlanRotates(t *testing.T) {
 	o.Arrays[0].Place = Served
 	if !reflect.DeepEqual(p.Arrays, before) {
 		t.Errorf("the input plan's Arrays changed: %v, want %v", p.Arrays, before)
+	}
+	for _, c := range []struct {
+		pl             *Plan
+		workers, parts int
+	}{{p, 3, 3}, {o, 3, 3 * orderedDepth}, {o, 20, 100}, {o.ForOrdered(), 1, orderedDepth}} {
+		if got := c.pl.TimeParts(c.workers); got != c.parts {
+			t.Errorf("ordered %v on %d workers: %d time parts, want %d", c.pl.Ordered, c.workers, got, c.parts)
+		}
+	}
+}
+
+// TestHolderFollowsTheSchedule: the executor that holds a time
+// partition at the start of a step runs it in that step — a partition
+// the ordered wavefront runs nowhere in a step sits at executor 0, where
+// it waits before its first block of a pass and lands after its last —
+// and every executor the wavefront hands a partition to next runs it at
+// the next step: from j to j+1, from the last executor home.
+func TestHolderFollowsTheSchedule(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4} {
+		for _, m := range []int{1, n, 3 * n} {
+			s := OrderedTwoDSchedule(n, m)
+			for i := 0; i < m; i++ {
+				if h := s.Holder(0, i); h != 0 {
+					t.Errorf("n=%d m=%d: partition %d starts a pass on executor %d", n, m, i, h)
+				}
+				if h := s.Holder(len(s), i); h != 0 {
+					t.Errorf("n=%d m=%d: partition %d ends a pass on executor %d", n, m, i, h)
+				}
+				for step := range s {
+					if h, next := s.Holder(step, i), s.Holder(step+1, i); step-i >= 0 && step-i < n && next != (h+1)%n {
+						t.Errorf("n=%d m=%d: partition %d goes from %d at step %d to %d", n, m, i, h, step, next)
+					}
+				}
+			}
+		}
+		ring := UnorderedTwoDSchedule(n, 1)
+		for step := range ring {
+			for _, e := range ring[step] {
+				if h := ring.Holder(step, e.TimePart); h != e.Worker {
+					t.Errorf("ring n=%d step %d: partition %d held by %d, run by %d", n, step, e.TimePart, h, e.Worker)
+				}
+			}
+		}
 	}
 }

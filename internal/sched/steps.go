@@ -69,6 +69,21 @@ func UnorderedTwoDSchedule(numWorkers, depth int) Schedule {
 	return sched
 }
 
+// Holder is the executor holding time partition part of a time-indexed
+// array at the start of step: the one the step runs it on, else executor
+// 0 — where, down the ordered wavefront, a partition waits for its first
+// block of a pass and returns after its last.
+func (s Schedule) Holder(step, part int) int {
+	if step < len(s) {
+		for _, e := range s[step] {
+			if e.TimePart == part {
+				return e.Worker
+			}
+		}
+	}
+	return 0
+}
+
 // Conflicts reports pairs of executions within one step that share a
 // space or time partition index — used by tests to check
 // serializability of generated schedules.
