@@ -6,7 +6,7 @@ GO ?= go
 
 .PHONY: check fmt vet lint build test loc benchmark-module race chaos soak bench-smoke exec-gate resident-gate trace-smoke adapt-smoke vet-examples fuzz golden-plans golden-plans-check
 
-check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate resident-gate trace-smoke adapt-smoke golden-plans-check
+check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate resident-gate trace-smoke adapt-smoke vet-examples golden-plans-check
 
 fmt:
 	@out="$$(gofmt -l .)"; \

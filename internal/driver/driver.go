@@ -112,8 +112,9 @@ var sessionSeq atomic.Int64
 
 // NewLocalSession starts a session with n executors in this process
 // over the in-process transport. (For multi-process deployments, run
-// cmd-level executors against a TCP master and register kernels on both
-// sides; the in-process path exercises identical protocol code.)
+// cmd/orion-worker executors against a TCP master: loops reach them as
+// source in DefineLoop, and the in-process path exercises identical
+// protocol code.)
 func NewLocalSession(n int) (*Session, error) {
 	return NewLocalSessionOver(runtime.NewInProc(), "", "", n)
 }

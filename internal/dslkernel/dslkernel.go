@@ -23,7 +23,8 @@ import (
 	"orion/internal/runtime"
 )
 
-// Install registers the DSL loop compiler with the runtime. Idempotent.
+// Install makes Compile the process's default loop compiler, the one
+// executors created afterwards run DefineLoop messages with. Idempotent.
 func Install() {
 	runtime.SetLoopCompiler(Compile)
 }
@@ -86,15 +87,14 @@ func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 	}
 
 	lk := &loopKernel{name: def.LoopName, loop: loop, vp: vp, dims: def.ArrayDims,
-		buffers: def.Buffers, globals: globals, accums: def.AccumNames, lastEpoch: -1}
-	ks := &runtime.KernelSet{Iter: lk.runInterp, Prefetch: map[string]runtime.PrefetchFunc{}}
-	if vp != nil {
-		// The VM runs whole blocks: one dispatch-loop entry, one panic
-		// recovery and one partition binding per block instead of per
-		// iteration. Accumulator deltas still fold per iteration, so a
-		// block is bitwise identical to its iterations run one at a
-		// time. The executor never calls Iter while Block is set.
-		ks.Block = lk.runBlock
+		buffers: def.Buffers, globals: globals, accums: def.AccumNames}
+	// The VM runs whole blocks: one dispatch-loop entry and one partition
+	// binding per block instead of per iteration. Accumulator deltas
+	// still fold per iteration, so a block is bitwise identical to its
+	// iterations run one at a time, as the interpreter runs them.
+	ks := &runtime.KernelSet{Block: lk.runBlock, Prefetch: map[string]runtime.PrefetchFunc{}}
+	if vp == nil {
+		ks.Block = lk.runInterp
 	}
 
 	// The plan artifact shipped alongside the source carries the
@@ -269,18 +269,17 @@ func (r *recorder) SetAt(float64, ...int64) {
 // invoked only from its executor's message loop, so a single machine
 // suffices: enter builds it on first use — once the executor's
 // partitions say which arrays are local and which are served — and
-// reseeds it whenever a new block starts.
+// reseeds it at the start of every block.
 type loopKernel struct {
-	name      string
-	loop      *lang.Loop
-	vp        *vm.Prog // nil: interpret
-	dims      map[string][]int64
-	buffers   map[string]string
-	globals   map[string]float64
-	accums    []string
-	vs        *vmState
-	ms        *machineState
-	lastEpoch int64
+	name    string
+	loop    *lang.Loop
+	vp      *vm.Prog // nil: interpret
+	dims    map[string][]int64
+	buffers map[string]string
+	globals map[string]float64
+	accums  []string
+	vs      *vmState
+	ms      *machineState
 }
 
 func (lk *loopKernel) enter(ctx *runtime.Ctx) {
@@ -291,10 +290,6 @@ func (lk *loopKernel) enter(ctx *runtime.Ctx) {
 			lk.ms = newMachineState(ctx, lk)
 		}
 	}
-	if ctx.BlockEpoch() == lk.lastEpoch {
-		return
-	}
-	lk.lastEpoch = ctx.BlockEpoch()
 	// Seed the rand() builtin deterministically per (loop, executor,
 	// block): sampling kernels (e.g. Gibbs) stay reproducible, both
 	// backends draw the same sequence, and — because the seed is keyed
@@ -333,9 +328,16 @@ func (lk *loopKernel) runBlock(ctx *runtime.Ctx, keys [][]int64, vals []float64)
 	return done, nil
 }
 
-func (lk *loopKernel) runInterp(ctx *runtime.Ctx, key []int64, val float64) {
+// runInterp executes a block on the interpreter, one iteration at a
+// time; partitions are asked for per access (partView).
+func (lk *loopKernel) runInterp(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
 	lk.enter(ctx)
-	lk.ms.run(key, val)
+	for i, key := range keys {
+		if err := lk.ms.run(key, vals[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(keys), nil
 }
 
 // vmState is one executor's bytecode-VM kernel instance for one loop:
@@ -439,9 +441,9 @@ func newMachineState(ctx *runtime.Ctx, lk *loopKernel) *machineState {
 	return ms
 }
 
-func (ms *machineState) run(key []int64, val float64) {
+func (ms *machineState) run(key []int64, val float64) error {
 	if err := ms.m.RunIteration(ms.loop, key, val); err != nil {
-		panic(fmt.Sprintf("dslkernel: interpreted kernel: %v", err))
+		return fmt.Errorf("dslkernel: interpreted kernel: %v", err)
 	}
 	for i, a := range ms.accums {
 		cur := asFloat(ms.m.Globals[a])
@@ -450,6 +452,7 @@ func (ms *machineState) run(key []int64, val float64) {
 			ms.lastAcc[i] = cur
 		}
 	}
+	return nil
 }
 
 func asFloat(v lang.Value) float64 {

@@ -195,8 +195,7 @@ func (r ArrayRef) String() string {
 
 // LoopSpec is the complete loop information record (Fig. 6).
 type LoopSpec struct {
-	// Name identifies the loop for logging and for the worker-side
-	// kernel registry.
+	// Name identifies the loop for logging.
 	Name string
 	// IterSpaceArray is the DistArray the loop ranges over.
 	IterSpaceArray string

@@ -30,10 +30,13 @@ type Executor struct {
 	// iter is this executor's share of the iteration space. It stays
 	// until the next MsgIterPart replaces it, across loops.
 	iter *iterPart
-	// loop is the kernel set compiled from the latest DefineLoop,
-	// checked before the static registry. Every caller defines a loop
-	// and then runs it, so a new definition retires the previous one
-	// (a recovery attempt re-defines under the same name).
+	// compile builds kernel sets from DefineLoop messages: the process
+	// default when the executor was created (SetLoopCompiler).
+	compile LoopCompiler
+	// loop is the kernel set compiled from the latest DefineLoop, the
+	// only one a block runs. Every caller defines a loop and then runs
+	// it, so a new definition retires the previous one (a recovery
+	// attempt re-defines under the same name).
 	loopName string
 	loop     *KernelSet
 	sendTo   *codec // ring predecessor we ship rotated partitions to
@@ -119,6 +122,9 @@ func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, e
 		mPrefReuse: obs.GetCounter("exec.prefetch_index_reuse"),
 	}
 	e.ctx = &Ctx{exec: e, served: map[string]*ServedArray{}, accums: map[string]*float64{}}
+	if c := defaultCompiler.Load(); c != nil {
+		e.compile = *c
+	}
 	ln, err := t.Listen(peerAddr)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: executor %d peer listen: %w", id, err)
@@ -299,12 +305,11 @@ func (e *Executor) run() error {
 			// frame can carry — raise the wire-integrity element cap to
 			// match the fleet's configuration.
 			raiseElemCapFromDims(msg.ArrayDims)
-			c := lookupCompiler()
-			if c == nil {
+			if e.compile == nil {
 				e.master.send(&Msg{Kind: MsgError, Err: "no loop compiler installed on this executor"})
 				return fmt.Errorf("runtime: executor %d: no loop compiler", e.id)
 			}
-			ks, err := c(msg)
+			ks, err := e.compile(msg)
 			if err != nil {
 				e.master.send(&Msg{Kind: MsgError, Err: err.Error()})
 				return err
@@ -473,12 +478,7 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	var commNs, rotWaitNs int64
 	ks := e.loop
 	if ks == nil || msg.LoopName != e.loopName {
-		// Not shipped by DefineLoop: a Go kernel registered in this
-		// process.
-		var err error
-		if ks, err = lookupKernel(msg.LoopName); err != nil {
-			return err
-		}
+		return fmt.Errorf("runtime: executor %d: loop %q is not defined here", e.id, msg.LoopName)
 	}
 	block := e.iter.block(blockKey{timeDim: msg.TimeDim, lo: msg.TimeLo, hi: msg.TimeHi, ordered: msg.Ordered})
 	keys, vals := block.keys, block.vals
@@ -490,7 +490,6 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	// sequence.
 	e.ctx.blockPass = msg.Pass
 	e.ctx.blockStep = msg.StepIndex
-	e.ctx.blockEpoch++
 	e.ctx.stepEpoch = msg.Epoch
 
 	// Bulk prefetch: evaluate the synthesized prefetch functions over
@@ -614,23 +613,16 @@ func partitionFromMsg(in *Msg) (*dsm.Partition, error) {
 	return &dsm.Partition{Array: in.Array, Dim: in.PartDim, Lo: in.PartLo, Hi: in.PartHi, Local: local}, nil
 }
 
-// runKernel executes the loop body over a block — in one call through
-// the batched form when the backend provides one, else one iteration at
-// a time. A panic (a shipped loop body failing at runtime, or a served
-// read whose shard owner died) becomes an error the master can surface
-// instead of a dead executor hanging the barrier.
+// runKernel executes the loop body over a block in one call. A fault
+// the body returns or panics with (a shipped loop body failing at
+// runtime, or a served read whose shard owner died) becomes an error the
+// master can surface instead of a dead executor hanging the barrier.
 func (e *Executor) runKernel(ks *KernelSet, keys [][]int64, vals []float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = e.kernelFault(r)
 		}
 	}()
-	if ks.Block == nil {
-		for i, key := range keys {
-			ks.Iter(e.ctx, key, vals[i])
-		}
-		return nil
-	}
 	if _, err := ks.Block(e.ctx, keys, vals); err != nil {
 		return e.kernelFault(err)
 	}

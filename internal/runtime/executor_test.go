@@ -5,6 +5,7 @@ import (
 	"math"
 	goruntime "runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -13,38 +14,6 @@ import (
 	"orion/internal/sched"
 )
 
-// startFleet brings up a master and n in-process executors under a
-// unique address prefix.
-func startFleet(t *testing.T, prefix string, n int) (*Master, []*Executor, func()) {
-	t.Helper()
-	tr := NewInProc()
-	m, err := Listen(tr, prefix+"-master", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready := make(chan error, 1)
-	go func() { ready <- m.WaitForExecutors() }()
-	var execs []*Executor
-	var done []<-chan error
-	for i := 0; i < n; i++ {
-		e, err := NewExecutor(tr, m.Addr(), fmt.Sprintf("%s-%d", prefix, i), i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		execs = append(execs, e)
-		done = append(done, e.Start())
-	}
-	if err := <-ready; err != nil {
-		t.Fatal(err)
-	}
-	return m, execs, func() {
-		m.Shutdown()
-		for _, d := range done {
-			<-d
-		}
-	}
-}
-
 // TestDefineLoopRetiresPreviousKernelSet: the driver mints a fresh
 // kernel name per ParallelFor call, so an executor that kept every
 // shipped kernel set would grow without bound over a session. After N
@@ -52,19 +21,17 @@ func startFleet(t *testing.T, prefix string, n int) (*Master, []*Executor, func(
 // names no longer resolve, and the N-1 retired sets are unreachable
 // (their finalizers run), so nothing they captured stays pinned.
 func TestDefineLoopRetiresPreviousKernelSet(t *testing.T) {
-	defer SetLoopCompiler(lookupCompiler())
 	const rounds = 5
 	var ran, freed atomic.Int64
-	SetLoopCompiler(func(def *Msg) (*KernelSet, error) {
+	m, execs, stop := startFleet(t, "retire", 1, func(def *Msg) (*KernelSet, error) {
 		state := &struct{ name string }{def.LoopName} // what a real kernel set captures
 		goruntime.SetFinalizer(state, func(any) { freed.Add(1) })
-		return &KernelSet{Iter: func(*Ctx, []int64, float64) {
+		return &KernelSet{Block: perSample(func(*Ctx, []int64, float64) {
 			if state.name != "" {
 				ran.Add(1)
 			}
-		}}, nil
+		})}, nil
 	})
-	m, execs, stop := startFleet(t, "retire", 1)
 	samples := []IterSample{{Key: []int64{0}}, {Key: []int64{1}}}
 	if err := m.DistributeIterSpace(samples, 0, sched.NewRangePartitioner(2, 1)); err != nil {
 		t.Fatal(err)
@@ -94,9 +61,9 @@ func TestDefineLoopRetiresPreviousKernelSet(t *testing.T) {
 	if got := freed.Load(); got != rounds-1 {
 		t.Errorf("%d of %d retired kernel sets were collected", got, rounds-1)
 	}
-	// A retired name falls through to the Go-kernel registry.
-	if err := m.ParallelFor(LoopDef{Kernel: "retire-loop-0", TimeDim: -1, Passes: 1}); err == nil {
-		t.Error("a retired loop name still executed")
+	err := m.ParallelFor(LoopDef{Kernel: "retire-loop-0", TimeDim: -1, Passes: 1})
+	if err == nil || !strings.Contains(err.Error(), `"retire-loop-0"`) {
+		t.Errorf("running a retired loop: err = %v, want one naming it", err)
 	}
 	stop()
 }
@@ -107,7 +74,6 @@ func TestDefineLoopRetiresPreviousKernelSet(t *testing.T) {
 // writes — and checks the values a read returns, the hit/miss counts,
 // and what the shards hold after the flush.
 func TestServedSlotTable(t *testing.T) {
-	defer SetLoopCompiler(lookupCompiler())
 	type read struct {
 		what string
 		got  float64
@@ -116,44 +82,42 @@ func TestServedSlotTable(t *testing.T) {
 	var reads []read
 	at := func(off int64) float64 { return float64(off) * 0.1 } // servedFixture's weights
 	prefetched := []int64{12, 3, 5, 3}                          // unsorted, duplicated: the executor sorts and compacts
-	SetLoopCompiler(func(*Msg) (*KernelSet, error) {
-		return &KernelSet{
-			Prefetch: map[string]PrefetchFunc{"weights": func([]int64, float64) []int64 { return prefetched }},
-			Iter: func(ctx *Ctx, key []int64, _ float64) {
-				if ctx.ExecutorID() != 0 || key[0] != 0 {
-					return
-				}
-				w := ctx.Served("weights")
-				check := func(what string, off int64, want float64) {
-					reads = append(reads, read{what, w.Read(off), want})
-				}
-				if ctx.BlockPass() == 1 {
-					check("prefetched in pass 2: pass 1's delta folded", 3, at(3)+0.5)
-					check("prefetched in pass 2: set then delta folded", 5, 7.25)
-					check("miss in pass 2: delta-then-set folded as the set", 6, 1)
-					return
-				}
-				check("prefetched, own shard", 3, at(3))
-				check("prefetched, remote shard", 12, at(12))
-				check("miss, own shard", 7, at(7))
-				check("miss again: cached", 7, at(7))
-				check("miss, remote shard", 14, at(14))
-				w.Update(3, 0.5)
-				check("own delta over a prefetched value", 3, at(3)+0.5)
-				ctx.ServedUpdate("weights", 9, 1)
-				check("own delta over a missed value", 9, at(9)+1)
-				w.Set(5, 7)
-				check("own absolute write hides the prefetched value", 5, 7)
-				w.Update(5, 0.25)
-				check("delta after own absolute write", 5, 7.25)
-				w.Update(6, 2)
-				w.Set(6, 1)
-				check("absolute write supersedes the pending delta", 6, 1)
-			},
-		}, nil
-	})
+	loops := testLoops{"slots": {
+		Prefetch: map[string]PrefetchFunc{"weights": func([]int64, float64) []int64 { return prefetched }},
+		Block: perSample(func(ctx *Ctx, key []int64, _ float64) {
+			if ctx.ExecutorID() != 0 || key[0] != 0 {
+				return
+			}
+			w := ctx.Served("weights")
+			check := func(what string, off int64, want float64) {
+				reads = append(reads, read{what, w.Read(off), want})
+			}
+			if ctx.BlockPass() == 1 {
+				check("prefetched in pass 2: pass 1's delta folded", 3, at(3)+0.5)
+				check("prefetched in pass 2: set then delta folded", 5, 7.25)
+				check("miss in pass 2: delta-then-set folded as the set", 6, 1)
+				return
+			}
+			check("prefetched, own shard", 3, at(3))
+			check("prefetched, remote shard", 12, at(12))
+			check("miss, own shard", 7, at(7))
+			check("miss again: cached", 7, at(7))
+			check("miss, remote shard", 14, at(14))
+			w.Update(3, 0.5)
+			check("own delta over a prefetched value", 3, at(3)+0.5)
+			ctx.ServedUpdate("weights", 9, 1)
+			check("own delta over a missed value", 9, at(9)+1)
+			w.Set(5, 7)
+			check("own absolute write hides the prefetched value", 5, 7)
+			w.Update(5, 0.25)
+			check("delta after own absolute write", 5, 7.25)
+			w.Update(6, 2)
+			w.Set(6, 1)
+			check("absolute write supersedes the pending delta", 6, 1)
+		}),
+	}}
 	hit0, miss0 := obs.GetCounter("prefetch.hit").Value(), obs.GetCounter("prefetch.miss").Value()
-	m, _, stop := startFleet(t, "slots", 2)
+	m, _, stop := startFleet(t, "slots", 2, loops.compile)
 	defer stop()
 	weights, samples := servedFixture()
 	if err := m.DistributeServed(weights); err != nil {
@@ -195,40 +159,20 @@ func TestServedSlotTable(t *testing.T) {
 	}
 }
 
-// TestCtxVecAllocFree: the parameter-vector accessor Go kernels use
-// rebases the partition coordinate without copying the tuple.
-func TestCtxVecAllocFree(t *testing.T) {
-	w := dsm.NewDense("W", 4, 10)
-	w.SetAt(42, 2, 7)
-	e := &Executor{parts: map[string]*heldArray{"W": {bound: w.ExtractRange(1, 5, 10)}}}
-	e.ctx = &Ctx{exec: e}
-	coords := []int64{7}
-	var vec []float64
-	if allocs := testing.AllocsPerRun(100, func() { vec = e.ctx.Vec("W", coords...) }); allocs != 0 {
-		t.Errorf("Ctx.Vec allocates %v times per call, want 0", allocs)
-	}
-	if vec[2] != 42 || coords[0] != 7 {
-		t.Errorf("Vec(7)[2] = %v with coords now %v, want 42 and [7]", vec[2], coords)
-	}
-}
-
 // TestOrderedBlocksRunLexicographically: an ordered loop executes its
 // blocks in lexicographic key order — each block's index is sorted when
 // it is first built and kept — while a loop that is not ordered runs in
 // the order the partition was shipped, also after an ordered loop has
 // run over the same resident samples.
 func TestOrderedBlocksRunLexicographically(t *testing.T) {
-	defer SetLoopCompiler(lookupCompiler())
 	var ran [][]int64
-	SetLoopCompiler(func(*Msg) (*KernelSet, error) {
-		return &KernelSet{Iter: func(_ *Ctx, key []int64, _ float64) { ran = append(ran, key) }}, nil
-	})
+	loops := testLoops{"ordered": {Block: perSample(func(_ *Ctx, key []int64, _ float64) { ran = append(ran, key) })}}
 	shipped := [][]int64{{2, 0}, {0, 3}, {1, 1}, {0, 1}, {2, 2}}
 	var samples []IterSample
 	for _, key := range shipped {
 		samples = append(samples, IterSample{Key: key})
 	}
-	m, _, stop := startFleet(t, "ordered", 1)
+	m, _, stop := startFleet(t, "ordered", 1, loops.compile)
 	defer stop()
 	one := func(n int64) *sched.Partitioner { return sched.NewRangePartitioner(n, 1) }
 	if err := m.DistributeIterSpace(samples, 0, one(3)); err != nil {
@@ -263,27 +207,25 @@ func TestOrderedBlocksRunLexicographically(t *testing.T) {
 // reuse rebuilds nothing. A new identity, a new iteration partition, or
 // no identity at all evaluates again and builds a new index.
 func TestPrefetchIndicesCachedPerBlock(t *testing.T) {
-	defer SetLoopCompiler(lookupCompiler())
 	var calls atomic.Int64
 	var reads []float64 // executor 0's reads of weights[3], one per block
 	id := "slice-1"
-	SetLoopCompiler(func(*Msg) (*KernelSet, error) {
+	m, execs, stop := startFleet(t, "pfcache", 2, func(*Msg) (*KernelSet, error) {
 		return &KernelSet{
 			PrefetchID: id,
 			Prefetch: map[string]PrefetchFunc{"weights": func(key []int64, _ float64) []int64 {
 				calls.Add(1)
 				return []int64{key[0] % 16}
 			}},
-			Iter: func(ctx *Ctx, key []int64, _ float64) {
+			Block: perSample(func(ctx *Ctx, key []int64, _ float64) {
 				v := ctx.ServedRead("weights", key[0]%16)
 				if key[0] == 3 {
 					reads = append(reads, v)
 					ctx.ServedUpdate("weights", 3, 1)
 				}
-			},
+			}),
 		}, nil
 	})
-	m, execs, stop := startFleet(t, "pfcache", 2)
 	defer stop()
 	weights, samples := servedFixture()
 	if err := m.DistributeServed(weights); err != nil {
@@ -404,7 +346,7 @@ func TestFoldOrderIsArrivalIndependent(t *testing.T) {
 // TestIterSpaceEpochAdvances: the residency epoch moves on every ship
 // and every abort, and on nothing else.
 func TestIterSpaceEpochAdvances(t *testing.T) {
-	m, _, stop := startFleet(t, "epoch", 1)
+	m, _, stop := startFleet(t, "epoch", 1, testLoops{}.compile)
 	_, samples := servedFixture()
 	part := sched.NewRangePartitioner(int64(len(samples)), 1)
 	e0 := m.ArrayEpoch("")
@@ -413,7 +355,7 @@ func TestIterSpaceEpochAdvances(t *testing.T) {
 	}
 	e1 := m.ArrayEpoch("")
 	if err := m.ParallelFor(LoopDef{Kernel: "none", TimeDim: -1}); err == nil {
-		t.Fatal("an unregistered kernel ran")
+		t.Fatal("an undefined loop ran")
 	}
 	stop()
 	if e2 := m.ArrayEpoch(""); e1 == e0 || e2 != e1 {
@@ -433,10 +375,10 @@ func TestIterSpaceEpochAdvances(t *testing.T) {
 // both gather back exact, from any number of partitions per executor.
 func TestWavefrontHandOff(t *testing.T) {
 	const n, cols = 3, 12
-	RegisterKernel("rt_wave", func(ctx *Ctx, key []int64, _ float64) {
+	loops := testLoops{"rt_wave": {Block: perSample(func(ctx *Ctx, key []int64, _ float64) {
 		ctx.Vec("H", key[1])[0] += float64(1 + key[0])
-	})
-	m, execs, stop := startFleet(t, "wave", n)
+	})}}
+	m, execs, stop := startFleet(t, "wave", n, loops.compile)
 	defer stop()
 	var samples []IterSample
 	for s := int64(0); s < n; s++ {
@@ -451,6 +393,7 @@ func TestWavefrontHandOff(t *testing.T) {
 		m.DistributeIterSpace(samples, 0, sched.NewRangePartitioner(n, n)),
 		m.DistributeWavefrontAt(h, 1, timePart.Boundaries(), 0),
 		m.DistributeWavefrontAt(g, 1, []int64{2, 6}, 0), // [0, 2) is also one of the loop's
+		m.DefineLoop(&Msg{LoopName: "rt_wave"}),
 		m.ParallelFor(LoopDef{Kernel: "rt_wave", TimeDim: 1, TimePart: timePart, Ordered: true, Passes: 2}),
 	} {
 		if err != nil {

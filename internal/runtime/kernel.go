@@ -4,35 +4,26 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"orion/internal/dsm"
 )
 
-// Kernel is a loop-body function executed by executors. It receives the
-// iteration key and element value plus a Ctx for DistArray access.
-type Kernel func(ctx *Ctx, key []int64, val float64)
-
 // PrefetchFunc is the synthesized prefetch function (Section 4.4): for
 // one iteration it returns the flattened element offsets of a served
 // array that the kernel will read. Orion generates these from the loop
-// body via internal/lang.PrefetchSlice; Go-kernel applications register
-// them directly. The result may repeat offsets and need only stay valid
-// until the next call: the executor copies it out.
+// body via internal/lang.PrefetchSlice. The result may repeat offsets
+// and need only stay valid until the next call: the executor copies it
+// out.
 type PrefetchFunc func(key []int64, val float64) []int64
 
-// BlockKernel is the optional batched form of a kernel: one call
-// executes a whole block of iterations (amortizing dispatch and panic
-// recovery across the block) and reports how many completed before an
-// error, if any. Backends that execute iterations one at a time leave
-// it nil.
+// BlockKernel is a compiled loop body: one call executes a whole block
+// of iterations and reports how many completed before an error, if any.
 type BlockKernel func(ctx *Ctx, keys [][]int64, vals []float64) (int, error)
 
 // KernelSet is everything a loop compiler produces for one DefineLoop:
-// the per-iteration kernel, its optional batched form, and the
-// synthesized per-array prefetch functions.
+// the loop body and the synthesized per-array prefetch functions.
 type KernelSet struct {
-	Iter     Kernel
 	Block    BlockKernel
 	Prefetch map[string]PrefetchFunc
 	// PrefetchID, when non-empty, spells out everything the Prefetch
@@ -42,68 +33,18 @@ type KernelSet struct {
 	PrefetchID string
 }
 
-var (
-	kernelMu sync.RWMutex
-	// kernels holds the Go kernels registered in this process, each with
-	// the prefetch functions registered for it, as the set a block runs.
-	kernels  = map[string]*KernelSet{}
-	compiler LoopCompiler
-)
-
 // LoopCompiler turns a shipped DefineLoop message into an executable
-// kernel set. The DSL front-end installs one via SetLoopCompiler (see
-// internal/dslkernel); without it, executors can only run statically
-// registered Go kernels.
+// kernel set: the distributed analogue of Orion's macro defining the
+// generated loop-body function on every worker.
 type LoopCompiler func(def *Msg) (*KernelSet, error)
 
-// SetLoopCompiler installs the process's loop compiler.
-func SetLoopCompiler(c LoopCompiler) {
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	compiler = c
-}
+// defaultCompiler is the loop compiler NewExecutor gives an executor.
+var defaultCompiler atomic.Pointer[LoopCompiler]
 
-func lookupCompiler() LoopCompiler {
-	kernelMu.RLock()
-	defer kernelMu.RUnlock()
-	return compiler
-}
-
-// registered returns the named kernel's set, creating it. Callers hold
-// kernelMu.
-func registered(name string) *KernelSet {
-	ks := kernels[name]
-	if ks == nil {
-		ks = &KernelSet{Prefetch: map[string]PrefetchFunc{}}
-		kernels[name] = ks
-	}
-	return ks
-}
-
-// RegisterKernel installs a kernel under a name. Both the driver
-// process and executor processes must register the same kernels (the
-// analogue of Orion defining generated functions on all workers).
-func RegisterKernel(name string, k Kernel) {
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	registered(name).Iter = k
-}
-
-// RegisterPrefetch installs a prefetch function for (kernel, array).
-func RegisterPrefetch(kernel, array string, fn PrefetchFunc) {
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	registered(kernel).Prefetch[array] = fn
-}
-
-func lookupKernel(name string) (*KernelSet, error) {
-	kernelMu.RLock()
-	defer kernelMu.RUnlock()
-	if ks := kernels[name]; ks != nil && ks.Iter != nil {
-		return ks, nil
-	}
-	return nil, fmt.Errorf("runtime: kernel %q not registered", name)
-}
+// SetLoopCompiler installs the process's default loop compiler, the one
+// executors created afterwards compile DefineLoop messages with. The DSL
+// front-end installs it (internal/dslkernel.Install).
+func SetLoopCompiler(c LoopCompiler) { defaultCompiler.Store(&c) }
 
 // Ctx gives a kernel access to the DistArray partitions available on
 // this executor during one block execution.
@@ -118,13 +59,11 @@ type Ctx struct {
 	// accums are this executor's accumulator instances (Accum).
 	accums map[string]*float64
 	// Block clock: which (pass, step) the currently running block
-	// belongs to, plus a monotonically increasing epoch bumped once per
-	// block. Kernels that use randomness reseed per block keyed on the
-	// clock, so a recovered run resuming mid-loop draws exactly the
+	// belongs to. Kernels that use randomness reseed per block keyed on
+	// the clock, so a recovered run resuming mid-loop draws exactly the
 	// sequence the fault-free run would have drawn for the same block.
-	blockPass  int
-	blockStep  int
-	blockEpoch int64
+	blockPass int
+	blockStep int
 	// stepEpoch is the served-consistency epoch of the running block
 	// (assigned by the master at dispatch); it stamps every served
 	// read and update this block issues.
@@ -222,54 +161,6 @@ func (s *ServedArray) offsetOf(i int32) int64 {
 		return s.extra[i-n]
 	}
 	return s.idx.offs[i]
-}
-
-// Vec returns the parameter vector A[:, coords...] from a local or
-// rotated partition, using global coordinates. The returned slice is
-// live — kernels may write through it (the schedule guarantees
-// exclusive access).
-func (c *Ctx) Vec(array string, coords ...int64) []float64 {
-	p := c.exec.partition(array)
-	if p == nil {
-		panic(fmt.Sprintf("runtime: array %q has no partition on executor %d", array, c.exec.id))
-	}
-	// Vec's trailing coords index array dims 1..n-1; partitions are
-	// never cut along dim 0 (the vector dimension). The partition
-	// coordinate is rebased to partition-local in place for the call.
-	if p.Dim > 0 {
-		coords[p.Dim-1] -= p.Lo
-		defer func() { coords[p.Dim-1] += p.Lo }()
-	}
-	return p.Local.Vec(coords...)
-}
-
-// At reads one element of a local or rotated partition (global
-// coordinates).
-func (c *Ctx) At(array string, idx ...int64) float64 {
-	p := c.exec.partition(array)
-	return p.At(idx...)
-}
-
-// SetAt writes one element of a local or rotated partition.
-func (c *Ctx) SetAt(array string, v float64, idx ...int64) {
-	p := c.exec.partition(array)
-	p.SetAt(v, idx...)
-}
-
-// AddAt accumulates into one element.
-func (c *Ctx) AddAt(array string, v float64, idx ...int64) {
-	p := c.exec.partition(array)
-	p.SetAt(p.At(idx...)+v, idx...)
-}
-
-// ServedRead reads one element of a parameter-server array by flattened
-// offset; see ServedArray.Read.
-func (c *Ctx) ServedRead(array string, off int64) float64 { return c.Served(array).Read(off) }
-
-// ServedUpdate buffers a delta to a parameter-server array element; see
-// ServedArray.Update.
-func (c *Ctx) ServedUpdate(array string, off int64, delta float64) {
-	c.Served(array).Update(off, delta)
 }
 
 // Read reads one element by flattened offset. Prefetched offsets hit
@@ -379,9 +270,6 @@ func (c *Ctx) Accum(name string) *float64 {
 	return p
 }
 
-// AccumAdd folds a value into this executor's accumulator instance.
-func (c *Ctx) AccumAdd(name string, v float64) { *c.Accum(name) += v }
-
 // PartitionOf exposes an executor's partition of an array (nil when it
 // holds none) for higher-level adapters (the DSL driver). Rotation
 // replaces a rotated array's partition between blocks and recycles its
@@ -402,7 +290,3 @@ func (c *Ctx) BlockPass() int { return c.blockPass }
 // BlockStep returns the within-pass step index of the block being
 // executed.
 func (c *Ctx) BlockStep() int { return c.blockStep }
-
-// BlockEpoch increments once per executed block; kernel adapters use
-// it to notice block boundaries (e.g. to reseed per-block randomness).
-func (c *Ctx) BlockEpoch() int64 { return c.blockEpoch }

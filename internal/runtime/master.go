@@ -366,7 +366,7 @@ func (m *Master) recordArray(a *dsm.DistArray) {
 
 // LoopDef describes one distributed parallel for-loop execution.
 type LoopDef struct {
-	// Kernel is the registered kernel name.
+	// Kernel names the loop, as the last DefineLoop shipped it.
 	Kernel string
 	// TimeDim is the iteration-space dimension partitioned in time
 	// (-1 for 1D loops: each executor runs its whole local block once).

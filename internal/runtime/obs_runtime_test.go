@@ -139,38 +139,23 @@ func names(m map[string][]obs.TraceEvent) []string {
 // asserts the master surfaces ErrWorkerLost instead of hanging on the
 // step barrier (the orion-run exit-code fix depends on this).
 func TestExecutorLossUnblocksParallelFor(t *testing.T) {
-	registerKernels()
-	RegisterKernel("rt_die", func(ctx *Ctx, key []int64, val float64) {
+	loops := testLoops{"rt_die": {Block: perSample(func(ctx *Ctx, key []int64, val float64) {
 		if ctx.ExecutorID() == 1 {
 			// Kill the executor's goroutine outright — the moral
 			// equivalent of the worker process dying. Deferred cleanup
 			// still runs, closing its connections.
 			goruntime.Goexit()
 		}
-	})
-
-	tr := NewInProc()
+	})}}
 	n := 2
-	m, err := Listen(tr, "die-master", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready := make(chan error, 1)
-	go func() { ready <- m.WaitForExecutors() }()
-	for i := 0; i < n; i++ {
-		e, err := NewExecutor(tr, "die-master", fmt.Sprintf("die-peer-%d", i), i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Deliberately no waiting on the exit channel — the killed
-		// executor's goroutine never reports back.
-		e.Start()
-	}
-	if err := <-ready; err != nil {
-		t.Fatal(err)
-	}
+	// Deliberately no stopping the fleet, which waits on every exit — the
+	// killed executor's goroutine never reports back.
+	m, _, _ := startFleet(t, "die", n, loops.compile)
 	_, samples := servedFixture()
 	if err := m.DistributeIterSpace(samples, 0, sched.NewRangePartitioner(int64(len(samples)), n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DefineLoop(&Msg{LoopName: "rt_die"}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -210,35 +210,14 @@ func TestDispatchFollowsTheSchedule(t *testing.T) {
 // wait of the master must turn that into ErrWorkerLost; only the step
 // barrier used to, and the others hung.
 func TestChaosDropAfterLoopFailsGatherAndAccumSum(t *testing.T) {
-	RegisterKernel("rt_await_noop", func(ctx *Ctx, key []int64, val float64) { ctx.AccumAdd("seen", 1) })
+	loops := testLoops{"rt_await_noop": {Block: perSample(func(ctx *Ctx, key []int64, val float64) { ctx.AccumAdd("seen", 1) })}}
 	const n = 2
 	const timeout = 300 * time.Millisecond
 	ch := NewChaos(NewInProc(), 1)
-	m, err := Listen(ch, "await-master", n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, _, stop := startFleetOver(t, ch, "await-master", func(i int) string { return fmt.Sprintf("await-%d", i) }, n,
+		loops.compile, func(e *Executor) { e.SetPingInterval(timeout / 10) })
+	defer stop()
 	m.SetHeartbeat(timeout)
-	ready := make(chan error, 1)
-	go func() { ready <- m.WaitForExecutors() }()
-	var done []<-chan error
-	for i := 0; i < n; i++ {
-		e, err := NewExecutor(ch, m.Addr(), fmt.Sprintf("await-%d", i), i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetPingInterval(timeout / 10)
-		done = append(done, e.Start())
-	}
-	if err := <-ready; err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		m.Abort()
-		for _, d := range done {
-			<-d
-		}
-	}()
 
 	w := dsm.NewDense("W", 2, 8)
 	_, samples := servedFixture()
@@ -247,6 +226,9 @@ func TestChaosDropAfterLoopFailsGatherAndAccumSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := m.DistributeIterSpace(samples, 0, part); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DefineLoop(&Msg{LoopName: "rt_await_noop"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.ParallelFor(LoopDef{Kernel: "rt_await_noop", TimeDim: -1, Passes: 1}); err != nil {

@@ -7,9 +7,10 @@
 //
 // The runtime runs over a Transport: either real TCP sockets or an
 // in-process pipe transport with identical semantics (used by tests and
-// single-machine runs). Kernels are registered by name on both sides —
-// the moral equivalent of Orion defining generated loop-body functions
-// in its distributed workers during macro expansion.
+// single-machine runs). Loop bodies travel as source in DefineLoop and
+// every executor compiles them with its LoopCompiler — the moral
+// equivalent of Orion defining generated loop-body functions in its
+// distributed workers during macro expansion.
 package runtime
 
 import (
