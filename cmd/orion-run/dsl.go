@@ -22,7 +22,7 @@ import (
 // DSL renditions of the three parameter-server applications (the same
 // loop bodies shipped in examples/). No Go kernels: the driver
 // analyzes, plans, and ships each body to the executors, which run it
-// on the selected backend.
+// on the backend the loop selects.
 const (
 	mfDSL = `
 for (key, rv) in ratings
@@ -89,7 +89,6 @@ end
 // dslConfig collects runDSL's knobs (one per -engine dsl flag).
 type dslConfig struct {
 	App        string // mf | lda | slr
-	Backend    string // "" | vm | interp
 	Transport  string // "" | inproc | tcp
 	Workers    int
 	Passes     int
@@ -108,16 +107,15 @@ type dslConfig struct {
 }
 
 // runDSL trains an application written purely in Orion's DSL on the
-// real distributed runtime, with the loop backend selectable from the
-// command line: "" runs loop bodies on the bytecode VM and falls back
-// to the interpreter outside the VM's subset, "vm" makes fallback an
-// error, "interp" forces the reference interpreter. The
-// transport is in-process by default; "tcp" runs the same executors
-// over real sockets (loopback), which exercises the full wire protocol
-// including trace collection. A non-empty CkptDir enables coordinated
-// checkpointing (and in-loop recovery from worker loss); when the
-// directory already holds a committed checkpoint from an earlier run
-// of the same program, training warm-starts from it.
+// real distributed runtime. Loop bodies run on the bytecode VM, or on
+// the interpreter when they fall outside the VM's subset; the first
+// line printed names the backend. The transport is in-process by
+// default; "tcp" runs the same executors over real sockets (loopback),
+// which exercises the full wire protocol including trace collection. A
+// non-empty CkptDir enables coordinated checkpointing (and in-loop
+// recovery from worker loss); when the directory already holds a
+// committed checkpoint from an earlier run of the same program,
+// training warm-starts from it.
 func runDSL(cfg dslConfig) error {
 	app, workers, passes := cfg.App, cfg.Workers, cfg.Passes
 	if workers <= 0 {
@@ -154,9 +152,6 @@ func runDSL(cfg dslConfig) error {
 				fmt.Fprintf(os.Stderr, "orion-run: report-json: %v\n", werr)
 			}
 		}()
-	}
-	if err := sess.SetBackend(cfg.Backend); err != nil {
-		return err
 	}
 	sess.SetCheckpointDir(cfg.CkptDir)
 	sess.SetCheckpointEvery(cfg.CkptEvery)

@@ -64,7 +64,7 @@ func main() {
 		rejoin    = flag.Bool("rejoin", false, "reconnect and re-register when the master connection drops (recovery)")
 		rejoinTO  = flag.Duration("rejoin-timeout", 0, "give up rejoining this long after the connection drop (0 keeps trying forever)")
 		ioTimeout = flag.Duration("io-timeout", 0, "per-write network deadline (0 disables); turns a wedged peer into a prompt error")
-		heartbeat = flag.Duration("heartbeat", 0, "master ping interval override (0 keeps the master-assigned 500ms; pair with the driver's staleness bound)")
+		heartbeat = flag.Duration("heartbeat", 0, "master ping interval override (0 keeps the default 500ms; pair with the driver's staleness bound)")
 		metrics   = flag.String("metrics-addr", "", "serve runtime metrics (/debug/vars) and profiling (/debug/pprof/) on this address")
 	)
 	flag.Parse()

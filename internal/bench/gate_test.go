@@ -12,6 +12,7 @@ import (
 	"orion/internal/dsm"
 	"orion/internal/lang"
 	"orion/internal/lang/vm"
+	"orion/internal/obs"
 	"orion/internal/runtime"
 	"orion/internal/sched"
 )
@@ -100,7 +101,9 @@ func BenchmarkExecutorVsDirectKernel(b *testing.B) {
 	ew, eh := params()
 	one := func(n int64) *sched.Partitioner { return sched.NewRangePartitioner(n, 1) }
 	def := &runtime.Msg{LoopName: "exec-gate", LoopSrc: loop.String(), ArrayDims: dims,
-		GlobalNames: []string{"step_size"}, GlobalVals: []float64{0.001}, Backend: "vm"}
+		GlobalNames: []string{"step_size"}, GlobalVals: []float64{0.001}}
+	vmCompiles := obs.GetCounter("kernel.vm")
+	vm0 := vmCompiles.Value()
 	for _, err := range []error{
 		m.DistributeLocal(ew, 1, nil),
 		m.DistributeRotatedAt(eh, 1, nil, 0),
@@ -112,8 +115,18 @@ func BenchmarkExecutorVsDirectKernel(b *testing.B) {
 		}
 	}
 	pass := runtime.LoopDef{Kernel: def.LoopName, TimeDim: 1, TimePart: one(cols), Rotate: true, Passes: 1}
+	// One untimed pass: the executor has compiled the loop once it has run
+	// it, and must have compiled it onto the VM, as the direct side runs —
+	// a silent fallback to the interpreter fails the gate instead of being
+	// timed.
+	if err := m.ParallelFor(pass); err != nil {
+		b.Fatal(err)
+	}
+	if vmCompiles.Value() == vm0 {
+		b.Fatal("the executor did not compile the MF body onto the VM")
+	}
 
-	var passes, reported int64
+	passes, reported := int64(1), m.Report(def.LoopName).Workers[0].ComputeNs
 	gateExecutorVsDirect(b, "an MF iteration", func() float64 {
 		start := time.Now()
 		if done, err := direct.RunBlock(keys, vals, nil); err != nil || done != iters {
@@ -289,14 +302,17 @@ func BenchmarkServedVsDirectKernel(b *testing.B) {
 				}
 			}
 			sess.SetGlobal("step_size", 0.001)
-			if err := sess.SetBackend("vm"); err != nil {
-				b.Fatal(err)
+			// The direct side runs the VM, so the executor must too: a silent
+			// fallback to the interpreter fails the gate instead of timing it.
+			if got, err := sess.KernelBackend(leg.src); err != nil || got != "vm" {
+				b.Fatalf("%s runs on the %q backend (%v), want vm", leg.name, got, err)
 			}
 			_, _, pl, err := sess.PlanOf(leg.src)
 			if err != nil || !slices.Contains(pl.Arrays, sched.ArrayPlan{Array: leg.served, Place: sched.Served}) {
 				b.Fatalf("%s is not served: %v, %v", leg.served, pl, err)
 			}
 
+			var iters, computeNs int64 // the session's totals so far
 			gateExecutorVsDirect(b, "an iteration over a served array", func() float64 {
 				start := time.Now()
 				if done, err := direct.RunBlock(keys, vals, nil); err != nil || done != len(keys) {
@@ -311,11 +327,13 @@ func BenchmarkServedVsDirectKernel(b *testing.B) {
 				if _, err := sess.ParallelFor(leg.src); err != nil {
 					b.Fatal(err)
 				}
-				ws := sess.LastReport().Workers[0]
-				if ws.Iters != int64(len(keys)) || sess.Misses() != 0 {
-					b.Fatalf("the executor reports %d iterations of %d and %d prefetch misses", ws.Iters, len(keys), sess.Misses())
+				ws := sess.CombinedReport().Workers[0]
+				if ws.Iters-iters != int64(len(keys)) || sess.Misses() != 0 {
+					b.Fatalf("the executor reports %d iterations of %d and %d prefetch misses", ws.Iters-iters, len(keys), sess.Misses())
 				}
-				return float64(ws.ComputeNs) / float64(len(keys))
+				ns := float64(ws.ComputeNs-computeNs) / float64(len(keys))
+				iters, computeNs = ws.Iters, ws.ComputeNs
+				return ns
 			})
 		})
 	}

@@ -40,15 +40,6 @@ func (s *Session) SetAdapt(threshold float64) {
 	s.adaptSkew = threshold
 }
 
-// SetAdaptProfile overrides the measured WeightProfile the adaptive
-// trigger re-cuts from: fn receives the kernel name and the segment's
-// report delta and returns the profile to apply (nil skips the recut).
-// Tests inject deterministic profiles through this; nil restores the
-// default (analyze.Weights on the segment delta).
-func (s *Session) SetAdaptProfile(fn func(kernel string, delta *obs.LoopReport) *analyze.WeightProfile) {
-	s.adaptProfile = fn
-}
-
 // AdaptTrail returns the adaptive decisions taken so far, one per
 // evaluated loop boundary, in execution order.
 func (s *Session) AdaptTrail() []AdaptDecision {

@@ -56,7 +56,7 @@ func TestChaosAdaptIdentityRecutMFBitwiseInProc(t *testing.T) {
 	defer sess.Close()
 	sess.SetCheckpointDir(t.TempDir())
 	sess.SetAdapt(0.5) // skew >= 1 always: force a recut at every boundary
-	sess.SetAdaptProfile(identityProfile(3))
+	sess.adaptProfile = identityProfile(3)
 	fillMF(t, sess)
 	if _, err := sess.ParallelFor(mfSrc, Passes(4)); err != nil {
 		t.Fatalf("adaptive run did not complete: %v", err)
@@ -113,7 +113,7 @@ func TestChaosAdaptIdentityRecutLDABitwiseInProc(t *testing.T) {
 	defer sess.Close()
 	sess.SetCheckpointDir(t.TempDir())
 	sess.SetAdapt(0.5)
-	sess.SetAdaptProfile(identityProfile(3))
+	sess.adaptProfile = identityProfile(3)
 	fillLDA(t, sess, topics)
 	if _, err := sess.ParallelFor(ldaDSL, Passes(3)); err != nil {
 		t.Fatalf("adaptive LDA run did not complete: %v", err)
@@ -141,7 +141,7 @@ func TestChaosAdaptIdentityRecutMFBitwiseTCP(t *testing.T) {
 	defer sess.Close()
 	sess.SetCheckpointDir(t.TempDir())
 	sess.SetAdapt(0.5)
-	sess.SetAdaptProfile(identityProfile(2))
+	sess.adaptProfile = identityProfile(2)
 	fillMF(t, sess)
 	if _, err := sess.ParallelFor(mfSrc, Passes(4)); err != nil {
 		t.Fatalf("adaptive TCP run did not complete: %v", err)

@@ -69,10 +69,5 @@ func (s *Session) runDemoted(e *compiledLoop, passes int) error {
 		end, _ := m.Globals[a].(float64)
 		s.accumBase[a] += end - start[a]
 	}
-	// No runtime kernel ran, so the previous loop's execution report
-	// must not masquerade as this one's.
-	s.mu.Lock()
-	s.lastKernel = ""
-	s.mu.Unlock()
 	return nil
 }

@@ -19,7 +19,6 @@
 package driver
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -37,7 +36,6 @@ import (
 	"orion/internal/lang/vm"
 	"orion/internal/obs"
 	"orion/internal/obs/analyze"
-	"orion/internal/plan"
 	"orion/internal/runtime"
 	"orion/internal/sched"
 )
@@ -52,26 +50,20 @@ type Session struct {
 	env     *lang.Env
 	arrays  map[string]*dsm.DistArray
 	globals map[string]float64
-	backend string
 
 	loopSeq atomic.Int64
 	mu      sync.Mutex
 	closed  bool
 
 	lastDiags diag.List
-	// lastKernel is the runtime kernel name of the most recent
-	// ParallelFor (each call defines a fresh loop), keyed into the
-	// master's per-loop execution reports.
-	lastKernel string
 
-	// planMem memoizes compiled plans within the session; planDisk
-	// (enabled by SetPlanCacheDir) persists artifacts across sessions.
-	planMem  map[string]*compiledLoop
-	planDisk *plan.Cache
+	// planMem memoizes compiled plans within the session (planFor).
+	planMem map[string]*compiledLoop
 
 	// Fault tolerance: checkpointDir/Every configure coordinated
 	// loop-boundary checkpoints; maxRestarts bounds recovery attempts
-	// per ParallelFor; minWorkers/rejoinWait tune TCP fleet re-forming
+	// per ParallelFor (2), past which a worker loss surfaces as the usual
+	// ORN301; minWorkers/rejoinWait tune TCP fleet re-forming
 	// (SetRejoin). spawnExec (local sessions) respawns one in-process
 	// executor for generation `generation`. accumBase carries
 	// accumulator totals from before the last restore, so Accumulate
@@ -89,8 +81,9 @@ type Session struct {
 	// Reconfiguration triggers (adapt.go): adaptEnabled/adaptSkew arm
 	// measurement-driven re-cutting at loop boundaries, growTarget arms
 	// an elastic fleet grow, shrinkTarget arms a planned shrink at the
-	// next loop entry, adaptProfile lets tests inject a deterministic
-	// weight profile, and adaptTrail records decisions.
+	// next loop entry, adaptProfile, when set, replaces the measured
+	// weight profile of a segment (tests inject deterministic ones), and
+	// adaptTrail records decisions.
 	// lastSpacePart is the space partitioner of the most recent attempt,
 	// mapping coordinates to the workers that owned them in the profiled
 	// segment.
@@ -212,11 +205,6 @@ func (s *Session) SetCheckpointDir(dir string) { s.checkpointDir = dir }
 // boundaries only.
 func (s *Session) SetCheckpointEvery(n int64) { s.checkpointEvery = n }
 
-// SetMaxRestarts bounds recovery attempts per ParallelFor call
-// (default 2); past the bound the worker loss surfaces as the usual
-// ORN301 fail-fast error.
-func (s *Session) SetMaxRestarts(n int) { s.maxRestarts = n }
-
 // SetRejoin tunes TCP fleet re-forming after a worker loss: recovery
 // waits up to `wait` for workers to reconnect and proceeds — possibly
 // on a shrunken fleet, re-partitioning the lost worker's blocks onto
@@ -233,11 +221,6 @@ func (s *Session) SetRejoin(min int, wait time.Duration) {
 // longer than timeout mid-loop is treated as lost (see
 // runtime.Master.SetHeartbeat).
 func (s *Session) SetHeartbeat(timeout time.Duration) { s.master.SetHeartbeat(timeout) }
-
-// SetClockHook observes the master's global step clock before each
-// step is dispatched — the hook the chaos harness drives fault scripts
-// from.
-func (s *Session) SetClockHook(fn func(clock int64)) { s.master.SetClockHook(fn) }
 
 // Clock returns the number of completed global steps across all loops.
 func (s *Session) Clock() int64 { return s.master.Clock() }
@@ -275,60 +258,33 @@ func (s *Session) CreateBuffer(name, target string) error {
 // SetGlobal binds a driver variable visible (read-only) to loop bodies.
 func (s *Session) SetGlobal(name string, v float64) { s.globals[name] = v }
 
-// SetBackend pins the loop-execution backend shipped with every
-// subsequent ParallelFor: "" (default: bytecode VM, falling back to the
-// interpreter), "vm" (register bytecode VM; falling back becomes an
-// error), or "interp" (force the tree-walking interpreter — the
-// reference semantics, useful for bisecting a suspected compiler bug).
-func (s *Session) SetBackend(backend string) error {
-	switch backend {
-	case "", "vm", "interp":
-		s.backend = backend
-		return nil
-	}
-	return fmt.Errorf("driver: unknown backend %q (want \"\", \"vm\", or \"interp\")", backend)
-}
-
-// Backend returns the pinned loop-execution backend ("" = automatic).
-func (s *Session) Backend() string { return s.backend }
-
 // KernelBackend reports which backend the executors will run the given
-// loop source on under the current session configuration, without
-// executing anything: "vm" or "interp". The decision is the same
-// deterministic compile verdict every worker reaches.
+// loop source on in the session's current environment, without
+// executing anything: "vm" or "interp". The loop decides: the bytecode
+// VM when it lies inside the VM's subset, the interpreter otherwise —
+// the verdict every worker's dslkernel.Compile reaches.
 func (s *Session) KernelBackend(src string) (string, error) {
 	loop, err := lang.Parse(src)
 	if err != nil {
 		return "", err
 	}
-	return s.kernelBackend(loop)
+	return s.kernelBackend(loop), nil
 }
 
-func (s *Session) kernelBackend(loop *lang.Loop) (string, error) {
-	if s.backend == "interp" {
-		return "interp", nil
-	}
+func (s *Session) kernelBackend(loop *lang.Loop) string {
 	globals := make([]string, 0, len(s.globals))
 	for g := range s.globals {
 		globals = append(globals, g)
 	}
 	globals = append(globals, lang.Accumulators(loop)...)
-	_, err := vm.Compile(loop, &lang.CompileEnv{
+	if _, err := vm.Compile(loop, &lang.CompileEnv{
 		Arrays:  s.env.Arrays,
 		Buffers: s.env.Buffers,
 		Globals: globals,
-	})
-	if err == nil {
-		return "vm", nil
+	}); err != nil {
+		return "interp"
 	}
-	var nce *lang.NotCompilableError
-	if !errors.As(err, &nce) {
-		return "", err
-	}
-	if s.backend == "vm" {
-		return "", fmt.Errorf("driver: backend=vm requested: %w", err)
-	}
-	return "interp", nil
+	return "vm"
 }
 
 // Option tunes a ParallelFor call.
@@ -367,19 +323,6 @@ func (s *Session) vet(src string) (*check.Result, error) {
 // warnings such as assumed-commutativity notes — from the most recent
 // ParallelFor or PlanOf call.
 func (s *Session) Diagnostics() diag.List { return s.lastDiags }
-
-// LastReport returns the execution report (per-worker compute /
-// rotation-wait / comm breakdown) of the most recent ParallelFor, or
-// nil when no loop has run.
-func (s *Session) LastReport() *obs.LoopReport {
-	s.mu.Lock()
-	kernel := s.lastKernel
-	s.mu.Unlock()
-	if kernel == "" {
-		return nil
-	}
-	return s.master.Report(kernel)
-}
 
 // CombinedReport merges the execution reports of every loop this
 // session has run (each ParallelFor defines a fresh loop kernel, so a

@@ -27,11 +27,6 @@ import (
 // it through worker losses (when checkpointing is enabled) and quiesces
 // at interior boundaries while an adaptive or grow trigger is armed.
 func (s *Session) run(e *compiledLoop, passes int) error {
-	// A pinned backend that cannot be honored is rejected before shipping.
-	backend, err := s.kernelBackend(e.loop)
-	if err != nil {
-		return err
-	}
 	// Recovery attempts of one call share its kernel name — checkpoints
 	// are keyed on it, and so is executor-side kernel state (the RNG).
 	kernel := fmt.Sprintf("dsl-%s-%d", e.spec.Name, s.loopSeq.Add(1))
@@ -61,7 +56,7 @@ func (s *Session) run(e *compiledLoop, passes int) error {
 		}); err != nil {
 			return err
 		}
-		if err := s.defineLoopAs(e, kernel, backend); err != nil {
+		if err := s.defineLoopAs(e, kernel); err != nil {
 			return err
 		}
 		def.Checkpoint = s.checkpointSpec(e, names)
@@ -106,7 +101,7 @@ func (s *Session) iterSamples(spec *ir.LoopSpec) []runtime.IterSample {
 // internal/dslkernel. This is how loop bodies reach workers in separate
 // processes (cmd/orion-worker): no per-loop registration, the code and
 // the plan travel with the message.
-func (s *Session) defineLoopAs(e *compiledLoop, name, backend string) error {
+func (s *Session) defineLoopAs(e *compiledLoop, name string) error {
 	def := &runtime.Msg{
 		LoopName:  name,
 		LoopSrc:   e.loop.String(),
@@ -124,24 +119,14 @@ func (s *Session) defineLoopAs(e *compiledLoop, name, backend string) error {
 		def.GlobalVals = append(def.GlobalVals, v)
 	}
 	def.AccumNames = lang.Accumulators(e.loop)
-	def.Backend = s.backend
-
-	// Surface the backend decision — identical to the one every worker's
-	// dslkernel.Compile will reach — as an Info diagnostic and record it
-	// in the plan artifact.
-	s.lastDiags.Add(diag.Infof(diag.CodeBackend, diag.Pos{}, "",
-		"loop %s executes on the %s backend", name, backend))
-	s.event("backend.select", name, backend)
-	e.art.Backend = backend
 	def.PlanBlob = e.art.EncodeBinary()
 
-	if err := s.master.DefineLoop(def); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.lastKernel = name
-	s.mu.Unlock()
-	return nil
+	// Surface the backend decision — identical to the one every worker's
+	// dslkernel.Compile will reach — as an Info diagnostic.
+	s.lastDiags.Add(diag.Infof(diag.CodeBackend, diag.Pos{}, "",
+		"loop %s executes on the %s backend", name, e.art.Backend))
+	s.event("backend.select", name, e.art.Backend)
+	return s.master.DefineLoop(def)
 }
 
 func servedReadTargets(spec *ir.LoopSpec, pl *sched.Plan) []string {

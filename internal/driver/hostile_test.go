@@ -112,7 +112,7 @@ func TestChaosCorruptRotationMFBitwiseTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	sess.SetClockHook(chaos.Advance)
+	sess.master.SetClockHook(chaos.Advance)
 	sess.SetCheckpointDir(t.TempDir())
 	ring := sess.master.PeerAddrs()[0]
 	chaos.Schedule(runtime.FaultEvent{Clock: 5, Addr: ring, Conn: 0, Kind: runtime.FaultCorrupt, Offset: corruptPayloadBit})

@@ -18,8 +18,7 @@ import (
 // compiledLoop is one fully planned loop: the parsed source, the static
 // pipeline's outputs, and the materialized plan artifact. ParallelFor
 // and PlanOf resolve source through planFor, so an unchanged program
-// compiles exactly once per session (and, with SetPlanCacheDir, once
-// per machine).
+// compiles exactly once per session.
 type compiledLoop struct {
 	loop *lang.Loop
 	spec *ir.LoopSpec
@@ -42,23 +41,14 @@ type compiledLoop struct {
 	evidence string
 }
 
-// SetPlanCacheDir enables the on-disk plan artifact cache: compiled
-// plans are stored content-addressed under dir, and a later session
-// running an unchanged program (same source, arrays, globals, backend,
-// and worker count) skips parse/analyze/plan entirely. Artifacts with
-// error diagnostics are never persisted.
-func (s *Session) SetPlanCacheDir(dir string) {
-	s.planDisk = plan.NewCache(dir)
-}
-
 // planKey fingerprints everything the static pipeline's output depends
-// on in this session: the loop source and ordering, the execution
-// backend and worker count, and the declared environment (arrays with
-// extents and driver-side sizes, buffers, global names). Planning never
-// fetches: the sizes are the last known, and a sparse array whose
-// population a loop changed re-plans at its next fetch.
+// on in this session: the loop source and ordering, the worker count,
+// and the declared environment (arrays with extents and driver-side
+// sizes, buffers, global names). Planning never fetches: the sizes are
+// the last known, and a sparse array whose population a loop changed
+// re-plans at its next fetch.
 func (s *Session) planKey(src string, ordered bool) string {
-	parts := []string{"driver", src, fmt.Sprintf("ordered=%v backend=%s n=%d", ordered, s.backend, s.n)}
+	parts := []string{"driver", src, fmt.Sprintf("ordered=%v n=%d", ordered, s.n)}
 	for name, a := range s.arrays {
 		parts = append(parts, fmt.Sprintf("array %s %v bytes=%d", name, a.Dims(), int64(a.Len())*8))
 	}
@@ -77,11 +67,11 @@ func (s *Session) planKey(src string, ordered bool) string {
 	return plan.Key(parts...)
 }
 
-// planFor resolves loop source to its compiled plan: the session memo
-// first, then the on-disk artifact cache, then a fresh run of the
-// static pipeline. Like the old vet path, it returns a non-nil error
-// for error diagnostics while still returning the entry when a plan
-// exists (so callers can report the strategy verdict).
+// planFor resolves loop source to its compiled plan: the session memo,
+// or a fresh run of the static pipeline. Like the old vet path, it
+// returns a non-nil error for error diagnostics while still returning
+// the entry when a plan exists (so callers can report the strategy
+// verdict).
 func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 	key := s.planKey(src, ordered)
 	if e, ok := s.planMem[key]; ok {
@@ -90,29 +80,12 @@ func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 		s.lastDiags = append(diag.List(nil), e.diags...)
 		return e, e.diags.Err()
 	}
-	if s.planDisk != nil {
-		if art := s.planDisk.Get(key); art != nil {
-			if e, err := s.entryFromArtifact(art, ordered); err == nil {
-				obs.GetCounter("driver.plan_reuse").Inc()
-				s.event("plan.cache.hit", e.spec.Name, "disk artifact")
-				s.planMem[key] = e
-				s.lastDiags = nil
-				return e, nil
-			}
-			// Unusable artifact (hand-edited, or written by a build
-			// whose reconstruction rules changed): recompile below and
-			// overwrite it.
-		}
-	}
 	e, err := s.compile(src, ordered)
 	if e == nil {
 		return nil, err
 	}
 	s.event("plan.cache.miss", e.spec.Name, "compiled")
 	s.planMem[key] = e
-	if s.planDisk != nil && !e.diags.HasErrors() {
-		s.planDisk.Put(key, e.art)
-	}
 	return e, err
 }
 
@@ -128,8 +101,8 @@ func (s *Session) event(kind, loop, detail string) {
 
 // compile runs the full static pipeline over loop source and
 // materializes the plan artifact: strategy, histogram-balanced
-// partitions cut from the session's current data, and the synthesized
-// prefetch spec.
+// partitions cut from the session's current data, the synthesized
+// prefetch spec, and the loop backend.
 func (s *Session) compile(src string, ordered bool) (*compiledLoop, error) {
 	prevOrdered := s.env.Ordered
 	s.env.Ordered = ordered
@@ -172,6 +145,7 @@ func (s *Session) compile(src string, ordered bool) (*compiledLoop, error) {
 	if aerr != nil {
 		return nil, fmt.Errorf("driver: materializing plan artifact: %w", aerr)
 	}
+	art.Backend = s.kernelBackend(e.loop)
 	e.art = art
 	return e, err
 }
@@ -198,42 +172,6 @@ func (s *Session) prefetchSpec(e *compiledLoop) *plan.Prefetch {
 		return nil
 	}
 	return &plan.Prefetch{Src: sliced.String(), Arrays: targets}
-}
-
-// entryFromArtifact reconstructs a compiled loop from a cached
-// artifact: the loop is re-parsed from the artifact's canonical source
-// and the sched.Plan is rebuilt from the serialized decision — no
-// dependence analysis, no planning, no partitioning.
-func (s *Session) entryFromArtifact(art *plan.Artifact, ordered bool) (*compiledLoop, error) {
-	if art.LoopSrc == "" {
-		return nil, fmt.Errorf("driver: cached artifact carries no loop source")
-	}
-	loop, err := lang.Parse(art.LoopSrc)
-	if err != nil {
-		return nil, fmt.Errorf("driver: reparsing cached loop: %w", err)
-	}
-	pl, err := art.SchedPlan()
-	if err != nil {
-		return nil, err
-	}
-	deps := art.DepSet()
-	evidence := "no single dependence witness available"
-	if !deps.Empty() {
-		var vecs []string
-		for _, v := range deps.Vectors() {
-			vecs = append(vecs, v.String())
-		}
-		evidence = "blocking dependence vectors " + strings.Join(vecs, ", ")
-	}
-	return &compiledLoop{
-		loop:     loop,
-		spec:     &art.Loop,
-		deps:     deps,
-		plan:     placementFor(pl, ordered),
-		art:      art,
-		evidence: evidence,
-		guard:    art.Guard,
-	}, nil
 }
 
 // schedOptions builds the planning options this session vets and

@@ -37,35 +37,9 @@ func TestPlanReusedWithinSession(t *testing.T) {
 	}
 }
 
-// TestPlanCacheAcrossSessions asserts the disk cache: a second session
-// over an identical program and environment must load the artifact from
-// the cache directory instead of re-running the static pipeline.
-func TestPlanCacheAcrossSessions(t *testing.T) {
-	dir := t.TempDir()
-	builds := obs.GetCounter("plan.builds")
-	diskHits := obs.GetCounter("plan.cache_disk_hit")
-
-	run := func() (buildDelta, diskDelta int64) {
-		sess := setupMF(t, 3)
-		defer sess.Close()
-		sess.SetPlanCacheDir(dir)
-		b0, d0 := builds.Value(), diskHits.Value()
-		if _, err := sess.ParallelFor(mfSrc, Passes(1)); err != nil {
-			t.Fatal(err)
-		}
-		return builds.Value() - b0, diskHits.Value() - d0
-	}
-
-	if bd, dd := run(); bd != 1 || dd != 0 {
-		t.Fatalf("cold session: builds=%d diskHits=%d, want 1/0", bd, dd)
-	}
-	if bd, dd := run(); bd != 0 || dd != 1 {
-		t.Fatalf("warm session: builds=%d diskHits=%d, want 0/1 (artifact loaded from disk)", bd, dd)
-	}
-}
-
 // TestPlanArtifactAccessor asserts the public artifact accessor returns
-// the session's materialized plan with its partitions cut.
+// the session's materialized plan with its partitions cut and the loop
+// backend recorded.
 func TestPlanArtifactAccessor(t *testing.T) {
 	sess := setupMF(t, 3)
 	defer sess.Close()
@@ -82,5 +56,8 @@ func TestPlanArtifactAccessor(t *testing.T) {
 	}
 	if art.WeightsDigest == "" {
 		t.Fatal("driver artifact should record the weights digest it balanced on")
+	}
+	if art.Backend != "vm" {
+		t.Fatalf("artifact records backend %q, want vm", art.Backend)
 	}
 }

@@ -115,7 +115,7 @@ func chaosLocalSession(t *testing.T, n int, seed int64) (*Session, *runtime.Chao
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.SetClockHook(chaos.Advance)
+	sess.master.SetClockHook(chaos.Advance)
 	return sess, chaos, tr
 }
 
@@ -251,7 +251,7 @@ func TestChaosRecoveryMFBitwiseTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	sess.SetClockHook(chaos.Advance)
+	sess.master.SetClockHook(chaos.Advance)
 	sess.SetCheckpointDir(t.TempDir())
 	chaos.Schedule(runtime.FaultEvent{Clock: 3, Addr: sess.Addr(), Conn: 1, Kind: runtime.FaultSever})
 	fillMF(t, sess)
@@ -304,7 +304,7 @@ func TestChaosMidRotationSeveranceTCPFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	sess.SetClockHook(chaos.Advance)
+	sess.master.SetClockHook(chaos.Advance)
 	// Executor 1 ships rotated partitions to executor 0's ring endpoint;
 	// severing that link breaks the rotation itself.
 	ring := sess.master.PeerAddrs()[0]
@@ -450,7 +450,7 @@ func TestChaosTCPShrinkRecovery(t *testing.T) {
 	}
 	defer sess.Close()
 	chaos := runtime.NewChaos(runtime.TCP{}, 11)
-	sess.SetClockHook(chaos.Advance)
+	sess.master.SetClockHook(chaos.Advance)
 	sess.SetCheckpointDir(t.TempDir())
 	sess.SetRejoin(2, 2*time.Second)
 

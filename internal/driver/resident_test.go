@@ -372,10 +372,10 @@ func TestChaosResidentSurvivesReconfiguration(t *testing.T) {
 			arrays: []string{"reuse:W", "reuse:H", armedH, armedW, "ship:W rekeyed", "reuse:H", armedH, armedW},
 			before: func(t *testing.T, s *Session) {
 				s.SetAdapt(0.5) // skew >= 1 always: recut at the boundary
-				s.SetAdaptProfile(func(kernel string, _ *obs.LoopReport) *analyze.WeightProfile {
+				s.adaptProfile = func(kernel string, _ *obs.LoopReport) *analyze.WeightProfile {
 					return &analyze.WeightProfile{Loop: kernel, Workers: []analyze.WorkerCost{
 						{Worker: 0, CostFactor: 4}, {Worker: 1, CostFactor: 1}}}
-				})
+				}
 			}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -423,7 +423,7 @@ func TestChaosResidentTCPReform(t *testing.T) {
 		}
 		t.Cleanup(s.Close)
 		chaos := runtime.NewChaos(runtime.TCP{}, 11)
-		s.SetClockHook(chaos.Advance)
+		s.master.SetClockHook(chaos.Advance)
 		s.SetCheckpointDir(t.TempDir())
 		s.SetRejoin(2, 500*time.Millisecond)
 		// Workers 0 and 1 rejoin when the master goes away; worker 2 dials

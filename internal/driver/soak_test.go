@@ -67,7 +67,7 @@ func soakSession(t *testing.T, seed int64) (*Session, *runtime.Chaos) {
 	sess.SetCheckpointDir(t.TempDir())
 	sess.SetCheckpointEvery(1)
 	sess.SetHeartbeat(1200 * time.Millisecond)
-	sess.SetMaxRestarts(64)
+	sess.maxRestarts = 64
 	return sess, chaos
 }
 

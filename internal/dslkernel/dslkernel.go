@@ -7,13 +7,13 @@
 package dslkernel
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"orion/internal/dsm"
 	"orion/internal/lang"
@@ -33,13 +33,16 @@ func Install() {
 // DefineLoop message. Loop bodies run on the bytecode VM
 // (lang/vm.Compile) whenever they fall inside the compiled subset;
 // otherwise the tree-walking interpreter — the reference semantics —
-// executes them. def.Backend pins the choice: "vm" makes fallback an
-// error, "interp" forces interpretation (e.g. for CLI bisection), and
-// "" walks the vm→interp lattice.
+// executes them. The loop decides; nothing pins the choice.
 func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 	_, ks, err := compile(def)
 	return ks, err
 }
+
+// interpretOnly makes compile decline the VM for every loop: the seam
+// through which the VM ≡ interpreter differential tests run a loop
+// inside the VM's subset on the interpreter. Nothing else sets it.
+var interpretOnly atomic.Bool
 
 func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 	tb := obs.NewBuf(0, "dslkernel")
@@ -62,23 +65,9 @@ func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 		Globals: append(append([]string{}, def.GlobalNames...), def.AccumNames...),
 	}
 
-	var vp *vm.Prog
-	switch def.Backend {
-	case "", "vm":
-		vp, err = vm.Compile(loop, env)
-		if err != nil {
-			var nce *lang.NotCompilableError
-			if !errors.As(err, &nce) {
-				return nil, nil, fmt.Errorf("dslkernel: compiling shipped loop: %w", err)
-			}
-			if def.Backend == "vm" {
-				return nil, nil, fmt.Errorf("dslkernel: backend=vm requested: %w", err)
-			}
-			vp = nil // outside the VM subset: interpret
-		}
-	case "interp":
-	default:
-		return nil, nil, fmt.Errorf("dslkernel: unknown backend %q", def.Backend)
+	var vp *vm.Prog // nil: interpret
+	if !interpretOnly.Load() {
+		vp, _ = vm.Compile(loop, env) // an error means outside the VM's subset
 	}
 	if vp != nil {
 		obs.GetCounter("kernel.vm").Inc()

@@ -38,7 +38,7 @@ end
 
 // defineMsg builds the DefineLoop message a driver would ship for a
 // program file.
-func defineMsg(t *testing.T, name, src, backend string) *runtime.Msg {
+func defineMsg(t *testing.T, name, src string) *runtime.Msg {
 	t.Helper()
 	prog, err := lang.ParseProgram(src)
 	if err != nil {
@@ -52,18 +52,20 @@ func defineMsg(t *testing.T, name, src, backend string) *runtime.Msg {
 		GlobalNames: prog.Globals,
 		GlobalVals:  make([]float64, len(prog.Globals)),
 		AccumNames:  lang.Accumulators(prog.Loop),
-		Backend:     backend,
 	}
 }
 
-// TestCompileBackendLattice walks every shipped example loop (all inside
-// the VM's subset) plus one loop outside it through each Backend value:
-// every backend yields a Block kernel, the kernel.vm /
-// kernel.interp_fallback counters record which one runs it, a pinned vm
-// backend refuses to fall back, and anything else — including the
-// removed "compiled" tier — is an unknown backend.
+// TestCompileBackendLattice walks every shipped example loop and the
+// benchmark bodies (all inside the VM's subset) plus one loop outside it
+// through Compile: each yields a Block kernel, and the kernel.vm /
+// kernel.interp_fallback counters say the loop picked its backend — the
+// VM inside the subset, the interpreter outside — and that with
+// interpretOnly set every loop runs on the interpreter.
 func TestCompileBackendLattice(t *testing.T) {
 	programs := map[string]string{"not-vm-compilable": notVMCompilable}
+	for n, src := range benchmarkPrograms {
+		programs[n] = src
+	}
 	paths, err := filepath.Glob("../../examples/*/*.orion")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no example programs found: %v", err)
@@ -77,44 +79,27 @@ func TestCompileBackendLattice(t *testing.T) {
 	}
 
 	vmCount, interpCount := obs.GetCounter("kernel.vm"), obs.GetCounter("kernel.interp_fallback")
-	for name, src := range programs {
-		inVM := name != "not-vm-compilable"
-		for _, tc := range []struct {
-			backend string
-			wantErr string // substring; "" = must compile
-			wantVM  bool
-		}{
-			{backend: "", wantVM: inVM},
-			{backend: "vm", wantVM: true},
-			{backend: "interp"},
-			{backend: "compiled", wantErr: "unknown backend"},
-			{backend: "jit", wantErr: "unknown backend"},
-		} {
-			if tc.backend == "vm" && !inVM {
-				tc.wantErr = "backend=vm requested"
-			}
+	for _, forced := range []bool{false, true} {
+		if forced { // the last round: restored when the test returns
+			defer InterpretOnly()()
+		}
+		for name, src := range programs {
 			vm0, interp0 := vmCount.Value(), interpCount.Value()
-			ks, err := Compile(defineMsg(t, name, src, tc.backend))
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Errorf("%s backend=%q: err = %v, want %q", name, tc.backend, err, tc.wantErr)
-				}
-				continue
-			}
+			ks, err := Compile(defineMsg(t, name, src))
 			if err != nil {
-				t.Errorf("%s backend=%q: %v", name, tc.backend, err)
+				t.Errorf("%s (interpretOnly %v): %v", name, forced, err)
 				continue
 			}
 			if ks.Block == nil {
-				t.Errorf("%s backend=%q: no Block kernel", name, tc.backend)
+				t.Errorf("%s (interpretOnly %v): no Block kernel", name, forced)
 			}
 			wantVM, wantInterp := int64(0), int64(1)
-			if tc.wantVM {
+			if !forced && name != "not-vm-compilable" {
 				wantVM, wantInterp = 1, 0
 			}
 			if dv, di := vmCount.Value()-vm0, interpCount.Value()-interp0; dv != wantVM || di != wantInterp {
-				t.Errorf("%s backend=%q: kernel.vm +%d, kernel.interp_fallback +%d; want +%d, +%d",
-					name, tc.backend, dv, di, wantVM, wantInterp)
+				t.Errorf("%s (interpretOnly %v): kernel.vm +%d, kernel.interp_fallback +%d; want +%d, +%d",
+					name, forced, dv, di, wantVM, wantInterp)
 			}
 		}
 	}
@@ -345,6 +330,7 @@ func startFleet(t *testing.T, prefix string, n int) (*runtime.Master, func() err
 // interpreter ran one iteration per call.
 func TestInterpretedFaultMidBlock(t *testing.T) {
 	defer Install()
+	defer InterpretOnly()()
 	var done int
 	var acc float64
 	runtime.SetLoopCompiler(func(def *runtime.Msg) (*runtime.KernelSet, error) {
@@ -363,7 +349,7 @@ func TestInterpretedFaultMidBlock(t *testing.T) {
 	m, stop := startFleet(t, "fault", 1)
 	defer stop()
 	src := "array data 5\n---\nfor (key, v) in data\n    s += 1\n    if key[1] == 3\n        p = zeros(2)\n        s += p[3]\n    end\nend\n"
-	def := defineMsg(t, "interp-fault", src, "interp")
+	def := defineMsg(t, "interp-fault", src)
 	var samples []runtime.IterSample
 	for i := int64(0); i < 5; i++ {
 		samples = append(samples, runtime.IterSample{Key: []int64{i}})
@@ -408,6 +394,9 @@ func TestPartitionBindingsLastOneBlock(t *testing.T) {
 	}
 
 	run := func(backend string) (w, h *dsm.DistArray, blocks int) {
+		if backend == "interp" {
+			defer InterpretOnly()()
+		}
 		var mu sync.Mutex
 		unbound := func(lk *loopKernel, when string) {
 			if lk.vs == nil {
@@ -452,7 +441,7 @@ func TestPartitionBindingsLastOneBlock(t *testing.T) {
 			}
 			return out
 		}
-		def := defineMsg(t, "bind-"+backend, benchmarkPrograms["bench-mf"], backend)
+		def := defineMsg(t, "bind-"+backend, benchmarkPrograms["bench-mf"])
 		def.GlobalVals[0] = 0.05 // step_size
 		for _, err := range []error{
 			m.DistributeLocal(w, 1, cuts(space)),
@@ -521,7 +510,7 @@ func TestPrefetchIDNamesWhatTheSliceReads(t *testing.T) {
 			t.Errorf("%s did not change the identity", what)
 		}
 	}
-	ks, err := Compile(defineMsg(t, "no-slice", notVMCompilable, ""))
+	ks, err := Compile(defineMsg(t, "no-slice", notVMCompilable))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package dsm
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ApplyUDF merges one buffered update into a DistArray element. It is
 // executed atomically per element when a buffer is flushed, enabling
@@ -91,68 +88,4 @@ func (b *Buffer) Flush(a *DistArray) int {
 	b.order = b.order[:0]
 	b.writes = 0
 	return n
-}
-
-// Drain returns and clears the buffered (offset, update) pairs without
-// applying them — used by the runtime to ship updates to the server
-// processes that own the array.
-func (b *Buffer) Drain() (offs []int64, updates []float64) {
-	offs = make([]int64, 0, len(b.pending))
-	for _, off := range b.order {
-		if _, ok := b.pending[off]; ok {
-			offs = append(offs, off)
-		}
-	}
-	updates = make([]float64, len(offs))
-	for i, off := range offs {
-		updates[i] = b.pending[off]
-	}
-	b.pending = make(map[int64]float64)
-	b.order = b.order[:0]
-	b.writes = 0
-	return offs, updates
-}
-
-// TopK returns the k buffered updates with the largest magnitude (and
-// removes them from the buffer) — the magnitude-prioritized early
-// communication of Bösen's managed communication (Section 6.4).
-func (b *Buffer) TopK(k int) (offs []int64, updates []float64) {
-	type kv struct {
-		off int64
-		u   float64
-	}
-	all := make([]kv, 0, len(b.pending))
-	for off, u := range b.pending {
-		all = append(all, kv{off, u})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		ai, aj := all[i].u, all[j].u
-		if ai < 0 {
-			ai = -ai
-		}
-		if aj < 0 {
-			aj = -aj
-		}
-		if ai != aj {
-			return ai > aj
-		}
-		return all[i].off < all[j].off // deterministic tie-break
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	for i := 0; i < k; i++ {
-		offs = append(offs, all[i].off)
-		updates = append(updates, all[i].u)
-		delete(b.pending, all[i].off)
-	}
-	// Rebuild order without the removed offsets.
-	norder := b.order[:0]
-	for _, off := range b.order {
-		if _, ok := b.pending[off]; ok {
-			norder = append(norder, off)
-		}
-	}
-	b.order = norder
-	return offs, updates
 }

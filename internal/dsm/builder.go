@@ -54,19 +54,6 @@ func FromReader(name string, r io.Reader, parser LineParser, dims ...int64) *Bui
 	}
 }
 
-// FromArray starts a pipeline over an existing array's elements.
-func FromArray(a *DistArray) *Builder {
-	return &Builder{
-		name:  a.Name(),
-		dims:  a.Dims(),
-		dense: a.IsDense(),
-		source: func(emit func(idx []int64, v float64)) error {
-			a.ForEach(emit)
-			return nil
-		},
-	}
-}
-
 func scanLines(r io.Reader, parser LineParser, emit func(idx []int64, v float64)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -1,7 +1,9 @@
 // Package dsm implements Orion's distributed shared memory abstraction:
-// Distributed Arrays (Section 3.1), DistArray Buffers (Section 3.3) and
-// Accumulators (Section 3.4), plus partitioning and serialization used
-// by the runtime to place and rotate array partitions (Section 4.4).
+// Distributed Arrays (Section 3.1) and DistArray Buffers (Section 3.3),
+// plus partitioning and serialization used by the runtime to place and
+// rotate array partitions (Section 4.4). Accumulators (Section 3.4) are
+// loop-body variables the runtime folds per executor
+// (runtime.Ctx.Accum, driver.Session.Accumulate).
 //
 // A DistArray is an N-dimensional dense or sparse array of float64
 // elements indexed by an N-tuple. Dense storage is laid out so that the
@@ -350,17 +352,6 @@ func (a *DistArray) CoordCounts(dims ...int) [][]int64 {
 			out[k][(off/a.stride[d])%a.dims[d]]++
 		}
 	}
-	return out
-}
-
-// GroupBy buckets the sparse entries by their coordinate along dim.
-// It is evaluated eagerly (like the paper's shuffling set operations).
-func (a *DistArray) GroupBy(dim int) map[int64][][]int64 {
-	out := make(map[int64][][]int64)
-	a.ForEach(func(idx []int64, _ float64) {
-		c := idx[dim]
-		out[c] = append(out[c], idx)
-	})
 	return out
 }
 

@@ -111,17 +111,6 @@ func TestMapAndHistogram(t *testing.T) {
 	}
 }
 
-func TestGroupBy(t *testing.T) {
-	a := NewSparse("Z", 4, 4)
-	a.SetAt(1, 0, 3)
-	a.SetAt(1, 2, 3)
-	a.SetAt(1, 2, 0)
-	g := a.GroupBy(1)
-	if len(g[3]) != 2 || len(g[0]) != 1 {
-		t.Fatalf("GroupBy = %v", g)
-	}
-}
-
 func TestPermuteAndRandomize(t *testing.T) {
 	a := NewSparse("Z", 3, 2)
 	a.SetAt(5, 0, 0)
@@ -359,6 +348,50 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsPayloadsOffTheirExtents: a blob whose dense payload
+// does not fill its extents, or whose extents are not positive, decodes
+// to an error — through DecodeArray, DecodePartition and, behind a good
+// partition, DecodePartitions — not to an array that faults on its last
+// element.
+func TestDecodeRejectsPayloadsOffTheirExtents(t *testing.T) {
+	good := NewDense("w", 4, 4).ExtractRange(1, 0, 2).wire()
+	for name, w := range map[string]wireArray{
+		"short dense payload": {Name: "w", Dims: []int64{4, 4}, Dense: make([]float64, 3)},
+		"long dense payload":  {Name: "w", Dims: []int64{4, 4}, Dense: make([]float64, 17)},
+		"zero extent":         {Name: "w", Dims: []int64{4, 0}, Sparse: map[int64]float64{}},
+		"no extents":          {Name: "w", Sparse: map[int64]float64{0: 1}},
+	} {
+		part := wirePartition{Array: "w", Hi: 4, Local: w}
+		for codec, decode := range map[string]func() error{
+			"DecodeArray": func() error {
+				b, err := encode(w)
+				if err == nil {
+					_, err = DecodeArray(b)
+				}
+				return err
+			},
+			"DecodePartition": func() error {
+				b, err := encode(part)
+				if err == nil {
+					_, err = DecodePartition(b)
+				}
+				return err
+			},
+			"DecodePartitions": func() error {
+				b, err := encode([]wirePartition{good, part})
+				if err == nil {
+					_, err = DecodePartitions(b)
+				}
+				return err
+			},
+		} {
+			if decode() == nil {
+				t.Errorf("%s: %s accepted it", name, codec)
+			}
+		}
+	}
+}
+
 func TestBufferFlushAppliesUDFOncePerElement(t *testing.T) {
 	a := NewDense("w", 10)
 	a.SetAt(1, 3)
@@ -397,40 +430,6 @@ func TestBufferMaxBuffered(t *testing.T) {
 	}
 }
 
-func TestBufferTopK(t *testing.T) {
-	a := NewDense("w", 10)
-	b := NewBuffer(a, nil)
-	b.Put(0.1, 0)
-	b.Put(-5, 1)
-	b.Put(2, 2)
-	offs, ups := b.TopK(2)
-	if len(offs) != 2 || offs[0] != 1 || ups[0] != -5 || offs[1] != 2 {
-		t.Fatalf("TopK = %v %v, want largest magnitudes first", offs, ups)
-	}
-	if b.Len() != 1 {
-		t.Fatalf("buffer should retain 1 element, has %d", b.Len())
-	}
-	// Remaining element still flushes.
-	b.Flush(a)
-	if a.At(0) != 0.1 {
-		t.Fatal("remaining element lost")
-	}
-}
-
-func TestBufferDrain(t *testing.T) {
-	a := NewDense("w", 4)
-	b := NewBuffer(a, nil)
-	b.Put(1, 2)
-	b.Put(3, 0)
-	offs, ups := b.Drain()
-	if len(offs) != 2 || offs[0] != 2 || ups[1] != 3 {
-		t.Fatalf("Drain = %v %v", offs, ups)
-	}
-	if b.Len() != 0 {
-		t.Fatal("Drain must clear the buffer")
-	}
-}
-
 // Property: flushing a buffer with the Add UDF is equivalent to having
 // applied every write directly.
 func TestBufferEquivalenceProperty(t *testing.T) {
@@ -458,31 +457,6 @@ func TestBufferEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAccumulator(t *testing.T) {
-	acc := NewAccumulator("err", 4, 0)
-	acc.Add(0, 1)
-	acc.Add(3, 2.5)
-	if got := acc.Sum(); got != 3.5 {
-		t.Fatalf("Sum = %v, want 3.5", got)
-	}
-	maxOp := func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	acc2 := NewAccumulator("max", 3, math.Inf(-1))
-	acc2.Update(0, 5, maxOp)
-	acc2.Update(2, 9, maxOp)
-	if got := acc2.Aggregate(maxOp); got != 9 {
-		t.Fatalf("max aggregate = %v", got)
-	}
-	acc.Reset()
-	if acc.Sum() != 0 {
-		t.Fatal("Reset broken")
 	}
 }
 
@@ -519,18 +493,6 @@ bad line
 	}
 	if arr.At(0, 0) != 11 || arr.At(1, 2) != 21 {
 		t.Fatalf("pipeline values wrong: %v %v", arr.At(0, 0), arr.At(1, 2))
-	}
-}
-
-func TestBuilderFromArray(t *testing.T) {
-	a := NewSparse("x", 4, 4)
-	a.SetAt(2, 1, 1)
-	b, err := FromArray(a).Map(func(v float64) float64 { return v * v }).Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.At(1, 1) != 4 {
-		t.Fatal("FromArray pipeline broken")
 	}
 }
 

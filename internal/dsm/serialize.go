@@ -3,6 +3,8 @@ package dsm
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"math"
 )
 
 // wireArray is the gob wire form of a DistArray.
@@ -26,11 +28,27 @@ func (a *DistArray) wire() wireArray {
 	return wireArray{Name: a.name, Dims: a.dims, Dense: a.dense, Sparse: a.sparse}
 }
 
-func fromWire(w wireArray) *DistArray {
+// fromWire rebuilds a decoded array. Its extents must be positive and
+// their product representable, and a dense array's payload must fill
+// them exactly: a short one would fault on the first access past it.
+func fromWire(w wireArray) (*DistArray, error) {
+	total := int64(1)
+	for _, d := range w.Dims {
+		if d <= 0 || total > math.MaxInt64/d {
+			return nil, fmt.Errorf("dsm: decoded array %q has extents %v", w.Name, w.Dims)
+		}
+		total *= d
+	}
+	if len(w.Dims) == 0 {
+		return nil, fmt.Errorf("dsm: decoded array %q has no extents", w.Name)
+	}
+	if w.Sparse == nil && int64(len(w.Dense)) != total {
+		return nil, fmt.Errorf("dsm: decoded dense array %q carries %d values for extents %v", w.Name, len(w.Dense), w.Dims)
+	}
 	a := newArray(w.Name, w.Dims)
 	a.dense = w.Dense
 	a.sparse = w.Sparse
-	return a
+	return a, nil
 }
 
 // Encode serializes the array with encoding/gob.
@@ -42,15 +60,19 @@ func DecodeArray(data []byte) (*DistArray, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return nil, err
 	}
-	return fromWire(w), nil
+	return fromWire(w)
 }
 
 func (p *Partition) wire() wirePartition {
 	return wirePartition{Array: p.Array, Dim: p.Dim, Lo: p.Lo, Hi: p.Hi, Local: p.Local.wire()}
 }
 
-func (w wirePartition) partition() *Partition {
-	return &Partition{Array: w.Array, Dim: w.Dim, Lo: w.Lo, Hi: w.Hi, Local: fromWire(w.Local)}
+func (w wirePartition) partition() (*Partition, error) {
+	local, err := fromWire(w.Local)
+	if err != nil {
+		return nil, err
+	}
+	return &Partition{Array: w.Array, Dim: w.Dim, Lo: w.Lo, Hi: w.Hi, Local: local}, nil
 }
 
 func encode(v any) ([]byte, error) {
@@ -70,7 +92,7 @@ func DecodePartition(data []byte) (*Partition, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return nil, err
 	}
-	return w.partition(), nil
+	return w.partition()
 }
 
 // EncodePartitions serializes any number of partitions, none included,
@@ -91,7 +113,11 @@ func DecodePartitions(data []byte) ([]*Partition, error) {
 	}
 	ps := make([]*Partition, len(ws))
 	for i, w := range ws {
-		ps[i] = w.partition()
+		p, err := w.partition()
+		if err != nil {
+			return nil, err
+		}
+		ps[i] = p
 	}
 	return ps, nil
 }

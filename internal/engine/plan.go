@@ -12,7 +12,7 @@ import (
 // RunSTRADS used to re-run dependence analysis, strategy selection, and
 // the unimodular search on every call; now the first call materializes
 // a plan artifact and later calls replay it.
-var artifacts = plan.NewCache("")
+var artifacts = plan.NewCache()
 
 // artifactFor plans the app's loop through the artifact cache. The key
 // covers everything the artifact depends on: the planning fingerprint

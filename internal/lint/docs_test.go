@@ -1,17 +1,24 @@
 package lint
 
 import (
+	"go/ast"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 )
 
 // TestDocsNameLiveTargetsAndFiles: every `make <target>` the documents
-// name is a target of the Makefile, and every bare file name they put
-// in backticks (`DESIGN.md`, not a path or a command's argument) is a
-// file at the top of the tree. Deleting a target or a committed file
-// then fails here until its mentions are gone too.
+// name is a target of the Makefile, every bare file name they put in
+// backticks (`DESIGN.md`, not a path or a command's argument) is a file
+// at the top of the tree, every `Session.X` in their code is a method of
+// driver.Session, and every flag of an `orion-run …` command in their
+// code is one cmd/orion-run defines. Deleting a target, a committed
+// file, a method or a flag then fails here until its mentions are gone
+// too.
 func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	const root = "../.."
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -22,10 +29,14 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllSubmatch(makefile, -1) {
 		targets[string(m[1])] = true
 	}
+	methods := sessionMethods(t, root)
+	flags := flagNames(t, root)
 	// In a code span or at the start of a code-block line, so that
 	// prose ("and make all ...") is not a target.
 	makeRef := regexp.MustCompile("(?m)(?:`|^\\s*)make ([a-z][a-z0-9-]*)")
 	fileRef := regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_.-]*\\.(?:json|md|txt))`")
+	sessionRef := regexp.MustCompile(`\bSession\.([A-Za-z_][A-Za-z0-9_]*)`)
+	flagRef := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=.*)?$`)
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -41,5 +52,127 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 				t.Errorf("%s names the top-level file `%s`, which is not in the tree (name a run's output as a path or as the command's argument)", doc, m[1])
 			}
 		}
+		for _, code := range codePieces(string(text)) {
+			for _, m := range sessionRef.FindAllStringSubmatch(code, -1) {
+				if !methods[m[1]] {
+					t.Errorf("%s names `Session.%s`, which is not a method of driver.Session", doc, m[1])
+				}
+			}
+			for _, cmd := range strings.Split(code, "orion-run")[1:] {
+				for _, arg := range strings.Fields(shellCommand(cmd)) {
+					if m := flagRef.FindStringSubmatch(arg); m != nil && !flags[m[1]] {
+						t.Errorf("%s runs `orion-run … %s`, a flag cmd/orion-run does not define", doc, arg)
+					}
+				}
+			}
+		}
 	}
+}
+
+// codePieces returns a Markdown document's code: every line of a fenced
+// block, with backslash-continued lines joined, and every inline code
+// span, which may wrap across lines.
+func codePieces(text string) []string {
+	var pieces []string
+	var prose strings.Builder
+	fenced, continued := false, ""
+	for _, line := range strings.Split(text, "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			fenced = !fenced
+		case !fenced:
+			prose.WriteString(line + "\n")
+		case strings.HasSuffix(line, `\`):
+			continued += strings.TrimSuffix(line, `\`)
+		default:
+			pieces = append(pieces, continued+line)
+			continued = ""
+		}
+	}
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(prose.String(), -1) {
+		pieces = append(pieces, m[1])
+	}
+	return pieces
+}
+
+// shellCommand cuts a command line at the first shell operator or
+// comment: what follows belongs to another command.
+func shellCommand(s string) string {
+	for _, op := range []string{" | ", " || ", " && ", ";", " &", " #", " >", " 2>"} {
+		if i := strings.Index(s, op); i >= 0 {
+			s = s[:i]
+		}
+	}
+	return s
+}
+
+// sessionMethods lists the methods declared on driver.Session.
+func sessionMethods(t *testing.T, root string) map[string]bool {
+	methods := map[string]bool{}
+	for _, f := range nonTestFiles(t, root, "./internal/driver") {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil {
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if id, ok := recv.(*ast.Ident); ok && id.Name == "Session" {
+				methods[fn.Name.Name] = true
+			}
+		}
+	}
+	if len(methods) == 0 {
+		t.Fatal("no Session methods found in internal/driver")
+	}
+	return methods
+}
+
+// flagNames lists the flags cmd/orion-run defines: the name argument of
+// every flag.X("name", …) call.
+func flagNames(t *testing.T, root string) map[string]bool {
+	flags := map[string]bool{}
+	for _, f := range nonTestFiles(t, root, "./cmd/orion-run") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					flags[name] = true
+				}
+			}
+			return true
+		})
+	}
+	if len(flags) == 0 {
+		t.Fatal("no flags found in cmd/orion-run")
+	}
+	return flags
+}
+
+// nonTestFiles parses one package directory and returns its non-test
+// files.
+func nonTestFiles(t *testing.T, root, dir string) []*ast.File {
+	passes, err := Load(root, []string{dir})
+	if err != nil || len(passes) != 1 {
+		t.Fatalf("loading %s: %d packages, %v", dir, len(passes), err)
+	}
+	var files []*ast.File
+	for _, f := range passes[0].Files {
+		if !strings.HasSuffix(passes[0].Fset.Position(f.Pos()).Filename, "_test.go") {
+			files = append(files, f)
+		}
+	}
+	return files
 }

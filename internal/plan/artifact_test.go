@@ -324,34 +324,19 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 }
 
 func TestCache(t *testing.T) {
-	dir := t.TempDir()
 	art := mfArtifact(t, 4, nil, nil)
 	key := Key("test", art.ContentHash)
 
-	c := NewCache(dir)
+	c := NewCache()
 	if got := c.Get(key); got != nil {
 		t.Fatal("empty cache should miss")
 	}
 	c.Put(key, art)
-	if got := c.Get(key); got == nil || got.ContentHash != art.ContentHash {
-		t.Fatal("in-memory hit failed")
+	if got := c.Get(key); got != art {
+		t.Fatal("hit failed")
 	}
-
-	// A fresh cache over the same directory hits via disk.
-	c2 := NewCache(dir)
-	got := c2.Get(key)
-	if got == nil || got.ContentHash != art.ContentHash {
-		t.Fatal("disk hit failed")
-	}
-	if got.Space.Parts != art.Space.Parts || len(got.Space.Cuts) != len(art.Space.Cuts) {
-		t.Fatal("disk round trip lost the materialized partitions")
-	}
-
-	// Memory-only cache never touches disk.
-	m := NewCache("")
-	m.Put(key, art)
-	if m.Get(key) == nil {
-		t.Fatal("memory-only cache should hit")
+	if got := c.Get(Key("other", art.ContentHash)); got != nil {
+		t.Fatal("another key should miss")
 	}
 }
 

@@ -69,7 +69,7 @@ type Executor struct {
 	ctx    *Ctx
 	shards *shardSet
 
-	// pingOverride, when non-zero, replaces the master-shipped heartbeat
+	// pingOverride, when non-zero, replaces the default heartbeat
 	// ping interval (SetPingInterval / orion-worker -heartbeat).
 	pingOverride time.Duration
 
@@ -146,8 +146,8 @@ func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, e
 	return e, nil
 }
 
-// SetPingInterval overrides the master-shipped heartbeat ping interval
-// for this executor (zero keeps the master's choice). Pair it with the
+// SetPingInterval overrides the default heartbeat ping interval
+// for this executor (zero keeps the default). Pair it with the
 // master's SetHeartbeat staleness timeout — the timeout should be at
 // least ~3 ping intervals, or healthy workers read as stale. Call
 // before Start.
@@ -247,7 +247,7 @@ func (e *Executor) run() error {
 	if e.trace == nil && obs.Tracing() {
 		e.trace = obs.NewBuf(e.id+1, fmt.Sprintf("exec%d", e.id))
 	}
-	n := setup.NumExecs
+	n := len(setup.Peers)
 	e.shards.peers = setup.Peers
 	defer e.shards.closeAll()
 	// Accept peer connections in the background: ring rotation plus
@@ -265,13 +265,11 @@ func (e *Executor) run() error {
 		e.sendTo = newPeerCodec(conn, fmt.Sprintf("exec%d/ring", e.id))
 		defer e.sendTo.close()
 	}
-	hbInterval := time.Duration(setup.HeartbeatMs) * time.Millisecond
+	hbInterval := pingInterval
 	if e.pingOverride > 0 {
 		hbInterval = e.pingOverride
 	}
-	if hbInterval > 0 {
-		go e.heartbeat(hbInterval)
-	}
+	go e.heartbeat(hbInterval)
 	go e.readMaster()
 
 	for {

@@ -3,9 +3,12 @@ package runtime
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -183,7 +186,11 @@ func TestFrameSequenceRejectsReorderedFrames(t *testing.T) {
 
 // TestFrameHeaderBoundsRejectHostileClaims: forged headers claiming
 // absurd sizes must be rejected by the bounds checks before anything
-// is allocated or read at the claimed size.
+// is allocated or read at the claimed size — checksummed ones included,
+// whose extents multiply past 2^64 to the zero elements they carry or
+// could build no DistArray. A gob rotation that frames cleanly but
+// carries a dense partition shorter than its extents is refused when
+// the partition is decoded, before any access can fault on it.
 func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
 	cases := map[string][]byte{
 		"unknown tag": {0x7a, 0, 0, 0},
@@ -194,8 +201,11 @@ func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
 			0), 0), 32), 2), 1<<35), 1<<35), 1),
 		"element count": uv(uv(uv(uv(uv(uv(append(uv(uv([]byte{tagRaw}, 0), 1), 'w'),
 			0), 0), 32), 1), 1<<33), 1<<33),
-		"gob length":       uv(uv([]byte{tagGob}, 0), maxGobFrameLen+1),
-		"malformed varint": append([]byte{tagGob}, bytes.Repeat([]byte{0x80}, 11)...),
+		"extent wraps to zero": checksummedRaw(0, 1<<33, 1<<33),
+		"zero extent":          checksummedRaw(0, 4, 0),
+		"no extents":           checksummedRaw(1),
+		"gob length":           uv(uv([]byte{tagGob}, 0), maxGobFrameLen+1),
+		"malformed varint":     append([]byte{tagGob}, bytes.Repeat([]byte{0x80}, 11)...),
 	}
 	for name, frame := range cases {
 		err := decodeStream(frame, 1)
@@ -204,6 +214,56 @@ func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
 			t.Errorf("%s: err = %v, want *FrameCorruptError", name, err)
 		}
 	}
+
+	var m Msg
+	if err := newCodec(&replayConn{r: bytes.NewReader(shortDenseRotation(t))}).recvInto(&m); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := partitionFromMsg(&m); err == nil {
+		t.Errorf("a 4x4 dense partition carrying 3 values decoded: %v", p.Local.Dims())
+	}
+}
+
+// checksummedRaw builds a raw rotation frame — sequence 0, array "w",
+// range [0, 1) along dim 0 — claiming dims and carrying count zero
+// values, with a valid CRC32C trailer: only the bounds checks can refuse
+// it.
+func checksummedRaw(count uint64, dims ...uint64) []byte {
+	body := append(uv(uv(nil, 0), 1), 'w')
+	body = uv(uv(uv(uv(body, 0), 0), 1), uint64(len(dims)))
+	for _, d := range dims {
+		body = uv(body, d)
+	}
+	body = append(uv(body, count), make([]byte, 8*count)...)
+	return binary.LittleEndian.AppendUint32(append([]byte{tagRaw}, body...), crc32.Checksum(body, castagnoli))
+}
+
+// shortDenseRotation is a gob rotation frame whose partition blob
+// declares a dense 4x4 array and carries 3 values: a ring neighbour's
+// sparse-path MsgRotate. The blob is gob-encoded from a mirror of dsm's
+// wire form, which gob matches by field name.
+func shortDenseRotation(t testing.TB) []byte {
+	type wireArray struct {
+		Name  string
+		Dims  []int64
+		Dense []float64
+	}
+	type wirePartition struct {
+		Array  string
+		Dim    int
+		Lo, Hi int64
+		Local  wireArray
+	}
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(wirePartition{Array: "w", Hi: 4,
+		Local: wireArray{Name: "w", Dims: []int64{4, 4}, Dense: []float64{1, 2, 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	return captureFrames(func(c *codec) {
+		if err := c.send(&Msg{Kind: MsgRotate, Array: "w", PartBlob: blob.Bytes()}); err != nil {
+			t.Error(err)
+		}
+	})[0]
 }
 
 // TestHostileGobLengthClaimAllocatesLazily: a forged gob header
@@ -370,6 +430,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(corrupt)
 	f.Add(uv(uv([]byte{tagRaw}, 0), 1<<20))
 	f.Add(append([]byte{tagGob}, bytes.Repeat([]byte{0x80}, 11)...))
+	f.Add(checksummedRaw(0, 1<<33, 1<<33))
+	f.Add(shortDenseRotation(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -381,6 +443,17 @@ func FuzzDecodeFrame(f *testing.F) {
 			m.reset()
 			if err := c.recvInto(&m); err != nil {
 				break
+			}
+			// A partition the frame carries is whole once it decodes: its
+			// last element is readable.
+			if m.Kind == MsgRotate {
+				if p, err := partitionFromMsg(&m); err == nil {
+					last := slices.Clone(p.Local.Dims())
+					for d := range last {
+						last[d]--
+					}
+					p.Local.At(last...)
+				}
 			}
 			if m.Raw && m.Values != nil {
 				bufpool.PutF64(m.Values)

@@ -20,11 +20,11 @@ import (
 // ordinary kernel errors.
 var ErrWorkerLost = errors.New("worker lost")
 
-// defaultHeartbeatMs is the ping interval shipped to executors in the
-// setup message. Pings are always sent (one tiny message per
-// executor per interval); the master only *checks* staleness when
-// SetHeartbeat arms a timeout.
-const defaultHeartbeatMs = 500
+// pingInterval is how often an executor pings its master (MsgPing)
+// unless SetPingInterval overrides it. Pings are always sent (one tiny
+// message per executor per interval); the master only *checks*
+// staleness when SetHeartbeat arms a timeout.
+const pingInterval = 500 * time.Millisecond
 
 // masterChans is one fleet generation's response channels. Recovery
 // re-forms the fleet with a fresh set, so connection handlers of a
@@ -162,7 +162,7 @@ func (m *Master) SetClockHook(fn func(clock int64)) { m.clockHook = fn }
 // SetHeartbeat arms staleness detection: a worker silent for longer
 // than timeout while the master waits at a step barrier is treated as
 // lost. Zero disables the check (the default); executors ping every
-// defaultHeartbeatMs regardless.
+// pingInterval regardless.
 func (m *Master) SetHeartbeat(timeout time.Duration) { m.hbTimeout = timeout }
 
 // WaitForExecutors accepts all n executor registrations, distributes
@@ -205,7 +205,7 @@ func (m *Master) WaitForExecutors() error {
 	}
 	m.peers = peers
 	for id, c := range m.conns {
-		if err := c.send(&Msg{Kind: MsgSetup, ExecutorID: id, Peers: peers, NumExecs: n, HeartbeatMs: defaultHeartbeatMs, Trace: obs.Tracing()}); err != nil {
+		if err := c.send(&Msg{Kind: MsgSetup, ExecutorID: id, Peers: peers, Trace: obs.Tracing()}); err != nil {
 			return err
 		}
 		go m.handleConn(id, c, m.ch, m.lastSeen[id])

@@ -95,13 +95,9 @@ type Msg struct {
 	// Hello / Setup. A hello with ExecutorID -1 asks the master to
 	// assign a free id (reported back in the setup message — used by
 	// rejoining workers after a recovery re-forms the fleet).
-	// HeartbeatMs, when non-zero, tells the executor to send MsgPing
-	// every that many milliseconds.
-	ExecutorID  int
-	PeerAddr    string
-	Peers       []string // indexed by executor id
-	NumExecs    int
-	HeartbeatMs int
+	ExecutorID int
+	PeerAddr   string
+	Peers      []string // indexed by executor id
 
 	// Array payloads: a gob-encoded dsm.Partition (partition blob) or
 	// raw samples.
@@ -157,9 +153,7 @@ type Msg struct {
 	// (binary internal/plan encoding — carries the strategy, the
 	// materialized partitions, and the synthesized prefetch spec, so
 	// executors re-derive nothing), the declared arrays/buffers,
-	// captured driver globals, and accumulator names. Backend selects
-	// the loop execution backend: "" (bytecode VM with interpreter
-	// fallback), "vm" (fallback is an error), or "interp".
+	// captured driver globals, and accumulator names.
 	LoopSrc     string
 	PlanBlob    []byte
 	ArrayDims   map[string][]int64
@@ -167,7 +161,6 @@ type Msg struct {
 	GlobalNames []string
 	GlobalVals  []float64
 	AccumNames  []string
-	Backend     string
 
 	// Errors. Lost marks an executor-reported error caused by a broken
 	// connection (ring neighbor or shard owner unreachable) rather than
@@ -253,10 +246,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // concurrent sessions in one process can only widen each other's bound.
 var rawElemCap atomic.Int64
 
-// RaiseFrameElemCap widens the raw-frame element cap to at least n
+// raiseFrameElemCap widens the raw-frame element cap to at least n
 // (clamped to the hard ceiling). The cap is monotonic: lowering it
 // would race between sessions sharing the process.
-func RaiseFrameElemCap(n int64) {
+func raiseFrameElemCap(n int64) {
 	if n > hardRawElemCap {
 		n = hardRawElemCap
 	}
@@ -294,7 +287,7 @@ func raiseElemCapFromDims(dims map[string][]int64) {
 			}
 			n *= d
 		}
-		RaiseFrameElemCap(n)
+		raiseFrameElemCap(n)
 	}
 }
 
@@ -748,8 +741,8 @@ func (c *codec) readRawRotation(m *Msg) error {
 	if err != nil {
 		return c.corruptOrIO(err)
 	}
-	if ndims > maxRawDims {
-		return c.condemn(fmt.Sprintf("raw rotation frame: rank %d exceeds the %d cap", ndims, maxRawDims))
+	if ndims == 0 || ndims > maxRawDims {
+		return c.condemn(fmt.Sprintf("raw rotation frame: rank %d outside 1..%d", ndims, maxRawDims))
 	}
 	extent := uint64(1)
 	m.PartDims = m.PartDims[:0]
@@ -758,8 +751,10 @@ func (c *codec) readRawRotation(m *Msg) error {
 		if err != nil {
 			return c.corruptOrIO(err)
 		}
-		if d > hardRawElemCap || extent > hardRawElemCap {
-			return c.condemn(fmt.Sprintf("raw rotation frame: dimension extent overflow (%d x %d)", extent, d))
+		// Every extent is positive, as a DistArray's are, and extent * d
+		// stays within the hard cap, so the product cannot wrap.
+		if d == 0 || d > hardRawElemCap || extent > hardRawElemCap/d {
+			return c.condemn(fmt.Sprintf("raw rotation frame: dimension extent %d x %d outside 1..%d", extent, d, uint64(hardRawElemCap)))
 		}
 		m.PartDims = append(m.PartDims, int64(d))
 		extent *= d

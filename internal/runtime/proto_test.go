@@ -18,7 +18,7 @@ func TestMsgReset(t *testing.T) {
 		PartBlob: []byte{1, 2},
 		Offsets:  []int64{1, 2, 3},
 		Values:   []float64{4, 5, 6},
-		Backend:  "vm",
+		LoopSrc:  "for",
 		Err:      "boom",
 		Raw:      true,
 		PartDim:  1,
@@ -33,7 +33,7 @@ func TestMsgReset(t *testing.T) {
 	val0 := &m.Values[0]
 	dim0 := &m.PartDims[0]
 	m.reset()
-	if m.Kind != 0 || m.Array != "" || m.PartBlob != nil || m.Backend != "" || m.Err != "" || m.ArrayDims != nil {
+	if m.Kind != 0 || m.Array != "" || m.PartBlob != nil || m.LoopSrc != "" || m.Err != "" || m.ArrayDims != nil {
 		t.Fatalf("reset left fields set: %+v", m)
 	}
 	if m.Raw || m.PartDim != 0 || m.PartLo != 0 || m.PartHi != 0 {

@@ -246,7 +246,7 @@ collect:
 		})
 	}
 	for id, c := range m.conns {
-		if err := c.send(&Msg{Kind: MsgSetup, ExecutorID: id, Peers: m.peers, NumExecs: n, HeartbeatMs: defaultHeartbeatMs, Trace: obs.Tracing()}); err != nil {
+		if err := c.send(&Msg{Kind: MsgSetup, ExecutorID: id, Peers: m.peers, Trace: obs.Tracing()}); err != nil {
 			return 0, fmt.Errorf("runtime: recovery setup to executor %d: %w", id, err)
 		}
 		go m.handleConn(id, c, m.ch, m.lastSeen[id])
