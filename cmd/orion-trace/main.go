@@ -200,7 +200,7 @@ func printReconfigurations(events []obs.FlightEvent) {
 	var recon []obs.FlightEvent
 	for _, ev := range events {
 		switch ev.Kind {
-		case "plan.recut", "fleet.grow", "fleet.shrink", "ckpt.restore":
+		case obs.FlightPlanRecut, obs.FlightFleetGrow, obs.FlightFleetShrink, obs.FlightCkptRestore:
 			recon = append(recon, ev)
 		}
 	}

@@ -234,13 +234,6 @@ func checkline(ok bool, what string) string {
 	return fmt.Sprintf("[%s] %s\n", mark, what)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // mustKind runs the planner on a loop spec, returning
 // NotParallelizable on error.
 func mustKind(spec *ir.LoopSpec) sched.Kind {

@@ -11,28 +11,34 @@ import (
 	"orion/internal/sched"
 )
 
-// BuildArtifact materializes the check run's plan as a serializable
-// artifact for the given worker count. Static vetting has no data to
-// balance on, so the iteration partitions are equal-width; the driver
-// re-balances from real histograms at run time (WeightsDigest is empty,
-// which always triggers re-balancing). The artifact carries the
-// canonical loop source and a synthesized prefetch spec when the loop
-// reads served arrays.
+// BuildArtifact materializes, for the given worker count, the plan the
+// loop executes under — an ordered program's places down the wavefront
+// what the static plan rotates, over finer time cuts
+// (sched.Plan.ForOrdered, TimeParts) — as a serializable artifact.
+// Static vetting has no data to balance on, so the iteration partitions
+// are equal-width; the driver re-cuts them from real histograms
+// (plan.Artifact.Recut). The artifact carries the canonical loop source
+// and a synthesized prefetch spec when the loop reads served arrays.
 func (r *Result) BuildArtifact(workers int) (*plan.Artifact, error) {
 	if r.Spec == nil || r.Plan == nil {
 		return nil, fmt.Errorf("check: the run produced no plan (fix the reported errors first)")
 	}
+	pl := r.Plan
+	if r.env != nil && r.env.Ordered {
+		pl = pl.ForOrdered()
+	}
 	in := plan.Inputs{
-		Spec:    r.Spec,
-		Deps:    r.Deps(),
-		Plan:    r.Plan,
-		Opts:    r.schedOpts,
-		Workers: workers,
-		Guard:   r.Guard,
+		Spec:      r.Spec,
+		Deps:      r.Deps(),
+		Plan:      pl,
+		Opts:      r.schedOpts,
+		Workers:   workers,
+		TimeParts: pl.TimeParts(workers),
+		Guard:     r.Guard,
 	}
 	if r.Loop != nil {
 		in.LoopSrc = r.Loop.String()
-		if targets := servedReads(r.Spec, r.Plan); len(targets) > 0 && r.env != nil {
+		if targets := servedReads(r.Spec, pl); len(targets) > 0 && r.env != nil {
 			sliced, _, err := lang.PrefetchSlice(r.Loop, r.env, targets...)
 			if err == nil && len(sliced.Body) > 0 {
 				in.Prefetch = &plan.Prefetch{Src: sliced.String(), Arrays: targets}
@@ -42,8 +48,8 @@ func (r *Result) BuildArtifact(workers int) (*plan.Artifact, error) {
 	return plan.Build(in)
 }
 
-// servedReads lists the served arrays the loop reads (prefetch
-// targets), mirroring the driver's synthesis rule.
+// servedReads lists the served arrays the loop reads: the prefetch
+// targets.
 func servedReads(spec *ir.LoopSpec, pl *sched.Plan) []string {
 	served := map[string]bool{}
 	for _, ap := range pl.Arrays {

@@ -49,9 +49,9 @@ func (s *Session) AdaptTrail() []AdaptDecision {
 // Grow arms an elastic fleet grow: at the next interior loop boundary
 // the session quiesces, folds accumulator state down to the driver,
 // re-forms the fleet at m workers — local sessions spawn the larger
-// complement; TCP sessions re-listen and admit both rejoining
-// survivors and brand-new workers (orion-worker -rejoin dials the same
-// master address) — and resumes with partitions re-cut onto the
+// complement; TCP sessions admit both rejoining survivors and
+// brand-new workers (orion-worker -rejoin dials the same master
+// address) — and resumes with partitions re-cut onto the
 // enlarged fleet. m below the current size is rejected (that's a
 // planned shrink — see Shrink); m equal to the current size is a
 // rolling re-form, exercising the full admission path.
@@ -70,8 +70,8 @@ func (s *Session) Grow(m int) error {
 // trigger beside recovery, adaptation, and grow: at the next
 // ParallelFor's entry the session folds accumulator contributions down
 // to the driver, re-forms the fleet at m workers (local sessions spawn
-// the smaller complement; TCP fleets re-listen and admit m rejoining
-// survivors), and re-cuts the plan artifact onto the survivors from
+// the smaller complement; TCP fleets admit m rejoining survivors),
+// and re-cuts the plan artifact onto the survivors from
 // the raw iteration weights — exactly the cuts a fresh m-worker
 // compile materializes, so the shrunken run's placement (and result,
 // bitwise) matches a static m-worker run. Unlike the recovery path's
@@ -137,7 +137,7 @@ func (s *Session) recut(e *compiledLoop, kernel string, delta *obs.LoopReport, a
 	obs.GetCounter("plan.repartition").Inc()
 	obs.GetHistogram("plan.recut_ns").Observe(time.Since(recutStart).Nanoseconds())
 	obs.Flight().Record(obs.FlightEvent{
-		Kind: "plan.recut", Clock: s.master.Clock(),
+		Kind: obs.FlightPlanRecut, Clock: s.master.Clock(),
 		Loop: kernel, Pass: at.pass, Step: at.step, Worker: res.Straggler,
 		Detail: fmt.Sprintf("skew %.2fx at boundary; recut %d space cuts", res.SkewIndex, len(art.Space.Cuts)),
 	})

@@ -27,7 +27,7 @@ func identityProfile(n int) func(string, *obs.LoopReport) *analyze.WeightProfile
 
 // flightKinds counts flight-recorder events of one kind for one loop
 // ("" matches any loop).
-func flightKinds(kind, loop string) int {
+func flightKinds(kind obs.FlightKind, loop string) int {
 	n := 0
 	for _, ev := range obs.Flight().Events() {
 		if ev.Kind == kind && (loop == "" || ev.Loop == loop) {
@@ -287,7 +287,7 @@ func TestChaosGrowMFBitwiseInProc(t *testing.T) {
 }
 
 // TestChaosGrowReformLDABitwiseInProc exercises the full grow
-// machinery — quiesce, accumulator fold, fleet teardown, re-listen,
+// machinery — quiesce, accumulator fold, fleet teardown, admission,
 // respawn, redistribution — at the same fleet size (Grow(n) is a
 // rolling re-form). LDA's rand()-drawing kernel is the sharpest
 // detector: the re-formed fleet's executors must reproduce the exact

@@ -42,9 +42,8 @@ import (
 
 // Session is one driver program's connection to an Orion cluster.
 type Session struct {
-	transport runtime.Transport
-	master    *runtime.Master
-	execDone  []<-chan error
+	master   *runtime.Master
+	execDone []<-chan error
 
 	n       int
 	env     *lang.Env
@@ -120,19 +119,14 @@ func NewLocalSession(n int) (*Session, error) {
 // (each executor resolves its own port). Worker-loss recovery respawns
 // executors through the same transport.
 func NewLocalSessionOver(tr runtime.Transport, masterAddr, peerAddr string, n int) (*Session, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("driver: need at least one executor")
-	}
-	dslkernel.Install()
 	id := sessionSeq.Add(1)
 	if masterAddr == "" {
 		masterAddr = fmt.Sprintf("session-%d-master", id)
 	}
-	m, err := runtime.Listen(tr, masterAddr, n)
+	s, err := newSession(tr, masterAddr, n)
 	if err != nil {
 		return nil, err
 	}
-	s := newSession(tr, m, n)
 	s.spawnExec = func(i int) (<-chan error, error) {
 		pa := peerAddr
 		if pa == "" {
@@ -144,7 +138,7 @@ func NewLocalSessionOver(tr runtime.Transport, masterAddr, peerAddr string, n in
 		}
 		return e.Start(), nil
 	}
-	if err := s.bringUp(n); err != nil {
+	if err := s.rebuildFleet(n); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -155,15 +149,7 @@ func NewLocalSessionOver(tr runtime.Transport, masterAddr, peerAddr string, n in
 // per-application code. Read Addr for the bound address (useful with
 // ":0"), start the workers, then call WaitForWorkers.
 func NewTCPSession(addr string, n int) (*Session, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("driver: need at least one executor")
-	}
-	dslkernel.Install()
-	m, err := runtime.Listen(runtime.TCP{}, addr, n)
-	if err != nil {
-		return nil, err
-	}
-	return newSession(runtime.TCP{}, m, n), nil
+	return newSession(runtime.TCP{}, addr, n)
 }
 
 // WaitForWorkers blocks until all executors have registered (TCP
@@ -173,9 +159,18 @@ func (s *Session) WaitForWorkers() error { return s.master.WaitForExecutors() }
 // Addr returns the master's bound listen address (useful with ":0").
 func (s *Session) Addr() string { return s.master.Addr() }
 
-func newSession(tr runtime.Transport, m *runtime.Master, n int) *Session {
+// newSession starts a session whose master listens on addr over tr for
+// a fleet of n.
+func newSession(tr runtime.Transport, addr string, n int) (*Session, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("driver: need at least one executor")
+	}
+	dslkernel.Install()
+	m, err := runtime.Listen(tr, addr, n)
+	if err != nil {
+		return nil, err
+	}
 	s := &Session{
-		transport:   tr,
 		master:      m,
 		n:           n,
 		env:         &lang.Env{Arrays: map[string][]int64{}, Buffers: map[string]string{}},
@@ -190,7 +185,7 @@ func newSession(tr runtime.Transport, m *runtime.Master, n int) *Session {
 	// The /report metrics endpoint serves whatever the newest session
 	// has accumulated.
 	obs.SetReportSource(s.AllReports)
-	return s
+	return s, nil
 }
 
 // SetCheckpointDir enables coordinated checkpointing: every qualifying
@@ -384,7 +379,7 @@ func (s *Session) ParallelFor(src string, options ...Option) (*sched.Plan, error
 				fmt.Sprintf("set the guard variables so that %s holds to run this loop in parallel", e.guard),
 				"runtime guard %s failed (%s): loop %q demoted to a serial driver-side pass", e.guard, why, e.spec.Name))
 			s.lastDiags.Sort()
-			s.event("guard.demoted", e.spec.Name, fmt.Sprintf("guard %s failed: %s", e.guard, why))
+			s.event(obs.FlightGuardDemoted, e.spec.Name, fmt.Sprintf("guard %s failed: %s", e.guard, why))
 			return e.plan, s.runDemoted(e, o.passes)
 		}
 	}
@@ -438,8 +433,10 @@ func (s *Session) Close() {
 }
 
 // Checkpoint writes the named DistArrays (all of the session's arrays
-// when names is empty) to dir — the paper's per-N-passes fault
-// tolerance pattern.
+// when names is empty) to dir as one committed checkpoint at the
+// current clock, replacing any there at that clock — the paper's
+// per-N-passes fault tolerance pattern, in the manifest format
+// coordinated checkpoints use.
 func (s *Session) Checkpoint(dir string, names ...string) error {
 	if len(names) == 0 {
 		for name := range s.arrays {
@@ -454,21 +451,35 @@ func (s *Session) Checkpoint(dir string, names ...string) error {
 		}
 		arrs = append(arrs, a)
 	}
-	return dsm.CheckpointDir(dir, arrs...)
+	_, err := dsm.WriteCheckpoint(dir, &dsm.Manifest{Clock: s.master.Clock(), Workers: s.n}, arrs, 0)
+	return err
 }
 
-// Restore replaces the session's copies of the named arrays with their
-// checkpoints from dir.
+// Restore replaces the session's copies of the named arrays (of every
+// array it holds, when names is empty) with those of the newest
+// checkpoint in dir.
 func (s *Session) Restore(dir string, names ...string) error {
-	restored, err := dsm.RestoreDir(dir, names...)
+	mans, err := dsm.ListCheckpoints(dir)
 	if err != nil {
 		return err
 	}
-	for name, a := range restored {
-		if _, ok := s.env.Arrays[name]; !ok {
-			return fmt.Errorf("driver: restoring undeclared array %q", name)
+	if len(mans) == 0 {
+		return fmt.Errorf("driver: no checkpoint in %s", dir)
+	}
+	restored, err := dsm.RestoreCheckpoint(dir, mans[0])
+	if err != nil {
+		return err
+	}
+	if len(names) == 0 {
+		names = mans[0].Arrays
+	}
+	for _, name := range names {
+		if _, ok := s.env.Arrays[name]; !ok || restored[name] == nil {
+			return fmt.Errorf("driver: the checkpoint in %s holds no declared array %q", dir, name)
 		}
-		s.RegisterArray(a)
+	}
+	for _, name := range names {
+		s.RegisterArray(restored[name])
 	}
 	return nil
 }

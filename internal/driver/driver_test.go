@@ -256,6 +256,12 @@ func TestDriverCheckpointRestore(t *testing.T) {
 	if err := sess.Checkpoint(dir, "nope"); err == nil {
 		t.Fatal("checkpoint of unknown array must fail")
 	}
+	if err := sess.Restore(dir, "W", "nope"); err == nil {
+		t.Fatal("restore of an array the checkpoint lacks must fail")
+	}
+	if err := sess.Restore(t.TempDir()); err == nil {
+		t.Fatal("restore from a directory without a checkpoint must fail")
+	}
 }
 
 func TestDriverMissingGlobalIsCaught(t *testing.T) {

@@ -125,25 +125,6 @@ func (s *Session) defineLoopAs(e *compiledLoop, name string) error {
 	// dslkernel.Compile will reach — as an Info diagnostic.
 	s.lastDiags.Add(diag.Infof(diag.CodeBackend, diag.Pos{}, "",
 		"loop %s executes on the %s backend", name, e.art.Backend))
-	s.event("backend.select", name, e.art.Backend)
+	s.event(obs.FlightBackend, name, e.art.Backend)
 	return s.master.DefineLoop(def)
-}
-
-func servedReadTargets(spec *ir.LoopSpec, pl *sched.Plan) []string {
-	served := map[string]bool{}
-	for _, ap := range pl.Arrays {
-		if ap.Place == sched.Served {
-			served[ap.Array] = true
-		}
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range spec.Refs {
-		if r.IsWrite || r.Array == spec.IterSpaceArray || seen[r.Array] || !served[r.Array] {
-			continue
-		}
-		seen[r.Array] = true
-		out = append(out, r.Array)
-	}
-	return out
 }

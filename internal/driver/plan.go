@@ -76,7 +76,7 @@ func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 	key := s.planKey(src, ordered)
 	if e, ok := s.planMem[key]; ok {
 		obs.GetCounter("driver.plan_reuse").Inc()
-		s.event("plan.cache.hit", e.spec.Name, "session memo")
+		s.event(obs.FlightPlanCacheHit, e.spec.Name, "session memo")
 		s.lastDiags = append(diag.List(nil), e.diags...)
 		return e, e.diags.Err()
 	}
@@ -84,14 +84,14 @@ func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 	if e == nil {
 		return nil, err
 	}
-	s.event("plan.cache.miss", e.spec.Name, "compiled")
+	s.event(obs.FlightPlanCacheMiss, e.spec.Name, "compiled")
 	s.planMem[key] = e
 	return e, err
 }
 
 // event logs one driver-side decision about a loop (a plan-cache
 // outcome, a backend, a ship, a fetch) at the current clock.
-func (s *Session) event(kind, loop, detail string) {
+func (s *Session) event(kind obs.FlightKind, loop, detail string) {
 	obs.Flight().Record(obs.FlightEvent{
 		Kind: kind, Clock: s.master.Clock(),
 		Loop: loop, Pass: -1, Step: -1, Worker: -1,
@@ -122,26 +122,18 @@ func (s *Session) compile(src string, ordered bool) (*compiledLoop, error) {
 		guard:    res.Guard,
 	}
 
-	in := plan.Inputs{
-		Spec:      e.spec,
-		Deps:      e.deps,
-		Plan:      e.plan,
-		Opts:      s.schedOptions(),
-		Workers:   s.n,
-		TimeParts: e.plan.TimeParts(s.n),
-		LoopSrc:   e.loop.String(),
-		Prefetch:  s.prefetchSpec(e),
-		Guard:     res.Guard,
-	}
-	// Partition weights come from the session's current data; the
-	// artifact records their digest so execution can detect drift and
-	// re-balance (plan.repartition).
+	// The artifact is the one orion-plan builds for the program, its
+	// partitions cut from the session's current data; it records their
+	// digest so execution can detect drift and re-balance
+	// (plan.repartition).
+	art, aerr := res.BuildArtifact(s.n)
 	switch e.plan.Kind {
 	case sched.Independent, sched.OneD, sched.TwoD:
-		space := s.iterSpaceOf(e)
-		in.SpaceWeights, in.TimeWeights, in.WeightsDigest = space.spaceW, space.timeW, space.digest
+		if aerr == nil {
+			space := s.iterSpaceOf(e)
+			art, aerr = art.Recut(space.spaceW, space.timeW, s.n, e.plan.TimeParts(s.n), space.digest)
+		}
 	}
-	art, aerr := plan.Build(in)
 	if aerr != nil {
 		return nil, fmt.Errorf("driver: materializing plan artifact: %w", aerr)
 	}
@@ -157,21 +149,6 @@ func placementFor(pl *sched.Plan, ordered bool) *sched.Plan {
 		return pl.ForOrdered()
 	}
 	return pl
-}
-
-// prefetchSpec synthesizes the bulk-prefetch slice (Section 4.4) for
-// the arrays the loop will actually read through the parameter-server
-// path: the served arrays of the plan it executes under.
-func (s *Session) prefetchSpec(e *compiledLoop) *plan.Prefetch {
-	targets := servedReadTargets(e.spec, e.plan)
-	if len(targets) == 0 {
-		return nil
-	}
-	sliced, _, err := lang.PrefetchSlice(e.loop, s.env, targets...)
-	if err != nil || len(sliced.Body) == 0 {
-		return nil
-	}
-	return &plan.Prefetch{Src: sliced.String(), Arrays: targets}
 }
 
 // schedOptions builds the planning options this session vets and

@@ -159,7 +159,7 @@ func (s *Session) resize(e *compiledLoop, kernel string, want int, at resumePos)
 	if err := s.rebuildFleet(want); err != nil {
 		return err
 	}
-	kind, detail := "fleet.grow", fmt.Sprintf("%d -> %d workers", oldN, s.n)
+	kind, detail := obs.FlightFleetGrow, fmt.Sprintf("%d -> %d workers", oldN, s.n)
 	if want < oldN {
 		if !e.art.Space.IsZero() {
 			space := s.iterSpaceOf(e)
@@ -170,7 +170,7 @@ func (s *Session) resize(e *compiledLoop, kernel string, want int, at resumePos)
 			e.art = art
 			obs.GetCounter("plan.repartition").Inc()
 		}
-		kind, detail = "fleet.shrink", fmt.Sprintf("planned: %d -> %d workers", oldN, s.n)
+		kind, detail = obs.FlightFleetShrink, fmt.Sprintf("planned: %d -> %d workers", oldN, s.n)
 	}
 	obs.Flight().Record(obs.FlightEvent{
 		Kind: kind, Clock: s.master.Clock(),
@@ -208,7 +208,7 @@ func (s *Session) recover(e *compiledLoop, kernel string, rc *reconfigState, cau
 	if restored {
 		rc.floor, rc.floorWorkers = pos, s.n
 		obs.Flight().Record(obs.FlightEvent{
-			Kind: "ckpt.restore", Clock: s.master.Clock(),
+			Kind: obs.FlightCkptRestore, Clock: s.master.Clock(),
 			Loop: kernel, Pass: pos.pass, Step: pos.step, Worker: -1,
 		})
 	} else if rc.floor.step != 0 && s.n != rc.floorWorkers {
@@ -221,37 +221,21 @@ func (s *Session) recover(e *compiledLoop, kernel string, rc *reconfigState, cau
 	return rc.floor, nil
 }
 
-// rebuildFleet tears the current fleet down and brings a fresh
-// generation of `want` executors up. Local sessions drain the old
-// executors (they unwind when the master connection drops) and spawn
-// the full target complement; TCP sessions re-listen and admit
-// reconnecting (or brand-new, for a grow) workers, proceeding on the
-// survivors if the fleet is allowed to shrink (SetRejoin) — except
-// that a grow never finishes below the size it started from.
+// rebuildFleet tears the current fleet down (there is none yet when a
+// local session starts) and forms a fresh generation of want executors
+// with Master.Reform. A local session drains the old executors — they
+// unwind when the master connection drops — and spawns the full target
+// complement alongside; a TCP session waits for reconnecting (or
+// brand-new, for a grow) workers, proceeding on the survivors if the
+// fleet is allowed to shrink (SetRejoin) — except that a grow never
+// finishes below the size it started from.
 func (s *Session) rebuildFleet(want int) error {
 	s.master.Abort()
 	s.generation.Add(1)
-	if s.spawnExec != nil {
-		for _, d := range s.execDone {
-			<-d
-		}
-		s.execDone = nil
-		if err := s.master.Relisten(want); err != nil {
-			return err
-		}
-		if err := s.bringUp(want); err != nil {
-			return err
-		}
-		s.n = want
-		for i := 0; i < want; i++ {
-			obs.Flight().Record(obs.FlightEvent{
-				Kind: "worker.rejoin", Clock: s.master.Clock(),
-				Pass: -1, Step: -1, Worker: i,
-				Detail: "respawned",
-			})
-		}
-		return nil
+	for _, d := range s.execDone {
+		<-d
 	}
+	s.execDone = nil
 	minW := s.minWorkers
 	if minW <= 0 || minW > want {
 		minW = want
@@ -260,27 +244,27 @@ func (s *Session) rebuildFleet(want int) error {
 		// An elastic grow falls back to the old size, never below it.
 		minW = s.n
 	}
+	spawned := make(chan error, 1)
+	go func() {
+		for i := 0; s.spawnExec != nil && i < want; i++ {
+			done, err := s.spawnExec(i)
+			if err != nil {
+				spawned <- err
+				return
+			}
+			s.execDone = append(s.execDone, done)
+		}
+		spawned <- nil
+	}()
 	n, err := s.master.Reform(want, minW, s.rejoinWait)
+	if serr := <-spawned; serr != nil {
+		return serr
+	}
 	if err != nil {
 		return err
 	}
 	s.n = n
 	return nil
-}
-
-// bringUp spawns want in-process executors against the listening master
-// and returns once all of them have registered.
-func (s *Session) bringUp(want int) error {
-	ready := make(chan error, 1)
-	go func() { ready <- s.master.WaitForExecutors() }()
-	for i := 0; i < want; i++ {
-		done, err := s.spawnExec(i)
-		if err != nil {
-			return err
-		}
-		s.execDone = append(s.execDone, done)
-	}
-	return <-ready
 }
 
 // restoreLatest loads the newest checkpoint usable for this loop on

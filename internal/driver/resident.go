@@ -87,8 +87,10 @@ func (s *Session) iterSpaceOf(e *compiledLoop) *resident {
 // runs, after a fetch when only the fleet's copy was current.
 func (s *Session) hold(e *compiledLoop, r *resident, key sched.ArrayPlan, cuts []int64, ship func() error) error {
 	what, rekeyed := "array", "rekeyed"
+	shipped, reused := obs.FlightArrayShip, obs.FlightArrayReuse
 	if key.Array == "" {
 		what, rekeyed = "iterspace", "recut"
+		shipped, reused = obs.FlightIterShip, obs.FlightIterReuse
 	}
 	epoch, reason := s.master.ArrayEpoch(key.Array), r.stale
 	switch {
@@ -100,9 +102,9 @@ func (s *Session) hold(e *compiledLoop, r *resident, key sched.ArrayPlan, cuts [
 	case r.key != key || !slices.Equal(r.cuts, cuts):
 		reason = rekeyed
 	}
-	verb := "reuse"
+	verb, kind := "reuse", reused
 	if reason != "" {
-		verb = "ship"
+		verb, kind = "ship", shipped
 		if err := s.fetch(reason, key.Array); err != nil {
 			return err
 		}
@@ -113,7 +115,7 @@ func (s *Session) hold(e *compiledLoop, r *resident, key sched.ArrayPlan, cuts [
 		r.epoch, r.generation = s.master.ArrayEpoch(key.Array), s.generation.Load()
 	}
 	obs.GetCounter("driver." + what + "_" + verb).Inc()
-	s.event(what+"."+verb, e.spec.Name, strings.TrimSpace(key.Array+" "+reason))
+	s.event(kind, e.spec.Name, strings.TrimSpace(key.Array+" "+reason))
 	return nil
 }
 
@@ -199,7 +201,7 @@ func (s *Session) fetch(reason string, names ...string) error {
 		}
 		s.arrays[name], r.stamp, r.dirty = a, a.Stamp(), false
 		obs.GetCounter("driver.array_fetch").Inc()
-		s.event("array.fetch", "", name+" "+reason)
+		s.event(obs.FlightArrayFetch, "", name+" "+reason)
 	}
 	return nil
 }

@@ -55,7 +55,7 @@ type residentStep struct {
 func arrayDecisions() []string {
 	var out []string
 	for _, ev := range obs.Flight().Events() {
-		if verb, ok := strings.CutPrefix(ev.Kind, "array."); ok {
+		if verb, ok := strings.CutPrefix(string(ev.Kind), "array."); ok {
 			out = append(out, verb+":"+ev.Detail)
 		}
 	}

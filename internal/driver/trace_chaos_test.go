@@ -112,7 +112,7 @@ func countSpans(evs []obs.TraceEvent, name string) int {
 	return n
 }
 
-func firstKind(evs []obs.FlightEvent, kind string) *obs.FlightEvent {
+func firstKind(evs []obs.FlightEvent, kind obs.FlightKind) *obs.FlightEvent {
 	for i := range evs {
 		if evs[i].Kind == kind {
 			return &evs[i]

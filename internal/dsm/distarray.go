@@ -42,21 +42,23 @@ func NewDense(name string, dims ...int64) *DistArray {
 	return a
 }
 
-// NewDenseFrom creates a dense DistArray adopting data as its backing
-// storage (no copy); len(data) must equal the extent product. The
-// transport uses it to build rotated partitions directly over pooled
-// buffers.
-func NewDenseFrom(name string, data []float64, dims ...int64) *DistArray {
-	a := newArray(name, dims)
-	total := int64(1)
-	for _, d := range dims {
-		total *= d
-	}
-	if int64(len(data)) != total {
+// NewDenseFrom builds the dense partition [lo, hi) along dim of array
+// name over data, adopting data as the storage (no copy) of its local
+// array of extents dims; len(data) must equal their product. The
+// transport decodes rotated partitions straight into pooled buffers with
+// it, so the partition and its local array share one allocation.
+func NewDenseFrom(name string, data []float64, dim int, lo, hi int64, dims ...int64) *Partition {
+	both := &struct {
+		p Partition
+		a DistArray
+	}{}
+	both.a.shape(name, dims)
+	if total := both.a.stride[len(dims)-1] * dims[len(dims)-1]; int64(len(data)) != total {
 		panic(fmt.Sprintf("dsm: %s: %d elements for extent product %d", name, len(data), total))
 	}
-	a.dense = data
-	return a
+	both.a.dense = data
+	both.p = Partition{Array: name, Dim: dim, Lo: lo, Hi: hi, Local: &both.a}
+	return &both.p
 }
 
 // NewSparse creates a sparse DistArray of the given extents.
@@ -67,6 +69,14 @@ func NewSparse(name string, dims ...int64) *DistArray {
 }
 
 func newArray(name string, dims []int64) *DistArray {
+	a := &DistArray{}
+	a.shape(name, dims)
+	return a
+}
+
+// shape names a and gives it the extents dims, whose copy and strides
+// share one allocation.
+func (a *DistArray) shape(name string, dims []int64) {
 	if len(dims) == 0 {
 		panic("dsm: array must have at least one dimension")
 	}
@@ -75,13 +85,14 @@ func newArray(name string, dims []int64) *DistArray {
 			panic(fmt.Sprintf("dsm: non-positive extent %d", d))
 		}
 	}
-	a := &DistArray{name: name, dims: append([]int64(nil), dims...)}
-	a.stride = make([]int64, len(dims))
+	n := len(dims)
+	both := make([]int64, 2*n)
+	a.name, a.dims, a.stride = name, both[:n:n], both[n:]
+	copy(a.dims, dims)
 	a.stride[0] = 1
-	for i := 1; i < len(dims); i++ {
+	for i := 1; i < n; i++ {
 		a.stride[i] = a.stride[i-1] * dims[i-1]
 	}
-	return a
 }
 
 // Name returns the array's name.

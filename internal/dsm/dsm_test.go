@@ -573,10 +573,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	a.SetAt(1.5, 2, 3)
 	b := NewSparse("Z", 10, 10)
 	b.SetAt(-2, 9, 0)
-	if err := CheckpointDir(dir, a, b); err != nil {
+	man := &Manifest{Clock: 1}
+	if _, err := WriteCheckpoint(dir, man, []*DistArray{a, b}, 0); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreDir(dir, "W", "Z")
+	restored, err := RestoreCheckpoint(dir, man)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +587,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !restored["W"].IsDense() || restored["Z"].IsDense() {
 		t.Fatal("density not preserved")
 	}
-	if _, err := RestoreDir(dir, "missing"); err == nil {
+	if _, err := RestoreCheckpoint(dir, &Manifest{Clock: 2, Arrays: []string{"W"}}); err == nil {
 		t.Fatal("restoring a missing checkpoint must fail")
 	}
 }

@@ -175,6 +175,19 @@ func RestoreCheckpoint(dir string, man *Manifest) (map[string]*DistArray, error)
 	return out, nil
 }
 
+// ReadFile restores an array from a checkpoint file.
+func ReadFile(path string) (*DistArray, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("dsm: restore: %w", err)
+	}
+	a, err := DecodeArray(data)
+	if err != nil {
+		return nil, fmt.Errorf("dsm: restore %s: %w", path, err)
+	}
+	return a, nil
+}
+
 // RestoreError reports which arrays of a checkpoint could not be
 // restored.
 type RestoreError struct {
@@ -234,13 +247,6 @@ func pruneCheckpoints(dir string, keep int) {
 	for _, man := range all[min(keep, len(all)):] {
 		os.RemoveAll(filepath.Join(dir, ckptDirName(man.Clock)))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // writeFileSync writes data and fsyncs before closing, so a committed

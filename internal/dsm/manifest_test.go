@@ -165,37 +165,3 @@ func TestManifestVersionMismatchIgnored(t *testing.T) {
 		t.Fatalf("future-version checkpoint listed: %+v", mans)
 	}
 }
-
-func TestRestoreDirSweepsTmpAndCollectsFailures(t *testing.T) {
-	dir := t.TempDir()
-	w := NewDense("W", 2)
-	w.SetAt(4, 1)
-	if err := CheckpointDir(dir, w); err != nil {
-		t.Fatal(err)
-	}
-	stale := filepath.Join(dir, "H.ckpt"+tmpSuffix)
-	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Restore of W succeeds and sweeps the stale tmp.
-	got, err := RestoreDir(dir, "W")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["W"].At(1) != 4 {
-		t.Fatalf("W = %v", got["W"].At(1))
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale .tmp survived RestoreDir")
-	}
-	// Asking for arrays that were never written yields a typed error
-	// naming each one.
-	_, err = RestoreDir(dir, "W", "H", "Z")
-	var rerr *RestoreError
-	if !errors.As(err, &rerr) {
-		t.Fatalf("err = %v, want *RestoreError", err)
-	}
-	if len(rerr.Failed) != 2 || rerr.Errs["H"] == nil || rerr.Errs["Z"] == nil {
-		t.Fatalf("failures = %+v", rerr)
-	}
-}

@@ -124,18 +124,11 @@ func runTransformed(app App, cfg Config, pl *sched.Plan, prof costProfile) *Resu
 				halo += tb.RowBytes()
 			}
 			halo *= int64(nw)
-			stepTime += base.TransferTime(halo/int64(maxInt(1, base.Machines)), false)
+			stepTime += base.TransferTime(halo/int64(max(1, base.Machines)), false)
 			cumBytes += halo
 			clock.Advance(stepTime)
 		}
 		recordPass(res, &clock, cumBytes, app, master, cfg)
 	}
 	return res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,9 +17,10 @@ import (
 // backticks (`DESIGN.md`, not a path or a command's argument) is a file
 // at the top of the tree, every `Session.X` in their code is a method of
 // driver.Session, and every flag of an `orion-run …` command in their
-// code is one cmd/orion-run defines. Deleting a target, a committed
-// file, a method or a flag then fails here until its mentions are gone
-// too.
+// code is one cmd/orion-run defines, and DESIGN.md's flight-event
+// "Kinds" table lists exactly the obs.FlightKind constants. Deleting a target, a
+// committed file, a method, a flag or a kind — or recording a new kind —
+// then fails here until the documents follow.
 func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	const root = "../.."
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -67,6 +69,57 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 			}
 		}
 	}
+
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := flightKinds(t, root)
+	if documented := flightKindRows(string(design)); !slices.Equal(documented, defined) {
+		t.Errorf("DESIGN.md's flight-event table lists the kinds\n  %v\ninternal/obs defines the FlightKind constants\n  %v", documented, defined)
+	}
+}
+
+// flightKinds returns, sorted, the values of the FlightKind constants
+// internal/obs declares.
+func flightKinds(t *testing.T, root string) []string {
+	var kinds []string
+	for _, f := range nonTestFiles(t, root, "./internal/obs") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.ValueSpec)
+			if !ok {
+				return true
+			}
+			if typ, ok := spec.Type.(*ast.Ident); !ok || typ.Name != "FlightKind" {
+				return false
+			}
+			for _, v := range spec.Values {
+				if lit, ok := v.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					kind, _ := strconv.Unquote(lit.Value)
+					kinds = append(kinds, kind)
+				}
+			}
+			return false
+		})
+	}
+	if len(kinds) == 0 {
+		t.Fatal("no FlightKind constants found in internal/obs")
+	}
+	slices.Sort(kinds)
+	return kinds
+}
+
+// flightKindRows returns, sorted, the kind in the first cell of every
+// row of the table under DESIGN.md's "Flight-recorder event log".
+func flightKindRows(design string) []string {
+	_, section, _ := strings.Cut(design, "## Flight-recorder event log")
+	section, _, _ = strings.Cut(section, "\n## ")
+	var kinds []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z.]+)` \\|").FindAllStringSubmatch(section, -1) {
+		kinds = append(kinds, m[1])
+	}
+	slices.Sort(kinds)
+	return kinds
 }
 
 // codePieces returns a Markdown document's code: every line of a fenced

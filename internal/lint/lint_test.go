@@ -210,29 +210,28 @@ func leak(msg *Msg) []int64 {
 	}
 }
 
-// TestMsgRetainPooledTransportBuffers: raw rotation frames deliver
-// Values in pooled transport buffers and carry the partition shape in
-// PartDims — retaining either past the handler aliases storage the
-// pool (or the next frame) will recycle. The subdirectory package path
-// (runtime/bufpool) is in scope too.
+// TestMsgRetainPooledTransportBuffers: the transport buffer pool
+// (runtime/bufpool) lives under runtime/ and is in scope like the
+// runtime itself — retaining a payload slice there aliases storage the
+// next message will overwrite — and every finding says why.
 func TestMsgRetainPooledTransportBuffers(t *testing.T) {
 	src := `package runtime
 type part struct {
-	dims []int64
+	offs []int64
 	data []float64
 }
 func adopt(msg *Msg) *part {
 	p := &part{}
-	p.dims = msg.PartDims               // BAD: pooled dims retained
-	p.data = msg.Values                 // BAD: pooled payload retained
-	fwd := Msg{PartDims: msg.PartDims}  // ok: forwarded Msg literal
+	p.offs = msg.Offsets                // BAD: payload retained
+	p.data = msg.Values                 // BAD: payload retained
+	fwd := Msg{Values: msg.Values}      // ok: forwarded Msg literal
 	_ = fwd
-	clone := append([]int64(nil), msg.PartDims...) // ok: cloned
+	clone := append([]float64(nil), msg.Values...) // ok: cloned
 	_ = clone
 	return p
 }
-func leakDims(msg *Msg) []int64 {
-	return msg.PartDims // BAD: returned
+func leakValues(msg *Msg) []float64 {
+	return msg.Values // BAD: returned
 }
 `
 	p := parsePass(t, "orion/internal/runtime", map[string]string{"a.go": src})

@@ -23,18 +23,44 @@ import (
 // and counted as dropped.
 const DefaultFlightCap = 4096
 
+// FlightKind names what a flight event records.
+type FlightKind string
+
+// The flight-event kinds, every one a recorder may log: DESIGN.md's
+// "Kinds" table documents exactly this set (the docs lint holds it to
+// these constants).
+const (
+	FlightPlanCacheHit  FlightKind = "plan.cache.hit"
+	FlightPlanCacheMiss FlightKind = "plan.cache.miss"
+	FlightBackend       FlightKind = "backend.select"
+	FlightIterShip      FlightKind = "iterspace.ship"
+	FlightIterReuse     FlightKind = "iterspace.reuse"
+	FlightArrayShip     FlightKind = "array.ship"
+	FlightArrayReuse    FlightKind = "array.reuse"
+	FlightArrayFetch    FlightKind = "array.fetch"
+	FlightGuardDemoted  FlightKind = "guard.demoted"
+	FlightPlanRecut     FlightKind = "plan.recut"
+	FlightCkptWrite     FlightKind = "ckpt.write"
+	FlightCkptRestore   FlightKind = "ckpt.restore"
+	FlightWorkerLost    FlightKind = "worker.lost"
+	FlightWorkerRejoin  FlightKind = "worker.rejoin"
+	FlightFleetGrow     FlightKind = "fleet.grow"
+	FlightFleetShrink   FlightKind = "fleet.shrink"
+	FlightLinkCorrupt   FlightKind = "link.corrupt"
+)
+
 // FlightEvent is one lifecycle event. Worker is -1 when the event is
 // not tied to a specific worker; Pass/Step are -1 when the event is
 // outside any loop step.
 type FlightEvent struct {
-	UnixNs int64  `json:"t_ns"`
-	Clock  int64  `json:"clock"`
-	Kind   string `json:"kind"`
-	Loop   string `json:"loop,omitempty"`
-	Pass   int    `json:"pass"`
-	Step   int    `json:"step"`
-	Worker int    `json:"worker"`
-	Detail string `json:"detail,omitempty"`
+	UnixNs int64      `json:"t_ns"`
+	Clock  int64      `json:"clock"`
+	Kind   FlightKind `json:"kind"`
+	Loop   string     `json:"loop,omitempty"`
+	Pass   int        `json:"pass"`
+	Step   int        `json:"step"`
+	Worker int        `json:"worker"`
+	Detail string     `json:"detail,omitempty"`
 }
 
 // EventLog is a bounded, mutex-guarded ring of flight events.

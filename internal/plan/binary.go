@@ -375,10 +375,3 @@ func DecodeBinary(b []byte) (*Artifact, error) {
 	}
 	return a, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -321,9 +321,7 @@ func (e *Executor) run() error {
 		case MsgGather:
 			var ps []*dsm.Partition
 			if h := e.parts[msg.Array]; h != nil {
-				for _, p := range h.parts {
-					ps = append(ps, p.Partition)
-				}
+				ps = h.parts
 			} else if p := e.shards.gatherLocal(msg.Array); p != nil {
 				// A gather folds every staged served update first: the
 				// barrier already guaranteed all of them arrived.
@@ -414,21 +412,19 @@ func (e *Executor) servePeer(c *codec) {
 		switch in.Kind {
 		case MsgRotate:
 			feedsRotation = true
-			// The rotation pipeline retains the message beyond this
-			// loop iteration — hand it a detached copy. For raw frames
-			// the pooled payload's ownership transfers with it (the
-			// main loop returns the storage to bufpool on fold); either
-			// way the transferred fields are dropped from the reused
-			// receive Msg.
-			var fwd *Msg
-			if in.Raw {
-				fwd = &Msg{Kind: MsgRotate, Raw: true, Array: in.Array,
-					PartDim: in.PartDim, PartLo: in.PartLo, PartHi: in.PartHi,
-					PartDims: append([]int64(nil), in.PartDims...), Values: in.Values}
-				in.Values = nil
-			} else {
-				fwd = &Msg{Kind: MsgRotate, Array: in.Array, PartBlob: in.PartBlob}
-				in.PartBlob = nil
+			// The rotation pipeline keeps the partition: it leaves with a
+			// Msg of its own. A raw frame arrives decoded; a gob frame's
+			// blob (a sparse partition) is decoded here, and one that does
+			// not decode condemns the link like a bad checksum.
+			fwd := &Msg{Kind: MsgRotate, Array: in.Array, part: in.part}
+			if in.part == nil && in.Array != "" {
+				p, err := dsm.DecodePartition(in.PartBlob)
+				if err != nil {
+					c.condemn(err.Error())
+					e.rotateErrOnce.Do(func() { close(e.rotateErr) })
+					return
+				}
+				fwd.part = p
 			}
 			select {
 			case e.rotateCh <- fwd:
@@ -597,18 +593,6 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 		StatRotWaitNs: rotWaitNs,
 		StatCommNs:    commNs,
 	})
-}
-
-// partitionFromMsg materializes a rotated partition from a rotation
-// message: raw frames adopt their pooled dense payload directly (zero
-// copy), gob messages decode the legacy blob.
-func partitionFromMsg(in *Msg) (*dsm.Partition, error) {
-	if !in.Raw {
-		return dsm.DecodePartition(in.PartBlob)
-	}
-	dims := append([]int64(nil), in.PartDims...)
-	local := dsm.NewDenseFrom(in.Array, in.Values, dims...)
-	return &dsm.Partition{Array: in.Array, Dim: in.PartDim, Lo: in.PartLo, Hi: in.PartHi, Local: local}, nil
 }
 
 // runKernel executes the loop body over a block in one call. A fault

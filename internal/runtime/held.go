@@ -19,15 +19,8 @@ import (
 // the running block sees.
 type heldArray struct {
 	place sched.Placement // sched.Local, Rotated or Wavefront
-	parts []heldPart
+	parts []*dsm.Partition
 	bound *dsm.Partition
-}
-
-// heldPart is one held partition; pooled marks dense storage a raw
-// rotation frame brought from bufpool, returned once it is sent on.
-type heldPart struct {
-	*dsm.Partition
-	pooled bool
 }
 
 // install makes a MsgArrayPart's partitions what this executor holds of
@@ -43,9 +36,7 @@ func (e *Executor) install(msg *Msg) error {
 	} else if msg.Ordered {
 		h.place = sched.Wavefront
 	}
-	for _, p := range ps {
-		h.parts = append(h.parts, heldPart{Partition: p})
-	}
+	h.parts = ps
 	if h.place == sched.Local {
 		if len(ps) != 1 {
 			return fmt.Errorf("runtime: executor %d: %d partitions of space-local %s", e.id, len(ps), msg.Array)
@@ -63,8 +54,8 @@ func (e *Executor) bind(lo, hi int64) {
 	for _, h := range e.parts {
 		if h.place != sched.Local {
 			h.bound = nil
-			if i := slices.IndexFunc(h.parts, func(p heldPart) bool { return p.Lo == lo && p.Hi == hi }); i >= 0 {
-				h.bound = h.parts[i].Partition
+			if i := slices.IndexFunc(h.parts, func(p *dsm.Partition) bool { return p.Lo == lo && p.Hi == hi }); i >= 0 {
+				h.bound = h.parts[i]
 			}
 		}
 	}
@@ -105,23 +96,21 @@ func (e *Executor) rotate(ring bool, n int) (sendNs, waitNs int64, err error) {
 			break
 		}
 		h := e.parts[a]
-		i := slices.IndexFunc(h.parts, func(p heldPart) bool { return p.Partition == h.bound })
+		i := slices.Index(h.parts, h.bound)
 		if i < 0 {
 			continue // the block ran none of this array
 		}
-		p := h.parts[i]
 		var wire int64
-		if wire, err = to.sendRotation(a, p.Partition); err != nil {
+		if wire, err = to.sendRotation(a, h.bound); err != nil {
 			break
 		}
 		e.mRotBytes.Add(wire)
-		data, _ := p.Local.DenseData()
-		if data == nil {
+		// The wire has a copy: dense storage goes back to the pool the
+		// receiving end decodes into.
+		if data, _ := h.bound.Local.DenseData(); data == nil {
 			e.mRotGob.Inc()
 		} else {
 			e.mRotRaw.Inc()
-		}
-		if p.pooled {
 			bufpool.PutF64(data)
 		}
 		h.parts, h.bound = slices.Delete(h.parts, i, i+1), nil
@@ -147,15 +136,11 @@ func (e *Executor) rotate(ring bool, n int) (sendNs, waitNs int64, err error) {
 		if in.Array == "" {
 			break // the neighbour's end marker
 		}
-		p, err := partitionFromMsg(in)
-		if err != nil {
-			return 0, 0, err
-		}
 		h := e.parts[in.Array]
 		if h == nil || h.place != place {
 			return 0, 0, fmt.Errorf("runtime: executor %d: a ring neighbour sent a partition of %q, which is not %v here", e.id, in.Array, place)
 		}
-		h.parts = append(h.parts, heldPart{p, in.Raw})
+		h.parts = append(h.parts, in.part)
 	}
 	waitNs = int64(time.Since(start))
 	e.trace.EndN("rotate.recv", "exec", start, "arrays", int64(len(names)))

@@ -73,12 +73,18 @@ func decodeStream(stream []byte, frames int) error {
 		if err := c.recvInto(&m); err != nil {
 			return err
 		}
-		if m.Raw && m.Values != nil {
-			bufpool.PutF64(m.Values)
-			m.Values = nil
-		}
+		recycle(&m)
 	}
 	return nil
+}
+
+// recycle returns the pooled storage of a raw frame's partition.
+func recycle(m *Msg) {
+	if m.part != nil {
+		data, _ := m.part.Local.DenseData()
+		bufpool.PutF64(data)
+		m.part = nil
+	}
 }
 
 func rotationFrame(t *testing.T) []byte {
@@ -219,7 +225,7 @@ func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
 	if err := newCodec(&replayConn{r: bytes.NewReader(shortDenseRotation(t))}).recvInto(&m); err != nil {
 		t.Fatal(err)
 	}
-	if p, err := partitionFromMsg(&m); err == nil {
+	if p, err := dsm.DecodePartition(m.PartBlob); err == nil {
 		t.Errorf("a 4x4 dense partition carrying 3 values decoded: %v", p.Local.Dims())
 	}
 }
@@ -446,19 +452,18 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			// A partition the frame carries is whole once it decodes: its
 			// last element is readable.
-			if m.Kind == MsgRotate {
-				if p, err := partitionFromMsg(&m); err == nil {
-					last := slices.Clone(p.Local.Dims())
-					for d := range last {
-						last[d]--
-					}
-					p.Local.At(last...)
+			p := m.part
+			if m.Kind == MsgRotate && p == nil {
+				p, _ = dsm.DecodePartition(m.PartBlob)
+			}
+			if p != nil {
+				last := slices.Clone(p.Local.Dims())
+				for d := range last {
+					last[d]--
 				}
+				p.Local.At(last...)
 			}
-			if m.Raw && m.Values != nil {
-				bufpool.PutF64(m.Values)
-				m.Values = nil
-			}
+			recycle(&m)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,9 +27,9 @@ var ErrWorkerLost = errors.New("worker lost")
 // staleness when SetHeartbeat arms a timeout.
 const pingInterval = 500 * time.Millisecond
 
-// masterChans is one fleet generation's response channels. Recovery
-// re-forms the fleet with a fresh set, so connection handlers of a
-// dead generation can never feed stale messages into a resumed loop's
+// masterChans is one fleet generation's response channels. Every
+// admission gives its generation a fresh set, so connection handlers of
+// a dead generation can never feed stale messages into a resumed loop's
 // barrier.
 type masterChans struct {
 	blockDone  chan *Msg
@@ -69,13 +70,21 @@ func freshSeen(n int) []*atomic.Int64 {
 // it to distribute DistArrays, launch parallel for-loops, gather
 // results, and aggregate accumulators.
 type Master struct {
-	t    Transport
 	addr string
 	n    int
 
 	conns []*codec // by executor id
 	peers []string // executor ring addresses, by id
-	ln    net.Listener
+
+	// ln is bound once, by Listen, and closed by Shutdown: acceptDials
+	// hands what it accepts to the admission in progress over dials, and
+	// a dialer waits in the backlog while none is. shut closes with the
+	// listener. generation counts the fleets admit has formed.
+	ln         net.Listener
+	dials      chan net.Conn
+	shut       chan struct{}
+	shutOnce   sync.Once
+	generation int
 
 	mu sync.Mutex // guards missCount, reports and the residency epochs
 
@@ -117,30 +126,47 @@ type Master struct {
 	reports map[string]*obs.LoopReport
 }
 
-// Listen creates a master accepting executor registrations at addr.
-// Call Addr to learn the bound address (useful with ":0" TCP ports) and
+// Listen creates a master accepting executor registrations at addr for
+// a fleet of n. The address stays bound until Shutdown, so every later
+// fleet — a respawn, a rejoin, a grow — dials the same endpoint. Call
+// Addr to learn the bound address (useful with ":0" TCP ports) and
 // WaitForExecutors to complete the bring-up.
 func Listen(t Transport, addr string, n int) (*Master, error) {
+	ln, err := t.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
 	m := &Master{
-		t: t, addr: addr, n: n,
-		conns:      make([]*codec, n),
-		ch:         newMasterChans(n),
-		lastSeen:   freshSeen(n),
+		addr:       ln.Addr().String(),
+		n:          n,
+		ln:         ln,
+		dials:      make(chan net.Conn),
+		shut:       make(chan struct{}),
 		shipEpoch:  map[string]int64{},
 		arrayDims:  map[string][]int64{},
 		arrayDense: map[string]bool{},
 		trace:      obs.NewBuf(0, "master"),
 		reports:    map[string]*obs.LoopReport{},
 	}
-	ln, err := t.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	m.ln = ln
-	// Remember the *resolved* address so recovery can re-listen on the
-	// same endpoint (":0" TCP ports resolve at bind time).
-	m.addr = ln.Addr().String()
+	go m.acceptDials()
 	return m, nil
+}
+
+// acceptDials hands every connection the listener accepts to admit,
+// until Shutdown.
+func (m *Master) acceptDials() {
+	for {
+		conn, err := m.ln.Accept()
+		if err != nil {
+			return
+		}
+		select {
+		case m.dials <- conn:
+		case <-m.shut:
+			conn.Close()
+			return
+		}
+	}
 }
 
 // Addr returns the master's bound listen address.
@@ -165,52 +191,127 @@ func (m *Master) SetClockHook(fn func(clock int64)) { m.clockHook = fn }
 // pingInterval regardless.
 func (m *Master) SetHeartbeat(timeout time.Duration) { m.hbTimeout = timeout }
 
-// WaitForExecutors accepts all n executor registrations, distributes
-// the ring topology, and starts the connection handlers. A hello with
-// id -1 is assigned the first free slot.
+// WaitForExecutors admits the fleet of n Listen was given, however
+// long its executors take to dial in.
 func (m *Master) WaitForExecutors() error {
-	n := m.n
-	defer m.ln.Close()
-	peers := make([]string, n)
-	for i := 0; i < n; i++ {
-		conn, err := m.ln.Accept()
-		if err != nil {
-			return err
-		}
-		c := newCodec(conn)
-		hello, err := c.recv()
-		if err != nil {
-			return err
-		}
-		if hello.Kind != MsgHello {
-			return fmt.Errorf("runtime: master: expected hello, got %v", hello.Kind)
+	_, err := m.admit(m.n, m.n, 0)
+	return err
+}
+
+// admit forms the next fleet generation — the only code that accepts
+// executor connections. It reads each dialer's hello on its own
+// goroutine, so a silent dialer holds up nobody. A hello gets the slot
+// it asks for when that is free and below want, and the first free slot
+// when it asks for none (-1); a dialer whose first message is not a
+// hello, or asks for a taken or out-of-range slot, is closed, and
+// admission goes on. It stops once want have joined, or when wait (0:
+// never) elapses with at least min — renumbered 0..k-1, so a shrunken
+// fleet is still a ring — and then sends each its setup and starts its
+// handler. Every connection accepted here is admitted or closed by the
+// time it returns; a dialer it never accepted waits for the next.
+func (m *Master) admit(want, min int, wait time.Duration) (int, error) {
+	type joiner struct {
+		c     *codec
+		hello *Msg
+	}
+	hellos := make(chan joiner)
+	done := make(chan struct{})
+	pending := map[*codec]bool{} // accepted, not (yet) in the fleet
+	slots := make([]joiner, want)
+	joined := 0
+	// slot is where a hello joins, -1 when it is refused.
+	slot := func(hello *Msg) int {
+		if hello == nil || hello.Kind != MsgHello {
+			return -1
 		}
 		id := hello.ExecutorID
 		if id == -1 {
-			for k := 0; k < n; k++ {
-				if m.conns[k] == nil {
-					id = k
-					break
+			return slices.IndexFunc(slots, func(j joiner) bool { return j.c == nil })
+		}
+		if id < 0 || id >= want || slots[id].c != nil {
+			return -1
+		}
+		return id
+	}
+	defer func() {
+		close(done)
+		for c := range pending {
+			c.close()
+		}
+	}()
+	var deadline <-chan time.Time
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		deadline = t.C
+	}
+collect:
+	for joined < want {
+		select {
+		case conn := <-m.dials:
+			c := newCodec(conn)
+			pending[c] = true
+			go func() {
+				hello, _ := c.recv()
+				select {
+				case hellos <- joiner{c, hello}:
+				case <-done:
 				}
+			}()
+		case j := <-hellos:
+			if id := slot(j.hello); id < 0 {
+				delete(pending, j.c)
+				j.c.close()
+			} else {
+				slots[id] = j
+				joined++
 			}
+		case <-deadline:
+			break collect
+		case <-m.shut:
+			return 0, fmt.Errorf("runtime: master shut down while admitting executors")
 		}
-		if id < 0 || id >= n || m.conns[id] != nil {
-			return fmt.Errorf("runtime: master: bad executor id %d", hello.ExecutorID)
-		}
+	}
+	fleet := slices.DeleteFunc(slots, func(j joiner) bool { return j.c == nil })
+	if len(fleet) < min {
+		return 0, fmt.Errorf("runtime: only %d of %d executors joined within %v: %w", len(fleet), want, wait, ErrWorkerLost)
+	}
+	m.generation++
+	n := len(fleet)
+	m.n = n
+	m.conns = make([]*codec, n)
+	m.peers = make([]string, n)
+	m.ch = newMasterChans(n)
+	m.lastSeen = freshSeen(n)
+	m.closed.Store(false)
+	for id, j := range fleet {
 		// The executor id is only known after the hello, so this side of
 		// the link counts messages (the executor side counts bytes too).
-		c.stats = obs.Peer(fmt.Sprintf("master/exec%d", id))
-		m.conns[id] = c
-		peers[id] = hello.PeerAddr
+		j.c.stats = obs.Peer(fmt.Sprintf("master/exec%d", id))
+		m.conns[id], m.peers[id] = j.c, j.hello.PeerAddr
+		delete(pending, j.c)
+		if m.generation > 1 {
+			obs.Flight().Record(obs.FlightEvent{
+				Kind: obs.FlightWorkerRejoin, Clock: m.clock.Load(),
+				Pass: -1, Step: -1, Worker: id,
+				Detail: j.hello.PeerAddr,
+			})
+		}
 	}
-	m.peers = peers
+	if m.generation > 1 && n < want {
+		obs.Flight().Record(obs.FlightEvent{
+			Kind: obs.FlightFleetShrink, Clock: m.clock.Load(),
+			Pass: -1, Step: -1, Worker: -1,
+			Detail: fmt.Sprintf("%d of %d workers rejoined", n, want),
+		})
+	}
 	for id, c := range m.conns {
-		if err := c.send(&Msg{Kind: MsgSetup, ExecutorID: id, Peers: peers, Trace: obs.Tracing()}); err != nil {
-			return err
+		if err := c.send(&Msg{Kind: MsgSetup, ExecutorID: id, Peers: m.peers, Trace: obs.Tracing()}); err != nil {
+			return 0, sendErr("setup", id, err)
 		}
 		go m.handleConn(id, c, m.ch, m.lastSeen[id])
 	}
-	return nil
+	return n, nil
 }
 
 // handleConn processes executor-initiated messages for one fleet
@@ -486,7 +587,7 @@ func (m *Master) runStep(def LoopDef, pass, step int, timeParts []int) error {
 	}()
 	lost := func(worker int, err error) {
 		obs.Flight().Record(obs.FlightEvent{
-			Kind: "worker.lost", Clock: m.clock.Load(),
+			Kind: obs.FlightWorkerLost, Clock: m.clock.Load(),
 			Loop: def.Kernel, Pass: pass, Step: step, Worker: worker,
 			Detail: err.Error(),
 		})
@@ -710,9 +811,14 @@ func (m *Master) AccumSum(name string) (float64, error) {
 	return total, nil
 }
 
-// Shutdown stops all executors with the shutdown handshake.
+// Shutdown stops all executors with the shutdown handshake and releases
+// the listen address.
 func (m *Master) Shutdown() {
 	m.closed.Store(true)
+	m.shutOnce.Do(func() {
+		close(m.shut)
+		m.ln.Close()
+	})
 	for _, c := range m.conns {
 		if c == nil {
 			continue

@@ -106,17 +106,11 @@ type Msg struct {
 	Samples  []IterSample
 	Rotated  bool
 	Ordered  bool
-	// Raw marks a rotation decoded from a length-prefixed raw frame
-	// (dense partitions only): the partition range arrives in
-	// PartDim/PartLo/PartHi/PartDims and the dense payload in Values,
-	// whose backing storage comes from bufpool — whoever installs the
-	// partition owns returning it. PartDims is pooled across messages
-	// like Offsets/Values.
-	Raw       bool
-	PartDim   int
-	PartLo    int64
-	PartHi    int64
-	PartDims  []int64
+	// part is the partition a rotation carries, decoded where it arrives:
+	// a raw frame's straight into storage from bufpool (readRawRotation),
+	// a gob frame's blob by servePeer. Whoever holds it next owns the
+	// storage. Unexported, so gob never sends it.
+	part      *dsm.Partition
 	LoopName  string
 	TimeLo    int64
 	TimeHi    int64
@@ -182,15 +176,14 @@ type Msg struct {
 }
 
 // reset clears a Msg for reuse while keeping the backing storage of the
-// hot-path payload slices (Offsets/Values/PartDims), so a long-lived
-// serving loop can decode into the same Msg without reallocating per
-// message. Explicit zeroing matters: gob leaves fields absent from the
-// wire unchanged on decode.
+// hot-path payload slices (Offsets/Values), so a long-lived serving loop
+// can decode into the same Msg without reallocating per message.
+// Explicit zeroing matters: gob leaves fields absent from the wire
+// unchanged on decode.
 func (m *Msg) reset() {
 	offsets := m.Offsets[:0]
 	values := m.Values[:0]
-	dims := m.PartDims[:0]
-	*m = Msg{Offsets: offsets, Values: values, PartDims: dims}
+	*m = Msg{Offsets: offsets, Values: values}
 }
 
 // IterSample is one iteration-space element shipped to an executor.
@@ -250,9 +243,7 @@ var rawElemCap atomic.Int64
 // (clamped to the hard ceiling). The cap is monotonic: lowering it
 // would race between sessions sharing the process.
 func raiseFrameElemCap(n int64) {
-	if n > hardRawElemCap {
-		n = hardRawElemCap
-	}
+	n = min(n, hardRawElemCap)
 	for {
 		cur := rawElemCap.Load()
 		if n <= cur {
@@ -444,7 +435,7 @@ func (c *codec) condemn(reason string) error {
 		label = "link"
 	}
 	obs.Flight().Record(obs.FlightEvent{
-		Kind: "link.corrupt", Clock: -1, Pass: -1, Step: -1, Worker: -1,
+		Kind: obs.FlightLinkCorrupt, Clock: -1, Pass: -1, Step: -1, Worker: -1,
 		Detail: label + ": " + reason,
 	})
 	_ = c.conn.Close()
@@ -510,9 +501,8 @@ func (c *codec) recv() (*Msg, error) {
 // recvInto decodes the next message into a caller-owned Msg, reusing
 // its payload slice storage. The caller must not retain pointers into
 // the Msg across calls (copy anything it keeps — see servePeer's
-// rotation handling). Raw rotation frames are the exception by design:
-// their Values payload arrives in fresh pooled storage whose ownership
-// the caller takes over (and later returns via bufpool.PutF64).
+// rotation handling). A rotation's partition is the exception: it is
+// fresh, and the caller takes it over.
 func (c *codec) recvInto(m *Msg) error {
 	m.reset()
 	if err := c.decodeFrame(m); err != nil {
@@ -574,10 +564,7 @@ func (c *codec) readGobFrame(m *Msg) error {
 		// really sent.
 		c.gr.data = c.gr.data[:0]
 		for remaining := length; remaining > 0; {
-			n := remaining
-			if n > frameReadChunk {
-				n = frameReadChunk
-			}
+			n := min(remaining, frameReadChunk)
 			old := len(c.gr.data)
 			c.gr.data = append(c.gr.data, make([]byte, n)...)
 			if _, err := io.ReadFull(c.br, c.gr.data[old:]); err != nil {
@@ -627,8 +614,7 @@ const rawChunkElems = 4096
 // per-message allocation. Sparse partitions fall back to the gob
 // message path. Returns the frame's wire size in bytes.
 func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
-	data, _ := p.Local.DenseData()
-	if data == nil {
+	if !p.Local.IsDense() {
 		blob, err := p.Encode()
 		if err != nil {
 			return 0, err
@@ -638,7 +624,7 @@ func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
 		}
 		return int64(len(blob)), nil
 	}
-	dims := p.Local.Dims()
+	data, stride := p.Local.DenseData()
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	h := append(c.wbuf[:0], tagRaw)
@@ -649,9 +635,14 @@ func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
 	h = binary.AppendUvarint(h, uint64(p.Dim))
 	h = binary.AppendUvarint(h, uint64(p.Lo))
 	h = binary.AppendUvarint(h, uint64(p.Hi))
-	h = binary.AppendUvarint(h, uint64(len(dims)))
-	for _, d := range dims {
-		h = binary.AppendUvarint(h, uint64(d))
+	// The extents follow from the strides, without copying them out.
+	h = binary.AppendUvarint(h, uint64(len(stride)))
+	for i := range stride {
+		next := int64(len(data))
+		if i+1 < len(stride) {
+			next = stride[i+1]
+		}
+		h = binary.AppendUvarint(h, uint64(next/stride[i]))
 	}
 	h = binary.AppendUvarint(h, uint64(len(data)))
 	c.wbuf = h[:0]
@@ -665,10 +656,7 @@ func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
 	}
 	buf := c.wbuf[:rawChunkElems*8]
 	for off := 0; off < len(data); off += rawChunkElems {
-		n := len(data) - off
-		if n > rawChunkElems {
-			n = rawChunkElems
-		}
+		n := min(len(data)-off, rawChunkElems)
 		for i := 0; i < n; i++ {
 			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(data[off+i]))
 		}
@@ -692,12 +680,12 @@ func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
 }
 
 // readRawRotation decodes a raw rotation frame (tag already consumed)
-// into m: the partition range lands in PartDim/PartLo/PartHi/PartDims
-// and the dense payload in Values, scattered into pooled storage. Every
-// header field is bounds-checked before anything is sized by it, and
-// the payload stays codec-internal until the CRC trailer and sequence
-// number verify — a corrupt frame's values are returned to the pool,
-// never handed to the caller, so they can never reach a dsm.Partition.
+// into m.part, a dense partition over pooled storage the payload is
+// scattered into. Every header field is bounds-checked before anything
+// is sized by it, and the payload stays codec-internal until the CRC
+// trailer and sequence number verify — a corrupt frame's values are
+// returned to the pool, never handed to the caller, so they can never
+// reach a dsm.Partition.
 func (c *codec) readRawRotation(m *Msg) error {
 	hdr := c.rhdr[:0]
 	// Keep the grown header storage whatever path exits.
@@ -725,27 +713,20 @@ func (c *codec) readRawRotation(m *Msg) error {
 	}
 	hdr = hdr[:need]
 	name := c.intern(nb)
-	dim, err := readUvarintRaw(c.br, &hdr)
-	if err != nil {
-		return c.corruptOrIO(err)
+	// The partition range, then the rank.
+	var field [4]uint64
+	for i := range field {
+		if field[i], err = readUvarintRaw(c.br, &hdr); err != nil {
+			return c.corruptOrIO(err)
+		}
 	}
-	lo, err := readUvarintRaw(c.br, &hdr)
-	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	hi, err := readUvarintRaw(c.br, &hdr)
-	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	ndims, err := readUvarintRaw(c.br, &hdr)
-	if err != nil {
-		return c.corruptOrIO(err)
-	}
+	dim, lo, hi, ndims := field[0], field[1], field[2], field[3]
 	if ndims == 0 || ndims > maxRawDims {
 		return c.condemn(fmt.Sprintf("raw rotation frame: rank %d outside 1..%d", ndims, maxRawDims))
 	}
 	extent := uint64(1)
-	m.PartDims = m.PartDims[:0]
+	var shape [maxRawDims]int64
+	dims := shape[:0]
 	for i := uint64(0); i < ndims; i++ {
 		d, err := readUvarintRaw(c.br, &hdr)
 		if err != nil {
@@ -756,8 +737,13 @@ func (c *codec) readRawRotation(m *Msg) error {
 		if d == 0 || d > hardRawElemCap || extent > hardRawElemCap/d {
 			return c.condemn(fmt.Sprintf("raw rotation frame: dimension extent %d x %d outside 1..%d", extent, d, uint64(hardRawElemCap)))
 		}
-		m.PartDims = append(m.PartDims, int64(d))
+		dims = append(dims, int64(d))
 		extent *= d
+	}
+	// The range spans the extent along its dimension, as a partition's
+	// does (an empty range keeps extent 1).
+	if span := hi - lo; dim >= ndims || lo > hi || hi > math.MaxInt64 || span != uint64(dims[dim]) && !(span == 0 && dims[dim] == 1) {
+		return c.condemn(fmt.Sprintf("raw rotation frame: range [%d, %d) along dimension %d does not span its extent", lo, hi, dim))
 	}
 	count, err := readUvarintRaw(c.br, &hdr)
 	if err != nil {
@@ -776,10 +762,7 @@ func (c *codec) readRawRotation(m *Msg) error {
 	}
 	buf := c.scratch[:rawChunkElems*8]
 	for off := 0; off < len(vals); off += rawChunkElems {
-		n := len(vals) - off
-		if n > rawChunkElems {
-			n = rawChunkElems
-		}
+		n := min(len(vals)-off, rawChunkElems)
 		if _, err := io.ReadFull(c.br, buf[:n*8]); err != nil {
 			bufpool.PutF64(vals)
 			return err
@@ -804,12 +787,8 @@ func (c *codec) readRawRotation(m *Msg) error {
 	}
 	c.rseq++
 	m.Kind = MsgRotate
-	m.Raw = true
 	m.Array = name
-	m.PartDim = int(dim)
-	m.PartLo = int64(lo)
-	m.PartHi = int64(hi)
-	m.Values = vals
+	m.part = dsm.NewDenseFrom(name, vals, int(dim), int64(lo), int64(hi), dims...)
 	return nil
 }
 

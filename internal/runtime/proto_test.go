@@ -3,10 +3,10 @@ package runtime
 import (
 	"math"
 	"net"
+	"slices"
 	"testing"
 
 	"orion/internal/dsm"
-	"orion/internal/runtime/bufpool"
 )
 
 // TestMsgReset: reset must zero every field while keeping the hot
@@ -20,32 +20,23 @@ func TestMsgReset(t *testing.T) {
 		Values:   []float64{4, 5, 6},
 		LoopSrc:  "for",
 		Err:      "boom",
-		Raw:      true,
-		PartDim:  1,
-		PartLo:   2,
-		PartHi:   9,
-		PartDims: []int64{3, 7},
+		part:     dsm.NewDense("w", 3).ExtractRange(0, 0, 3),
 		ArrayDims: map[string][]int64{
 			"w": {3},
 		},
 	}
 	off0 := &m.Offsets[0]
 	val0 := &m.Values[0]
-	dim0 := &m.PartDims[0]
 	m.reset()
-	if m.Kind != 0 || m.Array != "" || m.PartBlob != nil || m.LoopSrc != "" || m.Err != "" || m.ArrayDims != nil {
+	if m.Kind != 0 || m.Array != "" || m.PartBlob != nil || m.LoopSrc != "" || m.Err != "" || m.ArrayDims != nil || m.part != nil {
 		t.Fatalf("reset left fields set: %+v", m)
 	}
-	if m.Raw || m.PartDim != 0 || m.PartLo != 0 || m.PartHi != 0 {
-		t.Fatalf("reset left raw rotation fields set: %+v", m)
-	}
-	if len(m.Offsets) != 0 || len(m.Values) != 0 || len(m.PartDims) != 0 {
-		t.Fatalf("reset left payload lengths: %d, %d, %d", len(m.Offsets), len(m.Values), len(m.PartDims))
+	if len(m.Offsets) != 0 || len(m.Values) != 0 {
+		t.Fatalf("reset left payload lengths: %d, %d", len(m.Offsets), len(m.Values))
 	}
 	m.Offsets = m.Offsets[:1]
 	m.Values = m.Values[:1]
-	m.PartDims = m.PartDims[:1]
-	if &m.Offsets[0] != off0 || &m.Values[0] != val0 || &m.PartDims[0] != dim0 {
+	if &m.Offsets[0] != off0 || &m.Values[0] != val0 {
 		t.Fatal("reset dropped the payload backing storage")
 	}
 }
@@ -149,15 +140,15 @@ func TestRawRotationRoundTrip(t *testing.T) {
 	if err := sc.recvInto(&in); err != nil {
 		t.Fatal(err)
 	}
-	if !in.Raw || in.Kind != MsgRotate || in.Array != "w" {
+	got := in.part
+	if got == nil || in.Kind != MsgRotate || in.Array != "w" {
 		t.Fatalf("raw frame decoded as %+v", in)
 	}
-	if in.PartDim != 1 || in.PartLo != 1 || in.PartHi != 3 {
-		t.Fatalf("partition range came back as dim=%d [%d,%d)", in.PartDim, in.PartLo, in.PartHi)
+	if got.Array != "w" || got.Dim != 1 || got.Lo != 1 || got.Hi != 3 {
+		t.Fatalf("partition came back as %s dim=%d [%d,%d)", got.Array, got.Dim, got.Lo, got.Hi)
 	}
-	got, err := partitionFromMsg(&in)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(got.Local.Dims(), p.Local.Dims()) {
+		t.Fatalf("partition extents came back as %v, want %v", got.Local.Dims(), p.Local.Dims())
 	}
 	want, _ := p.Local.DenseData()
 	gotData, _ := got.Local.DenseData()
@@ -183,10 +174,10 @@ func TestRawRotationRoundTrip(t *testing.T) {
 	if err := sc.recvInto(&in2); err != nil {
 		t.Fatal(err)
 	}
-	if in2.Raw || in2.Kind != MsgRotate || in2.PartBlob == nil {
+	if in2.part != nil || in2.Kind != MsgRotate || in2.PartBlob == nil {
 		t.Fatalf("sparse rotation decoded as %+v", in2)
 	}
-	got2, err := partitionFromMsg(&in2)
+	got2, err := dsm.DecodePartition(in2.PartBlob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,19 +201,16 @@ func TestRawRotationAllocs(t *testing.T) {
 	a := dsm.NewDense("w", 6, 128)
 	p := a.ExtractRange(1, 0, 128)
 	var in Msg
-	// Each leg ships p and receives it as far as the frame the
-	// executor's install step starts from; the gob leg does not even
-	// decode its blob.
+	// Each leg ships p and receives it as far as the peer link hands it
+	// on: the raw leg as a partition, the gob leg as a blob it does not
+	// even decode.
 	allocsPerTrip := func(ship func()) float64 {
 		roundTrip := func() {
 			go ship()
 			if err := sc.recvInto(&in); err != nil {
 				t.Fatal(err)
 			}
-			if in.Raw {
-				bufpool.PutF64(in.Values)
-				in.Values = nil
-			}
+			recycle(&in)
 		}
 		for i := 0; i < 3; i++ {
 			roundTrip()

@@ -99,7 +99,7 @@ func (m *Master) writeCheckpoint(def LoopDef, pass, step, steps int) error {
 	obs.GetCounter("checkpoint.writes").Inc()
 	obs.GetCounter("checkpoint.bytes").Add(bytes)
 	obs.Flight().Record(obs.FlightEvent{
-		Kind: "ckpt.write", Clock: man.Clock,
+		Kind: obs.FlightCkptWrite, Clock: man.Clock,
 		Loop: def.Kernel, Pass: resumePass, Step: resumeStep, Worker: -1,
 		Detail: fmt.Sprintf("%d bytes", bytes),
 	})
@@ -116,8 +116,9 @@ func (m *Master) RecordRecovery(start time.Time, pass, step int) {
 // Abort tears every executor connection down *without* the shutdown
 // handshake: in-process executors unwind and exit, while external
 // workers running with -rejoin treat the lost master connection as a
-// cue to reconnect. Recovery calls this before re-forming the fleet;
-// it is idempotent.
+// cue to reconnect. The listen address stays bound, so they dial the
+// same endpoint. Recovery calls this before re-forming the fleet; it is
+// idempotent.
 func (m *Master) Abort() {
 	m.closed.Store(true)
 	m.mu.Lock()
@@ -128,44 +129,14 @@ func (m *Master) Abort() {
 			c.close()
 		}
 	}
-	if m.ln != nil {
-		m.ln.Close()
-	}
 }
 
-// Relisten re-opens the master's endpoint for a fresh generation of n
-// executors after Abort. Follow with WaitForExecutors (fixed fleet
-// size — the in-process recovery path) or use Reform (flexible size —
-// the TCP rejoin path). State accumulated for gather bookkeeping and
-// reports survives; barrier channels are replaced so nothing from the
-// dead generation can leak into the next.
-func (m *Master) Relisten(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("runtime: relisten with %d executors", n)
-	}
-	ln, err := m.t.Listen(m.addr)
-	if err != nil {
-		return fmt.Errorf("runtime: recovery re-listen on %s: %w", m.addr, err)
-	}
-	m.ln = ln
-	m.n = n
-	m.conns = make([]*codec, n)
-	m.peers = make([]string, n)
-	m.ch = newMasterChans(n)
-	m.lastSeen = freshSeen(n)
-	m.closed.Store(false)
-	return nil
-}
-
-// Reform rebuilds the fleet from whichever workers reconnect: it
-// accepts registrations at the original address until `want` have
-// joined or `wait` elapses, then proceeds if at least `min` made it —
-// the survivors adopt fresh contiguous ids (shipped in their setup
-// messages), so a shrunken fleet stays a valid ring. Returns the new
-// fleet size.
-//
-// Call Abort first; the caller is responsible for redistributing
-// arrays and iteration space onto the new fleet before running loops.
+// Reform forms the next fleet after Abort from the executors that dial
+// in — respawned in-process, reconnecting over TCP, or brand-new for a
+// grow: it admits them until want have joined, or until wait elapses
+// with at least min, renumbered 0..k-1. Returns the new fleet size. The
+// caller redistributes arrays and the iteration space onto it before
+// running loops; gather bookkeeping and reports survive.
 func (m *Master) Reform(want, min int, wait time.Duration) (int, error) {
 	if min <= 0 {
 		min = 1
@@ -173,83 +144,5 @@ func (m *Master) Reform(want, min int, wait time.Duration) (int, error) {
 	if want < min {
 		want = min
 	}
-	ln, err := m.t.Listen(m.addr)
-	if err != nil {
-		return 0, fmt.Errorf("runtime: recovery re-listen on %s: %w", m.addr, err)
-	}
-	type joiner struct {
-		c        *codec
-		peerAddr string
-	}
-	joinCh := make(chan joiner, want)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			c := newCodec(conn)
-			hello, err := c.recv()
-			if err != nil || hello.Kind != MsgHello {
-				c.close()
-				continue
-			}
-			select {
-			case joinCh <- joiner{c, hello.PeerAddr}:
-			default:
-				// Fleet already full — latecomer is turned away.
-				c.close()
-			}
-		}
-	}()
-	var joined []joiner
-	deadline := time.After(wait)
-collect:
-	for len(joined) < want {
-		select {
-		case j := <-joinCh:
-			joined = append(joined, j)
-		case <-deadline:
-			break collect
-		}
-	}
-	ln.Close()
-	if len(joined) < min {
-		for _, j := range joined {
-			j.c.close()
-		}
-		return 0, fmt.Errorf("runtime: recovery: only %d of %d workers rejoined within %v: %w",
-			len(joined), want, wait, ErrWorkerLost)
-	}
-	n := len(joined)
-	if n < want {
-		obs.Flight().Record(obs.FlightEvent{
-			Kind: "fleet.shrink", Clock: m.clock.Load(),
-			Pass: -1, Step: -1, Worker: -1,
-			Detail: fmt.Sprintf("%d of %d workers rejoined", n, want),
-		})
-	}
-	m.n = n
-	m.conns = make([]*codec, n)
-	m.peers = make([]string, n)
-	m.ch = newMasterChans(n)
-	m.lastSeen = freshSeen(n)
-	m.closed.Store(false)
-	for id, j := range joined {
-		j.c.stats = obs.Peer(fmt.Sprintf("master/exec%d", id))
-		m.conns[id] = j.c
-		m.peers[id] = j.peerAddr
-		obs.Flight().Record(obs.FlightEvent{
-			Kind: "worker.rejoin", Clock: m.clock.Load(),
-			Pass: -1, Step: -1, Worker: id,
-			Detail: j.peerAddr,
-		})
-	}
-	for id, c := range m.conns {
-		if err := c.send(&Msg{Kind: MsgSetup, ExecutorID: id, Peers: m.peers, Trace: obs.Tracing()}); err != nil {
-			return 0, fmt.Errorf("runtime: recovery setup to executor %d: %w", id, err)
-		}
-		go m.handleConn(id, c, m.ch, m.lastSeen[id])
-	}
-	return n, nil
+	return m.admit(want, min, wait)
 }

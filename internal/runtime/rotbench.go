@@ -37,8 +37,8 @@ func NewRotationBench() *RotationBench {
 }
 
 // sink receives rotations, materializes the partition exactly as the
-// executor's rotation-install step does, recycles pooled raw payloads
-// (the steady-state fold), and acks each frame.
+// executor's peer link does, recycles its dense storage (the
+// steady-state hand-off), and acks each frame.
 func (rb *RotationBench) sink() {
 	defer close(rb.done)
 	var in, ack Msg
@@ -49,14 +49,15 @@ func (rb *RotationBench) sink() {
 		if in.Kind == MsgShutdown {
 			return
 		}
-		p, err := partitionFromMsg(&in)
-		if err != nil {
-			return
+		p := in.part
+		if p == nil {
+			var err error
+			if p, err = dsm.DecodePartition(in.PartBlob); err != nil {
+				return
+			}
 		}
-		if in.Raw {
-			data, _ := p.Local.DenseData()
+		if data, _ := p.Local.DenseData(); data != nil {
 			bufpool.PutF64(data)
-			in.Values = nil
 		}
 		ack.reset()
 		ack.Kind = MsgAck

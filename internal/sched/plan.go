@@ -350,7 +350,7 @@ func placeArrays(loop *ir.LoopSpec, space, time int) []ArrayPlan {
 		if a == loop.IterSpaceArray {
 			// The iteration-space array is partitioned with the
 			// iteration space itself; callers treat it as local.
-			out = append(out, ArrayPlan{Array: a, Place: Local, PartDim: maxInt(arrayDimFor(loop, a, space), 0)})
+			out = append(out, ArrayPlan{Array: a, Place: Local, PartDim: max(arrayDimFor(loop, a, space), 0)})
 			continue
 		}
 		if d := arrayDimFor(loop, a, space); d >= 0 {
@@ -366,13 +366,6 @@ func placeArrays(loop *ir.LoopSpec, space, time int) []ArrayPlan {
 		out = append(out, ArrayPlan{Array: a, Place: Served})
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String renders the plan like the bottom boxes of Fig. 6.
