@@ -159,6 +159,22 @@ func (a *DistArray) At(idx ...int64) float64 { return a.atOff(a.flattenFrom(-1, 
 // SetAt writes one element.
 func (a *DistArray) SetAt(v float64, idx ...int64) { a.setOff(a.flattenFrom(-1, 0, idx), v) }
 
+// AtFlat reads the element at a flattened offset (Flatten of its index
+// tuple), which must lie in [0, the extent product).
+func (a *DistArray) AtFlat(off int64) float64 { return a.atOff(a.checkFlat(off)) }
+
+// SetFlat writes the element at a flattened offset, as AtFlat reads it.
+func (a *DistArray) SetFlat(off int64, v float64) { a.setOff(a.checkFlat(off), v) }
+
+// checkFlat returns off, or panics as At does out of bounds.
+func (a *DistArray) checkFlat(off int64) int64 {
+	last := len(a.dims) - 1
+	if n := a.stride[last] * a.dims[last]; off < 0 || off >= n {
+		panic(fmt.Sprintf("dsm: %s: flattened offset %d out of bounds [0,%d)", a.name, off, n))
+	}
+	return off
+}
+
 func (a *DistArray) atOff(off int64) float64 {
 	if a.IsDense() {
 		return a.dense[off]

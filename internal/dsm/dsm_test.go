@@ -73,6 +73,37 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlatAccessorsMatchIndexTuples: AtFlat and SetFlat at Flatten(idx)
+// read and write what At and SetAt do at idx, dense and sparse (where a
+// zero write drops the entry), and a flattened offset outside the array
+// panics as an out-of-bounds tuple does.
+func TestFlatAccessorsMatchIndexTuples(t *testing.T) {
+	for _, a := range []*DistArray{NewDense("A", 3, 4, 5), NewSparse("A", 3, 4, 5)} {
+		for off := int64(0); off < 60; off++ {
+			a.SetFlat(off, float64(off)+0.5)
+		}
+		a.ForEach(func(idx []int64, v float64) {
+			if off := a.Flatten(idx...); v != float64(off)+0.5 || a.AtFlat(off) != a.At(idx...) {
+				t.Fatalf("dense=%v: %v holds %v, AtFlat(%d) reads %v", a.IsDense(), idx, v, off, a.AtFlat(off))
+			}
+		})
+		a.SetFlat(a.Flatten(2, 3, 4), 0)
+		if a.At(2, 3, 4) != 0 || !a.IsDense() && a.Len() != 59 {
+			t.Errorf("dense=%v: a zero SetFlat left %v, %d stored", a.IsDense(), a.At(2, 3, 4), a.Len())
+		}
+		for _, off := range []int64{-1, 60} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(r.(string), "out of bounds") {
+						t.Errorf("dense=%v: AtFlat(%d) did not panic out of bounds: %v", a.IsDense(), off, r)
+					}
+				}()
+				a.AtFlat(off)
+			}()
+		}
+	}
+}
+
 func TestForEachDeterministicOrder(t *testing.T) {
 	a := NewSparse("Z", 10, 10)
 	rng := rand.New(rand.NewSource(1))

@@ -41,8 +41,11 @@ type Executor struct {
 	loop     *KernelSet
 	sendTo   *codec // ring predecessor we ship rotated partitions to
 	rotateCh chan *Msg
-	// prefetchOffs is scratch for evaluating a block's prefetch offsets.
+	// Scratch: a block's prefetch offsets, its flush, and shard replies.
 	prefetchOffs []int64
+	flushOffs    []int64
+	flushVals    []float64
+	rpcResp      Msg
 
 	// The master connection is read by a dedicated reader goroutine
 	// (readMaster): commands flow to cmdCh and a connection failure
@@ -394,11 +397,12 @@ func (e *Executor) closeAccepted() {
 // even while its own main loop is mid-block.
 func (e *Executor) servePeer(c *codec) {
 	defer c.close()
-	// in and out live for the connection: recvInto reuses in's payload
-	// slice storage and gob reuses out's encoder state, so the
+	// in, out and vals live for the connection: recvInto reuses in's
+	// payload slice storage and each read's answer reuses vals, so the
 	// steady-state prefetch/update serving path does not allocate a
-	// fresh Msg pair per request.
+	// fresh Msg pair or answer per request.
 	var in, out Msg
+	var vals []float64
 	feedsRotation := false
 	for {
 		if err := c.recvInto(&in); err != nil {
@@ -432,8 +436,8 @@ func (e *Executor) servePeer(c *codec) {
 				return
 			}
 		case MsgPrefetch:
-			vals, err := e.shards.serveRead(in.Array, in.Offsets, in.Epoch)
-			if err != nil {
+			var err error
+			if vals, err = e.shards.serveRead(vals[:0], in.Array, in.Offsets, in.Epoch); err != nil {
 				out = Msg{Kind: MsgError, Err: err.Error()}
 				c.send(&out)
 				continue
@@ -554,13 +558,13 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	flushStart := time.Now()
 	flushed := 0
 	for _, sa := range e.ctx.servedOrder {
-		if len(sa.setSlots) == 0 && len(sa.updSlots) == 0 {
+		if sa.nSet == 0 && sa.nUpd == 0 {
 			continue
 		}
-		if err := e.flushServed(sa, sa.setSlots, sa.set, true); err != nil {
+		if err := e.flushServed(sa, true); err != nil {
 			return err
 		}
-		if err := e.flushServed(sa, sa.updSlots, sa.delta, false); err != nil {
+		if err := e.flushServed(sa, false); err != nil {
 			return err
 		}
 		flushed++
@@ -631,22 +635,21 @@ func (e *Executor) servedTable(array string) (*shardTable, error) {
 	return nil, fmt.Errorf("runtime: executor %d: served array %q has no shards (Master.DistributeServed)", e.id, array)
 }
 
-// shardRPC sends one request to shard owner o and returns its reply. A
-// dial, send or receive failure means the owner is gone — a worker
-// loss, not a kernel bug.
+// shardRPC sends one request to shard owner o and returns its reply,
+// which stays valid until the next call. A dial, send or receive
+// failure means the owner is gone — a worker loss, not a kernel bug.
 func (e *Executor) shardRPC(o int, req *Msg) (*Msg, error) {
 	c, err := e.shards.client(o)
 	if err == nil {
 		err = c.send(req)
 	}
-	var resp *Msg
 	if err == nil {
-		resp, err = c.recv()
+		err = c.recvInto(&e.rpcResp)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("runtime: executor %d: shard owner %d unreachable (%v): %w", e.id, o, err, ErrWorkerLost)
 	}
-	return resp, nil
+	return &e.rpcResp, nil
 }
 
 // bulkFetch makes idx the served array's table for the block and fills
@@ -662,9 +665,10 @@ func (e *Executor) bulkFetch(sa *ServedArray, idx prefetchIndex) error {
 	for lo := 0; lo < len(idx.offs); {
 		o, n := t.ownedRun(idx.offs[lo:])
 		chunk := idx.offs[lo : lo+n]
-		var vals []float64
 		if o == e.id {
-			if vals, err = e.shards.serveRead(sa.name, chunk, e.ctx.stepEpoch); err != nil {
+			// Appended to an empty slice of the table, the values land in
+			// their slots.
+			if _, err := e.shards.serveRead(sa.vals[lo:lo], sa.name, chunk, e.ctx.stepEpoch); err != nil {
 				return err
 			}
 		} else {
@@ -675,48 +679,41 @@ func (e *Executor) bulkFetch(sa *ServedArray, idx prefetchIndex) error {
 			if resp.Kind != MsgPrefetchResp {
 				return fmt.Errorf("runtime: executor %d: shard owner %d: %s", e.id, o, resp.Err)
 			}
-			if vals = resp.Values; len(vals) != n {
-				return fmt.Errorf("runtime: executor %d: shard owner %d answered %d of %d prefetched offsets", e.id, o, len(vals), n)
+			if len(resp.Values) != n {
+				return fmt.Errorf("runtime: executor %d: shard owner %d answered %d of %d prefetched offsets", e.id, o, len(resp.Values), n)
 			}
+			copy(sa.vals[lo:], resp.Values)
 		}
-		copy(sa.vals[lo:], vals)
 		lo += n
 	}
 	return nil
 }
 
-// flushServed ships one kind of the block's buffered writes — vals[i]
-// for each slot i, in that order — to the shard owners, lowest owner
-// first, awaiting acknowledgments so the master barrier implies update
-// visibility.
-func (e *Executor) flushServed(sa *ServedArray, slots []int32, vals []float64, absolute bool) error {
-	if len(slots) == 0 {
+// flushServed ships the block's absolute writes or its deltas to the
+// shard owners in ascending offset order, each owner's run as one batch
+// (which holds each offset once, so its order changes no folded bit),
+// awaiting acknowledgments so the master barrier implies visibility.
+func (e *Executor) flushServed(sa *ServedArray, absolute bool) error {
+	if absolute && sa.nSet == 0 || !absolute && sa.nUpd == 0 {
 		return nil
 	}
 	t, err := e.servedTable(sa.name)
 	if err != nil {
 		return err
 	}
-	batches := make([]struct {
-		offs []int64
-		vals []float64
-	}, len(t.boundaries)+1)
-	for _, i := range slots {
-		off := sa.offsetOf(i)
-		b := &batches[t.ownerOf(off)]
-		b.offs, b.vals = append(b.offs, off), append(b.vals, vals[i])
-	}
-	for o, b := range batches {
-		if len(b.offs) == 0 {
-			continue
-		}
+	offs, vals := sa.pending(absolute, e.flushOffs[:0], e.flushVals[:0])
+	e.flushOffs, e.flushVals = offs, vals
+	for lo := 0; lo < len(offs); {
+		o, n := t.ownedRun(offs[lo:])
+		bo, bv := offs[lo:lo+n], vals[lo:lo+n]
+		lo += n
 		if o == e.id {
-			if err := e.shards.serveUpdate(sa.name, e.id, b.offs, b.vals, absolute, e.ctx.stepEpoch); err != nil {
+			if err := e.shards.serveUpdate(sa.name, e.id, bo, bv, absolute, e.ctx.stepEpoch); err != nil {
 				return err
 			}
 			continue
 		}
-		ack, err := e.shardRPC(o, &Msg{Kind: MsgUpdateBatch, ExecutorID: e.id, Array: sa.name, Offsets: b.offs, Values: b.vals, Absolute: absolute, Epoch: e.ctx.stepEpoch})
+		ack, err := e.shardRPC(o, &Msg{Kind: MsgUpdateBatch, ExecutorID: e.id, Array: sa.name, Offsets: bo, Values: bv, Absolute: absolute, Epoch: e.ctx.stepEpoch})
 		if err != nil {
 			return err
 		}
@@ -736,7 +733,8 @@ func (e *Executor) fetchOne(array string, off int64) (float64, error) {
 	}
 	o := t.ownerOf(off)
 	if o == e.id {
-		vals, err := e.shards.serveRead(array, []int64{off}, e.ctx.stepEpoch)
+		var v [1]float64
+		vals, err := e.shards.serveRead(v[:0], array, []int64{off}, e.ctx.stepEpoch)
 		if err != nil {
 			return 0, err
 		}

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"orion/internal/dsm"
+	"orion/internal/obs"
 	"orion/internal/runtime/bufpool"
 )
 
@@ -194,11 +197,68 @@ func TestFrameSequenceRejectsReorderedFrames(t *testing.T) {
 // absurd sizes must be rejected by the bounds checks before anything
 // is allocated or read at the claimed size — checksummed ones included,
 // whose extents multiply past 2^64 to the zero elements they carry or
-// could build no DistArray. A gob rotation that frames cleanly but
-// carries a dense partition shorter than its extents is refused when
-// the partition is decoded, before any access can fault on it.
+// could build no DistArray, and served frames whose offsets repeat or
+// overflow, whose counts pass the cap or do not fit their kind, or whose
+// kind is not served or arrives in a gob frame. Each condemns the link,
+// flight-logged as link.corrupt. A well-formed served frame of each kind
+// decodes to what was sent, and condemns the link once a trailer byte
+// flips. A gob rotation that frames cleanly but carries a dense
+// partition shorter than its extents is refused when the partition is
+// decoded, before any access can fault on it.
 func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
-	cases := map[string][]byte{
+	for name, frame := range hostileFrames(t) {
+		err := decodeStream(frame, 1)
+		var fc *FrameCorruptError
+		if !errors.As(err, &fc) {
+			t.Errorf("%s: err = %v, want *FrameCorruptError", name, err)
+			continue
+		}
+		if evs := obs.Flight().Events(); len(evs) == 0 || evs[len(evs)-1].Kind != obs.FlightLinkCorrupt ||
+			!strings.HasSuffix(evs[len(evs)-1].Detail, fc.Reason) {
+			t.Errorf("%s: the condemned link was not flight-logged as %s", name, obs.FlightLinkCorrupt)
+		}
+	}
+	for _, want := range servedMsgs() {
+		frame := captureFrames(func(c *codec) {
+			if err := c.send(&want); err != nil {
+				t.Error(err)
+			}
+		})[0]
+		if frame[0] != tagServed {
+			t.Fatalf("kind %d went out in a %q frame", want.Kind, frame[0])
+		}
+		var got Msg
+		if err := newCodec(&replayConn{r: bytes.NewReader(frame)}).recvInto(&got); err != nil {
+			t.Fatalf("kind %d: %v", want.Kind, err)
+		}
+		if got.Kind != want.Kind || got.Array != want.Array || got.Epoch != want.Epoch || got.ExecutorID != want.ExecutorID ||
+			got.Absolute != want.Absolute || !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Values, want.Values) {
+			t.Errorf("kind %d came back as %+v, want %+v", want.Kind, got, want)
+		}
+	}
+
+	var m Msg
+	if err := newCodec(&replayConn{r: bytes.NewReader(shortDenseRotation(t))}).recvInto(&m); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := dsm.DecodePartition(m.PartBlob); err == nil {
+		t.Errorf("a 4x4 dense partition carrying 3 values decoded: %v", p.Local.Dims())
+	}
+}
+
+// servedMsgs is one well-formed message of each served kind.
+func servedMsgs() []Msg {
+	return []Msg{
+		{Kind: MsgPrefetch, Array: "w", Offsets: []int64{0, 3, 200, 1 << 40}, Epoch: 7},
+		{Kind: MsgPrefetchResp, Array: "w", Values: []float64{1.5, math.Inf(-1), -0.0}},
+		{Kind: MsgUpdateBatch, Array: "w", ExecutorID: 1, Offsets: []int64{4, 5}, Values: []float64{0.5, 1}, Absolute: true, Epoch: 7},
+	}
+}
+
+// hostileFrames are frames a decoder must condemn, by what is wrong
+// with them.
+func hostileFrames(tb testing.TB) map[string][]byte {
+	frames := map[string][]byte{
 		"unknown tag": {0x7a, 0, 0, 0},
 		"name length": uv(uv([]byte{tagRaw}, 0), 1<<20),
 		"rank": uv(uv(uv(uv(uv(append(uv(uv([]byte{tagRaw}, 0), 1), 'w'),
@@ -212,22 +272,56 @@ func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
 		"no extents":           checksummedRaw(1),
 		"gob length":           uv(uv([]byte{tagGob}, 0), maxGobFrameLen+1),
 		"malformed varint":     append([]byte{tagGob}, bytes.Repeat([]byte{0x80}, 11)...),
-	}
-	for name, frame := range cases {
-		err := decodeStream(frame, 1)
-		var fc *FrameCorruptError
-		if !errors.As(err, &fc) {
-			t.Errorf("%s: err = %v, want *FrameCorruptError", name, err)
-		}
-	}
 
-	var m Msg
-	if err := newCodec(&replayConn{r: bytes.NewReader(shortDenseRotation(t))}).recvInto(&m); err != nil {
-		t.Fatal(err)
+		"served zero gap":        servedFrame(MsgPrefetch, 0, 2, 0, []uint64{4, 0}, nil),
+		"served offset overflow": servedFrame(MsgPrefetch, 0, 2, 0, []uint64{1 << 62, 1<<62 + 1}, nil),
+		"served offset count":    servedFrame(MsgPrefetch, 0, 1<<40, 0, nil, nil),
+		"served value count":     servedFrame(MsgPrefetchResp, 0, 0, 1<<40, nil, nil),
+		"served update counts":   servedFrame(MsgUpdateBatch, 0, 2, 1, []uint64{1, 1}, []float64{1}),
+		"served read values":     servedFrame(MsgPrefetch, 0, 1, 1, []uint64{1}, []float64{1}),
+		"served answer offsets":  servedFrame(MsgPrefetchResp, 0, 1, 1, []uint64{1}, []float64{1}),
+		"served unknown kind":    servedFrame(MsgAck, 0, 0, 0, nil, nil),
+		"served unknown flag":    servedFrame(MsgUpdateBatch, 2, 1, 1, []uint64{1}, []float64{1}),
+		"served absolute read":   servedFrame(MsgPrefetch, servedAbsolute, 1, 0, []uint64{1}, nil),
 	}
-	if p, err := dsm.DecodePartition(m.PartBlob); err == nil {
-		t.Errorf("a 4x4 dense partition carrying 3 values decoded: %v", p.Local.Dims())
+	for _, m := range servedMsgs() {
+		frame := captureFrames(func(c *codec) {
+			if err := c.send(&m); err != nil {
+				tb.Error(err)
+			}
+		})[0]
+		frame[len(frame)-1] ^= 0x40
+		frames[fmt.Sprintf("served kind %d, flipped CRC byte", m.Kind)] = frame
+		frames[fmt.Sprintf("served kind %d in a gob frame", m.Kind)] = gobFrame(tb, &m)
 	}
+	return frames
+}
+
+// servedFrame builds a served frame — sequence 0, epoch 1, sender 0,
+// array "w" — from the raw fields a hostile peer controls, with a valid
+// CRC32C trailer: only the decoder's checks can refuse it.
+func servedFrame(kind MsgKind, flags byte, nOffs, nVals uint64, gaps []uint64, vals []float64) []byte {
+	body := uv(uv(uv(uv(uv(uv(uv(nil, 0), uint64(kind)), uint64(flags)), 1), 0), nOffs), nVals)
+	body = append(uv(body, 1), 'w')
+	for _, g := range gaps {
+		body = uv(body, g)
+	}
+	for _, v := range vals {
+		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
+	}
+	return binary.LittleEndian.AppendUint32(append([]byte{tagServed}, body...), crc32.Checksum(body, castagnoli))
+}
+
+// gobFrame frames m as gob, checksummed and in sequence, the way the
+// codec frames every kind it does not send in a served frame.
+func gobFrame(tb testing.TB, m *Msg) []byte {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(m); err != nil {
+		tb.Fatal(err)
+	}
+	h := uv(uv([]byte{tagGob}, 0), uint64(body.Len()))
+	crc := crc32.Update(crc32.Checksum(h[1:], castagnoli), castagnoli, body.Bytes())
+	return binary.LittleEndian.AppendUint32(append(h, body.Bytes()...), crc)
 }
 
 // checksummedRaw builds a raw rotation frame — sequence 0, array "w",
@@ -308,7 +402,7 @@ func TestServeUpdateDuplicateDeliveryIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.serveRead("w", offs, 6)
+	got, err := s.serveRead(nil, "w", offs, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +416,7 @@ func TestServeUpdateDuplicateDeliveryIdempotent(t *testing.T) {
 	if err := s.serveUpdate("w", 2, offs, vals, false, 6); err != nil {
 		t.Fatal(err)
 	}
-	got, err = s.serveRead("w", offs, 7)
+	got, err = s.serveRead(nil, "w", offs, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +434,7 @@ func TestServeUpdateDuplicateDeliveryIdempotent(t *testing.T) {
 	if err := s.serveUpdate("w", 2, []int64{0}, []float64{1}, false, 8); err != nil {
 		t.Fatal(err)
 	}
-	got, err = s.serveRead("w", []int64{0}, 9)
+	got, err = s.serveRead(nil, "w", []int64{0}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +473,8 @@ func TestShardOwnerRejectsMalformedRequests(t *testing.T) {
 	}{
 		{"read past the end of the array", Msg{Kind: MsgPrefetch, Offsets: []int64{1, 99}}},
 		{"read of an offset another owner holds", Msg{Kind: MsgPrefetch, Offsets: []int64{6}}},
-		{"update with more offsets than values", Msg{Kind: MsgUpdateBatch, Offsets: []int64{1, 2}, Values: []float64{1}}},
+		// An update with more offsets than values never reaches an owner:
+		// the served frame's decoder condemns it (TestFrameHeaderBoundsRejectHostileClaims).
 		{"update past the end of the array", Msg{Kind: MsgUpdateBatch, Offsets: []int64{8}, Values: []float64{1}}},
 	} {
 		tc.msg.Array, tc.msg.ExecutorID, tc.msg.Epoch = "w", 1, int64(i+1)
@@ -434,10 +529,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	corrupt := append([]byte(nil), rot...)
 	corrupt[len(corrupt)/2] ^= 1
 	f.Add(corrupt)
-	f.Add(uv(uv([]byte{tagRaw}, 0), 1<<20))
-	f.Add(append([]byte{tagGob}, bytes.Repeat([]byte{0x80}, 11)...))
-	f.Add(checksummedRaw(0, 1<<33, 1<<33))
 	f.Add(shortDenseRotation(f))
+	for _, frame := range hostileFrames(f) {
+		f.Add(frame)
+	}
+	for _, m := range servedMsgs() {
+		f.Add(captureFrames(func(c *codec) { c.send(&m) })[0])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

@@ -39,11 +39,15 @@ type iterBlock struct {
 type prefetchIndex struct {
 	id   string
 	offs []int64
-	// table is open-addressed with linear probing: an entry is 1 + the
-	// slot whose offset hashed there, 0 when empty. Its length is a power
-	// of two, at least twice len(offs).
-	table []int32
-	shift uint
+	// table holds 1 + the slot of an offset, 0 for none. It is direct,
+	// indexed by offset - lo, whenever the offsets' span fits in the
+	// table hashing would allocate — so it never costs more memory, and
+	// only a block reading a large array sparsely hashes: open addressing
+	// with linear probing, a power of two at least twice len(offs) long.
+	table  []int32
+	direct bool
+	lo     int64
+	shift  uint
 }
 
 func newPrefetchIndex(id string, offs []int64) prefetchIndex {
@@ -54,6 +58,13 @@ func newPrefetchIndex(id string, offs []int64) prefetchIndex {
 	bits := uint(1)
 	for 1<<bits < 2*len(offs) {
 		bits++
+	}
+	if span := offs[len(offs)-1] - offs[0] + 1; span > 0 && span <= 1<<bits {
+		x.table, x.direct, x.lo = make([]int32, span), true, offs[0]
+		for i, off := range offs {
+			x.table[off-x.lo] = int32(i) + 1
+		}
+		return x
 	}
 	x.table, x.shift = make([]int32, 1<<bits), 64-bits
 	for i, off := range offs {
@@ -75,6 +86,12 @@ func (x *prefetchIndex) hash(off int64) uint64 {
 // slot returns the slot of an offset, -1 when the block did not
 // prefetch it.
 func (x *prefetchIndex) slot(off int64) int32 {
+	if x.direct {
+		if d := uint64(off - x.lo); d < uint64(len(x.table)) {
+			return x.table[d] - 1
+		}
+		return -1
+	}
 	if len(x.table) == 0 {
 		return -1
 	}

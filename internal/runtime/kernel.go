@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -94,10 +95,10 @@ type ServedArray struct {
 	delta []float64
 	set   []float64
 	flags []uint8
-	// setSlots and updSlots list the slots with a pending absolute write
-	// and a pending delta, in first-write order: the order they flush in.
-	setSlots []int32
-	updSlots []int32
+	// nSet and nUpd count the slots with a pending absolute write and
+	// delta; extraOrder is flush scratch.
+	nSet, nUpd int
+	extraOrder []int32
 	// hits and misses count the block's reads; the executor adds them to
 	// the process-wide counters once, at block end.
 	hits, misses int64
@@ -136,7 +137,7 @@ func (s *ServedArray) beginBlock(idx prefetchIndex) {
 	for i := range s.flags {
 		s.flags[i] = slotBase
 	}
-	s.setSlots, s.updSlots = s.setSlots[:0], s.updSlots[:0]
+	s.nSet, s.nUpd = 0, 0
 }
 
 // slot resolves an offset to its slot, appending one when the block has
@@ -161,6 +162,38 @@ func (s *ServedArray) offsetOf(i int32) int64 {
 		return s.extra[i-n]
 	}
 	return s.idx.offs[i]
+}
+
+// pending appends to offs and vals, in ascending offset order, every
+// pending absolute write (absolute) or delta: the prefetched slots in
+// slot order, which is offset order, merged with the extra slots sorted.
+func (s *ServedArray) pending(absolute bool, offs []int64, vals []float64) ([]int64, []float64) {
+	flag, src := slotDelta, s.delta
+	if absolute {
+		flag, src = slotSet, s.set
+	}
+	n := int32(len(s.idx.offs))
+	ex := s.extraOrder[:0]
+	for j := range s.extra {
+		if s.flags[n+int32(j)]&flag != 0 {
+			ex = append(ex, n+int32(j))
+		}
+	}
+	slices.SortFunc(ex, func(a, b int32) int { return cmp.Compare(s.extra[a-n], s.extra[b-n]) })
+	s.extraOrder = ex
+	for i, off := range s.idx.offs {
+		if s.flags[i]&flag == 0 {
+			continue
+		}
+		for ; len(ex) > 0 && s.extra[ex[0]-n] < off; ex = ex[1:] {
+			offs, vals = append(offs, s.extra[ex[0]-n]), append(vals, src[ex[0]])
+		}
+		offs, vals = append(offs, off), append(vals, src[i])
+	}
+	for _, j := range ex {
+		offs, vals = append(offs, s.extra[j-n]), append(vals, src[j])
+	}
+	return offs, vals
 }
 
 // Read reads one element by flattened offset. Prefetched offsets hit
@@ -206,7 +239,7 @@ func (s *ServedArray) Update(off int64, delta float64) {
 	i := s.slot(off)
 	if s.flags[i]&slotDelta == 0 {
 		s.flags[i] |= slotDelta
-		s.updSlots = append(s.updSlots, i)
+		s.nUpd++
 	}
 	s.delta[i] += delta
 }
@@ -221,12 +254,12 @@ func (s *ServedArray) Set(off int64, v float64) { s.setSlot(s.slot(off), v) }
 func (s *ServedArray) setSlot(i int32, v float64) {
 	if f := s.flags[i]; f&(slotSet|slotDelta) != slotSet {
 		if f&slotSet == 0 {
-			s.setSlots = append(s.setSlots, i)
+			s.nSet++
 		}
 		if f&slotDelta != 0 {
 			// An absolute write supersedes any pending delta on the offset.
 			s.delta[i] = 0
-			s.updSlots = slices.DeleteFunc(s.updSlots, func(j int32) bool { return j == i })
+			s.nUpd--
 		}
 		s.flags[i] = f&^slotDelta | slotSet
 	}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -195,15 +196,41 @@ type IterSample struct {
 // Frame tags: every message on a codec stream is one tag byte followed
 // by its body. 'G' frames carry a gob-encoded Msg; 'R' frames carry a
 // length-prefixed raw rotation payload (dense partition storage written
-// directly, no intermediate blob). Both frames end in a CRC32C trailer
-// over everything after the tag byte, and both carry a per-direction
-// sequence number inside the checksummed region — the checksum catches
-// flipped or truncated bytes, the sequence number catches duplicated or
-// reordered frames that are individually intact.
+// directly, no intermediate blob); 'S' frames, and only they, carry
+// MsgPrefetch, MsgPrefetchResp and MsgUpdateBatch. All end in a CRC32C
+// trailer over everything after the tag byte, and all carry a
+// per-direction sequence number inside the checksummed region — the
+// checksum catches flipped or truncated bytes, the sequence number
+// catches duplicated or reordered frames that are individually intact.
+// A served frame is: tag · uvarint seq, kind, flags (servedAbsolute),
+// epoch, sender, offset count, value count, name length · name · the
+// offsets, ascending, as uvarint gaps (the first a gap from -1, so every
+// gap is at least 1) · little-endian float64 values · CRC32C trailer.
 const (
-	tagGob = 'G'
-	tagRaw = 'R'
+	tagGob    = 'G'
+	tagRaw    = 'R'
+	tagServed = 'S'
 )
+
+// servedAbsolute is the served frame's flag for Msg.Absolute.
+const servedAbsolute = 1
+
+// servedKind reports whether a message kind travels in a served frame.
+func servedKind(k MsgKind) bool {
+	return k == MsgPrefetch || k == MsgPrefetchResp || k == MsgUpdateBatch
+}
+
+// servedShape says what keeps a served frame's kind, flags and counts
+// from being one of the three served messages, "" when nothing does: a
+// read carries offsets, its answer values, an update one value per
+// offset, and only an update may be absolute.
+func servedShape(kind MsgKind, flags, nOffs, nVals uint64) string {
+	if kind == MsgPrefetch && flags == 0 && nVals == 0 || kind == MsgPrefetchResp && flags == 0 && nOffs == 0 ||
+		kind == MsgUpdateBatch && flags&^servedAbsolute == 0 && nVals == nOffs {
+		return ""
+	}
+	return fmt.Sprintf("kind %d with flags %#x, %d offsets and %d values is not a served message", kind, flags, nOffs, nVals)
+}
 
 // Frame integrity bounds. A decoder trusts nothing it has not verified:
 // uvarint header fields are capped before any allocation or blocking
@@ -453,6 +480,9 @@ func (c *codec) corruptOrIO(err error) error {
 }
 
 func (c *codec) send(m *Msg) error {
+	if servedKind(m.Kind) {
+		return c.sendServed(m)
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.gw.buf = c.gw.buf[:0]
@@ -472,10 +502,14 @@ func (c *codec) send(m *Msg) error {
 		return err
 	}
 	crc := crc32.Update(0, castagnoli, h[1:])
-	crc = crc32.Update(crc, castagnoli, body)
-	var tr [frameTrailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], crc)
-	if _, err := c.bw.Write(tr[:]); err != nil {
+	return c.endFrame(crc32.Update(crc, castagnoli, body))
+}
+
+// endFrame writes the CRC32C trailer of the frame being sent and flushes
+// it. The caller holds wmu and has written everything else, so the send
+// buffer is free to stage the trailer.
+func (c *codec) endFrame(crc uint32) error {
+	if _, err := c.bw.Write(binary.LittleEndian.AppendUint32(c.wbuf[:0], crc)); err != nil {
 		return err
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -484,6 +518,24 @@ func (c *codec) send(m *Msg) error {
 	if c.stats != nil {
 		c.stats.MsgsSent.Inc()
 	}
+	return nil
+}
+
+// verifyFrame reads the trailer of a received frame, staged through the
+// receive scratch, and checks it and the frame's sequence number,
+// condemning the link on a mismatch.
+func (c *codec) verifyFrame(frame string, crc uint32, seq uint64) error {
+	tr := chunkBuf(&c.scratch)[:frameTrailerLen]
+	if _, err := io.ReadFull(c.br, tr); err != nil {
+		return err
+	}
+	if got := binary.LittleEndian.Uint32(tr); got != crc {
+		return c.condemn(fmt.Sprintf("%s checksum mismatch (wire %08x, computed %08x)", frame, got, crc))
+	}
+	if seq != c.rseq {
+		return c.condemn(fmt.Sprintf("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq))
+	}
+	c.rseq++
 	return nil
 }
 
@@ -527,6 +579,8 @@ func (c *codec) decodeFrame(m *Msg) error {
 		return c.readGobFrame(m)
 	case tagRaw:
 		return c.readRawRotation(m)
+	case tagServed:
+		return c.readServed(m)
 	default:
 		return c.condemn(fmt.Sprintf("unknown frame tag %#x", tag))
 	}
@@ -574,24 +628,18 @@ func (c *codec) readGobFrame(m *Msg) error {
 		}
 	}
 	crc := crc32.Update(0, castagnoli, hdr)
-	crc = crc32.Update(crc, castagnoli, c.gr.data)
-	var tr [frameTrailerLen]byte
-	if _, err := io.ReadFull(c.br, tr[:]); err != nil {
+	if err := c.verifyFrame("gob frame", crc32.Update(crc, castagnoli, c.gr.data), seq); err != nil {
 		return err
 	}
-	if got := binary.LittleEndian.Uint32(tr[:]); got != crc {
-		return c.condemn(fmt.Sprintf("gob frame checksum mismatch (wire %08x, computed %08x)", got, crc))
-	}
-	if seq != c.rseq {
-		return c.condemn(fmt.Sprintf("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq))
-	}
-	c.rseq++
 	c.gr.pos = 0
 	if err := c.dec.Decode(m); err != nil {
 		return c.condemn(fmt.Sprintf("gob decode of a verified frame: %v", err))
 	}
 	if c.gr.pos != len(c.gr.data) {
 		return c.condemn(fmt.Sprintf("%d trailing bytes after the gob value", len(c.gr.data)-c.gr.pos))
+	}
+	if servedKind(m.Kind) { // each kind has one encoding
+		return c.condemn(fmt.Sprintf("served kind %d in a gob frame", m.Kind))
 	}
 	return nil
 }
@@ -649,34 +697,56 @@ func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
 	if _, err := c.bw.Write(h); err != nil {
 		return 0, err
 	}
-	crc := crc32.Update(0, castagnoli, h[1:])
 	wire := int64(len(h)) + int64(len(data))*8 + frameTrailerLen
-	if cap(c.wbuf) < rawChunkElems*8 {
-		c.wbuf = make([]byte, rawChunkElems*8)
+	crc, err := c.writeFloats(crc32.Update(0, castagnoli, h[1:]), data)
+	if err != nil {
+		return 0, err
 	}
-	buf := c.wbuf[:rawChunkElems*8]
-	for off := 0; off < len(data); off += rawChunkElems {
-		n := min(len(data)-off, rawChunkElems)
+	return wire, c.endFrame(crc)
+}
+
+// chunkBuf returns *b, grown if need be, as one staging chunk of
+// rawChunkElems float64s.
+func chunkBuf(b *[]byte) []byte {
+	if cap(*b) < rawChunkElems*8 {
+		*b = make([]byte, rawChunkElems*8)
+	}
+	return (*b)[:rawChunkElems*8]
+}
+
+// writeFloats writes vals as little-endian float64s staged through the
+// send buffer, folding the bytes into crc. The caller holds wmu and has
+// already written the frame's header.
+func (c *codec) writeFloats(crc uint32, vals []float64) (uint32, error) {
+	buf := chunkBuf(&c.wbuf)
+	for off := 0; off < len(vals); off += rawChunkElems {
+		n := min(len(vals)-off, rawChunkElems)
 		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(data[off+i]))
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(vals[off+i]))
 		}
 		crc = crc32.Update(crc, castagnoli, buf[:n*8])
 		if _, err := c.bw.Write(buf[:n*8]); err != nil {
-			return 0, err
+			return crc, err
 		}
 	}
-	var tr [frameTrailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], crc)
-	if _, err := c.bw.Write(tr[:]); err != nil {
-		return 0, err
+	return crc, nil
+}
+
+// readFloats fills vals with little-endian float64s staged through the
+// receive scratch, folding the bytes into crc.
+func (c *codec) readFloats(crc uint32, vals []float64) (uint32, error) {
+	buf := chunkBuf(&c.scratch)
+	for off := 0; off < len(vals); off += rawChunkElems {
+		n := min(len(vals)-off, rawChunkElems)
+		if _, err := io.ReadFull(c.br, buf[:n*8]); err != nil {
+			return crc, err
+		}
+		crc = crc32.Update(crc, castagnoli, buf[:n*8])
+		for i := 0; i < n; i++ {
+			vals[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		}
 	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, err
-	}
-	if c.stats != nil {
-		c.stats.MsgsSent.Inc()
-	}
-	return wire, nil
+	return crc, nil
 }
 
 // readRawRotation decodes a raw rotation frame (tag already consumed)
@@ -694,25 +764,10 @@ func (c *codec) readRawRotation(m *Msg) error {
 	if err != nil {
 		return c.corruptOrIO(err)
 	}
-	nameLen, err := readUvarintRaw(c.br, &hdr)
+	name, err := c.readName(&hdr, "raw rotation frame")
 	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	if nameLen > maxRawNameLen {
-		return c.condemn(fmt.Sprintf("raw rotation frame: array name length %d exceeds the %d cap", nameLen, maxRawNameLen))
-	}
-	need := len(hdr) + int(nameLen)
-	if cap(hdr) < need {
-		grown := make([]byte, len(hdr), need+64)
-		copy(grown, hdr)
-		hdr = grown
-	}
-	nb := hdr[len(hdr):need]
-	if _, err := io.ReadFull(c.br, nb); err != nil {
 		return err
 	}
-	hdr = hdr[:need]
-	name := c.intern(nb)
 	// The partition range, then the rank.
 	var field [4]uint64
 	for i := range field {
@@ -755,40 +810,134 @@ func (c *codec) readRawRotation(m *Msg) error {
 	if cp := frameElemCap(); count > uint64(cp) {
 		return c.condemn(fmt.Sprintf("raw rotation frame: %d elements exceeds the configured cap %d", count, cp))
 	}
-	crc := crc32.Update(0, castagnoli, hdr)
 	vals := bufpool.GetF64(int(count))
-	if cap(c.scratch) < rawChunkElems*8 {
-		c.scratch = make([]byte, rawChunkElems*8)
+	crc, err := c.readFloats(crc32.Update(0, castagnoli, hdr), vals)
+	if err == nil {
+		err = c.verifyFrame("raw rotation frame", crc, seq)
 	}
-	buf := c.scratch[:rawChunkElems*8]
-	for off := 0; off < len(vals); off += rawChunkElems {
-		n := min(len(vals)-off, rawChunkElems)
-		if _, err := io.ReadFull(c.br, buf[:n*8]); err != nil {
-			bufpool.PutF64(vals)
-			return err
-		}
-		crc = crc32.Update(crc, castagnoli, buf[:n*8])
-		for i := 0; i < n; i++ {
-			vals[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-	}
-	var tr [frameTrailerLen]byte
-	if _, err := io.ReadFull(c.br, tr[:]); err != nil {
+	if err != nil {
 		bufpool.PutF64(vals)
 		return err
 	}
-	if got := binary.LittleEndian.Uint32(tr[:]); got != crc {
-		bufpool.PutF64(vals)
-		return c.condemn(fmt.Sprintf("raw rotation frame checksum mismatch (wire %08x, computed %08x)", got, crc))
-	}
-	if seq != c.rseq {
-		bufpool.PutF64(vals)
-		return c.condemn(fmt.Sprintf("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq))
-	}
-	c.rseq++
 	m.Kind = MsgRotate
 	m.Array = name
 	m.part = dsm.NewDenseFrom(name, vals, int(dim), int64(lo), int64(hi), dims...)
+	return nil
+}
+
+// readName reads a frame's uvarint-length-prefixed array name into the
+// header bytes, refusing a length past maxRawNameLen.
+func (c *codec) readName(hdr *[]byte, frame string) (string, error) {
+	nameLen, err := readUvarintRaw(c.br, hdr)
+	if err != nil {
+		return "", c.corruptOrIO(err)
+	}
+	if nameLen > maxRawNameLen {
+		return "", c.condemn(fmt.Sprintf("%s: array name length %d exceeds the %d cap", frame, nameLen, maxRawNameLen))
+	}
+	h := slices.Grow(*hdr, int(nameLen))
+	nb := h[len(h) : len(h)+int(nameLen)]
+	*hdr = h[:len(h)+int(nameLen)]
+	if _, err := io.ReadFull(c.br, nb); err != nil {
+		return "", err
+	}
+	return c.intern(nb), nil
+}
+
+// sendServed ships a served message as one served frame (layout at
+// tagServed). One the frame cannot carry — a shape servedShape refuses,
+// offsets that do not ascend from 0 — is an error, and nothing is sent.
+func (c *codec) sendServed(m *Msg) error {
+	var flags uint64
+	if m.Absolute {
+		flags = servedAbsolute
+	}
+	if why := servedShape(m.Kind, flags, uint64(len(m.Offsets)), uint64(len(m.Values))); why != "" {
+		return fmt.Errorf("runtime: unframeable served message: %s", why)
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	h := append(c.wbuf[:0], tagServed)
+	for _, v := range []uint64{c.wseq, uint64(m.Kind), flags, uint64(m.Epoch), uint64(m.ExecutorID),
+		uint64(len(m.Offsets)), uint64(len(m.Values)), uint64(len(m.Array))} {
+		h = binary.AppendUvarint(h, v)
+	}
+	h = append(h, m.Array...)
+	prev := int64(-1)
+	for _, off := range m.Offsets {
+		if off <= prev {
+			return fmt.Errorf("runtime: unframeable served message: offset %d follows %d", off, prev)
+		}
+		h = binary.AppendUvarint(h, uint64(off)-uint64(prev))
+		prev = off
+	}
+	c.wseq++
+	c.wbuf = h[:0]
+	if _, err := c.bw.Write(h); err != nil {
+		return err
+	}
+	crc, err := c.writeFloats(crc32.Update(0, castagnoli, h[1:]), m.Values)
+	if err != nil {
+		return err
+	}
+	return c.endFrame(crc)
+}
+
+// readServed decodes a served frame (tag already consumed) into m,
+// reusing m's Offsets and Values storage. The counts clear the element
+// cap and servedShape before anything is read at their size, every gap
+// is at least 1 and keeps the offset within int64, and nothing reaches
+// m until the trailer and sequence number verify.
+func (c *codec) readServed(m *Msg) error {
+	hdr := c.rhdr[:0]
+	var f [7]uint64 // seq, kind, flags, epoch, sender, offset count, value count
+	var err error
+	for i := range f {
+		if f[i], err = readUvarintRaw(c.br, &hdr); err != nil {
+			return c.corruptOrIO(err)
+		}
+	}
+	name, err := c.readName(&hdr, "served frame")
+	if err != nil {
+		return err
+	}
+	seq, kind, flags, nOffs, nVals := f[0], MsgKind(f[1]), f[2], f[5], f[6]
+	if cp := uint64(frameElemCap()); nOffs > cp || nVals > cp {
+		return c.condemn(fmt.Sprintf("served frame: %d offsets and %d values exceed the configured cap %d", nOffs, nVals, cp))
+	}
+	if why := servedShape(kind, flags, nOffs, nVals); why != "" {
+		return c.condemn("served frame: " + why)
+	}
+	// next is one past the previous offset: the first gap counts from -1.
+	offs, next := m.Offsets[:0], uint64(0)
+	for range nOffs {
+		gap, err := readUvarintRaw(c.br, &hdr)
+		if err != nil {
+			return c.corruptOrIO(err)
+		}
+		if gap == 0 || gap > 1<<63-next {
+			return c.condemn(fmt.Sprintf("served frame: offset gap %d after offset %d", gap, int64(next)-1))
+		}
+		next += gap
+		offs = append(offs, int64(next-1))
+	}
+	c.rhdr = hdr[:0]
+	crc := crc32.Update(0, castagnoli, hdr)
+	// The values grow a chunk at a time as their bytes arrive.
+	vals := m.Values[:0]
+	for uint64(len(vals)) < nVals {
+		old := len(vals)
+		n := int(min(nVals-uint64(old), rawChunkElems))
+		vals = slices.Grow(vals, n)[:old+n]
+		if crc, err = c.readFloats(crc, vals[old:]); err != nil {
+			return err
+		}
+	}
+	if err := c.verifyFrame("served frame", crc, seq); err != nil {
+		return err
+	}
+	m.Kind, m.Array, m.Absolute, m.Epoch, m.ExecutorID = kind, name, flags&servedAbsolute != 0, int64(f[3]), int(f[4])
+	m.Offsets, m.Values = offs, vals
 	return nil
 }
 

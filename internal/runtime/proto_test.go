@@ -42,13 +42,14 @@ func TestMsgReset(t *testing.T) {
 }
 
 // startEcho serves one connection with the reusing recvInto/send pair,
-// answering a prefetch with its values alone — the shape of servePeer's
-// hot loop.
+// answering a prefetch with one value per offset, into a reused buffer —
+// the shape of servePeer's hot loop.
 func startEcho(c *codec) chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		var in, out Msg
+		var vals []float64
 		for {
 			if err := c.recvInto(&in); err != nil {
 				return
@@ -56,7 +57,11 @@ func startEcho(c *codec) chan struct{} {
 			if in.Kind == MsgShutdown {
 				return
 			}
-			out = Msg{Kind: MsgPrefetchResp, Array: in.Array, Values: in.Values}
+			vals = vals[:0]
+			for _, off := range in.Offsets {
+				vals = append(vals, float64(off)*0.5)
+			}
+			out = Msg{Kind: MsgPrefetchResp, Array: in.Array, Values: vals}
 			if err := c.send(&out); err != nil {
 				return
 			}
@@ -76,11 +81,9 @@ func TestRecvIntoReusesPayloadStorage(t *testing.T) {
 	sc := newCodec(serverConn)
 	done := startEcho(sc)
 
-	req := Msg{Kind: MsgPrefetch, Array: "weights",
-		Offsets: make([]int64, 64), Values: make([]float64, 64)}
+	req := Msg{Kind: MsgPrefetch, Array: "weights", Offsets: make([]int64, 64)}
 	for i := range req.Offsets {
 		req.Offsets[i] = int64(i)
-		req.Values[i] = float64(i) * 0.5
 	}
 	var resp Msg
 	roundTrip := func() {
@@ -111,6 +114,35 @@ func TestRecvIntoReusesPayloadStorage(t *testing.T) {
 
 	cc.send(&Msg{Kind: MsgShutdown})
 	<-done
+}
+
+// TestServedSendRefusesUnframeable: a served message the served frame
+// cannot carry — offsets that repeat, fall or start below 0, values on a
+// read — is an error at the sender, and nothing goes out, sequence
+// number included.
+func TestServedSendRefusesUnframeable(t *testing.T) {
+	frames := captureFrames(func(c *codec) {
+		for _, m := range []Msg{
+			{Kind: MsgPrefetch, Offsets: []int64{3, 3}},
+			{Kind: MsgPrefetch, Offsets: []int64{5, 2}},
+			{Kind: MsgPrefetch, Offsets: []int64{-1}},
+			{Kind: MsgPrefetch, Offsets: []int64{1}, Values: []float64{1}},
+			{Kind: MsgUpdateBatch, Offsets: []int64{1, 2}, Values: []float64{1}},
+		} {
+			if err := c.send(&m); err == nil {
+				t.Errorf("%+v was sent", m)
+			}
+		}
+		if err := c.send(&Msg{Kind: MsgPrefetch, Offsets: []int64{0}}); err != nil {
+			t.Error(err)
+		}
+	})
+	if len(frames) != 1 {
+		t.Fatalf("%d frames went out, want the one well-formed read", len(frames))
+	}
+	if err := decodeStream(frames[0], 1); err != nil {
+		t.Errorf("the well-formed read after the refusals: %v", err)
+	}
 }
 
 // TestRawRotationRoundTrip: a dense partition shipped via sendRotation
@@ -246,8 +278,10 @@ func BenchmarkPeerRoundTrip(b *testing.B) {
 	sc := newCodec(serverConn)
 	done := startEcho(sc)
 
-	req := Msg{Kind: MsgPrefetch, Array: "weights",
-		Offsets: make([]int64, 64), Values: make([]float64, 64)}
+	req := Msg{Kind: MsgPrefetch, Array: "weights", Offsets: make([]int64, 64)}
+	for i := range req.Offsets {
+		req.Offsets[i] = int64(i)
+	}
 	var resp Msg
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

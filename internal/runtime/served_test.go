@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"orion/internal/dsm"
 	"orion/internal/obs"
+	"orion/internal/sched"
 )
 
 // loneExecutor is an executor that never connects to a master: it owns
@@ -40,13 +43,12 @@ type mapServed struct {
 	shard                       map[int64]float64 // what the owner holds
 	fetched, missed             map[int64]float64
 	deltas, sets                map[int64]float64
-	updOffs, setOffs            []int64
 	hits, misses, fetchOneCalls int64
 }
 
 func (m *mapServed) beginBlock(prefetch []int64) {
 	m.fetched, m.missed = map[int64]float64{}, map[int64]float64{}
-	m.deltas, m.sets, m.updOffs, m.setOffs = map[int64]float64{}, map[int64]float64{}, nil, nil
+	m.deltas, m.sets = map[int64]float64{}, map[int64]float64{}
 	for _, off := range prefetch {
 		m.fetched[off] = m.shard[off]
 	}
@@ -74,39 +76,34 @@ func (m *mapServed) read(off int64) float64 {
 	return m.shard[off] + base
 }
 
-func (m *mapServed) update(off int64, d float64) {
-	if _, ok := m.deltas[off]; !ok {
-		m.updOffs = append(m.updOffs, off)
-	}
-	m.deltas[off] += d
-}
+func (m *mapServed) update(off int64, d float64) { m.deltas[off] += d }
 
 func (m *mapServed) set(off int64, v float64) {
-	if _, ok := m.sets[off]; !ok {
-		m.setOffs = append(m.setOffs, off)
-	}
 	m.sets[off] = v
-	if _, ok := m.deltas[off]; ok {
-		delete(m.deltas, off)
-		m.updOffs = slices.DeleteFunc(m.updOffs, func(o int64) bool { return o == off })
-	}
+	delete(m.deltas, off)
 }
 
 // flush returns the batches the block ships — absolute writes, then
-// deltas — and applies them to the owner's copy.
+// deltas, each in ascending offset order — and applies them to the
+// owner's copy. A batch holds each offset once, and folding it sets or
+// adds to each of those elements alone, so no order inside a batch can
+// change a folded bit: ascending is the order a served frame carries.
 func (m *mapServed) flush(epoch int64) []stagedUpdate {
 	var out []stagedUpdate
 	for _, b := range []struct {
-		offs     []int64
 		vals     map[int64]float64
 		absolute bool
-	}{{m.setOffs, m.sets, true}, {m.updOffs, m.deltas, false}} {
-		if len(b.offs) == 0 {
+	}{{m.sets, true}, {m.deltas, false}} {
+		if len(b.vals) == 0 {
 			continue
 		}
 		u := stagedUpdate{epoch: epoch, absolute: b.absolute}
-		for _, off := range b.offs {
-			u.offs, u.vals = append(u.offs, off), append(u.vals, b.vals[off])
+		for off := range b.vals {
+			u.offs = append(u.offs, off)
+		}
+		slices.Sort(u.offs)
+		for _, off := range u.offs {
+			u.vals = append(u.vals, b.vals[off])
 			if b.absolute {
 				m.shard[off] = b.vals[off]
 			} else {
@@ -124,10 +121,12 @@ func (m *mapServed) flush(epoch int64) []stagedUpdate {
 // write-only offsets) and blocks that prefetch nothing at all, across
 // many begin/flush cycles: every value read, every flushed batch (its
 // offsets, their order, the value bits, the absolute flag), the hit and
-// miss counts and the number of slow-path fetches are the model's.
+// miss counts and the number of slow-path fetches are the model's. The
+// seeded blocks index their prefetch both ways, direct and hashed.
 func TestServedSlotTableEqualsMapModel(t *testing.T) {
 	const extent = 48
 	bits := math.Float64bits
+	forms := map[bool]int{}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := loneExecutor(nil, extent, extent)
@@ -149,7 +148,9 @@ func TestServedSlotTableEqualsMapModel(t *testing.T) {
 			}
 			sa.beginBlock(prefetchIndex{})
 			if len(prefetch) > 0 {
-				if err := e.bulkFetch(sa, newPrefetchIndex("", prefetch)); err != nil {
+				idx := newPrefetchIndex("", prefetch)
+				forms[idx.direct]++
+				if err := e.bulkFetch(sa, idx); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -177,10 +178,10 @@ func TestServedSlotTableEqualsMapModel(t *testing.T) {
 					seed, block, sa.hits, sa.misses, model.hits, model.misses, model.fetchOneCalls)
 			}
 			sa.hits, sa.misses, model.hits, model.misses, model.fetchOneCalls = 0, 0, 0, 0, 0
-			if err := e.flushServed(sa, sa.setSlots, sa.set, true); err != nil {
+			if err := e.flushServed(sa, true); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.flushServed(sa, sa.updSlots, sa.delta, false); err != nil {
+			if err := e.flushServed(sa, false); err != nil {
 				t.Fatal(err)
 			}
 			// The single owner staged the batches as they arrived; the next
@@ -202,36 +203,111 @@ func TestServedSlotTableEqualsMapModel(t *testing.T) {
 			}
 		}
 	}
+	if forms[true] == 0 || forms[false] == 0 {
+		t.Errorf("the seeded blocks indexed %d prefetches directly and hashed %d, want both forms", forms[true], forms[false])
+	}
 }
 
 // TestServedTableAccessAllocFree: reads, deltas and absolute writes of
 // prefetched offsets — one at a time, and reads a column at once —
-// resolve through the block's index and touch only slices.
+// resolve through the block's index, direct or hashed, and touch only
+// slices.
 func TestServedTableAccessAllocFree(t *testing.T) {
-	e := loneExecutor(nil, 64, 64)
-	sa := e.ctx.Served("w")
-	e.ctx.stepEpoch = 1
-	if err := e.bulkFetch(sa, newPrefetchIndex("", []int64{2, 8, 9, 10, 11, 40})); err != nil {
-		t.Fatal(err)
+	for _, offs := range [][]int64{{2, 8, 9, 10, 11, 13}, {2, 8, 9, 10, 11, 40}} {
+		idx := newPrefetchIndex("", offs)
+		last := offs[len(offs)-1]
+		t.Run(fmt.Sprintf("direct=%v", idx.direct), func(t *testing.T) {
+			if idx.direct != (last == 13) {
+				t.Fatalf("offsets %v: direct = %v", offs, idx.direct)
+			}
+			e := loneExecutor(nil, 64, 64)
+			sa := e.ctx.Served("w")
+			e.ctx.stepEpoch = 1
+			if err := e.bulkFetch(sa, idx); err != nil {
+				t.Fatal(err)
+			}
+			col := make([]float64, 4)
+			var sum float64
+			allocs := testing.AllocsPerRun(100, func() {
+				sum += sa.Read(2)
+				sa.Update(8, 0.5)
+				sa.Set(last, sum)
+				sa.Update(last, 1)
+				sum += sa.Read(last)
+				if !sa.ReadRun(8, col) {
+					t.Fatal("a prefetched column was refused as a run")
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("served accesses of prefetched offsets allocate %v times per round, want 0", allocs)
+			}
+			if sa.ReadRun(9, col) || sa.ReadRun(2, col[:2]) || sa.ReadRun(last-1, col[:2]) || len(sa.extra) != 0 {
+				t.Error("a run the block did not prefetch whole was served, or left a slot behind")
+			}
+		})
 	}
-	col := make([]float64, 4)
-	var sum float64
-	allocs := testing.AllocsPerRun(100, func() {
-		sum += sa.Read(2)
-		sa.Update(8, 0.5)
-		sa.Set(40, sum)
-		sa.Update(40, 1)
-		sum += sa.Read(40)
-		if !sa.ReadRun(8, col) {
-			t.Fatal("a prefetched column was refused as a run")
+}
+
+// TestServedRoundTripAllocs: a steady-state served round — a bulk fetch
+// of n offsets, half from the local shard and half from a peer's over
+// InProc, a flush of n deltas, and the next epoch's fetch that folds
+// them on both owners — allocates the same at n = 64 as at n = 4096,
+// and only a few times: nothing per element on either side of the link.
+func TestServedRoundTripAllocs(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int64{64, 4096} {
+		tr := NewInProc()
+		addr := fmt.Sprintf("round-trip-owner-%d", n)
+		ln, err := tr.Listen(addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("served accesses of prefetched offsets allocate %v times per round, want 0", allocs)
+		owner := loneExecutor(tr, 2*n, n)
+		owner.id, owner.shards.selfID = 1, 1
+		w := dsm.NewDense("w", 2*n)
+		owner.shards.install("w", []int64{2 * n}, []int64{n}, w.ExtractRange(0, n, 2*n))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if conn, err := ln.Accept(); err == nil {
+				owner.servePeer(newCodec(conn))
+			}
+		}()
+		e := loneExecutor(tr, 2*n, n, "", addr)
+		sa := e.ctx.Served("w")
+		offs := make([]int64, 2*n)
+		for i := range offs {
+			offs[i] = int64(i)
+		}
+		idx := newPrefetchIndex("", offs)
+		round := func() {
+			e.ctx.stepEpoch++
+			if err := e.bulkFetch(sa, idx); err != nil {
+				t.Fatal(err)
+			}
+			for _, off := range offs {
+				sa.Update(off, 0.25)
+			}
+			if err := e.flushServed(sa, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 3 {
+			round()
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, round))
+		// The block reads the earlier rounds' deltas, folded, and its own.
+		if got, want := sa.Read(0), -1+0.25*float64(e.ctx.stepEpoch); got != want {
+			t.Errorf("n=%d: w[0] reads %v after %d rounds, want %v", n, got, e.ctx.stepEpoch, want)
+		}
+		e.shards.closeAll()
+		ln.Close()
+		<-done
 	}
-	if sa.ReadRun(9, col) || sa.ReadRun(2, col[:2]) || sa.ReadRun(39, col[:2]) || len(sa.extra) != 0 {
-		t.Error("a run the block did not prefetch whole was served, or left a slot behind")
+	if allocs[0] != allocs[1] || allocs[0] > 8 {
+		t.Errorf("a served round allocates %v times at n = 64 and %v at n = 4096, want the same few", allocs[0], allocs[1])
 	}
+	t.Logf("allocations per served round: %v", allocs)
 }
 
 // TestServedCountersFlushPerBlock: prefetch.hit and prefetch.miss reach
@@ -295,5 +371,144 @@ func TestPrefetchAnswerOfWrongLengthRejected(t *testing.T) {
 		e.shards.closeAll()
 		ln.Close()
 		<-done
+	}
+}
+
+// peerLinkCounter is a Transport that counts the bytes both ways on
+// every connection dialed to an executor: the shard and ring links, not
+// the master's.
+type peerLinkCounter struct {
+	Transport
+	master string
+	bytes  atomic.Int64
+}
+
+func (c *peerLinkCounter) Dial(addr string) (net.Conn, error) {
+	conn, err := c.Transport.Dial(addr)
+	if err != nil || addr == c.master {
+		return conn, err
+	}
+	return byteConn{conn, &c.bytes}, nil
+}
+
+// byteConn counts the bytes crossing a connection in both directions.
+// Write counts p before it writes: on a synchronous pipe the reader may
+// act on the last byte before Write returns.
+type byteConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c byteConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+func (c byteConn) Write(p []byte) (int, error) {
+	c.n.Add(int64(len(p)))
+	n, err := c.Conn.Write(p)
+	c.n.Add(int64(n - len(p)))
+	return n, err
+}
+
+// TestServedWireBytesPinned counts, not times, what a served pass puts on
+// the wire: the executor-to-executor bytes of the second of two one-pass
+// calls of the two-worker toy SLR are an exact number, the same in three
+// runs. Each worker's block reads and updates offsets 0..9 of the
+// 16 weights, and each owns 8 of them, so per pass executor 0 reads and
+// updates w[8:10) at executor 1, and executor 1 w[0:8) at executor 0.
+// A served frame is 16 bytes of header (tag, sequence, kind, flags, the
+// name's length and "weights", epoch, sender, the two counts: one byte
+// each here), one uvarint per offset gap (one byte each here), 8 bytes
+// per value and a 4-byte trailer; a gob MsgAck, once its encoder has
+// sent the type, is ackFrame bytes (tag, sequence, length, a 6-byte gob
+// value, trailer).
+//
+//	executor 0 -> 1: read 16+2+4 = 22, answer 16+2*8+4 = 36, update 16+2+2*8+4 = 38, ack
+//	executor 1 -> 0: read 16+8+4 = 28, answer 16+8*8+4 = 84, update 16+8+8*8+4 = 92, ack
+func TestServedWireBytesPinned(t *testing.T) {
+	const ackFrame = 13
+	const want = 22 + 36 + 38 + 28 + 84 + 92 + 2*ackFrame
+	acks := captureFrames(func(c *codec) {
+		for range 2 {
+			c.send(&Msg{Kind: MsgAck})
+		}
+	})
+	if len(acks[1]) != ackFrame {
+		t.Fatalf("a gob MsgAck frames to %d bytes, want %d", len(acks[1]), ackFrame)
+	}
+	weights, samples := servedFixture()
+	for run := 0; run < 3; run++ {
+		tr := &peerLinkCounter{Transport: NewInProc(), master: "wire-pin-master"}
+		m, _, stop := startFleetOver(t, tr, tr.master, func(i int) string { return fmt.Sprintf("wire-pin-%d", i) }, 2, runtimeLoops.compile, nil)
+		if err := m.DistributeServed(weights); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.DistributeIterSpace(samples, 0, sched.NewRangePartitioner(int64(len(samples)), 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.DefineLoop(&Msg{LoopName: "rt_slr_pf"}); err != nil {
+			t.Fatal(err)
+		}
+		var pass [2]int64
+		for i := range pass {
+			before := tr.bytes.Load()
+			if err := m.ParallelFor(LoopDef{Kernel: "rt_slr_pf", TimeDim: -1, Passes: 1}); err != nil {
+				t.Fatal(err)
+			}
+			pass[i] = tr.bytes.Load() - before
+		}
+		stop()
+		if pass[1] != want {
+			t.Errorf("run %d: pass 2 moved %d bytes between the executors, want %d (pass 1: %d)", run, pass[1], want, pass[0])
+		}
+	}
+}
+
+// TestShardAddressesByFlatOffset: an owner of the last-dimension range
+// [5, 8) of a 3×8 array, dense or sparse, folds additive and absolute
+// updates into and reads back the elements the full array holds at the
+// same flattened offsets, and refuses an offset below its range.
+func TestShardAddressesByFlatOffset(t *testing.T) {
+	for _, full := range []*dsm.DistArray{dsm.NewDense("w", 3, 8), dsm.NewSparse("w", 3, 8)} {
+		for off := int64(0); off < 24; off += 2 {
+			full.SetAt(float64(off), full.Unflatten(off)...)
+		}
+		s := newShardSet(nil, 1)
+		s.install("w", []int64{3, 8}, []int64{5}, full.ExtractRange(1, 5, 8))
+		offs := []int64{15, 16, 19, 23}
+		if err := s.serveUpdate("w", 0, offs, []float64{1, -16, 0.5, 2}, false, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.serveUpdate("w", 0, []int64{19}, []float64{7}, true, 2); err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range []float64{1, -16, 0.5, 2} {
+			full.AddAt(d, full.Unflatten(offs[i])...)
+		}
+		full.SetAt(7, full.Unflatten(19)...)
+		all := []int64{15, 16, 17, 18, 19, 20, 21, 22, 23}
+		got, err := s.serveRead(nil, "w", all, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonzero := 0
+		for i, off := range all {
+			want := full.At(full.Unflatten(off)...)
+			if got[i] != want {
+				t.Errorf("dense=%v: w at offset %d reads %v, want %v", full.IsDense(), off, got[i], want)
+			}
+			if want != 0 {
+				nonzero++
+			}
+		}
+		if err := s.serveUpdate("w", 0, []int64{14}, []float64{1}, false, 3); err == nil {
+			t.Errorf("dense=%v: an update of offset 14, outside [15, 24), was staged", full.IsDense())
+		}
+		// The delta that cancels w[16] drops its sparse entry.
+		if local := s.gatherLocal("w").Local; !local.IsDense() && local.Len() != nonzero {
+			t.Errorf("sparse: the shard stores %d entries, want its %d nonzeros", local.Len(), nonzero)
+		}
 	}
 }

@@ -48,7 +48,6 @@ func (u stagedUpdate) key() updKey {
 
 // shardTable tracks one served array's sharding on an executor.
 type shardTable struct {
-	dims []int64
 	// boundaries along the last dim (len = n-1): owner k holds
 	// lastCoord in [boundaries[k-1], boundaries[k]).
 	boundaries []int64
@@ -57,12 +56,17 @@ type shardTable struct {
 	// lastStride = product of all dims except the last: flattened
 	// offset / lastStride = last-dim coordinate.
 	lastStride int64
+	// base = Lo × lastStride: a shard is a range of the last dimension,
+	// so offset - base addresses its storage, dense or sparse.
+	base int64
 	// pending holds staged updates, folded in on the first read from a
 	// later epoch. seen tracks the keys of batches currently staged
 	// (pruned as they fold), so a duplicated delivery cannot
-	// double-apply.
+	// double-apply. spare keeps folded batches' storage for the next
+	// ones to be staged.
 	pending []stagedUpdate
 	seen    map[updKey]struct{}
+	spare   []stagedUpdate
 }
 
 // fold applies every pending update from an epoch before the reader's
@@ -88,15 +92,18 @@ func (t *shardTable) fold(epoch int64) {
 			}
 		}
 		delete(t.seen, u.key())
+		t.spare = append(t.spare, stagedUpdate{offs: u.offs[:0], vals: u.vals[:0]})
 	}
 	t.pending = kept
 }
 
-// stage appends one update batch unless an identical delivery is
-// already staged (duplicate suppression — see updKey). Epoch 0 batches
-// come from unstamped legacy paths and are never deduplicated.
-func (t *shardTable) stage(u stagedUpdate) {
-	if u.epoch > 0 {
+// stage copies one update batch into recycled storage, unless an
+// identical delivery is already staged (duplicate suppression — see
+// updKey). Epoch 0 batches come from unstamped legacy paths and are
+// never deduplicated.
+func (t *shardTable) stage(src int, epoch int64, absolute bool, offs []int64, vals []float64) {
+	u := stagedUpdate{src: src, epoch: epoch, absolute: absolute}
+	if epoch > 0 {
 		k := u.key()
 		if _, dup := t.seen[k]; dup {
 			return
@@ -106,6 +113,11 @@ func (t *shardTable) stage(u stagedUpdate) {
 		}
 		t.seen[k] = struct{}{}
 	}
+	if n := len(t.spare); n > 0 {
+		u.offs, u.vals = t.spare[n-1].offs, t.spare[n-1].vals
+		t.spare = t.spare[:n-1]
+	}
+	u.offs, u.vals = append(u.offs, offs...), append(u.vals, vals...)
 	t.pending = append(t.pending, u)
 }
 
@@ -114,7 +126,11 @@ func newShardTable(dims, boundaries []int64, local *dsm.Partition) *shardTable {
 	for _, d := range dims[:len(dims)-1] {
 		stride *= d
 	}
-	return &shardTable{dims: dims, boundaries: boundaries, local: local, lastStride: stride}
+	t := &shardTable{boundaries: boundaries, local: local, lastStride: stride}
+	if local != nil {
+		t.base = local.Lo * stride
+	}
+	return t
 }
 
 // ownerOf returns the executor owning a flattened offset.
@@ -140,7 +156,7 @@ func (t *shardTable) ownedRun(offs []int64) (owner, n int) {
 // whatever a peer sends is refused here, before it can reach the shard's
 // own bounds check, which panics.
 func (t *shardTable) checkLocal(offs []int64) error {
-	lo, hi := t.local.Lo*t.lastStride, t.local.Hi*t.lastStride
+	lo, hi := t.base, t.local.Hi*t.lastStride
 	for _, off := range offs {
 		if off < lo || off >= hi {
 			return fmt.Errorf("offset %d is outside the local shard [%d,%d)", off, lo, hi)
@@ -150,37 +166,16 @@ func (t *shardTable) checkLocal(offs []int64) error {
 }
 
 // at reads a flattened offset from the local shard.
-func (t *shardTable) at(off int64) float64 {
-	idx := unflatten(t.dims, off)
-	return t.local.At(idx...)
-}
+func (t *shardTable) at(off int64) float64 { return t.local.Local.AtFlat(off - t.base) }
 
 // add accumulates into a flattened offset of the local shard.
 func (t *shardTable) add(off int64, delta float64) {
-	idx := unflatten(t.dims, off)
-	t.local.SetAt(t.local.At(idx...)+delta, idx...)
+	off -= t.base
+	t.local.Local.SetFlat(off, t.local.Local.AtFlat(off)+delta)
 }
 
 // set overwrites a flattened offset of the local shard.
-func (t *shardTable) set(off int64, v float64) {
-	idx := unflatten(t.dims, off)
-	t.local.SetAt(v, idx...)
-}
-
-func unflatten(dims []int64, off int64) []int64 {
-	idx := make([]int64, len(dims))
-	stride := int64(1)
-	strides := make([]int64, len(dims))
-	for i, d := range dims {
-		strides[i] = stride
-		stride *= d
-	}
-	for i := len(dims) - 1; i >= 0; i-- {
-		idx[i] = off / strides[i]
-		off %= strides[i]
-	}
-	return idx
-}
+func (t *shardTable) set(off int64, v float64) { t.local.Local.SetFlat(off-t.base, v) }
 
 // shardSet is the executor-side state for all sharded arrays.
 type shardSet struct {
@@ -218,20 +213,20 @@ func (s *shardSet) table(array string) *shardTable {
 // serveRead answers a peer's (or the local executor's) read of offsets
 // this executor owns, as of the reader's epoch: staged updates from
 // earlier epochs are folded in first, same-epoch ones stay invisible.
-func (s *shardSet) serveRead(array string, offs []int64, epoch int64) ([]float64, error) {
+// The values are appended to out, which the caller reuses.
+func (s *shardSet) serveRead(out []float64, array string, offs []int64, epoch int64) ([]float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tables[array]
 	if t == nil || t.local == nil {
-		return nil, fmt.Errorf("runtime: executor %d serves no shard of %q", s.selfID, array)
+		return out, fmt.Errorf("runtime: executor %d serves no shard of %q", s.selfID, array)
 	}
 	if err := t.checkLocal(offs); err != nil {
-		return nil, fmt.Errorf("runtime: executor %d: read of %q: %v", s.selfID, array, err)
+		return out, fmt.Errorf("runtime: executor %d: read of %q: %v", s.selfID, array, err)
 	}
 	t.fold(epoch)
-	out := make([]float64, len(offs))
-	for i, off := range offs {
-		out[i] = t.at(off)
+	for _, off := range offs {
+		out = append(out, t.at(off))
 	}
 	return out, nil
 }
@@ -244,6 +239,7 @@ func (s *shardSet) serveRead(array string, offs []int64, epoch int64) ([]float64
 // the serving loop reuses the decoded message's storage. src is the
 // sending executor's id: together with the epoch it keys
 // duplicate-delivery suppression, so a replayed batch stages once.
+// readServed lets no update through with fewer values than offsets.
 func (s *shardSet) serveUpdate(array string, src int, offs []int64, vals []float64, absolute bool, epoch int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -251,19 +247,10 @@ func (s *shardSet) serveUpdate(array string, src int, offs []int64, vals []float
 	if t == nil || t.local == nil {
 		return fmt.Errorf("runtime: executor %d serves no shard of %q", s.selfID, array)
 	}
-	if len(offs) != len(vals) {
-		return fmt.Errorf("runtime: executor %d: update of %q carries %d offsets and %d values", s.selfID, array, len(offs), len(vals))
-	}
 	if err := t.checkLocal(offs); err != nil {
 		return fmt.Errorf("runtime: executor %d: update of %q: %v", s.selfID, array, err)
 	}
-	t.stage(stagedUpdate{
-		src:      src,
-		epoch:    epoch,
-		offs:     append([]int64(nil), offs...),
-		vals:     append([]float64(nil), vals...),
-		absolute: absolute,
-	})
+	t.stage(src, epoch, absolute, offs, vals)
 	return nil
 }
 
