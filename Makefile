@@ -75,13 +75,15 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x \
 		./internal/lang ./internal/dsm ./internal/runtime
 
-# Live ratio gate: an MF iteration inside a real 1-worker executor
+# Live ratio gates: an MF iteration inside a real 1-worker executor
 # against the same bytecode bound directly to the arrays, both timed in
 # this run (lower decile of 20 alternating rounds); fails above 2.5x.
 # The served leg does the same for loops whose model array is a
-# parameter-server array: MF run ordered (H served) and buffered SLR.
+# parameter-server array: W-only 1D MF with H served, and buffered SLR.
+# The VM leg times the MF body on the VM against the same body written
+# as a Go loop over a copy of the same storage; fails above 3.5x.
 exec-gate:
-	$(GO) test -run '^$$' -bench '(Executor|Served)VsDirectKernel$$' -benchtime 1x ./internal/bench
+	$(GO) test -run '^$$' -bench '((Executor|Served)VsDirect|VMVsGo)Kernel$$' -benchtime 1x ./internal/bench
 
 # Live ratio gate on residency (iteration space and model arrays): six
 # single-pass Session.ParallelFor calls against a pass of one Passes(5)

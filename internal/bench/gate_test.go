@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -170,6 +171,106 @@ func gateExecutorVsDirect(b *testing.B, what string, direct, executor func() flo
 	b.ReportMetric(ratio, "executor/direct")
 	if ratio > 2.5 {
 		b.Fatalf("%s costs %.2fx more inside an executor than bound directly to the arrays (gate 2.5x)", what, ratio)
+	}
+}
+
+// BenchmarkVMVsGoKernel is the live gate on the VM itself: the MF body
+// run by vm.Kernel.RunBlock over dense W and H, against a hand-written
+// Go loop doing the same arithmetic in the VM's order over a second copy
+// of the same storage — same run, 20 alternating rounds, lower decile
+// each. Both copies must end bitwise equal. Above 3.5x the benchmark
+// fails: a range access has left the VM's inlined flat path (the MF
+// body read 3.75–4.99x while its column accesses walked the dimensions
+// through a helper call). `make check` runs it through exec-gate.
+func BenchmarkVMVsGoKernel(b *testing.B) {
+	const rows, cols, rank, iters, step, rounds, bar = 600, 500, 8, 20000, 0.001, 20, 3.5
+	rng := rand.New(rand.NewSource(3))
+	keys, vals := make([][]int64, iters), make([]float64, iters)
+	for i := range keys {
+		keys[i], vals[i] = []int64{rng.Int63n(rows), rng.Int63n(cols)}, 1+rng.Float64()
+	}
+	loop, err := lang.Parse(gateMFSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := vm.Compile(loop, &lang.CompileEnv{
+		Arrays:  map[string][]int64{"ratings": {rows, cols}, "W": {rank, rows}, "H": {rank, cols}},
+		Globals: []string{"step_size"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := prog.NewKernel()
+	arrays := map[string]*dsm.DistArray{}
+	for name, n := range map[string]int64{"W": rows, "H": cols} {
+		arrays[name] = dsm.NewDense(name, rank, n)
+		arrays[name].Map(func(float64) float64 { return 0.25 })
+		if err := k.BindArray(name, arrays[name]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	k.SetGlobal("step_size", step)
+	vmW, _ := arrays["W"].DenseData()
+	vmH, _ := arrays["H"].DenseData()
+	goW, goH := slices.Clone(vmW), slices.Clone(vmH)
+
+	runVM := func() float64 {
+		start := time.Now()
+		if done, err := k.RunBlock(keys, vals, nil); err != nil || done != iters {
+			b.Fatalf("RunBlock stopped after %d: %v", done, err)
+		}
+		return float64(time.Since(start)) / iters
+	}
+	// The body as Go, statement by statement: each vector local is a
+	// buffer, as in the VM, and the float64 conversions keep the step's
+	// multiply out of a fused multiply-add, as AxpyRow's do.
+	wRow, hRow, wGrad, hGrad := make([]float64, rank), make([]float64, rank), make([]float64, rank), make([]float64, rank)
+	runGo := func() float64 {
+		start := time.Now()
+		for i, key := range keys {
+			w, h := goW[key[0]*rank:][:rank], goH[key[1]*rank:][:rank]
+			copy(wRow, w)
+			copy(hRow, h)
+			var pred float64
+			for d := range wRow {
+				pred += wRow[d] * hRow[d]
+			}
+			diff := vals[i] - pred
+			for d := range hRow {
+				wGrad[d] = -2 * diff * hRow[d]
+			}
+			for d := range wRow {
+				hGrad[d] = -2 * diff * wRow[d]
+			}
+			for d := range w {
+				w[d] = wRow[d] - float64(step*wGrad[d])
+			}
+			for d := range h {
+				h[d] = hRow[d] - float64(step*hGrad[d])
+			}
+		}
+		return float64(time.Since(start)) / iters
+	}
+
+	var ratio float64
+	for n := 0; n < b.N; n++ {
+		var vmNs, goNs []float64
+		for r := 0; r < rounds; r++ {
+			vmNs, goNs = append(vmNs, runVM()), append(goNs, runGo())
+		}
+		sort.Float64s(vmNs)
+		sort.Float64s(goNs)
+		v, g := vmNs[rounds/10], goNs[rounds/10]
+		ratio = v / g
+		b.ReportMetric(v, "vm-ns/iter")
+		b.ReportMetric(g, "go-ns/iter")
+	}
+	b.ReportMetric(ratio, "vm/go")
+	bitwise := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !slices.EqualFunc(vmW, goW, bitwise) || !slices.EqualFunc(vmH, goH, bitwise) {
+		b.Fatal("the VM and the Go loop end with different W or H")
+	}
+	if ratio > bar {
+		b.Fatalf("the MF body costs %.2fx more on the VM than as a Go loop (gate %.1fx)", ratio, bar)
 	}
 }
 

@@ -75,8 +75,13 @@ func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 		obs.GetCounter("kernel.interp_fallback").Inc()
 	}
 
+	h := fnv.New64a()
+	h.Write([]byte(def.LoopName))
 	lk := &loopKernel{name: def.LoopName, loop: loop, vp: vp, dims: def.ArrayDims,
-		buffers: def.Buffers, globals: globals, accums: def.AccumNames}
+		buffers: def.Buffers, globals: globals, accums: def.AccumNames, nameHash: int64(h.Sum64())}
+	if drawsRand(def.LoopSrc) {
+		lk.rng = rand.New(rand.NewSource(0)) // reseeded by every block
+	}
 	// The VM runs whole blocks: one dispatch-loop entry and one partition
 	// binding per block instead of per iteration. Accumulator deltas
 	// still fold per iteration, so a block is bitwise identical to its
@@ -106,6 +111,13 @@ func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 		}
 	}
 	return lk, ks, nil
+}
+
+// drawsRand reports whether loop source names rand — whether its body
+// may call the rand() builtin.
+func drawsRand(src string) bool {
+	toks, _ := lang.Lex(src) // it parsed
+	return slices.ContainsFunc(toks, func(t lang.Token) bool { return t.Kind == lang.TokIdent && t.Text == "rand" })
 }
 
 // prefetchID spells out what the prefetch functions of a shipped slice
@@ -258,17 +270,19 @@ func (r *recorder) SetAt(float64, ...int64) {
 // invoked only from its executor's message loop, so a single machine
 // suffices: enter builds it on first use — once the executor's
 // partitions say which arrays are local and which are served — and
-// reseeds it at the start of every block.
+// reseeds its rand() source at the start of every block.
 type loopKernel struct {
-	name    string
-	loop    *lang.Loop
-	vp      *vm.Prog // nil: interpret
-	dims    map[string][]int64
-	buffers map[string]string
-	globals map[string]float64
-	accums  []string
-	vs      *vmState
-	ms      *machineState
+	name     string
+	nameHash int64 // FNV-64a of name, the per-loop term of the block seed
+	loop     *lang.Loop
+	vp       *vm.Prog // nil: interpret
+	dims     map[string][]int64
+	buffers  map[string]string
+	globals  map[string]float64
+	accums   []string
+	rng      *rand.Rand // nil when the body never calls rand()
+	vs       *vmState
+	ms       *machineState
 }
 
 func (lk *loopKernel) enter(ctx *runtime.Ctx) {
@@ -279,23 +293,20 @@ func (lk *loopKernel) enter(ctx *runtime.Ctx) {
 			lk.ms = newMachineState(ctx, lk)
 		}
 	}
+	if lk.rng == nil {
+		return
+	}
 	// Seed the rand() builtin deterministically per (loop, executor,
 	// block): sampling kernels (e.g. Gibbs) stay reproducible, both
 	// backends draw the same sequence, and — because the seed is keyed
 	// on the block's (pass, step) clock rather than on how many blocks
 	// this process has executed — a run that recovers from a checkpoint
 	// mid-loop draws exactly the sequence the fault-free run would have
-	// drawn for the same block.
-	h := fnv.New64a()
-	h.Write([]byte(lk.name))
-	seed := int64(h.Sum64()) ^ int64(ctx.ExecutorID()*7919)
+	// drawn for the same block. Reseeding in place draws what a fresh
+	// rand.NewSource(seed) would, without allocating one.
+	seed := lk.nameHash ^ int64(ctx.ExecutorID()*7919)
 	seed ^= int64(ctx.BlockPass())*1_000_003 + int64(ctx.BlockStep())*9176
-	rng := rand.New(rand.NewSource(seed))
-	if lk.vs != nil {
-		lk.vs.k.SetRng(rng)
-	} else {
-		lk.ms.m.Rng = rng
-	}
+	lk.rng.Seed(seed)
 }
 
 // runBlock executes a whole block in one VM entry, with the executor's
@@ -357,6 +368,9 @@ func newVMState(ctx *runtime.Ctx, lk *loopKernel) *vmState {
 			panic(fmt.Sprintf("dslkernel: %v", err))
 		}
 	}
+	if lk.rng != nil {
+		vs.k.SetRng(lk.rng)
+	}
 	for n, v := range lk.globals {
 		vs.k.SetGlobal(n, v)
 	}
@@ -413,6 +427,9 @@ type machineState struct {
 func newMachineState(ctx *runtime.Ctx, lk *loopKernel) *machineState {
 	m := lang.NewMachine()
 	m.Arrays = arrayViews(ctx, lk)
+	if lk.rng != nil {
+		m.Rng = lk.rng
+	}
 	for bname, target := range lk.buffers {
 		m.Buffers[bname] = &servedView{s: ctx.Served(target), dims: lk.dims[target]}
 	}

@@ -3,6 +3,7 @@ package dslkernel
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"os"
@@ -480,6 +481,102 @@ func TestPartitionBindingsLastOneBlock(t *testing.T) {
 	}
 	if vmW.At(1, 1) == 0 || math.IsNaN(vmW.At(1, 1)) {
 		t.Fatalf("W[1,1] = %v: nothing trained", vmW.At(1, 1))
+	}
+}
+
+// TestBlockEntryAllocatesNothing: once a loop's first block has built
+// its kernel, entering a block allocates nothing — for MF, whose body
+// never calls rand() and is not reseeded, and for the shipped LDA
+// example, whose rand() source is reseeded in place to draw exactly what
+// a fresh rand.NewSource of the (loop, executor, pass, step) seed draws.
+func TestBlockEntryAllocatesNothing(t *testing.T) {
+	defer Install()
+	lda, err := os.ReadFile("../../examples/lda_dsl/lda.orion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, cols, topics = 30, 25, 6 // inside both programs' extents
+	var samples []runtime.IterSample
+	for d := int64(0); d < rows; d++ {
+		for w := d % 3; w < cols; w += 3 {
+			samples = append(samples, runtime.IterSample{Key: []int64{d, w}, Val: 1})
+		}
+	}
+	globals := map[string]float64{"step_size": 0.05, "K": topics, "alpha": 0.5, "beta": 0.1, "vbeta": 8}
+	for _, leg := range []struct {
+		name, src string
+		draws     bool
+		place     func(m *runtime.Master, dims map[string][]int64) error
+	}{
+		{"mf", benchmarkPrograms["bench-mf"], false, func(m *runtime.Master, dims map[string][]int64) error {
+			w, h := dsm.NewDense("W", dims["W"]...), dsm.NewDense("H", dims["H"]...)
+			w.FillRandn(rand.New(rand.NewSource(1)), 0.5)
+			h.FillRandn(rand.New(rand.NewSource(2)), 0.5)
+			return errors.Join(m.DistributeLocal(w, 1, nil), m.DistributeLocal(h, 1, nil))
+		}},
+		{"lda", string(lda), true, func(m *runtime.Master, dims map[string][]int64) error {
+			z, totals := dsm.NewSparse("z", dims["z"]...), dsm.NewDense("totals", topics)
+			dt, wt := dsm.NewDense("doc_topic", dims["doc_topic"]...), dsm.NewDense("word_topic", dims["word_topic"]...)
+			for i, s := range samples {
+				topic := int64(i % topics)
+				z.SetAt(float64(topic+1), s.Key...)
+				dt.AddAt(1, topic, s.Key[0])
+				wt.AddAt(1, topic, s.Key[1])
+				totals.AddAt(1, topic)
+			}
+			return errors.Join(m.DistributeLocal(z, 0, nil), m.DistributeLocal(dt, 1, nil),
+				m.DistributeLocal(wt, 1, nil), m.DistributeServed(totals))
+		}},
+	} {
+		var allocs float64
+		var blocks int
+		var drew, fresh bool
+		runtime.SetLoopCompiler(func(def *runtime.Msg) (*runtime.KernelSet, error) {
+			lk, ks, err := compile(def)
+			if err != nil {
+				return nil, err
+			}
+			block := ks.Block
+			ks.Block = func(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
+				done, err := block(ctx, keys, vals)
+				blocks++
+				allocs = testing.AllocsPerRun(20, func() { lk.enter(ctx) })
+				if drew = lk.rng != nil; drew {
+					h := fnv.New64a()
+					h.Write([]byte(def.LoopName))
+					seed := int64(h.Sum64()) ^ int64(ctx.ExecutorID()*7919) ^ (int64(ctx.BlockPass())*1_000_003 + int64(ctx.BlockStep())*9176)
+					want := rand.New(rand.NewSource(seed))
+					fresh = true
+					for i := 0; i < 5; i++ {
+						fresh = fresh && lk.rng.Int63() == want.Int63()
+					}
+				}
+				return done, err
+			}
+			return ks, nil
+		})
+		m, stop := startFleet(t, "entry-"+leg.name, 1)
+		def := defineMsg(t, "entry-"+leg.name, leg.src)
+		for i, g := range def.GlobalNames {
+			def.GlobalVals[i] = globals[g]
+		}
+		for _, err := range []error{
+			leg.place(m, def.ArrayDims),
+			m.DistributeIterSpace(samples, 0, sched.NewRangePartitioner(rows, 1)),
+			m.DefineLoop(def),
+			m.ParallelFor(runtime.LoopDef{Kernel: def.LoopName, TimeDim: -1, Passes: 2}),
+			stop(),
+		} {
+			if err != nil {
+				t.Fatalf("%s: %v", leg.name, err)
+			}
+		}
+		if blocks == 0 || allocs != 0 {
+			t.Errorf("%s: entering a block allocates %v times after %d blocks, want 0", leg.name, allocs, blocks)
+		}
+		if drew != leg.draws || (drew && !fresh) {
+			t.Errorf("%s: rand() source kept %v (want %v); reseeded draws equal a fresh source's: %v", leg.name, drew, leg.draws, fresh)
+		}
 	}
 }
 

@@ -489,19 +489,56 @@ func (k *Kernel) exec() {
 			}
 			pc++
 		case opRowViewV:
-			vr[in.a] = k.rowView(&k.p.accs[in.b])
+			// A full first-dimension range (stride 1) the window holds
+			// whole borrows the storage: the @view of the paper's Fig. 5.
+			ra := &k.racc[in.b]
+			if base, n, ok := rgOff(fr, ra); ok {
+				vr[in.a] = ra.data[base : base+n]
+			} else {
+				vr[in.a] = k.rowMat(&k.p.accs[in.b])
+			}
 			pc++
 		case opRowMatV:
-			vr[in.a] = k.rowMat(&k.p.accs[in.b])
+			ra := &k.racc[in.b]
+			if base, n, ok := rgOff(fr, ra); ok {
+				out := k.growScratch(int(ra.sid), int(n))
+				gather(out, ra.data, base, ra.s1)
+				vr[in.a] = out
+			} else {
+				vr[in.a] = k.rowMat(&k.p.accs[in.b])
+			}
 			pc++
 		case opRowStV:
-			k.rowSt(&k.p.accs[in.a], vr[in.b])
+			// A length mismatch misses too: rowSt reports it.
+			ra, rv := &k.racc[in.a], vr[in.b]
+			if base, n, ok := rgOff(fr, ra); ok && int64(len(rv)) == n {
+				scatter(ra.data, rv, base, ra.s1)
+			} else {
+				k.rowSt(&k.p.accs[in.a], rv)
+			}
 			pc++
 		case opRowUpdS:
-			k.rowUpd(&k.p.accs[in.a], fr[in.b], nil, false)
+			// Read all, apply, write all back: the reference order.
+			ra := &k.racc[in.a]
+			if base, n, ok := rgOff(fr, ra); ok {
+				cur := k.growScratch(int(ra.sid), int(n))
+				gather(cur, ra.data, base, ra.s1)
+				vecOpVS(ra.sel, cur, cur, fr[in.b])
+				scatter(ra.data, cur, base, ra.s1)
+			} else {
+				k.rowUpd(&k.p.accs[in.a], fr[in.b], nil, false)
+			}
 			pc++
 		case opRowUpdV:
-			k.rowUpd(&k.p.accs[in.a], 0, vr[in.b], true)
+			ra, rv := &k.racc[in.a], vr[in.b]
+			if base, n, ok := rgOff(fr, ra); ok && int64(len(rv)) == n {
+				cur := k.growScratch(int(ra.sid), int(n))
+				gather(cur, ra.data, base, ra.s1)
+				vecOpVV(ra.sel, cur, cur, rv)
+				scatter(ra.data, cur, base, ra.s1)
+			} else {
+				k.rowUpd(&k.p.accs[in.a], 0, rv, true)
+			}
 			pc++
 		case opBufChk:
 			if k.buffers[in.a] == nil {
@@ -758,52 +795,22 @@ func (k *Kernel) rangeBounds(acc *access) (lo, hi int64) {
 	return int64(k.fr[acc.loReg]) - 1, int64(k.fr[acc.hiReg]) - 1
 }
 
-// flatOff resolves full-rank 0-based coordinates to a flat offset into
-// array ai's dense storage, for an access that spans n further elements
-// along dimension rd (a point access passes rd -1). ok=false — a touched
-// coordinate outside the bound window or the array, which is every
-// coordinate when the binding has no dense storage, or an empty range
-// (n < 0) — sends the caller to At/SetAt, whose panic is the reference
-// out-of-bounds behavior.
-func (k *Kernel) flatOff(ai int32, ix []int64, rd int32, n int64) (off int64, ok bool) {
-	win := k.win[ai]
-	for d, v := range ix {
-		w := &win[d]
-		last := v
-		if int32(d) == rd {
-			last += n
-		}
-		if v < w.lo || last >= w.hi || last < v {
-			return 0, false
-		}
-		off += (v - w.lo) * w.stride
-	}
-	return off, true
-}
+// The reference accessors below run whenever a site's runtime mirror
+// misses (rtAcc): a coordinate outside the window or the array, a
+// length mismatch, or a binding with no flat path — non-dense, rank ≥3,
+// or a full range its window cuts. They go through the view's At/SetAt
+// (or a served view's whole runs), whose panics and values are the
+// reference behaviour.
 
-// ldPt is SubscriptLoadF: a fused point read. In-bounds dense accesses
-// go straight to flat storage; everything else goes through At, whose
-// panic is the reference out-of-bounds behavior.
+// ldPt is SubscriptLoadF's reference path.
 func (k *Kernel) ldPt(acc *access) float64 {
-	ix := k.fillIx(acc)
-	if off, ok := k.flatOff(acc.ai, ix, -1, 0); ok {
-		return k.dense[acc.ai][off]
-	}
-	return k.arrays[acc.ai].At(ix...)
+	return k.arrays[acc.ai].At(k.fillIx(acc)...)
 }
 
-// stPt is SubscriptStoreF: a fused point write, plain (sel < 0) or
-// compound.
+// stPt is SubscriptStoreF's reference path: a point write, plain
+// (sel < 0) or compound.
 func (k *Kernel) stPt(acc *access, v float64, sel int32) {
 	ix := k.fillIx(acc)
-	if off, ok := k.flatOff(acc.ai, ix, -1, 0); ok {
-		data := k.dense[acc.ai]
-		if sel >= 0 {
-			v = arith(sel, data[off], v)
-		}
-		data[off] = v
-		return
-	}
 	a := k.arrays[acc.ai]
 	if sel >= 0 {
 		v = arith(sel, a.At(ix...), v)
@@ -811,38 +818,10 @@ func (k *Kernel) stPt(acc *access, v float64, sel int32) {
 	a.SetAt(v, ix...)
 }
 
-// rowView is the zero-copy consume borrow of a full first-dimension
-// range: dense arrays return a live slice of their flat storage (the
-// @view of the paper's Fig. 5); out-of-bounds trailing coordinates, a
-// window that cuts the first dimension, and non-dense arrays fall back
-// to element-wise At with the exact reference panics and copies.
-func (k *Kernel) rowView(acc *access) []float64 {
-	ai := acc.ai
-	ix := k.idx[acc.ii]
-	win := k.win[ai]
-	inBounds := win[0].lo == 0 && win[0].hi == acc.extent
-	var off int64
-	for d := 1; d < len(ix); d++ {
-		v, w := int64(k.fr[acc.subs[d]])-1, &win[d]
-		ix[d] = v
-		if v < w.lo || v >= w.hi {
-			inBounds = false
-		} else {
-			off += (v - w.lo) * w.stride
-		}
-	}
-	if inBounds {
-		return k.dense[ai][off : off+acc.extent]
-	}
-	out := k.growScratch(int(acc.sid), int(acc.extent))
-	k.ldRun(acc, ix, 0, out)
-	return out
-}
-
-// ldRun is the range read of a binding with no flat path: the elements
-// of acc's range from lo on, into out — in one call when the view takes
-// whole runs and holds this one (lang.RunAccess), else through At, one
-// element at a time. stRun is the range write, through SetAt.
+// ldRun is the reference range read: the elements of acc's range from
+// lo on, into out — in one call when the view takes whole runs and holds
+// this one (lang.RunAccess), else through At, one element at a time.
+// stRun is the range write, through SetAt.
 func (k *Kernel) ldRun(acc *access, ix []int64, lo int64, out []float64) {
 	ix[acc.rangeDim] = lo
 	if ra := k.runs[acc.ai]; ra != nil && ra.ReadRun(out, int(acc.rangeDim), ix) {
@@ -887,23 +866,17 @@ func scatter(data, in []float64, base, step int64) {
 	}
 }
 
-// rowMat materializes a range read into the site's scratch. Fully
-// in-bounds dense ranges are copied in bulk; everything else reads
-// element-wise through At.
+// rowMat is the reference range read (opRowViewV's and opRowMatV's),
+// materialized into the site's scratch.
 func (k *Kernel) rowMat(acc *access) []float64 {
 	ix := k.fillIx(acc)
 	lo, hi := k.rangeBounds(acc)
 	out := k.growScratch(int(acc.sid), int(hi-lo+1))
-	ix[acc.rangeDim] = lo
-	if base, ok := k.flatOff(acc.ai, ix, acc.rangeDim, hi-lo); ok {
-		gather(out, k.dense[acc.ai], base, k.win[acc.ai][acc.rangeDim].stride)
-		return out
-	}
 	k.ldRun(acc, ix, lo, out)
 	return out
 }
 
-// rowSt is a plain range store.
+// rowSt is the reference plain range store.
 func (k *Kernel) rowSt(acc *access, rv []float64) {
 	ix := k.fillIx(acc)
 	lo, hi := k.rangeBounds(acc)
@@ -911,30 +884,17 @@ func (k *Kernel) rowSt(acc *access, rv []float64) {
 		fail("lang: %s: vector length %d does not match range %d:%d",
 			k.p.names[acc.nameIdx], len(rv), lo+1, hi+1)
 	}
-	ix[acc.rangeDim] = lo
-	if base, ok := k.flatOff(acc.ai, ix, acc.rangeDim, hi-lo); ok {
-		scatter(k.dense[acc.ai], rv, base, k.win[acc.ai][acc.rangeDim].stride)
-		return
-	}
 	k.stRun(acc, ix, lo, rv)
 }
 
-// rowUpd is a compound range update: read all current values into the
-// site's scratch, apply, write all back — the same copy-then-write
-// order as both reference backends.
+// rowUpd is the reference compound range update: read all current
+// values into the site's scratch, apply, write all back — the same
+// copy-then-write order as both reference backends.
 func (k *Kernel) rowUpd(acc *access, sv float64, rv []float64, isVec bool) {
 	ix := k.fillIx(acc)
 	lo, hi := k.rangeBounds(acc)
 	cur := k.growScratch(int(acc.sid), int(hi-lo+1))
-	ix[acc.rangeDim] = lo
-	base, bulk := k.flatOff(acc.ai, ix, acc.rangeDim, hi-lo)
-	var step int64
-	if bulk {
-		step = k.win[acc.ai][acc.rangeDim].stride
-		gather(cur, k.dense[acc.ai], base, step)
-	} else {
-		k.ldRun(acc, ix, lo, cur)
-	}
+	k.ldRun(acc, ix, lo, cur)
 	if isVec {
 		if len(cur) != len(rv) {
 			fail("lang: vector length mismatch %d vs %d", len(cur), len(rv))
@@ -942,10 +902,6 @@ func (k *Kernel) rowUpd(acc *access, sv float64, rv []float64, isVec bool) {
 		vecOpVV(acc.sel, cur, cur, rv)
 	} else {
 		vecOpVS(acc.sel, cur, cur, sv)
-	}
-	if bulk {
-		scatter(k.dense[acc.ai], cur, base, step)
-		return
 	}
 	k.stRun(acc, ix, lo, cur)
 }

@@ -190,8 +190,8 @@ type opInfo struct {
 
 // access is the static shape of one array subscript site: the subscript
 // registers its operands were evaluated into, the compile-time extents,
-// and the scratch/index buffers the site owns. The fused ops branch on
-// the bound array's dense storage at runtime.
+// and the scratch/index buffers the site owns. BindArray resolves it
+// against the bound array into the site's runtime mirror (rtAcc).
 type access struct {
 	ai       int32 // array slot
 	nameIdx  int32
@@ -207,32 +207,39 @@ type access struct {
 	sel      int32 // arith selector for compound range updates
 }
 
-// rtAcc is the runtime mirror of one point-access site, resolved when
-// its array binds: the dense storage and the site's strides, extents,
-// and subscript registers flattened into one fixed-size struct so the
-// hot opcodes compute a flat offset without chasing the per-array
-// dense/window tables. Rank-1 sites reuse the rank-2 shape with a zero
-// second stride, an always-passing second extent, and sub1 aliased to
-// sub0, so the fast path stays small enough to inline into the
-// dispatch loop. o0/o1 turn a 1-based DSL subscript into a coordinate
-// relative to the bound storage (1 plus the window's lower bound on a
-// windowed dimension), and d0/d1 are that storage's extents, so one
-// unsigned compare per dimension checks the window and the array
-// bounds at once. Unbound, non-dense, or rank ≥3 sites keep the zero
-// value — extent 0, which no coordinate passes — and route through the
-// reference accessors.
+// rtAcc is the runtime mirror of one access site, point or range,
+// resolved when its array binds: the dense storage and the site's
+// strides, extents, and registers flattened into one fixed-size struct
+// so the hot opcodes compute a flat offset inline. It has two
+// dimensions: a point site's in array order, a range site's fixed
+// dimension then its range dimension. A rank-1 site wears the same
+// shape; its absent dimension has stride 0 and extent 1 and reads the
+// kernel's unit register, which always holds 1. o0/o1 turn a 1-based
+// DSL coordinate into one relative to the bound storage (1 plus the
+// window's lower bound on a windowed dimension), and d0/d1 are that
+// storage's extents, so one unsigned compare per coordinate checks the
+// window and the array bounds at once. Unbound, non-dense, or rank ≥3
+// sites keep the zero value — extent 0, which no coordinate passes —
+// and route through the reference accessors.
 type rtAcc struct {
 	data       []float64
 	s0, s1     int64
 	o0, o1     int64
 	d0, d1     uint64
 	sub0, sub1 int32
+	// Range sites only: the range covers the coordinates lo..hi of its
+	// dimension read from these registers, hi-lo+span of them — span is
+	// 1, or a full range's extent with lo and hi both reading the unit
+	// register. sid is the scratch a read materializes into, sel the
+	// compound update's arith selector.
+	lo, hi   int32
+	span     int64
+	sid, sel int32
 }
 
 // ptOff resolves a point access's flat offset through its runtime
 // mirror. ok=false sends the caller to the reference path — which
-// repeats the bounds check and reports the fault when a coordinate is
-// actually out of range.
+// reports the fault when a coordinate is actually out of range.
 func ptOff(fr []float64, ra *rtAcc) (int64, bool) {
 	v0 := int64(fr[ra.sub0]) - ra.o0
 	v1 := int64(fr[ra.sub1]) - ra.o1
@@ -240,6 +247,22 @@ func ptOff(fr []float64, ra *rtAcc) (int64, bool) {
 		return v0*ra.s0 + v1*ra.s1, true
 	}
 	return 0, false
+}
+
+// rgOff resolves a range access through its runtime mirror: the flat
+// offset of its first element and its length n (stride s1 apart). It
+// takes the flat path only when the range starts inside the window and
+// its n ≥ 1 elements end there too — so a window that cuts a full range
+// misses. ok=false sends the caller to the reference path, as for
+// ptOff.
+func rgOff(fr []float64, ra *rtAcc) (base, n int64, ok bool) {
+	v0 := int64(fr[ra.sub0]) - ra.o0
+	l := int64(fr[ra.lo])
+	lo, n := l-ra.o1, int64(fr[ra.hi])-l+ra.span
+	if uint64(v0) < ra.d0 && uint64(lo) < ra.d1 && uint64(n-1) < ra.d1-uint64(lo) {
+		return v0*ra.s0 + lo*ra.s1, n, true
+	}
+	return 0, 0, false
 }
 
 // bufAccess is the static shape of one buffer write site.
@@ -331,9 +354,7 @@ type Kernel struct {
 
 	arrays  []lang.ArrayAccess
 	runs    []lang.RunAccess // non-nil where the view takes whole runs
-	dense   [][]float64      // non-nil where flat-offset access applies
-	win     [][]dimWin       // per array and dimension
-	racc    []rtAcc          // per point-access runtime mirror
+	racc    []rtAcc          // per access site runtime mirror
 	buffers []lang.BufferAccess
 	rng     lang.RandSource
 
@@ -348,19 +369,20 @@ type Kernel struct {
 // dimWin is one dimension of a bound array's dense storage: the global
 // coordinates [lo, hi) it holds and the stride between them. That is
 // [0, extent) everywhere except the windowed dimension of a
-// lang.DenseWindow binding, and empty ([0, 0)) on every dimension of a
-// binding with no dense storage — so no coordinate takes a flat path.
+// lang.DenseWindow binding.
 type dimWin struct{ lo, hi, stride int64 }
 
 // NewKernel allocates a kernel instance with empty bindings.
 func (p *Prog) NewKernel() *Kernel {
 	k := &Kernel{p: p}
-	k.fr = make([]float64, p.nFReg)
 	// Constant pins are loaded once here; no program instruction writes
-	// them, so every literal operand reads its register for free.
+	// them, so every literal operand reads its register for free. The
+	// one register past the program's is the unit register (rtAcc).
+	k.fr = make([]float64, p.nFReg+1)
 	for _, pv := range p.pins {
 		k.fr[pv.reg] = pv.val
 	}
+	k.fr[p.nFReg] = 1
 	k.vr = make([][]float64, p.nVReg)
 	k.br = make([]bool, p.nBReg)
 	k.ir = make([]int64, 2*p.nFor)
@@ -371,11 +393,6 @@ func (p *Prog) NewKernel() *Kernel {
 	k.glDef = make([]bool, len(p.globalNames))
 	k.arrays = make([]lang.ArrayAccess, len(p.arrayNames))
 	k.runs = make([]lang.RunAccess, len(p.arrayNames))
-	k.dense = make([][]float64, len(p.arrayNames))
-	k.win = make([][]dimWin, len(p.arrayNames))
-	for i, dims := range p.arrayDims {
-		k.win[i] = make([]dimWin, len(dims))
-	}
 	k.racc = make([]rtAcc, len(p.accs))
 	k.buffers = make([]lang.BufferAccess, len(p.bufNames))
 	k.scratch = make([][]float64, p.nScratch)
@@ -387,7 +404,7 @@ func (p *Prog) NewKernel() *Kernel {
 }
 
 // BindArray binds a DistArray view to its slot; the view's extents must
-// match the compile-time environment. Views implementing
+// match the compile-time environment. Views of rank 1 or 2 implementing
 // lang.DenseAccess with dense backing take the fused flat-offset paths;
 // a lang.DenseWindow (a partition) takes them for coordinates inside
 // its window. Every flat access is bounds-checked against [lo, hi) on
@@ -422,20 +439,26 @@ func (k *Kernel) BindArray(name string, a lang.ArrayAccess) error {
 			}
 		}
 	}
-	k.arrays[i], k.dense[i] = a, data
+	k.arrays[i] = a
 	k.runs[i], _ = a.(lang.RunAccess)
-	win := k.win[i]
-	clear(win)
+	rank := len(want)
+	if rank > 2 {
+		data = nil
+	}
+	// win[rank] is the unit dimension a rank-1 site pads with.
+	var win [3]dimWin
 	if data != nil {
-		for d := range win {
+		for d := range rank {
 			win[d] = dimWin{hi: want[d], stride: stride[d]}
 		}
 		win[wd].lo, win[wd].hi = wlo, whi
+		win[rank] = dimWin{hi: 1}
 	}
-	// Refresh the runtime mirrors of this array's point-access sites.
+	// Refresh the runtime mirrors of this array's access sites.
+	unit := int32(len(k.fr) - 1)
 	for j := range k.p.accs {
 		acc := &k.p.accs[j]
-		if int(acc.ai) != i || acc.rangeDim != -1 {
+		if int(acc.ai) != i {
 			continue
 		}
 		ra := &k.racc[j]
@@ -443,18 +466,28 @@ func (k *Kernel) BindArray(name string, a lang.ArrayAccess) error {
 		if data == nil {
 			continue
 		}
-		switch len(acc.dims) {
-		case 1:
-			// Rank-1 wears the rank-2 shape: the aliased second
-			// coordinate contributes stride 0 and always bounds-checks
-			// clean unless the first one already failed.
-			ra.s1, ra.o1, ra.d1, ra.sub1 = 0, 1, 1<<62, acc.subs[0]
-		case 2:
-			ra.s1, ra.o1, ra.d1, ra.sub1 = win[1].stride, 1+win[1].lo, uint64(win[1].hi-win[1].lo), acc.subs[1]
-		default:
-			continue
+		// The mirror's dimensions (as win indices) and their registers:
+		// the point coordinates in array order, then the range.
+		dims, subs := [2]int{rank, rank}, [2]int32{unit, unit}
+		n := 0
+		for d, sr := range acc.subs {
+			if int32(d) != acc.rangeDim {
+				dims[n], subs[n] = d, sr
+				n++
+			}
 		}
-		ra.data, ra.s0, ra.o0, ra.d0, ra.sub0 = data, win[0].stride, 1+win[0].lo, uint64(win[0].hi-win[0].lo), acc.subs[0]
+		if acc.rangeDim >= 0 {
+			dims[1] = int(acc.rangeDim)
+		}
+		lo, hi, span := acc.loReg, acc.hiReg, int64(1)
+		if acc.full {
+			lo, hi, span = unit, unit, acc.extent
+		}
+		w0, w1 := win[dims[0]], win[dims[1]]
+		*ra = rtAcc{data: data,
+			s0: w0.stride, o0: 1 + w0.lo, d0: uint64(w0.hi - w0.lo), sub0: subs[0],
+			s1: w1.stride, o1: 1 + w1.lo, d1: uint64(w1.hi - w1.lo), sub1: subs[1],
+			lo: lo, hi: hi, span: span, sid: acc.sid, sel: acc.sel}
 	}
 	return nil
 }

@@ -26,6 +26,23 @@ func (v winView) Window() (int, int64, int64)     { return v.p.Dim, v.p.Lo, v.p.
 // reference path.
 type atView struct{ lang.ArrayAccess }
 
+// countView is a dense window that counts the At/SetAt calls reaching
+// it: accesses a site's runtime mirror serves never do.
+type countView struct {
+	winView
+	calls *int
+}
+
+func (v countView) At(idx ...int64) float64 {
+	*v.calls++
+	return v.winView.At(idx...)
+}
+
+func (v countView) SetAt(x float64, idx ...int64) {
+	*v.calls++
+	v.winView.SetAt(x, idx...)
+}
+
 type windowProg struct {
 	name   string
 	src    string
@@ -34,6 +51,9 @@ type windowProg struct {
 	// inWindow reports whether the iteration's accesses all land inside
 	// the cuts.
 	inWindow func(key []int64) bool
+	// viaAt says the cut arrays have no flat path (rank ≥3): in-window
+	// accesses reach At/SetAt too.
+	viaAt bool
 	// faults are iterations that leave a window or the array.
 	faults [][]int64
 }
@@ -92,6 +112,53 @@ end
 			return k[0] >= 3 && k[0] < 9 && k[1] >= 2 && k[1] < 7
 		},
 		faults: [][]int64{{4, 1}, {2, 3}, {4, 30}, {11, 3}},
+	},
+	{
+		// Rank-1 full and partial ranges (T's window is all of it), an empty
+		// range, and compound range updates with a scalar and with a
+		// vector along both dimensions. A partial range of U whose far
+		// end leaves the window faults at its last element.
+		name: "rank1-compound",
+		src: `
+for (key, v) in data
+    t = T[:]
+    u = U[key[2]:key[2] + 1]
+    e = U[key[2] + 1:key[2]]
+    T[key[1]:key[1] + 1] = u * v
+    U[key[2]:key[2] + 1] += u
+    U[key[2]:key[2] + 1] -= v
+    A[:, key[2]] += u[1]
+    A[2:3, key[2]] -= u
+    B[key[1], 2:3] += u
+    B[key[1], :] -= v
+    s += dot(t, t) + dot(u, u) + dot(e, e)
+end
+`,
+		arrays: map[string][]int64{"data": {12, 10}, "T": {12}, "U": {10}, "A": {6, 10}, "B": {12, 5}},
+		cuts:   map[string][3]int64{"T": {0, 0, 12}, "U": {0, 2, 8}, "A": {1, 2, 7}, "B": {0, 3, 9}},
+		inWindow: func(k []int64) bool {
+			return k[0] >= 3 && k[0] < 9 && k[1] >= 2 && k[1] < 7
+		},
+		faults: [][]int64{{4, 7}, {4, 9}, {9, 3}, {11, 3}, {4, 1}},
+	},
+	{
+		// Rank 3 has no mirror: every access takes At/SetAt.
+		name: "rank3",
+		src: `
+for (key, v) in data
+    x = R[:, key[1], key[2]]
+    R[:, key[1], key[2]] = x * v
+    R[2, key[1], key[2]] += 1
+    y = R[1:2, key[1], key[2]]
+    R[1:2, key[1], key[2]] -= y
+    s += dot(x, x) + R[3, key[1], key[2]]
+end
+`,
+		arrays:   map[string][]int64{"data": {6, 5}, "R": {3, 6, 5}},
+		cuts:     map[string][3]int64{"R": {2, 1, 4}},
+		inWindow: func(k []int64) bool { return k[1] >= 1 && k[1] < 4 },
+		viaAt:    true,
+		faults:   [][]int64{{0, 4}, {6, 1}, {2, 0}},
 	},
 	{
 		// The window cuts the dimension a row view and a range span.
@@ -187,8 +254,10 @@ func sameWindowRun(t *testing.T, label string, got, want windowRun) {
 // what the same kernel computes on the whole arrays and what it computes
 // through the views' At/SetAt alone — for point loads and stores, fused
 // clamped loads, row views, range loads, stores and compound updates,
-// on windows cutting the first, the last and the range dimension. A
-// window covering the whole array ([0, extent)) is one more such view.
+// on windows cutting the first, the last and the range dimension, at
+// ranks 1, 2 and 3. A window covering the whole array ([0, extent)) is
+// one more such view. In-window accesses of rank 1 and 2 never reach
+// the windows' At/SetAt: each site's runtime mirror serves them.
 func TestWindowBindingEqualsWholeArray(t *testing.T) {
 	dense := func(v winView) lang.ArrayAccess { return v }
 	viaAt := func(v winView) lang.ArrayAccess { return atView{v} }
@@ -220,7 +289,12 @@ func TestWindowBindingEqualsWholeArray(t *testing.T) {
 		}
 		sameWindowRun(t, wp.name+": window [0, extent)", runWindowed(t, wp, prog, full, dense, keys, vals), whole)
 		if len(keys) > 0 {
-			sameWindowRun(t, wp.name+": dense windows", runWindowed(t, wp, prog, wp.cuts, dense, keys, vals), whole)
+			calls := 0
+			counting := func(v winView) lang.ArrayAccess { return countView{v, &calls} }
+			sameWindowRun(t, wp.name+": dense windows", runWindowed(t, wp, prog, wp.cuts, counting, keys, vals), whole)
+			if (calls > 0) != wp.viaAt {
+				t.Fatalf("%s: in-window accesses reached At/SetAt %d times", wp.name, calls)
+			}
 			sameWindowRun(t, wp.name+": windows via At", runWindowed(t, wp, prog, wp.cuts, viaAt, keys, vals), whole)
 		}
 
@@ -256,11 +330,8 @@ func TestWindowRebindDropsStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	wi := p.arrayIx["W"]
-	if k.dense[wi] != nil || k.win[wi][1] != (dimWin{}) {
-		t.Fatal("kernel still holds the window's storage after rebinding")
-	}
 	for j := range p.accs {
-		if int(p.accs[j].ai) == wi && (k.racc[j].data != nil || k.racc[j].d0 != 0) {
+		if ra := &k.racc[j]; int(p.accs[j].ai) == wi && (ra.data != nil || ra.d0 != 0 || ra.d1 != 0) {
 			t.Fatalf("access site %d still mirrors the window's storage", j)
 		}
 	}

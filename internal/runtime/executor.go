@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -36,11 +35,13 @@ type Executor struct {
 	// loop is the kernel set compiled from the latest DefineLoop, the
 	// only one a block runs. Every caller defines a loop and then runs
 	// it, so a new definition retires the previous one (a recovery
-	// attempt re-defines under the same name).
-	loopName string
-	loop     *KernelSet
-	sendTo   *codec // ring predecessor we ship rotated partitions to
-	rotateCh chan *Msg
+	// attempt re-defines under the same name). prefetched names its
+	// Prefetch targets in the order a block fetches them.
+	loopName   string
+	loop       *KernelSet
+	prefetched []string
+	sendTo     *codec // ring predecessor we ship rotated partitions to
+	rotateCh   chan *Msg
 	// Scratch: a block's prefetch offsets, its flush, and shard replies.
 	prefetchOffs []int64
 	flushOffs    []int64
@@ -316,6 +317,11 @@ func (e *Executor) run() error {
 				return err
 			}
 			e.loopName, e.loop = msg.LoopName, ks
+			e.prefetched = e.prefetched[:0]
+			for array := range ks.Prefetch {
+				e.prefetched = append(e.prefetched, array)
+			}
+			slices.Sort(e.prefetched)
 		case MsgExecBlock:
 			if err := e.execBlock(msg, n); err != nil {
 				e.master.send(&Msg{Kind: MsgError, Err: err.Error(), Lost: isLost(err)})
@@ -495,40 +501,33 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	for _, sa := range e.ctx.servedOrder {
 		sa.beginBlock(prefetchIndex{})
 	}
-	if pf := ks.Prefetch; len(pf) > 0 {
-		arrays := make([]string, 0, len(pf))
-		for a := range pf {
-			arrays = append(arrays, a)
+	for _, array := range e.prefetched {
+		idx := block.prefetch[array]
+		if ks.PrefetchID != "" && idx.id == ks.PrefetchID {
+			e.mPrefReuse.Inc()
+		} else {
+			fn := ks.Prefetch[array]
+			offs := e.prefetchOffs[:0]
+			for i, key := range keys {
+				offs = append(offs, fn(key, vals[i])...)
+			}
+			slices.Sort(offs)
+			e.prefetchOffs = offs
+			idx = newPrefetchIndex(ks.PrefetchID, slices.Clone(slices.Compact(offs)))
+			if idx.id != "" {
+				// Kept for the next pass or loop over this block.
+				block.prefetch[array] = idx
+			}
 		}
-		sort.Strings(arrays)
-		for _, array := range arrays {
-			idx := block.prefetch[array]
-			if ks.PrefetchID != "" && idx.id == ks.PrefetchID {
-				e.mPrefReuse.Inc()
-			} else {
-				fn := pf[array]
-				offs := e.prefetchOffs[:0]
-				for i, key := range keys {
-					offs = append(offs, fn(key, vals[i])...)
-				}
-				slices.Sort(offs)
-				e.prefetchOffs = offs
-				idx = newPrefetchIndex(ks.PrefetchID, slices.Clone(slices.Compact(offs)))
-				if idx.id != "" {
-					// Kept for the next pass or loop over this block.
-					block.prefetch[array] = idx
-				}
-			}
-			if len(idx.offs) == 0 {
-				continue
-			}
-			fetchStart := time.Now()
-			if err := e.bulkFetch(e.ctx.Served(array), idx); err != nil {
-				return err
-			}
-			commNs += int64(time.Since(fetchStart))
-			e.trace.EndN("exec.prefetch", "exec", fetchStart, "offsets", int64(len(idx.offs)))
+		if len(idx.offs) == 0 {
+			continue
 		}
+		fetchStart := time.Now()
+		if err := e.bulkFetch(e.ctx.Served(array), idx); err != nil {
+			return err
+		}
+		commNs += int64(time.Since(fetchStart))
+		e.trace.EndN("exec.prefetch", "exec", fetchStart, "offsets", int64(len(idx.offs)))
 	}
 
 	kernelStart := time.Now()

@@ -216,6 +216,10 @@ func (s *ServedArray) readSlot(i int32) float64 {
 	} else {
 		s.hits++
 	}
+	if f&slotDelta == 0 {
+		// The fetched value exactly, as a run read copies it (no -0 + 0).
+		return s.vals[i]
+	}
 	return s.vals[i] + s.delta[i]
 }
 
@@ -279,11 +283,17 @@ func (s *ServedArray) run(off int64, n int) int32 {
 
 // ReadRun reads the elements at offsets off, off+1, ... into out, as
 // len(out) Reads would, when the block prefetched them all; otherwise
-// it reads nothing and reports false.
+// it reads nothing and reports false. A block with no pending write to
+// the array holds every prefetched slot clean, so the run is one copy.
 func (s *ServedArray) ReadRun(off int64, out []float64) bool {
 	i := s.run(off, len(out))
 	if i < 0 {
 		return false
+	}
+	if s.nSet == 0 && s.nUpd == 0 {
+		copy(out, s.vals[i:])
+		s.hits += int64(len(out))
+		return true
 	}
 	for k := range out {
 		out[k] = s.readSlot(i + int32(k))

@@ -37,7 +37,8 @@ func loneExecutor(tr Transport, extent, ownLast int64, peers ...string) *Executo
 
 // mapServed is the served-array semantics the slot table replaced, kept
 // as plain maps: read-your-own-writes, an absolute write supersedes a
-// pending delta, a delta after it adds on top, one fetch per distinct
+// pending delta, a delta after it adds on top, a value with no delta
+// pending is read exactly as fetched, one fetch per distinct
 // unprefetched offset per block.
 type mapServed struct {
 	shard                       map[int64]float64 // what the owner holds
@@ -61,19 +62,22 @@ func (m *mapServed) read(off int64) float64 {
 		}
 		return v
 	}
-	base := m.deltas[off]
-	if v, ok := m.fetched[off]; ok {
-		m.hits++
-		return v + base
+	v, ok := m.fetched[off]
+	if !ok {
+		v, ok = m.missed[off]
 	}
-	if v, ok := m.missed[off]; ok {
+	if ok {
 		m.hits++
-		return v + base
+	} else {
+		m.misses++
+		m.fetchOneCalls++
+		v = m.shard[off]
+		m.missed[off] = v
 	}
-	m.misses++
-	m.fetchOneCalls++
-	m.missed[off] = m.shard[off]
-	return m.shard[off] + base
+	if d, ok := m.deltas[off]; ok {
+		return v + d
+	}
+	return v
 }
 
 func (m *mapServed) update(off int64, d float64) { m.deltas[off] += d }
@@ -116,10 +120,10 @@ func (m *mapServed) flush(epoch int64) []stagedUpdate {
 }
 
 // TestServedSlotTableEqualsMapModel drives a ServedArray and the map
-// model with the same seeded sequences of reads, deltas and absolute
-// writes over prefetched offsets, unprefetched ones (miss reads,
-// write-only offsets) and blocks that prefetch nothing at all, across
-// many begin/flush cycles: every value read, every flushed batch (its
+// model with the same seeded sequences of reads, run reads, deltas and
+// absolute writes over prefetched offsets, unprefetched ones (miss
+// reads, write-only offsets) and blocks that prefetch nothing at all,
+// across many begin/flush cycles: every value read, every flushed batch (its
 // offsets, their order, the value bits, the absolute flag), the hit and
 // miss counts and the number of slow-path fetches are the model's. The
 // seeded blocks index their prefetch both ways, direct and hashed.
@@ -167,9 +171,28 @@ func TestServedSlotTableEqualsMapModel(t *testing.T) {
 				case 1:
 					sa.Set(off, v)
 					model.set(off, v)
-				default:
+				case 2:
 					if got, want := sa.Read(off), model.read(off); bits(got) != bits(want) {
 						t.Fatalf("seed %d block %d: read of w[%d] = %v, the map model reads %v", seed, block, off, got, want)
+					}
+				default:
+					// A run read of prefetched offsets side by side: one copy
+					// while the block holds no pending write, else per slot.
+					if len(prefetch) == 0 {
+						continue
+					}
+					j, n := rng.Intn(len(prefetch)), 1
+					for j+n < len(prefetch) && prefetch[j+n] == prefetch[j]+int64(n) && n < 4 {
+						n++
+					}
+					run := make([]float64, n)
+					if !sa.ReadRun(prefetch[j], run) {
+						t.Fatalf("seed %d block %d: the prefetched run w[%d:+%d] was refused", seed, block, prefetch[j], n)
+					}
+					for k, got := range run {
+						if want := model.read(prefetch[j] + int64(k)); bits(got) != bits(want) {
+							t.Fatalf("seed %d block %d: run read of w[%d] = %v, the map model reads %v", seed, block, prefetch[j]+int64(k), got, want)
+						}
 					}
 				}
 			}
