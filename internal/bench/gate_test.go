@@ -181,7 +181,8 @@ func gateExecutorVsDirect(b *testing.B, what string, direct, executor func() flo
 // each. Both copies must end bitwise equal. Above 3.5x the benchmark
 // fails: a range access has left the VM's inlined flat path (the MF
 // body read 3.75–4.99x while its column accesses walked the dimensions
-// through a helper call). `make check` runs it through exec-gate.
+// through a helper call). `make vm-gate` runs it; `make check` does not,
+// because the bar sits inside the ratio's spread on a contended host.
 func BenchmarkVMVsGoKernel(b *testing.B) {
 	const rows, cols, rank, iters, step, rounds, bar = 600, 500, 8, 20000, 0.001, 20, 3.5
 	rng := rand.New(rand.NewSource(3))

@@ -78,10 +78,8 @@ func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 	h := fnv.New64a()
 	h.Write([]byte(def.LoopName))
 	lk := &loopKernel{name: def.LoopName, loop: loop, vp: vp, dims: def.ArrayDims,
-		buffers: def.Buffers, globals: globals, accums: def.AccumNames, nameHash: int64(h.Sum64())}
-	if drawsRand(def.LoopSrc) {
-		lk.rng = rand.New(rand.NewSource(0)) // reseeded by every block
-	}
+		buffers: def.Buffers, globals: globals, accums: def.AccumNames, nameHash: int64(h.Sum64()),
+		rng: rand.New(rand.NewSource(0))} // reseeded by every block
 	// The VM runs whole blocks: one dispatch-loop entry and one partition
 	// binding per block instead of per iteration. Accumulator deltas
 	// still fold per iteration, so a block is bitwise identical to its
@@ -111,13 +109,6 @@ func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 		}
 	}
 	return lk, ks, nil
-}
-
-// drawsRand reports whether loop source names rand — whether its body
-// may call the rand() builtin.
-func drawsRand(src string) bool {
-	toks, _ := lang.Lex(src) // it parsed
-	return slices.ContainsFunc(toks, func(t lang.Token) bool { return t.Kind == lang.TokIdent && t.Text == "rand" })
 }
 
 // prefetchID spells out what the prefetch functions of a shipped slice
@@ -280,7 +271,7 @@ type loopKernel struct {
 	buffers  map[string]string
 	globals  map[string]float64
 	accums   []string
-	rng      *rand.Rand // nil when the body never calls rand()
+	rng      *rand.Rand // the rand() source, reseeded in place per block
 	vs       *vmState
 	ms       *machineState
 }
@@ -292,9 +283,6 @@ func (lk *loopKernel) enter(ctx *runtime.Ctx) {
 		} else {
 			lk.ms = newMachineState(ctx, lk)
 		}
-	}
-	if lk.rng == nil {
-		return
 	}
 	// Seed the rand() builtin deterministically per (loop, executor,
 	// block): sampling kernels (e.g. Gibbs) stay reproducible, both
@@ -368,9 +356,7 @@ func newVMState(ctx *runtime.Ctx, lk *loopKernel) *vmState {
 			panic(fmt.Sprintf("dslkernel: %v", err))
 		}
 	}
-	if lk.rng != nil {
-		vs.k.SetRng(lk.rng)
-	}
+	vs.k.SetRng(lk.rng)
 	for n, v := range lk.globals {
 		vs.k.SetGlobal(n, v)
 	}
@@ -427,9 +413,7 @@ type machineState struct {
 func newMachineState(ctx *runtime.Ctx, lk *loopKernel) *machineState {
 	m := lang.NewMachine()
 	m.Arrays = arrayViews(ctx, lk)
-	if lk.rng != nil {
-		m.Rng = lk.rng
-	}
+	m.Rng = lk.rng
 	for bname, target := range lk.buffers {
 		m.Buffers[bname] = &servedView{s: ctx.Served(target), dims: lk.dims[target]}
 	}
