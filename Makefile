@@ -83,10 +83,11 @@ bench-smoke:
 exec-gate:
 	$(GO) test -run '^$$' -bench '(Executor|Served)VsDirectKernel$$' -benchtime 1x ./internal/bench
 
-# The MF body on the VM against the same body written as a Go loop over
-# a copy of the same storage, bitwise-checked; fails above 3.5x. Not part
-# of `check`: on a 2-vCPU host it reads 3.1-3.4x when the host is quiet
-# and 3.7-4.2x when it is contended, so the bar sits inside its spread.
+# The MF and LDA bodies on the VM against the same bodies written as Go
+# loops over a copy of the same storage, bitwise-checked; MF fails above
+# 3.5x, LDA (its topic loop lane-wise) above 4.5x. Not part of `check`:
+# on a 2-vCPU host MF reads 3.1-3.4x when the host is quiet and 3.7-4.2x
+# when it is contended, so its bar sits inside its spread.
 vm-gate:
 	$(GO) test -run '^$$' -bench 'VMVsGoKernel$$' -benchtime 1x ./internal/bench
 

@@ -174,17 +174,59 @@ func gateExecutorVsDirect(b *testing.B, what string, direct, executor func() flo
 	}
 }
 
-// BenchmarkVMVsGoKernel is the live gate on the VM itself: the MF body
-// run by vm.Kernel.RunBlock over dense W and H, against a hand-written
-// Go loop doing the same arithmetic in the VM's order over a second copy
-// of the same storage — same run, 20 alternating rounds, lower decile
-// each. Both copies must end bitwise equal. Above 3.5x the benchmark
-// fails: a range access has left the VM's inlined flat path (the MF
-// body read 3.75–4.99x while its column accesses walked the dimensions
-// through a helper call). `make vm-gate` runs it; `make check` does not,
-// because the bar sits inside the ratio's spread on a contended host.
+// BenchmarkVMVsGoKernel is the live gate on the VM itself: a loop body
+// run by vm.Kernel.RunBlock over dense arrays, against a hand-written Go
+// loop doing the same arithmetic in the VM's order, statement by
+// statement, over a second copy of the same storage — same run, 20
+// alternating rounds, lower decile each. Both copies must end bitwise
+// equal. Two bodies, each with its bar:
+//   - mf fails above 3.5x: a range access has left the VM's inlined flat
+//     path (it read 3.75–4.99x while its column accesses walked the
+//     dimensions through a helper call);
+//   - lda fails above 4.5x: its topic loop has stopped running lane-wise
+//     (it reads 3.5–4.1x; 5.2–6.5x when each trip dispatched its ops,
+//     EXPERIMENTS.md "Lane-wise inner loops").
+//
+// `make vm-gate` runs it; `make check` does not, because the MF bar sits
+// inside the ratio's spread on a contended host.
 func BenchmarkVMVsGoKernel(b *testing.B) {
-	const rows, cols, rank, iters, step, rounds, bar = 600, 500, 8, 20000, 0.001, 20, 3.5
+	b.Run("mf", benchmarkVMVsGoMF)
+	b.Run("lda", benchmarkVMVsGoLDA)
+}
+
+// gateVMVsGo alternates the VM and the Go loop (each returns ns per
+// iteration) and fails above bar, or when same reports that the two
+// copies of the storage differ.
+func gateVMVsGo(b *testing.B, what string, bar float64, runVM, runGo func() float64, same func() bool) {
+	const rounds = 20
+	var ratio float64
+	for n := 0; n < b.N; n++ {
+		var vmNs, goNs []float64
+		for r := 0; r < rounds; r++ {
+			vmNs, goNs = append(vmNs, runVM()), append(goNs, runGo())
+		}
+		sort.Float64s(vmNs)
+		sort.Float64s(goNs)
+		v, g := vmNs[rounds/10], goNs[rounds/10]
+		ratio = v / g
+		b.ReportMetric(v, "vm-ns/iter")
+		b.ReportMetric(g, "go-ns/iter")
+	}
+	b.ReportMetric(ratio, "vm/go")
+	if !same() {
+		b.Fatalf("the VM and the Go loop end with different %s state", what)
+	}
+	if ratio > bar {
+		b.Fatalf("the %s body costs %.2fx more on the VM than as a Go loop (gate %.1fx)", what, ratio, bar)
+	}
+}
+
+func bitwiseEqual(x, y []float64) bool {
+	return slices.EqualFunc(x, y, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+}
+
+func benchmarkVMVsGoMF(b *testing.B) {
+	const rows, cols, rank, iters, step = 600, 500, 8, 20000, 0.001
 	rng := rand.New(rand.NewSource(3))
 	keys, vals := make([][]int64, iters), make([]float64, iters)
 	for i := range keys {
@@ -221,9 +263,9 @@ func BenchmarkVMVsGoKernel(b *testing.B) {
 		}
 		return float64(time.Since(start)) / iters
 	}
-	// The body as Go, statement by statement: each vector local is a
-	// buffer, as in the VM, and the float64 conversions keep the step's
-	// multiply out of a fused multiply-add, as AxpyRow's do.
+	// Each vector local is a buffer, as in the VM, and the float64
+	// conversions keep the step's multiply out of a fused multiply-add,
+	// as AxpyRow's do.
 	wRow, hRow, wGrad, hGrad := make([]float64, rank), make([]float64, rank), make([]float64, rank), make([]float64, rank)
 	runGo := func() float64 {
 		start := time.Now()
@@ -251,28 +293,136 @@ func BenchmarkVMVsGoKernel(b *testing.B) {
 		}
 		return float64(time.Since(start)) / iters
 	}
+	gateVMVsGo(b, "MF", 3.5, runVM, runGo, func() bool { return bitwiseEqual(vmW, goW) && bitwiseEqual(vmH, goH) })
+}
 
-	var ratio float64
-	for n := 0; n < b.N; n++ {
-		var vmNs, goNs []float64
-		for r := 0; r < rounds; r++ {
-			vmNs, goNs = append(vmNs, runVM()), append(goNs, runGo())
+// benchmarkVMVsGoLDA is the LDA leg: gateLDASrc over 20000 distinct
+// tokens and 16 topics, totals written through a dsm.Buffer flushed
+// after each round, rand() drawn from identically seeded sources.
+func benchmarkVMVsGoLDA(b *testing.B) {
+	const docs, vocab, topics, nnz = 600, 500, 16, 20000
+	rng := rand.New(rand.NewSource(3))
+	seen := map[[2]int64]bool{}
+	var keys [][]int64
+	for len(keys) < nnz {
+		if d, w := rng.Int63n(docs), rng.Int63n(vocab); !seen[[2]int64{d, w}] {
+			seen[[2]int64{d, w}] = true
+			keys = append(keys, []int64{d, w})
 		}
-		sort.Float64s(vmNs)
-		sort.Float64s(goNs)
-		v, g := vmNs[rounds/10], goNs[rounds/10]
-		ratio = v / g
-		b.ReportMetric(v, "vm-ns/iter")
-		b.ReportMetric(g, "go-ns/iter")
 	}
-	b.ReportMetric(ratio, "vm/go")
-	bitwise := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if !slices.EqualFunc(vmW, goW, bitwise) || !slices.EqualFunc(vmH, goH, bitwise) {
-		b.Fatal("the VM and the Go loop end with different W or H")
+	vals := make([]float64, nnz)
+	fill := func() map[string]*dsm.DistArray {
+		a := map[string]*dsm.DistArray{
+			"z": dsm.NewDense("z", docs, vocab), "doc_topic": dsm.NewDense("doc_topic", topics, docs),
+			"word_topic": dsm.NewDense("word_topic", topics, vocab), "totals": dsm.NewDense("totals", topics),
+		}
+		for n, key := range keys {
+			topic := int64(n % topics)
+			a["z"].SetAt(float64(topic+1), key[0], key[1])
+			a["doc_topic"].AddAt(1, topic, key[0])
+			a["word_topic"].AddAt(1, topic, key[1])
+			a["totals"].AddAt(1, topic)
+		}
+		return a
 	}
-	if ratio > bar {
-		b.Fatalf("the MF body costs %.2fx more on the VM than as a Go loop (gate %.1fx)", ratio, bar)
+	loop, err := lang.Parse(gateLDASrc)
+	if err != nil {
+		b.Fatal(err)
 	}
+	prog, err := vm.Compile(loop, &lang.CompileEnv{
+		Arrays: map[string][]int64{"tokens": {docs, vocab}, "z": {docs, vocab}, "doc_topic": {topics, docs},
+			"word_topic": {topics, vocab}, "totals": {topics}},
+		Buffers: map[string]string{"tot_buf": "totals"}, Globals: []string{"K"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := prog.NewKernel()
+	vmArr := fill()
+	for name, a := range vmArr {
+		if err := k.BindArray(name, a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	vmBuf := dsm.NewBuffer(vmArr["totals"], nil)
+	if err := k.BindBuffer("tot_buf", vmBuf); err != nil {
+		b.Fatal(err)
+	}
+	k.SetGlobal("K", topics)
+	k.SetRng(rand.New(rand.NewSource(11)))
+
+	runVM := func() float64 {
+		start := time.Now()
+		if done, err := k.RunBlock(keys, vals, nil); err != nil || done != nnz {
+			b.Fatalf("RunBlock stopped after %d: %v", done, err)
+		}
+		ns := float64(time.Since(start)) / nnz
+		vmBuf.Flush(vmArr["totals"])
+		return ns
+	}
+	goArr := fill()
+	z, _ := goArr["z"].DenseData()
+	dt, _ := goArr["doc_topic"].DenseData()
+	wt, _ := goArr["word_topic"].DenseData()
+	totals, _ := goArr["totals"].DenseData()
+	goBuf := dsm.NewBuffer(goArr["totals"], nil)
+	goRng := rand.New(rand.NewSource(11))
+	// max with the VM's NaN and signed-zero order.
+	vmMax := func(a, b float64) float64 {
+		if a < b {
+			return b
+		}
+		return a
+	}
+	p := make([]float64, topics)
+	runGo := func() float64 {
+		start := time.Now()
+		for _, key := range keys {
+			d, w := key[0], key[1]
+			zi := int64(z[d+w*docs]) - 1
+			dt[zi+d*topics] -= 1
+			wt[zi+w*topics] -= 1
+			goBuf.Put(-1, zi)
+			for t := range p {
+				p[t] = 0
+			}
+			total := 0.0
+			for t := int64(0); t < topics; t++ {
+				nd := vmMax(dt[t+d*topics], 0)
+				nw := vmMax(wt[t+w*topics], 0)
+				nt := vmMax(totals[t], 1)
+				p[t] = (nd + 0.5) * (nw + 0.1) / (nt + 50)
+				total = total + p[t]
+			}
+			u := goRng.Float64() * total
+			chosen, acc := 0.0, 0.0
+			for t := 1; t <= topics; t++ {
+				acc = acc + p[t-1]
+				if chosen == 0 && u <= acc {
+					chosen = float64(t)
+				}
+			}
+			if chosen == 0 {
+				chosen = topics
+			}
+			c := int64(chosen) - 1
+			dt[c+d*topics] += 1
+			wt[c+w*topics] += 1
+			goBuf.Put(1, c)
+			z[d+w*docs] = chosen
+		}
+		ns := float64(time.Since(start)) / nnz
+		goBuf.Flush(goArr["totals"])
+		return ns
+	}
+	gateVMVsGo(b, "LDA", 4.5, runVM, runGo, func() bool {
+		for name, a := range vmArr {
+			x, _ := a.DenseData()
+			if y, _ := goArr[name].DenseData(); !bitwiseEqual(x, y) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // servedGateSLRSrc is SLR with enough distinct weights for the block's

@@ -1,0 +1,162 @@
+package vm
+
+import (
+	"fmt"
+	"testing"
+
+	"orion/internal/lang"
+)
+
+// The benchmark's loop bodies (benchmark/workloads.go) over small
+// extents; ldaBody is its LDA body.
+const (
+	benchMFProg = `array ratings 30 25
+array W 8 30
+array H 8 25
+global step_size err
+---
+for (key, rv) in ratings
+    W_row = W[:, key[1]]
+    H_row = H[:, key[2]]
+    pred = dot(W_row, H_row)
+    diff = rv - pred
+    W_grad = -2 * diff * H_row
+    H_grad = -2 * diff * W_row
+    W[:, key[1]] = W_row - step_size * W_grad
+    H[:, key[2]] = H_row - step_size * H_grad
+    err += abs2(diff)
+end
+`
+	benchSLRProg = `array samples 300
+array weights 65536
+buffer w_buf weights
+global step_size
+---
+for (key, v) in samples
+    idx = floor(v * 50000) + 1
+    w = weights[idx]
+    margin = w * v
+    g = sigmoid(margin) - 1
+    w_buf[idx] += 0 - step_size * g
+end
+`
+	benchLDAProg = "array tokens 20 30\narray z 20 30\narray doc_topic 16 20\narray word_topic 16 30\narray totals 16\n" +
+		"buffer tot_buf totals\nglobal K alpha beta vbeta\n---" + ldaBody
+)
+
+// censusPrograms is every loop the repository commits: the example
+// corpus, the benchmark bodies and FuzzExecDifferential's seeds.
+func censusPrograms(t *testing.T) map[string]string {
+	out := map[string]string{
+		"benchmark/mf": benchMFProg, "benchmark/slr": benchSLRProg, "benchmark/lda": benchLDAProg,
+	}
+	for name, src := range exampleProgramSources(t) {
+		out["examples/"+name] = src
+	}
+	for i, src := range fuzzSeeds {
+		out[fmt.Sprintf("seed/%d", i)] = src
+	}
+	for _, lp := range laneProgs {
+		out["lane/"+lp.name] = lp.src
+	}
+	return out
+}
+
+// TestCompileCensus pins what vm.Compile makes of every committed loop:
+// its instruction count (Halt included), and, for each inner for in
+// source order, "lanes" when it lowered lane-wise, else why not. No
+// committed loop is refused, and the corpus holds four reasons an inner
+// loop stays scalar. Counts move only with a deliberate change
+// to the lowering: every program counts what it counted before
+// lane-wise loops plus one opLanes per lane loop — except LDA's body,
+// whose topic loop also lost four peephole superinstructions (42 → 48).
+func TestCompileCensus(t *testing.T) {
+	want := map[string]string{
+		"benchmark/lda":             "48: lanes; if statement",
+		"benchmark/mf":              "23",
+		"benchmark/slr":             "13",
+		"examples/fixed.orion":      "6",
+		"examples/interleave.orion": "15",
+		"examples/lda.orion":        "48: lanes; if statement",
+		"examples/mf.orion":         "23",
+		"examples/slr.orion":        "13",
+		"examples/stencil.orion":    "16",
+		"examples/tile.orion":       "15: writes out[((stride * key[1]) + j)]",
+		"examples/unsafe.orion":     "8",
+		"lane/budget":               "11: lanes",
+		"lane/column":               "31: lanes",
+		"lane/fold-order":           "14: lanes",
+		"lane/invariant-fold":       "6: lanes",
+		"lane/lda":                  "48: lanes; if statement",
+		"lane/maybe-defined":        "26: c may be undefined; p may be undefined",
+		"lane/nan":                  "24: lanes",
+		"lane/negzero":              "17: lanes",
+		"lane/oob-last":             "14: lanes",
+		"lane/short-vector":         "15: lanes",
+		"lane/trips":                "20: lanes; lanes",
+		"lane/undefined-global":     "13: lanes",
+		"lane/vector-lo":            "11: lanes",
+		"lane/window-cut":           "12: lanes",
+		"seed/0":                    "12",
+		"seed/1":                    "10",
+	}
+	progs := censusPrograms(t)
+	if len(progs) != len(want) {
+		t.Errorf("%d committed loops, %d pinned", len(progs), len(want))
+	}
+	for name, src := range progs {
+		prog, err := lang.ParseProgram(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p, err := Compile(prog.Loop, &lang.CompileEnv{Arrays: prog.Env.Arrays, Buffers: prog.Env.Buffers,
+			Globals: globalNames(diffGlobals(prog.Env, prog.Loop, prog.Globals))})
+		if err != nil {
+			t.Errorf("%s: refused: %v", name, err)
+			continue
+		}
+		got, sep := fmt.Sprint(len(p.code)), ": "
+		for _, n := range p.forNotes {
+			if n == "" {
+				n = "lanes"
+			}
+			got, sep = got+sep+n, "; "
+		}
+		if got != want[name] {
+			t.Errorf("%s: %q, want %q", name, got, want[name])
+		}
+	}
+}
+
+// TestLDATopicLoopHasNoTripOps: the LDA body's topic loop, on its lane
+// path, dispatches no instruction per trip: opLanes follows opForInit
+// and leaves by its opForCond's exit, past the loop's opForNext.
+func TestLDATopicLoopHasNoTripOps(t *testing.T) {
+	prog, err := lang.ParseProgram(benchLDAProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(prog.Loop, &lang.CompileEnv{Arrays: prog.Env.Arrays, Buffers: prog.Env.Buffers, Globals: prog.Globals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lanes []int
+	for pc, in := range p.code {
+		if in.op == opLanes {
+			lanes = append(lanes, pc)
+		}
+	}
+	if len(lanes) != 1 {
+		t.Fatalf("%d lane loops, want the topic loop alone", len(lanes))
+	}
+	pc, in := lanes[0], p.code[lanes[0]]
+	exit := p.code[pc+1].c
+	if p.code[pc-1].op != opForInit || p.code[pc+1].op != opForCond || p.code[exit-1].op != opForNext {
+		t.Fatalf("opLanes at %d does not bracket its loop: %v before, %v after, exit %d after %v",
+			pc, p.code[pc-1].op, p.code[pc+1].op, exit, p.code[exit-1].op)
+	}
+	// Three clamped loads, five arithmetic ops into p[k], one fold.
+	if len(p.lanes[in.a].ops) != 9 {
+		t.Errorf("the topic loop takes %d lane ops, want 9", len(p.lanes[in.a].ops))
+	}
+}

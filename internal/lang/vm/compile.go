@@ -32,7 +32,6 @@ type comp struct {
 	accs    []access
 	baccs   []bufAccess
 	axpys   []axpyInfo
-	fused   []fentry
 
 	defs *defState
 
@@ -53,6 +52,8 @@ type comp struct {
 	nFor                         int32
 	nScratch                     int32
 	idxSizes                     []int
+	lanes                        []laneLoop
+	forNotes                     []string
 }
 
 // defState tracks, per lowering position, which locals are definitely
@@ -156,7 +157,6 @@ func Compile(loop *lang.Loop, env *lang.CompileEnv) (p *Prog, err error) {
 	c.lowerStmts(loop.Body)
 	c.emit(opHalt, 0, 0, 0, 0, 0)
 	c.finalize()
-	c.fuseSuper()
 	p = &Prog{
 		loop:        loop,
 		code:        c.code,
@@ -167,7 +167,6 @@ func Compile(loop *lang.Loop, env *lang.CompileEnv) (p *Prog, err error) {
 		baccs:       c.baccs,
 		axpys:       c.axpys,
 		pins:        c.pinVals,
-		fused:       c.fused,
 		numFloat:    int(c.nFloatLoc),
 		numVec:      int(c.nVecLoc),
 		numBool:     int(c.nBoolLoc),
@@ -184,6 +183,8 @@ func Compile(loop *lang.Loop, env *lang.CompileEnv) (p *Prog, err error) {
 		bufIx:       make(map[string]int, len(buffers)),
 		bufNames:    buffers,
 		nScratch:    int(c.nScratch),
+		lanes:       c.lanes,
+		forNotes:    c.forNotes,
 		idxSizes:    c.idxSizes,
 	}
 	for i, n := range globals {
@@ -480,19 +481,8 @@ func (c *comp) copyPropV(slot, rhs int32) bool {
 }
 
 // arithOp maps an arithmetic selector to its register-register opcode.
-func arithOp(sel int32) opcode {
-	switch sel {
-	case selAdd:
-		return opAddF
-	case selSub:
-		return opSubF
-	case selMul:
-		return opMulF
-	case selDiv:
-		return opDivF
-	}
-	return opPowF
-}
+// opAddF..opPowF run in selector order.
+func arithOp(sel int32) opcode { return opAddF + opcode(sel) }
 
 // finalize removes definedness bookkeeping no surviving check reads:
 // after check elision, a local whose every read was dominated by a
@@ -564,254 +554,6 @@ func (c *comp) compact(keep []bool) {
 		out = append(out, in)
 	}
 	c.code = out
-}
-
-// fuseSuper runs after finalize. It collapses adjacent instruction
-// groups whose unfused forms round-trip intermediate temps through the
-// register file into one superinstruction each. Fusion never reorders
-// anything: every group is contiguous, no jump lands inside it, and
-// the fused op executes the components in the original order, so fault
-// order, messages, and each intermediate rounding step are identical
-// to the unfused code. Groups that elide a temp's write additionally
-// require the temp to be dead outside the group.
-func (c *comp) fuseSuper() {
-	targets := map[int32]bool{}
-	for _, in := range c.code {
-		switch in.op {
-		case opJmp, opJmpIfNot, opJmpCmpNot:
-			targets[in.a] = true
-		case opForCond:
-			targets[in.c] = true
-		case opForNext:
-			targets[in.b] = true
-			targets[in.c] = true
-		}
-	}
-	keep := make([]bool, len(c.code))
-	for i := range keep {
-		keep[i] = true
-	}
-	changed := false
-	inside := func(j int) bool { return j < len(c.code) && !targets[int32(j)] }
-	for i := 0; i < len(c.code); i++ {
-		in1 := c.code[i]
-		// (fr[b1]+gl) * (fr[b2]+gl): two global-add ArithFGs feeding a
-		// MulF, all three temps dying at the multiply.
-		if in1.op == opArithFG && in1.d == selAdd && inside(i+1) && inside(i+2) {
-			in2, in3 := c.code[i+1], c.code[i+2]
-			if in2.op == opArithFG && in2.d == selAdd && in3.op == opMulF &&
-				in3.b == in1.a && in3.c == in2.a && in1.a != in2.a &&
-				in2.b != in1.a &&
-				in1.a >= c.tempBase && in2.a >= c.tempBase &&
-				c.tempDeadAfter(in1.a, i+2) && c.tempDeadAfter(in2.a, i+2) {
-				fi := int32(len(c.fused))
-				c.fused = append(c.fused, fentry{
-					a1: in1.b, b1: in1.c, c1: in1.e,
-					a2: in2.b, b2: in2.c, c2: in2.e,
-				})
-				c.code[i] = instr{op: opAddG2Mul, a: in3.a, b: fi}
-				keep[i+1], keep[i+2] = false, false
-				changed = true
-				i += 2
-				continue
-			}
-		}
-		// fr[x] / (fr[b]+gl): a global-add ArithFG whose dead temp is
-		// the divisor of the next DivF.
-		if in1.op == opArithFG && in1.d == selAdd && inside(i+1) {
-			in2 := c.code[i+1]
-			if in2.op == opDivF && in2.c == in1.a && in2.b != in1.a &&
-				in1.a >= c.tempBase && c.tempDeadAfter(in1.a, i+1) {
-				c.code[i] = instr{op: opAddGDivR, a: in2.a, b: in1.b, c: in1.c, d: in2.b, e: in1.e}
-				keep[i+1] = false
-				changed = true
-				i++
-				continue
-			}
-		}
-		// Two adjacent clamped point loads share one dispatch. Blocked
-		// when the first load's destination feeds the second access's
-		// subscripts (the second load must see the new value).
-		if (in1.op == opLdPtMinC || in1.op == opLdPtMaxC) && inside(i+1) {
-			in2 := c.code[i+1]
-			if (in2.op == opLdPtMinC || in2.op == opLdPtMaxC) &&
-				!c.accReads(in2.b, in1.a) {
-				fi := int32(len(c.fused))
-				c.fused = append(c.fused, fentry{
-					a1: in1.a, b1: in1.b, c1: in1.c, d1: b2i(in1.op == opLdPtMaxC),
-					a2: in2.a, b2: in2.b, c2: in2.c, d2: b2i(in2.op == opLdPtMaxC),
-				})
-				c.code[i] = instr{op: opLdPt2C, b: fi}
-				keep[i+1] = false
-				changed = true
-				i++
-				continue
-			}
-		}
-		// v[i] = x; acc = acc2 + v[i]: a plain element store whose value
-		// is immediately accumulated back out of the same element.
-		if in1.op == opVElemSt && in1.d < 0 && inside(i+1) {
-			in2 := c.code[i+1]
-			if in2.op == opVElemArith && in2.d == selAdd &&
-				in2.c == in1.a && in2.e == in1.b {
-				c.code[i] = instr{op: opVStAdd, a: in1.a, b: in1.b, c: in1.c, d: in2.a, e: in2.b}
-				keep[i+1] = false
-				changed = true
-				i++
-				continue
-			}
-		}
-	}
-	if changed {
-		c.compact(keep)
-	}
-}
-
-func b2i(b bool) int32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// accReads reports whether point/range access site ai reads scalar
-// register r for a subscript or range bound.
-func (c *comp) accReads(ai, r int32) bool {
-	acc := &c.accs[ai]
-	for _, s := range acc.subs {
-		if s == r {
-			return true
-		}
-	}
-	return acc.loReg == r || acc.hiReg == r
-}
-
-func (c *comp) bufReads(bi, r int32) bool {
-	for _, s := range c.baccs[bi].subs {
-		if s == r {
-			return true
-		}
-	}
-	return false
-}
-
-// tempDeadAfter reports whether no read of float register t is
-// reachable from code[hi+1] before a write to t kills the value. The
-// walk follows every control-flow successor, so a statement that later
-// reuses the same temp register (its own write starts a new live
-// range) does not block fusion, while a genuine downstream read —
-// including one reached through a loop back-edge — does.
-func (c *comp) tempDeadAfter(t int32, hi int) bool {
-	seen := make([]bool, len(c.code))
-	work := []int{hi + 1}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		if pc >= len(c.code) || seen[pc] {
-			continue
-		}
-		seen[pc] = true
-		in := c.code[pc]
-		if c.readsF(in, t) {
-			return false
-		}
-		if c.writesF(in, t) {
-			continue
-		}
-		switch in.op {
-		case opHalt:
-		case opJmp:
-			work = append(work, int(in.a))
-		case opJmpIfNot, opJmpCmpNot:
-			work = append(work, int(in.a), pc+1)
-		case opForCond:
-			work = append(work, int(in.c), pc+1)
-		case opForNext:
-			work = append(work, int(in.b), int(in.c))
-		default:
-			work = append(work, pc+1)
-		}
-	}
-	return true
-}
-
-// writesF reports whether executing in writes float register r. Claiming
-// an op does not write is the conservative direction — the liveness walk
-// just keeps scanning past it.
-func (c *comp) writesF(in instr, r int32) bool {
-	switch in.op {
-	case opConstF, opMovF, opLoadG, opCompF, opAddF, opSubF, opMulF, opDivF,
-		opPowF, opNegF, opAbsF, opAbs2F, opSqrtF, opExpF, opLogF, opFloorF,
-		opCeilF, opSigmoidF, opMinF, opMaxF, opRandF, opKeyF, opLenF, opDotF,
-		opKeyC, opLoadGU, opArithFC, opArithCF, opArithFG, opArithGF,
-		opMinFC, opMaxFC, opVElemArith, opLdPtMinC, opLdPtMaxC, opVElemLd,
-		opLdPtF, opAddG2Mul, opAddGDivR:
-		return in.a == r
-	case opForCond:
-		return in.b == r
-	case opForNext, opVStAdd:
-		return in.d == r
-	case opLdPt2C:
-		f := c.fused[in.b]
-		return f.a1 == r || f.a2 == r
-	}
-	return false
-}
-
-// readsF reports whether executing in reads float register r. Array and
-// buffer operands read their subscript registers through the access
-// tables. Unknown opcodes conservatively read everything.
-func (c *comp) readsF(in instr, r int32) bool {
-	switch in.op {
-	case opHalt, opConstF, opChkF, opDefF, opLoadG, opRandF, opKeyC, opLoadGU,
-		opLenF, opDotF, opConstB, opMovB, opChkB, opDefB, opChkV, opChkVElem,
-		opDefV, opMovV, opVCompV, opVBinVV, opVNegV, opArrChk, opBufChk,
-		opJmp, opJmpIfNot, opForCond, opForNext:
-		return false
-	case opMovF, opStoreG, opCompG, opKeyF, opArithFC, opArithCF, opArithFG,
-		opArithGF, opMinFC, opMaxFC, opVCompS, opZerosV, opVBinSV,
-		opNegF, opAbsF, opAbs2F, opSqrtF, opExpF, opLogF, opFloorF, opCeilF,
-		opSigmoidF:
-		return in.b == r
-	case opCompF:
-		return in.a == r || in.b == r
-	case opAddF, opSubF, opMulF, opDivF, opPowF, opMinF, opMaxF,
-		opEqB, opNeB, opLtB, opLeB, opGtB, opGeB:
-		return in.b == r || in.c == r
-	case opVElemArith:
-		return in.b == r || in.e == r
-	case opVElemLd:
-		return in.c == r
-	case opVElemSt:
-		return in.b == r || in.c == r
-	case opVBinVS, opAxpyRow:
-		return in.c == r
-	case opLdPtF, opLdPtMinC, opLdPtMaxC, opRowViewV, opRowMatV:
-		return c.accReads(in.b, r)
-	case opStPtF, opRowUpdS:
-		return in.b == r || c.accReads(in.a, r)
-	case opStPtC, opRowStV, opRowUpdV:
-		return c.accReads(in.a, r)
-	case opBufPut:
-		return in.b == r || c.bufReads(in.a, r)
-	case opBufPutC:
-		return c.bufReads(in.a, r)
-	case opJmpCmpNot:
-		return in.b == r || (in.e == 0 && in.c == r)
-	case opForInit:
-		return (in.d&1 == 0 && in.b == r) || (in.d&2 == 0 && in.c == r)
-	case opLdPt2C:
-		f := c.fused[in.b]
-		return c.accReads(f.b1, r) || c.accReads(f.b2, r)
-	case opAddG2Mul:
-		f := c.fused[in.b]
-		return f.a1 == r || f.a2 == r
-	case opAddGDivR:
-		return in.b == r || in.d == r
-	case opVStAdd:
-		return in.b == r || in.c == r || in.e == r
-	}
-	return true
 }
 
 func (c *comp) newScratch() int32 {
@@ -891,6 +633,12 @@ func (c *comp) lowerStmt(st lang.Stmt) {
 		forID := c.nFor
 		c.nFor++
 		c.emit(opForInit, forID, lo, hi, flags, 0)
+		// A qualifying loop runs lane-wise unless its guard fails.
+		ln, why := c.laneFor(s, int32(slot), forID)
+		if c.forNotes = append(c.forNotes, why); ln != nil {
+			c.emit(opLanes, int32(len(c.lanes)), 0, 0, 0, 0)
+			c.lanes = append(c.lanes, *ln)
+		}
 		head := c.here()
 		cond := c.emit(opForCond, forID, int32(slot), 0, 0, 0)
 		// The body may run zero times: facts it establishes (including
@@ -1359,26 +1107,7 @@ func (c *comp) lowerFloatCall(x *lang.Call) int32 {
 	case "abs", "abs2", "sqrt", "exp", "log", "floor", "ceil", "sigmoid":
 		arg := c.lowerFloat(x.Args[0])
 		dst := c.allocF()
-		var op opcode
-		switch x.Fn {
-		case "abs":
-			op = opAbsF
-		case "abs2":
-			op = opAbs2F
-		case "sqrt":
-			op = opSqrtF
-		case "exp":
-			op = opExpF
-		case "log":
-			op = opLogF
-		case "floor":
-			op = opFloorF
-		case "ceil":
-			op = opCeilF
-		default:
-			op = opSigmoidF
-		}
-		c.emit(op, dst, arg, 0, 0, 0)
+		c.emit(fnOps[x.Fn], dst, arg, 0, 0, 0)
 		return dst
 	}
 	c.nc(x.At, "unsupported function %q", x.Fn)
@@ -1612,4 +1341,300 @@ func (c *comp) lowerBool(e lang.Expr) int32 {
 	}
 	c.nc(c.loop.At, "unsupported boolean expression %s", e)
 	return 0
+}
+
+// Lane-wise inner loops. An inner `for v = lo:hi` also lowers to a
+// laneLoop when no trip can see another's values, or fault once
+// runLanes' guard has passed: straight-line assignments to a scalar
+// local assigned before it is read in a trip (lane-private), to a vector
+// local at [v], or to a reduction s = s + e (s += e) that is s's only
+// assignment and read; arithmetic, min, max and the scalar builtins over
+// those, array reads at one subscript v or v ± c, and loop-invariant
+// scalars — literals, globals, literal key subscripts, and defined
+// locals the body does not assign — which the other subscripts must be.
+// Anything else stays a scalar loop, and laneFor says why.
+
+type laneRefusal string
+
+func refuse(format string, args ...interface{}) {
+	panic(laneRefusal(fmt.Sprintf(format, args...)))
+}
+
+// fnOps maps the scalar builtins a lane op applies to their opcodes.
+var fnOps = map[string]opcode{"min": opMinF, "max": opMaxF, "abs": opAbsF, "abs2": opAbs2F,
+	"sqrt": opSqrtF, "exp": opExpF, "log": opLogF, "floor": opFloorF, "ceil": opCeilF,
+	"sigmoid": opSigmoidF}
+
+// laneComp is laneFor's state for one loop.
+type laneComp struct {
+	c       *comp
+	v       string // the loop variable
+	ln      *laneLoop
+	assigns map[string]int     // assignments per name in the body
+	ready   map[string]bool    // lane-private locals assigned so far in a trip
+	red     map[string]bool    // reductions lowered so far
+	memo    map[[2]int32]int32 // lane register of (0 private | 1 vector slot, x); fr one of (2 global | 3 key, x)
+}
+
+// laneFor returns s's lane-wise form, or nil and why it has none; a
+// refusal leaves no access site, index buffer, scratch or temp behind.
+func (c *comp) laneFor(s *lang.ForRange, slot, forID int32) (ln *laneLoop, why string) {
+	nAcc, nIdx, nScratch, fTop := len(c.accs), len(c.idxSizes), c.nScratch, c.fTop
+	defer func() {
+		if r := recover(); r != nil {
+			rf, ok := r.(laneRefusal)
+			if !ok {
+				panic(r)
+			}
+			c.accs, c.idxSizes, c.nScratch, c.fTop = c.accs[:nAcc], c.idxSizes[:nIdx], nScratch, fTop
+			ln, why = nil, string(rf)
+		}
+	}()
+	lc := &laneComp{c: c, v: s.Var, ln: &laneLoop{forID: forID, varSlot: slot},
+		assigns: map[string]int{}, ready: map[string]bool{}, red: map[string]bool{}, memo: map[[2]int32]int32{}}
+	for _, st := range s.Body {
+		switch a := st.(type) {
+		case *lang.Assign:
+			if t, ok := a.Target.(*lang.Ident); ok {
+				lc.assigns[t.Name]++
+			}
+		case *lang.If:
+			refuse("if statement")
+		case *lang.ForRange:
+			refuse("not innermost")
+		default:
+			refuse("expression statement")
+		}
+	}
+	for _, st := range s.Body {
+		lc.assign(st.(*lang.Assign))
+	}
+	return lc.ln, ""
+}
+
+func (lc *laneComp) assign(a *lang.Assign) {
+	res := lc.c.res
+	value := a.Value
+	if a.Op != "=" {
+		value = &lang.BinOp{Op: a.Op[:1], L: a.Target, R: a.Value}
+	}
+	t, isIdent := a.Target.(*lang.Ident)
+	if !isIdent {
+		x := a.Target.(*lang.Index)
+		slot, isVec := res.VecSlot(x.Base)
+		if !isVec || x.Base == lc.c.loop.KeyVar {
+			refuse("writes %s", x)
+		}
+		lc.into(value, lc.vec(x, slot))
+		return
+	}
+	name := t.Name
+	gs, isGlobal := res.GlobalSlot(name)
+	kind, _ := res.LocalKind(name)
+	if name == lc.v {
+		refuse("assigns the loop variable")
+	}
+	if b, ok := value.(*lang.BinOp); ok && b.Op == "+" && lc.assigns[name] == 1 {
+		if l, ok := b.L.(*lang.Ident); ok && l.Name == name {
+			// The fold adds e's lanes in trip order to s's value at entry.
+			lc.red[name] = true
+			op := laneOp{op: opCompF, a: lc.expr(b.R, -1)}
+			if isGlobal {
+				op.op, op.dst = opCompG, int32(gs)
+				lc.load(int32(gs), 0)
+			} else {
+				op.dst = lc.float(name)
+			}
+			lc.ln.ops = append(lc.ln.ops, op)
+			return
+		}
+	}
+	switch {
+	case isGlobal:
+		refuse("assigns global %s", name)
+	case kind != lang.KindFloat:
+		refuse("assigns %s local %s", kind, name)
+	}
+	slot, _ := res.FloatSlot(name)
+	key := [2]int32{0, int32(slot)}
+	if _, seen := lc.memo[key]; !seen {
+		lc.memo[key] = lc.newReg(laneReg{kind: laneTemp, x: lc.c.newScratch()})
+		lc.ln.outs = append(lc.ln.outs, [2]int32{int32(slot), lc.memo[key]})
+	}
+	lc.into(value, lc.memo[key])
+	lc.ready[name] = true
+}
+
+// into lowers e with its result in lane register dst.
+func (lc *laneComp) into(e lang.Expr, dst int32) {
+	if r := lc.expr(e, dst); r != dst {
+		lc.op(opMovF, dst, r, r)
+	}
+}
+
+// expr lowers e to an operand — lane register o >= 0, or loop-invariant
+// scalar fr[^o] — and an op it emits last writes dst when dst >= 0.
+func (lc *laneComp) expr(e lang.Expr, dst int32) int32 {
+	switch x := e.(type) {
+	case *lang.Num:
+		return ^lc.c.numPin[math.Float64bits(x.Val)]
+	case *lang.Ident:
+		return lc.ident(x.Name)
+	case *lang.UnOp:
+		a := lc.expr(x.X, -1)
+		return lc.op(opNegF, dst, a, a)
+	case *lang.BinOp:
+		l := lc.expr(x.L, -1)
+		return lc.op(arithOp(arithSel(x.Op[0])), dst, l, lc.expr(x.R, -1))
+	case *lang.Call:
+		op, ok := fnOps[x.Fn]
+		if !ok {
+			refuse("calls %s()", x.Fn)
+		}
+		a := lc.expr(x.Args[0], -1)
+		b := a
+		if len(x.Args) == 2 {
+			b = lc.expr(x.Args[1], -1)
+		}
+		return lc.op(op, dst, a, b)
+	case *lang.Index:
+		return lc.index(x)
+	}
+	refuse("%T expression", e)
+	return 0
+}
+
+// op appends op with its result in lane register dst, or in a new temp
+// when dst < 0, and returns that register.
+func (lc *laneComp) op(op opcode, dst, a, b int32) int32 {
+	if dst < 0 {
+		dst = lc.newReg(laneReg{kind: laneTemp, x: lc.c.newScratch()})
+	}
+	lc.ln.ops = append(lc.ln.ops, laneOp{op: op, dst: dst, a: a, b: b})
+	return dst
+}
+
+func (lc *laneComp) newReg(r laneReg) int32 {
+	lc.ln.regs = append(lc.ln.regs, r)
+	return int32(len(lc.ln.regs) - 1)
+}
+
+// ident lowers a variable read: a lane-private local's lanes, or a
+// loop-invariant scalar.
+func (lc *laneComp) ident(name string) int32 {
+	switch {
+	case name == lc.v:
+		refuse("reads the loop variable")
+	case lc.red[name]:
+		refuse("reads reduction %s", name)
+	case lc.assigns[name] > 0 && !lc.ready[name]:
+		refuse("carries %s across trips", name)
+	case lc.assigns[name] > 0:
+		slot, _ := lc.c.res.FloatSlot(name)
+		return lc.memo[[2]int32{0, int32(slot)}]
+	}
+	if gs, isGlobal := lc.c.res.GlobalSlot(name); isGlobal {
+		return ^lc.load(int32(gs), 0)
+	}
+	return ^lc.float(name)
+}
+
+// float returns the slot of a float local defined on every path in.
+func (lc *laneComp) float(name string) int32 {
+	slot, ok := lc.c.res.FloatSlot(name)
+	if !ok || !lc.c.defs.f[slot] {
+		refuse("%s may be undefined", name)
+	}
+	return int32(slot)
+}
+
+// load returns the fr register the guard loads global g into, or when
+// key > 0 the 1-based key literal key (into its pinned register).
+func (lc *laneComp) load(g, key int32) int32 {
+	memo, ld := [2]int32{2, g}, laneLoad{g: g}
+	if key > 0 {
+		memo, ld = [2]int32{3, key}, laneLoad{reg: lc.c.keyPin[int64(key)], g: -1, key: key}
+	}
+	if _, seen := lc.memo[memo]; !seen {
+		if key == 0 {
+			ld.reg = lc.c.allocF()
+		}
+		lc.memo[memo] = ld.reg
+		lc.ln.loads = append(lc.ln.loads, ld)
+	}
+	return lc.memo[memo]
+}
+
+// vec returns the lane register of vector local slot, read or written
+// at x, which must be [v] of a vector a definition dominating the loop
+// defines.
+func (lc *laneComp) vec(x *lang.Index, slot int) int32 {
+	if id, ok := x.Subs[0].(*lang.Ident); !ok || id.Name != lc.v {
+		refuse("vector %s at %s", x.Base, x.Subs[0])
+	}
+	if !lc.c.defs.v[slot] {
+		refuse("%s may be undefined", x.Base)
+	}
+	key := [2]int32{1, int32(slot)}
+	if _, seen := lc.memo[key]; !seen {
+		lc.memo[key] = lc.newReg(laneReg{kind: laneVec, x: int32(slot)})
+	}
+	return lc.memo[key]
+}
+
+func (lc *laneComp) index(x *lang.Index) int32 {
+	res := lc.c.res
+	if x.Base == lc.c.loop.KeyVar {
+		if n, isNum := x.Subs[0].(*lang.Num); isNum {
+			if kk, ok := keyLitConst(n); ok && kk >= 1 {
+				return ^lc.load(-1, int32(kk))
+			}
+		}
+		refuse("key subscript %s", x.Subs[0])
+	}
+	if slot, isVec := res.VecSlot(x.Base); isVec {
+		return lc.vec(x, slot)
+	}
+	// The site reads its lanes as the range v+off = lo+off:hi+off, whose
+	// bounds the guard writes into loReg and hiReg.
+	ai, _ := res.ArrayIndex(x.Base) // ResolveLoop refused any other name
+	site := laneReg{kind: laneSite}
+	acc := access{ai: int32(ai), nameIdx: lc.c.nameIdx(x.Base), rangeDim: -1, dims: res.ArrayDims(ai),
+		subs: make([]int32, len(x.Subs)), loReg: lc.c.allocF(), hiReg: lc.c.allocF(),
+		ii: lc.c.newIdx(len(x.Subs)), sid: lc.c.newScratch(), sel: -1}
+	for d, sub := range x.Subs {
+		if off, ok := lc.laneSub(sub); ok && acc.rangeDim < 0 {
+			acc.rangeDim, acc.subs[d], site.off = int32(d), -1, off
+		} else if acc.subs[d] = ^lc.expr(sub, -1); acc.subs[d] < 0 {
+			refuse("%s subscript %s varies", x.Base, sub)
+		}
+	}
+	if acc.rangeDim < 0 {
+		refuse("%s read without the loop variable", x.Base)
+	}
+	lc.c.accs = append(lc.c.accs, acc)
+	site.x = int32(len(lc.c.accs) - 1)
+	return lc.newReg(site)
+}
+
+// laneSub reports whether sub is v, v + c or v - c for an integer
+// literal c, returning c's signed value.
+func (lc *laneComp) laneSub(sub lang.Expr) (int64, bool) {
+	if id, ok := sub.(*lang.Ident); ok {
+		return 0, id.Name == lc.v
+	}
+	b, _ := sub.(*lang.BinOp)
+	if b == nil || (b.Op != "+" && b.Op != "-") {
+		return 0, false
+	}
+	id, _ := b.L.(*lang.Ident)
+	n, _ := b.R.(*lang.Num)
+	if id == nil || id.Name != lc.v || n == nil {
+		return 0, false
+	}
+	c, ok := keyLitConst(n)
+	if b.Op == "-" {
+		c = -c
+	}
+	return c, ok
 }

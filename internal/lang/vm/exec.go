@@ -81,33 +81,8 @@ func (k *Kernel) exec() {
 		case opPowF:
 			fr[in.a] = math.Pow(fr[in.b], fr[in.c])
 			pc++
-		case opNegF:
-			fr[in.a] = -fr[in.b]
-			pc++
-		case opAbsF:
-			fr[in.a] = math.Abs(fr[in.b])
-			pc++
-		case opAbs2F:
-			v := fr[in.b]
-			fr[in.a] = v * v
-			pc++
-		case opSqrtF:
-			fr[in.a] = math.Sqrt(fr[in.b])
-			pc++
-		case opExpF:
-			fr[in.a] = math.Exp(fr[in.b])
-			pc++
-		case opLogF:
-			fr[in.a] = math.Log(fr[in.b])
-			pc++
-		case opFloorF:
-			fr[in.a] = math.Floor(fr[in.b])
-			pc++
-		case opCeilF:
-			fr[in.a] = math.Ceil(fr[in.b])
-			pc++
-		case opSigmoidF:
-			fr[in.a] = 1 / (1 + math.Exp(-fr[in.b]))
+		case opNegF, opAbsF, opAbs2F, opSqrtF, opExpF, opLogF, opFloorF, opCeilF, opSigmoidF:
+			fr[in.a] = unary(in.op, fr[in.b])
 			pc++
 		case opMinF:
 			// Same NaN behavior as the closure backend's
@@ -634,65 +609,185 @@ func (k *Kernel) exec() {
 				flDef[in.d] = true
 				pc = int(in.b)
 			}
-
-		case opLdPt2C:
-			// Both loads run in the unfused order, so a fault from the
-			// first access fires before the second load executes.
-			f := &k.p.fused[in.b]
-			ra := &k.racc[f.b1]
-			var av float64
-			if off, ok := ptOff(fr, ra); ok {
-				av = ra.data[off]
-			} else {
-				av = k.ldPt(&k.p.accs[f.b1])
-			}
-			if bv := consts[f.c1]; (av < bv) == (f.d1 != 0) {
-				av = bv
-			}
-			fr[f.a1] = av
-			ra = &k.racc[f.b2]
-			if off, ok := ptOff(fr, ra); ok {
-				av = ra.data[off]
-			} else {
-				av = k.ldPt(&k.p.accs[f.b2])
-			}
-			if bv := consts[f.c2]; (av < bv) == (f.d2 != 0) {
-				av = bv
-			}
-			fr[f.a2] = av
+		case opLanes:
 			pc++
-		case opAddG2Mul:
-			f := &k.p.fused[in.b]
-			if f.c1 >= 0 && !glDef[f.b1] {
-				fail("lang: undefined variable %q", names[f.c1])
+			if k.runLanes(&k.p.lanes[in.a]) {
+				pc = int(code[pc].c)
 			}
-			t1 := fr[f.a1] + gl[f.b1]
-			if f.c2 >= 0 && !glDef[f.b2] {
-				fail("lang: undefined variable %q", names[f.c2])
-			}
-			fr[in.a] = t1 * (fr[f.a2] + gl[f.b2])
-			pc++
-		case opAddGDivR:
-			if in.e >= 0 && !glDef[in.c] {
-				fail("lang: undefined variable %q", names[in.e])
-			}
-			fr[in.a] = fr[in.d] / (fr[in.b] + gl[in.c])
-			pc++
-		case opVStAdd:
-			i := int64(fr[in.b])
-			vec := vr[in.a]
-			if i < 1 || int(i) > len(vec) {
-				fail("lang: vector subscript %d out of range", i)
-			}
-			v := fr[in.c]
-			vec[i-1] = v
-			fr[in.d] = fr[in.e] + v
-			pc++
-
 		default:
 			fail("lang: vm: invalid opcode %d at pc %d", in.op, pc)
 		}
 	}
+}
+
+// runLanes runs lane loop ln after opForInit, and reports whether it
+// did. Its guard passes only when no scalar trip could fault: 1..1024
+// trips (bounding its scratch), a budget that outlasts them, its globals
+// defined, its key literals in range, its vector locals holding
+// [lo, hi], and each site's lanes inside the array and any window (rgOff),
+// or served whole by a lang.RunAccess view. A failed guard has written
+// only registers and scratch; the scalar loop runs and faults as ever.
+func (k *Kernel) runLanes(ln *laneLoop) bool {
+	lo, hi := k.ir[2*ln.forID], k.ir[2*ln.forID+1]
+	if hi < lo || uint64(hi-lo) >= 1<<10 || (k.budget > 0 && k.budget <= hi-lo+1) {
+		return false
+	}
+	n, fr := int(hi-lo+1), k.fr
+	for _, ld := range ln.loads {
+		switch {
+		case ld.g >= 0 && k.glDef[ld.g]:
+			fr[ld.reg] = k.gl[ld.g]
+		case ld.g < 0 && int(ld.key) <= len(k.key):
+			fr[ld.reg] = float64(k.key[ld.key-1] + 1)
+		default:
+			return false
+		}
+	}
+	// Runs read last: a view sees no other step of a failed guard.
+	for pass := 0; pass < 2; pass++ {
+		for r := range ln.regs {
+			lr, ok := &ln.regs[r], true
+			switch {
+			case lr.kind == laneSite:
+				if (k.racc[lr.x].data == nil) == (pass == 1) {
+					k.lane[r], ok = k.laneSrc(lr, lo, hi)
+				}
+			case pass == 1:
+			case lr.kind == laneVec:
+				v := k.vr[lr.x]
+				if ok = lo >= 1 && hi <= int64(len(v)); ok {
+					k.lane[r] = v[lo-1 : hi]
+				}
+			default:
+				k.lane[r] = k.growScratch(int(lr.x), n)
+			}
+			if !ok {
+				return false
+			}
+		}
+	}
+	if k.budget != 0 {
+		k.budget -= int64(n)
+	}
+	k.laneOps(ln.ops, n)
+	// Bind the loop variable and lane-private locals as the last trip.
+	k.laneRuns++
+	fr[ln.varSlot] = float64(hi)
+	k.flDef[ln.varSlot] = true
+	for _, o := range ln.outs {
+		fr[o[0]] = k.lane[o[1]][n-1]
+		k.flDef[o[0]] = true
+	}
+	return true
+}
+
+// laneSrc returns site lr's lanes lo+off..hi+off: a slice of the
+// storage when they are contiguous, else gathered or read as a run into
+// the site's scratch.
+func (k *Kernel) laneSrc(lr *laneReg, lo, hi int64) ([]float64, bool) {
+	acc, ra := &k.p.accs[lr.x], &k.racc[lr.x]
+	k.fr[acc.loReg], k.fr[acc.hiReg] = float64(lo+lr.off), float64(hi+lr.off)
+	if ra.data != nil {
+		base, n, ok := rgOff(k.fr, ra)
+		if !ok || ra.s1 == 1 {
+			return ra.data[base : base+n], ok
+		}
+		out := k.growScratch(int(ra.sid), int(n))
+		gather(out, ra.data, base, ra.s1)
+		return out, true
+	}
+	// A view refuses, untouched, any run it cannot serve whole.
+	run := k.runs[acc.ai]
+	if run == nil {
+		return nil, false
+	}
+	ix := k.fillIx(acc)
+	l, h := k.rangeBounds(acc)
+	ix[acc.rangeDim] = l
+	out := k.growScratch(int(acc.sid), int(h-l+1))
+	return out, run.ReadRun(out, int(acc.rangeDim), ix)
+}
+
+// laneOps runs a lane loop's ops, each applying its scalar opcode's
+// arithmetic to every lane as each trip would; a fold adds the lanes in
+// trip order. A scalar operand is read for every lane (mask 0).
+func (k *Kernel) laneOps(ops []laneOp, n int) {
+	arg := func(o int32) ([]float64, int) {
+		if o >= 0 {
+			return k.lane[o], -1
+		}
+		return k.fr[^o : ^o+1], 0
+	}
+	for i := range ops {
+		op := &ops[i]
+		a, ma := arg(op.a)
+		switch op.op {
+		case opCompF, opCompG:
+			s := &k.fr[op.dst]
+			if op.op == opCompG {
+				s = &k.gl[op.dst]
+			}
+			for j := range n {
+				*s = *s + a[j&ma]
+			}
+			continue
+		}
+		b, mb := arg(op.b)
+		out := k.lane[op.dst]
+		switch sel := int32(op.op - opAddF); op.op {
+		case opAddF, opSubF, opMulF, opDivF, opPowF:
+			switch {
+			case ma != 0 && mb != 0:
+				vecOpVV(sel, out, a, b)
+			case ma != 0:
+				vecOpVS(sel, out, a, b[0])
+			default:
+				for j := range out {
+					out[j] = arith(sel, a[0], b[j&mb])
+				}
+			}
+		case opMinF, opMaxF:
+			isMin := op.op == opMinF // opMinF's and opMaxF's NaN order
+			for j := range out {
+				if av, bv := a[j&ma], b[j&mb]; (av < bv) == isMin {
+					out[j] = av
+				} else {
+					out[j] = bv
+				}
+			}
+		case opMovF:
+			for j := range out {
+				out[j] = a[j&ma]
+			}
+		default:
+			for j := range out {
+				out[j] = unary(op.op, a[j&ma])
+			}
+		}
+	}
+}
+
+// unary is opNegF..opSigmoidF's arithmetic.
+func unary(op opcode, v float64) float64 {
+	switch op {
+	case opNegF:
+		return -v
+	case opAbsF:
+		return math.Abs(v)
+	case opAbs2F:
+		return v * v
+	case opSqrtF:
+		return math.Sqrt(v)
+	case opExpF:
+		return math.Exp(v)
+	case opLogF:
+		return math.Log(v)
+	case opFloorF:
+		return math.Floor(v)
+	case opCeilF:
+		return math.Ceil(v)
+	}
+	return 1 / (1 + math.Exp(-v))
 }
 
 // vecOpVV applies out[i] = l[i] op r[i]; the selector switch stays

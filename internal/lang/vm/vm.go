@@ -130,16 +130,7 @@ const (
 	opForInit   // ir[2a] = int64(fr[b]); ir[2a+1] = int64(fr[c]); d&1/d&2 make lo/hi consts
 	opForCond   // loop a: bind float local b and continue, or pc = c
 	opForNext   // ir[2a]++; then bind float local d and pc = b, or pc = c
-
-	// Superinstructions built by the post-lowering fusion pass
-	// (fuseSuper): each replaces an adjacent group whose unfused form
-	// round-trips dead temps through the register file, and executes
-	// its components in the original order so faults, messages, and
-	// every intermediate rounding step are unchanged.
-	opLdPt2C   // fused[b]: two clamped point loads, fr[a1/a2] = min|max(ld accs[b1/b2], consts[c1/c2])
-	opAddG2Mul // fr[a] = (fr[f.a1]+gl[f.b1]) * (fr[f.a2]+gl[f.b2]), f = fused[b]; c1/c2 >= 0 check glDef
-	opAddGDivR // fr[a] = fr[d] / (fr[b] + gl[c]); e >= 0 checks glDef[c] (names[e])
-	opVStAdd   // vr[a][int64(fr[b])-1] = fr[c]; fr[d] = fr[e] + fr[c], one bounds fault
+	opLanes     // after opForInit: run lanes[a] and leave by the next opForCond's exit, or pc++ if its guard fails
 )
 
 // Arithmetic selectors for compound/vector ops, in arithFn order.
@@ -280,13 +271,41 @@ type axpyInfo struct {
 	sub bool // l - s*w instead of l + s*w
 }
 
-// fentry carries the operands of a fused superinstruction that outgrew
-// the five-field instr. The field meaning is per-opcode: two
-// (dst, operand, const/global, selector) quads laid out in execution
-// order.
-type fentry struct {
-	a1, b1, c1, d1 int32
-	a2, b2, c2, d2 int32
+// laneLoop is an inner for loop lowered lane-wise (laneFor): each body
+// statement runs once over all trips, as ops over lane registers, each
+// one element per trip. runLanes guards and runs it.
+type laneLoop struct {
+	forID, varSlot int32
+	loads          []laneLoad
+	regs           []laneReg
+	ops            []laneOp
+	outs           [][2]int32 // lane-private locals: (float slot, lane register)
+}
+
+// laneLoad loads fr[reg] from global g, or when g < 0 from the 1-based
+// key literal key.
+type laneLoad struct{ reg, g, key int32 }
+
+// A lane register is scratch x (temps, lane-private locals), vector
+// local x at [v], or range access site x at v+off.
+const (
+	laneTemp = iota
+	laneVec
+	laneSite
+)
+
+type laneReg struct {
+	kind, x int32
+	off     int64
+}
+
+// laneOp applies scalar opcode op (opMovF, opAddF..opPowF, opMinF,
+// opMaxF, or unary opNegF..opSigmoidF on a) per lane, or folds a's lanes
+// in trip order into fr[dst] (opCompF) or gl[dst] (opCompG). Operand
+// o >= 0 is lane register o, o < 0 scalar fr[^o].
+type laneOp struct {
+	op        opcode
+	dst, a, b int32
 }
 
 // Prog is a loop lowered to bytecode. It is immutable and safe to
@@ -302,7 +321,10 @@ type Prog struct {
 	baccs  []bufAccess
 	axpys  []axpyInfo
 	pins   []pinVal // constant pins, written once per kernel
-	fused  []fentry // operand records for superinstructions
+	lanes  []laneLoop
+	// forNotes says per inner for loop, in source order, why it has no
+	// lane-wise form ("" when it has one).
+	forNotes []string
 
 	numFloat, numVec, numBool int // local slot counts
 	nFReg, nVReg, nBReg       int // register file sizes (locals + temps)
@@ -358,8 +380,10 @@ type Kernel struct {
 	buffers []lang.BufferAccess
 	rng     lang.RandSource
 
-	scratch [][]float64
-	idx     [][]int64
+	scratch  [][]float64
+	idx      [][]int64
+	lane     [][]float64 // the running lane loop's registers
+	laneRuns int         // lane loops run lane-wise, not as scalar loops
 
 	budget   int64
 	vecLimit int64
@@ -396,6 +420,9 @@ func (p *Prog) NewKernel() *Kernel {
 	k.racc = make([]rtAcc, len(p.accs))
 	k.buffers = make([]lang.BufferAccess, len(p.bufNames))
 	k.scratch = make([][]float64, p.nScratch)
+	for _, ln := range p.lanes {
+		k.lane = make([][]float64, max(len(k.lane), len(ln.regs)))
+	}
 	k.idx = make([][]int64, len(p.idxSizes))
 	for i, n := range p.idxSizes {
 		k.idx[i] = make([]int64, n)
@@ -441,6 +468,7 @@ func (k *Kernel) BindArray(name string, a lang.ArrayAccess) error {
 	}
 	k.arrays[i] = a
 	k.runs[i], _ = a.(lang.RunAccess)
+	clear(k.lane) // a lane register may borrow the previous storage
 	rank := len(want)
 	if rank > 2 {
 		data = nil

@@ -100,7 +100,8 @@ func bindExample(t testing.TB, file string, globals map[string]float64) *Kernel 
 
 // TestVMZeroAllocs: the acceptance criterion — a steady-state VM
 // iteration of the MF, LDA and SLR bodies performs zero allocations,
-// both per-iteration and batched.
+// both per-iteration and batched; LDA's topic loop runs lane-wise
+// throughout.
 func TestVMZeroAllocs(t *testing.T) {
 	mf, _, _ := bindMF(t, compileMF(t))
 	lda := bindExample(t, "lda.orion", map[string]float64{"K": 6, "alpha": 0.5, "beta": 0.1, "vbeta": 8})
@@ -110,10 +111,12 @@ func TestVMZeroAllocs(t *testing.T) {
 		k    *Kernel
 		keys [][]int64
 		vals []float64
+		// lanes is how many loops of an iteration run lane-wise.
+		lanes int
 	}{
-		{"MF", mf, [][]int64{{3, 7}, {4, 9}, {1, 2}, {3, 7}}, []float64{1.5, 2, 0.5, 1.5}},
-		{"LDA", lda, [][]int64{{3, 7}, {4, 9}, {1, 2}, {3, 7}}, []float64{1, 1, 1, 1}},
-		{"SLR", slr, [][]int64{{5}, {6}, {7}, {5}}, []float64{0.73, 0.21, 0.5, 0.73}},
+		{"MF", mf, [][]int64{{3, 7}, {4, 9}, {1, 2}, {3, 7}}, []float64{1.5, 2, 0.5, 1.5}, 0},
+		{"LDA", lda, [][]int64{{3, 7}, {4, 9}, {1, 2}, {3, 7}}, []float64{1, 1, 1, 1}, 1},
+		{"SLR", slr, [][]int64{{5}, {6}, {7}, {5}}, []float64{0.73, 0.21, 0.5, 0.73}, 0},
 	} {
 		k, key, val := tc.k, tc.keys[0], tc.vals[0]
 		for i := 0; i < 4; i++ {
@@ -136,6 +139,11 @@ func TestVMZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("vm %s block allocates %v times, want 0", tc.name, allocs)
+		}
+		// 4 warm-up and 201 measured iterations (AllocsPerRun adds one),
+		// then 201 blocks of len(keys).
+		if want := tc.lanes * (4 + 201 + 201*len(tc.keys)); k.laneRuns != want {
+			t.Errorf("vm %s ran %d loops lane-wise, want %d", tc.name, k.laneRuns, want)
 		}
 	}
 }
