@@ -141,7 +141,9 @@ golden-plans-check:
 
 # Short fuzzing sessions over the DSL front end, the plan-artifact
 # decoders, the symbolic dependence tier (soundness vs the brute-force
-# oracle), the three-way interp/closure/VM execution differential, and
+# oracle), the three-way interp/closure/VM execution differential, the
+# checker against the executors' compiler (ORN018 exactly when they
+# refuse a loop, and every planned loop's prefetch slice compiles), and
 # the wire-frame decoder (hostile header claims must condemn the link,
 # never crash or over-allocate).
 fuzz:
@@ -150,4 +152,5 @@ fuzz:
 	$(GO) test ./internal/plan -fuzz FuzzDecodeArtifact -fuzztime 30s
 	$(GO) test ./internal/dep -fuzz FuzzRangeAnalysis -fuzztime 30s
 	$(GO) test ./internal/lang/vm -fuzz FuzzExecDifferential -fuzztime 30s
+	$(GO) test ./internal/dslkernel -fuzz FuzzCheckAgreesWithCompile -fuzztime 30s
 	$(GO) test ./internal/runtime -fuzz FuzzDecodeFrame -fuzztime 30s

@@ -22,7 +22,7 @@ import (
 // DSL renditions of the three parameter-server applications (the same
 // loop bodies shipped in examples/). No Go kernels: the driver
 // analyzes, plans, and ships each body to the executors, which run it
-// on the backend the loop selects.
+// on the bytecode VM.
 const (
 	mfDSL = `
 for (key, rv) in ratings
@@ -107,11 +107,10 @@ type dslConfig struct {
 }
 
 // runDSL trains an application written purely in Orion's DSL on the
-// real distributed runtime. Loop bodies run on the bytecode VM, or on
-// the interpreter when they fall outside the VM's subset; the first
-// line printed names the backend. The transport is in-process by
-// default; "tcp" runs the same executors over real sockets (loopback),
-// which exercises the full wire protocol including trace collection. A
+// real distributed runtime; loop bodies run on the bytecode VM. The
+// transport is in-process by default; "tcp" runs the same executors
+// over real sockets (loopback), which exercises the full wire protocol
+// including trace collection. A
 // non-empty CkptDir enables coordinated checkpointing (and in-loop
 // recovery from worker loss); when the directory already holds a
 // committed checkpoint from an earlier run of the same program,
@@ -298,11 +297,7 @@ func runDSL(cfg dslConfig) error {
 		}
 	}
 
-	chosen, err := sess.KernelBackend(src)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("dsl on %s: %d workers, %d passes, %s backend\n", app, workers, passes, chosen)
+	fmt.Printf("dsl on %s: %d workers, %d passes\n", app, workers, passes)
 	fmt.Printf("%-6s  %-14s\n", "pass", metricName)
 	if cfg.Adapt || cfg.Grow > 0 {
 		// Adaptive re-planning and elastic grow trigger at the loop
@@ -325,9 +320,6 @@ func runDSL(cfg dslConfig) error {
 			}
 			fmt.Printf("%-6d  %-14.6g\n", p, metric())
 		}
-	}
-	if d := sess.Diagnostics().First(diag.CodeBackend); d != nil {
-		fmt.Println(d.Message)
 	}
 	if cfg.Report {
 		if r := sess.CombinedReport(); r != nil {

@@ -1,7 +1,7 @@
 // Command orion-worker is a generic Orion executor process: it connects
 // to a driver's master over TCP, receives DistArray partitions and
-// DefineLoop messages, compiles shipped DSL loop bodies with the
-// built-in interpreter, and executes blocks until shut down. Because
+// DefineLoop messages, compiles shipped DSL loop bodies onto the
+// bytecode VM, and executes blocks until shut down. Because
 // loop code travels in the DefineLoop message, one worker binary serves
 // every application.
 //

@@ -8,7 +8,9 @@
 // Passes, in order:
 //
 //  1. analysis   — lang.AnalyzeDiags: every front-end hard error as a
-//     positioned diagnostic (ORN01x); stops here on errors.
+//     positioned diagnostic (ORN01x), then the executors' typing front
+//     end (lang.ResolveLoop): a body outside the subset they compile is
+//     ORN018; stops here on errors.
 //  2. dependence — dep.AnalyzeDetail: vectors with provenance (which
 //     reference pair produced each vector).
 //  3. planning   — sched.NewFromDeps: the strategy decision.
@@ -155,9 +157,21 @@ func errToDiag(err error, file string) diag.Diagnostic {
 func Run(loop *lang.Loop, env *lang.Env, opts Options) *Result {
 	r := &Result{Loop: loop, env: env}
 
-	// Pass 1: front-end analysis.
+	// Pass 1: front-end analysis, ending with the executors' typing front
+	// end: every executor runs the body as VM bytecode, so it must resolve
+	// against exactly the globals they compile it with — the provided ones
+	// plus its accumulators — or it is refused here, before anything ships.
 	spec, diags := lang.AnalyzeDiags(loop, env, opts.File)
 	r.Diags = diags
+	if !r.Diags.HasErrors() {
+		globals := append(append([]string(nil), opts.Globals...), lang.Accumulators(loop)...)
+		_, err := lang.ResolveLoop(loop, &lang.CompileEnv{Arrays: env.Arrays, Buffers: env.Buffers, Globals: globals})
+		if nce, ok := err.(*lang.NotCompilableError); ok {
+			r.Diags.Add(diag.Errorf(diag.CodeNotCompilable, r.pos(nce.At, opts),
+				"executors run the loop body as compiled bytecode with one static type per local: give each local one kind (scalar, vector or boolean), copy a vector with an arithmetic expression instead of aliasing it, and read only locals, arrays, the key and globals the driver provides (SetGlobal, or a global preamble line)",
+				"loop body is outside the statically typed subset the executors compile: %s", nce.Reason))
+		}
+	}
 	if r.Diags.HasErrors() {
 		r.Diags.Sort()
 		return r

@@ -19,6 +19,8 @@
 //	ORN016  error    subscript uses a loop dimension outside the
 //	                 iteration space
 //	ORN017  error    malformed loop specification
+//	ORN018  error    loop body is outside the statically typed subset
+//	                 the executors compile
 //	ORN101  warning  data-dependent (non-affine) subscript forces
 //	                 conservative dependence assumptions
 //	ORN102  warning  cross-iteration write-write conflict assumed
@@ -28,8 +30,6 @@
 //	ORN104  warning  declared global never read by the loop body
 //	ORN105  info     unordered loop writes a rotated (time-partitioned)
 //	                 array
-//	ORN106  info     which loop-execution backend the executors use
-//	                 (bytecode VM or the reference interpreter)
 //	ORN107  info     expected rotation/compute byte ratio of the chosen
 //	                 plan (compare against orion-run -report)
 //	ORN108  error    serialized plan artifact is stale: schema-version
@@ -68,12 +68,12 @@ const (
 	CodeBufferRead     = "ORN015"
 	CodeDimRange       = "ORN016"
 	CodeBadSpec        = "ORN017"
+	CodeNotCompilable  = "ORN018"
 	CodeRuntimeSub     = "ORN101"
 	CodeCommuteAssumed = "ORN102"
 	CodeFlowDep        = "ORN103"
 	CodeUnusedGlobal   = "ORN104"
 	CodeRotatedWrite   = "ORN105"
-	CodeBackend        = "ORN106"
 	CodeRotationRatio  = "ORN107"
 	CodeStalePlan      = "ORN108"
 	CodeNotParallel    = "ORN201"

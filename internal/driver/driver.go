@@ -33,7 +33,6 @@ import (
 	"orion/internal/dsm"
 	"orion/internal/ir"
 	"orion/internal/lang"
-	"orion/internal/lang/vm"
 	"orion/internal/obs"
 	"orion/internal/obs/analyze"
 	"orion/internal/runtime"
@@ -253,33 +252,16 @@ func (s *Session) CreateBuffer(name, target string) error {
 // SetGlobal binds a driver variable visible (read-only) to loop bodies.
 func (s *Session) SetGlobal(name string, v float64) { s.globals[name] = v }
 
-// KernelBackend reports which backend the executors will run the given
-// loop source on in the session's current environment, without
-// executing anything: "vm" or "interp". The loop decides: the bytecode
-// VM when it lies inside the VM's subset, the interpreter otherwise —
-// the verdict every worker's dslkernel.Compile reaches.
+// KernelBackend returns "vm", the executors' only loop backend, or the
+// error that planning the loop source in the session's current
+// environment reports (ORN018 for a body outside the compiled subset).
+// It exists only because the benchmark's per-layer replay
+// (benchmark/layers.go) stamps its result into plan.Artifact.Backend.
 func (s *Session) KernelBackend(src string) (string, error) {
-	loop, err := lang.Parse(src)
-	if err != nil {
+	if _, err := s.PlanArtifact(src); err != nil {
 		return "", err
 	}
-	return s.kernelBackend(loop), nil
-}
-
-func (s *Session) kernelBackend(loop *lang.Loop) string {
-	globals := make([]string, 0, len(s.globals))
-	for g := range s.globals {
-		globals = append(globals, g)
-	}
-	globals = append(globals, lang.Accumulators(loop)...)
-	if _, err := vm.Compile(loop, &lang.CompileEnv{
-		Arrays:  s.env.Arrays,
-		Buffers: s.env.Buffers,
-		Globals: globals,
-	}); err != nil {
-		return "interp"
-	}
-	return "vm"
+	return "vm", nil
 }
 
 // Option tunes a ParallelFor call.
@@ -354,19 +336,6 @@ func (s *Session) ParallelFor(src string, options ...Option) (*sched.Plan, error
 	e, err := s.planFor(src, o.ordered)
 	if err != nil && (e == nil || e.plan == nil) {
 		return nil, err
-	}
-
-	// Every inherited (read-only driver) variable must have a value —
-	// catching this here gives a clear error instead of a worker-side
-	// kernel failure.
-	accums := map[string]bool{}
-	for _, a := range lang.Accumulators(e.loop) {
-		accums[a] = true
-	}
-	for _, v := range e.spec.Inherited {
-		if _, ok := s.globals[v]; !ok && !accums[v] {
-			return nil, fmt.Errorf("driver: loop inherits %q but no global is set (SetGlobal)", v)
-		}
 	}
 
 	// A guarded plan (ORN203) holds only when its runtime predicate

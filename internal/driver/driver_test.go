@@ -511,13 +511,10 @@ for (key, v) in samples
 end
 `
 
-// TestDriverBackendSelection: the loop picks its backend. The loops of
-// the four benchmark workloads and of every shipped example lie inside
-// the VM's subset, so KernelBackend says vm for each. The verdict is
-// taken once, when the loop is planned, and recorded in its artifact;
-// every ParallelFor call — a memo hit included — still reports it as an
-// ORN106 diagnostic and a backend.select event, and its executors run
-// the VM.
+// TestDriverBackendSelection: every executor runs the VM, and planning
+// stands in for it — the loops of the benchmark workloads and of every
+// shipped example lie inside the compiled subset, so each plans in a
+// session without an ORN018 refusal, and a loop that plans runs.
 func TestDriverBackendSelection(t *testing.T) {
 	programs := map[string]string{
 		"bench-mf":  "array ratings 40 30\narray W 6 40\narray H 6 30\nglobal step_size\n---\n" + mfSrc,
@@ -555,52 +552,29 @@ func TestDriverBackendSelection(t *testing.T) {
 		for _, g := range prog.Globals {
 			sess.SetGlobal(g, 1)
 		}
-		if got, err := sess.KernelBackend(prog.Loop.String()); err != nil || got != "vm" {
-			t.Errorf("%s: KernelBackend = %q, %v; want vm", name, got, err)
+		if _, err := sess.PlanArtifact(prog.Loop.String()); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if d := sess.Diagnostics().First(diag.CodeNotCompilable); d != nil {
+			t.Errorf("%s: %v", name, d)
 		}
 		sess.Close()
 	}
 
-	const executors = 2
-	sess := setupMF(t, executors)
+	sess := setupMF(t, 2)
 	defer sess.Close()
-	obs.Flight().Reset()
-	vmCompiles := obs.GetCounter("kernel.vm")
-	for call := 1; call <= 2; call++ {
-		v0 := vmCompiles.Value()
-		if _, err := sess.ParallelFor(mfSrc); err != nil {
-			t.Fatal(err)
-		}
-		if d := sess.Diagnostics().First(diag.CodeBackend); d == nil || !strings.Contains(d.Message, "the vm backend") {
-			t.Errorf("call %d: %s diagnostic %v does not name the vm backend", call, diag.CodeBackend, d)
-		}
-		if got := vmCompiles.Value() - v0; got != executors {
-			t.Errorf("call %d: kernel.vm +%d, want one per executor (%d)", call, got, executors)
-		}
-	}
-	var selects int
-	for _, ev := range obs.Flight().Events() {
-		if ev.Kind == "backend.select" {
-			if ev.Detail != "vm" {
-				t.Errorf("backend.select for %s names %q", ev.Loop, ev.Detail)
-			}
-			selects++
-		}
-	}
-	if selects != 2 {
-		t.Errorf("%d backend.select events over two calls, want 2", selects)
-	}
-	if art, err := sess.PlanArtifact(mfSrc); err != nil || art.Backend != "vm" {
-		t.Fatalf("artifact backend %q, %v; want vm", art.Backend, err)
+	if _, err := sess.ParallelFor(mfSrc, Passes(2)); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestDriverBackendCompiledRefused: the removed closure tier ("compiled")
-// existed for loops outside the VM's subset. Such a loop now runs on the
-// interpreter with no setting at all: KernelBackend predicts it, the
-// ORN106 diagnostic names it, and every executor counts an interpreter
-// fallback.
-func TestDriverBackendCompiledRefused(t *testing.T) {
+// TestDriverRefusesUntypedLoop: a loop outside the statically typed
+// subset the executors compile — here q = p aliases a vector, which the
+// VM, reusing per-site vector scratch across iterations, cannot model —
+// is refused at plan time with ORN018 at the target of q = p (line 4,
+// column 5) by ParallelFor, PlanArtifact and KernelBackend alike, and
+// nothing ships to the executors.
+func TestDriverRefusesUntypedLoop(t *testing.T) {
 	const src = `
 for (key, v) in data
     p = zeros(3)
@@ -608,26 +582,36 @@ for (key, v) in data
     s = dot(q, q) + v * 0
 end
 `
-	const executors = 2
-	sess, err := NewLocalSession(executors)
+	sess, err := NewLocalSession(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 	sess.CreateArray("data", true, 10).Map(func(float64) float64 { return 0.5 })
 
-	if got, err := sess.KernelBackend(src); err != nil || got != "interp" {
-		t.Fatalf("KernelBackend = %q, %v; want interp", got, err)
+	obs.Flight().Reset()
+	const want = "4:5: error[ORN018]: loop body is outside the statically typed subset the executors compile: vector aliasing assignment"
+	_, pfErr := sess.ParallelFor(src)
+	_, artErr := sess.PlanArtifact(src)
+	_, kbErr := sess.KernelBackend(src)
+	for what, err := range map[string]error{"ParallelFor": pfErr, "PlanArtifact": artErr, "KernelBackend": kbErr} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s = %v, want an error containing %q", what, err, want)
+		}
 	}
-	fallbacks := obs.GetCounter("kernel.interp_fallback")
-	f0 := fallbacks.Value()
-	if _, err := sess.ParallelFor(src); err != nil {
-		t.Fatalf("a loop outside the VM's subset should run on the interpreter: %v", err)
+	for _, ev := range obs.Flight().Events() {
+		if strings.HasSuffix(string(ev.Kind), ".ship") {
+			t.Errorf("a refused loop shipped: %s %s", ev.Kind, ev.Detail)
+		}
 	}
-	if d := sess.Diagnostics().First(diag.CodeBackend); d == nil || !strings.Contains(d.Message, "the interp backend") {
-		t.Errorf("%s diagnostic %v does not name the interp backend", diag.CodeBackend, d)
+	if r := sess.CombinedReport(); r != nil {
+		t.Errorf("a refused loop ran: %+v", r)
 	}
-	if got := fallbacks.Value() - f0; got != executors {
-		t.Errorf("kernel.interp_fallback +%d, want one per executor (%d)", got, executors)
+
+	// A global the loop reads but the session never set is the same
+	// refusal, at the read.
+	const unset = "for (key, v) in data\n    s = v * scale\nend\n"
+	if _, err := sess.ParallelFor(unset); err == nil || !strings.Contains(err.Error(), `2:13: error[ORN018]`) || !strings.Contains(err.Error(), `"scale"`) {
+		t.Errorf("ParallelFor with scale unset = %v, want ORN018 at 2:13 naming scale", err)
 	}
 }

@@ -3,7 +3,6 @@ package driver
 import (
 	"fmt"
 
-	"orion/internal/diag"
 	"orion/internal/ir"
 	"orion/internal/lang"
 	"orion/internal/obs"
@@ -120,11 +119,5 @@ func (s *Session) defineLoopAs(e *compiledLoop, name string) error {
 	}
 	def.AccumNames = lang.Accumulators(e.loop)
 	def.PlanBlob = e.art.EncodeBinary()
-
-	// Surface the backend decision — identical to the one every worker's
-	// dslkernel.Compile will reach — as an Info diagnostic.
-	s.lastDiags.Add(diag.Infof(diag.CodeBackend, diag.Pos{}, "",
-		"loop %s executes on the %s backend", name, e.art.Backend))
-	s.event(obs.FlightBackend, name, e.art.Backend)
 	return s.master.DefineLoop(def)
 }

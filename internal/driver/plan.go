@@ -90,7 +90,7 @@ func (s *Session) planFor(src string, ordered bool) (*compiledLoop, error) {
 }
 
 // event logs one driver-side decision about a loop (a plan-cache
-// outcome, a backend, a ship, a fetch) at the current clock.
+// outcome, a ship, a fetch) at the current clock.
 func (s *Session) event(kind obs.FlightKind, loop, detail string) {
 	obs.Flight().Record(obs.FlightEvent{
 		Kind: kind, Clock: s.master.Clock(),
@@ -101,8 +101,8 @@ func (s *Session) event(kind obs.FlightKind, loop, detail string) {
 
 // compile runs the full static pipeline over loop source and
 // materializes the plan artifact: strategy, histogram-balanced
-// partitions cut from the session's current data, the synthesized
-// prefetch spec, and the loop backend.
+// partitions cut from the session's current data, and the synthesized
+// prefetch spec.
 func (s *Session) compile(src string, ordered bool) (*compiledLoop, error) {
 	prevOrdered := s.env.Ordered
 	s.env.Ordered = ordered
@@ -137,7 +137,6 @@ func (s *Session) compile(src string, ordered bool) (*compiledLoop, error) {
 	if aerr != nil {
 		return nil, fmt.Errorf("driver: materializing plan artifact: %w", aerr)
 	}
-	art.Backend = s.kernelBackend(e.loop)
 	e.art = art
 	return e, err
 }

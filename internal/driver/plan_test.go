@@ -42,8 +42,7 @@ func TestPlanReusedWithinSession(t *testing.T) {
 }
 
 // TestPlanArtifactAccessor asserts the public artifact accessor returns
-// the session's materialized plan with its partitions cut and the loop
-// backend recorded.
+// the session's materialized plan with its partitions cut.
 func TestPlanArtifactAccessor(t *testing.T) {
 	sess := setupMF(t, 3)
 	defer sess.Close()
@@ -60,9 +59,6 @@ func TestPlanArtifactAccessor(t *testing.T) {
 	}
 	if art.WeightsDigest == "" {
 		t.Fatal("driver artifact should record the weights digest it balanced on")
-	}
-	if art.Backend != "vm" {
-		t.Fatalf("artifact records backend %q, want vm", art.Backend)
 	}
 }
 

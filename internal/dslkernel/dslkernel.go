@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"orion/internal/dsm"
 	"orion/internal/lang"
@@ -30,19 +29,14 @@ func Install() {
 }
 
 // Compile builds a kernel set (and prefetch functions) from a
-// DefineLoop message. Loop bodies run on the bytecode VM
-// (lang/vm.Compile) whenever they fall inside the compiled subset;
-// otherwise the tree-walking interpreter — the reference semantics —
-// executes them. The loop decides; nothing pins the choice.
+// DefineLoop message. The loop body and its shipped prefetch slice run
+// on the bytecode VM (lang/vm.Compile); a DefineLoop either of which
+// lies outside the compiled subset fails with the refusal's reason and
+// position. A driver never ships one: check refuses it first (ORN018).
 func Compile(def *runtime.Msg) (*runtime.KernelSet, error) {
 	_, ks, err := compile(def)
 	return ks, err
 }
-
-// interpretOnly makes compile decline the VM for every loop: the seam
-// through which the VM ≡ interpreter differential tests run a loop
-// inside the VM's subset on the interpreter. Nothing else sets it.
-var interpretOnly atomic.Bool
 
 func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 	tb := obs.NewBuf(0, "dslkernel")
@@ -65,14 +59,9 @@ func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 		Globals: append(append([]string{}, def.GlobalNames...), def.AccumNames...),
 	}
 
-	var vp *vm.Prog // nil: interpret
-	if !interpretOnly.Load() {
-		vp, _ = vm.Compile(loop, env) // an error means outside the VM's subset
-	}
-	if vp != nil {
-		obs.GetCounter("kernel.vm").Inc()
-	} else {
-		obs.GetCounter("kernel.interp_fallback").Inc()
+	vp, err := vm.Compile(loop, env)
+	if err != nil {
+		return nil, nil, refused("loop", err)
 	}
 
 	h := fnv.New64a()
@@ -85,9 +74,6 @@ func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 	// still fold per iteration, so a block is bitwise identical to its
 	// iterations run one at a time, as the interpreter runs them.
 	ks := &runtime.KernelSet{Block: lk.runBlock, Prefetch: map[string]runtime.PrefetchFunc{}}
-	if vp == nil {
-		ks.Block = lk.runInterp
-	}
 
 	// The plan artifact shipped alongside the source carries the
 	// synthesized prefetch spec (and the full parallelization decision,
@@ -103,12 +89,23 @@ func compile(def *runtime.Msg) (*loopKernel, *runtime.KernelSet, error) {
 				return nil, nil, fmt.Errorf("dslkernel: parsing shipped prefetch slice: %w", err)
 			}
 			for _, target := range pf.Arrays {
-				ks.Prefetch[target] = prefetchFunc(sliced, pf.Arrays, target, env, globals)
+				if ks.Prefetch[target], err = prefetchFunc(sliced, pf.Arrays, target, env, globals); err != nil {
+					return nil, nil, refused("prefetch slice", err)
+				}
 			}
 			ks.PrefetchID = prefetchID(pf, env, globals)
 		}
 	}
 	return lk, ks, nil
+}
+
+// refused reports a shipped body outside the compiled subset with the
+// reason and the position of the construct vm.Compile refused.
+func refused(what string, err error) error {
+	if nce, ok := err.(*lang.NotCompilableError); ok {
+		return fmt.Errorf("dslkernel: shipped %s at %d:%d is outside the compiled subset: %s", what, nce.At.Line, nce.At.Col, nce.Reason)
+	}
+	return fmt.Errorf("dslkernel: compiling shipped %s: %w", what, err)
 }
 
 // prefetchID spells out what the prefetch functions of a shipped slice
@@ -142,13 +139,11 @@ func prefetchID(pf *plan.Prefetch, env *lang.CompileEnv, globals map[string]floa
 // __record(A[...]) statements mark the reads to report, so with each
 // __record turned into the plain read and every target bound to a
 // recorder, running an iteration leaves the offsets the real body would
-// read of target in its recorder. It runs on one long-lived VM kernel
-// when the slice is inside the compiled subset and on one interpreter
-// machine otherwise. The returned slice is valid until the next call. A
-// sample on which the slice faults prefetches nothing; its reads take
-// the miss path (or fault again, in the body, with the reference
-// message).
-func prefetchFunc(sliced *lang.Loop, targets []string, target string, env *lang.CompileEnv, globals map[string]float64) runtime.PrefetchFunc {
+// read of target in its recorder. It runs on one long-lived VM kernel.
+// The returned slice is valid until the next call. A sample on which
+// the slice faults prefetches nothing; its reads take the miss path (or
+// fault again, in the body, with the reference message).
+func prefetchFunc(sliced *lang.Loop, targets []string, target string, env *lang.CompileEnv, globals map[string]float64) (runtime.PrefetchFunc, error) {
 	assigned := map[string]bool{}
 	reads := &lang.Loop{KeyVar: sliced.KeyVar, ValVar: sliced.ValVar, IterVar: sliced.IterVar,
 		Body: recordedReads(sliced.Body, assigned)}
@@ -168,35 +163,27 @@ func prefetchFunc(sliced *lang.Loop, targets []string, target string, env *lang.
 			want = i
 		}
 	}
-	var run func(key []int64, val float64) error
-	var setGlobal func(name string, v float64)
-	if prog, err := vm.Compile(reads, env); err == nil {
-		k := prog.NewKernel()
-		for i, t := range targets {
-			if err := k.BindArray(t, recs[i]); err != nil {
-				panic(fmt.Sprintf("dslkernel: %v", err))
-			}
+	prog, err := vm.Compile(reads, env)
+	if err != nil {
+		return nil, err
+	}
+	k := prog.NewKernel()
+	for i, t := range targets {
+		if err := k.BindArray(t, recs[i]); err != nil {
+			return nil, err
 		}
-		run, setGlobal = k.RunIteration, func(name string, v float64) { k.SetGlobal(name, v) }
-	} else {
-		m := lang.NewMachine()
-		for i, t := range targets {
-			m.Arrays[t] = recs[i]
-		}
-		run = func(key []int64, val float64) error { return m.RunIteration(reads, key, val) }
-		setGlobal = func(name string, v float64) { m.Globals[name] = v }
 	}
 	for name, v := range globals {
-		setGlobal(name, v)
+		k.SetGlobal(name, v)
 	}
 	return func(key []int64, val float64) []int64 {
 		for _, rec := range recs {
 			rec.offs, rec.fault = rec.offs[:0], false
 		}
 		for _, name := range dirtied {
-			setGlobal(name, globals[name])
+			k.SetGlobal(name, globals[name])
 		}
-		if err := run(key, val); err != nil {
+		if err := k.RunIteration(key, val); err != nil {
 			return nil
 		}
 		for _, rec := range recs {
@@ -205,7 +192,7 @@ func prefetchFunc(sliced *lang.Loop, targets []string, target string, env *lang.
 			}
 		}
 		return recs[want].offs
-	}
+	}, nil
 }
 
 // recordedReads rewrites a prefetch slice's body so it compiles as an
@@ -258,7 +245,7 @@ func (r *recorder) SetAt(float64, ...int64) {
 }
 
 // loopKernel is one executor's instance of one shipped loop. It is
-// invoked only from its executor's message loop, so a single machine
+// invoked only from its executor's message loop, so a single kernel
 // suffices: enter builds it on first use — once the executor's
 // partitions say which arrays are local and which are served — and
 // reseeds its rand() source at the start of every block.
@@ -266,27 +253,22 @@ type loopKernel struct {
 	name     string
 	nameHash int64 // FNV-64a of name, the per-loop term of the block seed
 	loop     *lang.Loop
-	vp       *vm.Prog // nil: interpret
+	vp       *vm.Prog
 	dims     map[string][]int64
 	buffers  map[string]string
 	globals  map[string]float64
 	accums   []string
 	rng      *rand.Rand // the rand() source, reseeded in place per block
 	vs       *vmState
-	ms       *machineState
 }
 
 func (lk *loopKernel) enter(ctx *runtime.Ctx) {
-	if lk.vs == nil && lk.ms == nil {
-		if lk.vp != nil {
-			lk.vs = newVMState(ctx, lk)
-		} else {
-			lk.ms = newMachineState(ctx, lk)
-		}
+	if lk.vs == nil {
+		lk.vs = newVMState(ctx, lk)
 	}
 	// Seed the rand() builtin deterministically per (loop, executor,
-	// block): sampling kernels (e.g. Gibbs) stay reproducible, both
-	// backends draw the same sequence, and — because the seed is keyed
+	// block): sampling kernels (e.g. Gibbs) stay reproducible, and —
+	// because the seed is keyed
 	// on the block's (pass, step) clock rather than on how many blocks
 	// this process has executed — a run that recovers from a checkpoint
 	// mid-loop draws exactly the sequence the fault-free run would have
@@ -316,18 +298,6 @@ func (lk *loopKernel) runBlock(ctx *runtime.Ctx, keys [][]int64, vals []float64)
 	return done, nil
 }
 
-// runInterp executes a block on the interpreter, one iteration at a
-// time; partitions are asked for per access (partView).
-func (lk *loopKernel) runInterp(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
-	lk.enter(ctx)
-	for i, key := range keys {
-		if err := lk.ms.run(key, vals[i]); err != nil {
-			return i, err
-		}
-	}
-	return len(keys), nil
-}
-
 // vmState is one executor's bytecode-VM kernel instance for one loop:
 // the register-file machine with partition/served views bound into its
 // array slots, plus, per accumulator, its global slot, the executor's
@@ -343,9 +313,20 @@ type vmState struct {
 
 func newVMState(ctx *runtime.Ctx, lk *loopKernel) *vmState {
 	vs := &vmState{k: lk.vp.NewKernel()}
-	for name, view := range arrayViews(ctx, lk) {
-		if pv, ok := view.(*partView); ok {
+	// Every declared array binds to this executor's partition of it, or to
+	// served reads when it holds none. The iteration space stays unbound:
+	// body reads of it fault as unknown.
+	for name, d := range lk.dims {
+		if name == lk.loop.IterVar {
+			continue
+		}
+		var view lang.ArrayAccess
+		if ctx.HasPartition(name) {
+			pv := &partView{name: name, dims: d}
 			vs.parts = append(vs.parts, pv)
+			view = pv
+		} else {
+			view = &servedView{s: ctx.Served(name), dims: d}
 		}
 		if err := vs.k.BindArray(name, view); err != nil {
 			panic(fmt.Sprintf("dslkernel: %v", err))
@@ -400,99 +381,22 @@ func (vs *vmState) fold() {
 	}
 }
 
-// machineState is one executor's interpreter instance for one loop;
-// accs and lastAcc are by lk.accums index, as in vmState.
-type machineState struct {
-	m       *lang.Machine
-	loop    *lang.Loop
-	accums  []string
-	accs    []*float64
-	lastAcc []float64
-}
-
-func newMachineState(ctx *runtime.Ctx, lk *loopKernel) *machineState {
-	m := lang.NewMachine()
-	m.Arrays = arrayViews(ctx, lk)
-	m.Rng = lk.rng
-	for bname, target := range lk.buffers {
-		m.Buffers[bname] = &servedView{s: ctx.Served(target), dims: lk.dims[target]}
-	}
-	for k, v := range lk.globals {
-		m.Globals[k] = v
-	}
-	ms := &machineState{m: m, loop: lk.loop, accums: lk.accums}
-	for _, a := range lk.accums {
-		if _, ok := m.Globals[a]; !ok {
-			m.Globals[a] = float64(0)
-		}
-		ms.accs = append(ms.accs, ctx.Accum(a))
-		ms.lastAcc = append(ms.lastAcc, asFloat(m.Globals[a]))
-	}
-	return ms
-}
-
-func (ms *machineState) run(key []int64, val float64) error {
-	if err := ms.m.RunIteration(ms.loop, key, val); err != nil {
-		return fmt.Errorf("dslkernel: interpreted kernel: %v", err)
-	}
-	for i, a := range ms.accums {
-		cur := asFloat(ms.m.Globals[a])
-		if d := cur - ms.lastAcc[i]; d != 0 {
-			*ms.accs[i] += d
-			ms.lastAcc[i] = cur
-		}
-	}
-	return nil
-}
-
-func asFloat(v lang.Value) float64 {
-	f, _ := v.(float64)
-	return f
-}
-
-// arrayViews adapts every declared array to this executor's partition
-// of it, or to served reads when it holds none. The iteration space
-// stays unbound on both backends: body reads of it fault as unknown.
-func arrayViews(ctx *runtime.Ctx, lk *loopKernel) map[string]lang.ArrayAccess {
-	views := make(map[string]lang.ArrayAccess, len(lk.dims))
-	for name, d := range lk.dims {
-		if name == lk.loop.IterVar {
-			continue
-		}
-		if ctx.HasPartition(name) {
-			views[name] = &partView{ctx: ctx, name: name, dims: d}
-		} else {
-			views[name] = &servedView{s: ctx.Served(name), dims: d}
-		}
-	}
-	return views
-}
-
-// partView adapts an executor's (possibly rotated) partition to the
-// loop backends, with global coordinates. The VM binds it as a
-// lang.DenseWindow: vmState.bind sets p for the duration of a block, so
-// in-window accesses of a dense partition are flat-offset loads and
-// stores on its storage, and At/SetAt serve sparse partitions and
-// report out-of-window coordinates. The interpreter never sets p and
-// asks the executor per access instead — a view must not carry a
-// partition across blocks, because rotation replaces it between them.
+// partView adapts an executor's (possibly rotated) partition to the VM,
+// with global coordinates. The VM binds it as a lang.DenseWindow:
+// vmState.bind sets p for the duration of a block — a view must not
+// carry a partition across blocks, because rotation replaces it between
+// them — so in-window accesses of a dense partition are flat-offset
+// loads and stores on its storage, and At/SetAt serve sparse partitions
+// and report out-of-window coordinates.
 type partView struct {
-	ctx  *runtime.Ctx
 	name string
 	dims []int64
 	p    *dsm.Partition
 }
 
-func (v *partView) part() *dsm.Partition {
-	if v.p != nil {
-		return v.p
-	}
-	return v.ctx.PartitionOf(v.name)
-}
-
 func (v *partView) Dims() []int64                   { return v.dims }
-func (v *partView) At(idx ...int64) float64         { return v.part().At(idx...) }
-func (v *partView) SetAt(val float64, idx ...int64) { v.part().SetAt(val, idx...) }
+func (v *partView) At(idx ...int64) float64         { return v.p.At(idx...) }
+func (v *partView) SetAt(val float64, idx ...int64) { v.p.SetAt(val, idx...) }
 func (v *partView) Window() (int, int64, int64)     { return v.p.Dim, v.p.Lo, v.p.Hi }
 func (v *partView) DenseData() ([]float64, []int64) {
 	if v.p == nil {

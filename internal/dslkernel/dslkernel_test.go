@@ -15,19 +15,18 @@ import (
 	"sync"
 	"testing"
 
-	"orion/internal/data"
 	"orion/internal/dsm"
 	"orion/internal/lang"
 	"orion/internal/lang/vm"
-	"orion/internal/obs"
 	"orion/internal/plan"
 	"orion/internal/runtime"
 	"orion/internal/sched"
 )
 
-// notVMCompilable aliases a vector local, which is outside the VM's
-// subset: only the interpreter runs it.
-const notVMCompilable = `
+// aliasing aliases a vector local, which is outside the compiled
+// subset: the VM reuses per-site vector scratch across iterations, so
+// it cannot make q[1] = ... write through to p as the interpreter does.
+const aliasing = `
 array data 10
 ---
 for (key, v) in data
@@ -56,14 +55,12 @@ func defineMsg(t *testing.T, name, src string) *runtime.Msg {
 	}
 }
 
-// TestCompileBackendLattice walks every shipped example loop and the
-// benchmark bodies (all inside the VM's subset) plus one loop outside it
-// through Compile: each yields a Block kernel, and the kernel.vm /
-// kernel.interp_fallback counters say the loop picked its backend — the
-// VM inside the subset, the interpreter outside — and that with
-// interpretOnly set every loop runs on the interpreter.
+// TestCompileBackendLattice: the VM is the only backend. Every shipped
+// example loop and benchmark body compiles into a Block kernel, and a
+// DefineLoop whose body is outside the compiled subset fails with the
+// refusal's reason and position instead of running anywhere else.
 func TestCompileBackendLattice(t *testing.T) {
-	programs := map[string]string{"not-vm-compilable": notVMCompilable}
+	programs := map[string]string{}
 	for n, src := range benchmarkPrograms {
 		programs[n] = src
 	}
@@ -78,31 +75,15 @@ func TestCompileBackendLattice(t *testing.T) {
 		}
 		programs[filepath.Base(p)] = string(b)
 	}
-
-	vmCount, interpCount := obs.GetCounter("kernel.vm"), obs.GetCounter("kernel.interp_fallback")
-	for _, forced := range []bool{false, true} {
-		if forced { // the last round: restored when the test returns
-			defer InterpretOnly()()
+	for name, src := range programs {
+		if ks, err := Compile(defineMsg(t, name, src)); err != nil || ks.Block == nil {
+			t.Errorf("%s: %v", name, err)
 		}
-		for name, src := range programs {
-			vm0, interp0 := vmCount.Value(), interpCount.Value()
-			ks, err := Compile(defineMsg(t, name, src))
-			if err != nil {
-				t.Errorf("%s (interpretOnly %v): %v", name, forced, err)
-				continue
-			}
-			if ks.Block == nil {
-				t.Errorf("%s (interpretOnly %v): no Block kernel", name, forced)
-			}
-			wantVM, wantInterp := int64(0), int64(1)
-			if !forced && name != "not-vm-compilable" {
-				wantVM, wantInterp = 1, 0
-			}
-			if dv, di := vmCount.Value()-vm0, interpCount.Value()-interp0; dv != wantVM || di != wantInterp {
-				t.Errorf("%s (interpretOnly %v): kernel.vm +%d, kernel.interp_fallback +%d; want +%d, +%d",
-					name, forced, dv, di, wantVM, wantInterp)
-			}
-		}
+	}
+	// q = p sits at 3:3 of the shipped source, the loop as rendered.
+	const want = `dslkernel: shipped loop at 3:3 is outside the compiled subset: vector aliasing assignment "q" = "p"`
+	if _, err := Compile(defineMsg(t, "aliasing", aliasing)); err == nil || err.Error() != want {
+		t.Errorf("Compile = %v, want %q", err, want)
 	}
 }
 
@@ -150,16 +131,12 @@ var fuzzSeeds = map[string]string{
 	// A slice that assigns a shipped global: every sample must still
 	// start from the shipped value.
 	"global-write": "array data 8\narray weights 40\nglobal t\n---\nfor (key, v) in data\n    t = t + key[1]\n    w = weights[t]\n    s += w\nend\n",
-	// A slice outside the VM subset (it aliases a vector local): the
-	// interpreter runs it.
-	"not-vm-slice": "array data 8\narray weights 40\n---\nfor (key, v) in data\n    p = zeros(3)\n    q = p\n    w = weights[length(q) + key[1]]\n    s += w\nend\n",
 }
 
 // TestPrefetchCompiledEqualsRecorder: the prefetch function built once
-// per DefineLoop — a VM kernel, or a reused interpreter machine for a
-// slice outside the VM subset — returns, for every sample, exactly the offset
-// sequence a fresh interpreter Machine with a Recorder reports, and
-// nothing on a sample where the slice faults. Runs the slice of every
+// per DefineLoop, one VM kernel, returns for every sample exactly the
+// offset sequence a fresh interpreter Machine with a Recorder reports,
+// and nothing on a sample where the slice faults. Runs the slice of every
 // array of every shipped example, the benchmark workloads, and the
 // FuzzExecDifferential corpus, over in-range and out-of-range samples.
 func TestPrefetchCompiledEqualsRecorder(t *testing.T) {
@@ -178,24 +155,15 @@ func TestPrefetchCompiledEqualsRecorder(t *testing.T) {
 		}
 		programs[filepath.Base(p)] = string(b)
 	}
-	corpus, _ := filepath.Glob("../lang/vm/testdata/fuzz/FuzzExecDifferential/*")
-	for _, p := range corpus {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, lit, ok := strings.Cut(string(b), "string(")
-		src, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
-		if !ok || err != nil {
-			t.Fatalf("%s: not a one-string corpus file: %v", p, err)
-		}
-		programs["corpus-"+filepath.Base(p)] = src
+	corpus := corpusSources(t, "../lang/vm/testdata/fuzz/FuzzExecDifferential")
+	for name, src := range corpus {
+		programs["corpus-"+name] = src
 	}
 	if len(paths) == 0 || len(corpus) == 0 {
 		t.Fatalf("found %d example programs and %d corpus files", len(paths), len(corpus))
 	}
 
-	compiled, interpreted, faulted, recorded := 0, 0, 0, 0
+	compiled, faulted, recorded := 0, 0, 0
 	for name, src := range programs {
 		prog, err := lang.ParseProgram(src)
 		if err != nil {
@@ -230,15 +198,18 @@ func TestPrefetchCompiledEqualsRecorder(t *testing.T) {
 		keys, vals := sampleKeys(prog.Env.Arrays[prog.Loop.IterVar])
 
 		reads := &lang.Loop{KeyVar: sliced.KeyVar, ValVar: sliced.ValVar, IterVar: sliced.IterVar, Body: recordedReads(sliced.Body, map[string]bool{})}
-		if _, err := vm.Compile(reads, env); err == nil {
-			compiled++
-		} else if name == "not-vm-slice" {
-			interpreted++
-		} else if !strings.HasPrefix(name, "corpus-") {
-			t.Errorf("%s: slice is outside the VM subset: %v", name, err)
+		if _, err := vm.Compile(reads, env); err != nil {
+			if !strings.HasPrefix(name, "corpus-") {
+				t.Errorf("%s: slice is outside the VM subset: %v", name, err)
+			}
+			continue
 		}
+		compiled++
 		for _, target := range targets {
-			fn := prefetchFunc(sliced, targets, target, env, globals)
+			fn, err := prefetchFunc(sliced, targets, target, env, globals)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, target, err)
+			}
 			for i, key := range keys {
 				// The reference: a fresh machine per sample.
 				m := lang.NewMachine()
@@ -262,10 +233,30 @@ func TestPrefetchCompiledEqualsRecorder(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d programs: %d slices on the VM, %d interpreted; %d faulting samples, %d recorded offsets", len(programs), compiled, interpreted, faulted, recorded)
-	if compiled == 0 || interpreted == 0 || faulted == 0 || recorded == 0 {
+	t.Logf("%d programs: %d slices on the VM; %d faulting samples, %d recorded offsets", len(programs), compiled, faulted, recorded)
+	if compiled == 0 || faulted == 0 || recorded == 0 {
 		t.Fatal("degenerate run")
 	}
+}
+
+// corpusSources decodes the one-string fuzz corpus files in dir, by
+// file name.
+func corpusSources(tb testing.TB, dir string) map[string]string {
+	paths, _ := filepath.Glob(filepath.Join(dir, "*"))
+	out := map[string]string{}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		_, lit, ok := strings.Cut(string(b), "string(")
+		src, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+		if !ok || err != nil {
+			tb.Fatalf("%s: not a one-string corpus file: %v", p, err)
+		}
+		out[filepath.Base(p)] = src
+	}
+	return out
 }
 
 // sampleKeys walks an iteration space (strided down to a few hundred
@@ -291,13 +282,18 @@ func sampleKeys(dims []int64) (keys [][]int64, vals []float64) {
 	return keys, vals
 }
 
-// startFleet brings up a master and n in-process executors, which
-// compile loops with the process's loop compiler. The returned stop
-// shuts the fleet down and reports how the executors exited.
-func startFleet(t *testing.T, prefix string, n int) (*runtime.Master, func() error) {
+// startFleet brings up a master and n executors in this process, over
+// loopback TCP or in-process pipes, which compile loops with the
+// process's loop compiler. The returned stop shuts the fleet down and
+// reports how the executors exited.
+func startFleet(t *testing.T, prefix string, n int, tcp bool) (*runtime.Master, func() error) {
 	t.Helper()
-	tr := runtime.NewInProc()
-	m, err := runtime.Listen(tr, prefix+"-master", n)
+	var tr runtime.Transport = runtime.NewInProc()
+	addr := func(name string) string { return prefix + "-" + name }
+	if tcp {
+		tr, addr = runtime.TCP{}, func(string) string { return "127.0.0.1:0" }
+	}
+	m, err := runtime.Listen(tr, addr("master"), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +301,7 @@ func startFleet(t *testing.T, prefix string, n int) (*runtime.Master, func() err
 	go func() { ready <- m.WaitForExecutors() }()
 	var done []<-chan error
 	for i := 0; i < n; i++ {
-		e, err := runtime.NewExecutor(tr, m.Addr(), fmt.Sprintf("%s-%d", prefix, i), i)
+		e, err := runtime.NewExecutor(tr, m.Addr(), addr(fmt.Sprint(i)), i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,14 +320,12 @@ func startFleet(t *testing.T, prefix string, n int) (*runtime.Master, func() err
 	}
 }
 
-// TestInterpretedFaultMidBlock: an interpreted body that faults on the
-// third sample of a block stops the block there — it reports two
-// samples done and its accumulator holds those two, not the two after
-// the fault — and the loop fails with the message it had when the
-// interpreter ran one iteration per call.
-func TestInterpretedFaultMidBlock(t *testing.T) {
+// TestFaultMidBlock: a body that faults on the third sample of a VM
+// block stops the block there — it reports two samples done and its
+// accumulator holds those two, not the two after the fault — and the
+// loop fails with the VM's fault.
+func TestFaultMidBlock(t *testing.T) {
 	defer Install()
-	defer InterpretOnly()()
 	var done int
 	var acc float64
 	runtime.SetLoopCompiler(func(def *runtime.Msg) (*runtime.KernelSet, error) {
@@ -347,10 +341,10 @@ func TestInterpretedFaultMidBlock(t *testing.T) {
 		}
 		return ks, nil
 	})
-	m, stop := startFleet(t, "fault", 1)
+	m, stop := startFleet(t, "fault", 1, false)
 	defer stop()
 	src := "array data 5\n---\nfor (key, v) in data\n    s += 1\n    if key[1] == 3\n        p = zeros(2)\n        s += p[3]\n    end\nend\n"
-	def := defineMsg(t, "interp-fault", src)
+	def := defineMsg(t, "vm-fault", src)
 	var samples []runtime.IterSample
 	for i := int64(0); i < 5; i++ {
 		samples = append(samples, runtime.IterSample{Key: []int64{i}})
@@ -362,7 +356,7 @@ func TestInterpretedFaultMidBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := m.ParallelFor(runtime.LoopDef{Kernel: def.LoopName, TimeDim: -1, Passes: 1})
-	const want = "runtime: executor 0: runtime: executor 0: kernel panicked: dslkernel: interpreted kernel: lang: vector subscript 3 out of range"
+	const want = "runtime: executor 0: runtime: executor 0: kernel panicked: dslkernel: vm kernel: lang: vector subscript 3 out of range"
 	if err == nil || err.Error() != want {
 		t.Errorf("ParallelFor = %v, want %q", err, want)
 	}
@@ -377,110 +371,51 @@ func TestInterpretedFaultMidBlock(t *testing.T) {
 // block: nothing is bound when a block starts, nothing when it returns
 // — so no binding survives the fold that hands a rotated partition's
 // storage back to bufpool, and an idle kernel set pins no partition —
-// while each block did bind W and H. The result equals the interpreter
-// backend's, which asks the executor for the partition on every access,
-// bit for bit.
+// while each block did bind W and H. The result equals the reference
+// interpreter's, which asks the executor for the partition on every
+// access, bit for bit.
 func TestPartitionBindingsLastOneBlock(t *testing.T) {
-	defer Install()
-	prog, err := lang.ParseProgram(benchmarkPrograms["bench-mf"])
-	if err != nil {
-		t.Fatal(err)
+	const n = 3
+	var mu sync.Mutex
+	var blocks int
+	unbound := func(lk *loopKernel, when string) {
+		if lk.vs == nil {
+			return
+		}
+		for _, pv := range lk.vs.parts {
+			if data, _ := pv.DenseData(); pv.p != nil || data != nil {
+				t.Errorf("%s: %s is bound %s", lk.name, pv.name, when)
+			}
+		}
 	}
-	const n, passes = 3, 3
-	rows, cols := prog.Env.Arrays["W"][1], prog.Env.Arrays["H"][1]
-	ds := data.NewRatings(data.RatingsConfig{Rows: rows, Cols: cols, NNZ: 400, Rank: 4, Noise: 0.05, Seed: 5})
-	samples := make([]runtime.IterSample, len(ds.I))
-	for i := range ds.I {
-		samples[i] = runtime.IterSample{Key: []int64{ds.I[i], ds.J[i]}, Val: ds.V[i]}
+	watched := func(def *runtime.Msg) (*runtime.KernelSet, error) {
+		lk, ks, err := compile(def)
+		if err != nil {
+			return nil, err
+		}
+		block := ks.Block
+		ks.Block = func(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
+			unbound(lk, "before its block")
+			done, err := block(ctx, keys, vals)
+			unbound(lk, "after its block")
+			mu.Lock()
+			defer mu.Unlock()
+			if len(lk.vs.parts) != 2 {
+				t.Errorf("%d partition views, want W and H", len(lk.vs.parts))
+			}
+			blocks++
+			return done, err
+		}
+		return ks, nil
 	}
-
-	run := func(backend string) (w, h *dsm.DistArray, blocks int) {
-		if backend == "interp" {
-			defer InterpretOnly()()
-		}
-		var mu sync.Mutex
-		unbound := func(lk *loopKernel, when string) {
-			if lk.vs == nil {
-				return
-			}
-			for _, pv := range lk.vs.parts {
-				if data, _ := pv.DenseData(); pv.p != nil || data != nil {
-					t.Errorf("%s: %s is bound %s", lk.name, pv.name, when)
-				}
-			}
-		}
-		runtime.SetLoopCompiler(func(def *runtime.Msg) (*runtime.KernelSet, error) {
-			lk, ks, err := compile(def)
-			if err != nil || lk.vp == nil {
-				return ks, err
-			}
-			block := ks.Block
-			ks.Block = func(ctx *runtime.Ctx, keys [][]int64, vals []float64) (int, error) {
-				unbound(lk, "before its block")
-				done, err := block(ctx, keys, vals)
-				unbound(lk, "after its block")
-				mu.Lock()
-				defer mu.Unlock()
-				if len(lk.vs.parts) != 2 {
-					t.Errorf("%d partition views, want W and H", len(lk.vs.parts))
-				}
-				blocks++
-				return done, err
-			}
-			return ks, nil
-		})
-		m, stop := startFleet(t, "bind-"+backend, n)
-		rng := rand.New(rand.NewSource(9))
-		w, h = dsm.NewDense("W", 4, rows), dsm.NewDense("H", 4, cols)
-		w.FillRandn(rng, 0.25)
-		h.FillRandn(rng, 1)
-		space, timeCut := sched.NewRangePartitioner(rows, n), sched.NewRangePartitioner(cols, n)
-		cuts := func(p *sched.Partitioner) (out []int64) {
-			for k := 0; k < n-1; k++ {
-				_, hi := p.Bounds(k)
-				out = append(out, hi)
-			}
-			return out
-		}
-		def := defineMsg(t, "bind-"+backend, benchmarkPrograms["bench-mf"])
-		def.GlobalVals[0] = 0.05 // step_size
-		for _, err := range []error{
-			m.DistributeLocal(w, 1, cuts(space)),
-			m.DistributeRotatedAt(h, 1, cuts(timeCut), 0),
-			m.DistributeIterSpace(samples, 0, space),
-			m.DefineLoop(def),
-			m.ParallelFor(runtime.LoopDef{Kernel: def.LoopName, TimeDim: 1, TimePart: timeCut, Rotate: true, Passes: passes}),
-		} {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if w, err = m.Gather("W"); err != nil {
-			t.Fatal(err)
-		}
-		if h, err = m.Gather("H"); err != nil {
-			t.Fatal(err)
-		}
-		if err := stop(); err != nil {
-			t.Fatalf("executor exit: %v", err)
-		}
-		return w, h, blocks
+	app := mfApp(t)
+	vm := runApp(t, app, n, watched, false)
+	if blocks != n*n*3 {
+		t.Fatalf("%d VM blocks ran, want %d", blocks, n*n*3)
 	}
-
-	vmW, vmH, blocks := run("vm")
-	if blocks != n*n*passes {
-		t.Fatalf("%d VM blocks ran, want %d", blocks, n*n*passes)
-	}
-	interpW, interpH, _ := run("interp")
-	for _, pair := range [][2]*dsm.DistArray{{vmW, interpW}, {vmH, interpH}} {
-		pair[1].ForEach(func(idx []int64, v float64) {
-			if g := pair[0].At(idx...); math.Float64bits(g) != math.Float64bits(v) {
-				t.Fatalf("%s%v: vm %v, interp %v", pair[1].Name(), idx, g, v)
-			}
-		})
-	}
-	if vmW.At(1, 1) == 0 || math.IsNaN(vmW.At(1, 1)) {
-		t.Fatalf("W[1,1] = %v: nothing trained", vmW.At(1, 1))
+	equalBits(t, "the VM against the interpreter", vm, runApp(t, app, n, referenceCompile, false))
+	if w := math.Float64frombits(vm["W[1 1]"]); w == 0 || math.IsNaN(w) {
+		t.Fatalf("W[1,1] = %v: nothing trained", w)
 	}
 }
 
@@ -546,7 +481,7 @@ func TestBlockEntryAllocatesNothing(t *testing.T) {
 			}
 			return ks, nil
 		})
-		m, stop := startFleet(t, "entry-"+leg.name, 1)
+		m, stop := startFleet(t, "entry-"+leg.name, 1, false)
 		def := defineMsg(t, "entry-"+leg.name, leg.src)
 		for i, g := range def.GlobalNames {
 			def.GlobalVals[i] = globals[g]
@@ -607,7 +542,7 @@ func TestPrefetchIDNamesWhatTheSliceReads(t *testing.T) {
 			t.Errorf("%s did not change the identity", what)
 		}
 	}
-	ks, err := Compile(defineMsg(t, "no-slice", notVMCompilable))
+	ks, err := Compile(defineMsg(t, "no-slice", benchmarkPrograms["bench-mf"]))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 // compiler cannot prove it reproduces bit-for-bit (key tuples used as
 // values, vector aliasing assignments, statically ill-typed programs
 // whose exact runtime error the interpreter defines) is rejected with
-// *NotCompilableError and callers fall back to interpretation.
+// *NotCompilableError.
 // Differential tests (compile_test.go, fuzz_test.go) hold the two
 // backends to bitwise-identical DistArray and accumulator results.
 
@@ -34,9 +34,9 @@ type CompileEnv struct {
 }
 
 // NotCompilableError reports that a loop is outside the compiled
-// backend's subset; callers should fall back to the interpreter, which
-// defines the semantics (including the exact runtime error) for these
-// programs.
+// backends' subset; only the interpreter, which defines the semantics
+// (including the exact runtime error) for these programs, runs them.
+// The checker reports it as ORN018.
 type NotCompilableError struct {
 	Reason string
 	At     Pos

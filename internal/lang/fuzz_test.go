@@ -1,58 +1,30 @@
 package lang
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// fuzzSeeds are real example programs: the corpus the fuzzer mutates.
-var fuzzSeeds = []string{
-	mfSrc,
-	`for (key, v) in samples
-    idx = floor(v * 100) + 1
-    w = weights[idx]
-    g = sigmoid(w * v) - 1
-    w_buf[idx] += 0 - step_size * g
-end
-`,
-	`for (key, v) in grid
-    cur = A[key[1], key[2]]
-    west = A[key[1], key[2] - 1]
-    ne = A[key[1] - 1, key[2] + 1]
-    A[key[1], key[2]] = 0.4 * cur + 0.35 * west + 0.25 * ne
-end
-`,
-	`for (key, occ) in tokens
-    p = zeros(K)
-    total = 0
-    for k = 1:K
-        p[k] = (occ + alpha) / (total + 1)
-        total = total + p[k]
-    end
-    if total > 1
-        z[key[1], key[2]] = 1
-    else
-        z[key[1], key[2]] = 2
-    end
-end
-`,
-	`for (key, v) in xs
-    err += v * v
-end
-`,
-	"for (key, v) in data\nend\n",
-	"for (key, v) in data\n    x = = 3\nend\n",
-	"for key in data\nend\n",
-	"",
-}
-
 // FuzzParse feeds arbitrary byte strings through the DSL front end. The
 // invariants: the parser never panics, and any program it accepts
 // round-trips — String() re-parses to an identical rendering (the
-// property the DefineLoop wire protocol relies on).
+// property the DefineLoop wire protocol relies on). Its seeds, real
+// example loops and a few degenerate ones, are the files in
+// testdata/loops, which internal/dslkernel's FuzzCheckAgreesWithCompile
+// also starts from.
 func FuzzParse(f *testing.F) {
-	for _, seed := range fuzzSeeds {
-		f.Add(seed)
+	seeds, err := filepath.Glob("testdata/loops/*.loop")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no seed loops: %v", err)
+	}
+	for _, p := range seeds {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(b))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		loop, err := Parse(src)

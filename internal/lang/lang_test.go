@@ -564,6 +564,41 @@ end
 	}
 }
 
+// TestPrefetchSliceDataDependentGuard: a read guarded by a condition on
+// a DistArray value stays on-demand, so the slice names no variable it
+// does not define, while a bare read under a condition on a local keeps
+// that local's definition.
+func TestPrefetchSliceDataDependentGuard(t *testing.T) {
+	src := `
+for (key, v) in samples
+    s = weights[1] * v
+    c = v * 2
+    if s > 0
+        weights[2]
+    end
+    if c > 1
+        weights[3]
+    end
+end
+`
+	env := &Env{Arrays: map[string][]int64{"samples": {10}, "weights": {50}}}
+	loop, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sliced, skipped, err := PrefetchSlice(loop, env, "weights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(skipped) != 1 || skipped[0] != "weights[2]" {
+		t.Fatalf("skipped = %v, want [weights[2]]", skipped)
+	}
+	const want = "for (key, v) in samples\n  __record(weights[1])\n  c = (v * 2)\n  if (c > 1)\n  __record(weights[3])\nend\nend"
+	if got := sliced.String(); got != want {
+		t.Fatalf("slice %q, want %q", got, want)
+	}
+}
+
 func TestPrefetchSliceRangeRead(t *testing.T) {
 	// Full-range reads record every element of the vector.
 	src := `

@@ -11,11 +11,11 @@ import (
 //
 // The slice keeps exactly the statements the target subscripts have a
 // data or control dependence on (in spirit dead code elimination), and
-// skips any reference whose subscript depends on values read from
-// DistArrays — computing those would itself incur remote accesses, so
-// the paper does not record them — or on rand(), whose draws the slice
-// cannot reproduce. Skipped references are returned so callers know
-// which reads remain on-demand.
+// skips any reference whose subscript, or whose guarding condition or
+// loop bound, depends on values read from DistArrays — computing those
+// would itself incur remote accesses, so the paper does not record them
+// — or on rand(), whose draws the slice cannot reproduce. Skipped
+// references are returned so callers know which reads remain on-demand.
 //
 // The loop's key and value variables are always available (the
 // iteration-space data is local), so subscripts derived from them are
@@ -191,6 +191,7 @@ func markAssigned(body []Stmt, set map[string]bool) {
 
 // collectRefs finds reads of target arrays and seeds needed vars.
 func (s *slicer) collectRefs(body []Stmt) {
+	guardTainted := false // inside a branch or loop whose guard is tainted
 	var visitExpr func(e Expr)
 	visitExpr = func(e Expr) {
 		switch x := e.(type) {
@@ -220,7 +221,7 @@ func (s *slicer) collectRefs(body []Stmt) {
 						break
 					}
 				}
-				if subsTainted {
+				if subsTainted || guardTainted {
 					s.skipped = append(s.skipped, x.String())
 					return
 				}
@@ -246,18 +247,24 @@ func (s *slicer) collectRefs(body []Stmt) {
 			}
 		case *If:
 			visitExpr(x.Cond)
+			outer := guardTainted
+			guardTainted = guardTainted || s.exprTainted(x.Cond)
 			for _, t := range x.Then {
 				visitStmt(t)
 			}
 			for _, t := range x.Else {
 				visitStmt(t)
 			}
+			guardTainted = outer
 		case *ForRange:
 			visitExpr(x.Lo)
 			visitExpr(x.Hi)
+			outer := guardTainted
+			guardTainted = guardTainted || s.exprTainted(x.Lo) || s.exprTainted(x.Hi)
 			for _, t := range x.Body {
 				visitStmt(t)
 			}
+			guardTainted = outer
 		case *ExprStmt:
 			visitExpr(x.X)
 		}
@@ -315,6 +322,9 @@ func (s *slicer) propagate(body []Stmt, guarded bool) bool {
 				}
 			}
 		case *If:
+			if s.exprTainted(x.Cond) {
+				continue // dropped whole (emit): needs nothing
+			}
 			inner := s.propagate(x.Then, guarded) || s.propagate(x.Else, guarded)
 			if inner || s.branchKept(x.Then, x.Else) {
 				before := len(s.needed)
@@ -325,6 +335,9 @@ func (s *slicer) propagate(body []Stmt, guarded bool) bool {
 			}
 			changed = changed || inner
 		case *ForRange:
+			if s.exprTainted(x.Lo) || s.exprTainted(x.Hi) {
+				continue
+			}
 			inner := s.propagate(x.Body, guarded)
 			if inner || s.branchKept(x.Body) {
 				before := len(s.needed)
@@ -352,6 +365,10 @@ func (s *slicer) branchKept(bodies ...[]Stmt) bool {
 				if id, ok := y.Target.(*Ident); ok && s.needed[id.Name] {
 					kept = true
 				}
+				if s.hasRecordableRef(y) {
+					kept = true
+				}
+			case *ExprStmt:
 				if s.hasRecordableRef(y) {
 					kept = true
 				}
@@ -429,12 +446,18 @@ func (s *slicer) emit(body []Stmt) []Stmt {
 				out = append(out, x)
 			}
 		case *If:
+			if s.exprTainted(x.Cond) {
+				continue // its reads stay on-demand (collectRefs)
+			}
 			thenB := s.emit(x.Then)
 			elseB := s.emit(x.Else)
 			if len(thenB) > 0 || len(elseB) > 0 {
 				out = append(out, &If{Cond: x.Cond, Then: thenB, Else: elseB})
 			}
 		case *ForRange:
+			if s.exprTainted(x.Lo) || s.exprTainted(x.Hi) {
+				continue
+			}
 			body := s.emit(x.Body)
 			if len(body) > 0 {
 				out = append(out, &ForRange{Var: x.Var, Lo: x.Lo, Hi: x.Hi, Body: body})

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"orion/internal/dsm"
 	"orion/internal/lang"
@@ -146,47 +145,6 @@ func TestVMZeroAllocs(t *testing.T) {
 			t.Errorf("vm %s ran %d loops lane-wise, want %d", tc.name, k.laneRuns, want)
 		}
 	}
-}
-
-// TestVMSpeedupOverInterpreter: the VM must beat the tree-walking
-// interpreter, the executor's only other backend, by >= 3x on the MF
-// body. Both are timed here, in alternating rounds with each side
-// keeping its fastest, so a slow host slows both; the ratio reads about
-// 30x, so noise cannot carry it across the bar.
-func TestVMSpeedupOverInterpreter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
-	loop, err := lang.Parse(mfSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vk, _, _ := bindMF(t, compileMF(t))
-	m := lang.NewMachine()
-	m.Arrays["ratings"] = dsm.NewSparse("ratings", 100, 100)
-	m.Arrays["W"], m.Arrays["H"] = dsm.NewDense("W", 16, 100), dsm.NewDense("H", 16, 100)
-	m.Globals["step_size"] = 0.01
-	key := []int64{3, 7}
-
-	const rounds, iters = 5, 2000
-	nsPerIter := func(iteration func() error) float64 {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := iteration(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return float64(time.Since(start)) / iters
-	}
-	vmNs, interpNs := math.Inf(1), math.Inf(1)
-	for r := 0; r < rounds; r++ {
-		vmNs = min(vmNs, nsPerIter(func() error { return vk.RunIteration(key, 1.5) }))
-		interpNs = min(interpNs, nsPerIter(func() error { return m.RunIteration(loop, key, 1.5) }))
-	}
-	if interpNs < 3*vmNs {
-		t.Fatalf("vm backend is not >= 3x faster: interpreter %.0f ns/iter, vm %.0f ns/iter", interpNs, vmNs)
-	}
-	t.Logf("interpreter %.0f ns/iter, vm %.0f ns/iter (%.1fx)", interpNs, vmNs, interpNs/vmNs)
 }
 
 // TestRunBlockStopsAtFault: a mid-block fault reports the number of

@@ -17,10 +17,13 @@ import (
 // backticks (`DESIGN.md`, not a path or a command's argument) is a file
 // at the top of the tree, every `Session.X` in their code is a method of
 // driver.Session, and every flag of an `orion-run …` command in their
-// code is one cmd/orion-run defines, and DESIGN.md's flight-event
-// "Kinds" table lists exactly the obs.FlightKind constants. Deleting a target, a
-// committed file, a method, a flag or a kind — or recording a new kind —
-// then fails here until the documents follow.
+// code is one cmd/orion-run defines, DESIGN.md's flight-event "Kinds"
+// table lists exactly the obs.FlightKind constants, every ORNxxx code
+// the documents or diag's package comment name is a diag.Code*
+// constant's value, and README's diagnostics table has a row for every
+// such constant. Deleting a target, a committed file, a method, a flag,
+// a kind or a code — or adding a kind or a code — then fails here until
+// the documents follow.
 func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	const root = "../.."
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -33,6 +36,13 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	}
 	methods := sessionMethods(t, root)
 	flags := flagNames(t, root)
+	codes, diagDoc := diagCodes(t, root)
+	codeRef := regexp.MustCompile(`ORN\d{3}`)
+	for _, c := range codeRef.FindAllString(diagDoc, -1) {
+		if !codes[c] {
+			t.Errorf("diag's package comment lists %s, which no diag.Code* constant is", c)
+		}
+	}
 	// In a code span or at the start of a code-block line, so that
 	// prose ("and make all ...") is not a target.
 	makeRef := regexp.MustCompile("(?m)(?:`|^\\s*)make ([a-z][a-z0-9-]*)")
@@ -43,6 +53,11 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, c := range codeRef.FindAll(text, -1) {
+			if !codes[string(c)] {
+				t.Errorf("%s names %s, which no diag.Code* constant is", doc, c)
+			}
 		}
 		for _, m := range makeRef.FindAllSubmatch(text, -1) {
 			if !targets[string(m[1])] {
@@ -70,6 +85,16 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 		}
 	}
 
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range codes {
+		if !regexp.MustCompile("(?m)^\\| `" + c + "` \\|").Match(readme) {
+			t.Errorf("README.md's diagnostics table has no row for diag code %s", c)
+		}
+	}
+
 	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +103,38 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	if documented := flightKindRows(string(design)); !slices.Equal(documented, defined) {
 		t.Errorf("DESIGN.md's flight-event table lists the kinds\n  %v\ninternal/obs defines the FlightKind constants\n  %v", documented, defined)
 	}
+}
+
+// diagCodes returns the values of internal/diag's Code* constants and
+// its package comment.
+func diagCodes(t *testing.T, root string) (map[string]bool, string) {
+	codes := map[string]bool{}
+	var doc string
+	for _, f := range nonTestFiles(t, root, "./internal/diag") {
+		if f.Doc != nil {
+			doc += f.Doc.Text()
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.ValueSpec)
+			if !ok {
+				return true
+			}
+			for i, name := range spec.Names {
+				if !strings.HasPrefix(name.Name, "Code") || i >= len(spec.Values) {
+					continue
+				}
+				if lit, ok := spec.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					code, _ := strconv.Unquote(lit.Value)
+					codes[code] = true
+				}
+			}
+			return false
+		})
+	}
+	if len(codes) == 0 {
+		t.Fatal("no Code constants found in internal/diag")
+	}
+	return codes, doc
 }
 
 // flightKinds returns, sorted, the values of the FlightKind constants

@@ -2,7 +2,7 @@ package obs
 
 // The flight recorder is an always-on bounded ring of structured
 // lifecycle events — plan cache hits, guard demotions, checkpoint
-// writes/restores, worker loss and rejoin, backend selection. Events
+// writes/restores, worker loss and rejoin, fleet changes. Events
 // carry the (loop, pass, step) the runtime was executing plus the
 // master's loop clock, so they correlate with trace spans (clock.step
 // and exec.block spans carry the same keys as span args). The ring is
@@ -32,7 +32,6 @@ type FlightKind string
 const (
 	FlightPlanCacheHit  FlightKind = "plan.cache.hit"
 	FlightPlanCacheMiss FlightKind = "plan.cache.miss"
-	FlightBackend       FlightKind = "backend.select"
 	FlightIterShip      FlightKind = "iterspace.ship"
 	FlightIterReuse     FlightKind = "iterspace.reuse"
 	FlightArrayShip     FlightKind = "array.ship"

@@ -272,9 +272,8 @@ type Artifact struct {
 	// the partitions were balanced on; consumers revalidate against
 	// current data and re-balance on drift.
 	WeightsDigest string `json:"weights_digest,omitempty"`
-	// Backend records which loop-execution backend the driver predicted
-	// for this loop ("vm" or "interp") — the same verdict
-	// every worker's dslkernel.Compile reaches deterministically.
+	// Backend is kept only for the benchmark's replay, which stamps
+	// Session.KernelBackend's "vm" into it; the driver leaves it empty.
 	Backend string `json:"backend,omitempty"`
 }
 

@@ -804,9 +804,13 @@ func (m *Master) AccumSum(name string) (float64, error) {
 			return 0, sendErr("accum query", i, err)
 		}
 	}
-	var total float64
-	if err := m.await(m.ch.accumResp, func(msg *Msg) error { total += msg.AccValue; return nil }); err != nil {
+	vals := make([]float64, len(m.conns))
+	if err := m.await(m.ch.accumResp, func(msg *Msg) error { vals[msg.ExecutorID] = msg.AccValue; return nil }); err != nil {
 		return 0, err
+	}
+	var total float64 // in executor order, so the bits do not depend on reply order
+	for _, v := range vals {
+		total += v
 	}
 	return total, nil
 }
