@@ -107,7 +107,7 @@ resident-gate:
 # merged trace carries no spans or the report no loops.
 trace-smoke:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/orion-run -engine dsl -app mf -workers 2 -passes 2 \
+	$(GO) run ./cmd/orion-run -app mf -workers 2 -passes 2 \
 		-transport tcp -trace "$$dir/trace.json" \
 		-report-json "$$dir/report.json" -flightrec "$$dir/flight.jsonl" && \
 	$(GO) run ./cmd/orion-trace analyze -report "$$dir/report.json" "$$dir/trace.json" && \
@@ -119,7 +119,7 @@ trace-smoke:
 # compute-skew index by >= 30% by the last boundary — orion-run exits
 # non-zero otherwise.
 adapt-smoke:
-	$(GO) run ./cmd/orion-run -engine dsl -app mf -workers 3 -passes 5 \
+	$(GO) run ./cmd/orion-run -app mf -workers 3 -passes 5 \
 		-adapt -adapt-skew 2 -skew-demo 200 -adapt-assert-drop 0.3
 
 # Vet every shipped example program; unsafe.orion is expected to fail.

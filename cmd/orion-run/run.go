@@ -86,8 +86,8 @@ end
 `
 )
 
-// dslConfig collects runDSL's knobs (one per -engine dsl flag).
-type dslConfig struct {
+// config collects run's knobs (one per flag).
+type config struct {
 	App        string // mf | lda | slr
 	Transport  string // "" | inproc | tcp
 	Workers    int
@@ -106,19 +106,18 @@ type dslConfig struct {
 	Heartbeat time.Duration // staleness bound for silent workers (0 = off)
 }
 
-// runDSL trains an application written purely in Orion's DSL on the
-// real distributed runtime; loop bodies run on the bytecode VM. The
+// run trains an application written purely in Orion's DSL on the real
+// distributed runtime; loop bodies run on the bytecode VM. The
 // transport is in-process by default; "tcp" runs the same executors
 // over real sockets (loopback), which exercises the full wire protocol
-// including trace collection. A
-// non-empty CkptDir enables coordinated checkpointing (and in-loop
-// recovery from worker loss); when the directory already holds a
-// committed checkpoint from an earlier run of the same program,
-// training warm-starts from it.
-func runDSL(cfg dslConfig) error {
+// including trace collection. A non-empty CkptDir enables coordinated
+// checkpointing (and in-loop recovery from worker loss); when the
+// directory already holds a committed checkpoint from an earlier run of
+// the same program, training warm-starts from it.
+func run(cfg config) error {
 	app, workers, passes := cfg.App, cfg.Workers, cfg.Passes
-	if workers <= 0 {
-		workers = 4
+	if workers < 1 || passes < 1 {
+		return fmt.Errorf("-workers and -passes must be positive, not %d and %d", workers, passes)
 	}
 	var (
 		sess *driver.Session
@@ -186,7 +185,6 @@ func runDSL(cfg dslConfig) error {
 		metric     func() float64
 		metricName string
 	)
-	defPasses := 4
 	switch app {
 	case "mf":
 		const rows, cols, rank = 80, 60, 8
@@ -285,10 +283,7 @@ func runDSL(cfg dslConfig) error {
 		}
 
 	default:
-		return fmt.Errorf("-engine dsl supports apps mf | lda | slr, not %q", app)
-	}
-	if passes <= 0 {
-		passes = defPasses
+		return fmt.Errorf("unknown -app %q (mf | lda | slr)", app)
 	}
 
 	if cfg.CkptDir != "" {
@@ -297,7 +292,7 @@ func runDSL(cfg dslConfig) error {
 		}
 	}
 
-	fmt.Printf("dsl on %s: %d workers, %d passes\n", app, workers, passes)
+	fmt.Printf("%s: %d workers, %d passes\n", app, workers, passes)
 	fmt.Printf("%-6s  %-14s\n", "pass", metricName)
 	if cfg.Adapt || cfg.Grow > 0 {
 		// Adaptive re-planning and elastic grow trigger at the loop

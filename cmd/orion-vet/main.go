@@ -13,7 +13,11 @@
 // Flags:
 //
 //	-json      emit a machine-readable JSON report instead of text
-//	-explain   also print the strategy-explanation trail per file
+//	-explain   also print the analysis trail per file (Fig. 6): the loop
+//	           information, the dependence vectors, the parallelization
+//	           plan, the strategy explanation and, when the loop reads
+//	           served arrays, the synthesized prefetch function; with
+//	           -json, the explanation lines
 //	-plan art  also vet the serialized plan artifact at path art against
 //	           each program: schema-version or content-hash drift is
 //	           reported as ORN108 (stale cache detection)
@@ -26,7 +30,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"orion/internal/check"
 	"orion/internal/diag"
@@ -44,6 +50,8 @@ type fileReport struct {
 	Guard       string            `json:"guard,omitempty"`
 	Diagnostics []diag.Diagnostic `json:"diagnostics"`
 	Explanation []string          `json:"explanation,omitempty"`
+
+	trail string // the -explain text
 }
 
 // report is the whole -json document.
@@ -54,17 +62,29 @@ type report struct {
 }
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report")
-	explain := flag.Bool("explain", false, "print the strategy-explanation trail")
-	planPath := flag.String("plan", "", "vet the serialized plan `artifact` against each program (ORN108 on drift)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: orion-vet [-json] [-explain] [-plan artifact] file.orion...\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run vets the files named in args and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("orion-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report")
+	explain := fs.Bool("explain", false, "print the analysis trail: loop information, dependence vectors, plan, strategy explanation, prefetch function")
+	planPath := fs.String("plan", "", "vet the serialized plan `artifact` against each program (ORN108 on drift)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: orion-vet [-json] [-explain] [-plan artifact] file.orion...\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() == 0 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
 	}
 
 	var planBlob []byte
@@ -72,18 +92,18 @@ func main() {
 		var err error
 		planBlob, err = os.ReadFile(*planPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "orion-vet:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "orion-vet:", err)
+			return 2
 		}
 	}
 
 	rep := report{Files: []fileReport{}}
 	sources := map[string]string{}
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		b, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "orion-vet:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "orion-vet:", err)
+			return 2
 		}
 		src := string(b)
 		sources[path] = src
@@ -104,6 +124,7 @@ func main() {
 		}
 		if *explain {
 			fr.Explanation = res.Explanation
+			fr.trail = trail(path, res)
 		}
 		rep.Files = append(rep.Files, fr)
 		for _, d := range res.Diags {
@@ -117,27 +138,56 @@ func main() {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "orion-vet:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "orion-vet:", err)
+			return 2
 		}
 	} else {
 		for _, fr := range rep.Files {
-			diag.Render(os.Stdout, fr.Diagnostics, sources)
-			if len(fr.Explanation) > 0 {
-				fmt.Printf("%s: strategy explanation:\n", fr.File)
-				for _, line := range fr.Explanation {
-					fmt.Println("  " + line)
-				}
-			}
+			diag.Render(stdout, fr.Diagnostics, sources)
+			fmt.Fprint(stdout, fr.trail)
 		}
 		if rep.Errors > 0 || rep.Warnings > 0 {
-			fmt.Printf("orion-vet: %d error(s), %d warning(s)\n", rep.Errors, rep.Warnings)
+			fmt.Fprintf(stdout, "orion-vet: %d error(s), %d warning(s)\n", rep.Errors, rep.Warnings)
 		}
 	}
 	if rep.Errors > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// trail renders the analysis trail of one file (Fig. 6): one section
+// per pipeline stage that ran, each titled "<file>: <stage>:" with its
+// text indented below.
+func trail(file string, res *check.Result) string {
+	var b strings.Builder
+	section := func(title, text string) {
+		fmt.Fprintf(&b, "%s: %s:\n", file, title)
+		for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+			b.WriteString("  " + line + "\n")
+		}
+	}
+	if res.Spec != nil {
+		section("loop information", res.Spec.String())
+	}
+	if deps := res.Deps(); deps != nil {
+		section("dependence vectors", deps.String())
+	}
+	if res.Plan != nil {
+		section("parallelization plan", res.Plan.String())
+	}
+	if len(res.Explanation) > 0 {
+		section("strategy explanation", strings.Join(res.Explanation, "\n"))
+	}
+	if sliced, _, onDemand := res.Prefetch(); sliced != nil {
+		text := sliced.String()
+		if len(onDemand) > 0 {
+			text += "\nleft on demand (data-dependent subscripts): " + strings.Join(onDemand, ", ")
+		}
+		section("synthesized prefetch function", text)
+	}
+	return b.String()
 }

@@ -97,12 +97,3 @@ func lossSeries(name string, r *engine.Result) (perIter, perTime metrics.Series)
 	}
 	return perIter, perTime
 }
-
-// MFApp, LDAApp and SLRApp expose the app builders for cmd/orion-run.
-func MFApp(s Scale, opt optim.Optimizer) *apps.MF { return mfApp(s, opt) }
-
-// LDAApp builds the LDA app for a corpus config.
-func LDAApp(cfg data.CorpusConfig, s Scale) *apps.LDA { return ldaApp(cfg, s) }
-
-// SLRApp builds the sparse logistic regression app.
-func SLRApp(s Scale, opt optim.Optimizer) *apps.SLR { return slrApp(s, opt) }

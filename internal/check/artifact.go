@@ -23,10 +23,7 @@ func (r *Result) BuildArtifact(workers int) (*plan.Artifact, error) {
 	if r.Spec == nil || r.Plan == nil {
 		return nil, fmt.Errorf("check: the run produced no plan (fix the reported errors first)")
 	}
-	pl := r.Plan
-	if r.env != nil && r.env.Ordered {
-		pl = pl.ForOrdered()
-	}
+	pl := r.execPlan()
 	in := plan.Inputs{
 		Spec:      r.Spec,
 		Deps:      r.Deps(),
@@ -38,14 +35,41 @@ func (r *Result) BuildArtifact(workers int) (*plan.Artifact, error) {
 	}
 	if r.Loop != nil {
 		in.LoopSrc = r.Loop.String()
-		if targets := servedReads(r.Spec, pl); len(targets) > 0 && r.env != nil {
-			sliced, _, err := lang.PrefetchSlice(r.Loop, r.env, targets...)
-			if err == nil && len(sliced.Body) > 0 {
-				in.Prefetch = &plan.Prefetch{Src: sliced.String(), Arrays: targets}
-			}
+		if sliced, targets, _ := r.Prefetch(); sliced != nil {
+			in.Prefetch = &plan.Prefetch{Src: sliced.String(), Arrays: targets}
 		}
 	}
 	return plan.Build(in)
+}
+
+// execPlan is the plan the loop executes under: an ordered program runs
+// the static plan down the wavefront.
+func (r *Result) execPlan() *sched.Plan {
+	if r.env != nil && r.env.Ordered {
+		return r.Plan.ForOrdered()
+	}
+	return r.Plan
+}
+
+// Prefetch is the bulk-prefetch function (§4.4) the loop ships with:
+// the slice of its body that computes the subscripts of the served
+// arrays it reads (targets), and the reads the slice left on demand
+// because their subscripts depend on data. sliced is nil when the run
+// produced no plan, the loop reads no served array, or nothing can be
+// fetched ahead.
+func (r *Result) Prefetch() (sliced *lang.Loop, targets, onDemand []string) {
+	if r.Spec == nil || r.Plan == nil || r.Loop == nil || r.env == nil {
+		return nil, nil, nil
+	}
+	targets = servedReads(r.Spec, r.execPlan())
+	if len(targets) == 0 {
+		return nil, nil, nil
+	}
+	sliced, onDemand, err := lang.PrefetchSlice(r.Loop, r.env, targets...)
+	if err != nil || len(sliced.Body) == 0 {
+		return nil, nil, onDemand
+	}
+	return sliced, targets, onDemand
 }
 
 // servedReads lists the served arrays the loop reads: the prefetch

@@ -121,7 +121,7 @@ func executable(k sched.Kind) bool {
 }
 
 // Source vets a whole program file (preamble + '---' + loop), the
-// format of cmd/orion-analyze and cmd/orion-vet.
+// format of cmd/orion-vet and cmd/orion-plan.
 func Source(src string, opts Options) *Result {
 	r := &Result{}
 	prog, err := lang.ParseProgram(src)

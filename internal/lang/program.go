@@ -9,8 +9,8 @@ import (
 
 // Program is a self-contained DSL program file: a preamble declaring
 // the DistArray environment, a '---' separator, then the parallel loop
-// source. This is the on-disk format consumed by cmd/orion-analyze and
-// cmd/orion-vet:
+// source. This is the on-disk format consumed by cmd/orion-vet and
+// cmd/orion-plan:
 //
 //	array ratings 100 80
 //	array W 8 100

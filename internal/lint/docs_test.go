@@ -15,15 +15,16 @@ import (
 // TestDocsNameLiveTargetsAndFiles: every `make <target>` the documents
 // name is a target of the Makefile, every bare file name they put in
 // backticks (`DESIGN.md`, not a path or a command's argument) is a file
-// at the top of the tree, every `Session.X` in their code is a method of
-// driver.Session, and every flag of an `orion-run …` command in their
-// code is one cmd/orion-run defines, DESIGN.md's flight-event "Kinds"
-// table lists exactly the obs.FlightKind constants, every ORNxxx code
-// the documents or diag's package comment name is a diag.Code*
-// constant's value, and README's diagnostics table has a row for every
-// such constant. Deleting a target, a committed file, a method, a flag,
-// a kind or a code — or adding a kind or a code — then fails here until
-// the documents follow.
+// at the top of the tree, every command they name (`orion-<name>`,
+// `cmd/<name>`) is a directory of cmd/, every `Session.X` in their code
+// is a method of driver.Session, and every flag of an `orion-<name> …`
+// command in their code is one cmd/orion-<name> defines, DESIGN.md's
+// flight-event "Kinds" table lists exactly the obs.FlightKind
+// constants, every ORNxxx code the documents or diag's package comment
+// name is a diag.Code* constant's value, and README's diagnostics table
+// has a row for every such constant. Deleting a target, a committed
+// file, a command, a method, a flag, a kind or a code — or adding a kind
+// or a code — then fails here until the documents follow.
 func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	const root = "../.."
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -35,7 +36,7 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 		targets[string(m[1])] = true
 	}
 	methods := sessionMethods(t, root)
-	flags := flagNames(t, root)
+	flags := commandFlags(t, root)
 	codes, diagDoc := diagCodes(t, root)
 	codeRef := regexp.MustCompile(`ORN\d{3}`)
 	for _, c := range codeRef.FindAllString(diagDoc, -1) {
@@ -49,6 +50,7 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	fileRef := regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_.-]*\\.(?:json|md|txt))`")
 	sessionRef := regexp.MustCompile(`\bSession\.([A-Za-z_][A-Za-z0-9_]*)`)
 	flagRef := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=.*)?$`)
+	cmdRef := regexp.MustCompile(`\b(?:cmd/([a-z][a-z0-9-]*)|(orion-[a-z][a-z0-9]*(?:-[a-z][a-z0-9]*)*))`)
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -57,6 +59,11 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 		for _, c := range codeRef.FindAll(text, -1) {
 			if !codes[string(c)] {
 				t.Errorf("%s names %s, which no diag.Code* constant is", doc, c)
+			}
+		}
+		for _, m := range cmdRef.FindAllStringSubmatch(string(text), -1) {
+			if name := m[1] + m[2]; flags[name] == nil {
+				t.Errorf("%s names the command %s, which is not a directory of cmd/", doc, name)
 			}
 		}
 		for _, m := range makeRef.FindAllSubmatch(text, -1) {
@@ -75,10 +82,20 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 					t.Errorf("%s names `Session.%s`, which is not a method of driver.Session", doc, m[1])
 				}
 			}
-			for _, cmd := range strings.Split(code, "orion-run")[1:] {
-				for _, arg := range strings.Fields(shellCommand(cmd)) {
-					if m := flagRef.FindStringSubmatch(arg); m != nil && !flags[m[1]] {
-						t.Errorf("%s runs `orion-run … %s`, a flag cmd/orion-run does not define", doc, arg)
+			// Each command's arguments run to the next command named.
+			refs := cmdRef.FindAllStringSubmatchIndex(code, -1)
+			for i, ref := range refs {
+				name := strings.TrimPrefix(code[ref[0]:ref[1]], "cmd/")
+				if flags[name] == nil {
+					continue
+				}
+				end := len(code)
+				if i+1 < len(refs) {
+					end = refs[i+1][0]
+				}
+				for _, arg := range strings.Fields(shellCommand(code[ref[1]:end])) {
+					if m := flagRef.FindStringSubmatch(arg); m != nil && !flags[name][m[1]] {
+						t.Errorf("%s runs `%s … %s`, a flag cmd/%s does not define", doc, name, arg, name)
 					}
 				}
 			}
@@ -240,35 +257,41 @@ func sessionMethods(t *testing.T, root string) map[string]bool {
 	return methods
 }
 
-// flagNames lists the flags cmd/orion-run defines: the name argument of
-// every flag.X("name", …) call.
-func flagNames(t *testing.T, root string) map[string]bool {
-	flags := map[string]bool{}
-	for _, f := range nonTestFiles(t, root, "./cmd/orion-run") {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
-				return true
-			}
-			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				if name, err := strconv.Unquote(lit.Value); err == nil {
-					flags[name] = true
-				}
-			}
-			return true
-		})
+// commandFlags maps each command under cmd/ to the flags it defines:
+// the name argument of every flag.X("name", …) or flagSet.X("name", …)
+// call, X one of the flag package's definers.
+func commandFlags(t *testing.T, root string) map[string]map[string]bool {
+	dirs, err := os.ReadDir(filepath.Join(root, "cmd"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(flags) == 0 {
+	definer := regexp.MustCompile(`^(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)$`)
+	commands := map[string]map[string]bool{}
+	for _, dir := range dirs {
+		flags := map[string]bool{}
+		for _, f := range nonTestFiles(t, root, "./cmd/"+dir.Name()) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !definer.MatchString(sel.Sel.Name) {
+					return true
+				}
+				if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						flags[name] = true
+					}
+				}
+				return true
+			})
+		}
+		commands[dir.Name()] = flags
+	}
+	if len(commands["orion-run"]) == 0 {
 		t.Fatal("no flags found in cmd/orion-run")
 	}
-	return flags
+	return commands
 }
 
 // nonTestFiles parses one package directory and returns its non-test
