@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test loc benchmark-module race chaos soak bench-smoke exec-gate vm-gate resident-gate trace-smoke adapt-smoke vet-examples fuzz golden-plans golden-plans-check
+.PHONY: check fmt vet lint build test loc benchmark-module race chaos soak bench-smoke exec-gate vm-gate vm-gate-mf vm-count resident-gate trace-smoke adapt-smoke vet-examples fuzz golden-plans golden-plans-check
 
-check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate resident-gate trace-smoke adapt-smoke vet-examples golden-plans-check
+check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate vm-gate-mf vm-count resident-gate trace-smoke adapt-smoke vet-examples golden-plans-check
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -84,12 +84,23 @@ exec-gate:
 	$(GO) test -run '^$$' -bench '(Executor|Served)VsDirectKernel$$' -benchtime 1x ./internal/bench
 
 # The MF and LDA bodies on the VM against the same bodies written as Go
-# loops over a copy of the same storage, bitwise-checked; MF fails above
-# 3.5x, LDA (its topic loop lane-wise) above 4.5x. Not part of `check`:
-# on a 2-vCPU host MF reads 3.1-3.4x when the host is quiet and 3.7-4.2x
-# when it is contended, so its bar sits inside its spread.
+# loops over a copy of the same storage, bitwise-checked; MF (its updates
+# fused, 13 instructions) fails above 3.0x, LDA (its topic loop
+# lane-wise) above 4.5x. `check` runs the MF leg alone: on a 2-vCPU host
+# it reads 1.9-2.5x whether the host is quiet or a busy loop contends
+# for a CPU, while the LDA leg reads 3.0-4.5x and crossed its bar in 3
+# of 80 runs, before and after MF's updates fused.
 vm-gate:
 	$(GO) test -run '^$$' -bench 'VMVsGoKernel$$' -benchtime 1x ./internal/bench
+
+vm-gate-mf:
+	$(GO) test -run '^$$' -bench 'VMVsGoKernel/mf$$' -benchtime 1x ./internal/bench
+
+# The VM's work held to a count: instructions dispatched per iteration of
+# each benchmark body, counted by the per-opcode tally only a vmcount
+# build compiles in.
+vm-count:
+	$(GO) test -tags vmcount -run 'DispatchCensus' ./internal/lang/vm
 
 # Live ratio gate on residency (iteration space and model arrays): six
 # single-pass Session.ParallelFor calls against a pass of one Passes(5)

@@ -3,14 +3,17 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"orion/internal/lang"
 )
 
 // Lowering walks the slot-resolved AST once, emitting instructions
-// bottom-up. Temporary registers are allocated monotonically within a
-// statement and recycled at statement boundaries; locals occupy the low
-// registers of each file so slot numbers double as register numbers.
+// bottom-up. Temporary registers are allocated monotonically over the
+// whole body and never recycled, so each temp has exactly one defining
+// instruction — the rewrites after lowering (optimize) rely on it; locals
+// occupy the low registers of each file so slot numbers double as
+// register numbers.
 //
 // Evaluation-order parity with the closure backend is load-bearing:
 // definedness checks precede subscript evaluation for vector-local
@@ -32,6 +35,7 @@ type comp struct {
 	accs    []access
 	baccs   []bufAccess
 	axpys   []axpyInfo
+	pend    []instr
 
 	defs *defState
 
@@ -142,7 +146,7 @@ func Compile(loop *lang.Loop, env *lang.CompileEnv) (p *Prog, err error) {
 	c.numPin = map[uint64]int32{}
 	c.tempBase = c.nFloatLoc
 	c.collectKeyLits(loop.Body)
-	c.resetTemps()
+	c.fTop, c.vTop, c.bTop = c.tempBase, c.nVecLoc, c.nBoolLoc
 	c.maxF, c.maxV, c.maxB = c.fTop, c.vTop, c.bTop
 
 	globals := res.Globals()
@@ -156,6 +160,7 @@ func Compile(loop *lang.Loop, env *lang.CompileEnv) (p *Prog, err error) {
 	}
 	c.lowerStmts(loop.Body)
 	c.emit(opHalt, 0, 0, 0, 0, 0)
+	c.optimize()
 	c.finalize()
 	p = &Prog{
 		loop:        loop,
@@ -166,6 +171,7 @@ func Compile(loop *lang.Loop, env *lang.CompileEnv) (p *Prog, err error) {
 		accs:        c.accs,
 		baccs:       c.baccs,
 		axpys:       c.axpys,
+		pend:        c.pend,
 		pins:        c.pinVals,
 		numFloat:    int(c.nFloatLoc),
 		numVec:      int(c.nVecLoc),
@@ -217,10 +223,6 @@ func (c *comp) patch(pc int, target int) {
 
 func (c *comp) here() int { return len(c.code) }
 
-func (c *comp) resetTemps() {
-	c.fTop, c.vTop, c.bTop = c.tempBase, c.nVecLoc, c.nBoolLoc
-}
-
 // pinVal records one constant pin: a float register filled with a
 // literal's value when the kernel is built.
 type pinVal struct {
@@ -234,6 +236,22 @@ type pinVal struct {
 func keyLitConst(n *lang.Num) (int64, bool) {
 	kk := int64(n.Val)
 	return kk, float64(kk) == n.Val && kk >= 0 && kk <= 1<<30
+}
+
+// numLit reports whether e is a numeric literal or the negation of one,
+// and its value. Constant negation folds — -(c) is -c bitwise for
+// float64 — so a negated literal folds into an op wherever a literal
+// does, and like one evaluates to no code.
+func numLit(e lang.Expr) (float64, bool) {
+	switch x := e.(type) {
+	case *lang.Num:
+		return x.Val, true
+	case *lang.UnOp:
+		if n, isNum := x.X.(*lang.Num); isNum {
+			return -n.Val, true
+		}
+	}
+	return 0, false
 }
 
 // collectKeyLits pre-assigns one pinned float register per distinct
@@ -556,6 +574,557 @@ func (c *comp) compact(keep []bool) {
 	c.code = out
 }
 
+// Post-lowering rewrites. optimize runs four rewrites over the lowered
+// code, each inside one basic block — a straight run of instructions no
+// jump enters or leaves mid-way — and each bitwise-neutral, fault text
+// and fault order included:
+//
+//   - cse shares a pure scalar value computed twice;
+//   - foldChecks folds a presence check into its access's miss path;
+//   - fuseRows fuses a single-use c*v into the AxpyRow reading it, and
+//     that AxpyRow into the range store reading its result;
+//   - borrowRows lets a column local view its array instead of copying
+//     it when no read of it could tell.
+//
+// They rest on one def/use table, operands, which names every fr and vr
+// register an instruction reads or writes, those of its access site,
+// buffer site, AxpyRow shape or lane loop included. Every statement temp
+// has one defining instruction (lowering never recycles temps), so a
+// temp read anywhere reads the value its one definition left.
+func (c *comp) optimize() {
+	keep := make([]bool, len(c.code))
+	for i := range keep {
+		keep[i] = true
+	}
+	lead := c.leaders()
+	c.cse(keep, lead)
+	c.foldChecks(keep, lead)
+	// A header copy (opMovV) may alias two vector registers, which the
+	// vector rewrites do not track.
+	if !slices.ContainsFunc(c.code, func(in instr) bool { return in.op == opMovV }) {
+		c.fuseRows(keep, lead)
+		c.borrowRows(keep, lead)
+	}
+	c.compact(keep)
+}
+
+// leaders marks the first instruction of each basic block: the entry,
+// every jump target, and every instruction after one that may jump.
+func (c *comp) leaders() []bool {
+	lead := make([]bool, len(c.code)+1)
+	lead[0] = true
+	for pc, in := range c.code {
+		switch in.op {
+		case opJmp, opJmpIfNot, opJmpCmpNot:
+			lead[in.a] = true
+		case opForCond:
+			lead[in.c] = true
+		case opForNext:
+			lead[in.b], lead[in.c] = true, true
+		case opLanes:
+			lead[c.code[pc+1].c] = true
+		case opHalt:
+		default:
+			continue
+		}
+		lead[pc+1] = true
+	}
+	return lead
+}
+
+// regFile names the register file an operand indexes.
+type regFile int8
+
+const (
+	fileF regFile = iota
+	fileV
+)
+
+// reg is register r of file f; r < 0 names none.
+type reg struct {
+	f regFile
+	r int32
+}
+
+// A role says what one instruction field names: a register it reads
+// (rd), writes (wr) or both, in fr or, with vec, in vr.
+type role uint8
+
+const (
+	rd role = 1 << iota
+	wr
+	vec
+
+	noReg  = role(0)
+	rF, wF = rd, wr
+	rwF    = rd | wr
+	rV, wV = rd | vec, wr | vec
+	rwV    = rd | wr | vec
+)
+
+// roles is the def/use table: per opcode, the role of its fields a..e.
+// Access sites, buffer sites, AxpyRow shapes and lane loops, and the
+// fields whose role depends on another field, are added by operands.
+var roles = func() (t [opLanes + 1][5]role) {
+	for _, g := range []struct {
+		ops []opcode
+		r   [5]role
+	}{
+		{[]opcode{opConstF, opLoadG, opLoadGU, opRandF, opKeyC, opLdPtF, opLdPtMinC, opLdPtMaxC}, [5]role{wF}},
+		{[]opcode{opMovF, opNegF, opAbsF, opAbs2F, opSqrtF, opExpF, opLogF, opFloorF, opCeilF, opSigmoidF,
+			opKeyF, opArithFC, opArithCF, opArithFG, opArithGF, opMinFC, opMaxFC}, [5]role{wF, rF}},
+		{[]opcode{opAddF, opSubF, opMulF, opDivF, opPowF, opMinF, opMaxF}, [5]role{wF, rF, rF}},
+		{[]opcode{opCompF}, [5]role{rwF, rF}},
+		{[]opcode{opStoreG, opCompG, opStPtF, opRowUpdS, opBufPut, opJmpCmpNot}, [5]role{noReg, rF}},
+		{[]opcode{opEqB, opNeB, opLtB, opLeB, opGtB, opGeB}, [5]role{noReg, rF, rF}},
+		{[]opcode{opLenF}, [5]role{wF, rV}},
+		{[]opcode{opDotF}, [5]role{wF, rV, rV}},
+		{[]opcode{opVElemArith}, [5]role{wF, rF, rV, noReg, rF}},
+		{[]opcode{opVElemLd}, [5]role{wF, rV, rF}},
+		{[]opcode{opChkV, opChkVElem}, [5]role{rV}},
+		{[]opcode{opMovV, opVNegV}, [5]role{wV, rV}},
+		{[]opcode{opVElemSt}, [5]role{rwV, rF, rF}}, // writes the vector's elements
+		{[]opcode{opVCompS}, [5]role{rwV, rF}},
+		{[]opcode{opVCompV}, [5]role{rwV, rV}},
+		{[]opcode{opVBinVV}, [5]role{wV, rV, rV}},
+		{[]opcode{opVBinVS}, [5]role{wV, rV, rF}},
+		{[]opcode{opVBinSV}, [5]role{wV, rF, rV}},
+		{[]opcode{opAxpyRow}, [5]role{wV, rV, rF}}, // a: only when it does not store
+		{[]opcode{opZerosV}, [5]role{wV, rF}},
+		{[]opcode{opRowViewV, opRowMatV}, [5]role{wV}},
+		{[]opcode{opRowStV, opRowUpdV}, [5]role{noReg, rV}},
+		{[]opcode{opForCond}, [5]role{noReg, wF}},
+		{[]opcode{opForNext}, [5]role{noReg, noReg, noReg, wF}},
+	} {
+		for _, op := range g.ops {
+			t[op] = g.r
+		}
+	}
+	return t
+}()
+
+// operands calls visit for every fr and vr register in reads (def false),
+// then every one it writes (def true); visit may rename the register
+// through r. Boolean registers are not visited.
+func (c *comp) operands(in *instr, visit func(f regFile, r *int32, def bool)) {
+	rs := roles[in.op]
+	var extra []*int32 // fr reads beyond the fields: sites and shapes
+	if x, _ := c.siteOf(in); x >= 0 {
+		acc := &c.accs[x]
+		for d := range acc.subs {
+			if acc.subs[d] >= 0 {
+				extra = append(extra, &acc.subs[d])
+			}
+		}
+		if acc.loReg >= 0 {
+			extra = append(extra, &acc.loReg, &acc.hiReg)
+		}
+	}
+	switch in.op {
+	case opBufPut, opBufPutC:
+		for d := range c.baccs[in.a].subs {
+			extra = append(extra, &c.baccs[in.a].subs[d])
+		}
+	case opAxpyRow:
+		ax := &c.axpys[in.d]
+		visit(fileV, &ax.w, false)
+		if ax.c >= 0 {
+			extra = append(extra, &ax.c)
+		}
+		if ax.acc >= 0 {
+			rs[0] = noReg
+		}
+	case opJmpCmpNot:
+		if in.e == 0 {
+			rs[2] = rF
+		}
+	case opForInit:
+		if in.d&1 == 0 {
+			rs[1] = rF
+		}
+		if in.d&2 == 0 {
+			rs[2] = rF
+		}
+	case opLanes:
+		c.laneOperands(&c.lanes[in.a], visit)
+		return
+	}
+	for _, r := range extra {
+		visit(fileF, r, false)
+	}
+	fields := [5]*int32{&in.a, &in.b, &in.c, &in.d, &in.e}
+	for _, pass := range []role{rd, wr} {
+		for i, r := range rs {
+			if r&pass == 0 {
+				continue
+			}
+			f := fileF
+			if r&vec != 0 {
+				f = fileV
+			}
+			visit(f, fields[i], pass == wr)
+		}
+	}
+}
+
+// laneOperands is operands for a lane loop: scalar operands and site
+// subscripts are read, a vector local read and written, and the guard's
+// loads, each site's lo/hi registers, a lane-private local and an fr
+// fold target written.
+func (c *comp) laneOperands(ln *laneLoop, visit func(f regFile, r *int32, def bool)) {
+	var defs, vecs []*int32
+	for i := range ln.regs {
+		switch r := &ln.regs[i]; r.kind {
+		case laneVec:
+			visit(fileV, &r.x, false)
+			vecs = append(vecs, &r.x)
+		case laneSite:
+			acc := &c.accs[r.x]
+			for d := range acc.subs {
+				if acc.subs[d] >= 0 {
+					visit(fileF, &acc.subs[d], false)
+				}
+			}
+			defs = append(defs, &acc.loReg, &acc.hiReg)
+		}
+	}
+	for i := range ln.ops {
+		op := &ln.ops[i]
+		for _, o := range []*int32{&op.a, &op.b} {
+			if *o < 0 {
+				r := ^*o
+				visit(fileF, &r, false)
+				*o = ^r
+			}
+		}
+		if op.op == opCompF {
+			visit(fileF, &op.dst, false)
+			defs = append(defs, &op.dst)
+		}
+	}
+	for i := range ln.loads {
+		defs = append(defs, &ln.loads[i].reg)
+	}
+	for i := range ln.outs {
+		defs = append(defs, &ln.outs[i][0])
+	}
+	for _, r := range defs {
+		visit(fileF, r, true)
+	}
+	for _, r := range vecs {
+		visit(fileV, r, true)
+	}
+}
+
+// defines reports whether in writes register r of file f.
+func (c *comp) defines(in *instr, f regFile, r int32) bool {
+	hit := false
+	c.operands(in, func(ff regFile, rr *int32, def bool) {
+		hit = hit || (def && ff == f && *rr == r)
+	})
+	return hit
+}
+
+// cseKey identifies a pure scalar op's value: its opcode and operands.
+// A global read (g >= 0) is one value whether it checks definedness or
+// not.
+type cseKey struct {
+	op      opcode
+	b, c, d int32
+}
+
+// cseVal is an available value: the temp holding it, and the fr
+// registers and global it was computed from.
+type cseVal struct {
+	reg int32
+	src [2]int32
+	g   int32
+}
+
+// pureScalar returns in's key and operands when in computes a scalar from
+// fr registers, constants and globals alone, and whether it can also be
+// removed: it raises no fault (a global read that checks definedness
+// cannot).
+func pureScalar(in *instr) (k cseKey, v cseVal, removable, ok bool) {
+	v = cseVal{src: [2]int32{-1, -1}, g: -1}
+	k = cseKey{op: in.op, b: in.b}
+	switch in.op {
+	case opAddF, opSubF, opMulF, opDivF, opPowF, opMinF, opMaxF:
+		k.c, v.src = in.c, [2]int32{in.b, in.c}
+	case opNegF, opAbsF, opAbs2F, opSqrtF, opExpF, opLogF, opFloorF, opCeilF, opSigmoidF:
+		v.src[0] = in.b
+	case opArithFC, opArithCF, opMinFC, opMaxFC:
+		k.c, k.d, v.src[0] = in.c, in.d, in.b
+	case opLoadG, opLoadGU:
+		k.op, v.g = opLoadGU, in.b
+		return k, v, in.op == opLoadGU, true
+	case opArithFG, opArithGF:
+		k.c, k.d, v.src[0], v.g = in.c, in.d, in.b, in.c
+		return k, v, in.e < 0, true
+	default:
+		return k, v, false, false
+	}
+	return k, v, true, true
+}
+
+// cse removes a pure scalar op whose value an earlier op of its block
+// left in a temp: the same opcode and operands, none of them written in
+// between. The removed op's destination must be a temp too; every read
+// of it reads the earlier temp instead, whose one definition dominates
+// them all. A removed op raises no fault and writes nothing but its
+// register, so results and faults are unchanged.
+func (c *comp) cse(keep, lead []bool) {
+	avail := map[cseKey]cseVal{}
+	rename := map[int32]int32{}
+	for pc := range c.code {
+		if lead[pc] {
+			clear(avail)
+		}
+		in := &c.code[pc]
+		c.operands(in, func(f regFile, r *int32, def bool) {
+			if to, ok := rename[*r]; ok && f == fileF && !def {
+				*r = to
+			}
+		})
+		key, val, removable, pure := pureScalar(in)
+		if have, ok := avail[key]; ok && pure && removable && in.a >= c.tempBase {
+			rename[in.a] = have.reg
+			keep[pc] = false
+			continue
+		}
+		c.operands(in, func(f regFile, r *int32, def bool) {
+			if f != fileF || !def {
+				return
+			}
+			for k, v := range avail {
+				if v.reg == *r || v.src[0] == *r || v.src[1] == *r {
+					delete(avail, k)
+				}
+			}
+		})
+		if in.op == opStoreG || in.op == opCompG {
+			for k, v := range avail {
+				if v.g == in.a {
+					delete(avail, k)
+				}
+			}
+		}
+		if pure && in.a >= c.tempBase && in.a != val.src[0] && in.a != val.src[1] {
+			val.reg = in.a
+			avail[key] = val
+		}
+	}
+}
+
+// cannotFault reports whether in neither faults nor changes anything but
+// registers and definedness marks, which an iteration's fault leaves
+// unobservable.
+func cannotFault(in *instr) bool {
+	switch in.op {
+	case opConstF, opMovF, opDefF, opAddF, opSubF, opMulF, opDivF, opPowF,
+		opNegF, opAbsF, opAbs2F, opSqrtF, opExpF, opLogF, opFloorF, opCeilF, opSigmoidF,
+		opMinF, opMaxF, opLoadGU, opArithFC, opArithCF, opMinFC, opMaxFC, opLenF,
+		opConstB, opMovB, opDefB, opEqB, opNeB, opLtB, opLeB, opGtB, opGeB,
+		opDefV, opMovV, opVBinVS, opVBinSV, opVNegV:
+		return true
+	case opArithFG, opArithGF:
+		return in.e < 0
+	}
+	return false
+}
+
+// siteOf returns the array access site in reads or writes and whether it
+// writes it, or -1.
+func (c *comp) siteOf(in *instr) (site int32, write bool) {
+	switch in.op {
+	case opLdPtF, opLdPtMinC, opLdPtMaxC, opRowViewV, opRowMatV:
+		return in.b, false
+	case opStPtF, opStPtC, opRowStV, opRowUpdS, opRowUpdV:
+		return in.a, true
+	case opAxpyRow:
+		return c.axpys[in.d].acc, true
+	}
+	return -1, false
+}
+
+// foldChecks deletes an opArrChk or opBufChk when the access it guards
+// follows in its block with nothing between that can fault. That
+// access's miss path runs the same check first (Kernel.array, bufPut),
+// and a hit proves the array bound, so an unbound array or buffer faults
+// at the access with the check's text, and no other fault could have
+// come first. An opKeyC between, which faults on a short key, carries
+// the check (pend) and runs it before its own fault. The check's later
+// dominated uses stay elided: the access ran, so the check passed.
+func (c *comp) foldChecks(keep, lead []bool) {
+	for pc := range c.code {
+		chk := c.code[pc]
+		if !keep[pc] || (chk.op != opArrChk && chk.op != opBufChk) {
+			continue
+		}
+		var keys []int
+	scan:
+		for j := pc + 1; j < len(c.code) && !lead[j]; j++ {
+			in := &c.code[j]
+			site, _ := c.siteOf(in)
+			switch {
+			case !keep[j] || cannotFault(in):
+			case in.op == opKeyC && in.c == 0:
+				keys = append(keys, j)
+			case chk.op == opArrChk && site >= 0 && c.accs[site].ai == chk.a,
+				chk.op == opBufChk && (in.op == opBufPut || in.op == opBufPutC) && c.baccs[in.a].bi == chk.a:
+				keep[pc] = false
+				if len(keys) > 0 {
+					c.pend = append(c.pend, chk)
+				}
+				for _, kj := range keys {
+					c.code[kj].c = int32(len(c.pend))
+				}
+				break scan
+			default:
+				break scan
+			}
+		}
+	}
+}
+
+// fuseRows fuses, per opAxpyRow l ± s*w:
+//
+//   - w = c*v (opVBinSV) read by nothing else: the AxpyRow computes
+//     l ± s*(c*v) itself, with the same roundings, and c*v is never
+//     materialized. Between the two, c and v are not written, and no
+//     store reaches an array v may view (a consume borrow, opRowViewV).
+//   - its result, read by nothing but the opRowStV that stores it: the
+//     AxpyRow takes the store's place and writes the range through the
+//     site's mirror. Between the two nothing can fault or write l, s, w,
+//     c or the result, so the fused op's faults come in the same order,
+//     and neither l nor w may view the destination array, whose
+//     elements the fused op overwrites while it still reads them.
+func (c *comp) fuseRows(keep, lead []bool) {
+	uses := map[int32]int{}
+	views := map[int32][]int32{} // vector register → arrays it may view
+	for pc := range c.code {
+		in := &c.code[pc]
+		if in.op == opRowViewV {
+			views[in.a] = append(views[in.a], c.accs[in.b].ai)
+		}
+		c.operands(in, func(f regFile, r *int32, def bool) {
+			if f == fileV && !def {
+				uses[*r]++
+			}
+		})
+	}
+	// clean reports whether no kept instruction in (from, to) writes one
+	// of regs or stores into one of arrays.
+	clean := func(from, to int, regs []reg, arrays []int32) bool {
+		for j := from + 1; j < to; j++ {
+			in := &c.code[j]
+			if !keep[j] {
+				continue
+			}
+			for _, r := range regs {
+				if r.r >= 0 && c.defines(in, r.f, r.r) {
+					return false
+				}
+			}
+			if site, write := c.siteOf(in); write && site >= 0 && slices.Contains(arrays, c.accs[site].ai) {
+				return false
+			}
+		}
+		return true
+	}
+	for pc := range c.code {
+		in := c.code[pc]
+		if !keep[pc] || in.op != opAxpyRow {
+			continue
+		}
+		ax := &c.axpys[in.d]
+		if ax.acc >= 0 {
+			continue // fused below when the loop reached its first pc
+		}
+		if def := c.blockDef(keep, lead, pc, ax.w); uses[ax.w] == 1 && def >= 0 {
+			if d := c.code[def]; d.op == opVBinSV && d.d == selMul &&
+				clean(def, pc, []reg{{fileF, d.b}, {fileV, d.c}}, views[d.c]) {
+				keep[def] = false
+				ax.w, ax.c = d.c, d.b
+			}
+		}
+		if uses[in.a] != 1 {
+			continue
+		}
+		for j := pc + 1; j < len(c.code) && !lead[j]; j++ {
+			st := &c.code[j]
+			if !keep[j] || cannotFault(st) {
+				continue
+			}
+			regs := []reg{{fileV, in.b}, {fileF, in.c}, {fileV, ax.w}, {fileF, ax.c}, {fileV, in.a}}
+			if st.op == opRowStV && st.b == in.a && clean(pc, j, regs, nil) &&
+				!slices.Contains(views[in.b], c.accs[st.a].ai) && !slices.Contains(views[ax.w], c.accs[st.a].ai) {
+				ax.acc = st.a
+				*st = in
+				keep[pc] = false
+			}
+			break
+		}
+	}
+}
+
+// borrowRows makes a vector local's full-column read (opRowMatV) a
+// zero-copy borrow (opRowViewV) where no read of the local can tell: it
+// has no other definition, all its reads follow in its block, and
+// nothing stores into its array before its last read — except that read
+// itself when it is a fused AxpyRow storing the same column, which reads
+// each element before it writes it. MF's H_row qualifies; W_row, read by
+// H's update after W's, does not.
+func (c *comp) borrowRows(keep, lead []bool) {
+	for pc := range c.code {
+		in := &c.code[pc]
+		if !keep[pc] || in.op != opRowMatV || in.a >= c.nVecLoc || !c.accs[in.b].full || c.accs[in.b].rangeDim != 0 {
+			continue
+		}
+		acc, last, ok := &c.accs[in.b], -1, true
+		for j := range c.code {
+			if keep[j] && j != pc {
+				c.operands(&c.code[j], func(f regFile, r *int32, def bool) {
+					if f == fileV && *r == in.a {
+						ok, last = ok && !def && j > pc, j
+					}
+				})
+			}
+		}
+		for j := pc + 1; ok && j <= last; j++ {
+			site, write := c.siteOf(&c.code[j])
+			switch {
+			case lead[j]:
+				ok = false
+			case !keep[j]:
+			case write && site >= 0 && c.accs[site].ai == acc.ai:
+				st := &c.accs[site]
+				ok = j == last && c.code[j].op == opAxpyRow && st.full && st.rangeDim == 0 && slices.Equal(st.subs, acc.subs)
+			}
+			for _, r := range acc.subs {
+				ok = ok && (r < 0 || !c.defines(&c.code[j], fileF, r))
+			}
+		}
+		if ok && last > pc {
+			in.op = opRowViewV
+		}
+	}
+}
+
+// blockDef returns the pc of the last kept instruction before pc in its
+// block that writes vector register r, or -1.
+func (c *comp) blockDef(keep, lead []bool, pc int, r int32) int {
+	for j := pc - 1; j >= 0; j-- {
+		if keep[j] && c.defines(&c.code[j], fileV, r) {
+			return j
+		}
+		if lead[j] {
+			break
+		}
+	}
+	return -1
+}
+
 func (c *comp) newScratch() int32 {
 	id := c.nScratch
 	c.nScratch++
@@ -583,7 +1152,6 @@ func arithSel(op byte) int32 {
 
 func (c *comp) lowerStmts(body []lang.Stmt) {
 	for _, st := range body {
-		c.resetTemps()
 		c.lowerStmt(st)
 	}
 }
@@ -614,15 +1182,15 @@ func (c *comp) lowerStmt(st lang.Stmt) {
 		// Literal bounds fold into opForInit (flag bits in d); constants
 		// evaluate to no code, so the lo-before-hi order is preserved.
 		var flags, lo, hi int32
-		if n, isNum := s.Lo.(*lang.Num); isNum {
+		if v, isNum := numLit(s.Lo); isNum {
 			flags |= 1
-			lo = c.constIdx(n.Val)
+			lo = c.constIdx(v)
 		} else {
 			lo = c.lowerFloat(s.Lo)
 		}
-		if n, isNum := s.Hi.(*lang.Num); isNum {
+		if v, isNum := numLit(s.Hi); isNum {
 			flags |= 2
-			hi = c.constIdx(n.Val)
+			hi = c.constIdx(v)
 		} else {
 			hi = c.lowerFloat(s.Hi)
 		}
@@ -782,8 +1350,8 @@ func (c *comp) lowerBufferWrite(s *lang.Assign, t *lang.Index, bi int32) {
 	// A literal value folds into the put; constants evaluate to no code,
 	// so skipping the register keeps the evaluation order.
 	rhs, rhsConst := int32(-1), int32(-1)
-	if n, isNum := s.Value.(*lang.Num); isNum {
-		rhsConst = c.constIdx(n.Val)
+	if v, isNum := numLit(s.Value); isNum {
+		rhsConst = c.constIdx(v)
 	} else {
 		rhs = c.lowerFloat(s.Value)
 	}
@@ -861,10 +1429,10 @@ func (c *comp) lowerArrayWrite(s *lang.Assign, t *lang.Index) {
 		}
 		// A literal value folds into the store; constants evaluate to no
 		// code, so skipping the register keeps the evaluation order.
-		if n, isNum := s.Value.(*lang.Num); isNum {
+		if v, isNum := numLit(s.Value); isNum {
 			c.arrChk(int32(ai), t.Base, selWrite)
 			aidx := c.newAccess(t, ai)
-			c.emit(opStPtC, aidx, c.constIdx(n.Val), sel, 0, 0)
+			c.emit(opStPtC, aidx, c.constIdx(v), sel, 0, 0)
 			return
 		}
 		rhs := c.lowerFloat(s.Value)
@@ -930,10 +1498,9 @@ func (c *comp) lowerFloat(e lang.Expr) int32 {
 		c.chkF(int32(slot), name)
 		return int32(slot)
 	case *lang.UnOp:
-		// Constant negation folds: -(c) == -c bitwise for float64.
-		if n, isNum := x.X.(*lang.Num); isNum {
+		if v, isNum := numLit(x); isNum {
 			dst := c.allocF()
-			c.emit(opConstF, dst, c.constIdx(-n.Val), 0, 0, 0)
+			c.emit(opConstF, dst, c.constIdx(v), 0, 0, 0)
 			return dst
 		}
 		v := c.lowerFloat(x.X)
@@ -952,16 +1519,16 @@ func (c *comp) lowerFloat(e lang.Expr) int32 {
 		// order-neutral wherever it sits; a global folds only where its
 		// definedness check already ran last (right operand), or where
 		// the other operand's lowering is provably code-free.
-		if n, isNum := x.R.(*lang.Num); isNum {
+		if v, isNum := numLit(x.R); isNum {
 			l := c.lowerFloat(x.L)
 			dst := c.allocF()
-			c.emit(opArithFC, dst, l, c.constIdx(n.Val), sel, 0)
+			c.emit(opArithFC, dst, l, c.constIdx(v), sel, 0)
 			return dst
 		}
-		if n, isNum := x.L.(*lang.Num); isNum {
+		if v, isNum := numLit(x.L); isNum {
 			r := c.lowerFloat(x.R)
 			dst := c.allocF()
-			c.emit(opArithCF, dst, r, c.constIdx(n.Val), sel, 0)
+			c.emit(opArithCF, dst, r, c.constIdx(v), sel, 0)
 			return dst
 		}
 		if gs, ok := c.globalOperand(x.R); ok {
@@ -1073,7 +1640,7 @@ func (c *comp) lowerFloatCall(x *lang.Call) int32 {
 		a := c.lowerFloat(x.Args[0])
 		// A literal second argument folds into the op; NaN selection
 		// depends on operand order, so only this side fuses.
-		if n, isNum := x.Args[1].(*lang.Num); isNum {
+		if v, isNum := numLit(x.Args[1]); isNum {
 			// When the first argument was a point load that just landed in
 			// a statement temp, fold the clamp into the load: no code runs
 			// between the two, so fault order is unchanged.
@@ -1084,15 +1651,15 @@ func (c *comp) lowerFloatCall(x *lang.Call) int32 {
 					} else {
 						in.op = opLdPtMaxC
 					}
-					in.c = c.constIdx(n.Val)
+					in.c = c.constIdx(v)
 					return a
 				}
 			}
 			dst := c.allocF()
 			if x.Fn == "min" {
-				c.emit(opMinFC, dst, a, c.constIdx(n.Val), 0, 0)
+				c.emit(opMinFC, dst, a, c.constIdx(v), 0, 0)
 			} else {
-				c.emit(opMaxFC, dst, a, c.constIdx(n.Val), 0, 0)
+				c.emit(opMaxFC, dst, a, c.constIdx(v), 0, 0)
 			}
 			return dst
 		}
@@ -1211,7 +1778,7 @@ func (c *comp) lowerVecBin(x *lang.BinOp) int32 {
 			s := c.lowerFloat(m.L)
 			w := c.lowerVec(m.R, vecConsume)
 			dst := c.allocV()
-			c.axpys = append(c.axpys, axpyInfo{w: w, sid: c.newScratch(), sub: x.Op == "-"})
+			c.axpys = append(c.axpys, axpyInfo{w: w, c: -1, acc: -1, sid: c.newScratch(), sub: x.Op == "-"})
 			c.emit(opAxpyRow, dst, l, s, int32(len(c.axpys)-1), 0)
 			return dst
 		}
@@ -1289,8 +1856,8 @@ func (c *comp) lowerCondJump(cond lang.Expr) int {
 		}
 		if sel >= 0 {
 			l := c.lowerFloat(x.L)
-			if n, isNum := x.R.(*lang.Num); isNum {
-				return c.emit(opJmpCmpNot, 0, l, c.constIdx(n.Val), sel, 1)
+			if v, isNum := numLit(x.R); isNum {
+				return c.emit(opJmpCmpNot, 0, l, c.constIdx(v), sel, 1)
 			}
 			r := c.lowerFloat(x.R)
 			return c.emit(opJmpCmpNot, 0, l, r, sel, 0)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"orion/internal/dsm"
@@ -633,6 +634,10 @@ func TestVMRuntimeErrors(t *testing.T) {
 			"lang: vector subscript 5 out of range"},
 		{"undefined global", "for (key, v) in data\n    x = g\nend\n",
 			`lang: undefined variable "g"`},
+		{"fused axpy length mismatch", "for (key, v) in data\n    p = A[:, 1]\n    A[:, 1] = p - v * (2 * B[:, 1])\nend\n",
+			"lang: vector length mismatch 4 vs 3"},
+		{"fused store range mismatch", "for (key, v) in data\n    p = A[:, 1]\n    B[:, 1] = p - v * (2 * p)\nend\n",
+			"lang: B: vector length 4 does not match range 1:3"},
 	}
 	for _, tc := range cases {
 		loop, err := lang.Parse(tc.src)
@@ -652,6 +657,208 @@ func TestVMRuntimeErrors(t *testing.T) {
 		err = k.RunIteration([]int64{0, 0}, 1)
 		if err == nil || err.Error() != tc.want {
 			t.Fatalf("%s: got error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// rewriteProgs hold optimize's rewrites to their legality rules. Each
+// names what fusions prints for its borrowed column locals and AxpyRows,
+// and must run bitwise as the interpreter does, faults included
+// (TestRewriteLegality); they also seed FuzzExecDifferential, and
+// TestCompileCensus pins their counts.
+var rewriteProgs = []struct{ name, src, want string }{
+	// Both updates fuse and H_row is borrowed: W_row stays materialized,
+	// so H's update reads it unchanged past W's store.
+	{"mf", "array ratings 4 4\narray W 3 4\narray H 3 4\nglobal step_size\n---" + mfSrc, "borrow scaled+store scaled+store"},
+	// w is read twice, so it stays materialized.
+	{"read-twice", `array data 4 4
+array A 4 4
+global g
+---
+for (key, v) in data
+    p = A[:, key[1]]
+    w = v * p
+    A[:, key[1]] = p - g * w
+    acc += dot(w, w)
+end
+`, "borrow store"},
+	// The scale c is written between w's definition and its read.
+	{"scale-redefined", `array data 4 4
+array A 4 4
+global g
+---
+for (key, v) in data
+    p = A[:, key[1]]
+    c = v + 1
+    w = c * p
+    c = -2 * v
+    A[:, key[1]] = p - g * w
+    acc += c
+end
+`, "borrow store"},
+	// The scaled vector p is rebound, then written element-wise, between
+	// w's definition and its read.
+	{"vector-redefined", `array data 4 4
+array A 4 4
+global g
+---
+for (key, v) in data
+    p = A[:, key[1]]
+    w = v * p
+    p = A[:, key[2]]
+    A[:, key[1]] = p - g * w
+    q = A[:, key[2]]
+    u = v * q
+    q[2] = 7
+    A[:, key[2]] = q + g * u
+end
+`, "store store"},
+	// The destination is also an operand, viewed in place: A[:, j] with
+	// j == k on the diagonal keys, A[:, k] itself as l, and a column of
+	// B while a row of B is stored, which crosses it. No store fuses.
+	{"dest-operand", `array data 4 4
+array A 4 4
+array B 4 4
+global g
+---
+for (key, v) in data
+    q = A[:, key[1]]
+    A[:, key[1]] = q - g * (v * A[:, key[2]])
+    A[:, key[2]] = A[:, key[2]] + g * q
+    r = B[key[1], :]
+    B[key[1], :] = r - g * (v * B[:, key[2]])
+end
+`, "scaled plain scaled"},
+	// w views W and is read past a store to W: it stays materialized.
+	// This is why MF's W_row must stay materialized for H_grad.
+	{"delayed-operand", `array data 4 4
+array W 4 4
+array H 4 4
+global g
+---
+for (key, v) in data
+    w = v * W[:, key[1]]
+    W[:, key[1]] = W[:, key[1]] * 0.5
+    h = H[:, key[2]]
+    H[:, key[2]] = h - g * w
+end
+`, "borrow store"},
+	// l and c*v differ in length: the fused op faults as AxpyRow did.
+	{"length-mismatch", `array data 4 4
+array A 4 4
+array B 3 4
+global g
+---
+for (key, v) in data
+    p = A[:, key[1]]
+    A[:, key[1]] = p - g * (v * B[:, key[2]])
+end
+`, "borrow scaled+store"},
+	// The result is longer than the range it is stored to: the fused
+	// store misses and faults on opRowStV's reference path.
+	{"range-mismatch", `array data 4 4
+array A 4 4
+array B 3 4
+global g
+---
+for (key, v) in data
+    p = A[:, key[2]]
+    B[:, key[2]] = p - g * (v * p)
+end
+`, "borrow scaled+store"},
+	// A column local is borrowed only where no read can see its array
+	// change: p is read after a store to A (the same column when
+	// key[1] == key[2]), and q is written element-wise; r's array is
+	// stored only by r's last read, in place.
+	{"borrow", `array data 4 4
+array A 4 4
+array B 4 4
+array C 4 4
+global g
+---
+for (key, v) in data
+    p = A[:, key[1]]
+    A[:, key[2]] = p * v
+    acc += dot(p, p)
+    q = C[:, key[1]]
+    q[1] = v
+    acc += dot(q, q)
+    r = B[:, key[2]]
+    B[:, key[2]] = r - g * (v * q)
+end
+`, "borrow scaled+store"},
+	// cse: a scalar recomputed after its operand, a local or a global,
+	// was written is not shared; one recomputed with nothing written
+	// between is.
+	{"cse-redefined", `array data 4 4
+global g
+---
+for (key, v) in data
+    x = v * 3
+    a = (x + 1) * 2
+    x = v - 5
+    b = (x + 1) * 2
+    c = (g + 1) * 2
+    g = v
+    d = (g + 1) * 2
+    e = (g + 1) * 2
+    acc += a + b + c + d + e
+end
+`, ""},
+}
+
+// fusions describes each vector local's borrowed column ("borrow") and
+// each AxpyRow of p in code order: "scaled" when it scales its w inline,
+// "store" when it writes a range site, "plain" when neither.
+func fusions(p *Prog) string {
+	var out []string
+	for _, in := range p.code {
+		if in.op == opRowViewV && int(in.a) < p.numVec {
+			out = append(out, "borrow")
+		}
+		if in.op != opAxpyRow {
+			continue
+		}
+		var f []string
+		if ax := p.axpys[in.d]; ax.c >= 0 {
+			f = append(f, "scaled")
+		}
+		if p.axpys[in.d].acc >= 0 {
+			f = append(f, "store")
+		}
+		if len(f) == 0 {
+			f = []string{"plain"}
+		}
+		out = append(out, strings.Join(f, "+"))
+	}
+	return strings.Join(out, " ")
+}
+
+// TestRewriteLegality: fuseRows fuses exactly where its rule allows — a
+// single-use c*v whose operands nothing writes in between, a result
+// stored with nothing between that can fault, no operand viewing the
+// destination — borrowRows borrows only a column no read could see
+// change, and every program, the CSE one included, runs bitwise as the
+// interpreter does, stop point and fault text included.
+func TestRewriteLegality(t *testing.T) {
+	for _, fp := range rewriteProgs {
+		prog, err := lang.ParseProgram(fp.src)
+		if err != nil {
+			t.Fatalf("%s: %v", fp.name, err)
+		}
+		p, err := Compile(prog.Loop, &lang.CompileEnv{Arrays: prog.Env.Arrays, Buffers: prog.Env.Buffers,
+			Globals: globalNames(diffGlobals(prog.Env, prog.Loop, prog.Globals))})
+		if err != nil {
+			t.Fatalf("%s: %v", fp.name, err)
+		}
+		if got := fusions(p); got != fp.want {
+			t.Errorf("%s: AxpyRows %q, want %q", fp.name, got, fp.want)
+		}
+		for _, scheme := range []int{fillFloats, fillInts} {
+			for _, block := range []bool{false, true} {
+				label := fmt.Sprintf("%s/scheme=%d/block=%v", fp.name, scheme, block)
+				diffProgram(t, label, prog, diffConfig{scheme: scheme, seed: 5, block: block})
+			}
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package vm
 
-import "math"
+import (
+	"math"
+
+	"orion/internal/lang"
+)
 
 // exec runs the instruction stream once (one loop-body iteration).
 // Register files and side tables are hoisted into locals; every case
@@ -22,6 +26,7 @@ func (k *Kernel) exec() {
 	pc := 0
 	for {
 		in := &code[pc]
+		k.ops.add(in.op)
 		switch in.op {
 		case opHalt:
 			return
@@ -119,6 +124,9 @@ func (k *Kernel) exec() {
 		case opKeyC:
 			kk := in.b
 			if kk < 1 || int(kk) > len(key) {
+				if in.c > 0 {
+					k.presence(&k.p.pend[in.c-1])
+				}
 				fail("lang: key subscript %d out of range", int64(kk))
 			}
 			fr[in.a] = float64(key[kk-1] + 1)
@@ -250,10 +258,7 @@ func (k *Kernel) exec() {
 			if !k.vecDef[in.a] {
 				// The interpreter's lookup misses and the access falls
 				// through to the (absent) array table.
-				if in.c == selWrite {
-					fail("lang: write to unknown array %q", names[in.b])
-				}
-				fail("lang: read of unknown array %q", names[in.b])
+				unknownArray(names[in.b], in.c)
 			}
 			pc++
 		case opDefV:
@@ -350,34 +355,45 @@ func (k *Kernel) exec() {
 			pc++
 		case opAxpyRow:
 			ax := &k.p.axpys[in.d]
-			lv := vr[in.b]
-			s := fr[in.c]
-			wv := vr[ax.w]
+			lv, wv := vr[in.b], vr[ax.w]
 			if len(lv) != len(wv) {
 				fail("lang: vector length mismatch %d vs %d", len(lv), len(wv))
 			}
-			out := k.growScratch(int(ax.sid), len(lv))
-			// The float64 conversions round the products exactly as the
-			// unfused closure pipeline does, keeping FMA-capable
-			// architectures from fusing the multiply-add.
-			if ax.sub {
-				for i := range lv {
-					out[i] = lv[i] - float64(s*wv[i])
-				}
-			} else {
-				for i := range lv {
-					out[i] = lv[i] + float64(s*wv[i])
-				}
+			s, c := fr[in.c], 1.0
+			if ax.c >= 0 {
+				c = fr[ax.c]
 			}
-			vr[in.a] = out
+			if ax.acc < 0 {
+				out := k.growScratch(int(ax.sid), len(lv))
+				axpy(out, lv, wv, s, c, ax.c >= 0, ax.sub)
+				vr[in.a] = out
+				pc++
+				continue
+			}
+			// A fused store writes a contiguous in-window range in place:
+			// an operand viewing its array views this very range
+			// (borrowRows) and is read at each element before it is
+			// written. A strided range scatters, and a miss materializes
+			// the result and takes opRowStV's reference path.
+			ra := &k.racc[ax.acc]
+			base, n, ok := rgOff(fr, ra)
+			if ok = ok && n == int64(len(lv)); ok && ra.s1 == 1 {
+				axpy(ra.data[base:base+n], lv, wv, s, c, ax.c >= 0, ax.sub)
+				pc++
+				continue
+			}
+			out := k.growScratch(int(ax.sid), len(lv))
+			axpy(out, lv, wv, s, c, ax.c >= 0, ax.sub)
+			if ok {
+				scatter(ra.data, out, base, ra.s1)
+			} else {
+				k.rowSt(&k.p.accs[ax.acc], out)
+			}
 			pc++
 
 		case opArrChk:
 			if k.arrays[in.a] == nil {
-				if in.c == selWrite {
-					fail("lang: write to unknown array %q", names[in.b])
-				}
-				fail("lang: read of unknown array %q", names[in.b])
+				unknownArray(names[in.b], in.c)
 			}
 			pc++
 		case opLdPtF:
@@ -517,7 +533,7 @@ func (k *Kernel) exec() {
 			pc++
 		case opBufChk:
 			if k.buffers[in.a] == nil {
-				fail("lang: write to unknown array %q", names[in.b])
+				unknownArray(names[in.b], selWrite)
 			}
 			pc++
 		case opBufPut:
@@ -892,21 +908,53 @@ func (k *Kernel) rangeBounds(acc *access) (lo, hi int64) {
 
 // The reference accessors below run whenever a site's runtime mirror
 // misses (rtAcc): a coordinate outside the window or the array, a
-// length mismatch, or a binding with no flat path — non-dense, rank ≥3,
-// or a full range its window cuts. They go through the view's At/SetAt
-// (or a served view's whole runs), whose panics and values are the
-// reference behaviour.
+// length mismatch, an unbound array, or a binding with no flat path —
+// non-dense, rank ≥3, or a full range its window cuts. Each first runs
+// the presence check of the site's array (array), so a site whose
+// opArrChk optimize folded away faults here with its text; then it goes
+// through the view's At/SetAt (or a served view's whole runs), whose
+// panics and values are the reference behaviour.
+
+// unknownArray raises a failed presence check's fault.
+func unknownArray(name string, sel int32) {
+	if sel == selWrite {
+		fail("lang: write to unknown array %q", name)
+	}
+	fail("lang: read of unknown array %q", name)
+}
+
+// array returns the view bound to acc's array, or faults as its
+// presence check (opArrChk) would.
+func (k *Kernel) array(acc *access, sel int32) lang.ArrayAccess {
+	a := k.arrays[acc.ai]
+	if a == nil {
+		unknownArray(k.p.names[acc.nameIdx], sel)
+	}
+	return a
+}
+
+// presence runs a presence check folded past an opKeyC, whose fault it
+// precedes.
+func (k *Kernel) presence(chk *instr) {
+	if chk.op == opBufChk {
+		if k.buffers[chk.a] == nil {
+			unknownArray(k.p.names[chk.b], selWrite)
+		}
+	} else if k.arrays[chk.a] == nil {
+		unknownArray(k.p.names[chk.b], chk.c)
+	}
+}
 
 // ldPt is SubscriptLoadF's reference path.
 func (k *Kernel) ldPt(acc *access) float64 {
-	return k.arrays[acc.ai].At(k.fillIx(acc)...)
+	return k.array(acc, selRead).At(k.fillIx(acc)...)
 }
 
 // stPt is SubscriptStoreF's reference path: a point write, plain
 // (sel < 0) or compound.
 func (k *Kernel) stPt(acc *access, v float64, sel int32) {
+	a := k.array(acc, selWrite)
 	ix := k.fillIx(acc)
-	a := k.arrays[acc.ai]
 	if sel >= 0 {
 		v = arith(sel, a.At(ix...), v)
 	}
@@ -964,6 +1012,7 @@ func scatter(data, in []float64, base, step int64) {
 // rowMat is the reference range read (opRowViewV's and opRowMatV's),
 // materialized into the site's scratch.
 func (k *Kernel) rowMat(acc *access) []float64 {
+	k.array(acc, selRead)
 	ix := k.fillIx(acc)
 	lo, hi := k.rangeBounds(acc)
 	out := k.growScratch(int(acc.sid), int(hi-lo+1))
@@ -973,6 +1022,7 @@ func (k *Kernel) rowMat(acc *access) []float64 {
 
 // rowSt is the reference plain range store.
 func (k *Kernel) rowSt(acc *access, rv []float64) {
+	k.array(acc, selWrite)
 	ix := k.fillIx(acc)
 	lo, hi := k.rangeBounds(acc)
 	if int64(len(rv)) != hi-lo+1 {
@@ -986,6 +1036,7 @@ func (k *Kernel) rowSt(acc *access, rv []float64) {
 // values into the site's scratch, apply, write all back — the same
 // copy-then-write order as both reference backends.
 func (k *Kernel) rowUpd(acc *access, sv float64, rv []float64, isVec bool) {
+	k.array(acc, selWrite)
 	ix := k.fillIx(acc)
 	lo, hi := k.rangeBounds(acc)
 	cur := k.growScratch(int(acc.sid), int(hi-lo+1))
@@ -1001,7 +1052,13 @@ func (k *Kernel) rowUpd(acc *access, sv float64, rv []float64, isVec bool) {
 	k.stRun(acc, ix, lo, cur)
 }
 
+// bufPut runs the presence check of the buffer (opBufChk) first, as
+// the array accessors do.
 func (k *Kernel) bufPut(ba *bufAccess, v float64) {
+	b := k.buffers[ba.bi]
+	if b == nil {
+		unknownArray(k.p.names[ba.nameIdx], selWrite)
+	}
 	if ba.neg {
 		v = -v
 	}
@@ -1009,5 +1066,31 @@ func (k *Kernel) bufPut(ba *bufAccess, v float64) {
 	for d, sr := range ba.subs {
 		ix[d] = int64(k.fr[sr]) - 1
 	}
-	k.buffers[ba.bi].Put(v, ix...)
+	b.Put(v, ix...)
+}
+
+// axpy sets out[i] = l[i] ± s*w[i], or with scaled l[i] ± s*(c*w[i]).
+// The float64 conversions round each product exactly as the unfused ops
+// do (c*w materialized by opVBinSV), keeping FMA-capable architectures
+// from fusing the multiply-add.
+func axpy(out, l, w []float64, s, c float64, scaled, sub bool) {
+	out, w = out[:len(l)], w[:len(l)]
+	switch {
+	case scaled && sub:
+		for i := range l {
+			out[i] = l[i] - float64(s*float64(c*w[i]))
+		}
+	case scaled:
+		for i := range l {
+			out[i] = l[i] + float64(s*float64(c*w[i]))
+		}
+	case sub:
+		for i := range l {
+			out[i] = l[i] - float64(s*w[i])
+		}
+	default:
+		for i := range l {
+			out[i] = l[i] + float64(s*w[i])
+		}
+	}
 }

@@ -6,8 +6,8 @@ import (
 	"orion/internal/lang"
 )
 
-// fuzzSeeds are FuzzExecDifferential's seeds beyond the example corpus
-// and laneProgs.
+// fuzzSeeds are FuzzExecDifferential's seeds beyond the example corpus,
+// laneProgs and rewriteProgs.
 var fuzzSeeds = []string{
 	"array data 6 4\narray A 4 4\nbuffer b A\nglobal g\n---\nfor (key, v) in data\n    p = A[:, key[2]]\n    s = dot(p, p)\n    if s > g\n        A[:, key[2]] = p - 0.5 * p\n    end\n    b[key[2], 1] += s\n    acc += s\nend\n",
 	"array data 4 4\narray A 4 4\nglobal g\n---\nfor (key, v) in data\n    p = A[:, key[2]]\n    A[:, key[2]] = p - g * p\n    A[key[1], 2:3] += p[1]\nend\n",
@@ -18,8 +18,8 @@ var fuzzSeeds = []string{
 // under the interpreter, the closure compiler, and the bytecode VM —
 // same stop point, same error or panic, same DistArray and global
 // values — and the two compiled backends must agree exactly on what is
-// compilable. Seeded with the full shipped example corpus and the lane
-// programs (laneProgs).
+// compilable. Seeded with the full shipped example corpus, the lane
+// programs (laneProgs) and the rewrite programs (rewriteProgs).
 func FuzzExecDifferential(f *testing.F) {
 	for _, src := range exampleProgramSources(f) {
 		f.Add(src)
@@ -29,6 +29,9 @@ func FuzzExecDifferential(f *testing.F) {
 	}
 	for _, lp := range laneProgs {
 		f.Add(lp.src)
+	}
+	for _, fp := range rewriteProgs {
+		f.Add(fp.src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := lang.ParseProgram(src)

@@ -1,14 +1,19 @@
-// Package vm is the register-bytecode backend for DSL loop bodies: the
+// Package vm is the register-bytecode backend loop bodies run on: the
 // slot-resolved AST (lang.ResolveLoop) is lowered to a compact
 // instruction stream executed by a switch dispatcher over flat register
-// files. It sits between the tree-walking interpreter (the reference
-// semantics) and the closure compiler: the same compiled subset, the
-// same runtime-error messages, bitwise-identical results — but fused
-// subscript ops (SubscriptLoadF/SubscriptStoreF, row view/store,
-// AxpyRow, DotRows) operate on dense array storage through flat offset
-// arithmetic (lang.DenseAccess) instead of per-element interface calls,
-// and RunBlock executes a run of consecutive iterations without
-// re-entering the dispatch preamble per element.
+// files. The tree-walking interpreter is the reference semantics: the
+// same compiled subset as the closure compiler, the same runtime-error
+// messages, bitwise-identical results. Every point and range access site
+// resolves, when its array binds, through a runtime mirror (rtAcc) of
+// the bound dense storage or window, so an in-window access is one
+// inlined offset computation and anything else takes the view's
+// reference accessors. After lowering, a straight-line pass (optimize)
+// shares repeated scalars, folds presence checks into their accesses'
+// miss paths, fuses a single-use c*v temporary and the range store
+// consuming it into one AxpyRow, and lets a column local borrow its
+// array's storage where no read could tell. RunBlock executes a run of
+// consecutive iterations without re-entering the dispatch preamble per
+// element.
 //
 // Differential tests in this package hold all three backends to
 // bitwise-identical DistArray, accumulator, and error results.
@@ -69,7 +74,7 @@ const (
 	// hot register/constant/global operand shapes of scalar-heavy inner
 	// loops (one dispatch instead of two); each is bitwise-identical to
 	// the unfused pair it replaces, including fault order and messages.
-	opKeyC       // fr[a] = float64(key[b-1] + 1), literal 1-based subscript b
+	opKeyC       // fr[a] = float64(key[b-1] + 1), literal 1-based subscript b; c > 0 runs pend[c-1] before its fault
 	opLoadGU     // fr[a] = gl[b], definedness proven by a dominating load/store
 	opArithFC    // fr[a] = arith(d, fr[b], consts[c])
 	opArithCF    // fr[a] = arith(d, consts[c], fr[b])
@@ -107,7 +112,7 @@ const (
 	opVBinSV   // vr[a] = fr[b] op(d) vr[c], scratch e
 	opVNegV    // vr[a] = -vr[b], scratch c
 	opZerosV   // vr[a] = zeros(fr[b]), scratch c
-	opAxpyRow  // vr[a] = vr[b] ± fr[c]*vr[w] fused, axpys[d]
+	opAxpyRow  // vr[a] (or range site acc) = vr[b] ± fr[c]*vr[w], w scaled by fr[c'] if fused; axpys[d]
 
 	// Array and buffer ops.
 	opArrChk   // fault unless arrays[a] != nil; names[b], c selects read/write
@@ -265,8 +270,14 @@ type bufAccess struct {
 	ii      int32
 }
 
+// axpyInfo is one opAxpyRow's shape beyond its instruction: out[i] =
+// l[i] ± s*w[i], or l[i] ± s*(c*w[i]) when optimize fused the single-use
+// c*w that fed it (fuseRows), into scratch sid — or, when it also fused
+// the range store that consumed the result, into access site acc.
 type axpyInfo struct {
 	w   int32 // vr register holding the scaled vector
+	c   int32 // fr register of the inline scale, -1 for none
+	acc int32 // destination range site, -1 for a vector result
 	sid int32
 	sub bool // l - s*w instead of l + s*w
 }
@@ -320,6 +331,7 @@ type Prog struct {
 	accs   []access
 	baccs  []bufAccess
 	axpys  []axpyInfo
+	pend   []instr  // presence checks folded past an opKeyC (its c is 1 + index)
 	pins   []pinVal // constant pins, written once per kernel
 	lanes  []laneLoop
 	// forNotes says per inner for loop, in source order, why it has no
@@ -388,6 +400,8 @@ type Kernel struct {
 	budget   int64
 	vecLimit int64
 	key      []int64
+
+	ops tally // per-opcode dispatch counts; empty unless built with -tags vmcount
 }
 
 // dimWin is one dimension of a bound array's dense storage: the global

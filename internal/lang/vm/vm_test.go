@@ -347,3 +347,86 @@ func TestVMRunLoop(t *testing.T) {
 		t.Fatalf("acc = %v, want 10", got)
 	}
 }
+
+// TestFoldedChecksKeepFaultOrder: a presence check that foldChecks moved
+// into its access's miss path faults where the check did. MF with H
+// left unbound fails in its first iteration with the interpreter's text
+// and W; a body that writes W before it reads the unbound H leaves the
+// interpreter's partial W writes; and a key too short for the literal key
+// load between a folded check and its access still reports the unbound
+// array, as the check before the load did.
+func TestFoldedChecksKeepFaultOrder(t *testing.T) {
+	const partial = `
+for (key, rv) in ratings
+    W[1, key[1]] = rv
+    x = H[1, key[2]]
+    W[2, key[1]] = x
+end
+`
+	keys := [][]int64{{3, 7}, {4, 9}}
+	for _, tc := range []struct {
+		name, src, unbound string
+		keys               [][]int64
+		want               string
+	}{
+		{"mf, H unbound", mfSrc, "H", keys, `lang: read of unknown array "H"`},
+		{"partial W writes, H unbound", partial, "H", keys, `lang: read of unknown array "H"`},
+		{"short key, H unbound", mfSrc, "H", [][]int64{{3}}, `lang: read of unknown array "H"`},
+		{"short key, W unbound", mfSrc, "W", [][]int64{{}}, `lang: read of unknown array "W"`},
+		{"short key, all bound", mfSrc, "", [][]int64{{3}}, "lang: key subscript 2 out of range"},
+	} {
+		loop, err := lang.Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dims := map[string][]int64{"ratings": {100, 100}, "W": {16, 100}, "H": {16, 100}}
+		p, err := Compile(loop, &lang.CompileEnv{Arrays: dims, Globals: []string{"step_size"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range p.code {
+			if in.op == opArrChk {
+				t.Fatalf("%s: a presence check was not folded", tc.name)
+			}
+		}
+		m, k := lang.NewMachine(), p.NewKernel()
+		m.Globals["step_size"] = 0.01
+		k.SetGlobal("step_size", 0.01)
+		arrays := map[string][2]*dsm.DistArray{}
+		for name, d := range dims {
+			if name == tc.unbound {
+				continue
+			}
+			a, b := dsm.NewDense(name, d...), dsm.NewDense(name, d...)
+			a.FillRandn(rand.New(rand.NewSource(5)), 0.1)
+			b.FillRandn(rand.New(rand.NewSource(5)), 0.1)
+			m.Arrays[name], arrays[name] = a, [2]*dsm.DistArray{a, b}
+			if err := k.BindArray(name, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vals := []float64{1.5, 2}
+		var ref error
+		refDone := 0
+		for i, key := range tc.keys {
+			if ref = m.RunIteration(loop, key, vals[i]); ref != nil {
+				break
+			}
+			refDone++
+		}
+		done, err := k.RunBlock(tc.keys, vals[:len(tc.keys)], nil)
+		if ref == nil || ref.Error() != tc.want || err == nil || err.Error() != ref.Error() || done != refDone {
+			t.Fatalf("%s: vm stopped after %d with %v, interpreter after %d with %v, want %q",
+				tc.name, done, err, refDone, ref, tc.want)
+		}
+		for name, ab := range arrays {
+			x, _ := ab[0].DenseData()
+			y, _ := ab[1].DenseData()
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+					t.Fatalf("%s: %s differs from the interpreter's at flat offset %d", tc.name, name, i)
+				}
+			}
+		}
+	}
+}

@@ -161,6 +161,42 @@ end
 		faults:   [][]int64{{0, 4}, {6, 1}, {2, 0}},
 	},
 	{
+		// Fused range updates (fuseRows): A's column is written in place,
+		// B's row scattered with stride; a key outside a window misses and
+		// takes opRowStV's reference path.
+		name: "fused",
+		src: `
+for (key, v) in data
+    p = A[:, key[2]]
+    r = B[key[1], :]
+    A[:, key[2]] = p - step_size * (v * p)
+    B[key[1], :] = r + step_size * (v * r)
+    s += dot(p, p) + dot(r, r)
+end
+`,
+		arrays: map[string][]int64{"data": {12, 10}, "A": {6, 10}, "B": {12, 5}},
+		cuts:   map[string][3]int64{"A": {1, 2, 7}, "B": {0, 3, 9}},
+		inWindow: func(k []int64) bool {
+			return k[0] >= 3 && k[0] < 9 && k[1] >= 2 && k[1] < 7
+		},
+		faults: [][]int64{{4, 8}, {2, 3}, {4, 30}},
+	},
+	{
+		// The window cuts the range of a fused store, which misses and
+		// writes through SetAt until it leaves the window.
+		name: "cut-fused-store",
+		src: `
+for (key, v) in data
+    p = F[:, key[2]]
+    E[:, key[2]] = p - step_size * (v * p)
+end
+`,
+		arrays:   map[string][]int64{"data": {4, 5}, "E": {4, 5}, "F": {4, 5}},
+		cuts:     map[string][3]int64{"E": {0, 1, 3}},
+		inWindow: func([]int64) bool { return false },
+		faults:   [][]int64{{0, 0}, {1, 4}},
+	},
+	{
 		// The window cuts the dimension a row view and a range span.
 		name: "cut-range-dim",
 		src: `
