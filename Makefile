@@ -73,7 +73,7 @@ soak:
 # resident-gate run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x \
-		./internal/lang ./internal/dsm ./internal/runtime
+		./internal/lang ./internal/lang/vm ./internal/dsm ./internal/runtime
 
 # Live ratio gates: an MF iteration inside a real 1-worker executor
 # against the same bytecode bound directly to the arrays, both timed in

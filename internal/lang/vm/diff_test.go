@@ -787,7 +787,7 @@ for (key, v) in data
     B[:, key[2]] = r - g * (v * q)
 end
 `, "borrow scaled+store"},
-	// cse: a scalar recomputed after its operand, a local or a global,
+	// CSE: a scalar recomputed after its operand, a local or a global,
 	// was written is not shared; one recomputed with nothing written
 	// between is.
 	{"cse-redefined", `array data 4 4
@@ -803,6 +803,111 @@ for (key, v) in data
     d = (g + 1) * 2
     e = (g + 1) * 2
     acc += a + b + c + d + e
+end
+`, ""},
+	// Facts cross blocks: x is defined in both arms of the if/else, so
+	// its check after the join is elided; y in one arm only, so its
+	// check stays and faults in the first iteration that skipped the
+	// arm, as the interpreter does.
+	{"both-arms", `array data 4 4
+---
+for (key, v) in data
+    if v > 0.5
+        x = v * 2
+    else
+        x = v + 1
+    end
+    if v > 0.25
+        y = x
+    end
+    acc += x * x + y
+end
+`, ""},
+	// z is defined only inside a for body, which runs zero trips when
+	// key[1] is 1: its check after the loop stays.
+	{"zero-trips", `array data 4 4
+---
+for (key, v) in data
+    for k = 2:key[1]
+        z = v * k
+    end
+    acc += z
+end
+`, ""},
+	// x + 1 is computed before the if and again after it: p shares it,
+	// since nothing between writes x; q, after an arm that writes x,
+	// does not.
+	{"cse-arm", `array data 4 4
+---
+for (key, v) in data
+    x = v * 3
+    a = (x + 1) * 2
+    if v > 0.5
+        w = v
+    end
+    p = (x + 1) * 4
+    if v > 0.5
+        x = v - 5
+    end
+    q = (x + 1) * 2
+    acc += a + p + q
+end
+`, ""},
+	// No float local or literal: the shared temp is register 0.
+	{"no-locals", `array data 4 4
+global g h
+---
+for key in data
+    acc += g * h + g * h
+end
+`, ""},
+	// Literal point stores, plain and compound: a negated literal takes a
+	// constant but no register, so the constant table outgrows the float
+	// register file, and each StPtC reads its value from the constants.
+	{"const-stores", `array data 4 4
+array A 4 4
+---
+for (key, v) in data
+    A[1, 1] = 1
+    A[1, 2] = -1
+    A[1, 3] = 2
+    A[1, 4] = -2
+    A[2, 1] = 3
+    A[2, 2] = -3
+    A[2, 3] += -4
+    A[2, 4] *= 4
+end
+`, ""},
+	// c may be undefined at the inner loop's header, but laneFor refuses
+	// the loop for reading its loop variable after it noted that need:
+	// the shape's reason stands.
+	{"lane-shape-first", `array data 4 4
+array T 6
+---
+for (key, v) in data
+    if v > 0.5
+        c = v
+    end
+    for k = 1:3
+        u = T[k] * c
+        w = u + k
+    end
+    acc += c
+end
+`, ""},
+	// s is read before a lane loop that reduces into it and again after:
+	// the second read is not the first's value.
+	{"lane-global", `array data 4 4
+array T 6
+global s
+---
+for (key, v) in data
+    a = s * 2
+    for k = 1:4
+        s = s + T[k]
+    end
+    b = s * 2
+    acc += a + b
 end
 `, ""},
 }

@@ -17,12 +17,14 @@ import (
 // TestCompileCensus, counted by the tally only a vmcount build carries
 // (`make vm-count`). MF and SLR are straight-line, so their counts equal
 // their instruction counts; LDA's varies with the sampled topics, so it
-// runs a seeded run of keys. A count moves only with the lowering.
+// runs a seeded run of keys. A count moves only with the lowering: LDA
+// went 46.59 → 45.59 when the sampling loop's bound K became the value
+// loaded before the topic loop (TestCompileCensus), one load per token.
 func TestDispatchCensus(t *testing.T) {
 	want := map[string]string{
 		"benchmark/mf":  "13.00",
 		"benchmark/slr": "11.00",
-		"benchmark/lda": "46.59",
+		"benchmark/lda": "45.59",
 	}
 	for name, src := range map[string]string{
 		"benchmark/mf": benchMFProg, "benchmark/slr": benchSLRProg, "benchmark/lda": benchLDAProg,

@@ -264,9 +264,6 @@ func (k *Kernel) exec() {
 		case opDefV:
 			k.vecDef[in.a] = true
 			pc++
-		case opMovV:
-			vr[in.a] = vr[in.b]
-			pc++
 		case opVElemLd:
 			i := int64(fr[in.c])
 			vec := vr[in.b]

@@ -1,0 +1,59 @@
+package vm
+
+import (
+	"testing"
+
+	"orion/internal/lang"
+)
+
+// TestRolesCover: every opcode has a roles row, or sits on the one list
+// of opcodes whose fields name no register (operands adds what their
+// sites, shapes, flag bits or lane loops read and write) — so a new
+// opcode cannot go unseen by the analysis. operands visits bool
+// registers, and a lane loop's reduction into a global writes it.
+func TestRolesCover(t *testing.T) {
+	roleFree := map[opcode]bool{opHalt: true, opJmp: true, opArrChk: true, opBufChk: true,
+		opStPtC: true, opBufPutC: true, opForInit: true, opLanes: true}
+	for op := opHalt; op <= opLanes; op++ {
+		if (roles[op] == [5]role{}) != roleFree[op] {
+			t.Errorf("opcode %d: roles row %v, role-free %v", op, roles[op], roleFree[op])
+		}
+	}
+
+	prog, err := lang.ParseProgram(`array data 4 4
+array T 6
+global s
+---
+for (key, v) in data
+    f = v > 0.5
+    if f
+        s = s * 2
+    end
+    for k = 1:4
+        s = s + T[k]
+    end
+end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(prog.Loop, &lang.CompileEnv{Arrays: prog.Env.Arrays, Globals: []string{"s"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &comp{accs: p.accs, baccs: p.baccs, axpys: p.axpys, lanes: p.lanes}
+	var boolRd, boolWr, globRd, laneWr bool
+	for i := range p.code {
+		in := &p.code[i]
+		c.operands(in, func(f regFile, r *int32, def bool) {
+			boolRd = boolRd || f == fileB && !def
+			boolWr = boolWr || f == fileB && def
+			globRd = globRd || f == fileG && !def
+			laneWr = laneWr || f == fileG && def && in.op == opLanes
+		})
+	}
+	if !boolRd || !boolWr || !globRd || !laneWr {
+		t.Errorf("operands visits bool reads %v, bool writes %v, global reads %v, a lane loop's global reduction %v; want all",
+			boolRd, boolWr, globRd, laneWr)
+	}
+}

@@ -7,13 +7,16 @@
 // resolves, when its array binds, through a runtime mirror (rtAcc) of
 // the bound dense storage or window, so an in-window access is one
 // inlined offset computation and anything else takes the view's
-// reference accessors. After lowering, a straight-line pass (optimize)
-// shares repeated scalars, folds presence checks into their accesses'
-// miss paths, fuses a single-use c*v temporary and the range store
-// consuming it into one AxpyRow, and lets a column local borrow its
-// array's storage where no read could tell. RunBlock executes a run of
-// consecutive iterations without re-entering the dispatch preamble per
-// element.
+// reference accessors. Lowering emits every check plainly; then
+// optimize runs one forward analysis of what holds on every path (locals
+// defined, globals, arrays and buffers checked, key literals loaded,
+// scalars available) across the body's basic blocks, and its clients
+// elide the checks it proves, share repeated scalars, fold presence
+// checks into their accesses' miss paths, fuse a single-use c*v
+// temporary and the range store consuming it into one AxpyRow, and let a
+// column local borrow its array's storage where no read could tell.
+// RunBlock executes a run of consecutive iterations without re-entering
+// the dispatch preamble per element.
 //
 // Differential tests in this package hold all three backends to
 // bitwise-identical DistArray, accumulator, and error results.
@@ -72,10 +75,11 @@ const (
 
 	// Fused scalar superinstructions. The lowering emits these for the
 	// hot register/constant/global operand shapes of scalar-heavy inner
-	// loops (one dispatch instead of two); each is bitwise-identical to
-	// the unfused pair it replaces, including fault order and messages.
+	// loops (one dispatch instead of two), and optimize drops the checks
+	// it proves (LoadG becomes LoadGU); each is bitwise-identical to the
+	// unfused pair it replaces, including fault order and messages.
 	opKeyC       // fr[a] = float64(key[b-1] + 1), literal 1-based subscript b; c > 0 runs pend[c-1] before its fault
-	opLoadGU     // fr[a] = gl[b], definedness proven by a dominating load/store
+	opLoadGU     // fr[a] = gl[b], definedness proven on every path (optimize)
 	opArithFC    // fr[a] = arith(d, fr[b], consts[c])
 	opArithCF    // fr[a] = arith(d, consts[c], fr[b])
 	opArithFG    // fr[a] = arith(d, fr[b], gl[c]); e >= 0 checks glDef[c] (names[e])
@@ -102,7 +106,6 @@ const (
 	opChkV     // fault unless vecDef[a]; names[b]
 	opChkVElem // fault unless vecDef[a]; names[b], c selects the read/write message
 	opDefV     // vecDef[a] = true
-	opMovV     // vr[a] = vr[b] (header copy)
 	opVElemLd  // fr[a] = vr[b][int64(fr[c])-1] with 1-based bounds fault
 	opVElemSt  // vr[a][int64(fr[b])-1] op(d)= fr[c]; d < 0 is plain store
 	opVCompS   // vec local a op(c)= scalar fr[b], scratch d, infos[e]

@@ -348,13 +348,15 @@ func TestVMRunLoop(t *testing.T) {
 	}
 }
 
-// TestFoldedChecksKeepFaultOrder: a presence check that foldChecks moved
+// TestFoldedChecksKeepFaultOrder: a presence check that foldCheck moved
 // into its access's miss path faults where the check did. MF with H
 // left unbound fails in its first iteration with the interpreter's text
 // and W; a body that writes W before it reads the unbound H leaves the
-// interpreter's partial W writes; and a key too short for the literal key
+// interpreter's partial W writes; a key too short for the literal key
 // load between a folded check and its access still reports the unbound
-// array, as the check before the load did.
+// array, as the check before the load did; and a check folds only into
+// an access reporting its message, so W[W[1, k], k]'s write check, which
+// the subscript's read of W would report as a read, stays.
 func TestFoldedChecksKeepFaultOrder(t *testing.T) {
 	const partial = `
 for (key, rv) in ratings
@@ -368,12 +370,15 @@ end
 		name, src, unbound string
 		keys               [][]int64
 		want               string
+		chks               int // presence checks left unfolded
 	}{
-		{"mf, H unbound", mfSrc, "H", keys, `lang: read of unknown array "H"`},
-		{"partial W writes, H unbound", partial, "H", keys, `lang: read of unknown array "H"`},
-		{"short key, H unbound", mfSrc, "H", [][]int64{{3}}, `lang: read of unknown array "H"`},
-		{"short key, W unbound", mfSrc, "W", [][]int64{{}}, `lang: read of unknown array "W"`},
-		{"short key, all bound", mfSrc, "", [][]int64{{3}}, "lang: key subscript 2 out of range"},
+		{"mf, H unbound", mfSrc, "H", keys, `lang: read of unknown array "H"`, 0},
+		{"partial W writes, H unbound", partial, "H", keys, `lang: read of unknown array "H"`, 0},
+		{"short key, H unbound", mfSrc, "H", [][]int64{{3}}, `lang: read of unknown array "H"`, 0},
+		{"short key, W unbound", mfSrc, "W", [][]int64{{}}, `lang: read of unknown array "W"`, 0},
+		{"short key, all bound", mfSrc, "", [][]int64{{3}}, "lang: key subscript 2 out of range", 0},
+		{"write check before a read, W unbound", "for (key, rv) in ratings\n    W[W[1, key[1]], key[1]] = rv\nend\n",
+			"W", keys, `lang: write to unknown array "W"`, 1},
 	} {
 		loop, err := lang.Parse(tc.src)
 		if err != nil {
@@ -384,10 +389,14 @@ end
 		if err != nil {
 			t.Fatal(err)
 		}
+		chks := 0
 		for _, in := range p.code {
 			if in.op == opArrChk {
-				t.Fatalf("%s: a presence check was not folded", tc.name)
+				chks++
 			}
+		}
+		if chks != tc.chks {
+			t.Fatalf("%s: %d presence checks left unfolded, want %d", tc.name, chks, tc.chks)
 		}
 		m, k := lang.NewMachine(), p.NewKernel()
 		m.Globals["step_size"] = 0.01
