@@ -71,14 +71,15 @@ func censusPrograms(t *testing.T) map[string]string {
 // source order, "lanes" when it lowered lane-wise, else why not. No
 // committed loop is refused, and the corpus holds five reasons an inner
 // loop stays scalar. Counts move only with a deliberate change to the
-// lowering. Against the lowering before optimize, every count fell by
-// what its rewrites removed: a negated literal operand (-2 * diff) folds
-// into ArithCF instead of ConstF + MulF; CSE shares a repeated scalar,
+// lowering. Against a lowering that loaded each negated literal with its
+// own instruction and had no optimize, every count fell by what the
+// later changes removed: a negated literal operand (-2 * diff) reads its
+// own pin, which no instruction writes; CSE shares a repeated scalar,
 // such as a second read of a global; foldCheck drops each presence
 // check its access's miss path now runs; and fuseRows drops the c*v
 // temporary and the range store of each fused AxpyRow. MF went 23 → 13:
-// two folds, one shared -2*diff, one shared step_size, two checks, two
-// temporaries and two stores. No count rose. When elision and CSE moved
+// two literal loads, one shared -2*diff, one shared step_size, two
+// checks, two temporaries and two stores. No count rose. When elision and CSE moved
 // onto one analysis whose facts cross blocks, LDA went 42 → 41: the
 // sampling loop's bound K, loaded after the topic loop, is the value
 // p = zeros(K) loaded before it, which nothing in between writes.

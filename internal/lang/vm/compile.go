@@ -23,22 +23,22 @@ import (
 // reads, assignment right-hand sides are evaluated before target
 // checks, array nil checks precede subscript evaluation, and subscripts
 // evaluate in dimension order with lo before hi. Each emission site
-// below mirrors the corresponding compile*.go closure.
+// below mirrors the closure lang.CompileLoop builds for the same node
+// (internal/lang/compile.go). A literal lowers to its pin and emits no
+// code, so it keeps the order wherever it sits.
 
 type comp struct {
 	res  *lang.Resolution
 	loop *lang.Loop
 
-	code    []instr
-	consts  []float64
-	constIx map[uint64]int32
-	names   []string
-	nameIx  map[string]int32
-	infos   []opInfo
-	accs    []access
-	baccs   []bufAccess
-	axpys   []axpyInfo
-	pend    []instr
+	code   []instr
+	names  []string
+	nameIx map[string]int32
+	infos  []opInfo
+	accs   []access
+	baccs  []bufAccess
+	axpys  []axpyInfo
+	pend   []instr
 
 	// keyPin assigns each distinct literal key subscript a permanent
 	// register (between the locals and the statement temps) so a
@@ -93,7 +93,7 @@ func Compile(loop *lang.Loop, env *lang.CompileEnv) (p *Prog, err error) {
 	refused := map[int32]string{}
 	for c == nil || !c.optimize() {
 		c = &comp{res: res, loop: loop, code: make([]instr, 0, 64), names: make([]string, 0, 16),
-			constIx: map[uint64]int32{}, nameIx: make(map[string]int32, 16), keyPin: map[int64]int32{}, numPin: map[uint64]int32{},
+			nameIx: make(map[string]int32, 16), keyPin: map[int64]int32{}, numPin: map[uint64]int32{},
 			nFloatLoc: int32(res.NumFloat()), nVecLoc: int32(res.NumVec()), nBoolLoc: int32(res.NumBool()),
 			nGlob: int32(len(globals)), nArr: int32(len(arrays)), nBuf: int32(len(buffers)), refused: refused}
 		c.tempBase = c.nFloatLoc
@@ -106,7 +106,6 @@ func Compile(loop *lang.Loop, env *lang.CompileEnv) (p *Prog, err error) {
 	p = &Prog{
 		loop:        loop,
 		code:        c.code,
-		consts:      c.consts,
 		names:       c.names,
 		infos:       c.infos,
 		accs:        c.accs,
@@ -164,7 +163,7 @@ func (c *comp) patch(pc int, target int) {
 
 func (c *comp) here() int { return len(c.code) }
 
-// pinVal records one constant pin: a float register filled with a
+// pinVal records one number pin: a float register filled with a
 // literal's value when the kernel is built.
 type pinVal struct {
 	reg int32
@@ -181,8 +180,8 @@ func keyLitConst(n *lang.Num) (int64, bool) {
 
 // numLit reports whether e is a numeric literal or the negation of one,
 // and its value. Constant negation folds — -(c) is -c bitwise for
-// float64 — so a negated literal folds into an op wherever a literal
-// does, and like one evaluates to no code.
+// float64 — so a negated literal has its own pin and, like a literal,
+// evaluates to no code.
 func numLit(e lang.Expr) (float64, bool) {
 	switch x := e.(type) {
 	case *lang.Num:
@@ -197,23 +196,25 @@ func numLit(e lang.Expr) (float64, bool) {
 
 // collectKeyLits pre-assigns one pinned float register per distinct
 // literal key subscript in the body, and one per distinct numeric
-// literal. Pinned registers sit between the locals and the statement
-// temps and survive statement boundaries: one executed opKeyC serves
-// every dominated use of the same key literal — the key slice is fixed
-// for the whole iteration — and constant pins are written once at
-// kernel construction, so a literal operand costs no instruction at
-// all.
+// literal value, a negated literal's folded value included. Pinned
+// registers sit between the locals and the statement temps and survive
+// statement boundaries: one executed opKeyC serves every dominated use
+// of the same key literal — the key slice is fixed for the whole
+// iteration — and number pins are written once at kernel construction,
+// so a literal operand costs no instruction at all.
 func (c *comp) collectKeyLits(body []lang.Stmt) {
 	var visitExpr func(e lang.Expr)
 	visitExpr = func(e lang.Expr) {
-		switch x := e.(type) {
-		case *lang.Num:
-			key := math.Float64bits(x.Val)
+		if v, isNum := numLit(e); isNum {
+			key := math.Float64bits(v)
 			if _, have := c.numPin[key]; !have {
 				c.numPin[key] = c.tempBase
-				c.pinVals = append(c.pinVals, pinVal{reg: c.tempBase, val: x.Val})
+				c.pinVals = append(c.pinVals, pinVal{reg: c.tempBase, val: v})
 				c.tempBase++
 			}
+			return
+		}
+		switch x := e.(type) {
 		case *lang.UnOp:
 			visitExpr(x.X)
 		case *lang.BinOp:
@@ -287,15 +288,15 @@ func (c *comp) allocB() int32 {
 	return c.bTop - 1
 }
 
-func (c *comp) constIdx(v float64) int32 {
-	key := math.Float64bits(v)
-	if i, ok := c.constIx[key]; ok {
-		return i
+// pin returns the register collectKeyLits pinned literal value v to.
+// Every literal the lowering reaches was pinned, so a miss is a compiler
+// bug and panics rather than read whatever register 0 holds.
+func (c *comp) pin(v float64) int32 {
+	r, ok := c.numPin[math.Float64bits(v)]
+	if !ok {
+		panic(fmt.Sprintf("vm: literal %v has no pinned register", v))
 	}
-	i := int32(len(c.consts))
-	c.consts = append(c.consts, v)
-	c.constIx[key] = i
-	return i
+	return r
 }
 
 func (c *comp) nameIdx(n string) int32 {
@@ -381,25 +382,15 @@ func (c *comp) lowerStmt(st lang.Stmt) {
 			c.patch(jElse, c.here())
 		}
 	case *lang.ForRange:
-		// Literal bounds fold into opForInit (flag bits in d); constants
-		// evaluate to no code, so the lo-before-hi order is preserved.
-		var flags int32
-		bound := func(e lang.Expr, bit int32) int32 {
-			if v, isNum := numLit(e); isNum {
-				flags |= bit
-				return c.constIdx(v)
-			}
-			return c.lowerFloat(e)
-		}
-		lo := bound(s.Lo, 1)
-		hi := bound(s.Hi, 2)
+		lo := c.lowerFloat(s.Lo)
+		hi := c.lowerFloat(s.Hi)
 		slot, ok := c.res.FloatSlot(s.Var)
 		if !ok {
 			c.nc(s.At, "inner loop variable %q has no float slot", s.Var)
 		}
 		forID := c.nFor
 		c.nFor++
-		c.emit(opForInit, forID, lo, hi, flags, 0)
+		c.emit(opForInit, forID, lo, hi, 0, 0)
 		// A qualifying loop runs lane-wise unless its guard fails.
 		ln, why := c.laneFor(s, int32(slot), forID)
 		if c.forNotes = append(c.forNotes, why); ln != nil {
@@ -526,14 +517,7 @@ func (c *comp) lowerVecElemAssign(s *lang.Assign, t *lang.Index, slot int32) {
 }
 
 func (c *comp) lowerBufferWrite(s *lang.Assign, t *lang.Index, bi int32) {
-	// A literal value folds into the put; constants evaluate to no code,
-	// so skipping the register keeps the evaluation order.
-	op, rhs := opBufPutC, int32(0)
-	if v, isNum := numLit(s.Value); isNum {
-		rhs = c.constIdx(v)
-	} else {
-		op, rhs = opBufPut, c.lowerFloat(s.Value)
-	}
+	rhs := c.lowerFloat(s.Value)
 	c.check(opBufChk, bi, t.Base, 0)
 	subs := make([]int32, len(t.Subs))
 	for i, sub := range t.Subs {
@@ -546,7 +530,7 @@ func (c *comp) lowerBufferWrite(s *lang.Assign, t *lang.Index, bi int32) {
 		subs:    subs,
 		ii:      c.newIdx(len(subs)),
 	})
-	c.emit(op, int32(len(c.baccs)-1), rhs, 0, 0, 0)
+	c.emit(opBufPut, int32(len(c.baccs)-1), rhs, 0, 0, 0)
 }
 
 // newAccess evaluates the subscripts of x in dimension order into
@@ -593,13 +577,9 @@ func (c *comp) lowerArrayWrite(s *lang.Assign, t *lang.Index) {
 	}
 	sel := arithSel(s.Op[0]) // -1 for "="
 	hasRange := slices.ContainsFunc(t.Subs, func(e lang.Expr) bool { _, r := e.(*lang.RangeExpr); return r })
-	// The value evaluates before the presence check. A literal value
-	// folds into a point store; constants evaluate to no code, so skipping
-	// the register keeps the evaluation order.
+	// The value evaluates before the presence check.
 	op, rhs := opStPtF, int32(0)
-	switch v, isNum := numLit(s.Value); {
-	case !hasRange && isNum:
-		op, rhs = opStPtC, c.constIdx(v)
+	switch {
 	case !hasRange:
 		rhs = c.lowerFloat(s.Value)
 	case s.Op == "=":
@@ -637,14 +617,10 @@ func (c *comp) emitV(op opcode, b, cc, d, e int32) int32 {
 }
 
 func (c *comp) lowerFloat(e lang.Expr) int32 {
+	if v, isNum := numLit(e); isNum {
+		return c.pin(v)
+	}
 	switch x := e.(type) {
-	case *lang.Num:
-		// Literals live in pinned registers written at kernel
-		// construction; referencing one emits nothing.
-		if pin, ok := c.numPin[math.Float64bits(x.Val)]; ok {
-			return pin
-		}
-		return c.emitF(opConstF, c.constIdx(x.Val), 0, 0, 0)
 	case *lang.Ident:
 		if gs, isGlobal := c.globalOperand(x); isGlobal {
 			return c.emitF(opLoadG, int32(gs), c.nameIdx(x.Name), 0, 0)
@@ -656,28 +632,18 @@ func (c *comp) lowerFloat(e lang.Expr) int32 {
 		c.check(opChkF, int32(slot), x.Name, 0)
 		return int32(slot)
 	case *lang.UnOp:
-		if v, isNum := numLit(x); isNum {
-			return c.emitF(opConstF, c.constIdx(v), 0, 0, 0)
-		}
 		return c.emitF(opNegF, c.lowerFloat(x.X), 0, 0, 0)
 	case *lang.BinOp:
 		if len(x.Op) != 1 || arithSel(x.Op[0]) < 0 {
 			c.nc(x.At, "operator %q is not a scalar operator", x.Op)
 		}
 		sel := arithSel(x.Op[0])
-		// Fused operand shapes. Each keeps the unfused evaluation order:
-		// a constant "evaluates" to no code, so folding it into the op is
-		// order-neutral wherever it sits; a global folds where its check
-		// runs last anyway (right operand), or before a local's
-		// definedness check, the right operand's only code, which then
-		// runs after the op: computing with an undefined local's register
-		// cannot fault, and the check's fault leaves the result unread.
-		if v, isNum := numLit(x.R); isNum {
-			return c.emitF(opArithFC, c.lowerFloat(x.L), c.constIdx(v), sel, 0)
-		}
-		if v, isNum := numLit(x.L); isNum {
-			return c.emitF(opArithCF, c.lowerFloat(x.R), c.constIdx(v), sel, 0)
-		}
+		// Fused global operands. Each keeps the unfused evaluation order:
+		// a global folds where its check runs last anyway (right operand),
+		// or before a local's definedness check, the right operand's only
+		// code, which then runs after the op: computing with an undefined
+		// local's register cannot fault, and the check's fault leaves the
+		// result unread.
 		if gs, ok := c.globalOperand(x.R); ok {
 			return c.emitF(opArithFG, c.lowerFloat(x.L), int32(gs), sel, c.nameIdx(x.R.(*lang.Ident).Name))
 		}
@@ -742,22 +708,17 @@ func (c *comp) lowerFloatCall(x *lang.Call) int32 {
 		return c.emitF(opLenF, c.lowerVec(x.Args[0], vecConsume), 0, 0, 0)
 	case "min", "max":
 		a := c.lowerFloat(x.Args[0])
-		v, isNum := numLit(x.Args[1])
-		if !isNum {
-			return c.emitF(fnOps[x.Fn], a, c.lowerFloat(x.Args[1]), 0, 0)
-		}
-		// A literal second argument folds into the op (min before max in
-		// each pair of opcodes); NaN selection depends on operand order,
-		// so only this side fuses. When the first argument was a point
-		// load that just landed in a statement temp, the clamp folds into
-		// the load: no code runs between the two, so fault order is
-		// unchanged.
-		max := fnOps[x.Fn] - opMinF
+		b := c.lowerFloat(x.Args[1])
+		// When the first argument was a point load that just landed in a
+		// statement temp and the second emitted no code (a literal), the
+		// clamp folds into the load: no code runs between the two, so
+		// fault order is unchanged. NaN selection depends on operand
+		// order, so only this side fuses.
 		if n := len(c.code) - 1; a >= c.tempBase && c.code[n].op == opLdPtF && c.code[n].a == a {
-			c.code[n].op, c.code[n].c = opLdPtMinC+max, c.constIdx(v)
+			c.code[n].op, c.code[n].c = opLdPtMin+fnOps[x.Fn]-opMinF, b
 			return a
 		}
-		return c.emitF(opMinFC+max, a, c.constIdx(v), 0, 0)
+		return c.emitF(fnOps[x.Fn], a, b, 0, 0)
 	case "abs", "abs2", "sqrt", "exp", "log", "floor", "ceil", "sigmoid":
 		return c.emitF(fnOps[x.Fn], c.lowerFloat(x.Args[0]), 0, 0, 0)
 	}
@@ -877,9 +838,6 @@ func (c *comp) lowerCondJump(cond lang.Expr) int {
 	if x, ok := cond.(*lang.BinOp); ok {
 		if sel, ok := cmpSels[x.Op]; ok {
 			l := c.lowerFloat(x.L)
-			if v, isNum := numLit(x.R); isNum {
-				return c.emit(opJmpCmpNot, 0, l, c.constIdx(v), sel, 1)
-			}
 			return c.emit(opJmpCmpNot, 0, l, c.lowerFloat(x.R), sel, 0)
 		}
 	}
@@ -1057,9 +1015,10 @@ func (lc *laneComp) into(e lang.Expr, dst int32) {
 // expr lowers e to an operand — lane register o >= 0, or loop-invariant
 // scalar fr[^o] — and an op it emits last writes dst when dst >= 0.
 func (lc *laneComp) expr(e lang.Expr, dst int32) int32 {
+	if v, isNum := numLit(e); isNum {
+		return ^lc.c.pin(v)
+	}
 	switch x := e.(type) {
-	case *lang.Num:
-		return ^lc.c.numPin[math.Float64bits(x.Val)]
 	case *lang.Ident:
 		return lc.ident(x.Name)
 	case *lang.UnOp:

@@ -861,9 +861,9 @@ for key in data
     acc += g * h + g * h
 end
 `, ""},
-	// Literal point stores, plain and compound: a negated literal takes a
-	// constant but no register, so the constant table outgrows the float
-	// register file, and each StPtC reads its value from the constants.
+	// Literal point stores, plain and compound: every literal, negated
+	// ones included, has its own pin, and each point store reads the
+	// value from that pin.
 	{"const-stores", `array data 4 4
 array A 4 4
 ---

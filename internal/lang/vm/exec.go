@@ -12,7 +12,6 @@ import (
 // with vmFault and are recovered by RunIteration/RunBlock.
 func (k *Kernel) exec() {
 	code := k.p.code
-	consts := k.p.consts
 	names := k.p.names
 	infos := k.p.infos
 	fr := k.fr
@@ -31,9 +30,6 @@ func (k *Kernel) exec() {
 		case opHalt:
 			return
 
-		case opConstF:
-			fr[in.a] = consts[in.b]
-			pc++
 		case opMovF:
 			fr[in.a] = fr[in.b]
 			pc++
@@ -134,12 +130,6 @@ func (k *Kernel) exec() {
 		case opLoadGU:
 			fr[in.a] = gl[in.b]
 			pc++
-		case opArithFC:
-			fr[in.a] = arith(in.d, fr[in.b], consts[in.c])
-			pc++
-		case opArithCF:
-			fr[in.a] = arith(in.d, consts[in.c], fr[in.b])
-			pc++
 		case opArithFG:
 			if in.e >= 0 && !glDef[in.c] {
 				fail("lang: undefined variable %q", names[in.e])
@@ -163,22 +153,6 @@ func (k *Kernel) exec() {
 				fail("lang: undefined variable %q", names[in.e])
 			}
 			fr[in.a] = arith(in.d, gl[in.c], fr[in.b])
-			pc++
-		case opMinFC:
-			av, bv := fr[in.b], consts[in.c]
-			if av < bv {
-				fr[in.a] = av
-			} else {
-				fr[in.a] = bv
-			}
-			pc++
-		case opMaxFC:
-			av, bv := fr[in.b], consts[in.c]
-			if av < bv {
-				fr[in.a] = bv
-			} else {
-				fr[in.a] = av
-			}
 			pc++
 		case opVElemArith:
 			i := int64(fr[in.e])
@@ -404,7 +378,7 @@ func (k *Kernel) exec() {
 				fr[in.a] = k.ldPt(&k.p.accs[in.b])
 			}
 			pc++
-		case opLdPtMinC:
+		case opLdPtMin:
 			ra := &k.racc[in.b]
 			var av float64
 			if off, ok := ptOff(fr, ra); ok {
@@ -412,13 +386,13 @@ func (k *Kernel) exec() {
 			} else {
 				av = k.ldPt(&k.p.accs[in.b])
 			}
-			if bv := consts[in.c]; av < bv {
+			if bv := fr[in.c]; av < bv {
 				fr[in.a] = av
 			} else {
 				fr[in.a] = bv
 			}
 			pc++
-		case opLdPtMaxC:
+		case opLdPtMax:
 			ra := &k.racc[in.b]
 			var av float64
 			if off, ok := ptOff(fr, ra); ok {
@@ -426,7 +400,7 @@ func (k *Kernel) exec() {
 			} else {
 				av = k.ldPt(&k.p.accs[in.b])
 			}
-			if bv := consts[in.c]; av < bv {
+			if bv := fr[in.c]; av < bv {
 				fr[in.a] = bv
 			} else {
 				fr[in.a] = av
@@ -452,28 +426,6 @@ func (k *Kernel) exec() {
 				}
 			} else {
 				k.stPt(&k.p.accs[in.a], fr[in.b], in.c)
-			}
-			pc++
-		case opStPtC:
-			ra := &k.racc[in.a]
-			if off, ok := ptOff(fr, ra); ok {
-				data := ra.data
-				switch in.c {
-				case -1:
-					data[off] = consts[in.b]
-				case selAdd:
-					data[off] += consts[in.b]
-				case selSub:
-					data[off] -= consts[in.b]
-				case selMul:
-					data[off] *= consts[in.b]
-				case selDiv:
-					data[off] /= consts[in.b]
-				default:
-					data[off] = arith(in.c, data[off], consts[in.b])
-				}
-			} else {
-				k.stPt(&k.p.accs[in.a], consts[in.b], in.c)
 			}
 			pc++
 		case opRowViewV:
@@ -536,9 +488,6 @@ func (k *Kernel) exec() {
 		case opBufPut:
 			k.bufPut(&k.p.baccs[in.a], fr[in.b])
 			pc++
-		case opBufPutC:
-			k.bufPut(&k.p.baccs[in.a], consts[in.b])
-			pc++
 
 		case opJmp:
 			pc = int(in.a)
@@ -549,13 +498,7 @@ func (k *Kernel) exec() {
 				pc = int(in.a)
 			}
 		case opJmpCmpNot:
-			l := fr[in.b]
-			var r float64
-			if in.e != 0 {
-				r = consts[in.c]
-			} else {
-				r = fr[in.c]
-			}
+			l, r := fr[in.b], fr[in.c]
 			var taken bool
 			switch in.d {
 			case cmpEq:
@@ -577,16 +520,8 @@ func (k *Kernel) exec() {
 				pc = int(in.a)
 			}
 		case opForInit:
-			if in.d&1 != 0 {
-				ir[2*in.a] = int64(consts[in.b])
-			} else {
-				ir[2*in.a] = int64(fr[in.b])
-			}
-			if in.d&2 != 0 {
-				ir[2*in.a+1] = int64(consts[in.c])
-			} else {
-				ir[2*in.a+1] = int64(fr[in.c])
-			}
+			ir[2*in.a] = int64(fr[in.b])
+			ir[2*in.a+1] = int64(fr[in.c])
 			pc++
 		case opForCond:
 			v := ir[2*in.a]

@@ -76,18 +76,19 @@ const (
 func (r role) file() regFile { return regFile(r >> 4) }
 
 // roles is the def/use table: per opcode, the role of its fields a..e.
-// Access sites, buffer sites, AxpyRow shapes and lane loops, and the
-// fields whose role depends on another field, are added by operands; an
-// opcode without a row names no register in its fields.
+// Access sites, buffer sites, AxpyRow shapes and lane loops are added
+// by operands, which also drops the vector result of an AxpyRow that
+// stores; an opcode without a row names no register in its fields.
 var roles = func() (t [opLanes + 1][5]role) {
 	for _, g := range []struct {
 		ops []opcode
 		r   [5]role
 	}{
-		{[]opcode{opConstF, opRandF, opKeyC, opLdPtF, opLdPtMinC, opLdPtMaxC}, [5]role{wF}},
+		{[]opcode{opRandF, opKeyC, opLdPtF}, [5]role{wF}},
+		{[]opcode{opLdPtMin, opLdPtMax}, [5]role{wF, noReg, rF}},
 		{[]opcode{opLoadG, opLoadGU}, [5]role{wF, rG}},
 		{[]opcode{opMovF, opNegF, opAbsF, opAbs2F, opSqrtF, opExpF, opLogF, opFloorF, opCeilF, opSigmoidF,
-			opKeyF, opArithFC, opArithCF, opMinFC, opMaxFC}, [5]role{wF, rF}},
+			opKeyF}, [5]role{wF, rF}},
 		{[]opcode{opArithFG, opArithGF}, [5]role{wF, rF, rG}},
 		{[]opcode{opAddF, opSubF, opMulF, opDivF, opPowF, opMinF, opMaxF}, [5]role{wF, rF, rF}},
 		{[]opcode{opChkF}, [5]role{chk}},
@@ -95,7 +96,8 @@ var roles = func() (t [opLanes + 1][5]role) {
 		{[]opcode{opCompF}, [5]role{rwF | chk, rF}},
 		{[]opcode{opStoreG}, [5]role{wr | glob, rF}},
 		{[]opcode{opCompG}, [5]role{rwG, rF}},
-		{[]opcode{opStPtF, opRowUpdS, opBufPut, opJmpCmpNot}, [5]role{noReg, rF}},
+		{[]opcode{opStPtF, opRowUpdS, opBufPut}, [5]role{noReg, rF}},
+		{[]opcode{opJmpCmpNot, opForInit}, [5]role{noReg, rF, rF}},
 		{[]opcode{opConstB}, [5]role{wB}},
 		{[]opcode{opMovB}, [5]role{wB, rB}},
 		{[]opcode{opChkB}, [5]role{chk | boo}},
@@ -147,7 +149,7 @@ func (c *comp) operands(in *instr, visit func(f regFile, r *int32, def bool)) {
 		}
 	}
 	switch in.op {
-	case opBufPut, opBufPutC:
+	case opBufPut:
 		for d := range c.baccs[in.a].subs {
 			visit(fileF, &c.baccs[in.a].subs[d], false)
 		}
@@ -159,17 +161,6 @@ func (c *comp) operands(in *instr, visit func(f regFile, r *int32, def bool)) {
 		}
 		if ax.acc >= 0 {
 			rs[0] = noReg
-		}
-	case opJmpCmpNot:
-		if in.e == 0 {
-			rs[2] = rF
-		}
-	case opForInit:
-		if in.d&1 == 0 {
-			rs[1] = rF
-		}
-		if in.d&2 == 0 {
-			rs[2] = rF
 		}
 	case opLanes:
 		c.laneOperands(&c.lanes[in.a], visit)
@@ -242,9 +233,9 @@ func (c *comp) laneOperands(ln *laneLoop, visit func(f regFile, r *int32, def bo
 // writes it, or -1.
 func (c *comp) siteOf(in *instr) (site int32, write bool) {
 	switch in.op {
-	case opLdPtF, opLdPtMinC, opLdPtMaxC, opRowViewV, opRowMatV:
+	case opLdPtF, opLdPtMin, opLdPtMax, opRowViewV, opRowMatV:
 		return in.b, false
-	case opStPtF, opStPtC, opRowStV, opRowUpdS, opRowUpdV:
+	case opStPtF, opRowStV, opRowUpdS, opRowUpdV:
 		return in.a, true
 	case opAxpyRow:
 		return c.axpys[in.d].acc, true
@@ -254,15 +245,15 @@ func (c *comp) siteOf(in *instr) (site int32, write bool) {
 
 // pureScalar returns the key of in's value — its opcode and operands, in
 // with its destination and check cleared — when in computes a scalar
-// from fr registers, constants and globals alone, and whether it can also
-// be removed: it raises no fault (a global read that checks definedness
-// cannot). A global read is one value whether it checks or not.
+// from fr registers (literal pins included) and globals alone, and
+// whether it can also be removed: it raises no fault (a global read that
+// checks definedness cannot). A global read is one value whether it
+// checks or not.
 func pureScalar(in *instr) (k instr, removable, ok bool) {
 	k = instr{op: in.op, b: in.b, c: in.c, d: in.d}
 	switch in.op {
 	case opAddF, opSubF, opMulF, opDivF, opPowF, opMinF, opMaxF,
-		opNegF, opAbsF, opAbs2F, opSqrtF, opExpF, opLogF, opFloorF, opCeilF, opSigmoidF,
-		opArithFC, opArithCF, opMinFC, opMaxFC:
+		opNegF, opAbsF, opAbs2F, opSqrtF, opExpF, opLogF, opFloorF, opCeilF, opSigmoidF:
 		return k, true, true
 	case opLoadG, opLoadGU:
 		return instr{op: opLoadGU, b: in.b}, in.op == opLoadGU, true
@@ -277,9 +268,9 @@ func pureScalar(in *instr) (k instr, removable, ok bool) {
 // unobservable.
 func cannotFault(in *instr) bool {
 	switch in.op {
-	case opConstF, opMovF, opDefF, opAddF, opSubF, opMulF, opDivF, opPowF,
+	case opMovF, opDefF, opAddF, opSubF, opMulF, opDivF, opPowF,
 		opNegF, opAbsF, opAbs2F, opSqrtF, opExpF, opLogF, opFloorF, opCeilF, opSigmoidF,
-		opMinF, opMaxF, opLoadGU, opArithFC, opArithCF, opMinFC, opMaxFC, opLenF,
+		opMinF, opMaxF, opLoadGU, opLenF,
 		opConstB, opMovB, opDefB, opEqB, opNeB, opLtB, opLeB, opGtB, opGeB,
 		opDefV, opVBinVS, opVBinSV, opVNegV:
 		return true
@@ -463,7 +454,7 @@ func (f *flow) effects(in *instr) {
 		f.eff = append(f.eff, ^(f.arr + in.a))
 	case opBufChk:
 		f.eff = append(f.eff, ^(f.buf + in.a))
-	case opBufPut, opBufPutC:
+	case opBufPut:
 		f.eff = append(f.eff, ^(f.buf + c.baccs[in.a].bi))
 	}
 }

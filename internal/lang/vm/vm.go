@@ -33,8 +33,9 @@ type opcode uint16
 
 // One instruction: an opcode plus up to five register/table operands.
 // Register operands index the per-kind register files (fr/vr/br/ir);
-// table operands index Prog side tables (consts, names, infos, accs,
-// baccs, axpys) or hold jump targets.
+// table operands index Prog side tables (names, infos, accs, baccs,
+// axpys, pend, lanes) or hold jump targets. A literal is a register: a
+// pin NewKernel fills and no instruction writes.
 type instr struct {
 	op            opcode
 	a, b, c, d, e int32
@@ -44,7 +45,6 @@ const (
 	opHalt opcode = iota
 
 	// Scalar ops: operands are fr registers unless noted.
-	opConstF // fr[a] = consts[b]
 	opMovF   // fr[a] = fr[b]
 	opChkF   // fault unless flDef[a]; names[b]
 	opDefF   // flDef[a] = true
@@ -74,21 +74,17 @@ const (
 	opDotF  // fr[a] = dot(vr[b], vr[c])  (DotRows)
 
 	// Fused scalar superinstructions. The lowering emits these for the
-	// hot register/constant/global operand shapes of scalar-heavy inner
-	// loops (one dispatch instead of two), and optimize drops the checks
-	// it proves (LoadG becomes LoadGU); each is bitwise-identical to the
-	// unfused pair it replaces, including fault order and messages.
+	// hot key/global/load operand shapes of scalar-heavy inner loops (one
+	// dispatch instead of two), and optimize drops the checks it proves
+	// (LoadG becomes LoadGU); each is bitwise-identical to the unfused
+	// pair it replaces, including fault order and messages.
 	opKeyC       // fr[a] = float64(key[b-1] + 1), literal 1-based subscript b; c > 0 runs pend[c-1] before its fault
 	opLoadGU     // fr[a] = gl[b], definedness proven on every path (optimize)
-	opArithFC    // fr[a] = arith(d, fr[b], consts[c])
-	opArithCF    // fr[a] = arith(d, consts[c], fr[b])
 	opArithFG    // fr[a] = arith(d, fr[b], gl[c]); e >= 0 checks glDef[c] (names[e])
 	opArithGF    // fr[a] = arith(d, gl[c], fr[b]); e >= 0 checks glDef[c] (names[e])
-	opMinFC      // fr[a] = min(fr[b], consts[c])
-	opMaxFC      // fr[a] = max(fr[b], consts[c])
 	opVElemArith // fr[a] = arith(d, fr[b], vr[c][int64(fr[e])-1]) with bounds fault
-	opLdPtMinC   // fr[a] = min(point load accs[b], consts[c])
-	opLdPtMaxC   // fr[a] = max(point load accs[b], consts[c])
+	opLdPtMin    // fr[a] = min(point load accs[b], fr[c])
+	opLdPtMax    // fr[a] = max(point load accs[b], fr[c])
 
 	// Boolean ops: a is a br register.
 	opConstB // br[a] = (b != 0)
@@ -121,7 +117,6 @@ const (
 	opArrChk   // fault unless arrays[a] != nil; names[b], c selects read/write
 	opLdPtF    // fr[a] = point load through accs[b]  (SubscriptLoadF)
 	opStPtF    // point store accs[a] <- fr[b], arith c (< 0 plain)  (SubscriptStoreF)
-	opStPtC    // point store accs[a] <- consts[b], arith c (< 0 plain)
 	opRowViewV // vr[a] = zero-copy consume borrow of accs[b]
 	opRowMatV  // vr[a] = materialized range read of accs[b]
 	opRowStV   // range store accs[a] <- vr[b]
@@ -129,13 +124,12 @@ const (
 	opRowUpdV  // range compound accs[a] <- vr[b]
 	opBufChk   // fault unless buffers[a] != nil; names[b]
 	opBufPut   // baccs[a].Put(fr[b])
-	opBufPutC  // baccs[a].Put(consts[b])
 
 	// Control flow: absolute pc targets.
 	opJmp       // pc = a
 	opJmpIfNot  // pc = a unless br[b]
-	opJmpCmpNot // pc = a unless fr[b] cmp(d) rhs; e != 0 makes rhs consts[c], else fr[c]
-	opForInit   // ir[2a] = int64(fr[b]); ir[2a+1] = int64(fr[c]); d&1/d&2 make lo/hi consts
+	opJmpCmpNot // pc = a unless fr[b] cmp(d) fr[c]
+	opForInit   // ir[2a] = int64(fr[b]); ir[2a+1] = int64(fr[c])
 	opForCond   // loop a: bind float local b and continue, or pc = c
 	opForNext   // ir[2a]++; then bind float local d and pc = b, or pc = c
 	opLanes     // after opForInit: run lanes[a] and leave by the next opForCond's exit, or pc++ if its guard fails
@@ -327,16 +321,15 @@ type laneOp struct {
 type Prog struct {
 	loop *lang.Loop
 
-	code   []instr
-	consts []float64
-	names  []string
-	infos  []opInfo
-	accs   []access
-	baccs  []bufAccess
-	axpys  []axpyInfo
-	pend   []instr  // presence checks folded past an opKeyC (its c is 1 + index)
-	pins   []pinVal // constant pins, written once per kernel
-	lanes  []laneLoop
+	code  []instr
+	names []string
+	infos []opInfo
+	accs  []access
+	baccs []bufAccess
+	axpys []axpyInfo
+	pend  []instr  // presence checks folded past an opKeyC (its c is 1 + index)
+	pins  []pinVal // number pins, written once per kernel
+	lanes []laneLoop
 	// forNotes says per inner for loop, in source order, why it has no
 	// lane-wise form ("" when it has one).
 	forNotes []string
@@ -416,7 +409,7 @@ type dimWin struct{ lo, hi, stride int64 }
 // NewKernel allocates a kernel instance with empty bindings.
 func (p *Prog) NewKernel() *Kernel {
 	k := &Kernel{p: p}
-	// Constant pins are loaded once here; no program instruction writes
+	// Number pins are loaded once here; no program instruction writes
 	// them, so every literal operand reads its register for free. The
 	// one register past the program's is the unit register (rtAcc).
 	k.fr = make([]float64, p.nFReg+1)

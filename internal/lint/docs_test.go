@@ -20,11 +20,13 @@ import (
 // is a method of driver.Session, and every flag of an `orion-<name> …`
 // command in their code is one cmd/orion-<name> defines, DESIGN.md's
 // flight-event "Kinds" table lists exactly the obs.FlightKind
-// constants, every ORNxxx code the documents or diag's package comment
-// name is a diag.Code* constant's value, and README's diagnostics table
-// has a row for every such constant. Deleting a target, a committed
-// file, a command, a method, a flag, a kind or a code — or adding a kind
-// or a code — then fails here until the documents follow.
+// constants and its VM instruction-set table exactly the opcodes of
+// internal/lang/vm, every ORNxxx code the documents or diag's package
+// comment name is a diag.Code* constant's value, and README's
+// diagnostics table has a row for every such constant. Deleting a
+// target, a committed file, a command, a method, a flag, a kind, an
+// opcode or a code — or adding a kind, an opcode or a code — then fails
+// here until the documents follow.
 func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	const root = "../.."
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -120,6 +122,57 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	if documented := flightKindRows(string(design)); !slices.Equal(documented, defined) {
 		t.Errorf("DESIGN.md's flight-event table lists the kinds\n  %v\ninternal/obs defines the FlightKind constants\n  %v", documented, defined)
 	}
+	if documented, defined := opcodeRows(string(design)), vmOpcodes(t, root); !slices.Equal(documented, defined) {
+		t.Errorf("DESIGN.md's VM instruction-set table lists the opcodes\n  %v\ninternal/lang/vm defines\n  %v", documented, defined)
+	}
+}
+
+// vmOpcodes returns, sorted and without their op prefix, the names of
+// the const block that declares internal/lang/vm's opcodes.
+func vmOpcodes(t *testing.T, root string) []string {
+	var ops []string
+	for _, f := range nonTestFiles(t, root, "./internal/lang/vm") {
+		for _, decl := range f.Decls {
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok || gen.Tok != token.CONST || len(gen.Specs) == 0 {
+				continue
+			}
+			if typ, ok := gen.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident); !ok || typ.Name != "opcode" {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					ops = append(ops, strings.TrimPrefix(name.Name, "op"))
+				}
+			}
+		}
+	}
+	if len(ops) == 0 {
+		t.Fatal("no opcode constants found in internal/lang/vm")
+	}
+	slices.Sort(ops)
+	return ops
+}
+
+// opcodeRows returns, sorted, every opcode a code span in the second
+// cell of a row of the table under DESIGN.md's "Bytecode VM instruction
+// set" names; an ellipsis names none.
+func opcodeRows(design string) []string {
+	_, section, _ := strings.Cut(design, "## Bytecode VM instruction set")
+	section, _, _ = strings.Cut(section, "\n## ")
+	opName := regexp.MustCompile(`^[A-Z][A-Za-z0-9]*$`)
+	var ops []string
+	for _, row := range regexp.MustCompile("(?m)^\\|[^|\n]*\\|([^|\n]*)\\|").FindAllStringSubmatch(section, -1) {
+		for _, span := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(row[1], -1) {
+			for _, op := range strings.Fields(span[1]) {
+				if opName.MatchString(op) {
+					ops = append(ops, op)
+				}
+			}
+		}
+	}
+	slices.Sort(ops)
+	return ops
 }
 
 // diagCodes returns the values of internal/diag's Code* constants and
