@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test loc benchmark-module race chaos soak bench-smoke exec-gate vm-gate vm-gate-mf vm-count resident-gate trace-smoke adapt-smoke vet-examples fuzz golden-plans golden-plans-check
+.PHONY: check fmt vet lint build test loc benchmark-module race chaos soak bench-smoke exec-gate vm-gate vm-gate-mf vm-count resident-gate trace-smoke adapt-smoke vet-examples fuzz golden-plans golden-plans-check figures-check
 
-check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate vm-gate-mf vm-count resident-gate trace-smoke adapt-smoke vet-examples golden-plans-check
+check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate vm-gate-mf vm-count resident-gate trace-smoke adapt-smoke vet-examples golden-plans-check figures-check
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -68,7 +68,7 @@ soak:
 	ORION_SOAK=1 $(GO) test -race -run 'ChaosSoak' -v ./internal/driver
 
 # One iteration of every benchmark — catches bit-rotted benchmark code
-# without paying for real measurement. internal/bench is not here: its
+# without paying for real measurement. internal/gates is not here: its
 # benchmarks are the live gates below, which exec-gate, vm-gate and
 # resident-gate run.
 bench-smoke:
@@ -81,7 +81,7 @@ bench-smoke:
 # The served leg does the same for loops whose model array is a
 # parameter-server array: W-only 1D MF with H served, and buffered SLR.
 exec-gate:
-	$(GO) test -run '^$$' -bench '(Executor|Served)VsDirectKernel$$' -benchtime 1x ./internal/bench
+	$(GO) test -run '^$$' -bench '(Executor|Served)VsDirectKernel$$' -benchtime 1x ./internal/gates
 
 # The MF and LDA bodies on the VM against the same bodies written as Go
 # loops over a copy of the same storage, bitwise-checked; MF (its updates
@@ -91,10 +91,10 @@ exec-gate:
 # for a CPU, while the LDA leg reads 3.0-4.5x and crossed its bar in 3
 # of 80 runs, before and after MF's updates fused.
 vm-gate:
-	$(GO) test -run '^$$' -bench 'VMVsGoKernel$$' -benchtime 1x ./internal/bench
+	$(GO) test -run '^$$' -bench 'VMVsGoKernel$$' -benchtime 1x ./internal/gates
 
 vm-gate-mf:
-	$(GO) test -run '^$$' -bench 'VMVsGoKernel/mf$$' -benchtime 1x ./internal/bench
+	$(GO) test -run '^$$' -bench 'VMVsGoKernel/mf$$' -benchtime 1x ./internal/gates
 
 # The VM's work held to a count: instructions dispatched per iteration of
 # each benchmark body, counted by the per-opcode tally only a vmcount
@@ -110,7 +110,7 @@ vm-count:
 # when every call re-shipped the ratings; the bar was 1.5x while every
 # call still distributed and gathered the model arrays).
 resident-gate:
-	$(GO) test -run '^$$' -bench 'ResidentCallVsMultiPass$$' -benchtime 1x ./internal/bench
+	$(GO) test -run '^$$' -bench 'ResidentCallVsMultiPass$$' -benchtime 1x ./internal/gates
 
 # End-to-end flight-recorder smoke: a 2-worker MF run over real TCP
 # sockets with tracing, report export, and the flight log on, then
@@ -149,6 +149,18 @@ golden-plans:
 # Gate: fail when the compiled plans drift from their committed goldens.
 golden-plans-check:
 	$(GO) test ./internal/plan -run TestGolden
+
+# Gate: every simulated table and figure `orion-bench -exp all` prints
+# must match the committed bench_default_output.txt line for line, apart
+# from the "(<id> in <N>s)" timing lines. A change that moves a number
+# fails here until the file is regenerated and the diff explained.
+figures-check:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	untimed() { grep -vE '^\([a-z0-9-]+ in [0-9.]+s\)$$' "$$1"; }; \
+	$(GO) run ./cmd/orion-bench -exp all > "$$dir/out.txt" && \
+	untimed bench_default_output.txt > "$$dir/want.txt" && \
+	untimed "$$dir/out.txt" > "$$dir/got.txt" && \
+	diff -u "$$dir/want.txt" "$$dir/got.txt"
 
 # Short fuzzing sessions over the DSL front end, the plan-artifact
 # decoders, the symbolic dependence tier (soundness vs the brute-force

@@ -9,6 +9,7 @@ import (
 	"os"
 	"time"
 
+	"orion/examples"
 	"orion/internal/check"
 	"orion/internal/data"
 	"orion/internal/diag"
@@ -17,73 +18,6 @@ import (
 	"orion/internal/lang"
 	"orion/internal/obs"
 	"orion/internal/runtime"
-)
-
-// DSL renditions of the three parameter-server applications (the same
-// loop bodies shipped in examples/). No Go kernels: the driver
-// analyzes, plans, and ships each body to the executors, which run it
-// on the bytecode VM.
-const (
-	mfDSL = `
-for (key, rv) in ratings
-    W_row = W[:, key[1]]
-    H_row = H[:, key[2]]
-    pred = dot(W_row, H_row)
-    diff = rv - pred
-    W_grad = -2 * diff * H_row
-    H_grad = -2 * diff * W_row
-    W[:, key[1]] = W_row - step_size * W_grad
-    H[:, key[2]] = H_row - step_size * H_grad
-    err += abs2(diff)
-end
-`
-	ldaDSL = `
-for (key, occ) in tokens
-    zi = z[key[1], key[2]]
-    doc_topic[zi, key[1]] -= 1
-    word_topic[zi, key[2]] -= 1
-    tot_buf[zi] -= 1
-
-    p = zeros(K)
-    total = 0
-    for k = 1:K
-        nd = max(doc_topic[k, key[1]], 0)
-        nw = max(word_topic[k, key[2]], 0)
-        nt = max(totals[k], 1)
-        p[k] = (nd + alpha) * (nw + beta) / (nt + vbeta)
-        total = total + p[k]
-    end
-
-    u = rand() * total
-    chosen = 0
-    acc = 0
-    for k = 1:K
-        acc = acc + p[k]
-        if chosen == 0
-            if u <= acc
-                chosen = k
-            end
-        end
-    end
-    if chosen == 0
-        chosen = K
-    end
-
-    doc_topic[chosen, key[1]] += 1
-    word_topic[chosen, key[2]] += 1
-    tot_buf[chosen] += 1
-    z[key[1], key[2]] = chosen
-end
-`
-	slrDSL = `
-for (key, v) in samples
-    idx = floor(v * 100) + 1
-    w = weights[idx]
-    margin = w * v
-    g = sigmoid(margin) - 1
-    w_buf[idx] += 0 - step_size * g
-end
-`
 )
 
 // config collects run's knobs (one per flag).
@@ -181,7 +115,7 @@ func run(cfg config) error {
 	}
 
 	var (
-		src        string
+		program    string
 		metric     func() float64
 		metricName string
 	)
@@ -197,7 +131,7 @@ func run(cfg config) error {
 		sess.CreateArray("W", true, rank, rows).FillRandn(rng, 1.0/rank)
 		sess.CreateArray("H", true, rank, cols).FillRandn(rng, 1.0)
 		sess.SetGlobal("step_size", 0.02)
-		src, metricName = mfDSL, "rmse"
+		program, metricName = examples.MF, "rmse"
 		metric = func() float64 {
 			r, w, h := sess.Array("ratings"), sess.Array("W"), sess.Array("H")
 			var sum float64
@@ -246,7 +180,7 @@ func run(cfg config) error {
 		sess.SetGlobal("alpha", 0.5)
 		sess.SetGlobal("beta", 0.1)
 		sess.SetGlobal("vbeta", 0.1*vocab)
-		src, metricName = ldaDSL, "log-likelihood"
+		program, metricName = examples.LDA, "log-likelihood"
 		metric = func() float64 {
 			dt, wt, totals := sess.Array("doc_topic"), sess.Array("word_topic"), sess.Array("totals")
 			var ll float64
@@ -275,7 +209,7 @@ func run(cfg config) error {
 			return err
 		}
 		sess.SetGlobal("step_size", 0.05)
-		src, metricName = slrDSL, "weights L2"
+		program, metricName = examples.SLR, "weights L2"
 		metric = func() float64 {
 			var sum float64
 			sess.Array("weights").ForEach(func(_ []int64, v float64) { sum += v * v })
@@ -285,6 +219,13 @@ func run(cfg config) error {
 	default:
 		return fmt.Errorf("unknown -app %q (mf | lda | slr)", app)
 	}
+	// Only the loop ships: the arrays and globals it names were created
+	// above, at this run's sizes, whatever the file's preamble declares.
+	prog, err := lang.ParseProgram(program)
+	if err != nil {
+		return err
+	}
+	src := prog.LoopSrc
 
 	if cfg.CkptDir != "" {
 		if err := resumeFromCheckpoint(os.Stderr, sess, app, src, cfg.CkptDir); err != nil {

@@ -7,8 +7,20 @@ import (
 	"strings"
 	"testing"
 
+	"orion/examples"
+	"orion/internal/lang"
 	"orion/internal/runtime"
 )
+
+// mfLoop is the loop source orion-run ships for -app mf.
+func mfLoop(t *testing.T) string {
+	t.Helper()
+	prog, err := lang.ParseProgram(examples.MF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.LoopSrc
+}
 
 // A worker dying mid-loop must surface as a positioned ORN301
 // diagnostic plus a non-nil (→ non-zero exit) error, never as a
@@ -16,7 +28,7 @@ import (
 func TestRenderWorkerLostDiagnostic(t *testing.T) {
 	lost := fmt.Errorf("runtime: executor 1 connection failed (EOF): %w", runtime.ErrWorkerLost)
 	var buf bytes.Buffer
-	err := renderWorkerLost(&buf, "mf", mfDSL, lost)
+	err := renderWorkerLost(&buf, "mf", mfLoop(t), lost)
 	if err == nil {
 		t.Fatal("renderWorkerLost returned nil for a lost worker")
 	}
@@ -40,7 +52,7 @@ func TestRenderWorkerLostDiagnostic(t *testing.T) {
 func TestRenderWorkerLostPassthrough(t *testing.T) {
 	plain := errors.New("some planning failure")
 	var buf bytes.Buffer
-	if err := renderWorkerLost(&buf, "mf", mfDSL, plain); err != plain {
+	if err := renderWorkerLost(&buf, "mf", mfLoop(t), plain); err != plain {
 		t.Fatalf("non-worker-lost error rewritten: %v", err)
 	}
 	if buf.Len() != 0 {

@@ -9,52 +9,18 @@
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 	"math"
 
 	"orion/internal/data"
 	"orion/internal/driver"
+	"orion/internal/lang"
 )
 
-const ldaDSL = `
-for (key, occ) in tokens
-    zi = z[key[1], key[2]]
-    doc_topic[zi, key[1]] -= 1
-    word_topic[zi, key[2]] -= 1
-    tot_buf[zi] -= 1
-
-    p = zeros(K)
-    total = 0
-    for k = 1:K
-        nd = max(doc_topic[k, key[1]], 0)
-        nw = max(word_topic[k, key[2]], 0)
-        nt = max(totals[k], 1)
-        p[k] = (nd + alpha) * (nw + beta) / (nt + vbeta)
-        total = total + p[k]
-    end
-
-    u = rand() * total
-    chosen = 0
-    acc = 0
-    for k = 1:K
-        acc = acc + p[k]
-        if chosen == 0
-            if u <= acc
-                chosen = k
-            end
-        end
-    end
-    if chosen == 0
-        chosen = K
-    end
-
-    doc_topic[chosen, key[1]] += 1
-    word_topic[chosen, key[2]] += 1
-    tot_buf[chosen] += 1
-    z[key[1], key[2]] = chosen
-end
-`
+//go:embed lda.orion
+var ldaProgram string
 
 const (
 	docs   = 120
@@ -102,7 +68,11 @@ func main() {
 	sess.SetGlobal("beta", 0.1)
 	sess.SetGlobal("vbeta", 0.1*vocab)
 
-	_, _, plan, err := sess.PlanOf(ldaDSL)
+	prog, err := lang.ParseProgram(ldaProgram)
+	if err != nil {
+		log.Fatal(err)
+	}
+	_, _, plan, err := sess.PlanOf(prog.LoopSrc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,7 +81,7 @@ func main() {
 
 	fmt.Println("\npass  log-likelihood (higher is better)")
 	for pass := 1; pass <= passes; pass++ {
-		if _, err := sess.ParallelFor(ldaDSL); err != nil {
+		if _, err := sess.ParallelFor(prog.LoopSrc); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%4d  %.1f\n", pass, logLik(sess))

@@ -1,0 +1,16 @@
+// Package examples embeds the committed programs cmd/orion-run runs, so
+// each has one copy: editing a .orion file changes every front door.
+package examples
+
+import _ "embed"
+
+// MF, LDA and SLR are quickstart/mf.orion, lda_dsl/lda.orion and
+// slr_prefetch/slr.orion.
+var (
+	//go:embed quickstart/mf.orion
+	MF string
+	//go:embed lda_dsl/lda.orion
+	LDA string
+	//go:embed slr_prefetch/slr.orion
+	SLR string
+)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 	"math/rand"
@@ -20,19 +21,8 @@ import (
 	"orion/internal/sched"
 )
 
-const mfProgram = `
-for (key, rv) in ratings
-    W_row = W[:, key[1]]
-    H_row = H[:, key[2]]
-    pred = dot(W_row, H_row)
-    diff = rv - pred
-    W_grad = -2 * diff * H_row
-    H_grad = -2 * diff * W_row
-    W[:, key[1]] = W_row - step_size * W_grad
-    H[:, key[2]] = H_row - step_size * H_grad
-    err += abs2(diff)
-end
-`
+//go:embed mf.orion
+var mfProgram string
 
 func main() {
 	const (
@@ -56,17 +46,14 @@ func main() {
 	w.FillRandn(rng, 1.0/rank)
 	h.FillRandn(rng, 1.0)
 
-	// 2. @parallel_for: parse the loop and statically analyze it.
-	loop, err := lang.Parse(mfProgram)
+	// 2. @parallel_for: parse the program (mf.orion declares the arrays
+	// above) and statically analyze its loop.
+	prog, err := lang.ParseProgram(mfProgram)
 	if err != nil {
 		log.Fatal(err)
 	}
-	env := &lang.Env{Arrays: map[string][]int64{
-		"ratings": {rows, cols},
-		"W":       {rank, rows},
-		"H":       {rank, cols},
-	}}
-	spec, err := lang.Analyze(loop, env)
+	loop := prog.Loop
+	spec, err := lang.Analyze(loop, prog.Env)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,7 +114,7 @@ func main() {
 	fmt.Println("pass  accumulated err")
 	var prevErr float64
 	for pass := 1; pass <= passes; pass++ {
-		if _, err := sess.ParallelFor(mfProgram); err != nil {
+		if _, err := sess.ParallelFor(prog.LoopSrc); err != nil {
 			log.Fatal(err)
 		}
 		total, err := sess.Accumulate("err")

@@ -201,51 +201,6 @@ func TestSLRAdaRevBeatsPlainSGDUnderDataParallelism(t *testing.T) {
 	}
 }
 
-func TestGBTConverges(t *testing.T) {
-	ds := data.NewRegression(data.RegressionConfig{Samples: 500, Features: 10, Noise: 0.1, Seed: 9})
-	g := NewGBT(ds, 30, 3, 16, 0.3)
-	g.Train()
-	mse := g.MSE()
-	// Variance of Y is ~ sum of rule values' variance; the ensemble
-	// must explain most of it.
-	var vy float64
-	my := mean(ds.Y)
-	for _, y := range ds.Y {
-		vy += (y - my) * (y - my)
-	}
-	vy /= float64(len(ds.Y))
-	if mse > 0.4*vy {
-		t.Fatalf("GBT mse %v vs label variance %v", mse, vy)
-	}
-}
-
-func TestGBTParallelDeterministic(t *testing.T) {
-	ds := data.NewRegression(data.RegressionConfig{Samples: 300, Features: 8, Noise: 0.1, Seed: 9})
-	g1 := NewGBT(ds, 10, 3, 16, 0.3)
-	g1.Workers = 1
-	g1.Train()
-	g4 := NewGBT(ds, 10, 3, 16, 0.3)
-	g4.Workers = 4
-	g4.Train()
-	for i := range ds.X {
-		if g1.Predict(ds.X[i]) != g4.Predict(ds.X[i]) {
-			t.Fatalf("parallel split search must be deterministic (sample %d)", i)
-		}
-	}
-}
-
-func TestGBTPlansAs1D(t *testing.T) {
-	ds := data.NewRegression(data.RegressionConfig{Samples: 100, Features: 8, Noise: 0.1, Seed: 9})
-	g := NewGBT(ds, 1, 2, 8, 0.3)
-	p, err := sched.New(g.LoopSpec(), sched.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Kind != sched.Independent && p.Kind != sched.OneD {
-		t.Fatalf("GBT split search should be 1D/independent, got %v", p.Kind)
-	}
-}
-
 func TestTable2Strategies(t *testing.T) {
 	// The Table 2 "Parallelizations" column: what the analyzer picks
 	// for each app.
@@ -260,5 +215,15 @@ func TestTable2Strategies(t *testing.T) {
 	slr := slrApp(optim.NewSGD(0.05))
 	if p, _ := sched.New(slr.LoopSpec(), sched.DefaultOptions()); p.Kind != sched.Independent {
 		t.Errorf("SLR: %v, want independent (data parallelism)", p.Kind)
+	}
+}
+
+func TestGBTPlansAs1D(t *testing.T) {
+	p, err := sched.New(GBTSplitSearch(8), sched.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Kind != sched.Independent && p.Kind != sched.OneD {
+		t.Fatalf("GBT split search should be 1D/independent, got %v", p.Kind)
 	}
 }

@@ -1,310 +1,17 @@
 package apps
 
-import (
-	"runtime"
-	"sort"
-	"sync"
+import "orion/internal/ir"
 
-	"orion/internal/data"
-	"orion/internal/ir"
-)
-
-// GBT is gradient boosted regression trees with histogram-based split
-// finding. Per Table 2, its per-tree split search loop iterates over
-// features, each feature's histogram and best split independent of the
-// others — 1D parallelization. Unlike the SGD apps it is not a
-// parameter-server workload, so it trains through its own driver rather
-// than the engine interface; the loop IR is still provided for the
-// analyzer (Table 2's strategy column).
-type GBT struct {
-	X [][]float64
-	Y []float64
-
-	NumTrees int
-	Depth    int
-	Bins     int
-	LR       float64
-	// Workers bounds split-search parallelism (0 = GOMAXPROCS).
-	Workers int
-
-	trees []tree
-	bias  float64
-
-	binEdges [][]float64 // per feature
-	binned   [][]uint8   // [sample][feature]
-}
-
-type tree struct {
-	nodes []node
-}
-
-type node struct {
-	feature int
-	bin     uint8
-	value   float64 // leaf value
-	left    int
-	right   int
-	leaf    bool
-}
-
-// NewGBT builds a trainer.
-func NewGBT(ds *data.Regression, trees, depth, bins int, lr float64) *GBT {
-	g := &GBT{X: ds.X, Y: ds.Y, NumTrees: trees, Depth: depth, Bins: bins, LR: lr}
-	g.computeBins()
-	return g
-}
-
-func (g *GBT) computeBins() {
-	nf := len(g.X[0])
-	n := len(g.X)
-	g.binEdges = make([][]float64, nf)
-	g.binned = make([][]uint8, n)
-	for i := range g.binned {
-		g.binned[i] = make([]uint8, nf)
-	}
-	for f := 0; f < nf; f++ {
-		// Quantile edges from a sorted copy.
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = g.X[i][f]
-		}
-		sort.Float64s(vals)
-		edges := make([]float64, g.Bins-1)
-		for b := 1; b < g.Bins; b++ {
-			edges[b-1] = vals[n*b/g.Bins]
-		}
-		g.binEdges[f] = edges
-		for i := 0; i < n; i++ {
-			g.binned[i][f] = uint8(findBin(edges, g.X[i][f]))
-		}
-	}
-}
-
-func findBin(edges []float64, v float64) int {
-	lo, hi := 0, len(edges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v > edges[mid] {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Train runs the boosting loop. workers parallelizes the per-feature
-// split search (the Table 2 "1D" loop) with real goroutines — results
-// are deterministic because features are independent and the reduction
-// is a fixed-order argmin.
-func (g *GBT) Train() {
-	n := len(g.Y)
-	g.bias = mean(g.Y)
-	pred := make([]float64, n)
-	for i := range pred {
-		pred[i] = g.bias
-	}
-	grad := make([]float64, n)
-	g.trees = nil
-	for t := 0; t < g.NumTrees; t++ {
-		for i := range grad {
-			grad[i] = g.Y[i] - pred[i] // residual for squared loss
-		}
-		tr := g.fitTree(grad)
-		g.trees = append(g.trees, tr)
-		for i := range pred {
-			pred[i] += g.LR * g.evalTree(tr, g.binned[i])
-		}
-	}
-}
-
-type split struct {
-	feature int
-	bin     int
-	gain    float64
-}
-
-// fitTree grows one regression tree level by level.
-func (g *GBT) fitTree(grad []float64) tree {
-	n := len(grad)
-	nodeOf := make([]int, n) // sample -> current leaf node index
-	t := tree{nodes: []node{{leaf: true, value: mean(grad)}}}
-	frontier := []int{0}
-	for d := 0; d < g.Depth && len(frontier) > 0; d++ {
-		// Samples grouped by frontier node.
-		groups := make(map[int][]int)
-		for i := 0; i < n; i++ {
-			nd := nodeOf[i]
-			if containsInt(frontier, nd) {
-				groups[nd] = append(groups[nd], i)
-			}
-		}
-		var next []int
-		for _, nd := range frontier {
-			samples := groups[nd]
-			if len(samples) < 4 {
-				continue
-			}
-			best := g.bestSplit(samples, grad)
-			if best.gain <= 1e-12 {
-				continue
-			}
-			li, ri := len(t.nodes), len(t.nodes)+1
-			var lsum, rsum float64
-			var lcnt, rcnt int
-			for _, i := range samples {
-				if int(g.binned[i][best.feature]) <= best.bin {
-					lsum += grad[i]
-					lcnt++
-				} else {
-					rsum += grad[i]
-					rcnt++
-				}
-			}
-			if lcnt == 0 || rcnt == 0 {
-				continue
-			}
-			t.nodes = append(t.nodes,
-				node{leaf: true, value: lsum / float64(lcnt)},
-				node{leaf: true, value: rsum / float64(rcnt)})
-			t.nodes[nd] = node{feature: best.feature, bin: uint8(best.bin), left: li, right: ri}
-			for _, i := range samples {
-				if int(g.binned[i][best.feature]) <= best.bin {
-					nodeOf[i] = li
-				} else {
-					nodeOf[i] = ri
-				}
-			}
-			next = append(next, li, ri)
-		}
-		frontier = next
-	}
-	return t
-}
-
-// bestSplit evaluates every feature's histogram in parallel (the 1D
-// loop) and returns the argmax-gain split.
-func (g *GBT) bestSplit(samples []int, grad []float64) split {
-	nf := len(g.binEdges)
-	workers := g.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nf {
-		workers = nf
-	}
-	results := make([]split, nf)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for f := w; f < nf; f += workers {
-				results[f] = g.bestSplitForFeature(f, samples, grad)
-			}
-		}(w)
-	}
-	wg.Wait()
-	best := split{feature: -1, gain: 0}
-	for f := 0; f < nf; f++ {
-		if results[f].gain > best.gain {
-			best = results[f]
-		}
-	}
-	return best
-}
-
-func (g *GBT) bestSplitForFeature(f int, samples []int, grad []float64) split {
-	sum := make([]float64, g.Bins)
-	cnt := make([]float64, g.Bins)
-	var total, totalCnt float64
-	for _, i := range samples {
-		b := g.binned[i][f]
-		sum[b] += grad[i]
-		cnt[b]++
-		total += grad[i]
-		totalCnt++
-	}
-	parentScore := total * total / totalCnt
-	best := split{feature: f, gain: 0}
-	var ls, lc float64
-	for b := 0; b < g.Bins-1; b++ {
-		ls += sum[b]
-		lc += cnt[b]
-		rs, rc := total-ls, totalCnt-lc
-		if lc == 0 || rc == 0 {
-			continue
-		}
-		gain := ls*ls/lc + rs*rs/rc - parentScore
-		if gain > best.gain {
-			best.gain = gain
-			best.bin = b
-		}
-	}
-	return best
-}
-
-func (g *GBT) evalTree(t tree, binnedRow []uint8) float64 {
-	nd := 0
-	for !t.nodes[nd].leaf {
-		n := t.nodes[nd]
-		if binnedRow[n.feature] <= n.bin {
-			nd = n.left
-		} else {
-			nd = n.right
-		}
-	}
-	return t.nodes[nd].value
-}
-
-// Predict evaluates the ensemble on a feature vector.
-func (g *GBT) Predict(x []float64) float64 {
-	binned := make([]uint8, len(x))
-	for f := range x {
-		binned[f] = uint8(findBin(g.binEdges[f], x[f]))
-	}
-	out := g.bias
-	for _, t := range g.trees {
-		out += g.LR * g.evalTree(t, binned)
-	}
-	return out
-}
-
-// MSE returns the mean squared training error.
-func (g *GBT) MSE() float64 {
-	var s float64
-	for i := range g.Y {
-		e := g.Predict(g.X[i]) - g.Y[i]
-		s += e * e
-	}
-	return s / float64(len(g.Y))
-}
-
-func mean(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// LoopSpec returns the split-search loop IR: iterating over features,
-// each reading its own histogram column and writing its own best-split
-// slot — 1D parallelizable (Table 2).
-func (g *GBT) LoopSpec() *ir.LoopSpec {
+// GBTSplitSearch returns the split-search loop record of gradient
+// boosted regression trees with histogram-based split finding: the loop
+// iterates over features, each reading its own histogram column and
+// writing its own best-split slot — 1D parallelizable (Table 2). Nothing
+// trains trees; Table 2 reads only the analyzer's verdict on this loop.
+func GBTSplitSearch(features int64) *ir.LoopSpec {
 	return &ir.LoopSpec{
 		Name:           "gbt_split_search",
 		IterSpaceArray: "features",
-		Dims:           []int64{int64(len(g.binEdges))},
+		Dims:           []int64{features},
 		Ordered:        false,
 		Inherited:      []string{"grad", "samples"},
 		Refs: []ir.ArrayRef{

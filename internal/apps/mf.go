@@ -1,9 +1,9 @@
 // Package apps implements the ML training applications of Table 2:
 // SGD matrix factorization (plain and AdaRev), sparse logistic
-// regression (plain and AdaRev), LDA via collapsed Gibbs sampling, and
-// gradient boosted trees. Each app provides the serial kernel, the loop
-// IR for Orion's static analysis, parameter-table declarations, and a
-// loss metric.
+// regression (plain and AdaRev), and LDA via collapsed Gibbs sampling.
+// Each app provides the serial kernel, the loop IR for Orion's static
+// analysis, parameter-table declarations, and a loss metric. Gradient
+// boosted trees is only a loop record (GBTSplitSearch).
 package apps
 
 import (

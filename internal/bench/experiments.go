@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"orion/internal/apps"
-	"orion/internal/data"
 	"orion/internal/engine"
 	"orion/internal/ir"
 	"orion/internal/metrics"
@@ -23,7 +22,6 @@ func Table2(s Scale) (*Report, error) {
 	slr := slrApp(s, optim.NewSGD(s.SLRLR))
 	slrA := slrApp(s, optim.NewAdaRev(s.AdaRevLR))
 	lda := ldaApp(s.LDASmall, s)
-	gbt := newGBT(s)
 
 	entries := []struct {
 		acronym, model, algo, paperLoC string
@@ -34,7 +32,7 @@ func Table2(s Scale) (*Report, error) {
 		{"SLR", "Sparse Logistic Regression", "SGD", "118", mustKind(slr.LoopSpec())},
 		{"SLR AdaRev", "Sparse Logistic Regression", "SGD w/ Adaptive Revision", "143", mustKind(slrA.LoopSpec())},
 		{"LDA", "Latent Dirichlet Allocation", "Collapsed Gibbs Sampling", "398", mustKind(lda.LoopSpec())},
-		{"GBT", "Gradient Boosted Tree", "Gradient Boosting", "695", mustKind(gbt.LoopSpec())},
+		{"GBT", "Gradient Boosted Tree", "Gradient Boosting", "695", mustKind(apps.GBTSplitSearch(s.GBTFeatures))},
 	}
 	var rows [][]string
 	for _, e := range entries {
@@ -242,10 +240,4 @@ func mustKind(spec *ir.LoopSpec) sched.Kind {
 		return sched.NotParallelizable
 	}
 	return p.Kind
-}
-
-// newGBT builds the GBT trainer at a scale (the analyzer only needs its
-// loop spec for Table 2; GBT trains through its own driver).
-func newGBT(s Scale) *apps.GBT {
-	return apps.NewGBT(data.NewRegression(s.GBT), 5, 3, 16, 0.3)
 }

@@ -37,7 +37,8 @@ type Scale struct {
 	SLRPasses int
 	SLRLR     float64
 
-	GBT data.RegressionConfig
+	// GBTFeatures is the feature count of GBT's split-search loop.
+	GBTFeatures int64
 
 	// Workers is the full-cluster worker count used by most
 	// experiments (the paper's "12 machines, 384 workers" point).
@@ -71,7 +72,7 @@ func Small() Scale {
 		SLRPasses: 4,
 		SLRLR:     0.05,
 
-		GBT: data.RegressionConfig{Samples: 300, Features: 8, Noise: 0.1, Seed: 9},
+		GBTFeatures: 8,
 
 		Workers:          16,
 		WorkerSweep:      []int{1, 2, 4, 8, 16},
@@ -101,7 +102,7 @@ func Default() Scale {
 		SLRPasses: 8,
 		SLRLR:     0.02,
 
-		GBT: data.RegressionConfig{Samples: 2000, Features: 16, Noise: 0.1, Seed: 9},
+		GBTFeatures: 16,
 
 		Workers:          48,
 		WorkerSweep:      []int{1, 2, 4, 8, 16, 32, 48},

@@ -201,52 +201,3 @@ func NewLogistic(cfg LogisticConfig) *Logistic {
 	}
 	return l
 }
-
-// RegressionConfig describes a synthetic tabular regression dataset for
-// gradient boosted trees.
-type RegressionConfig struct {
-	Samples  int
-	Features int
-	Noise    float64
-	Seed     int64
-}
-
-// Regression is a generated dense tabular regression dataset with
-// piecewise (tree-friendly) structure.
-type Regression struct {
-	X [][]float64
-	Y []float64
-}
-
-// NewRegression draws features uniformly and labels with a random
-// depth-3 decision structure plus noise.
-func NewRegression(cfg RegressionConfig) *Regression {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	r := &Regression{}
-	// Random axis-aligned rules.
-	type rule struct {
-		f int
-		t float64
-		v float64
-	}
-	rules := make([]rule, 8)
-	for i := range rules {
-		rules[i] = rule{f: rng.Intn(cfg.Features), t: rng.Float64(), v: rng.NormFloat64() * 2}
-	}
-	for s := 0; s < cfg.Samples; s++ {
-		x := make([]float64, cfg.Features)
-		for i := range x {
-			x[i] = rng.Float64()
-		}
-		var y float64
-		for _, ru := range rules {
-			if x[ru.f] > ru.t {
-				y += ru.v
-			}
-		}
-		y += rng.NormFloat64() * cfg.Noise
-		r.X = append(r.X, x)
-		r.Y = append(r.Y, y)
-	}
-	return r
-}

@@ -173,32 +173,3 @@ func TestLogisticLabelsFollowPlantedModel(t *testing.T) {
 		t.Fatalf("labels agree with planted model only %d/2000 times", agree)
 	}
 }
-
-func TestRegressionStructure(t *testing.T) {
-	ds := NewRegression(RegressionConfig{Samples: 500, Features: 6, Noise: 0.01, Seed: 6})
-	if len(ds.X) != 500 || len(ds.Y) != 500 {
-		t.Fatal("shapes wrong")
-	}
-	var vy float64
-	var my float64
-	for _, y := range ds.Y {
-		my += y
-	}
-	my /= 500
-	for _, y := range ds.Y {
-		vy += (y - my) * (y - my)
-	}
-	if vy/500 < 0.1 {
-		t.Fatalf("labels nearly constant (var %v): no structure to learn", vy/500)
-	}
-	for _, x := range ds.X {
-		if len(x) != 6 {
-			t.Fatal("feature width wrong")
-		}
-		for _, v := range x {
-			if v < 0 || v > 1 {
-				t.Fatalf("feature %v outside [0,1]", v)
-			}
-		}
-	}
-}

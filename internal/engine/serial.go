@@ -34,13 +34,7 @@ func RunSerial(app App, cfg Config) *Result {
 			app.Process(app.SampleAt(i), master, rng)
 		}
 		clock.Advance(cfg.Cluster.ComputeTime(passFlops))
-		res.Time = append(res.Time, clock.Now())
-		res.Bytes = append(res.Bytes, 0)
-		if cfg.SkipLoss {
-			res.Loss = append(res.Loss, 0)
-		} else {
-			res.Loss = append(res.Loss, app.Loss(master.Tables()))
-		}
+		recordPass(res, &clock, 0, app, master, cfg)
 	}
 	return res
 }

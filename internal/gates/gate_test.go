@@ -1,4 +1,8 @@
-package bench
+// Package gates holds the live ratio gates: benchmarks that time the
+// real runtime against a direct baseline in the same run and fail above
+// a bar. It has no non-test code; `make exec-gate`, `vm-gate`,
+// `vm-gate-mf` and `resident-gate` run it, `go test ./...` does not.
+package gates
 
 import (
 	"math"

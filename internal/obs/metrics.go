@@ -32,33 +32,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a metric that can go up and down (e.g. live connections).
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current gauge value (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // histBuckets is the number of power-of-two histogram buckets: bucket
 // i counts observations v with bits.Len64(v) == i, i.e. bucket 0 holds
 // v == 0, bucket i holds v in [2^(i-1), 2^i).
@@ -155,7 +128,6 @@ type PeerStats struct {
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	peers      map[string]*PeerStats
 }
@@ -167,7 +139,6 @@ var Default = NewRegistry()
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
 		peers:      map[string]*PeerStats{},
 	}
@@ -184,19 +155,6 @@ func (r *Registry) GetCounter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// GetGauge returns the gauge with the given name, creating it on
-// first use.
-func (r *Registry) GetGauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // GetHistogram returns the histogram with the given name, creating it
@@ -227,9 +185,6 @@ func (r *Registry) GetPeer(label string) *PeerStats {
 
 // GetCounter returns a counter from the default registry.
 func GetCounter(name string) *Counter { return Default.GetCounter(name) }
-
-// GetGauge returns a gauge from the default registry.
-func GetGauge(name string) *Gauge { return Default.GetGauge(name) }
 
 // GetHistogram returns a histogram from the default registry.
 func GetHistogram(name string) *Histogram { return Default.GetHistogram(name) }
@@ -271,9 +226,6 @@ func (r *Registry) Snapshot() map[string]any {
 	for name, c := range r.counters {
 		out[name] = c.Value()
 	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
 	for name, h := range r.histograms {
 		out[name] = map[string]any{
 			"count": h.Count(),
@@ -305,9 +257,6 @@ func (r *Registry) Names() []string {
 	defer r.mu.Unlock()
 	var names []string
 	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
 		names = append(names, n)
 	}
 	for n := range r.histograms {

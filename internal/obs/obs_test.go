@@ -191,7 +191,6 @@ func TestHistogram(t *testing.T) {
 func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.GetCounter("kernel.iterations").Add(500)
-	r.GetGauge("workers.live").Set(4)
 	r.GetHistogram("rotation.wait.ns").Observe(12345)
 	p := r.GetPeer("exec1/ring")
 	p.MsgsSent.Add(10)
@@ -206,9 +205,6 @@ func TestRegistrySnapshot(t *testing.T) {
 	if snap["kernel.iterations"] != int64(500) {
 		t.Fatalf("counter snapshot = %v", snap["kernel.iterations"])
 	}
-	if snap["workers.live"] != int64(4) {
-		t.Fatalf("gauge snapshot = %v", snap["workers.live"])
-	}
 	hist := snap["rotation.wait.ns"].(map[string]any)
 	if hist["count"] != int64(1) {
 		t.Fatalf("histogram snapshot = %v", hist)
@@ -220,7 +216,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 
 	names := r.Names()
-	want := []string{"kernel.iterations", "rotation.wait.ns", "workers.live"}
+	want := []string{"kernel.iterations", "rotation.wait.ns"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
 	}

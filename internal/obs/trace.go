@@ -1,6 +1,6 @@
 // Package obs is Orion's zero-dependency observability layer: a
 // low-overhead span tracer emitting Chrome trace-event JSON (loadable
-// in Perfetto or chrome://tracing), a counters/gauges/histograms
+// in Perfetto or chrome://tracing), a counters/histograms
 // registry exported via expvar plus an optional HTTP endpoint with
 // pprof wired in, and the per-loop execution report the runtime fills
 // in (compute vs. rotation-wait vs. communication per worker).
