@@ -44,10 +44,12 @@ benchmark-module:
 
 # The runtime, driver, engine, observability, and kernel-compilation
 # packages exercise executors, rotation pipelines, trace buffers, and
-# the simulator concurrently — run them under the race detector.
+# the simulator concurrently, and dsm's concurrent-reader test holds
+# that no read of an array writes to it — run them under the race
+# detector.
 race:
 	$(GO) test -race ./internal/runtime/... ./internal/driver ./internal/engine \
-		./internal/dslkernel/... ./internal/obs
+		./internal/dslkernel/... ./internal/obs ./internal/dsm
 
 # The seeded fault-injection suite: scripted connection failures at
 # chosen loop clocks, recovery from coordinated checkpoints, bitwise

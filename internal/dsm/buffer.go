@@ -1,6 +1,9 @@
 package dsm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ApplyUDF merges one buffered update into a DistArray element. It is
 // executed atomically per element when a buffer is flushed, enabling
@@ -14,19 +17,23 @@ func AddUDF(current, update float64) float64 { return current + update }
 // Buffer is a DistArray Buffer: a per-worker write-back buffer whose
 // writes are exempt from dependence analysis. Writes accumulate locally
 // and are applied to the backing DistArray later via the apply UDF.
+//
+// It is a slot table: the combined update of offs[i] is upd[i], in
+// first-write order, found through an Index — direct over a dense
+// target's offsets, hashed over a sparse one's. Flush resets only the
+// slots it used, so a buffer in steady use allocates nothing.
 type Buffer struct {
-	array   string
-	dims    []int64
-	udf     ApplyUDF
-	pending map[int64]float64 // flattened index -> combined update
-	order   []int64           // first-write order for deterministic flush
+	shape *DistArray // the target's name and extents, no storage
+	udf   ApplyUDF
+	offs  []int64
+	upd   []float64
+	idx   Index
 	// MaxBuffered, when > 0, bounds how many distinct elements may be
 	// buffered before Put reports that a flush is required ("The
 	// application program may optionally bound how long the writes can
 	// be buffered").
 	MaxBuffered int
 	writes      int64
-	flat        func(idx []int64) int64
 }
 
 // NewBuffer creates a buffer for the given DistArray.
@@ -34,15 +41,11 @@ func NewBuffer(a *DistArray, udf ApplyUDF) *Buffer {
 	if udf == nil {
 		udf = AddUDF
 	}
-	return &Buffer{
-		array:   a.Name(),
-		dims:    a.Dims(),
-		udf:     udf,
-		pending: make(map[int64]float64),
-		flat: func(idx []int64) int64 {
-			return a.Flatten(idx...)
-		},
+	b := &Buffer{shape: newArray(a.name, a.dims), udf: udf}
+	if a.IsDense() {
+		b.idx = Index{table: make([]int32, len(a.dense)), direct: true} // over [0, len)
 	}
+	return b
 }
 
 // Put buffers an update for one element. Multiple updates to the same
@@ -51,41 +54,39 @@ func NewBuffer(a *DistArray, udf ApplyUDF) *Buffer {
 // It returns true when the buffer has reached MaxBuffered and should be
 // flushed.
 func (b *Buffer) Put(update float64, idx ...int64) bool {
-	off := b.flat(idx)
-	if _, ok := b.pending[off]; !ok {
-		b.order = append(b.order, off)
+	off := b.shape.flattenFrom(-1, 0, idx)
+	if i := b.idx.Slot(off, b.offs); i >= 0 {
+		b.upd[i] += update
+	} else {
+		// 0 + update, as a first += into a map stores: a first -0
+		// update flushes as +0.
+		b.offs, b.upd = append(b.offs, off), append(b.upd, 0+update)
+		b.idx.Add(b.offs)
 	}
-	b.pending[off] += update
 	b.writes++
-	return b.MaxBuffered > 0 && len(b.pending) >= b.MaxBuffered
+	return b.MaxBuffered > 0 && len(b.offs) >= b.MaxBuffered
 }
 
 // Len returns the number of distinct buffered elements.
-func (b *Buffer) Len() int { return len(b.pending) }
+func (b *Buffer) Len() int { return len(b.offs) }
 
 // Writes returns the total number of Put calls since the last flush.
 func (b *Buffer) Writes() int64 { return b.writes }
 
 // Flush applies all buffered updates to the array via the UDF, in
 // first-write order, and clears the buffer. Returns the number of
-// elements updated.
+// elements updated. The array must have the buffer's name and extents:
+// the buffered offsets are flattened with them.
 func (b *Buffer) Flush(a *DistArray) int {
-	if a.Name() != b.array {
-		panic(fmt.Sprintf("dsm: flushing buffer of %q into %q", b.array, a.Name()))
+	if a.name != b.shape.name || !slices.Equal(a.dims, b.shape.dims) {
+		panic(fmt.Sprintf("dsm: flushing buffer of %q %v into %q %v", b.shape.name, b.shape.dims, a.name, a.dims))
 	}
-	n := 0
-	for _, off := range b.order {
-		u, ok := b.pending[off]
-		if !ok {
-			continue
-		}
-		idx := a.Unflatten(off)
-		cur := a.At(idx...)
-		a.SetAt(b.udf(cur, u), idx...)
-		n++
+	for i, off := range b.offs {
+		a.setOff(off, b.udf(a.atOff(off), b.upd[i]))
 	}
-	b.pending = make(map[int64]float64)
-	b.order = b.order[:0]
+	n := len(b.offs)
+	b.idx.Reset(b.offs)
+	b.offs, b.upd = b.offs[:0], b.upd[:0]
 	b.writes = 0
 	return n
 }

@@ -15,7 +15,6 @@ package dsm
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 )
 
 // DistArray is an N-dimensional array of float64.
@@ -24,7 +23,7 @@ type DistArray struct {
 	dims   []int64
 	stride []int64 // stride[0] == 1; stride[i] = stride[i-1]*dims[i-1]
 	dense  []float64
-	sparse map[int64]float64 // flattened index -> value, nil for dense
+	sparse *columns // nil for dense
 	// version counts in-place writes to a sparse array. setOff, AddAt,
 	// Map and MapIndex are the only ones: a sparse array hands out no
 	// live view of its storage.
@@ -64,7 +63,7 @@ func NewDenseFrom(name string, data []float64, dim int, lo, hi int64, dims ...in
 // NewSparse creates a sparse DistArray of the given extents.
 func NewSparse(name string, dims ...int64) *DistArray {
 	a := newArray(name, dims)
-	a.sparse = make(map[int64]float64)
+	a.sparse = &columns{}
 	return a
 }
 
@@ -113,7 +112,7 @@ func (a *DistArray) Len() int {
 	if a.IsDense() {
 		return len(a.dense)
 	}
-	return len(a.sparse)
+	return a.sparse.nnz
 }
 
 // Flatten converts an index tuple to the flattened offset.
@@ -179,7 +178,7 @@ func (a *DistArray) atOff(off int64) float64 {
 	if a.IsDense() {
 		return a.dense[off]
 	}
-	return a.sparse[off]
+	return a.sparse.get(off)
 }
 
 func (a *DistArray) setOff(off int64, v float64) {
@@ -188,11 +187,7 @@ func (a *DistArray) setOff(off int64, v float64) {
 		return
 	}
 	a.version++
-	if v == 0 {
-		delete(a.sparse, off)
-		return
-	}
-	a.sparse[off] = v
+	a.sparse.set(off, v)
 }
 
 // AddAt accumulates into one element.
@@ -202,13 +197,7 @@ func (a *DistArray) AddAt(v float64, idx ...int64) {
 		a.dense[off] += v
 		return
 	}
-	a.version++
-	nv := a.sparse[off] + v
-	if nv == 0 {
-		delete(a.sparse, off)
-		return
-	}
-	a.sparse[off] = nv
+	a.setOff(off, a.sparse.get(off)+v) // 0 + v when absent
 }
 
 // Vec is a full-first-dimension set query A[:, rest...]: it returns the
@@ -221,10 +210,9 @@ func (a *DistArray) Vec(rest ...int64) []float64 {
 	}
 	if !a.IsDense() {
 		out := make([]float64, a.dims[0])
-		idx := append([]int64{0}, rest...)
-		for i := int64(0); i < a.dims[0]; i++ {
-			idx[0] = i
-			out[i] = a.sparse[a.Flatten(idx...)]
+		base := a.Flatten(append([]int64{0}, rest...)...)
+		for i := range out {
+			out[i] = a.sparse.get(base + int64(i))
 		}
 		return out
 	}
@@ -277,16 +265,11 @@ func (a *DistArray) ForEachUntil(f func(idx []int64, v float64) bool) {
 		}
 		return
 	}
-	offs := make([]int64, 0, len(a.sparse))
-	for off := range a.sparse {
-		offs = append(offs, off)
-	}
-	slices.Sort(offs)
-	for i, off := range offs {
-		if !visit(i, off, a.sparse[off]) {
-			return
-		}
-	}
+	i := 0
+	a.sparse.walk(func(off int64, v float64) bool {
+		i++
+		return visit(i-1, off, v)
+	})
 }
 
 // Entries returns the sparse entries (offset order) as parallel slices.
@@ -305,10 +288,7 @@ func (a *DistArray) Clone() *DistArray {
 		out.dense = append([]float64(nil), a.dense...)
 		return out
 	}
-	out.sparse = make(map[int64]float64, len(a.sparse))
-	for k, v := range a.sparse {
-		out.sparse[k] = v
-	}
+	out.sparse = a.sparse.clone()
 	return out
 }
 
@@ -332,17 +312,15 @@ func (a *DistArray) Map(f func(v float64) float64) {
 		return
 	}
 	a.version++
-	for k, v := range a.sparse {
-		nv := f(v)
-		if nv == 0 {
-			delete(a.sparse, k)
-			continue
+	for i, v := range a.sparse.vals {
+		if v != 0 {
+			a.sparse.put(int32(i), f(v))
 		}
-		a.sparse[k] = nv
 	}
 }
 
-// MapIndex applies f(idx, v) to every stored element in place.
+// MapIndex applies f(idx, v) to every stored element in place; in a
+// sparse array, a zero result deletes the element as a zero write does.
 func (a *DistArray) MapIndex(f func(idx []int64, v float64) float64) {
 	if a.IsDense() {
 		for off := range a.dense {
@@ -351,8 +329,10 @@ func (a *DistArray) MapIndex(f func(idx []int64, v float64) float64) {
 		return
 	}
 	a.version++
-	for k, v := range a.sparse {
-		a.sparse[k] = f(a.Unflatten(k), v)
+	for i, v := range a.sparse.vals {
+		if v != 0 {
+			a.sparse.put(int32(i), f(a.Unflatten(a.sparse.offs[i]), v))
+		}
 	}
 }
 
@@ -374,7 +354,13 @@ func (a *DistArray) CoordCounts(dims ...int) [][]int64 {
 			}
 		}
 	}
-	for off := range a.sparse {
+	if a.IsDense() {
+		return out
+	}
+	for i, off := range a.sparse.offs {
+		if a.sparse.vals[i] == 0 {
+			continue
+		}
 		for k, d := range dims {
 			out[k][(off/a.stride[d])%a.dims[d]]++
 		}

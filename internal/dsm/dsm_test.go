@@ -380,10 +380,10 @@ func TestSerializeRoundTrip(t *testing.T) {
 }
 
 // TestDecodeRejectsPayloadsOffTheirExtents: a blob whose dense payload
-// does not fill its extents, or whose extents are not positive, decodes
-// to an error — through DecodeArray, DecodePartition and, behind a good
-// partition, DecodePartitions — not to an array that faults on its last
-// element.
+// does not fill its extents, whose sparse offsets lie outside them, or
+// whose extents are not positive, decodes to an error — through
+// DecodeArray, DecodePartition and, behind a good partition,
+// DecodePartitions — not to an array that faults on its last element.
 func TestDecodeRejectsPayloadsOffTheirExtents(t *testing.T) {
 	good := NewDense("w", 4, 4).ExtractRange(1, 0, 2).wire()
 	for name, w := range map[string]wireArray{
@@ -391,6 +391,8 @@ func TestDecodeRejectsPayloadsOffTheirExtents(t *testing.T) {
 		"long dense payload":  {Name: "w", Dims: []int64{4, 4}, Dense: make([]float64, 17)},
 		"zero extent":         {Name: "w", Dims: []int64{4, 0}, Sparse: map[int64]float64{}},
 		"no extents":          {Name: "w", Sparse: map[int64]float64{0: 1}},
+		"offset past extents": {Name: "w", Dims: []int64{4, 4}, Sparse: map[int64]float64{3: 1, 16: 1}},
+		"negative offset":     {Name: "w", Dims: []int64{4, 4}, Sparse: map[int64]float64{-1: 1}},
 	} {
 		part := wirePartition{Array: "w", Hi: 4, Local: w}
 		for codec, decode := range map[string]func() error{
@@ -461,34 +463,126 @@ func TestBufferMaxBuffered(t *testing.T) {
 	}
 }
 
-// Property: flushing a buffer with the Add UDF is equivalent to having
-// applied every write directly.
+// Property: a buffer is the map it replaced — each element's combined
+// update is 0 + its updates in order (a first -0 update flushes as
+// +0), handed to the UDF in first-write order, bitwise, across flushes
+// that reuse its slots, over a dense target and a sparse one — and
+// flushing with the Add UDF is equivalent to having applied every write
+// directly.
 func TestBufferEquivalenceProperty(t *testing.T) {
-	f := func(writes []uint16, vals []int8) bool {
-		n := len(writes)
-		if len(vals) < n {
-			n = len(vals)
-		}
-		direct := NewDense("w", 64)
-		buffered := NewDense("w", 64)
-		buf := NewBuffer(buffered, nil)
-		for i := 0; i < n; i++ {
-			idx := int64(writes[i] % 64)
-			v := float64(vals[i])
-			direct.AddAt(v, idx)
-			buf.Put(v, idx)
-		}
-		buf.Flush(buffered)
-		for i := int64(0); i < 64; i++ {
-			if math.Abs(direct.At(i)-buffered.At(i)) > 1e-9 {
+	bits := math.Float64bits
+	for _, tc := range []struct {
+		name   string
+		mk     func() *DistArray
+		spread int64 // offsets are spread*k, k < 64
+	}{
+		{"dense", func() *DistArray { return NewDense("w", 64) }, 1},
+		{"sparse", func() *DistArray { return NewSparse("w", 1<<20) }, 16411},
+	} {
+		f := func(writes []uint16, vals []int8, cycle uint8) bool {
+			n := min(len(writes), len(vals))
+			every := 1 + int(cycle%24) // writes per flush
+			direct, buffered := tc.mk(), tc.mk()
+			model := &mapModel{m: map[int64]float64{}}
+			var got []float64
+			buf := NewBuffer(buffered, func(cur, u float64) float64 {
+				got = append(got, u)
+				return cur + u
+			})
+			pending, order := map[int64]float64{}, []int64(nil)
+			flush := func() bool {
+				got = got[:0]
+				if buf.Flush(buffered) != len(order) || buf.Len() != 0 || buf.Writes() != 0 || len(got) != len(order) {
+					return false
+				}
+				for i, off := range order {
+					if bits(got[i]) != bits(pending[off]) {
+						return false
+					}
+					model.set(off, model.m[off]+pending[off])
+				}
+				clear(pending)
+				order = order[:0]
+				for off := int64(0); off < 64*tc.spread; off += tc.spread {
+					if bits(buffered.AtFlat(off)) != bits(model.m[off]) {
+						return false
+					}
+				}
+				return buffered.IsDense() || buffered.Len() == len(model.m)
+			}
+			for i := 0; i < n; i++ {
+				off := int64(writes[i]%64) * tc.spread
+				v := float64(vals[i]) / 4
+				if vals[i] == math.MinInt8 {
+					v = math.Copysign(0, -1)
+				}
+				direct.AddAt(v, off)
+				buf.Put(v, off)
+				if _, ok := pending[off]; !ok {
+					order = append(order, off)
+				}
+				pending[off] += v
+				if (i+1)%every == 0 && !flush() {
+					return false
+				}
+			}
+			if !flush() {
 				return false
 			}
+			for off := int64(0); off < 64*tc.spread; off += tc.spread {
+				if math.Abs(direct.AtFlat(off)-buffered.AtFlat(off)) > 1e-9 {
+					return false
+				}
+			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+}
+
+// TestBufferPutFlushAllocFree: a buffer in steady use — the same
+// elements buffered and flushed pass after pass — allocates nothing,
+// over a dense target and a sparse one.
+func TestBufferPutFlushAllocFree(t *testing.T) {
+	for _, a := range []*DistArray{NewDense("w", 1<<16), NewSparse("z", 1<<30)} {
+		b := NewBuffer(a, nil)
+		n := int64(a.dims[0])
+		pass := func() {
+			for i := int64(0); i < 2000; i++ {
+				b.Put(0.5, i*7919%n)
+			}
+			b.Flush(a)
+		}
+		pass() // the first pass grows the slot table and inserts the sparse target's elements
+		if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+			t.Errorf("%s: Put and Flush allocate %v times per pass, want 0", a.Name(), allocs)
+		}
+		if got, want := a.AtFlat(7919), 0.5*22; got != want { // AllocsPerRun warms up with a pass of its own
+			t.Errorf("%s: element 7919 = %v after 22 passes, want %v", a.Name(), got, want)
+		}
 	}
+}
+
+// TestBufferFlushRefusesOtherExtents: the buffer flattens offsets with
+// its own array's strides, so flushing into a same-named array of other
+// extents would update the wrong coordinates; it panics naming both
+// and writes nothing.
+func TestBufferFlushRefusesOtherExtents(t *testing.T) {
+	b := NewBuffer(NewDense("w", 4, 8), nil)
+	b.Put(1, 3, 5)
+	other := NewDense("w", 8, 4)
+	defer func() {
+		want := `dsm: flushing buffer of "w" [4 8] into "w" [8 4]`
+		if r := recover(); r != want {
+			t.Errorf("Flush into other extents: %v, want %q", r, want)
+		}
+		if d, _ := other.DenseData(); slices.ContainsFunc(d, func(v float64) bool { return v != 0 }) {
+			t.Error("Flush into other extents wrote to the array")
+		}
+	}()
+	b.Flush(other)
 }
 
 func TestBuilderFusedPipeline(t *testing.T) {
@@ -664,6 +758,33 @@ func TestCoordCountsAllocsIndependentOfCount(t *testing.T) {
 		}
 		if allocs > 3 {
 			t.Errorf("%s: CoordCounts allocates %v times, want at most 3", tc.name, allocs)
+		}
+	}
+}
+
+// TestSparseForEachAllocsIndependentOfCount: a sparse walk's
+// allocations do not grow with the element count — with the columns
+// merged and with a tail of unmerged inserts to sort.
+func TestSparseForEachAllocsIndependentOfCount(t *testing.T) {
+	count := func(nnz int, tail bool) float64 {
+		a := NewSparse("ratings", 300, 200)
+		rng := rand.New(rand.NewSource(3))
+		for a.Len() < nnz {
+			a.SetAt(rng.Float64()+1, rng.Int63n(300), rng.Int63n(200))
+		}
+		a.sparse.merge()
+		for k := 0; tail && k < mergeMin; k++ {
+			a.SetAt(rng.Float64()+1, rng.Int63n(300), rng.Int63n(200))
+		}
+		if got := len(a.sparse.offs) > a.sparse.sorted; got != tail {
+			t.Fatalf("%d elements: tail = %v, want %v", nnz, got, tail)
+		}
+		var sum float64
+		return testing.AllocsPerRun(5, func() { a.ForEach(func(_ []int64, v float64) { sum += v }) })
+	}
+	for _, tail := range []bool{false, true} {
+		if small, large := count(200, tail), count(20000, tail); small != large {
+			t.Errorf("tail %v: ForEach allocates %v times over 200 elements, %v over 20000", tail, small, large)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -24,7 +25,11 @@ func (a *DistArray) ExtractRange(dim int, lo, hi int64) *Partition {
 	if hi == lo {
 		return p
 	}
-	if a.IsDense() && dim == len(a.dims)-1 {
+	if !a.IsDense() {
+		a.splitSparse(dim, []*Partition{p})
+		return p
+	}
+	if dim == len(a.dims)-1 {
 		// Fast path: partitioning by the last dimension slices the
 		// contiguous backing store.
 		copy(p.Local.dense, a.dense[lo*a.stride[dim]:hi*a.stride[dim]])
@@ -125,19 +130,32 @@ func (a *DistArray) RangePartitions(dim, parts int, boundaries []int64) []*Parti
 		}
 		lo = hi
 	}
-	if a.IsDense() {
-		return out
-	}
-	// Sparse: one walk routes every entry to its range. The targets are
-	// maps, so the walk needs no order.
-	idx := make([]int64, len(a.dims))
-	for off, v := range a.sparse {
-		a.unflattenInto(idx, off)
-		k, _ := slices.BinarySearch(boundaries, idx[dim]+1) // the first cut above the coordinate
-		local := out[k].Local
-		local.setOff(local.flattenFrom(dim, out[k].Lo, idx), v)
+	if !a.IsDense() {
+		a.splitSparse(dim, out)
 	}
 	return out
+}
+
+// splitSparse copies a sparse array's elements into the empty
+// partitions ps, ascending and disjoint ranges along dim, dropping
+// those no range holds. One walk in offset order routes every element;
+// within one range, the rebased offsets ascend in the same order, so
+// each partition's columns are built by appending.
+func (a *DistArray) splitSparse(dim int, ps []*Partition) {
+	offs, vals := make([][]int64, len(ps)), make([][]float64, len(ps))
+	idx := make([]int64, len(a.dims))
+	a.sparse.walk(func(off int64, v float64) bool {
+		c := a.unflattenInto(idx, off)[dim]
+		k, _ := slices.BinarySearchFunc(ps, c, func(p *Partition, c int64) int { return cmp.Compare(p.Hi-1, c) }) // the first range ending above c
+		if k < len(ps) && ps[k].Lo <= c {
+			offs[k] = append(offs[k], ps[k].Local.flattenFrom(dim, ps[k].Lo, idx))
+			vals[k] = append(vals[k], v)
+		}
+		return true
+	})
+	for k, p := range ps {
+		p.Local.sparse = sortedColumns(offs[k], vals[k])
+	}
 }
 
 // EqualRangePartitions splits into equal-width ranges along dim.

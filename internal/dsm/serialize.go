@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // wireArray is the gob wire form of a DistArray.
@@ -24,13 +25,24 @@ type wirePartition struct {
 	Local wireArray
 }
 
+// wire is the array's wire form. A sparse array's columns travel as a
+// map of its stored elements.
 func (a *DistArray) wire() wireArray {
-	return wireArray{Name: a.name, Dims: a.dims, Dense: a.dense, Sparse: a.sparse}
+	w := wireArray{Name: a.name, Dims: a.dims, Dense: a.dense}
+	if !a.IsDense() {
+		w.Sparse = make(map[int64]float64, a.sparse.nnz)
+		a.sparse.walk(func(off int64, v float64) bool {
+			w.Sparse[off] = v
+			return true
+		})
+	}
+	return w
 }
 
 // fromWire rebuilds a decoded array. Its extents must be positive and
-// their product representable, and a dense array's payload must fill
-// them exactly: a short one would fault on the first access past it.
+// their product representable, a dense array's payload must fill them
+// exactly — a short one would fault on the first access past it — and
+// a sparse array's offsets must lie inside them.
 func fromWire(w wireArray) (*DistArray, error) {
 	total := int64(1)
 	for _, d := range w.Dims {
@@ -46,8 +58,25 @@ func fromWire(w wireArray) (*DistArray, error) {
 		return nil, fmt.Errorf("dsm: decoded dense array %q carries %d values for extents %v", w.Name, len(w.Dense), w.Dims)
 	}
 	a := newArray(w.Name, w.Dims)
-	a.dense = w.Dense
-	a.sparse = w.Sparse
+	if w.Sparse == nil {
+		a.dense = w.Dense
+		return a, nil
+	}
+	offs := make([]int64, 0, len(w.Sparse))
+	for off, v := range w.Sparse {
+		if off < 0 || off >= total {
+			return nil, fmt.Errorf("dsm: decoded sparse array %q has offset %d outside extents %v", w.Name, off, w.Dims)
+		}
+		if v != 0 {
+			offs = append(offs, off)
+		}
+	}
+	slices.Sort(offs)
+	vals := make([]float64, len(offs))
+	for i, off := range offs {
+		vals[i] = w.Sparse[off]
+	}
+	a.sparse = sortedColumns(offs, vals)
 	return a, nil
 }
 

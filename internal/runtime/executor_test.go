@@ -241,14 +241,15 @@ func TestPrefetchIndicesCachedPerBlock(t *testing.T) {
 	ship()
 	seq := 0
 	reuse := obs.GetCounter("exec.prefetch_index_reuse")
-	// index is the table executor 0 keeps for its one block (nil: none),
-	// read when a loop has returned: the executor is parked on its
-	// command channel and its block-done message ordered its writes.
-	var index0 *int32
-	index := func() *int32 {
+	// index is the offsets executor 0 keeps indexed for its one block
+	// (nil: none) — each build clones its own — read when a loop has
+	// returned: the executor is parked on its command channel and its
+	// block-done message ordered its writes.
+	var index0 *int64
+	index := func() *int64 {
 		for _, b := range execs[0].iter.blocks {
 			if x := b.prefetch["weights"]; len(x.offs) > 0 {
-				return &x.table[0]
+				return &x.offs[0]
 			}
 		}
 		return nil

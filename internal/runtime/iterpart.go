@@ -1,6 +1,10 @@
 package runtime
 
-import "slices"
+import (
+	"slices"
+
+	"orion/internal/dsm"
+)
 
 // iterPart is an executor's resident share of the iteration space: the
 // samples as shipped, and an index of the blocks loops have cut from
@@ -35,73 +39,20 @@ type iterBlock struct {
 // prefetchIndex is the sorted unique prefetch offsets of one (block,
 // served array) and the offset -> slot index over them: slot i of the
 // block's table is offs[i]. Read-only once built — every block that
-// reuses it aliases both slices.
+// reuses it aliases both.
 type prefetchIndex struct {
 	id   string
 	offs []int64
-	// table holds 1 + the slot of an offset, 0 for none. It is direct,
-	// indexed by offset - lo, whenever the offsets' span fits in the
-	// table hashing would allocate — so it never costs more memory, and
-	// only a block reading a large array sparsely hashes: open addressing
-	// with linear probing, a power of two at least twice len(offs) long.
-	table  []int32
-	direct bool
-	lo     int64
-	shift  uint
+	idx  dsm.Index
 }
 
 func newPrefetchIndex(id string, offs []int64) prefetchIndex {
-	x := prefetchIndex{id: id, offs: offs}
-	if len(offs) == 0 {
-		return x
-	}
-	bits := uint(1)
-	for 1<<bits < 2*len(offs) {
-		bits++
-	}
-	if span := offs[len(offs)-1] - offs[0] + 1; span > 0 && span <= 1<<bits {
-		x.table, x.direct, x.lo = make([]int32, span), true, offs[0]
-		for i, off := range offs {
-			x.table[off-x.lo] = int32(i) + 1
-		}
-		return x
-	}
-	x.table, x.shift = make([]int32, 1<<bits), 64-bits
-	for i, off := range offs {
-		h := x.hash(off)
-		for x.table[h] != 0 {
-			h = (h + 1) & uint64(len(x.table)-1)
-		}
-		x.table[h] = int32(i) + 1
-	}
-	return x
-}
-
-// hash is Fibonacci hashing: runs of consecutive offsets (a column of
-// the array) spread over the whole table.
-func (x *prefetchIndex) hash(off int64) uint64 {
-	return uint64(off) * 0x9E3779B97F4A7C15 >> x.shift
+	return prefetchIndex{id: id, offs: offs, idx: dsm.NewIndex(offs)}
 }
 
 // slot returns the slot of an offset, -1 when the block did not
 // prefetch it.
-func (x *prefetchIndex) slot(off int64) int32 {
-	if x.direct {
-		if d := uint64(off - x.lo); d < uint64(len(x.table)) {
-			return x.table[d] - 1
-		}
-		return -1
-	}
-	if len(x.table) == 0 {
-		return -1
-	}
-	for h := x.hash(off); ; h = (h + 1) & uint64(len(x.table)-1) {
-		i := x.table[h] - 1
-		if i < 0 || x.offs[i] == off {
-			return i
-		}
-	}
-}
+func (x *prefetchIndex) slot(off int64) int32 { return x.idx.Slot(off, x.offs) }
 
 func newIterPart(samples []IterSample) *iterPart {
 	return &iterPart{samples: samples, blocks: map[blockKey]*iterBlock{}}

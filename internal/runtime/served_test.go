@@ -153,7 +153,7 @@ func TestServedSlotTableEqualsMapModel(t *testing.T) {
 			sa.beginBlock(prefetchIndex{})
 			if len(prefetch) > 0 {
 				idx := newPrefetchIndex("", prefetch)
-				forms[idx.direct]++
+				forms[idx.idx.Direct()]++
 				if err := e.bulkFetch(sa, idx); err != nil {
 					t.Fatal(err)
 				}
@@ -239,9 +239,9 @@ func TestServedTableAccessAllocFree(t *testing.T) {
 	for _, offs := range [][]int64{{2, 8, 9, 10, 11, 13}, {2, 8, 9, 10, 11, 40}} {
 		idx := newPrefetchIndex("", offs)
 		last := offs[len(offs)-1]
-		t.Run(fmt.Sprintf("direct=%v", idx.direct), func(t *testing.T) {
-			if idx.direct != (last == 13) {
-				t.Fatalf("offsets %v: direct = %v", offs, idx.direct)
+		t.Run(fmt.Sprintf("direct=%v", idx.idx.Direct()), func(t *testing.T) {
+			if idx.idx.Direct() != (last == 13) {
+				t.Fatalf("offsets %v: direct = %v", offs, idx.idx.Direct())
 			}
 			e := loneExecutor(nil, 64, 64)
 			sa := e.ctx.Served("w")
