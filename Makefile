@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test loc benchmark-module race chaos soak bench-smoke exec-gate vm-gate vm-gate-mf vm-count resident-gate trace-smoke adapt-smoke vet-examples fuzz golden-plans golden-plans-check figures-check
+.PHONY: check fmt vet lint reach build test loc benchmark-module race chaos soak bench-smoke exec-gate vm-gate vm-gate-mf vm-count resident-gate trace-smoke vet-examples fuzz golden-plans golden-plans-check figures-check
 
-check: fmt vet lint build test benchmark-module race chaos bench-smoke exec-gate vm-gate-mf vm-count resident-gate trace-smoke adapt-smoke vet-examples golden-plans-check figures-check
+check: fmt vet lint reach build test benchmark-module race chaos bench-smoke exec-gate vm-gate-mf vm-count resident-gate trace-smoke vet-examples golden-plans-check figures-check
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -21,6 +21,15 @@ vet:
 # deterministic packages, unended trace spans, retained Msg payloads.
 lint:
 	$(GO) run ./cmd/orion-lint
+
+# Every non-test function and method is linked into some program: the
+# mains under cmd/, examples/ and benchmark/ are built without inlining
+# and their symbol tables read (internal/lint/reach_test.go). A
+# `//lint:ignore reach <reason>` directive exempts a declaration, a
+# type's methods, or a whole file. The reach build tag only selects the
+# test, as vmcount does for vm-count.
+reach:
+	$(GO) test -tags reach -run 'Reach' ./internal/lint
 
 build:
 	$(GO) build ./...
@@ -126,14 +135,6 @@ trace-smoke:
 	$(GO) run ./cmd/orion-trace analyze -report "$$dir/report.json" "$$dir/trace.json" && \
 	$(GO) run ./cmd/orion-trace top -n 5 "$$dir/trace.json" && \
 	test -s "$$dir/flight.jsonl"
-
-# Adaptive re-planning smoke: a synthetic straggler (worker 0 padded
-# 200µs per iteration) must trip a mid-run recut that cuts the measured
-# compute-skew index by >= 30% by the last boundary — orion-run exits
-# non-zero otherwise.
-adapt-smoke:
-	$(GO) run ./cmd/orion-run -app mf -workers 3 -passes 5 \
-		-adapt -adapt-skew 2 -skew-demo 200 -adapt-assert-drop 0.3
 
 # Vet every shipped example program; unsafe.orion is expected to fail.
 vet-examples:

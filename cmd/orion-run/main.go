@@ -33,12 +33,10 @@ func main() {
 		ckptDir   = flag.String("checkpoint-dir", "", "coordinated checkpoint directory; enables recovery from worker loss")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "checkpoint every N global steps (0 = pass boundaries only; needs -checkpoint-dir)")
 
-		adapt      = flag.Bool("adapt", false, "adaptive re-planning: re-cut partitions from measured cost at skewed pass boundaries")
-		adaptSkew  = flag.Float64("adapt-skew", 0, "compute skew (max/median) that triggers a recut (0 = analyzer default 1.5; needs -adapt)")
-		skewDemo   = flag.Float64("skew-demo", 0, "inject a synthetic straggler: delay worker 0 this many microseconds per iteration")
-		assertDrop = flag.Float64("adapt-assert-drop", 0, "exit non-zero unless an adaptive recut cut the skew index by at least this fraction (e.g. 0.3)")
-		grow       = flag.Int("grow", 0, "grow the fleet to this many workers at the first pass boundary")
-		heartbeat  = flag.Duration("heartbeat", 0, "declare a silent worker lost after this long (0 disables staleness detection; use >= 3x the 500ms ping interval)")
+		adapt     = flag.Bool("adapt", false, "adaptive re-planning: re-cut partitions from measured cost at skewed pass boundaries")
+		adaptSkew = flag.Float64("adapt-skew", 0, "compute skew (max/median) that triggers a recut (0 = analyzer default 1.5; needs -adapt)")
+		grow      = flag.Int("grow", 0, "grow the fleet to this many workers at the first pass boundary")
+		heartbeat = flag.Duration("heartbeat", 0, "declare a silent worker lost after this long (0 disables staleness detection; use >= 3x the 500ms ping interval)")
 	)
 	flag.Parse()
 
@@ -71,8 +69,7 @@ func main() {
 		Workers: *workers, Passes: *passes,
 		Report: *report, ReportJSON: *reportJSON,
 		CkptDir: *ckptDir, CkptEvery: *ckptEvery,
-		Adapt: *adapt, AdaptSkew: *adaptSkew, SkewDemoUS: *skewDemo,
-		AssertDrop: *assertDrop, Grow: *grow,
+		Adapt: *adapt, AdaptSkew: *adaptSkew, Grow: *grow,
 		Heartbeat: *heartbeat,
 	})
 	if tracer != nil {

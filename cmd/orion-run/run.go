@@ -31,11 +31,9 @@ type config struct {
 	CkptDir    string
 	CkptEvery  int64
 
-	Adapt      bool    // adaptive re-planning at pass boundaries
-	AdaptSkew  float64 // recut trigger (0 = analyzer default)
-	SkewDemoUS float64 // synthetic straggler: µs/iteration delay on worker 0
-	AssertDrop float64 // required fractional skew drop after a recut (0 = off)
-	Grow       int     // grow the fleet to this size at the first boundary
+	Adapt     bool    // adaptive re-planning at pass boundaries
+	AdaptSkew float64 // recut trigger (0 = analyzer default)
+	Grow      int     // grow the fleet to this size at the first boundary
 
 	Heartbeat time.Duration // staleness bound for silent workers (0 = off)
 }
@@ -95,18 +93,6 @@ func run(cfg config) error {
 	}
 	if cfg.Adapt {
 		sess.SetAdapt(cfg.AdaptSkew)
-	}
-	if cfg.SkewDemoUS > 0 {
-		// Synthetic straggler: pad worker 0's compute per iteration, so
-		// the adaptive trigger has honest (measured) skew to react to.
-		perIter := time.Duration(cfg.SkewDemoUS * float64(time.Microsecond))
-		runtime.SetBlockDelay(func(execID, iters int) time.Duration {
-			if execID == 0 {
-				return time.Duration(iters) * perIter
-			}
-			return 0
-		})
-		defer runtime.SetBlockDelay(nil)
 	}
 	if cfg.Grow > 0 {
 		if err := sess.Grow(cfg.Grow); err != nil {
@@ -246,9 +232,7 @@ func run(cfg config) error {
 		if cfg.Grow > 0 {
 			fmt.Printf("fleet: %d workers\n", sess.Workers())
 		}
-		if err := reportAdaptTrail(os.Stdout, sess, cfg.AssertDrop); err != nil {
-			return err
-		}
+		reportAdaptTrail(os.Stdout, sess)
 	} else {
 		for p := 1; p <= passes; p++ {
 			if _, err := sess.ParallelFor(src); err != nil {
@@ -266,46 +250,21 @@ func run(cfg config) error {
 	return nil
 }
 
-// reportAdaptTrail prints the adaptive re-planning decisions — one per
-// evaluated pass boundary — and, when assertDrop > 0, fails unless the
-// first recut cut the skew index by at least that fraction by the last
-// boundary (the adapt-smoke gate).
-func reportAdaptTrail(w io.Writer, sess *driver.Session, assertDrop float64) error {
+// reportAdaptTrail prints the adaptive re-planning decisions, one per
+// evaluated pass boundary.
+func reportAdaptTrail(w io.Writer, sess *driver.Session) {
 	trail := sess.AdaptTrail()
 	if len(trail) == 0 {
-		if assertDrop > 0 {
-			return fmt.Errorf("adapt: no boundaries evaluated (a recut needs at least 2 passes)")
-		}
-		return nil
+		return
 	}
 	fmt.Fprintf(w, "\nadaptive re-planning trail (skew = max/median segment compute):\n")
-	firstRecut := -1
-	for i, d := range trail {
+	for _, d := range trail {
 		action := "kept cuts"
 		if d.Recut {
 			action = "recut partitions"
-			if firstRecut < 0 {
-				firstRecut = i
-			}
 		}
 		fmt.Fprintf(w, "  boundary at pass %-3d  skew %-6.2f  %s\n", d.Pass, d.SkewIndex, action)
 	}
-	if assertDrop <= 0 {
-		return nil
-	}
-	if firstRecut < 0 {
-		return fmt.Errorf("adapt: skew never reached the recut threshold")
-	}
-	if firstRecut == len(trail)-1 {
-		return fmt.Errorf("adapt: recut fell on the last boundary; no post-recut segment to judge (add passes)")
-	}
-	pre, post := trail[firstRecut].SkewIndex, trail[len(trail)-1].SkewIndex
-	drop := 1 - post/pre
-	fmt.Fprintf(w, "skew %.2fx -> %.2fx across the recut (%.0f%% drop)\n", pre, post, drop*100)
-	if drop < assertDrop {
-		return fmt.Errorf("adapt: skew dropped %.0f%%, below the required %.0f%%", drop*100, assertDrop*100)
-	}
-	return nil
 }
 
 // resumeFromCheckpoint warm-starts the session from the newest

@@ -153,52 +153,8 @@ func TestLDAOrionComparableToSerial(t *testing.T) {
 	}
 }
 
-func slrApp(opt optim.Optimizer) *SLR {
-	ds := data.NewLogistic(data.LogisticConfig{Samples: 400, Dim: 100, NNZPer: 8, Seed: 7})
-	return NewSLR(ds, opt)
-}
-
-func TestSLRSerialConverges(t *testing.T) {
-	app := slrApp(optim.NewSGD(0.05))
-	res := engine.RunSerial(app, engine.Config{Workers: 1, Passes: 10, Seed: 1, Cluster: testCluster()})
-	if res.FinalLoss() >= res.Loss[0]*0.8 {
-		t.Fatalf("SLR did not converge: %v", res.Loss)
-	}
-}
-
-func TestSLROrionFallsBackToBufferedDataParallelism(t *testing.T) {
-	app := slrApp(optim.NewSGD(0.05))
-	// Orion bounds how long buffered writes may be deferred
-	// (Section 3.3); flush several times per pass.
-	res, plan, err := engine.RunOrion(app, engine.Config{
-		Workers: 4, Passes: 4, Seed: 1, Cluster: testCluster(), SyncsPerPass: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Kind != sched.Independent {
-		t.Fatalf("SLR plan = %v, want independent (buffered writes exempt)", plan.Kind)
-	}
-	if res.Engine != "orion-1d-buffered" {
-		t.Fatalf("engine = %s", res.Engine)
-	}
-	if res.FinalLoss() >= res.Loss[0] {
-		t.Fatalf("buffered SLR should still improve: %v", res.Loss)
-	}
-}
-
-func TestSLRAdaRevBeatsPlainSGDUnderDataParallelism(t *testing.T) {
-	// The point of adaptive revision: delayed updates hurt plain SGD
-	// more than AdaRev.
-	cfg := engine.Config{Workers: 8, Passes: 10, Seed: 1, Cluster: testCluster()}
-	plain := engine.RunDataParallel(slrApp(optim.NewSGD(0.05)), cfg)
-	adarev := engine.RunDataParallel(slrApp(optim.NewAdaRev(0.5)), cfg)
-	if adarev.FinalLoss() >= plain.FinalLoss() {
-		t.Logf("warning: adarev %v vs plain %v — acceptable if close", adarev.FinalLoss(), plain.FinalLoss())
-	}
-	if math.IsNaN(adarev.FinalLoss()) {
-		t.Fatal("AdaRev produced NaN")
-	}
+func slrApp() *SLR {
+	return NewSLR(data.NewLogistic(data.LogisticConfig{Samples: 400, Dim: 100, NNZPer: 8, Seed: 7}))
 }
 
 func TestTable2Strategies(t *testing.T) {
@@ -212,7 +168,7 @@ func TestTable2Strategies(t *testing.T) {
 	if p, _ := sched.New(lda.LoopSpec(), sched.DefaultOptions()); p.Kind != sched.TwoD {
 		t.Errorf("LDA: %v, want 2D", p.Kind)
 	}
-	slr := slrApp(optim.NewSGD(0.05))
+	slr := slrApp()
 	if p, _ := sched.New(slr.LoopSpec(), sched.DefaultOptions()); p.Kind != sched.Independent {
 		t.Errorf("SLR: %v, want independent (data parallelism)", p.Kind)
 	}

@@ -70,8 +70,8 @@ func ldaApp(cfg data.CorpusConfig, s Scale) *apps.LDA {
 	return apps.NewLDA(data.NewCorpus(cfg), cfg.Topics, s.LDAAlpha, s.LDABeta)
 }
 
-func slrApp(s Scale, opt optim.Optimizer) *apps.SLR {
-	return apps.NewSLR(data.NewLogistic(s.SLR), opt)
+func slrApp(s Scale) *apps.SLR {
+	return apps.NewSLR(data.NewLogistic(s.SLR))
 }
 
 func baseConfig(s Scale, passes int) engine.Config {

@@ -19,8 +19,7 @@ import (
 func Table2(s Scale) (*Report, error) {
 	mf := mfApp(s, optim.NewSGD(s.MFLR))
 	mfA := mfApp(s, optim.NewAdaRev(s.AdaRevLR))
-	slr := slrApp(s, optim.NewSGD(s.SLRLR))
-	slrA := slrApp(s, optim.NewAdaRev(s.AdaRevLR))
+	slr := slrApp(s)
 	lda := ldaApp(s.LDASmall, s)
 
 	entries := []struct {
@@ -30,7 +29,7 @@ func Table2(s Scale) (*Report, error) {
 		{"SGD MF", "Matrix Factorization", "SGD", "87", mustKind(mf.LoopSpec())},
 		{"SGD MF AdaRev", "Matrix Factorization", "SGD w/ Adaptive Revision", "108", mustKind(mfA.LoopSpec())},
 		{"SLR", "Sparse Logistic Regression", "SGD", "118", mustKind(slr.LoopSpec())},
-		{"SLR AdaRev", "Sparse Logistic Regression", "SGD w/ Adaptive Revision", "143", mustKind(slrA.LoopSpec())},
+		{"SLR AdaRev", "Sparse Logistic Regression", "SGD w/ Adaptive Revision", "143", mustKind(slr.LoopSpec())},
 		{"LDA", "Latent Dirichlet Allocation", "Collapsed Gibbs Sampling", "398", mustKind(lda.LoopSpec())},
 		{"GBT", "Gradient Boosted Tree", "Gradient Boosting", "695", mustKind(apps.GBTSplitSearch(s.GBTFeatures))},
 	}

@@ -244,7 +244,7 @@ func Fig13(s Scale) (*Report, error) {
 // prefetching with cached prefetch indices. The paper measured 7682 s /
 // 9.2 s / 6.3 s on one machine.
 func Prefetch(s Scale) (*Report, error) {
-	app := slrApp(s, optim.NewSGD(s.SLRLR))
+	app := slrApp(s)
 	n := app.NumSamples()
 	nnz := app.AvgNNZ()
 	// This experiment is single-machine (like the paper's): use a

@@ -33,9 +33,7 @@ type Scale struct {
 	LDAAlpha  float64
 	LDABeta   float64
 
-	SLR       data.LogisticConfig // the KDD2010 stand-in
-	SLRPasses int
-	SLRLR     float64
+	SLR data.LogisticConfig // the KDD2010 stand-in
 
 	// GBTFeatures is the feature count of GBT's split-search loop.
 	GBTFeatures int64
@@ -68,9 +66,7 @@ func Small() Scale {
 		LDAAlpha:  0.5,
 		LDABeta:   0.1,
 
-		SLR:       data.LogisticConfig{Samples: 300, Dim: 120, NNZPer: 8, Seed: 7},
-		SLRPasses: 4,
-		SLRLR:     0.05,
+		SLR: data.LogisticConfig{Samples: 300, Dim: 120, NNZPer: 8, Seed: 7},
 
 		GBTFeatures: 8,
 
@@ -98,9 +94,7 @@ func Default() Scale {
 		LDAAlpha:  0.5,
 		LDABeta:   0.1,
 
-		SLR:       data.LogisticConfig{Samples: 3000, Dim: 2000, NNZPer: 12, Seed: 7},
-		SLRPasses: 8,
-		SLRLR:     0.02,
+		SLR: data.LogisticConfig{Samples: 3000, Dim: 2000, NNZPer: 12, Seed: 7},
 
 		GBTFeatures: 16,
 

@@ -47,9 +47,6 @@ func Default() Config {
 	}
 }
 
-// Workers returns the total worker count.
-func (c Config) Workers() int { return c.Machines * c.WorkersPerMachine }
-
 // MachineOf returns the machine hosting worker w.
 func (c Config) MachineOf(w int) int { return w / c.WorkersPerMachine }
 

@@ -7,9 +7,6 @@ import (
 
 func TestTopology(t *testing.T) {
 	c := Config{Machines: 3, WorkersPerMachine: 4}
-	if c.Workers() != 12 {
-		t.Fatalf("Workers = %d", c.Workers())
-	}
 	if c.MachineOf(0) != 0 || c.MachineOf(4) != 1 || c.MachineOf(11) != 2 {
 		t.Fatal("MachineOf broken")
 	}
@@ -92,8 +89,8 @@ func TestBandwidthTraceSpread(t *testing.T) {
 
 func TestDefaultConfigSane(t *testing.T) {
 	c := Default()
-	if c.Workers() != 384 {
-		t.Fatalf("default workers = %d, want 384 (12 machines x 32)", c.Workers())
+	if w := c.Machines * c.WorkersPerMachine; w != 384 {
+		t.Fatalf("default workers = %d, want 384 (12 machines x 32)", w)
 	}
 	if c.ComputeTime(1) <= 0 || c.TransferTime(100, false) <= 0 {
 		t.Fatal("default cost model degenerate")

@@ -263,42 +263,3 @@ func pairVector(loop *ir.LoopSpec, ra, rb ir.ArrayRef) pairResult {
 	}
 	return pairResult{vec: dvec, guards: guards, gvec: gvec, gindependent: gind}
 }
-
-// References able to execute concurrently must touch disjoint elements.
-// ConflictFree reports whether iterations p and q (concrete index
-// vectors) are independent according to the dependence set: they are
-// dependent iff some vector (or its negation) matches their distance.
-func (s *Set) ConflictFree(p, q []int64) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	diff := make([]int64, len(p))
-	same := true
-	for i := range p {
-		diff[i] = p[i] - q[i]
-		if diff[i] != 0 {
-			same = false
-		}
-	}
-	if same {
-		return true // the same iteration: no loop-carried dependence
-	}
-	for _, v := range s.vecs {
-		if matchesDiff(v, diff) || matchesDiff(v.Negate(), diff) {
-			return false
-		}
-	}
-	return true
-}
-
-func matchesDiff(v Vector, diff []int64) bool {
-	if len(v) != len(diff) {
-		return false
-	}
-	for i := range v {
-		if !v[i].Matches(diff[i]) {
-			return false
-		}
-	}
-	return true
-}

@@ -35,22 +35,6 @@ func (g *Guard) String() string {
 	return strings.Join(parts, " && ")
 }
 
-// Equal reports structural equality (atoms are canonically ordered).
-func (g *Guard) Equal(o *Guard) bool {
-	if g == nil || o == nil {
-		return g == o
-	}
-	if len(g.Atoms) != len(o.Atoms) {
-		return false
-	}
-	for i := range g.Atoms {
-		if g.Atoms[i] != o.Atoms[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Eval checks the guard against the driver's global bindings. The
 // second return explains a failure ("" on success). A non-integral
 // binding fails the guard: the disjointness argument is over integer

@@ -1,3 +1,5 @@
+//lint:ignore reach the brute-force oracles Analyze and the schedules are tested against
+
 package dep
 
 import (
@@ -158,4 +160,59 @@ func (o *Oracle) Iterations() [][]int64 {
 	}
 	rec(0)
 	return out
+}
+
+// ConflictFree reports whether iterations p and q (concrete index
+// vectors) are independent according to the dependence set: they are
+// dependent iff some vector (or its negation) matches their distance.
+func (s *Set) ConflictFree(p, q []int64) bool {
+	if len(p) != len(q) {
+		return false
+	}
+	diff := make([]int64, len(p))
+	same := true
+	for i := range p {
+		diff[i] = p[i] - q[i]
+		if diff[i] != 0 {
+			same = false
+		}
+	}
+	if same {
+		return true // the same iteration: no loop-carried dependence
+	}
+	for _, v := range s.vecs {
+		if matchesDiff(v, diff) || matchesDiff(v.Negate(), diff) {
+			return false
+		}
+	}
+	return true
+}
+
+func matchesDiff(v Vector, diff []int64) bool {
+	if len(v) != len(diff) {
+		return false
+	}
+	for i := range v {
+		if !v[i].Matches(diff[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Matches reports whether a concrete distance v is admitted by the
+// component.
+func (d Dist) Matches(v int64) bool {
+	switch d.Kind {
+	case Finite:
+		return d.Val == v
+	case Any:
+		return true
+	case PosInf:
+		return v > 0
+	case NegInf:
+		return v < 0
+	default:
+		return false
+	}
 }

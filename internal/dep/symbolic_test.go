@@ -291,19 +291,6 @@ func TestGuardEval(t *testing.T) {
 	}
 }
 
-func TestGuardEqual(t *testing.T) {
-	a := &Guard{Atoms: []GuardAtom{{Var: "s", Min: 4}}}
-	b := &Guard{Atoms: []GuardAtom{{Var: "s", Min: 4}}}
-	c := &Guard{Atoms: []GuardAtom{{Var: "s", Min: 5}}}
-	if !a.Equal(b) || a.Equal(c) || a.Equal(nil) {
-		t.Error("Guard.Equal broken")
-	}
-	var nilG *Guard
-	if !nilG.Equal(nil) {
-		t.Error("nil guards must compare equal")
-	}
-}
-
 // randomAffineLoop extends randomLoop's generator with affine-window
 // subscripts, both numeric and symbolic (single driver variable "s"),
 // over 1-subscript arrays so the oracle enumeration stays small.

@@ -65,23 +65,6 @@ func (d Dist) String() string {
 // component is never zero-only: it admits non-zero distances.
 func (d Dist) IsZero() bool { return d.Kind == Finite && d.Val == 0 }
 
-// Matches reports whether a concrete distance v is admitted by the
-// component.
-func (d Dist) Matches(v int64) bool {
-	switch d.Kind {
-	case Finite:
-		return d.Val == v
-	case Any:
-		return true
-	case PosInf:
-		return v > 0
-	case NegInf:
-		return v < 0
-	default:
-		return false
-	}
-}
-
 // Negate returns the component describing the reversed dependence
 // direction.
 func (d Dist) Negate() Dist {

@@ -76,6 +76,8 @@ func (s *Session) Grow(m int) error {
 // compile materializes, so the shrunken run's placement (and result,
 // bitwise) matches a static m-worker run. Unlike the recovery path's
 // shrink-to-survivors, nothing is lost and no checkpoint is needed.
+//
+//lint:ignore reach no caller, but the shrinkTarget state it sets is linked code (ROADMAP 3B(h))
 func (s *Session) Shrink(m int) error {
 	if m <= 0 {
 		return fmt.Errorf("driver: Shrink(%d): fleet size must be positive", m)

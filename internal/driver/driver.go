@@ -20,7 +20,6 @@ package driver
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -143,21 +142,6 @@ func NewLocalSessionOver(tr runtime.Transport, masterAddr, peerAddr string, n in
 	return s, nil
 }
 
-// NewTCPSession listens on addr for n executor processes — typically
-// cmd/orion-worker instances, which carry the DSL compiler and need no
-// per-application code. Read Addr for the bound address (useful with
-// ":0"), start the workers, then call WaitForWorkers.
-func NewTCPSession(addr string, n int) (*Session, error) {
-	return newSession(runtime.TCP{}, addr, n)
-}
-
-// WaitForWorkers blocks until all executors have registered (TCP
-// sessions; local sessions return immediately ready).
-func (s *Session) WaitForWorkers() error { return s.master.WaitForExecutors() }
-
-// Addr returns the master's bound listen address (useful with ":0").
-func (s *Session) Addr() string { return s.master.Addr() }
-
 // newSession starts a session whose master listens on addr over tr for
 // a fleet of n.
 func newSession(tr runtime.Transport, addr string, n int) (*Session, error) {
@@ -204,6 +188,8 @@ func (s *Session) SetCheckpointEvery(n int64) { s.checkpointEvery = n }
 // on a shrunken fleet, re-partitioning the lost worker's blocks onto
 // the survivors — once at least `min` are back. min <= 0 requires the
 // full fleet.
+//
+//lint:ignore reach no caller, but the minWorkers state it sets is linked code (ROADMAP 3B(h))
 func (s *Session) SetRejoin(min int, wait time.Duration) {
 	s.minWorkers = min
 	if wait > 0 {
@@ -215,13 +201,6 @@ func (s *Session) SetRejoin(min int, wait time.Duration) {
 // longer than timeout mid-loop is treated as lost (see
 // runtime.Master.SetHeartbeat).
 func (s *Session) SetHeartbeat(timeout time.Duration) { s.master.SetHeartbeat(timeout) }
-
-// Clock returns the number of completed global steps across all loops.
-func (s *Session) Clock() int64 { return s.master.Clock() }
-
-// Recoveries returns how many worker-loss recoveries this session has
-// performed.
-func (s *Session) Recoveries() int64 { return s.recoveries.Load() }
 
 // Workers returns the current fleet size (it can shrink when recovery
 // re-forms a TCP fleet from the survivors).
@@ -380,6 +359,8 @@ func (s *Session) Accumulate(name string) (float64, error) {
 // Misses returns the cumulative count of prefetch-miss slow-path
 // parameter fetches — zero when synthesized bulk prefetching covers
 // every served read.
+//
+//lint:ignore reach a test hook the live gates in internal/gates share
 func (s *Session) Misses() int64 { return s.master.Misses() }
 
 // Close shuts the session down. It first fetches, best effort, what only
@@ -401,113 +382,10 @@ func (s *Session) Close() {
 	}
 }
 
-// Checkpoint writes the named DistArrays (all of the session's arrays
-// when names is empty) to dir as one committed checkpoint at the
-// current clock, replacing any there at that clock — the paper's
-// per-N-passes fault tolerance pattern, in the manifest format
-// coordinated checkpoints use.
-func (s *Session) Checkpoint(dir string, names ...string) error {
-	if len(names) == 0 {
-		for name := range s.arrays {
-			names = append(names, name)
-		}
-	}
-	arrs := make([]*dsm.DistArray, 0, len(names))
-	for _, name := range names {
-		a := s.Array(name)
-		if a == nil {
-			return fmt.Errorf("driver: checkpoint of unknown or lost array %q", name)
-		}
-		arrs = append(arrs, a)
-	}
-	_, err := dsm.WriteCheckpoint(dir, &dsm.Manifest{Clock: s.master.Clock(), Workers: s.n}, arrs, 0)
-	return err
-}
-
-// Restore replaces the session's copies of the named arrays (of every
-// array it holds, when names is empty) with those of the newest
-// checkpoint in dir.
-func (s *Session) Restore(dir string, names ...string) error {
-	mans, err := dsm.ListCheckpoints(dir)
-	if err != nil {
-		return err
-	}
-	if len(mans) == 0 {
-		return fmt.Errorf("driver: no checkpoint in %s", dir)
-	}
-	restored, err := dsm.RestoreCheckpoint(dir, mans[0])
-	if err != nil {
-		return err
-	}
-	if len(names) == 0 {
-		names = mans[0].Arrays
-	}
-	for _, name := range names {
-		if _, ok := s.env.Arrays[name]; !ok || restored[name] == nil {
-			return fmt.Errorf("driver: the checkpoint in %s holds no declared array %q", dir, name)
-		}
-	}
-	for _, name := range names {
-		s.RegisterArray(restored[name])
-	}
-	return nil
-}
-
-// CreateArrayFromTextFile declares a DistArray loaded from a text file
-// through a user-defined line parser (Orion.text_file + materialize,
-// Section 3.1). Transformations can be fused by building through
-// dsm.FromTextFile directly and registering with RegisterArray.
-func (s *Session) CreateArrayFromTextFile(name, path string, parser dsm.LineParser, dims ...int64) (*dsm.DistArray, error) {
-	a, err := dsm.FromTextFile(name, path, parser, dims...).Materialize()
-	if err != nil {
-		return nil, err
-	}
-	s.RegisterArray(a)
-	return a, nil
-}
-
-// RegisterArray adopts an externally built DistArray (e.g. from a
-// dsm.Builder pipeline) into the session, replacing any of that name.
+// RegisterArray adopts an externally built DistArray into the session,
+// replacing any of that name.
 func (s *Session) RegisterArray(a *dsm.DistArray) {
 	s.arrays[a.Name()] = a
 	s.env.Arrays[a.Name()] = a.Dims()
 	s.invalidate(a.Name())
-}
-
-// ArrayDim names one array and the dimension of it that carries a
-// shared coordinate (e.g. the user id appears as ratings dim 0 and as W
-// dim 1).
-type ArrayDim struct {
-	Name string
-	Dim  int
-}
-
-// Randomize applies one random permutation to a shared coordinate that
-// appears (possibly on different dimensions) in several arrays — the
-// de-skewing operation of Section 4.3. The permutation is returned so
-// callers can map results back to original ids.
-func (s *Session) Randomize(seed int64, specs ...ArrayDim) ([]int64, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("driver: Randomize needs at least one array")
-	}
-	first := s.Array(specs[0].Name)
-	if first == nil {
-		return nil, fmt.Errorf("driver: unknown array %q", specs[0].Name)
-	}
-	extent := first.Dims()[specs[0].Dim]
-	rng := rand.New(rand.NewSource(seed))
-	permuted, perm := first.Randomize(specs[0].Dim, rng)
-	s.RegisterArray(permuted)
-	for _, spec := range specs[1:] {
-		a := s.Array(spec.Name)
-		if a == nil {
-			return nil, fmt.Errorf("driver: unknown array %q", spec.Name)
-		}
-		if a.Dims()[spec.Dim] != extent {
-			return nil, fmt.Errorf("driver: %q dim %d extent %d does not match the shared coordinate extent %d",
-				spec.Name, spec.Dim, a.Dims()[spec.Dim], extent)
-		}
-		s.RegisterArray(a.Permute(spec.Dim, perm))
-	}
-	return perm, nil
 }

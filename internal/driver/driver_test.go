@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -225,45 +224,6 @@ func TestDriverErrors(t *testing.T) {
 	}
 }
 
-func TestDriverCheckpointRestore(t *testing.T) {
-	sess := setupMF(t, 2)
-	defer sess.Close()
-	dir := t.TempDir()
-
-	if _, err := sess.ParallelFor(mfSrc, Passes(2)); err != nil {
-		t.Fatal(err)
-	}
-	mid := mfLoss(sess)
-	if err := sess.Checkpoint(dir, "W", "H"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.ParallelFor(mfSrc, Passes(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Restore(dir, "W", "H"); err != nil {
-		t.Fatal(err)
-	}
-	if got := mfLoss(sess); math.Abs(got-mid) > 1e-9*mid {
-		t.Fatalf("restore did not rewind parameters: %v vs %v", got, mid)
-	}
-	// Training resumes from the checkpoint.
-	if _, err := sess.ParallelFor(mfSrc, Passes(2)); err != nil {
-		t.Fatal(err)
-	}
-	if mfLoss(sess) >= mid {
-		t.Fatal("training after restore did not improve")
-	}
-	if err := sess.Checkpoint(dir, "nope"); err == nil {
-		t.Fatal("checkpoint of unknown array must fail")
-	}
-	if err := sess.Restore(dir, "W", "nope"); err == nil {
-		t.Fatal("restore of an array the checkpoint lacks must fail")
-	}
-	if err := sess.Restore(t.TempDir()); err == nil {
-		t.Fatal("restore from a directory without a checkpoint must fail")
-	}
-}
-
 func TestDriverMissingGlobalIsCaught(t *testing.T) {
 	sess, err := NewLocalSession(2)
 	if err != nil {
@@ -321,50 +281,6 @@ end
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("ParallelFor hung on kernel failure")
-	}
-}
-
-func TestDriverTextFileAndRandomize(t *testing.T) {
-	sess, err := NewLocalSession(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	path := filepath.Join(t.TempDir(), "ratings.txt")
-	if err := os.WriteFile(path, []byte("0 1 2.5\n3 2 1.0\n# comment\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	parser := func(line string) ([]int64, float64, bool) {
-		var i, j int64
-		var v float64
-		if _, err := fmt.Sscan(line, &i, &j, &v); err != nil {
-			return nil, 0, false
-		}
-		return []int64{i, j}, v, true
-	}
-	a, err := sess.CreateArrayFromTextFile("ratings", path, parser, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 2 || a.At(0, 1) != 2.5 {
-		t.Fatalf("loaded array wrong: len=%d", a.Len())
-	}
-	// Randomize rows of ratings together with a row-aligned table.
-	w := sess.CreateArray("Wt", true, 2, 4)
-	w.SetAt(9, 0, 3)
-	perm, err := sess.Randomize(7, ArrayDim{"ratings", 0}, ArrayDim{"Wt", 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = w
-	if got := sess.Array("ratings").At(perm[3], 2); got != 1.0 {
-		t.Fatalf("permuted ratings wrong: %v", got)
-	}
-	if got := sess.Array("Wt").At(0, perm[3]); got != 9 {
-		t.Fatalf("companion permutation wrong: %v", got)
-	}
-	if _, err := sess.Randomize(7, ArrayDim{"nope", 0}); err == nil {
-		t.Fatal("unknown array must fail")
 	}
 }
 
@@ -615,3 +531,10 @@ end
 		t.Errorf("ParallelFor with scale unset = %v, want ORN018 at 2:13 naming scale", err)
 	}
 }
+
+// Clock returns the number of completed global steps across all loops.
+func (s *Session) Clock() int64 { return s.master.Clock() }
+
+// Recoveries returns how many worker-loss recoveries this session has
+// performed.
+func (s *Session) Recoveries() int64 { return s.recoveries.Load() }

@@ -189,12 +189,6 @@ var (
 // to hold something else misses once.
 func TestResidentSparseIterSpace(t *testing.T) {
 	sess, ref := localPair(t, 2, fillMF)
-	dir := map[*Session]string{sess: t.TempDir(), ref: t.TempDir()}
-	for s, d := range dir {
-		if err := s.Checkpoint(d, "ratings"); err != nil {
-			t.Fatal(err)
-		}
-	}
 	someRating := func(s *Session) []int64 {
 		idx, _ := s.Array("ratings").Entries()
 		return idx[17]
@@ -215,18 +209,6 @@ func TestResidentSparseIterSpace(t *testing.T) {
 		}},
 		{what: "Map", want: mutated, before: func(t *testing.T, s *Session) {
 			s.Array("ratings").Map(func(v float64) float64 { return v * 0.5 })
-		}},
-		{what: "unchanged", want: reuse},
-		{what: "Restore", want: mutated, before: func(t *testing.T, s *Session) {
-			if err := s.Restore(dir[s], "ratings"); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{what: "unchanged", want: reuse},
-		{what: "Randomize", want: mutated, before: func(t *testing.T, s *Session) {
-			if _, err := s.Randomize(7, ArrayDim{"ratings", 0}, ArrayDim{"W", 1}); err != nil {
-				t.Fatal(err)
-			}
 		}},
 		{what: "unchanged", want: reuse},
 		{what: "RegisterArray of a copy", want: mutated, before: func(t *testing.T, s *Session) {

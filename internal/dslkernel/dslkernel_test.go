@@ -213,13 +213,14 @@ func TestPrefetchCompiledEqualsRecorder(t *testing.T) {
 			for i, key := range keys {
 				// The reference: a fresh machine per sample.
 				m := lang.NewMachine()
+				m.Recorder = &lang.Recorder{Targets: map[string]bool{}, Indices: map[string][]int64{}}
 				for _, a := range targets {
 					m.Arrays[a] = &recorder{dims: prog.Env.Arrays[a]}
+					m.Recorder.Targets[a] = true
 				}
 				for g, v := range globals {
 					m.Globals[g] = v
 				}
-				m.Recorder = lang.NewRecorder(targets...)
 				var want []int64
 				if err := m.RunIteration(sliced, key, vals[i]); err == nil {
 					want = m.Recorder.Indices[target]

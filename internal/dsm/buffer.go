@@ -70,9 +70,6 @@ func (b *Buffer) Put(update float64, idx ...int64) bool {
 // Len returns the number of distinct buffered elements.
 func (b *Buffer) Len() int { return len(b.offs) }
 
-// Writes returns the total number of Put calls since the last flush.
-func (b *Buffer) Writes() int64 { return b.writes }
-
 // Flush applies all buffered updates to the array via the UDF, in
 // first-write order, and clears the buffer. Returns the number of
 // elements updated. The array must have the buffer's name and extents:

@@ -24,9 +24,9 @@ type DistArray struct {
 	stride []int64 // stride[0] == 1; stride[i] = stride[i-1]*dims[i-1]
 	dense  []float64
 	sparse *columns // nil for dense
-	// version counts in-place writes to a sparse array. setOff, AddAt,
-	// Map and MapIndex are the only ones: a sparse array hands out no
-	// live view of its storage.
+	// version counts in-place writes to a sparse array. setOff, AddAt
+	// and Map are the only ones: a sparse array hands out no live view
+	// of its storage.
 	version uint64
 }
 
@@ -137,11 +137,6 @@ func (a *DistArray) flattenFrom(dim int, lo int64, idx []int64) int64 {
 		off += v * a.stride[i]
 	}
 	return off
-}
-
-// Unflatten converts a flattened offset back to an index tuple.
-func (a *DistArray) Unflatten(off int64) []int64 {
-	return a.unflattenInto(make([]int64, len(a.dims)), off)
 }
 
 func (a *DistArray) unflattenInto(idx []int64, off int64) []int64 {
@@ -319,23 +314,6 @@ func (a *DistArray) Map(f func(v float64) float64) {
 	}
 }
 
-// MapIndex applies f(idx, v) to every stored element in place; in a
-// sparse array, a zero result deletes the element as a zero write does.
-func (a *DistArray) MapIndex(f func(idx []int64, v float64) float64) {
-	if a.IsDense() {
-		for off := range a.dense {
-			a.dense[off] = f(a.Unflatten(int64(off)), a.dense[off])
-		}
-		return
-	}
-	a.version++
-	for i, v := range a.sparse.vals {
-		if v != 0 {
-			a.sparse.put(int32(i), f(a.Unflatten(a.sparse.offs[i]), v))
-		}
-	}
-}
-
 // CoordCounts computes per-coordinate element counts along each listed
 // dimension — the data-distribution approximation Orion uses for
 // balanced partitioning: out[k][c] is the number of stored elements
@@ -365,33 +343,5 @@ func (a *DistArray) CoordCounts(dims ...int) [][]int64 {
 			out[k][(off/a.stride[d])%a.dims[d]]++
 		}
 	}
-	return out
-}
-
-// Randomize permutes coordinates along dim with a seeded permutation,
-// returning a new array; used to de-skew iteration spaces
-// (Section 4.3). The permutation is returned so parameter arrays
-// indexed by the same dimension can be permuted consistently.
-func (a *DistArray) Randomize(dim int, rng *rand.Rand) (*DistArray, []int64) {
-	perm := rng.Perm(int(a.dims[dim]))
-	p64 := make([]int64, len(perm))
-	for i, v := range perm {
-		p64[i] = int64(v)
-	}
-	return a.Permute(dim, p64), p64
-}
-
-// Permute remaps coordinates along dim through perm (new = perm[old]).
-func (a *DistArray) Permute(dim int, perm []int64) *DistArray {
-	var out *DistArray
-	if a.IsDense() {
-		out = NewDense(a.name, a.dims...)
-	} else {
-		out = NewSparse(a.name, a.dims...)
-	}
-	a.ForEach(func(idx []int64, v float64) {
-		idx[dim] = perm[idx[dim]]
-		out.SetAt(v, idx...)
-	})
 	return out
 }

@@ -58,7 +58,7 @@ func (m *mapModel) check(t *testing.T, what string, a *DistArray, pool []int64) 
 // TestSparseColumnsEqualMapModel runs seeded random op sequences on a
 // sparse DistArray and on the map model side by side and compares them
 // bitwise after every op: SetAt of quarters, +0 and -0; AddAt, also to
-// zero; inserts right after walks; Map and MapIndex, also to ±0; Clone;
+// zero; inserts right after walks; Map, also to ±0; Clone;
 // RangePartitions and ExtractRange written back into a fresh array;
 // Encode/DecodeArray; CoordCounts. A stamp taken before each op holds
 // after it exactly when the op only read. Two shapes cover a direct
@@ -130,12 +130,6 @@ func TestSparseColumnsEqualMapModel(t *testing.T) {
 					a.Map(f)
 					for off, v := range m.m {
 						m.set(off, f(v))
-					}
-				case k == 13:
-					f := func(idx []int64, v float64) float64 { return v - 0.25*float64(idx[0]%3) }
-					a.MapIndex(f)
-					for off, v := range m.m {
-						m.set(off, f(a.Unflatten(off), v))
 					}
 				case k == 14:
 					c := a.Clone()

@@ -95,10 +95,6 @@ func (p *Partition) SetAt(v float64, idx ...int64) {
 	p.Local.setOff(p.Local.flattenFrom(p.Dim, p.Lo, idx), v)
 }
 
-// Contains reports whether global coordinate c along the partition dim
-// belongs to this partition.
-func (p *Partition) Contains(c int64) bool { return c >= p.Lo && c < p.Hi }
-
 // Bytes estimates the partition's wire size (8 bytes per element plus
 // 16 bytes per sparse entry for the coordinates).
 func (p *Partition) Bytes() int64 {

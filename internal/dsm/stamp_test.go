@@ -43,7 +43,6 @@ func TestStampHolds(t *testing.T) {
 		{"sparse: SetAt(0) deleting", sparse, func(a *DistArray) { a.SetAt(0, 1, 2) }, false},
 		{"sparse: AddAt", sparse, func(a *DistArray) { a.AddAt(1, 1, 2) }, false},
 		{"sparse: Map", sparse, func(a *DistArray) { a.Map(func(v float64) float64 { return 2 * v }) }, false},
-		{"sparse: MapIndex", sparse, func(a *DistArray) { a.MapIndex(func(_ []int64, v float64) float64 { return v + 1 }) }, false},
 		{"sparse: a partition written back", sparse, func(a *DistArray) { a.ExtractRange(0, 1, 2).WriteBack(a) }, false},
 		{"dense: reads", dense, func(a *DistArray) { a.At(1, 2); a.Vec(2); a.DenseData() }, true},
 		{"dense: SetAt of the value already there", dense, func(a *DistArray) { a.SetAt(2.5, 1, 2) }, true},

@@ -1,16 +1,15 @@
 package engine
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"orion/internal/cluster"
 )
 
 // Config tunes an engine run.
 type Config struct {
-	// Workers is the number of parallel workers (<= Cluster.Workers()).
+	// Workers is the number of parallel workers (at most
+	// Cluster.Machines × Cluster.WorkersPerMachine).
 	Workers int
 	// Cluster is the hardware cost model.
 	Cluster cluster.Config
@@ -135,12 +134,4 @@ func (r *Result) FinalLoss() float64 {
 		return math.NaN()
 	}
 	return r.Loss[len(r.Loss)-1]
-}
-
-// String renders a compact summary.
-func (r *Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s: %d passes, %.3gs/iter, final loss %.6g",
-		r.Engine, r.App, len(r.Loss), r.TimePerIter(), r.FinalLoss())
-	return b.String()
 }

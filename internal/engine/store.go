@@ -140,19 +140,6 @@ func (s *SnapshotStore) Update(table int, row int64, g []float64) {
 	}
 }
 
-// PendingRows returns the number of rows with buffered gradients.
-func (s *SnapshotStore) PendingRows() int { return len(s.deltas) }
-
-// PendingBytes returns the wire size of the buffered gradients.
-func (s *SnapshotStore) PendingBytes() int64 {
-	var b int64
-	for k, d := range s.deltas {
-		_ = k
-		b += int64(len(d)) * 8
-	}
-	return b
-}
-
 // Flush applies every buffered gradient to the master through the
 // optimizer (with backlog when tracked) and clears the buffer. Returns
 // the bytes sent upstream.

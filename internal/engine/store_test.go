@@ -162,7 +162,7 @@ func TestBacklogReachesAdaRev(t *testing.T) {
 
 func TestSnapshotStoreDeterministicFlushOrder(t *testing.T) {
 	run := func() []float64 {
-		master, st := snapshotFixture(optim.NewAdaGrad(0.5))
+		master, st := snapshotFixture(optim.NewAdaRev(0.5))
 		for r := int64(3); r >= 0; r-- {
 			st.Update(1, r, []float64{float64(r + 1), 0})
 		}
@@ -179,4 +179,16 @@ func TestSnapshotStoreDeterministicFlushOrder(t *testing.T) {
 			t.Fatal("flush order is not deterministic")
 		}
 	}
+}
+
+// PendingRows returns the number of rows with buffered gradients.
+func (s *SnapshotStore) PendingRows() int { return len(s.deltas) }
+
+// PendingBytes returns the wire size of the buffered gradients.
+func (s *SnapshotStore) PendingBytes() int64 {
+	var b int64
+	for _, d := range s.deltas {
+		b += int64(len(d)) * 8
+	}
+	return b
 }

@@ -853,7 +853,11 @@ func TestRunLoopStopsOnError(t *testing.T) {
 // ForEach order and stops on demand, for dense and sparse layouts.
 func TestDistArrayForEachUntil(t *testing.T) {
 	dense := dsm.NewDense("d", 3, 2)
-	dense.MapIndex(func(idx []int64, v float64) float64 { return float64(idx[0]*10 + idx[1]) })
+	for i := int64(0); i < 3; i++ {
+		for j := int64(0); j < 2; j++ {
+			dense.SetAt(float64(i*10+j), i, j)
+		}
+	}
 	sparse := dsm.NewSparse("s", 5)
 	sparse.SetAt(1, 4)
 	sparse.SetAt(2, 1)

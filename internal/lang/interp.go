@@ -101,15 +101,6 @@ type Recorder struct {
 	Indices map[string][]int64
 }
 
-// NewRecorder builds a recorder for the given arrays.
-func NewRecorder(targets ...string) *Recorder {
-	m := make(map[string]bool, len(targets))
-	for _, t := range targets {
-		m[t] = true
-	}
-	return &Recorder{Targets: m, Indices: make(map[string][]int64)}
-}
-
 // NewMachine builds an interpreter instance.
 func NewMachine() *Machine {
 	return &Machine{

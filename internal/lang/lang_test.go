@@ -959,3 +959,12 @@ end
 		t.Errorf("the slice lost the draw-independent read:\n%s", text)
 	}
 }
+
+// NewRecorder builds a recorder for the given arrays.
+func NewRecorder(targets ...string) *Recorder {
+	m := make(map[string]bool, len(targets))
+	for _, t := range targets {
+		m[t] = true
+	}
+	return &Recorder{Targets: m, Indices: make(map[string][]int64)}
+}

@@ -105,9 +105,6 @@ func ResolveLoop(loop *Loop, env *CompileEnv) (res *Resolution, err error) {
 	return &Resolution{c: c}, nil
 }
 
-// Loop returns the resolved loop's AST.
-func (r *Resolution) Loop() *Loop { return r.c.loop }
-
 // NumFloat, NumVec, and NumBool report the local slot counts per kind.
 func (r *Resolution) NumFloat() int { return len(r.c.floatIx) }
 func (r *Resolution) NumVec() int   { return len(r.c.vecIx) }

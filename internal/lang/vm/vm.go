@@ -351,9 +351,6 @@ type Prog struct {
 	idxSizes []int
 }
 
-// Loop returns the compiled loop's AST.
-func (p *Prog) Loop() *lang.Loop { return p.loop }
-
 // vmFault carries a runtime error out of the dispatch loop; RunIteration
 // and RunBlock recover it back into an error. Non-fault panics (array
 // bounds violations, which the interpreter also surfaces as panics)
@@ -546,10 +543,14 @@ func (k *Kernel) SetRng(r lang.RandSource) { k.rng = r }
 
 // SetStepBudget bounds inner for-range body executions across the
 // kernel's lifetime; 0 disables the budget. Mirrors Machine.StepBudget.
+//
+//lint:ignore reach no caller, but the budget it sets is linked code (ROADMAP 3B(h))
 func (k *Kernel) SetStepBudget(n int64) { k.budget = n }
 
 // SetVecLimit bounds zeros() vector lengths; 0 disables the limit.
 // Mirrors Machine.VecLimit.
+//
+//lint:ignore reach no caller, but the limit it sets is linked code (ROADMAP 3B(h))
 func (k *Kernel) SetVecLimit(n int64) { k.vecLimit = n }
 
 // SetGlobal sets a global slot's value, reporting whether the loop

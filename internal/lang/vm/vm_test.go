@@ -335,7 +335,9 @@ func TestVMRunLoop(t *testing.T) {
 	}
 	k := p.NewKernel()
 	d := dsm.NewDense("data", 4)
-	d.MapIndex(func(idx []int64, _ float64) float64 { return float64(idx[0] + 1) })
+	for i := int64(0); i < 4; i++ {
+		d.SetAt(float64(i+1), i)
+	}
 	if err := k.BindArray("data", d); err != nil {
 		t.Fatal(err)
 	}

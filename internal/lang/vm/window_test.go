@@ -383,3 +383,6 @@ func TestWindowRebindDropsStorage(t *testing.T) {
 		}
 	}
 }
+
+// Loop returns the compiled loop's AST.
+func (p *Prog) Loop() *lang.Loop { return p.loop }

@@ -16,17 +16,19 @@ import (
 // name is a target of the Makefile, every bare file name they put in
 // backticks (`DESIGN.md`, not a path or a command's argument) is a file
 // at the top of the tree, every command they name (`orion-<name>`,
-// `cmd/<name>`) is a directory of cmd/, every `Session.X` in their code
-// is a method of driver.Session, and every flag of an `orion-<name> …`
+// `cmd/<name>`) is a directory of cmd/, every `driver.X` and `dsm.X` in
+// their code is a top-level declaration of that package, every
+// `Session.X` a method of driver.Session and every `DistArray.X` a
+// method of dsm.DistArray, and every flag of an `orion-<name> …`
 // command in their code is one cmd/orion-<name> defines, DESIGN.md's
 // flight-event "Kinds" table lists exactly the obs.FlightKind
 // constants and its VM instruction-set table exactly the opcodes of
 // internal/lang/vm, every ORNxxx code the documents or diag's package
 // comment name is a diag.Code* constant's value, and README's
 // diagnostics table has a row for every such constant. Deleting a
-// target, a committed file, a command, a method, a flag, a kind, an
-// opcode or a code — or adding a kind, an opcode or a code — then fails
-// here until the documents follow.
+// target, a committed file, a command, a declaration, a method, a flag,
+// a kind, an opcode or a code — or adding a kind, an opcode or a code —
+// then fails here until the documents follow.
 func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	const root = "../.."
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -37,7 +39,19 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllSubmatch(makefile, -1) {
 		targets[string(m[1])] = true
 	}
-	methods := sessionMethods(t, root)
+	// Each reference form in the documents' code, with what it may name.
+	// A lower-case name after driver. or dsm. is a metric
+	// (driver.pass_s), not a declaration.
+	refs := []struct {
+		re    *regexp.Regexp
+		names map[string]bool
+		what  string
+	}{
+		{regexp.MustCompile(`(?:^|[^/\w])driver\.([A-Z]\w*)`), topLevelNames(t, root, "./internal/driver"), "a top-level declaration of internal/driver"},
+		{regexp.MustCompile(`(?:^|[^/\w])dsm\.([A-Z]\w*)`), topLevelNames(t, root, "./internal/dsm"), "a top-level declaration of internal/dsm"},
+		{regexp.MustCompile(`\bSession\.([A-Za-z_]\w*)`), methodsOf(t, root, "./internal/driver", "Session"), "a method of driver.Session"},
+		{regexp.MustCompile(`\bDistArray\.([A-Za-z_]\w*)`), methodsOf(t, root, "./internal/dsm", "DistArray"), "a method of dsm.DistArray"},
+	}
 	flags := commandFlags(t, root)
 	codes, diagDoc := diagCodes(t, root)
 	codeRef := regexp.MustCompile(`ORN\d{3}`)
@@ -50,7 +64,6 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	// prose ("and make all ...") is not a target.
 	makeRef := regexp.MustCompile("(?m)(?:`|^\\s*)make ([a-z][a-z0-9-]*)")
 	fileRef := regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_.-]*\\.(?:json|md|txt))`")
-	sessionRef := regexp.MustCompile(`\bSession\.([A-Za-z_][A-Za-z0-9_]*)`)
 	flagRef := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=.*)?$`)
 	cmdRef := regexp.MustCompile(`\b(?:cmd/([a-z][a-z0-9-]*)|(orion-[a-z][a-z0-9]*(?:-[a-z][a-z0-9]*)*))`)
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
@@ -79,9 +92,11 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 			}
 		}
 		for _, code := range codePieces(string(text)) {
-			for _, m := range sessionRef.FindAllStringSubmatch(code, -1) {
-				if !methods[m[1]] {
-					t.Errorf("%s names `Session.%s`, which is not a method of driver.Session", doc, m[1])
+			for _, ref := range refs {
+				for _, m := range ref.re.FindAllStringSubmatch(code, -1) {
+					if !ref.names[m[1]] {
+						t.Errorf("%s names `%s`, which is not %s", doc, strings.TrimLeft(m[0], "([ \t"), ref.what)
+					}
 				}
 			}
 			// Each command's arguments run to the next command named.
@@ -286,10 +301,10 @@ func shellCommand(s string) string {
 	return s
 }
 
-// sessionMethods lists the methods declared on driver.Session.
-func sessionMethods(t *testing.T, root string) map[string]bool {
+// methodsOf lists the methods a package declares on the named type.
+func methodsOf(t *testing.T, root, dir, typ string) map[string]bool {
 	methods := map[string]bool{}
-	for _, f := range nonTestFiles(t, root, "./internal/driver") {
+	for _, f := range nonTestFiles(t, root, dir) {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Recv == nil {
@@ -299,15 +314,46 @@ func sessionMethods(t *testing.T, root string) map[string]bool {
 			if star, ok := recv.(*ast.StarExpr); ok {
 				recv = star.X
 			}
-			if id, ok := recv.(*ast.Ident); ok && id.Name == "Session" {
+			if id, ok := recv.(*ast.Ident); ok && id.Name == typ {
 				methods[fn.Name.Name] = true
 			}
 		}
 	}
 	if len(methods) == 0 {
-		t.Fatal("no Session methods found in internal/driver")
+		t.Fatalf("no %s methods found in %s", typ, dir)
 	}
 	return methods
+}
+
+// topLevelNames lists a package's top-level functions, types, variables
+// and constants.
+func topLevelNames(t *testing.T, root, dir string) map[string]bool {
+	names := map[string]bool{}
+	for _, f := range nonTestFiles(t, root, dir) {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(names) == 0 {
+		t.Fatalf("no declarations found in %s", dir)
+	}
+	return names
 }
 
 // commandFlags maps each command under cmd/ to the flags it defines:

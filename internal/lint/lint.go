@@ -20,6 +20,14 @@
 // line or the line above it:
 //
 //	//lint:ignore <analyzer> <reason>
+//
+// One more check is a test, not an analyzer, because it needs the
+// linker: `make reach` (reach_test.go, behind the reach build tag)
+// fails on any non-test function or method no program under cmd/,
+// examples/ or benchmark/ links. Its directive is
+// //lint:ignore reach <reason>, which also covers a type's methods
+// when placed on the type and a whole file when placed above the
+// package clause.
 package lint
 
 import (

@@ -100,3 +100,13 @@ func TestFlightRecordAllocFree(t *testing.T) {
 		t.Fatalf("Record allocates %v per call, want 0", allocs)
 	}
 }
+
+// Dropped reports how many events were overwritten before export.
+func (l *EventLog) Dropped() int64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dropped
+}

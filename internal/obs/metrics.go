@@ -3,7 +3,6 @@ package obs
 import (
 	"expvar"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -248,22 +247,6 @@ func (r *Registry) Snapshot() map[string]any {
 		out["peers"] = peers
 	}
 	return out
-}
-
-// Names returns the sorted metric names currently registered
-// (excluding peers).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 var publishOnce sync.Once

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -333,4 +334,50 @@ func TestServeMetrics(t *testing.T) {
 		t.Fatalf("rebind after Close failed: %v", err)
 	}
 	srv2.Close()
+}
+
+// StartUnixNs is the wall clock at tracer creation in unix nanoseconds.
+// Remote span timestamps are aligned relative to it.
+func (t *Tracer) StartUnixNs() int64 { return t.startUnix }
+
+// SetBufCap changes the ring capacity used for buffers created after
+// the call (tests shrink it to exercise wrap-around).
+func (t *Tracer) SetBufCap(n int) {
+	if n > 0 {
+		t.bufCap = n
+	}
+}
+
+// End records a complete span from start to now. start may also come
+// from a plain time.Now() call — the runtime reuses the timestamps it
+// already takes for the execution report.
+func (b *TraceBuf) End(name, cat string, start time.Time) {
+	if b == nil {
+		return
+	}
+	b.endArgs(name, cat, start, "", 0, "", 0)
+}
+
+// Instant records a zero-duration marker event.
+func (b *TraceBuf) Instant(name, cat string) {
+	if b == nil {
+		return
+	}
+	b.record(span{name: name, cat: cat, start: time.Since(b.tracer.start), instant: true})
+}
+
+// Names returns the sorted metric names currently registered
+// (excluding peers).
+func (r *Registry) Names() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var names []string
+	for n := range r.counters {
+		names = append(names, n)
+	}
+	for n := range r.histograms {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -69,18 +69,6 @@ func NewTracer() *Tracer {
 // already local.
 func (t *Tracer) ID() int64 { return t.id }
 
-// StartUnixNs is the wall clock at tracer creation in unix nanoseconds.
-// Remote span timestamps are aligned relative to it.
-func (t *Tracer) StartUnixNs() int64 { return t.startUnix }
-
-// SetBufCap changes the ring capacity used for buffers created after
-// the call (tests shrink it to exercise wrap-around).
-func (t *Tracer) SetBufCap(n int) {
-	if n > 0 {
-		t.bufCap = n
-	}
-}
-
 // global is the process-wide tracer, nil when tracing is disabled.
 var global atomic.Pointer[Tracer]
 
@@ -170,16 +158,6 @@ func (b *TraceBuf) Begin() time.Time {
 	return time.Now()
 }
 
-// End records a complete span from start to now. start may also come
-// from a plain time.Now() call — the runtime reuses the timestamps it
-// already takes for the execution report.
-func (b *TraceBuf) End(name, cat string, start time.Time) {
-	if b == nil {
-		return
-	}
-	b.endArgs(name, cat, start, "", 0, "", 0)
-}
-
 // EndN records a span carrying one integer argument.
 func (b *TraceBuf) EndN(name, cat string, start time.Time, key string, val int64) {
 	if b == nil {
@@ -206,14 +184,6 @@ func (b *TraceBuf) endArgs(name, cat string, start time.Time, k1 string, v1 int6
 		argKey: k1, argVal: v1, arg2Key: k2, arg2Val: v2,
 		start: start.Sub(b.tracer.start), dur: time.Since(start),
 	})
-}
-
-// Instant records a zero-duration marker event.
-func (b *TraceBuf) Instant(name, cat string) {
-	if b == nil {
-		return
-	}
-	b.record(span{name: name, cat: cat, start: time.Since(b.tracer.start), instant: true})
 }
 
 func (b *TraceBuf) record(s span) {

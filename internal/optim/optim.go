@@ -1,6 +1,6 @@
 // Package optim implements the update rules parameter tables are
-// maintained with: plain SGD, AdaGrad, and Adaptive Revision (AdaRev,
-// McMahan & Streeter 2014) — the delay-compensated adaptive method the
+// maintained with: plain SGD and Adaptive Revision (AdaRev, McMahan &
+// Streeter 2014) — the delay-compensated adaptive method the
 // paper evaluates as "SGD MF AdaRev" and "SLR AdaRev".
 //
 // Kernels emit raw gradients; an Optimizer turns an (accumulated)
@@ -67,48 +67,10 @@ func (s *SGD) Clone() Optimizer { return &SGD{LR: s.LR} }
 // Name implements Optimizer.
 func (s *SGD) Name() string { return "sgd" }
 
-// AdaGrad scales steps by accumulated squared gradients:
-// z2 += g²; row -= lr * g / sqrt(z2 + eps).
-type AdaGrad struct {
-	LR  float64
-	Eps float64
-	z2  map[tableRow][]float64
-}
-
 type tableRow struct {
 	table int
 	row   int64
 }
-
-// NewAdaGrad returns an AdaGrad rule.
-func NewAdaGrad(lr float64) *AdaGrad {
-	return &AdaGrad{LR: lr, Eps: 1e-8, z2: make(map[tableRow][]float64)}
-}
-
-func (a *AdaGrad) state(t int, r int64, n int) []float64 {
-	k := tableRow{t, r}
-	s := a.z2[k]
-	if s == nil {
-		s = make([]float64, n)
-		a.z2[k] = s
-	}
-	return s
-}
-
-// Apply implements Optimizer.
-func (a *AdaGrad) Apply(table int, rowID int64, row, g, _ []float64) {
-	z2 := a.state(table, rowID, len(g))
-	for i := range g {
-		z2[i] += g[i] * g[i]
-		row[i] -= a.LR * g[i] / math.Sqrt(z2[i]+a.Eps)
-	}
-}
-
-// Clone implements Optimizer.
-func (a *AdaGrad) Clone() Optimizer { return NewAdaGrad(a.LR) }
-
-// Name implements Optimizer.
-func (a *AdaGrad) Name() string { return "adagrad" }
 
 // AdaRev is Adaptive Revision: AdaGrad whose accumulator additionally
 // absorbs the interaction between a delayed gradient g and the backlog
@@ -116,7 +78,7 @@ func (a *AdaGrad) Name() string { return "adagrad" }
 // parameter: z2 += g² + 2·g·ĝ_bck (clamped at ≥ g²), shrinking the
 // effective step for stale gradients that point the same way as
 // already-applied mass. With no delay (gBck nil or zero) it reduces to
-// AdaGrad.
+// AdaGrad: z2 += g²; row -= lr * g / sqrt(z2 + eps).
 type AdaRev struct {
 	LR  float64
 	Eps float64

@@ -21,33 +21,15 @@ func TestSGD(t *testing.T) {
 	}
 }
 
-func TestAdaGradShrinksSteps(t *testing.T) {
-	a := NewAdaGrad(1.0)
-	row := []float64{0}
-	a.Apply(0, 0, row, []float64{1}, nil)
-	first := -row[0]
-	prev := row[0]
-	a.Apply(0, 0, row, []float64{1}, nil)
-	second := prev - row[0]
-	if second >= first {
-		t.Fatalf("AdaGrad steps must shrink: first %v second %v", first, second)
-	}
-	// Per-row state is independent.
-	other := []float64{0}
-	a.Apply(0, 5, other, []float64{1}, nil)
-	if math.Abs(-other[0]-first) > 1e-9 {
-		t.Fatalf("row state leaked: %v vs %v", -other[0], first)
-	}
-}
-
 func TestAdaRevReducesToAdaGradWithoutDelay(t *testing.T) {
-	ag := NewAdaGrad(0.5)
 	ar := NewAdaRev(0.5)
 	rowG := []float64{1}
 	rowR := []float64{1}
+	var z2 float64 // AdaGrad: z2 += g²; row -= lr * g / sqrt(z2 + eps)
 	for i := 0; i < 5; i++ {
 		g := []float64{float64(i) - 2}
-		ag.Apply(0, 0, rowG, g, nil)
+		z2 += g[0] * g[0]
+		rowG[0] -= 0.5 * g[0] / math.Sqrt(z2+1e-8)
 		ar.Apply(0, 0, rowR, g, nil)
 	}
 	if math.Abs(rowG[0]-rowR[0]) > 1e-12 {
@@ -102,16 +84,16 @@ func TestAdaRevZSum(t *testing.T) {
 }
 
 func TestClonesAreFresh(t *testing.T) {
-	a := NewAdaGrad(1.0)
+	a := NewAdaRev(1.0)
 	row := []float64{0}
 	a.Apply(0, 0, row, []float64{1}, nil)
-	c := a.Clone().(*AdaGrad)
+	c := a.Clone().(*AdaRev)
 	row2 := []float64{0}
 	c.Apply(0, 0, row2, []float64{1}, nil)
 	if math.Abs(row2[0]-row[0]) > 1e-12 {
 		t.Fatalf("clone must start fresh: %v vs %v", row2[0], row[0])
 	}
-	if a.Name() != "adagrad" || NewSGD(1).Name() != "sgd" || NewAdaRev(1).Name() != "adarev" || NewIdentity().Name() != "identity" {
+	if NewSGD(1).Name() != "sgd" || NewAdaRev(1).Name() != "adarev" || NewIdentity().Name() != "identity" {
 		t.Fatal("names wrong")
 	}
 }

@@ -1,3 +1,5 @@
+//lint:ignore reach the fault-injection harness the runtime's and the driver's tests share
+
 package runtime
 
 import (

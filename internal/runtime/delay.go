@@ -14,8 +14,11 @@ var blockDelayFn atomic.Value // of func(execID, iters int) time.Duration
 // iters) *inside* its compute-timing window, so the extra time shows
 // up in LoopReports as honest per-worker compute skew. The hook is
 // timing-only — it never changes results — and exists to fabricate
-// reproducible stragglers for the adaptive re-planning demo
-// (orion-run -skew-demo) and its tests. nil removes the hook.
+// reproducible stragglers for the adaptive re-planning tests
+// (TestChaosAdaptGenuineRecutReducesSkew in internal/driver). nil
+// removes the hook.
+//
+//lint:ignore reach ROADMAP item 24 makes it a Chaos fault
 func SetBlockDelay(fn func(execID, iters int) time.Duration) {
 	if fn == nil {
 		fn = func(int, int) time.Duration { return 0 }

@@ -175,6 +175,8 @@ func (m *Master) Addr() string { return m.addr }
 // PeerAddrs returns the executors' ring addresses by id (available
 // after WaitForExecutors) — used by fault-injection scripts to target
 // specific peer links.
+//
+//lint:ignore reach a test hook the driver's fault tests share
 func (m *Master) PeerAddrs() []string { return append([]string(nil), m.peers...) }
 
 // Clock returns the number of completed global steps across all loops.
@@ -183,6 +185,8 @@ func (m *Master) Clock() int64 { return m.clock.Load() }
 // SetClockHook installs a function observing the clock at the start of
 // every step, before that step's blocks are dispatched. The chaos
 // harness drives fault scripts from it. Set before loops run.
+//
+//lint:ignore reach a test hook the driver's fault tests share
 func (m *Master) SetClockHook(fn func(clock int64)) { m.clockHook = fn }
 
 // SetHeartbeat arms staleness detection: a worker silent for longer

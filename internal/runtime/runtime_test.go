@@ -55,12 +55,14 @@ func mfFixture(seed int64) (*data.Ratings, *dsm.DistArray, *dsm.DistArray, []Ite
 	w := dsm.NewDense("W", testRank, r.Rows)
 	h := dsm.NewDense("H", testRank, r.Cols)
 	// Deterministic non-random init so distributed and local runs match.
-	w.MapIndex(func(idx []int64, _ float64) float64 {
-		return 0.1 + 0.01*float64(idx[0]+idx[1]%7)
-	})
-	h.MapIndex(func(idx []int64, _ float64) float64 {
-		return 0.1 + 0.01*float64(idx[0]+idx[1]%5)
-	})
+	for k := int64(0); k < testRank; k++ {
+		for i := int64(0); i < r.Rows; i++ {
+			w.SetAt(0.1+0.01*float64(k+i%7), k, i)
+		}
+		for j := int64(0); j < r.Cols; j++ {
+			h.SetAt(0.1+0.01*float64(k+j%5), k, j)
+		}
+	}
 	samples := make([]IterSample, len(r.I))
 	for i := range r.I {
 		samples[i] = IterSample{Key: []int64{r.I[i], r.J[i]}, Val: r.V[i]}

@@ -496,7 +496,7 @@ func TestServedWireBytesPinned(t *testing.T) {
 func TestShardAddressesByFlatOffset(t *testing.T) {
 	for _, full := range []*dsm.DistArray{dsm.NewDense("w", 3, 8), dsm.NewSparse("w", 3, 8)} {
 		for off := int64(0); off < 24; off += 2 {
-			full.SetAt(float64(off), full.Unflatten(off)...)
+			full.SetFlat(off, float64(off))
 		}
 		s := newShardSet(nil, 1)
 		s.install("w", []int64{3, 8}, []int64{5}, full.ExtractRange(1, 5, 8))
@@ -508,9 +508,9 @@ func TestShardAddressesByFlatOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, d := range []float64{1, -16, 0.5, 2} {
-			full.AddAt(d, full.Unflatten(offs[i])...)
+			full.SetFlat(offs[i], full.AtFlat(offs[i])+d)
 		}
-		full.SetAt(7, full.Unflatten(19)...)
+		full.SetFlat(19, 7)
 		all := []int64{15, 16, 17, 18, 19, 20, 21, 22, 23}
 		got, err := s.serveRead(nil, "w", all, 3)
 		if err != nil {
@@ -518,7 +518,7 @@ func TestShardAddressesByFlatOffset(t *testing.T) {
 		}
 		nonzero := 0
 		for i, off := range all {
-			want := full.At(full.Unflatten(off)...)
+			want := full.AtFlat(off)
 			if got[i] != want {
 				t.Errorf("dense=%v: w at offset %d reads %v, want %v", full.IsDense(), off, got[i], want)
 			}

@@ -81,6 +81,8 @@ func (m Matrix) Apply(p []int64) []int64 {
 }
 
 // Det computes the determinant by fraction-free (Bareiss) elimination.
+//
+//lint:ignore reach the determinant behind IsUnimodular, a test oracle
 func (m Matrix) Det() int64 {
 	n := len(m)
 	a := m.Clone()
@@ -113,63 +115,11 @@ func (m Matrix) Det() int64 {
 }
 
 // IsUnimodular reports |det| == 1.
+//
+//lint:ignore reach a test oracle: every transform Find returns must be unimodular
 func (m Matrix) IsUnimodular() bool {
 	d := m.Det()
 	return d == 1 || d == -1
-}
-
-// Inverse returns the integer inverse of a unimodular matrix via the
-// adjugate. Panics if the matrix is not unimodular (the inverse would
-// not be integral).
-func (m Matrix) Inverse() Matrix {
-	n := len(m)
-	d := m.Det()
-	if d != 1 && d != -1 {
-		panic(fmt.Sprintf("unimodular: Inverse of non-unimodular matrix (det=%d)", d))
-	}
-	adj := make(Matrix, n)
-	for i := range adj {
-		adj[i] = make([]int64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			c := m.minor(i, j).Det()
-			if (i+j)%2 == 1 {
-				c = -c
-			}
-			adj[j][i] = c / 1 // adjugate is transpose of cofactors
-		}
-	}
-	if d == -1 {
-		for i := range adj {
-			for j := range adj[i] {
-				adj[i][j] = -adj[i][j]
-			}
-		}
-	}
-	return adj
-}
-
-func (m Matrix) minor(ri, rj int) Matrix {
-	n := len(m)
-	if n == 1 {
-		return Matrix{{1}} // det of 0x0 is 1
-	}
-	out := make(Matrix, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i == ri {
-			continue
-		}
-		row := make([]int64, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j == rj {
-				continue
-			}
-			row = append(row, m[i][j])
-		}
-		out = append(out, row)
-	}
-	return out
 }
 
 // Interchange returns the matrix swapping loops i and j.
@@ -269,15 +219,6 @@ func addDist(a, b dep.Dist) dep.Dist {
 		}
 		return dep.DNeg()
 	}
-}
-
-// TransformVector computes T·d.
-func TransformVector(t Matrix, d dep.Vector) dep.Vector {
-	out := make(dep.Vector, len(t))
-	for i := range t {
-		out[i] = TransformDist(t[i], d)
-	}
-	return out
 }
 
 // OuterCarried reports whether T makes every dependence vector's first
