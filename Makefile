@@ -6,7 +6,7 @@ GO ?= go
 
 .PHONY: check fmt vet lint reach build test loc benchmark-module race chaos soak bench-smoke exec-gate vm-gate vm-gate-mf vm-count resident-gate trace-smoke vet-examples fuzz golden-plans golden-plans-check figures-check
 
-check: fmt vet lint reach build test benchmark-module race chaos bench-smoke exec-gate vm-gate-mf vm-count resident-gate trace-smoke vet-examples golden-plans-check figures-check
+check: fmt vet lint reach build test benchmark-module race bench-smoke exec-gate vm-gate-mf vm-count resident-gate trace-smoke vet-examples figures-check
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -60,7 +60,8 @@ race:
 	$(GO) test -race ./internal/runtime/... ./internal/driver ./internal/engine \
 		./internal/dslkernel/... ./internal/obs ./internal/dsm
 
-# The seeded fault-injection suite: scripted connection failures at
+# The seeded fault-injection suite (not in check: race runs every test
+# of both packages under the race detector): scripted connection failures at
 # chosen loop clocks, recovery from coordinated checkpoints, bitwise
 # comparison against fault-free runs, and a worker blackholed between
 # loops failing every master wait and every driver fetch (recovered with
@@ -149,7 +150,8 @@ vet-examples:
 golden-plans:
 	ORION_UPDATE_GOLDEN=1 $(GO) test ./internal/plan -run TestGolden
 
-# Gate: fail when the compiled plans drift from their committed goldens.
+# Gate: fail when the compiled plans drift from their committed goldens
+# (not in check: test runs the same test).
 golden-plans-check:
 	$(GO) test ./internal/plan -run TestGolden
 

@@ -107,82 +107,23 @@ func run(cfg config) error {
 	)
 	switch app {
 	case "mf":
-		const rows, cols, rank = 80, 60, 8
-		ds := data.NewRatings(data.RatingsConfig{Rows: rows, Cols: cols, NNZ: 1500, Rank: rank, Noise: 0.05, Seed: 3})
-		ratings := sess.CreateArray("ratings", false, rows, cols)
-		for i := range ds.I {
-			ratings.SetAt(ds.V[i], ds.I[i], ds.J[i])
+		if err := examples.NewMF(data.RatingsConfig{Rows: 80, Cols: 60, NNZ: 1500, Rank: 8, Noise: 0.05, Seed: 3}).Register(sess); err != nil {
+			return err
 		}
-		rng := rand.New(rand.NewSource(1))
-		sess.CreateArray("W", true, rank, rows).FillRandn(rng, 1.0/rank)
-		sess.CreateArray("H", true, rank, cols).FillRandn(rng, 1.0)
 		sess.SetGlobal("step_size", 0.02)
 		program, metricName = examples.MF, "rmse"
 		metric = func() float64 {
-			r, w, h := sess.Array("ratings"), sess.Array("W"), sess.Array("H")
-			var sum float64
-			var n int
-			r.ForEach(func(idx []int64, v float64) {
-				wv, hv := w.Vec(idx[0]), h.Vec(idx[1])
-				var pred float64
-				for d := range wv {
-					pred += wv[d] * hv[d]
-				}
-				sum += (pred - v) * (pred - v)
-				n++
-			})
-			return math.Sqrt(sum / float64(n))
+			r := sess.Array("ratings")
+			return math.Sqrt(examples.MFLoss(r, sess.Array("W"), sess.Array("H")) / float64(r.Len()))
 		}
 
 	case "lda":
-		const docs, vocab, topics = 120, 80, 6
-		c := data.NewCorpus(data.CorpusConfig{Docs: docs, Vocab: vocab, Topics: topics, MeanDocLen: 30, Seed: 4})
-		tokens := sess.CreateArray("tokens", false, docs, vocab)
-		z := sess.CreateArray("z", false, docs, vocab)
-		dt := sess.CreateArray("doc_topic", true, topics, docs)
-		wt := sess.CreateArray("word_topic", true, topics, vocab)
-		totals := sess.CreateArray("totals", true, topics)
-		if err := sess.CreateBuffer("tot_buf", "totals"); err != nil {
+		if err := examples.NewLDA(data.CorpusConfig{Docs: 120, Vocab: 80, Topics: 6, MeanDocLen: 30, Seed: 4}).Register(sess); err != nil {
 			return err
 		}
-		i := 0
-		for d, words := range c.Words {
-			seen := map[int64]bool{}
-			for _, w := range words {
-				if seen[w] {
-					continue
-				}
-				seen[w] = true
-				tokens.SetAt(1, int64(d), w)
-				topic := int64(i%topics) + 1
-				z.SetAt(float64(topic), int64(d), w)
-				dt.AddAt(1, topic-1, int64(d))
-				wt.AddAt(1, topic-1, w)
-				totals.AddAt(1, topic-1)
-				i++
-			}
-		}
-		sess.SetGlobal("K", topics)
-		sess.SetGlobal("alpha", 0.5)
-		sess.SetGlobal("beta", 0.1)
-		sess.SetGlobal("vbeta", 0.1*vocab)
 		program, metricName = examples.LDA, "log-likelihood"
 		metric = func() float64 {
-			dt, wt, totals := sess.Array("doc_topic"), sess.Array("word_topic"), sess.Array("totals")
-			var ll float64
-			for k := int64(0); k < topics; k++ {
-				g, _ := math.Lgamma(totals.At(k) + 0.1*vocab)
-				ll -= g
-				for w := int64(0); w < vocab; w++ {
-					g, _ := math.Lgamma(wt.At(k, w) + 0.1)
-					ll += g
-				}
-				for d := int64(0); d < docs; d++ {
-					g, _ := math.Lgamma(dt.At(k, d) + 0.5)
-					ll += g
-				}
-			}
-			return ll
+			return examples.LDALogLik(sess.Array("doc_topic"), sess.Array("word_topic"), sess.Array("totals"))
 		}
 
 	case "slr":

@@ -1,5 +1,7 @@
 // Package examples embeds the committed programs cmd/orion-run runs, so
-// each has one copy: editing a .orion file changes every front door.
+// each has one copy: editing a .orion file changes every front door. It
+// also builds each application's arrays and metrics once (fixtures.go)
+// for orion-run, the quickstart and the tests.
 package examples
 
 import _ "embed"

@@ -8,47 +8,28 @@
 package main
 
 import (
-	_ "embed"
 	"fmt"
 	"log"
-	"math/rand"
 
+	"orion/examples"
 	"orion/internal/data"
 	"orion/internal/dep"
 	"orion/internal/driver"
-	"orion/internal/dsm"
 	"orion/internal/lang"
 	"orion/internal/sched"
 )
 
-//go:embed mf.orion
-var mfProgram string
-
 func main() {
-	const (
-		rows, cols = 80, 60
-		rank       = 8
-		passes     = 8
-	)
+	const passes = 8
 
 	// 1. The driver program creates DistArrays: training data loaded
 	// (here: generated), parameters randomly initialized.
-	ds := data.NewRatings(data.RatingsConfig{
-		Rows: rows, Cols: cols, NNZ: 2000, Rank: rank, Noise: 0.05, Seed: 42,
-	})
-	ratings := dsm.NewSparse("ratings", rows, cols)
-	for i := range ds.I {
-		ratings.SetAt(ds.V[i], ds.I[i], ds.J[i])
-	}
-	rng := rand.New(rand.NewSource(1))
-	w := dsm.NewDense("W", rank, rows)
-	h := dsm.NewDense("H", rank, cols)
-	w.FillRandn(rng, 1.0/rank)
-	h.FillRandn(rng, 1.0)
+	cfg := data.RatingsConfig{Rows: 80, Cols: 60, NNZ: 2000, Rank: 8, Noise: 0.05, Seed: 42}
+	mf := examples.NewMF(cfg)
 
 	// 2. @parallel_for: parse the program (mf.orion declares the arrays
 	// above) and statically analyze its loop.
-	prog, err := lang.ParseProgram(mfProgram)
+	prog, err := lang.ParseProgram(examples.MF)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,9 +56,9 @@ func main() {
 	// 4a. Execute serially: the interpreter runs the same loop body the
 	// analyzer saw.
 	m := lang.NewMachine()
-	m.Arrays["ratings"] = ratings
-	m.Arrays["W"] = w
-	m.Arrays["H"] = h
+	for name, a := range mf.Arrays {
+		m.Arrays[name] = a
+	}
 	m.Globals["step_size"] = float64(0.05)
 	m.Globals["err"] = float64(0)
 
@@ -100,13 +81,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sess.Close()
-	dr := sess.CreateArray("ratings", false, rows, cols)
-	for i := range ds.I {
-		dr.SetAt(ds.V[i], ds.I[i], ds.J[i])
+	if err := examples.NewMF(cfg).Register(sess); err != nil {
+		log.Fatal(err)
 	}
-	rng2 := rand.New(rand.NewSource(1))
-	sess.CreateArray("W", true, rank, rows).FillRandn(rng2, 1.0/rank)
-	sess.CreateArray("H", true, rank, cols).FillRandn(rng2, 1.0)
 	sess.SetGlobal("step_size", 0.05)
 	sess.SetGlobal("err", 0)
 

@@ -107,7 +107,9 @@ func TestCheckArtifactStale(t *testing.T) {
 		t.Error("ORN108 must carry a fix note")
 	}
 
-	rendered := diag.RenderString(vet.Diags, map[string]string{"stencil.orion": stencil})
+	var b strings.Builder
+	diag.Render(&b, vet.Diags, map[string]string{"stencil.orion": stencil})
+	rendered := b.String()
 	if !strings.Contains(rendered, "error[ORN108]") {
 		t.Errorf("rendered output missing ORN108:\n%s", rendered)
 	}

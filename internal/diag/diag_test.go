@@ -76,7 +76,9 @@ func TestRenderCaret(t *testing.T) {
 	src := "for (key, v) in data\n    x = nope(v)\nend\n"
 	var l List
 	l.Add(Errorf(CodeUnknownFn, Pos{File: "t.orion", Line: 2, Col: 9}, "pick a builtin", "unknown function %q", "nope"))
-	out := RenderString(l, map[string]string{"t.orion": src})
+	var b strings.Builder
+	Render(&b, l, map[string]string{"t.orion": src})
+	out := b.String()
 	for _, want := range []string{
 		"t.orion:2:9: error[ORN013]",
 		"    x = nope(v)",

@@ -41,10 +41,3 @@ func Render(w io.Writer, diags List, sources map[string]string) {
 		}
 	}
 }
-
-// RenderString renders the diagnostics to a string.
-func RenderString(diags List, sources map[string]string) string {
-	var b strings.Builder
-	Render(&b, diags, sources)
-	return b.String()
-}

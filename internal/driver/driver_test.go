@@ -2,7 +2,6 @@ package driver
 
 import (
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,26 +9,23 @@ import (
 	"testing"
 	"time"
 
-	"orion/internal/data"
+	"orion/examples"
 	"orion/internal/diag"
 	"orion/internal/lang"
 	"orion/internal/obs"
 	"orion/internal/sched"
 )
 
-const mfSrc = `
-for (key, rv) in ratings
-    W_row = W[:, key[1]]
-    H_row = H[:, key[2]]
-    pred = dot(W_row, H_row)
-    diff = rv - pred
-    W_grad = -2 * diff * H_row
-    H_grad = -2 * diff * W_row
-    W[:, key[1]] = W_row - step_size * W_grad
-    H[:, key[2]] = H_row - step_size * H_grad
-    err += abs2(diff)
-end
-`
+// mfSrc and ldaDSL are the loops of the committed MF and LDA programs.
+var mfSrc, ldaDSL = exampleLoop(examples.MF), exampleLoop(examples.LDA)
+
+func exampleLoop(program string) string {
+	prog, err := lang.ParseProgram(program)
+	if err != nil {
+		panic(err)
+	}
+	return prog.LoopSrc
+}
 
 func setupMF(t *testing.T, executors int) *Session {
 	t.Helper()
@@ -37,35 +33,14 @@ func setupMF(t *testing.T, executors int) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rows, cols, rank = 40, 30, 6
-	ds := data.NewRatings(data.RatingsConfig{Rows: rows, Cols: cols, NNZ: 600, Rank: rank, Noise: 0.05, Seed: 3})
-	ratings := sess.CreateArray("ratings", false, rows, cols)
-	for i := range ds.I {
-		ratings.SetAt(ds.V[i], ds.I[i], ds.J[i])
-	}
-	rng := rand.New(rand.NewSource(1))
-	sess.CreateArray("W", true, rank, rows).FillRandn(rng, 1.0/rank)
-	sess.CreateArray("H", true, rank, cols).FillRandn(rng, 1.0)
-	sess.SetGlobal("step_size", 0.05)
-	sess.SetGlobal("err", 0)
+	fillMF(t, sess)
 	return sess
 }
 
 // mfLoss recomputes the training loss from the session's gathered
 // arrays.
 func mfLoss(s *Session) float64 {
-	ratings, w, h := s.Array("ratings"), s.Array("W"), s.Array("H")
-	var loss float64
-	ratings.ForEach(func(idx []int64, v float64) {
-		wv := w.Vec(idx[0])
-		hv := h.Vec(idx[1])
-		var pred float64
-		for d := range wv {
-			pred += wv[d] * hv[d]
-		}
-		loss += (pred - v) * (pred - v)
-	})
-	return loss
+	return examples.MFLoss(s.Array("ratings"), s.Array("W"), s.Array("H"))
 }
 
 func TestDriverMFEndToEnd(t *testing.T) {
@@ -148,18 +123,7 @@ func TestDriverBufferedSLRWithSynthesizedPrefetch(t *testing.T) {
 	}
 	defer sess.Close()
 
-	const n, dim = 300, 64
-	samples := sess.CreateArray("samples", false, n)
-	rng := rand.New(rand.NewSource(5))
-	for i := int64(0); i < n; i++ {
-		samples.SetAt(rng.Float64()*0.98+0.01, i)
-	}
-	sess.CreateArray("weights", true, dim)
-	if err := sess.CreateBuffer("w_buf", "weights"); err != nil {
-		t.Fatal(err)
-	}
-	sess.SetGlobal("step_size", 0.1)
-
+	fillSparseSLR(t, sess)
 	plan, err := sess.ParallelFor(slrSrc, Passes(3))
 	if err != nil {
 		t.Fatal(err)

@@ -1,139 +1,24 @@
 package driver
 
 import (
-	"math"
 	"testing"
 
-	"orion/internal/data"
+	"orion/examples"
 	"orion/internal/sched"
 )
 
-// ldaDSL is collapsed Gibbs sampling written entirely in the DSL: the
-// iteration space is the sparse (doc, word) token matrix, doc-topic
-// counts are space-local, word-topic counts rotate, the global topic
-// totals are read stale and updated through a DistArray Buffer (the
-// paper's non-critical-dependence relaxation for LDA), and the current
-// topic assignments live in an element-wise DistArray z.
-const ldaDSL = `
-for (key, occ) in tokens
-    zi = z[key[1], key[2]]
-    doc_topic[zi, key[1]] -= 1
-    word_topic[zi, key[2]] -= 1
-    tot_buf[zi] -= 1
-
-    p = zeros(K)
-    total = 0
-    for k = 1:K
-        nd = max(doc_topic[k, key[1]], 0)
-        nw = max(word_topic[k, key[2]], 0)
-        nt = max(totals[k], 1)
-        p[k] = (nd + alpha) * (nw + beta) / (nt + vbeta)
-        total = total + p[k]
-    end
-
-    u = rand() * total
-    chosen = 0
-    acc = 0
-    for k = 1:K
-        acc = acc + p[k]
-        if chosen == 0
-            if u <= acc
-                chosen = k
-            end
-        end
-    end
-    if chosen == 0
-        chosen = K
-    end
-
-    doc_topic[chosen, key[1]] += 1
-    word_topic[chosen, key[2]] += 1
-    tot_buf[chosen] += 1
-    z[key[1], key[2]] = chosen
-end
-`
-
-// ldaFixture sets up a session with a synthetic corpus: one token per
-// distinct (doc, word) pair, assignments initialized round-robin, count
-// tables consistent with the assignments.
-func ldaFixture(t *testing.T, executors, topics int) (*Session, int64) {
-	t.Helper()
-	const docs, vocab = 40, 30
-	c := data.NewCorpus(data.CorpusConfig{Docs: docs, Vocab: vocab, Topics: topics, MeanDocLen: 20, Seed: 4})
-
-	sess, err := NewLocalSession(executors)
+func TestDriverLDADSLPlansAndRuns(t *testing.T) {
+	const topics = 4
+	sess, err := NewLocalSession(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tokens := sess.CreateArray("tokens", false, docs, vocab)
-	z := sess.CreateArray("z", false, docs, vocab)
-	dt := sess.CreateArray("doc_topic", true, int64(topics), docs)
-	wt := sess.CreateArray("word_topic", true, int64(topics), vocab)
-	totals := sess.CreateArray("totals", true, int64(topics))
-	if err := sess.CreateBuffer("tot_buf", "totals"); err != nil {
-		t.Fatal(err)
-	}
-
-	var nTokens int64
-	i := 0
-	for d, words := range c.Words {
-		seen := map[int64]bool{}
-		for _, w := range words {
-			if seen[w] {
-				continue
-			}
-			seen[w] = true
-			tokens.SetAt(1, int64(d), w)
-			topic := int64(i%topics) + 1 // DSL topics are 1-based
-			z.SetAt(float64(topic), int64(d), w)
-			dt.AddAt(1, topic-1, int64(d))
-			wt.AddAt(1, topic-1, w)
-			totals.AddAt(1, topic-1)
-			nTokens++
-			i++
-		}
-	}
-
-	sess.SetGlobal("K", float64(topics))
-	sess.SetGlobal("alpha", 0.5)
-	sess.SetGlobal("beta", 0.1)
-	sess.SetGlobal("vbeta", 0.1*float64(vocab))
-	return sess, nTokens
-}
-
-// ldaLogLik computes the collapsed log-likelihood from the session's
-// count tables (up to constants).
-func ldaLogLik(s *Session, topics int) float64 {
-	dt, wt, totals := s.Array("doc_topic"), s.Array("word_topic"), s.Array("totals")
-	vocab := wt.Dims()[1]
-	docs := dt.Dims()[1]
-	var ll float64
-	for k := int64(0); k < int64(topics); k++ {
-		g, _ := lgamma(totals.At(k) + 0.1*float64(vocab))
-		ll -= g
-		for w := int64(0); w < vocab; w++ {
-			g, _ := lgamma(wt.At(k, w) + 0.1)
-			ll += g
-		}
-		for d := int64(0); d < docs; d++ {
-			g, _ := lgamma(dt.At(k, d) + 0.5)
-			ll += g
-		}
-	}
-	return ll
-}
-
-func lgamma(x float64) (float64, int) {
-	if x < 1e-9 {
-		x = 1e-9
-	}
-	return math.Lgamma(x)
-}
-
-func TestDriverLDADSLPlansAndRuns(t *testing.T) {
-	const topics = 4
-	sess, nTokens := ldaFixture(t, 3, topics)
 	defer sess.Close()
+	fillLDA(t, sess, topics)
+	nTokens := int64(sess.Array("tokens").Len())
+	ldaLogLik := func() float64 {
+		return examples.LDALogLik(sess.Array("doc_topic"), sess.Array("word_topic"), sess.Array("totals"))
+	}
 
 	spec, _, plan, err := sess.PlanOf(ldaDSL)
 	if err != nil {
@@ -159,13 +44,13 @@ func TestDriverLDADSLPlansAndRuns(t *testing.T) {
 		t.Errorf("z placement = %v, want local", places["z"])
 	}
 
-	before := ldaLogLik(sess, topics)
+	before := ldaLogLik()
 	for pass := 0; pass < 3; pass++ {
 		if _, err := sess.ParallelFor(ldaDSL); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := ldaLogLik(sess, topics)
+	after := ldaLogLik()
 	if !(after > before) {
 		t.Fatalf("Gibbs sampling should improve the likelihood: %v -> %v", before, after)
 	}

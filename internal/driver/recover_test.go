@@ -4,69 +4,36 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
+	"orion/examples"
 	"orion/internal/data"
 	"orion/internal/obs"
 	"orion/internal/runtime"
 )
 
-// fillMF populates a session with the same MF problem as setupMF
-// (identical seeds), usable on sessions built over arbitrary
-// transports.
+// fillMF declares mf.orion's problem over a 40 × 30 rating matrix, on a
+// session over any transport.
 func fillMF(t *testing.T, sess *Session) {
 	t.Helper()
-	const rows, cols, rank = 40, 30, 6
-	ds := data.NewRatings(data.RatingsConfig{Rows: rows, Cols: cols, NNZ: 600, Rank: rank, Noise: 0.05, Seed: 3})
-	ratings := sess.CreateArray("ratings", false, rows, cols)
-	for i := range ds.I {
-		ratings.SetAt(ds.V[i], ds.I[i], ds.J[i])
+	f := examples.NewMF(data.RatingsConfig{Rows: 40, Cols: 30, NNZ: 600, Rank: 6, Noise: 0.05, Seed: 3})
+	if err := f.Register(sess); err != nil {
+		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	sess.CreateArray("W", true, rank, rows).FillRandn(rng, 1.0/rank)
-	sess.CreateArray("H", true, rank, cols).FillRandn(rng, 1.0)
 	sess.SetGlobal("step_size", 0.05)
 	sess.SetGlobal("err", 0)
 }
 
-// fillLDA populates a session with the ldaFixture corpus (identical
-// seeds and round-robin initialization).
+// fillLDA declares lda.orion's problem over a 40-document corpus of a
+// 30-word vocabulary, with topics topics.
 func fillLDA(t *testing.T, sess *Session, topics int) {
 	t.Helper()
-	const docs, vocab = 40, 30
-	c := data.NewCorpus(data.CorpusConfig{Docs: docs, Vocab: vocab, Topics: topics, MeanDocLen: 20, Seed: 4})
-	tokens := sess.CreateArray("tokens", false, docs, vocab)
-	z := sess.CreateArray("z", false, docs, vocab)
-	dt := sess.CreateArray("doc_topic", true, int64(topics), docs)
-	wt := sess.CreateArray("word_topic", true, int64(topics), vocab)
-	totals := sess.CreateArray("totals", true, int64(topics))
-	if err := sess.CreateBuffer("tot_buf", "totals"); err != nil {
+	f := examples.NewLDA(data.CorpusConfig{Docs: 40, Vocab: 30, Topics: topics, MeanDocLen: 20, Seed: 4})
+	if err := f.Register(sess); err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	for d, words := range c.Words {
-		seen := map[int64]bool{}
-		for _, w := range words {
-			if seen[w] {
-				continue
-			}
-			seen[w] = true
-			tokens.SetAt(1, int64(d), w)
-			topic := int64(i%topics) + 1
-			z.SetAt(float64(topic), int64(d), w)
-			dt.AddAt(1, topic-1, int64(d))
-			wt.AddAt(1, topic-1, w)
-			totals.AddAt(1, topic-1)
-			i++
-		}
-	}
-	sess.SetGlobal("K", float64(topics))
-	sess.SetGlobal("alpha", 0.5)
-	sess.SetGlobal("beta", 0.1)
-	sess.SetGlobal("vbeta", 0.1*float64(vocab))
 }
 
 // snapshotBits captures the exact float64 bit patterns of the named
@@ -380,18 +347,7 @@ func TestChaosRecoverySLRConverges(t *testing.T) {
 	sess.SetCheckpointDir(t.TempDir())
 	chaos.Schedule(runtime.FaultEvent{Clock: 1, Addr: sess.Addr(), Conn: 0, Kind: runtime.FaultSever})
 
-	const n, dim = 300, 64
-	samples := sess.CreateArray("samples", false, n)
-	rng := rand.New(rand.NewSource(5))
-	for i := int64(0); i < n; i++ {
-		samples.SetAt(rng.Float64()*0.98+0.01, i)
-	}
-	sess.CreateArray("weights", true, dim)
-	if err := sess.CreateBuffer("w_buf", "weights"); err != nil {
-		t.Fatal(err)
-	}
-	sess.SetGlobal("step_size", 0.1)
-
+	fillSparseSLR(t, sess)
 	if _, err := sess.ParallelFor(slrSrc, Passes(3)); err != nil {
 		t.Fatalf("SLR recovery did not complete: %v", err)
 	}

@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"orion/examples"
 	"orion/internal/data"
 	"orion/internal/diag"
-	"orion/internal/dsm"
 	"orion/internal/lang"
 	"orion/internal/obs"
 	"orion/internal/obs/analyze"
@@ -242,6 +242,23 @@ func fillSLR(t *testing.T, s *Session) {
 	}
 	s.SetGlobal("step_size", 0.1)
 	s.SetGlobal("scale", dim)
+}
+
+// fillSparseSLR declares the served SLR problem slrSrc runs, with a
+// sparse iteration array.
+func fillSparseSLR(t *testing.T, s *Session) {
+	t.Helper()
+	const n, dim = 300, 64
+	samples := s.CreateArray("samples", false, n)
+	rng := rand.New(rand.NewSource(5))
+	for i := int64(0); i < n; i++ {
+		samples.SetAt(rng.Float64()*0.98+0.01, i)
+	}
+	s.CreateArray("weights", true, dim)
+	if err := s.CreateBuffer("w_buf", "weights"); err != nil {
+		t.Fatal(err)
+	}
+	s.SetGlobal("step_size", 0.1)
 }
 
 // TestResidentDenseIterSpace: a dense iteration array hands out live
@@ -554,15 +571,10 @@ func TestResidentSecondCallShipsAQuarter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	const rows, cols, rank = 300, 200, 4
-	ds := data.NewRatings(data.RatingsConfig{Rows: rows, Cols: cols, NNZ: 20000, Rank: rank, Noise: 0.05, Seed: 3})
-	ratings := sess.CreateArray("ratings", false, rows, cols)
-	for i := range ds.I {
-		ratings.SetAt(ds.V[i], ds.I[i], ds.J[i])
+	const rows, rank = 300, 4
+	if err := examples.NewMF(data.RatingsConfig{Rows: rows, Cols: 200, NNZ: 20000, Rank: rank, Noise: 0.05, Seed: 3}).Register(sess); err != nil {
+		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	sess.CreateArray("W", true, rank, rows).FillRandn(rng, 1.0/rank)
-	sess.CreateArray("H", true, rank, cols).FillRandn(rng, 1.0)
 	sess.SetGlobal("step_size", 0.01)
 	sess.SetGlobal("err", 0)
 
@@ -597,11 +609,7 @@ func TestIterSamplesAllocsIndependentOfCount(t *testing.T) {
 	defer sess.Close()
 	var allocs []float64
 	for _, nnz := range []int{200, 20000} {
-		ds := data.NewRatings(data.RatingsConfig{Rows: 300, Cols: 200, NNZ: nnz, Rank: 2, Seed: 3})
-		ratings := dsm.NewSparse("ratings", 300, 200)
-		for i := range ds.I {
-			ratings.SetAt(ds.V[i], ds.I[i], ds.J[i])
-		}
+		ratings := examples.NewMF(data.RatingsConfig{Rows: 300, Cols: 200, NNZ: nnz, Rank: 2, Seed: 3}).Arrays["ratings"]
 		sess.RegisterArray(ratings)
 		sess.CreateArray("W", true, 2, 300)
 		sess.CreateArray("H", true, 2, 200)

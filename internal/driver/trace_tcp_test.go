@@ -2,12 +2,12 @@ package driver
 
 import (
 	"fmt"
-	"math/rand"
 	"os/exec"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"orion/examples"
 	"orion/internal/data"
 	"orion/internal/obs"
 )
@@ -59,15 +59,9 @@ func TestDriverTCPMergedTrace(t *testing.T) {
 		t.Fatal("workers never registered")
 	}
 
-	const rows, cols, rank = 30, 24, 4
-	ds := data.NewRatings(data.RatingsConfig{Rows: rows, Cols: cols, NNZ: 400, Rank: rank, Noise: 0.05, Seed: 3})
-	ratings := sess.CreateArray("ratings", false, rows, cols)
-	for i := range ds.I {
-		ratings.SetAt(ds.V[i], ds.I[i], ds.J[i])
+	if err := examples.NewMF(data.RatingsConfig{Rows: 30, Cols: 24, NNZ: 400, Rank: 4, Noise: 0.05, Seed: 3}).Register(sess); err != nil {
+		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	sess.CreateArray("W", true, rank, rows).FillRandn(rng, 1.0/rank)
-	sess.CreateArray("H", true, rank, cols).FillRandn(rng, 1.0)
 	sess.SetGlobal("step_size", 0.05)
 	sess.SetGlobal("err", 0)
 

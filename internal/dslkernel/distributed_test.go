@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"os"
+	"slices"
 	"testing"
 
+	"orion/examples"
 	"orion/internal/data"
 	"orion/internal/dsm"
 	"orion/internal/lang"
@@ -15,18 +15,23 @@ import (
 	"orion/internal/sched"
 )
 
-// exampleLoop is the loop of a shipped example program, without its
+// exampleLoop is the loop of a committed example program, without its
 // preamble.
-func exampleLoop(t *testing.T, path string) string {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := lang.ParseProgram(string(b))
+func exampleLoop(t *testing.T, program string) string {
+	prog, err := lang.ParseProgram(program)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return prog.Loop.String()
+}
+
+// iterSamples flattens an iteration array into samples in offset
+// order, as the driver ships them.
+func iterSamples(a *dsm.DistArray) (out []runtime.IterSample) {
+	a.ForEach(func(idx []int64, v float64) {
+		out = append(out, runtime.IterSample{Key: slices.Clone(idx), Val: v})
+	})
+	return out
 }
 
 // placedApp is a loop placed on a raw-runtime fleet as the driver plans
@@ -47,23 +52,16 @@ type placedApp struct {
 // mfApp: dense W local, H rotated, the quickstart body.
 func mfApp(t *testing.T) placedApp {
 	const rows, cols, rank = 40, 30, 6
-	ds := data.NewRatings(data.RatingsConfig{Rows: rows, Cols: cols, NNZ: 600, Rank: rank, Noise: 0.05, Seed: 3})
-	samples := make([]runtime.IterSample, len(ds.I))
-	for i := range ds.I {
-		samples[i] = runtime.IterSample{Key: []int64{ds.I[i], ds.J[i]}, Val: ds.V[i]}
-	}
+	f := examples.NewMF(data.RatingsConfig{Rows: rows, Cols: cols, NNZ: 600, Rank: rank, Noise: 0.05, Seed: 3})
+	w, h := f.Arrays["W"], f.Arrays["H"]
 	return placedApp{
 		name: "mf",
 		src: fmt.Sprintf("array ratings %d %d\narray W %d %d\narray H %d %d\nglobal step_size\n---\n", rows, cols, rank, rows, rank, cols) +
-			exampleLoop(t, "../../examples/quickstart/mf.orion"),
+			exampleLoop(t, examples.MF),
 		globals: map[string]float64{"step_size": 0.05},
-		rows:    rows, cols: cols, samples: samples,
+		rows:    rows, cols: cols, samples: iterSamples(f.Arrays["ratings"]),
 		place: func(m *runtime.Master, space, time []int64) error {
-			rng := rand.New(rand.NewSource(1))
-			w, h := dsm.NewDense("W", rank, rows), dsm.NewDense("H", rank, cols)
-			w.FillRandn(rng, 1.0/rank)
-			h.FillRandn(rng, 1.0)
-			return errors.Join(m.DistributeLocal(w, 1, space), m.DistributeRotatedAt(h, 1, time, 0))
+			return errors.Join(m.DistributeLocal(w.Clone(), 1, space), m.DistributeRotatedAt(h.Clone(), 1, time, 0))
 		},
 		arrays: []string{"W", "H"},
 	}
@@ -73,30 +71,15 @@ func mfApp(t *testing.T) placedApp {
 // served and updated through tot_buf, rand() in the body.
 func ldaApp(t *testing.T) placedApp {
 	const docs, vocab, topics = 40, 30, 4
-	c := data.NewCorpus(data.CorpusConfig{Docs: docs, Vocab: vocab, Topics: topics, MeanDocLen: 20, Seed: 4})
-	z := dsm.NewSparse("z", docs, vocab)
-	dt, wt, totals := dsm.NewDense("doc_topic", topics, docs), dsm.NewDense("word_topic", topics, vocab), dsm.NewDense("totals", topics)
-	var samples []runtime.IterSample
-	for d, words := range c.Words {
-		for _, w := range words {
-			if z.At(int64(d), w) != 0 {
-				continue
-			}
-			topic := int64(len(samples)%topics) + 1
-			samples = append(samples, runtime.IterSample{Key: []int64{int64(d), w}, Val: 1})
-			z.SetAt(float64(topic), int64(d), w)
-			dt.AddAt(1, topic-1, int64(d))
-			wt.AddAt(1, topic-1, w)
-			totals.AddAt(1, topic-1)
-		}
-	}
+	f := examples.NewLDA(data.CorpusConfig{Docs: docs, Vocab: vocab, Topics: topics, MeanDocLen: 20, Seed: 4})
+	z, dt, wt, totals := f.Arrays["z"], f.Arrays["doc_topic"], f.Arrays["word_topic"], f.Arrays["totals"]
 	return placedApp{
 		name: "lda",
 		src: fmt.Sprintf("array tokens %d %d\narray z %d %d\narray doc_topic %d %d\narray word_topic %d %d\narray totals %d\n",
 			docs, vocab, docs, vocab, topics, docs, topics, vocab, topics) +
-			"buffer tot_buf totals\nglobal K alpha beta vbeta\n---\n" + exampleLoop(t, "../../examples/lda_dsl/lda.orion"),
-		globals: map[string]float64{"K": topics, "alpha": 0.5, "beta": 0.1, "vbeta": 0.1 * vocab},
-		rows:    docs, cols: vocab, samples: samples,
+			"buffer tot_buf totals\nglobal K alpha beta vbeta\n---\n" + exampleLoop(t, examples.LDA),
+		globals: f.Globals,
+		rows:    docs, cols: vocab, samples: iterSamples(f.Arrays["tokens"]),
 		place: func(m *runtime.Master, space, time []int64) error {
 			return errors.Join(m.DistributeLocal(z.Clone(), 0, space), m.DistributeLocal(dt.Clone(), 1, space),
 				m.DistributeRotatedAt(wt.Clone(), 1, time, 0), m.DistributeServed(totals.Clone()))

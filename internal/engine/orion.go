@@ -44,9 +44,6 @@ func RunOrion(app App, cfg Config) (*Result, *sched.Plan, error) {
 
 // RunOrion2D runs the dependence-preserving 2D strategy with explicit
 // ordering control (for the ordered-vs-unordered ablation, Table 3).
-// Planning is memoized through the artifact cache: repeated calls (the
-// ablation runs each app several times) re-run neither dependence
-// analysis nor the unimodular search.
 func RunOrion2D(app App, cfg Config, ordered bool) (*Result, error) {
 	cfg = cfg.withDefaults()
 	art, pl, err := artifactFor(app, cfg)
@@ -331,7 +328,7 @@ func shuffleInts(rng *rand.Rand, s []int) {
 // caller-supplied plan — e.g. one built with sched.Options.ForceDims to
 // override the partition-dimension heuristic (the ablation in
 // DESIGN.md). The partitions are materialized fresh (no artifact is
-// consulted, since the plan did not come from the cache).
+// consulted, since the plan did not come from artifactFor).
 func RunTwoDWithPlan(app App, cfg Config, pl *sched.Plan, ordered bool) *Result {
 	return runTwoD(app, cfg.withDefaults(), pl, nil, ordered, orionProfile())
 }

@@ -1,24 +1,12 @@
 package engine
 
 import (
-	"fmt"
-
 	"orion/internal/plan"
 	"orion/internal/sched"
 )
 
-// artifacts memoizes the static pipeline's output per (loop spec,
-// options, partition counts, data histogram). RunOrion / RunOrion2D /
-// RunSTRADS used to re-run dependence analysis, strategy selection, and
-// the unimodular search on every call; now the first call materializes
-// a plan artifact and later calls replay it.
-var artifacts = plan.NewCache()
-
-// artifactFor plans the app's loop through the artifact cache. The key
-// covers everything the artifact depends on: the planning fingerprint
-// (spec + options), the partition counts, and the digest of the data's
-// per-coordinate histograms — so a data change re-plans rather than
-// reusing stale cuts.
+// artifactFor plans the app's loop and materializes its artifact: the
+// partition cuts balanced on the data's per-coordinate histograms.
 func artifactFor(app App, cfg Config) (*plan.Artifact, *sched.Plan, error) {
 	spec := app.LoopSpec()
 	opts := sched.DefaultOptions()
@@ -34,17 +22,6 @@ func artifactFor(app App, cfg Config) (*plan.Artifact, *sched.Plan, error) {
 
 	nw := cfg.Workers
 	timeParts := nw * cfg.PipelineDepth
-	fp := plan.Fingerprint(spec, nil, opts)
-	key := plan.Key("engine", fp, fmt.Sprintf("nw=%d timeparts=%d", nw, timeParts),
-		plan.WeightsDigest(rowW, colW))
-
-	if art := artifacts.Get(key); art != nil {
-		pl, err := art.SchedPlan()
-		if err == nil {
-			return art, pl, nil
-		}
-	}
-
 	pl, err := sched.New(spec, opts)
 	if err != nil {
 		return nil, nil, err
@@ -74,6 +51,5 @@ func artifactFor(app App, cfg Config) (*plan.Artifact, *sched.Plan, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	artifacts.Put(key, art)
 	return art, pl, nil
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -16,7 +17,8 @@ import (
 // name is a target of the Makefile, every bare file name they put in
 // backticks (`DESIGN.md`, not a path or a command's argument) is a file
 // at the top of the tree, every command they name (`orion-<name>`,
-// `cmd/<name>`) is a directory of cmd/, every `driver.X` and `dsm.X` in
+// `cmd/<name>`) is a directory of cmd/, every `go run ./examples/<dir>`
+// they name is a main package, every `driver.X` and `dsm.X` in
 // their code is a top-level declaration of that package, every
 // `Session.X` a method of driver.Session and every `DistArray.X` a
 // method of dsm.DistArray, and every flag of an `orion-<name> …`
@@ -26,8 +28,8 @@ import (
 // internal/lang/vm, every ORNxxx code the documents or diag's package
 // comment name is a diag.Code* constant's value, and README's
 // diagnostics table has a row for every such constant. Deleting a
-// target, a committed file, a command, a declaration, a method, a flag,
-// a kind, an opcode or a code — or adding a kind, an opcode or a code —
+// target, a committed file, a command, an example's main, a
+// declaration, a method, a flag, a kind, an opcode or a code — or adding a kind, an opcode or a code —
 // then fails here until the documents follow.
 func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	const root = "../.."
@@ -66,6 +68,7 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	fileRef := regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_.-]*\\.(?:json|md|txt))`")
 	flagRef := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=.*)?$`)
 	cmdRef := regexp.MustCompile(`\b(?:cmd/([a-z][a-z0-9-]*)|(orion-[a-z][a-z0-9]*(?:-[a-z][a-z0-9]*)*))`)
+	exampleRef := regexp.MustCompile(`go run \./examples/([a-z][a-z0-9_]*)`)
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -79,6 +82,11 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 		for _, m := range cmdRef.FindAllStringSubmatch(string(text), -1) {
 			if name := m[1] + m[2]; flags[name] == nil {
 				t.Errorf("%s names the command %s, which is not a directory of cmd/", doc, name)
+			}
+		}
+		for _, m := range exampleRef.FindAllSubmatch(text, -1) {
+			if !mainPackage(filepath.Join(root, "examples", string(m[1]))) {
+				t.Errorf("%s runs `go run ./examples/%s`, which is not a main package", doc, m[1])
 			}
 		}
 		for _, m := range makeRef.FindAllSubmatch(text, -1) {
@@ -140,6 +148,22 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	if documented, defined := opcodeRows(string(design)), vmOpcodes(t, root); !slices.Equal(documented, defined) {
 		t.Errorf("DESIGN.md's VM instruction-set table lists the opcodes\n  %v\ninternal/lang/vm defines\n  %v", documented, defined)
 	}
+}
+
+// mainPackage reports whether dir holds a non-test Go file of package
+// main.
+func mainPackage(dir string) bool {
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.PackageClauseOnly)
+		if err == nil && f.Name.Name == "main" {
+			return true
+		}
+	}
+	return false
 }
 
 // vmOpcodes returns, sorted and without their op prefix, the names of

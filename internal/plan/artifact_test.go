@@ -323,23 +323,6 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestCache(t *testing.T) {
-	art := mfArtifact(t, 4, nil, nil)
-	key := Key("test", art.ContentHash)
-
-	c := NewCache()
-	if got := c.Get(key); got != nil {
-		t.Fatal("empty cache should miss")
-	}
-	c.Put(key, art)
-	if got := c.Get(key); got != art {
-		t.Fatal("hit failed")
-	}
-	if got := c.Get(Key("other", art.ContentHash)); got != nil {
-		t.Fatal("another key should miss")
-	}
-}
-
 // TestPartitionersReuseOrRebalance: the one rule for "do the artifact's
 // materialized cuts still fit this data and fleet".
 func TestPartitionersReuseOrRebalance(t *testing.T) {
