@@ -97,11 +97,11 @@ exec-gate:
 
 # The MF and LDA bodies on the VM against the same bodies written as Go
 # loops over a copy of the same storage, bitwise-checked; MF (its updates
-# fused, 13 instructions) fails above 3.0x, LDA (its topic loop
+# fused, 13 instructions) fails above 3.0x, LDA (both inner loops
 # lane-wise) above 4.5x. `check` runs the MF leg alone: on a 2-vCPU host
 # it reads 1.9-2.5x whether the host is quiet or a busy loop contends
-# for a CPU, while the LDA leg reads 3.0-4.5x and crossed its bar in 3
-# of 80 runs, before and after MF's updates fused.
+# for a CPU, while the LDA leg reads 2.9-4.6x and crossed its bar in 3
+# of 16 rounds.
 vm-gate:
 	$(GO) test -run '^$$' -bench 'VMVsGoKernel$$' -benchtime 1x ./internal/gates
 

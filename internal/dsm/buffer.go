@@ -33,7 +33,6 @@ type Buffer struct {
 	// application program may optionally bound how long the writes can
 	// be buffered").
 	MaxBuffered int
-	writes      int64
 }
 
 // NewBuffer creates a buffer for the given DistArray.
@@ -63,7 +62,6 @@ func (b *Buffer) Put(update float64, idx ...int64) bool {
 		b.offs, b.upd = append(b.offs, off), append(b.upd, 0+update)
 		b.idx.Add(b.offs)
 	}
-	b.writes++
 	return b.MaxBuffered > 0 && len(b.offs) >= b.MaxBuffered
 }
 
@@ -84,6 +82,5 @@ func (b *Buffer) Flush(a *DistArray) int {
 	n := len(b.offs)
 	b.idx.Reset(b.offs)
 	b.offs, b.upd = b.offs[:0], b.upd[:0]
-	b.writes = 0
 	return n
 }

@@ -423,7 +423,7 @@ func TestBufferFlushAppliesUDFOncePerElement(t *testing.T) {
 	if a.At(7) != 2*5 {
 		t.Fatalf("a[7] = %v, want 10", a.At(7))
 	}
-	if b.Len() != 0 || b.Writes() != 0 {
+	if b.Len() != 0 {
 		t.Fatal("buffer not cleared after flush")
 	}
 }
@@ -469,7 +469,7 @@ func TestBufferEquivalenceProperty(t *testing.T) {
 			pending, order := map[int64]float64{}, []int64(nil)
 			flush := func() bool {
 				got = got[:0]
-				if buf.Flush(buffered) != len(order) || buf.Len() != 0 || buf.Writes() != 0 || len(got) != len(order) {
+				if buf.Flush(buffered) != len(order) || buf.Len() != 0 || len(got) != len(order) {
 					return false
 				}
 				for i, off := range order {
@@ -566,9 +566,6 @@ func TestBufferFlushRefusesOtherExtents(t *testing.T) {
 func (a *DistArray) Unflatten(off int64) []int64 {
 	return a.unflattenInto(make([]int64, len(a.dims)), off)
 }
-
-// Writes returns the total number of Put calls since the last flush.
-func (b *Buffer) Writes() int64 { return b.writes }
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()

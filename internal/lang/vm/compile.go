@@ -877,14 +877,19 @@ func (c *comp) lowerBool(e lang.Expr) int32 {
 
 // Lane-wise inner loops. An inner `for v = lo:hi` also lowers to a
 // laneLoop when no trip can see another's values, or fault once
-// runLanes' guard has passed: straight-line assignments to a scalar
-// local assigned before it is read in a trip (lane-private), to a vector
-// local at [v], or to a reduction s = s + e (s += e) that is s's only
-// assignment and read; arithmetic, min, max and the scalar builtins over
-// those, array reads at one subscript v or v ± c, and loop-invariant
-// scalars — literals, globals, literal key subscripts, and defined
-// locals the body does not assign — which the other subscripts must be.
-// Anything else stays a scalar loop, and laneFor says why.
+// runLanes' guard has passed, except through a reduction or an if's
+// local, which run in trip order. Its statements are assignments to a
+// scalar local assigned before it is read in a trip (lane-private), to
+// a vector local at [v], or to a reduction s = s + e (s += e), s's only
+// assignment, which a read after it in the trip sees as its partial
+// sums; and if nests without else whose statements assign one float
+// local that no other statement touches, comparing operands of the
+// trip with that local. Their operands are arithmetic, min, max and the
+// scalar builtins over those, the loop variable, array reads at one
+// subscript v or v ± c, and loop-invariant scalars — literals, globals,
+// literal key subscripts, and defined locals the body does not assign —
+// which the other subscripts must be. Anything else stays a scalar
+// loop, and laneFor says why.
 
 type laneRefusal string
 
@@ -902,10 +907,11 @@ type laneComp struct {
 	c       *comp
 	v       string // the loop variable
 	ln      *laneLoop
-	assigns map[string]int     // assignments per name in the body
+	assigns map[string]int     // assignments per name outside the ifs, a vector's element writes included
+	sel     map[string]bool    // the locals the ifs assign
 	ready   map[string]bool    // lane-private locals assigned so far in a trip
-	red     map[string]bool    // reductions lowered so far
-	memo    map[[2]int32]int32 // lane register of (0 private | 1 vector slot, x); fr one of (2 global | 3 key, x)
+	red     map[string]int     // reductions lowered so far: 1 + their fold's op
+	memo    map[[2]int32]int32 // lane register of (0 private | 1 vector slot, x) or (4, 0) the loop variable; fr one of (2 global | 3 key, x)
 }
 
 // laneFor returns s's lane-wise form, or nil and why it has none; a
@@ -930,16 +936,21 @@ func (c *comp) laneFor(s *lang.ForRange, slot, forID int32) (ln *laneLoop, why s
 			ln, why = nil, string(rf)
 		}
 	}()
-	lc := &laneComp{c: c, v: s.Var, ln: &laneLoop{forID: forID, varSlot: slot},
-		assigns: map[string]int{}, ready: map[string]bool{}, red: map[string]bool{}, memo: map[[2]int32]int32{}}
+	lc := &laneComp{c: c, v: s.Var, ln: &laneLoop{forID: forID, varSlot: slot}, assigns: map[string]int{},
+		sel: map[string]bool{}, ready: map[string]bool{}, red: map[string]int{}, memo: map[[2]int32]int32{}}
 	for _, st := range s.Body {
 		switch a := st.(type) {
 		case *lang.Assign:
 			if t, ok := a.Target.(*lang.Ident); ok {
 				lc.assigns[t.Name]++
+			} else {
+				lc.assigns[a.Target.(*lang.Index).Base]++
 			}
 		case *lang.If:
-			refuse("if statement")
+			if name := lc.selects(a); name != "" {
+				lc.local(name)
+				lc.sel[name] = true
+			}
 		case *lang.ForRange:
 			refuse("not innermost")
 		default:
@@ -947,17 +958,122 @@ func (c *comp) laneFor(s *lang.ForRange, slot, forID int32) (ln *laneLoop, why s
 		}
 	}
 	for _, st := range s.Body {
-		lc.assign(st.(*lang.Assign))
+		if x, isIf := st.(*lang.If); isIf {
+			lc.ifNest(x)
+		} else {
+			lc.assign(st.(*lang.Assign))
+		}
 	}
 	return lc.ln, ""
 }
 
+// selects returns the one local if nest x assigns ("" for none),
+// refusing any other shape.
+func (lc *laneComp) selects(x *lang.If) (local string) {
+	if len(x.Else) > 0 {
+		refuse("if with else")
+	}
+	for _, st := range x.Then {
+		var name string
+		switch s := st.(type) {
+		case *lang.If:
+			name = lc.selects(s)
+		case *lang.Assign:
+			t, ok := s.Target.(*lang.Ident)
+			if !ok {
+				refuse("if writes %s", s.Target)
+			}
+			name = t.Name
+		case *lang.ForRange:
+			refuse("not innermost")
+		default:
+			refuse("expression statement")
+		}
+		if name != "" && local != "" && name != local {
+			refuse("if assigns %s and %s", local, name)
+		}
+		if name != "" {
+			local = name
+		}
+	}
+	return local
+}
+
+// ifNest lowers if nest x: its operands become lane ops at this point of
+// the trip, its comparisons and assignments sels.
+func (lc *laneComp) ifNest(x *lang.If) {
+	cond, _ := x.Cond.(*lang.BinOp)
+	cmp, ok := int32(0), false
+	if cond != nil {
+		cmp, ok = cmpSels[cond.Op]
+	}
+	if !ok {
+		refuse("if condition %s", x.Cond)
+	}
+	at := len(lc.ln.sels)
+	a := lc.selOperand(cond.L)
+	lc.ln.sels = append(lc.ln.sels, laneSel{cmp: cmp, a: a, b: lc.selOperand(cond.R)})
+	for _, st := range x.Then {
+		if y, isIf := st.(*lang.If); isIf {
+			lc.ifNest(y)
+			continue
+		}
+		asg := st.(*lang.Assign)
+		slot := lc.local(asg.Target.(*lang.Ident).Name)
+		lc.ln.sels = append(lc.ln.sels, laneSel{cmp: -1, a: lc.selOperand(rhs(asg)), b: slot})
+	}
+	lc.ln.sels[at].skip = int32(len(lc.ln.sels) - at - 1)
+}
+
+// selOperand lowers an operand of an if nest: a local the ifs assign is
+// read as it stands when its step runs, anything else as a lane operand,
+// copied when another statement of the trip may overwrite the register
+// it names before the sels run.
+func (lc *laneComp) selOperand(e lang.Expr) int32 {
+	if id, ok := e.(*lang.Ident); ok && lc.sel[id.Name] {
+		return ^lc.float(id.Name)
+	}
+	o := lc.expr(e, -1)
+	switch x := e.(type) {
+	case *lang.Ident:
+		if lc.assigns[x.Name] > 1 {
+			o = lc.op(opMovF, -1, o, o)
+		}
+	case *lang.Index:
+		if _, isVec := lc.c.res.VecSlot(x.Base); isVec && lc.assigns[x.Base] > 0 {
+			o = lc.op(opMovF, -1, o, o)
+		}
+	}
+	return o
+}
+
+// rhs is the value a's target takes: a compound s op= e is s op e.
+func rhs(a *lang.Assign) lang.Expr {
+	if a.Op != "=" {
+		return &lang.BinOp{Op: a.Op[:1], L: a.Target, R: a.Value}
+	}
+	return a.Value
+}
+
+// local returns the slot of the float local name a lane loop assigns.
+func (lc *laneComp) local(name string) int32 {
+	kind, _ := lc.c.res.LocalKind(name)
+	_, isGlobal := lc.c.res.GlobalSlot(name)
+	switch {
+	case name == lc.v:
+		refuse("assigns the loop variable")
+	case isGlobal:
+		refuse("assigns global %s", name)
+	case kind != lang.KindFloat:
+		refuse("assigns %s local %s", kind, name)
+	}
+	slot, _ := lc.c.res.FloatSlot(name)
+	return int32(slot)
+}
+
 func (lc *laneComp) assign(a *lang.Assign) {
 	res := lc.c.res
-	value := a.Value
-	if a.Op != "=" {
-		value = &lang.BinOp{Op: a.Op[:1], L: a.Target, R: a.Value}
-	}
+	value := rhs(a)
 	t, isIdent := a.Target.(*lang.Ident)
 	if !isIdent {
 		x := a.Target.(*lang.Index)
@@ -970,15 +1086,16 @@ func (lc *laneComp) assign(a *lang.Assign) {
 	}
 	name := t.Name
 	gs, isGlobal := res.GlobalSlot(name)
-	kind, _ := res.LocalKind(name)
-	if name == lc.v {
+	switch {
+	case name == lc.v:
 		refuse("assigns the loop variable")
+	case lc.sel[name]:
+		refuse("assigns %s outside its if", name)
 	}
 	if b, ok := value.(*lang.BinOp); ok && b.Op == "+" && lc.assigns[name] == 1 {
 		if l, ok := b.L.(*lang.Ident); ok && l.Name == name {
 			// The fold adds e's lanes in trip order to s's value at entry.
-			lc.red[name] = true
-			op := laneOp{op: opCompF, a: lc.expr(b.R, -1)}
+			op := laneOp{op: opCompF, a: lc.expr(b.R, -1), scan: -1}
 			if isGlobal {
 				op.op, op.dst = opCompG, int32(gs)
 				lc.load(int32(gs), 0)
@@ -986,20 +1103,15 @@ func (lc *laneComp) assign(a *lang.Assign) {
 				op.dst = lc.float(name)
 			}
 			lc.ln.ops = append(lc.ln.ops, op)
+			lc.red[name] = len(lc.ln.ops)
 			return
 		}
 	}
-	switch {
-	case isGlobal:
-		refuse("assigns global %s", name)
-	case kind != lang.KindFloat:
-		refuse("assigns %s local %s", kind, name)
-	}
-	slot, _ := res.FloatSlot(name)
-	key := [2]int32{0, int32(slot)}
+	slot := lc.local(name)
+	key := [2]int32{0, slot}
 	if _, seen := lc.memo[key]; !seen {
 		lc.memo[key] = lc.newReg(laneReg{kind: laneTemp, x: lc.c.newScratch()})
-		lc.ln.outs = append(lc.ln.outs, [2]int32{int32(slot), lc.memo[key]})
+		lc.ln.outs = append(lc.ln.outs, [2]int32{slot, lc.memo[key]})
 	}
 	lc.into(value, lc.memo[key])
 	lc.ready[name] = true
@@ -1065,9 +1177,20 @@ func (lc *laneComp) newReg(r laneReg) int32 {
 func (lc *laneComp) ident(name string) int32 {
 	switch {
 	case name == lc.v:
-		refuse("reads the loop variable")
-	case lc.red[name]:
-		refuse("reads reduction %s", name)
+		key := [2]int32{4, 0}
+		if _, seen := lc.memo[key]; !seen {
+			lc.memo[key] = lc.newReg(laneReg{kind: laneVar, x: lc.c.newScratch()})
+		}
+		return lc.memo[key]
+	case lc.red[name] > 0:
+		// A read after the fold in the trip reads its partial sums.
+		op := &lc.ln.ops[lc.red[name]-1]
+		if op.scan < 0 {
+			op.scan = lc.newReg(laneReg{kind: laneTemp, x: lc.c.newScratch()})
+		}
+		return op.scan
+	case lc.sel[name]:
+		refuse("reads %s, which an if assigns", name)
 	case lc.assigns[name] > 0 && !lc.ready[name]:
 		refuse("carries %s across trips", name)
 	case lc.assigns[name] > 0:

@@ -879,8 +879,8 @@ for (key, v) in data
 end
 `, ""},
 	// c may be undefined at the inner loop's header, but laneFor refuses
-	// the loop for reading its loop variable after it noted that need:
-	// the shape's reason stands.
+	// the loop for reading T without its loop variable after it noted
+	// that need: the shape's reason stands.
 	{"lane-shape-first", `array data 4 4
 array T 6
 ---
@@ -890,7 +890,7 @@ for (key, v) in data
     end
     for k = 1:3
         u = T[k] * c
-        w = u + k
+        w = u + T[1]
     end
     acc += c
 end
@@ -908,6 +908,61 @@ for (key, v) in data
     end
     b = s * 2
     acc += a + b
+end
+`, ""},
+	// The sampling loop's ifs with an else: the loop stays scalar.
+	{"select-else", `array data 4 4
+array T 6
+---
+for (key, v) in data
+    chosen = 0
+    total = 0
+    for k = 1:4
+        total = total + T[k]
+        if v <= total
+            chosen = k
+        else
+            chosen = 0
+        end
+    end
+    acc += chosen
+end
+`, ""},
+	// chosen, which the if assigns, is read by another statement of the
+	// trip: the loop stays scalar.
+	{"select-read", `array data 4 4
+array T 6
+---
+for (key, v) in data
+    chosen = 0
+    total = 0
+    for k = 1:4
+        total = total + T[k]
+        if v <= total
+            chosen = k
+        end
+        w = chosen * 2
+    end
+    acc += chosen + w
+end
+`, ""},
+	// The if compares the running sum before the trip adds to it, an
+	// exclusive prefix: the loop stays scalar.
+	{"select-before", `array data 4 4
+array T 6
+---
+for (key, v) in data
+    chosen = 0
+    total = 0
+    for k = 1:4
+        if chosen == 0
+            if v <= total
+                chosen = k
+            end
+        end
+        total = total + T[k]
+    end
+    acc += chosen + total
 end
 `, ""},
 }
@@ -944,8 +999,21 @@ func fusions(p *Prog) string {
 // stored with nothing between that can fault, no operand viewing the
 // destination — borrowRows borrows only a column no read could see
 // change, and every program, the CSE one included, runs bitwise as the
-// interpreter does, stop point and fault text included.
+// interpreter does, stop point and fault text included. So does every
+// lane program (laneProgs), with every global defined and no budget.
 func TestRewriteLegality(t *testing.T) {
+	for _, lp := range laneProgs {
+		prog, err := lang.ParseProgram(lp.src)
+		if err != nil {
+			t.Fatalf("%s: %v", lp.name, err)
+		}
+		for _, scheme := range []int{fillFloats, fillInts} {
+			for _, block := range []bool{false, true} {
+				label := fmt.Sprintf("lane/%s/scheme=%d/block=%v", lp.name, scheme, block)
+				diffProgram(t, label, prog, diffConfig{scheme: scheme, seed: 5, block: block})
+			}
+		}
+	}
 	for _, fp := range rewriteProgs {
 		prog, err := lang.ParseProgram(fp.src)
 		if err != nil {

@@ -575,6 +575,7 @@ func (k *Kernel) exec() {
 // [lo, hi], and each site's lanes inside the array and any window (rgOff),
 // or served whole by a lang.RunAccess view. A failed guard has written
 // only registers and scratch; the scalar loop runs and faults as ever.
+// A passed one runs the ops over all lanes, then the ifs (laneSels).
 func (k *Kernel) runLanes(ln *laneLoop) bool {
 	lo, hi := k.ir[2*ln.forID], k.ir[2*ln.forID+1]
 	if hi < lo || uint64(hi-lo) >= 1<<10 || (k.budget > 0 && k.budget <= hi-lo+1) {
@@ -606,6 +607,12 @@ func (k *Kernel) runLanes(ln *laneLoop) bool {
 				if ok = lo >= 1 && hi <= int64(len(v)); ok {
 					k.lane[r] = v[lo-1 : hi]
 				}
+			case lr.kind == laneVar:
+				out := k.growScratch(int(lr.x), n)
+				for j := range out {
+					out[j] = float64(lo + int64(j))
+				}
+				k.lane[r] = out
 			default:
 				k.lane[r] = k.growScratch(int(lr.x), n)
 			}
@@ -618,6 +625,7 @@ func (k *Kernel) runLanes(ln *laneLoop) bool {
 		k.budget -= int64(n)
 	}
 	k.laneOps(ln.ops, n)
+	k.laneSels(ln.sels, n)
 	// Bind the loop variable and lane-private locals as the last trip.
 	k.laneRuns++
 	fr[ln.varSlot] = float64(hi)
@@ -658,29 +666,34 @@ func (k *Kernel) laneSrc(lr *laneReg, lo, hi int64) ([]float64, bool) {
 
 // laneOps runs a lane loop's ops, each applying its scalar opcode's
 // arithmetic to every lane as each trip would; a fold adds the lanes in
-// trip order. A scalar operand is read for every lane (mask 0).
+// trip order, the scalar loop's additions in its order, and a scan keeps
+// each partial sum. A scalar operand is read for every lane (mask 0).
 func (k *Kernel) laneOps(ops []laneOp, n int) {
-	arg := func(o int32) ([]float64, int) {
-		if o >= 0 {
-			return k.lane[o], -1
-		}
-		return k.fr[^o : ^o+1], 0
-	}
 	for i := range ops {
 		op := &ops[i]
-		a, ma := arg(op.a)
+		a, ma := k.laneArg(op.a)
 		switch op.op {
 		case opCompF, opCompG:
 			s := &k.fr[op.dst]
 			if op.op == opCompG {
 				s = &k.gl[op.dst]
 			}
-			for j := range n {
-				*s = *s + a[j&ma]
+			sum := *s
+			if op.scan < 0 {
+				for j := range n {
+					sum = sum + a[j&ma]
+				}
+			} else {
+				scan := k.lane[op.scan][:n]
+				for j := range scan {
+					sum = sum + a[j&ma]
+					scan[j] = sum
+				}
 			}
+			*s = sum
 			continue
 		}
-		b, mb := arg(op.b)
+		b, mb := k.laneArg(op.b)
 		out := k.lane[op.dst]
 		switch sel := int32(op.op - opAddF); op.op {
 		case opAddF, opSubF, opMulF, opDivF, opPowF:
@@ -713,6 +726,73 @@ func (k *Kernel) laneOps(ops []laneOp, n int) {
 			}
 		}
 	}
+}
+
+// laneArg returns lane operand o as a slice read at j&mask: lane
+// register o's lanes (mask -1), or scalar fr[^o] for every lane (mask 0).
+func (k *Kernel) laneArg(o int32) ([]float64, int) {
+	if o >= 0 {
+		return k.lane[o], -1
+	}
+	return k.fr[^o : ^o+1], 0
+}
+
+// laneSels runs a lane loop's ifs after its ops, trip by trip in trip
+// order as the scalar loop does: each step reads its operands' lanes of
+// the trip, and a local the ifs assign as it stands. Until a trip reads
+// a lane or assigns, the next takes the same path: so a trip that does
+// neither ends the walk, and one that reaches a comparison of lanes
+// whose failure ends the trip goes on from the first trip for which it
+// holds.
+func (k *Kernel) laneSels(sels []laneSel, n int) {
+	for j := 0; j < n; j++ {
+		same := true
+		for i := 0; i < len(sels); i++ {
+			s := &sels[i]
+			a, ma := k.laneArg(s.a)
+			if s.cmp < 0 {
+				k.fr[s.b], k.flDef[s.b], same = a[j&ma], true, false
+				continue
+			}
+			b, mb := k.laneArg(s.b)
+			switch {
+			case same && ma|mb != 0 && i+int(s.skip)+1 == len(sels):
+				for j < n && !compare(s.cmp, a[j&ma], b[j&mb]) {
+					j++
+				}
+				if j == n {
+					return
+				}
+				same = false
+			case !compare(s.cmp, a[j&ma], b[j&mb]):
+				i += int(s.skip)
+				fallthrough
+			default:
+				same = same && ma|mb == 0
+			}
+		}
+		if same {
+			return
+		}
+	}
+}
+
+// compare is opJmpCmpNot's comparison sel of l and r, NaN included;
+// exec keeps its own copy inline in the dispatch loop.
+func compare(sel int32, l, r float64) bool {
+	switch sel {
+	case cmpEq:
+		return l == r
+	case cmpNe:
+		return l != r
+	case cmpLt:
+		return l < r
+	case cmpLe:
+		return l <= r
+	case cmpGt:
+		return l > r
+	}
+	return l >= r
 }
 
 // unary is opNegF..opSigmoidF's arithmetic.

@@ -179,9 +179,17 @@ func (c *comp) operands(in *instr, visit func(f regFile, r *int32, def bool)) {
 // laneOperands is operands for a lane loop: scalar operands, site
 // subscripts and the guard's globals are read; a vector local and a
 // fold's local or global are read and written; the guard's loads, each
-// site's lo/hi registers and a lane-private local are written.
+// site's lo/hi registers, a lane-private local and a local the ifs
+// assign are written.
 func (c *comp) laneOperands(ln *laneLoop, visit func(f regFile, r *int32, def bool)) {
 	for _, def := range [2]bool{false, true} {
+		scalar := func(o *int32) {
+			if *o < 0 && !def {
+				r := ^*o
+				visit(fileF, &r, false)
+				*o = ^r
+			}
+		}
 		for i := range ln.regs {
 			switch r := &ln.regs[i]; {
 			case r.kind == laneVec:
@@ -200,18 +208,23 @@ func (c *comp) laneOperands(ln *laneLoop, visit func(f regFile, r *int32, def bo
 		}
 		for i := range ln.ops {
 			op := &ln.ops[i]
-			for _, o := range []*int32{&op.a, &op.b} {
-				if *o < 0 && !def {
-					r := ^*o
-					visit(fileF, &r, false)
-					*o = ^r
-				}
-			}
+			scalar(&op.a)
+			scalar(&op.b)
 			switch op.op {
 			case opCompF:
 				visit(fileF, &op.dst, def)
 			case opCompG:
 				visit(fileG, &op.dst, def)
+			}
+		}
+		for i := range ln.sels {
+			sel := &ln.sels[i]
+			scalar(&sel.a)
+			switch {
+			case sel.cmp >= 0:
+				scalar(&sel.b)
+			case def:
+				visit(fileF, &sel.b, true)
 			}
 		}
 		for i := range ln.loads {

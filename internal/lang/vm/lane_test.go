@@ -323,6 +323,195 @@ end
 `,
 		lanes: "whole window served",
 	},
+	{
+		// LDA's sampling loop over lo..hi from 0 or below: a trip that
+		// selects 0 leaves chosen == 0, so the next trip may select again,
+		// as the scalar loop does.
+		name: "select-zero",
+		src: `array data 4 5
+array T 9
+global s
+---
+for (key, v) in data
+    chosen = 0
+    acc = 0
+    for k = 1 - key[1]:3
+        acc = acc + T[k + 4]
+        if chosen == 0
+            if v <= acc
+                chosen = k
+            end
+        end
+    end
+    s += chosen * 10 + acc
+end
+`,
+		lanes: "whole window served",
+	},
+	{
+		// chosen enters nonzero except when key[1] is 2: only those keys
+		// select.
+		name: "select-entry",
+		src: `array data 4 5
+array T 6
+global s
+---
+for (key, v) in data
+    chosen = key[1] - 2
+    acc = 0
+    for k = 1:6
+        acc = acc + T[k]
+        if chosen == 0
+            if v * 3 <= acc
+                chosen = k
+            end
+        end
+    end
+    s += chosen
+end
+`,
+		lanes: "whole window served",
+	},
+	{
+		// last is assigned only by a trip that crosses, and is undefined
+		// until one does: the read after the loop faults in the first
+		// key no trip of which crossed.
+		name: "select-undefined",
+		src: `array data 4 5
+array T 6
+global s
+---
+for (key, v) in data
+    acc = 0
+    for k = 1:4
+        acc = acc + T[k + 2] * key[2]
+        if acc >= v * key[1] * 2
+            last = k
+        end
+    end
+    s += last
+end
+`,
+		lanes: "whole window served",
+	},
+	{
+		// x / x is NaN where x is 0, and the sum NaN from there on: no
+		// comparison with it holds but !=.
+		name: "select-nan",
+		src: `array data 4 5
+array D 6 4
+global s t
+---
+for (key, v) in data
+    chosen = 0
+    nan = 0
+    acc = 0
+    for k = 1:6
+        x = max(D[k, key[1]] - 3, 0)
+        acc = acc + x / x
+        if chosen == 0
+            if acc >= v - 4
+                chosen = k
+            end
+        end
+        if nan == 0
+            if acc != acc
+                nan = k
+            end
+        end
+    end
+    s += chosen * 10 + nan
+    t += acc
+end
+`,
+		lanes: "whole window served",
+	},
+	{
+		// p is shorter than the loop where key[1] > 1: in the second key
+		// the guard fails and the scalar loop faults at p[4].
+		name: "select-short-vector",
+		src: `array data 4 5
+array T 6
+global s
+---
+for (key, v) in data
+    p = zeros(5 - key[1])
+    for k = 1:5 - key[1]
+        p[k] = T[k] * v
+    end
+    s += v
+    chosen = 0
+    acc = 0
+    for k = 1:4
+        acc = acc + p[k]
+        if chosen == 0
+            if v <= acc
+                chosen = k
+            end
+        end
+    end
+    s += chosen
+end
+`,
+		lanes: "whole window served",
+	},
+	{
+		// The ifs read x and p[k] before the trip overwrites them, which
+		// the lane ops do before the sels run: the sels read copies.
+		name: "select-overwritten",
+		src: `array data 4 5
+array T 6
+global s
+---
+for (key, v) in data
+    p = zeros(4)
+    chosen = 0
+    big = 0
+    for k = 1:4
+        x = T[k] * v
+        p[k] = x - 6
+        if chosen == 0
+            if x >= 12
+                chosen = k
+            end
+        end
+        if big == 0
+            if p[k] >= 6
+                big = k
+            end
+        end
+        x = 0 - x
+        p[k] = x
+    end
+    s += chosen * 10 + big + x + p[2]
+end
+`,
+		lanes: "whole window served",
+	},
+	{
+		// 11 steps: two keys run lane-wise, the third runs out at trip 3.
+		name: "select-budget",
+		src: `array data 4 5
+array T 6
+global s
+---
+for (key, v) in data
+    chosen = 0
+    acc = 0
+    for k = 1:4
+        acc = acc + T[k] * v
+        if chosen == 0
+            if 10 <= acc
+                chosen = k
+            end
+        end
+    end
+    s += chosen + acc
+end
+`,
+		budget: 11,
+		lanes:  "whole window served",
+	},
 }
 
 // laneBindings are the ways a run binds its arrays: whole arrays;
@@ -510,12 +699,15 @@ func TestLaneLoopsEqualScalar(t *testing.T) {
 // raises the fault the interpreter raises.
 func TestLaneFaults(t *testing.T) {
 	want := map[string]string{
-		"oob-last":         "index 4 out of bounds",
-		"short-vector":     "lang: vector subscript 4 out of range",
-		"undefined-global": `lang: undefined variable "g"`,
-		"budget":           "lang: step budget exhausted",
-		"maybe-defined":    `lang: undefined variable "c"`,
-		"vector-lo":        "lang: vector subscript 0 out of range",
+		"oob-last":            "index 4 out of bounds",
+		"short-vector":        "lang: vector subscript 4 out of range",
+		"undefined-global":    `lang: undefined variable "g"`,
+		"budget":              "lang: step budget exhausted",
+		"maybe-defined":       `lang: undefined variable "c"`,
+		"vector-lo":           "lang: vector subscript 0 out of range",
+		"select-undefined":    `lang: undefined variable "last"`,
+		"select-short-vector": "lang: vector subscript 4 out of range",
+		"select-budget":       "lang: step budget exhausted",
 	}
 	for _, lp := range laneProgs {
 		prog, err := lang.ParseProgram(lp.src)

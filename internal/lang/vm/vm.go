@@ -280,13 +280,15 @@ type axpyInfo struct {
 }
 
 // laneLoop is an inner for loop lowered lane-wise (laneFor): each body
-// statement runs once over all trips, as ops over lane registers, each
-// one element per trip. runLanes guards and runs it.
+// statement but an if runs once over all trips, as ops over lane
+// registers, each one element per trip; the ifs then run as sels, trip
+// by trip. runLanes guards and runs it.
 type laneLoop struct {
 	forID, varSlot int32
 	loads          []laneLoad
 	regs           []laneReg
 	ops            []laneOp
+	sels           []laneSel
 	outs           [][2]int32 // lane-private locals: (float slot, lane register)
 }
 
@@ -294,12 +296,14 @@ type laneLoop struct {
 // key literal key.
 type laneLoad struct{ reg, g, key int32 }
 
-// A lane register is scratch x (temps, lane-private locals), vector
-// local x at [v], or range access site x at v+off.
+// A lane register is scratch x (temps, lane-private locals, a fold's
+// partial sums), vector local x at [v], range access site x at v+off, or
+// the loop variable's values lo..hi in scratch x.
 const (
 	laneTemp = iota
 	laneVec
 	laneSite
+	laneVar
 )
 
 type laneReg struct {
@@ -309,12 +313,18 @@ type laneReg struct {
 
 // laneOp applies scalar opcode op (opMovF, opAddF..opPowF, opMinF,
 // opMaxF, or unary opNegF..opSigmoidF on a) per lane, or folds a's lanes
-// in trip order into fr[dst] (opCompF) or gl[dst] (opCompG). Operand
-// o >= 0 is lane register o, o < 0 scalar fr[^o].
+// in trip order into fr[dst] (opCompF) or gl[dst] (opCompG), each
+// partial sum into lane register scan when scan >= 0. Operand o >= 0 is
+// lane register o, o < 0 scalar fr[^o].
 type laneOp struct {
-	op        opcode
-	dst, a, b int32
+	op              opcode
+	dst, a, b, scan int32
 }
+
+// laneSel is one step of a lane loop's ifs: when cmp >= 0, comparison
+// cmp of operands a and b, which skips the next skip steps unless it
+// holds; else the assignment of operand a to float local b.
+type laneSel struct{ cmp, a, b, skip int32 }
 
 // Prog is a loop lowered to bytecode. It is immutable and safe to
 // share; each executor obtains its own mutable state via NewKernel.

@@ -99,8 +99,8 @@ func bindExample(t testing.TB, file string, globals map[string]float64) *Kernel 
 
 // TestVMZeroAllocs: the acceptance criterion — a steady-state VM
 // iteration of the MF, LDA and SLR bodies performs zero allocations,
-// both per-iteration and batched; LDA's topic loop runs lane-wise
-// throughout.
+// both per-iteration and batched; LDA's topic and sampling loops run
+// lane-wise throughout.
 func TestVMZeroAllocs(t *testing.T) {
 	mf, _, _ := bindMF(t, compileMF(t))
 	lda := bindExample(t, "lda.orion", map[string]float64{"K": 6, "alpha": 0.5, "beta": 0.1, "vbeta": 8})
@@ -114,7 +114,7 @@ func TestVMZeroAllocs(t *testing.T) {
 		lanes int
 	}{
 		{"MF", mf, [][]int64{{3, 7}, {4, 9}, {1, 2}, {3, 7}}, []float64{1.5, 2, 0.5, 1.5}, 0},
-		{"LDA", lda, [][]int64{{3, 7}, {4, 9}, {1, 2}, {3, 7}}, []float64{1, 1, 1, 1}, 1},
+		{"LDA", lda, [][]int64{{3, 7}, {4, 9}, {1, 2}, {3, 7}}, []float64{1, 1, 1, 1}, 2},
 		{"SLR", slr, [][]int64{{5}, {6}, {7}, {5}}, []float64{0.73, 0.21, 0.5, 0.73}, 0},
 	} {
 		k, key, val := tc.k, tc.keys[0], tc.vals[0]
