@@ -11,10 +11,13 @@
 // failures retry with exponential backoff and jitter, so workers can
 // start before (or survive a restart of) the master. With -rejoin a
 // worker whose master connection drops reconnects and re-registers —
-// the worker half of the runtime's recovery protocol.
+// the worker half of the runtime's recovery protocol. A master of
+// another wire version refuses the hello; the worker then exits 1
+// naming both versions, -rejoin or not.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -107,7 +110,9 @@ func main() {
 		if err == nil {
 			return // clean shutdown handshake
 		}
-		if !*rejoin {
+		// A master of another wire version refuses every hello, so
+		// rejoining cannot help.
+		if skew := (*runtime.VersionSkewError)(nil); !*rejoin || errors.As(err, &skew) {
 			fmt.Fprintln(os.Stderr, "orion-worker:", err)
 			os.Exit(1)
 		}

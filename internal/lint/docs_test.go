@@ -25,12 +25,15 @@ import (
 // command in their code is one cmd/orion-<name> defines, DESIGN.md's
 // flight-event "Kinds" table lists exactly the obs.FlightKind
 // constants and its VM instruction-set table exactly the opcodes of
-// internal/lang/vm, every ORNxxx code the documents or diag's package
-// comment name is a diag.Code* constant's value, and README's
+// internal/lang/vm, its "Wire format" table lists exactly the rows of
+// internal/runtime's schema table — each kind, and its fields and their
+// wire types in frame order — every ORNxxx code the documents or diag's
+// package comment name is a diag.Code* constant's value, and README's
 // diagnostics table has a row for every such constant. Deleting a
 // target, a committed file, a command, an example's main, a
-// declaration, a method, a flag, a kind, an opcode or a code — or adding a kind, an opcode or a code —
-// then fails here until the documents follow.
+// declaration, a method, a flag, a kind, an opcode, a wire field or a
+// code — or adding a kind, an opcode, a wire field or a code, or
+// reordering a row — then fails here until the documents follow.
 func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	const root = "../.."
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -148,6 +151,58 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 	if documented, defined := opcodeRows(string(design)), vmOpcodes(t, root); !slices.Equal(documented, defined) {
 		t.Errorf("DESIGN.md's VM instruction-set table lists the opcodes\n  %v\ninternal/lang/vm defines\n  %v", documented, defined)
 	}
+	if documented, defined := wireRows(string(design)), wireSchema(t, root); !slices.Equal(documented, defined) {
+		t.Errorf("DESIGN.md's wire-format table lists the rows\n  %s\ninternal/runtime's schema table has\n  %s",
+			strings.Join(documented, "\n  "), strings.Join(defined, "\n  "))
+	}
+}
+
+// wireSchema renders each row of internal/runtime's schema table, in
+// kind order, as its kind and its fields with their wire types in frame
+// order: "MsgHello: Version uint, ExecutorID int, …", each name its
+// constant's without the f or t prefix.
+func wireSchema(t *testing.T, root string) []string {
+	var rows []string
+	for _, f := range nonTestFiles(t, root, "./internal/runtime") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.ValueSpec)
+			if !ok || len(spec.Names) != 1 || spec.Names[0].Name != "schema" || len(spec.Values) != 1 {
+				return true
+			}
+			for _, elt := range spec.Values[0].(*ast.CompositeLit).Elts {
+				kv := elt.(*ast.KeyValueExpr)
+				var cols []string
+				for _, c := range kv.Value.(*ast.CompositeLit).Elts {
+					pair := c.(*ast.CompositeLit).Elts
+					typ := strings.TrimPrefix(pair[1].(*ast.Ident).Name, "t")
+					cols = append(cols, strings.TrimPrefix(pair[0].(*ast.Ident).Name, "f")+" "+strings.ToLower(typ[:1])+typ[1:])
+				}
+				rows = append(rows, kv.Key.(*ast.Ident).Name+": "+strings.Join(cols, ", "))
+			}
+			return false
+		})
+	}
+	if len(rows) == 0 {
+		t.Fatal("no schema table found in internal/runtime")
+	}
+	return rows
+}
+
+// wireRows renders each row of the table under DESIGN.md's "Wire
+// format" as wireSchema does: the kind in its first cell, then the code
+// spans of its second cell in order.
+func wireRows(design string) []string {
+	_, section, _ := strings.Cut(design, "## Wire format")
+	section, _, _ = strings.Cut(section, "\n## ")
+	var rows []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `(Msg[A-Za-z]+)` \\|([^|\n]*)\\|").FindAllStringSubmatch(section, -1) {
+		var cols []string
+		for _, span := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(m[2], -1) {
+			cols = append(cols, span[1])
+		}
+		rows = append(rows, m[1]+": "+strings.Join(cols, ", "))
+	}
+	return rows
 }
 
 // mainPackage reports whether dir holds a non-test Go file of package

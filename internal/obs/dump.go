@@ -1,13 +1,15 @@
 package obs
 
 // Cross-process trace shipping. A worker process exports its tracer's
-// span rings as a TraceDump (gob-friendly: exported fields, no maps);
+// span rings as a TraceDump (the runtime frames it field by field);
 // the master ingests each dump into its own tracer, shifting remote
 // timestamps by the clock offset estimated during the trace-sync
 // handshake. Dumps are incremental — each span is shipped at most once
 // even when the master collects at every loop boundary — and ingest is
 // idempotent per (tracer, buffer) lane, so repeated collections extend
 // existing Perfetto lanes instead of duplicating them.
+
+import "time"
 
 // SpanRec is the wire form of one recorded span. StartNs is
 // nanoseconds since the *owning* tracer's start; the receiver
@@ -106,23 +108,9 @@ func (t *Tracer) Ingest(d *TraceDump, offsetNs int64) {
 	for _, b := range d.Bufs {
 		l := t.lane(d.TracerID, b)
 		for _, s := range b.Spans {
-			ts := d.StartUnixNs + s.StartNs - offsetNs - t.startUnix
-			ev := TraceEvent{
-				Name: s.Name, Cat: s.Cat, Ph: "X",
-				Ts:  float64(ts) / 1e3,
-				Dur: float64(s.DurNs) / 1e3,
-				Pid: l.pid, Tid: l.tid,
-			}
-			if s.Instant {
-				ev.Ph, ev.Dur, ev.Scope = "i", 0, "t"
-			}
-			if s.K1 != "" {
-				ev.Args = map[string]any{s.K1: s.V1}
-				if s.K2 != "" {
-					ev.Args[s.K2] = s.V2
-				}
-			}
-			l.spans = append(l.spans, ev)
+			sp := span{name: s.Name, cat: s.Cat, argKey: s.K1, argVal: s.V1, arg2Key: s.K2, arg2Val: s.V2,
+				dur: time.Duration(s.DurNs), instant: s.Instant}
+			l.spans = append(l.spans, sp.event(d.StartUnixNs+s.StartNs-offsetNs-t.startUnix, l.pid, l.tid))
 		}
 		if b.Dropped > l.dropped {
 			l.dropped = b.Dropped

@@ -199,6 +199,22 @@ func (b *TraceBuf) record(s span) {
 	b.mu.Unlock()
 }
 
+// event renders a span that starts ts nanoseconds into the tracer's
+// timeline, in lane (pid, tid).
+func (s span) event(ts int64, pid, tid int) TraceEvent {
+	ev := TraceEvent{Name: s.name, Cat: s.cat, Ph: "X", Ts: float64(ts) / 1e3, Dur: float64(s.dur) / 1e3, Pid: pid, Tid: tid}
+	if s.instant {
+		ev.Ph, ev.Dur, ev.Scope = "i", 0, "t"
+	}
+	if s.argKey != "" {
+		ev.Args = map[string]any{s.argKey: s.argVal}
+		if s.arg2Key != "" {
+			ev.Args[s.arg2Key] = s.arg2Val
+		}
+	}
+	return ev
+}
+
 // TraceEvent is one entry of the Chrome trace-event format ("X"
 // complete spans, "i" instants, "M" metadata).
 type TraceEvent struct {
@@ -227,42 +243,20 @@ func (t *Tracer) Events() []TraceEvent {
 	}
 	t.mu.Unlock()
 
-	var out []TraceEvent
+	// The local rings render as lanes too, ahead of the remote ones.
+	var lanes []remoteLane
 	for _, b := range bufs {
-		out = append(out, TraceEvent{
-			Name: "thread_name", Ph: "M", Pid: b.pid, Tid: b.tid,
-			Args: map[string]any{"name": b.name},
-		})
 		b.mu.Lock()
+		l := remoteLane{pid: b.pid, tid: b.tid, name: b.name, dropped: b.dropped}
 		for i := 0; i < b.n; i++ {
 			s := b.evs[(b.head-b.n+i+len(b.evs))%len(b.evs)]
-			ev := TraceEvent{
-				Name: s.name, Cat: s.cat, Ph: "X",
-				Ts:  float64(s.start) / 1e3,
-				Dur: float64(s.dur) / 1e3,
-				Pid: b.pid, Tid: b.tid,
-			}
-			if s.instant {
-				ev.Ph, ev.Dur, ev.Scope = "i", 0, "t"
-			}
-			if s.argKey != "" {
-				ev.Args = map[string]any{s.argKey: s.argVal}
-				if s.arg2Key != "" {
-					ev.Args[s.arg2Key] = s.arg2Val
-				}
-			}
-			out = append(out, ev)
-		}
-		if b.dropped > 0 {
-			out = append(out, TraceEvent{
-				Name: "spans_dropped", Ph: "i", Ts: float64(time.Since(t.start)) / 1e3,
-				Pid: b.pid, Tid: b.tid, Scope: "t",
-				Args: map[string]any{"count": b.dropped},
-			})
+			l.spans = append(l.spans, s.event(int64(s.start), b.pid, b.tid))
 		}
 		b.mu.Unlock()
+		lanes = append(lanes, l)
 	}
-	for _, l := range remote {
+	var out []TraceEvent
+	for _, l := range append(lanes, remote...) {
 		out = append(out, TraceEvent{
 			Name: "thread_name", Ph: "M", Pid: l.pid, Tid: l.tid,
 			Args: map[string]any{"name": l.name},

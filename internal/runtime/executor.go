@@ -72,6 +72,9 @@ type Executor struct {
 
 	ctx    *Ctx
 	shards *shardSet
+	// limit is this executor's frame element cap, which its DefineLoops
+	// raise; every codec of its links reads it.
+	limit elemCap
 
 	// pingOverride, when non-zero, replaces the default heartbeat
 	// ping interval (SetPingInterval / orion-worker -heartbeat).
@@ -87,7 +90,7 @@ type Executor struct {
 	mRotWait  *obs.Histogram
 	mRotBytes *obs.Counter
 	mRotRaw   *obs.Counter
-	mRotGob   *obs.Counter
+	mRotBlob  *obs.Counter
 	mPrefHit  *obs.Counter
 	mPrefMiss *obs.Counter
 	// mPrefReuse counts (block, served array) prefetches answered from
@@ -120,12 +123,13 @@ func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, e
 		mRotWait:   obs.GetHistogram("rotation.wait.ns"),
 		mRotBytes:  obs.GetCounter("rotation.bytes.sent"),
 		mRotRaw:    obs.GetCounter("rotation.frames.raw"),
-		mRotGob:    obs.GetCounter("rotation.frames.gob"),
+		mRotBlob:   obs.GetCounter("rotation.frames.blob"),
 		mPrefHit:   obs.GetCounter("prefetch.hit"),
 		mPrefMiss:  obs.GetCounter("prefetch.miss"),
 		mPrefReuse: obs.GetCounter("exec.prefetch_index_reuse"),
 	}
 	e.ctx = &Ctx{exec: e, served: map[string]*ServedArray{}, accums: map[string]*float64{}}
+	e.shards.limit = &e.limit
 	if c := defaultCompiler.Load(); c != nil {
 		e.compile = *c
 	}
@@ -139,7 +143,7 @@ func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, e
 		ln.Close()
 		return nil, fmt.Errorf("runtime: executor %d dial master: %w", id, err)
 	}
-	e.master = newPeerCodec(conn, fmt.Sprintf("exec%d/master", id))
+	e.master = newPeerCodec(conn, fmt.Sprintf("exec%d/master", id), &e.limit)
 	// Report the resolved listen address: with ":0" TCP ports the bound
 	// address differs from the requested one.
 	if err := e.master.send(&Msg{Kind: MsgHello, ExecutorID: id, PeerAddr: ln.Addr().String()}); err != nil {
@@ -266,7 +270,7 @@ func (e *Executor) run() error {
 		if err != nil {
 			return fmt.Errorf("runtime: executor %d dial ring: %w", e.id, err)
 		}
-		e.sendTo = newPeerCodec(conn, fmt.Sprintf("exec%d/ring", e.id))
+		e.sendTo = newPeerCodec(conn, fmt.Sprintf("exec%d/ring", e.id), &e.limit)
 		defer e.sendTo.close()
 	}
 	hbInterval := pingInterval
@@ -303,10 +307,10 @@ func (e *Executor) run() error {
 				return err
 			}
 		case MsgDefineLoop:
-			// The declared arrays bound what a legitimate raw rotation
-			// frame can carry — raise the wire-integrity element cap to
-			// match the fleet's configuration.
-			raiseElemCapFromDims(msg.ArrayDims)
+			// The declared arrays bound what a legitimate rotation or
+			// served frame can carry — raise this fleet's element cap to
+			// match.
+			e.limit.raise(msg.ArrayDims)
 			if e.compile == nil {
 				e.master.send(&Msg{Kind: MsgError, Err: "no loop compiler installed on this executor"})
 				return fmt.Errorf("runtime: executor %d: no loop compiler", e.id)
@@ -383,7 +387,9 @@ func (e *Executor) acceptPeers() {
 		e.acceptedMu.Lock()
 		e.accepted = append(e.accepted, conn)
 		e.acceptedMu.Unlock()
-		go e.servePeer(newCodec(conn))
+		c := newCodec(conn)
+		c.limit = &e.limit
+		go e.servePeer(c)
 	}
 }
 
@@ -423,9 +429,9 @@ func (e *Executor) servePeer(c *codec) {
 		case MsgRotate:
 			feedsRotation = true
 			// The rotation pipeline keeps the partition: it leaves with a
-			// Msg of its own. A raw frame arrives decoded; a gob frame's
-			// blob (a sparse partition) is decoded here, and one that does
-			// not decode condemns the link like a bad checksum.
+			// Msg of its own. A dense one arrives decoded; a sparse one's
+			// blob is decoded here, and one that does not decode condemns
+			// the link like a bad checksum.
 			fwd := &Msg{Kind: MsgRotate, Array: in.Array, part: in.part}
 			if in.part == nil && in.Array != "" {
 				p, err := dsm.DecodePartition(in.PartBlob)
@@ -449,7 +455,7 @@ func (e *Executor) servePeer(c *codec) {
 				continue
 			}
 			// The requester holds the offsets; the values answer them in order.
-			out = Msg{Kind: MsgPrefetchResp, Array: in.Array, Values: vals}
+			out = Msg{Kind: MsgPrefetchResp, Values: vals}
 			c.send(&out)
 		case MsgUpdateBatch:
 			if err := e.shards.serveUpdate(in.Array, in.ExecutorID, in.Offsets, in.Values, in.Absolute, in.Epoch); err != nil {

@@ -108,7 +108,7 @@ func (e *Executor) rotate(ring bool, n int) (sendNs, waitNs int64, err error) {
 		// The wire has a copy: dense storage goes back to the pool the
 		// receiving end decodes into.
 		if data, _ := h.bound.Local.DenseData(); data == nil {
-			e.mRotGob.Inc()
+			e.mRotBlob.Inc()
 		} else {
 			e.mRotRaw.Inc()
 			bufpool.PutF64(data)

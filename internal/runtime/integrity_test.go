@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"net"
+	goruntime "runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -90,7 +91,7 @@ func recycle(m *Msg) {
 	}
 }
 
-func rotationFrame(t *testing.T) []byte {
+func rotationFrame(t testing.TB) []byte {
 	t.Helper()
 	a := dsm.NewDense("w", 6, 32)
 	for i := int64(0); i < 6; i++ {
@@ -130,11 +131,11 @@ func TestFrameChecksumRejectsCorruptRawRotation(t *testing.T) {
 	}
 }
 
-// TestFrameChecksumRejectsCorruptGobFrame repeats the flip check for
-// the gob message framing.
-func TestFrameChecksumRejectsCorruptGobFrame(t *testing.T) {
+// TestFrameChecksumRejectsCorruptControlFrame repeats the flip check
+// for a control message, one byte flipped inside its loop name.
+func TestFrameChecksumRejectsCorruptControlFrame(t *testing.T) {
 	frames := captureFrames(func(c *codec) {
-		if err := c.send(&Msg{Kind: MsgBlockDone, ExecutorID: 3, Array: "weights"}); err != nil {
+		if err := c.send(&Msg{Kind: MsgBlockDone, ExecutorID: 3, LoopName: "weights"}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -146,7 +147,7 @@ func TestFrameChecksumRejectsCorruptGobFrame(t *testing.T) {
 	if !errors.As(err, &fc) {
 		t.Fatalf("err = %v, want *FrameCorruptError", err)
 	}
-	if !strings.Contains(fc.Reason, "checksum") && !strings.Contains(fc.Reason, "decode") {
+	if !strings.Contains(fc.Reason, "checksum") {
 		t.Fatalf("unexpected corruption reason: %q", fc.Reason)
 	}
 }
@@ -193,18 +194,18 @@ func TestFrameSequenceRejectsReorderedFrames(t *testing.T) {
 	}
 }
 
-// TestFrameHeaderBoundsRejectHostileClaims: forged headers claiming
+// TestFrameHeaderBoundsRejectHostileClaims: forged frames claiming
 // absurd sizes must be rejected by the bounds checks before anything
 // is allocated or read at the claimed size — checksummed ones included,
 // whose extents multiply past 2^64 to the zero elements they carry or
 // could build no DistArray, and served frames whose offsets repeat or
-// overflow, whose counts pass the cap or do not fit their kind, or whose
-// kind is not served or arrives in a gob frame. Each condemns the link,
-// flight-logged as link.corrupt. A well-formed served frame of each kind
-// decodes to what was sent, and condemns the link once a trailer byte
-// flips. A gob rotation that frames cleanly but carries a dense
-// partition shorter than its extents is refused when the partition is
-// decoded, before any access can fault on it.
+// overflow, whose counts pass the cap or do not match, or whose flag is
+// neither 0 nor 1. Each condemns the link, flight-logged as
+// link.corrupt. A well-formed served frame of each kind decodes to what
+// was sent, and condemns the link once a trailer byte flips. A blob
+// rotation that frames cleanly but carries a dense partition shorter
+// than its extents is refused when the partition is decoded, before
+// any access can fault on it.
 func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
 	for name, frame := range hostileFrames(t) {
 		err := decodeStream(frame, 1)
@@ -224,9 +225,6 @@ func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
 				t.Error(err)
 			}
 		})[0]
-		if frame[0] != tagServed {
-			t.Fatalf("kind %d went out in a %q frame", want.Kind, frame[0])
-		}
 		var got Msg
 		if err := newCodec(&replayConn{r: bytes.NewReader(frame)}).recvInto(&got); err != nil {
 			t.Fatalf("kind %d: %v", want.Kind, err)
@@ -250,39 +248,46 @@ func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
 func servedMsgs() []Msg {
 	return []Msg{
 		{Kind: MsgPrefetch, Array: "w", Offsets: []int64{0, 3, 200, 1 << 40}, Epoch: 7},
-		{Kind: MsgPrefetchResp, Array: "w", Values: []float64{1.5, math.Inf(-1), -0.0}},
+		{Kind: MsgPrefetchResp, Values: []float64{1.5, math.Inf(-1), -0.0}},
 		{Kind: MsgUpdateBatch, Array: "w", ExecutorID: 1, Offsets: []int64{4, 5}, Values: []float64{0.5, 1}, Absolute: true, Epoch: 7},
 	}
 }
 
 // hostileFrames are frames a decoder must condemn, by what is wrong
-// with them.
+// with them: every bound the decoder enforces has one.
 func hostileFrames(tb testing.TB) map[string][]byte {
+	rot := func(rank uint64, fields ...uint64) []byte { // a rotation of "w" with no blob
+		b := uv(uv(append(uv(head(MsgRotate), 1), 'w'), 0), rank)
+		for _, f := range fields {
+			b = uv(b, f)
+		}
+		return b
+	}
+	prefetch := append(uv(uv(head(MsgPrefetch), 1), 1), 'w') // epoch 1, array "w"
+	update := append(uv(uv(uv(uv(uv(head(MsgUpdateBatch), 0), 1), 0), 1), 'w'), 2, 1, 1)
 	frames := map[string][]byte{
-		"unknown tag": {0x7a, 0, 0, 0},
-		"name length": uv(uv([]byte{tagRaw}, 0), 1<<20),
-		"rank": uv(uv(uv(uv(uv(append(uv(uv([]byte{tagRaw}, 0), 1), 'w'),
-			0), 0), 32), maxRawDims+1), 1),
-		"extent overflow": uv(uv(uv(uv(uv(uv(uv(append(uv(uv([]byte{tagRaw}, 0), 1), 'w'),
-			0), 0), 32), 2), 1<<35), 1<<35), 1),
-		"element count": uv(uv(uv(uv(uv(uv(append(uv(uv([]byte{tagRaw}, 0), 1), 'w'),
-			0), 0), 32), 1), 1<<33), 1<<33),
-		"extent wraps to zero": checksummedRaw(0, 1<<33, 1<<33),
-		"zero extent":          checksummedRaw(0, 4, 0),
-		"no extents":           checksummedRaw(1),
-		"gob length":           uv(uv([]byte{tagGob}, 0), maxGobFrameLen+1),
-		"malformed varint":     append([]byte{tagGob}, bytes.Repeat([]byte{0x80}, 11)...),
+		"unknown kind":     checksummed(head(MsgKind(len(schema)))),
+		"malformed varint": bytes.Repeat([]byte{0x80}, 11),
+		"name length":      uv(head(MsgGather), maxNameLen+1),
+		"byte length":      uv(append(uv(head(MsgArrayPart), 1), 'w', 0, 0), maxCount+1),
+		"string length":    uv(head(MsgError), maxCount+1),
+		"uint overflow":    checksummed(uv(head(MsgPing), 1<<63)),
+		"key rank":         uv(uv(head(MsgIterPart), 1), maxRank+1),
+		"rank":             rot(maxRank + 1),
+		"extent overflow":  rot(2, 1<<35, 1<<35),
+		"element count":    rot(1, 1<<33, 0, 0, 1<<33),
+		"range":            checksummed(rot(1, 4, 0, 0, 3)),
+		"extent wraps":     checksummed(rot(2, 1<<33, 1<<33, 0, 0, 1<<33)),
+		"zero extent":      checksummed(rot(2, 4, 0, 0, 0, 4)),
 
-		"served zero gap":        servedFrame(MsgPrefetch, 0, 2, 0, []uint64{4, 0}, nil),
-		"served offset overflow": servedFrame(MsgPrefetch, 0, 2, 0, []uint64{1 << 62, 1<<62 + 1}, nil),
-		"served offset count":    servedFrame(MsgPrefetch, 0, 1<<40, 0, nil, nil),
-		"served value count":     servedFrame(MsgPrefetchResp, 0, 0, 1<<40, nil, nil),
-		"served update counts":   servedFrame(MsgUpdateBatch, 0, 2, 1, []uint64{1, 1}, []float64{1}),
-		"served read values":     servedFrame(MsgPrefetch, 0, 1, 1, []uint64{1}, []float64{1}),
-		"served answer offsets":  servedFrame(MsgPrefetchResp, 0, 1, 1, []uint64{1}, []float64{1}),
-		"served unknown kind":    servedFrame(MsgAck, 0, 0, 0, nil, nil),
-		"served unknown flag":    servedFrame(MsgUpdateBatch, 2, 1, 1, []uint64{1}, []float64{1}),
-		"served absolute read":   servedFrame(MsgPrefetch, servedAbsolute, 1, 0, []uint64{1}, nil),
+		"served zero gap":        checksummed(uv(uv(uv(prefetch, 2), 4), 0)),
+		"served offset overflow": checksummed(uv(uv(uv(prefetch, 2), 1<<62), 1<<62+1)),
+		"served offset count":    checksummed(uv(prefetch, 1<<40)),
+		"served value count":     checksummed(uv(head(MsgPrefetchResp), 1<<40)),
+		"served update counts":   checksummed(binary.LittleEndian.AppendUint64(append(update, 1), math.Float64bits(1))),
+		"served read values":     checksummed(binary.LittleEndian.AppendUint64(uv(uv(prefetch, 1), 1), math.Float64bits(1))),
+		"served answer offsets":  checksummed(binary.LittleEndian.AppendUint64(uv(uv(uv(head(MsgPrefetchResp), 1), 1), 1), math.Float64bits(1))),
+		"served unknown flag":    checksummed(uv(uv(uv(uv(head(MsgUpdateBatch), 0), 1), 2), 1)),
 	}
 	for _, m := range servedMsgs() {
 		frame := captureFrames(func(c *codec) {
@@ -292,54 +297,21 @@ func hostileFrames(tb testing.TB) map[string][]byte {
 		})[0]
 		frame[len(frame)-1] ^= 0x40
 		frames[fmt.Sprintf("served kind %d, flipped CRC byte", m.Kind)] = frame
-		frames[fmt.Sprintf("served kind %d in a gob frame", m.Kind)] = gobFrame(tb, &m)
 	}
 	return frames
 }
 
-// servedFrame builds a served frame — sequence 0, epoch 1, sender 0,
-// array "w" — from the raw fields a hostile peer controls, with a valid
-// CRC32C trailer: only the decoder's checks can refuse it.
-func servedFrame(kind MsgKind, flags byte, nOffs, nVals uint64, gaps []uint64, vals []float64) []byte {
-	body := uv(uv(uv(uv(uv(uv(uv(nil, 0), uint64(kind)), uint64(flags)), 1), 0), nOffs), nVals)
-	body = append(uv(body, 1), 'w')
-	for _, g := range gaps {
-		body = uv(body, g)
-	}
-	for _, v := range vals {
-		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
-	}
-	return binary.LittleEndian.AppendUint32(append([]byte{tagServed}, body...), crc32.Checksum(body, castagnoli))
+// head starts a frame of kind: sequence 0, the kind.
+func head(kind MsgKind) []byte { return uv(uv(nil, 0), uint64(kind)) }
+
+// checksummed appends a valid CRC32C trailer to a forged frame: only the
+// decoder's checks can refuse it.
+func checksummed(frame []byte) []byte {
+	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli))
 }
 
-// gobFrame frames m as gob, checksummed and in sequence, the way the
-// codec frames every kind it does not send in a served frame.
-func gobFrame(tb testing.TB, m *Msg) []byte {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(m); err != nil {
-		tb.Fatal(err)
-	}
-	h := uv(uv([]byte{tagGob}, 0), uint64(body.Len()))
-	crc := crc32.Update(crc32.Checksum(h[1:], castagnoli), castagnoli, body.Bytes())
-	return binary.LittleEndian.AppendUint32(append(h, body.Bytes()...), crc)
-}
-
-// checksummedRaw builds a raw rotation frame — sequence 0, array "w",
-// range [0, 1) along dim 0 — claiming dims and carrying count zero
-// values, with a valid CRC32C trailer: only the bounds checks can refuse
-// it.
-func checksummedRaw(count uint64, dims ...uint64) []byte {
-	body := append(uv(uv(nil, 0), 1), 'w')
-	body = uv(uv(uv(uv(body, 0), 0), 1), uint64(len(dims)))
-	for _, d := range dims {
-		body = uv(body, d)
-	}
-	body = append(uv(body, count), make([]byte, 8*count)...)
-	return binary.LittleEndian.AppendUint32(append([]byte{tagRaw}, body...), crc32.Checksum(body, castagnoli))
-}
-
-// shortDenseRotation is a gob rotation frame whose partition blob
-// declares a dense 4x4 array and carries 3 values: a ring neighbour's
+// shortDenseRotation is a rotation frame whose partition blob declares
+// a dense 4x4 array and carries 3 values: a ring neighbour's
 // sparse-path MsgRotate. The blob is gob-encoded from a mirror of dsm's
 // wire form, which gob matches by field name.
 func shortDenseRotation(t testing.TB) []byte {
@@ -366,18 +338,29 @@ func shortDenseRotation(t testing.TB) []byte {
 	})[0]
 }
 
-// TestHostileGobLengthClaimAllocatesLazily: a forged gob header
-// claiming a near-cap body over a short stream must fail on EOF after
-// at most one growth chunk — not allocate the full claimed length.
-func TestHostileGobLengthClaimAllocatesLazily(t *testing.T) {
-	frame := uv(uv([]byte{tagGob}, 0), maxGobFrameLen-1)
-	c := newCodec(&replayConn{r: bytes.NewReader(frame)})
+// TestHostileLengthClaimAllocatesLazily: a forged length claiming a
+// near-cap string or byte field over a short stream must fail on EOF
+// after at most one growth chunk — not allocate the claimed length.
+func TestHostileLengthClaimAllocatesLazily(t *testing.T) {
+	text := uv(append(head(MsgDefineLoop), 0), maxCount-1) // an empty loop name, then the source
+	c := newCodec(&replayConn{r: bytes.NewReader(append(text, make([]byte, 3*frameReadChunk)...))})
 	var m Msg
 	if err := c.recvInto(&m); err == nil {
 		t.Error("truncated hostile frame decoded successfully")
 	}
-	if grown := cap(c.gr.data); grown > 2*frameReadChunk {
-		t.Fatalf("hostile length claim grew the body buffer to %d bytes, want <= %d", grown, 2*frameReadChunk)
+	if grown := cap(c.rhdr); grown > 8*frameReadChunk {
+		t.Fatalf("a hostile length claim grew the frame buffer to %d bytes, want <= %d", grown, 8*frameReadChunk)
+	}
+	blob := uv(append(uv(head(MsgArrayPart), 1), 'w', 0, 0), maxCount-1)
+	blob = append(blob, make([]byte, 3*frameReadChunk)...)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	if err := decodeStream(blob, 1); err == nil {
+		t.Error("truncated hostile blob decoded successfully")
+	}
+	goruntime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 16*frameReadChunk {
+		t.Fatalf("a hostile blob length claim allocated %d bytes, want <= %d", grown, 16*frameReadChunk)
 	}
 }
 
@@ -475,9 +458,9 @@ func TestShardOwnerRejectsMalformedRequests(t *testing.T) {
 		{"read of an offset another owner holds", Msg{Kind: MsgPrefetch, Offsets: []int64{6}}},
 		// An update with more offsets than values never reaches an owner:
 		// the served frame's decoder condemns it (TestFrameHeaderBoundsRejectHostileClaims).
-		{"update past the end of the array", Msg{Kind: MsgUpdateBatch, Offsets: []int64{8}, Values: []float64{1}}},
+		{"update past the end of the array", Msg{Kind: MsgUpdateBatch, ExecutorID: 1, Offsets: []int64{8}, Values: []float64{1}}},
 	} {
-		tc.msg.Array, tc.msg.ExecutorID, tc.msg.Epoch = "w", 1, int64(i+1)
+		tc.msg.Array, tc.msg.Epoch = "w", int64(i+1)
 		resp, err := req.shardRPC(1, &tc.msg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -507,34 +490,26 @@ func TestShardOwnerRejectsMalformedRequests(t *testing.T) {
 	<-done
 }
 
-// FuzzDecodeFrame drives the hardened frame decoder with arbitrary
-// byte streams: it must return an error or a valid message — never
-// panic, never hang, never allocate at a forged header's claimed size.
+// FuzzDecodeFrame drives the frame decoder with arbitrary byte
+// streams: it must return an error or a valid message — never panic,
+// never hang, never allocate at a forged claim's size — and every
+// message it returns is one the encoder would frame. The seeds are a
+// frame of every kind from the schema table's examples, the hostile
+// frames, and a corrupted and a concatenated stream.
 func FuzzDecodeFrame(f *testing.F) {
-	rot := func() []byte {
-		a := dsm.NewDense("w", 4, 16)
-		p := a.ExtractRange(1, 0, 16)
-		frames := captureFrames(func(c *codec) { c.sendRotation("w", p) })
-		return frames[0]
-	}()
-	gob := func() []byte {
-		frames := captureFrames(func(c *codec) {
-			c.send(&Msg{Kind: MsgBlockDone, ExecutorID: 1, Array: "w", Offsets: []int64{1, 2}, Values: []float64{3, 4}})
-		})
-		return frames[0]
-	}()
-	f.Add(rot)
-	f.Add(gob)
-	f.Add(append(append([]byte(nil), gob...), rot...))
-	corrupt := append([]byte(nil), rot...)
+	var all []byte
+	for _, ex := range wireExamples() {
+		frame := captureFrames(func(c *codec) { c.send(&ex.m) })[0]
+		f.Add(frame)
+		all = append(all, frame...)
+	}
+	f.Add(all)
+	corrupt := rotationFrame(f)
 	corrupt[len(corrupt)/2] ^= 1
 	f.Add(corrupt)
 	f.Add(shortDenseRotation(f))
 	for _, frame := range hostileFrames(f) {
 		f.Add(frame)
-	}
-	for _, m := range servedMsgs() {
-		f.Add(captureFrames(func(c *codec) { c.send(&m) })[0])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -544,9 +519,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		c := newCodec(&replayConn{r: bytes.NewReader(data)})
 		var m Msg
 		for i := 0; i < 16; i++ {
-			m.reset()
 			if err := c.recvInto(&m); err != nil {
 				break
+			}
+			if err := m.frameable(); err != nil {
+				t.Fatalf("decoded a message the encoder refuses: %v", err)
 			}
 			// A partition the frame carries is whole once it decodes: its
 			// last element is readable.

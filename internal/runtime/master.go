@@ -120,6 +120,10 @@ type Master struct {
 	// handleConn can tell an expected close from a worker dying mid-loop.
 	closed atomic.Bool
 
+	// limit is the fleet's frame element cap, which DefineLoop raises;
+	// every codec of the master's links reads it.
+	limit elemCap
+
 	// Observability: the master's span buffer (nil when tracing is off)
 	// and the per-loop execution reports assembled from BlockDone stats.
 	trace   *obs.TraceBuf
@@ -254,9 +258,15 @@ collect:
 		select {
 		case conn := <-m.dials:
 			c := newCodec(conn)
+			c.limit = &m.limit
 			pending[c] = true
 			go func() {
-				hello, _ := c.recv()
+				hello, err := c.recv()
+				if skew := (*VersionSkewError)(nil); errors.As(err, &skew) {
+					// Refused: the answer is a hello, whose version any
+					// build reads, so the dialer fails naming both.
+					c.send(&Msg{Kind: MsgHello, ExecutorID: -1})
+				}
 				select {
 				case hellos <- joiner{c, hello}:
 				case <-done:
@@ -720,22 +730,16 @@ func (m *Master) Report(loop string) *obs.LoopReport {
 // CombinedReport merges every loop's report into one (nil when nothing
 // has run). Useful for drivers that define a fresh loop per pass.
 func (m *Master) CombinedReport() *obs.LoopReport {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.reports) == 0 {
+	all := m.AllReports()
+	if len(all) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(m.reports))
-	for name := range m.reports {
-		names = append(names, name)
+	out := &obs.LoopReport{Loop: all[0].Loop}
+	if len(all) > 1 {
+		out.Loop = fmt.Sprintf("%s (+%d more)", all[0].Loop, len(all)-1)
 	}
-	sort.Strings(names)
-	out := &obs.LoopReport{Loop: names[0]}
-	if len(names) > 1 {
-		out.Loop = fmt.Sprintf("%s (+%d more)", names[0], len(names)-1)
-	}
-	for _, name := range names {
-		out.Merge(m.reports[name])
+	for _, r := range all {
+		out.Merge(r)
 	}
 	return out
 }
@@ -838,13 +842,12 @@ func (m *Master) Shutdown() {
 
 // DefineLoop ships a loop definition to every executor, which compiles
 // it into a kernel via the installed LoopCompiler. The declared array
-// extents also configure the wire-integrity layer: the raw-frame
-// element cap is raised to cover the largest declared array, so header
-// bounds track the fleet's actual configuration instead of a blanket
-// ceiling.
+// extents also configure the wire-integrity layer: the fleet's element
+// cap is raised to cover the largest declared array, so payload bounds
+// track the fleet's actual configuration instead of a blanket ceiling.
 func (m *Master) DefineLoop(def *Msg) error {
 	def.Kind = MsgDefineLoop
-	raiseElemCapFromDims(def.ArrayDims)
+	m.limit.raise(def.ArrayDims)
 	for id, c := range m.conns {
 		if err := c.send(def); err != nil {
 			return sendErr("defining "+def.LoopName, id, err)

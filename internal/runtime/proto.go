@@ -3,12 +3,11 @@ package runtime
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"slices"
 	"sync"
@@ -19,11 +18,14 @@ import (
 	"orion/internal/runtime/bufpool"
 )
 
-// MsgKind enumerates protocol messages.
+// MsgKind enumerates protocol messages; the schema table (schema.go)
+// lists the fields each one carries.
 type MsgKind int
 
 const (
-	// MsgHello: executor → master registration.
+	// MsgHello: executor → master registration, and the master's answer
+	// to a hello of another wire version. Its row starts with the
+	// version, so every build reads that much of any build's hello.
 	MsgHello MsgKind = iota
 	// MsgSetup: master → executor topology (peer addresses).
 	MsgSetup
@@ -82,14 +84,12 @@ const (
 	MsgTraceSync
 	// MsgTraceDump: master → executor request for the executor's
 	// not-yet-shipped trace spans (TracerID identifies the master's
-	// tracer so in-process executors sharing it reply empty); the
-	// executor → master reply carries a gob-encoded obs.TraceDump in
-	// TraceBlob.
+	// tracer); the executor → master reply carries its spans in Dump.
 	MsgTraceDump
 )
 
-// Msg is the single wire message type (gob encodes nil/zero fields
-// compactly).
+// Msg is the single wire message type. Each kind carries the fields
+// its schema row names (schema.go) and no other.
 type Msg struct {
 	Kind MsgKind
 
@@ -100,17 +100,17 @@ type Msg struct {
 	PeerAddr   string
 	Peers      []string // indexed by executor id
 
-	// Array payloads: a gob-encoded dsm.Partition (partition blob) or
-	// raw samples.
+	// Array payloads: dsm-encoded partitions (dsm.EncodePartitions) or
+	// samples.
 	Array    string
 	PartBlob []byte
 	Samples  []IterSample
 	Rotated  bool
 	Ordered  bool
-	// part is the partition a rotation carries, decoded where it arrives:
-	// a raw frame's straight into storage from bufpool (readRawRotation),
-	// a gob frame's blob by servePeer. Whoever holds it next owns the
-	// storage. Unexported, so gob never sends it.
+	// part is the dense partition a rotation carries, decoded where it
+	// arrives straight into storage from bufpool (a sparse one travels
+	// as PartBlob, decoded by servePeer). Whoever holds it next owns the
+	// storage.
 	part      *dsm.Partition
 	LoopName  string
 	TimeLo    int64
@@ -167,20 +167,19 @@ type Msg struct {
 	// Trace collection. Trace (in MsgSetup) tells a worker process to
 	// enable span tracing so its rings can be collected later. T0/T1
 	// carry the clock-sync handshake timestamps (unix nanoseconds),
-	// TracerID identifies a tracer across processes, and TraceBlob is a
-	// gob-encoded obs.TraceDump.
-	Trace     bool
-	T0        int64
-	T1        int64
-	TracerID  int64
-	TraceBlob []byte
+	// TracerID names the requesting tracer, and Dump is a worker's spans
+	// (nil when it traces nothing).
+	Trace    bool
+	T0       int64
+	T1       int64
+	TracerID int64
+	Dump     *obs.TraceDump
 }
 
 // reset clears a Msg for reuse while keeping the backing storage of the
 // hot-path payload slices (Offsets/Values), so a long-lived serving loop
 // can decode into the same Msg without reallocating per message.
-// Explicit zeroing matters: gob leaves fields absent from the wire
-// unchanged on decode.
+// Explicit zeroing matters: a frame sets only its row's fields.
 func (m *Msg) reset() {
 	offsets := m.Offsets[:0]
 	values := m.Values[:0]
@@ -193,130 +192,76 @@ type IterSample struct {
 	Val float64
 }
 
-// Frame tags: every message on a codec stream is one tag byte followed
-// by its body. 'G' frames carry a gob-encoded Msg; 'R' frames carry a
-// length-prefixed raw rotation payload (dense partition storage written
-// directly, no intermediate blob); 'S' frames, and only they, carry
-// MsgPrefetch, MsgPrefetchResp and MsgUpdateBatch. All end in a CRC32C
-// trailer over everything after the tag byte, and all carry a
-// per-direction sequence number inside the checksummed region — the
-// checksum catches flipped or truncated bytes, the sequence number
-// catches duplicated or reordered frames that are individually intact.
-// A served frame is: tag · uvarint seq, kind, flags (servedAbsolute),
-// epoch, sender, offset count, value count, name length · name · the
-// offsets, ascending, as uvarint gaps (the first a gap from -1, so every
-// gap is at least 1) · little-endian float64 values · CRC32C trailer.
-const (
-	tagGob    = 'G'
-	tagRaw    = 'R'
-	tagServed = 'S'
-)
-
-// servedAbsolute is the served frame's flag for Msg.Absolute.
-const servedAbsolute = 1
-
-// servedKind reports whether a message kind travels in a served frame.
-func servedKind(k MsgKind) bool {
-	return k == MsgPrefetch || k == MsgPrefetchResp || k == MsgUpdateBatch
-}
-
-// servedShape says what keeps a served frame's kind, flags and counts
-// from being one of the three served messages, "" when nothing does: a
-// read carries offsets, its answer values, an update one value per
-// offset, and only an update may be absolute.
-func servedShape(kind MsgKind, flags, nOffs, nVals uint64) string {
-	if kind == MsgPrefetch && flags == 0 && nVals == 0 || kind == MsgPrefetchResp && flags == 0 && nOffs == 0 ||
-		kind == MsgUpdateBatch && flags&^servedAbsolute == 0 && nVals == nOffs {
-		return ""
-	}
-	return fmt.Sprintf("kind %d with flags %#x, %d offsets and %d values is not a served message", kind, flags, nOffs, nVals)
-}
-
 // Frame integrity bounds. A decoder trusts nothing it has not verified:
-// uvarint header fields are capped before any allocation or blocking
-// read sized by them, and the payload element cap is keyed to the fleet
-// configuration (raised to the largest declared array when a loop is
-// defined) rather than a blanket "anything under 16 GiB".
+// every count is capped before any allocation or blocking read sized by
+// it, and a float64 payload's element count by the fleet's cap (raised
+// to the largest declared array when a loop is defined) rather than a
+// blanket "anything under 16 GiB".
 const (
 	// frameTrailerLen is the CRC32C trailer size.
 	frameTrailerLen = 4
-	// maxGobFrameLen caps a gob frame's body ('G' frames carry control
-	// messages and partition blobs, never larger than an array).
-	maxGobFrameLen = 1 << 30
-	// maxRawNameLen caps the array-name field of a raw rotation frame.
-	maxRawNameLen = 4096
-	// maxRawDims caps the rank of a raw rotation frame.
-	maxRawDims = 16
-	// defaultRawElemCap bounds raw payloads before any loop has been
-	// defined (handshakes, benches); DefineLoop raises the live cap to
-	// the largest declared array.
-	defaultRawElemCap = 1 << 20
-	// hardRawElemCap is the absolute ceiling no configuration can raise
+	// maxCount caps every other count and length (1 GiB): they arrive
+	// before any DefineLoop declares an array (the iteration space,
+	// array parts). Storage sized by one grows a chunk at a time as its
+	// bytes actually arrive.
+	maxCount = 1 << 30
+	// maxNameLen caps an array or accumulator name.
+	maxNameLen = 4096
+	// maxRank caps a partition's rank and an iteration key's length.
+	maxRank = 16
+	// defaultElemCap bounds float64 payloads before any loop has been
+	// defined (handshakes, benches); DefineLoop raises a fleet's cap to
+	// its largest declared array.
+	defaultElemCap = 1 << 20
+	// hardElemCap is the absolute ceiling no configuration can raise
 	// the element cap past (2^34 float64s = 128 GiB).
-	hardRawElemCap = 1 << 34
+	hardElemCap = 1 << 34
+	// frameReadChunk bounds how much a byte field grows per read while
+	// its claimed length is still unverified by arrived bytes.
+	frameReadChunk = 1 << 20
 )
 
 // castagnoli is the CRC32C polynomial table (hardware-accelerated on
 // amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// rawElemCap is the live raw-frame element cap: zero means
-// defaultRawElemCap. It is raised — never lowered — from declared array
-// extents at DefineLoop on both the master and executor sides, so
-// concurrent sessions in one process can only widen each other's bound.
-var rawElemCap atomic.Int64
+// elemCap is one fleet's float64 payload element cap, shared by the
+// codecs of its master or of one executor. It is raised — never lowered
+// — from the arrays each DefineLoop declares, on the master as it sends
+// and on each executor as it receives; only that one goroutine writes
+// it. A nil cap reads as defaultElemCap.
+type elemCap struct{ n atomic.Int64 }
 
-// raiseFrameElemCap widens the raw-frame element cap to at least n
-// (clamped to the hard ceiling). The cap is monotonic: lowering it
-// would race between sessions sharing the process.
-func raiseFrameElemCap(n int64) {
-	n = min(n, hardRawElemCap)
-	for {
-		cur := rawElemCap.Load()
-		if n <= cur {
-			return
-		}
-		if rawElemCap.CompareAndSwap(cur, n) {
-			return
+func (c *elemCap) get() uint64 {
+	if c != nil {
+		if v := c.n.Load(); v > defaultElemCap {
+			return uint64(v)
 		}
 	}
+	return defaultElemCap
 }
 
-func frameElemCap() int64 {
-	if v := rawElemCap.Load(); v > defaultRawElemCap {
-		return v
-	}
-	return defaultRawElemCap
-}
-
-// raiseElemCapFromDims raises the element cap to cover the largest
-// array in a DefineLoop declaration — a rotated partition is at most a
-// whole array.
-func raiseElemCapFromDims(dims map[string][]int64) {
+// raise widens the cap to cover the largest declared array — a rotated
+// partition is at most a whole array — clamped to the hard ceiling.
+func (c *elemCap) raise(dims map[string][]int64) {
 	for _, ds := range dims {
-		n := int64(1)
+		n := 1.0 // a float64 product cannot wrap
 		for _, d := range ds {
-			if d <= 0 {
-				continue
-			}
-			if n > hardRawElemCap/d {
-				n = hardRawElemCap
-				break
-			}
-			n *= d
+			n *= float64(max(d, 1))
 		}
-		raiseFrameElemCap(n)
+		if v := int64(min(n, hardElemCap)); v > c.n.Load() {
+			c.n.Store(v)
+		}
 	}
 }
 
 // FrameCorruptError reports a frame that failed wire-integrity
 // verification: a checksum mismatch, an out-of-sequence (duplicated or
-// reordered) frame, a header field past its bound, or trailing garbage.
-// The codec closes the connection before returning it — a desynchronized
-// stream cannot be re-trusted — and the error unwraps to ErrWorkerLost,
-// so every recovery path treats a poisoned link exactly like a lost
-// worker: condemn the connection, re-form the fleet, restore the newest
-// checkpoint, resume.
+// reordered) frame, or a field past its bound. The codec closes the
+// connection before returning it — a desynchronized stream cannot be
+// re-trusted — and the error unwraps to ErrWorkerLost, so every recovery
+// path treats a poisoned link exactly like a lost worker: condemn the
+// connection, re-form the fleet, restore the newest checkpoint, resume.
 type FrameCorruptError struct {
 	Label  string // peer label, when the codec has one
 	Reason string
@@ -332,121 +277,63 @@ func (e *FrameCorruptError) Error() string {
 // Unwrap folds frame corruption into the worker-loss recovery path.
 func (e *FrameCorruptError) Unwrap() error { return ErrWorkerLost }
 
-// errMalformedVarint marks a uvarint that overflows 64 bits — corrupt
-// framing, not an I/O failure.
-var errMalformedVarint = errors.New("malformed uvarint")
-
-// readUvarintRaw decodes one uvarint from r while appending the exact
-// wire bytes to *raw, so the caller can checksum what was actually read
-// (re-encoding would silently accept non-canonical forms).
-func readUvarintRaw(r io.ByteReader, raw *[]byte) (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := r.ReadByte()
-		if err != nil {
-			if err == io.EOF && i > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, err
-		}
-		*raw = append(*raw, b)
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, errMalformedVarint
-			}
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-	return 0, errMalformedVarint
+// VersionSkewError refuses a hello framed from another version of the
+// schema table: the two builds cannot read each other's frames. The
+// master answers such a hello with its own and closes the link; an
+// executor reading that answer fails with this error, naming both.
+type VersionSkewError struct {
+	Peer, Local uint64
 }
 
-// codec wraps a connection with tag-framed, checksummed gob
-// encode/decode and a write lock so multiple goroutines may send on the
+func (e *VersionSkewError) Error() string {
+	return fmt.Sprintf("runtime: wire version skew: the peer speaks version %d, this build version %d", e.Peer, e.Local)
+}
+
+// codec frames messages on one connection by the schema table (a frame
+// is uvarint seq · uvarint kind · the kind's row · CRC32C trailer over
+// all of it), with a write lock so multiple goroutines may send on the
 // same connection. stats, when set, counts messages per peer (atomic
 // increments — allocation-free).
 type codec struct {
 	conn  net.Conn
 	br    *bufio.Reader
 	bw    *bufio.Writer
-	enc   *gob.Encoder
-	dec   *gob.Decoder
 	wmu   sync.Mutex
 	stats *obs.PeerStats
 	label string
+	// limit is the element cap of the fleet the link belongs to.
+	limit *elemCap
 	// wseq/rseq are the per-direction frame sequence numbers: wseq is
 	// stamped under wmu on send, rseq checked by the (single) reader.
 	wseq uint64
 	rseq uint64
-	// gw stages gob-encoded bodies so frames can be length-prefixed and
-	// checksummed; gr replays one verified frame body to the decoder.
-	gw frameBuffer
-	gr frameReader
-	// wbuf stages frame headers and payload chunks on the send side
-	// (guarded by wmu); rhdr collects received header bytes for
-	// checksumming and scratch stages received payload chunks. Send and
-	// receive need separate buffers, because a codec may do both
-	// concurrently (the master link). names interns array names decoded
-	// from raw frames so the steady-state rotation path allocates no
+	// wbuf stages a frame being sent, then its payload chunks (guarded by
+	// wmu). The receive side keeps its own state, because a codec may
+	// send and receive concurrently (the master link): rhdr holds the
+	// frame bytes read but not yet folded into rcrc, rerr the frame's
+	// first failure, and scratch stages payload chunks and the trailer.
+	// names interns array names so the steady-state paths allocate no
 	// strings.
 	wbuf    []byte
 	rhdr    []byte
+	rcrc    uint32
+	rerr    error
 	scratch []byte
 	names   map[string]string
 }
 
-// frameBuffer is the gob encoder's staging sink: one Encode call's
-// output accumulates here, then ships as a single checksummed frame.
-type frameBuffer struct{ buf []byte }
-
-func (b *frameBuffer) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	return len(p), nil
-}
-
-// frameReader replays one verified frame body to the gob decoder. It
-// implements io.ByteReader so gob reads it directly instead of wrapping
-// it in a bufio.Reader that would buffer across frames.
-type frameReader struct {
-	data []byte
-	pos  int
-}
-
-func (r *frameReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.pos:])
-	r.pos += n
-	return n, nil
-}
-
-func (r *frameReader) ReadByte() (byte, error) {
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b, nil
-}
-
 func newCodec(conn net.Conn) *codec {
-	c := &codec{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
-	c.enc = gob.NewEncoder(&c.gw)
-	c.dec = gob.NewDecoder(&c.gr)
-	return c
+	return &codec{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 }
 
-// newPeerCodec builds a codec whose traffic is counted under the given
-// peer label in the default obs registry: message counts at the codec
-// layer, byte counts via a countingConn wrapped around the connection.
-func newPeerCodec(conn net.Conn, label string) *codec {
+// newPeerCodec builds a codec of a fleet (cap limit) whose traffic is
+// counted under the given peer label in the default obs registry:
+// message counts at the codec layer, byte counts via a countingConn
+// wrapped around the connection.
+func newPeerCodec(conn net.Conn, label string, limit *elemCap) *codec {
 	stats := obs.Peer(label)
 	c := newCodec(&countingConn{Conn: conn, stats: stats})
-	c.stats = stats
-	c.label = label
+	c.stats, c.label, c.limit = stats, label, limit
 	return c
 }
 
@@ -469,222 +356,163 @@ func (c *codec) condemn(reason string) error {
 	return &FrameCorruptError{Label: c.label, Reason: reason}
 }
 
-// corruptOrIO maps a header-read failure to either corruption (a
-// malformed varint can only come from a hostile or damaged stream) or a
-// plain transport error (the peer died mid-frame).
-func (c *codec) corruptOrIO(err error) error {
-	if errors.Is(err, errMalformedVarint) {
-		return c.condemn(err.Error())
-	}
+func (c *codec) send(m *Msg) error {
+	_, err := c.write(m)
 	return err
 }
 
-func (c *codec) send(m *Msg) error {
-	if servedKind(m.Kind) {
-		return c.sendServed(m)
+// write frames m by its schema row and returns the frame's wire size. A
+// message its row cannot carry is an error, and nothing is sent,
+// sequence number included. The row's float64 payload, if any, streams
+// from its storage after the rest of the frame.
+func (c *codec) write(m *Msg) (int64, error) {
+	if err := m.frameable(); err != nil {
+		return 0, err
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.gw.buf = c.gw.buf[:0]
-	if err := c.enc.Encode(m); err != nil {
-		return err
+	h := binary.AppendUvarint(binary.AppendUvarint(c.wbuf[:0], c.wseq), uint64(m.Kind))
+	var tail []float64
+	ptrs := m.fields()
+	for _, col := range schema[m.Kind] {
+		h, tail = col.put(h, ptrs[col.f])
 	}
-	body := c.gw.buf
-	h := append(c.wbuf[:0], tagGob)
-	h = binary.AppendUvarint(h, c.wseq)
 	c.wseq++
-	h = binary.AppendUvarint(h, uint64(len(body)))
 	c.wbuf = h[:0]
 	if _, err := c.bw.Write(h); err != nil {
-		return err
+		return 0, err
 	}
-	if _, err := c.bw.Write(body); err != nil {
-		return err
+	crc, err := c.writeFloats(crc32.Checksum(h, castagnoli), tail)
+	if err != nil {
+		return 0, err
 	}
-	crc := crc32.Update(0, castagnoli, h[1:])
-	return c.endFrame(crc32.Update(crc, castagnoli, body))
-}
-
-// endFrame writes the CRC32C trailer of the frame being sent and flushes
-// it. The caller holds wmu and has written everything else, so the send
-// buffer is free to stage the trailer.
-func (c *codec) endFrame(crc uint32) error {
+	// The payload is out, so the send buffer is free to stage the trailer.
 	if _, err := c.bw.Write(binary.LittleEndian.AppendUint32(c.wbuf[:0], crc)); err != nil {
-		return err
+		return 0, err
 	}
 	if err := c.bw.Flush(); err != nil {
-		return err
+		return 0, err
 	}
 	if c.stats != nil {
 		c.stats.MsgsSent.Inc()
 	}
-	return nil
+	return int64(len(h)+8*len(tail)) + frameTrailerLen, nil
 }
 
-// verifyFrame reads the trailer of a received frame, staged through the
-// receive scratch, and checks it and the frame's sequence number,
-// condemning the link on a mismatch.
-func (c *codec) verifyFrame(frame string, crc uint32, seq uint64) error {
-	tr := chunkBuf(&c.scratch)[:frameTrailerLen]
-	if _, err := io.ReadFull(c.br, tr); err != nil {
-		return err
-	}
-	if got := binary.LittleEndian.Uint32(tr); got != crc {
-		return c.condemn(fmt.Sprintf("%s checksum mismatch (wire %08x, computed %08x)", frame, got, crc))
-	}
-	if seq != c.rseq {
-		return c.condemn(fmt.Sprintf("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq))
-	}
-	c.rseq++
-	return nil
-}
-
-func (c *codec) recv() (*Msg, error) {
-	var m Msg
-	if err := c.decodeFrame(&m); err != nil {
-		return nil, err
-	}
-	if c.stats != nil {
-		c.stats.MsgsRecv.Inc()
-	}
-	return &m, nil
-}
-
-// recvInto decodes the next message into a caller-owned Msg, reusing
-// its payload slice storage. The caller must not retain pointers into
-// the Msg across calls (copy anything it keeps — see servePeer's
-// rotation handling). A rotation's partition is the exception: it is
-// fresh, and the caller takes it over.
-func (c *codec) recvInto(m *Msg) error {
-	m.reset()
-	if err := c.decodeFrame(m); err != nil {
-		return err
-	}
-	if c.stats != nil {
-		c.stats.MsgsRecv.Inc()
-	}
-	return nil
-}
-
-// decodeFrame reads one tag-framed message into m, verifying the
-// frame's checksum and sequence number before any of its payload is
-// released to the caller.
-func (c *codec) decodeFrame(m *Msg) error {
-	tag, err := c.br.ReadByte()
-	if err != nil {
-		return err
-	}
-	switch tag {
-	case tagGob:
-		return c.readGobFrame(m)
-	case tagRaw:
-		return c.readRawRotation(m)
-	case tagServed:
-		return c.readServed(m)
-	default:
-		return c.condemn(fmt.Sprintf("unknown frame tag %#x", tag))
-	}
-}
-
-// readGobFrame reads one length-prefixed gob frame (tag already
-// consumed), verifies its CRC32C trailer and sequence number, and only
-// then lets the gob decoder touch the body.
-func (c *codec) readGobFrame(m *Msg) error {
-	hdr := c.rhdr[:0]
-	seq, err := readUvarintRaw(c.br, &hdr)
-	if err != nil {
-		c.rhdr = hdr[:0]
-		return c.corruptOrIO(err)
-	}
-	length, err := readUvarintRaw(c.br, &hdr)
-	c.rhdr = hdr[:0]
-	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	if length > maxGobFrameLen {
-		return c.condemn(fmt.Sprintf("gob frame length %d exceeds the %d cap", length, maxGobFrameLen))
-	}
-	if uint64(cap(c.gr.data)) >= length {
-		// Steady state: the body buffer already fits — one read, no
-		// allocation.
-		c.gr.data = c.gr.data[:length]
-		if _, err := io.ReadFull(c.br, c.gr.data); err != nil {
-			return err
+// put appends the field p points at to a frame being staged, framed as
+// c. A float64 payload (tColumn, tPart) is returned instead, to stream
+// after the frame.
+func (c col) put(h []byte, p any) ([]byte, []float64) {
+	switch p := p.(type) {
+	case nil:
+		h = binary.AppendUvarint(h, wireVersion)
+	case *int:
+		h = putInt(h, int64(*p), c.t)
+	case *int64:
+		h = putInt(h, *p, c.t)
+	case *bool:
+		h = putFlag(h, *p)
+	case *float64:
+		h = putFloat(h, *p)
+	case *string:
+		h = putText(h, *p)
+	case *[]byte:
+		h = append(binary.AppendUvarint(h, uint64(len(*p))), *p...)
+	case *[]string:
+		h = binary.AppendUvarint(h, uint64(len(*p)))
+		for _, s := range *p {
+			h = putText(h, s)
 		}
-	} else {
-		// First growth (or a hostile length claim): extend the buffer
-		// chunk by chunk as bytes actually arrive, so a forged header
-		// can cost at most one chunk of memory beyond what the peer
-		// really sent.
-		c.gr.data = c.gr.data[:0]
-		for remaining := length; remaining > 0; {
-			n := min(remaining, frameReadChunk)
-			old := len(c.gr.data)
-			c.gr.data = append(c.gr.data, make([]byte, n)...)
-			if _, err := io.ReadFull(c.br, c.gr.data[old:]); err != nil {
-				return err
-			}
-			remaining -= n
+	case *[]int64:
+		if c.t != tGaps {
+			return putInts(h, *p), nil
 		}
+		h = binary.AppendUvarint(h, uint64(len(*p)))
+		prev := int64(-1)
+		for _, off := range *p {
+			h = binary.AppendUvarint(h, uint64(off)-uint64(prev))
+			prev = off
+		}
+	case *[]float64:
+		h = binary.AppendUvarint(h, uint64(len(*p)))
+		if c.t == tColumn {
+			return h, *p
+		}
+		for _, v := range *p {
+			h = putFloat(h, v)
+		}
+	case *[]IterSample:
+		h = binary.AppendUvarint(h, uint64(len(*p)))
+		for _, s := range *p {
+			h = putFloat(putInts(h, s.Key), s.Val)
+		}
+	case *map[string][]int64:
+		h = binary.AppendUvarint(h, uint64(len(*p)))
+		for _, k := range sortedKeys(*p) {
+			h = putInts(putText(h, k), (*p)[k])
+		}
+	case *map[string]string:
+		h = binary.AppendUvarint(h, uint64(len(*p)))
+		for _, k := range sortedKeys(*p) {
+			h = putText(putText(h, k), (*p)[k])
+		}
+	case **dsm.Partition:
+		return putPart(h, *p)
+	case **obs.TraceDump:
+		h = putDump(h, *p)
 	}
-	crc := crc32.Update(0, castagnoli, hdr)
-	if err := c.verifyFrame("gob frame", crc32.Update(crc, castagnoli, c.gr.data), seq); err != nil {
-		return err
-	}
-	c.gr.pos = 0
-	if err := c.dec.Decode(m); err != nil {
-		return c.condemn(fmt.Sprintf("gob decode of a verified frame: %v", err))
-	}
-	if c.gr.pos != len(c.gr.data) {
-		return c.condemn(fmt.Sprintf("%d trailing bytes after the gob value", len(c.gr.data)-c.gr.pos))
-	}
-	if servedKind(m.Kind) { // each kind has one encoding
-		return c.condemn(fmt.Sprintf("served kind %d in a gob frame", m.Kind))
-	}
-	return nil
+	return h, nil
 }
 
-// frameReadChunk bounds how much a gob frame body buffer grows per
-// read while the claimed length is still unverified by arrived bytes.
-const frameReadChunk = 1 << 20
+// sortedKeys orders a map's keys, so a map frames the same every time.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
-// rawChunkElems is how many float64s a raw frame stages through the
-// codec scratch per conversion pass on both send and receive. Staging
-// is a codec-local detail — the payload is one contiguous byte stream,
-// so the two ends of a link may chunk it differently. At 4096 the
-// buffer-flush rendezvous are few enough that they more than pay for
-// the CRC32C pass over the same bytes.
-const rawChunkElems = 4096
+func putInt(h []byte, v int64, t wireType) []byte {
+	if t == tUint {
+		return binary.AppendUvarint(h, uint64(v))
+	}
+	return binary.AppendVarint(h, v)
+}
 
-// sendRotation ships one rotated partition to the peer. Dense
-// partitions go as a length-prefixed raw frame gathered directly from
-// the partition's backing storage — no intermediate gob blob, no
-// per-message allocation. Sparse partitions fall back to the gob
-// message path. Returns the frame's wire size in bytes.
-func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
-	if !p.Local.IsDense() {
-		blob, err := p.Encode()
-		if err != nil {
-			return 0, err
-		}
-		if err := c.send(&Msg{Kind: MsgRotate, Array: array, PartBlob: blob}); err != nil {
-			return 0, err
-		}
-		return int64(len(blob)), nil
+func putFlag(h []byte, b bool) []byte {
+	if b {
+		return append(h, 1)
+	}
+	return append(h, 0)
+}
+
+func putFloat(h []byte, v float64) []byte {
+	return binary.AppendUvarint(h, bits.ReverseBytes64(math.Float64bits(v)))
+}
+
+func putText(h []byte, s string) []byte {
+	return append(binary.AppendUvarint(h, uint64(len(s))), s...)
+}
+
+func putInts(h []byte, vs []int64) []byte {
+	h = binary.AppendUvarint(h, uint64(len(vs)))
+	for _, v := range vs {
+		h = binary.AppendVarint(h, v)
+	}
+	return h
+}
+
+// putPart appends a dense partition's header and returns its storage,
+// which streams as the payload: no intermediate blob, no copy.
+func putPart(h []byte, p *dsm.Partition) ([]byte, []float64) {
+	if p == nil {
+		return append(h, 0), nil
 	}
 	data, stride := p.Local.DenseData()
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	h := append(c.wbuf[:0], tagRaw)
-	h = binary.AppendUvarint(h, c.wseq)
-	c.wseq++
-	h = binary.AppendUvarint(h, uint64(len(array)))
-	h = append(h, array...)
-	h = binary.AppendUvarint(h, uint64(p.Dim))
-	h = binary.AppendUvarint(h, uint64(p.Lo))
-	h = binary.AppendUvarint(h, uint64(p.Hi))
-	// The extents follow from the strides, without copying them out.
 	h = binary.AppendUvarint(h, uint64(len(stride)))
+	// The extents follow from the strides, without copying them out.
 	for i := range stride {
 		next := int64(len(data))
 		if i+1 < len(stride) {
@@ -692,17 +520,387 @@ func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
 		}
 		h = binary.AppendUvarint(h, uint64(next/stride[i]))
 	}
-	h = binary.AppendUvarint(h, uint64(len(data)))
-	c.wbuf = h[:0]
-	if _, err := c.bw.Write(h); err != nil {
+	h = binary.AppendUvarint(binary.AppendUvarint(h, uint64(p.Dim)), uint64(p.Lo))
+	return binary.AppendUvarint(h, uint64(p.Hi)), data
+}
+
+func putDump(h []byte, d *obs.TraceDump) []byte {
+	if d == nil {
+		return append(h, 0)
+	}
+	h = binary.AppendUvarint(h, uint64(len(d.Bufs))+1)
+	h = binary.AppendVarint(binary.AppendVarint(h, d.TracerID), d.StartUnixNs)
+	for _, b := range d.Bufs {
+		h = binary.AppendVarint(binary.AppendVarint(h, int64(b.Pid)), int64(b.Tid))
+		h = binary.AppendUvarint(binary.AppendVarint(putText(h, b.Name), b.Dropped), uint64(len(b.Spans)))
+		for _, s := range b.Spans {
+			h = putText(binary.AppendVarint(putText(putText(putText(h, s.Name), s.Cat), s.K1), s.V1), s.K2)
+			h = putFlag(binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(h, s.V2), s.StartNs), s.DurNs), s.Instant)
+		}
+	}
+	return h
+}
+
+func (c *codec) recv() (*Msg, error) {
+	m := new(Msg)
+	if err := c.recvInto(m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// recvInto decodes the next message into a caller-owned Msg, reusing
+// its payload slice storage. The caller must not retain pointers into
+// the Msg across calls (copy anything it keeps — see servePeer's
+// rotation handling). A rotation's partition is the exception: it is
+// fresh, and the caller takes it over.
+//
+// It is the one decoder every link's bytes reach: the frame's fields are
+// read by its kind's schema row, each bounds-checked before anything is
+// sized by it, and m is emptied again (a partition's storage back to the
+// pool) unless the trailer and the sequence number verify, so nothing of
+// a bad frame reaches the caller.
+func (c *codec) recvInto(m *Msg) error {
+	m.reset()
+	c.rhdr, c.rcrc, c.rerr = c.rhdr[:0], 0, nil
+	seq, kind := c.uvarint(), c.uvarint()
+	if c.rerr == nil && kind >= uint64(len(schema)) {
+		c.fail("unknown kind %d", kind)
+	}
+	if c.rerr == nil {
+		m.Kind = MsgKind(kind)
+		ptrs, offsets := m.fields(), false
+		for _, col := range schema[kind] {
+			offsets = offsets || col.f == fOffsets
+			if col.get(c, ptrs[col.f], m, offsets); c.rerr != nil {
+				break
+			}
+		}
+	}
+	if c.rerr == nil {
+		c.verify(seq)
+	}
+	if err := c.rerr; err != nil {
+		if m.part != nil {
+			data, _ := m.part.Local.DenseData()
+			bufpool.PutF64(data)
+		}
+		m.reset()
+		return err
+	}
+	if c.stats != nil {
+		c.stats.MsgsRecv.Inc()
+	}
+	return nil
+}
+
+// get decodes the field p points at, framed as c, into m. withOffsets
+// says the row carries offsets ahead of it, which a value column then
+// matches one for one.
+func (c col) get(d *codec, p any, m *Msg, withOffsets bool) {
+	switch p := p.(type) {
+	case nil:
+		if v := d.uvarint(); d.rerr == nil && v != wireVersion {
+			d.rerr = &VersionSkewError{Peer: v, Local: wireVersion}
+		}
+	case *int:
+		*p = int(d.int(c.t))
+	case *int64:
+		*p = d.int(c.t)
+	case *bool:
+		*p = d.flag()
+	case *float64:
+		*p = d.float()
+	case *string:
+		*p = d.text(c.t == tName)
+	case *[]byte:
+		n := d.count(maxCount, "byte length")
+		d.fold()
+		*p = d.read(nil, n)
+		d.rcrc = crc32.Update(d.rcrc, castagnoli, *p)
+	case *[]string:
+		for i, n := 0, d.count(maxCount, "string count"); i < n && d.rerr == nil; i++ {
+			*p = append(*p, d.text(false))
+		}
+	case *[]int64:
+		if c.t == tGaps {
+			*p = d.gaps((*p)[:0])
+		} else {
+			*p = d.ints((*p)[:0], maxCount)
+		}
+	case *[]float64:
+		if c.t != tColumn {
+			for i, n := 0, d.count(maxCount, "float count"); i < n && d.rerr == nil; i++ {
+				*p = append(*p, d.float())
+			}
+			break
+		}
+		n := d.count(d.limit.get(), "value count")
+		if withOffsets && n != len(m.Offsets) {
+			d.fail("%d values for %d offsets", n, len(m.Offsets))
+		}
+		*p = d.column((*p)[:0], n)
+	case *[]IterSample:
+		// The keys are cut from one growing arena, not allocated one each.
+		var arena []int64
+		for i, n := 0, d.count(maxCount, "sample count"); i < n && d.rerr == nil; i++ {
+			start := len(arena)
+			arena = d.ints(arena, maxRank)
+			*p = append(*p, IterSample{Key: arena[start:len(arena):len(arena)], Val: d.float()})
+		}
+	case *map[string][]int64:
+		for i, n := 0, d.count(maxCount, "array count"); i < n && d.rerr == nil; i++ {
+			if *p == nil {
+				*p = map[string][]int64{}
+			}
+			name := d.text(false)
+			(*p)[name] = d.ints(nil, maxRank)
+		}
+	case *map[string]string:
+		for i, n := 0, d.count(maxCount, "pair count"); i < n && d.rerr == nil; i++ {
+			if *p == nil {
+				*p = map[string]string{}
+			}
+			k := d.text(false)
+			(*p)[k] = d.text(false)
+		}
+	case **dsm.Partition:
+		*p = d.part(m.Array)
+	case **obs.TraceDump:
+		*p = d.dump()
+	}
+}
+
+// fail condemns the link for the frame being read, unless it already
+// failed.
+func (c *codec) fail(format string, args ...any) {
+	if c.rerr == nil {
+		c.rerr = c.condemn(fmt.Sprintf(format, args...))
+	}
+}
+
+// ReadByte reads one frame byte into the bytes not yet checksummed, so
+// the checksum covers what was actually read (re-encoding would
+// silently accept non-canonical forms).
+func (c *codec) ReadByte() (byte, error) {
+	b, err := c.br.ReadByte()
+	if err != nil {
+		c.rerr = err
 		return 0, err
 	}
-	wire := int64(len(h)) + int64(len(data))*8 + frameTrailerLen
-	crc, err := c.writeFloats(crc32.Update(0, castagnoli, h[1:]), data)
+	c.rhdr = append(c.rhdr, b)
+	return b, nil
+}
+
+// uvarint reads one uvarint of the frame. It and the readers below read
+// nothing once the frame has failed.
+func (c *codec) uvarint() uint64 {
+	if c.rerr != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(c)
+	if err != nil {
+		c.fail("malformed uvarint: %v", err) // a read error is already the frame's
+	}
+	return v
+}
+
+// count reads a count or length, condemning one past limit.
+func (c *codec) count(limit uint64, what string) int {
+	n := c.uvarint()
+	if n > limit {
+		c.fail("%s %d exceeds the %d cap", what, n, limit)
+		return 0
+	}
+	return int(n)
+}
+
+func (c *codec) int(t wireType) int64 {
+	v := c.uvarint()
+	if t == tInt {
+		return int64(v>>1) ^ -int64(v&1)
+	}
+	if v > math.MaxInt64 {
+		c.fail("%d overflows int64", v)
+	}
+	return int64(v)
+}
+
+func (c *codec) flag() bool {
+	v := c.uvarint()
+	if v > 1 {
+		c.fail("flag %d is neither 0 nor 1", v)
+	}
+	return v == 1
+}
+
+func (c *codec) float() float64 { return math.Float64frombits(bits.ReverseBytes64(c.uvarint())) }
+
+// text reads a string; a name (tName) is shorter, and interned.
+func (c *codec) text(name bool) string {
+	if !name {
+		n, start := c.count(maxCount, "string length"), len(c.rhdr)
+		c.rhdr = c.read(c.rhdr, n)
+		return string(c.rhdr[start:])
+	}
+	n, start := c.count(maxNameLen, "name length"), len(c.rhdr)
+	c.rhdr = c.read(c.rhdr, n)
+	return c.intern(c.rhdr[start:])
+}
+
+func (c *codec) ints(dst []int64, limit uint64) []int64 {
+	for i, n := 0, c.count(limit, "int count"); i < n && c.rerr == nil; i++ {
+		dst = append(dst, c.int(tInt))
+	}
+	return dst
+}
+
+// gaps reads ascending offsets: every gap is at least 1 and keeps the
+// offset within int64.
+func (c *codec) gaps(offs []int64) []int64 {
+	// next is one past the previous offset: the first gap counts from -1.
+	next := uint64(0)
+	for i, n := 0, c.count(c.limit.get(), "offset count"); i < n && c.rerr == nil; i++ {
+		if gap := c.uvarint(); gap == 0 || gap > 1<<63-next {
+			c.fail("offset gap %d after offset %d", gap, int64(next)-1)
+		} else {
+			next += gap
+			offs = append(offs, int64(next-1))
+		}
+	}
+	return offs
+}
+
+// read appends n frame bytes to dst, growing it a chunk at a time as
+// they arrive, so a forged length costs at most one chunk beyond what
+// the peer really sent.
+func (c *codec) read(dst []byte, n int) []byte {
+	for want := len(dst) + n; len(dst) < want && c.rerr == nil; {
+		old := len(dst)
+		k := min(want-old, frameReadChunk)
+		dst = slices.Grow(dst, k)[:old+k]
+		if _, err := io.ReadFull(c.br, dst[old:]); err != nil {
+			c.rerr = err
+		}
+	}
+	return dst
+}
+
+// column reads n little-endian float64s into vals, grown a chunk at a
+// time as their bytes arrive.
+func (c *codec) column(vals []float64, n int) []float64 {
+	c.fold()
+	for len(vals) < n && c.rerr == nil {
+		old := len(vals)
+		k := min(n-old, rawChunkElems)
+		vals = slices.Grow(vals, k)[:old+k]
+		c.readFloats(vals[old:])
+	}
+	return vals
+}
+
+// part reads a rotated partition of array into storage from bufpool,
+// sized by an extent product that clears the fleet's element cap.
+func (c *codec) part(array string) *dsm.Partition {
+	rank := c.count(maxRank, "partition rank")
+	if rank == 0 {
+		return nil
+	}
+	var shape [maxRank]int64
+	dims, extent := shape[:rank], uint64(1)
+	for i := range dims {
+		// Every extent is positive, as a DistArray's are, and extent * d
+		// stays within the hard cap, so the product cannot wrap.
+		d := c.uvarint()
+		if c.rerr == nil && (d == 0 || d > hardElemCap || extent > hardElemCap/d) {
+			c.fail("partition extent %d x %d outside 1..%d", extent, d, uint64(hardElemCap))
+		}
+		dims[i], extent = int64(d), extent*d
+	}
+	dim, lo, hi := c.uvarint(), c.uvarint(), c.uvarint()
+	if c.rerr != nil {
+		return nil
+	}
+	// The range spans the extent along its dimension, as a partition's
+	// does (an empty range keeps extent 1).
+	if span := hi - lo; dim >= uint64(rank) || lo > hi || hi > math.MaxInt64 || span != uint64(dims[dim]) && !(span == 0 && dims[dim] == 1) {
+		c.fail("partition range [%d, %d) along dimension %d does not span its extent", lo, hi, dim)
+		return nil
+	}
+	if cp := c.limit.get(); extent > cp {
+		c.fail("partition of %d elements exceeds the configured cap %d", extent, cp)
+		return nil
+	}
+	vals := bufpool.GetF64(int(extent))
+	c.fold()
+	if c.readFloats(vals); c.rerr != nil {
+		bufpool.PutF64(vals)
+		return nil
+	}
+	return dsm.NewDenseFrom(array, vals, int(dim), int64(lo), int64(hi), dims...)
+}
+
+func (c *codec) dump() *obs.TraceDump {
+	n := c.count(maxCount, "trace buffer count")
+	if n == 0 {
+		return nil
+	}
+	d := &obs.TraceDump{TracerID: c.int(tInt), StartUnixNs: c.int(tInt)}
+	for i := 1; i < n && c.rerr == nil; i++ {
+		b := obs.BufDump{Pid: int(c.int(tInt)), Tid: int(c.int(tInt)), Name: c.text(false), Dropped: c.int(tInt)}
+		for j, ns := 0, c.count(maxCount, "span count"); j < ns && c.rerr == nil; j++ {
+			b.Spans = append(b.Spans, obs.SpanRec{Name: c.text(false), Cat: c.text(false), K1: c.text(false), V1: c.int(tInt),
+				K2: c.text(false), V2: c.int(tInt), StartNs: c.int(tInt), DurNs: c.int(tInt), Instant: c.flag()})
+		}
+		d.Bufs = append(d.Bufs, b)
+	}
+	return d
+}
+
+// fold checksums the frame bytes read so far, before a payload is read
+// past them.
+func (c *codec) fold() {
+	c.rcrc = crc32.Update(c.rcrc, castagnoli, c.rhdr)
+	c.rhdr = c.rhdr[:0]
+}
+
+// verify reads the received frame's trailer, staged through the receive
+// scratch, and checks it and the frame's sequence number, condemning the
+// link on a mismatch.
+func (c *codec) verify(seq uint64) {
+	c.fold()
+	tr := chunkBuf(&c.scratch)[:frameTrailerLen]
+	if _, err := io.ReadFull(c.br, tr); err != nil {
+		c.rerr = err
+	} else if got := binary.LittleEndian.Uint32(tr); got != c.rcrc {
+		c.fail("checksum mismatch (wire %08x, computed %08x)", got, c.rcrc)
+	} else if seq != c.rseq {
+		c.fail("frame out of sequence (got %d, want %d): duplicated or reordered delivery", seq, c.rseq)
+	} else {
+		c.rseq++
+	}
+}
+
+// rawChunkElems is how many float64s a payload stages through the codec
+// scratch per conversion pass on both send and receive. Staging is a
+// codec-local detail — the payload is one contiguous byte stream, so the
+// two ends of a link may chunk it differently. At 4096 the buffer-flush
+// rendezvous are few enough that they more than pay for the CRC32C pass
+// over the same bytes.
+const rawChunkElems = 4096
+
+// sendRotation ships one rotated partition to the peer: a dense one's
+// storage streams as the frame's payload, a sparse one travels as its
+// dsm encoding. Returns the frame's wire size in bytes.
+func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
+	if p.Local.IsDense() {
+		return c.write(&Msg{Kind: MsgRotate, Array: array, part: p})
+	}
+	blob, err := p.Encode()
 	if err != nil {
 		return 0, err
 	}
-	return wire, c.endFrame(crc)
+	return c.write(&Msg{Kind: MsgRotate, Array: array, PartBlob: blob})
 }
 
 // chunkBuf returns *b, grown if need be, as one staging chunk of
@@ -733,212 +931,20 @@ func (c *codec) writeFloats(crc uint32, vals []float64) (uint32, error) {
 }
 
 // readFloats fills vals with little-endian float64s staged through the
-// receive scratch, folding the bytes into crc.
-func (c *codec) readFloats(crc uint32, vals []float64) (uint32, error) {
+// receive scratch, folding the bytes into the frame's checksum.
+func (c *codec) readFloats(vals []float64) {
 	buf := chunkBuf(&c.scratch)
-	for off := 0; off < len(vals); off += rawChunkElems {
+	for off := 0; off < len(vals) && c.rerr == nil; off += rawChunkElems {
 		n := min(len(vals)-off, rawChunkElems)
 		if _, err := io.ReadFull(c.br, buf[:n*8]); err != nil {
-			return crc, err
+			c.rerr = err
+			return
 		}
-		crc = crc32.Update(crc, castagnoli, buf[:n*8])
+		c.rcrc = crc32.Update(c.rcrc, castagnoli, buf[:n*8])
 		for i := 0; i < n; i++ {
 			vals[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 		}
 	}
-	return crc, nil
-}
-
-// readRawRotation decodes a raw rotation frame (tag already consumed)
-// into m.part, a dense partition over pooled storage the payload is
-// scattered into. Every header field is bounds-checked before anything
-// is sized by it, and the payload stays codec-internal until the CRC
-// trailer and sequence number verify — a corrupt frame's values are
-// returned to the pool, never handed to the caller, so they can never
-// reach a dsm.Partition.
-func (c *codec) readRawRotation(m *Msg) error {
-	hdr := c.rhdr[:0]
-	// Keep the grown header storage whatever path exits.
-	defer func() { c.rhdr = hdr[:0] }()
-	seq, err := readUvarintRaw(c.br, &hdr)
-	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	name, err := c.readName(&hdr, "raw rotation frame")
-	if err != nil {
-		return err
-	}
-	// The partition range, then the rank.
-	var field [4]uint64
-	for i := range field {
-		if field[i], err = readUvarintRaw(c.br, &hdr); err != nil {
-			return c.corruptOrIO(err)
-		}
-	}
-	dim, lo, hi, ndims := field[0], field[1], field[2], field[3]
-	if ndims == 0 || ndims > maxRawDims {
-		return c.condemn(fmt.Sprintf("raw rotation frame: rank %d outside 1..%d", ndims, maxRawDims))
-	}
-	extent := uint64(1)
-	var shape [maxRawDims]int64
-	dims := shape[:0]
-	for i := uint64(0); i < ndims; i++ {
-		d, err := readUvarintRaw(c.br, &hdr)
-		if err != nil {
-			return c.corruptOrIO(err)
-		}
-		// Every extent is positive, as a DistArray's are, and extent * d
-		// stays within the hard cap, so the product cannot wrap.
-		if d == 0 || d > hardRawElemCap || extent > hardRawElemCap/d {
-			return c.condemn(fmt.Sprintf("raw rotation frame: dimension extent %d x %d outside 1..%d", extent, d, uint64(hardRawElemCap)))
-		}
-		dims = append(dims, int64(d))
-		extent *= d
-	}
-	// The range spans the extent along its dimension, as a partition's
-	// does (an empty range keeps extent 1).
-	if span := hi - lo; dim >= ndims || lo > hi || hi > math.MaxInt64 || span != uint64(dims[dim]) && !(span == 0 && dims[dim] == 1) {
-		return c.condemn(fmt.Sprintf("raw rotation frame: range [%d, %d) along dimension %d does not span its extent", lo, hi, dim))
-	}
-	count, err := readUvarintRaw(c.br, &hdr)
-	if err != nil {
-		return c.corruptOrIO(err)
-	}
-	if count != extent {
-		return c.condemn(fmt.Sprintf("raw rotation frame: %d elements for extent %d", count, extent))
-	}
-	if cp := frameElemCap(); count > uint64(cp) {
-		return c.condemn(fmt.Sprintf("raw rotation frame: %d elements exceeds the configured cap %d", count, cp))
-	}
-	vals := bufpool.GetF64(int(count))
-	crc, err := c.readFloats(crc32.Update(0, castagnoli, hdr), vals)
-	if err == nil {
-		err = c.verifyFrame("raw rotation frame", crc, seq)
-	}
-	if err != nil {
-		bufpool.PutF64(vals)
-		return err
-	}
-	m.Kind = MsgRotate
-	m.Array = name
-	m.part = dsm.NewDenseFrom(name, vals, int(dim), int64(lo), int64(hi), dims...)
-	return nil
-}
-
-// readName reads a frame's uvarint-length-prefixed array name into the
-// header bytes, refusing a length past maxRawNameLen.
-func (c *codec) readName(hdr *[]byte, frame string) (string, error) {
-	nameLen, err := readUvarintRaw(c.br, hdr)
-	if err != nil {
-		return "", c.corruptOrIO(err)
-	}
-	if nameLen > maxRawNameLen {
-		return "", c.condemn(fmt.Sprintf("%s: array name length %d exceeds the %d cap", frame, nameLen, maxRawNameLen))
-	}
-	h := slices.Grow(*hdr, int(nameLen))
-	nb := h[len(h) : len(h)+int(nameLen)]
-	*hdr = h[:len(h)+int(nameLen)]
-	if _, err := io.ReadFull(c.br, nb); err != nil {
-		return "", err
-	}
-	return c.intern(nb), nil
-}
-
-// sendServed ships a served message as one served frame (layout at
-// tagServed). One the frame cannot carry — a shape servedShape refuses,
-// offsets that do not ascend from 0 — is an error, and nothing is sent.
-func (c *codec) sendServed(m *Msg) error {
-	var flags uint64
-	if m.Absolute {
-		flags = servedAbsolute
-	}
-	if why := servedShape(m.Kind, flags, uint64(len(m.Offsets)), uint64(len(m.Values))); why != "" {
-		return fmt.Errorf("runtime: unframeable served message: %s", why)
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	h := append(c.wbuf[:0], tagServed)
-	for _, v := range []uint64{c.wseq, uint64(m.Kind), flags, uint64(m.Epoch), uint64(m.ExecutorID),
-		uint64(len(m.Offsets)), uint64(len(m.Values)), uint64(len(m.Array))} {
-		h = binary.AppendUvarint(h, v)
-	}
-	h = append(h, m.Array...)
-	prev := int64(-1)
-	for _, off := range m.Offsets {
-		if off <= prev {
-			return fmt.Errorf("runtime: unframeable served message: offset %d follows %d", off, prev)
-		}
-		h = binary.AppendUvarint(h, uint64(off)-uint64(prev))
-		prev = off
-	}
-	c.wseq++
-	c.wbuf = h[:0]
-	if _, err := c.bw.Write(h); err != nil {
-		return err
-	}
-	crc, err := c.writeFloats(crc32.Update(0, castagnoli, h[1:]), m.Values)
-	if err != nil {
-		return err
-	}
-	return c.endFrame(crc)
-}
-
-// readServed decodes a served frame (tag already consumed) into m,
-// reusing m's Offsets and Values storage. The counts clear the element
-// cap and servedShape before anything is read at their size, every gap
-// is at least 1 and keeps the offset within int64, and nothing reaches
-// m until the trailer and sequence number verify.
-func (c *codec) readServed(m *Msg) error {
-	hdr := c.rhdr[:0]
-	var f [7]uint64 // seq, kind, flags, epoch, sender, offset count, value count
-	var err error
-	for i := range f {
-		if f[i], err = readUvarintRaw(c.br, &hdr); err != nil {
-			return c.corruptOrIO(err)
-		}
-	}
-	name, err := c.readName(&hdr, "served frame")
-	if err != nil {
-		return err
-	}
-	seq, kind, flags, nOffs, nVals := f[0], MsgKind(f[1]), f[2], f[5], f[6]
-	if cp := uint64(frameElemCap()); nOffs > cp || nVals > cp {
-		return c.condemn(fmt.Sprintf("served frame: %d offsets and %d values exceed the configured cap %d", nOffs, nVals, cp))
-	}
-	if why := servedShape(kind, flags, nOffs, nVals); why != "" {
-		return c.condemn("served frame: " + why)
-	}
-	// next is one past the previous offset: the first gap counts from -1.
-	offs, next := m.Offsets[:0], uint64(0)
-	for range nOffs {
-		gap, err := readUvarintRaw(c.br, &hdr)
-		if err != nil {
-			return c.corruptOrIO(err)
-		}
-		if gap == 0 || gap > 1<<63-next {
-			return c.condemn(fmt.Sprintf("served frame: offset gap %d after offset %d", gap, int64(next)-1))
-		}
-		next += gap
-		offs = append(offs, int64(next-1))
-	}
-	c.rhdr = hdr[:0]
-	crc := crc32.Update(0, castagnoli, hdr)
-	// The values grow a chunk at a time as their bytes arrive.
-	vals := m.Values[:0]
-	for uint64(len(vals)) < nVals {
-		old := len(vals)
-		n := int(min(nVals-uint64(old), rawChunkElems))
-		vals = slices.Grow(vals, n)[:old+n]
-		if crc, err = c.readFloats(crc, vals[old:]); err != nil {
-			return err
-		}
-	}
-	if err := c.verifyFrame("served frame", crc, seq); err != nil {
-		return err
-	}
-	m.Kind, m.Array, m.Absolute, m.Epoch, m.ExecutorID = kind, name, flags&servedAbsolute != 0, int64(f[3]), int(f[4])
-	m.Offsets, m.Values = offs, vals
-	return nil
 }
 
 // intern returns a long-lived string for a transient name buffer

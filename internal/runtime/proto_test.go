@@ -61,7 +61,7 @@ func startEcho(c *codec) chan struct{} {
 			for _, off := range in.Offsets {
 				vals = append(vals, float64(off)*0.5)
 			}
-			out = Msg{Kind: MsgPrefetchResp, Array: in.Array, Values: vals}
+			out = Msg{Kind: MsgPrefetchResp, Values: vals}
 			if err := c.send(&out); err != nil {
 				return
 			}
@@ -146,8 +146,8 @@ func TestServedSendRefusesUnframeable(t *testing.T) {
 }
 
 // TestRawRotationRoundTrip: a dense partition shipped via sendRotation
-// must come back bitwise-identical through the raw frame path, and a
-// sparse partition must transparently fall back to the gob path.
+// must come back bitwise-identical as the frame's raw payload, and a
+// sparse partition must transparently travel as its dsm blob.
 func TestRawRotationRoundTrip(t *testing.T) {
 	clientConn, serverConn := net.Pipe()
 	defer clientConn.Close()
@@ -193,7 +193,7 @@ func TestRawRotationRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Sparse partitions fall back to the gob message path.
+	// Sparse partitions travel as their dsm blob.
 	s := dsm.NewSparse("idx", 8)
 	s.SetAt(2.5, 3)
 	sp := s.ExtractRange(0, 0, 8)
@@ -221,7 +221,7 @@ func TestRawRotationRoundTrip(t *testing.T) {
 // TestRawRotationAllocs: steady-state raw rotation round trips must not
 // allocate per rotated partition beyond a tiny fixed budget, and must
 // allocate at least 5x less than shipping the same partition as a
-// per-message gob blob — the whole point of the pooled raw codec. Both
+// per-message dsm blob — the whole point of the pooled raw payload. Both
 // paths are counted here, over one codec pair.
 func TestRawRotationAllocs(t *testing.T) {
 	clientConn, serverConn := net.Pipe()
@@ -234,7 +234,7 @@ func TestRawRotationAllocs(t *testing.T) {
 	p := a.ExtractRange(1, 0, 128)
 	var in Msg
 	// Each leg ships p and receives it as far as the peer link hands it
-	// on: the raw leg as a partition, the gob leg as a blob it does not
+	// on: the raw leg as a partition, the blob leg as a blob it does not
 	// even decode.
 	allocsPerTrip := func(ship func()) float64 {
 		roundTrip := func() {
@@ -250,7 +250,7 @@ func TestRawRotationAllocs(t *testing.T) {
 		return testing.AllocsPerRun(100, roundTrip)
 	}
 	raw := allocsPerTrip(func() { cc.sendRotation("w", p) })
-	gob := allocsPerTrip(func() {
+	blob := allocsPerTrip(func() {
 		blob, err := p.Encode()
 		if err != nil {
 			t.Error(err)
@@ -262,10 +262,10 @@ func TestRawRotationAllocs(t *testing.T) {
 	if raw > 8 {
 		t.Errorf("raw rotation round trip allocates %.0f objects, want <= 8", raw)
 	}
-	if gob < 5*raw {
-		t.Errorf("raw rotation allocates %.0f objects per round trip against gob's %.0f, want >= 5x fewer", raw, gob)
+	if blob < 5*raw {
+		t.Errorf("raw rotation allocates %.0f objects per round trip against the blob's %.0f, want >= 5x fewer", raw, blob)
 	}
-	t.Logf("allocations per rotated partition: raw %.0f, gob %.0f", raw, gob)
+	t.Logf("allocations per rotated partition: raw %.0f, blob %.0f", raw, blob)
 }
 
 // BenchmarkPeerRoundTrip measures the reusing codec path end to end

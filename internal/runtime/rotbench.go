@@ -67,17 +67,17 @@ func (rb *RotationBench) sink() {
 	}
 }
 
-// RoundTrip ships one partition and waits for the sink's ack. gobBlob
-// forces the legacy per-message gob partition encoding; otherwise dense
-// partitions take the raw frame path. ack is caller-owned reusable
-// receive storage.
-func (rb *RotationBench) RoundTrip(array string, p *dsm.Partition, gobBlob bool, ack *Msg) error {
-	if gobBlob {
-		blob, err := p.Encode()
+// RoundTrip ships one partition and waits for the sink's ack. blob
+// ships it as its per-message dsm encoding, as a sparse partition
+// travels; otherwise a dense partition's storage streams as the frame's
+// payload. ack is caller-owned reusable receive storage.
+func (rb *RotationBench) RoundTrip(array string, p *dsm.Partition, blob bool, ack *Msg) error {
+	if blob {
+		b, err := p.Encode()
 		if err != nil {
 			return err
 		}
-		if err := rb.cc.send(&Msg{Kind: MsgRotate, Array: array, PartBlob: blob}); err != nil {
+		if err := rb.cc.send(&Msg{Kind: MsgRotate, Array: array, PartBlob: b}); err != nil {
 			return err
 		}
 	} else {

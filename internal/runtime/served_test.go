@@ -374,7 +374,7 @@ func TestPrefetchAnswerOfWrongLengthRejected(t *testing.T) {
 			c := newCodec(conn)
 			var in, out Msg
 			for c.recvInto(&in) == nil {
-				out = Msg{Kind: MsgPrefetchResp, Array: in.Array, Values: make([]float64, len(in.Offsets)+extra)}
+				out = Msg{Kind: MsgPrefetchResp, Values: make([]float64, len(in.Offsets)+extra)}
 				if c.send(&out) != nil {
 					return
 				}
@@ -441,25 +441,26 @@ func (c byteConn) Write(p []byte) (int, error) {
 // runs. Each worker's block reads and updates offsets 0..9 of the
 // 16 weights, and each owns 8 of them, so per pass executor 0 reads and
 // updates w[8:10) at executor 1, and executor 1 w[0:8) at executor 0.
-// A served frame is 16 bytes of header (tag, sequence, kind, flags, the
-// name's length and "weights", epoch, sender, the two counts: one byte
-// each here), one uvarint per offset gap (one byte each here), 8 bytes
-// per value and a 4-byte trailer; a gob MsgAck, once its encoder has
-// sent the type, is ackFrame bytes (tag, sequence, length, a 6-byte gob
-// value, trailer).
+// Every frame opens with its sequence number and kind and ends in a
+// 4-byte trailer, 6 bytes, and the schema rows (schema.go) fill it in,
+// every uvarint one byte here: a read is the epoch, the name's length
+// and "weights", the offset count and one gap per offset (10 + n);
+// an answer the value count and 8 bytes per value (3 + 8n); an update
+// the sender, epoch, absolute flag, name, offset count, gaps, value
+// count and values (15 + 9n); an ack nothing (ackFrame bytes).
 //
-//	executor 0 -> 1: read 16+2+4 = 22, answer 16+2*8+4 = 36, update 16+2+2*8+4 = 38, ack
-//	executor 1 -> 0: read 16+8+4 = 28, answer 16+8*8+4 = 84, update 16+8+8*8+4 = 92, ack
+//	executor 0 -> 1: read 6+10+2 = 18, answer 6+1+2*8 = 23, update 6+13+2*9 = 37, ack
+//	executor 1 -> 0: read 6+10+8 = 24, answer 6+1+8*8 = 71, update 6+13+8*9 = 91, ack
 func TestServedWireBytesPinned(t *testing.T) {
-	const ackFrame = 13
-	const want = 22 + 36 + 38 + 28 + 84 + 92 + 2*ackFrame
+	const ackFrame = 6
+	const want = 18 + 23 + 37 + 24 + 71 + 91 + 2*ackFrame
 	acks := captureFrames(func(c *codec) {
 		for range 2 {
 			c.send(&Msg{Kind: MsgAck})
 		}
 	})
 	if len(acks[1]) != ackFrame {
-		t.Fatalf("a gob MsgAck frames to %d bytes, want %d", len(acks[1]), ackFrame)
+		t.Fatalf("a MsgAck frames to %d bytes, want %d", len(acks[1]), ackFrame)
 	}
 	weights, samples := servedFixture()
 	for run := 0; run < 3; run++ {

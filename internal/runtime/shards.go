@@ -187,6 +187,8 @@ type shardSet struct {
 	// used synchronously from the executor's main goroutine.
 	clients map[int]*codec
 	selfID  int
+	// limit is the owning executor's frame element cap.
+	limit *elemCap
 }
 
 func newShardSet(t Transport, selfID int) *shardSet {
@@ -283,7 +285,7 @@ func (s *shardSet) client(id int) (*codec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: dialing shard owner %d: %w", id, err)
 	}
-	c = newPeerCodec(conn, fmt.Sprintf("exec%d/peer%d", s.selfID, id))
+	c = newPeerCodec(conn, fmt.Sprintf("exec%d/peer%d", s.selfID, id), s.limit)
 	s.mu.Lock()
 	if existing := s.clients[id]; existing != nil {
 		s.mu.Unlock()

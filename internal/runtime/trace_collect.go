@@ -13,8 +13,6 @@ package runtime
 // recovery path.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"time"
 
 	"orion/internal/obs"
@@ -62,17 +60,12 @@ func (m *Master) collectTrace(tr *obs.Tracer, id int, c *codec) bool {
 	if !ok {
 		return false
 	}
-	if len(resp.TraceBlob) == 0 {
-		// An in-process executor shares the master's tracer — its spans
-		// are already local. An executor that never enabled tracing
-		// reports TracerID 0 and genuinely has nothing.
-		return resp.TracerID == tr.ID()
+	if resp.Dump == nil {
+		return false // an executor that never enabled tracing has nothing
 	}
-	var d obs.TraceDump
-	if err := gob.NewDecoder(bytes.NewReader(resp.TraceBlob)).Decode(&d); err != nil {
-		return false
-	}
-	tr.Ingest(&d, offset)
+	// Ingest skips a dump of the master's own tracer, which in-process
+	// executors share: their spans are already local.
+	tr.Ingest(resp.Dump, offset)
 	return true
 }
 
@@ -102,26 +95,18 @@ func (m *Master) syncClock(id int, c *codec) (int64, bool) {
 }
 
 // traceDump builds the reply to a MsgTraceDump request: the spans this
-// process's tracer recorded since the previous dump, gob-encoded.
-// Replies empty when tracing is off here, or when this executor shares
-// the requesting tracer (in-process fleets) — then the spans are
+// process's tracer recorded since the previous dump. Its Dump is nil
+// when tracing is off here, and carries no spans when this executor
+// shares the requesting tracer (in-process fleets) — then the spans are
 // already in the master's rings and shipping them would duplicate
 // every lane.
 func (e *Executor) traceDump(masterTracer int64) *Msg {
 	out := &Msg{Kind: MsgTraceDump, ExecutorID: e.id}
-	tr := obs.CurrentTracer()
-	if tr == nil {
-		return out
+	if tr := obs.CurrentTracer(); tr != nil && tr.ID() == masterTracer {
+		out.Dump = &obs.TraceDump{TracerID: tr.ID()}
+	} else if tr != nil {
+		out.Dump = tr.Dump()
 	}
-	out.TracerID = tr.ID()
-	if tr.ID() == masterTracer {
-		return out
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tr.Dump()); err != nil {
-		return &Msg{Kind: MsgTraceDump, ExecutorID: e.id}
-	}
-	out.TraceBlob = buf.Bytes()
 	return out
 }
 
