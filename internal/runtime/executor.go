@@ -308,9 +308,14 @@ func (e *Executor) run() error {
 			}
 		case MsgDefineLoop:
 			// The declared arrays bound what a legitimate rotation or
-			// served frame can carry — raise this fleet's element cap to
-			// match.
+			// served frame can carry — raise this executor's element cap
+			// to match, and acknowledge it before compiling: the master
+			// starts no block, so no peer sends such a frame here, until
+			// every executor has raised its cap.
 			e.limit.raise(msg.ArrayDims)
+			if err := e.master.send(&Msg{Kind: MsgAck}); err != nil {
+				return err
+			}
 			if e.compile == nil {
 				e.master.send(&Msg{Kind: MsgError, Err: "no loop compiler installed on this executor"})
 				return fmt.Errorf("runtime: executor %d: no loop compiler", e.id)

@@ -343,13 +343,22 @@ func shortDenseRotation(t testing.TB) []byte {
 // after at most one growth chunk — not allocate the claimed length.
 func TestHostileLengthClaimAllocatesLazily(t *testing.T) {
 	text := uv(append(head(MsgDefineLoop), 0), maxCount-1) // an empty loop name, then the source
-	c := newCodec(&replayConn{r: bytes.NewReader(append(text, make([]byte, 3*frameReadChunk)...))})
-	var m Msg
-	if err := c.recvInto(&m); err == nil {
-		t.Error("truncated hostile frame decoded successfully")
-	}
-	if grown := cap(c.rhdr); grown > 8*frameReadChunk {
-		t.Fatalf("a hostile length claim grew the frame buffer to %d bytes, want <= %d", grown, 8*frameReadChunk)
+	// Followed by nothing, the claim costs at most one chunk; followed by
+	// 3 MiB, at most one chunk beyond those bytes, times append's growth
+	// step (1.25 at this size).
+	for _, arrived := range []int{0, 3 * frameReadChunk} {
+		c := newCodec(&replayConn{r: bytes.NewReader(append(text, make([]byte, arrived)...))})
+		var m Msg
+		if err := c.recvInto(&m); err == nil {
+			t.Error("truncated hostile frame decoded successfully")
+		}
+		bound := 2 * frameReadChunk
+		if arrived > 0 {
+			bound = (len(text) + arrived + frameReadChunk) * 5 / 4
+		}
+		if grown := cap(c.rhdr); grown > bound {
+			t.Fatalf("a hostile length claim followed by %d bytes grew the frame buffer to %d bytes, want <= %d", arrived, grown, bound)
+		}
 	}
 	blob := uv(append(uv(head(MsgArrayPart), 1), 'w', 0, 0), maxCount-1)
 	blob = append(blob, make([]byte, 3*frameReadChunk)...)

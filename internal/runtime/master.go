@@ -845,6 +845,9 @@ func (m *Master) Shutdown() {
 // extents also configure the wire-integrity layer: the fleet's element
 // cap is raised to cover the largest declared array, so payload bounds
 // track the fleet's actual configuration instead of a blanket ceiling.
+// It returns once every executor has acknowledged raising its own cap,
+// so no block — and no peer frame the raised cap admits — starts while
+// one still holds the old cap.
 func (m *Master) DefineLoop(def *Msg) error {
 	def.Kind = MsgDefineLoop
 	m.limit.raise(def.ArrayDims)
@@ -853,7 +856,7 @@ func (m *Master) DefineLoop(def *Msg) error {
 			return sendErr("defining "+def.LoopName, id, err)
 		}
 	}
-	return nil
+	return m.await(m.ch.ackCh, func(*Msg) error { return nil })
 }
 
 // DistributeServed range-shards a parameter-server array along its last

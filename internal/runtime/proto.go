@@ -311,13 +311,14 @@ type codec struct {
 	// wmu). The receive side keeps its own state, because a codec may
 	// send and receive concurrently (the master link): rhdr holds the
 	// frame bytes read but not yet folded into rcrc, rerr the frame's
-	// first failure, and scratch stages payload chunks and the trailer.
-	// names interns array names so the steady-state paths allocate no
-	// strings.
+	// first failure, rver the version a hello claims, and scratch stages
+	// payload chunks and the trailer. names interns array names so the
+	// steady-state paths allocate no strings.
 	wbuf    []byte
 	rhdr    []byte
 	rcrc    uint32
 	rerr    error
+	rver    int64
 	scratch []byte
 	names   map[string]string
 }
@@ -403,63 +404,60 @@ func (c *codec) write(m *Msg) (int64, error) {
 // c. A float64 payload (tColumn, tPart) is returned instead, to stream
 // after the frame.
 func (c col) put(h []byte, p any) ([]byte, []float64) {
-	switch p := p.(type) {
-	case nil:
-		h = binary.AppendUvarint(h, wireVersion)
-	case *int:
-		h = putInt(h, int64(*p), c.t)
-	case *int64:
-		h = putInt(h, *p, c.t)
-	case *bool:
-		h = putFlag(h, *p)
-	case *float64:
-		h = putFloat(h, *p)
-	case *string:
-		h = putText(h, *p)
-	case *[]byte:
-		h = append(binary.AppendUvarint(h, uint64(len(*p))), *p...)
-	case *[]string:
-		h = binary.AppendUvarint(h, uint64(len(*p)))
-		for _, s := range *p {
-			h = putText(h, s)
+	switch c.t {
+	case tUint, tInt:
+		v := int64(wireVersion) // the version's field (nil) is the table's own
+		if q, ok := p.(*int); ok {
+			v = int64(*q)
+		} else if q, ok := p.(*int64); ok {
+			v = *q
 		}
-	case *[]int64:
-		if c.t != tGaps {
-			return putInts(h, *p), nil
+		if c.t == tUint {
+			return binary.AppendUvarint(h, uint64(v)), nil
 		}
-		h = binary.AppendUvarint(h, uint64(len(*p)))
+		return binary.AppendVarint(h, v), nil
+	case tFlag:
+		return putFlag(h, *p.(*bool)), nil
+	case tFloat:
+		return putFloat(h, *p.(*float64)), nil
+	case tName, tText:
+		return putText(h, *p.(*string)), nil
+	case tBytes:
+		b := *p.(*[]byte)
+		return append(binary.AppendUvarint(h, uint64(len(b))), b...), nil
+	case tInts:
+		return putList(h, *p.(*[]int64), binary.AppendVarint), nil
+	case tTexts:
+		return putList(h, *p.(*[]string), putText), nil
+	case tFloats:
+		return putList(h, *p.(*[]float64), putFloat), nil
+	case tGaps:
+		offs := *p.(*[]int64)
+		h = binary.AppendUvarint(h, uint64(len(offs)))
 		prev := int64(-1)
-		for _, off := range *p {
+		for _, off := range offs {
 			h = binary.AppendUvarint(h, uint64(off)-uint64(prev))
 			prev = off
 		}
-	case *[]float64:
-		h = binary.AppendUvarint(h, uint64(len(*p)))
-		if c.t == tColumn {
-			return h, *p
-		}
-		for _, v := range *p {
-			h = putFloat(h, v)
-		}
-	case *[]IterSample:
-		h = binary.AppendUvarint(h, uint64(len(*p)))
-		for _, s := range *p {
-			h = putFloat(putInts(h, s.Key), s.Val)
-		}
-	case *map[string][]int64:
-		h = binary.AppendUvarint(h, uint64(len(*p)))
-		for _, k := range sortedKeys(*p) {
-			h = putInts(putText(h, k), (*p)[k])
-		}
-	case *map[string]string:
-		h = binary.AppendUvarint(h, uint64(len(*p)))
-		for _, k := range sortedKeys(*p) {
-			h = putText(putText(h, k), (*p)[k])
-		}
-	case **dsm.Partition:
-		return putPart(h, *p)
-	case **obs.TraceDump:
-		h = putDump(h, *p)
+	case tColumn:
+		vs := *p.(*[]float64)
+		return binary.AppendUvarint(h, uint64(len(vs))), vs
+	case tPart:
+		return putPart(h, *p.(**dsm.Partition))
+	case tSamples:
+		return putList(h, *p.(*[]IterSample), func(h []byte, s IterSample) []byte {
+			return putFloat(putList(h, s.Key, binary.AppendVarint), s.Val)
+		}), nil
+	case tDims:
+		dims := *p.(*map[string][]int64)
+		return putList(h, sortedKeys(dims), func(h []byte, k string) []byte {
+			return putList(putText(h, k), dims[k], binary.AppendVarint)
+		}), nil
+	case tPairs:
+		pairs := *p.(*map[string]string)
+		return putList(h, sortedKeys(pairs), func(h []byte, k string) []byte { return putText(putText(h, k), pairs[k]) }), nil
+	case tDump:
+		h = putDump(h, *p.(**obs.TraceDump))
 	}
 	return h, nil
 }
@@ -472,13 +470,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	slices.Sort(keys)
 	return keys
-}
-
-func putInt(h []byte, v int64, t wireType) []byte {
-	if t == tUint {
-		return binary.AppendUvarint(h, uint64(v))
-	}
-	return binary.AppendVarint(h, v)
 }
 
 func putFlag(h []byte, b bool) []byte {
@@ -496,10 +487,11 @@ func putText(h []byte, s string) []byte {
 	return append(binary.AppendUvarint(h, uint64(len(s))), s...)
 }
 
-func putInts(h []byte, vs []int64) []byte {
+// putList appends a uvarint count, then each element as put frames it.
+func putList[T any](h []byte, vs []T, put func([]byte, T) []byte) []byte {
 	h = binary.AppendUvarint(h, uint64(len(vs)))
 	for _, v := range vs {
-		h = binary.AppendVarint(h, v)
+		h = put(h, v)
 	}
 	return h
 }
@@ -580,6 +572,15 @@ func (c *codec) recvInto(m *Msg) error {
 	if c.rerr == nil {
 		c.verify(seq)
 	}
+	// A hello of another version is refused only once its frame verifies,
+	// and only as the link's first frame: anywhere else it is corruption.
+	if c.rerr == nil && m.Kind == MsgHello && c.rver != wireVersion {
+		if seq != 0 {
+			c.fail("a hello of version %d after the handshake", c.rver)
+		} else {
+			c.rerr = &VersionSkewError{Peer: uint64(c.rver), Local: wireVersion}
+		}
+	}
 	if err := c.rerr; err != nil {
 		if m.part != nil {
 			data, _ := m.part.Local.DenseData()
@@ -598,76 +599,63 @@ func (c *codec) recvInto(m *Msg) error {
 // says the row carries offsets ahead of it, which a value column then
 // matches one for one.
 func (c col) get(d *codec, p any, m *Msg, withOffsets bool) {
-	switch p := p.(type) {
-	case nil:
-		if v := d.uvarint(); d.rerr == nil && v != wireVersion {
-			d.rerr = &VersionSkewError{Peer: v, Local: wireVersion}
+	switch c.t {
+	case tUint, tInt:
+		v := d.int(c.t)
+		if q, ok := p.(*int); ok {
+			*q = int(v)
+		} else if q, ok := p.(*int64); ok {
+			*q = v
+		} else {
+			d.rver = v // the version's field (nil): judged once the frame verifies
 		}
-	case *int:
-		*p = int(d.int(c.t))
-	case *int64:
-		*p = d.int(c.t)
-	case *bool:
-		*p = d.flag()
-	case *float64:
-		*p = d.float()
-	case *string:
-		*p = d.text(c.t == tName)
-	case *[]byte:
+	case tFlag:
+		*p.(*bool) = d.flag()
+	case tFloat:
+		*p.(*float64) = d.float()
+	case tName:
+		*p.(*string) = d.text(maxNameLen)
+	case tText:
+		*p.(*string) = d.text(maxCount)
+	case tBytes:
 		n := d.count(maxCount, "byte length")
 		d.fold()
-		*p = d.read(nil, n)
-		d.rcrc = crc32.Update(d.rcrc, castagnoli, *p)
-	case *[]string:
-		for i, n := 0, d.count(maxCount, "string count"); i < n && d.rerr == nil; i++ {
-			*p = append(*p, d.text(false))
-		}
-	case *[]int64:
-		if c.t == tGaps {
-			*p = d.gaps((*p)[:0])
-		} else {
-			*p = d.ints((*p)[:0], maxCount)
-		}
-	case *[]float64:
-		if c.t != tColumn {
-			for i, n := 0, d.count(maxCount, "float count"); i < n && d.rerr == nil; i++ {
-				*p = append(*p, d.float())
-			}
-			break
-		}
+		b := d.read(nil, n)
+		d.rcrc = crc32.Update(d.rcrc, castagnoli, b)
+		*p.(*[]byte) = b
+	case tInts:
+		q := p.(*[]int64)
+		*q = d.ints((*q)[:0], maxCount)
+	case tTexts:
+		*p.(*[]string) = list(d, nil, maxCount, func() string { return d.text(maxCount) })
+	case tFloats:
+		*p.(*[]float64) = list(d, nil, maxCount, d.float)
+	case tGaps:
+		q := p.(*[]int64)
+		*q = d.gaps((*q)[:0])
+	case tColumn:
+		q := p.(*[]float64)
 		n := d.count(d.limit.get(), "value count")
 		if withOffsets && n != len(m.Offsets) {
 			d.fail("%d values for %d offsets", n, len(m.Offsets))
 		}
-		*p = d.column((*p)[:0], n)
-	case *[]IterSample:
+		*q = d.column((*q)[:0], n)
+	case tPart:
+		*p.(**dsm.Partition) = d.part(m.Array)
+	case tSamples:
 		// The keys are cut from one growing arena, not allocated one each.
 		var arena []int64
-		for i, n := 0, d.count(maxCount, "sample count"); i < n && d.rerr == nil; i++ {
+		*p.(*[]IterSample) = list(d, nil, maxCount, func() IterSample {
 			start := len(arena)
 			arena = d.ints(arena, maxRank)
-			*p = append(*p, IterSample{Key: arena[start:len(arena):len(arena)], Val: d.float()})
-		}
-	case *map[string][]int64:
-		for i, n := 0, d.count(maxCount, "array count"); i < n && d.rerr == nil; i++ {
-			if *p == nil {
-				*p = map[string][]int64{}
-			}
-			name := d.text(false)
-			(*p)[name] = d.ints(nil, maxRank)
-		}
-	case *map[string]string:
-		for i, n := 0, d.count(maxCount, "pair count"); i < n && d.rerr == nil; i++ {
-			if *p == nil {
-				*p = map[string]string{}
-			}
-			k := d.text(false)
-			(*p)[k] = d.text(false)
-		}
-	case **dsm.Partition:
-		*p = d.part(m.Array)
-	case **obs.TraceDump:
-		*p = d.dump()
+			return IterSample{Key: arena[start:len(arena):len(arena)], Val: d.float()}
+		})
+	case tDims:
+		*p.(*map[string][]int64) = keyed(d, func() []int64 { return d.ints(nil, maxRank) })
+	case tPairs:
+		*p.(*map[string]string) = keyed(d, func() string { return d.text(maxCount) })
+	case tDump:
+		*p.(**obs.TraceDump) = d.dump()
 	}
 }
 
@@ -736,23 +724,41 @@ func (c *codec) flag() bool {
 
 func (c *codec) float() float64 { return math.Float64frombits(bits.ReverseBytes64(c.uvarint())) }
 
-// text reads a string; a name (tName) is shorter, and interned.
-func (c *codec) text(name bool) string {
-	if !name {
-		n, start := c.count(maxCount, "string length"), len(c.rhdr)
-		c.rhdr = c.read(c.rhdr, n)
-		return string(c.rhdr[start:])
+// text reads a string of at most limit bytes; a name's (maxNameLen) is
+// interned.
+func (c *codec) text(limit uint64) string {
+	n, start := c.count(limit, "string length"), len(c.rhdr)
+	if c.rhdr = c.read(c.rhdr, n); limit == maxNameLen {
+		return c.intern(c.rhdr[start:])
 	}
-	n, start := c.count(maxNameLen, "name length"), len(c.rhdr)
-	c.rhdr = c.read(c.rhdr, n)
-	return c.intern(c.rhdr[start:])
+	return string(c.rhdr[start:])
 }
 
 func (c *codec) ints(dst []int64, limit uint64) []int64 {
-	for i, n := 0, c.count(limit, "int count"); i < n && c.rerr == nil; i++ {
-		dst = append(dst, c.int(tInt))
+	return list(c, dst, limit, func() int64 { return c.int(tInt) })
+}
+
+// list appends up to limit elements, counted by a uvarint and each read
+// by get, to dst.
+func list[T any](c *codec, dst []T, limit uint64, get func() T) []T {
+	for i, n := 0, c.count(limit, "list count"); i < n && c.rerr == nil; i++ {
+		dst = append(dst, get())
 	}
 	return dst
+}
+
+// keyed reads a record list of keys, each with a value read by get, into
+// a map (nil when empty).
+func keyed[V any](c *codec, get func() V) map[string]V {
+	var m map[string]V
+	for i, n := 0, c.count(maxCount, "record count"); i < n && c.rerr == nil; i++ {
+		if m == nil {
+			m = map[string]V{}
+		}
+		k := c.text(maxCount)
+		m[k] = get()
+	}
+	return m
 }
 
 // gaps reads ascending offsets: every gap is at least 1 and keeps the
@@ -847,10 +853,10 @@ func (c *codec) dump() *obs.TraceDump {
 	}
 	d := &obs.TraceDump{TracerID: c.int(tInt), StartUnixNs: c.int(tInt)}
 	for i := 1; i < n && c.rerr == nil; i++ {
-		b := obs.BufDump{Pid: int(c.int(tInt)), Tid: int(c.int(tInt)), Name: c.text(false), Dropped: c.int(tInt)}
+		b := obs.BufDump{Pid: int(c.int(tInt)), Tid: int(c.int(tInt)), Name: c.text(maxCount), Dropped: c.int(tInt)}
 		for j, ns := 0, c.count(maxCount, "span count"); j < ns && c.rerr == nil; j++ {
-			b.Spans = append(b.Spans, obs.SpanRec{Name: c.text(false), Cat: c.text(false), K1: c.text(false), V1: c.int(tInt),
-				K2: c.text(false), V2: c.int(tInt), StartNs: c.int(tInt), DurNs: c.int(tInt), Instant: c.flag()})
+			b.Spans = append(b.Spans, obs.SpanRec{Name: c.text(maxCount), Cat: c.text(maxCount), K1: c.text(maxCount), V1: c.int(tInt),
+				K2: c.text(maxCount), V2: c.int(tInt), StartNs: c.int(tInt), DurNs: c.int(tInt), Instant: c.flag()})
 		}
 		d.Bufs = append(d.Bufs, b)
 	}

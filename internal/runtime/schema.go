@@ -5,7 +5,9 @@ import "fmt"
 // wireVersion is the version of the schema table below. Any change to a
 // row, a wire type or the frame layout bumps it: a hello of another
 // version is refused with a *VersionSkewError, so two builds that cannot
-// read each other's frames never exchange one past the handshake.
+// read each other's frames never exchange one past the handshake. The
+// hello row itself never changes, so every build reads any build's hello
+// whole and verifies its trailer before it judges the version.
 const wireVersion = 1
 
 // A wireType is how one field is laid out in a frame. Counts are
@@ -164,11 +166,22 @@ func (m *Msg) fields() [numFields]any {
 	}
 }
 
-// isSet reports whether the field p points at holds anything but its
-// zero value, which every wire type frames as the one byte 0.
-func isSet(p any) bool {
+// fieldCols gives each field a column of some row that carries it.
+var fieldCols = func() (cs [numFields]col) {
+	for _, row := range schema {
+		for _, c := range row {
+			cs[c.f] = c
+		}
+	}
+	return cs
+}()
+
+// isSet reports whether the field p points at, framed as c, holds
+// anything but its zero value, which every wire type frames as the one
+// byte 0.
+func isSet(c col, p any) bool {
 	var buf [16]byte
-	h, tail := col{t: tInt}.put(buf[:0], p)
+	h, tail := c.put(buf[:0], p)
 	return len(h) != 1 || h[0] != 0 || tail != nil
 }
 
@@ -187,7 +200,7 @@ func (m *Msg) frameable() error {
 	}
 	ptrs := m.fields()
 	for f := fVersion + 1; f < numFields; f++ { // the version is the table's own
-		if !in[f] && isSet(ptrs[f]) {
+		if !in[f] && isSet(fieldCols[f], ptrs[f]) {
 			return fmt.Errorf("runtime: unframeable message: kind %d sets field %d, which its row lacks", m.Kind, f)
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,7 +90,7 @@ func TestWireExamplesRoundTrip(t *testing.T) {
 			t.Fatalf("example %s is kind %d, want %d", ex.name, ex.m.Kind, k)
 		}
 		for i, c := range schema[k] {
-			if c.f != fVersion && !isSet(ex.m.fields()[c.f]) {
+			if c.f != fVersion && !isSet(c, ex.m.fields()[c.f]) {
 				t.Errorf("%s: field %d of its row is not set", ex.name, c.f)
 			}
 			if (c.t == tColumn || c.t == tPart) && i != len(schema[k])-1 {
@@ -240,22 +241,84 @@ func TestWireVersionSkewRefusedAtHandshake(t *testing.T) {
 	}
 }
 
+// TestWireVersionSkewJudgedOnAVerifiedFirstFrame: a skew is the verdict on
+// a link's first frame, read whole and checksummed. A hello whose
+// version bit flipped in transit fails its checksum; an in-session
+// setup whose kind byte flipped to a hello's, so that its next uvarint
+// (the id 2) reads as a version, is corrupt; and so is a well-formed
+// hello of another version after the handshake. All three condemn the
+// link.
+func TestWireVersionSkewJudgedOnAVerifiedFirstFrame(t *testing.T) {
+	flipped := captureFrames(func(c *codec) { c.send(&Msg{Kind: MsgHello, ExecutorID: 1, PeerAddr: "p"}) })[0]
+	flipped[2] ^= 2 // the version: seq 0 · kind 0 · version
+	session := captureFrames(func(c *codec) {
+		c.send(&Msg{Kind: MsgPing, ExecutorID: 1})
+		c.send(&Msg{Kind: MsgSetup, ExecutorID: 2, Peers: []string{"a"}})
+	})
+	setup := slices.Concat(session...)
+	setup[len(session[0])+1] ^= byte(MsgSetup) // the setup's kind: seq 1 · kind 1
+	late := slices.Concat(session[0], checksummed(append(uv(uv(uv(nil, 1), uint64(MsgHello)), wireVersion+1), 1, 0)))
+	for name, stream := range map[string][]byte{
+		"a hello's version bit flipped":      flipped,
+		"a setup's kind flipped to hello":    setup,
+		"a skewed hello after the handshake": late,
+	} {
+		err := decodeStream(stream, 2)
+		var fc *FrameCorruptError
+		var skew *VersionSkewError
+		if !errors.As(err, &fc) || errors.As(err, &skew) {
+			t.Errorf("%s: %v, want a *FrameCorruptError", name, err)
+		}
+	}
+}
+
+// slowLink is a Transport whose second connection to the master, once
+// armed, holds back every read by 200 ms: that executor is slow to take
+// in what the master sends it.
+type slowLink struct {
+	Transport
+	master string
+	armed  atomic.Bool
+	dials  atomic.Int32
+}
+
+func (t *slowLink) Dial(addr string) (net.Conn, error) {
+	conn, err := t.Transport.Dial(addr)
+	if err != nil || addr != t.master || t.dials.Add(1) != 2 {
+		return conn, err
+	}
+	return &slowConn{Conn: conn, armed: &t.armed}, nil
+}
+
+type slowConn struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+func (c *slowConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.armed.Load() {
+		time.Sleep(200 * time.Millisecond)
+	}
+	return n, err
+}
+
 // TestElemCapBelongsToAFleet: two fleets in one process. Fleet A defines
 // a loop over a 2^21-element array, which raises the element cap of its
-// master and executor; fleet B's links still hold the default 2^20 and
+// master and of both its executors — the second, slow to read its
+// DefineLoop, included: DefineLoop returns, and a block (so a peer's
+// rotation of 2^21 elements) may start, only once every executor has
+// raised its cap. Fleet B's links still hold the default 2^20 and
 // condemn a frame claiming a 2^21-element partition.
 func TestElemCapBelongsToAFleet(t *testing.T) {
 	compile := func(*Msg) (*KernelSet, error) { return runtimeLoops["rt_mf"], nil }
-	mA, execA, stopA := startFleet(t, "cap-a", 1, compile)
+	slow := &slowLink{Transport: NewInProc(), master: "cap-a-master"}
+	mA, execA, stopA := startFleetOver(t, slow, slow.master, func(i int) string { return fmt.Sprintf("cap-a-%d", i) }, 2, compile, nil)
 	defer stopA()
 	mB, execB, stopB := startFleet(t, "cap-b", 1, compile)
 	defer stopB()
+	slow.armed.Store(true)
 	if err := mA.DefineLoop(&Msg{LoopName: "big", ArrayDims: map[string][]int64{"big": {1 << 21}}}); err != nil {
-		t.Fatal(err)
-	}
-	// The executor handles messages in order: its answer to the query
-	// follows its DefineLoop.
-	if _, err := mA.AccumSum("x"); err != nil {
 		t.Fatal(err)
 	}
 	frame := uv(uv(uv(uv(uv(uv(uv(append(uv(head(MsgRotate), 1), 'w'), 0), 1), 1<<21), 0), 0), 1<<21), 0)
@@ -263,7 +326,10 @@ func TestElemCapBelongsToAFleet(t *testing.T) {
 		link    string
 		limit   *elemCap
 		condemn bool
-	}{{"A master", &mA.limit, false}, {"A executor", &execA[0].limit, false}, {"B master", &mB.limit, true}, {"B executor", &execB[0].limit, true}} {
+	}{
+		{"A master", &mA.limit, false}, {"A executor 0", &execA[0].limit, false}, {"A executor 1 (slow)", &execA[1].limit, false},
+		{"B master", &mB.limit, true}, {"B executor", &execB[0].limit, true},
+	} {
 		codec := newCodec(&replayConn{r: bytes.NewReader(frame)})
 		codec.limit = c.limit
 		_, err := codec.recv()
@@ -272,6 +338,7 @@ func TestElemCapBelongsToAFleet(t *testing.T) {
 			t.Errorf("%s: a 2^21-element partition: %v, want condemned = %v", c.link, err, c.condemn)
 		}
 	}
+	slow.armed.Store(false)
 }
 
 // masterTap is a Transport that records the bytes each executor sends
