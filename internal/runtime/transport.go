@@ -98,7 +98,8 @@ func (t *InProc) Dial(addr string) (net.Conn, error) {
 func (t *InProc) OpenConns() int64 { return t.open.Load() }
 
 // countedConn decrements the transport's open-connection gauge exactly
-// once when closed.
+// once when closed — before the pipe closes, so a peer that sees the
+// close and reads the gauge never counts this end open.
 type countedConn struct {
 	net.Conn
 	open *atomic.Int64
@@ -106,9 +107,8 @@ type countedConn struct {
 }
 
 func (c *countedConn) Close() error {
-	err := c.Conn.Close()
 	c.once.Do(func() { c.open.Add(-1) })
-	return err
+	return c.Conn.Close()
 }
 
 type inprocListener struct {
