@@ -309,13 +309,8 @@ func (e *Executor) run() error {
 		case MsgDefineLoop:
 			// The declared arrays bound what a legitimate rotation or
 			// served frame can carry — raise this executor's element cap
-			// to match, and acknowledge it before compiling: the master
-			// starts no block, so no peer sends such a frame here, until
-			// every executor has raised its cap.
+			// to match.
 			e.limit.raise(msg.ArrayDims)
-			if err := e.master.send(&Msg{Kind: MsgAck}); err != nil {
-				return err
-			}
 			if e.compile == nil {
 				e.master.send(&Msg{Kind: MsgError, Err: "no loop compiler installed on this executor"})
 				return fmt.Errorf("runtime: executor %d: no loop compiler", e.id)
@@ -367,6 +362,11 @@ func (e *Executor) run() error {
 			}
 		case MsgTraceDump:
 			if err := e.master.send(e.traceDump(msg.TracerID)); err != nil {
+				return err
+			}
+		case MsgAck:
+			// A barrier: everything the master sent before it is handled.
+			if err := e.master.send(&Msg{Kind: MsgAck}); err != nil {
 				return err
 			}
 		case MsgShutdown:

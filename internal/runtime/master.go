@@ -291,6 +291,9 @@ collect:
 		return 0, fmt.Errorf("runtime: only %d of %d executors joined within %v: %w", len(fleet), want, wait, ErrWorkerLost)
 	}
 	m.generation++
+	// The fleet's executors hold their own caps, the newcomers the
+	// default: the next DefineLoop widens the cap, and its barrier, anew.
+	m.limit.n.Store(0)
 	n := len(fleet)
 	m.n = n
 	m.conns = make([]*codec, n)
@@ -845,16 +848,24 @@ func (m *Master) Shutdown() {
 // extents also configure the wire-integrity layer: the fleet's element
 // cap is raised to cover the largest declared array, so payload bounds
 // track the fleet's actual configuration instead of a blanket ceiling.
-// It returns once every executor has acknowledged raising its own cap,
-// so no block — and no peer frame the raised cap admits — starts while
-// one still holds the old cap.
+// When the cap widens, each definition is followed by a barrier
+// (MsgAck), and DefineLoop returns once every executor has answered it —
+// so no block, and no peer frame only the wider cap admits, starts while
+// an executor still holds the narrower one.
 func (m *Master) DefineLoop(def *Msg) error {
 	def.Kind = MsgDefineLoop
-	m.limit.raise(def.ArrayDims)
+	raised := m.limit.raise(def.ArrayDims)
 	for id, c := range m.conns {
-		if err := c.send(def); err != nil {
+		err := c.send(def)
+		if err == nil && raised {
+			err = c.send(&Msg{Kind: MsgAck})
+		}
+		if err != nil {
 			return sendErr("defining "+def.LoopName, id, err)
 		}
+	}
+	if !raised {
+		return nil
 	}
 	return m.await(m.ch.ackCh, func(*Msg) error { return nil })
 }

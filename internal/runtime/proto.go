@@ -242,17 +242,20 @@ func (c *elemCap) get() uint64 {
 }
 
 // raise widens the cap to cover the largest declared array — a rotated
-// partition is at most a whole array — clamped to the hard ceiling.
-func (c *elemCap) raise(dims map[string][]int64) {
+// partition is at most a whole array — clamped to the hard ceiling, and
+// reports whether it widened.
+func (c *elemCap) raise(dims map[string][]int64) (raised bool) {
 	for _, ds := range dims {
 		n := 1.0 // a float64 product cannot wrap
 		for _, d := range ds {
 			n *= float64(max(d, 1))
 		}
-		if v := int64(min(n, hardElemCap)); v > c.n.Load() {
-			c.n.Store(v)
+		if v := min(n, hardElemCap); v > float64(c.get()) {
+			c.n.Store(int64(v))
+			raised = true
 		}
 	}
+	return raised
 }
 
 // FrameCorruptError reports a frame that failed wire-integrity
