@@ -5,6 +5,7 @@
 //	timenow   — no wall-clock reads in deterministic packages
 //	spanend   — every trace span Begin() is ended on all return paths
 //	msgretain — runtime Msg payload slices are never retained
+//	nogob     — no file imports the gob package
 //
 // Usage:
 //

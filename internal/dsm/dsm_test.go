@@ -1,10 +1,13 @@
 package dsm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -185,8 +188,8 @@ func TestPartitionRoundTripSparse(t *testing.T) {
 }
 
 // TestPartitionsRoundTrip: none, one or several partitions of a dense or
-// sparse array — an empty range among them — come back from one blob
-// bit for bit.
+// sparse array — an empty range among them — come back from one list of
+// records bit for bit.
 func TestPartitionsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	dense, sparse := NewDense("H", 3, 12), NewSparse("z", 5, 12)
@@ -197,11 +200,11 @@ func TestPartitionsRoundTrip(t *testing.T) {
 	for _, a := range []*DistArray{dense, sparse} {
 		parts := a.RangePartitions(1, 4, []int64{3, 3, 8})
 		for _, ps := range [][]*Partition{nil, parts[:1], parts} {
-			blob, err := EncodePartitions(ps)
-			if err != nil {
-				t.Fatal(err)
+			var records []byte
+			for _, p := range ps {
+				records = AppendPartition(records, p)
 			}
-			got, err := DecodePartitions(blob)
+			got, err := readRecords(records)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,48 +359,92 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsPayloadsOffTheirExtents: a blob whose dense payload
-// does not fill its extents, whose sparse offsets lie outside them, or
-// whose extents are not positive, decodes to an error — through
-// DecodeArray, DecodePartition and, behind a good partition,
-// DecodePartitions — not to an array that faults on its last element.
+// readRecords reads records back to back, as a frame carries them,
+// until none are left.
+func readRecords(data []byte) ([]*Partition, error) {
+	var ps []*Partition
+	for r := bytes.NewReader(data); r.Len() > 0; {
+		p, err := ReadPartition(r, math.MaxUint64)
+		if err != nil {
+			return nil, err
+		}
+		ps = append(ps, p)
+	}
+	return ps, nil
+}
+
+// record hand-builds the record of an array named "w": the uvarints
+// (rank, extents, dim, lo, hi), the layout byte, then rest.
+func record(fields []uint64, layout byte, rest ...byte) []byte {
+	b := []byte{1, 'w'}
+	for _, f := range fields {
+		b = binary.AppendUvarint(b, f)
+	}
+	return append(append(b, layout), rest...)
+}
+
+// floats frames vs as a record's values.
+func floats(vs ...float64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = AppendFloat(b, v)
+	}
+	return b
+}
+
+// TestDecodeRejectsPayloadsOffTheirExtents: a record whose dense
+// payload does not fill its extents, whose sparse offsets lie outside
+// them, repeat or fall, whose extents are not positive or multiply past
+// 2^63 − 1, whose range does not span its extent, that stores a zero or
+// names an unknown layout, decodes to an error — through DecodeArray,
+// DecodePartition and, behind a good partition, ReadPartition — not
+// to an array that faults on its last element. A forged dense or sparse
+// count followed by nothing costs at most one chunk of storage.
 func TestDecodeRejectsPayloadsOffTheirExtents(t *testing.T) {
-	good := NewDense("w", 4, 4).ExtractRange(1, 0, 2).wire()
-	for name, w := range map[string]wireArray{
-		"short dense payload": {Name: "w", Dims: []int64{4, 4}, Dense: make([]float64, 3)},
-		"long dense payload":  {Name: "w", Dims: []int64{4, 4}, Dense: make([]float64, 17)},
-		"zero extent":         {Name: "w", Dims: []int64{4, 0}, Sparse: map[int64]float64{}},
-		"no extents":          {Name: "w", Sparse: map[int64]float64{0: 1}},
-		"offset past extents": {Name: "w", Dims: []int64{4, 4}, Sparse: map[int64]float64{3: 1, 16: 1}},
-		"negative offset":     {Name: "w", Dims: []int64{4, 4}, Sparse: map[int64]float64{-1: 1}},
-	} {
-		part := wirePartition{Array: "w", Hi: 4, Local: w}
+	good := AppendPartition(nil, NewDense("w", 4, 4).ExtractRange(1, 0, 2))
+	whole4x4 := []uint64{2, 4, 4, 0, 0, 4}
+	sparse := func(fields []uint64, count uint64, rest ...byte) []byte {
+		return record(fields, layoutSparse, append(binary.AppendUvarint(nil, count), rest...)...)
+	}
+	forged := map[string][]byte{
+		"forged dense count":  record([]uint64{1, 1 << 40, 0, 0, 1 << 40}, layoutDense),
+		"forged sparse count": sparse([]uint64{1, 1 << 40, 0, 0, 1 << 40}, 1<<40),
+	}
+	cases := map[string][]byte{
+		"short dense payload":     record(whole4x4, layoutDense, floats(1, 2, 3)...),
+		"long dense payload":      record(whole4x4, layoutDense, floats(make([]float64, 17)...)...),
+		"zero extent":             sparse([]uint64{2, 4, 0, 0, 0, 4}, 0),
+		"no extents":              sparse([]uint64{0, 0, 0, 0}, 1, append([]byte{1}, floats(1)...)...),
+		"extent product overflow": sparse([]uint64{2, 1 << 32, 1 << 32, 0, 0, 1 << 32}, 0),
+		"range off its extent":    record([]uint64{2, 4, 4, 1, 0, 3}, layoutDense, floats(make([]float64, 16)...)...),
+		"offset past extents":     sparse(whole4x4, 2, append([]byte{4, 13}, floats(1, 1)...)...),
+		"negative offset":         sparse(whole4x4, 1, append([]byte{0}, floats(1)...)...),
+		"zero gap":                sparse(whole4x4, 2, append([]byte{4, 0}, floats(1, 1)...)...),
+		"stored zero":             sparse(whole4x4, 1, append([]byte{4}, floats(0)...)...),
+		"unknown layout":          record(whole4x4, 2, floats(make([]float64, 16)...)...),
+	}
+	maps.Copy(cases, forged)
+	for name, rec := range cases {
 		for codec, decode := range map[string]func() error{
-			"DecodeArray": func() error {
-				b, err := encode(w)
-				if err == nil {
-					_, err = DecodeArray(b)
-				}
-				return err
-			},
-			"DecodePartition": func() error {
-				b, err := encode(part)
-				if err == nil {
-					_, err = DecodePartition(b)
-				}
-				return err
-			},
-			"DecodePartitions": func() error {
-				b, err := encode([]wirePartition{good, part})
-				if err == nil {
-					_, err = DecodePartitions(b)
-				}
-				return err
-			},
+			"DecodeArray":     func() error { _, err := DecodeArray(rec); return err },
+			"DecodePartition": func() error { _, err := DecodePartition(rec); return err },
+			"ReadPartition":   func() error { _, err := readRecords(slices.Concat(good, rec)); return err },
 		} {
 			if decode() == nil {
 				t.Errorf("%s: %s accepted it", name, codec)
 			}
+		}
+	}
+	// One chunk of storage is 512 KiB; a race build also allocates the
+	// chunk once more while growing it.
+	const bound = 3 * growChunk * 8
+	for name, rec := range forged {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		DecodePartition(rec)
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > bound {
+			t.Errorf("%s followed by nothing allocated %d bytes, want <= %d", name, grown, bound)
 		}
 	}
 }

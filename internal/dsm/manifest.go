@@ -10,7 +10,7 @@ import (
 )
 
 // ManifestVersion is the on-disk checkpoint manifest format version.
-const ManifestVersion = 1
+const ManifestVersion = 2
 
 // DefaultKeep is how many committed checkpoints a directory retains
 // when the writer does not say otherwise.

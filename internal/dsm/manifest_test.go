@@ -165,3 +165,106 @@ func TestManifestVersionMismatchIgnored(t *testing.T) {
 		t.Fatalf("future-version checkpoint listed: %+v", mans)
 	}
 }
+
+// goldenCheckpoint is what the committed checkpoints under testdata
+// hold: a dense and a sparse array at clock 12.
+func goldenCheckpoint() (*Manifest, []*DistArray) {
+	w := NewDense("W", 2, 3)
+	for i := int64(0); i < 6; i++ {
+		w.SetFlat(i, float64(i)*1.5-2)
+	}
+	z := NewSparse("z", 4, 5)
+	z.SetAt(3, 1, 2)
+	z.SetAt(-0.25, 3, 4)
+	return &Manifest{Clock: 12, ResumePass: 3, Workers: 2, Loop: "dsl-mf-1"}, []*DistArray{w, z}
+}
+
+// copyCheckpoints copies the checkpoint directories under src into a
+// fresh directory: listing sweeps what it cannot restore from.
+func copyCheckpoints(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ckpts, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range ckpts {
+		files, err := os.ReadDir(filepath.Join(src, c.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(filepath.Join(dst, c.Name()), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(filepath.Join(src, c.Name(), f.Name()))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dst, c.Name(), f.Name()), data, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return dst
+}
+
+// TestGoldenCheckpoint: the committed checkpoint of this format
+// (testdata/checkpoint-v2) is what writing its arrays produces, byte for
+// byte, and restores to them bitwise. One the previous format wrote
+// (testdata/checkpoint-v1: manifest version 1, gob-encoded arrays) is
+// refused by its manifest's version, and swept. Regenerate with:
+//
+//	ORION_UPDATE_GOLDEN=1 go test ./internal/dsm -run TestGoldenCheckpoint
+func TestGoldenCheckpoint(t *testing.T) {
+	golden := filepath.Join("testdata", "checkpoint-v2")
+	man, arrays := goldenCheckpoint()
+	if os.Getenv("ORION_UPDATE_GOLDEN") != "" {
+		if err := os.RemoveAll(golden); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WriteCheckpoint(golden, man, arrays, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	if _, err := WriteCheckpoint(dir, man, arrays, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{manifestFile, "W.ckpt", "z.ckpt"} {
+		got, err := os.ReadFile(filepath.Join(dir, ckptDirName(12), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(golden, ckptDirName(12), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s drifted from the golden checkpoint; bump ManifestVersion and regenerate with ORION_UPDATE_GOLDEN=1", name)
+		}
+	}
+	restored := copyCheckpoints(t, golden)
+	mans, err := ListCheckpoints(restored)
+	if err != nil || len(mans) != 1 {
+		t.Fatalf("the golden checkpoint lists as %v, %v", mans, err)
+	}
+	got, err := RestoreCheckpoint(restored, mans[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range arrays {
+		want, _ := a.Encode()
+		if b, _ := got[a.Name()].Encode(); string(b) != string(want) {
+			t.Errorf("%s restored other than it was written", a.Name())
+		}
+	}
+
+	old := copyCheckpoints(t, filepath.Join("testdata", "checkpoint-v1"))
+	if mans, err := ListCheckpoints(old); err != nil || len(mans) != 0 {
+		t.Errorf("a version-1 checkpoint lists as %v, %v; want it refused", mans, err)
+	}
+	if left, _ := os.ReadDir(old); len(left) != 0 {
+		t.Errorf("the refused version-1 checkpoint was not swept: %d entries left", len(left))
+	}
+}

@@ -67,6 +67,23 @@ func (a *DistArray) emptyPartition(dim int, lo, hi int64) *Partition {
 	return &Partition{Array: a.name, Dim: dim, Lo: lo, Hi: hi, Local: local}
 }
 
+// Admits says why p is not a partition of a, nil when it is: p must
+// carry a's name and rank, a's extents off its dimension, and a range
+// inside a's extent along it that its own extent spans.
+func (a *DistArray) Admits(p *Partition) error {
+	l := p.Local
+	ok := p.Array == a.name && len(l.dims) == len(a.dims) && p.Dim >= 0 && p.Dim < len(a.dims) &&
+		p.Lo >= 0 && p.Lo <= p.Hi && p.Hi <= a.dims[p.Dim] && (l.dims[p.Dim] == p.Hi-p.Lo || p.Hi == p.Lo && l.dims[p.Dim] == 1)
+	for i := 0; ok && i < len(a.dims); i++ {
+		ok = i == p.Dim || l.dims[i] == a.dims[i]
+	}
+	if !ok {
+		return fmt.Errorf("dsm: the partition of %q %v, [%d, %d) along dimension %d, is not one of %q %v",
+			p.Array, l.dims, p.Lo, p.Hi, p.Dim, a.name, a.dims)
+	}
+	return nil
+}
+
 // WriteBack merges the partition's contents back into the full array.
 func (p *Partition) WriteBack(a *DistArray) {
 	if a.Name() != p.Array {

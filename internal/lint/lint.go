@@ -15,6 +15,8 @@
 //	            are never retained past the handler: Msg.reset() reuses
 //	            their backing storage, so a stored alias is corrupted
 //	            by the next message
+//	nogob     — no file of the module, test files included, imports
+//	            the gob package: every byte written is framed by hand
 //
 // A finding can be suppressed with a directive comment on the flagged
 // line or the line above it:
@@ -79,7 +81,7 @@ func (f Finding) String() string {
 
 // Analyzers is the project suite, in the order cmd/orion-lint runs it.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{TimeNow, SpanEnd, MsgRetain}
+	return []*Analyzer{TimeNow, SpanEnd, MsgRetain, NoGob}
 }
 
 // Run applies the analyzers to every pass, filters findings suppressed

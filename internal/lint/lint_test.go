@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -269,6 +270,27 @@ func other() time.Time { return time.Now() }
 	pos := fs[0].Pos
 	if pos.Line != 7 {
 		t.Errorf("surviving finding should be the undirected one (line 7), got line %d", pos.Line)
+	}
+}
+
+// TestNoGob: an import of the gob package is a finding in any package and
+// in a test file too, renamed or blank; other encodings are not.
+func TestNoGob(t *testing.T) {
+	imp := strconv.Quote(gobPath)
+	p := parsePass(t, "orion/internal/dsm", map[string]string{
+		"a.go":      "package dsm\nimport " + imp + "\nvar _ = gob.NewEncoder\n",
+		"b_test.go": "package dsm\nimport g " + imp + "\nvar _ = g.NewDecoder\n",
+		"c.go":      "package dsm\nimport (\n\t\"encoding/binary\"\n\t_ " + imp + "\n)\nvar _ = binary.AppendUvarint\n",
+		"d.go":      "package dsm\nimport \"encoding/json\"\nvar _ = json.Marshal\n",
+	})
+	fs := NoGob.Run(p)
+	if len(fs) != 3 {
+		t.Fatalf("want 3 findings (a.go, b_test.go, c.go), got %v", findingStrings(fs))
+	}
+	for _, f := range fs {
+		if strings.HasPrefix(f.Pos.Filename, "d.go") {
+			t.Errorf("encoding/json flagged: %s", f)
+		}
 	}
 }
 

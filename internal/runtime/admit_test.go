@@ -10,13 +10,15 @@ import (
 // fakeExecutor dials the master over tr and sends first (nothing when it
 // is nil). id yields the id its setup assigns it, or -1 once the master
 // closes it instead; an admitted one then reads on until the master
-// hangs up. done closes once its end of the connection is closed.
+// hangs up, answering each message with what answer makes of it (when
+// answer is set and makes something). done closes once its end of the
+// connection is closed.
 type fakeExecutor struct {
 	id   chan int
 	done chan struct{}
 }
 
-func dialFake(tr Transport, addr string, first *Msg) fakeExecutor {
+func dialFake(tr Transport, addr string, first *Msg, answer func(*Msg) *Msg) fakeExecutor {
 	f := fakeExecutor{id: make(chan int, 1), done: make(chan struct{})}
 	conn, err := tr.Dial(addr)
 	if err != nil {
@@ -39,8 +41,14 @@ func dialFake(tr Transport, addr string, first *Msg) fakeExecutor {
 		}
 		f.id <- setup.ExecutorID
 		for {
-			if _, err := c.recv(); err != nil {
+			msg, err := c.recv()
+			if err != nil {
 				return
+			}
+			if answer != nil {
+				if reply := answer(msg); reply != nil {
+					c.send(reply)
+				}
 			}
 		}
 	}()
@@ -111,7 +119,7 @@ func TestChaosAdmission(t *testing.T) {
 				if first != nil {
 					first.PeerAddr = fmt.Sprintf("dialer-%d", i)
 				}
-				fakes = append(fakes, dialFake(tr, m.Addr(), first))
+				fakes = append(fakes, dialFake(tr, m.Addr(), first, nil))
 			}
 			formed := make(chan int, 1)
 			go func() {
@@ -137,7 +145,7 @@ func TestChaosAdmission(t *testing.T) {
 				t.Fatal("admission hung")
 			}
 			if tc.late != nil {
-				fakes = append(fakes, dialFake(tr, m.Addr(), tc.late))
+				fakes = append(fakes, dialFake(tr, m.Addr(), tc.late, nil))
 			}
 			// Every dialer the fleet formed without already knows; the
 			// latecomer learns at shutdown.

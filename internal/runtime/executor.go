@@ -84,15 +84,15 @@ type Executor struct {
 	// off — all methods no-op) and cached metric handles. Counters are
 	// atomic adds on preallocated cells, so the steady-state block loop
 	// stays allocation-free whether or not obs is enabled.
-	trace     *obs.TraceBuf
-	mBlocks   *obs.Counter
-	mIters    *obs.Counter
-	mRotWait  *obs.Histogram
-	mRotBytes *obs.Counter
-	mRotRaw   *obs.Counter
-	mRotBlob  *obs.Counter
-	mPrefHit  *obs.Counter
-	mPrefMiss *obs.Counter
+	trace      *obs.TraceBuf
+	mBlocks    *obs.Counter
+	mIters     *obs.Counter
+	mRotWait   *obs.Histogram
+	mRotBytes  *obs.Counter
+	mRotRaw    *obs.Counter
+	mRotRecord *obs.Counter
+	mPrefHit   *obs.Counter
+	mPrefMiss  *obs.Counter
 	// mPrefReuse counts (block, served array) prefetches answered from
 	// the block's cached offsets instead of evaluating the slice.
 	mPrefReuse *obs.Counter
@@ -123,7 +123,7 @@ func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, e
 		mRotWait:   obs.GetHistogram("rotation.wait.ns"),
 		mRotBytes:  obs.GetCounter("rotation.bytes.sent"),
 		mRotRaw:    obs.GetCounter("rotation.frames.raw"),
-		mRotBlob:   obs.GetCounter("rotation.frames.blob"),
+		mRotRecord: obs.GetCounter("rotation.frames.record"),
 		mPrefHit:   obs.GetCounter("prefetch.hit"),
 		mPrefMiss:  obs.GetCounter("prefetch.miss"),
 		mPrefReuse: obs.GetCounter("exec.prefetch_index_reuse"),
@@ -295,11 +295,13 @@ func (e *Executor) run() error {
 		case MsgIterPart:
 			e.iter = newIterPart(msg.Samples)
 		case MsgServedShard:
-			p, err := dsm.DecodePartition(msg.PartBlob)
-			if err != nil {
-				return err
+			// The shard is the one partition the message carries; with
+			// none, this executor serves nothing of the array.
+			var shard *dsm.Partition
+			if len(msg.Parts) > 0 {
+				shard = msg.Parts[0]
 			}
-			e.shards.install(msg.Array, msg.ArrayDims[msg.Array], msg.Offsets, p)
+			e.shards.install(msg.Array, msg.ArrayDims[msg.Array], msg.Offsets, shard)
 			// An array is placed one way at a time: a partition an
 			// earlier loop left here must not shadow the shard.
 			delete(e.parts, msg.Array)
@@ -342,11 +344,7 @@ func (e *Executor) run() error {
 			} else {
 				return fmt.Errorf("runtime: executor %d: gather of unknown array %q", e.id, msg.Array)
 			}
-			blob, err := dsm.EncodePartitions(ps)
-			if err != nil {
-				return err
-			}
-			if err := e.master.send(&Msg{Kind: MsgGatherResp, ExecutorID: e.id, Array: msg.Array, PartBlob: blob}); err != nil {
+			if err := e.master.send(&Msg{Kind: MsgGatherResp, ExecutorID: e.id, Array: msg.Array, Parts: ps}); err != nil {
 				return err
 			}
 		case MsgAccumQuery:
@@ -433,20 +431,9 @@ func (e *Executor) servePeer(c *codec) {
 		switch in.Kind {
 		case MsgRotate:
 			feedsRotation = true
-			// The rotation pipeline keeps the partition: it leaves with a
-			// Msg of its own. A dense one arrives decoded; a sparse one's
-			// blob is decoded here, and one that does not decode condemns
-			// the link like a bad checksum.
-			fwd := &Msg{Kind: MsgRotate, Array: in.Array, part: in.part}
-			if in.part == nil && in.Array != "" {
-				p, err := dsm.DecodePartition(in.PartBlob)
-				if err != nil {
-					c.condemn(err.Error())
-					e.rotateErrOnce.Do(func() { close(e.rotateErr) })
-					return
-				}
-				fwd.part = p
-			}
+			// The rotation pipeline keeps the partitions: they leave with
+			// a Msg of their own, decoded with the frame.
+			fwd := &Msg{Kind: MsgRotate, Array: in.Array, Parts: in.Parts, part: in.part}
 			select {
 			case e.rotateCh <- fwd:
 			case <-e.stop:

@@ -26,22 +26,17 @@ type heldArray struct {
 // install makes a MsgArrayPart's partitions what this executor holds of
 // the array.
 func (e *Executor) install(msg *Msg) error {
-	ps, err := dsm.DecodePartitions(msg.PartBlob)
-	if err != nil {
-		return err
-	}
-	h := &heldArray{place: sched.Local}
+	h := &heldArray{place: sched.Local, parts: msg.Parts}
 	if msg.Rotated {
 		h.place = sched.Rotated
 	} else if msg.Ordered {
 		h.place = sched.Wavefront
 	}
-	h.parts = ps
 	if h.place == sched.Local {
-		if len(ps) != 1 {
-			return fmt.Errorf("runtime: executor %d: %d partitions of space-local %s", e.id, len(ps), msg.Array)
+		if len(h.parts) != 1 {
+			return fmt.Errorf("runtime: executor %d: %d partitions of space-local %s", e.id, len(h.parts), msg.Array)
 		}
-		h.bound = ps[0]
+		h.bound = h.parts[0]
 	}
 	e.parts[msg.Array] = h
 	return nil
@@ -108,7 +103,7 @@ func (e *Executor) rotate(ring bool, n int) (sendNs, waitNs int64, err error) {
 		// The wire has a copy: dense storage goes back to the pool the
 		// receiving end decodes into.
 		if data, _ := h.bound.Local.DenseData(); data == nil {
-			e.mRotBlob.Inc()
+			e.mRotRecord.Inc()
 		} else {
 			e.mRotRaw.Inc()
 			bufpool.PutF64(data)
@@ -140,7 +135,10 @@ func (e *Executor) rotate(ring bool, n int) (sendNs, waitNs int64, err error) {
 		if h == nil || h.place != place {
 			return 0, 0, fmt.Errorf("runtime: executor %d: a ring neighbour sent a partition of %q, which is not %v here", e.id, in.Array, place)
 		}
-		h.parts = append(h.parts, in.part)
+		h.parts = append(h.parts, in.Parts...)
+		if in.part != nil {
+			h.parts = append(h.parts, in.part)
+		}
 	}
 	waitNs = int64(time.Since(start))
 	e.trace.EndN("rotate.recv", "exec", start, "arrays", int64(len(names)))

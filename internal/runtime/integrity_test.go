@@ -3,7 +3,6 @@ package runtime
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -200,12 +199,10 @@ func TestFrameSequenceRejectsReorderedFrames(t *testing.T) {
 // whose extents multiply past 2^64 to the zero elements they carry or
 // could build no DistArray, and served frames whose offsets repeat or
 // overflow, whose counts pass the cap or do not match, or whose flag is
-// neither 0 nor 1. Each condemns the link, flight-logged as
-// link.corrupt. A well-formed served frame of each kind decodes to what
-// was sent, and condemns the link once a trailer byte flips. A blob
-// rotation that frames cleanly but carries a dense partition shorter
-// than its extents is refused when the partition is decoded, before
-// any access can fault on it.
+// neither 0 nor 1, and partition records the frame decoder refuses as
+// it reads them. Each condemns the link, flight-logged as link.corrupt.
+// A well-formed served frame of each kind decodes to what was sent, and
+// condemns the link once a trailer byte flips.
 func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
 	for name, frame := range hostileFrames(t) {
 		err := decodeStream(frame, 1)
@@ -234,14 +231,6 @@ func TestFrameHeaderBoundsRejectHostileClaims(t *testing.T) {
 			t.Errorf("kind %d came back as %+v, want %+v", want.Kind, got, want)
 		}
 	}
-
-	var m Msg
-	if err := newCodec(&replayConn{r: bytes.NewReader(shortDenseRotation(t))}).recvInto(&m); err != nil {
-		t.Fatal(err)
-	}
-	if p, err := dsm.DecodePartition(m.PartBlob); err == nil {
-		t.Errorf("a 4x4 dense partition carrying 3 values decoded: %v", p.Local.Dims())
-	}
 }
 
 // servedMsgs is one well-formed message of each served kind.
@@ -263,13 +252,19 @@ func hostileFrames(tb testing.TB) map[string][]byte {
 		}
 		return b
 	}
-	prefetch := append(uv(uv(head(MsgPrefetch), 1), 1), 'w') // epoch 1, array "w"
+	prefetch := append(uv(uv(head(MsgPrefetch), 1), 1), 'w')                 // epoch 1, array "w"
+	gathered := append(uv(uv(head(MsgGatherResp), 0), 1), 'w', 1)            // executor 0, array "w", one record
+	plan := uv(append(head(MsgDefineLoop), 0, 0, 0, 0, 0, 0, 0), maxCount+1) // every field empty up to the plan's length
 	update := append(uv(uv(uv(uv(uv(head(MsgUpdateBatch), 0), 1), 0), 1), 'w'), 2, 1, 1)
 	frames := map[string][]byte{
 		"unknown kind":     checksummed(head(MsgKind(len(schema)))),
 		"malformed varint": bytes.Repeat([]byte{0x80}, 11),
 		"name length":      uv(head(MsgGather), maxNameLen+1),
-		"byte length":      uv(append(uv(head(MsgArrayPart), 1), 'w', 0, 0), maxCount+1),
+		"byte length":      plan,
+		"partition count":  uv(append(uv(head(MsgArrayPart), 1), 'w', 0, 0), maxCount+1),
+		"record cap":       checksummed(append(gathered, 1, 'w', 1, 0x80, 0x80, 0x80, 1, 0, 0, 0x80, 0x80, 0x80, 1, 0)), // 2^21 values
+		"record layout":    checksummed(append(gathered, 1, 'w', 1, 1, 0, 0, 1, 2, 0)),
+		"short record":     append(shortDenseRotation(), make([]byte, 64)...), // the next bytes read as its values
 		"string length":    uv(head(MsgError), maxCount+1),
 		"uint overflow":    checksummed(uv(head(MsgPing), 1<<63)),
 		"key rank":         uv(uv(head(MsgIterPart), 1), maxRank+1),
@@ -310,37 +305,21 @@ func checksummed(frame []byte) []byte {
 	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli))
 }
 
-// shortDenseRotation is a rotation frame whose partition blob declares
-// a dense 4x4 array and carries 3 values: a ring neighbour's
-// sparse-path MsgRotate. The blob is gob-encoded from a mirror of dsm's
-// wire form, which gob matches by field name.
-func shortDenseRotation(t testing.TB) []byte {
-	type wireArray struct {
-		Name  string
-		Dims  []int64
-		Dense []float64
+// shortDenseRotation is a checksummed rotation frame whose one
+// partition record declares a dense 4x4 array and carries 3 values: a
+// ring neighbour's record-path MsgRotate cut short.
+func shortDenseRotation() []byte {
+	rec := []byte{1, 'w', 2, 4, 4, 1, 0, 4, 0} // name, rank, extents, dim, lo, hi, dense layout
+	for _, v := range []float64{1, 2, 3} {
+		rec = dsm.AppendFloat(rec, v)
 	}
-	type wirePartition struct {
-		Array  string
-		Dim    int
-		Lo, Hi int64
-		Local  wireArray
-	}
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(wirePartition{Array: "w", Hi: 4,
-		Local: wireArray{Name: "w", Dims: []int64{4, 4}, Dense: []float64{1, 2, 3}}}); err != nil {
-		t.Fatal(err)
-	}
-	return captureFrames(func(c *codec) {
-		if err := c.send(&Msg{Kind: MsgRotate, Array: "w", PartBlob: blob.Bytes()}); err != nil {
-			t.Error(err)
-		}
-	})[0]
+	return checksummed(append(slices.Concat(uv(append(uv(head(MsgRotate), 1), 'w'), 1), rec), 0)) // no streamed partition
 }
 
 // TestHostileLengthClaimAllocatesLazily: a forged length claiming a
-// near-cap string or byte field over a short stream must fail on EOF
-// after at most one growth chunk — not allocate the claimed length.
+// near-cap string or byte field, or a partition record claiming the
+// element cap's values, over a short stream must fail on EOF after at
+// most one growth chunk — not allocate the claimed length.
 func TestHostileLengthClaimAllocatesLazily(t *testing.T) {
 	text := uv(append(head(MsgDefineLoop), 0), maxCount-1) // an empty loop name, then the source
 	// Followed by nothing, the claim costs at most one chunk; followed by
@@ -360,16 +339,26 @@ func TestHostileLengthClaimAllocatesLazily(t *testing.T) {
 			t.Fatalf("a hostile length claim followed by %d bytes grew the frame buffer to %d bytes, want <= %d", arrived, grown, bound)
 		}
 	}
-	blob := uv(append(uv(head(MsgArrayPart), 1), 'w', 0, 0), maxCount-1)
-	blob = append(blob, make([]byte, 3*frameReadChunk)...)
-	var before, after goruntime.MemStats
-	goruntime.ReadMemStats(&before)
-	if err := decodeStream(blob, 1); err == nil {
-		t.Error("truncated hostile blob decoded successfully")
-	}
-	goruntime.ReadMemStats(&after)
-	if grown := after.TotalAlloc - before.TotalAlloc; grown > 16*frameReadChunk {
-		t.Fatalf("a hostile blob length claim allocated %d bytes, want <= %d", grown, 16*frameReadChunk)
+	blob := uv(append(head(MsgDefineLoop), 0, 0, 0, 0, 0, 0, 0), maxCount-1)                                            // the plan's length
+	record := append(uv(uv(head(MsgGatherResp), 0), 1), 'w', 1, 1, 'w', 1, 0x80, 0x80, 0x40, 0, 0, 0x80, 0x80, 0x40, 0) // 2^20 values
+	for _, c := range []struct {
+		name   string
+		stream []byte
+		bound  uint64
+	}{
+		{"a blob length claim followed by 3 MiB", append(blob, make([]byte, 3*frameReadChunk)...), 16 * frameReadChunk},
+		// 512 KiB of values, which a race build allocates twice.
+		{"a dense record at the cap followed by nothing", record, 2 * frameReadChunk},
+	} {
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		if err := decodeStream(c.stream, 1); err == nil {
+			t.Errorf("%s decoded successfully", c.name)
+		}
+		goruntime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > c.bound {
+			t.Errorf("%s allocated %d bytes, want <= %d", c.name, grown, c.bound)
+		}
 	}
 }
 
@@ -516,7 +505,18 @@ func FuzzDecodeFrame(f *testing.F) {
 	corrupt := rotationFrame(f)
 	corrupt[len(corrupt)/2] ^= 1
 	f.Add(corrupt)
-	f.Add(shortDenseRotation(f))
+	f.Add(shortDenseRotation())
+	// Records: dense, sparse, of an empty range, and none.
+	sparse := dsm.NewSparse("z", 3, 40)
+	sparse.SetAt(2.5, 1, 7)
+	sparse.SetAt(-1, 2, 39)
+	for _, ps := range [][]*dsm.Partition{
+		{dsm.NewDense("W", 2, 5).ExtractRange(1, 1, 4)},
+		{sparse.ExtractRange(1, 0, 40), sparse.ExtractRange(1, 3, 3)},
+		nil,
+	} {
+		f.Add(captureFrames(func(c *codec) { c.send(&Msg{Kind: MsgGatherResp, ExecutorID: 1, Array: "W", Parts: ps}) })[0])
+	}
 	for _, frame := range hostileFrames(f) {
 		f.Add(frame)
 	}
@@ -536,16 +536,14 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			// A partition the frame carries is whole once it decodes: its
 			// last element is readable.
-			p := m.part
-			if m.Kind == MsgRotate && p == nil {
-				p, _ = dsm.DecodePartition(m.PartBlob)
-			}
-			if p != nil {
-				last := slices.Clone(p.Local.Dims())
-				for d := range last {
-					last[d]--
+			for _, p := range append(slices.Clip(m.Parts), m.part) {
+				if p != nil {
+					last := slices.Clone(p.Local.Dims())
+					for d := range last {
+						last[d]--
+					}
+					p.Local.At(last...)
 				}
-				p.Local.At(last...)
 			}
 			recycle(&m)
 		}

@@ -401,11 +401,7 @@ func (m *Master) place(a *dsm.DistArray, place sched.Placement, dim int, boundar
 		held[w] = append(held[w], p)
 	}
 	for id, ps := range held {
-		blob, err := dsm.EncodePartitions(ps)
-		if err != nil {
-			return err
-		}
-		msg := &Msg{Kind: MsgArrayPart, Array: a.Name(), PartBlob: blob, Rotated: place == sched.Rotated, Ordered: place == sched.Wavefront}
+		msg := &Msg{Kind: MsgArrayPart, Array: a.Name(), Parts: ps, Rotated: place == sched.Rotated, Ordered: place == sched.Wavefront}
 		if err := m.conns[id].send(msg); err != nil {
 			return sendErr("shipping "+a.Name(), id, err)
 		}
@@ -795,12 +791,18 @@ func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 	} else {
 		out = dsm.NewSparse(array, dims...)
 	}
+	// Nothing is written before every partition of a reply is checked
+	// against the array: a reply the array does not admit fails the call.
 	err := m.await(m.ch.gatherResp, func(msg *Msg) error {
-		ps, err := dsm.DecodePartitions(msg.PartBlob)
-		for _, p := range ps {
+		for _, p := range msg.Parts {
+			if err := out.Admits(p); err != nil {
+				return fmt.Errorf("runtime: gather of %s from executor %d: %w", array, msg.ExecutorID, err)
+			}
+		}
+		for _, p := range msg.Parts {
 			p.WriteBack(out)
 		}
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -816,7 +818,13 @@ func (m *Master) AccumSum(name string) (float64, error) {
 		}
 	}
 	vals := make([]float64, len(m.conns))
-	if err := m.await(m.ch.accumResp, func(msg *Msg) error { vals[msg.ExecutorID] = msg.AccValue; return nil }); err != nil {
+	if err := m.await(m.ch.accumResp, func(msg *Msg) error {
+		if msg.ExecutorID >= len(vals) {
+			return fmt.Errorf("runtime: accumulator %s answered by executor %d of %d", name, msg.ExecutorID, len(vals))
+		}
+		vals[msg.ExecutorID] = msg.AccValue
+		return nil
+	}); err != nil {
 		return 0, err
 	}
 	var total float64 // in executor order, so the bits do not depend on reply order
@@ -881,14 +889,10 @@ func (m *Master) DistributeServed(a *dsm.DistArray) error {
 	boundaries := sched.NewRangePartitioner(a.Dims()[lastDim], m.n).Boundaries()
 	parts := a.RangePartitions(lastDim, m.n, boundaries)
 	for id, p := range parts {
-		blob, err := p.Encode()
-		if err != nil {
-			return err
-		}
 		msg := &Msg{
 			Kind:      MsgServedShard,
 			Array:     a.Name(),
-			PartBlob:  blob,
+			Parts:     []*dsm.Partition{p},
 			Offsets:   boundaries,
 			ArrayDims: map[string][]int64{a.Name(): a.Dims()},
 		}

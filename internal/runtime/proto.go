@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/bits"
 	"net"
 	"slices"
 	"sync"
@@ -30,8 +29,8 @@ const (
 	// MsgSetup: master → executor topology (peer addresses).
 	MsgSetup
 	// MsgArrayPart: master → executor: hold these partitions of Array
-	// (dsm.EncodePartitions; any number of a wavefront array), placed
-	// space-local, ring-rotated (Rotated) or wavefront (Ordered).
+	// (any number of a wavefront array), placed space-local, ring-rotated
+	// (Rotated) or wavefront (Ordered).
 	MsgArrayPart
 	// MsgServedShard: master → executor: serve this shard of a
 	// parameter-server array to your peers.
@@ -100,17 +99,16 @@ type Msg struct {
 	PeerAddr   string
 	Peers      []string // indexed by executor id
 
-	// Array payloads: dsm-encoded partitions (dsm.EncodePartitions) or
+	// Array payloads: partitions, each framed as its dsm record, or
 	// samples.
-	Array    string
-	PartBlob []byte
-	Samples  []IterSample
-	Rotated  bool
-	Ordered  bool
+	Array   string
+	Parts   []*dsm.Partition
+	Samples []IterSample
+	Rotated bool
+	Ordered bool
 	// part is the dense partition a rotation carries, decoded where it
 	// arrives straight into storage from bufpool (a sparse one travels
-	// as PartBlob, decoded by servePeer). Whoever holds it next owns the
-	// storage.
+	// in Parts). Whoever holds it next owns the storage.
 	part      *dsm.Partition
 	LoopName  string
 	TimeLo    int64
@@ -219,6 +217,9 @@ const (
 	// frameReadChunk bounds how much a byte field grows per read while
 	// its claimed length is still unverified by arrived bytes.
 	frameReadChunk = 1 << 20
+	// listChunk bounds, in elements, how much a counted list grows at a
+	// time toward its count.
+	listChunk = 1 << 16
 )
 
 // castagnoli is the CRC32C polynomial table (hardware-accelerated on
@@ -422,7 +423,7 @@ func (c col) put(h []byte, p any) ([]byte, []float64) {
 	case tFlag:
 		return putFlag(h, *p.(*bool)), nil
 	case tFloat:
-		return putFloat(h, *p.(*float64)), nil
+		return dsm.AppendFloat(h, *p.(*float64)), nil
 	case tName, tText:
 		return putText(h, *p.(*string)), nil
 	case tBytes:
@@ -433,7 +434,7 @@ func (c col) put(h []byte, p any) ([]byte, []float64) {
 	case tTexts:
 		return putList(h, *p.(*[]string), putText), nil
 	case tFloats:
-		return putList(h, *p.(*[]float64), putFloat), nil
+		return putList(h, *p.(*[]float64), dsm.AppendFloat), nil
 	case tGaps:
 		offs := *p.(*[]int64)
 		h = binary.AppendUvarint(h, uint64(len(offs)))
@@ -447,9 +448,11 @@ func (c col) put(h []byte, p any) ([]byte, []float64) {
 		return binary.AppendUvarint(h, uint64(len(vs))), vs
 	case tPart:
 		return putPart(h, *p.(**dsm.Partition))
+	case tParts:
+		return putList(h, *p.(*[]*dsm.Partition), dsm.AppendPartition), nil
 	case tSamples:
 		return putList(h, *p.(*[]IterSample), func(h []byte, s IterSample) []byte {
-			return putFloat(putList(h, s.Key, binary.AppendVarint), s.Val)
+			return dsm.AppendFloat(putList(h, s.Key, binary.AppendVarint), s.Val)
 		}), nil
 	case tDims:
 		dims := *p.(*map[string][]int64)
@@ -480,10 +483,6 @@ func putFlag(h []byte, b bool) []byte {
 		return append(h, 1)
 	}
 	return append(h, 0)
-}
-
-func putFloat(h []byte, v float64) []byte {
-	return binary.AppendUvarint(h, bits.ReverseBytes64(math.Float64bits(v)))
 }
 
 func putText(h []byte, s string) []byte {
@@ -645,13 +644,23 @@ func (c col) get(d *codec, p any, m *Msg, withOffsets bool) {
 		*q = d.column((*q)[:0], n)
 	case tPart:
 		*p.(**dsm.Partition) = d.part(m.Array)
+	case tParts:
+		*p.(*[]*dsm.Partition) = list(d, nil, maxCount, func() *dsm.Partition {
+			p, err := dsm.ReadPartition(d, d.limit.get())
+			d.check(err)
+			return p
+		})
 	case tSamples:
-		// The keys are cut from one growing arena, not allocated one each.
+		// The keys are cut from arenas that double up to a chunk and are
+		// never copied: a full one stays with the keys cut from it.
 		var arena []int64
+		key := make([]int64, 0, maxRank)
 		*p.(*[]IterSample) = list(d, nil, maxCount, func() IterSample {
-			start := len(arena)
-			arena = d.ints(arena, maxRank)
-			return IterSample{Key: arena[start:len(arena):len(arena)], Val: d.float()}
+			if key = d.ints(key[:0], maxRank); cap(arena)-len(arena) < len(key) {
+				arena = make([]int64, 0, max(len(key), min(2*cap(arena), listChunk)))
+			}
+			arena = append(arena, key...)
+			return IterSample{Key: arena[len(arena)-len(key) : len(arena) : len(arena)], Val: d.float()}
 		})
 	case tDims:
 		*p.(*map[string][]int64) = keyed(d, func() []int64 { return d.ints(nil, maxRank) })
@@ -672,8 +681,12 @@ func (c *codec) fail(format string, args ...any) {
 
 // ReadByte reads one frame byte into the bytes not yet checksummed, so
 // the checksum covers what was actually read (re-encoding would
-// silently accept non-canonical forms).
+// silently accept non-canonical forms). It reads nothing once the frame
+// has failed.
 func (c *codec) ReadByte() (byte, error) {
+	if c.rerr != nil {
+		return 0, c.rerr
+	}
 	b, err := c.br.ReadByte()
 	if err != nil {
 		c.rerr = err
@@ -686,14 +699,17 @@ func (c *codec) ReadByte() (byte, error) {
 // uvarint reads one uvarint of the frame. It and the readers below read
 // nothing once the frame has failed.
 func (c *codec) uvarint() uint64 {
-	if c.rerr != nil {
-		return 0
-	}
 	v, err := binary.ReadUvarint(c)
-	if err != nil {
-		c.fail("malformed uvarint: %v", err) // a read error is already the frame's
-	}
+	c.check(err)
 	return v
+}
+
+// check condemns the link for a field that does not decode; a read
+// error is already the frame's.
+func (c *codec) check(err error) {
+	if err != nil {
+		c.fail("malformed field: %v", err)
+	}
 }
 
 // count reads a count or length, condemning one past limit.
@@ -725,7 +741,11 @@ func (c *codec) flag() bool {
 	return v == 1
 }
 
-func (c *codec) float() float64 { return math.Float64frombits(bits.ReverseBytes64(c.uvarint())) }
+func (c *codec) float() float64 {
+	v, err := dsm.ReadFloat(c)
+	c.check(err)
+	return v
+}
 
 // text reads a string of at most limit bytes; a name's (maxNameLen) is
 // interned.
@@ -742,10 +762,17 @@ func (c *codec) ints(dst []int64, limit uint64) []int64 {
 }
 
 // list appends up to limit elements, counted by a uvarint and each read
-// by get, to dst.
+// by get, to dst. It grows dst toward the count a chunk at a time, and
+// checksums the bytes read a chunk at a time, so a long list keeps
+// neither a doubled copy of itself nor its whole frame.
 func list[T any](c *codec, dst []T, limit uint64, get func() T) []T {
 	for i, n := 0, c.count(limit, "list count"); i < n && c.rerr == nil; i++ {
-		dst = append(dst, get())
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, min(n-i, listChunk))
+		}
+		if dst = append(dst, get()); len(c.rhdr) >= frameReadChunk {
+			c.fold()
+		}
 	}
 	return dst
 }
@@ -900,16 +927,12 @@ const rawChunkElems = 4096
 
 // sendRotation ships one rotated partition to the peer: a dense one's
 // storage streams as the frame's payload, a sparse one travels as its
-// dsm encoding. Returns the frame's wire size in bytes.
+// record. Returns the frame's wire size in bytes.
 func (c *codec) sendRotation(array string, p *dsm.Partition) (int64, error) {
 	if p.Local.IsDense() {
 		return c.write(&Msg{Kind: MsgRotate, Array: array, part: p})
 	}
-	blob, err := p.Encode()
-	if err != nil {
-		return 0, err
-	}
-	return c.write(&Msg{Kind: MsgRotate, Array: array, PartBlob: blob})
+	return c.write(&Msg{Kind: MsgRotate, Array: array, Parts: []*dsm.Partition{p}})
 }
 
 // chunkBuf returns *b, grown if need be, as one staging chunk of

@@ -13,14 +13,14 @@ import (
 // payload slices' backing storage.
 func TestMsgReset(t *testing.T) {
 	m := Msg{
-		Kind:     MsgPrefetch,
-		Array:    "w",
-		PartBlob: []byte{1, 2},
-		Offsets:  []int64{1, 2, 3},
-		Values:   []float64{4, 5, 6},
-		LoopSrc:  "for",
-		Err:      "boom",
-		part:     dsm.NewDense("w", 3).ExtractRange(0, 0, 3),
+		Kind:    MsgPrefetch,
+		Array:   "w",
+		Parts:   []*dsm.Partition{dsm.NewDense("w", 3).ExtractRange(0, 0, 3)},
+		Offsets: []int64{1, 2, 3},
+		Values:  []float64{4, 5, 6},
+		LoopSrc: "for",
+		Err:     "boom",
+		part:    dsm.NewDense("w", 3).ExtractRange(0, 0, 3),
 		ArrayDims: map[string][]int64{
 			"w": {3},
 		},
@@ -28,7 +28,7 @@ func TestMsgReset(t *testing.T) {
 	off0 := &m.Offsets[0]
 	val0 := &m.Values[0]
 	m.reset()
-	if m.Kind != 0 || m.Array != "" || m.PartBlob != nil || m.LoopSrc != "" || m.Err != "" || m.ArrayDims != nil || m.part != nil {
+	if m.Kind != 0 || m.Array != "" || m.Parts != nil || m.LoopSrc != "" || m.Err != "" || m.ArrayDims != nil || m.part != nil {
 		t.Fatalf("reset left fields set: %+v", m)
 	}
 	if len(m.Offsets) != 0 || len(m.Values) != 0 {
@@ -147,7 +147,7 @@ func TestServedSendRefusesUnframeable(t *testing.T) {
 
 // TestRawRotationRoundTrip: a dense partition shipped via sendRotation
 // must come back bitwise-identical as the frame's raw payload, and a
-// sparse partition must transparently travel as its dsm blob.
+// sparse partition must transparently travel as its dsm record.
 func TestRawRotationRoundTrip(t *testing.T) {
 	clientConn, serverConn := net.Pipe()
 	defer clientConn.Close()
@@ -193,7 +193,7 @@ func TestRawRotationRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Sparse partitions travel as their dsm blob.
+	// Sparse partitions travel as their dsm record, decoded with the frame.
 	s := dsm.NewSparse("idx", 8)
 	s.SetAt(2.5, 3)
 	sp := s.ExtractRange(0, 0, 8)
@@ -206,23 +206,20 @@ func TestRawRotationRoundTrip(t *testing.T) {
 	if err := sc.recvInto(&in2); err != nil {
 		t.Fatal(err)
 	}
-	if in2.part != nil || in2.Kind != MsgRotate || in2.PartBlob == nil {
+	if in2.part != nil || in2.Kind != MsgRotate || len(in2.Parts) != 1 {
 		t.Fatalf("sparse rotation decoded as %+v", in2)
 	}
-	got2, err := dsm.DecodePartition(in2.PartBlob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Local.At(3) != 2.5 {
+	if got2 := in2.Parts[0]; got2.Local.At(3) != 2.5 {
 		t.Fatalf("sparse round trip lost data: got %v", got2.Local.At(3))
 	}
 }
 
 // TestRawRotationAllocs: steady-state raw rotation round trips must not
 // allocate per rotated partition beyond a tiny fixed budget, and must
-// allocate at least 5x less than shipping the same partition as a
-// per-message dsm blob — the whole point of the pooled raw payload. Both
-// paths are counted here, over one codec pair.
+// allocate at least 2x less than shipping the same partition as its dsm
+// record, which decodes with its frame into storage of its own — the
+// whole point of the pooled raw payload. Both paths are counted here,
+// over one codec pair: raw 2 and record 6 objects per trip, measured.
 func TestRawRotationAllocs(t *testing.T) {
 	clientConn, serverConn := net.Pipe()
 	defer clientConn.Close()
@@ -234,8 +231,8 @@ func TestRawRotationAllocs(t *testing.T) {
 	p := a.ExtractRange(1, 0, 128)
 	var in Msg
 	// Each leg ships p and receives it as far as the peer link hands it
-	// on: the raw leg as a partition, the blob leg as a blob it does not
-	// even decode.
+	// on: a partition, streamed into pooled storage or read from its
+	// record.
 	allocsPerTrip := func(ship func()) float64 {
 		roundTrip := func() {
 			go ship()
@@ -250,22 +247,19 @@ func TestRawRotationAllocs(t *testing.T) {
 		return testing.AllocsPerRun(100, roundTrip)
 	}
 	raw := allocsPerTrip(func() { cc.sendRotation("w", p) })
-	blob := allocsPerTrip(func() {
-		blob, err := p.Encode()
-		if err != nil {
-			t.Error(err)
-		}
-		cc.send(&Msg{Kind: MsgRotate, Array: "w", PartBlob: blob})
+	record := allocsPerTrip(func() {
+		cc.send(&Msg{Kind: MsgRotate, Array: "w", Parts: []*dsm.Partition{p}})
 	})
 	// Budget: the sender goroutine itself, the pool's Put indirection,
-	// and net.Pipe scheduling — but no payload-sized allocations.
-	if raw > 8 {
-		t.Errorf("raw rotation round trip allocates %.0f objects, want <= 8", raw)
+	// and net.Pipe scheduling — but no payload-sized allocations. The
+	// record's adds its list, name, array, extents, values and partition.
+	if raw > 8 || record > 8 {
+		t.Errorf("a rotation round trip allocates %.0f objects raw and %.0f as a record, want <= 8 each", raw, record)
 	}
-	if blob < 5*raw {
-		t.Errorf("raw rotation allocates %.0f objects per round trip against the blob's %.0f, want >= 5x fewer", raw, blob)
+	if record < 2*raw {
+		t.Errorf("raw rotation allocates %.0f objects per round trip against the record's %.0f, want >= 2x fewer", raw, record)
 	}
-	t.Logf("allocations per rotated partition: raw %.0f, blob %.0f", raw, blob)
+	t.Logf("allocations per rotated partition: raw %.0f, record %.0f", raw, record)
 }
 
 // BenchmarkPeerRoundTrip measures the reusing codec path end to end

@@ -36,9 +36,9 @@ func NewRotationBench() *RotationBench {
 	return rb
 }
 
-// sink receives rotations, materializes the partition exactly as the
-// executor's peer link does, recycles its dense storage (the
-// steady-state hand-off), and acks each frame.
+// sink receives rotations, decoded with their frames exactly as the
+// executor's peer link decodes them, recycles a streamed partition's
+// pooled storage (the steady-state hand-off), and acks each frame.
 func (rb *RotationBench) sink() {
 	defer close(rb.done)
 	var in, ack Msg
@@ -49,14 +49,8 @@ func (rb *RotationBench) sink() {
 		if in.Kind == MsgShutdown {
 			return
 		}
-		p := in.part
-		if p == nil {
-			var err error
-			if p, err = dsm.DecodePartition(in.PartBlob); err != nil {
-				return
-			}
-		}
-		if data, _ := p.Local.DenseData(); data != nil {
+		if in.part != nil {
+			data, _ := in.part.Local.DenseData()
 			bufpool.PutF64(data)
 		}
 		ack.reset()
@@ -67,23 +61,19 @@ func (rb *RotationBench) sink() {
 	}
 }
 
-// RoundTrip ships one partition and waits for the sink's ack. blob
-// ships it as its per-message dsm encoding, as a sparse partition
-// travels; otherwise a dense partition's storage streams as the frame's
-// payload. ack is caller-owned reusable receive storage.
-func (rb *RotationBench) RoundTrip(array string, p *dsm.Partition, blob bool, ack *Msg) error {
-	if blob {
-		b, err := p.Encode()
-		if err != nil {
-			return err
-		}
-		if err := rb.cc.send(&Msg{Kind: MsgRotate, Array: array, PartBlob: b}); err != nil {
-			return err
-		}
+// RoundTrip ships one partition and waits for the sink's ack. record
+// ships it as its dsm record, as a sparse partition travels; otherwise
+// a dense partition's storage streams as the frame's payload. ack is
+// caller-owned reusable receive storage.
+func (rb *RotationBench) RoundTrip(array string, p *dsm.Partition, record bool, ack *Msg) error {
+	var err error
+	if record {
+		err = rb.cc.send(&Msg{Kind: MsgRotate, Array: array, Parts: []*dsm.Partition{p}})
 	} else {
-		if _, err := rb.cc.sendRotation(array, p); err != nil {
-			return err
-		}
+		_, err = rb.cc.sendRotation(array, p)
+	}
+	if err != nil {
+		return err
 	}
 	return rb.cc.recvInto(ack)
 }

@@ -65,15 +65,10 @@ func startFakeFleet(t *testing.T, prefix string, n int) *fakeFleet {
 					f.blocks[j] = append(f.blocks[j], dispatched{msg.TimeLo, msg.TimeHi, msg.Pass, msg.StepIndex, msg.Epoch})
 					c.send(&Msg{Kind: MsgBlockDone, ExecutorID: j})
 				case MsgArrayPart:
-					ps, err := dsm.DecodePartitions(msg.PartBlob)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for _, p := range ps {
+					for _, p := range msg.Parts {
 						f.parts <- [3]int64{int64(j), p.Lo, p.Hi}
 					}
-					f.counts <- [2]int{j, len(ps)}
+					f.counts <- [2]int{j, len(msg.Parts)}
 				}
 			}
 		}(j)

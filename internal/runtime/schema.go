@@ -8,7 +8,7 @@ import "fmt"
 // read each other's frames never exchange one past the handshake. The
 // hello row itself never changes, so every build reads any build's hello
 // whole and verifies its trailer before it judges the version.
-const wireVersion = 1
+const wireVersion = 2
 
 // A wireType is how one field is laid out in a frame. Counts are
 // uvarints; a count read before the fleet's element cap applies is at
@@ -19,7 +19,7 @@ const (
 	tUint    wireType = iota // uvarint of a value that is never negative
 	tInt                     // zigzag varint
 	tFlag                    // one byte, 0 or 1
-	tFloat                   // float64 bits byte-reversed as a uvarint: short for small integers
+	tFloat                   // gob's float rule (dsm.AppendFloat): float64 bits byte-reversed, below 128 one byte, else a negated byte count · the significant bytes
 	tName                    // uvarint length ≤ maxNameLen · bytes, interned by the receiving codec
 	tText                    // uvarint length · bytes
 	tBytes                   // uvarint length · bytes
@@ -29,6 +29,7 @@ const (
 	tGaps                    // uvarint count ≤ element cap · ascending offsets as uvarint gaps, the first from −1
 	tColumn                  // uvarint count ≤ element cap, one per offset when the row carries offsets · little-endian float64s
 	tPart                    // uvarint rank (0: none) · uvarint extents · uvarint dim, lo, hi · little-endian float64s
+	tParts                   // record list: uvarint count · dsm partition records (dsm.AppendPartition), each under the element cap
 	tSamples                 // record list: uvarint count · (tInts key · tFloat value)
 	tDims                    // record list: uvarint count · (tText name · tInts extents), by name
 	tPairs                   // record list: uvarint count · (tText key · tText value), by key
@@ -46,7 +47,7 @@ const (
 	fPeers
 	fTrace
 	fArray
-	fPartBlob
+	fParts
 	fPart
 	fRotated
 	fOrdered
@@ -93,22 +94,22 @@ type col struct {
 // one frame is uvarint seq · uvarint kind · the row's fields · CRC32C.
 // The encoder, the decoder, FuzzDecodeFrame's seeds and DESIGN.md's
 // "Wire format" table (held to it by internal/lint) all read this one
-// table. The float64 payloads (tColumn, tPart) stream from their storage
-// after the rest of the frame, so each ends its row.
+// table. The raw float64 payloads (tColumn, tPart) stream from their
+// storage after the rest of the frame, so each ends its row.
 var schema = [...][]col{
 	MsgHello:        {{fVersion, tUint}, {fExecutorID, tInt}, {fPeerAddr, tText}},
 	MsgSetup:        {{fExecutorID, tUint}, {fPeers, tTexts}, {fTrace, tFlag}},
-	MsgArrayPart:    {{fArray, tName}, {fRotated, tFlag}, {fOrdered, tFlag}, {fPartBlob, tBytes}},
-	MsgServedShard:  {{fArray, tName}, {fOffsets, tInts}, {fArrayDims, tDims}, {fPartBlob, tBytes}},
+	MsgArrayPart:    {{fArray, tName}, {fRotated, tFlag}, {fOrdered, tFlag}, {fParts, tParts}},
+	MsgServedShard:  {{fArray, tName}, {fOffsets, tInts}, {fArrayDims, tDims}, {fParts, tParts}},
 	MsgIterPart:     {{fSamples, tSamples}},
 	MsgExecBlock:    {{fLoopName, tText}, {fTimeDim, tInt}, {fRotated, tFlag}, {fOrdered, tFlag}, {fPass, tUint}, {fStepIndex, tUint}, {fEpoch, tUint}, {fTimeLo, tInt}, {fTimeHi, tInt}},
 	MsgBlockDone:    {{fExecutorID, tUint}, {fLoopName, tText}, {fAccValue, tFloat}, {fStatIters, tUint}, {fStatComputeNs, tUint}, {fStatRotWaitNs, tUint}, {fStatCommNs, tUint}},
-	MsgRotate:       {{fArray, tName}, {fPartBlob, tBytes}, {fPart, tPart}},
+	MsgRotate:       {{fArray, tName}, {fParts, tParts}, {fPart, tPart}},
 	MsgPrefetch:     {{fEpoch, tUint}, {fArray, tName}, {fOffsets, tGaps}},
 	MsgPrefetchResp: {{fValues, tColumn}},
 	MsgUpdateBatch:  {{fExecutorID, tUint}, {fEpoch, tUint}, {fAbsolute, tFlag}, {fArray, tName}, {fOffsets, tGaps}, {fValues, tColumn}},
 	MsgGather:       {{fArray, tName}},
-	MsgGatherResp:   {{fExecutorID, tUint}, {fArray, tName}, {fPartBlob, tBytes}},
+	MsgGatherResp:   {{fExecutorID, tUint}, {fArray, tName}, {fParts, tParts}},
 	MsgAccumQuery:   {{fAccName, tName}},
 	MsgAccumResp:    {{fExecutorID, tUint}, {fAccName, tName}, {fAccValue, tFloat}},
 	MsgDefineLoop:   {{fLoopName, tText}, {fLoopSrc, tText}, {fArrayDims, tDims}, {fBuffers, tPairs}, {fGlobalNames, tTexts}, {fGlobalVals, tFloats}, {fAccumNames, tTexts}, {fPlanBlob, tBytes}},
@@ -129,7 +130,7 @@ func (m *Msg) fields() [numFields]any {
 		fPeers:         &m.Peers,
 		fTrace:         &m.Trace,
 		fArray:         &m.Array,
-		fPartBlob:      &m.PartBlob,
+		fParts:         &m.Parts,
 		fPart:          &m.part,
 		fRotated:       &m.Rotated,
 		fOrdered:       &m.Ordered,

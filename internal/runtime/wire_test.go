@@ -44,20 +44,25 @@ func wireExamples() []wireExample {
 	for i := int64(0); i < 6; i++ {
 		a.SetFlat(i, float64(i)+0.25)
 	}
+	w := dsm.NewDense("w", 16)
+	w.SetFlat(3, 7)
+	z := dsm.NewSparse("z", 3, 40)
+	z.SetAt(2.5, 1, 7)
+	z.SetAt(-1, 2, 39)
 	return []wireExample{
 		{"Hello", Msg{Kind: MsgHello, ExecutorID: -1, PeerAddr: "127.0.0.1:7001"}},
 		{"Setup", Msg{Kind: MsgSetup, ExecutorID: 2, Peers: []string{"a:1", "b:2", "c:3"}, Trace: true}},
-		{"ArrayPart", Msg{Kind: MsgArrayPart, Array: "W", Rotated: true, Ordered: true, PartBlob: []byte{1, 2, 3}}},
-		{"ServedShard", Msg{Kind: MsgServedShard, Array: "w", Offsets: []int64{8, 8}, ArrayDims: map[string][]int64{"w": {16}}, PartBlob: []byte{4, 5}}},
+		{"ArrayPart", Msg{Kind: MsgArrayPart, Array: "H", Rotated: true, Ordered: true, Parts: []*dsm.Partition{a.ExtractRange(1, 0, 1), a.ExtractRange(1, 1, 3)}}},
+		{"ServedShard", Msg{Kind: MsgServedShard, Array: "w", Offsets: []int64{8, 8}, ArrayDims: map[string][]int64{"w": {16}}, Parts: []*dsm.Partition{w.ExtractRange(0, 0, 8)}}},
 		{"IterPart", Msg{Kind: MsgIterPart, Samples: []IterSample{{Key: []int64{0, 3}, Val: 4.5}, {Key: []int64{-1, 200}, Val: -0.1}}}},
 		{"ExecBlock", Msg{Kind: MsgExecBlock, LoopName: "dsl-mf-12", TimeDim: -1, Rotated: true, Ordered: true, Pass: 2, StepIndex: 1, Epoch: 130, TimeLo: 10, TimeHi: 20}},
 		{"BlockDone", Msg{Kind: MsgBlockDone, ExecutorID: 1, LoopName: "dsl-mf-12", AccValue: 3, StatIters: 150, StatComputeNs: 1234567, StatRotWaitNs: 890, StatCommNs: 45678}},
-		{"Rotate", Msg{Kind: MsgRotate, Array: "H", PartBlob: []byte{7}, part: a.ExtractRange(1, 0, 3)}},
+		{"Rotate", Msg{Kind: MsgRotate, Array: "H", Parts: []*dsm.Partition{z.ExtractRange(1, 10, 40)}, part: a.ExtractRange(1, 0, 3)}},
 		{"Prefetch", Msg{Kind: MsgPrefetch, Epoch: 7, Array: "w", Offsets: []int64{0, 3, 200, 1 << 40}}},
 		{"PrefetchResp", Msg{Kind: MsgPrefetchResp, Values: []float64{1.5, math.Inf(-1), -0.0}}},
 		{"UpdateBatch", Msg{Kind: MsgUpdateBatch, ExecutorID: 1, Epoch: 7, Absolute: true, Array: "w", Offsets: []int64{4, 5}, Values: []float64{0.5, 1}}},
 		{"Gather", Msg{Kind: MsgGather, Array: "W"}},
-		{"GatherResp", Msg{Kind: MsgGatherResp, ExecutorID: 1, Array: "W", PartBlob: []byte{9, 9}}},
+		{"GatherResp", Msg{Kind: MsgGatherResp, ExecutorID: 1, Array: "z", Parts: []*dsm.Partition{z.ExtractRange(1, 0, 20), z.ExtractRange(1, 20, 40)}}},
 		{"AccumQuery", Msg{Kind: MsgAccumQuery, AccName: "loss"}},
 		{"AccumResp", Msg{Kind: MsgAccumResp, ExecutorID: 1, AccName: "loss", AccValue: 0.125}},
 		{"DefineLoop", Msg{Kind: MsgDefineLoop, LoopName: "dsl-mf-12", LoopSrc: "for (i, j, v) in ratings { }",
@@ -117,6 +122,12 @@ func TestWireExamplesRoundTrip(t *testing.T) {
 			}
 			want.part, got.part = nil, nil
 		}
+		if !slices.EqualFunc(got.Parts, want.Parts, func(g, w *dsm.Partition) bool {
+			return bytes.Equal(dsm.AppendPartition(nil, g), dsm.AppendPartition(nil, w))
+		}) {
+			t.Errorf("%s: the partitions came back as %+v", ex.name, got.Parts)
+		}
+		want.Parts, got.Parts = nil, nil
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s came back as\n  %+v\nwant\n  %+v", ex.name, got, want)
 		}
