@@ -403,8 +403,14 @@ func floats(vs ...float64) []byte {
 func TestDecodeRejectsPayloadsOffTheirExtents(t *testing.T) {
 	good := AppendPartition(nil, NewDense("w", 4, 4).ExtractRange(1, 0, 2))
 	whole4x4 := []uint64{2, 4, 4, 0, 0, 4}
-	sparse := func(fields []uint64, count uint64, rest ...byte) []byte {
-		return record(fields, layoutSparse, append(binary.AppendUvarint(nil, count), rest...)...)
+	// sparse frames a sparse record of count stored elements, given as
+	// (offset gap, value) pairs.
+	sparse := func(fields []uint64, count uint64, pairs ...float64) []byte {
+		b := binary.AppendUvarint(nil, count)
+		for i := 0; i+1 < len(pairs); i += 2 {
+			b = AppendFloat(binary.AppendUvarint(b, uint64(pairs[i])), pairs[i+1])
+		}
+		return record(fields, layoutSparse, b...)
 	}
 	forged := map[string][]byte{
 		"forged dense count":  record([]uint64{1, 1 << 40, 0, 0, 1 << 40}, layoutDense),
@@ -414,13 +420,13 @@ func TestDecodeRejectsPayloadsOffTheirExtents(t *testing.T) {
 		"short dense payload":     record(whole4x4, layoutDense, floats(1, 2, 3)...),
 		"long dense payload":      record(whole4x4, layoutDense, floats(make([]float64, 17)...)...),
 		"zero extent":             sparse([]uint64{2, 4, 0, 0, 0, 4}, 0),
-		"no extents":              sparse([]uint64{0, 0, 0, 0}, 1, append([]byte{1}, floats(1)...)...),
+		"no extents":              sparse([]uint64{0, 0, 0, 0}, 1, 1, 1),
 		"extent product overflow": sparse([]uint64{2, 1 << 32, 1 << 32, 0, 0, 1 << 32}, 0),
 		"range off its extent":    record([]uint64{2, 4, 4, 1, 0, 3}, layoutDense, floats(make([]float64, 16)...)...),
-		"offset past extents":     sparse(whole4x4, 2, append([]byte{4, 13}, floats(1, 1)...)...),
-		"negative offset":         sparse(whole4x4, 1, append([]byte{0}, floats(1)...)...),
-		"zero gap":                sparse(whole4x4, 2, append([]byte{4, 0}, floats(1, 1)...)...),
-		"stored zero":             sparse(whole4x4, 1, append([]byte{4}, floats(0)...)...),
+		"offset past extents":     sparse(whole4x4, 2, 4, 1, 13, 1),
+		"negative offset":         sparse(whole4x4, 1, 0, 1),
+		"zero gap":                sparse(whole4x4, 2, 4, 1, 0, 1),
+		"stored zero":             sparse(whole4x4, 1, 4, 0),
 		"unknown layout":          record(whole4x4, 2, floats(make([]float64, 16)...)...),
 	}
 	maps.Copy(cases, forged)

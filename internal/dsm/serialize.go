@@ -13,10 +13,10 @@ import (
 // A partition travels, and an array is checkpointed, as one record:
 // uvarint name length · name · uvarint rank · extents · dim · lo · hi ·
 // a layout byte, then for a dense partition the extent product's values
-// in storage order, and for a sparse one a uvarint count · its ascending
-// offsets as uvarint gaps, the first from −1 · count values. Every value
-// is framed by AppendFloat. An array's record is that of its whole
-// range along dimension 0.
+// in storage order, and for a sparse one a uvarint count · per stored
+// element, in ascending offset order, its offset as a uvarint gap (the
+// first from −1) · its value. Every value is framed by AppendFloat. An
+// array's record is that of its whole range along dimension 0.
 const (
 	layoutDense, layoutSparse byte = 0, 1
 	maxNameLen, maxRank            = 1 << 12, 16
@@ -74,12 +74,8 @@ func AppendPartition(dst []byte, p *Partition) []byte {
 		return dst
 	}
 	dst, prev := binary.AppendUvarint(append(dst, layoutSparse), uint64(a.sparse.nnz)), int64(-1)
-	a.sparse.walk(func(off int64, _ float64) bool {
-		dst, prev = binary.AppendUvarint(dst, uint64(off-prev)), off
-		return true
-	})
-	a.sparse.walk(func(_ int64, v float64) bool {
-		dst = AppendFloat(dst, v)
+	a.sparse.walk(func(off int64, v float64) bool {
+		dst, prev = AppendFloat(binary.AppendUvarint(dst, uint64(off-prev)), v), off
 		return true
 	})
 	return dst
@@ -106,13 +102,11 @@ func ReadPartition(r io.ByteReader, limit uint64) (*Partition, error) {
 		}
 		return v
 	}
-	floats := func(n int) (vs []float64) {
-		for len(vs) < n && err == nil {
-			var v float64
+	float := func() (v float64) {
+		if err == nil {
 			v, err = ReadFloat(r)
-			vs = append(grow(vs, n), v)
 		}
-		return vs
+		return v
 	}
 	name := make([]byte, min(uvarint(), maxNameLen+1))
 	if len(name) > maxNameLen {
@@ -150,26 +144,25 @@ func ReadPartition(r io.ByteReader, limit uint64) (*Partition, error) {
 		if total > limit {
 			fail("%d values past the cap %d", total, limit)
 		}
-		a.dense = floats(int(total))
+		for uint64(len(a.dense)) < total && err == nil {
+			a.dense = append(grow(a.dense, int(total)), float())
+		}
 	case layoutSparse:
 		n := uvarint()
 		if err == nil && (n > limit || n > total) {
 			fail("%d stored values for %d elements under the cap %d", n, total, limit)
 		}
 		var offs []int64
+		var vals []float64
 		for next := uint64(0); uint64(len(offs)) < n && err == nil; { // next: one past the last offset
-			if gap := uvarint(); err == nil && (gap == 0 || gap > total-next) {
-				fail("offset gap %d after offset %d of %d elements", gap, int64(next)-1, total)
-			} else {
+			if gap, v := uvarint(), float(); err == nil && (gap == 0 || gap > total-next || v == 0) {
+				fail("offset gap %d after offset %d of %d elements, value %v", gap, int64(next)-1, total, v)
+			} else if err == nil {
 				next += gap
-				offs = append(grow(offs, int(n)), int64(next-1))
+				offs, vals = append(grow(offs, int(n)), int64(next-1)), append(grow(vals, int(n)), v)
 			}
 		}
-		if vals := floats(len(offs)); err == nil && slices.Contains(vals, 0) {
-			fail("a stored zero")
-		} else {
-			a.sparse = sortedColumns(offs, vals)
-		}
+		a.sparse = sortedColumns(offs, vals)
 	default:
 		fail("unknown layout %d", layout)
 	}

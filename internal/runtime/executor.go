@@ -295,13 +295,10 @@ func (e *Executor) run() error {
 		case MsgIterPart:
 			e.iter = newIterPart(msg.Samples)
 		case MsgServedShard:
-			// The shard is the one partition the message carries; with
-			// none, this executor serves nothing of the array.
-			var shard *dsm.Partition
-			if len(msg.Parts) > 0 {
-				shard = msg.Parts[0]
+			if len(msg.Parts) != 1 {
+				return fmt.Errorf("runtime: executor %d: %d partitions of served %s", e.id, len(msg.Parts), msg.Array)
 			}
-			e.shards.install(msg.Array, msg.ArrayDims[msg.Array], msg.Offsets, shard)
+			e.shards.install(msg.Array, msg.ArrayDims[msg.Array], msg.Offsets, msg.Parts[0])
 			// An array is placed one way at a time: a partition an
 			// earlier loop left here must not shadow the shard.
 			delete(e.parts, msg.Array)

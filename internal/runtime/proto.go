@@ -645,8 +645,14 @@ func (c col) get(d *codec, p any, m *Msg, withOffsets bool) {
 	case tPart:
 		*p.(**dsm.Partition) = d.part(m.Array)
 	case tParts:
+		// A rotated partition is at most a declared array; the others
+		// may arrive before any DefineLoop declares one.
+		limit := uint64(maxCount)
+		if m.Kind == MsgRotate {
+			limit = d.limit.get()
+		}
 		*p.(*[]*dsm.Partition) = list(d, nil, maxCount, func() *dsm.Partition {
-			p, err := dsm.ReadPartition(d, d.limit.get())
+			p, err := dsm.ReadPartition(d, limit)
 			d.check(err)
 			return p
 		})
@@ -681,8 +687,9 @@ func (c *codec) fail(format string, args ...any) {
 
 // ReadByte reads one frame byte into the bytes not yet checksummed, so
 // the checksum covers what was actually read (re-encoding would
-// silently accept non-canonical forms). It reads nothing once the frame
-// has failed.
+// silently accept non-canonical forms); they are checksummed a chunk at
+// a time, so a long record keeps no copy of its frame. It reads nothing
+// once the frame has failed.
 func (c *codec) ReadByte() (byte, error) {
 	if c.rerr != nil {
 		return 0, c.rerr
@@ -691,6 +698,9 @@ func (c *codec) ReadByte() (byte, error) {
 	if err != nil {
 		c.rerr = err
 		return 0, err
+	}
+	if len(c.rhdr) >= frameReadChunk {
+		c.fold()
 	}
 	c.rhdr = append(c.rhdr, b)
 	return b, nil
@@ -750,7 +760,8 @@ func (c *codec) float() float64 {
 // text reads a string of at most limit bytes; a name's (maxNameLen) is
 // interned.
 func (c *codec) text(limit uint64) string {
-	n, start := c.count(limit, "string length"), len(c.rhdr)
+	n := c.count(limit, "string length")
+	start := len(c.rhdr)
 	if c.rhdr = c.read(c.rhdr, n); limit == maxNameLen {
 		return c.intern(c.rhdr[start:])
 	}
@@ -762,17 +773,14 @@ func (c *codec) ints(dst []int64, limit uint64) []int64 {
 }
 
 // list appends up to limit elements, counted by a uvarint and each read
-// by get, to dst. It grows dst toward the count a chunk at a time, and
-// checksums the bytes read a chunk at a time, so a long list keeps
-// neither a doubled copy of itself nor its whole frame.
+// by get, to dst. It grows dst toward the count a chunk at a time, so a
+// long list keeps no doubled copy of itself.
 func list[T any](c *codec, dst []T, limit uint64, get func() T) []T {
 	for i, n := 0, c.count(limit, "list count"); i < n && c.rerr == nil; i++ {
 		if len(dst) == cap(dst) {
 			dst = slices.Grow(dst, min(n-i, listChunk))
 		}
-		if dst = append(dst, get()); len(c.rhdr) >= frameReadChunk {
-			c.fold()
-		}
+		dst = append(dst, get())
 	}
 	return dst
 }

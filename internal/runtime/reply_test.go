@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"testing"
 
 	"orion/internal/dsm"
@@ -71,5 +72,26 @@ func TestMasterRefusesAGatheredPartitionOfAnotherShape(t *testing.T) {
 				t.Error("the gather wrote the partition back")
 			}
 		})
+	}
+}
+
+// TestExecutorRefusesAServedShardOfOtherThanOnePartition: a served
+// shard is the one partition its message carries, as a space-local
+// array's is; a message with none or two fails the executor instead of
+// installing part of it.
+func TestExecutorRefusesAServedShardOfOtherThanOnePartition(t *testing.T) {
+	w := dsm.NewDense("w", 16)
+	for name, parts := range map[string][]*dsm.Partition{
+		"none": nil,
+		"two":  {w.ExtractRange(0, 0, 8), w.ExtractRange(0, 8, 16)},
+	} {
+		m, _, stop := startFleet(t, "reply-shard-"+name, 1, nil)
+		msg := &Msg{Kind: MsgServedShard, Array: "w", ArrayDims: map[string][]int64{"w": {16}}, Parts: parts}
+		if err := m.conns[0].send(msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := stop()[0]; err == nil || !strings.Contains(err.Error(), "partitions of served w") {
+			t.Errorf("%s: the executor exited with %v", name, err)
+		}
 	}
 }

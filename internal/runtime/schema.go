@@ -29,7 +29,7 @@ const (
 	tGaps                    // uvarint count ≤ element cap · ascending offsets as uvarint gaps, the first from −1
 	tColumn                  // uvarint count ≤ element cap, one per offset when the row carries offsets · little-endian float64s
 	tPart                    // uvarint rank (0: none) · uvarint extents · uvarint dim, lo, hi · little-endian float64s
-	tParts                   // record list: uvarint count · dsm partition records (dsm.AppendPartition), each under the element cap
+	tParts                   // record list: uvarint count · dsm partition records (dsm.AppendPartition), each of at most maxCount values, a rotated one (MsgRotate) of at most the element cap
 	tSamples                 // record list: uvarint count · (tInts key · tFloat value)
 	tDims                    // record list: uvarint count · (tText name · tInts extents), by name
 	tPairs                   // record list: uvarint count · (tText key · tText value), by key

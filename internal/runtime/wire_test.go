@@ -48,6 +48,7 @@ func wireExamples() []wireExample {
 	w.SetFlat(3, 7)
 	z := dsm.NewSparse("z", 3, 40)
 	z.SetAt(2.5, 1, 7)
+	z.SetAt(3, 0, 12)
 	z.SetAt(-1, 2, 39)
 	return []wireExample{
 		{"Hello", Msg{Kind: MsgHello, ExecutorID: -1, PeerAddr: "127.0.0.1:7001"}},
@@ -394,6 +395,41 @@ func (c *tapConn) Write(p []byte) (int, error) {
 	c.tx = append(c.tx, p...)
 	c.mu.Unlock()
 	return c.Conn.Write(p)
+}
+
+// TestArraysPastTheDefaultCapShipBeforeAnyLoop: the driver places its
+// arrays before it defines a loop, so an array part or a served shard of
+// 2^21 real values — past the default element cap of 2^20 — installs on
+// a fleet that has defined none, and gathers back bit for bit.
+func TestArraysPastTheDefaultCapShipBeforeAnyLoop(t *testing.T) {
+	m, _, stop := startFleet(t, "bigpart", 1, nil)
+	defer stop()
+	fill := func(name string) *dsm.DistArray {
+		a := dsm.NewDense(name, 8, 1<<18)
+		data, _ := a.DenseData()
+		for i := range data {
+			data[i] = math.Sqrt(float64(i) + 0.5)
+		}
+		return a
+	}
+	w, s := fill("W"), fill("S")
+	if err := m.DistributeLocal(w, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DistributeServed(s); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []*dsm.DistArray{w, s} {
+		got, err := m.Gather(want.Name())
+		if err != nil {
+			t.Fatalf("gather %s: %v", want.Name(), err)
+		}
+		gd, _ := got.DenseData()
+		wd, _ := want.DenseData()
+		if !slices.Equal(gd, wd) {
+			t.Fatalf("%s gathered back other values", want.Name())
+		}
+	}
 }
 
 // TestMasterLinkBytesVaryOnlyByStatsAndLoopName: a two-worker MF fleet
