@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint reach build test loc benchmark-module race chaos soak bench-smoke exec-gate vm-gate vm-gate-mf vm-count resident-gate trace-smoke vet-examples fuzz golden-plans golden-plans-check figures-check
+.PHONY: check fmt vet lint reach build test loc benchmark-module race chaos soak bench-smoke exec-gate vm-gate vm-gate-mf vm-count resident-gate trace-smoke vet-examples fuzz fuzz-smoke golden-plans golden-plans-check figures-check
 
-check: fmt vet lint reach build test benchmark-module race bench-smoke exec-gate vm-gate-mf vm-count resident-gate trace-smoke vet-examples figures-check
+check: fmt vet lint reach build test benchmark-module race bench-smoke exec-gate vm-gate-mf vm-count resident-gate trace-smoke vet-examples figures-check fuzz-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -182,3 +182,9 @@ fuzz:
 	$(GO) test ./internal/lang/vm -fuzz FuzzExecDifferential -fuzztime 30s
 	$(GO) test ./internal/dslkernel -fuzz FuzzCheckAgreesWithCompile -fuzztime 30s
 	$(GO) test ./internal/runtime -fuzz FuzzDecodeFrame -fuzztime 30s
+
+# Ten seconds of the wire-frame decoder alone, in check: any change to a
+# schema row bumps wireVersion, and this fuzzes every such change's
+# decoder, hostile seeds first, on every run of the gate.
+fuzz-smoke:
+	$(GO) test ./internal/runtime -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime 10s

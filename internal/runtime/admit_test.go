@@ -10,15 +10,15 @@ import (
 // fakeExecutor dials the master over tr and sends first (nothing when it
 // is nil). id yields the id its setup assigns it, or -1 once the master
 // closes it instead; an admitted one then reads on until the master
-// hangs up, answering each message with what answer makes of it (when
-// answer is set and makes something). done closes once its end of the
-// connection is closed.
+// hangs up, answering each message with the replies answer makes of it
+// (when answer is set). done closes once its end of the connection is
+// closed.
 type fakeExecutor struct {
 	id   chan int
 	done chan struct{}
 }
 
-func dialFake(tr Transport, addr string, first *Msg, answer func(*Msg) *Msg) fakeExecutor {
+func dialFake(tr Transport, addr string, first *Msg, answer func(*Msg) []*Msg) fakeExecutor {
 	f := fakeExecutor{id: make(chan int, 1), done: make(chan struct{})}
 	conn, err := tr.Dial(addr)
 	if err != nil {
@@ -46,7 +46,7 @@ func dialFake(tr Transport, addr string, first *Msg, answer func(*Msg) *Msg) fak
 				return
 			}
 			if answer != nil {
-				if reply := answer(msg); reply != nil {
+				for _, reply := range answer(msg) {
 					c.send(reply)
 				}
 			}

@@ -33,11 +33,9 @@ type Executor struct {
 	// default when the executor was created (SetLoopCompiler).
 	compile LoopCompiler
 	// loop is the kernel set compiled from the latest DefineLoop, the
-	// only one a block runs. Every caller defines a loop and then runs
-	// it, so a new definition retires the previous one (a recovery
-	// attempt re-defines under the same name). prefetched names its
+	// only one a block runs: the master runs no other (Master.loop), so
+	// a new definition retires the previous one. prefetched names its
 	// Prefetch targets in the order a block fetches them.
-	loopName   string
 	loop       *KernelSet
 	prefetched []string
 	sendTo     *codec // ring predecessor we ship rotated partitions to
@@ -213,7 +211,7 @@ func (e *Executor) heartbeat(interval time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			if err := e.master.send(&Msg{Kind: MsgPing, ExecutorID: e.id}); err != nil {
+			if err := e.master.send(&Msg{Kind: MsgPing}); err != nil {
 				return
 			}
 		case <-e.stop:
@@ -295,13 +293,13 @@ func (e *Executor) run() error {
 		case MsgIterPart:
 			e.iter = newIterPart(msg.Samples)
 		case MsgServedShard:
-			if len(msg.Parts) != 1 {
-				return fmt.Errorf("runtime: executor %d: %d partitions of served %s", e.id, len(msg.Parts), msg.Array)
+			if len(msg.Parts) != 1 || msg.Parts[0].Dim != msg.Parts[0].Local.NumDims()-1 {
+				return fmt.Errorf("runtime: executor %d: a served shard of %d partitions, not one cut along its last dimension", e.id, len(msg.Parts))
 			}
-			e.shards.install(msg.Array, msg.ArrayDims[msg.Array], msg.Offsets, msg.Parts[0])
+			e.shards.install(msg.Offsets, msg.Parts[0])
 			// An array is placed one way at a time: a partition an
 			// earlier loop left here must not shadow the shard.
-			delete(e.parts, msg.Array)
+			delete(e.parts, msg.Parts[0].Array)
 			if err := e.master.send(&Msg{Kind: MsgAck}); err != nil {
 				return err
 			}
@@ -319,7 +317,7 @@ func (e *Executor) run() error {
 				e.master.send(&Msg{Kind: MsgError, Err: err.Error()})
 				return err
 			}
-			e.loopName, e.loop = msg.LoopName, ks
+			e.loop = ks
 			e.prefetched = e.prefetched[:0]
 			for array := range ks.Prefetch {
 				e.prefetched = append(e.prefetched, array)
@@ -341,18 +339,18 @@ func (e *Executor) run() error {
 			} else {
 				return fmt.Errorf("runtime: executor %d: gather of unknown array %q", e.id, msg.Array)
 			}
-			if err := e.master.send(&Msg{Kind: MsgGatherResp, ExecutorID: e.id, Array: msg.Array, Parts: ps}); err != nil {
+			if err := e.master.send(&Msg{Kind: MsgGatherResp, Parts: ps}); err != nil {
 				return err
 			}
 		case MsgAccumQuery:
 			v := *e.ctx.Accum(msg.AccName)
-			if err := e.master.send(&Msg{Kind: MsgAccumResp, ExecutorID: e.id, AccName: msg.AccName, AccValue: v}); err != nil {
+			if err := e.master.send(&Msg{Kind: MsgAccumResp, AccValue: v}); err != nil {
 				return err
 			}
 		case MsgTraceSync:
 			// Clock-sync handshake: echo the master's T0, stamp our
 			// wall clock as late as possible before the send.
-			if err := e.master.send(&Msg{Kind: MsgTraceSync, ExecutorID: e.id, T0: msg.T0, T1: time.Now().UnixNano()}); err != nil {
+			if err := e.master.send(&Msg{Kind: MsgTraceSync, T0: msg.T0, T1: time.Now().UnixNano()}); err != nil {
 				return err
 			}
 		case MsgTraceDump:
@@ -476,8 +474,8 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	blockStart := time.Now()
 	var commNs, rotWaitNs int64
 	ks := e.loop
-	if ks == nil || msg.LoopName != e.loopName {
-		return fmt.Errorf("runtime: executor %d: loop %q is not defined here", e.id, msg.LoopName)
+	if ks == nil {
+		return fmt.Errorf("runtime: executor %d: no loop is defined here", e.id)
 	}
 	block := e.iter.block(blockKey{timeDim: msg.TimeDim, lo: msg.TimeLo, hi: msg.TimeHi, ordered: msg.Ordered})
 	keys, vals := block.keys, block.vals
@@ -584,8 +582,7 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	e.trace.EndNN("exec.block", "exec", blockStart, "iters", int64(len(keys)), "step", int64(msg.StepIndex))
 
 	return e.master.send(&Msg{
-		Kind: MsgBlockDone, ExecutorID: e.id, AccValue: float64(misses),
-		LoopName:      msg.LoopName,
+		Kind: MsgBlockDone, AccValue: float64(misses),
 		StatIters:     int64(len(keys)),
 		StatComputeNs: computeNs,
 		StatRotWaitNs: rotWaitNs,

@@ -131,10 +131,10 @@ func TestFrameChecksumRejectsCorruptRawRotation(t *testing.T) {
 }
 
 // TestFrameChecksumRejectsCorruptControlFrame repeats the flip check
-// for a control message, one byte flipped inside its loop name.
+// for a control message, one byte flipped inside its array name.
 func TestFrameChecksumRejectsCorruptControlFrame(t *testing.T) {
 	frames := captureFrames(func(c *codec) {
-		if err := c.send(&Msg{Kind: MsgBlockDone, ExecutorID: 3, LoopName: "weights"}); err != nil {
+		if err := c.send(&Msg{Kind: MsgGather, Array: "weights"}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -172,10 +172,10 @@ func TestFrameSequenceRejectsDuplicatedFrame(t *testing.T) {
 // sequence number arrives early — condemned before anything decodes.
 func TestFrameSequenceRejectsReorderedFrames(t *testing.T) {
 	frames := captureFrames(func(c *codec) {
-		if err := c.send(&Msg{Kind: MsgPing, ExecutorID: 1}); err != nil {
+		if err := c.send(&Msg{Kind: MsgPing}); err != nil {
 			t.Error(err)
 		}
-		if err := c.send(&Msg{Kind: MsgBlockDone, ExecutorID: 1}); err != nil {
+		if err := c.send(&Msg{Kind: MsgBlockDone}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -253,7 +253,7 @@ func hostileFrames(tb testing.TB) map[string][]byte {
 		return b
 	}
 	prefetch := append(uv(uv(head(MsgPrefetch), 1), 1), 'w')                 // epoch 1, array "w"
-	gathered := append(uv(uv(head(MsgGatherResp), 0), 1), 'w', 1)            // executor 0, array "w", one record
+	gathered := append(head(MsgGatherResp), 1)                               // one record
 	plan := uv(append(head(MsgDefineLoop), 0, 0, 0, 0, 0, 0, 0), maxCount+1) // every field empty up to the plan's length
 	update := append(uv(uv(uv(uv(uv(head(MsgUpdateBatch), 0), 1), 0), 1), 'w'), 2, 1, 1)
 	frames := map[string][]byte{
@@ -266,7 +266,7 @@ func hostileFrames(tb testing.TB) map[string][]byte {
 		"record layout":    checksummed(append(gathered, 1, 'w', 1, 1, 0, 0, 1, 2, 0)),
 		"short record":     append(shortDenseRotation(), make([]byte, 64)...), // the next bytes read as its values
 		"string length":    uv(head(MsgError), maxCount+1),
-		"uint overflow":    checksummed(uv(head(MsgPing), 1<<63)),
+		"uint overflow":    checksummed(uv(head(MsgSetup), 1<<63)),
 		"key rank":         uv(uv(head(MsgIterPart), 1), maxRank+1),
 		"rank":             rot(maxRank + 1),
 		"extent overflow":  rot(2, 1<<35, 1<<35),
@@ -339,8 +339,8 @@ func TestHostileLengthClaimAllocatesLazily(t *testing.T) {
 			t.Fatalf("a hostile length claim followed by %d bytes grew the frame buffer to %d bytes, want <= %d", arrived, grown, bound)
 		}
 	}
-	blob := uv(append(head(MsgDefineLoop), 0, 0, 0, 0, 0, 0, 0), maxCount-1)                                            // the plan's length
-	record := append(uv(uv(head(MsgGatherResp), 0), 1), 'w', 1, 1, 'w', 1, 0x80, 0x80, 0x40, 0, 0, 0x80, 0x80, 0x40, 0) // 2^20 values
+	blob := uv(append(head(MsgDefineLoop), 0, 0, 0, 0, 0, 0, 0), maxCount-1)                         // the plan's length
+	record := append(head(MsgGatherResp), 1, 1, 'w', 1, 0x80, 0x80, 0x40, 0, 0, 0x80, 0x80, 0x40, 0) // 2^20 values
 	for _, c := range []struct {
 		name   string
 		stream []byte
@@ -362,6 +362,26 @@ func TestHostileLengthClaimAllocatesLazily(t *testing.T) {
 	}
 }
 
+// TestSendBufferKeepsAtMostAChunk: a frame past a chunk — 200,000
+// iteration samples, an executor's share at mf_rotate's size — does not
+// leave the send buffer at its size for the life of the link: after it
+// and a ping, the buffer holds at most a chunk, as the receive side does.
+func TestSendBufferKeepsAtMostAChunk(t *testing.T) {
+	samples := make([]IterSample, 200_000)
+	for i := range samples {
+		samples[i] = IterSample{Key: []int64{int64(i), int64(i % 977)}, Val: float64(i) + 0.5}
+	}
+	c := newCodec(noopConn{})
+	for _, m := range []*Msg{{Kind: MsgIterPart, Samples: samples}, {Kind: MsgPing}} {
+		if err := c.send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cap(c.wbuf); got > frameReadChunk {
+		t.Errorf("the send buffer kept %d bytes after a large frame, want <= %d", got, frameReadChunk)
+	}
+}
+
 func uv(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
 // TestServeUpdateDuplicateDeliveryIdempotent is the state-layer
@@ -372,7 +392,7 @@ func TestServeUpdateDuplicateDeliveryIdempotent(t *testing.T) {
 	a := dsm.NewDense("w", 4, 8)
 	local := a.ExtractRange(1, 0, 8)
 	s := newShardSet(nil, 0)
-	s.install("w", []int64{4, 8}, nil, local)
+	s.install(nil, local)
 
 	offs := []int64{0, 5, 9}
 	vals := []float64{1, 2, 3}
@@ -515,7 +535,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{sparse.ExtractRange(1, 0, 40), sparse.ExtractRange(1, 3, 3)},
 		nil,
 	} {
-		f.Add(captureFrames(func(c *codec) { c.send(&Msg{Kind: MsgGatherResp, ExecutorID: 1, Array: "W", Parts: ps}) })[0])
+		f.Add(captureFrames(func(c *codec) { c.send(&Msg{Kind: MsgGatherResp, Parts: ps}) })[0])
 	}
 	for _, frame := range hostileFrames(f) {
 		f.Add(frame)

@@ -27,43 +27,15 @@ var ErrWorkerLost = errors.New("worker lost")
 // staleness when SetHeartbeat arms a timeout.
 const pingInterval = 500 * time.Millisecond
 
-// masterChans is one fleet generation's response channels. Every
-// admission gives its generation a fresh set, so connection handlers of
-// a dead generation can never feed stale messages into a resumed loop's
-// barrier.
+// masterChans is one fleet generation's channels. Every admission gives
+// its generation a fresh set, so connection handlers of a dead
+// generation can never feed stale messages into a resumed loop's wait.
 type masterChans struct {
-	blockDone  chan *Msg
-	gatherResp chan *Msg
-	accumResp  chan *Msg
-	ackCh      chan *Msg
-	traceCh    chan *Msg
-	execErr    chan error
-}
-
-func newMasterChans(n int) *masterChans {
-	return &masterChans{
-		blockDone:  make(chan *Msg, n),
-		gatherResp: make(chan *Msg, n),
-		accumResp:  make(chan *Msg, n),
-		ackCh:      make(chan *Msg, n),
-		// Trace collection is sequential (one outstanding request per
-		// executor), but a timed-out response may arrive late; 2n slots
-		// keep handlers from ever blocking on stale replies.
-		traceCh: make(chan *Msg, 2*n),
-		// Each connection can contribute both a MsgError and a
-		// connection-loss error; size the buffer so handlers never block.
-		execErr: make(chan error, 2*n),
-	}
-}
-
-func freshSeen(n int) []*atomic.Int64 {
-	out := make([]*atomic.Int64, n)
-	now := time.Now().UnixNano()
-	for i := range out {
-		out[i] = &atomic.Int64{}
-		out[i].Store(now)
-	}
-	return out
+	// replies streams every answer to a wait (block done, gather,
+	// accumulator, ack), each named by the link it arrived on.
+	replies chan *Msg
+	traceCh chan *Msg
+	execErr chan error
 }
 
 // Master is the Orion coordinator (Fig. 3): the driver program talks to
@@ -85,11 +57,13 @@ type Master struct {
 	shut       chan struct{}
 	shutOnce   sync.Once
 	generation int
+	// loop is the loop this fleet generation defined last: ParallelFor runs no other.
+	loop string
 
 	mu sync.Mutex // guards missCount, reports and the residency epochs
 
 	ch       *masterChans
-	lastSeen []*atomic.Int64 // liveness timestamps, by executor id
+	lastSeen []atomic.Int64 // liveness timestamps, by executor id
 
 	// clock counts completed global steps across every loop this master
 	// has run; it is the coordinate system of checkpoints and of the
@@ -291,6 +265,7 @@ collect:
 		return 0, fmt.Errorf("runtime: only %d of %d executors joined within %v: %w", len(fleet), want, wait, ErrWorkerLost)
 	}
 	m.generation++
+	m.loop = ""
 	// The fleet's executors hold their own caps, the newcomers the
 	// default: the next DefineLoop widens the cap, and its barrier, anew.
 	m.limit.n.Store(0)
@@ -298,10 +273,21 @@ collect:
 	m.n = n
 	m.conns = make([]*codec, n)
 	m.peers = make([]string, n)
-	m.ch = newMasterChans(n)
-	m.lastSeen = freshSeen(n)
+	m.ch = &masterChans{
+		replies: make(chan *Msg, n), // a wait takes one reply per executor
+		// Trace collection is sequential (one outstanding request per
+		// executor), but a timed-out response may arrive late; 2n slots
+		// keep handlers from ever blocking on stale replies.
+		traceCh: make(chan *Msg, 2*n),
+		// Each connection can contribute both a MsgError and a
+		// connection-loss error, and a wait that ends the generation
+		// one more; size the buffer so handlers never block.
+		execErr: make(chan error, 2*n+1),
+	}
+	m.lastSeen = make([]atomic.Int64, n)
 	m.closed.Store(false)
 	for id, j := range fleet {
+		m.lastSeen[id].Store(time.Now().UnixNano())
 		// The executor id is only known after the hello, so this side of
 		// the link counts messages (the executor side counts bytes too).
 		j.c.stats = obs.Peer(fmt.Sprintf("master/exec%d", id))
@@ -326,15 +312,15 @@ collect:
 		if err := c.send(&Msg{Kind: MsgSetup, ExecutorID: id, Peers: m.peers, Trace: obs.Tracing()}); err != nil {
 			return 0, sendErr("setup", id, err)
 		}
-		go m.handleConn(id, c, m.ch, m.lastSeen[id])
+		go m.handleConn(id, c, m.ch, &m.lastSeen[id])
 	}
 	return n, nil
 }
 
 // handleConn processes executor-initiated messages for one fleet
-// generation: responses land in that generation's channels, so a
-// handler outliving a recovery cannot pollute the next generation's
-// barriers.
+// generation: each is named by its link, and replies land in that
+// generation's stream, so a handler outliving a recovery cannot pollute
+// the next generation's waits.
 func (m *Master) handleConn(id int, c *codec, ch *masterChans, seen *atomic.Int64) {
 	for {
 		msg, err := c.recv()
@@ -348,17 +334,10 @@ func (m *Master) handleConn(id int, c *codec, ch *masterChans, seen *atomic.Int6
 			return
 		}
 		seen.Store(time.Now().UnixNano())
+		msg.ExecutorID = id
 		switch msg.Kind {
 		case MsgPing:
 			// Liveness only — the timestamp refresh above is the point.
-		case MsgBlockDone:
-			ch.blockDone <- msg
-		case MsgGatherResp:
-			ch.gatherResp <- msg
-		case MsgAccumResp:
-			ch.accumResp <- msg
-		case MsgAck:
-			ch.ackCh <- msg
 		case MsgTraceSync, MsgTraceDump:
 			// Never block on a stale reply: the collector may have
 			// timed out and moved on, leaving the buffer full.
@@ -374,6 +353,9 @@ func (m *Master) handleConn(id int, c *codec, ch *masterChans, seen *atomic.Int6
 				err = fmt.Errorf("runtime: executor %d: %s: %w", id, msg.Err, ErrWorkerLost)
 			}
 			ch.execErr <- err
+		default:
+			// A reply; await refuses one of a kind it does not wait for.
+			ch.replies <- msg
 		}
 	}
 }
@@ -548,6 +530,9 @@ func (m *Master) ParallelFor(def LoopDef) error {
 	if err != nil {
 		return err
 	}
+	if def.Kernel != m.loop {
+		return fmt.Errorf("runtime: loop %q is not the loop this fleet defined last (%q)", def.Kernel, m.loop)
+	}
 	passes := def.Passes
 	if passes <= 0 {
 		passes = 1
@@ -608,7 +593,6 @@ func (m *Master) runStep(def LoopDef, pass, step int, timeParts []int) error {
 	for j, tp := range timeParts {
 		msg := &Msg{
 			Kind:      MsgExecBlock,
-			LoopName:  def.Kernel,
 			TimeDim:   def.TimeDim,
 			Rotated:   def.Rotate,
 			Ordered:   def.Ordered,
@@ -628,7 +612,7 @@ func (m *Master) runStep(def LoopDef, pass, step int, timeParts []int) error {
 			return sendErr("dispatch", j, err)
 		}
 	}
-	if err := m.await(m.ch.blockDone, func(msg *Msg) error { m.noteBlockDone(msg); return nil }); err != nil {
+	if err := m.await(MsgBlockDone, func(msg *Msg) error { m.noteBlockDone(def.Kernel, msg); return nil }); err != nil {
 		if errors.Is(err, ErrWorkerLost) {
 			lost(-1, err)
 		}
@@ -647,15 +631,18 @@ func (m *Master) runStep(def LoopDef, pass, step int, timeParts []int) error {
 // recovery path handles.
 const stepStallFactor = 10
 
-// await collects one reply per executor from ch, handing each to each.
-// It is the master's only wait on the fleet — a step's barrier, a
-// gather, an accumulator query, a shard install — so all of them
-// surface executor errors and, when a heartbeat timeout is armed,
-// workers that have gone silent even though their connections are still
-// open, and waits that have stalled past stepStallFactor heartbeat
-// timeouts with every worker still pinging (a wedged link, not a dead
-// process).
-func (m *Master) await(ch <-chan *Msg, each func(*Msg) error) error {
+// await takes exactly one reply of kind from every executor, each named
+// by the link it arrived on, and hands each to each (nil: none). It is
+// the master's only wait on the fleet — step barrier, gather,
+// accumulator query, ack barrier. A second reply from one executor, or
+// one of another kind, is a protocol fault (ErrWorkerLost). A refused
+// reply does not end the wait: the rest are still taken, so none
+// outlives it, and the first error returns once all have answered. Only
+// an executor error, a worker silent past an armed heartbeat timeout, or
+// a wait stalled past stepStallFactor timeouts with every worker still
+// pinging (a wedged link) ends it early, and with it the generation:
+// every later wait on it fails the same way.
+func (m *Master) await(kind MsgKind, each func(*Msg) error) error {
 	var tick <-chan time.Time // never ready while staleness detection is unarmed
 	var start time.Time
 	if m.hbTimeout > 0 {
@@ -663,44 +650,60 @@ func (m *Master) await(ch <-chan *Msg, each func(*Msg) error) error {
 		defer t.Stop()
 		tick, start = t.C, time.Now()
 	}
+	answered := make([]bool, m.n)
+	var first error
 	for got := 0; got < m.n; {
+		var err error
 		select {
-		case msg := <-ch:
-			got++
-			if err := each(msg); err != nil {
-				return err
+		case msg := <-m.ch.replies:
+			id := msg.ExecutorID
+			if answered[id] || msg.Kind != kind {
+				err = fmt.Errorf("runtime: executor %d sent a kind %d reply to a wait for one of kind %d each: %w", id, msg.Kind, kind, ErrWorkerLost)
+			} else if each != nil {
+				err = each(msg)
 			}
-		case err := <-m.ch.execErr:
-			return err
+			if first == nil {
+				first = err
+			}
+			if !answered[id] {
+				answered[id], got = true, got+1
+			}
+			continue
+		case err = <-m.ch.execErr:
 		case <-tick:
 			now := time.Now()
-			for id, seen := range m.lastSeen {
-				if now.UnixNano()-seen.Load() > int64(m.hbTimeout) {
-					return fmt.Errorf("runtime: executor %d heartbeat stale (silent > %v): %w", id, m.hbTimeout, ErrWorkerLost)
+			for id := range m.lastSeen {
+				if err == nil && now.UnixNano()-m.lastSeen[id].Load() > int64(m.hbTimeout) {
+					err = fmt.Errorf("runtime: executor %d heartbeat stale (silent > %v): %w", id, m.hbTimeout, ErrWorkerLost)
 				}
 			}
-			if now.Sub(start) > stepStallFactor*m.hbTimeout {
-				return fmt.Errorf("runtime: %d of %d replies after > %v with live heartbeats (wedged link): %w",
+			if err == nil && now.Sub(start) > stepStallFactor*m.hbTimeout {
+				err = fmt.Errorf("runtime: %d of %d replies after > %v with live heartbeats (wedged link): %w",
 					got, m.n, stepStallFactor*m.hbTimeout, ErrWorkerLost)
 			}
+			if err == nil {
+				continue
+			}
 		}
+		select { // requeued, so every later wait of this generation fails too
+		case m.ch.execErr <- err:
+		default: // full of errors already
+		}
+		return err
 	}
-	return nil
+	return first
 }
 
 // noteBlockDone folds one executor's block stats into the prefetch-miss
-// counter and the per-loop execution report.
-func (m *Master) noteBlockDone(msg *Msg) {
+// counter and the execution report of the loop it ran.
+func (m *Master) noteBlockDone(loop string, msg *Msg) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.missCount += int64(msg.AccValue)
-	if msg.LoopName == "" {
-		return
-	}
-	r := m.reports[msg.LoopName]
+	r := m.reports[loop]
 	if r == nil {
-		r = &obs.LoopReport{Loop: msg.LoopName}
-		m.reports[msg.LoopName] = r
+		r = &obs.LoopReport{Loop: loop}
+		m.reports[loop] = r
 	}
 	r.Add(obs.WorkerStats{
 		Worker:    msg.ExecutorID,
@@ -793,7 +796,7 @@ func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 	}
 	// Nothing is written before every partition of a reply is checked
 	// against the array: a reply the array does not admit fails the call.
-	err := m.await(m.ch.gatherResp, func(msg *Msg) error {
+	err := m.await(MsgGatherResp, func(msg *Msg) error {
 		for _, p := range msg.Parts {
 			if err := out.Admits(p); err != nil {
 				return fmt.Errorf("runtime: gather of %s from executor %d: %w", array, msg.ExecutorID, err)
@@ -818,10 +821,7 @@ func (m *Master) AccumSum(name string) (float64, error) {
 		}
 	}
 	vals := make([]float64, len(m.conns))
-	if err := m.await(m.ch.accumResp, func(msg *Msg) error {
-		if msg.ExecutorID >= len(vals) {
-			return fmt.Errorf("runtime: accumulator %s answered by executor %d of %d", name, msg.ExecutorID, len(vals))
-		}
+	if err := m.await(MsgAccumResp, func(msg *Msg) error {
 		vals[msg.ExecutorID] = msg.AccValue
 		return nil
 	}); err != nil {
@@ -862,6 +862,7 @@ func (m *Master) Shutdown() {
 // an executor still holds the narrower one.
 func (m *Master) DefineLoop(def *Msg) error {
 	def.Kind = MsgDefineLoop
+	m.loop = def.LoopName
 	raised := m.limit.raise(def.ArrayDims)
 	for id, c := range m.conns {
 		err := c.send(def)
@@ -875,7 +876,7 @@ func (m *Master) DefineLoop(def *Msg) error {
 	if !raised {
 		return nil
 	}
-	return m.await(m.ch.ackCh, func(*Msg) error { return nil })
+	return m.await(MsgAck, nil)
 }
 
 // DistributeServed range-shards a parameter-server array along its last
@@ -889,18 +890,12 @@ func (m *Master) DistributeServed(a *dsm.DistArray) error {
 	boundaries := sched.NewRangePartitioner(a.Dims()[lastDim], m.n).Boundaries()
 	parts := a.RangePartitions(lastDim, m.n, boundaries)
 	for id, p := range parts {
-		msg := &Msg{
-			Kind:      MsgServedShard,
-			Array:     a.Name(),
-			Parts:     []*dsm.Partition{p},
-			Offsets:   boundaries,
-			ArrayDims: map[string][]int64{a.Name(): a.Dims()},
-		}
+		msg := &Msg{Kind: MsgServedShard, Parts: []*dsm.Partition{p}, Offsets: boundaries}
 		if err := m.conns[id].send(msg); err != nil {
 			return sendErr("shipping "+a.Name(), id, err)
 		}
 	}
 	// Peers read each other's shards as soon as their own blocks start,
 	// so wait until every executor has installed its shard.
-	return m.await(m.ch.ackCh, func(*Msg) error { return nil })
+	return m.await(MsgAck, nil)
 }

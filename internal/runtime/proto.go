@@ -33,12 +33,12 @@ const (
 	// (Rotated) or wavefront (Ordered).
 	MsgArrayPart
 	// MsgServedShard: master → executor: serve this shard of a
-	// parameter-server array to your peers.
+	// parameter-server array, cut along its last dimension, to your peers.
 	MsgServedShard
 	// MsgIterPart: master → executor: your iteration-space samples.
 	MsgIterPart
-	// MsgExecBlock: master → executor: run kernel over your samples
-	// whose time coordinate falls in [TimeLo, TimeHi).
+	// MsgExecBlock: master → executor: run the loop last defined over
+	// your samples whose time coordinate falls in [TimeLo, TimeHi).
 	MsgExecBlock
 	// MsgBlockDone: executor → master.
 	MsgBlockDone
@@ -92,9 +92,9 @@ const (
 type Msg struct {
 	Kind MsgKind
 
-	// Hello / Setup. A hello with ExecutorID -1 asks the master to
-	// assign a free id (reported back in the setup message — used by
-	// rejoining workers after a recovery re-forms the fleet).
+	// Hello / Setup / UpdateBatch, and set by the master to the link any
+	// other message arrived on. A hello with ExecutorID -1 asks the
+	// master to assign a free id (reported back in the setup message).
 	ExecutorID int
 	PeerAddr   string
 	Peers      []string // indexed by executor id
@@ -384,6 +384,9 @@ func (c *codec) write(m *Msg) (int64, error) {
 	}
 	c.wseq++
 	c.wbuf = h[:0]
+	if cap(h) > frameReadChunk {
+		c.wbuf = nil // one large frame does not pin its staging for the life of the link
+	}
 	if _, err := c.bw.Write(h); err != nil {
 		return 0, err
 	}

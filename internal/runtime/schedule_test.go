@@ -63,7 +63,7 @@ func startFakeFleet(t *testing.T, prefix string, n int) *fakeFleet {
 					// Only the test goroutine reads blocks[j], after the
 					// barrier this reply releases.
 					f.blocks[j] = append(f.blocks[j], dispatched{msg.TimeLo, msg.TimeHi, msg.Pass, msg.StepIndex, msg.Epoch})
-					c.send(&Msg{Kind: MsgBlockDone, ExecutorID: j})
+					c.send(&Msg{Kind: MsgBlockDone})
 				case MsgArrayPart:
 					for _, p := range msg.Parts {
 						f.parts <- [3]int64{int64(j), p.Lo, p.Hi}
@@ -82,6 +82,10 @@ func startFakeFleet(t *testing.T, prefix string, n int) *fakeFleet {
 			<-exited
 		}
 	})
+	// The fakes ignore the definition; the master runs only what it defined.
+	if err := m.DefineLoop(&Msg{LoopName: "none"}); err != nil {
+		t.Fatal(err)
+	}
 	return f
 }
 

@@ -8,7 +8,7 @@ import "fmt"
 // read each other's frames never exchange one past the handshake. The
 // hello row itself never changes, so every build reads any build's hello
 // whole and verifies its trailer before it judges the version.
-const wireVersion = 2
+const wireVersion = 3
 
 // A wireType is how one field is laid out in a frame. Counts are
 // uvarints; a count read before the fleet's element cap applies is at
@@ -95,30 +95,31 @@ type col struct {
 // The encoder, the decoder, FuzzDecodeFrame's seeds and DESIGN.md's
 // "Wire format" table (held to it by internal/lint) all read this one
 // table. The raw float64 payloads (tColumn, tPart) stream from their
-// storage after the rest of the frame, so each ends its row.
+// storage after the rest of the frame, so each ends its row. No row
+// carries what its receiver knows (DESIGN.md "Wire format").
 var schema = [...][]col{
 	MsgHello:        {{fVersion, tUint}, {fExecutorID, tInt}, {fPeerAddr, tText}},
 	MsgSetup:        {{fExecutorID, tUint}, {fPeers, tTexts}, {fTrace, tFlag}},
 	MsgArrayPart:    {{fArray, tName}, {fRotated, tFlag}, {fOrdered, tFlag}, {fParts, tParts}},
-	MsgServedShard:  {{fArray, tName}, {fOffsets, tInts}, {fArrayDims, tDims}, {fParts, tParts}},
+	MsgServedShard:  {{fOffsets, tInts}, {fParts, tParts}},
 	MsgIterPart:     {{fSamples, tSamples}},
-	MsgExecBlock:    {{fLoopName, tText}, {fTimeDim, tInt}, {fRotated, tFlag}, {fOrdered, tFlag}, {fPass, tUint}, {fStepIndex, tUint}, {fEpoch, tUint}, {fTimeLo, tInt}, {fTimeHi, tInt}},
-	MsgBlockDone:    {{fExecutorID, tUint}, {fLoopName, tText}, {fAccValue, tFloat}, {fStatIters, tUint}, {fStatComputeNs, tUint}, {fStatRotWaitNs, tUint}, {fStatCommNs, tUint}},
+	MsgExecBlock:    {{fTimeDim, tInt}, {fRotated, tFlag}, {fOrdered, tFlag}, {fPass, tUint}, {fStepIndex, tUint}, {fEpoch, tUint}, {fTimeLo, tInt}, {fTimeHi, tInt}},
+	MsgBlockDone:    {{fAccValue, tFloat}, {fStatIters, tUint}, {fStatComputeNs, tUint}, {fStatRotWaitNs, tUint}, {fStatCommNs, tUint}},
 	MsgRotate:       {{fArray, tName}, {fParts, tParts}, {fPart, tPart}},
 	MsgPrefetch:     {{fEpoch, tUint}, {fArray, tName}, {fOffsets, tGaps}},
 	MsgPrefetchResp: {{fValues, tColumn}},
 	MsgUpdateBatch:  {{fExecutorID, tUint}, {fEpoch, tUint}, {fAbsolute, tFlag}, {fArray, tName}, {fOffsets, tGaps}, {fValues, tColumn}},
 	MsgGather:       {{fArray, tName}},
-	MsgGatherResp:   {{fExecutorID, tUint}, {fArray, tName}, {fParts, tParts}},
+	MsgGatherResp:   {{fParts, tParts}},
 	MsgAccumQuery:   {{fAccName, tName}},
-	MsgAccumResp:    {{fExecutorID, tUint}, {fAccName, tName}, {fAccValue, tFloat}},
+	MsgAccumResp:    {{fAccValue, tFloat}},
 	MsgDefineLoop:   {{fLoopName, tText}, {fLoopSrc, tText}, {fArrayDims, tDims}, {fBuffers, tPairs}, {fGlobalNames, tTexts}, {fGlobalVals, tFloats}, {fAccumNames, tTexts}, {fPlanBlob, tBytes}},
 	MsgShutdown:     {},
 	MsgAck:          {},
 	MsgError:        {{fErr, tText}, {fLost, tFlag}},
-	MsgPing:         {{fExecutorID, tUint}},
-	MsgTraceSync:    {{fExecutorID, tUint}, {fT0, tInt}, {fT1, tInt}},
-	MsgTraceDump:    {{fExecutorID, tUint}, {fTracerID, tInt}, {fDump, tDump}},
+	MsgPing:         {},
+	MsgTraceSync:    {{fT0, tInt}, {fT1, tInt}},
+	MsgTraceDump:    {{fTracerID, tInt}, {fDump, tDump}},
 }
 
 // fields points at each Msg field a frame can carry, by field; the

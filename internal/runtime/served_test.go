@@ -31,7 +31,7 @@ func loneExecutor(tr Transport, extent, ownLast int64, peers ...string) *Executo
 	if ownLast < extent {
 		cuts = []int64{ownLast}
 	}
-	e.shards.install("w", []int64{extent}, cuts, w.ExtractRange(0, 0, ownLast))
+	e.shards.install(cuts, w.ExtractRange(0, 0, ownLast))
 	return e
 }
 
@@ -288,7 +288,7 @@ func TestServedRoundTripAllocs(t *testing.T) {
 		owner := loneExecutor(tr, 2*n, n)
 		owner.id, owner.shards.selfID = 1, 1
 		w := dsm.NewDense("w", 2*n)
-		owner.shards.install("w", []int64{2 * n}, []int64{n}, w.ExtractRange(0, n, 2*n))
+		owner.shards.install([]int64{n}, w.ExtractRange(0, n, 2*n))
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -500,7 +500,7 @@ func TestShardAddressesByFlatOffset(t *testing.T) {
 			full.SetFlat(off, float64(off))
 		}
 		s := newShardSet(nil, 1)
-		s.install("w", []int64{3, 8}, []int64{5}, full.ExtractRange(1, 5, 8))
+		s.install([]int64{5}, full.ExtractRange(1, 5, 8))
 		offs := []int64{15, 16, 19, 23}
 		if err := s.serveUpdate("w", 0, offs, []float64{1, -16, 0.5, 2}, false, 1); err != nil {
 			t.Fatal(err)

@@ -51,7 +51,7 @@ type shardTable struct {
 	// boundaries along the last dim (len = n-1): owner k holds
 	// lastCoord in [boundaries[k-1], boundaries[k]).
 	boundaries []int64
-	// local is this executor's shard (nil if it owns nothing).
+	// local is this executor's shard, an empty range if it owns nothing.
 	local *dsm.Partition
 	// lastStride = product of all dims except the last: flattened
 	// offset / lastStride = last-dim coordinate.
@@ -121,16 +121,15 @@ func (t *shardTable) stage(src int, epoch int64, absolute bool, offs []int64, va
 	t.pending = append(t.pending, u)
 }
 
-func newShardTable(dims, boundaries []int64, local *dsm.Partition) *shardTable {
+// newShardTable serves local, a range of its array's last dimension,
+// whose record carries the extents of every other dimension.
+func newShardTable(boundaries []int64, local *dsm.Partition) *shardTable {
+	dims := local.Local.Dims()
 	stride := int64(1)
 	for _, d := range dims[:len(dims)-1] {
 		stride *= d
 	}
-	t := &shardTable{boundaries: boundaries, local: local, lastStride: stride}
-	if local != nil {
-		t.base = local.Lo * stride
-	}
-	return t
+	return &shardTable{boundaries: boundaries, local: local, lastStride: stride, base: local.Lo * stride}
 }
 
 // ownerOf returns the executor owning a flattened offset.
@@ -200,10 +199,10 @@ func newShardSet(t Transport, selfID int) *shardSet {
 	}
 }
 
-func (s *shardSet) install(array string, dims, boundaries []int64, local *dsm.Partition) {
+func (s *shardSet) install(boundaries []int64, local *dsm.Partition) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tables[array] = newShardTable(dims, boundaries, local)
+	s.tables[local.Array] = newShardTable(boundaries, local)
 }
 
 func (s *shardSet) table(array string) *shardTable {
@@ -220,7 +219,7 @@ func (s *shardSet) serveRead(out []float64, array string, offs []int64, epoch in
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tables[array]
-	if t == nil || t.local == nil {
+	if t == nil {
 		return out, fmt.Errorf("runtime: executor %d serves no shard of %q", s.selfID, array)
 	}
 	if err := t.checkLocal(offs); err != nil {
@@ -246,7 +245,7 @@ func (s *shardSet) serveUpdate(array string, src int, offs []int64, vals []float
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tables[array]
-	if t == nil || t.local == nil {
+	if t == nil {
 		return fmt.Errorf("runtime: executor %d serves no shard of %q", s.selfID, array)
 	}
 	if err := t.checkLocal(offs); err != nil {
@@ -257,12 +256,12 @@ func (s *shardSet) serveUpdate(array string, src int, offs []int64, vals []float
 }
 
 // gatherLocal folds everything pending and returns the local shard for
-// a gather (nil if this executor owns nothing of the array).
+// a gather (nil if this executor serves no shard of the array).
 func (s *shardSet) gatherLocal(array string) *dsm.Partition {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tables[array]
-	if t == nil || t.local == nil {
+	if t == nil {
 		return nil
 	}
 	t.fold(0)

@@ -101,7 +101,7 @@ func (m *Master) syncClock(id int, c *codec) (int64, bool) {
 // already in the master's rings and shipping them would duplicate
 // every lane.
 func (e *Executor) traceDump(masterTracer int64) *Msg {
-	out := &Msg{Kind: MsgTraceDump, ExecutorID: e.id}
+	out := &Msg{Kind: MsgTraceDump}
 	if tr := obs.CurrentTracer(); tr != nil && tr.ID() == masterTracer {
 		out.Dump = &obs.TraceDump{TracerID: tr.ID()}
 	} else if tr != nil {

@@ -54,27 +54,27 @@ func wireExamples() []wireExample {
 		{"Hello", Msg{Kind: MsgHello, ExecutorID: -1, PeerAddr: "127.0.0.1:7001"}},
 		{"Setup", Msg{Kind: MsgSetup, ExecutorID: 2, Peers: []string{"a:1", "b:2", "c:3"}, Trace: true}},
 		{"ArrayPart", Msg{Kind: MsgArrayPart, Array: "H", Rotated: true, Ordered: true, Parts: []*dsm.Partition{a.ExtractRange(1, 0, 1), a.ExtractRange(1, 1, 3)}}},
-		{"ServedShard", Msg{Kind: MsgServedShard, Array: "w", Offsets: []int64{8, 8}, ArrayDims: map[string][]int64{"w": {16}}, Parts: []*dsm.Partition{w.ExtractRange(0, 0, 8)}}},
+		{"ServedShard", Msg{Kind: MsgServedShard, Offsets: []int64{8, 8}, Parts: []*dsm.Partition{w.ExtractRange(0, 0, 8)}}},
 		{"IterPart", Msg{Kind: MsgIterPart, Samples: []IterSample{{Key: []int64{0, 3}, Val: 4.5}, {Key: []int64{-1, 200}, Val: -0.1}}}},
-		{"ExecBlock", Msg{Kind: MsgExecBlock, LoopName: "dsl-mf-12", TimeDim: -1, Rotated: true, Ordered: true, Pass: 2, StepIndex: 1, Epoch: 130, TimeLo: 10, TimeHi: 20}},
-		{"BlockDone", Msg{Kind: MsgBlockDone, ExecutorID: 1, LoopName: "dsl-mf-12", AccValue: 3, StatIters: 150, StatComputeNs: 1234567, StatRotWaitNs: 890, StatCommNs: 45678}},
+		{"ExecBlock", Msg{Kind: MsgExecBlock, TimeDim: -1, Rotated: true, Ordered: true, Pass: 2, StepIndex: 1, Epoch: 130, TimeLo: 10, TimeHi: 20}},
+		{"BlockDone", Msg{Kind: MsgBlockDone, AccValue: 3, StatIters: 150, StatComputeNs: 1234567, StatRotWaitNs: 890, StatCommNs: 45678}},
 		{"Rotate", Msg{Kind: MsgRotate, Array: "H", Parts: []*dsm.Partition{z.ExtractRange(1, 10, 40)}, part: a.ExtractRange(1, 0, 3)}},
 		{"Prefetch", Msg{Kind: MsgPrefetch, Epoch: 7, Array: "w", Offsets: []int64{0, 3, 200, 1 << 40}}},
 		{"PrefetchResp", Msg{Kind: MsgPrefetchResp, Values: []float64{1.5, math.Inf(-1), -0.0}}},
 		{"UpdateBatch", Msg{Kind: MsgUpdateBatch, ExecutorID: 1, Epoch: 7, Absolute: true, Array: "w", Offsets: []int64{4, 5}, Values: []float64{0.5, 1}}},
 		{"Gather", Msg{Kind: MsgGather, Array: "W"}},
-		{"GatherResp", Msg{Kind: MsgGatherResp, ExecutorID: 1, Array: "z", Parts: []*dsm.Partition{z.ExtractRange(1, 0, 20), z.ExtractRange(1, 20, 40)}}},
+		{"GatherResp", Msg{Kind: MsgGatherResp, Parts: []*dsm.Partition{z.ExtractRange(1, 0, 20), z.ExtractRange(1, 20, 40)}}},
 		{"AccumQuery", Msg{Kind: MsgAccumQuery, AccName: "loss"}},
-		{"AccumResp", Msg{Kind: MsgAccumResp, ExecutorID: 1, AccName: "loss", AccValue: 0.125}},
+		{"AccumResp", Msg{Kind: MsgAccumResp, AccValue: 0.125}},
 		{"DefineLoop", Msg{Kind: MsgDefineLoop, LoopName: "dsl-mf-12", LoopSrc: "for (i, j, v) in ratings { }",
 			ArrayDims: map[string][]int64{"W": {4, 24}, "H": {4, 20}}, Buffers: map[string]string{"gw": "W"},
 			GlobalNames: []string{"lr", "k"}, GlobalVals: []float64{0.05, 16}, AccumNames: []string{"loss"}, PlanBlob: []byte{0xde, 0xad}}},
 		{"Shutdown", Msg{Kind: MsgShutdown}},
 		{"Ack", Msg{Kind: MsgAck}},
 		{"Error", Msg{Kind: MsgError, Err: "shard owner 1 unreachable", Lost: true}},
-		{"Ping", Msg{Kind: MsgPing, ExecutorID: 1}},
-		{"TraceSync", Msg{Kind: MsgTraceSync, ExecutorID: 1, T0: 1700000000000000000, T1: 1700000000000001234}},
-		{"TraceDump", Msg{Kind: MsgTraceDump, ExecutorID: 1, TracerID: -42, Dump: &obs.TraceDump{TracerID: 99, StartUnixNs: 17e17,
+		{"Ping", Msg{Kind: MsgPing}},
+		{"TraceSync", Msg{Kind: MsgTraceSync, T0: 1700000000000000000, T1: 1700000000000001234}},
+		{"TraceDump", Msg{Kind: MsgTraceDump, TracerID: -42, Dump: &obs.TraceDump{TracerID: 99, StartUnixNs: 17e17,
 			Bufs: []obs.BufDump{{Pid: 2, Tid: 3, Name: "exec1", Dropped: 1, Spans: []obs.SpanRec{
 				{Name: "exec.block", Cat: "exec", K1: "iters", V1: 150, K2: "step", V2: 1, StartNs: 1000, DurNs: 500},
 				{Name: "mark", Instant: true}}}}}}},
@@ -264,7 +264,7 @@ func TestWireVersionSkewJudgedOnAVerifiedFirstFrame(t *testing.T) {
 	flipped := captureFrames(func(c *codec) { c.send(&Msg{Kind: MsgHello, ExecutorID: 1, PeerAddr: "p"}) })[0]
 	flipped[2] ^= 2 // the version: seq 0 · kind 0 · version
 	session := captureFrames(func(c *codec) {
-		c.send(&Msg{Kind: MsgPing, ExecutorID: 1})
+		c.send(&Msg{Kind: MsgPing})
 		c.send(&Msg{Kind: MsgSetup, ExecutorID: 2, Peers: []string{"a"}})
 	})
 	setup := slices.Concat(session...)
@@ -432,14 +432,15 @@ func TestArraysPastTheDefaultCapShipBeforeAnyLoop(t *testing.T) {
 	}
 }
 
-// TestMasterLinkBytesVaryOnlyByStatsAndLoopName: a two-worker MF fleet
-// runs three single-pass calls, each under a loop name minted per call
-// as the driver mints them (dsl-<name>-<seq>, here crossing from one
-// digit to two). Re-encoded with the block statistics and the loop name
-// zeroed, and each frame on a fresh link (so its sequence number is one
-// byte), every pass moves exactly the same master-link bytes: what
-// varies from pass to pass is those fields alone.
-func TestMasterLinkBytesVaryOnlyByStatsAndLoopName(t *testing.T) {
+// TestMasterLinkBytesVaryOnlyByStats: a two-worker MF fleet runs three
+// single-pass calls, each under a loop name minted per call as the
+// driver mints them (dsl-<name>-<seq>, here crossing from one digit to
+// two), which travels in the call's DefineLoop alone. Re-encoded with
+// the block statistics zeroed, each frame on a fresh link (so its
+// sequence number is one byte) and the DefineLoop left out, every pass
+// moves exactly the same master-link bytes: what varies from pass to
+// pass is the statistics alone.
+func TestMasterLinkBytesVaryOnlyByStats(t *testing.T) {
 	tr := &masterTap{Transport: NewInProc(), master: "tap-master"}
 	compile := func(*Msg) (*KernelSet, error) { return runtimeLoops["rt_mf"], nil }
 	quiet := func(e *Executor) { e.SetPingInterval(time.Hour) }
@@ -499,7 +500,10 @@ func TestMasterLinkBytesVaryOnlyByStatsAndLoopName(t *testing.T) {
 				c.rseq = seqs[i][d]
 				var msg Msg
 				for c.recvInto(&msg) == nil {
-					msg.LoopName, msg.StatIters, msg.StatComputeNs, msg.StatRotWaitNs, msg.StatCommNs = "", 0, 0, 0, 0
+					if msg.Kind == MsgDefineLoop {
+						continue
+					}
+					msg.StatIters, msg.StatComputeNs, msg.StatRotWaitNs, msg.StatCommNs = 0, 0, 0, 0
 					z += len(captureFrames(func(c *codec) {
 						if err := c.send(&msg); err != nil {
 							t.Error(err)
@@ -511,8 +515,8 @@ func TestMasterLinkBytesVaryOnlyByStatsAndLoopName(t *testing.T) {
 		}
 		raw, zeroed = append(raw, r), append(zeroed, z)
 	}
-	t.Logf("master-link bytes per pass: %v as sent, %v re-encoded with the statistics and loop name zeroed", raw, zeroed)
+	t.Logf("master-link bytes per pass: %v as sent, %v re-encoded with the statistics zeroed and no DefineLoop", raw, zeroed)
 	if zeroed[0] != zeroed[1] || zeroed[1] != zeroed[2] {
-		t.Errorf("re-encoded master-link bytes per pass %v differ: something besides the statistics and the loop name varies", zeroed)
+		t.Errorf("re-encoded master-link bytes per pass %v differ: something besides the statistics varies", zeroed)
 	}
 }
