@@ -17,20 +17,22 @@ import (
 // TestDefineLoopRetiresPreviousKernelSet: the driver mints a fresh
 // kernel name per ParallelFor call, so an executor that kept every
 // shipped kernel set would grow without bound over a session. After N
-// define-then-run rounds exactly the last set is resident, the earlier
-// names no longer resolve, and the N-1 retired sets are unreachable
+// define-then-run rounds exactly the last set is resident, the master
+// refuses the earlier names, and the N-1 retired sets are unreachable
 // (their finalizers run), so nothing they captured stays pinned.
 func TestDefineLoopRetiresPreviousKernelSet(t *testing.T) {
 	const rounds = 5
 	var ran, freed atomic.Int64
+	var last *KernelSet // the latest set compiled, and only it
 	m, execs, stop := startFleet(t, "retire", 1, func(def *Msg) (*KernelSet, error) {
 		state := &struct{ name string }{def.LoopName} // what a real kernel set captures
 		goruntime.SetFinalizer(state, func(any) { freed.Add(1) })
-		return &KernelSet{Block: perSample(func(*Ctx, []int64, float64) {
+		last = &KernelSet{Block: perSample(func(*Ctx, []int64, float64) {
 			if state.name != "" {
 				ran.Add(1)
 			}
-		})}, nil
+		})}
+		return last, nil
 	})
 	samples := []IterSample{{Key: []int64{0}}, {Key: []int64{1}}}
 	if err := m.DistributeIterSpace(samples, 0, sched.NewRangePartitioner(2, 1)); err != nil {
@@ -51,8 +53,8 @@ func TestDefineLoopRetiresPreviousKernelSet(t *testing.T) {
 	// The executor is parked on its command channel: the block-done
 	// message ordered its writes before this read.
 	e := execs[0]
-	if e.loop == nil {
-		t.Fatal("no kernel set is resident")
+	if e.loop == nil || e.loop != last {
+		t.Fatal("the resident kernel set is not the one defined last")
 	}
 	for i := 0; i < 200 && freed.Load() < rounds-1; i++ {
 		goruntime.GC()
