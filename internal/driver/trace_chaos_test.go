@@ -70,7 +70,7 @@ func TestChaosTraceCollectionAndFlightLog(t *testing.T) {
 // TestChaosTraceCloseWithDeadConnDoesNotDeadlock aborts a run without
 // recovery (no checkpoint dir) and closes the session while one
 // connection is severed: the close-time trace collection must fail
-// over the dead link within its bounded wait instead of hanging.
+// on the generation the severed link ended instead of hanging.
 func TestChaosTraceCloseWithDeadConnDoesNotDeadlock(t *testing.T) {
 	tracer := obs.StartTracing()
 	defer obs.StopTracing()
@@ -90,7 +90,8 @@ func TestChaosTraceCloseWithDeadConnDoesNotDeadlock(t *testing.T) {
 
 // closeBounded closes the session in a goroutine and fails the test if
 // it does not return promptly — Close collects traces from every
-// connection, so a hang here means an unbounded wait on a dead link.
+// connection, so a hang here means a wait on a dead link that its loss
+// did not end.
 func closeBounded(t *testing.T, sess *Session) {
 	t.Helper()
 	done := make(chan struct{})

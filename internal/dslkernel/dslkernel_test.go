@@ -357,7 +357,7 @@ func TestFaultMidBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := m.ParallelFor(runtime.LoopDef{Kernel: def.LoopName, TimeDim: -1, Passes: 1})
-	const want = "runtime: executor 0: runtime: executor 0: kernel panicked: dslkernel: vm kernel: lang: vector subscript 3 out of range"
+	const want = "runtime: executor 0: kernel panicked: dslkernel: vm kernel: lang: vector subscript 3 out of range"
 	if err == nil || err.Error() != want {
 		t.Errorf("ParallelFor = %v, want %q", err, want)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -39,7 +40,10 @@ type Executor struct {
 	loop       *KernelSet
 	prefetched []string
 	sendTo     *codec // ring predecessor we ship rotated partitions to
-	rotateCh   chan *Msg
+	// rotateCh carries what the ring neighbour shipping to this executor
+	// sends, in order, and then its loss as a lost MsgError should its
+	// link fail.
+	rotateCh chan *Msg
 	// Scratch: a block's prefetch offsets, its flush, and shard replies.
 	prefetchOffs []int64
 	flushOffs    []int64
@@ -55,12 +59,6 @@ type Executor struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	stopErr  error
-
-	// rotateErr is closed when a peer connection that was feeding the
-	// rotation pipeline dies, so a mid-rotation severance surfaces as a
-	// worker-lost error instead of a hung rotation wait.
-	rotateErr     chan struct{}
-	rotateErrOnce sync.Once
 
 	// accepted tracks peer connections this executor accepted (ring
 	// predecessor, shard RPC clients), closed on exit so aborted
@@ -113,7 +111,6 @@ func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, e
 		rotateCh:   make(chan *Msg, 16),
 		cmdCh:      make(chan *Msg, 16),
 		stop:       make(chan struct{}),
-		rotateErr:  make(chan struct{}),
 		done:       make(chan error, 1),
 		trace:      obs.NewBuf(id+1, fmt.Sprintf("exec%d", id)),
 		mBlocks:    obs.GetCounter("kernel.blocks"),
@@ -220,7 +217,7 @@ func (e *Executor) heartbeat(interval time.Duration) {
 	}
 }
 
-func (e *Executor) run() error {
+func (e *Executor) run() (err error) {
 	defer e.peerLn.Close()
 	defer e.master.close()
 	defer e.closeAccepted()
@@ -236,6 +233,16 @@ func (e *Executor) run() error {
 	if setup.Kind != MsgSetup {
 		return fmt.Errorf("runtime: executor %d: expected setup, got %v", e.id, setup.Kind)
 	}
+	// From here the master reads this link: an executor that exits on an
+	// error tells it why, before the link closes. The master names the
+	// link, so the text drops this executor's own prefix. Where the link
+	// is what failed, the report goes nowhere.
+	defer func() {
+		if err != nil {
+			text := strings.TrimPrefix(err.Error(), fmt.Sprintf("runtime: executor %d: ", e.id))
+			e.master.send(&Msg{Kind: MsgError, Err: text, Lost: isLost(err)})
+		}
+	}()
 	if setup.Trace && !obs.Tracing() {
 		// The master is tracing: enable tracing in this process so the
 		// span rings exist when it collects them. In-process executors
@@ -266,7 +273,7 @@ func (e *Executor) run() error {
 		target := setup.Peers[(e.id+n-1)%n]
 		conn, err := e.t.Dial(target)
 		if err != nil {
-			return fmt.Errorf("runtime: executor %d dial ring: %w", e.id, err)
+			return fmt.Errorf("runtime: executor %d: dial ring (%v): %w", e.id, err, ErrWorkerLost)
 		}
 		e.sendTo = newPeerCodec(conn, fmt.Sprintf("exec%d/ring", e.id), &e.limit)
 		defer e.sendTo.close()
@@ -309,12 +316,10 @@ func (e *Executor) run() error {
 			// to match.
 			e.limit.raise(msg.ArrayDims)
 			if e.compile == nil {
-				e.master.send(&Msg{Kind: MsgError, Err: "no loop compiler installed on this executor"})
-				return fmt.Errorf("runtime: executor %d: no loop compiler", e.id)
+				return fmt.Errorf("runtime: executor %d: no loop compiler installed on this executor", e.id)
 			}
 			ks, err := e.compile(msg)
 			if err != nil {
-				e.master.send(&Msg{Kind: MsgError, Err: err.Error()})
 				return err
 			}
 			e.loop = ks
@@ -325,7 +330,6 @@ func (e *Executor) run() error {
 			slices.Sort(e.prefetched)
 		case MsgExecBlock:
 			if err := e.execBlock(msg, n); err != nil {
-				e.master.send(&Msg{Kind: MsgError, Err: err.Error(), Lost: isLost(err)})
 				return err
 			}
 		case MsgGather:
@@ -348,9 +352,9 @@ func (e *Executor) run() error {
 				return err
 			}
 		case MsgTraceSync:
-			// Clock-sync handshake: echo the master's T0, stamp our
-			// wall clock as late as possible before the send.
-			if err := e.master.send(&Msg{Kind: MsgTraceSync, T0: msg.T0, T1: time.Now().UnixNano()}); err != nil {
+			// Clock-sync handshake: stamp our wall clock as late as
+			// possible before the send.
+			if err := e.master.send(&Msg{Kind: MsgTraceSync, T1: time.Now().UnixNano()}); err != nil {
 				return err
 			}
 		case MsgTraceDump:
@@ -417,9 +421,12 @@ func (e *Executor) servePeer(c *codec) {
 	for {
 		if err := c.recvInto(&in); err != nil {
 			if feedsRotation {
-				// The ring predecessor died: anything waiting on
-				// rotateCh would hang forever — surface the loss.
-				e.rotateErrOnce.Do(func() { close(e.rotateErr) })
+				// The neighbour shipping to us died: a rotation wait would
+				// hang forever — surface the loss after what it shipped.
+				select {
+				case e.rotateCh <- &Msg{Kind: MsgError, Err: err.Error(), Lost: true}:
+				case <-e.stop:
+				}
 			}
 			return
 		}

@@ -123,10 +123,11 @@ func (e *Executor) rotate(ring bool, n int) (sendNs, waitNs int64, err error) {
 		var in *Msg
 		select {
 		case in = <-e.rotateCh:
-		case <-e.rotateErr:
-			return 0, 0, fmt.Errorf("runtime: executor %d: ring neighbour lost mid-rotation: %w", e.id, ErrWorkerLost)
 		case <-e.stop:
 			return 0, 0, e.lostErr()
+		}
+		if in.Kind == MsgError {
+			return 0, 0, fmt.Errorf("runtime: executor %d: ring neighbour lost mid-rotation (%s): %w", e.id, in.Err, ErrWorkerLost)
 		}
 		if in.Array == "" {
 			break // the neighbour's end marker

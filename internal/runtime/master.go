@@ -27,15 +27,28 @@ var ErrWorkerLost = errors.New("worker lost")
 // staleness when SetHeartbeat arms a timeout.
 const pingInterval = 500 * time.Millisecond
 
-// masterChans is one fleet generation's channels. Every admission gives
-// its generation a fresh set, so connection handlers of a dead
-// generation can never feed stale messages into a resumed loop's wait.
-type masterChans struct {
-	// replies streams every answer to a wait (block done, gather,
-	// accumulator, ack), each named by the link it arrived on.
-	replies chan *Msg
-	traceCh chan *Msg
-	execErr chan error
+// generation is one fleet generation's event stream. Every admission
+// forms a fresh one, so connection handlers of a dead generation can
+// never feed stale messages into a resumed loop's wait.
+type generation struct {
+	// events streams every executor message but pings — replies, trace
+	// replies and errors, a failed link as a lost MsgError — each named
+	// by the link it arrived on. await is its only reader.
+	events chan *Msg
+	// done closes when Abort or Shutdown ends the generation: its
+	// handlers deliver nothing more, and a wait on it fails.
+	done    chan struct{}
+	endOnce sync.Once
+	// err is the error that ended a wait early; every later wait of the
+	// generation returns it without sending anything.
+	err error
+}
+
+// end closes the generation, if one was formed (idempotent).
+func (g *generation) end() {
+	if g != nil {
+		g.endOnce.Do(func() { close(g.done) })
+	}
 }
 
 // Master is the Orion coordinator (Fig. 3): the driver program talks to
@@ -62,7 +75,7 @@ type Master struct {
 
 	mu sync.Mutex // guards missCount, reports and the residency epochs
 
-	ch       *masterChans
+	gen      *generation    // the current fleet generation
 	lastSeen []atomic.Int64 // liveness timestamps, by executor id
 
 	// clock counts completed global steps across every loop this master
@@ -89,10 +102,6 @@ type Master struct {
 	arrayDims  map[string][]int64
 	arrayDense map[string]bool
 	missCount  int64
-
-	// closed flips when Shutdown starts tearing connections down, so
-	// handleConn can tell an expected close from a worker dying mid-loop.
-	closed atomic.Bool
 
 	// limit is the fleet's frame element cap, which DefineLoop raises;
 	// every codec of the master's links reads it.
@@ -273,19 +282,10 @@ collect:
 	m.n = n
 	m.conns = make([]*codec, n)
 	m.peers = make([]string, n)
-	m.ch = &masterChans{
-		replies: make(chan *Msg, n), // a wait takes one reply per executor
-		// Trace collection is sequential (one outstanding request per
-		// executor), but a timed-out response may arrive late; 2n slots
-		// keep handlers from ever blocking on stale replies.
-		traceCh: make(chan *Msg, 2*n),
-		// Each connection can contribute both a MsgError and a
-		// connection-loss error, and a wait that ends the generation
-		// one more; size the buffer so handlers never block.
-		execErr: make(chan error, 2*n+1),
-	}
+	// A wait takes one message per executor; a handler that finds the
+	// stream full waits for the next, or for the generation's end.
+	m.gen = &generation{events: make(chan *Msg, n), done: make(chan struct{})}
 	m.lastSeen = make([]atomic.Int64, n)
-	m.closed.Store(false)
 	for id, j := range fleet {
 		m.lastSeen[id].Store(time.Now().UnixNano())
 		// The executor id is only known after the hello, so this side of
@@ -312,50 +312,39 @@ collect:
 		if err := c.send(&Msg{Kind: MsgSetup, ExecutorID: id, Peers: m.peers, Trace: obs.Tracing()}); err != nil {
 			return 0, sendErr("setup", id, err)
 		}
-		go m.handleConn(id, c, m.ch, &m.lastSeen[id])
+		go m.handleConn(id, c, m.gen, &m.lastSeen[id])
 	}
 	return n, nil
 }
 
-// handleConn processes executor-initiated messages for one fleet
-// generation: each is named by its link, and replies land in that
-// generation's stream, so a handler outliving a recovery cannot pollute
-// the next generation's waits.
-func (m *Master) handleConn(id int, c *codec, ch *masterChans, seen *atomic.Int64) {
+// handleConn delivers every message executor id sends but its pings
+// into the generation's stream, named by its link; a failed link goes
+// in as a lost MsgError, the handler's last. Once the generation has
+// ended it delivers nothing more, so a handler outliving a recovery
+// cannot pollute the next generation's waits, but it reads on until the
+// link closes, so the executor never blocks on a send.
+func (m *Master) handleConn(id int, c *codec, g *generation, seen *atomic.Int64) {
 	for {
 		msg, err := c.recv()
 		if err != nil {
-			// Expected during Shutdown; otherwise the worker died while
-			// the master may still be waiting on its results — surface
-			// the loss so ParallelFor/Gather don't hang on the barrier.
-			if !m.closed.Load() {
-				ch.execErr <- fmt.Errorf("runtime: executor %d connection failed (%v): %w", id, err, ErrWorkerLost)
-			}
-			return
+			msg = &Msg{Kind: MsgError, Err: fmt.Sprintf("connection failed (%v)", err), Lost: true}
+		} else {
+			seen.Store(time.Now().UnixNano())
 		}
-		seen.Store(time.Now().UnixNano())
+		if msg.Kind == MsgPing {
+			continue // liveness only: the refresh above is the point
+		}
 		msg.ExecutorID = id
-		switch msg.Kind {
-		case MsgPing:
-			// Liveness only — the timestamp refresh above is the point.
-		case MsgTraceSync, MsgTraceDump:
-			// Never block on a stale reply: the collector may have
-			// timed out and moved on, leaving the buffer full.
-			select {
-			case ch.traceCh <- msg:
-			default:
-			}
-		case MsgError:
-			err := fmt.Errorf("runtime: executor %d: %s", id, msg.Err)
-			if msg.Lost {
-				// The executor reported a broken peer link (ring or
-				// shard) — a recoverable worker loss, not a kernel bug.
-				err = fmt.Errorf("runtime: executor %d: %s: %w", id, msg.Err, ErrWorkerLost)
-			}
-			ch.execErr <- err
+		select {
+		case <-g.done:
 		default:
-			// A reply; await refuses one of a kind it does not wait for.
-			ch.replies <- msg
+			select {
+			case g.events <- msg:
+			case <-g.done:
+			}
+		}
+		if err != nil {
+			return
 		}
 	}
 }
@@ -583,14 +572,7 @@ func (m *Master) runStep(def LoopDef, pass, step int, timeParts []int) error {
 	defer func() {
 		m.trace.EndNN("clock.step", "master", stepStart, "pass", int64(pass), "step", int64(step))
 	}()
-	lost := func(worker int, err error) {
-		obs.Flight().Record(obs.FlightEvent{
-			Kind: obs.FlightWorkerLost, Clock: m.clock.Load(),
-			Loop: def.Kernel, Pass: pass, Step: step, Worker: worker,
-			Detail: err.Error(),
-		})
-	}
-	for j, tp := range timeParts {
+	dispatch := func(j int) *Msg {
 		msg := &Msg{
 			Kind:      MsgExecBlock,
 			TimeDim:   def.TimeDim,
@@ -604,17 +586,18 @@ func (m *Master) runStep(def LoopDef, pass, step int, timeParts []int) error {
 			// execution interleaves.
 			Epoch: m.clock.Load() + 1,
 		}
-		if tp >= 0 {
+		if tp := timeParts[j]; tp >= 0 {
 			msg.TimeLo, msg.TimeHi = def.TimePart.Bounds(tp)
 		}
-		if err := m.conns[j].send(msg); err != nil {
-			lost(j, err)
-			return sendErr("dispatch", j, err)
-		}
+		return msg
 	}
-	if err := m.await(MsgBlockDone, func(msg *Msg) error { m.noteBlockDone(def.Kernel, msg); return nil }); err != nil {
+	if err := m.round("dispatch", dispatch, MsgBlockDone, func(msg *Msg) error { m.noteBlockDone(def.Kernel, msg); return nil }); err != nil {
 		if errors.Is(err, ErrWorkerLost) {
-			lost(-1, err)
+			obs.Flight().Record(obs.FlightEvent{
+				Kind: obs.FlightWorkerLost, Clock: m.clock.Load(),
+				Loop: def.Kernel, Pass: pass, Step: step, Worker: -1,
+				Detail: err.Error(),
+			})
 		}
 		return err
 	}
@@ -631,18 +614,39 @@ func (m *Master) runStep(def LoopDef, pass, step int, timeParts []int) error {
 // recovery path handles.
 const stepStallFactor = 10
 
+// round sends executor id the request req makes for it, to every
+// executor in turn, and awaits one reply of kind from each — unless a
+// wait of this generation already failed: then it sends nothing and
+// returns that wait's error.
+func (m *Master) round(what string, req func(id int) *Msg, kind MsgKind, each func(*Msg) error) error {
+	if m.gen.err == nil {
+		for id, c := range m.conns {
+			if err := c.send(req(id)); err != nil {
+				return sendErr(what, id, err)
+			}
+		}
+	}
+	return m.await(kind, each)
+}
+
 // await takes exactly one reply of kind from every executor, each named
 // by the link it arrived on, and hands each to each (nil: none). It is
-// the master's only wait on the fleet — step barrier, gather,
-// accumulator query, ack barrier. A second reply from one executor, or
-// one of another kind, is a protocol fault (ErrWorkerLost). A refused
-// reply does not end the wait: the rest are still taken, so none
-// outlives it, and the first error returns once all have answered. Only
-// an executor error, a worker silent past an armed heartbeat timeout, or
-// a wait stalled past stepStallFactor timeouts with every worker still
-// pinging (a wedged link) ends it early, and with it the generation:
-// every later wait on it fails the same way.
+// the master's only wait on the fleet, and the only reader of its
+// generation's stream — step barrier, gather, accumulator query, ack
+// barrier, trace collection. A second reply from one executor, or one
+// of another kind, is a protocol fault (ErrWorkerLost). A refused reply
+// does not end the wait: the rest are still taken, so none outlives it,
+// and the first error returns once all have answered. Only an executor
+// error, a worker silent past an armed heartbeat timeout, a wait
+// stalled past stepStallFactor timeouts with every worker still pinging
+// (a wedged link), or the generation's end ends it early, and with it
+// the generation: the error is recorded, and every later wait returns
+// it at once.
 func (m *Master) await(kind MsgKind, each func(*Msg) error) error {
+	g := m.gen
+	if g.err != nil {
+		return g.err
+	}
 	var tick <-chan time.Time // never ready while staleness detection is unarmed
 	var start time.Time
 	if m.hbTimeout > 0 {
@@ -655,8 +659,18 @@ func (m *Master) await(kind MsgKind, each func(*Msg) error) error {
 	for got := 0; got < m.n; {
 		var err error
 		select {
-		case msg := <-m.ch.replies:
+		case msg := <-g.events:
 			id := msg.ExecutorID
+			if msg.Kind == MsgError {
+				err = fmt.Errorf("runtime: executor %d: %s", id, msg.Err)
+				if msg.Lost {
+					// A broken link (its own, or one it reported on the
+					// ring or to a shard owner): recoverable, not a
+					// kernel bug.
+					err = fmt.Errorf("%w: %w", err, ErrWorkerLost)
+				}
+				break
+			}
 			if answered[id] || msg.Kind != kind {
 				err = fmt.Errorf("runtime: executor %d sent a kind %d reply to a wait for one of kind %d each: %w", id, msg.Kind, kind, ErrWorkerLost)
 			} else if each != nil {
@@ -669,7 +683,8 @@ func (m *Master) await(kind MsgKind, each func(*Msg) error) error {
 				answered[id], got = true, got+1
 			}
 			continue
-		case err = <-m.ch.execErr:
+		case <-g.done:
+			err = fmt.Errorf("runtime: the fleet was shut down or aborted: %w", ErrWorkerLost)
 		case <-tick:
 			now := time.Now()
 			for id := range m.lastSeen {
@@ -685,10 +700,7 @@ func (m *Master) await(kind MsgKind, each func(*Msg) error) error {
 				continue
 			}
 		}
-		select { // requeued, so every later wait of this generation fails too
-		case m.ch.execErr <- err:
-		default: // full of errors already
-		}
+		g.err = err
 		return err
 	}
 	return first
@@ -783,11 +795,6 @@ func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 	if !ok {
 		return nil, fmt.Errorf("runtime: gather of unknown array %q", array)
 	}
-	for i, c := range m.conns {
-		if err := c.send(&Msg{Kind: MsgGather, Array: array}); err != nil {
-			return nil, sendErr("gather", i, err)
-		}
-	}
 	var out *dsm.DistArray
 	if m.arrayDense[array] {
 		out = dsm.NewDense(array, dims...)
@@ -796,7 +803,8 @@ func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 	}
 	// Nothing is written before every partition of a reply is checked
 	// against the array: a reply the array does not admit fails the call.
-	err := m.await(MsgGatherResp, func(msg *Msg) error {
+	req := &Msg{Kind: MsgGather, Array: array}
+	err := m.round("gather", func(int) *Msg { return req }, MsgGatherResp, func(msg *Msg) error {
 		for _, p := range msg.Parts {
 			if err := out.Admits(p); err != nil {
 				return fmt.Errorf("runtime: gather of %s from executor %d: %w", array, msg.ExecutorID, err)
@@ -815,13 +823,9 @@ func (m *Master) Gather(array string) (*dsm.DistArray, error) {
 
 // AccumSum aggregates an accumulator across executors with +.
 func (m *Master) AccumSum(name string) (float64, error) {
-	for i, c := range m.conns {
-		if err := c.send(&Msg{Kind: MsgAccumQuery, AccName: name}); err != nil {
-			return 0, sendErr("accum query", i, err)
-		}
-	}
+	req := &Msg{Kind: MsgAccumQuery, AccName: name}
 	vals := make([]float64, len(m.conns))
-	if err := m.await(MsgAccumResp, func(msg *Msg) error {
+	if err := m.round("accum query", func(int) *Msg { return req }, MsgAccumResp, func(msg *Msg) error {
 		vals[msg.ExecutorID] = msg.AccValue
 		return nil
 	}); err != nil {
@@ -837,7 +841,7 @@ func (m *Master) AccumSum(name string) (float64, error) {
 // Shutdown stops all executors with the shutdown handshake and releases
 // the listen address.
 func (m *Master) Shutdown() {
-	m.closed.Store(true)
+	m.gen.end()
 	m.shutOnce.Do(func() {
 		close(m.shut)
 		m.ln.Close()
@@ -865,18 +869,14 @@ func (m *Master) DefineLoop(def *Msg) error {
 	m.loop = def.LoopName
 	raised := m.limit.raise(def.ArrayDims)
 	for id, c := range m.conns {
-		err := c.send(def)
-		if err == nil && raised {
-			err = c.send(&Msg{Kind: MsgAck})
-		}
-		if err != nil {
+		if err := c.send(def); err != nil {
 			return sendErr("defining "+def.LoopName, id, err)
 		}
 	}
 	if !raised {
 		return nil
 	}
-	return m.await(MsgAck, nil)
+	return m.round("barrier", func(int) *Msg { return &Msg{Kind: MsgAck} }, MsgAck, nil)
 }
 
 // DistributeServed range-shards a parameter-server array along its last
@@ -889,13 +889,9 @@ func (m *Master) DistributeServed(a *dsm.DistArray) error {
 	lastDim := a.NumDims() - 1
 	boundaries := sched.NewRangePartitioner(a.Dims()[lastDim], m.n).Boundaries()
 	parts := a.RangePartitions(lastDim, m.n, boundaries)
-	for id, p := range parts {
-		msg := &Msg{Kind: MsgServedShard, Parts: []*dsm.Partition{p}, Offsets: boundaries}
-		if err := m.conns[id].send(msg); err != nil {
-			return sendErr("shipping "+a.Name(), id, err)
-		}
-	}
 	// Peers read each other's shards as soon as their own blocks start,
 	// so wait until every executor has installed its shard.
-	return m.await(MsgAck, nil)
+	return m.round("shipping "+a.Name(), func(id int) *Msg {
+		return &Msg{Kind: MsgServedShard, Parts: []*dsm.Partition{parts[id]}, Offsets: boundaries}
+	}, MsgAck, nil)
 }

@@ -76,10 +76,11 @@ const (
 	// does for every message).
 	MsgPing
 	// MsgTraceSync: master ↔ executor clock-offset handshake. The
-	// request carries the master's wall clock in T0 (unix nanoseconds);
-	// the reply echoes T0 and adds the executor's wall clock in T1. The
-	// master applies the midpoint method over several pings to estimate
-	// the per-worker clock offset used when merging shipped spans.
+	// request carries nothing: the master notes its own wall clock as it
+	// sends. The reply carries the executor's wall clock in T1 (unix
+	// nanoseconds). The master applies the midpoint method over several
+	// rounds to estimate the per-worker clock offset used when merging
+	// shipped spans.
 	MsgTraceSync
 	// MsgTraceDump: master → executor request for the executor's
 	// not-yet-shipped trace spans (TracerID identifies the master's
@@ -163,12 +164,11 @@ type Msg struct {
 	Lost bool
 
 	// Trace collection. Trace (in MsgSetup) tells a worker process to
-	// enable span tracing so its rings can be collected later. T0/T1
-	// carry the clock-sync handshake timestamps (unix nanoseconds),
+	// enable span tracing so its rings can be collected later. T1 is an
+	// executor's wall clock in its clock-sync reply (unix nanoseconds),
 	// TracerID names the requesting tracer, and Dump is a worker's spans
 	// (nil when it traces nothing).
 	Trace    bool
-	T0       int64
 	T1       int64
 	TracerID int64
 	Dump     *obs.TraceDump

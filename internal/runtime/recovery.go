@@ -120,7 +120,7 @@ func (m *Master) RecordRecovery(start time.Time, pass, step int) {
 // same endpoint. Recovery calls this before re-forming the fleet; it is
 // idempotent.
 func (m *Master) Abort() {
-	m.closed.Store(true)
+	m.gen.end()
 	m.mu.Lock()
 	m.aborts++ // whatever fleet comes next holds none of what this one did
 	m.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"orion/internal/dsm"
+	"orion/internal/obs"
 	"orion/internal/sched"
 )
 
@@ -153,6 +154,97 @@ func TestAWaitEndedEarlyEndsTheGeneration(t *testing.T) {
 		if v, err := m.AccumSum("loss"); err == nil || !strings.Contains(err.Error(), "kernel fault") {
 			t.Errorf("wait %d after an executor's error: %v, %v; want the error", i, v, err)
 		}
+	}
+}
+
+// TestAnExecutorThatExitsOnAnErrorTellsTheMasterWhy: an executor that
+// refuses what the master sent exits, and the master's wait returns the
+// refusal, named once by the link — not the bare link loss
+// (ErrWorkerLost) that checkpoint recovery would retry.
+func TestAnExecutorThatExitsOnAnErrorTellsTheMasterWhy(t *testing.T) {
+	for name, c := range map[string]struct {
+		msg *Msg
+		err string
+	}{
+		"a served shard of no partitions": {&Msg{Kind: MsgServedShard}, "a served shard of 0 partitions"},
+		"a gather of an unknown array":    {&Msg{Kind: MsgGather, Array: "Z"}, `gather of unknown array "Z"`},
+		"an unexpected kind":              {&Msg{Kind: MsgBlockDone}, "unexpected message"},
+	} {
+		m, _, stop := startFleet(t, "exit-report-"+name, 1, nil)
+		if err := m.conns[0].send(c.msg); err != nil {
+			t.Fatal(err)
+		}
+		err := within(t, func() error { return m.await(MsgAck, nil) })
+		if err == nil || errors.Is(err, ErrWorkerLost) || !strings.Contains(err.Error(), c.err) ||
+			strings.Count(err.Error(), "executor 0") != 1 {
+			t.Errorf("%s: the master's wait returned %v; want the refusal %q, naming executor 0 once", name, err, c.err)
+		}
+		stop()
+	}
+}
+
+// TestCollectTracesRefusesASecondClockReply: executor 0 of two answers
+// the first clock-sync request twice. A collection round takes one
+// reply per executor, as every wait does, so the duplicate is a
+// protocol fault naming it — where a stale reply was dropped by the
+// timestamp it echoed.
+func TestCollectTracesRefusesASecondClockReply(t *testing.T) {
+	obs.StartTracing()
+	defer obs.StopTracing()
+	var order afterExecutor0 = make(chan struct{})
+	syncs := make([]int, 2) // each fake answers on its own goroutine
+	m := answerAs(t, "dup-sync", 2, func(id int, msg *Msg) []*Msg {
+		switch msg.Kind {
+		case MsgTraceSync:
+			if syncs[id]++; syncs[id] > 1 {
+				return []*Msg{{Kind: MsgTraceSync}}
+			}
+			if id == 0 {
+				return order.answer(id, &Msg{Kind: MsgTraceSync}, &Msg{Kind: MsgTraceSync})
+			}
+			return order.answer(id, &Msg{Kind: MsgTraceSync})
+		case MsgTraceDump:
+			return []*Msg{{Kind: MsgTraceDump}}
+		}
+		return nil
+	})
+	if err := within(t, m.CollectTraces); !errors.Is(err, ErrWorkerLost) || !strings.Contains(err.Error(), "executor 0") {
+		t.Errorf("a clock-sync request answered twice by executor 0: %v, want ErrWorkerLost naming executor 0", err)
+	}
+}
+
+// TestCollectTracesAfterAnEndedGenerationAsksNothing: once an
+// executor's error has ended the fleet generation, trace collection
+// sends no clock-sync request and returns that error — where it asked
+// every executor in turn and gave each up on the requeued error.
+func TestCollectTracesAfterAnEndedGenerationAsksNothing(t *testing.T) {
+	obs.StartTracing()
+	defer obs.StopTracing()
+	var syncs atomic.Int32
+	m := answerAs(t, "ended-collect", 2, func(id int, msg *Msg) []*Msg {
+		switch msg.Kind {
+		case MsgAccumQuery:
+			if id == 0 {
+				return []*Msg{{Kind: MsgError, Err: "kernel fault"}}
+			}
+			return []*Msg{{Kind: MsgAccumResp}}
+		case MsgTraceSync:
+			syncs.Add(1)
+			return []*Msg{{Kind: MsgTraceSync}}
+		case MsgTraceDump:
+			return []*Msg{{Kind: MsgTraceDump}}
+		}
+		return nil
+	})
+	if _, err := m.AccumSum("loss"); err == nil || !strings.Contains(err.Error(), "kernel fault") {
+		t.Fatalf("AccumSum after an executor's error: %v, want the error", err)
+	}
+	if err := within(t, m.CollectTraces); err == nil || !strings.Contains(err.Error(), "kernel fault") {
+		t.Errorf("collection on an ended generation: %v, want the error that ended it", err)
+	}
+	time.Sleep(50 * time.Millisecond) // a request sent would have been answered by now
+	if n := syncs.Load(); n != 0 {
+		t.Errorf("collection on an ended generation sent %d clock-sync requests, want none", n)
 	}
 }
 

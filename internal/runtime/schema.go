@@ -8,7 +8,7 @@ import "fmt"
 // read each other's frames never exchange one past the handshake. The
 // hello row itself never changes, so every build reads any build's hello
 // whole and verifies its trailer before it judges the version.
-const wireVersion = 3
+const wireVersion = 4
 
 // A wireType is how one field is laid out in a frame. Counts are
 // uvarints; a count read before the fleet's element cap applies is at
@@ -77,7 +77,6 @@ const (
 	fAccumNames
 	fErr
 	fLost
-	fT0
 	fT1
 	fTracerID
 	fDump
@@ -118,7 +117,7 @@ var schema = [...][]col{
 	MsgAck:          {},
 	MsgError:        {{fErr, tText}, {fLost, tFlag}},
 	MsgPing:         {},
-	MsgTraceSync:    {{fT0, tInt}, {fT1, tInt}},
+	MsgTraceSync:    {{fT1, tInt}},
 	MsgTraceDump:    {{fTracerID, tInt}, {fDump, tDump}},
 }
 
@@ -161,7 +160,6 @@ func (m *Msg) fields() [numFields]any {
 		fAccumNames:    &m.AccumNames,
 		fErr:           &m.Err,
 		fLost:          &m.Lost,
-		fT0:            &m.T0,
 		fT1:            &m.T1,
 		fTracerID:      &m.TracerID,
 		fDump:          &m.Dump,

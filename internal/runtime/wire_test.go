@@ -73,7 +73,7 @@ func wireExamples() []wireExample {
 		{"Ack", Msg{Kind: MsgAck}},
 		{"Error", Msg{Kind: MsgError, Err: "shard owner 1 unreachable", Lost: true}},
 		{"Ping", Msg{Kind: MsgPing}},
-		{"TraceSync", Msg{Kind: MsgTraceSync, T0: 1700000000000000000, T1: 1700000000000001234}},
+		{"TraceSync", Msg{Kind: MsgTraceSync, T1: 1700000000000001234}},
 		{"TraceDump", Msg{Kind: MsgTraceDump, TracerID: -42, Dump: &obs.TraceDump{TracerID: 99, StartUnixNs: 17e17,
 			Bufs: []obs.BufDump{{Pid: 2, Tid: 3, Name: "exec1", Dropped: 1, Spans: []obs.SpanRec{
 				{Name: "exec.block", Cat: "exec", K1: "iters", V1: 150, K2: "step", V2: 1, StartNs: 1000, DurNs: 500},
