@@ -2,7 +2,8 @@
 // suite (internal/lint) over the repository — invariants go vet cannot
 // know about:
 //
-//	timenow   — no wall-clock reads in deterministic packages
+//	timenow   — no wall-clock reads in deterministic packages, and no
+//	            timer or sleep in the runtime and driver without a reason
 //	spanend   — every trace span Begin() is ended on all return paths
 //	msgretain — runtime Msg payload slices are never retained
 //	nogob     — no file imports the gob package

@@ -197,9 +197,9 @@ func (s *Session) SetRejoin(min int, wait time.Duration) {
 	}
 }
 
-// SetHeartbeat arms worker staleness detection: an executor silent for
-// longer than timeout mid-loop is treated as lost (see
-// runtime.Master.SetHeartbeat).
+// SetHeartbeat arms worker staleness detection: an executor link silent
+// for longer than timeout fails like a closed one, and the next wait on
+// the fleet treats the worker as lost (see runtime.Master.SetHeartbeat).
 func (s *Session) SetHeartbeat(timeout time.Duration) { s.master.SetHeartbeat(timeout) }
 
 // Workers returns the current fleet size (it can shrink when recovery
@@ -375,7 +375,9 @@ func (s *Session) Close() {
 	}
 	s.closed = true
 	_ = s.fetch("close") // what could not be fetched is on record as ORN301
-	s.master.CollectTraces()
+	// A failed collection ends the fleet generation, and nothing waits on
+	// it after: the spans still in remote rings are lost.
+	_ = s.master.CollectTraces()
 	s.master.Shutdown()
 	for _, d := range s.execDone {
 		<-d

@@ -90,8 +90,10 @@ func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, 
 		if err == nil {
 			// Loop boundary: pull remote span rings while every worker
 			// is idle, so a later crash cannot take their history down
-			// with it. Best-effort and bounded; a no-op unless tracing.
-			s.master.CollectTraces()
+			// with it; a no-op unless tracing. A failed collection ends
+			// the fleet generation: the next wait returns its error, and
+			// recovery, if armed, starts there.
+			_ = s.master.CollectTraces()
 			if stopPass >= passes {
 				return nil
 			}

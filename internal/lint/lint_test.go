@@ -71,6 +71,36 @@ func now() clock.Time { return clock.Now() }
 	}
 }
 
+// TestTimeNowFlagsWaitsInTheRuntimeAndDriver: in the runtime and the
+// driver a timer or a sleep is a finding, a clock read to measure is not,
+// and test files are exempt.
+func TestTimeNowFlagsWaitsInTheRuntimeAndDriver(t *testing.T) {
+	src := `package runtime
+import "time"
+func wait(d time.Duration) time.Duration {
+	start := time.Now()
+	time.Sleep(d)
+	t := time.NewTicker(d)
+	<-time.After(d)
+	t.Stop()
+	return time.Since(start)
+}
+`
+	for _, path := range []string{"orion/internal/runtime", "orion/internal/driver"} {
+		fs := TimeNow.Run(parsePass(t, path, map[string]string{"a.go": src}))
+		var got []string
+		for _, f := range fs {
+			got = append(got, f.Message[:strings.Index(f.Message, " in ")])
+		}
+		if want := []string{"wall-clock wait time.Sleep", "wall-clock wait time.NewTicker", "wall-clock wait time.After"}; strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("%s: findings %v, want %v", path, got, want)
+		}
+		if fs := TimeNow.Run(parsePass(t, path, map[string]string{"a_test.go": src})); len(fs) != 0 {
+			t.Errorf("%s: test files should be exempt, got %v", path, findingStrings(fs))
+		}
+	}
+}
+
 const spanSrcLeaky = `package runtime
 func (m *M) step() error {
 	start := m.trace.Begin()

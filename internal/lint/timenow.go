@@ -24,28 +24,29 @@ var deterministicPkgs = map[string]bool{
 }
 
 // wallClockFuncs are the time-package functions that observe or depend
-// on the wall clock (or a real timer).
+// on the wall clock, each true when it waits on a real timer.
 var wallClockFuncs = map[string]bool{
-	"Now":       true,
-	"Since":     true,
-	"Until":     true,
-	"After":     true,
-	"AfterFunc": true,
-	"Tick":      true,
-	"NewTicker": true,
-	"NewTimer":  true,
-	"Sleep":     true,
+	"Now": false, "Since": false, "Until": false,
+	"After": true, "AfterFunc": true, "Tick": true, "NewTicker": true, "NewTimer": true, "Sleep": true,
 }
 
-// TimeNow flags wall-clock reads inside the deterministic packages.
+// waitPkgs are the packages whose protocol decisions belong to one
+// ordered stream of events (ROADMAP item 20): a timer or a sleep there
+// decides by the wall clock, outside the stream, so each one says why
+// it stays under a `//lint:ignore timenow`. Measuring with it is fine.
+var waitPkgs = map[string]bool{"orion/internal/runtime": true, "orion/internal/driver": true}
+
+// TimeNow flags wall-clock reads inside the deterministic packages, and
+// timers and sleeps inside the runtime and the driver.
 var TimeNow = &Analyzer{
 	Name: "timenow",
-	Doc:  "no time.Now (or other wall-clock reads) in deterministic replay/fingerprint packages",
+	Doc:  "no time.Now (or other wall-clock reads) in deterministic replay/fingerprint packages, no unexplained timer or sleep in the runtime and driver",
 	Run:  runTimeNow,
 }
 
 func runTimeNow(p *Pass) []Finding {
-	if !deterministicPkgs[p.Path] {
+	det := deterministicPkgs[p.Path]
+	if !det && !waitPkgs[p.Path] {
 		return nil
 	}
 	var out []Finding
@@ -73,16 +74,17 @@ func runTimeNow(p *Pass) []Finding {
 				return true
 			}
 			id, ok := sel.X.(*ast.Ident)
-			if !ok || id.Name != timeName || !wallClockFuncs[sel.Sel.Name] {
+			waits, clock := wallClockFuncs[sel.Sel.Name]
+			if !ok || id.Name != timeName || !clock || !det && !waits {
 				return true
 			}
-			out = append(out, Finding{
-				Analyzer: "timenow",
-				Pos:      p.Fset.Position(sel.Pos()),
-				Message: "wall-clock read " + timeName + "." + sel.Sel.Name +
-					" in deterministic package " + p.Path +
-					" (plan fingerprints and replay depend on it being input-pure; inject the clock from the caller)",
-			})
+			msg := "wall-clock read " + timeName + "." + sel.Sel.Name + " in deterministic package " + p.Path +
+				" (plan fingerprints and replay depend on it being input-pure; inject the clock from the caller)"
+			if !det {
+				msg = "wall-clock wait " + timeName + "." + sel.Sel.Name + " in " + p.Path +
+					" (it decides outside the protocol's event stream; say why it stays with //lint:ignore timenow)"
+			}
+			out = append(out, Finding{Analyzer: "timenow", Pos: p.Fset.Position(sel.Pos()), Message: msg})
 			return true
 		})
 	}

@@ -55,8 +55,8 @@ type WorkerBreakdown struct {
 
 // LinkStall attributes a worker's rotation wait to the peer link that
 // feeds it: in the executor ring, worker w receives its next time
-// partition from successor (w+1) mod n, whose send-side counters carry
-// the label "exec<succ>/ring".
+// partition from successor (w+1) mod n over their peer link, whose
+// send-side counters carry the label "exec<succ>/peer<w>".
 type LinkStall struct {
 	Worker    int    `json:"worker"` // the stalled worker
 	Link      string `json:"link"`   // peer label of the feeding link
@@ -156,7 +156,7 @@ func linkStalls(workers []WorkerBreakdown, peers map[string]obs.PeerTraffic) []L
 		if w.RotWaitNs <= 0 {
 			continue
 		}
-		label := fmt.Sprintf("exec%d/ring", (w.Worker+1)%n)
+		label := fmt.Sprintf("exec%d/peer%d", (w.Worker+1)%n, w.Worker)
 		ls := LinkStall{Worker: w.Worker, Link: label, RotWaitNs: w.RotWaitNs}
 		if peers != nil {
 			ls.BytesSent = peers[label].BytesSent

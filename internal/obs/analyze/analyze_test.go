@@ -68,15 +68,15 @@ func TestLoopBalancedIsClean(t *testing.T) {
 
 func TestLoopFlagsRotationBound(t *testing.T) {
 	r := &obs.LoopReport{Loop: "rot"}
-	// Worker 1 waits hardest; its feed is exec2/ring.
+	// Worker 1 waits hardest; its feed is exec2/peer1.
 	waits := []int64{60e6, 90e6, 70e6}
 	for w := 0; w < 3; w++ {
 		r.Add(obs.WorkerStats{Worker: w, Iters: 500, ComputeNs: 100e6, RotWaitNs: waits[w], CommNs: 1e6})
 	}
 	peers := map[string]obs.PeerTraffic{
-		"exec0/ring": {BytesSent: 1000},
-		"exec1/ring": {BytesSent: 2000},
-		"exec2/ring": {BytesSent: 3000},
+		"exec0/peer2": {BytesSent: 1000},
+		"exec1/peer0": {BytesSent: 2000},
+		"exec2/peer1": {BytesSent: 3000},
 	}
 	res := Loop(r, peers, Options{StaticRatio: 0.8})
 	d := hasCode(res.Diags, diag.CodeRotationBound)
@@ -90,8 +90,8 @@ func TestLoopFlagsRotationBound(t *testing.T) {
 		t.Fatal("no link attribution")
 	}
 	worst := res.Links[0]
-	if worst.Worker != 1 || worst.Link != "exec2/ring" || worst.BytesSent != 3000 {
-		t.Fatalf("worst link = %+v, want worker 1 fed by exec2/ring (3000 bytes)", worst)
+	if worst.Worker != 1 || worst.Link != "exec2/peer1" || worst.BytesSent != 3000 {
+		t.Fatalf("worst link = %+v, want worker 1 fed by exec2/peer1 (3000 bytes)", worst)
 	}
 }
 

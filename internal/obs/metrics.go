@@ -170,7 +170,7 @@ func (r *Registry) GetHistogram(name string) *Histogram {
 }
 
 // GetPeer returns the traffic stats for a peer label (e.g.
-// "exec1/ring"), creating them on first use.
+// "exec1/peer0"), creating them on first use.
 func (r *Registry) GetPeer(label string) *PeerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()

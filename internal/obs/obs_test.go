@@ -193,7 +193,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.GetCounter("kernel.iterations").Add(500)
 	r.GetHistogram("rotation.wait.ns").Observe(12345)
-	p := r.GetPeer("exec1/ring")
+	p := r.GetPeer("exec1/peer0")
 	p.MsgsSent.Add(10)
 	p.BytesSent.Add(2048)
 
@@ -211,7 +211,7 @@ func TestRegistrySnapshot(t *testing.T) {
 		t.Fatalf("histogram snapshot = %v", hist)
 	}
 	peers := snap["peers"].(map[string]any)
-	ring := peers["exec1/ring"].(map[string]int64)
+	ring := peers["exec1/peer0"].(map[string]int64)
 	if ring["msgs_sent"] != 10 || ring["bytes_sent"] != 2048 {
 		t.Fatalf("peer snapshot = %v", ring)
 	}

@@ -268,6 +268,7 @@ func (c *chaosConn) Read(p []byte) (int, error) {
 		c.rdelayed = true
 		d := c.delay
 		c.mu.Unlock()
+		//lint:ignore timenow an injected read delay is the fault itself
 		time.Sleep(d)
 	} else {
 		c.mu.Unlock()
@@ -289,6 +290,7 @@ func (c *chaosConn) Write(p []byte) (int, error) {
 		c.wdelayed = true
 		d := c.delay
 		c.mu.Unlock()
+		//lint:ignore timenow an injected write delay is the fault itself
 		time.Sleep(d)
 		c.mu.Lock()
 	}

@@ -19,7 +19,6 @@ import (
 // parameter-server traffic.
 type Executor struct {
 	id       int
-	t        Transport
 	master   *codec
 	peerAddr string
 	peerLn   net.Listener
@@ -39,10 +38,9 @@ type Executor struct {
 	// Prefetch targets in the order a block fetches them.
 	loop       *KernelSet
 	prefetched []string
-	sendTo     *codec // ring predecessor we ship rotated partitions to
-	// rotateCh carries what the ring neighbour shipping to this executor
-	// sends, in order, and then its loss as a lost MsgError should its
-	// link fail.
+	// rotateCh carries what the neighbour shipping to this executor over
+	// its peer link sends, in order, and then its loss as a lost MsgError
+	// should the link fail.
 	rotateCh chan *Msg
 	// Scratch: a block's prefetch offsets, its flush, and shard replies.
 	prefetchOffs []int64
@@ -51,17 +49,15 @@ type Executor struct {
 	rpcResp      Msg
 
 	// The master connection is read by a dedicated reader goroutine
-	// (readMaster): commands flow to cmdCh and a connection failure
-	// closes stop — so the main loop or a rotation wait unblocks
-	// promptly when the master aborts, instead of leaking a stuck
-	// goroutine.
-	cmdCh    chan *Msg
-	stop     chan struct{}
-	stopOnce sync.Once
-	stopErr  error
+	// (readMaster): commands flow to cmdCh, and then the link's loss as a
+	// lost MsgError should it fail — so the main loop or a rotation wait
+	// unblocks promptly when the master aborts. stop closes when the run
+	// loop has exited, releasing the goroutines that feed it.
+	cmdCh chan *Msg
+	stop  chan struct{}
 
-	// accepted tracks peer connections this executor accepted (ring
-	// predecessor, shard RPC clients), closed on exit so aborted
+	// accepted tracks the peer links this executor accepted (each
+	// neighbour's and shard client's), closed on exit so aborted
 	// sessions leak nothing.
 	acceptedMu sync.Mutex
 	accepted   []net.Conn
@@ -97,13 +93,12 @@ type Executor struct {
 }
 
 // NewExecutor connects an executor to the master. peerAddr is this
-// executor's ring endpoint; it must be unique per executor. An id of
+// executor's peer endpoint; it must be unique per executor. An id of
 // -1 asks the master to assign one (rejoining workers after a
 // recovery); the assignment arrives in the setup message.
 func NewExecutor(t Transport, masterAddr, peerAddr string, id int) (*Executor, error) {
 	e := &Executor{
 		id:         id,
-		t:          t,
 		shards:     newShardSet(t, id),
 		peerAddr:   peerAddr,
 		parts:      map[string]*heldArray{},
@@ -163,46 +158,34 @@ func (e *Executor) Start() <-chan error {
 	return e.done
 }
 
-// signalStop records the master-connection failure (first one wins)
-// and releases everything blocked on it.
-func (e *Executor) signalStop(err error) {
-	e.stopOnce.Do(func() {
-		e.stopErr = err
-		close(e.stop)
-	})
-}
-
-func (e *Executor) lostErr() error {
-	err := e.stopErr
-	if err == nil {
-		err = fmt.Errorf("connection closed")
-	}
-	return fmt.Errorf("runtime: executor %d: master connection lost (%v): %w", e.id, err, ErrWorkerLost)
-}
-
-// readMaster is the dedicated master-connection reader: commands are
-// queued for the main loop and a connection error closes stop.
+// readMaster is the dedicated master-connection reader: it queues
+// commands for the main loop, and a failed link as a lost MsgError, its
+// last — as Master.handleConn does on the other end.
 func (e *Executor) readMaster() {
 	for {
 		msg, err := e.master.recv()
 		if err != nil {
-			e.signalStop(err)
-			return
+			msg = &Msg{Kind: MsgError, Err: err.Error(), Lost: true}
 		}
 		select {
 		case e.cmdCh <- msg:
 		case <-e.stop:
 			return
 		}
-		if msg.Kind == MsgShutdown {
+		if err != nil || msg.Kind == MsgShutdown {
 			return
 		}
 	}
 }
 
+// errShutdown ends a rotation wait that a shutdown interrupted: the run
+// loop exits as on a shutdown between blocks.
+var errShutdown = errors.New("runtime: shut down")
+
 // heartbeat sends MsgPing every interval until the executor stops. The
 // codec's write lock makes concurrent sends with the main loop safe.
 func (e *Executor) heartbeat(interval time.Duration) {
+	//lint:ignore timenow the ping ticker: liveness the master's armed read deadline waits for
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -223,7 +206,7 @@ func (e *Executor) run() (err error) {
 	defer e.closeAccepted()
 	// Ensure anything still blocked on this executor unwinds when the
 	// run loop exits for any reason.
-	defer e.signalStop(fmt.Errorf("executor exited"))
+	defer close(e.stop)
 	// Receive topology first (directly — the reader goroutine starts
 	// after setup so id adoption happens before concurrent use).
 	setup, err := e.master.recv()
@@ -263,21 +246,9 @@ func (e *Executor) run() (err error) {
 	n := len(setup.Peers)
 	e.shards.peers = setup.Peers
 	defer e.shards.closeAll()
-	// Accept peer connections in the background: ring rotation plus
-	// parameter-server shard RPCs.
+	// Accept peer connections in the background: rotation and wavefront
+	// hand-offs plus parameter-server shard RPCs.
 	go e.acceptPeers()
-	if n > 1 {
-		// Ship rotated partitions to the ring predecessor: at step t,
-		// executor j runs time partition (j+t) mod n, which executor
-		// j+1 held at step t-1 — partitions flow from j to j-1.
-		target := setup.Peers[(e.id+n-1)%n]
-		conn, err := e.t.Dial(target)
-		if err != nil {
-			return fmt.Errorf("runtime: executor %d: dial ring (%v): %w", e.id, err, ErrWorkerLost)
-		}
-		e.sendTo = newPeerCodec(conn, fmt.Sprintf("exec%d/ring", e.id), &e.limit)
-		defer e.sendTo.close()
-	}
 	hbInterval := pingInterval
 	if e.pingOverride > 0 {
 		hbInterval = e.pingOverride
@@ -286,12 +257,7 @@ func (e *Executor) run() (err error) {
 	go e.readMaster()
 
 	for {
-		var msg *Msg
-		select {
-		case msg = <-e.cmdCh:
-		case <-e.stop:
-			return e.stopErr
-		}
+		msg := <-e.cmdCh
 		switch msg.Kind {
 		case MsgArrayPart:
 			if err := e.install(msg); err != nil {
@@ -329,7 +295,9 @@ func (e *Executor) run() (err error) {
 			}
 			slices.Sort(e.prefetched)
 		case MsgExecBlock:
-			if err := e.execBlock(msg, n); err != nil {
+			if err := e.execBlock(msg, n); err == errShutdown {
+				return nil
+			} else if err != nil {
 				return err
 			}
 		case MsgGather:
@@ -368,6 +336,10 @@ func (e *Executor) run() (err error) {
 			}
 		case MsgShutdown:
 			return nil
+		case MsgError:
+			// readMaster's report of a failed link; the master never sends
+			// one, so one on the wire is a broken link too.
+			return fmt.Errorf("runtime: executor %d: master connection lost (%s): %w", e.id, msg.Err, ErrWorkerLost)
 		default:
 			return fmt.Errorf("runtime: executor %d: unexpected message %v", e.id, msg.Kind)
 		}
@@ -375,7 +347,7 @@ func (e *Executor) run() (err error) {
 }
 
 // isLost reports whether an executor-side error stems from a broken
-// connection (to the master, the ring, or a shard owner) rather than a
+// connection (to the master or a peer) rather than a
 // kernel failure — the distinction the master needs to decide between
 // recovery and fail-fast.
 func isLost(err error) bool { return errors.Is(err, ErrWorkerLost) }
@@ -547,6 +519,7 @@ func (e *Executor) execBlock(msg *Msg, n int) error {
 	// Synthetic straggler injection (SetBlockDelay): sleep inside the
 	// compute-timing window so the skew is visible to LoopReports.
 	if d := blockDelay(e.id, len(keys)); d > 0 {
+		//lint:ignore timenow the injected block delay, a Chaos fault once ROADMAP item 24 lands
 		time.Sleep(d)
 	}
 	computeNs := int64(time.Since(kernelStart))

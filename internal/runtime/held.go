@@ -62,15 +62,17 @@ func (e *Executor) bind(lo, hi int64) {
 // checkpoints and Gather rely on. Around the unordered ring (Fig. 7f:
 // executor j runs partition (j+t) mod n at step t) rotated partitions go
 // to the predecessor; down the ordered wavefront (Fig. 7e: executor j
-// runs partition T-j at step T) wavefront partitions go to the successor,
-// over the peer link shard reads use. An end marker follows what was
-// sent, and what arrives is taken up to the neighbour's marker — so an
-// array cut for another loop moves only where its cuts meet this one's,
-// a whole cycle a pass.
+// runs partition T-j at step T) wavefront partitions go to the
+// successor — either way over the peer link shard reads use. An end
+// marker follows what was sent, and what arrives is taken up to the
+// neighbour's marker — so an array cut for another loop moves only where
+// its cuts meet this one's, a whole cycle a pass. The wait also reads
+// the master link: its loss ends the wait, a shutdown ends it as a
+// shutdown (errShutdown), and any other command is a protocol fault.
 func (e *Executor) rotate(ring bool, n int) (sendNs, waitNs int64, err error) {
-	place, to := sched.Rotated, e.sendTo
+	place, peer := sched.Rotated, (e.id+n-1)%n
 	if !ring {
-		place = sched.Wavefront
+		place, peer = sched.Wavefront, (e.id+1)%n
 	}
 	var names []string
 	for a, h := range e.parts {
@@ -83,9 +85,7 @@ func (e *Executor) rotate(ring bool, n int) (sendNs, waitNs int64, err error) {
 	}
 	sort.Strings(names)
 	start := time.Now()
-	if !ring {
-		to, err = e.shards.client((e.id + 1) % n)
-	}
+	to, err := e.shards.client(peer)
 	for _, a := range names {
 		if err != nil {
 			break
@@ -123,8 +123,14 @@ func (e *Executor) rotate(ring bool, n int) (sendNs, waitNs int64, err error) {
 		var in *Msg
 		select {
 		case in = <-e.rotateCh:
-		case <-e.stop:
-			return 0, 0, e.lostErr()
+		case cmd := <-e.cmdCh:
+			switch cmd.Kind {
+			case MsgShutdown:
+				return 0, 0, errShutdown
+			case MsgError:
+				return 0, 0, fmt.Errorf("runtime: executor %d: master connection lost mid-rotation (%s): %w", e.id, cmd.Err, ErrWorkerLost)
+			}
+			return 0, 0, fmt.Errorf("runtime: executor %d: protocol fault: a %v command during a rotation wait: %w", e.id, cmd.Kind, ErrWorkerLost)
 		}
 		if in.Kind == MsgError {
 			return 0, 0, fmt.Errorf("runtime: executor %d: ring neighbour lost mid-rotation (%s): %w", e.id, in.Err, ErrWorkerLost)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -23,8 +24,8 @@ var ErrWorkerLost = errors.New("worker lost")
 
 // pingInterval is how often an executor pings its master (MsgPing)
 // unless SetPingInterval overrides it. Pings are always sent (one tiny
-// message per executor per interval); the master only *checks*
-// staleness when SetHeartbeat arms a timeout.
+// message per executor per interval); only while SetHeartbeat arms a
+// timeout does a silent link fail.
 const pingInterval = 500 * time.Millisecond
 
 // generation is one fleet generation's event stream. Every admission
@@ -75,8 +76,7 @@ type Master struct {
 
 	mu sync.Mutex // guards missCount, reports and the residency epochs
 
-	gen      *generation    // the current fleet generation
-	lastSeen []atomic.Int64 // liveness timestamps, by executor id
+	gen *generation // the current fleet generation
 
 	// clock counts completed global steps across every loop this master
 	// has run; it is the coordinate system of checkpoints and of the
@@ -84,11 +84,10 @@ type Master struct {
 	// clock at the start of each step, before any block is dispatched.
 	clock     atomic.Int64
 	clockHook func(int64)
-	// hbTimeout, when non-zero, makes the ParallelFor barrier treat an
-	// executor whose last message is older than the timeout as lost —
-	// catching wedged or blackholed workers whose connections are still
-	// technically open.
-	hbTimeout time.Duration
+	// hbTimeout, when non-zero, is how long a read of an executor link
+	// may wait for a byte (masterConn), in nanoseconds — catching wedged
+	// or blackholed workers whose connections are still technically open.
+	hbTimeout atomic.Int64
 
 	// shipEpoch and aborts name what the executors hold of each model
 	// array and, under "", of the iteration space: every Distribute* of one
@@ -159,7 +158,7 @@ func (m *Master) acceptDials() {
 // Addr returns the master's bound listen address.
 func (m *Master) Addr() string { return m.addr }
 
-// PeerAddrs returns the executors' ring addresses by id (available
+// PeerAddrs returns the executors' peer addresses by id (available
 // after WaitForExecutors) — used by fault-injection scripts to target
 // specific peer links.
 //
@@ -176,11 +175,12 @@ func (m *Master) Clock() int64 { return m.clock.Load() }
 //lint:ignore reach a test hook the driver's fault tests share
 func (m *Master) SetClockHook(fn func(clock int64)) { m.clockHook = fn }
 
-// SetHeartbeat arms staleness detection: a worker silent for longer
-// than timeout while the master waits at a step barrier is treated as
-// lost. Zero disables the check (the default); executors ping every
-// pingInterval regardless.
-func (m *Master) SetHeartbeat(timeout time.Duration) { m.hbTimeout = timeout }
+// SetHeartbeat arms staleness detection: an executor link silent for
+// longer than timeout fails like a closed one, and the next wait on the
+// fleet returns ErrWorkerLost naming the timeout; a wait also fails once
+// stepStallFactor timeouts pass without every reply. Zero disables both
+// (the default); executors ping every pingInterval regardless.
+func (m *Master) SetHeartbeat(timeout time.Duration) { m.hbTimeout.Store(int64(timeout)) }
 
 // WaitForExecutors admits the fleet of n Listen was given, however
 // long its executors take to dial in.
@@ -232,6 +232,7 @@ func (m *Master) admit(want, min int, wait time.Duration) (int, error) {
 	}()
 	var deadline <-chan time.Time
 	if wait > 0 {
+		//lint:ignore timenow the admission deadline: how long a re-forming fleet waits for dialers
 		t := time.NewTimer(wait)
 		defer t.Stop()
 		deadline = t.C
@@ -240,7 +241,7 @@ collect:
 	for joined < want {
 		select {
 		case conn := <-m.dials:
-			c := newCodec(conn)
+			c := newCodec(&masterConn{Conn: conn, timeout: &m.hbTimeout})
 			c.limit = &m.limit
 			pending[c] = true
 			go func() {
@@ -285,9 +286,7 @@ collect:
 	// A wait takes one message per executor; a handler that finds the
 	// stream full waits for the next, or for the generation's end.
 	m.gen = &generation{events: make(chan *Msg, n), done: make(chan struct{})}
-	m.lastSeen = make([]atomic.Int64, n)
 	for id, j := range fleet {
-		m.lastSeen[id].Store(time.Now().UnixNano())
 		// The executor id is only known after the hello, so this side of
 		// the link counts messages (the executor side counts bytes too).
 		j.c.stats = obs.Peer(fmt.Sprintf("master/exec%d", id))
@@ -312,27 +311,32 @@ collect:
 		if err := c.send(&Msg{Kind: MsgSetup, ExecutorID: id, Peers: m.peers, Trace: obs.Tracing()}); err != nil {
 			return 0, sendErr("setup", id, err)
 		}
-		go m.handleConn(id, c, m.gen, &m.lastSeen[id])
+		go m.handleConn(id, c, m.gen)
 	}
 	return n, nil
 }
 
 // handleConn delivers every message executor id sends but its pings
 // into the generation's stream, named by its link; a failed link goes
-// in as a lost MsgError, the handler's last. Once the generation has
-// ended it delivers nothing more, so a handler outliving a recovery
-// cannot pollute the next generation's waits, but it reads on until the
-// link closes, so the executor never blocks on a send.
-func (m *Master) handleConn(id int, c *codec, g *generation, seen *atomic.Int64) {
+// in as a lost MsgError, the handler's last, and is closed — a link
+// silent past the armed heartbeat timeout (masterConn) so, too, naming
+// the timeout. Once the generation has ended it delivers nothing more,
+// so a handler outliving a recovery cannot pollute the next
+// generation's waits, but it reads on until the link closes, so the
+// executor never blocks on a send.
+func (m *Master) handleConn(id int, c *codec, g *generation) {
 	for {
 		msg, err := c.recv()
 		if err != nil {
-			msg = &Msg{Kind: MsgError, Err: fmt.Sprintf("connection failed (%v)", err), Lost: true}
-		} else {
-			seen.Store(time.Now().UnixNano())
+			text := fmt.Sprintf("connection failed (%v)", err)
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				text = fmt.Sprintf("heartbeat stale (silent > %v)", time.Duration(m.hbTimeout.Load()))
+			}
+			msg = &Msg{Kind: MsgError, Err: text, Lost: true}
+			c.close()
 		}
 		if msg.Kind == MsgPing {
-			continue // liveness only: the refresh above is the point
+			continue // liveness only: it kept the link's read alive
 		}
 		msg.ExecutorID = id
 		select {
@@ -608,10 +612,9 @@ func (m *Master) runStep(def LoopDef, pass, step int, timeParts []int) error {
 // stepStallFactor bounds how long the master waits for the fleet's
 // replies relative to the armed heartbeat timeout before declaring the
 // wait wedged. Heartbeats prove a worker process is alive, not that it
-// is making progress: a desynchronized or half-delivered frame can
-// leave a reader blocked forever while its heartbeat goroutine keeps
-// pinging. The stall bound converts that wedge into a worker loss the
-// recovery path handles.
+// is making progress: a worker whose main loop is stuck keeps its link
+// alive with pings and never replies. The stall bound converts that
+// wedge into a worker loss the recovery path handles.
 const stepStallFactor = 10
 
 // round sends executor id the request req makes for it, to every
@@ -637,22 +640,23 @@ func (m *Master) round(what string, req func(id int) *Msg, kind MsgKind, each fu
 // of another kind, is a protocol fault (ErrWorkerLost). A refused reply
 // does not end the wait: the rest are still taken, so none outlives it,
 // and the first error returns once all have answered. Only an executor
-// error, a worker silent past an armed heartbeat timeout, a wait
-// stalled past stepStallFactor timeouts with every worker still pinging
-// (a wedged link), or the generation's end ends it early, and with it
-// the generation: the error is recorded, and every later wait returns
-// it at once.
+// error (a link silent past an armed heartbeat timeout among them), a
+// wait stalled past stepStallFactor timeouts with every link still
+// pinging (a wedged worker), or the generation's end ends it early, and
+// with it the generation: the error is recorded, and every later wait
+// returns it at once.
 func (m *Master) await(kind MsgKind, each func(*Msg) error) error {
 	g := m.gen
 	if g.err != nil {
 		return g.err
 	}
-	var tick <-chan time.Time // never ready while staleness detection is unarmed
-	var start time.Time
-	if m.hbTimeout > 0 {
-		t := time.NewTicker(m.hbTimeout / 2)
+	var stall <-chan time.Time // never ready while staleness detection is unarmed
+	bound := stepStallFactor * time.Duration(m.hbTimeout.Load())
+	if bound > 0 {
+		//lint:ignore timenow the stall bound: a worker that pings but never replies
+		t := time.NewTimer(bound)
 		defer t.Stop()
-		tick, start = t.C, time.Now()
+		stall = t.C
 	}
 	answered := make([]bool, m.n)
 	var first error
@@ -664,9 +668,8 @@ func (m *Master) await(kind MsgKind, each func(*Msg) error) error {
 			if msg.Kind == MsgError {
 				err = fmt.Errorf("runtime: executor %d: %s", id, msg.Err)
 				if msg.Lost {
-					// A broken link (its own, or one it reported on the
-					// ring or to a shard owner): recoverable, not a
-					// kernel bug.
+					// A broken link (its own, or a peer link it
+					// reported): recoverable, not a kernel bug.
 					err = fmt.Errorf("%w: %w", err, ErrWorkerLost)
 				}
 				break
@@ -685,20 +688,8 @@ func (m *Master) await(kind MsgKind, each func(*Msg) error) error {
 			continue
 		case <-g.done:
 			err = fmt.Errorf("runtime: the fleet was shut down or aborted: %w", ErrWorkerLost)
-		case <-tick:
-			now := time.Now()
-			for id := range m.lastSeen {
-				if err == nil && now.UnixNano()-m.lastSeen[id].Load() > int64(m.hbTimeout) {
-					err = fmt.Errorf("runtime: executor %d heartbeat stale (silent > %v): %w", id, m.hbTimeout, ErrWorkerLost)
-				}
-			}
-			if err == nil && now.Sub(start) > stepStallFactor*m.hbTimeout {
-				err = fmt.Errorf("runtime: %d of %d replies after > %v with live heartbeats (wedged link): %w",
-					got, m.n, stepStallFactor*m.hbTimeout, ErrWorkerLost)
-			}
-			if err == nil {
-				continue
-			}
+		case <-stall:
+			err = fmt.Errorf("runtime: %d of %d replies after > %v with live heartbeats (wedged worker): %w", got, m.n, bound, ErrWorkerLost)
 		}
 		g.err = err
 		return err

@@ -202,16 +202,18 @@ func TestObsDisabledExecInstrumentationAllocFree(t *testing.T) {
 }
 
 // Sanity: rotation traffic shows up in the per-peer counters after a
-// rotated run (byte counts on the dialing side, message counts both).
+// rotated run (byte counts on the dialing side, message counts both):
+// executor 0 ships rotated partitions to its ring predecessor, 1, over
+// their peer link.
 func TestPeerTrafficCounters(t *testing.T) {
-	ring := obs.Peer("exec0/ring")
+	ring := obs.Peer("exec0/peer1")
 	before := ring.MsgsSent.Value()
 	ipc := NewInProc()
 	runDistributedMF(t, ipc, "peer-master", func(i int) string {
 		return fmt.Sprintf("peer-cnt-%d", i)
 	}, 2, 1)
 	if got := ring.MsgsSent.Value(); got <= before {
-		t.Fatalf("exec0/ring msgs_sent did not grow (%d → %d)", before, got)
+		t.Fatalf("exec0/peer1 msgs_sent did not grow (%d → %d)", before, got)
 	}
 	if obs.Peer("exec0/master").BytesSent.Value() == 0 {
 		t.Fatal("exec0/master bytes_sent is 0")

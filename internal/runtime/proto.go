@@ -157,7 +157,7 @@ type Msg struct {
 	AccumNames  []string
 
 	// Errors. Lost marks an executor-reported error caused by a broken
-	// connection (ring neighbor or shard owner unreachable) rather than
+	// connection (a neighbour or shard owner unreachable) rather than
 	// a kernel failure; the master folds it into ErrWorkerLost so the
 	// recovery path can distinguish transport loss from program bugs.
 	Err  string

@@ -12,7 +12,7 @@ import (
 // benchmark harness (benchmark/standalone.go times
 // runtime.rotation_mb_per_s through it) without exporting the codec
 // itself: a client/server codec pair over an in-memory pipe, the client
-// end wrapped in the same countingConn production ring links use (so
+// end wrapped in the same countingConn production peer links use (so
 // BytesSent is the true wire size, framing included), and a sink
 // goroutine performing the receive-side work servePeer plus the
 // executor's install step do per rotated partition.

@@ -145,21 +145,15 @@ type inprocAddr string
 func (a inprocAddr) Network() string { return "inproc" }
 func (a inprocAddr) String() string  { return string(a) }
 
-// Deadline wraps a transport so every connection it produces enforces
-// per-operation I/O deadlines: each Read (Write) arms a fresh read
-// (write) deadline of the configured duration. A zero duration leaves
-// that direction unlimited.
-//
-// Write deadlines are broadly safe — the runtime never holds a send
-// open indefinitely on purpose — and turn a wedged peer into a prompt
-// error instead of a hung barrier. Read deadlines are only appropriate
-// on links with guaranteed periodic traffic (e.g. the master side of
-// executor connections when heartbeats are enabled): executors
-// legitimately sit idle between loops, so a blanket read deadline
-// would kill healthy workers.
+// Deadline wraps a transport so every connection it produces enforces a
+// per-write deadline: each Write arms a fresh write deadline of Write. A
+// zero duration leaves writes unlimited. The runtime never holds a send
+// open indefinitely on purpose, so a wedged peer becomes a prompt error
+// instead of a hung barrier. Reads have no deadline here: a silent
+// executor link fails on the master (masterConn), the one end that hears
+// periodic traffic.
 type Deadline struct {
 	Inner Transport
-	Read  time.Duration
 	Write time.Duration
 }
 
@@ -169,7 +163,7 @@ func (d Deadline) Listen(addr string) (net.Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &deadlineListener{Listener: ln, read: d.Read, write: d.Write}, nil
+	return &deadlineListener{Listener: ln, write: d.Write}, nil
 }
 
 // Dial implements Transport.
@@ -178,12 +172,12 @@ func (d Deadline) Dial(addr string) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &deadlineConn{Conn: c, read: d.Read, write: d.Write}, nil
+	return &deadlineConn{Conn: c, write: d.Write}, nil
 }
 
 type deadlineListener struct {
 	net.Listener
-	read, write time.Duration
+	write time.Duration
 }
 
 func (l *deadlineListener) Accept() (net.Conn, error) {
@@ -191,21 +185,12 @@ func (l *deadlineListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &deadlineConn{Conn: c, read: l.read, write: l.write}, nil
+	return &deadlineConn{Conn: c, write: l.write}, nil
 }
 
 type deadlineConn struct {
 	net.Conn
-	read, write time.Duration
-}
-
-func (c *deadlineConn) Read(p []byte) (int, error) {
-	if c.read > 0 {
-		if err := c.Conn.SetReadDeadline(time.Now().Add(c.read)); err != nil {
-			return 0, err
-		}
-	}
-	return c.Conn.Read(p)
+	write time.Duration
 }
 
 func (c *deadlineConn) Write(p []byte) (int, error) {
@@ -215,6 +200,32 @@ func (c *deadlineConn) Write(p []byte) (int, error) {
 		}
 	}
 	return c.Conn.Write(p)
+}
+
+// masterConn is the master's end of an executor link. While the
+// master's heartbeat timeout is armed (Master.SetHeartbeat), every Read
+// arms a fresh read deadline of it: the executor pings, so a link that
+// stays silent longer fails its read like a closed one, while a long
+// reply that keeps arriving does not. Unarmed, it reads as the bare
+// connection does.
+type masterConn struct {
+	net.Conn
+	timeout *atomic.Int64 // nanoseconds, 0 unarmed
+	armed   bool          // a deadline is set; the link has one reader
+}
+
+func (c *masterConn) Read(p []byte) (int, error) {
+	if d := c.timeout.Load(); d > 0 || c.armed {
+		var at time.Time // zero clears the deadline of a disarmed timeout
+		if d > 0 {
+			at = time.Now().Add(time.Duration(d))
+		}
+		if err := c.Conn.SetReadDeadline(at); err != nil {
+			return 0, err
+		}
+		c.armed = d > 0
+	}
+	return c.Conn.Read(p)
 }
 
 // countingConn wraps a connection and feeds per-peer byte counters.

@@ -458,6 +458,12 @@ func TestMasterLinkBytesVaryOnlyByStats(t *testing.T) {
 	if err := m.DistributeIterSpace(samples, 0, spacePart); err != nil {
 		t.Fatal(err)
 	}
+	// A send returns once the pipe has handed its bytes over, which may
+	// be before the executor's tap has recorded them; an executor answers
+	// the barrier only after reading all that came before it.
+	if err := m.round("barrier", func(int) *Msg { return &Msg{Kind: MsgAck} }, MsgAck, nil); err != nil {
+		t.Fatal(err)
+	}
 	// snap is where each link's streams stand: tx and rx per link.
 	snap := func() [][2]int {
 		var at [][2]int
