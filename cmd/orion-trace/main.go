@@ -200,7 +200,7 @@ func printReconfigurations(events []obs.FlightEvent) {
 	var recon []obs.FlightEvent
 	for _, ev := range events {
 		switch ev.Kind {
-		case obs.FlightPlanRecut, obs.FlightFleetGrow, obs.FlightFleetShrink, obs.FlightCkptRestore:
+		case obs.FlightPlanRecut, obs.FlightFleetGrow, obs.FlightCkptRestore:
 			recon = append(recon, ev)
 		}
 	}

@@ -137,6 +137,6 @@ func main() {
 		if rejoinDelay *= 2; rejoinDelay > dialMax {
 			rejoinDelay = dialMax
 		}
-		*id = -1 // our old slot may be renumbered; let the master assign
+		*id = -1 // let the master assign a free slot
 	}
 }

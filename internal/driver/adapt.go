@@ -52,43 +52,14 @@ func (s *Session) AdaptTrail() []AdaptDecision {
 // complement; TCP sessions admit both rejoining survivors and
 // brand-new workers (orion-worker -rejoin dials the same master
 // address) — and resumes with partitions re-cut onto the
-// enlarged fleet. m below the current size is rejected (that's a
-// planned shrink — see Shrink); m equal to the current size is a
-// rolling re-form, exercising the full admission path.
+// enlarged fleet. m below the current size is rejected; m equal to the
+// current size is a rolling re-form, exercising the full admission
+// path.
 func (s *Session) Grow(m int) error {
 	if m < s.n {
-		return fmt.Errorf("driver: Grow(%d) below the current fleet size %d (use Shrink for a planned shrink)", m, s.n)
-	}
-	if s.shrinkTarget > 0 {
-		return fmt.Errorf("driver: Grow(%d): a shrink to %d workers is already armed", m, s.shrinkTarget)
+		return fmt.Errorf("driver: Grow(%d) below the current fleet size %d", m, s.n)
 	}
 	s.growTarget = m
-	return nil
-}
-
-// Shrink arms a planned fleet shrink, the fourth reconfiguration
-// trigger beside recovery, adaptation, and grow: at the next
-// ParallelFor's entry the session folds accumulator contributions down
-// to the driver, re-forms the fleet at m workers (local sessions spawn
-// the smaller complement; TCP fleets admit m rejoining survivors),
-// and re-cuts the plan artifact onto the survivors from
-// the raw iteration weights — exactly the cuts a fresh m-worker
-// compile materializes, so the shrunken run's placement (and result,
-// bitwise) matches a static m-worker run. Unlike the recovery path's
-// shrink-to-survivors, nothing is lost and no checkpoint is needed.
-//
-//lint:ignore reach no caller, but the shrinkTarget state it sets is linked code (ROADMAP 3B(h))
-func (s *Session) Shrink(m int) error {
-	if m <= 0 {
-		return fmt.Errorf("driver: Shrink(%d): fleet size must be positive", m)
-	}
-	if m >= s.n {
-		return fmt.Errorf("driver: Shrink(%d) is not below the current fleet size %d (use Grow to enlarge or re-form)", m, s.n)
-	}
-	if s.growTarget > 0 {
-		return fmt.Errorf("driver: Shrink(%d): a grow to %d workers is already armed", m, s.growTarget)
-	}
-	s.shrinkTarget = m
 	return nil
 }
 

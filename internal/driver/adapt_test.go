@@ -363,7 +363,7 @@ func TestChaosGrowTCPAdmitsNewWorker(t *testing.T) {
 				if err := <-e.Start(); err == nil {
 					return
 				}
-				cur = -1 // slots renumber on re-form; let the master assign
+				cur = -1 // let the master assign a free slot
 			}
 		}()
 	}

@@ -60,16 +60,13 @@ type Session struct {
 	// Fault tolerance: checkpointDir/Every configure coordinated
 	// loop-boundary checkpoints; maxRestarts bounds recovery attempts
 	// per ParallelFor (2), past which a worker loss surfaces as the usual
-	// ORN301; minWorkers/rejoinWait tune TCP fleet re-forming
-	// (SetRejoin). spawnExec (local sessions) respawns one in-process
+	// ORN301. spawnExec (local sessions) respawns one in-process
 	// executor for generation `generation`. accumBase carries
 	// accumulator totals from before the last restore, so Accumulate
 	// stays exact across recoveries.
 	checkpointDir   string
 	checkpointEvery int64
 	maxRestarts     int
-	minWorkers      int
-	rejoinWait      time.Duration
 	spawnExec       func(i int) (<-chan error, error)
 	generation      atomic.Int64
 	accumBase       map[string]float64
@@ -77,8 +74,7 @@ type Session struct {
 
 	// Reconfiguration triggers (adapt.go): adaptEnabled/adaptSkew arm
 	// measurement-driven re-cutting at loop boundaries, growTarget arms
-	// an elastic fleet grow, shrinkTarget arms a planned shrink at the
-	// next loop entry, adaptProfile, when set, replaces the measured
+	// an elastic fleet grow, adaptProfile, when set, replaces the measured
 	// weight profile of a segment (tests inject deterministic ones), and
 	// adaptTrail records decisions.
 	// lastSpacePart is the space partitioner of the most recent attempt,
@@ -89,7 +85,6 @@ type Session struct {
 	adaptProfile  func(kernel string, delta *obs.LoopReport) *analyze.WeightProfile
 	adaptTrail    []AdaptDecision
 	growTarget    int
-	shrinkTarget  int
 	lastSpacePart *sched.Partitioner
 
 	// iter and held record what the fleet holds: the iteration space and
@@ -162,7 +157,6 @@ func newSession(tr runtime.Transport, addr string, n int) (*Session, error) {
 		planMem:     map[string]*compiledLoop{},
 		held:        map[string]*resident{},
 		maxRestarts: 2,
-		rejoinWait:  10 * time.Second,
 		accumBase:   map[string]float64{},
 	}
 	// The /report metrics endpoint serves whatever the newest session
@@ -183,27 +177,13 @@ func (s *Session) SetCheckpointDir(dir string) { s.checkpointDir = dir }
 // boundaries only.
 func (s *Session) SetCheckpointEvery(n int64) { s.checkpointEvery = n }
 
-// SetRejoin tunes TCP fleet re-forming after a worker loss: recovery
-// waits up to `wait` for workers to reconnect and proceeds — possibly
-// on a shrunken fleet, re-partitioning the lost worker's blocks onto
-// the survivors — once at least `min` are back. min <= 0 requires the
-// full fleet.
-//
-//lint:ignore reach no caller, but the minWorkers state it sets is linked code (ROADMAP 3B(h))
-func (s *Session) SetRejoin(min int, wait time.Duration) {
-	s.minWorkers = min
-	if wait > 0 {
-		s.rejoinWait = wait
-	}
-}
-
 // SetHeartbeat arms worker staleness detection: an executor link silent
 // for longer than timeout fails like a closed one, and the next wait on
 // the fleet treats the worker as lost (see runtime.Master.SetHeartbeat).
 func (s *Session) SetHeartbeat(timeout time.Duration) { s.master.SetHeartbeat(timeout) }
 
-// Workers returns the current fleet size (it can shrink when recovery
-// re-forms a TCP fleet from the survivors).
+// Workers returns the current fleet size (Grow enlarges it; recovery
+// re-forms the fleet at the same size).
 func (s *Session) Workers() int { return s.n }
 
 // CreateArray declares a DistArray and returns it for driver-side

@@ -353,6 +353,11 @@ func TestDriverOrderedWavefrontMatchesSerial(t *testing.T) {
 				t.Fatalf("%d executors: H placed %v, want it handed down the wavefront", n, ap.Place)
 			}
 		}
+		for _, r := range sess.AllReports() {
+			if !r.Ordered {
+				t.Errorf("%d executors: the report of %s does not say the loop ran ordered", n, r.Loop)
+			}
+		}
 		if e, _ := sess.planFor(mfSrc, true); e.art.TimeParts != min(8*n, 30) {
 			t.Errorf("%d executors: time cut into %d parts, want %d", n, e.art.TimeParts, min(8*n, 30))
 		}

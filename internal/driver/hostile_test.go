@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -230,90 +229,9 @@ func TestChaosTruncateRecoversBitwise(t *testing.T) {
 	assertBitwiseEqual(t, want, snapshotBits(sess, "W", "H"))
 }
 
-// TestChaosPlannedShrinkMFBitwise: Shrink(2) on a 3-worker session
-// folds accumulators, re-forms the smaller fleet, and re-cuts the plan
-// artifact onto the survivors from raw iteration weights at loop entry
-// — so the whole loop executes exactly as a static 2-worker compile
-// would, and the result matches it bit for bit.
-func TestChaosPlannedShrinkMFBitwise(t *testing.T) {
-	const passes = 4
-	want, wantErr := mfReference(t, 2, passes)
-
-	sess, err := NewLocalSession(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	sess.SetCheckpointDir(t.TempDir())
-	fillMF(t, sess)
-	if err := sess.Shrink(2); err != nil {
-		t.Fatal(err)
-	}
-	eventsBefore := flightKinds("fleet.shrink", "")
-	if _, err := sess.ParallelFor(mfSrc, Passes(passes)); err != nil {
-		t.Fatalf("shrunken run did not complete: %v", err)
-	}
-	if got := sess.Workers(); got != 2 {
-		t.Fatalf("fleet = %d workers after Shrink(2), want 2", got)
-	}
-	if got := flightKinds("fleet.shrink", "") - eventsBefore; got != 1 {
-		t.Fatalf("fleet.shrink flight events = %d, want 1", got)
-	}
-	assertBitwiseEqual(t, want, snapshotBits(sess, "W", "H"))
-
-	// The folded pre-shrink accumulator state (zero — the shrink fires
-	// before any iteration) plus the 2-worker loop's contributions must
-	// reproduce the static run's sum.
-	gotErr, err := sess.Accumulate("err")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(gotErr-wantErr) > 1e-9*math.Abs(wantErr) {
-		t.Fatalf("accumulator drifted across the shrink: %v, want %v", gotErr, wantErr)
-	}
-}
-
-// TestChaosPlannedShrinkLDABitwise repeats the planned-shrink check
-// for LDA, whose kernel draws from rand(): deterministic reseeding is
-// keyed by (loop, executor, pass, step), and a shrink re-cut at entry
-// assigns exactly the static 2-worker blocks, so the sampled topics
-// match a static run bit for bit.
-func TestChaosPlannedShrinkLDABitwise(t *testing.T) {
-	const topics = 4
-	arrays := []string{"z", "doc_topic", "word_topic", "totals"}
-
-	ref, err := NewLocalSession(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillLDA(t, ref, topics)
-	if _, err := ref.ParallelFor(ldaDSL, Passes(3)); err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotBits(ref, arrays...)
-	ref.Close()
-
-	sess, err := NewLocalSession(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	fillLDA(t, sess, topics)
-	if err := sess.Shrink(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.ParallelFor(ldaDSL, Passes(3)); err != nil {
-		t.Fatalf("shrunken LDA run did not complete: %v", err)
-	}
-	if got := sess.Workers(); got != 2 {
-		t.Fatalf("fleet = %d workers after Shrink(2), want 2", got)
-	}
-	assertBitwiseEqual(t, want, snapshotBits(sess, arrays...))
-}
-
-// TestShrinkArmingGuards pins the Shrink/Grow arming contract: a
-// shrink must strictly reduce the fleet, and the two triggers are
-// mutually exclusive until one fires.
+// TestShrinkArmingGuards pins Grow's arming contract: a fleet never
+// shrinks, so Grow below the current size is refused, while Grow to
+// the current size (a rolling re-form) or above it is armed.
 func TestShrinkArmingGuards(t *testing.T) {
 	sess, err := NewLocalSession(3)
 	if err != nil {
@@ -321,22 +239,12 @@ func TestShrinkArmingGuards(t *testing.T) {
 	}
 	defer sess.Close()
 
-	if err := sess.Shrink(0); err == nil {
-		t.Fatal("Shrink(0) accepted")
-	}
-	if err := sess.Shrink(3); err == nil {
-		t.Fatal("Shrink to the current size accepted")
-	}
-	if err := sess.Shrink(4); err == nil {
-		t.Fatal("Shrink above the current size accepted")
-	}
 	if err := sess.Grow(2); err == nil {
 		t.Fatal("Grow below the current size accepted")
 	}
-	if err := sess.Shrink(2); err != nil {
-		t.Fatalf("Shrink(2) rejected: %v", err)
-	}
-	if err := sess.Grow(5); err == nil {
-		t.Fatal("Grow accepted while a shrink was armed")
+	for _, m := range []int{3, 5} {
+		if err := sess.Grow(m); err != nil {
+			t.Fatalf("Grow(%d) rejected: %v", m, err)
+		}
 	}
 }

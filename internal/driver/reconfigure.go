@@ -2,10 +2,10 @@
 // loop (runReconfigurable) with three ways to change shape between
 // attempts. recover rebuilds a dead fleet and restores the newest
 // checkpoint; recut re-cuts the partitions from measured per-worker
-// cost at a loop boundary; resize re-forms the fleet at another size —
-// an elastic grow at a boundary, a planned shrink at loop entry. Every
-// resumption lands at an exact (pass, step) position with array
-// placement reproduced for it.
+// cost at a loop boundary; resize re-forms the fleet at a larger (or
+// the same) size at a boundary — an elastic grow. Every resumption
+// lands at an exact (pass, step) position with array placement
+// reproduced for it.
 package driver
 
 import (
@@ -34,10 +34,8 @@ type reconfigState struct {
 	entryClock int64
 	// floor is the position the driver's array copies correspond to
 	// (wrote): loop-entry state at first, then the last restored
-	// checkpoint or the last quiesced segment boundary. floorWorkers is
-	// the fleet size that floor's mid-pass placement (if any) assumes.
-	floor        resumePos
-	floorWorkers int
+	// checkpoint or the last quiesced segment boundary.
+	floor resumePos
 	// segBase snapshots the loop's execution report at segment entry,
 	// so the adaptive trigger can judge the segment alone (reports
 	// accumulate for the kernel's whole run).
@@ -51,8 +49,8 @@ type reconfigState struct {
 // state for its resume position and executes up to a stop boundary;
 // while an adaptive or grow trigger is armed, execution proceeds one
 // pass per segment so every boundary is a reconfiguration point. A
-// worker loss aborts the fleet, rebuilds it (respawn for local
-// sessions, rejoin/shrink for TCP fleets), restores the newest usable
+// worker loss aborts the fleet, rebuilds it at the same size (respawn
+// for local sessions, rejoin for TCP fleets), restores the newest usable
 // checkpoint, and retries from there. Without a checkpoint directory
 // (or once maxRestarts attempts are spent) a loss fails fast — the
 // ORN301 path callers already render, naming the arrays whose unfetched
@@ -61,7 +59,7 @@ func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, 
 	if passes <= 0 {
 		passes = 1
 	}
-	rc := &reconfigState{entryClock: s.master.Clock(), floorWorkers: s.n}
+	rc := &reconfigState{entryClock: s.master.Clock()}
 	start := resumePos{}
 	// A checkpoint directory keeps the driver's copies current at every
 	// boundary (here, and wrote after each attempt): a recovery with no
@@ -70,16 +68,6 @@ func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, 
 		if err := s.fetch("checkpoint-armed"); err != nil {
 			return err
 		}
-	}
-	// A planned shrink fires at loop entry, before any state has been
-	// distributed: the whole loop then runs at the smaller size, so its
-	// result is bitwise-identical to a static run at that size.
-	if want := s.shrinkTarget; want > 0 {
-		s.shrinkTarget = 0
-		if err := s.resize(e, kernel, want, start); err != nil {
-			return err
-		}
-		rc.floorWorkers = s.n
 	}
 	for {
 		stopPass := s.segmentStop(start.pass, passes)
@@ -113,7 +101,7 @@ func (s *Session) runReconfigurable(e *compiledLoop, kernel string, passes int, 
 				}
 			}
 			start = boundary
-			rc.floor, rc.floorWorkers = start, s.n
+			rc.floor = start
 			continue
 		}
 		if !errors.Is(err, runtime.ErrWorkerLost) || s.checkpointDir == "" || rc.restarts >= s.maxRestarts {
@@ -139,17 +127,13 @@ func (s *Session) segmentStop(startPass, passes int) int {
 	return passes
 }
 
-// resize re-forms the fleet at want workers at a quiesced position:
-// accumulator contributions fold into the driver's base while the old
-// executors are still alive (the new fleet starts from zero) and what
-// only they hold is fetched, then the fleet is torn down and brought up
-// at the target size. The caller's next attempt re-distributes arrays
-// and iteration space onto it. A
-// shrink also re-cuts the artifact onto the survivors from the raw
-// iteration weights — exactly the materialization a fresh compile at
-// the smaller size produces, so the next attempt's partitioner reuse
-// check adopts cuts identical to a static run's; a grown fleet outruns
-// the artifact's cuts and is balanced afresh there.
+// resize re-forms the fleet at want workers (never fewer than it has)
+// at a quiesced position: accumulator contributions fold into the
+// driver's base while the old executors are still alive (the new fleet
+// starts from zero) and what only they hold is fetched, then the fleet
+// is torn down and brought up at the target size. The caller's next
+// attempt re-distributes arrays and iteration space onto it; a grown
+// fleet outruns the artifact's cuts and is balanced afresh there.
 func (s *Session) resize(e *compiledLoop, kernel string, want int, at resumePos) error {
 	if err := s.foldAccumulators(e); err != nil {
 		return err
@@ -161,23 +145,10 @@ func (s *Session) resize(e *compiledLoop, kernel string, want int, at resumePos)
 	if err := s.rebuildFleet(want); err != nil {
 		return err
 	}
-	kind, detail := obs.FlightFleetGrow, fmt.Sprintf("%d -> %d workers", oldN, s.n)
-	if want < oldN {
-		if !e.art.Space.IsZero() {
-			space := s.iterSpaceOf(e)
-			art, err := e.art.Recut(space.spaceW, space.timeW, s.n, e.plan.TimeParts(s.n), space.digest)
-			if err != nil {
-				return fmt.Errorf("driver: shrink recut of %q: %w", kernel, err)
-			}
-			e.art = art
-			obs.GetCounter("plan.repartition").Inc()
-		}
-		kind, detail = obs.FlightFleetShrink, fmt.Sprintf("planned: %d -> %d workers", oldN, s.n)
-	}
 	obs.Flight().Record(obs.FlightEvent{
-		Kind: kind, Clock: s.master.Clock(),
+		Kind: obs.FlightFleetGrow, Clock: s.master.Clock(),
 		Loop: kernel, Pass: at.pass, Step: at.step, Worker: -1,
-		Detail: detail,
+		Detail: fmt.Sprintf("%d -> %d workers", oldN, s.n),
 	})
 	return nil
 }
@@ -208,14 +179,11 @@ func (s *Session) recover(e *compiledLoop, kernel string, rc *reconfigState, cau
 		return resumePos{}, rerr
 	}
 	if restored {
-		rc.floor, rc.floorWorkers = pos, s.n
+		rc.floor = pos
 		obs.Flight().Record(obs.FlightEvent{
 			Kind: obs.FlightCkptRestore, Clock: s.master.Clock(),
 			Loop: kernel, Pass: pos.pass, Step: pos.step, Worker: -1,
 		})
-	} else if rc.floor.step != 0 && s.n != rc.floorWorkers {
-		return resumePos{}, fmt.Errorf("driver: recovery: fleet re-formed with %d workers but the only restorable state is a mid-pass snapshot cut for %d: %w",
-			s.n, rc.floorWorkers, cause)
 	}
 	s.recoveries.Add(1)
 	obs.GetCounter("runtime.recoveries").Inc()
@@ -223,14 +191,17 @@ func (s *Session) recover(e *compiledLoop, kernel string, rc *reconfigState, cau
 	return rc.floor, nil
 }
 
+// rejoinWait is how long a re-forming fleet waits for all its
+// executors to dial in before the re-form fails.
+const rejoinWait = 10 * time.Second
+
 // rebuildFleet tears the current fleet down (there is none yet when a
-// local session starts) and forms a fresh generation of want executors
-// with Master.Reform. A local session drains the old executors — they
-// unwind when the master connection drops — and spawns the full target
-// complement alongside; a TCP session waits for reconnecting (or
-// brand-new, for a grow) workers, proceeding on the survivors if the
-// fleet is allowed to shrink (SetRejoin) — except that a grow never
-// finishes below the size it started from.
+// local session starts) and forms a fresh generation of exactly want
+// executors with Master.Reform. A local session drains the old
+// executors — they unwind when the master connection drops — and
+// spawns the full target complement alongside; a TCP session waits for
+// reconnecting (or brand-new, for a grow) workers, and fails at
+// rejoinWait if fewer than want have joined.
 func (s *Session) rebuildFleet(want int) error {
 	s.master.Abort()
 	s.generation.Add(1)
@@ -238,14 +209,6 @@ func (s *Session) rebuildFleet(want int) error {
 		<-d
 	}
 	s.execDone = nil
-	minW := s.minWorkers
-	if minW <= 0 || minW > want {
-		minW = want
-	}
-	if want > s.n && minW < s.n {
-		// An elastic grow falls back to the old size, never below it.
-		minW = s.n
-	}
 	spawned := make(chan error, 1)
 	go func() {
 		for i := 0; s.spawnExec != nil && i < want; i++ {
@@ -258,14 +221,14 @@ func (s *Session) rebuildFleet(want int) error {
 		}
 		spawned <- nil
 	}()
-	n, err := s.master.Reform(want, minW, s.rejoinWait)
+	err := s.master.Reform(want, rejoinWait)
 	if serr := <-spawned; serr != nil {
 		return serr
 	}
 	if err != nil {
 		return err
 	}
-	s.n = n
+	s.n = want
 	return nil
 }
 

@@ -392,14 +392,18 @@ func startTCPWorker(master string, id int, tr runtime.Transport, rejoin bool) {
 	}()
 }
 
-// TestChaosTCPShrinkRecovery loses a worker that never comes back: the
-// fleet re-forms from the two survivors (SetRejoin), the artifact's
-// materialized cuts are coalesced onto them, and training completes on
-// the shrunken ring.
-func TestChaosTCPShrinkRecovery(t *testing.T) {
+// TestChaosTCPRejoinRecovery drives a TCP session's recovery through
+// rejoining orion-worker-style executors: worker 2's master link is
+// severed mid-loop, the master aborts the fleet, and all three workers
+// (worker 2 again through the fault injector) dial back asking for no
+// slot. The fleet re-forms at its full size, resumes from the
+// checkpoint, and ends bit for bit where a fault-free run does.
+func TestChaosTCPRejoinRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and rejoin waits")
 	}
+	want, _ := mfReference(t, 3, 4)
+
 	sess, err := NewTCPSession("127.0.0.1:0", 3)
 	if err != nil {
 		t.Fatal(err)
@@ -408,33 +412,32 @@ func TestChaosTCPShrinkRecovery(t *testing.T) {
 	chaos := runtime.NewChaos(runtime.TCP{}, 11)
 	sess.master.SetClockHook(chaos.Advance)
 	sess.SetCheckpointDir(t.TempDir())
-	sess.SetRejoin(2, 2*time.Second)
-
-	// Workers 0 and 1 mimic orion-worker -rejoin; worker 2 dials through
-	// the fault injector and stays dead once severed.
-	startWorker := func(id int, tr runtime.Transport, rejoin bool) { startTCPWorker(sess.Addr(), id, tr, rejoin) }
-	startWorker(0, runtime.TCP{}, true)
-	startWorker(1, runtime.TCP{}, true)
-	startWorker(2, chaos, false)
+	startTCPWorker(sess.Addr(), 0, runtime.TCP{}, true)
+	startTCPWorker(sess.Addr(), 1, runtime.TCP{}, true)
+	startTCPWorker(sess.Addr(), 2, chaos, true)
 	if err := sess.WaitForWorkers(); err != nil {
 		t.Fatal(err)
 	}
 	chaos.Schedule(runtime.FaultEvent{Clock: 4, Addr: sess.Addr(), Conn: 0, Kind: runtime.FaultSever})
 
 	fillMF(t, sess)
-	before := mfLoss(sess)
+	obs.Flight().Reset()
 	if _, err := sess.ParallelFor(mfSrc, Passes(4)); err != nil {
-		t.Fatalf("shrink recovery failed: %v", err)
+		t.Fatalf("rejoin recovery failed: %v", err)
 	}
-	if got := sess.Workers(); got != 2 {
-		t.Fatalf("fleet = %d workers, want the 2 survivors", got)
+	if got := chaos.Applied(); got != 1 {
+		t.Fatalf("applied faults = %d, want 1", got)
+	}
+	if got := sess.Workers(); got != 3 {
+		t.Fatalf("fleet = %d workers, want 3", got)
 	}
 	if got := sess.Recoveries(); got != 1 {
 		t.Fatalf("recoveries = %d, want 1", got)
 	}
-	if after := mfLoss(sess); after >= before*0.7 {
-		t.Fatalf("training on the shrunken fleet did not converge: %v -> %v", before, after)
+	if got := flightKinds("worker.rejoin", ""); got != 3 {
+		t.Errorf("worker.rejoin flight events = %d, want 3", got)
 	}
+	assertBitwiseEqual(t, want, snapshotBits(sess, "W", "H"))
 }
 
 // TestChaosOrderedWavefrontMidPassResumeBitwise kills a worker in the

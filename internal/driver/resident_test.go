@@ -338,35 +338,27 @@ func TestResidentOtherLoopAndForeignShip(t *testing.T) {
 
 // TestChaosResidentSurvivesReconfiguration: after hits, every way the
 // fleet changes under a call re-ships — a worker killed mid-pass (the
-// faulted session equals the fault-free reference), a grow, a planned
-// shrink, and an adaptive recut that moves the cuts.
+// faulted session equals the fault-free reference), a grow, and an
+// adaptive recut that moves the cuts.
 func TestChaosResidentSurvivesReconfiguration(t *testing.T) {
 	fleet := []string{"reuse", "ship:fleet"}
 	for _, tc := range []struct {
-		name    string
-		workers int
-		last    residentStep
+		name string
+		last residentStep
 	}{
-		{"killed worker", 2, residentStep{what: "a worker killed mid-pass", opts: []Option{Passes(2)}, want: fleet,
+		{"killed worker", residentStep{what: "a worker killed mid-pass", opts: []Option{Passes(2)}, want: fleet,
 			arrays: []string{"reuse:W", "reuse:H", "ship:W fleet", "ship:H fleet", armedH, armedW},
 			fault: func(t *testing.T, s *Session) {
 				chaosOf[s].Schedule(runtime.FaultEvent{Clock: s.Clock() + 1, Addr: s.Addr(), Conn: 1, Kind: runtime.FaultSever})
 			}}},
-		{"grow", 2, residentStep{what: "a grow at the pass boundary", opts: []Option{Passes(2)}, want: fleet,
+		{"grow", residentStep{what: "a grow at the pass boundary", opts: []Option{Passes(2)}, want: fleet,
 			arrays: []string{"reuse:W", "reuse:H", armedH, armedW, "ship:W fleet", "ship:H fleet", armedH, armedW},
 			before: func(t *testing.T, s *Session) {
 				if err := s.Grow(3); err != nil {
 					t.Fatal(err)
 				}
 			}}},
-		{"shrink", 3, residentStep{what: "a planned shrink", want: []string{"ship:fleet"},
-			arrays: []string{"ship:W fleet", "ship:H fleet", armedH, armedW},
-			before: func(t *testing.T, s *Session) {
-				if err := s.Shrink(2); err != nil {
-					t.Fatal(err)
-				}
-			}}},
-		{"adaptive recut", 2, residentStep{what: "a recut at the pass boundary", opts: []Option{Passes(2)}, want: []string{"reuse", "ship:recut"},
+		{"adaptive recut", residentStep{what: "a recut at the pass boundary", opts: []Option{Passes(2)}, want: []string{"reuse", "ship:recut"},
 			// The recut moves the space cuts and leaves the time cuts: W, not H.
 			arrays: []string{"reuse:W", "reuse:H", armedH, armedW, "ship:W rekeyed", "reuse:H", armedH, armedW},
 			before: func(t *testing.T, s *Session) {
@@ -380,7 +372,7 @@ func TestChaosResidentSurvivesReconfiguration(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var pair [2]*Session
 			for i := range pair {
-				s, chaos, _ := chaosLocalSession(t, tc.workers, 42)
+				s, chaos, _ := chaosLocalSession(t, 2, 42)
 				t.Cleanup(s.Close)
 				s.SetCheckpointDir(t.TempDir())
 				fillMF(t, s)
@@ -406,55 +398,6 @@ const armedH, armedW = "fetch:H checkpoint-armed", "fetch:W checkpoint-armed"
 
 // chaosOf finds a chaos session's fault injector from a step's hooks.
 var chaosOf = map[*Session]*runtime.Chaos{}
-
-// TestChaosResidentTCPReform: a TCP fleet loses a worker for good after
-// hits and re-forms from the two survivors; the call re-ships onto them.
-// The reference loses the same worker at the same clock.
-func TestChaosResidentTCPReform(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real sockets and a rejoin wait")
-	}
-	var pair [2]*Session
-	for i := range pair {
-		s, err := NewTCPSession("127.0.0.1:0", 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		chaos := runtime.NewChaos(runtime.TCP{}, 11)
-		s.master.SetClockHook(chaos.Advance)
-		s.SetCheckpointDir(t.TempDir())
-		s.SetRejoin(2, 500*time.Millisecond)
-		// Workers 0 and 1 rejoin when the master goes away; worker 2 dials
-		// through the injector and stays dead once severed.
-		startTCPWorker(s.Addr(), 0, runtime.TCP{}, true)
-		startTCPWorker(s.Addr(), 1, runtime.TCP{}, true)
-		startTCPWorker(s.Addr(), 2, chaos, false)
-		if err := s.WaitForWorkers(); err != nil {
-			t.Fatal(err)
-		}
-		fillMF(t, s)
-		chaosOf[s] = chaos
-		pair[i] = s
-	}
-	runResidentScript(t, pair[0], pair[1], "ratings", []residentStep{
-		{what: "first call", want: first},
-		{what: "unchanged", want: reuse},
-		{what: "a worker lost for good", opts: []Option{Passes(2)}, want: []string{"reuse", "ship:fleet"},
-			arrays: []string{"reuse:W", "reuse:H", "ship:W fleet", "ship:H fleet", armedH, armedW},
-			before: func(t *testing.T, s *Session) {
-				chaosOf[s].Schedule(runtime.FaultEvent{Clock: s.Clock() + 1, Addr: s.Addr(), Conn: 0, Kind: runtime.FaultSever})
-			}},
-		// The recovered attempt ran on the 3-worker artifact's cuts
-		// merged onto 2; the next call plans for 2 workers and cuts anew.
-		{what: "the first call planned for the survivors", want: []string{"ship:recut"},
-			arrays: []string{"ship:W rekeyed", "ship:H rekeyed", armedH, armedW}},
-		{what: "unchanged", want: reuse},
-	}, "W", "H")
-	if got := pair[0].Workers(); got != 2 {
-		t.Errorf("fleet = %d workers, want the 2 survivors", got)
-	}
-}
 
 // TestPrefetchIndexCacheFollowsGlobals: the executors' cached prefetch
 // indices survive a new value of a global the slice does not read and

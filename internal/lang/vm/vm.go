@@ -554,13 +554,13 @@ func (k *Kernel) SetRng(r lang.RandSource) { k.rng = r }
 // SetStepBudget bounds inner for-range body executions across the
 // kernel's lifetime; 0 disables the budget. Mirrors Machine.StepBudget.
 //
-//lint:ignore reach no caller, but the budget it sets is linked code (ROADMAP 3B(h))
+//lint:ignore reach FuzzExecDifferential bounds runaway loops with it, and TestLaneFaults pins the fault it raises
 func (k *Kernel) SetStepBudget(n int64) { k.budget = n }
 
 // SetVecLimit bounds zeros() vector lengths; 0 disables the limit.
 // Mirrors Machine.VecLimit.
 //
-//lint:ignore reach no caller, but the limit it sets is linked code (ROADMAP 3B(h))
+//lint:ignore reach FuzzExecDifferential bounds zeros() lengths with it, as it does the interpreter's VecLimit
 func (k *Kernel) SetVecLimit(n int64) { k.vecLimit = n }
 
 // SetGlobal sets a global slot's value, reporting whether the loop

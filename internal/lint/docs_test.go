@@ -56,6 +56,7 @@ func TestDocsNameLiveTargetsAndFiles(t *testing.T) {
 		{regexp.MustCompile(`(?:^|[^/\w])dsm\.([A-Z]\w*)`), topLevelNames(t, root, "./internal/dsm"), "a top-level declaration of internal/dsm"},
 		{regexp.MustCompile(`\bSession\.([A-Za-z_]\w*)`), methodsOf(t, root, "./internal/driver", "Session"), "a method of driver.Session"},
 		{regexp.MustCompile(`\bDistArray\.([A-Za-z_]\w*)`), methodsOf(t, root, "./internal/dsm", "DistArray"), "a method of dsm.DistArray"},
+		{regexp.MustCompile(`\bMaster\.([A-Za-z_]\w*)`), methodsOf(t, root, "./internal/runtime", "Master"), "a method of runtime.Master"},
 	}
 	flags := commandFlags(t, root)
 	codes, diagDoc := diagCodes(t, root)

@@ -55,8 +55,9 @@ type WorkerBreakdown struct {
 
 // LinkStall attributes a worker's rotation wait to the peer link that
 // feeds it: in the executor ring, worker w receives its next time
-// partition from successor (w+1) mod n over their peer link, whose
-// send-side counters carry the label "exec<succ>/peer<w>".
+// partition from successor (w+1) mod n, and in an ordered loop's
+// wavefront from predecessor (w-1) mod n, over their peer link, whose
+// send-side counters carry the label "exec<feeder>/peer<w>".
 type LinkStall struct {
 	Worker    int    `json:"worker"` // the stalled worker
 	Link      string `json:"link"`   // peer label of the feeding link
@@ -126,7 +127,7 @@ func Loop(r *obs.LoopReport, peers map[string]obs.PeerTraffic, opts Options) *Re
 			r.Loop, res.SkewIndex, res.Straggler, fmtNs(res.MaxComputeNs), fmtNs(res.MedianComputeNs)))
 	}
 	if res.RotationComputeRatio >= opts.RotationThreshold {
-		res.Links = linkStalls(res.Workers, peers)
+		res.Links = linkStalls(res.Workers, peers, r.Ordered)
 		msg := fmt.Sprintf("loop %s: rotation-bound — workers waited %.2fx their compute time for rotated partitions",
 			r.Loop, res.RotationComputeRatio)
 		if opts.StaticRatio > 0 {
@@ -145,18 +146,22 @@ func Loop(r *obs.LoopReport, peers map[string]obs.PeerTraffic, opts Options) *Re
 }
 
 // linkStalls ranks workers by rotation wait and attributes each wait
-// to its ring feed. Sorted worst-first.
-func linkStalls(workers []WorkerBreakdown, peers map[string]obs.PeerTraffic) []LinkStall {
+// to the link that feeds it (see LinkStall). Sorted worst-first.
+func linkStalls(workers []WorkerBreakdown, peers map[string]obs.PeerTraffic, ordered bool) []LinkStall {
 	n := len(workers)
 	if n < 2 {
 		return nil
+	}
+	step := 1 // the ring successor
+	if ordered {
+		step = n - 1 // the wavefront predecessor
 	}
 	out := make([]LinkStall, 0, n)
 	for _, w := range workers {
 		if w.RotWaitNs <= 0 {
 			continue
 		}
-		label := fmt.Sprintf("exec%d/peer%d", (w.Worker+1)%n, w.Worker)
+		label := fmt.Sprintf("exec%d/peer%d", (w.Worker+step)%n, w.Worker)
 		ls := LinkStall{Worker: w.Worker, Link: label, RotWaitNs: w.RotWaitNs}
 		if peers != nil {
 			ls.BytesSent = peers[label].BytesSent

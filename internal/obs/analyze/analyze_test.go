@@ -66,32 +66,45 @@ func TestLoopBalancedIsClean(t *testing.T) {
 	}
 }
 
+// TestLoopFlagsRotationBound: a rotation-bound loop is flagged ORN402
+// and its worst wait is named on the link that feeds the worker — the
+// ring successor's, or in an ordered loop, whose wavefront hands each
+// worker its partition from its predecessor, the predecessor's. The
+// ordering survives the Merge that copies a report out of the master.
 func TestLoopFlagsRotationBound(t *testing.T) {
-	r := &obs.LoopReport{Loop: "rot"}
-	// Worker 1 waits hardest; its feed is exec2/peer1.
-	waits := []int64{60e6, 90e6, 70e6}
-	for w := 0; w < 3; w++ {
-		r.Add(obs.WorkerStats{Worker: w, Iters: 500, ComputeNs: 100e6, RotWaitNs: waits[w], CommNs: 1e6})
-	}
 	peers := map[string]obs.PeerTraffic{
 		"exec0/peer2": {BytesSent: 1000},
 		"exec1/peer0": {BytesSent: 2000},
 		"exec2/peer1": {BytesSent: 3000},
+		"exec0/peer1": {BytesSent: 4000},
 	}
-	res := Loop(r, peers, Options{StaticRatio: 0.8})
-	d := hasCode(res.Diags, diag.CodeRotationBound)
-	if d == nil {
-		t.Fatalf("ORN402 missing from %v", res.Diags)
-	}
-	if !strings.Contains(d.Message, "ORN107") {
-		t.Fatalf("ORN402 does not cross-check the static estimate: %s", d.Message)
-	}
-	if len(res.Links) == 0 {
-		t.Fatal("no link attribution")
-	}
-	worst := res.Links[0]
-	if worst.Worker != 1 || worst.Link != "exec2/peer1" || worst.BytesSent != 3000 {
-		t.Fatalf("worst link = %+v, want worker 1 fed by exec2/peer1 (3000 bytes)", worst)
+	for _, tc := range []struct {
+		ordered bool
+		link    string // worker 1 waits hardest; this is its feed
+		bytes   int64
+	}{{false, "exec2/peer1", 3000}, {true, "exec0/peer1", 4000}} {
+		r := &obs.LoopReport{Loop: "rot", Ordered: tc.ordered}
+		waits := []int64{60e6, 90e6, 70e6}
+		for w := 0; w < 3; w++ {
+			r.Add(obs.WorkerStats{Worker: w, Iters: 500, ComputeNs: 100e6, RotWaitNs: waits[w], CommNs: 1e6})
+		}
+		merged := &obs.LoopReport{Loop: r.Loop}
+		merged.Merge(r)
+		res := Loop(merged, peers, Options{StaticRatio: 0.8})
+		d := hasCode(res.Diags, diag.CodeRotationBound)
+		if d == nil {
+			t.Fatalf("ORN402 missing from %v", res.Diags)
+		}
+		if !strings.Contains(d.Message, "ORN107") {
+			t.Fatalf("ORN402 does not cross-check the static estimate: %s", d.Message)
+		}
+		if len(res.Links) == 0 {
+			t.Fatal("no link attribution")
+		}
+		worst := res.Links[0]
+		if worst.Worker != 1 || worst.Link != tc.link || worst.BytesSent != tc.bytes {
+			t.Errorf("ordered %v: worst link = %+v, want worker 1 fed by %s (%d bytes)", tc.ordered, worst, tc.link, tc.bytes)
+		}
 	}
 }
 

@@ -44,7 +44,6 @@ const (
 	FlightWorkerLost    FlightKind = "worker.lost"
 	FlightWorkerRejoin  FlightKind = "worker.rejoin"
 	FlightFleetGrow     FlightKind = "fleet.grow"
-	FlightFleetShrink   FlightKind = "fleet.shrink"
 	FlightLinkCorrupt   FlightKind = "link.corrupt"
 )
 

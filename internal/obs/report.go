@@ -33,7 +33,10 @@ func (w *WorkerStats) add(s WorkerStats) {
 // LoopReport is the per-loop execution breakdown the master assembles
 // from executor BlockDone messages.
 type LoopReport struct {
-	Loop    string        `json:"loop"`
+	Loop string `json:"loop"`
+	// Ordered marks a loop that ran the wavefront schedule: each worker
+	// is fed by its predecessor, not by its ring successor.
+	Ordered bool          `json:"ordered,omitempty"`
 	Workers []WorkerStats `json:"workers"` // sorted by Worker
 }
 
@@ -57,6 +60,7 @@ func (r *LoopReport) Merge(other *LoopReport) {
 	if other == nil {
 		return
 	}
+	r.Ordered = r.Ordered || other.Ordered
 	for _, w := range other.Workers {
 		r.Add(w)
 	}
@@ -70,7 +74,7 @@ func (r *LoopReport) Merge(other *LoopReport) {
 // Workers absent from base are included whole; negative components
 // never appear as long as base is a genuine earlier snapshot.
 func (r *LoopReport) Delta(base *LoopReport) *LoopReport {
-	out := &LoopReport{Loop: r.Loop}
+	out := &LoopReport{Loop: r.Loop, Ordered: r.Ordered}
 	for _, w := range r.Workers {
 		d := w
 		if base != nil {

@@ -160,26 +160,6 @@ func (p Partition) Bounds(k int) (lo, hi int64) {
 	return lo, hi
 }
 
-// MergeTo coalesces the materialized partition down to m parts by
-// grouping adjacent parts — group k absorbs parts [k*n/m, (k+1)*n/m).
-// Recovery uses this to re-partition a lost worker's blocks onto the
-// survivors while preserving the histogram-balanced cut positions the
-// artifact materialized. m >= Parts (or a zero partition) returns p
-// unchanged.
-func (p Partition) MergeTo(m int) Partition {
-	n := p.Parts
-	if p.IsZero() || m <= 0 || m >= n {
-		return p
-	}
-	cuts := make([]int64, 0, m-1)
-	for k := 1; k < m; k++ {
-		// First part of group k; its lower bound is the group boundary.
-		lo, _ := p.Bounds(k * n / m)
-		cuts = append(cuts, lo)
-	}
-	return Partition{Extent: p.Extent, Parts: m, Cuts: cuts}
-}
-
 func (p Partition) validate(what string) error {
 	if p.IsZero() {
 		if p.Extent != 0 || len(p.Cuts) != 0 {
@@ -473,18 +453,18 @@ func BalancedPartitioner(weights []int64, parts int) *sched.Partitioner {
 // workers space parts and timeParts time parts (timeW nil: a 1D run, no
 // time partitioner); digest is WeightsDigest(spaceW, timeW), which a
 // caller running many times over unchanged weights computes once. The
-// cuts materialized at plan time are reused — coalesced with MergeTo
-// onto a fleet smaller than the one they were cut for — while the data
-// still digests to the weights they were balanced on. On drift (arrays
-// mutate between runs), for a fleet the cuts cannot cover, or with no
-// artifact at all (a nil receiver) the weights are balanced afresh,
-// without re-running analysis or planning, and reused is false.
+// cuts materialized at plan time are reused on a run of exactly the
+// parts they were cut for while the data still digests to the weights
+// they were balanced on. On drift (arrays mutate between runs), for any
+// other number of parts, or with no artifact at all (a nil receiver)
+// the weights are balanced afresh, without re-running analysis or
+// planning, and reused is false.
 func (a *Artifact) Partitioners(spaceW, timeW []int64, digest string, workers, timeParts int) (space, tm *sched.Partitioner, reused bool) {
-	if a != nil && a.Space.Parts >= workers && (timeW == nil || a.Time.Parts >= timeParts) &&
+	if a != nil && a.Space.Parts == workers && (timeW == nil || a.Time.Parts == timeParts) &&
 		a.WeightsDigest == digest {
 		var err error
-		if space, err = a.Space.MergeTo(workers).Partitioner(); err == nil && timeW != nil {
-			tm, err = a.Time.MergeTo(timeParts).Partitioner()
+		if space, err = a.Space.Partitioner(); err == nil && timeW != nil {
+			tm, err = a.Time.Partitioner()
 		}
 		if err == nil {
 			return space, tm, true

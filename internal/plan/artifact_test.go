@@ -336,7 +336,6 @@ func TestPartitionersReuseOrRebalance(t *testing.T) {
 	drifted := slices.Clone(spaceW)
 	drifted[3] += 50
 	art := mfArtifact(t, 4, spaceW, timeW)
-	merged := func(p Partition, m int) []int64 { return p.MergeTo(m).Cuts }
 	balanced := func(w []int64, parts int) []int64 { return BalancedPartitioner(w, parts).Boundaries() }
 
 	for _, tc := range []struct {
@@ -348,7 +347,7 @@ func TestPartitionersReuseOrRebalance(t *testing.T) {
 		space, time        []int64 // nil time: no time partitioner
 	}{
 		{"digest match", art, spaceW, timeW, 4, 4, true, art.Space.Cuts, art.Time.Cuts},
-		{"fewer workers coalesce", art, spaceW, timeW, 2, 2, true, merged(art.Space, 2), merged(art.Time, 2)},
+		{"fewer workers than cuts", art, spaceW, timeW, 2, 2, false, balanced(spaceW, 2), balanced(timeW, 2)},
 		{"more workers than cuts", art, spaceW, timeW, 5, 5, false, balanced(spaceW, 5), balanced(timeW, 5)},
 		{"more time parts than cuts", art, spaceW, timeW, 4, 8, false, balanced(spaceW, 4), balanced(timeW, 8)},
 		{"digest drift", art, drifted, timeW, 4, 4, false, balanced(drifted, 4), balanced(timeW, 4)},

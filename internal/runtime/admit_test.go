@@ -74,38 +74,36 @@ func hello(id int) *Msg { return &Msg{Kind: MsgHello, ExecutorID: id} }
 // for none; a dialer that asks for a taken or out-of-range slot, opens
 // with anything but a hello, or never says anything is closed while the
 // others form the fleet; one that dials after the fleet is full is never
-// admitted; and at the deadline at least min joiners form a fleet
-// renumbered 0..k-1.
+// admitted; and a fleet short of want at the deadline is not formed: the
+// minimum is want.
 func TestChaosAdmission(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		// want, min and wait admit the fleet: WaitForExecutors when wait is
+		// want and wait admit the fleet: WaitForExecutors when wait is
 		// zero, Reform otherwise.
-		want, min int
-		wait      time.Duration
-		dialers   []*Msg // in dial order; nil says nothing
-		late      *Msg   // dials once the fleet is formed
-		ids       []int  // each dialer's id, -1 when closed
-		anyOrder  bool   // ids is a multiset: which dialer wins a race is not fixed
-		n         int    // the fleet formed, 0 when admission fails
+		want     int
+		wait     time.Duration
+		dialers  []*Msg // in dial order; nil says nothing
+		late     *Msg   // dials once the fleet is formed
+		ids      []int  // each dialer's id, -1 when closed
+		anyOrder bool   // ids is a multiset: which dialer wins a race is not fixed
+		n        int    // the fleet formed, 0 when admission fails
 	}{
-		{name: "requested slot", want: 2, min: 2,
+		{name: "requested slot", want: 2,
 			dialers: []*Msg{hello(1), hello(0)}, ids: []int{1, 0}, n: 2},
-		{name: "-1 takes the first free slot", want: 2, min: 2,
+		{name: "-1 takes the first free slot", want: 2,
 			dialers: []*Msg{hello(1), hello(-1)}, ids: []int{1, 0}, n: 2},
-		{name: "duplicate id", want: 2, min: 2,
+		{name: "duplicate id", want: 2,
 			dialers: []*Msg{hello(0), hello(0), hello(1)}, ids: []int{-1, 0, 1}, anyOrder: true, n: 2},
-		{name: "out-of-range id", want: 2, min: 2,
+		{name: "out-of-range id", want: 2,
 			dialers: []*Msg{hello(5), hello(0), hello(1)}, ids: []int{-1, 0, 1}, n: 2},
-		{name: "first message not a hello", want: 2, min: 2,
+		{name: "first message not a hello", want: 2,
 			dialers: []*Msg{{Kind: MsgPing}, hello(0), hello(1)}, ids: []int{-1, 0, 1}, n: 2},
-		{name: "silent dialer", want: 2, min: 2,
+		{name: "silent dialer", want: 2,
 			dialers: []*Msg{nil, hello(0), hello(1)}, ids: []int{-1, 0, 1}, n: 2},
-		{name: "latecomer after the fleet is full", want: 2, min: 2,
+		{name: "latecomer after the fleet is full", want: 2,
 			dialers: []*Msg{hello(0), hello(1)}, late: hello(-1), ids: []int{0, 1, -1}, n: 2},
-		{name: "min at the deadline, renumbered", want: 3, min: 2, wait: 100 * time.Millisecond,
-			dialers: []*Msg{hello(0), hello(2)}, ids: []int{0, 1}, n: 2},
-		{name: "below min at the deadline", want: 3, min: 3, wait: 100 * time.Millisecond,
+		{name: "below min at the deadline", want: 3, wait: 100 * time.Millisecond,
 			dialers: []*Msg{hello(0), hello(2)}, ids: []int{-1, -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,18 +121,20 @@ func TestChaosAdmission(t *testing.T) {
 			}
 			formed := make(chan int, 1)
 			go func() {
+				var err error
 				if tc.wait == 0 {
-					if err := m.WaitForExecutors(); err != nil {
-						t.Error(err)
-					}
-					formed <- m.n
+					err = m.WaitForExecutors()
+				} else {
+					err = m.Reform(tc.want, tc.wait)
+				}
+				if (err == nil) != (tc.n > 0) {
+					t.Errorf("admission: %v", err)
+				}
+				if err != nil {
+					formed <- 0
 					return
 				}
-				n, err := m.Reform(tc.want, tc.min, tc.wait)
-				if (err == nil) != (tc.n > 0) {
-					t.Errorf("Reform: %d, %v", n, err)
-				}
-				formed <- n
+				formed <- m.n
 			}()
 			select {
 			case n := <-formed:

@@ -234,8 +234,7 @@ func (e *Executor) run() (err error) {
 		e.trace = nil // re-created below against the fresh tracer
 	}
 	if setup.ExecutorID != e.id {
-		// Master-assigned id (hello carried -1, or a re-formed fleet
-		// renumbered the survivors).
+		// Master-assigned id: the hello carried -1.
 		e.id = setup.ExecutorID
 		e.shards.selfID = e.id
 		e.trace = obs.NewBuf(e.id+1, fmt.Sprintf("exec%d", e.id))

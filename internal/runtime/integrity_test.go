@@ -469,21 +469,29 @@ func TestShardOwnerRejectsMalformedRequests(t *testing.T) {
 	req := loneExecutor(tr, 8, 1, "", "malformed-owner")
 
 	for i, tc := range []struct {
-		name string
-		msg  Msg
+		name      string
+		msg       Msg
+		unstamped bool // sent at epoch 0, which no step stamps
 	}{
-		{"read past the end of the array", Msg{Kind: MsgPrefetch, Offsets: []int64{1, 99}}},
-		{"read of an offset another owner holds", Msg{Kind: MsgPrefetch, Offsets: []int64{6}}},
+		{"read past the end of the array", Msg{Kind: MsgPrefetch, Offsets: []int64{1, 99}}, false},
+		{"read of an offset another owner holds", Msg{Kind: MsgPrefetch, Offsets: []int64{6}}, false},
 		// An update with more offsets than values never reaches an owner:
 		// the served frame's decoder condemns it (TestFrameHeaderBoundsRejectHostileClaims).
-		{"update past the end of the array", Msg{Kind: MsgUpdateBatch, ExecutorID: 1, Offsets: []int64{8}, Values: []float64{1}}},
+		{"update past the end of the array", Msg{Kind: MsgUpdateBatch, ExecutorID: 1, Offsets: []int64{8}, Values: []float64{1}}, false},
+		// Staged, an epoch-0 batch would fold into the next read of any
+		// epoch; an epoch-0 read would fold in everything staged.
+		{"update at epoch 0", Msg{Kind: MsgUpdateBatch, ExecutorID: 1, Offsets: []int64{2}, Values: []float64{100}}, true},
+		{"read at epoch 0", Msg{Kind: MsgPrefetch, Offsets: []int64{2}}, true},
 	} {
-		tc.msg.Array, tc.msg.Epoch = "w", int64(i+1)
+		tc.msg.Array = "w"
+		if !tc.unstamped {
+			tc.msg.Epoch = int64(i + 1)
+		}
 		resp, err := req.shardRPC(1, &tc.msg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if resp.Kind != MsgError || resp.Err == "" {
+		if resp.Kind != MsgError || resp.Err == "" || tc.unstamped && !strings.Contains(resp.Err, "epoch 0") {
 			t.Errorf("%s: the owner answered %v (%q), want MsgError", tc.name, resp.Kind, resp.Err)
 		}
 		// A read from a later epoch folds whatever was staged.
@@ -500,6 +508,7 @@ func TestShardOwnerRejectsMalformedRequests(t *testing.T) {
 
 	// The single-offset miss path reports the owner's reason, not just
 	// that the answer was bad.
+	req.ctx.stepEpoch = 1
 	if _, err := req.fetchOne("w", 6); err == nil || !strings.Contains(err.Error(), "outside the local shard") {
 		t.Errorf("fetchOne of an offset its owner does not hold: %v", err)
 	}

@@ -185,8 +185,7 @@ func (m *Master) SetHeartbeat(timeout time.Duration) { m.hbTimeout.Store(int64(t
 // WaitForExecutors admits the fleet of n Listen was given, however
 // long its executors take to dial in.
 func (m *Master) WaitForExecutors() error {
-	_, err := m.admit(m.n, m.n, 0)
-	return err
+	return m.admit(m.n, 0)
 }
 
 // admit forms the next fleet generation — the only code that accepts
@@ -195,12 +194,12 @@ func (m *Master) WaitForExecutors() error {
 // it asks for when that is free and below want, and the first free slot
 // when it asks for none (-1); a dialer whose first message is not a
 // hello, or asks for a taken or out-of-range slot, is closed, and
-// admission goes on. It stops once want have joined, or when wait (0:
-// never) elapses with at least min — renumbered 0..k-1, so a shrunken
-// fleet is still a ring — and then sends each its setup and starts its
-// handler. Every connection accepted here is admitted or closed by the
-// time it returns; a dialer it never accepted waits for the next.
-func (m *Master) admit(want, min int, wait time.Duration) (int, error) {
+// admission goes on. Once want have joined it sends each its setup and
+// starts its handler; when wait (0: never) elapses first, it fails
+// naming how many joined. Every connection accepted here is admitted or
+// closed by the time it returns; a dialer it never accepted waits for
+// the next.
+func (m *Master) admit(want int, wait time.Duration) error {
 	type joiner struct {
 		c     *codec
 		hello *Msg
@@ -237,7 +236,6 @@ func (m *Master) admit(want, min int, wait time.Duration) (int, error) {
 		defer t.Stop()
 		deadline = t.C
 	}
-collect:
 	for joined < want {
 		select {
 		case conn := <-m.dials:
@@ -265,28 +263,23 @@ collect:
 				joined++
 			}
 		case <-deadline:
-			break collect
+			return fmt.Errorf("runtime: only %d of %d executors joined within %v: %w", joined, want, wait, ErrWorkerLost)
 		case <-m.shut:
-			return 0, fmt.Errorf("runtime: master shut down while admitting executors")
+			return fmt.Errorf("runtime: master shut down while admitting executors")
 		}
-	}
-	fleet := slices.DeleteFunc(slots, func(j joiner) bool { return j.c == nil })
-	if len(fleet) < min {
-		return 0, fmt.Errorf("runtime: only %d of %d executors joined within %v: %w", len(fleet), want, wait, ErrWorkerLost)
 	}
 	m.generation++
 	m.loop = ""
 	// The fleet's executors hold their own caps, the newcomers the
 	// default: the next DefineLoop widens the cap, and its barrier, anew.
 	m.limit.n.Store(0)
-	n := len(fleet)
-	m.n = n
-	m.conns = make([]*codec, n)
-	m.peers = make([]string, n)
+	m.n = want
+	m.conns = make([]*codec, want)
+	m.peers = make([]string, want)
 	// A wait takes one message per executor; a handler that finds the
 	// stream full waits for the next, or for the generation's end.
-	m.gen = &generation{events: make(chan *Msg, n), done: make(chan struct{})}
-	for id, j := range fleet {
+	m.gen = &generation{events: make(chan *Msg, want), done: make(chan struct{})}
+	for id, j := range slots {
 		// The executor id is only known after the hello, so this side of
 		// the link counts messages (the executor side counts bytes too).
 		j.c.stats = obs.Peer(fmt.Sprintf("master/exec%d", id))
@@ -300,20 +293,13 @@ collect:
 			})
 		}
 	}
-	if m.generation > 1 && n < want {
-		obs.Flight().Record(obs.FlightEvent{
-			Kind: obs.FlightFleetShrink, Clock: m.clock.Load(),
-			Pass: -1, Step: -1, Worker: -1,
-			Detail: fmt.Sprintf("%d of %d workers rejoined", n, want),
-		})
-	}
 	for id, c := range m.conns {
 		if err := c.send(&Msg{Kind: MsgSetup, ExecutorID: id, Peers: m.peers, Trace: obs.Tracing()}); err != nil {
-			return 0, sendErr("setup", id, err)
+			return sendErr("setup", id, err)
 		}
 		go m.handleConn(id, c, m.gen)
 	}
-	return n, nil
+	return nil
 }
 
 // handleConn delivers every message executor id sends but its pings
@@ -595,7 +581,7 @@ func (m *Master) runStep(def LoopDef, pass, step int, timeParts []int) error {
 		}
 		return msg
 	}
-	if err := m.round("dispatch", dispatch, MsgBlockDone, func(msg *Msg) error { m.noteBlockDone(def.Kernel, msg); return nil }); err != nil {
+	if err := m.round("dispatch", dispatch, MsgBlockDone, func(msg *Msg) error { m.noteBlockDone(def, msg); return nil }); err != nil {
 		if errors.Is(err, ErrWorkerLost) {
 			obs.Flight().Record(obs.FlightEvent{
 				Kind: obs.FlightWorkerLost, Clock: m.clock.Load(),
@@ -699,15 +685,16 @@ func (m *Master) await(kind MsgKind, each func(*Msg) error) error {
 
 // noteBlockDone folds one executor's block stats into the prefetch-miss
 // counter and the execution report of the loop it ran.
-func (m *Master) noteBlockDone(loop string, msg *Msg) {
+func (m *Master) noteBlockDone(def LoopDef, msg *Msg) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.missCount += int64(msg.AccValue)
-	r := m.reports[loop]
+	r := m.reports[def.Kernel]
 	if r == nil {
-		r = &obs.LoopReport{Loop: loop}
-		m.reports[loop] = r
+		r = &obs.LoopReport{Loop: def.Kernel}
+		m.reports[def.Kernel] = r
 	}
+	r.Ordered = def.Ordered
 	r.Add(obs.WorkerStats{
 		Worker:    msg.ExecutorID,
 		Blocks:    1,

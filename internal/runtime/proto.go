@@ -72,8 +72,8 @@ const (
 	// MsgError: either direction; aborts the operation.
 	MsgError
 	// MsgPing: executor → master heartbeat. Carries no payload; the
-	// master refreshes the sender's liveness timestamp on receipt (as it
-	// does for every message).
+	// master drops it, and its only effect is to keep an armed read
+	// deadline (SetHeartbeat) from firing on an otherwise quiet link.
 	MsgPing
 	// MsgTraceSync: master ↔ executor clock-offset handshake. The
 	// request carries nothing: the master notes its own wall clock as it
@@ -124,8 +124,8 @@ type Msg struct {
 	// owners stage incoming updates and fold a batch into the shard only
 	// once a read from a *later* epoch arrives, so every block observes
 	// exactly the state at its step's start — independent of how block
-	// execution interleaves across executors. A read with Epoch 0 folds
-	// everything (gathers, legacy raw RPCs).
+	// execution interleaves across executors. Every step's epoch is at
+	// least 1: an owner refuses a read or update stamped 0.
 	Offsets  []int64
 	Values   []float64
 	Absolute bool

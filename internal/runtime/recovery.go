@@ -133,16 +133,10 @@ func (m *Master) Abort() {
 
 // Reform forms the next fleet after Abort from the executors that dial
 // in — respawned in-process, reconnecting over TCP, or brand-new for a
-// grow: it admits them until want have joined, or until wait elapses
-// with at least min, renumbered 0..k-1. Returns the new fleet size. The
-// caller redistributes arrays and the iteration space onto it before
-// running loops; gather bookkeeping and reports survive.
-func (m *Master) Reform(want, min int, wait time.Duration) (int, error) {
-	if min <= 0 {
-		min = 1
-	}
-	if want < min {
-		want = min
-	}
-	return m.admit(want, min, wait)
+// grow: it admits exactly want of them, or fails once wait elapses
+// naming how many joined. The caller redistributes arrays and the
+// iteration space onto it before running loops; gather bookkeeping and
+// reports survive.
+func (m *Master) Reform(want int, wait time.Duration) error {
+	return m.admit(want, wait)
 }

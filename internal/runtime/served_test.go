@@ -381,6 +381,7 @@ func TestPrefetchAnswerOfWrongLengthRejected(t *testing.T) {
 			}
 		}()
 		e := loneExecutor(tr, 16, 8, "", addr)
+		e.ctx.stepEpoch = 1
 		bulk := e.bulkFetch(e.ctx.Served("w"), newPrefetchIndex("", []int64{3, 9, 12}))
 		_, one := e.fetchOne("w", 9)
 		switch {

@@ -73,7 +73,7 @@ type shardTable struct {
 // into the local shard, ordered by (epoch, sending executor) and not by
 // arrival, so that concurrent senders' additive deltas sum in the same
 // order on every run. One sender's batches keep their arrival order
-// (absolute, then additive). epoch <= 0 folds everything.
+// (absolute, then additive). epoch 0 folds everything (a gather).
 func (t *shardTable) fold(epoch int64) {
 	slices.SortStableFunc(t.pending, func(a, b stagedUpdate) int {
 		return cmp.Or(cmp.Compare(a.epoch, b.epoch), cmp.Compare(a.src, b.src))
@@ -99,20 +99,17 @@ func (t *shardTable) fold(epoch int64) {
 
 // stage copies one update batch into recycled storage, unless an
 // identical delivery is already staged (duplicate suppression — see
-// updKey). Epoch 0 batches come from unstamped legacy paths and are
-// never deduplicated.
+// updKey).
 func (t *shardTable) stage(src int, epoch int64, absolute bool, offs []int64, vals []float64) {
 	u := stagedUpdate{src: src, epoch: epoch, absolute: absolute}
-	if epoch > 0 {
-		k := u.key()
-		if _, dup := t.seen[k]; dup {
-			return
-		}
-		if t.seen == nil {
-			t.seen = map[updKey]struct{}{}
-		}
-		t.seen[k] = struct{}{}
+	k := u.key()
+	if _, dup := t.seen[k]; dup {
+		return
 	}
+	if t.seen == nil {
+		t.seen = map[updKey]struct{}{}
+	}
+	t.seen[k] = struct{}{}
 	if n := len(t.spare); n > 0 {
 		u.offs, u.vals = t.spare[n-1].offs, t.spare[n-1].vals
 		t.spare = t.spare[:n-1]
@@ -222,6 +219,9 @@ func (s *shardSet) serveRead(out []float64, array string, offs []int64, epoch in
 	if t == nil {
 		return out, fmt.Errorf("runtime: executor %d serves no shard of %q", s.selfID, array)
 	}
+	if err := checkEpoch(epoch); err != nil {
+		return out, fmt.Errorf("runtime: executor %d: read of %q: %v", s.selfID, array, err)
+	}
 	if err := t.checkLocal(offs); err != nil {
 		return out, fmt.Errorf("runtime: executor %d: read of %q: %v", s.selfID, array, err)
 	}
@@ -248,10 +248,23 @@ func (s *shardSet) serveUpdate(array string, src int, offs []int64, vals []float
 	if t == nil {
 		return fmt.Errorf("runtime: executor %d serves no shard of %q", s.selfID, array)
 	}
+	if err := checkEpoch(epoch); err != nil {
+		return fmt.Errorf("runtime: executor %d: update of %q: %v", s.selfID, array, err)
+	}
 	if err := t.checkLocal(offs); err != nil {
 		return fmt.Errorf("runtime: executor %d: update of %q: %v", s.selfID, array, err)
 	}
 	t.stage(src, epoch, absolute, offs, vals)
+	return nil
+}
+
+// checkEpoch refuses a served read or update stamped below 1: every
+// step's epoch is the clock it completes at, clock+1, so a lower one
+// was stamped by no step — and would see, or stage, what no step may.
+func checkEpoch(epoch int64) error {
+	if epoch < 1 {
+		return fmt.Errorf("epoch %d is not a step's (every step's is at least 1)", epoch)
+	}
 	return nil
 }
 
